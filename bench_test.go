@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/crawler"
 	"repro/internal/eval"
 	"repro/internal/expansion"
@@ -172,6 +173,33 @@ func BenchmarkIndexBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				builder.Build(level, e.pages)
 			}
+		})
+	}
+}
+
+// BenchmarkPageDocuments measures the layer every write goes through —
+// extraction, population, inference and flattening of one match page —
+// per level, on the first pages of the repository benchmark's corpus.
+func BenchmarkPageDocuments(b *testing.B) {
+	gen := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
+	pages := make([]*crawler.MatchPage, 30)
+	for i := range pages {
+		p, err := gen.NextPage()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages[i] = p
+	}
+	for _, level := range semindex.Levels {
+		b.Run(string(level), func(b *testing.B) {
+			builder := semindex.NewBuilder()
+			docs := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				docs += len(builder.PageDocuments(level, pages[i%len(pages)]))
+			}
+			b.ReportMetric(float64(docs)/float64(b.N), "docs/page")
 		})
 	}
 }

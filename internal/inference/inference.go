@@ -27,12 +27,15 @@ type Result struct {
 }
 
 // Run saturates the model under the reasoner and rule set. The input model
-// is not modified.
+// is not modified: reasoner and rules alternate on one private copy, the
+// reasoner closing only over what the rules added since its last turn.
 func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
 	eng := rules.NewEngine(ruleSet)
 	provenance := map[rdf.Triple]string{}
-	inf := r.Materialize(m)
+	inf := m.Clone()
+	sat := r.Saturator(inf.Graph)
 	for {
+		sat.Run()
 		added := eng.Run(inf.Graph)
 		for t, rule := range eng.Derived() {
 			provenance[t] = rule
@@ -40,6 +43,5 @@ func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
 		if added == 0 {
 			return Result{Model: inf, RuleProvenance: provenance}
 		}
-		inf = r.Materialize(inf)
 	}
 }

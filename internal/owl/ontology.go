@@ -114,6 +114,10 @@ type Ontology struct {
 	disjoint     map[rdf.Term][]rdf.Term
 	order        []rdf.Term // class insertion order, for deterministic dumps
 	propOrder    []rdf.Term
+	// declared maps the local name of every declared class and property to
+	// its IRI, so the per-triple IRI calls of ABox population do not build
+	// the same strings again for every match.
+	declared map[string]rdf.Term
 }
 
 // New returns an empty ontology whose builder methods mint IRIs in the given
@@ -124,11 +128,17 @@ func New(namespace string) *Ontology {
 		classes:    make(map[rdf.Term]*Class),
 		properties: make(map[rdf.Term]*Property),
 		disjoint:   make(map[rdf.Term][]rdf.Term),
+		declared:   make(map[string]rdf.Term),
 	}
 }
 
 // IRI mints a term in the ontology namespace.
-func (o *Ontology) IRI(local string) rdf.Term { return rdf.NewIRI(o.Namespace + local) }
+func (o *Ontology) IRI(local string) rdf.Term {
+	if t, ok := o.declared[local]; ok {
+		return t
+	}
+	return rdf.NewIRI(o.Namespace + local)
+}
 
 // AddClass declares a class with the given local name and direct parent
 // local names. Re-declaring a class merges the parent lists.
@@ -138,6 +148,7 @@ func (o *Ontology) AddClass(name string, parents ...string) *Class {
 	if !ok {
 		c = &Class{IRI: iri, Label: name}
 		o.classes[iri] = c
+		o.declared[name] = iri
 		o.order = append(o.order, iri)
 	}
 	for _, p := range parents {
@@ -167,6 +178,7 @@ func (o *Ontology) addProperty(name string, kind PropertyKind, parents []string)
 	if !ok {
 		p = &Property{IRI: iri, Kind: kind}
 		o.properties[iri] = p
+		o.declared[name] = iri
 		o.propOrder = append(o.propOrder, iri)
 	}
 	for _, par := range parents {

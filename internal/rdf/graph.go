@@ -1,203 +1,398 @@
 package rdf
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"maps"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
-// Graph is an in-memory set of triples with three hash indexes (by subject,
-// by predicate, by object) so the pattern queries issued by the reasoner and
-// rule engine are answered without scanning.
+// ID numbers a term inside one Graph's dictionary. IDs are dense, start at 1
+// and are only meaningful for the graph that issued them (a Clone keeps its
+// source's numbering). The zero ID is the wildcard in Scan.
+type ID uint32
+
+// IDTriple is a triple in its stored form: three dictionary IDs.
+type IDTriple struct {
+	S, P, O ID
+}
+
+// Graph is an in-memory set of triples. Terms are dictionary-encoded to
+// dense IDs when they first enter the graph; a triple is stored once, as
+// three IDs, in an append-only log, and threaded onto three chains — the
+// triples sharing its subject, its predicate and its object — so the
+// pattern queries of the reasoner and rule engine follow a chain instead
+// of scanning, and never copy candidates.
 //
-// A Graph is safe for concurrent readers; writes must not race with reads.
-// The pipeline follows the paper's discipline of building models offline,
-// so the only concurrent access pattern is read-only querying, which is what
-// the RWMutex protects cheaply.
+// Every query visits triples in the order they were added, whichever
+// chain answers it. Match makes no stronger promise; All, Objects,
+// Subjects and FirstObject order their results by term.
+//
+// A Graph is safe for concurrent readers; writes (including Intern) must
+// not race with reads. The pipeline follows the paper's discipline of
+// building models offline, so the only concurrent access pattern is
+// read-only querying.
 type Graph struct {
-	mu      sync.RWMutex
-	triples map[Triple]struct{}
-	bySubj  map[Term][]Triple
-	byPred  map[Term][]Triple
-	byObj   map[Term][]Triple
+	// terms[id-1] is the term numbered id. iris keys the plain IRIs — nearly
+	// every term — by their one string; rest keys blanks and literals.
+	terms []Term
+	iris  map[string]ID
+	rest  map[Term]ID
+
+	// log holds the triples in insertion order; a removed triple leaves a
+	// slot with a zero subject. ends[id-1] bounds the chains of term id.
+	log  []logEntry
+	ends []chainEnds
+	// offsets maps each live triple to its log offset.
+	offsets map[IDTriple]uint32
+}
+
+// logEntry is one stored triple plus, per position, the log offset+1 of the
+// next triple with the same term in that position (0 ends the chain).
+type logEntry struct {
+	t    IDTriple
+	next [3]uint32
+}
+
+// chainEnds holds, per position, the log offset+1 of the first and last
+// triple carrying the term there (0 when none does).
+type chainEnds struct {
+	head, tail [3]uint32
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		triples: make(map[Triple]struct{}),
-		bySubj:  make(map[Term][]Triple),
-		byPred:  make(map[Term][]Triple),
-		byObj:   make(map[Term][]Triple),
+		iris:    make(map[string]ID),
+		rest:    make(map[Term]ID),
+		offsets: make(map[IDTriple]uint32),
 	}
 }
 
-// Add inserts a triple. It reports whether the triple was not already
-// present, which the semi-naive rule engine uses to detect a fixpoint.
-func (g *Graph) Add(t Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.triples[t]; ok {
-		return false
+func plainIRI(t Term) bool { return t.Kind == IRI && t.Lang == "" && t.Datatype == "" }
+
+// Lookup returns the term's ID, or false when the term has never entered
+// the graph (so no triple can mention it).
+func (g *Graph) Lookup(t Term) (ID, bool) {
+	if plainIRI(t) {
+		id, ok := g.iris[t.Value]
+		return id, ok
 	}
-	g.triples[t] = struct{}{}
-	g.bySubj[t.S] = append(g.bySubj[t.S], t)
-	g.byPred[t.P] = append(g.byPred[t.P], t)
-	g.byObj[t.O] = append(g.byObj[t.O], t)
-	return true
+	id, ok := g.rest[t]
+	return id, ok
+}
+
+// Intern returns the term's ID, numbering the term if it is new. The zero
+// Term is not a term and must not be interned.
+func (g *Graph) Intern(t Term) ID {
+	if id, ok := g.Lookup(t); ok {
+		return id
+	}
+	g.terms = append(g.terms, t)
+	g.ends = append(g.ends, chainEnds{})
+	id := ID(len(g.terms))
+	if plainIRI(t) {
+		g.iris[t.Value] = id
+	} else {
+		g.rest[t] = id
+	}
+	return id
+}
+
+// Term returns the term numbered id.
+func (g *Graph) Term(id ID) Term { return g.terms[id-1] }
+
+// NumTerms returns how many terms the dictionary holds; IDs run 1..NumTerms.
+func (g *Graph) NumTerms() int { return len(g.terms) }
+
+func (g *Graph) terms3(t IDTriple) Triple {
+	return Triple{S: g.Term(t.S), P: g.Term(t.P), O: g.Term(t.O)}
+}
+
+// lookup3 resolves a triple whose terms must all be known.
+func (g *Graph) lookup3(t Triple) (IDTriple, bool) {
+	s, ok1 := g.Lookup(t.S)
+	p, ok2 := g.Lookup(t.P)
+	o, ok3 := g.Lookup(t.O)
+	return IDTriple{s, p, o}, ok1 && ok2 && ok3
+}
+
+// Add inserts a triple. It reports whether the triple was not already
+// present, which the rule engine and the reasoner use to detect a fixpoint.
+func (g *Graph) Add(t Triple) bool {
+	return g.AddIDs(g.Intern(t.S), g.Intern(t.P), g.Intern(t.O))
 }
 
 // AddSPO is Add with unpacked terms.
 func (g *Graph) AddSPO(s, p, o Term) bool { return g.Add(Triple{S: s, P: p, O: o}) }
 
-// Remove deletes a triple. It reports whether the triple was present.
-// Removal rebuilds the three per-term posting slices, which is O(degree);
-// the pipeline only removes triples when retracting a failed extraction,
-// so this is never on a hot path.
-func (g *Graph) Remove(t Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.triples[t]; !ok {
+// AddIDs is Add for terms already interned in this graph.
+func (g *Graph) AddIDs(s, p, o ID) bool {
+	t := IDTriple{s, p, o}
+	if _, ok := g.offsets[t]; ok {
 		return false
 	}
-	delete(g.triples, t)
-	g.bySubj[t.S] = dropTriple(g.bySubj[t.S], t)
-	g.byPred[t.P] = dropTriple(g.byPred[t.P], t)
-	g.byObj[t.O] = dropTriple(g.byObj[t.O], t)
+	off := uint32(len(g.log))
+	g.offsets[t] = off
+	g.log = append(g.log, logEntry{t: t})
+	for pos, id := range [3]ID{s, p, o} {
+		e := &g.ends[id-1]
+		if e.tail[pos] == 0 {
+			e.head[pos] = off + 1
+		} else {
+			g.log[e.tail[pos]-1].next[pos] = off + 1
+		}
+		e.tail[pos] = off + 1
+	}
 	return true
 }
 
-func dropTriple(list []Triple, t Triple) []Triple {
-	for i, x := range list {
-		if x == t {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
+// Remove deletes a triple. It reports whether the triple was present.
+// Removal walks the triple's three chains to unlink it, which is
+// O(degree); the pipeline only removes triples when retracting a failed
+// extraction, so this is never on a hot path.
+func (g *Graph) Remove(t Triple) bool {
+	it, ok := g.lookup3(t)
+	if !ok {
+		return false
+	}
+	off, ok := g.offsets[it]
+	if !ok {
+		return false
+	}
+	delete(g.offsets, it)
+	for pos, id := range [3]ID{it.S, it.P, it.O} {
+		e := &g.ends[id-1]
+		prev := uint32(0)
+		for cur := e.head[pos]; cur != off+1; cur = g.log[cur-1].next[pos] {
+			prev = cur
+		}
+		next := g.log[off].next[pos]
+		if prev == 0 {
+			e.head[pos] = next
+		} else {
+			g.log[prev-1].next[pos] = next
+		}
+		if next == 0 {
+			e.tail[pos] = prev
 		}
 	}
-	return list
+	g.log[off] = logEntry{}
+	return true
 }
 
 // Has reports whether the exact triple is present.
 func (g *Graph) Has(t Triple) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.triples[t]
-	return ok
+	it, ok := g.lookup3(t)
+	return ok && g.HasIDs(it.S, it.P, it.O)
 }
 
 // HasSPO is Has with unpacked terms.
 func (g *Graph) HasSPO(s, p, o Term) bool { return g.Has(Triple{S: s, P: p, O: o}) }
 
+// HasIDs is Has for interned terms.
+func (g *Graph) HasIDs(s, p, o ID) bool {
+	_, ok := g.offsets[IDTriple{s, p, o}]
+	return ok
+}
+
 // Len returns the number of triples.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.triples)
+func (g *Graph) Len() int { return len(g.offsets) }
+
+// LogLen returns the length of the insertion log, which only grows: the
+// triples added since an earlier LogLen() == n are exactly the live entries
+// of At(n), At(n+1), ... — how the reasoner finds its delta.
+func (g *Graph) LogLen() int { return len(g.log) }
+
+// At returns the i-th logged triple; ok is false for the slot a removed
+// triple left behind.
+func (g *Graph) At(i int) (t IDTriple, ok bool) {
+	t = g.log[i].t
+	return t, t.S != 0
+}
+
+// Cursor iterates the triples matching a Scan pattern without copying
+// them. It sees the graph as of the Scan call: triples added while
+// iterating are not visited, so a caller may add as it goes.
+type Cursor struct {
+	g    *Graph
+	want IDTriple
+	// pos is the chain being followed (0 S, 1 P, 2 O), or -1 for the log.
+	pos   int
+	next  uint32 // offset+1 of the next candidate; 0 when exhausted
+	bound uint32 // LogLen at Scan time
+	// T is the current triple, valid after Next returned true.
+	T IDTriple
+}
+
+// Scan starts an iteration over the triples matching the pattern, where a
+// zero ID is a wildcard, in insertion order. It follows the subject chain
+// when the subject is bound, else the object chain, else the predicate
+// chain — the order of typical selectivity in ABox data.
+func (g *Graph) Scan(s, p, o ID) Cursor {
+	c := Cursor{g: g, want: IDTriple{s, p, o}, pos: -1, bound: uint32(len(g.log))}
+	switch {
+	case s != 0:
+		c.pos, c.next = 0, g.ends[s-1].head[0]
+	case o != 0:
+		c.pos, c.next = 2, g.ends[o-1].head[2]
+	case p != 0:
+		c.pos, c.next = 1, g.ends[p-1].head[1]
+	case len(g.log) > 0:
+		c.next = 1
+	}
+	return c
+}
+
+// Next advances to the next matching triple and reports whether there is one.
+func (c *Cursor) Next() bool {
+	for c.next != 0 && c.next <= c.bound {
+		e := &c.g.log[c.next-1]
+		if c.pos >= 0 {
+			c.next = e.next[c.pos]
+		} else {
+			c.next++
+		}
+		t, w := e.t, c.want
+		if t.S != 0 && (w.S == 0 || t.S == w.S) && (w.P == 0 || t.P == w.P) && (w.O == 0 || t.O == w.O) {
+			c.T = t
+			return true
+		}
+	}
+	c.next = 0
+	return false
 }
 
 // Wildcard is the zero Term; passing it to Match leaves that position
 // unconstrained.
 var Wildcard = Term{}
 
-// Match returns all triples matching the pattern, where the zero Term acts
-// as a wildcard in any position. The most selective available index is used.
-func (g *Graph) Match(s, p, o Term) []Triple {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.matchLocked(s, p, o)
-}
-
-func (g *Graph) matchLocked(s, p, o Term) []Triple {
-	switch {
-	case !s.IsZero():
-		return filterTriples(g.bySubj[s], Wildcard, p, o)
-	case !o.IsZero():
-		return filterTriples(g.byObj[o], s, p, Wildcard)
-	case !p.IsZero():
-		return filterTriples(g.byPred[p], s, Wildcard, o)
-	default:
-		out := make([]Triple, 0, len(g.triples))
-		for t := range g.triples {
-			out = append(out, t)
+// scanTerms is Scan over terms; ok is false when a bound term is unknown
+// to the graph, in which case nothing can match.
+func (g *Graph) scanTerms(s, p, o Term) (c Cursor, ok bool) {
+	var ids [3]ID
+	for i, t := range [3]Term{s, p, o} {
+		if t.IsZero() {
+			continue
 		}
-		return out
+		if ids[i], ok = g.Lookup(t); !ok {
+			return c, false
+		}
 	}
+	return g.Scan(ids[0], ids[1], ids[2]), true
 }
 
-func filterTriples(candidates []Triple, s, p, o Term) []Triple {
-	out := make([]Triple, 0, len(candidates))
-	for _, t := range candidates {
-		if (s.IsZero() || t.S == s) && (p.IsZero() || t.P == p) && (o.IsZero() || t.O == o) {
-			out = append(out, t)
-		}
+// Match returns all triples matching the pattern, where the zero Term acts
+// as a wildcard in any position, in the order they were added.
+func (g *Graph) Match(s, p, o Term) []Triple {
+	c, ok := g.scanTerms(s, p, o)
+	if !ok {
+		return nil
+	}
+	var out []Triple
+	for c.Next() {
+		out = append(out, g.terms3(c.T))
 	}
 	return out
 }
 
-// Objects returns the distinct objects of triples (s, p, *), in stable order.
+// Objects returns the distinct objects of triples (s, p, *), sorted.
 func (g *Graph) Objects(s, p Term) []Term {
-	ts := g.Match(s, p, Wildcard)
-	return distinctTerms(ts, func(t Triple) Term { return t.O })
+	return g.distinct(s, p, Wildcard, func(t IDTriple) ID { return t.O })
 }
 
-// Subjects returns the distinct subjects of triples (*, p, o), in stable order.
+// Subjects returns the distinct subjects of triples (*, p, o), sorted.
 func (g *Graph) Subjects(p, o Term) []Term {
-	ts := g.Match(Wildcard, p, o)
-	return distinctTerms(ts, func(t Triple) Term { return t.S })
+	return g.distinct(Wildcard, p, o, func(t IDTriple) ID { return t.S })
 }
 
-func distinctTerms(ts []Triple, pick func(Triple) Term) []Term {
-	seen := make(map[Term]struct{}, len(ts))
-	out := make([]Term, 0, len(ts))
-	for _, t := range ts {
-		v := pick(t)
-		if _, ok := seen[v]; ok {
-			continue
+func (g *Graph) distinct(s, p, o Term, pick func(IDTriple) ID) []Term {
+	c, ok := g.scanTerms(s, p, o)
+	if !ok {
+		return []Term{}
+	}
+	seen := map[ID]struct{}{}
+	out := []Term{}
+	for c.Next() {
+		id := pick(c.T)
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			out = append(out, g.Term(id))
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
 	}
 	SortTerms(out)
 	return out
 }
 
-// FirstObject returns the object of the first (s, p, *) triple, or the zero
-// Term when none exists. Handy for functional properties such as inMinute.
+// FirstObject returns the least object, in term order, of the (s, p, *)
+// triples, or the zero Term when none exists. Handy for functional
+// properties such as inMinute.
 func (g *Graph) FirstObject(s, p Term) Term {
-	os := g.Objects(s, p)
-	if len(os) == 0 {
-		return Term{}
+	if c, ok := g.scanTerms(s, p, Wildcard); ok {
+		if id := g.leastObject(c); id != 0 {
+			return g.Term(id)
+		}
 	}
-	return os[0]
+	return Term{}
+}
+
+// FirstObjectID is FirstObject for interned terms; it returns 0 when the
+// subject has no value for the predicate.
+func (g *Graph) FirstObjectID(s, p ID) ID { return g.leastObject(g.Scan(s, p, 0)) }
+
+func (g *Graph) leastObject(c Cursor) ID {
+	var best ID
+	for c.Next() {
+		if best == 0 || g.CompareIDs(c.T.O, best) < 0 {
+			best = c.T.O
+		}
+	}
+	return best
 }
 
 // All returns every triple in deterministic (sorted) order, which the Turtle
 // writer and tests rely on for reproducible output.
 func (g *Graph) All() []Triple {
-	g.mu.RLock()
-	ts := make([]Triple, 0, len(g.triples))
-	for t := range g.triples {
-		ts = append(ts, t)
+	ts := make([]Triple, 0, len(g.offsets))
+	for _, e := range g.log {
+		if e.t.S != 0 {
+			ts = append(ts, g.terms3(e.t))
+		}
 	}
-	g.mu.RUnlock()
 	SortTriples(ts)
 	return ts
 }
 
-// AddAll copies every triple of src into g.
+// AddAll copies every triple of src into g, in src's insertion order.
 func (g *Graph) AddAll(src *Graph) {
-	for _, t := range src.All() {
-		g.Add(t)
+	ids := make([]ID, len(src.terms)+1) // src ID -> g ID, interned on first use
+	to := func(id ID) ID {
+		if ids[id] == 0 {
+			ids[id] = g.Intern(src.Term(id))
+		}
+		return ids[id]
+	}
+	for _, e := range src.log {
+		if e.t.S != 0 {
+			g.AddIDs(to(e.t.S), to(e.t.P), to(e.t.O))
+		}
 	}
 }
 
-// Clone returns a deep copy of the graph. The inference pipeline clones the
+// Clone returns a deep copy of the graph with the same dictionary
+// numbering and insertion order. The inference pipeline clones the
 // extracted model before saturating it so the FULL_EXT index can still be
 // built from the pre-inference state.
 func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	out.AddAll(g)
-	return out
+	return &Graph{
+		terms:   slices.Clone(g.terms),
+		iris:    maps.Clone(g.iris),
+		rest:    maps.Clone(g.rest),
+		log:     slices.Clone(g.log),
+		ends:    slices.Clone(g.ends),
+		offsets: maps.Clone(g.offsets),
+	}
 }
 
 // blankCounter makes blank labels unique across every graph in the
@@ -227,33 +422,36 @@ func blankLabel(id int) string {
 }
 
 // SortTerms orders terms by kind then value, language and datatype.
-func SortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return lessTerm(ts[i], ts[j]) })
-}
+func SortTerms(ts []Term) { slices.SortFunc(ts, compareTerms) }
+
+// CompareIDs compares two of the graph's terms in the order of SortTerms.
+func (g *Graph) CompareIDs(a, b ID) int { return compareTerms(g.Term(a), g.Term(b)) }
+
+// SortIDs orders the graph's term IDs by the term order of SortTerms.
+func (g *Graph) SortIDs(ids []ID) { slices.SortFunc(ids, g.CompareIDs) }
 
 // SortTriples orders triples lexicographically by subject, predicate, object.
 func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.S != b.S {
-			return lessTerm(a.S, b.S)
+	slices.SortFunc(ts, func(a, b Triple) int {
+		if c := compareTerms(a.S, b.S); c != 0 {
+			return c
 		}
-		if a.P != b.P {
-			return lessTerm(a.P, b.P)
+		if c := compareTerms(a.P, b.P); c != 0 {
+			return c
 		}
-		return lessTerm(a.O, b.O)
+		return compareTerms(a.O, b.O)
 	})
 }
 
-func lessTerm(a, b Term) bool {
+func compareTerms(a, b Term) int {
 	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	}
-	if a.Value != b.Value {
-		return a.Value < b.Value
+	if c := strings.Compare(a.Value, b.Value); c != 0 {
+		return c
 	}
-	if a.Lang != b.Lang {
-		return a.Lang < b.Lang
+	if c := strings.Compare(a.Lang, b.Lang); c != 0 {
+		return c
 	}
-	return a.Datatype < b.Datatype
+	return strings.Compare(a.Datatype, b.Datatype)
 }

@@ -292,3 +292,101 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestMatchVisitsInInsertionOrder(t *testing.T) {
+	g := NewGraph()
+	e := soccerIRI("e")
+	var want []Triple
+	for _, o := range []string{"zeta", "alpha", "mid"} {
+		tr := NewTriple(e, soccerIRI("p"), soccerIRI(o))
+		g.Add(tr)
+		want = append(want, tr)
+	}
+	for name, gr := range map[string]*Graph{"original": g, "clone": g.Clone()} {
+		for _, pat := range [][3]Term{{e, Wildcard, Wildcard}, {Wildcard, soccerIRI("p"), Wildcard}, {Wildcard, Wildcard, Wildcard}} {
+			if got := gr.Match(pat[0], pat[1], pat[2]); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s Match%v = %v, want insertion order %v", name, pat, got, want)
+			}
+		}
+	}
+	if all := g.All(); all[0].O != soccerIRI("alpha") {
+		t.Errorf("All() not term-sorted: %v", all)
+	}
+}
+
+func TestScanSeesGraphAsOfCall(t *testing.T) {
+	g := NewGraph()
+	s, p := g.Intern(soccerIRI("s")), g.Intern(soccerIRI("p"))
+	for i := 0; i < 3; i++ {
+		g.AddIDs(s, p, g.Intern(NewInt(i)))
+	}
+	n := 0
+	for c := g.Scan(s, 0, 0); c.Next(); n++ {
+		// Adding to the chain being walked must not extend the walk.
+		g.AddIDs(s, p, g.Intern(NewInt(100+n)))
+	}
+	if n != 3 || g.Len() != 6 {
+		t.Errorf("visited %d triples (want 3), graph has %d (want 6)", n, g.Len())
+	}
+}
+
+func TestRemoveUnlinksAnywhereInAChain(t *testing.T) {
+	for victim := 0; victim < 4; victim++ {
+		g := NewGraph()
+		e, p := soccerIRI("e"), soccerIRI("p")
+		for i := 0; i < 4; i++ {
+			g.AddSPO(e, p, NewInt(i))
+		}
+		if !g.Remove(NewTriple(e, p, NewInt(victim))) {
+			t.Fatalf("Remove(%d) = false", victim)
+		}
+		g.AddSPO(e, p, NewInt(9)) // must link behind the new tail
+		var got []string
+		for _, tr := range g.Match(e, Wildcard, Wildcard) {
+			got = append(got, tr.O.Value)
+		}
+		var want []string
+		for i := 0; i < 4; i++ {
+			if i != victim {
+				want = append(want, fmt.Sprint(i))
+			}
+		}
+		want = append(want, "9")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after removing %d: subject chain %v, want %v", victim, got, want)
+		}
+		if byPred := g.Match(Wildcard, p, Wildcard); len(byPred) != 4 {
+			t.Errorf("after removing %d: predicate chain has %d", victim, len(byPred))
+		}
+		live := 0
+		for i := 0; i < g.LogLen(); i++ {
+			if _, ok := g.At(i); ok {
+				live++
+			}
+		}
+		if live != g.Len() || g.LogLen() != 5 {
+			t.Errorf("log has %d live of %d slots, Len %d", live, g.LogLen(), g.Len())
+		}
+	}
+}
+
+func TestAddAllAcrossDictionaries(t *testing.T) {
+	// The two graphs number the shared terms differently; AddAll must
+	// translate, not copy IDs.
+	a, b := NewGraph(), NewGraph()
+	b.AddSPO(soccerIRI("other"), RDFType, soccerIRI("Foul"))
+	a.AddSPO(soccerIRI("x"), RDFType, soccerIRI("Goal"))
+	a.AddSPO(soccerIRI("x"), soccerIRI("inMinute"), NewInt(3))
+	b.AddAll(a)
+	for _, tr := range a.All() {
+		if !b.Has(tr) {
+			t.Errorf("AddAll lost %v", tr)
+		}
+	}
+	if b.Len() != 3 {
+		t.Errorf("Len = %d, want 3", b.Len())
+	}
+	if _, ok := a.Lookup(soccerIRI("Foul")); ok {
+		t.Error("AddAll wrote to its source's dictionary")
+	}
+}

@@ -50,7 +50,8 @@ const (
 
 // Term is an RDF term. Terms are plain comparable values: two terms are the
 // same node iff their struct fields are equal, so they can key Go maps
-// directly, which is what the graph indexes rely on.
+// directly. A Graph numbers each distinct Term once and stores and indexes
+// the numbers (see ID).
 type Term struct {
 	Kind TermKind
 	// Value is the IRI string for IRI terms, the label for blank nodes and

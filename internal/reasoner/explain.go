@@ -31,72 +31,37 @@ func (e Explanation) String() string {
 
 // MaterializeExplained is Materialize with a derivation record: the second
 // return value explains every triple of the output that was not asserted
-// in the input. It exists for the "why is this in my results?" question a
-// knowledge-base operator asks when an inferred index surprises them.
+// in the input, by the derivation that first produced it. It exists for
+// the "why is this in my results?" question a knowledge-base operator asks
+// when an inferred index surprises them.
 func (r *Reasoner) MaterializeExplained(m *owl.Model) (*owl.Model, map[rdf.Triple]Explanation) {
 	out := m.Clone()
 	g := out.Graph
 	expl := map[rdf.Triple]Explanation{}
-	record := func(t rdf.Triple, rule, axiom string, premises ...rdf.Triple) bool {
-		if !g.Add(t) {
-			return false
-		}
-		expl[t] = Explanation{Triple: t, Rule: rule, Axiom: axiom, Premises: premises}
-		return true
+	s := r.Saturator(g)
+	triple := func(t rdf.IDTriple) rdf.Triple {
+		return rdf.Triple{S: g.Term(t.S), P: g.Term(t.P), O: g.Term(t.O)}
 	}
-	for {
-		added := false
-		for _, t := range g.Match(rdf.Wildcard, rdf.RDFType, rdf.Wildcard) {
-			for _, anc := range r.classAnc[t.O] {
-				axiom := fmt.Sprintf("%s ⊑ %s", t.O.LocalName(), anc.LocalName())
-				if record(rdf.Triple{S: t.S, P: rdf.RDFType, O: anc}, "subClassOf", axiom, t) {
-					added = true
-				}
+	s.explain = func(d derivation) {
+		name := func(i int) string { return r.schema.terms[d.axiom[i]].LocalName() }
+		e := Explanation{Triple: triple(d.conclusion), Rule: d.rule}
+		switch d.rule {
+		case "subClassOf", "subPropertyOf":
+			e.Axiom = fmt.Sprintf("%s ⊑ %s", name(0), name(1))
+		case "domain", "range":
+			e.Axiom = fmt.Sprintf("%s(%s) = %s", d.rule, name(0), name(1))
+		case "allValuesFrom":
+			e.Axiom = fmt.Sprintf("%s ⊑ ∀%s.%s", name(0), name(1), name(2))
+		}
+		for _, p := range d.premises {
+			if p.S != 0 {
+				e.Premises = append(e.Premises, triple(p))
 			}
 		}
-		for _, p := range r.ont.Properties() {
-			for _, t := range g.Match(rdf.Wildcard, p.IRI, rdf.Wildcard) {
-				for _, anc := range r.propAnc[p.IRI] {
-					axiom := fmt.Sprintf("%s ⊑ %s", p.IRI.LocalName(), anc.LocalName())
-					if record(rdf.Triple{S: t.S, P: anc, O: t.O}, "subPropertyOf", axiom, t) {
-						added = true
-					}
-				}
-				if !p.Domain.IsZero() {
-					axiom := fmt.Sprintf("domain(%s) = %s", p.IRI.LocalName(), p.Domain.LocalName())
-					if record(rdf.Triple{S: t.S, P: rdf.RDFType, O: p.Domain}, "domain", axiom, t) {
-						added = true
-					}
-				}
-				if p.Kind == owl.ObjectProperty && !p.Range.IsZero() && !t.O.IsLiteral() {
-					axiom := fmt.Sprintf("range(%s) = %s", p.IRI.LocalName(), p.Range.LocalName())
-					if record(rdf.Triple{S: t.O, P: rdf.RDFType, O: p.Range}, "range", axiom, t) {
-						added = true
-					}
-				}
-			}
-		}
-		for _, rest := range r.ont.Restrictions() {
-			if rest.Kind != owl.AllValuesFrom {
-				continue
-			}
-			for _, ti := range g.Match(rdf.Wildcard, rdf.RDFType, rest.OnClass) {
-				for _, tv := range g.Match(ti.S, rest.OnProperty, rdf.Wildcard) {
-					if tv.O.IsLiteral() {
-						continue
-					}
-					axiom := fmt.Sprintf("%s ⊑ ∀%s.%s",
-						rest.OnClass.LocalName(), rest.OnProperty.LocalName(), rest.Filler.LocalName())
-					if record(rdf.Triple{S: tv.O, P: rdf.RDFType, O: rest.Filler}, "allValuesFrom", axiom, ti, tv) {
-						added = true
-					}
-				}
-			}
-		}
-		if !added {
-			return out, expl
-		}
+		expl[e.Triple] = e
 	}
+	s.Run()
+	return out, expl
 }
 
 // ExplainChain walks an explanation back to asserted triples, returning the

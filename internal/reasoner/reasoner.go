@@ -32,6 +32,9 @@ type Reasoner struct {
 	// disjointClosed maps each class to the set of classes it is disjoint
 	// with, including disjointness inherited from ancestors.
 	disjointClosed map[rdf.Term]map[rdf.Term]bool
+
+	// schema is the TBox as the saturation loop reads it.
+	schema schema
 }
 
 // New classifies the ontology and returns a reasoner over it. The ontology
@@ -78,6 +81,7 @@ func New(ont *owl.Ontology) *Reasoner {
 			r.disjointClosed[c.IRI] = set
 		}
 	}
+	r.schema = compileSchema(r)
 	return r
 }
 
@@ -163,60 +167,8 @@ func (r *Reasoner) AreDisjoint(a, b rdf.Term) bool {
 // FULL_EXT index).
 func (r *Reasoner) Materialize(m *owl.Model) *owl.Model {
 	out := m.Clone()
-	g := out.Graph
-	// Saturate to fixpoint: each pass applies every inference pattern once;
-	// a pass that adds nothing terminates the loop. The soccer schema
-	// stratifies shallowly, so two or three passes suffice in practice.
-	for {
-		added := false
-		// Type closure along the class hierarchy.
-		for _, t := range g.Match(rdf.Wildcard, rdf.RDFType, rdf.Wildcard) {
-			for _, anc := range r.classAnc[t.O] {
-				if g.AddSPO(t.S, rdf.RDFType, anc) {
-					added = true
-				}
-			}
-		}
-		// Property closure, domain and range inference.
-		for _, p := range r.ont.Properties() {
-			for _, t := range g.Match(rdf.Wildcard, p.IRI, rdf.Wildcard) {
-				for _, anc := range r.propAnc[p.IRI] {
-					if g.AddSPO(t.S, anc, t.O) {
-						added = true
-					}
-				}
-				if !p.Domain.IsZero() {
-					if g.AddSPO(t.S, rdf.RDFType, p.Domain) {
-						added = true
-					}
-				}
-				if p.Kind == owl.ObjectProperty && !p.Range.IsZero() && !t.O.IsLiteral() {
-					if g.AddSPO(t.O, rdf.RDFType, p.Range) {
-						added = true
-					}
-				}
-			}
-		}
-		// allValuesFrom: for i : C and (i p v), infer v : F.
-		for _, rest := range r.ont.Restrictions() {
-			if rest.Kind != owl.AllValuesFrom {
-				continue
-			}
-			for _, ti := range g.Match(rdf.Wildcard, rdf.RDFType, rest.OnClass) {
-				for _, tv := range g.Match(ti.S, rest.OnProperty, rdf.Wildcard) {
-					if tv.O.IsLiteral() {
-						continue
-					}
-					if g.AddSPO(tv.O, rdf.RDFType, rest.Filler) {
-						added = true
-					}
-				}
-			}
-		}
-		if !added {
-			return out
-		}
-	}
+	r.Saturator(out.Graph).Run()
+	return out
 }
 
 // DirectTypes realizes the individual: its most specific types, i.e. the

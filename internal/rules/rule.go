@@ -4,7 +4,7 @@
 // node constructor — and evaluated bottom-up to a fixpoint over an RDF
 // graph.
 //
-// The engine fires each rule at most once per distinct binding of its body
+// A rule has an effect at most once per distinct binding of its body
 // variables, which is Jena's forward-engine behaviour and what makes rules
 // containing makeTemp terminate: re-running the engine over an already
 // saturated graph adds nothing.

@@ -350,3 +350,39 @@ func TestNewEnginePanicsOnInvalidRule(t *testing.T) {
 	}()
 	NewEngine([]*Rule{{Name: "bad", Head: []Pattern{{S: Node{Var: "x"}, P: Node{Term: rdf.RDFType}, O: Node{Term: rdf.OWLThing}}}}})
 }
+
+// A rule with two makeTemp calls cannot be recognized by its head (there is
+// no single anchor node), so the per-run memo is what keeps it from minting
+// again on the fixpoint's second pass.
+func TestEngineSeveralTempsOncePerBindingWithinARun(t *testing.T) {
+	rs := MustParse(`
+[pair: (?g rdf:type pre:Goal) makeTemp(?a) makeTemp(?b)
+  -> (?a pre:celebrates ?g) (?b pre:mourns ?g)]
+`)
+	g := rdf.NewGraph()
+	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
+	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
+	if n := NewEngine(rs).Run(g); n != 4 {
+		t.Errorf("Run added %d triples, want 4 (two temps for each of two goals)", n)
+	}
+}
+
+func TestEngineGuardOnUnboundVariable(t *testing.T) {
+	// ?v is bound by no pattern: in noValue it is a wildcard, in a
+	// comparison it has no value and the guard fails.
+	rs := MustParse(`
+[bare: (?e rdf:type pre:Goal) noValue(?e pre:inMinute ?v) -> (?e rdf:type pre:Untimed)]
+[cmp:  (?e rdf:type pre:Goal) lessThan(?v 5) -> (?e rdf:type pre:Early)]
+`)
+	g := rdf.NewGraph()
+	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
+	g.AddSPO(iri("pre:g1"), iri("pre:inMinute"), rdf.NewInt(3))
+	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
+	NewEngine(rs).Run(g)
+	if g.HasSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Untimed")) || !g.HasSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Untimed")) {
+		t.Error("noValue with an unbound variable did not act as a wildcard")
+	}
+	if len(g.Match(rdf.Wildcard, rdf.RDFType, iri("pre:Early"))) != 0 {
+		t.Error("comparison on an unbound variable passed")
+	}
+}

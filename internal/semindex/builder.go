@@ -3,7 +3,7 @@ package semindex
 import (
 	"fmt"
 	"runtime"
-	"strings"
+	"sort"
 	"sync"
 
 	"repro/internal/crawler"
@@ -62,6 +62,11 @@ type Builder struct {
 	// the same property that makes the paper's per-match models scale).
 	// 0 means GOMAXPROCS capped at 8; 1 disables concurrency.
 	Parallelism int
+
+	// roles is the TBox knowledge the flattening step reads, derived from
+	// Ontology and Reasoner on first use.
+	rolesOnce sync.Once
+	roles     map[rdf.Term]predicateRole
 }
 
 // NewBuilder wires the default soccer pipeline.
@@ -161,7 +166,6 @@ func (b *Builder) tradDocs(page *crawler.MatchPage) []*index.Document {
 }
 
 func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Document {
-	var out []*index.Document
 	events := ie.Extractor{}.ExtractMatch(page)
 	if level == BasicExt {
 		// The initial OWL files of pipeline step 3 know the narrations but
@@ -181,22 +185,26 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 
 	model := pm.Model
 	var provenance map[rdf.Triple]string
-	if level == FullInf || level == PhrExp {
+	inferred := level == FullInf || level == PhrExp
+	if inferred {
 		res := inference.Run(b.Reasoner, b.Rules, model)
 		model = res.Model
 		provenance = res.RuleProvenance
 	}
 
+	f := b.newFlattener(level, page, model.Graph, provenance)
+	out := make([]*index.Document, 0, len(pm.Events))
 	for _, rec := range pm.Events {
-		out = append(out, b.eventDocument(level, page, model, provenance, rec))
+		out = append(out, f.eventDocument(rec))
 	}
-	if level == FullInf || level == PhrExp {
+	if inferred {
 		// Rule-minted individuals (the Fig. 6 assists) are not in
 		// pm.Events; index them too.
 		known := map[rdf.Term]bool{}
 		for _, rec := range pm.Events {
 			known[rec.Individual] = true
 		}
+		var minted []populate.EventRecord
 		for _, ind := range model.Graph.Subjects(rdf.RDFType, b.Ontology.IRI("Event")) {
 			if known[ind] {
 				continue
@@ -205,10 +213,30 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 			if min, ok := model.Get(ind, "inMinute").Int(); ok {
 				rec.Minute = min
 			}
-			out = append(out, b.eventDocument(level, page, model, provenance, rec))
+			minted = append(minted, rec)
+		}
+		sort.Slice(minted, func(i, j int) bool { return mintedBefore(minted[i], minted[j]) })
+		for _, rec := range minted {
+			out = append(out, f.eventDocument(rec))
 		}
 	}
 	return out
+}
+
+// mintedBefore orders a page's rule-minted events: chronologically, then in
+// mint order. Blank labels come from one process-wide counter, so within a
+// page they grow in mint order numerically — but not as strings ("b1000" <
+// "b999"), and string order would let the counter's absolute value, which
+// depends on what else the process has built, pick the document order.
+func mintedBefore(a, b populate.EventRecord) bool {
+	if a.Minute != b.Minute {
+		return a.Minute < b.Minute
+	}
+	la, lb := a.Individual.Value, b.Individual.Value
+	if len(la) != len(lb) {
+		return len(la) < len(lb)
+	}
+	return la < lb
 }
 
 // ruleKind picks the most specific type of a rule-minted individual.
@@ -218,205 +246,4 @@ func ruleKind(b *Builder, m *owl.Model, ind rdf.Term) soccer.EventKind {
 		return soccer.EventKind(direct[0].LocalName())
 	}
 	return soccer.KindUnknown
-}
-
-// eventDocument flattens one event individual into an index document
-// following the structure of Tables 1 and 2.
-func (b *Builder) eventDocument(level Level, page *crawler.MatchPage, m *owl.Model,
-	provenance map[rdf.Triple]string, rec populate.EventRecord) *index.Document {
-
-	d := &index.Document{}
-	ind := rec.Individual
-
-	// Event types: asserted for EXT levels, full closure for INF levels.
-	var typeNames []string
-	for _, t := range m.Types(ind) {
-		name := t.LocalName()
-		if !strings.HasPrefix(t.Value, rdf.NSSoccer) {
-			continue
-		}
-		typeNames = append(typeNames, CamelSplit(name))
-		if tr := b.EventTranslations[name]; tr != "" {
-			typeNames = append(typeNames, tr)
-		}
-	}
-	d.Add(FieldEvent, strings.Join(typeNames, " "))
-
-	d.Add(FieldMatch, page.ID)
-	d.Add(FieldTeam1, page.Home)
-	d.Add(FieldTeam2, page.Away)
-	d.Add(FieldDate, page.Date)
-	d.Add(FieldMinute, fmt.Sprintf("%d", rec.Minute))
-
-	subjects := b.roleValues(m, ind, "subjectPlayer")
-	objects := b.roleValues(m, ind, "objectPlayer")
-	subjTeams := b.roleValues(m, ind, "subjectTeam")
-	objTeams := b.roleValues(m, ind, "objectTeam")
-	d.Add(FieldSubjPlayer, strings.Join(displayNames(m, subjects), " "))
-	d.Add(FieldObjPlayer, strings.Join(displayNames(m, objects), " "))
-	d.Add(FieldSubjTeam, strings.Join(displayNames(m, subjTeams), " "))
-	d.Add(FieldObjTeam, strings.Join(displayNames(m, objTeams), " "))
-
-	if !b.DisableNarrationField {
-		d.Add(FieldNarration, m.Get(ind, "narration").Value)
-	}
-
-	if level == FullInf || level == PhrExp {
-		d.Add(FieldSubjProp, b.playerPropText(m, subjects))
-		d.Add(FieldObjProp, b.playerPropText(m, objects))
-		d.Add(FieldFromRules, b.fromRulesText(m, provenance, ind))
-	}
-	if level == PhrExp {
-		var subjPhr, objPhr []string
-		for _, n := range displayNames(m, subjects) {
-			subjPhr = append(subjPhr, PhrasalTokens("by", n), PhrasalTokens("of", n))
-		}
-		for _, n := range displayNames(m, objects) {
-			objPhr = append(objPhr, PhrasalTokens("to", n))
-		}
-		d.Add(FieldSubjPhrase, strings.Join(subjPhr, " "))
-		d.Add(FieldObjPhrase, strings.Join(objPhr, " "))
-	}
-
-	// Stored-only evaluation metadata.
-	d.Add(MetaMatchID, page.ID)
-	d.Add(MetaNarration, fmt.Sprintf("%d", rec.NarrationIdx))
-	d.Add(MetaKind, string(rec.Kind))
-	d.Add(MetaMinute, fmt.Sprintf("%d", rec.Minute))
-	d.Add(MetaSubject, strings.Join(displayNames(m, subjects), "|"))
-	d.Add(MetaObject, strings.Join(displayNames(m, objects), "|"))
-	d.Add(MetaSubjTeam, strings.Join(displayNames(m, subjTeams), "|"))
-	d.Add(MetaObjTeam, strings.Join(displayNames(m, objTeams), "|"))
-	return d
-}
-
-// roleValues collects the values of a generic property and all its
-// sub-properties on the individual. Reading through the property hierarchy
-// is TBox knowledge (the index schema), not ABox inference, which is why
-// the pre-inference FULL_EXT index still fills subjectPlayer from
-// scorerPlayer assertions — exactly the paper's Table 1.
-func (b *Builder) roleValues(m *owl.Model, ind rdf.Term, generic string) []rdf.Term {
-	seen := map[rdf.Term]bool{}
-	var out []rdf.Term
-	genericIRI := b.Ontology.IRI(generic)
-	for _, p := range b.Ontology.Properties() {
-		if p.IRI != genericIRI && !hasAncestor(b.Reasoner.PropertyAncestors(p.IRI), genericIRI) {
-			continue
-		}
-		for _, v := range m.Graph.Objects(ind, p.IRI) {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	rdf.SortTerms(out)
-	return out
-}
-
-func hasAncestor(ancestors []rdf.Term, t rdf.Term) bool {
-	for _, a := range ancestors {
-		if a == t {
-			return true
-		}
-	}
-	return false
-}
-
-// displayNames maps individuals to their hasName values (falling back to
-// the IRI local name with underscores opened up).
-func displayNames(m *owl.Model, inds []rdf.Term) []string {
-	out := make([]string, 0, len(inds))
-	for _, ind := range inds {
-		if n := m.Get(ind, "hasName"); !n.IsZero() {
-			out = append(out, n.Value)
-			continue
-		}
-		out = append(out, strings.ReplaceAll(ind.LocalName(), "_", " "))
-	}
-	return out
-}
-
-// playerPropText renders the inferred types of the given players, the
-// subjectPlayerProp/objectPlayerProp content of Table 2 ("Left back
-// defence player ...").
-func (b *Builder) playerPropText(m *owl.Model, players []rdf.Term) string {
-	var parts []string
-	seen := map[string]bool{}
-	for _, p := range players {
-		for _, t := range m.Types(p) {
-			if !strings.HasPrefix(t.Value, rdf.NSSoccer) {
-				continue
-			}
-			s := CamelSplit(t.LocalName())
-			if !seen[s] {
-				seen[s] = true
-				parts = append(parts, s)
-			}
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-// fromRulesText renders rule-derived knowledge about the event: properties
-// asserted on it by rules (with the value's display name) and inverse
-// actor properties pointing at it, camel-split so "actorOfNegativeMove"
-// surfaces the query tokens "negative move".
-func (b *Builder) fromRulesText(m *owl.Model, provenance map[rdf.Triple]string, ind rdf.Term) string {
-	if provenance == nil {
-		return ""
-	}
-	var parts []string
-	seen := map[string]bool{}
-	addPart := func(s string) {
-		if s != "" && !seen[s] {
-			seen[s] = true
-			parts = append(parts, s)
-		}
-	}
-	roleAncestors := []rdf.Term{
-		b.Ontology.IRI("subjectPlayer"), b.Ontology.IRI("objectPlayer"),
-		b.Ontology.IRI("subjectTeam"), b.Ontology.IRI("objectTeam"),
-	}
-	for _, t := range m.Graph.Match(ind, rdf.Wildcard, rdf.Wildcard) {
-		if _, ok := provenance[t]; !ok {
-			continue
-		}
-		// Values of role properties (concedingTeam, scoredToGoalkeeper, ...)
-		// already reach the index through the four role fields; repeating
-		// them here would double-count team and player mentions. Likewise
-		// skip plumbing (inMatch, inMinute) and unnamed individuals such as
-		// the goal an assist points at, whose local name would leak "goal".
-		if t.O.IsIRI() && m.Get(t.O, "hasName").IsZero() {
-			continue
-		}
-		skip := t.P == b.Ontology.IRI("inMatch") || t.P == b.Ontology.IRI("inMinute")
-		for _, anc := range roleAncestors {
-			if t.P == anc || hasAncestor(b.Reasoner.PropertyAncestors(t.P), anc) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		addPart(CamelSplit(t.P.LocalName()))
-		if t.O.IsIRI() {
-			addPart(m.Get(t.O, "hasName").Value)
-		}
-	}
-	for _, t := range m.Graph.Match(rdf.Wildcard, rdf.Wildcard, ind) {
-		if _, ok := provenance[t]; !ok {
-			// Property-closure lifts of rule triples (actorOfRedCard ->
-			// actorOfNegativeMove) come from the reasoner, not the rule
-			// engine; include them when the base actor triple is rule-made.
-			if !strings.HasPrefix(t.P.Value, rdf.NSSoccer+"actorOf") {
-				continue
-			}
-		}
-		if strings.HasPrefix(t.P.Value, rdf.NSSoccer+"actorOf") {
-			addPart(CamelSplit(strings.TrimPrefix(t.P.LocalName(), "actorOf")))
-		}
-	}
-	return strings.Join(parts, " ")
 }
