@@ -177,10 +177,9 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPageDocuments measures the layer every write goes through —
-// extraction, population, inference and flattening of one match page —
-// per level, on the first pages of the repository benchmark's corpus.
-func BenchmarkPageDocuments(b *testing.B) {
+// benchmarkPages is the first 30 pages of the repository benchmark's corpus
+// (the pages semindex's and index's golden files are recorded on).
+func benchmarkPages(b *testing.B) []*crawler.MatchPage {
 	gen := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
 	pages := make([]*crawler.MatchPage, 30)
 	for i := range pages {
@@ -190,6 +189,66 @@ func BenchmarkPageDocuments(b *testing.B) {
 		}
 		pages[i] = p
 	}
+	return pages
+}
+
+// BenchmarkIndexAdd measures the loop every write ends in: Add of those
+// pages' FULL_INF documents (3,579 of them, 14 indexed fields each) into a
+// fresh index. One iteration is one whole build; us/doc is the figure the
+// repository benchmark reports as index.add_us_per_doc.
+func BenchmarkIndexAdd(b *testing.B) {
+	builder := semindex.NewBuilder()
+	var docs []*index.Document
+	for _, page := range benchmarkPages(b) {
+		docs = append(docs, builder.PageDocuments(semindex.FullInf, page)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := index.New(nil)
+		for _, d := range docs {
+			ix.Add(d)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(docs)), "us/doc")
+	b.ReportMetric(float64(len(docs)), "docs/op")
+}
+
+// BenchmarkIndexMerge measures one compaction as the shard engine's
+// ForceMerge runs it: a base holding 24 of those pages with two of them
+// tombstoned, plus six one-page segments. Besides the time, B/op says
+// whether the merged index is still allocated once at its final size.
+func BenchmarkIndexMerge(b *testing.B) {
+	builder := semindex.NewBuilder()
+	pages := benchmarkPages(b)
+	sources := []*index.Index{index.New(nil)}
+	for i, page := range pages {
+		ix := sources[0]
+		if i >= 24 {
+			ix = index.New(nil)
+			sources = append(sources, ix)
+		}
+		for _, d := range builder.PageDocuments(semindex.FullInf, page) {
+			if id := ix.Add(d); i == 3 || i == 17 {
+				ix.Delete(id)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	docs := 0
+	for i := 0; i < b.N; i++ {
+		merged, _ := index.MergeIndexes(sources, nil)
+		docs = merged.NumDocs()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "us/doc")
+}
+
+// BenchmarkPageDocuments measures the layer every write goes through —
+// extraction, population, inference and flattening of one match page —
+// per level, on the first pages of the repository benchmark's corpus.
+func BenchmarkPageDocuments(b *testing.B) {
+	pages := benchmarkPages(b)
 	for _, level := range semindex.Levels {
 		b.Run(string(level), func(b *testing.B) {
 			builder := semindex.NewBuilder()

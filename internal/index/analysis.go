@@ -13,6 +13,7 @@ package index
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Analyzer turns field text into index terms.
@@ -33,23 +34,31 @@ type StandardAnalyzer struct {
 	NoStemming bool
 }
 
-// Analyze implements Analyzer.
+// Analyze implements Analyzer. It keeps no state, so concurrent searches
+// may analyze query text freely; the write path analyzes through
+// Index.analyzeForWrite, which memoises normalize per index.
 func (a StandardAnalyzer) Analyze(text string) []string {
-	tokens := Tokenize(text)
+	tokens := appendTokens(nil, text)
 	out := tokens[:0]
 	for _, t := range tokens {
-		t = strings.ToLower(t)
-		if !a.KeepStopwords && stopwords[t] {
-			continue
-		}
-		if !a.NoStemming {
-			t = PorterStem(t)
-		}
-		if t != "" {
+		if t = a.normalize(t); t != "" {
 			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// normalize turns one raw token into its index term: lowercased, stemmed,
+// or "" when the token is dropped as a stopword.
+func (a StandardAnalyzer) normalize(token string) string {
+	token = strings.ToLower(token)
+	if !a.KeepStopwords && stopwords[token] {
+		return ""
+	}
+	if !a.NoStemming {
+		token = PorterStem(token)
+	}
+	return token
 }
 
 // KeywordAnalyzer indexes the whole field value as a single lowercased
@@ -67,38 +76,56 @@ func (KeywordAnalyzer) Analyze(text string) []string {
 
 // Tokenize splits text into maximal runs of letters, digits and
 // apostrophes, so "Eto'o" and "4-4-2" survive sensibly ("4", "4", "2").
-func Tokenize(text string) []string {
-	var out []string
+func Tokenize(text string) []string { return appendTokens(nil, text) }
+
+// appendTokens appends text's tokens to dst in one pass. The tokens alias
+// text.
+func appendTokens(dst []string, text string) []string {
 	start := -1
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' {
+	for i := 0; i < len(text); {
+		word, size := false, 1
+		if c := text[i]; c < utf8.RuneSelf {
+			word = asciiWord[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
+		}
+		if word {
 			if start < 0 {
 				start = i
 			}
-			continue
-		}
-		if start >= 0 {
-			out = append(out, trimApostrophes(text[start:i]))
+		} else if start >= 0 {
+			dst = appendToken(dst, text[start:i])
 			start = -1
 		}
+		i += size
 	}
 	if start >= 0 {
-		out = append(out, trimApostrophes(text[start:]))
+		dst = appendToken(dst, text[start:])
 	}
-	// Drop tokens that were nothing but apostrophes.
-	filtered := out[:0]
-	for _, t := range out {
-		if t != "" {
-			filtered = append(filtered, t)
-		}
-	}
-	if len(filtered) == 0 {
-		return nil
-	}
-	return filtered
+	return dst
 }
 
-func trimApostrophes(s string) string { return strings.Trim(s, "'") }
+// appendToken strips the run's outer apostrophes and drops a run that was
+// nothing else.
+func appendToken(dst []string, run string) []string {
+	if run[0] == '\'' || run[len(run)-1] == '\'' {
+		if run = strings.Trim(run, "'"); run == "" {
+			return dst
+		}
+	}
+	return append(dst, run)
+}
+
+// asciiWord marks the ASCII bytes that continue a token: exactly those
+// unicode.IsLetter or unicode.IsDigit accept, and the apostrophe.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '\''
+	}
+	return t
+}()
 
 // stopwords is Lucene's classic English stopword set.
 var stopwords = map[string]bool{

@@ -37,8 +37,10 @@ func buildMultiBlockIndex(tb testing.TB, rng *rand.Rand, nDocs int, vocab, field
 	}
 	multi := false
 	for _, f := range fields {
-		if fi := ix.fields[f]; fi != nil && len(fi.blocks) > 0 {
-			multi = true
+		if fi := ix.fields[f]; fi != nil {
+			for _, te := range fi.terms {
+				multi = multi || len(te.blocks) > 0
+			}
 		}
 	}
 	if !multi {
@@ -110,11 +112,11 @@ func TestAddMaintainsBlockBounds(t *testing.T) {
 		ix.Add(doc)
 	}
 	fi := ix.fields["f"]
-	pl := fi.postings["goal"]
+	pl := fi.terms["goal"].postings
 	if len(pl) <= postingBlockSize {
 		t.Fatalf("term spans %d postings, need > %d", len(pl), postingBlockSize)
 	}
-	blks := fi.blocks["goal"]
+	blks := fi.terms["goal"].blocks
 	if want := (len(pl) + postingBlockSize - 1) / postingBlockSize; len(blks) != want {
 		t.Fatalf("got %d block entries, want %d", len(blks), want)
 	}
@@ -130,7 +132,7 @@ func TestAddMaintainsBlockBounds(t *testing.T) {
 			t.Errorf("block %d metadata %+v is not a valid bound for exact %+v", bi, blk, exact)
 		}
 	}
-	if _, ok := fi.blocks["unicorn"]; ok {
+	if len(fi.terms["unicorn"].blocks) > 0 {
 		t.Error("single-block term carries block metadata")
 	}
 }

@@ -179,15 +179,12 @@ func (ix *Index) encodeV2(w io.Writer, tb *tocBuilder) error {
 			tf = tb.field(name)
 		}
 
-		terms := make([]string, 0, len(fi.postings))
-		for t := range fi.postings {
-			terms = append(terms, t)
-		}
+		terms := fi.termNames()
 		sort.Strings(terms)
 		writeU32(bw, uint32(len(terms)))
 		for _, t := range terms {
 			writeString(bw, t)
-			pl := fi.postings[t]
+			pl := fi.terms[t].postings
 			writeU32(bw, uint32(len(pl)))
 			multi := len(pl) > postingBlockSize
 			prev := -1
@@ -219,46 +216,35 @@ func (ix *Index) encodeV2(w io.Writer, tb *tocBuilder) error {
 		if tb != nil {
 			tf.docLenOff = pos()
 		}
-		writeU32(bw, uint32(len(fi.docLen)))
+		writeU32(bw, uint32(fi.docCount))
 		prev := -1
-		for _, id := range sortedKeys(fi.docLen) {
+		fi.eachDocLen(func(id, l int) {
 			writeUvarint(bw, uint64(id-prev))
-			writeUvarint(bw, uint64(fi.docLen[id]))
+			writeUvarint(bw, uint64(l))
 			prev = id
-		}
+		})
 
 		if tb != nil {
 			tf.boostOff = pos()
 		}
-		ids := make([]int, 0, len(fi.boost))
-		for id := range fi.boost {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		writeU32(bw, uint32(len(ids)))
-		if len(ids) > 0 {
-			uniform := true
-			for _, id := range ids[1:] {
-				if math.Float64bits(fi.boost[id]) != math.Float64bits(fi.boost[ids[0]]) {
-					uniform = false
-					break
-				}
-			}
+		writeU32(bw, uint32(fi.docCount))
+		if fi.docCount > 0 {
+			uniform, first := fi.uniformBoost()
 			prev := -1
 			if uniform {
 				bw.WriteByte(0)
-				for _, id := range ids {
+				fi.eachDocLen(func(id, _ int) {
 					writeUvarint(bw, uint64(id-prev))
 					prev = id
-				}
-				writeF64(bw, fi.boost[ids[0]])
+				})
+				writeF64(bw, first)
 			} else {
 				bw.WriteByte(1)
-				for _, id := range ids {
+				fi.eachDocLen(func(id, _ int) {
 					writeUvarint(bw, uint64(id-prev))
 					writeF64(bw, fi.boost[id])
 					prev = id
-				}
+				})
 			}
 		}
 	}
@@ -389,15 +375,12 @@ func (ix *Index) EncodeV1(w io.Writer) error {
 		fi := ix.fields[name]
 		writeString(bw, name)
 
-		terms := make([]string, 0, len(fi.postings))
-		for t := range fi.postings {
-			terms = append(terms, t)
-		}
+		terms := fi.termNames()
 		sort.Strings(terms)
 		writeU32(bw, uint32(len(terms)))
 		for _, t := range terms {
 			writeString(bw, t)
-			pl := fi.postings[t]
+			pl := fi.terms[t].postings
 			writeU32(bw, uint32(len(pl)))
 			for _, p := range pl {
 				writeU32(bw, uint32(p.DocID))
@@ -409,21 +392,16 @@ func (ix *Index) EncodeV1(w io.Writer) error {
 			}
 		}
 
-		writeU32(bw, uint32(len(fi.docLen)))
-		for _, id := range sortedKeys(fi.docLen) {
+		writeU32(bw, uint32(fi.docCount))
+		fi.eachDocLen(func(id, l int) {
 			writeU32(bw, uint32(id))
-			writeU32(bw, uint32(fi.docLen[id]))
-		}
-		writeU32(bw, uint32(len(fi.boost)))
-		boostIDs := make([]int, 0, len(fi.boost))
-		for id := range fi.boost {
-			boostIDs = append(boostIDs, id)
-		}
-		sort.Ints(boostIDs)
-		for _, id := range boostIDs {
+			writeU32(bw, uint32(l))
+		})
+		writeU32(bw, uint32(fi.docCount))
+		fi.eachDocLen(func(id, _ int) {
 			writeU32(bw, uint32(id))
 			writeF64(bw, fi.boost[id])
-		}
+		})
 	}
 	return bw.Flush()
 }
@@ -567,13 +545,17 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 				}
 				pl = append(pl, Posting{DocID: int(docID), Boost: boost, Positions: positions})
 			}
-			fi.postings[term] = pl
+			fi.terms[term] = &termEntry{postings: pl}
 		}
 
+		// The documents come first in this version, so all numDocs of them
+		// have been read by now and the tables may be sized by the count.
+		fi.docTable = newDocTable(int(numDocs))
 		numLens, err := readU32(br)
 		if err != nil {
 			return nil, err
 		}
+		prevID := -1
 		for l := uint32(0); l < numLens; l++ {
 			id, err := readU32(br)
 			if err != nil {
@@ -585,12 +567,18 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 				// statistic the similarity uses.
 				return nil, fmt.Errorf("index: field length references doc %d of %d", id, numDocs)
 			}
+			if int(id) <= prevID {
+				return nil, fmt.Errorf("index: field lengths not in docID order")
+			}
+			prevID = int(id)
 			n, err := readU32(br)
 			if err != nil {
 				return nil, err
 			}
-			fi.docLen[int(id)] = int(n)
-			fi.sumLen += int(n)
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("index: implausible field length %d", n)
+			}
+			fi.add(int(id), int(n), 0)
 		}
 		numBoosts, err := readU32(br)
 		if err != nil {
@@ -608,12 +596,11 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			fi.boost[int(id)] = v
+			fi.boost[id] = v
 		}
 		// Score-bound caps and block metadata are derived state in this
 		// version: recompute from the postings.
-		fi.rebuildCaps()
-		fi.rebuildBlocks()
+		fi.rebuildCaps(true)
 	}
 	return ix, nil
 }
@@ -639,6 +626,11 @@ func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error)
 	if numFields > 1<<16 {
 		return nil, fmt.Errorf("index: implausible field count %d", numFields)
 	}
+	type pendingField struct {
+		fi     *fieldIndex
+		tables decodedTables
+	}
+	var pending []pendingField
 	for i := uint32(0); i < numFields; i++ {
 		name, err := readString(br)
 		if err != nil {
@@ -646,24 +638,40 @@ func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error)
 		}
 		fi := newFieldIndex()
 		ix.fields[name] = fi
-		if err := decodeV2Field(br, fi, int(numDocs)); err != nil {
+		pending = append(pending, pendingField{fi: fi})
+		if err := decodeV2Field(br, fi, int(numDocs), &pending[i].tables); err != nil {
 			return nil, err
 		}
 	}
 
-	// Stored region.
-	if chunked {
-		if err := decodeChunkedStored(br, ix, numDocs); err != nil {
+	if err := decodeStored(br, ix, numDocs, chunked); err != nil {
+		return nil, err
+	}
+	// Only now is numDocs more than a claim in the header (the stored
+	// region has yielded that many documents), so only now may tables be
+	// sized by it.
+	for _, p := range pending {
+		p.tables.apply(p.fi, int(numDocs))
+		if err := p.fi.checkBlocks(); err != nil {
 			return nil, err
 		}
-		return ix, nil
+		p.fi.rebuildCaps(false)
+	}
+	return ix, nil
+}
+
+// decodeStored reads the stored region into ix.docs: the version-3 chunks
+// when chunked, otherwise version 2's single stream.
+func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32, chunked bool) error {
+	if chunked {
+		return decodeChunkedStored(br, ix, numDocs)
 	}
 	storedLen, err := readU64(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if storedLen > 1<<38 {
-		return nil, fmt.Errorf("index: implausible stored-region length %d", storedLen)
+		return fmt.Errorf("index: implausible stored-region length %d", storedLen)
 	}
 	zr := flate.NewReader(io.LimitReader(br, int64(storedLen)))
 	defer zr.Close()
@@ -672,14 +680,14 @@ func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error)
 	for i := uint32(0); i < numDocs; i++ {
 		d, err := readStoredDoc(sr, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ix.docs = append(ix.docs, d)
 	}
 	if _, err := sr.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("index: stored region longer than its %d documents", numDocs)
+		return fmt.Errorf("index: stored region longer than its %d documents", numDocs)
 	}
-	return ix, nil
+	return nil
 }
 
 // decodeChunkedStored reads the version-3 stored region into ix.docs.
@@ -734,14 +742,34 @@ func decodeChunkedStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
 	return nil
 }
 
+// decodedTables holds one field's length and boost tables as read off a
+// snapshot: docIDs checked against the header's document count, nothing
+// sized by it. apply builds the dense tables once the caller has read that
+// many stored documents; until then the count is only a claim, and a table
+// sized by it would turn a twelve-byte header into gigabytes.
+type decodedTables struct {
+	lenIDs, lens []int32
+	boostIDs     []int32
+	// boosts has one value per boostID, or a single value they all share.
+	boosts []float64
+}
+
+// apply installs the tables on fi, sized for numDocs documents. lenIDs are
+// distinct; a boost for a document without a length entry is never read.
+func (dt *decodedTables) apply(fi *fieldIndex, numDocs int) {
+	fi.docTable = newDocTable(numDocs)
+	for i, id := range dt.lenIDs {
+		fi.add(int(id), int(dt.lens[i]), 0)
+	}
+	for i, id := range dt.boostIDs {
+		fi.boost[id] = dt.boosts[min(i, len(dt.boosts)-1)]
+	}
+}
+
 // decodeV2Field parses one field's postings region: the term dictionary
 // with its posting blocks and per-block metadata, then the field-length
-// and field-boost tables. Block metadata is validated against the exact
-// per-block values once the lengths are known — an understated maxFreq or
-// overstated minLen would make Block-Max skipping drop true top-k
-// documents, so metadata that is not a provable upper bound is rejected
-// as corruption.
-func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
+// and field-boost tables, which it leaves in tables for the caller to apply.
+func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedTables) error {
 	numTerms, err := readU32(br)
 	if err != nil {
 		return err
@@ -861,10 +889,7 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
 				blk[k].Positions = positions
 			}
 		}
-		fi.postings[term] = pl
-		if multi {
-			fi.blocks[term] = blks
-		}
+		fi.terms[term] = &termEntry{postings: pl, blocks: blks}
 	}
 
 	numLens, err := readU32(br)
@@ -889,11 +914,11 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
 		if err != nil {
 			return err
 		}
-		if v > 1<<32 {
+		if v > math.MaxInt32 {
 			return fmt.Errorf("index: implausible field length %d", v)
 		}
-		fi.docLen[id] = int(v)
-		fi.sumLen += int(v)
+		tables.lenIDs = append(tables.lenIDs, int32(id))
+		tables.lens = append(tables.lens, int32(v))
 	}
 
 	numBoosts, err := readU32(br)
@@ -908,7 +933,6 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
 		if flag > 1 {
 			return fmt.Errorf("index: bad field boost flag %d", flag)
 		}
-		ids := make([]int, 0, capHint(numBoosts, 1<<16))
 		prevID := -1
 		for bIdx := uint32(0); bIdx < numBoosts; bIdx++ {
 			delta, err := readUvarint(br)
@@ -923,12 +947,13 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
 				return fmt.Errorf("index: field boost references doc %d of %d", id, numDocs)
 			}
 			prevID = id
+			tables.boostIDs = append(tables.boostIDs, int32(id))
 			if flag == 1 {
-				if fi.boost[id], err = readF64(br); err != nil {
+				v, err := readF64(br)
+				if err != nil {
 					return err
 				}
-			} else {
-				ids = append(ids, id)
+				tables.boosts = append(tables.boosts, v)
 			}
 		}
 		if flag == 0 {
@@ -936,32 +961,29 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int) error {
 			if err != nil {
 				return err
 			}
-			for _, id := range ids {
-				fi.boost[id] = v
-			}
+			tables.boosts = []float64{v}
 		}
 	}
+	return nil
+}
 
-	// Lengths are known now: check every block header is a valid bound.
-	// Looser-than-exact is fine (the builder tracks conservatively);
-	// tighter-than-exact would prune documents that can win.
-	for t, blks := range fi.blocks {
-		pl := fi.postings[t]
-		for bi := range blks {
+// checkBlocks validates the block metadata a snapshot carried against the
+// exact per-block values, once the lengths are known. An understated
+// maxFreq or overstated minLen would make Block-Max skipping drop true
+// top-k documents, so metadata that is not a provable upper bound is
+// rejected as corruption. Looser-than-exact is fine (the builder tracks
+// conservatively).
+func (fi *fieldIndex) checkBlocks() error {
+	for t, te := range fi.terms {
+		for bi, b := range te.blocks {
 			s := bi * postingBlockSize
-			e := s + postingBlockSize
-			if e > len(pl) {
-				e = len(pl)
-			}
-			exact := fi.exactCap(pl[s:e])
-			b := blks[bi]
+			exact := fi.exactCap(te.postings[s:min(s+postingBlockSize, len(te.postings))])
 			if b.minLen < 1 || b.maxFreq < exact.maxFreq || b.minLen > exact.minLen ||
 				!(b.maxBoost >= exact.maxBoost) {
 				return fmt.Errorf("index: term %q block %d metadata is not a valid score bound", t, bi)
 			}
 		}
 	}
-	fi.rebuildCaps()
 	return nil
 }
 
@@ -1091,13 +1113,4 @@ func readString(r *bufio.Reader) (string, error) {
 		remaining -= c
 	}
 	return sb.String(), nil
-}
-
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -62,6 +62,13 @@ func FuzzDecode(f *testing.F) {
 	lying = append(lying, "name"...)
 	f.Add(lying)
 
+	// Seeds 7 and 8: a document count that passes the plausibility cap with
+	// nothing behind it, bare and with one field whose only length entry
+	// names the last document — the shapes that would size a dense
+	// per-document table from a claim.
+	f.Add(hostileDocCount(CodecVersionCurrent, false))
+	f.Add(hostileDocCount(CodecVersionCurrent, true))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data), StandardAnalyzer{})
 		if err != nil {

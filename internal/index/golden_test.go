@@ -1,0 +1,217 @@
+package index_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/index"
+	"repro/internal/semindex"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/encode.golden from the index this tree builds")
+
+var goldenDocs = sync.OnceValue(func() []*index.Document {
+	g := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
+	b := semindex.NewBuilder()
+	var docs []*index.Document
+	for i := 0; i < 30; i++ {
+		page, err := g.NextPage()
+		if err != nil {
+			panic(err)
+		}
+		docs = append(docs, b.PageDocuments(semindex.FullInf, page)...)
+	}
+	return docs
+})
+
+// goldenIndex Adds the FULL_INF documents of the benchmark corpus's first
+// 30 pages (the stream semindex's docstream.golden pins) to a fresh index.
+func goldenIndex() *index.Index {
+	ix := index.New(nil)
+	for _, d := range goldenDocs() {
+		ix.Add(d)
+	}
+	return ix
+}
+
+// encodeDigest is the FNV-64a of the index's codec payload followed by its
+// table of contents.
+func encodeDigest(t testing.TB, ix *index.Index) string {
+	t.Helper()
+	var payload bytes.Buffer
+	toc, err := ix.EncodeWithTOC(&payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(payload.Bytes())
+	h.Write(toc)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// writeStats renders statistics in one canonical order.
+func writeStats(w io.Writer, cs *index.CorpusStats) {
+	fmt.Fprintf(w, "docs %d\n", cs.Docs)
+	names := make([]string, 0, len(cs.Fields))
+	for n := range cs.Fields {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fs := cs.Fields[n]
+		fmt.Fprintf(w, "field %s %d %d\n", n, fs.Docs, fs.SumLen)
+		terms := make([]string, 0, len(fs.DocFreq))
+		for term := range fs.DocFreq {
+			terms = append(terms, term)
+		}
+		sort.Strings(terms)
+		for _, term := range terms {
+			fmt.Fprintf(w, "%s %d\n", term, fs.DocFreq[term])
+		}
+	}
+}
+
+func statsDigest(cs *index.CorpusStats) string {
+	h := fnv.New64a()
+	writeStats(h, cs)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// tombstoneTenth deletes every tenth document.
+func tombstoneTenth(ix *index.Index) {
+	for id := 3; id < ix.NumDocs(); id += 10 {
+		ix.Delete(id)
+	}
+}
+
+func decodeBytes(t testing.TB, payload []byte) *index.Index {
+	t.Helper()
+	ix, err := index.Decode(bytes.NewReader(payload), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// TestEncodeGolden pins the content of the index Add builds, and of its
+// decoded and merged copies, to digests recorded at commit 8b965db, when
+// the heap index still kept its postings, score caps, block metadata,
+// field lengths and field boosts in five maps per field.
+func TestEncodeGolden(t *testing.T) {
+	ix := goldenIndex()
+	var payload bytes.Buffer
+	if err := ix.Encode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	decoded := decodeBytes(t, payload.Bytes())
+	merged, _ := index.MergeIndexes([]*index.Index{ix}, nil)
+
+	docStats := fnv.New64a()
+	sum := index.NewCorpusStats()
+	for id := 0; id < ix.NumDocs(); id++ {
+		ds := ix.DocStats(id)
+		writeStats(docStats, ds)
+		sum.Merge(ds)
+	}
+	clean := ix.LocalStats()
+	if !reflect.DeepEqual(sum, clean) {
+		t.Error("the documents' DocStats do not add up to LocalStats")
+	}
+	for name, other := range map[string]*index.Index{"decoded": decoded, "merged": merged} {
+		if !reflect.DeepEqual(other.LocalStats(), clean) {
+			t.Errorf("%s index: LocalStats differ from the built index's", name)
+		}
+	}
+
+	built, redecoded, remerged := encodeDigest(t, ix), encodeDigest(t, decoded), encodeDigest(t, merged)
+	if redecoded != built || remerged != built {
+		t.Errorf("encode %s, after Decode %s, after MergeIndexes %s", built, redecoded, remerged)
+	}
+
+	dead := goldenIndex()
+	tombstoneTenth(dead)
+	tombstoneTenth(decoded)
+	if !reflect.DeepEqual(decoded.LocalStats(), dead.LocalStats()) {
+		t.Error("decoded index: tombstoned LocalStats differ from the built index's")
+	}
+	compacted, _ := index.MergeIndexes([]*index.Index{dead}, nil)
+	if !reflect.DeepEqual(compacted.LocalStats(), dead.LocalStats()) {
+		t.Error("merging the tombstones away changes LocalStats")
+	}
+
+	got := fmt.Sprintf("docs %d\nencode %s\ncompacted_encode %s\nlocalstats %s\nlocalstats_tombstoned %s\ndocstats %016x\n",
+		ix.NumDocs(), built, encodeDigest(t, compacted),
+		statsDigest(clean), statsDigest(dead.LocalStats()), docStats.Sum64())
+
+	path := filepath.Join("testdata", "encode.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("index content changed:\n got:\n%s want:\n%s", got, want)
+	}
+}
+
+// TestWriteTrafficIsDense asserts what the docID-indexed field tables
+// assume (DESIGN §17): the semantic index's documents carry every indexed
+// field, so a table sized by the document count has no holes to waste.
+func TestWriteTrafficIsDense(t *testing.T) {
+	ix := goldenIndex()
+	cs := ix.LocalStats()
+	if len(cs.Fields) != 14 {
+		t.Errorf("%d indexed fields, want 14", len(cs.Fields))
+	}
+	for name, fs := range cs.Fields {
+		if fs.Docs != ix.NumDocs() {
+			t.Errorf("field %s is on %d of %d documents", name, fs.Docs, ix.NumDocs())
+		}
+	}
+}
+
+// TestIndexAddAllocationCeiling keeps Add's per-document cost from creeping
+// back. Building the golden index measured 6.6 allocations and 5.0 KB per
+// document when the ceilings were set (149.9 and 8.2 KB at commit 8b965db,
+// which allocated every posting's position list on its own), most of it
+// posting lists doubling as they grow; the ceilings leave a third again as
+// much room.
+func TestIndexAddAllocationCeiling(t *testing.T) {
+	const (
+		maxAllocs = 10
+		maxBytes  = 6600
+	)
+	docs := goldenDocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix := goldenIndex()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ix)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(docs))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(docs))
+	t.Logf("%.1f allocs, %.0f bytes per document", allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocations per document, ceiling %d", allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%.0f bytes per document, ceiling %d", bytes, maxBytes)
+	}
+}

@@ -2,7 +2,9 @@ package index
 
 import (
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
 )
 
 // Posting records the occurrences of one term in one document field.
@@ -29,26 +31,33 @@ const postingBlockSize = 128
 
 // fieldIndex is the inverted index of a single field.
 type fieldIndex struct {
-	postings map[string][]Posting
-	// docLen maps docID to the field's token count, for length norms.
-	docLen map[int]int
-	// sumLen accumulates total tokens, for BM25's average field length.
-	sumLen int
-	// boost records the per-doc field boost (last write wins per doc).
-	boost map[int]float64
-	// caps tracks each term's score-bound inputs for MaxScore pruning,
-	// maintained incrementally by Add and rebuilt by the codec on load.
-	caps map[string]termCap
-	// blocks tracks per-block score-bound inputs for terms spanning more
-	// than one posting block (block i covers postings
-	// [i*postingBlockSize, (i+1)*postingBlockSize)). Single-block terms
-	// carry no entry — their only block bound is exactly caps[term].
-	// Maintained incrementally by Add, read from codec v2 snapshots,
-	// rebuilt from the postings for codec v1.
-	blocks map[string][]termCap
-	// m, when set, is the mapped (zero-copy) postings view: the maps above
-	// stay empty and every reader branches to the byte region (mapped.go).
+	// terms is the heap term dictionary: one entry per term, found with one
+	// probe by Add and by the scorers alike.
+	terms map[string]*termEntry
+	// docTable holds the field's per-document lengths and boosts. A mapped
+	// field shares its mappedField's tables, so the readers below never ask
+	// which storage mode they are in.
+	docTable
+	// m, when set, is the mapped (zero-copy) postings view: terms stays
+	// empty and every postings reader branches to the byte region
+	// (mapped.go).
 	m *mappedField
+}
+
+// termEntry is everything the heap index keeps about one term of one field.
+type termEntry struct {
+	// postings is the term's posting list, docID ascending.
+	postings []Posting
+	// cap tracks the term's score-bound inputs for MaxScore pruning,
+	// maintained incrementally by Add and rebuilt exactly on load and merge.
+	cap termCap
+	// blocks tracks per-block score-bound inputs once the term spans more
+	// than one posting block (block i covers postings
+	// [i*postingBlockSize, (i+1)*postingBlockSize)). A single-block term
+	// carries none: its only block bound is exactly cap. Maintained
+	// incrementally by Add, read from codec v2/v3 snapshots, rebuilt from
+	// the postings for codec v1 and on merge.
+	blocks []termCap
 }
 
 // termCap records the inputs from which a term's score upper bound is
@@ -63,27 +72,114 @@ type termCap struct {
 	maxBoost float64
 }
 
-// newFieldIndex returns an empty single-field inverted index.
-func newFieldIndex() *fieldIndex {
-	return &fieldIndex{
-		postings: make(map[string][]Posting),
-		docLen:   make(map[int]int),
-		boost:    make(map[int]float64),
-		caps:     make(map[string]termCap),
-		blocks:   make(map[string][]termCap),
+// docTable is a field's per-document table, indexed by docID: how many
+// tokens of the field each document has and at what boost they were
+// indexed. present marks the documents that carry the field at all, which
+// is not the same as a positive length: a value that analyzes to no terms
+// still counts in the average length's denominator and in the codec's
+// entry count. The tables are dense because the traffic is (every document
+// of the semantic index carries every indexed field); a field most
+// documents lack would waste 12 bytes per document that lacks it.
+type docTable struct {
+	docLen  []int32
+	boost   []float64
+	present []uint64
+	// docCount is the number of documents carrying the field and sumLen
+	// their total token count, for the average field length.
+	docCount int
+	sumLen   int
+}
+
+// newDocTable returns an empty table covering docIDs [0, numDocs).
+func newDocTable(numDocs int) docTable {
+	return docTable{
+		docLen:  make([]int32, numDocs),
+		boost:   make([]float64, numDocs),
+		present: make([]uint64, (numDocs+63)/64),
 	}
 }
 
-// avgLen is the mean field length across documents carrying the field.
-func (fi *fieldIndex) avgLen() float64 {
-	n := len(fi.docLen)
-	if fi.m != nil {
-		n = fi.m.docCount
+// add records n more tokens of the field on document id, indexed at boost
+// (the last write wins), growing the table to cover id. It returns the
+// field's length on the document before them: the position a multi-valued
+// field continues from, 0 for a document's first value.
+func (t *docTable) add(id, n int, boost float64) int {
+	for len(t.docLen) <= id {
+		t.docLen = append(t.docLen, 0)
+		t.boost = append(t.boost, 0)
 	}
-	if n == 0 {
+	for len(t.present) <= id>>6 {
+		t.present = append(t.present, 0)
+	}
+	if !t.hasEntry(id) {
+		t.present[id>>6] |= 1 << (id & 63)
+		t.docCount++
+	}
+	base := int(t.docLen[id])
+	t.docLen[id] = int32(base + n)
+	t.boost[id] = boost
+	t.sumLen += n
+	return base
+}
+
+// hasEntry reports whether the document carries the field.
+func (t *docTable) hasEntry(id int) bool {
+	return id >= 0 && id < len(t.docLen) && t.present[id>>6]&(1<<(id&63)) != 0
+}
+
+// lengthOf is the field's token count on the document (0 without the field).
+func (t *docTable) lengthOf(id int) int {
+	if id < 0 || id >= len(t.docLen) {
 		return 0
 	}
-	return float64(fi.sumLen) / float64(n)
+	return int(t.docLen[id])
+}
+
+// boostOf is the boost the field was indexed at on the document (0 without
+// the field).
+func (t *docTable) boostOf(id int) float64 {
+	if id < 0 || id >= len(t.boost) {
+		return 0
+	}
+	return t.boost[id]
+}
+
+// eachDocLen visits every document carrying the field, docID ascending.
+func (t *docTable) eachDocLen(fn func(id, l int)) {
+	for w, word := range t.present {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			fn(id, int(t.docLen[id]))
+		}
+	}
+}
+
+// uniformBoost reports whether every document carrying the field was
+// indexed at the same boost, bit for bit, and the first such boost — the
+// one-value case of the codec's boost table.
+func (t *docTable) uniformBoost() (uniform bool, first float64) {
+	uniform, seen := true, false
+	t.eachDocLen(func(id, _ int) {
+		if !seen {
+			first, seen = t.boost[id], true
+		} else if math.Float64bits(t.boost[id]) != math.Float64bits(first) {
+			uniform = false
+		}
+	})
+	return uniform, first
+}
+
+// avgLen is the mean field length across documents carrying the field.
+func (t *docTable) avgLen() float64 {
+	if t.docCount == 0 {
+		return 0
+	}
+	return float64(t.sumLen) / float64(t.docCount)
+}
+
+// newFieldIndex returns an empty single-field inverted index.
+func newFieldIndex() *fieldIndex {
+	return &fieldIndex{terms: make(map[string]*termEntry)}
 }
 
 // numTerms is the distinct-term count whatever the storage mode.
@@ -91,7 +187,7 @@ func (fi *fieldIndex) numTerms() int {
 	if fi.m != nil {
 		return len(fi.m.terms)
 	}
-	return len(fi.postings)
+	return len(fi.terms)
 }
 
 // termNames returns the unsorted term dictionary keys.
@@ -103,8 +199,8 @@ func (fi *fieldIndex) termNames() []string {
 		}
 		return out
 	}
-	out := make([]string, 0, len(fi.postings))
-	for t := range fi.postings {
+	out := make([]string, 0, len(fi.terms))
+	for t := range fi.terms {
 		out = append(out, t)
 	}
 	return out
@@ -118,7 +214,10 @@ func (fi *fieldIndex) numPostings(term string) int {
 		}
 		return 0
 	}
-	return len(fi.postings[term])
+	if te := fi.terms[term]; te != nil {
+		return len(te.postings)
+	}
+	return 0
 }
 
 // postingsOf materializes a term's posting list — O(1) slice handout on
@@ -129,7 +228,10 @@ func (fi *fieldIndex) postingsOf(term string) []Posting {
 	if fi.m != nil {
 		return fi.m.materialize(term)
 	}
-	return fi.postings[term]
+	if te := fi.terms[term]; te != nil {
+		return te.postings
+	}
+	return nil
 }
 
 // termCapOf returns a term's score-bound inputs (exact on both storage
@@ -141,45 +243,10 @@ func (fi *fieldIndex) termCapOf(term string) (termCap, bool) {
 		}
 		return termCap{}, false
 	}
-	c, ok := fi.caps[term]
-	return c, ok
-}
-
-// lengthOf is fi.docLen[docID] whatever the storage mode.
-func (fi *fieldIndex) lengthOf(docID int) int {
-	if fi.m != nil {
-		return fi.m.lengthOf(docID)
+	if te := fi.terms[term]; te != nil {
+		return te.cap, true
 	}
-	return fi.docLen[docID]
-}
-
-// eachDocLen visits every field-length entry (docID, length). Ascending
-// docID on the mapped path, map order on the heap path — callers must not
-// depend on order.
-func (fi *fieldIndex) eachDocLen(fn func(id, l int)) {
-	if fi.m != nil {
-		for id := 0; id < len(fi.m.docLen); id++ {
-			if fi.m.hasEntry(id) {
-				fn(id, int(fi.m.docLen[id]))
-			}
-		}
-		return
-	}
-	for id, l := range fi.docLen {
-		fn(id, l)
-	}
-}
-
-// boostOf is fi.boost[id] (missing = 0) whatever the storage mode.
-func (fi *fieldIndex) boostOf(id int) float64 {
-	if fi.m != nil {
-		j, ok := searchInt32(fi.m.boostIDs, int32(id))
-		if !ok {
-			return 0
-		}
-		return fi.m.boostVals[j]
-	}
-	return fi.boost[id]
+	return termCap{}, false
 }
 
 // Index is an in-memory inverted index over documents with analyzed fields,
@@ -208,7 +275,36 @@ type Index struct {
 	// materializes, and ix.fields carry mappedField views. The index is
 	// read-only except for tombstones.
 	mapped *mappedIndex
+
+	// Write-path state, touched only by Add and AddDocStats (which, like
+	// every mutation, must not run beside another on the same index;
+	// searches never read it). positions is the slab Add cuts each
+	// posting's first position from. memo maps a raw token to the term the
+	// StandardAnalyzer normalizes it to ("" for a dropped stopword), so the
+	// lowercase, stopword and stemmer work runs once per distinct token
+	// rather than once per occurrence; being per index, indexes built with
+	// different analyzer settings cannot see each other's entries. termBuf
+	// is the reused analysis output and docTerms AddDocStats's per-document
+	// set of counted terms.
+	positions []int
+	memo      map[string]string
+	termBuf   []string
+	docTerms  map[FieldTerm]struct{}
 }
+
+// The write-path memo holds at most memoMaxEntries tokens of at most
+// memoMaxToken bytes, which bounds it under 100 KB however hostile the
+// text; tokens beyond either bound are normalized directly every time.
+const (
+	memoMaxEntries = 1536
+	memoMaxToken   = 16
+)
+
+// positionSlabMax caps the slab Add cuts first positions from. Slabs start
+// at 64 positions and grow by a quarter up to it, so the unused tail of the
+// last one stays under a fifth of a small segment's positions and under
+// 32 KB of any index.
+const positionSlabMax = 4096
 
 // New returns an empty index using the analyzer for every field and the
 // classic TF-IDF similarity.
@@ -248,36 +344,83 @@ func (ix *Index) Add(d *Document) int {
 			fi = newFieldIndex()
 			ix.fields[f.Name] = fi
 		}
-		terms := ix.analyzer.Analyze(f.Text)
-		base := fi.docLen[id] // continuation position for multi-valued fields
-		fi.docLen[id] = base + len(terms)
-		fi.sumLen += len(terms)
 		boost := f.Boost
 		if boost == 0 {
 			boost = 1
 		}
-		fi.boost[id] = boost
+		terms := ix.analyzeForWrite(f.Text)
+		base := fi.add(id, len(terms), boost)
+		dlen := base + len(terms)
 		for pos, term := range terms {
-			pl := fi.postings[term]
-			if n := len(pl); n > 0 && pl[n-1].DocID == id {
-				pl[n-1].Positions = append(pl[n-1].Positions, base+pos)
+			te := fi.terms[term]
+			if te == nil {
+				te = &termEntry{cap: termCap{minLen: dlen, maxBoost: boost}}
+				fi.terms[term] = te
+			}
+			var p *Posting
+			if n := len(te.postings); n > 0 && te.postings[n-1].DocID == id {
+				p = &te.postings[n-1]
+				p.Positions = append(p.Positions, base+pos)
 			} else {
-				pl = append(pl, Posting{DocID: id, Positions: []int{base + pos}, Boost: boost})
+				te.postings = append(te.postings, Posting{DocID: id, Positions: ix.firstPosition(base + pos), Boost: boost})
+				p = &te.postings[n]
 			}
-			fi.postings[term] = pl
-			// Keep the term's score-bound inputs current: the last posting
-			// is always this document's.
-			p := &pl[len(pl)-1]
-			freq, dlen := len(p.Positions), fi.docLen[id]
-			if c, ok := fi.caps[term]; !ok {
-				fi.caps[term] = termCap{maxFreq: freq, minLen: dlen, maxBoost: p.Boost}
-			} else if c.observe(freq, dlen, p.Boost) {
-				fi.caps[term] = c
+			// Keep the term's score-bound inputs current for the posting
+			// just written.
+			te.cap.observe(len(p.Positions), dlen, p.Boost)
+			if len(te.postings) > postingBlockSize {
+				te.observeBlock(fi, len(p.Positions), dlen, p.Boost)
 			}
-			fi.observeBlock(term, pl, freq, dlen, p.Boost)
 		}
 	}
 	return id
+}
+
+// firstPosition returns a one-element position list cut from the index's
+// slab instead of allocated on its own. Its capacity is one, so a second
+// occurrence grows it by an ordinary append and never writes into the
+// neighbouring posting's slot.
+func (ix *Index) firstPosition(pos int) []int {
+	n := len(ix.positions)
+	if n == cap(ix.positions) {
+		ix.positions = make([]int, 0, min(max(n+n/4, 64), positionSlabMax))
+		n = 0
+	}
+	ix.positions = append(ix.positions, pos)
+	return ix.positions[n : n+1 : n+1]
+}
+
+// analyzeForWrite is the analysis Add and AddDocStats run: the index
+// analyzer's Analyze, with a StandardAnalyzer's per-token work memoised.
+// The result aliases a buffer the next call overwrites.
+func (ix *Index) analyzeForWrite(text string) []string {
+	a, ok := ix.analyzer.(StandardAnalyzer)
+	if !ok {
+		return ix.analyzer.Analyze(text)
+	}
+	tokens := appendTokens(ix.termBuf[:0], text)
+	ix.termBuf = tokens
+	out := tokens[:0]
+	for _, tok := range tokens {
+		term, seen := ix.memo[tok]
+		if !seen {
+			if len(ix.memo) < memoMaxEntries && len(tok) <= memoMaxToken {
+				if ix.memo == nil {
+					ix.memo = make(map[string]string)
+				}
+				// The clone keeps the memo from pinning the document text.
+				tok = strings.Clone(tok)
+				term = a.normalize(tok)
+				ix.memo[tok] = term
+			} else {
+				term = a.normalize(tok)
+			}
+		}
+		if term != "" {
+			out = append(out, term)
+		}
+	}
+	return out
 }
 
 // NumDocs returns the number of indexed documents, including tombstoned
@@ -351,9 +494,9 @@ func (ix *Index) Stats() Stats {
 			}
 			continue
 		}
-		s.Terms += len(fi.postings)
-		for _, pl := range fi.postings {
-			s.Postings += len(pl)
+		s.Terms += len(fi.terms)
+		for _, te := range fi.terms {
+			s.Postings += len(te.postings)
 		}
 	}
 	return s
@@ -453,7 +596,7 @@ func (ix *Index) fieldNorm(field string, docID int) float64 {
 // can earn from the (field, term) clause at the given query boost — the
 // per-term cap MaxScore pruning compares against the top-k threshold.
 // The bound evaluates the similarity at the term's best-case posting
-// shape (max freq, min length, max boost, tracked in fieldIndex.caps
+// shape (max freq, min length, max boost, tracked in termEntry.cap
 // since build time) under the same collection statistics real scoring
 // uses, so it holds per shard even when corpus-wide statistics are
 // installed. Similarities that do not implement UpperBoundSimilarity get
@@ -481,20 +624,17 @@ func (ix *Index) termUpperBound(field, term string, queryBoost float64) float64 
 	return b * c.maxBoost * queryBoost * capSlack
 }
 
-// observe widens the cap to cover a posting with the given shape,
-// reporting whether anything changed.
-func (c *termCap) observe(freq, dlen int, boost float64) bool {
-	changed := false
+// observe widens the cap to cover a posting with the given shape.
+func (c *termCap) observe(freq, dlen int, boost float64) {
 	if freq > c.maxFreq {
-		c.maxFreq, changed = freq, true
+		c.maxFreq = freq
 	}
 	if dlen < c.minLen {
-		c.minLen, changed = dlen, true
+		c.minLen = dlen
 	}
 	if boost > c.maxBoost {
-		c.maxBoost, changed = boost, true
+		c.maxBoost = boost
 	}
-	return changed
 }
 
 // observeBlock keeps a term's per-block score-bound inputs current for the
@@ -505,22 +645,17 @@ func (c *termCap) observe(freq, dlen int, boost float64) bool {
 // backfilled from the postings. Like the cap, tracking is conservative: a
 // document observed mid-growth (multi-valued field) only shrinks the
 // recorded minLen, which loosens — never invalidates — the bound.
-func (fi *fieldIndex) observeBlock(term string, pl []Posting, freq, dlen int, boost float64) {
-	if len(pl) <= postingBlockSize {
-		return
+func (te *termEntry) observeBlock(fi *fieldIndex, freq, dlen int, boost float64) {
+	cur := (len(te.postings) - 1) / postingBlockSize
+	for len(te.blocks) < cur {
+		s := len(te.blocks) * postingBlockSize
+		te.blocks = append(te.blocks, fi.exactCap(te.postings[s:s+postingBlockSize]))
 	}
-	blks := fi.blocks[term]
-	cur := (len(pl) - 1) / postingBlockSize
-	for len(blks) < cur {
-		s := len(blks) * postingBlockSize
-		blks = append(blks, fi.exactCap(pl[s:s+postingBlockSize]))
-	}
-	if cur == len(blks) {
-		blks = append(blks, termCap{maxFreq: freq, minLen: dlen, maxBoost: boost})
+	if cur == len(te.blocks) {
+		te.blocks = append(te.blocks, termCap{maxFreq: freq, minLen: dlen, maxBoost: boost})
 	} else {
-		blks[cur].observe(freq, dlen, boost)
+		te.blocks[cur].observe(freq, dlen, boost)
 	}
-	fi.blocks[term] = blks
 }
 
 // exactCap computes the exact score-bound inputs over a posting run — the
@@ -533,7 +668,7 @@ func (fi *fieldIndex) exactCap(ps []Posting) termCap {
 		if f := len(p.Positions); f > c.maxFreq {
 			c.maxFreq = f
 		}
-		if l := fi.docLen[p.DocID]; l < c.minLen {
+		if l := fi.lengthOf(p.DocID); l < c.minLen {
 			c.minLen = l
 		}
 		if p.Boost > c.maxBoost {
@@ -543,32 +678,20 @@ func (fi *fieldIndex) exactCap(ps []Posting) termCap {
 	return c
 }
 
-// rebuildCaps recomputes the per-term score-bound inputs from the posting
-// lists — the codec's load-time equivalent of Add's incremental tracking.
-func (fi *fieldIndex) rebuildCaps() {
-	fi.caps = make(map[string]termCap, len(fi.postings))
-	for t, pl := range fi.postings {
-		fi.caps[t] = fi.exactCap(pl)
-	}
-}
-
-// rebuildBlocks recomputes the per-block score-bound inputs for every
-// multi-block term — the codec v1 load path, which has no block metadata
-// on disk to read. Codec v2 snapshots carry the metadata instead.
-func (fi *fieldIndex) rebuildBlocks() {
-	fi.blocks = make(map[string][]termCap)
-	for t, pl := range fi.postings {
-		if len(pl) <= postingBlockSize {
+// rebuildCaps recomputes every term's score-bound inputs from its posting
+// list — the load-time and merge-time equivalent of Add's incremental
+// tracking. withBlocks also recomputes the per-block inputs of multi-block
+// terms, for the sources that carry none: codec v1 and merged postings.
+func (fi *fieldIndex) rebuildCaps(withBlocks bool) {
+	for _, te := range fi.terms {
+		pl := te.postings
+		te.cap = fi.exactCap(pl)
+		if !withBlocks || len(pl) <= postingBlockSize {
 			continue
 		}
-		blks := make([]termCap, 0, (len(pl)+postingBlockSize-1)/postingBlockSize)
+		te.blocks = make([]termCap, 0, (len(pl)+postingBlockSize-1)/postingBlockSize)
 		for s := 0; s < len(pl); s += postingBlockSize {
-			e := s + postingBlockSize
-			if e > len(pl) {
-				e = len(pl)
-			}
-			blks = append(blks, fi.exactCap(pl[s:e]))
+			te.blocks = append(te.blocks, fi.exactCap(pl[s:min(s+postingBlockSize, len(pl))]))
 		}
-		fi.blocks[t] = blks
 	}
 }

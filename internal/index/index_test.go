@@ -71,20 +71,6 @@ func TestPostingsPositions(t *testing.T) {
 	}
 }
 
-func TestMultiValuedFieldPositionsContinue(t *testing.T) {
-	ix := New(StandardAnalyzer{})
-	d := new(Document).Add("event", "Foul").Add("event", "NegativeEvent Event")
-	ix.Add(d)
-	pl := ix.Postings("event", "event")
-	if len(pl) != 1 {
-		t.Fatalf("postings for 'event' = %+v", pl)
-	}
-	// "foul" at 0; second value continues: "negativeevent" 1, "event" 2.
-	if pl[0].Positions[0] != 2 {
-		t.Errorf("continuation position = %d, want 2", pl[0].Positions[0])
-	}
-}
-
 func TestTermQueryRanking(t *testing.T) {
 	ix := buildTestIndex()
 	hits := ix.Search(TermQuery{Field: "narration", Term: "goal"}, 0)

@@ -89,18 +89,10 @@ type mappedIndex struct {
 type mappedField struct {
 	raw   []byte
 	terms map[string]*mappedTerm
-	// docLen[doc] is the field length; present marks which docs carry an
-	// entry (a zero length is distinguishable from no entry, which the
-	// merge path needs to reproduce the table byte-exactly).
-	docLen  []int32
-	present []uint64
-	// docCount and sumLen mirror len(fi.docLen) and fi.sumLen.
-	docCount int
-	sumLen   int
-	// boostIDs/boostVals are the field-boost table entries, docID
-	// ascending (iteration-only: scoring reads boosts from postings).
-	boostIDs  []int32
-	boostVals []float64
+	// docTable holds the field-length and field-boost tables, parsed out of
+	// the payload at open (they are read per scored document, unlike
+	// postings). The owning fieldIndex shares them.
+	docTable
 }
 
 // mappedTerm is one term's TOC entry: exact score cap, posting count and
@@ -126,19 +118,6 @@ func (t *mappedTerm) blockLen(b int) int {
 		n = postingBlockSize
 	}
 	return n
-}
-
-// hasEntry reports whether doc has a docLen table entry.
-func (f *mappedField) hasEntry(doc int) bool {
-	return doc >= 0 && doc < len(f.docLen) && f.present[doc>>6]&(1<<(doc&63)) != 0
-}
-
-// lengthOf mirrors fi.docLen[doc] map semantics (missing = 0).
-func (f *mappedField) lengthOf(doc int) int {
-	if doc < 0 || doc >= len(f.docLen) {
-		return 0
-	}
-	return int(f.docLen[doc])
 }
 
 // byteReader is a bounds-checked cursor over an untrusted byte region.
@@ -769,10 +748,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 		if err := mf.parseTables(raw, int(docLenOff), int(boostOff), numDocs); err != nil {
 			return nil, err
 		}
-		fi := newFieldIndex()
-		fi.m = mf
-		fi.sumLen = mf.sumLen
-		ix.fields[name] = fi
+		ix.fields[name] = &fieldIndex{m: mf, docTable: mf.docTable}
 	}
 	if !tr.bad && tr.pos != len(toc) {
 		return nil, fmt.Errorf("index: %d trailing TOC bytes", len(toc)-tr.pos)
@@ -782,10 +758,11 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 }
 
 // parseTables decodes the payload's field-length and field-boost tables
-// (the same wire shapes decodeV2Field reads) into arrays.
+// (the same wire shapes decodeV2Field reads) into the dense docTable.
+// numDocs is already backed by the stored region's chunk table and the
+// document cache OpenMapped sized by it.
 func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) error {
-	f.docLen = make([]int32, numDocs)
-	f.present = make([]uint64, (numDocs+63)/64)
+	f.docTable = newDocTable(numDocs)
 	br := byteReader{b: raw, pos: docLenOff}
 	numLens := br.u32()
 	if br.bad || int64(numLens) > int64(numDocs) {
@@ -803,13 +780,10 @@ func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) 
 		}
 		prev = id
 		v := br.uvarint()
-		if br.bad || v > 1<<31 {
+		if br.bad || v > math.MaxInt32 {
 			return fmt.Errorf("index: implausible mapped field length")
 		}
-		f.docLen[id] = int32(v)
-		f.present[id>>6] |= 1 << (id & 63)
-		f.sumLen += int(v)
-		f.docCount++
+		f.add(id, int(v), 0)
 	}
 	br = byteReader{b: raw, pos: boostOff}
 	numBoosts := br.u32()
@@ -827,6 +801,7 @@ func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) 
 		if flag > 1 {
 			return fmt.Errorf("index: bad mapped field-boost flag")
 		}
+		ids := make([]int32, 0, capHint(numBoosts, 1<<16))
 		prev := -1
 		for k := uint32(0); k < numBoosts; k++ {
 			delta := br.uvarint()
@@ -838,15 +813,16 @@ func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) 
 				return fmt.Errorf("index: mapped field boost references doc %d of %d", id, numDocs)
 			}
 			prev = id
-			f.boostIDs = append(f.boostIDs, int32(id))
 			if flag == 1 {
-				f.boostVals = append(f.boostVals, br.f64())
+				f.boost[id] = br.f64()
+			} else {
+				ids = append(ids, int32(id))
 			}
 		}
 		if flag == 0 {
 			v := br.f64()
-			for range f.boostIDs {
-				f.boostVals = append(f.boostVals, v)
+			for _, id := range ids {
+				f.boost[id] = v
 			}
 		}
 		if br.bad {

@@ -111,7 +111,7 @@ func (s *mappedTermScorer) skipBeatenBlocks() {
 // blockBound evaluates the same expression as termScorer.blockBound over
 // the header read from the mapped region. The header holds the exact
 // per-block values the encoder computed — the identical numbers the heap
-// decode path carries in fi.blocks — so pruning decisions match.
+// decode path carries in termEntry.blocks — so pruning decisions match.
 func (s *mappedTermScorer) blockBound(b int) float64 {
 	if b == s.cachedBlock {
 		return s.cachedBound

@@ -36,70 +36,123 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 	out.sim = sources[0].sim
 	out.exhaustive = sources[0].exhaustive
 
+	// Number the survivors first: every table and posting list below is
+	// then allocated once at its final size. The output is nearly all a
+	// compaction allocates; copies abandoned by append would triple that
+	// and start a collection inside most merges.
+	numDocs := 0
 	for si, src := range sources {
 		isDead := func(id int) bool { return src.numDeleted > 0 && src.deleted[id] }
 		if dead != nil && dead[si] != nil {
 			mask := dead[si]
 			isDead = func(id int) bool { return mask[id] }
 		}
-		// src.Doc materializes a mapped source's stored region — the merge
-		// output is a heap index that needs the documents regardless.
-		n := src.docCount()
-		remap := make([]int, n)
-		for id := 0; id < n; id++ {
+		remap := make([]int, src.docCount())
+		for id := range remap {
 			if isDead(id) {
 				remap[id] = -1
 				continue
 			}
-			remap[id] = len(out.docs)
-			out.docs = append(out.docs, src.Doc(id))
-			out.deleted = append(out.deleted, false)
+			remap[id] = numDocs
+			numDocs++
 		}
 		remaps[si] = remap
-
-		for name, sfi := range src.fields {
-			// A field carried only by tombstoned documents does not survive
-			// the merge — exactly as a from-scratch build would not see it.
-			live := false
-			sfi.eachDocLen(func(id, _ int) { live = live || remap[id] >= 0 })
-			if !live {
-				continue
-			}
-			fi := out.fields[name]
-			if fi == nil {
-				fi = newFieldIndex()
-				out.fields[name] = fi
-			}
-			sfi.eachDocLen(func(id, l int) {
-				nid := remap[id]
-				if nid < 0 {
-					return
-				}
-				fi.docLen[nid] = l
-				fi.sumLen += l
-				fi.boost[nid] = sfi.boostOf(id)
-			})
-			// Mapped sources materialize one term at a time; memory stays
-			// bounded by a posting list, never the whole field.
-			for _, term := range sfi.termNames() {
-				pl := sfi.postingsOf(term)
-				kept := fi.postings[term]
-				for i := range pl {
-					nid := remap[pl[i].DocID]
-					if nid < 0 {
-						continue
-					}
-					kept = append(kept, Posting{DocID: nid, Positions: pl[i].Positions, Boost: pl[i].Boost})
-				}
-				if len(kept) > 0 {
-					fi.postings[term] = kept
-				}
+	}
+	out.docs = make([]*Document, 0, numDocs)
+	out.deleted = make([]bool, numDocs)
+	for si, src := range sources {
+		// src.Doc materializes a mapped source's stored region — the merge
+		// output is a heap index that needs the documents regardless.
+		for id, nid := range remaps[si] {
+			if nid >= 0 {
+				out.docs = append(out.docs, src.Doc(id))
 			}
 		}
 	}
-	for _, fi := range out.fields {
-		fi.rebuildCaps()
-		fi.rebuildBlocks()
+
+	for si, src := range sources {
+		for name := range src.fields {
+			if out.fields[name] != nil {
+				continue // merged when an earlier source showed it
+			}
+			if fi := mergeField(name, sources[si:], remaps[si:], numDocs); fi != nil {
+				out.fields[name] = fi
+			}
+		}
 	}
 	return out, remaps
+}
+
+// mergeField merges one field of the sources that carry it, or returns nil
+// when only tombstoned documents do: such a field does not survive the
+// merge, exactly as a from-scratch build would not see it.
+func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fieldIndex {
+	var fi *fieldIndex
+	for si, src := range sources {
+		sfi := src.fields[name]
+		if sfi == nil {
+			continue
+		}
+		remap := remaps[si]
+		sfi.eachDocLen(func(id, l int) {
+			nid := remap[id]
+			if nid < 0 {
+				return
+			}
+			if fi == nil {
+				fi = newFieldIndex()
+				fi.docTable = newDocTable(numDocs)
+			}
+			fi.add(nid, l, sfi.boostOf(id))
+		})
+	}
+	if fi == nil {
+		return nil
+	}
+
+	// A term is merged where its first source shows it, across that source
+	// and every later one. Mapped sources materialize one term at a time;
+	// memory stays bounded by a term's posting lists, never the whole field.
+	lists := make([][]Posting, 0, len(sources))
+	for si, src := range sources {
+		sfi := src.fields[name]
+		if sfi == nil {
+			continue
+		}
+		for _, term := range sfi.termNames() {
+			if fi.terms[term] != nil {
+				continue
+			}
+			lists = lists[:0]
+			n := 0
+			for sj := si; sj < len(sources); sj++ {
+				var pl []Posting
+				if f := sources[sj].fields[name]; f != nil {
+					pl = f.postingsOf(term)
+				}
+				lists = append(lists, pl)
+				remap := remaps[sj]
+				for i := range pl {
+					if remap[pl[i].DocID] >= 0 {
+						n++
+					}
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			te := &termEntry{postings: make([]Posting, 0, n)}
+			for k, pl := range lists {
+				remap := remaps[si+k]
+				for i := range pl {
+					if nid := remap[pl[i].DocID]; nid >= 0 {
+						te.postings = append(te.postings, Posting{DocID: nid, Positions: pl[i].Positions, Boost: pl[i].Boost})
+					}
+				}
+			}
+			fi.terms[term] = te
+		}
+	}
+	fi.rebuildCaps(true)
+	return fi
 }

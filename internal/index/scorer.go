@@ -105,15 +105,16 @@ func (emptyScorer) maxScore() float64 { return 0 }
 // termScorer walks one term's posting list, scoring with the index's
 // similarity exactly like TermQuery.scores.
 type termScorer struct {
-	ix    *Index
-	fi    *fieldIndex
-	pl    []Posting
-	df    int
-	nDocs int
-	avg   float64
-	boost float64
-	i     int
-	cap   float64
+	ix *Index
+	// docLen is the field's length table; every posting's document is in it.
+	docLen []int32
+	pl     []Posting
+	df     int
+	nDocs  int
+	avg    float64
+	boost  float64
+	i      int
+	cap    float64
 
 	// Block-Max state. blocks is the term's per-block metadata (nil for
 	// single-block terms, whose only block bound is cap); shallow is the
@@ -139,19 +140,19 @@ func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
 	if fi.m != nil {
 		return newMappedTermScorer(ix, fi.m, field, term, queryBoost)
 	}
-	pl := fi.postings[term]
-	if len(pl) == 0 {
+	te := fi.terms[term]
+	if te == nil {
 		return emptyScorer{}
 	}
 	return &termScorer{
-		ix: ix, fi: fi, pl: pl,
+		ix: ix, docLen: fi.docLen, pl: te.postings,
 		df:          ix.scoringDocFreq(field, term),
 		nDocs:       ix.scoringNumDocs(),
 		avg:         ix.scoringAvgLen(field),
 		boost:       queryBoost,
 		i:           -1,
 		cap:         ix.termUpperBound(field, term, queryBoost),
-		blocks:      fi.blocks[term],
+		blocks:      te.blocks,
 		cachedBlock: -1,
 	}
 }
@@ -281,7 +282,7 @@ func (s *termScorer) advance(target int) int {
 
 func (s *termScorer) score() float64 {
 	p := &s.pl[s.i]
-	base := s.ix.sim.TermScore(p.Freq(), s.df, s.nDocs, s.fi.docLen[p.DocID], s.avg)
+	base := s.ix.sim.TermScore(p.Freq(), s.df, s.nDocs, int(s.docLen[p.DocID]), s.avg)
 	return base * p.Boost * s.boost
 }
 
@@ -320,36 +321,32 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 	if fi.m != nil {
 		return newMappedPhraseScorer(ix, fi.m, field, terms, boost)
 	}
-	// Any term absent from the field makes the phrase unmatchable.
+	// Any term absent from the field makes the phrase unmatchable. Bound:
+	// phrase freq cannot exceed any member term's max freq, a matching doc
+	// is at least as long as every member term's shortest doc, and the
+	// scored boost is the first term's posting boost.
+	minMaxFreq, maxMinLen := math.MaxInt, 1
 	for _, t := range terms {
-		if len(fi.postings[t]) == 0 {
+		te := fi.terms[t]
+		if te == nil {
 			return emptyScorer{}
 		}
+		minMaxFreq = min(minMaxFreq, te.cap.maxFreq)
+		maxMinLen = max(maxMinLen, te.cap.minLen)
 	}
 	idfSum := 0.0
 	for _, t := range terms {
 		idfSum += ix.IDF(field, t)
 	}
+	first := fi.terms[terms[0]]
 	s := &phraseScorer{
 		ix: ix, field: field, terms: terms,
-		first:  fi.postings[terms[0]],
+		first:  first.postings,
 		idfSum: idfSum, boost: boost, i: -1,
-		blocks: fi.blocks[terms[0]],
+		blocks:     first.blocks,
+		minMaxFreq: minMaxFreq, maxMinLen: maxMinLen,
 	}
-	// Bound: phrase freq cannot exceed any member term's max freq, a
-	// matching doc is at least as long as every member term's shortest
-	// doc, and the scored boost is the first term's posting boost.
-	s.minMaxFreq, s.maxMinLen = math.MaxInt, 1
-	for _, t := range terms {
-		c := fi.caps[t]
-		if c.maxFreq < s.minMaxFreq {
-			s.minMaxFreq = c.maxFreq
-		}
-		if c.minLen > s.maxMinLen {
-			s.maxMinLen = c.minLen
-		}
-	}
-	if maxBoost := fi.caps[terms[0]].maxBoost; maxBoost < 0 || boost < 0 {
+	if maxBoost := first.cap.maxBoost; maxBoost < 0 || boost < 0 {
 		// Negative boosts turn the best-case evaluation into a lower bound;
 		// disable pruning for this clause instead.
 		s.cap = math.Inf(1)

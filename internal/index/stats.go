@@ -132,18 +132,17 @@ func (ix *Index) LocalStats() *CorpusStats {
 		cs := &CorpusStats{Docs: ix.docCount(), Fields: make(map[string]*FieldStats, len(ix.fields))}
 		for name, fi := range ix.fields {
 			fs := &FieldStats{
+				Docs:    fi.docCount,
 				SumLen:  fi.sumLen,
 				DocFreq: make(map[string]int, fi.numTerms()),
 			}
 			if fi.m != nil {
-				fs.Docs = fi.m.docCount
 				for t, mt := range fi.m.terms {
 					fs.DocFreq[t] = mt.n
 				}
 			} else {
-				fs.Docs = len(fi.docLen)
-				for t, pl := range fi.postings {
-					fs.DocFreq[t] = len(pl)
+				for t, te := range fi.terms {
+					fs.DocFreq[t] = len(te.postings)
 				}
 			}
 			cs.Fields[name] = fs
@@ -153,23 +152,12 @@ func (ix *Index) LocalStats() *CorpusStats {
 	cs := &CorpusStats{Docs: ix.LiveDocs(), Fields: make(map[string]*FieldStats, len(ix.fields))}
 	for name, fi := range ix.fields {
 		fs := &FieldStats{DocFreq: map[string]int{}}
-		if fi.m != nil {
-			for id := 0; id < len(fi.m.docLen); id++ {
-				if !fi.m.hasEntry(id) || ix.deleted[id] {
-					continue
-				}
-				fs.Docs++
-				fs.SumLen += int(fi.m.docLen[id])
-			}
-		} else {
-			for id, l := range fi.docLen {
-				if ix.deleted[id] {
-					continue
-				}
+		fi.eachDocLen(func(id, l int) {
+			if !ix.deleted[id] {
 				fs.Docs++
 				fs.SumLen += l
 			}
-		}
+		})
 		if fs.Docs == 0 {
 			continue // the field survives only on tombstoned documents
 		}
@@ -198,10 +186,10 @@ func (ix *Index) LocalStats() *CorpusStats {
 			cs.Fields[name] = fs
 			continue
 		}
-		for t, pl := range fi.postings {
+		for t, te := range fi.terms {
 			df := 0
-			for i := range pl {
-				if !ix.deleted[pl[i].DocID] {
+			for i := range te.postings {
+				if !ix.deleted[te.postings[i].DocID] {
 					df++
 				}
 			}
@@ -217,29 +205,62 @@ func (ix *Index) LocalStats() *CorpusStats {
 // DocStats computes one stored document's statistics contribution — what
 // removing it must subtract from the corpus-wide view. It re-analyzes the
 // stored field text with the index's own analyzer, so the result is
-// exactly what Add contributed when the document was indexed.
+// exactly what Add contributed when the document was indexed. It returns
+// nil for a docID the index does not hold.
 func (ix *Index) DocStats(id int) *CorpusStats {
-	d := ix.Doc(id)
-	if d == nil {
+	cs := NewCorpusStats()
+	if !ix.AddDocStats(cs, id) {
 		return nil
 	}
-	cs := NewCorpusStats()
-	cs.Docs = 1
+	return cs
+}
+
+// AddDocStats adds one stored document's statistics contribution to cs, so
+// a caller tombstoning many documents subtracts their sum once instead of
+// building a CorpusStats apiece (integer adds commute). It reports whether
+// the index holds the document. It shares Add's analysis state: like Add,
+// it must not run beside another writer of the same index.
+func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
+	d := ix.Doc(id)
+	if d == nil {
+		return false
+	}
+	if ix.docTerms == nil {
+		ix.docTerms = make(map[FieldTerm]struct{})
+	}
+	clear(ix.docTerms)
+	cs.Docs++
 	for _, f := range d.Fields {
 		if len(f.Name) > 0 && f.Name[0] == '_' {
 			continue
 		}
 		fs := cs.Fields[f.Name]
 		if fs == nil {
-			fs = &FieldStats{Docs: 1, DocFreq: map[string]int{}}
+			fs = &FieldStats{DocFreq: map[string]int{}}
 			cs.Fields[f.Name] = fs
 		}
-		for _, t := range ix.analyzer.Analyze(f.Text) {
+		// df and Docs count documents, not occurrences or values: docTerms
+		// holds what this document has already been counted for, the field
+		// itself under the empty term (no analyzer emits one).
+		if ix.firstInDoc(FieldTerm{Field: f.Name}) {
+			fs.Docs++
+		}
+		for _, t := range ix.analyzeForWrite(f.Text) {
 			fs.SumLen++
-			fs.DocFreq[t] = 1 // df counts documents, not occurrences
+			if ix.firstInDoc(FieldTerm{Field: f.Name, Term: t}) {
+				fs.DocFreq[t]++
+			}
 		}
 	}
-	return cs
+	return true
+}
+
+// firstInDoc reports whether AddDocStats's current document has not been
+// counted for ft yet, and marks it counted.
+func (ix *Index) firstInDoc(ft FieldTerm) bool {
+	n := len(ix.docTerms)
+	ix.docTerms[ft] = struct{}{}
+	return len(ix.docTerms) > n
 }
 
 // SetCorpusStats installs corpus-wide statistics: all subsequent scoring

@@ -241,7 +241,7 @@ func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
 //
 // Statistics stay integer-exact through any sequence of commits: a
 // tombstone subtracts exactly what the document's Add once contributed
-// (index.DocStats re-analyzes the stored fields), a new segment adds its
+// (index.AddDocStats re-analyzes the stored fields), a new segment adds its
 // tombstone-aware LocalStats, and integer adds/subtracts commute — so
 // the global view always equals a from-scratch recompute over the live
 // documents, which is what keeps scatter-gather rankings byte-identical
@@ -255,9 +255,13 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 	newSubs := make([]*subIndex, n)
 	touched := make([]bool, n)
 
+	// removed sums what the batch's tombstones take out of the corpus view,
+	// subtracted once below: a re-upserted page tombstones ~119 documents,
+	// and a CorpusStats apiece was most of this loop.
+	removed := index.NewCorpusStats()
 	for pi, page := range pages {
 		// Tombstone the page's previous version. Its statistics leave the
-		// corpus view here — except for documents from THIS batch (a page
+		// corpus view — except for documents from THIS batch (a page
 		// repeated within one batch), whose statistics have not been
 		// merged yet and are excluded by the segment's LocalStats below.
 		for _, gid := range e.pageGIDs[page.ID] {
@@ -270,7 +274,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 				continue
 			}
 			if ref.sub.segID != segID {
-				e.global.Remove(ix.DocStats(ref.local))
+				ix.AddDocStats(removed, ref.local)
 			}
 			ix.Delete(ref.local)
 			e.liveDocs--
@@ -303,6 +307,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 		e.pageGIDs[page.ID] = gids
 	}
 
+	e.global.Remove(removed)
 	for _, sub := range newSubs {
 		if sub != nil {
 			e.global.Merge(sub.si.Index.LocalStats())
