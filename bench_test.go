@@ -14,6 +14,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/ie"
 	"repro/internal/index"
 	"repro/internal/inference"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/populate"
@@ -180,6 +182,13 @@ func BenchmarkIndexBuild(b *testing.B) {
 // benchmarkPages is the first 30 pages of the repository benchmark's corpus
 // (the pages semindex's and index's golden files are recorded on).
 func benchmarkPages(b *testing.B) []*crawler.MatchPage {
+	pages, _ := benchmarkCorpus(b)
+	return pages
+}
+
+// benchmarkCorpus is benchmarkPages with the generator that made them,
+// whose universe the repository benchmark templates its queries from.
+func benchmarkCorpus(b *testing.B) ([]*crawler.MatchPage, *corpus.Generator) {
 	gen := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
 	pages := make([]*crawler.MatchPage, 30)
 	for i := range pages {
@@ -189,7 +198,33 @@ func benchmarkPages(b *testing.B) []*crawler.MatchPage {
 		}
 		pages[i] = p
 	}
-	return pages
+	return pages, gen
+}
+
+// BenchmarkQueryCold measures the read path the repository benchmark's
+// query_cold workload drives: Engine.Search with the cache bypassed on a
+// two-shard FULL_INF heap engine, at limit 10, one sub-benchmark per query
+// class of that workload (64 queries each, templated the same way). ns/op
+// and allocs/op are per search: scatter, two kernels, global merge.
+func BenchmarkQueryCold(b *testing.B) {
+	pages, gen := benchmarkCorpus(b)
+	eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, pages, shard.Options{Shards: 2})
+	defer eng.Close()
+	vocab := loadgen.VocabFromUniverse(gen.Universe())
+	opts := shard.SearchOptions{Limit: 10, NoCache: true}
+	ctx := context.Background()
+	for _, class := range []loadgen.Class{loadgen.ClassKeyword, loadgen.ClassPhrase, loadgen.ClassField, loadgen.ClassFuzzy} {
+		queries := loadgen.GenerateQueries(vocab, map[loadgen.Class]int{class: 1}, 64, 20100301)
+		b.Run(string(class), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Search(ctx, queries[i%len(queries)].Text, opts)
+				if err != nil || res.Report.Degraded {
+					b.Fatalf("search %q: %v %+v", queries[i%len(queries)].Text, err, res.Report)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkIndexAdd measures the loop every write ends in: Add of those

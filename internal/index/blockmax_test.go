@@ -90,6 +90,180 @@ func TestBlockMaxEquivalenceMultiBlock(t *testing.T) {
 			}
 		}
 	}
+	t.Run("traffic shape", blockMaxTrafficShape)
+}
+
+// trafficFields are the nine fields the semantic levels search under the
+// Section 3.6.2 boosts, plus two the corpus never carries: the per-token
+// disjunction of a keyword query has a clause per field, found or not.
+var trafficFields = []FieldBoost{
+	{"event", 4}, {"subjectPlayer", 2.5}, {"objectPlayer", 1.6}, {"subjectTeam", 2.2},
+	{"objectTeam", 1.2}, {"subjectPlayerProp", 1.8}, {"ghostField", 3}, {"objectPlayerProp", 1.1},
+	{"fromRules", 1.5}, {"narration", 1}, {"anotherGhost", 0.5},
+}
+
+// trafficQuery draws a query of the shapes Engine.Search sends the kernel:
+// a coord'ed disjunction with, per token, a coord-free disjunction over
+// every searched field — keyword tokens, quoted phrases, fuzzy terms,
+// fielded terms and +/- operators mixed the way the parser mixes them.
+func trafficQuery(t *testing.T, rng *rand.Rand, vocab []string) Query {
+	t.Helper()
+	word := func() string { return vocab[rng.Intn(len(vocab))] }
+	typo := func() string { w := word(); return w[:len(w)-1] + "x~" }
+	var src string
+	switch rng.Intn(8) {
+	case 0:
+		return MultiFieldQuery(strings.Join([]string{word(), word(), word()}[:1+rng.Intn(3)], " "), trafficFields)
+	case 1:
+		src = `"` + word() + " " + word() + `" ` + word()
+	case 2:
+		src = typo() + " " + word()
+	case 3:
+		src = "event:" + word() + " " + word()
+	case 4:
+		src = "+" + word() + " " + word() + " -" + typo()
+	case 5:
+		src = typo()
+	case 6:
+		src = `"` + word() + " " + word() + `"`
+	default:
+		src = `"` + word() + `" ` + typo() + " narration:" + word()
+	}
+	q, err := ParseQuery(src, trafficFields)
+	if err != nil {
+		t.Fatalf("ParseQuery(%q): %v", src, err)
+	}
+	return q
+}
+
+// blockMaxTrafficShape runs the oracle over the shape the traffic has,
+// which the two-field random trees do not reach: eleven field clauses per
+// token with two fields absent, fuzzy and phrase children, tombstones,
+// both similarities, all six limits, on the index as built, as decoded to
+// the heap and as served mapped.
+func blockMaxTrafficShape(t *testing.T) {
+	vocab := strings.Fields("goal foul save corner pass shot keeper header")
+	var fields []string
+	for _, fb := range trafficFields {
+		if !strings.Contains(strings.ToLower(fb.Field), "ghost") {
+			fields = append(fields, fb.Field)
+		}
+	}
+	rng := rand.New(rand.NewSource(20260926))
+	for round, sim := range []Similarity{ClassicTFIDF{}, BM25{}, ClassicTFIDF{}, BM25{}} {
+		ix := buildMultiBlockIndex(t, rng, 900+rng.Intn(400), vocab, fields)
+		if round >= 2 {
+			// A corpus that drifts: fields get shorter and boosts higher
+			// with the docID, so late blocks carry the highest bounds and a
+			// window or a whole-tail bound read off an early block is wrong
+			// about them. Only three of the searched fields exist, which
+			// keeps the summed bounds tight enough to prune hard.
+			ix = New(StandardAnalyzer{})
+			for d := 0; d < 3000; d++ {
+				doc := new(Document)
+				for _, f := range []string{"event", "fromRules", "narration"} {
+					words := make([]string, 1+rng.Intn(1+12*(3000-d)/3000))
+					for i := range words {
+						words[i] = vocab[rng.Intn(len(vocab))]
+					}
+					doc.Fields = append(doc.Fields, Field{Name: f, Text: strings.Join(words, " "), Boost: 1 + float64(d/300)})
+				}
+				ix.Add(doc)
+			}
+		}
+		heap, mapped, _, _ := openMappedPair(t, ix)
+		variants := []struct {
+			name string
+			ix   *Index
+		}{{"built", ix}, {"heap", heap}, {"mapped", mapped}}
+		for _, v := range variants {
+			v.ix.SetSimilarity(sim)
+			for d := 3; d < ix.NumDocs(); d += 7 {
+				v.ix.Delete(d)
+			}
+		}
+		for qi := 0; qi < 32; qi++ {
+			q := trafficQuery(t, rng, vocab)
+			for _, limit := range []int{0, 1, 2, 5, 10, 100} {
+				want := ix.ExhaustiveSearch(q, limit)
+				for _, v := range variants {
+					if got := v.ix.Search(q, limit); !hitsEqual(got, want) {
+						t.Fatalf("round %d query %d (%#v) limit %d on %s:\ngot:  %v\nwant: %v",
+							round, qi, q, limit, v.name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// probeCounter stands between a compound scorer and one of its children
+// and records the child's Block-Max probes.
+type probeCounter struct {
+	scorer
+	targets, ends *[]int
+}
+
+func (p probeCounter) maxScoreUpTo(target int) (float64, int) {
+	bound, end := p.scorer.maxScoreUpTo(target)
+	*p.targets, *p.ends = append(*p.targets, target), append(*p.ends, end)
+	return bound, end
+}
+
+// seekCounter counts the documents a root scorer is asked for.
+type seekCounter struct {
+	*booleanScorer
+	seeks *int
+}
+
+func (c seekCounter) next() int { *c.seeks++; return c.booleanScorer.next() }
+
+// TestWindowRecomputedOncePerWindow is the whitebox check on the window
+// cache: over a whole search the root walks its children for a new (bound,
+// boundary) once per distinct window it crosses — every walk's target lies
+// past the end of the window before — however many seeks land inside each.
+// The counters are the test's own, hung on the root and its children.
+func TestWindowRecomputedOncePerWindow(t *testing.T) {
+	vocab := strings.Fields("goal foul save corner pass shot keeper header")
+	ix := buildMultiBlockIndex(t, rand.New(rand.NewSource(99)), 3000, vocab, []string{"event", "narration", "fromRules"})
+	fields := []FieldBoost{{"event", 4}, {"narration", 1}, {"fromRules", 1.5}}
+	walks, seeks := 0, 0
+	for _, text := range []string{"goal foul", "save corner pass", "keeper header"} {
+		q := MultiFieldQuery(text, fields)
+		root := q.bind(ix.analyzer).newScorer(ix).(*booleanScorer)
+		var targets, ends []int
+		for i, sh := range root.shoulds {
+			root.shoulds[i] = probeCounter{scorer: sh, targets: &targets, ends: &ends}
+		}
+		if got, want := ix.collect(seekCounter{root, &seeks}, 10), ix.ExhaustiveSearch(q, 10); !hitsEqual(got, want) {
+			t.Fatalf("%q: instrumented search diverged:\ngot:  %v\nwant: %v", text, got, want)
+		}
+		// One walk probes every child once, all at the same target; the
+		// window it yields ends at the earliest child boundary.
+		n := len(root.shoulds)
+		if len(targets) == 0 || len(targets)%n != 0 {
+			t.Fatalf("%q: %d child probes for %d children", text, len(targets), n)
+		}
+		prevEnd := -1
+		for w := 0; w < len(targets); w += n {
+			end := noMoreDocs
+			for c := 0; c < n; c++ {
+				if targets[w+c] != targets[w] {
+					t.Fatalf("%q: walk %d probed its children at targets %v", text, w/n, targets[w:w+n])
+				}
+				end = min(end, ends[w+c])
+			}
+			if targets[w] <= prevEnd {
+				t.Fatalf("%q: walk %d, at target %d, is inside the window ending at %d", text, w/n, targets[w], prevEnd)
+			}
+			prevEnd = end
+		}
+		walks += len(targets) / n
+	}
+	t.Logf("%d seeks crossed %d windows, each walked once", seeks, walks)
+	if seeks < 4*walks {
+		t.Fatalf("%d seeks over %d windows: the corpus does not put several seeks in a window, so the test shows nothing", seeks, walks)
+	}
 }
 
 // TestAddMaintainsBlockBounds is the whitebox check on the incremental

@@ -234,21 +234,6 @@ func (fi *fieldIndex) postingsOf(term string) []Posting {
 	return nil
 }
 
-// termCapOf returns a term's score-bound inputs (exact on both storage
-// modes once loaded from disk).
-func (fi *fieldIndex) termCapOf(term string) (termCap, bool) {
-	if fi.m != nil {
-		if t := fi.m.terms[term]; t != nil {
-			return t.cap, true
-		}
-		return termCap{}, false
-	}
-	if te := fi.terms[term]; te != nil {
-		return te.cap, true
-	}
-	return termCap{}, false
-}
-
 // Index is an in-memory inverted index over documents with analyzed fields,
 // the stand-in for a Lucene index. Build it once with Add, then search; it
 // is not safe for concurrent mutation but safe for concurrent searching,
@@ -574,54 +559,35 @@ func (ix *Index) DocFreq(field, term string) int {
 
 // IDF computes the classic Lucene inverse document frequency:
 // 1 + ln(N / (df + 1)), over corpus-wide statistics when installed.
-func (ix *Index) IDF(field, term string) float64 {
-	df := ix.scoringDocFreq(field, term)
-	return 1 + math.Log(float64(ix.scoringNumDocs())/float64(df+1))
-}
+func (ix *Index) IDF(field, term string) float64 { return ix.termStats(field, term).idf() }
 
-// fieldNorm is Lucene's length normalization: 1/sqrt(tokens in field).
-func (ix *Index) fieldNorm(field string, docID int) float64 {
-	fi := ix.fields[field]
-	if fi == nil {
-		return 0
-	}
-	l := fi.lengthOf(docID)
+// norm is Lucene's length normalization on the document:
+// 1/sqrt(tokens in field), 0 without the field.
+func (t *docTable) norm(id int) float64 {
+	l := t.lengthOf(id)
 	if l == 0 {
 		return 0
 	}
 	return 1 / math.Sqrt(float64(l))
 }
 
-// termUpperBound returns an upper bound on the score any single document
-// can earn from the (field, term) clause at the given query boost — the
-// per-term cap MaxScore pruning compares against the top-k threshold.
-// The bound evaluates the similarity at the term's best-case posting
-// shape (max freq, min length, max boost, tracked in termEntry.cap
-// since build time) under the same collection statistics real scoring
-// uses, so it holds per shard even when corpus-wide statistics are
+// scoreBound returns an upper bound on the score any posting within c's
+// limits (frequency at most maxFreq, document at least minLen long, posting
+// boost at most maxBoost) can earn from its term at the given query boost —
+// what pruning compares against the top-k threshold, per term (c the term's
+// cap) and per posting block (c the block's). The similarity is evaluated
+// at that best-case posting shape under the statistics real scoring uses,
+// so the bound holds per shard even when corpus-wide statistics are
 // installed. Similarities that do not implement UpperBoundSimilarity get
-// +Inf, which disables pruning but keeps evaluation correct.
-func (ix *Index) termUpperBound(field, term string, queryBoost float64) float64 {
-	fi := ix.fields[field]
-	if fi == nil {
-		return 0
-	}
-	c, ok := fi.termCapOf(term)
-	if !ok {
-		return 0
-	}
+// +Inf, which disables pruning but keeps evaluation correct; so does a
+// negative boost, which would flip the best case into a lower bound.
+func (ix *Index) scoreBound(c termCap, st termStats, queryBoost float64) float64 {
 	ubs, ok := ix.sim.(UpperBoundSimilarity)
-	if !ok {
+	if !ok || c.maxBoost < 0 || queryBoost < 0 {
 		return math.Inf(1)
 	}
-	// A negative boost flips "evaluate at the best-case posting" into a
-	// lower bound; no pruning rather than wrong pruning.
-	if c.maxBoost < 0 || queryBoost < 0 {
-		return math.Inf(1)
-	}
-	df := ix.scoringDocFreq(field, term)
-	b := ubs.TermScoreBound(c.maxFreq, df, ix.scoringNumDocs(), c.minLen, ix.scoringAvgLen(field))
-	return b * c.maxBoost * queryBoost * capSlack
+	return ubs.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) *
+		c.maxBoost * queryBoost * capSlack
 }
 
 // observe widens the cap to cover a posting with the given shape.

@@ -165,17 +165,21 @@ func (r *byteReader) u64() uint64 {
 
 func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// str reads a u32-length-prefixed string (the codec's string shape).
-func (r *byteReader) str() string {
+// strBytes reads a u32-length-prefixed string (the codec's string shape)
+// as a view of the region.
+func (r *byteReader) strBytes() []byte {
 	n := r.u32()
 	if r.bad || n > 1<<26 || r.pos+int(n) > len(r.b) {
 		r.fail()
-		return ""
+		return nil
 	}
-	s := string(r.b[r.pos : r.pos+int(n)])
+	s := r.b[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	return s
 }
+
+// str reads a u32-length-prefixed string into a string of its own.
+func (r *byteReader) str() string { return string(r.strBytes()) }
 
 // vstr reads a uvarint-length-prefixed string (the TOC's string shape).
 func (r *byteReader) vstr() string {
@@ -922,8 +926,10 @@ func skipStoredDoc(r *byteReader) bool {
 		return false
 	}
 	for j := uint32(0); j < nf; j++ {
-		r.str()
-		r.str()
+		// Skipped by length: building the strings of every document ahead of
+		// the wanted one would allocate most of the chunk per fetch.
+		r.strBytes()
+		r.strBytes()
 		r.f64()
 		if r.bad {
 			return false

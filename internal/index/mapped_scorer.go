@@ -36,9 +36,8 @@ type mappedTermScorer struct {
 	f     *mappedField
 	t     *mappedTerm
 	cur   *BlockReader
-	df    int
-	nDocs int
-	avg   float64
+	st    termStats
+	ts    TermScorer
 	boost float64
 	i     int
 	cap   float64
@@ -56,23 +55,19 @@ func newMappedTermScorer(ix *Index, f *mappedField, field, term string, queryBoo
 	if mt == nil {
 		return emptyScorer{}
 	}
+	st := ix.termStats(field, term)
 	return &mappedTermScorer{
 		ix: ix, f: f, t: mt,
-		cur:         newBlockReader(f, mt, false),
-		df:          ix.scoringDocFreq(field, term),
-		nDocs:       ix.scoringNumDocs(),
-		avg:         ix.scoringAvgLen(field),
+		cur: newBlockReader(f, mt, false),
+		st:  st, ts: st.scorer(ix.sim),
 		boost:       queryBoost,
 		i:           -1,
-		cap:         ix.termUpperBound(field, term, queryBoost),
+		cap:         ix.scoreBound(mt.cap, st, queryBoost),
 		cachedBlock: -1,
 	}
 }
 
 func (s *mappedTermScorer) doc() int {
-	if s.i < 0 {
-		return -1
-	}
 	if s.i >= s.t.n {
 		return noMoreDocs
 	}
@@ -108,22 +103,15 @@ func (s *mappedTermScorer) skipBeatenBlocks() {
 	}
 }
 
-// blockBound evaluates the same expression as termScorer.blockBound over
-// the header read from the mapped region. The header holds the exact
-// per-block values the encoder computed — the identical numbers the heap
-// decode path carries in termEntry.blocks — so pruning decisions match.
+// blockBound is termScorer.blockBound over the header read from the
+// mapped region. The header holds the exact per-block values the encoder
+// computed — the identical numbers the heap decode path carries in
+// termEntry.blocks — so pruning decisions match.
 func (s *mappedTermScorer) blockBound(b int) float64 {
-	if b == s.cachedBlock {
-		return s.cachedBound
+	if b != s.cachedBlock {
+		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.f.blockCap(s.t, b), s.st, s.boost)
 	}
-	bound := math.Inf(1)
-	blk := s.f.blockCap(s.t, b)
-	if ubs, ok := s.ix.sim.(UpperBoundSimilarity); ok && blk.maxBoost >= 0 && s.boost >= 0 {
-		bound = ubs.TermScoreBound(blk.maxFreq, s.df, s.nDocs, blk.minLen, s.avg) *
-			blk.maxBoost * s.boost * capSlack
-	}
-	s.cachedBlock, s.cachedBound = b, bound
-	return bound
+	return s.cachedBound
 }
 
 // probeBlock advances blk to the first block at or after it whose last
@@ -137,17 +125,21 @@ func (t *mappedTerm) probeBlock(blk, target int) int {
 	return blk + sort.Search(nb-blk, func(k int) bool { return int(t.lastDocs[blk+k]) >= target })
 }
 
+// shallowProbe moves a maxScoreUpTo probe standing on block blk, for a
+// cursor at posting i, to the block holding the first posting at or after
+// target; numBlocks() when there is none.
+func (t *mappedTerm) shallowProbe(blk, i, target int) int {
+	if i >= t.n {
+		return t.numBlocks()
+	}
+	if i > 0 {
+		blk = max(blk, i/postingBlockSize)
+	}
+	return t.probeBlock(blk, target)
+}
+
 func (s *mappedTermScorer) maxScoreUpTo(target int) (float64, int) {
-	b := s.shallowBlk
-	if s.i > 0 {
-		if ib := s.i / postingBlockSize; ib > b {
-			b = ib
-		}
-	}
-	if s.i >= s.t.n {
-		return 0, noMoreDocs
-	}
-	b = s.t.probeBlock(b, target)
+	b := s.t.shallowProbe(s.shallowBlk, s.i, target)
 	s.shallowBlk = b
 	if b >= s.t.numBlocks() {
 		return 0, noMoreDocs
@@ -187,19 +179,14 @@ func (s *mappedTermScorer) advance(target int) int {
 			return d
 		}
 	}
-	base := s.i + 1
-	if base < 0 {
-		base = 0
-	}
-	s.i = firstAtLeast(s.cur, s.t, base, target)
+	s.i = firstAtLeast(s.cur, s.t, s.i+1, target)
 	return s.doc()
 }
 
 func (s *mappedTermScorer) score() float64 {
 	d := s.cur.docAt(s.i)
 	freq, pboost := s.cur.at(s.i)
-	base := s.ix.sim.TermScore(freq, s.df, s.nDocs, s.f.lengthOf(d), s.avg)
-	return base * pboost * s.boost
+	return s.ts.Score(freq, s.f.lengthOf(d)) * pboost * s.boost
 }
 
 func (s *mappedTermScorer) maxScore() float64 { return s.cap }
@@ -210,113 +197,63 @@ func (s *mappedTermScorer) maxScore() float64 { return s.cap }
 // probe — candidates arrive in ascending docID order, so those reads are
 // nearly sequential.
 type mappedPhraseScorer struct {
-	ix     *Index
 	f      *mappedField
-	field  string
 	t0     *mappedTerm
 	first  *BlockReader
 	probes []*BlockReader
+	follow [][]int
 	idfSum float64
 	boost  float64
 	i      int
 	freq   int
 	cap    float64
 
-	minMaxFreq  int
-	maxMinLen   int
+	whole       termCap
 	shallowBlk  int
 	cachedBlock int
 	cachedBound float64
-	cachedCap   termCap
 }
 
 func newMappedPhraseScorer(ix *Index, f *mappedField, field string, terms []string, boost float64) scorer {
-	for _, t := range terms {
-		if f.terms[t] == nil {
+	mts := make([]*mappedTerm, len(terms))
+	for i, t := range terms {
+		if mts[i] = f.terms[t]; mts[i] == nil {
 			return emptyScorer{}
 		}
 	}
-	idfSum := 0.0
-	for _, t := range terms {
-		idfSum += ix.IDF(field, t)
-	}
-	t0 := f.terms[terms[0]]
+	t0 := mts[0]
 	s := &mappedPhraseScorer{
-		ix: ix, f: f, field: field, t0: t0,
-		first:  newBlockReader(f, t0, true),
-		idfSum: idfSum, boost: boost, i: -1,
-		cachedBlock: -1,
+		f: f, t0: t0, first: newBlockReader(f, t0, true),
+		probes: make([]*BlockReader, len(terms)-1), follow: make([][]int, len(terms)-1),
+		boost: boost, i: -1, cachedBlock: -1,
+		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: t0.cap.maxBoost},
 	}
-	for _, t := range terms[1:] {
-		s.probes = append(s.probes, newBlockReader(f, f.terms[t], true))
-	}
-	s.minMaxFreq, s.maxMinLen = math.MaxInt, 1
-	for _, t := range terms {
-		c := f.terms[t].cap
-		if c.maxFreq < s.minMaxFreq {
-			s.minMaxFreq = c.maxFreq
-		}
-		if c.minLen > s.maxMinLen {
-			s.maxMinLen = c.minLen
+	for i, mt := range mts {
+		s.idfSum += ix.IDF(field, terms[i])
+		s.whole.maxFreq = min(s.whole.maxFreq, mt.cap.maxFreq)
+		s.whole.minLen = max(s.whole.minLen, mt.cap.minLen)
+		if i > 0 {
+			s.probes[i-1] = newBlockReader(f, mt, true)
 		}
 	}
-	if maxBoost := t0.cap.maxBoost; maxBoost < 0 || boost < 0 {
-		s.cap = math.Inf(1)
-	} else {
-		s.cap = math.Sqrt(float64(s.minMaxFreq)) * idfSum * maxBoost /
-			math.Sqrt(float64(s.maxMinLen)) * boost * capSlack
-	}
+	s.cap = phraseBound(s.whole, s.idfSum, boost)
 	return s
 }
 
 func (s *mappedPhraseScorer) maxScoreUpTo(target int) (float64, int) {
-	b := s.shallowBlk
-	if s.i > 0 {
-		if ib := s.i / postingBlockSize; ib > b {
-			b = ib
-		}
-	}
-	if s.i >= s.t0.n {
-		return 0, noMoreDocs
-	}
-	b = s.t0.probeBlock(b, target)
+	b := s.t0.shallowProbe(s.shallowBlk, s.i, target)
 	s.shallowBlk = b
-	nb := s.t0.numBlocks()
-	if b >= nb {
+	if b >= s.t0.numBlocks() {
 		return 0, noMoreDocs
 	}
 	if !s.t0.multi {
 		return s.cap, int(s.t0.lastDocs[0])
 	}
-	boundary := int(s.t0.lastDocs[b])
 	if b != s.cachedBlock {
-		s.cachedBlock, s.cachedCap = b, s.f.blockCap(s.t0, b)
+		s.cachedBlock = b
+		s.cachedBound = phraseBound(s.whole.tighten(s.f.blockCap(s.t0, b)), s.idfSum, s.boost)
 	}
-	blk := s.cachedCap
-	if blk.maxBoost < 0 || s.boost < 0 {
-		return s.cap, boundary
-	}
-	mf := s.minMaxFreq
-	if blk.maxFreq < mf {
-		mf = blk.maxFreq
-	}
-	ml := s.maxMinLen
-	if blk.minLen > ml {
-		ml = blk.minLen
-	}
-	bound := math.Sqrt(float64(mf)) * s.idfSum * blk.maxBoost /
-		math.Sqrt(float64(ml)) * s.boost * capSlack
-	return bound, boundary
-}
-
-func (s *mappedPhraseScorer) doc() int {
-	if s.i < 0 {
-		return -1
-	}
-	if s.i >= s.t0.n {
-		return noMoreDocs
-	}
-	return s.first.docAt(s.i)
+	return s.cachedBound, int(s.t0.lastDocs[b])
 }
 
 func (s *mappedPhraseScorer) next() int {
@@ -334,55 +271,35 @@ func (s *mappedPhraseScorer) advance(target int) int {
 			return d
 		}
 	}
-	base := s.i + 1
-	if base < 0 {
-		base = 0
-	}
 	// Position just before the first candidate >= target; next() verifies
 	// the phrase positionally from there (the heap shape exactly).
-	s.i = firstAtLeast(s.first, s.t0, base, target) - 1
+	s.i = firstAtLeast(s.first, s.t0, s.i+1, target) - 1
 	return s.next()
 }
 
 // computeFreq mirrors phraseScorer.computeFreq at the current candidate.
 func (s *mappedPhraseScorer) computeFreq() bool {
+	s.freq = 0
 	d := s.first.docAt(s.i)
 	if d == noMoreDocs {
-		s.freq = 0
 		return false
 	}
-	freq := 0
-	for _, start := range s.first.positionsAt(s.i) {
-		if s.phraseAt(d, start) {
-			freq++
-		}
-	}
-	s.freq = freq
-	return freq > 0
-}
-
-// phraseAt verifies terms[1:] at consecutive positions in doc d.
-func (s *mappedPhraseScorer) phraseAt(d, start int) bool {
 	for k, r := range s.probes {
 		idx, ok := r.findDoc(d)
 		if !ok {
 			return false
 		}
-		pl := r.positionsAt(idx)
-		pos := start + k + 1
-		j := searchInts(pl, pos)
-		if j >= len(pl) || pl[j] != pos {
-			return false
-		}
+		s.follow[k] = r.positionsAt(idx)
 	}
-	return true
+	s.freq = phraseFreq(s.first.positionsAt(s.i), s.follow)
+	return s.freq > 0
 }
 
 func (s *mappedPhraseScorer) score() float64 {
 	d := s.first.docAt(s.i)
 	_, p0boost := s.first.at(s.i)
 	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * p0boost * s.ix.fieldNorm(s.field, d) * s.boost
+	return tf * s.idfSum * p0boost * s.f.norm(d) * s.boost
 }
 
 func (s *mappedPhraseScorer) maxScore() float64 { return s.cap }

@@ -51,21 +51,21 @@ func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Que
 				continue
 			}
 			seen[term] = true
-			df := ix.scoringDocFreq(fb.Field, term)
-			if df <= 0 {
+			st := ix.termStats(fb.Field, term)
+			if st.df <= 0 {
 				continue
 			}
 			// Skip terms in more than a third of documents (but never below
 			// a floor of 5, so tiny indices keep their vocabulary): such
 			// terms carry no signal and would drag in everything.
-			ceiling := ix.scoringNumDocs() / 3
+			ceiling := st.numDocs / 3
 			if ceiling < 5 {
 				ceiling = 5
 			}
-			if df > ceiling {
+			if st.df > ceiling {
 				continue
 			}
-			top.push(scored{term: term, score: ix.IDF(fb.Field, term)})
+			top.push(scored{term: term, score: st.idf()})
 		}
 	}
 	candidates := top.sorted()
@@ -84,6 +84,8 @@ func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Que
 // docIDQuery matches exactly one document, used to exclude the source doc
 // from its own related-results list.
 type docIDQuery struct{ id int }
+
+func (q docIDQuery) bind(Analyzer) boundQuery { return q }
 
 func (q docIDQuery) scores(ix *Index) map[int]float64 {
 	if q.id < 0 || q.id >= ix.NumDocs() {

@@ -122,21 +122,7 @@ func buildClause(t queryToken, defaultFields []FieldBoost) Query {
 	if t.field != "" {
 		fields = []FieldBoost{{Field: t.field, Boost: 1}}
 	}
-	var per []Query
-	for _, fb := range fields {
-		switch {
-		case t.phrase:
-			per = append(per, PhraseQuery{Field: fb.Field, Terms: strings.Fields(t.text), Boost: fb.Boost})
-		case t.fuzzy:
-			per = append(per, FuzzyQuery{Field: fb.Field, Term: t.text, Boost: fb.Boost})
-		default:
-			per = append(per, TermQuery{Field: fb.Field, Term: t.text, Boost: fb.Boost})
-		}
-	}
-	if len(per) == 1 {
-		return per[0]
-	}
-	return BooleanQuery{Should: per, DisableCoord: true}
+	return &multiFieldQuery{text: t.text, phrase: t.phrase, fuzzy: t.fuzzy, fields: fields}
 }
 
 // FuzzyQuery matches terms within Levenshtein distance 1 of the query term
@@ -148,38 +134,67 @@ type FuzzyQuery struct {
 	Boost float64
 }
 
-func (q FuzzyQuery) scores(ix *Index) map[int]float64 {
-	analyzed := ix.analyzer.Analyze(q.Term)
+func (q FuzzyQuery) bind(a Analyzer) boundQuery {
+	analyzed := a.Analyze(q.Term)
 	if len(analyzed) != 1 {
-		return nil
+		return noMatch{}
 	}
-	target := analyzed[0]
-	boost := q.Boost
-	if boost == 0 {
-		boost = 1
+	return &fuzzyClause{field: q.Field, target: analyzed[0], boost: orOne(q.Boost)}
+}
+
+// fuzzyClause is a bound FuzzyQuery: the index-form target whose
+// neighbours each index's dictionary supplies.
+type fuzzyClause struct {
+	field, target string
+	boost         float64
+}
+
+func (q *fuzzyClause) bind(Analyzer) boundQuery { return q }
+
+// expansions walks the field's term dictionary in place, in either
+// storage mode, and returns the terms the clause matches with their
+// weights: 1 for the target itself, 0.5 within edit distance 1. The byte
+// lengths are compared first: one edit is one rune, at most four bytes.
+func (fi *fieldIndex) expansions(target string) (terms []string, weights []float64) {
+	visit := func(term string) {
+		if d := len(term) - len(target); d > utf8.UTFMax || d < -utf8.UTFMax {
+			return
+		}
+		switch {
+		case term == target:
+			weights = append(weights, 1)
+		case WithinEditDistance1(term, target):
+			weights = append(weights, 0.5)
+		default:
+			return
+		}
+		terms = append(terms, term)
 	}
-	fi := ix.fields[q.Field]
+	if fi.m != nil {
+		for term := range fi.m.terms {
+			visit(term)
+		}
+		return terms, weights
+	}
+	for term := range fi.terms {
+		visit(term)
+	}
+	return terms, weights
+}
+
+func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
+	fi := ix.fields[q.field]
 	if fi == nil {
 		return nil
 	}
 	out := make(map[int]float64)
-	avg := ix.scoringAvgLen(q.Field)
-	numDocs := ix.scoringNumDocs()
-	for _, term := range fi.termNames() {
-		var weight float64
-		switch {
-		case term == target:
-			weight = 1
-		case WithinEditDistance1(term, target):
-			weight = 0.5
-		default:
-			continue
-		}
-		df := ix.scoringDocFreq(q.Field, term)
+	terms, weights := fi.expansions(q.target)
+	for i, term := range terms {
+		ts := ix.termStats(q.field, term).scorer(ix.sim)
 		// postingsOf after the edit-distance filter: only the few matching
 		// expansions are materialized on a mapped index.
 		for _, p := range fi.postingsOf(term) {
-			s := ix.sim.TermScore(p.Freq(), df, numDocs, fi.lengthOf(p.DocID), avg) * p.Boost * boost * weight
+			s := ts.Score(p.Freq(), fi.lengthOf(p.DocID)) * p.Boost * q.boost * weights[i]
 			if s > out[p.DocID] {
 				out[p.DocID] = s
 			}
@@ -192,76 +207,46 @@ func (q FuzzyQuery) scores(ix *Index) map[int]float64 {
 // the same scan the exhaustive path pays — and evaluates the expansion
 // document-at-a-time as a weighted per-document maximum, reproducing the
 // "best matching variant wins" semantics of scores.
-func (q FuzzyQuery) newScorer(ix *Index) scorer {
-	analyzed := ix.analyzer.Analyze(q.Term)
-	if len(analyzed) != 1 {
-		return emptyScorer{}
-	}
-	target := analyzed[0]
-	boost := q.Boost
-	if boost == 0 {
-		boost = 1
-	}
-	fi := ix.fields[q.Field]
+func (q *fuzzyClause) newScorer(ix *Index) scorer {
+	fi := ix.fields[q.field]
 	if fi == nil {
 		return emptyScorer{}
 	}
-	var subs []scorer
-	var weights []float64
-	for _, term := range fi.termNames() {
-		var weight float64
-		switch {
-		case term == target:
-			weight = 1
-		case WithinEditDistance1(term, target):
-			weight = 0.5
-		default:
-			continue
-		}
-		subs = append(subs, newTermScorer(ix, q.Field, term, boost))
-		weights = append(weights, weight)
+	terms, weights := fi.expansions(q.target)
+	subs := make([]scorer, len(terms))
+	for i, term := range terms {
+		subs[i] = newTermScorer(ix, q.field, term, q.boost)
 	}
 	return newMaxScorer(subs, weights)
 }
 
 // WithinEditDistance1 reports whether two strings are within Levenshtein
-// distance 1 (one insertion, deletion or substitution), computed without
-// building a distance matrix.
+// distance 1 (one rune inserted, deleted or substituted). It allocates
+// nothing: the strings are walked as UTF-8 in place.
 func WithinEditDistance1(a, b string) bool {
-	if a == b {
-		return true
-	}
-	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
-	if la > lb {
-		a, b = b, a
-		la, lb = lb, la
-	}
-	if lb-la > 1 {
-		return false
-	}
-	ra, rb := []rune(a), []rune(b)
-	i, j := 0, 0
-	edited := false
-	for i < len(ra) && j < len(rb) {
-		if ra[i] == rb[j] {
-			i++
-			j++
-			continue
+	for a != "" && b != "" {
+		na, nb := runeLen(a), runeLen(b)
+		if a[:na] != b[:nb] {
+			// The one edit is spent here: substitute the rune, or drop it
+			// from either side; the rest must then agree exactly.
+			return a[na:] == b[nb:] || a[na:] == b || a == b[nb:]
 		}
-		if edited {
-			return false
-		}
-		edited = true
-		if len(ra) == len(rb) {
-			i++ // substitution
-		}
-		j++ // insertion into a / deletion from b
+		a, b = a[na:], b[nb:]
 	}
-	// Whatever remains unconsumed must fit in the edit budget: nothing if
-	// an edit was already spent, at most one trailing rune otherwise.
-	remaining := (len(ra) - i) + (len(rb) - j)
-	if edited {
-		return remaining == 0
+	// One string is a prefix of the other: at most one rune may be left.
+	rest := a
+	if rest == "" {
+		rest = b
 	}
-	return remaining <= 1
+	return rest == "" || runeLen(rest) == len(rest)
+}
+
+// runeLen is the byte length of the first rune of s, which is not empty
+// (an invalid byte counts as a rune of its own).
+func runeLen(s string) int {
+	if s[0] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s)
+	return n
 }

@@ -129,6 +129,96 @@ func TestWithinEditDistance1(t *testing.T) {
 	}
 }
 
+// runeEditDistance1 is WithinEditDistance1 as it was before it stopped
+// allocating: both strings converted to []rune and scanned in step. It is
+// the reference the in-place UTF-8 walk is held to.
+func runeEditDistance1(a, b string) bool {
+	if a == b {
+		return true
+	}
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) > len(rb) {
+		ra, rb = rb, ra
+	}
+	if len(rb)-len(ra) > 1 {
+		return false
+	}
+	i, j := 0, 0
+	edited := false
+	for i < len(ra) && j < len(rb) {
+		if ra[i] == rb[j] {
+			i++
+			j++
+			continue
+		}
+		if edited {
+			return false
+		}
+		edited = true
+		if len(ra) == len(rb) {
+			i++ // substitution
+		}
+		j++ // insertion into a / deletion from b
+	}
+	remaining := (len(ra) - i) + (len(rb) - j)
+	if edited {
+		return remaining == 0
+	}
+	return remaining <= 1
+}
+
+// TestWithinEditDistance1MultiByte holds the in-place walk to the []rune
+// reference where bytes and runes part ways: an edit is one rune whatever
+// its width, and a one-byte difference inside a wide rune is one edit, not
+// a reason to compare continuation bytes.
+func TestWithinEditDistance1MultiByte(t *testing.T) {
+	words := []string{
+		"", "a", "é", "日", "𝄞", "ae", "aé", "éa", "日本", "日本語", "本語", "日語",
+		"müller", "muller", "mülle", "müllër", "mueller", "mülller", "üller",
+		"özil", "ozil", "özi", "öziil", "zil", "ößil",
+		"𝄞clef", "clef", "𝄞cle", "𝄢clef", "𝄞𝄞clef", "çlef",
+		"naïve", "naive", "naïv", "naïvé", "nave", "naïïve",
+	}
+	for _, a := range words {
+		for _, b := range words {
+			if got, want := WithinEditDistance1(a, b), runeEditDistance1(a, b); got != want {
+				t.Errorf("WithinEditDistance1(%q, %q) = %v, the rune reference says %v", a, b, got, want)
+			}
+		}
+	}
+	// Random words of arbitrary runes, each against itself with one rune
+	// inserted, substituted or dropped, and with two inserted.
+	agree := func(word string, r rune, at uint8) bool {
+		w := []rune(word)
+		if len(w) > 8 {
+			w = w[:8]
+		}
+		p := int(at) % (len(w) + 1)
+		ins := append(append(append([]rune{}, w[:p]...), r), w[p:]...)
+		variants := []string{string(w), string(ins), string(append([]rune{r}, ins...))}
+		if p < len(w) {
+			sub := append([]rune{}, w...)
+			sub[p] = r
+			variants = append(variants, string(sub), string(append(append([]rune{}, w[:p]...), w[p+1:]...)))
+		}
+		for _, a := range variants {
+			for _, b := range variants {
+				if WithinEditDistance1(a, b) != runeEditDistance1(a, b) {
+					t.Logf("disagree on %q, %q", a, b)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(agree, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { WithinEditDistance1("müller", "mueller") }); n != 0 {
+		t.Errorf("WithinEditDistance1 allocates %v times per call", n)
+	}
+}
+
 // Property: edit distance 1 is symmetric.
 func TestEditDistanceSymmetryProperty(t *testing.T) {
 	f := func(a, b string) bool {

@@ -5,15 +5,23 @@ import (
 	"sort"
 )
 
-// Document-at-a-time (DAAT) evaluation. The seed-era kernel scored
-// term-at-a-time: every clause materialized a map[int]float64 over all its
-// matching documents and BooleanQuery merged the maps — allocation-heavy
-// and oblivious to the caller's limit. This kernel walks the already
-// docID-sorted posting lists in lockstep instead: a scorer is a cursor
-// over one clause's matching documents, compound scorers align their
-// children on the same docID, and the top-k collector's rising threshold
-// feeds MaxScore pruning (Turtle & Flood) that stops evaluating documents
-// which provably cannot enter the top k.
+// Document-at-a-time (DAAT) evaluation with Block-Max pruning. A scorer is
+// a cursor over one clause's matching documents; posting lists are walked
+// in docID lockstep, compound scorers align their children on the same
+// docID, and the top-k collector's rising threshold prunes at two grains.
+// MaxScore (Turtle & Flood) partitions a disjunction's clauses by their
+// whole-list score caps: clauses whose caps sum under the threshold stop
+// proposing candidates. Block-Max (Ding & Suel) bounds the score inside a
+// docID window from the per-block metadata the codec keeps for every 128
+// postings: a window whose bound cannot beat the threshold is jumped in one
+// advance per clause.
+//
+// The hot loop never re-derives what it knows. The root keeps the last
+// window it computed and asks its leaves again only once a target passes
+// the window's end; compound scorers keep their children's positions
+// themselves instead of asking each child per candidate; a term's share of
+// the similarity formula is computed when its cursor is built, not per
+// posting.
 //
 // The contract with the exhaustive path is strict: identical hit sets,
 // byte-identical scores, identical tie order. Scores are therefore
@@ -33,11 +41,10 @@ const capSlack = 1 + 1e-9
 
 // scorer is a cursor over one query clause's matching documents in
 // ascending docID order. A fresh scorer is positioned before the first
-// document (doc() == -1); next and advance move it forward only.
+// document; next and advance move it forward only and return where it
+// stands, which is how its owner knows: a scorer has exactly one owner
+// (its parent, or Search for the root) and nothing else moves it.
 type scorer interface {
-	// doc returns the current docID: -1 before iteration, noMoreDocs
-	// after exhaustion.
-	doc() int
 	// next advances to the next matching document and returns its docID
 	// (noMoreDocs when exhausted).
 	next() int
@@ -50,6 +57,16 @@ type scorer interface {
 	// maxScore returns an upper bound on score() over every remaining
 	// document (+Inf when no bound is available).
 	maxScore() float64
+	// maxScoreUpTo returns an upper bound on score() for every matching
+	// document in [target, boundary], together with that boundary: the last
+	// docID the bound is known to cover. Leaves answer from the metadata of
+	// the one posting block holding their first posting at or after target
+	// and end the window where that block does; scorers without block
+	// metadata answer with their whole-tail bound and noMoreDocs, which
+	// keeps a parent's bound valid, just windowless. An exhausted scorer
+	// returns (0, noMoreDocs). It is a shallow probe: the document cursor
+	// does not move. Targets must not decrease across calls.
+	maxScoreUpTo(target int) (bound float64, boundary int)
 }
 
 // prunable is implemented by scorers that can exploit the collector's
@@ -63,55 +80,48 @@ type prunable interface {
 	setThreshold(th float64)
 }
 
-// blockMaxScorer is implemented by scorers that can bound their score
-// over a bounded docID window — the Block-Max WAND contract (Ding &
-// Suel). Where maxScore bounds the whole remaining tail, maxScoreUpTo
-// reads the per-block metadata the codec wrote at encode time, so a
-// compound parent can prove "nothing in this window can win" and jump
-// its children past the window boundary in one advance.
-type blockMaxScorer interface {
-	scorer
-	// maxScoreUpTo returns an upper bound on score() for every matching
-	// document in [target, boundary], together with that boundary (the
-	// last docID the bound is known to cover; no document of this scorer
-	// lies in (boundary, next block)). An exhausted scorer returns
-	// (0, noMoreDocs). It is a shallow probe: the document cursor does
-	// not move. Targets must not decrease across calls.
-	maxScoreUpTo(target int) (bound float64, boundary int)
-}
-
-// ceilingTo is maxScoreUpTo with a graceful fallback: scorers without
-// block metadata answer with their whole-tail bound and an unbounded
-// window, which keeps compound bounds valid — just windowless.
-func ceilingTo(s scorer, target int) (float64, int) {
-	if bm, ok := s.(blockMaxScorer); ok {
-		return bm.maxScoreUpTo(target)
-	}
-	if s.doc() == noMoreDocs {
-		return 0, noMoreDocs
-	}
-	return s.maxScore(), noMoreDocs
-}
-
 // emptyScorer matches nothing: the scorer of an impossible clause.
+// Compound scorers drop such children when they are built.
 type emptyScorer struct{}
 
-func (emptyScorer) doc() int          { return noMoreDocs }
-func (emptyScorer) next() int         { return noMoreDocs }
-func (emptyScorer) advance(int) int   { return noMoreDocs }
-func (emptyScorer) score() float64    { return 0 }
-func (emptyScorer) maxScore() float64 { return 0 }
+func (emptyScorer) next() int                       { return noMoreDocs }
+func (emptyScorer) advance(int) int                 { return noMoreDocs }
+func (emptyScorer) score() float64                  { return 0 }
+func (emptyScorer) maxScore() float64               { return 0 }
+func (emptyScorer) maxScoreUpTo(int) (float64, int) { return 0, noMoreDocs }
+
+// liveScorers builds the clauses' scorers, leaving out those that can
+// never match.
+func liveScorers(ix *Index, clauses []boundQuery) []scorer {
+	out := make([]scorer, 0, len(clauses))
+	for _, c := range clauses {
+		sc := c.newScorer(ix)
+		if _, empty := sc.(emptyScorer); !empty {
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
+// unpositioned returns n child positions, all before the first document,
+// with room for extra more ints behind them.
+func unpositioned(n, extra int) []int {
+	docs := make([]int, n, n+extra)
+	for i := range docs {
+		docs[i] = -1
+	}
+	return docs[:n+extra]
+}
 
 // termScorer walks one term's posting list, scoring with the index's
-// similarity exactly like TermQuery.scores.
+// similarity exactly like termClause.scores.
 type termScorer struct {
 	ix *Index
 	// docLen is the field's length table; every posting's document is in it.
 	docLen []int32
 	pl     []Posting
-	df     int
-	nDocs  int
-	avg    float64
+	st     termStats
+	ts     TermScorer
 	boost  float64
 	i      int
 	cap    float64
@@ -144,23 +154,19 @@ func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
 	if te == nil {
 		return emptyScorer{}
 	}
+	st := ix.termStats(field, term)
 	return &termScorer{
 		ix: ix, docLen: fi.docLen, pl: te.postings,
-		df:          ix.scoringDocFreq(field, term),
-		nDocs:       ix.scoringNumDocs(),
-		avg:         ix.scoringAvgLen(field),
+		st: st, ts: st.scorer(ix.sim),
 		boost:       queryBoost,
 		i:           -1,
-		cap:         ix.termUpperBound(field, term, queryBoost),
+		cap:         ix.scoreBound(te.cap, st, queryBoost),
 		blocks:      te.blocks,
 		cachedBlock: -1,
 	}
 }
 
 func (s *termScorer) doc() int {
-	if s.i < 0 {
-		return -1
-	}
 	if s.i >= len(s.pl) {
 		return noMoreDocs
 	}
@@ -203,99 +209,113 @@ func (s *termScorer) skipBeatenBlocks() {
 	}
 }
 
-// blockBound is the per-block analogue of Index.termUpperBound: the
-// similarity evaluated at the block's best-case posting shape. +Inf
-// (never prune) when the similarity cannot provide bounds or a negative
-// boost flips the best case into a worst case.
+// blockBound is the score bound of block b (see Index.scoreBound).
 func (s *termScorer) blockBound(b int) float64 {
-	if b == s.cachedBlock {
-		return s.cachedBound
+	if b != s.cachedBlock {
+		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.blocks[b], s.st, s.boost)
 	}
-	bound := math.Inf(1)
-	blk := s.blocks[b]
-	if ubs, ok := s.ix.sim.(UpperBoundSimilarity); ok && blk.maxBoost >= 0 && s.boost >= 0 {
-		bound = ubs.TermScoreBound(blk.maxFreq, s.df, s.nDocs, blk.minLen, s.avg) *
-			blk.maxBoost * s.boost * capSlack
-	}
-	s.cachedBlock, s.cachedBound = b, bound
-	return bound
+	return s.cachedBound
 }
 
-// maxScoreUpTo implements blockMaxScorer over the codec's per-block
-// metadata: the bound for the window [target, boundary] is the bound of
-// the single block holding every posting in that window.
+// probe returns the index of the first posting of pl at or after j whose
+// docID reaches target (len(pl) when there is none): a short linear scan
+// for the common advance-by-little case, then binary search for real jumps.
+func probe(pl []Posting, j, target int) int {
+	n := len(pl)
+	for k := 0; k < 4 && j < n && pl[j].DocID < target; k++ {
+		j++
+	}
+	if j < n && pl[j].DocID < target {
+		j += sort.Search(n-j, func(k int) bool { return pl[j+k].DocID >= target })
+	}
+	return j
+}
+
+// blockEnd returns the docID of the last posting in the block holding
+// posting j, and that block's index.
+func blockEnd(pl []Posting, j int) (block, lastDoc int) {
+	block = j / postingBlockSize
+	return block, pl[min((block+1)*postingBlockSize, len(pl))-1].DocID
+}
+
+// maxScoreUpTo answers from the codec's per-block metadata: the bound for
+// the window [target, boundary] is the bound of the single block holding
+// every posting in that window.
 func (s *termScorer) maxScoreUpTo(target int) (float64, int) {
-	n := len(s.pl)
-	j := s.shallow
-	if j < s.i {
-		j = s.i
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j < n && s.pl[j].DocID < target {
-		// Same probe shape as advance: short linear scan, then binary
-		// search for real jumps.
-		for k := 0; k < 4 && j < n && s.pl[j].DocID < target; k++ {
-			j++
-		}
-		if j < n && s.pl[j].DocID < target {
-			j += sort.Search(n-j, func(k int) bool { return s.pl[j+k].DocID >= target })
-		}
-	}
+	j := probe(s.pl, max(s.shallow, s.i, 0), target)
 	s.shallow = j
-	if j >= n {
+	if j >= len(s.pl) {
 		return 0, noMoreDocs
 	}
 	if s.blocks == nil {
-		return s.cap, s.pl[n-1].DocID
+		return s.cap, s.pl[len(s.pl)-1].DocID
 	}
-	b := j / postingBlockSize
-	e := (b + 1) * postingBlockSize
-	if e > n {
-		e = n
-	}
-	return s.blockBound(b), s.pl[e-1].DocID
+	b, end := blockEnd(s.pl, j)
+	return s.blockBound(b), end
 }
 
 func (s *termScorer) advance(target int) int {
 	if s.i >= 0 && s.i < len(s.pl) && s.pl[s.i].DocID >= target {
 		return s.pl[s.i].DocID
 	}
-	base := s.i + 1
-	if base < 0 {
-		base = 0
-	}
-	// A short linear probe catches the common advance-by-little case;
-	// binary search handles real jumps.
-	n := len(s.pl)
-	for k := 0; k < 4 && base < n; k++ {
-		if s.pl[base].DocID >= target {
-			s.i = base
-			return s.pl[base].DocID
-		}
-		base++
-	}
-	s.i = base + sort.Search(n-base, func(k int) bool { return s.pl[base+k].DocID >= target })
+	s.i = probe(s.pl, s.i+1, target)
 	return s.doc()
 }
 
 func (s *termScorer) score() float64 {
 	p := &s.pl[s.i]
-	base := s.ix.sim.TermScore(p.Freq(), s.df, s.nDocs, int(s.docLen[p.DocID]), s.avg)
-	return base * p.Boost * s.boost
+	return s.ts.Score(p.Freq(), int(s.docLen[p.DocID])) * p.Boost * s.boost
 }
 
 func (s *termScorer) maxScore() float64 { return s.cap }
 
+// phraseBound is the score cap of a phrase clause: a phrase occurs at most
+// as often as its rarest member term (maxFreq), in a document at least as
+// long as the shortest any member term occurs in (minLen), and is scored
+// with the first term's posting boost. +Inf for negative boosts, which
+// would turn the best case into a lower bound.
+func phraseBound(c termCap, idfSum, boost float64) float64 {
+	if c.maxBoost < 0 || boost < 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(float64(c.maxFreq)) * idfSum * c.maxBoost /
+		math.Sqrt(float64(c.minLen)) * boost * capSlack
+}
+
+// tighten narrows a phrase's whole-list cap inputs with one block of its
+// first term: the block's maxFreq caps the phrase frequency, its minLen
+// floors the matching document's length, and its boost is the scored one.
+func (c termCap) tighten(blk termCap) termCap {
+	return termCap{maxFreq: min(c.maxFreq, blk.maxFreq), minLen: max(c.minLen, blk.minLen), maxBoost: blk.maxBoost}
+}
+
+// phraseFreq counts the positions in first at which the phrase occurs:
+// follow[k] holds the positions of the phrase's (k+2)th term in the same
+// document, which must continue each start at start+k+1.
+func phraseFreq(first []int, follow [][]int) int {
+	freq := 0
+starts:
+	for _, start := range first {
+		for k, ps := range follow {
+			if j := searchInts(ps, start+k+1); j >= len(ps) || ps[j] != start+k+1 {
+				continue starts
+			}
+		}
+		freq++
+	}
+	return freq
+}
+
 // phraseScorer walks the first term's posting list and verifies the full
 // phrase positionally per document, scoring exactly like
-// PhraseQuery.scores.
+// phraseClause.scores.
 type phraseScorer struct {
-	ix     *Index
-	field  string
-	terms  []string
-	first  []Posting
+	tbl   *docTable
+	first []Posting
+	// rest are the posting lists of the terms after the first, resolved
+	// once; follow is the per-candidate scratch phraseFreq reads.
+	rest   [][]Posting
+	follow [][]int
 	idfSum float64
 	boost  float64
 	i      int
@@ -303,13 +323,12 @@ type phraseScorer struct {
 	cap    float64
 
 	// Block-Max state over the first term's posting list (the candidate
-	// generator): its per-block metadata, the whole-phrase freq/length
-	// extremes the cap was derived from (kept so maxScoreUpTo can tighten
-	// them per block), and the shallow probe position.
-	blocks     []termCap
-	minMaxFreq int
-	maxMinLen  int
-	shallow    int
+	// generator): its per-block metadata, the whole-phrase cap inputs (kept
+	// so maxScoreUpTo can tighten them per block), and the shallow probe
+	// position.
+	blocks  []termCap
+	whole   termCap
+	shallow int
 }
 
 // newPhraseScorer builds the cursor for already-analyzed phrase terms.
@@ -321,103 +340,46 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 	if fi.m != nil {
 		return newMappedPhraseScorer(ix, fi.m, field, terms, boost)
 	}
-	// Any term absent from the field makes the phrase unmatchable. Bound:
-	// phrase freq cannot exceed any member term's max freq, a matching doc
-	// is at least as long as every member term's shortest doc, and the
-	// scored boost is the first term's posting boost.
-	minMaxFreq, maxMinLen := math.MaxInt, 1
-	for _, t := range terms {
-		te := fi.terms[t]
-		if te == nil {
+	// Any term absent from the field makes the phrase unmatchable.
+	entries := make([]*termEntry, len(terms))
+	for i, t := range terms {
+		if entries[i] = fi.terms[t]; entries[i] == nil {
 			return emptyScorer{}
 		}
-		minMaxFreq = min(minMaxFreq, te.cap.maxFreq)
-		maxMinLen = max(maxMinLen, te.cap.minLen)
 	}
-	idfSum := 0.0
-	for _, t := range terms {
-		idfSum += ix.IDF(field, t)
-	}
-	first := fi.terms[terms[0]]
+	first := entries[0]
 	s := &phraseScorer{
-		ix: ix, field: field, terms: terms,
-		first:  first.postings,
-		idfSum: idfSum, boost: boost, i: -1,
-		blocks:     first.blocks,
-		minMaxFreq: minMaxFreq, maxMinLen: maxMinLen,
+		tbl: &fi.docTable, first: first.postings,
+		rest: make([][]Posting, len(terms)-1), follow: make([][]int, len(terms)-1),
+		boost: boost, i: -1, blocks: first.blocks,
+		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: first.cap.maxBoost},
 	}
-	if maxBoost := first.cap.maxBoost; maxBoost < 0 || boost < 0 {
-		// Negative boosts turn the best-case evaluation into a lower bound;
-		// disable pruning for this clause instead.
-		s.cap = math.Inf(1)
-	} else {
-		s.cap = math.Sqrt(float64(s.minMaxFreq)) * idfSum * maxBoost /
-			math.Sqrt(float64(s.maxMinLen)) * boost * capSlack
+	for i, te := range entries {
+		s.idfSum += ix.IDF(field, terms[i])
+		s.whole.maxFreq = min(s.whole.maxFreq, te.cap.maxFreq)
+		s.whole.minLen = max(s.whole.minLen, te.cap.minLen)
+		if i > 0 {
+			s.rest[i-1] = te.postings
+		}
 	}
+	s.cap = phraseBound(s.whole, s.idfSum, boost)
 	return s
 }
 
-// maxScoreUpTo implements blockMaxScorer. A phrase match needs a first-
-// term posting, so the window is the first term's current block and the
-// whole-phrase bound tightens with that block's metadata: block maxFreq
-// caps the phrase frequency and block minLen floors the matching
-// document's length.
+// maxScoreUpTo: a phrase match needs a first-term posting, so the window
+// is the first term's current block and the whole-phrase bound tightens
+// with that block's metadata.
 func (s *phraseScorer) maxScoreUpTo(target int) (float64, int) {
-	n := len(s.first)
-	j := s.shallow
-	if j < s.i {
-		j = s.i
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j < n && s.first[j].DocID < target {
-		for k := 0; k < 4 && j < n && s.first[j].DocID < target; k++ {
-			j++
-		}
-		if j < n && s.first[j].DocID < target {
-			j += sort.Search(n-j, func(k int) bool { return s.first[j+k].DocID >= target })
-		}
-	}
+	j := probe(s.first, max(s.shallow, s.i, 0), target)
 	s.shallow = j
-	if j >= n {
+	if j >= len(s.first) {
 		return 0, noMoreDocs
 	}
 	if s.blocks == nil {
-		return s.cap, s.first[n-1].DocID
+		return s.cap, s.first[len(s.first)-1].DocID
 	}
-	b := j / postingBlockSize
-	e := (b + 1) * postingBlockSize
-	if e > n {
-		e = n
-	}
-	boundary := s.first[e-1].DocID
-	blk := s.blocks[b]
-	if blk.maxBoost < 0 || s.boost < 0 {
-		// cap is the negative-boost-safe whole-tail bound (+Inf there).
-		return s.cap, boundary
-	}
-	mf := s.minMaxFreq
-	if blk.maxFreq < mf {
-		mf = blk.maxFreq
-	}
-	ml := s.maxMinLen
-	if blk.minLen > ml {
-		ml = blk.minLen
-	}
-	bound := math.Sqrt(float64(mf)) * s.idfSum * blk.maxBoost /
-		math.Sqrt(float64(ml)) * s.boost * capSlack
-	return bound, boundary
-}
-
-func (s *phraseScorer) doc() int {
-	if s.i < 0 {
-		return -1
-	}
-	if s.i >= len(s.first) {
-		return noMoreDocs
-	}
-	return s.first[s.i].DocID
+	b, end := blockEnd(s.first, j)
+	return phraseBound(s.whole.tighten(s.blocks[b]), s.idfSum, s.boost), end
 }
 
 func (s *phraseScorer) next() int {
@@ -430,38 +392,37 @@ func (s *phraseScorer) next() int {
 }
 
 func (s *phraseScorer) advance(target int) int {
-	if s.i >= 0 && s.i < len(s.first) && s.first[s.i].DocID >= target {
-		return s.first[s.i].DocID
+	if s.i >= len(s.first) {
+		return noMoreDocs
 	}
-	base := s.i + 1
-	if base < 0 {
-		base = 0
+	if s.i >= 0 && s.first[s.i].DocID >= target {
+		return s.first[s.i].DocID
 	}
 	// Position just before the first candidate >= target; next() verifies
 	// the phrase positionally from there.
-	s.i = base + sort.Search(len(s.first)-base, func(k int) bool {
-		return s.first[base+k].DocID >= target
-	}) - 1
+	s.i += searchPostings(s.first[s.i+1:], target)
 	return s.next()
 }
 
 // computeFreq counts phrase occurrences at the current first-term posting.
 func (s *phraseScorer) computeFreq() bool {
 	p0 := &s.first[s.i]
-	freq := 0
-	for _, start := range p0.Positions {
-		if phraseAt(s.ix, s.field, s.terms, p0.DocID, start) {
-			freq++
+	s.freq = 0
+	for k, pl := range s.rest {
+		j := searchPostings(pl, p0.DocID)
+		if j >= len(pl) || pl[j].DocID != p0.DocID {
+			return false
 		}
+		s.follow[k] = pl[j].Positions
 	}
-	s.freq = freq
-	return freq > 0
+	s.freq = phraseFreq(p0.Positions, s.follow)
+	return s.freq > 0
 }
 
 func (s *phraseScorer) score() float64 {
 	p0 := &s.first[s.i]
 	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * p0.Boost * s.ix.fieldNorm(s.field, p0.DocID) * s.boost
+	return tf * s.idfSum * p0.Boost * s.tbl.norm(p0.DocID) * s.boost
 }
 
 func (s *phraseScorer) maxScore() float64 { return s.cap }
@@ -473,16 +434,7 @@ type allScorer struct {
 	cur int
 }
 
-func (s *allScorer) doc() int { return s.cur }
-
-func (s *allScorer) next() int {
-	if s.cur >= s.n-1 {
-		s.cur = noMoreDocs
-	} else {
-		s.cur++
-	}
-	return s.cur
-}
+func (s *allScorer) next() int { return s.advance(s.cur + 1) }
 
 func (s *allScorer) advance(target int) int {
 	if s.cur >= target {
@@ -499,13 +451,22 @@ func (s *allScorer) advance(target int) int {
 func (s *allScorer) score() float64    { return 1 }
 func (s *allScorer) maxScore() float64 { return 1 }
 
+func (s *allScorer) maxScoreUpTo(int) (float64, int) { return wholeTail(s.cur) }
+
+// wholeTail is the maxScoreUpTo of a constant-score-1 scorer standing on
+// cur: no window, and nothing left to bound once exhausted.
+func wholeTail(cur int) (float64, int) {
+	if cur == noMoreDocs {
+		return 0, noMoreDocs
+	}
+	return 1, noMoreDocs
+}
+
 // singleDocScorer matches exactly one document at score 1 (docIDQuery).
 type singleDocScorer struct {
 	id  int
 	cur int
 }
-
-func (s *singleDocScorer) doc() int { return s.cur }
 
 func (s *singleDocScorer) next() int { return s.advance(s.cur + 1) }
 
@@ -523,23 +484,40 @@ func (s *singleDocScorer) advance(target int) int {
 func (s *singleDocScorer) score() float64    { return 1 }
 func (s *singleDocScorer) maxScore() float64 { return 1 }
 
+func (s *singleDocScorer) maxScoreUpTo(int) (float64, int) { return wholeTail(s.cur) }
+
+// window is the Block-Max answer a compound scorer last computed: bound
+// covers every document up to end. While targets stay at or under end a
+// fresh walk over the children would return the same pair — end is at most
+// every leaf's block end, that block's last posting is at or after the
+// target, so every leaf is still in the block it answered from — which is
+// why a compound scorer asks its children again only once a target passes
+// end. The zero window ends before the first document.
+type window struct {
+	bound float64
+	end   int
+}
+
 // maxScorer takes the per-document maximum over weighted sub-scorers —
 // FuzzyQuery's semantics, where a document matching several expansions of
 // the query term keeps only its best one. The weight multiplies outside
 // the sub-score, reproducing the exhaustive path's expression order.
 type maxScorer struct {
-	subs     []scorer
-	weights  []float64
+	subs    []scorer
+	weights []float64
+	// subDoc[i] is where subs[i] stands; only seek moves a sub.
+	subDoc   []int
 	cur      int
 	curScore float64
 	cap      float64
+	win      window
 }
 
 func newMaxScorer(subs []scorer, weights []float64) scorer {
 	if len(subs) == 0 {
 		return emptyScorer{}
 	}
-	m := &maxScorer{subs: subs, weights: weights, cur: -1}
+	m := &maxScorer{subs: subs, weights: weights, subDoc: unpositioned(len(subs), 0), cur: -1, win: window{end: -1}}
 	for i, sub := range subs {
 		if c := sub.maxScore() * weights[i]; c > m.cap {
 			m.cap = c
@@ -547,8 +525,6 @@ func newMaxScorer(subs []scorer, weights []float64) scorer {
 	}
 	return m
 }
-
-func (m *maxScorer) doc() int { return m.cur }
 
 func (m *maxScorer) next() int { return m.seek(m.cur + 1) }
 
@@ -561,10 +537,10 @@ func (m *maxScorer) advance(target int) int {
 
 func (m *maxScorer) seek(target int) int {
 	d := noMoreDocs
-	for _, sub := range m.subs {
-		sd := sub.doc()
+	for i, sd := range m.subDoc {
 		if sd < target {
-			sd = sub.advance(target)
+			sd = m.subs[i].advance(target)
+			m.subDoc[i] = sd
 		}
 		if sd < d {
 			d = sd
@@ -575,9 +551,9 @@ func (m *maxScorer) seek(target int) int {
 		return d
 	}
 	best := 0.0
-	for i, sub := range m.subs {
-		if sub.doc() == d {
-			if s := sub.score() * m.weights[i]; s > best {
+	for i, sd := range m.subDoc {
+		if sd == d {
+			if s := m.subs[i].score() * m.weights[i]; s > best {
 				best = s
 			}
 		}
@@ -589,25 +565,22 @@ func (m *maxScorer) seek(target int) int {
 func (m *maxScorer) score() float64    { return m.curScore }
 func (m *maxScorer) maxScore() float64 { return m.cap }
 
-// maxScoreUpTo implements blockMaxScorer: the best weighted sub-bound
-// over the window, the window ending where the first sub-scorer's block
-// does (the mirror of the cap computation in newMaxScorer).
+// maxScoreUpTo is the best weighted sub-bound over the window, the window
+// ending where the first sub-scorer's block does (the mirror of the cap
+// computation in newMaxScorer).
 func (m *maxScorer) maxScoreUpTo(target int) (float64, int) {
-	bound := 0.0
-	boundary := noMoreDocs
-	for i, sub := range m.subs {
-		sb, sboundary := ceilingTo(sub, target)
-		if c := sb * m.weights[i]; c > bound {
-			bound = c
-		}
-		if sboundary < boundary {
-			boundary = sboundary
+	if target > m.win.end {
+		m.win = window{end: noMoreDocs}
+		for i, sub := range m.subs {
+			sb, end := sub.maxScoreUpTo(target)
+			m.win.bound = max(m.win.bound, sb*m.weights[i])
+			m.win.end = min(m.win.end, end)
 		}
 	}
-	return bound, boundary
+	return m.win.bound, m.win.end
 }
 
-// booleanScorer evaluates BooleanQuery document-at-a-time. With Must
+// booleanScorer evaluates a boolean clause document-at-a-time. With Must
 // clauses it leapfrogs their cursors to common documents; without, it is
 // a disjunction over the Should clauses with MaxScore pruning: once the
 // collector's threshold covers the summed bounds of the weakest clauses,
@@ -617,16 +590,22 @@ type booleanScorer struct {
 	musts   []scorer
 	shoulds []scorer
 	nots    []scorer
-	coord   bool
-	total   int
+	// mustDoc, shouldDoc and notDoc hold where each child stands (-1 before
+	// its first advance). Only this scorer moves its children, and it
+	// records where every advance lands, so the loops below read positions
+	// here instead of asking the children.
+	mustDoc, shouldDoc, notDoc []int
+	coord                      bool
+	total                      int
 
 	cur      int
 	curScore float64
 	cap      float64
 	dead     bool
-	// th is the collector threshold (root-only), kept for Block-Max
-	// window checks in seek.
-	th float64
+	// th is the collector threshold (root-only) and win the window it was
+	// last compared against, see seek.
+	th  float64
+	win window
 
 	// MaxScore partition (disjunction mode only): sorted holds should
 	// indices by ascending bound, prefix[i] the bound-sum of sorted[:i],
@@ -636,68 +615,67 @@ type booleanScorer struct {
 	nonEss int
 }
 
-func newBooleanScorer(ix *Index, q BooleanQuery) scorer {
-	if len(q.Must)+len(q.Should) == 0 {
+// newBooleanScorer builds the clause's scorer tree over ix. Clauses that
+// cannot match in this index are left out — a Should or MustNot that never
+// matches changes no sum and no order, a Must that never matches empties
+// the clause — while the coordination factor keeps counting the query's
+// clauses, found or not.
+func newBooleanScorer(ix *Index, q *boolClause) scorer {
+	musts := liveScorers(ix, q.must)
+	if len(musts) < len(q.must) {
 		return emptyScorer{}
 	}
+	shoulds := liveScorers(ix, q.should)
+	nots := liveScorers(ix, q.mustNot)
+	nm, ns, nn := len(musts), len(shoulds), len(nots)
+	total := len(q.must) + len(q.should)
+	switch {
+	case nm+ns == 0:
+		return emptyScorer{}
+	case nm+nn == 0 && ns == 1 && (!q.coord || total == 1):
+		// A lone Should with nothing required or excluded, and coordination
+		// off or 1/1: the clause's score is 0 + s (times 1), the child's own
+		// score bit for bit. The child stands in for the clause, and so
+		// receives the collector's threshold itself instead of through a
+		// wrapper that cannot hand it down.
+		return shoulds[0]
+	}
 	b := &booleanScorer{
-		coord: !q.DisableCoord,
-		total: len(q.Must) + len(q.Should),
-		cur:   -1,
+		musts: musts, shoulds: shoulds, nots: nots,
+		coord: q.coord, total: total, cur: -1, win: window{end: -1},
 	}
-	for _, c := range q.Must {
-		b.musts = append(b.musts, c.newScorer(ix))
-	}
-	for _, c := range q.Should {
-		b.shoulds = append(b.shoulds, c.newScorer(ix))
-	}
-	for _, c := range q.MustNot {
-		b.nots = append(b.nots, c.newScorer(ix))
-	}
+	// Child positions and, in disjunction mode, the MaxScore order share
+	// one allocation.
+	ints := unpositioned(nm+ns+nn, ns)
+	b.mustDoc, b.shouldDoc, b.notDoc = ints[:nm], ints[nm:nm+ns], ints[nm+ns:nm+ns+nn]
 	for _, m := range b.musts {
 		b.cap += m.maxScore()
 	}
-	for _, sh := range b.shoulds {
-		b.cap += sh.maxScore()
+	if nm > 0 {
+		for _, sh := range b.shoulds {
+			b.cap += sh.maxScore()
+		}
+		return b
 	}
-	if len(b.musts) == 0 {
-		b.initPartition()
+	// Disjunction mode: sorted holds the should indices by ascending bound
+	// (insertion sort: clause counts are small and this keeps reflection-
+	// based sorting off the query path), prefix the running bound sums.
+	b.sorted = ints[nm+ns+nn:]
+	caps := make([]float64, 2*ns+1)
+	for i, sh := range b.shoulds {
+		b.sorted[i], caps[i] = i, sh.maxScore()
+		b.cap += caps[i]
 	}
-	return b
-}
-
-// newDisjunctionScorer wraps pre-built clause scorers as a coord-free
-// disjunction — the scorer shape of BooleanQuery{Should: ...,
-// DisableCoord: true} without re-deriving each clause from a Query.
-func newDisjunctionScorer(shoulds []scorer) scorer {
-	if len(shoulds) == 0 {
-		return emptyScorer{}
-	}
-	b := &booleanScorer{coord: false, total: len(shoulds), shoulds: shoulds, cur: -1}
-	for _, sh := range shoulds {
-		b.cap += sh.maxScore()
-	}
-	b.initPartition()
-	return b
-}
-
-// initPartition precomputes the MaxScore bookkeeping for disjunction mode.
-func (b *booleanScorer) initPartition() {
-	b.sorted = make([]int, len(b.shoulds))
-	for i := range b.sorted {
-		b.sorted[i] = i
-	}
-	// Insertion sort by ascending bound: clause counts are small and this
-	// keeps reflection-based sorting off the query path.
-	for i := 1; i < len(b.sorted); i++ {
-		for j := i; j > 0 && b.shoulds[b.sorted[j]].maxScore() < b.shoulds[b.sorted[j-1]].maxScore(); j-- {
+	for i := 1; i < ns; i++ {
+		for j := i; j > 0 && caps[b.sorted[j]] < caps[b.sorted[j-1]]; j-- {
 			b.sorted[j], b.sorted[j-1] = b.sorted[j-1], b.sorted[j]
 		}
 	}
-	b.prefix = make([]float64, len(b.sorted)+1)
+	b.prefix = caps[ns:]
 	for i, idx := range b.sorted {
-		b.prefix[i+1] = b.prefix[i] + b.shoulds[idx].maxScore()
+		b.prefix[i+1] = b.prefix[i] + caps[idx]
 	}
+	return b
 }
 
 // setThreshold implements prunable: clauses whose collective bounds fall
@@ -714,33 +692,24 @@ func (b *booleanScorer) setThreshold(th float64) {
 	}
 }
 
-// maxScoreUpTo implements blockMaxScorer: the clause bounds summed over
-// the window, the window ending at the earliest clause block boundary.
-// The sum bounds the coord-free clause-score sum; the coordination
-// factor only shrinks it (every clause bound is >= 0), and MustNot
-// clauses only remove documents, so it is an upper bound on score() for
-// any document in the window.
+// maxScoreUpTo is the clause bounds summed over the window, the window
+// ending at the earliest clause block boundary. The sum bounds the
+// coord-free clause-score sum; the coordination factor only shrinks it
+// (every clause bound is >= 0), and MustNot clauses only remove documents,
+// so it is an upper bound on score() for any document in the window.
 func (b *booleanScorer) maxScoreUpTo(target int) (float64, int) {
-	bound := 0.0
-	boundary := noMoreDocs
-	for _, m := range b.musts {
-		mb, mboundary := ceilingTo(m, target)
-		bound += mb
-		if mboundary < boundary {
-			boundary = mboundary
+	if target > b.win.end {
+		b.win = window{end: noMoreDocs}
+		for _, group := range [2][]scorer{b.musts, b.shoulds} {
+			for _, c := range group {
+				cb, end := c.maxScoreUpTo(target)
+				b.win.bound += cb
+				b.win.end = min(b.win.end, end)
+			}
 		}
 	}
-	for _, sh := range b.shoulds {
-		sb, sboundary := ceilingTo(sh, target)
-		bound += sb
-		if sboundary < boundary {
-			boundary = sboundary
-		}
-	}
-	return bound, boundary
+	return b.win.bound, b.win.end
 }
-
-func (b *booleanScorer) doc() int { return b.cur }
 
 func (b *booleanScorer) next() int { return b.seek(b.cur + 1) }
 
@@ -760,16 +729,17 @@ func (b *booleanScorer) seek(target int) int {
 		// Block-Max window check (root-only: th is 0 as a child). When no
 		// document up to the earliest clause block boundary can beat the
 		// collector threshold, jump every clause past the whole window
-		// instead of scoring through it.
+		// instead of scoring through it. The window is recomputed only when
+		// target leaves it; the comparison runs per seek because the
+		// threshold rises inside a window.
 		if b.th > 0 {
-			bound, boundary := b.maxScoreUpTo(target)
-			if bound <= b.th {
-				if boundary == noMoreDocs {
+			if bound, end := b.maxScoreUpTo(target); bound <= b.th {
+				if end == noMoreDocs {
 					b.cur = noMoreDocs
 					return b.cur
 				}
-				if boundary >= target {
-					target = boundary + 1
+				if end >= target {
+					target = end + 1
 					continue
 				}
 			}
@@ -799,10 +769,10 @@ func (b *booleanScorer) leapfrog(target int) int {
 	d := target
 	for {
 		raised := false
-		for _, m := range b.musts {
-			md := m.doc()
+		for i, md := range b.mustDoc {
 			if md < d {
-				md = m.advance(d)
+				md = b.musts[i].advance(d)
+				b.mustDoc[i] = md
 			}
 			if md == noMoreDocs {
 				return noMoreDocs
@@ -825,10 +795,10 @@ func (b *booleanScorer) leapfrog(target int) int {
 func (b *booleanScorer) minEssential(target int) int {
 	d := noMoreDocs
 	for _, i := range b.sorted[b.nonEss:] {
-		sh := b.shoulds[i]
-		sd := sh.doc()
+		sd := b.shouldDoc[i]
 		if sd < target {
-			sd = sh.advance(target)
+			sd = b.shoulds[i].advance(target)
+			b.shouldDoc[i] = sd
 		}
 		if sd < d {
 			d = sd
@@ -839,10 +809,10 @@ func (b *booleanScorer) minEssential(target int) int {
 
 // excluded reports whether any MustNot clause matches d.
 func (b *booleanScorer) excluded(d int) bool {
-	for _, nt := range b.nots {
-		nd := nt.doc()
+	for i, nd := range b.notDoc {
 		if nd < d {
-			nd = nt.advance(d)
+			nd = b.nots[i].advance(d)
+			b.notDoc[i] = nd
 		}
 		if nd == d {
 			return true
@@ -856,18 +826,17 @@ func (b *booleanScorer) excluded(d int) bool {
 // and applies the coordination factor.
 func (b *booleanScorer) scoreAt(d int) float64 {
 	sum := 0.0
-	matched := 0
+	matched := len(b.musts)
 	for _, m := range b.musts {
 		sum += m.score()
-		matched++
 	}
-	for _, sh := range b.shoulds {
-		sd := sh.doc()
+	for i, sd := range b.shouldDoc {
 		if sd < d {
-			sd = sh.advance(d)
+			sd = b.shoulds[i].advance(d)
+			b.shouldDoc[i] = sd
 		}
 		if sd == d {
-			sum += sh.score()
+			sum += b.shoulds[i].score()
 			matched++
 		}
 	}

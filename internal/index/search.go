@@ -2,20 +2,65 @@ package index
 
 import (
 	"math"
+	"strings"
 	"sync"
 )
 
-// Query scores documents against the index. Implementations are TermQuery,
-// PhraseQuery and BooleanQuery.
+// Query is a ranked retrieval request. Implementations are TermQuery,
+// PhraseQuery, FuzzyQuery, BooleanQuery, MatchAllQuery and what
+// MultiFieldQuery, ParseQuery and AnalyzeQuery return.
+//
+// A query is evaluated in two steps. Binding runs its text through an
+// analyzer, once; the bound query then finds its terms' postings in each
+// index it runs against. Search binds on the fly, so callers with one
+// index never see the split; a caller searching many indexes that share
+// an analyzer (the sharded engine: shards × segments) binds once with
+// AnalyzeQuery and searches every index with the result.
 type Query interface {
-	// scores returns the raw per-document scores of this query clause —
-	// the exhaustive term-at-a-time path kept as the ExhaustiveSearch
-	// escape hatch and the oracle the DAAT kernel is verified against.
+	bind(a Analyzer) boundQuery
+}
+
+// boundQuery is a Query whose text has been analyzed: its terms are in
+// index form, and binding it again is the identity.
+type boundQuery interface {
+	Query
+	// scores returns the raw per-document scores of this clause — the
+	// exhaustive term-at-a-time path kept as the ExhaustiveSearch escape
+	// hatch and the oracle the DAAT kernel is verified against.
 	scores(ix *Index) map[int]float64
 	// newScorer returns the clause's document-at-a-time cursor (see
 	// scorer.go). It must reproduce scores exactly: same documents, same
 	// floating-point expression order, byte-identical scores.
 	newScorer(ix *Index) scorer
+}
+
+// AnalyzeQuery binds q to the analyzer: the returned query ranks exactly
+// like q on every index that uses a, without analyzing text again.
+func AnalyzeQuery(q Query, a Analyzer) Query { return q.bind(a) }
+
+// QueryTerms lists the (field, term) pairs of an analyzed query's term and
+// phrase clauses, in clause order — the statistics its ranking reads.
+// Clauses whose terms depend on the index searched (fuzzy expansion) or
+// that read none (match-all) contribute nothing, as does any clause of a
+// query that did not come from AnalyzeQuery.
+func QueryTerms(q Query) []FieldTerm { return appendQueryTerms(nil, q) }
+
+func appendQueryTerms(dst []FieldTerm, q Query) []FieldTerm {
+	switch c := q.(type) {
+	case *termClause:
+		dst = append(dst, FieldTerm{Field: c.field, Term: c.term})
+	case *phraseClause:
+		for _, t := range c.terms {
+			dst = append(dst, FieldTerm{Field: c.field, Term: t})
+		}
+	case *boolClause:
+		for _, group := range [3][]boundQuery{c.must, c.should, c.mustNot} {
+			for _, sub := range group {
+				dst = appendQueryTerms(dst, sub)
+			}
+		}
+	}
+	return dst
 }
 
 // Hit is one search result.
@@ -27,17 +72,23 @@ type Hit struct {
 // Search evaluates the query and returns hits sorted by descending score
 // (docID ascending on ties, for determinism). limit <= 0 returns all hits.
 //
-// Evaluation is document-at-a-time with MaxScore pruning against the
-// top-k threshold: posting lists are walked in docID lockstep, a bounded
-// typed min-heap keeps the best limit hits, and once the heap is full the
-// weakest kept score becomes a bar that lets the evaluator skip documents
-// whose per-term score caps prove they cannot qualify. The result is
-// byte-identical — documents, scores and tie order — to ExhaustiveSearch.
+// Evaluation is document-at-a-time with Block-Max pruning against the
+// top-k threshold (scorer.go): posting lists are walked in docID lockstep,
+// a bounded typed min-heap keeps the best limit hits, and once the heap is
+// full the weakest kept score becomes a bar that lets the evaluator skip
+// clauses, and whole docID windows, whose score bounds prove they cannot
+// qualify. The result is byte-identical — documents, scores and tie order
+// — to ExhaustiveSearch.
 func (ix *Index) Search(q Query, limit int) []Hit {
 	if ix.exhaustive {
 		return ix.ExhaustiveSearch(q, limit)
 	}
-	sc := q.newScorer(ix)
+	return ix.collect(q.bind(ix.analyzer).newScorer(ix), limit)
+}
+
+// collect drains a root scorer into the top limit hits, feeding the
+// collector's rising threshold back to it.
+func (ix *Index) collect(sc scorer, limit int) []Hit {
 	if _, empty := sc.(emptyScorer); empty {
 		return nil
 	}
@@ -70,7 +121,7 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 // the cold-path benchmark and the oracle for the DAAT equivalence tests;
 // production callers should use Search.
 func (ix *Index) ExhaustiveSearch(q Query, limit int) []Hit {
-	sc := q.scores(ix)
+	sc := q.bind(ix.analyzer).scores(ix)
 	c := acquireCollector(limit)
 	for id, s := range sc {
 		if ix.numDeleted > 0 && ix.deleted[id] {
@@ -104,52 +155,65 @@ type TermQuery struct {
 	Boost float64
 }
 
-func (q TermQuery) scores(ix *Index) map[int]float64 {
-	terms := ix.analyzer.Analyze(q.Term)
-	if len(terms) != 1 {
-		// A term that analyzes to several tokens (or none, e.g. a pure
-		// stopword) is treated as a phrase or as unmatchable respectively.
-		if len(terms) == 0 {
-			return nil
-		}
-		return PhraseQuery{Field: q.Field, Terms: terms, Boost: q.Boost}.scores(ix)
+func (q TermQuery) bind(a Analyzer) boundQuery {
+	return fieldClause(a, q.Field, a.Analyze(q.Term), q.Boost)
+}
+
+// fieldClause binds one raw term's analyzed form to a field. A term the
+// analyzer swallows (a pure stopword) matches nothing; one that analyzes
+// to several tokens is a phrase, and re-enters as one (which analyzes the
+// tokens again, as a phrase does with its terms).
+func fieldClause(a Analyzer, field string, terms []string, boost float64) boundQuery {
+	switch len(terms) {
+	case 0:
+		return noMatch{}
+	case 1:
+		return &termClause{field: field, term: terms[0], boost: orOne(boost)}
 	}
-	term := terms[0]
-	boost := q.Boost
+	return PhraseQuery{Field: field, Terms: terms, Boost: boost}.bind(a)
+}
+
+// orOne resolves the "zero boost means unset" sentinel.
+func orOne(boost float64) float64 {
 	if boost == 0 {
-		boost = 1
+		return 1
 	}
-	fi := ix.fields[q.Field]
+	return boost
+}
+
+// noMatch is the bound form of a clause whose text analyzed to nothing.
+type noMatch struct{}
+
+func (q noMatch) bind(Analyzer) boundQuery    { return q }
+func (noMatch) scores(*Index) map[int]float64 { return nil }
+func (noMatch) newScorer(*Index) scorer       { return emptyScorer{} }
+
+// termClause is a bound TermQuery: one index-form term in one field at a
+// resolved boost. It is used by pointer so that a token's clauses over
+// several fields can be cut from one allocation.
+type termClause struct {
+	field, term string
+	boost       float64
+}
+
+func (q *termClause) bind(Analyzer) boundQuery { return q }
+
+func (q *termClause) scores(ix *Index) map[int]float64 {
+	fi := ix.fields[q.field]
 	if fi == nil {
 		return nil
 	}
-	pl := fi.postingsOf(term)
-	df := ix.scoringDocFreq(q.Field, term)
-	numDocs := ix.scoringNumDocs()
-	avg := ix.scoringAvgLen(q.Field)
+	pl := fi.postingsOf(q.term)
+	ts := ix.termStats(q.field, q.term).scorer(ix.sim)
 	out := make(map[int]float64, len(pl))
 	for _, p := range pl {
-		base := ix.sim.TermScore(p.Freq(), df, numDocs, fi.lengthOf(p.DocID), avg)
-		out[p.DocID] = base * p.Boost * boost
+		out[p.DocID] = ts.Score(p.Freq(), fi.lengthOf(p.DocID)) * p.Boost * q.boost
 	}
 	return out
 }
 
-func (q TermQuery) newScorer(ix *Index) scorer {
-	terms := ix.analyzer.Analyze(q.Term)
-	if len(terms) != 1 {
-		if len(terms) == 0 {
-			return emptyScorer{}
-		}
-		// Mirror scores: multi-token terms re-enter as a phrase (which
-		// re-analyzes them, keeping both paths on identical tokens).
-		return PhraseQuery{Field: q.Field, Terms: terms, Boost: q.Boost}.newScorer(ix)
-	}
-	boost := q.Boost
-	if boost == 0 {
-		boost = 1
-	}
-	return newTermScorer(ix, q.Field, terms[0], boost)
+func (q *termClause) newScorer(ix *Index) scorer {
+	return newTermScorer(ix, q.field, q.term, q.boost)
 }
 
 // PhraseQuery matches documents where the terms occur consecutively in one
@@ -162,47 +226,53 @@ type PhraseQuery struct {
 	Boost float64
 }
 
-func (q PhraseQuery) scores(ix *Index) map[int]float64 {
-	terms := phraseTerms(ix, q.Terms)
+func (q PhraseQuery) bind(a Analyzer) boundQuery {
+	terms := phraseTerms(a, q.Terms)
 	if len(terms) == 0 {
+		return noMatch{}
+	}
+	return &phraseClause{field: q.Field, terms: terms, boost: orOne(q.Boost)}
+}
+
+// phraseClause is a bound PhraseQuery: index-form terms that must occur
+// consecutively in one field.
+type phraseClause struct {
+	field string
+	terms []string
+	boost float64
+}
+
+func (q *phraseClause) bind(Analyzer) boundQuery { return q }
+
+func (q *phraseClause) scores(ix *Index) map[int]float64 {
+	fi := ix.fields[q.field]
+	if fi == nil {
 		return nil
 	}
-	boost := q.Boost
-	if boost == 0 {
-		boost = 1
-	}
 	// Intersect posting lists positionally.
-	first := ix.Postings(q.Field, terms[0])
+	first := fi.postingsOf(q.terms[0])
 	idfSum := 0.0
-	for _, t := range terms {
-		idfSum += ix.IDF(q.Field, t)
+	for _, t := range q.terms {
+		idfSum += ix.IDF(q.field, t)
 	}
 	out := make(map[int]float64)
 	for _, p0 := range first {
 		freq := 0
 		for _, start := range p0.Positions {
-			if phraseAt(ix, q.Field, terms, p0.DocID, start) {
+			if phraseAt(ix, q.field, q.terms, p0.DocID, start) {
 				freq++
 			}
 		}
 		if freq > 0 {
 			tf := math.Sqrt(float64(freq))
-			out[p0.DocID] = tf * idfSum * p0.Boost * ix.fieldNorm(q.Field, p0.DocID) * boost
+			out[p0.DocID] = tf * idfSum * p0.Boost * fi.norm(p0.DocID) * q.boost
 		}
 	}
 	return out
 }
 
-func (q PhraseQuery) newScorer(ix *Index) scorer {
-	terms := phraseTerms(ix, q.Terms)
-	if len(terms) == 0 {
-		return emptyScorer{}
-	}
-	boost := q.Boost
-	if boost == 0 {
-		boost = 1
-	}
-	return newPhraseScorer(ix, q.Field, terms, boost)
+func (q *phraseClause) newScorer(ix *Index) scorer {
+	return newPhraseScorer(ix, q.field, q.terms, q.boost)
 }
 
 // phraseBufPool recycles the join scratch phraseTerms uses, so repeated
@@ -215,12 +285,12 @@ var phraseBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return
 // token stream is identical to analyzing each term separately — without
 // the per-term Analyze allocations and append-regrowth the seed path paid
 // on every call.
-func phraseTerms(ix *Index, raw []string) []string {
+func phraseTerms(a Analyzer, raw []string) []string {
 	switch len(raw) {
 	case 0:
 		return nil
 	case 1:
-		return ix.analyzer.Analyze(raw[0])
+		return a.Analyze(raw[0])
 	}
 	bufp := phraseBufPool.Get().(*[]byte)
 	buf := (*bufp)[:0]
@@ -232,7 +302,7 @@ func phraseTerms(ix *Index, raw []string) []string {
 	}
 	// string(buf) copies: the analyzer's tokens alias their input string,
 	// so they must not share the pooled buffer.
-	terms := ix.analyzer.Analyze(string(buf))
+	terms := a.Analyze(string(buf))
 	*bufp = buf
 	phraseBufPool.Put(bufp)
 	return terms
@@ -311,40 +381,66 @@ type BooleanQuery struct {
 	DisableCoord bool
 }
 
-func (q BooleanQuery) scores(ix *Index) map[int]float64 {
-	total := len(q.Must) + len(q.Should)
+func (q BooleanQuery) bind(a Analyzer) boundQuery {
+	return &boolClause{
+		must: bindAll(a, q.Must), should: bindAll(a, q.Should), mustNot: bindAll(a, q.MustNot),
+		coord: !q.DisableCoord,
+	}
+}
+
+func bindAll(a Analyzer, clauses []Query) []boundQuery {
+	if len(clauses) == 0 {
+		return nil
+	}
+	out := make([]boundQuery, len(clauses))
+	for i, c := range clauses {
+		out[i] = c.bind(a)
+	}
+	return out
+}
+
+// boolClause is a bound BooleanQuery.
+type boolClause struct {
+	must, should, mustNot []boundQuery
+	coord                 bool
+}
+
+func (q *boolClause) bind(Analyzer) boundQuery { return q }
+
+func (q *boolClause) scores(ix *Index) map[int]float64 {
+	total := len(q.must) + len(q.should)
 	if total == 0 {
 		return nil
 	}
 	sum := make(map[int]float64)
 	matched := make(map[int]int)
 	mustMatched := make(map[int]int)
-	for _, c := range q.Must {
+	for _, c := range q.must {
 		for id, s := range c.scores(ix) {
 			sum[id] += s
 			matched[id]++
 			mustMatched[id]++
 		}
 	}
-	for _, c := range q.Should {
+	for _, c := range q.should {
 		for id, s := range c.scores(ix) {
 			sum[id] += s
 			matched[id]++
 		}
 	}
 	excluded := make(map[int]bool)
-	for _, c := range q.MustNot {
+	for _, c := range q.mustNot {
 		for id := range c.scores(ix) {
 			excluded[id] = true
 		}
 	}
 	out := make(map[int]float64, len(sum))
 	for id, s := range sum {
-		if excluded[id] || mustMatched[id] < len(q.Must) {
+		if excluded[id] || mustMatched[id] < len(q.must) {
 			continue
 		}
 		coord := 1.0
-		if !q.DisableCoord {
+		if q.coord {
 			coord = float64(matched[id]) / float64(total)
 		}
 		out[id] = s * coord
@@ -352,11 +448,13 @@ func (q BooleanQuery) scores(ix *Index) map[int]float64 {
 	return out
 }
 
-func (q BooleanQuery) newScorer(ix *Index) scorer { return newBooleanScorer(ix, q) }
+func (q *boolClause) newScorer(ix *Index) scorer { return newBooleanScorer(ix, q) }
 
 // MatchAllQuery matches every document with a constant score, useful for
 // "list everything" style queries and tests.
 type MatchAllQuery struct{}
+
+func (q MatchAllQuery) bind(Analyzer) boundQuery { return q }
 
 func (MatchAllQuery) scores(ix *Index) map[int]float64 {
 	n := ix.docCount()
@@ -397,55 +495,57 @@ func MultiFieldQuery(text string, fields []FieldBoost) Query {
 			searched = append(searched, fb)
 		}
 	}
-	var should []Query
-	for _, tok := range Tokenize(text) {
-		should = append(should, multiTermQuery{tok: tok, fields: searched})
+	toks := Tokenize(text)
+	clauses := make([]multiFieldQuery, len(toks))
+	should := make([]Query, len(toks))
+	for i, tok := range toks {
+		clauses[i] = multiFieldQuery{text: tok, fields: searched}
+		should[i] = &clauses[i]
 	}
 	return BooleanQuery{Should: should}
 }
 
-// multiTermQuery is one keyword searched across several fields — the
-// per-token clause MultiFieldQuery builds. Semantically it is exactly the
-// coord-free disjunction of per-field TermQueries (its scores method IS
-// that query), but its scorer analyzes the token once instead of once per
-// field: the analyzer's stemmer dominated scorer construction when every
-// field clause re-derived the same index term.
-type multiTermQuery struct {
-	tok    string
-	fields []FieldBoost
+// multiFieldQuery is one query token — a keyword, a quoted phrase or a
+// fuzzy term — searched in one field or across several: the per-token
+// clause of MultiFieldQuery and ParseQuery. It is the coord-free
+// disjunction of the per-field TermQuery, PhraseQuery or FuzzyQuery, and
+// binds to exactly what that disjunction binds to, but analyzes the text
+// once instead of once per field. Over a single field the disjunction
+// scores 0 + s, the field clause's own score (newBooleanScorer drops the
+// wrapper).
+type multiFieldQuery struct {
+	text          string
+	phrase, fuzzy bool
+	fields        []FieldBoost
 }
 
-// asBoolean is the equivalent public-query shape, the form both scores
-// and the multi-token fallback evaluate.
-func (q multiTermQuery) asBoolean() BooleanQuery {
-	per := make([]Query, len(q.fields))
+func (q *multiFieldQuery) bind(a Analyzer) boundQuery {
+	var terms []string
+	if q.phrase {
+		terms = phraseTerms(a, strings.Fields(q.text))
+	} else {
+		terms = a.Analyze(q.text)
+	}
+	if len(terms) == 0 || (q.fuzzy && len(terms) != 1) {
+		return noMatch{}
+	}
+	per := make([]boundQuery, len(q.fields))
+	var single []termClause // a keyword's clauses, cut from one allocation
+	if !q.phrase && !q.fuzzy && len(terms) == 1 {
+		single = make([]termClause, len(q.fields))
+	}
 	for i, fb := range q.fields {
-		per[i] = TermQuery{Field: fb.Field, Term: q.tok, Boost: fb.Boost}
-	}
-	return BooleanQuery{Should: per, DisableCoord: true}
-}
-
-func (q multiTermQuery) scores(ix *Index) map[int]float64 {
-	return q.asBoolean().scores(ix)
-}
-
-func (q multiTermQuery) newScorer(ix *Index) scorer {
-	terms := ix.analyzer.Analyze(q.tok)
-	if len(terms) == 0 {
-		return emptyScorer{}
-	}
-	if len(terms) != 1 {
-		// A token that analyzes to several terms re-enters as per-field
-		// phrases, mirroring TermQuery's fallback.
-		return q.asBoolean().newScorer(ix)
-	}
-	shoulds := make([]scorer, len(q.fields))
-	for i, fb := range q.fields {
-		boost := fb.Boost
-		if boost == 0 {
-			boost = 1
+		switch {
+		case q.phrase:
+			per[i] = &phraseClause{field: fb.Field, terms: terms, boost: orOne(fb.Boost)}
+		case q.fuzzy:
+			per[i] = &fuzzyClause{field: fb.Field, target: terms[0], boost: orOne(fb.Boost)}
+		case single != nil:
+			single[i] = termClause{field: fb.Field, term: terms[0], boost: orOne(fb.Boost)}
+			per[i] = &single[i]
+		default:
+			per[i] = fieldClause(a, fb.Field, terms, fb.Boost)
 		}
-		shoulds[i] = newTermScorer(ix, fb.Field, terms[0], boost)
 	}
-	return newDisjunctionScorer(shoulds)
+	return &boolClause{should: per}
 }

@@ -9,16 +9,31 @@ import "math"
 type Similarity interface {
 	// TermScore scores one term occurrence set: freq occurrences in a field
 	// of fieldLen tokens, df documents containing the term out of numDocs,
-	// avgLen the mean field length across documents.
+	// avgLen the mean field length across documents. It is
+	// Scorer(df, numDocs, avgLen).Score(freq, fieldLen), bit for bit.
 	TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64
+	// Scorer prepares the scoring of one term: whatever the formula derives
+	// from the collection statistics alone is computed here, once per term
+	// per query, and the returned TermScorer holds the per-posting rest.
+	// Only whole sub-expressions may move into the preparation — a product
+	// or quotient must keep the association TermScore documents, or the
+	// kernel and the exhaustive oracle stop agreeing in the last bit.
+	Scorer(df, numDocs int, avgLen float64) TermScorer
+}
+
+// TermScorer is a Similarity bound to one term's collection statistics.
+type TermScorer interface {
+	// Score scores a posting with freq occurrences in a field of fieldLen
+	// tokens.
+	Score(freq, fieldLen int) float64
 }
 
 // UpperBoundSimilarity is implemented by similarities whose TermScore is
 // monotone nondecreasing in freq and nonincreasing in fieldLen — which
-// lets the DAAT kernel derive a per-term score cap by evaluating the
-// formula at a term's best-case posting shape. Both built-in similarities
-// qualify (see DESIGN.md §10 for the derivations); a custom similarity
-// that does not implement the interface simply runs without MaxScore
+// lets the DAAT kernel derive score caps per term and per posting block
+// by evaluating the formula at a best-case posting shape. Both built-in
+// similarities qualify (see DESIGN.md §10 for the derivations); a custom
+// similarity that does not implement the interface simply runs without
 // pruning.
 type UpperBoundSimilarity interface {
 	Similarity
@@ -32,13 +47,24 @@ type UpperBoundSimilarity interface {
 // sqrt(tf) · idf² · 1/sqrt(fieldLen), idf = 1 + ln(N/(df+1)).
 type ClassicTFIDF struct{}
 
-// TermScore implements Similarity.
-func (ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
+// classicTerm is ClassicTFIDF with the term's idf computed.
+type classicTerm struct{ idf float64 }
+
+// Scorer implements Similarity: the logarithm is the per-term part.
+func (ClassicTFIDF) Scorer(df, numDocs int, _ float64) TermScorer {
+	return classicTerm{idf: 1 + math.Log(float64(numDocs)/float64(df+1))}
+}
+
+func (t classicTerm) Score(freq, fieldLen int) float64 {
 	if freq == 0 || fieldLen == 0 {
 		return 0
 	}
-	idf := 1 + math.Log(float64(numDocs)/float64(df+1))
-	return math.Sqrt(float64(freq)) * idf * idf / math.Sqrt(float64(fieldLen))
+	return math.Sqrt(float64(freq)) * t.idf * t.idf / math.Sqrt(float64(fieldLen))
+}
+
+// TermScore implements Similarity.
+func (s ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
+	return s.Scorer(df, numDocs, avgLen).Score(freq, fieldLen)
 }
 
 // TermScoreBound implements UpperBoundSimilarity: sqrt(tf) rises with tf
@@ -55,11 +81,12 @@ type BM25 struct {
 	B  float64
 }
 
-// TermScore implements Similarity.
-func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
-	if freq == 0 || fieldLen == 0 {
-		return 0
-	}
+// bm25Term is BM25 with the defaults resolved, the term's idf computed and
+// the average length floored at one.
+type bm25Term struct{ idf, k1, b, avgLen float64 }
+
+// Scorer implements Similarity.
+func (s BM25) Scorer(df, numDocs int, avgLen float64) TermScorer {
 	k1, b := s.K1, s.B
 	if k1 == 0 {
 		k1 = 1.2
@@ -68,9 +95,21 @@ func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64
 		b = 0.75
 	}
 	idf := math.Log(1 + (float64(numDocs)-float64(df)+0.5)/(float64(df)+0.5))
+	return bm25Term{idf: idf, k1: k1, b: b, avgLen: math.Max(avgLen, 1)}
+}
+
+func (t bm25Term) Score(freq, fieldLen int) float64 {
+	if freq == 0 || fieldLen == 0 {
+		return 0
+	}
 	tf := float64(freq)
-	norm := 1 - b + b*float64(fieldLen)/math.Max(avgLen, 1)
-	return idf * tf * (k1 + 1) / (tf + k1*norm)
+	norm := 1 - t.b + t.b*float64(fieldLen)/t.avgLen
+	return t.idf * tf * (t.k1 + 1) / (tf + t.k1*norm)
+}
+
+// TermScore implements Similarity.
+func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
+	return s.Scorer(df, numDocs, avgLen).Score(freq, fieldLen)
 }
 
 // TermScoreBound implements UpperBoundSimilarity: tf·(k1+1)/(tf+k1·norm)

@@ -1,5 +1,7 @@
 package index
 
+import "math"
+
 // Corpus-wide statistics for globally-consistent ranking across index
 // partitions. A single index scores terms against its own document
 // frequencies and lengths; a sharded deployment must not — each shard sees
@@ -273,30 +275,36 @@ func (ix *Index) SetCorpusStats(cs *CorpusStats) { ix.global = cs }
 // index scores against its local counts).
 func (ix *Index) CorpusStats() *CorpusStats { return ix.global }
 
-// scoringNumDocs is the document count every ranking formula sees.
-func (ix *Index) scoringNumDocs() int {
-	if ix.global != nil {
-		return ix.global.Docs
-	}
-	return ix.docCount()
+// termStats is what the ranking formulas read about one term: its document
+// frequency, the document count and the average length of its field.
+type termStats struct {
+	df, numDocs int
+	avgLen      float64
 }
 
-// scoringDocFreq is the document frequency every ranking formula sees.
-func (ix *Index) scoringDocFreq(field, term string) int {
-	if ix.global != nil {
-		return ix.global.DocFreq(field, term)
-	}
-	return ix.DocFreq(field, term)
+// scorer prepares the similarity for the term.
+func (st termStats) scorer(sim Similarity) TermScorer {
+	return sim.Scorer(st.df, st.numDocs, st.avgLen)
 }
 
-// scoringAvgLen is the average field length every ranking formula sees.
-func (ix *Index) scoringAvgLen(field string) float64 {
-	if ix.global != nil {
-		return ix.global.AvgLen(field)
+// termStats gathers a term's scoring statistics in one walk: the
+// corpus-wide view when one is installed, the index's own counts otherwise.
+func (ix *Index) termStats(field, term string) termStats {
+	if g := ix.global; g != nil {
+		fs := g.Fields[field]
+		if fs == nil {
+			return termStats{numDocs: g.Docs}
+		}
+		return termStats{df: fs.DocFreq[term], numDocs: g.Docs, avgLen: fs.AvgLen()}
 	}
-	fi := ix.fields[field]
-	if fi == nil {
-		return 0
+	st := termStats{numDocs: ix.docCount()}
+	if fi := ix.fields[field]; fi != nil {
+		st.df, st.avgLen = fi.numPostings(term), fi.avgLen()
 	}
-	return fi.avgLen()
+	return st
+}
+
+// idf is the classic Lucene inverse document frequency, 1 + ln(N / (df + 1)).
+func (st termStats) idf() float64 {
+	return 1 + math.Log(float64(st.numDocs)/float64(st.df+1))
 }

@@ -27,12 +27,12 @@ func TestAdvancedSyntaxDetection(t *testing.T) {
 		"half:time recap", // alphabetic prefix that is still not a field
 	}
 	for _, q := range advanced {
-		if !si.hasAdvancedSyntax(q) {
+		if !hasAdvancedSyntax(q, si.Index.HasField) {
 			t.Errorf("hasAdvancedSyntax(%q) = false, want true", q)
 		}
 	}
 	for _, q := range plain {
-		if si.hasAdvancedSyntax(q) {
+		if hasAdvancedSyntax(q, si.Index.HasField) {
 			t.Errorf("hasAdvancedSyntax(%q) = true, want false", q)
 		}
 	}

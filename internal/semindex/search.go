@@ -21,13 +21,15 @@ type Hit struct {
 // limit <= 0 returns every match.
 //
 // The limit is pushed down into the index kernel, not applied as a
-// truncation here: a positive limit arms document-at-a-time MaxScore
-// pruning (see index.Index.Search), so asking for the top 10 costs far
-// less than ranking every match and slicing.
+// truncation here: a positive limit is what lets the kernel prune against
+// its top-k threshold (see index.Index.Search), so asking for the top 10
+// costs far less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
-	queryCounter(s.Level).Inc()
-	q := s.buildQuery(query)
-	raw := s.Index.Search(q, limit)
+	return s.withDocs(s.SearchPrepared(s.Prepare(query), limit))
+}
+
+// withDocs attaches the stored documents to ranked hits.
+func (s *SemanticIndex) withDocs(raw []index.Hit) []Hit {
 	hits := make([]Hit, len(raw))
 	for i, h := range raw {
 		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
@@ -35,38 +37,94 @@ func (s *SemanticIndex) Search(query string, limit int) []Hit {
 	return hits
 }
 
-func (s *SemanticIndex) buildQuery(query string) index.Query {
+// PreparedQuery is a keyword query routed for a level and analyzed: what
+// is left per index is finding its terms' postings. Every index of one
+// level that shares the analyzer can run it, which is how the sharded
+// engine parses and analyzes a search's text once for all its shards and
+// segments.
+type PreparedQuery struct {
+	bound index.Query
+	// plain means no index, whatever fields it holds, would have sent the
+	// text through the full parser.
+	plain bool
+}
+
+// Prepare routes and analyzes query for an index of the given level.
+// hasField says whether a "name:" prefix names a field the searched corpus
+// holds (see hasAdvancedSyntax).
+func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, query string) PreparedQuery {
+	// What no field set would parse, this one does not either.
+	plain := !hasAdvancedSyntax(query, func(string) bool { return true })
+	advanced := !plain && hasAdvancedSyntax(query, hasField)
+	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a), plain: plain}
+}
+
+// Prepare readies query for this index.
+func (s *SemanticIndex) Prepare(query string) PreparedQuery {
+	return Prepare(s.Level, s.Index.Analyzer(), s.Index.HasField, query)
+}
+
+// SearchPrepared ranks the index's documents for a prepared query; hits
+// carry local docIDs and no stored documents (Index.Doc fetches one).
+func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int) []index.Hit {
+	queryCounter(s.Level).Inc()
+	return s.Index.Search(q.bound, limit)
+}
+
+// Footprint returns the (field, analyzed term) pairs whose corpus
+// statistics the query's ranking depends on — the inputs the sharded
+// engine's scoped cache invalidation must watch — read off the very query
+// that runs, so the two cannot drift apart. Zero-boost fields and tokens
+// the analyzer swallows are not in that query, hence not in its footprint.
+//
+// ok is false when the query may take the advanced-parser path. That
+// decision is deliberately stricter than the routing's: a ':' inside any
+// token disqualifies the query even if no current field matches the
+// prefix, because the routing consults the fields the corpus holds and
+// the footprint must stay valid when a later write adds one. Callers
+// treat ok=false as "every statistic is load-bearing".
+func (q PreparedQuery) Footprint() (fp []index.FieldTerm, ok bool) {
+	if !q.plain {
+		return nil, false
+	}
+	return index.QueryTerms(q.bound), true
+}
+
+// QueryFootprint is Prepare(query).Footprint().
+func (s *SemanticIndex) QueryFootprint(query string) ([]index.FieldTerm, bool) {
+	return s.Prepare(query).Footprint()
+}
+
+// routeQuery builds the level's query for the text; advanced says whether
+// the text uses parser-level operators (see hasAdvancedSyntax).
+func routeQuery(level Level, advanced bool, query string) index.Query {
 	boosts := QueryBoosts
-	if s.Level == Trad {
+	if level == Trad {
 		boosts = TradBoosts
 	}
 	// Advanced Lucene-style syntax (quoted phrases, +/- operators, field:
 	// prefixes, fuzzy~ terms) routes through the full query parser; plain
 	// keyword queries take the level's standard path.
-	if s.hasAdvancedSyntax(query) {
+	if advanced {
 		if q, err := index.ParseQuery(query, boosts); err == nil {
 			return q
 		}
 	}
-	switch s.Level {
-	case Trad:
-		return index.MultiFieldQuery(query, TradBoosts)
-	case PhrExp:
-		return s.phrasalQuery(query)
-	default:
-		return index.MultiFieldQuery(query, QueryBoosts)
+	if level == PhrExp {
+		return phrasalQuery(query)
 	}
+	return index.MultiFieldQuery(query, boosts)
 }
 
 // hasAdvancedSyntax reports whether the query uses parser-level operators.
 // Punctuation alone is not enough: a ':' only signals field syntax when
-// the prefix before it names a field this index actually holds, and a '~'
+// the prefix before it names a field the corpus actually holds, and a '~'
 // only signals a fuzzy term as a token suffix. Otherwise plain keyword
 // queries carrying scoreline or time tokens ("2:1 goal", "19:30 kickoff")
 // would be parsed as field-prefix queries — the nonexistent field "2"
 // matches nothing, its tokens drop out of scoring, and the ranking
 // silently changes.
-func (s *SemanticIndex) hasAdvancedSyntax(query string) bool {
+func hasAdvancedSyntax(query string, hasField func(string) bool) bool {
 	if strings.Contains(query, `"`) ||
 		strings.HasPrefix(query, "+") || strings.HasPrefix(query, "-") ||
 		strings.Contains(query, " +") || strings.Contains(query, " -") {
@@ -76,7 +134,7 @@ func (s *SemanticIndex) hasAdvancedSyntax(query string) bool {
 		if strings.HasSuffix(tok, "~") {
 			return true
 		}
-		if i := strings.IndexByte(tok, ':'); i > 0 && s.Index.HasField(tok[:i]) {
+		if i := strings.IndexByte(tok, ':'); i > 0 && hasField(tok[:i]) {
 			return true
 		}
 	}
@@ -87,7 +145,7 @@ func (s *SemanticIndex) hasAdvancedSyntax(query string) bool {
 // "foul by daniel to florent" becomes the plain token "foul" plus the
 // fused phrase terms bydaniel (subject field) and toflorent (object
 // field). Plain tokens go through the ordinary multi-field path.
-func (s *SemanticIndex) phrasalQuery(query string) index.Query {
+func phrasalQuery(query string) index.Query {
 	tokens := index.Tokenize(strings.ToLower(query))
 	var plain []string
 	var clauses []index.Query
@@ -128,12 +186,7 @@ func (s *SemanticIndex) phrasalQuery(query string) index.Query {
 // weights instead of the level's defaults — the hook the boost-ablation
 // experiment uses to show what the Section 3.6.2 ranking buys.
 func (s *SemanticIndex) SearchWithBoosts(query string, limit int, boosts []index.FieldBoost) []Hit {
-	raw := s.Index.Search(index.MultiFieldQuery(query, boosts), limit)
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
-	}
-	return hits
+	return s.withDocs(s.Index.Search(index.MultiFieldQuery(query, boosts), limit))
 }
 
 // Meta reads a stored metadata field of a hit document.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/semindex"
 )
 
@@ -62,8 +63,11 @@ func TestSearchDeadlineDegraded(t *testing.T) {
 	refPer := func(q string, limit int) []semindex.Hit {
 		ref.mu.RLock()
 		defer ref.mu.RUnlock()
-		per := ref.scatter(nil, func(s int) []semindex.Hit {
-			return ref.searchShardLocked(s, q, limit)
+		pq := ref.prepareLocked(q)
+		per := ref.scatter(nil, func(s int) []rankedHit {
+			return ref.searchShardLocked(s, limit, func(si *semindex.SemanticIndex) []index.Hit {
+				return si.SearchPrepared(pq, limit)
+			})
 		})
 		per[stalled] = nil
 		return ref.merge(nil, per, limit)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
@@ -308,19 +309,25 @@ func cloneHits(hits []semindex.Hit) []semindex.Hit {
 func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions, snap *cacheSnap) (SearchResult, bool) {
 	start := time.Now()
 	tr := opts.Trace
+	e.mu.RLock()
+	// The text is parsed and analyzed here, once; shards and segments only
+	// look its terms up.
+	pq := e.prepareLocked(query)
 	// Limit pushdown: each sub-index returns only its local top-limit.
 	// That is safe for the global merge because every sub scores with the
 	// corpus-wide statistics and its local ID order is its global ID
 	// order — no document outside a sub's top-limit can sit in the global
-	// top-limit. The pushed-down limit also arms the per-sub MaxScore
-	// pruning in the index kernel.
-	fn := func(s int) []semindex.Hit {
-		return e.searchShardLocked(s, query, opts.Limit)
+	// top-limit. The pushed-down limit is also what the index kernel
+	// prunes against: its top-limit threshold is the bar whole posting
+	// blocks are skipped under.
+	fn := func(s int) []rankedHit {
+		return e.searchShardLocked(s, opts.Limit, func(si *semindex.SemanticIndex) []index.Hit {
+			return si.SearchPrepared(pq, opts.Limit)
+		})
 	}
-	e.mu.RLock()
 	met := e.met
 	met.searches.Inc()
-	var per [][]semindex.Hit
+	var per [][]rankedHit
 	var rep SearchReport
 	release := e.mu.RUnlock
 	if dl, ok := ctx.Deadline(); ok {
@@ -339,7 +346,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 	hits := e.merge(tr, per, opts.Limit)
 	if snap != nil {
 		snap.epochs = append([]uint64(nil), e.epochs...)
-		snap.fp, snap.fpOK = e.shards[0].QueryFootprint(query)
+		snap.fp, snap.fpOK = pq.Footprint()
 		if snap.fpOK {
 			snap.shardSet = make([]bool, len(e.base))
 			for s := range e.base {
@@ -357,54 +364,81 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 	return SearchResult{Hits: hits, Report: rep}, true
 }
 
-// searchShardLocked runs the keyword query against one shard — base
-// plus unmerged segments — and returns its local top-limit with GLOBAL
-// docIDs, ranked exactly as the global merge ranks (score descending,
-// global ID ascending). Read lock must be held for the duration (the
-// scatter holds it).
-func (e *Engine) searchShardLocked(s int, query string, limit int) []semindex.Hit {
-	subs := e.subsLocked(s)
-	if len(subs) == 1 {
-		// Fast path: a sub's result order is already score desc, local
-		// (= global) ID asc; mapping IDs preserves it.
-		return mapToGlobal(subs[0], subs[0].si.Search(query, limit))
+// prepareLocked routes and analyzes a search's text for the whole engine:
+// every sub-index is built at the engine's level with the engine's
+// analyzer. A "name:" prefix is field syntax when some live document of
+// the corpus carries the field — what a monolithic index over the same
+// corpus would answer — not when the sub-index evaluating the query
+// happens to. Read lock required.
+func (e *Engine) prepareLocked(query string) semindex.PreparedQuery {
+	hasField := func(name string) bool { return e.global.Fields[name] != nil }
+	return semindex.Prepare(e.level, e.shards[0].Index.Analyzer(), hasField, query)
+}
+
+// rankedHit is a hit on its way through the scatter-gather: ranked by
+// score and global docID, and still knowing which sub-index holds it, so
+// that only the hits the global merge keeps fetch their stored document
+// (on a mapped sub-index that fetch inflates a stored chunk).
+type rankedHit struct {
+	gid   int
+	score float64
+	sub   *subIndex
+	local int
+}
+
+// searchShardLocked runs search against one shard — base plus unmerged
+// segments — and returns its local top-limit ranked exactly as the global
+// merge ranks (score descending, global ID ascending). Read lock must be
+// held for the duration (the scatter holds it).
+func (e *Engine) searchShardLocked(s, limit int, search func(*semindex.SemanticIndex) []index.Hit) []rankedHit {
+	// A sub's result order is already score desc, local (= global) ID asc;
+	// mapping IDs preserves it.
+	ranked := func(sub *subIndex) []rankedHit {
+		raw := search(sub.si)
+		out := make([]rankedHit, len(raw))
+		for i, h := range raw {
+			out[i] = rankedHit{gid: sub.gids[h.DocID], score: h.Score, sub: sub, local: h.DocID}
+		}
+		return out
 	}
-	lists := make([][]semindex.Hit, len(subs))
+	if len(e.segs[s]) == 0 {
+		return ranked(e.base[s])
+	}
+	subs := e.subsLocked(s)
+	lists := make([][]rankedHit, len(subs))
 	for i, sub := range subs {
-		lists[i] = mapToGlobal(sub, sub.si.Search(query, limit))
+		lists[i] = ranked(sub)
 	}
 	return mergeRanked(lists, limit)
 }
 
-// mapToGlobal rewrites a sub-index's local docIDs to global ones, in
-// place (the slice is freshly allocated by the sub's Search).
-func mapToGlobal(sub *subIndex, hits []semindex.Hit) []semindex.Hit {
-	for i := range hits {
-		hits[i].DocID = sub.gids[hits[i].DocID]
-	}
-	return hits
-}
-
-// mergeRanked flattens ranked lists of global-ID hits into one ranking:
-// score descending, global docID ascending on ties — exactly the
-// monolith's sort.
-func mergeRanked(lists [][]semindex.Hit, limit int) []semindex.Hit {
+// mergeRanked merges ranked lists into one ranking: score descending,
+// global docID ascending on ties — exactly the monolith's sort. Every
+// input is already in that order, so the merge takes the best head until
+// it has limit hits; the lists are few (the shards, or one shard's base
+// and unmerged segments). lists is consumed.
+func mergeRanked(lists [][]rankedHit, limit int) []rankedHit {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	out := make([]semindex.Hit, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
+	if limit > 0 && total > limit {
+		total = limit
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	out := make([]rankedHit, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, l := range lists {
+			if len(l) == 0 {
+				continue
+			}
+			if best < 0 || l[0].score > lists[best][0].score ||
+				(l[0].score == lists[best][0].score && l[0].gid < lists[best][0].gid) {
+				best = i
+			}
 		}
-		return out[i].DocID < out[j].DocID
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
 	}
 	return out
 }
@@ -466,54 +500,68 @@ func (e *Engine) SearchQuery(q index.Query, limit int) []semindex.Hit {
 	return hits
 }
 
-func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]semindex.Hit {
-	return e.scatter(nil, func(s int) []semindex.Hit {
-		subs := e.subsLocked(s)
-		lists := make([][]semindex.Hit, len(subs))
-		for i, sub := range subs {
-			raw := sub.si.Index.Search(q, limit)
-			hits := make([]semindex.Hit, len(raw))
-			for j, h := range raw {
-				hits[j] = semindex.Hit{DocID: sub.gids[h.DocID], Score: h.Score, Doc: sub.si.Index.Doc(h.DocID)}
-			}
-			lists[i] = hits
-		}
-		return mergeRanked(lists, limit)
+func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]rankedHit {
+	q = index.AnalyzeQuery(q, e.shards[0].Index.Analyzer())
+	return e.scatter(nil, func(s int) []rankedHit {
+		return e.searchShardLocked(s, limit, func(si *semindex.SemanticIndex) []index.Hit {
+			return si.Index.Search(q, limit)
+		})
 	})
 }
 
-// scatter runs fn against every shard on its own goroutine, timing each
-// shard into its shard_search_seconds series and, when tr is non-nil,
-// into a "shardN" trace span. fn receives the shard index and must only
-// read state guarded by the read lock, which the caller holds.
-func (e *Engine) scatter(tr *obs.Trace, fn func(shard int) []semindex.Hit) [][]semindex.Hit {
-	met := e.met
+// timedShard runs fn against one shard on the calling goroutine, timing it
+// into the shard's shard_search_seconds series and, when tr is non-nil,
+// into a "shardN" trace span.
+func (e *Engine) timedShard(tr *obs.Trace, i int, fn func(shard int) []rankedHit) []rankedHit {
+	if e.stall != nil {
+		e.stall(i)
+	}
+	start := time.Now()
+	hits := fn(i)
+	d := time.Since(start)
+	e.met.perShard[i].ObserveDuration(d)
+	if tr != nil {
+		tr.AddSpan("shard"+strconv.Itoa(i), start, d)
+	}
+	return hits
+}
+
+// scatter runs fn against every shard and returns once every shard has
+// been searched. Shards are claimed one at a time, by the caller's
+// goroutine and by n-1 helpers: the caller is on shard 0 at once instead of
+// sleeping while goroutines start, and whether a search is spread over
+// threads is decided by whether a thread is there to take it. A search over
+// short posting lists takes less time than waking one, so the caller
+// usually claims every shard itself; long searches overlap as before.
+//
+// What stops a helper: it runs out of shards to claim. What waits for it:
+// done, which counts shards, so scatter waits for exactly the helpers that
+// claimed one. A helper the scheduler runs after scatter has returned
+// (every shard done, the read lock possibly released) claims nothing and
+// touches nothing but the counter, which it shares with no other search.
+// fn receives the shard index and must only read state guarded by the
+// read lock, which the caller holds.
+func (e *Engine) scatter(tr *obs.Trace, fn func(shard int) []rankedHit) [][]rankedHit {
 	n := len(e.base)
-	per := make([][]semindex.Hit, n)
-	if n == 1 && e.stall == nil {
-		start := time.Now()
-		per[0] = fn(0)
-		d := time.Since(start)
-		met.perShard[0].ObserveDuration(d)
-		tr.AddSpan("shard0", start, d)
+	per := make([][]rankedHit, n)
+	if n == 1 {
+		per[0] = e.timedShard(tr, 0, fn)
 		return per
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if e.stall != nil {
-				e.stall(i)
-			}
-			start := time.Now()
-			per[i] = fn(i)
-			d := time.Since(start)
-			met.perShard[i].ObserveDuration(d)
-			tr.AddSpan("shard"+strconv.Itoa(i), start, d)
-		}(i)
+	var next atomic.Int32
+	var done sync.WaitGroup
+	done.Add(n)
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			per[i] = e.timedShard(tr, i, fn)
+			done.Done()
+		}
 	}
-	wg.Wait()
+	for h := 1; h < n; h++ {
+		go claim()
+	}
+	claim()
+	done.Wait()
 	return per
 }
 
@@ -554,29 +602,20 @@ func mergeMissing(a, b []int) []int {
 // release func after it is done reading engine state: release either
 // unlocks immediately (all shards answered) or hands the read lock to a
 // drain goroutine that unlocks once the stragglers finish.
-func (e *Engine) scatterDeadline(ctx context.Context, tr *obs.Trace, fn func(shard int) []semindex.Hit, perShard time.Duration) ([][]semindex.Hit, SearchReport, func()) {
-	met := e.met
+func (e *Engine) scatterDeadline(ctx context.Context, tr *obs.Trace, fn func(shard int) []rankedHit, perShard time.Duration) ([][]rankedHit, SearchReport, func()) {
 	n := len(e.base)
 	type shardResult struct {
 		i    int
-		hits []semindex.Hit
+		hits []rankedHit
 	}
 	results := make(chan shardResult, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			if e.stall != nil {
-				e.stall(i)
-			}
-			start := time.Now()
-			hits := fn(i)
-			d := time.Since(start)
-			met.perShard[i].ObserveDuration(d)
-			tr.AddSpan("shard"+strconv.Itoa(i), start, d)
-			results <- shardResult{i: i, hits: hits}
+			results <- shardResult{i: i, hits: e.timedShard(tr, i, fn)}
 		}(i)
 	}
 
-	per := make([][]semindex.Hit, n)
+	per := make([][]rankedHit, n)
 	arrived := make([]bool, n)
 	got := 0
 	var timeout <-chan time.Time
@@ -623,12 +662,18 @@ collect:
 	}
 }
 
-// merge produces the global ranking from per-shard (already global-ID)
-// lists: score descending, global docID ascending on ties — exactly the
-// monolith's sort. Read lock must be held.
-func (e *Engine) merge(tr *obs.Trace, per [][]semindex.Hit, limit int) []semindex.Hit {
+// merge produces the global ranking from per-shard lists — score
+// descending, global docID ascending on ties, exactly the monolith's sort —
+// and fetches the stored documents of the hits it keeps. Read lock must
+// be held.
+func (e *Engine) merge(tr *obs.Trace, per [][]rankedHit, limit int) []semindex.Hit {
 	defer tr.Span("merge")()
-	return mergeRanked(per, limit)
+	merged := mergeRanked(per, limit)
+	hits := make([]semindex.Hit, len(merged))
+	for i, h := range merged {
+		hits[i] = semindex.Hit{DocID: h.gid, Score: h.score, Doc: h.sub.si.Index.Doc(h.local)}
+	}
+	return hits
 }
 
 // Related returns documents similar to the given global docID, mirroring
