@@ -11,11 +11,13 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/loadgen"
 	"repro/internal/semindex"
 )
 
@@ -169,6 +171,61 @@ func TestEncodeGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("index content changed:\n got:\n%s want:\n%s", got, want)
+	}
+}
+
+// TestMappedServesGoldenBytes opens, mapped, the payload and table of
+// contents whose digest encode.golden pins — the bytes every commit since
+// 8b965db writes for this index, so a snapshot an earlier build wrote — and
+// requires the repository benchmark's query mix to rank on them exactly as
+// on the heap decode of the same bytes and as the exhaustive oracle on the
+// index that was built, under both similarities.
+func TestMappedServesGoldenBytes(t *testing.T) {
+	ix := goldenIndex()
+	var payload bytes.Buffer
+	toc, err := ix.EncodeWithTOC(&payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "encode.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(golden), "\nencode "+encodeDigest(t, ix)+"\n") {
+		t.Fatal("the encoder no longer writes the pinned bytes; TestEncodeGolden says how they differ")
+	}
+	heap := decodeBytes(t, payload.Bytes())
+	mapped, err := index.OpenMapped(payload.Bytes(), toc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301}).Universe()
+	queries := loadgen.GenerateQueries(loadgen.VocabFromUniverse(universe),
+		map[loadgen.Class]int{loadgen.ClassKeyword: 5, loadgen.ClassPhrase: 2, loadgen.ClassField: 2, loadgen.ClassFuzzy: 1}, 80, 20100301)
+	for _, sim := range []index.Similarity{index.ClassicTFIDF{}, index.BM25{}} {
+		for _, x := range []*index.Index{ix, heap, mapped} {
+			x.SetSimilarity(sim)
+		}
+		matched := 0
+		for _, lq := range queries {
+			q, err := index.ParseQuery(lq.Text, semindex.QueryBoosts)
+			if err != nil {
+				t.Fatalf("%q: %v", lq.Text, err)
+			}
+			want := ix.ExhaustiveSearch(q, 10)
+			if len(want) > 0 {
+				matched++
+			}
+			if got := heap.Search(q, 10); !reflect.DeepEqual(got, want) {
+				t.Errorf("%T %q: heap decode ranks %v, want %v", sim, lq.Text, got, want)
+			}
+			if got := mapped.Search(q, 10); !reflect.DeepEqual(got, want) {
+				t.Errorf("%T %q: mapped ranks %v, want %v", sim, lq.Text, got, want)
+			}
+		}
+		if matched < len(queries)/2 {
+			t.Errorf("only %d of %d queries matched anything", matched, len(queries))
+		}
 	}
 }
 

@@ -5,17 +5,19 @@ package index
 // []byte region (mmap'd by the shard layer on linux, read into memory
 // elsewhere) plus a table of contents (TOC) the encoder wrote next to the
 // payload, and decodes a posting block only when a scorer actually lands
-// on it. The TOC carries, per term: the byte offset and last docID of
-// every 128-posting block and the exact term-level score cap — enough for
-// Block-Max WAND to skip a beaten block without ever touching its bytes
-// (the per-block max-impact header is read from the mapped region only
-// when a block survives the term-level cap), and for advance() to binary
-// search block boundaries entirely in RAM.
+// on it — and then only the sections of it (docIDs; frequencies and boosts;
+// positions) the scorer goes on to read, see blockCursor. The TOC carries,
+// per term: the byte offset and last docID of every 128-posting block and
+// the exact term-level score cap — enough for Block-Max WAND to skip a
+// beaten block without ever touching its bytes (the per-block max-impact
+// header is read from the mapped region only when a block survives the
+// term-level cap), and for advance() to binary search block boundaries
+// entirely in RAM.
 //
 // Immutability contract: everything reachable from mappedIndex is
 // read-only after OpenMapped returns, so concurrent searches share it
-// freely; all per-query decode state lives in BlockReader instances owned
-// by a single scorer. The only mutation is the per-document decode cache,
+// freely; all per-query decode state lives in blockCursor values embedded
+// in a single scorer. The only mutation is the per-document decode cache,
 // whose atomic entries are written once with an immutable value (Doc() on
 // a hit is the trigger — exactly the "fetch stored fields on hit
 // materialization" contract).
@@ -24,8 +26,9 @@ package index
 // handing them here, so decode failures after open are impossible on a
 // verified file. The parsers stay fully defensive anyway (FuzzOpenMapped
 // feeds truncated and bit-flipped images): every read is bounds-checked,
-// a corrupt block decodes to empty rather than panicking, and OpenMapped
-// rejects structurally inconsistent TOCs with an error.
+// a block section that does not parse leaves its cursor reading as
+// exhausted rather than panicking, and OpenMapped rejects structurally
+// inconsistent TOCs with an error.
 
 import (
 	"bytes"
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -193,116 +197,192 @@ func (r *byteReader) vstr() string {
 	return s
 }
 
-// BlockReader decodes one term's 128-posting blocks from the mapped byte
-// region, one block at a time into small reused buffers — the unit of
-// work the mapped scorers drive. Loading block b seeds the docID delta
-// chain from the TOC's lastDocs[b-1], so any block decodes independently;
-// position bytes are only parsed when the owner asked for them (term
-// scoring never does — frequencies are stored separately from positions,
-// so TF scoring never touches position bytes at all).
+// uvarintAt decodes the varint at b[p:] and returns it with the offset
+// past it, negative when the bytes are truncated or overlong. The cursor's
+// decode loops settle the one-byte case themselves and come here for the
+// rest.
+func uvarintAt(b []byte, p int) (v uint64, next int) {
+	if uint(p) > uint(len(b)) {
+		return 0, -1
+	}
+	v, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, p + n
+}
+
+// blockCursor decodes one term's 128-posting blocks from the mapped byte
+// region into buffers it owns — the unit of work the mapped scorers drive.
+// docIDs, frequencies and position offsets are one allocation sized for a
+// block when the cursor is built and filled by indexed stores; the per-
+// posting boost table and the position buffer are allocated by the first
+// block that needs them. A block is three sections, each decoded at most
+// once per landing and only by the accessor that needs it:
 //
-// A BlockReader belongs to exactly one scorer; it is not safe for
-// concurrent use (the mapped structures it reads are).
-type BlockReader struct {
+//   - load(b) (reached through docAt, seek and findDoc) decodes the docID
+//     section, seeding the delta chain from the TOC's lastDocs[b-1] so any
+//     block decodes independently, and notes where the next section starts;
+//   - at decodes the frequency and boost section the first time it is asked
+//     about the block. A uniform block (boost flag 0, the common case) keeps
+//     its one boost value; only a flag-1 block fills the per-posting table;
+//   - positionsAt(i) (withPos cursors only) decodes position lists from
+//     where the last call stopped up to posting i — the wire carries no
+//     per-posting offsets, so reaching posting i means parsing the ones
+//     before it, and nothing after it is parsed until someone asks. A
+//     cursor that only ever answers findDoc misses parses no position byte.
+//
+// Every accessor is total. A section that does not parse spoils the cursor
+// for good: it reads as exhausted from then on (docAt and seek answer
+// noMoreDocs, findDoc a miss, load false), at answers a posting that scores
+// zero and positionsAt nil, whatever index they are handed. On a CRC-
+// verified file no section can fail; on any other the worst outcome is a
+// term that reads shorter than it is, never a panic or an out-of-bounds read.
+//
+// A blockCursor belongs to exactly one scorer, which embeds it by value; it
+// is not safe for concurrent use (the mapped structures it reads are).
+type blockCursor struct {
 	f       *mappedField
 	t       *mappedTerm
 	withPos bool
+	bad     bool
 
-	blk    int // decoded block index, -1 before first load
-	bad    bool
-	docs   []int32
-	freqs  []int32
+	// blk is the decoded block, -1 before the first load and once spoiled.
+	// docs holds its docIDs; freqs is empty until at decodes the section
+	// starting at byte off, and off then moves to the position bytes.
+	blk   int
+	off   int
+	docs  []int32
+	freqs []int32
+	// boost is a flag-0 block's boost; a flag-1 block fills boosts instead
+	// (empty otherwise, which is how at tells them apart).
+	boost  float64
 	boosts []float64
-	// posOff[k]..posOff[k+1] delimit posting k's positions.
+	// Positions of the first posN postings are decoded: posting k's are
+	// positions[posOff[k]:posOff[k+1]], and off is where posting posN's
+	// deltas start.
+	posN      int
 	posOff    []int32
 	positions []int
 }
 
-// newBlockReader positions a reader before the term's first block.
-func newBlockReader(f *mappedField, t *mappedTerm, withPos bool) *BlockReader {
-	return &BlockReader{f: f, t: t, withPos: withPos, blk: -1}
+// newBlockCursor positions a cursor before the term's first block. docIDs,
+// frequencies and position offsets share one allocation.
+func newBlockCursor(f *mappedField, t *mappedTerm, withPos bool) blockCursor {
+	m := min(t.n, postingBlockSize)
+	r := blockCursor{f: f, t: t, withPos: withPos, blk: -1}
+	if withPos {
+		buf := make([]int32, 3*m+1)
+		r.docs, r.freqs, r.posOff = buf[:0:m], buf[m:m:2*m], buf[2*m:]
+	} else {
+		buf := make([]int32, 2*m)
+		r.docs, r.freqs = buf[:0:m], buf[m:m]
+	}
+	return r
 }
 
-// load decodes block b (a no-op when already current). It returns false —
-// with every buffer emptied — when the bytes do not parse as a valid
-// block; on a CRC-verified file that cannot happen.
-func (r *BlockReader) load(b int) bool {
+// load makes b the current block by decoding its docID section (a no-op
+// when it already is). It returns false for a block the term does not have,
+// and — spoiling the cursor — when the bytes do not parse as one.
+func (r *blockCursor) load(b int) bool {
 	if r.blk == b {
-		return !r.bad
+		return b >= 0
 	}
-	r.blk = b
-	r.bad = false
-	r.docs = r.docs[:0]
-	r.freqs = r.freqs[:0]
-	r.boosts = r.boosts[:0]
-	r.posOff = r.posOff[:0]
-	r.positions = r.positions[:0]
-	if b < 0 || b >= r.t.numBlocks() || r.t.offs[b] < 0 || r.t.offs[b] > int64(len(r.f.raw)) {
-		r.bad = true
+	t, raw := r.t, r.f.raw
+	if r.bad || b < 0 || b >= t.numBlocks() {
 		return false
 	}
-	br := byteReader{b: r.f.raw, pos: int(r.t.offs[b])}
-	if r.t.multi {
+	if t.offs[b] < 0 || t.offs[b] > int64(len(raw)) {
+		return r.spoil()
+	}
+	p := int(t.offs[b])
+	if t.multi {
 		// Skip the max-impact header; bounds are read via blockCap when a
 		// scorer needs them, without decoding the block.
-		br.uvarint()
-		br.uvarint()
-		br.f64()
+		_, p = uvarintAt(raw, p)
+		if _, p = uvarintAt(raw, p); p < 0 {
+			return r.spoil()
+		}
+		p += 8
 	}
-	n := r.t.blockLen(b)
 	numDocs := len(r.f.docLen)
 	prev := int32(-1)
 	if b > 0 {
-		prev = r.t.lastDocs[b-1]
+		prev = t.lastDocs[b-1]
 	}
-	for k := 0; k < n; k++ {
-		d := br.uvarint()
-		if br.bad || d == 0 || d > uint64(numDocs) {
+	docs := r.docs[:t.blockLen(b)]
+	for k := range docs {
+		var d uint64
+		if p < len(raw) && raw[p] < 0x80 {
+			d, p = uint64(raw[p]), p+1
+		} else {
+			d, p = uvarintAt(raw, p)
+		}
+		if p < 0 || d == 0 || d > uint64(numDocs) {
 			return r.spoil()
 		}
-		doc := prev + int32(d)
-		if int(doc) >= numDocs {
+		prev += int32(d)
+		if int(prev) >= numDocs {
 			return r.spoil()
 		}
-		prev = doc
-		r.docs = append(r.docs, doc)
+		docs[k] = prev
 	}
-	if prev != r.t.lastDocs[b] {
+	if prev != t.lastDocs[b] {
 		// The payload disagrees with the TOC: one of them is corrupt.
 		return r.spoil()
 	}
-	totalFreq := 0
-	for k := 0; k < n; k++ {
-		f := br.uvarint()
-		if br.bad || f == 0 || f > 1<<24 {
+	r.blk, r.off, r.docs = b, p, docs
+	r.freqs, r.boosts, r.posN = r.freqs[:0], r.boosts[:0], 0
+	return true
+}
+
+// spoil marks the cursor corrupt and empties it, so every accessor answers
+// as an exhausted cursor would.
+func (r *blockCursor) spoil() bool {
+	r.bad, r.blk, r.posN = true, -1, 0
+	r.docs, r.freqs, r.boosts = r.docs[:0], r.freqs[:0], r.boosts[:0]
+	return false
+}
+
+// loadFreqs decodes the current block's frequency and boost section and
+// reports whether slot k is a posting of the block.
+func (r *blockCursor) loadFreqs(k int) bool {
+	if r.blk < 0 || len(r.freqs) > 0 {
+		return uint(k) < uint(len(r.freqs))
+	}
+	raw, p := r.f.raw, r.off
+	freqs := r.freqs[:len(r.docs)]
+	total := 0
+	for j := range freqs {
+		var f uint64
+		if p < len(raw) && raw[p] < 0x80 {
+			f, p = uint64(raw[p]), p+1
+		} else {
+			f, p = uvarintAt(raw, p)
+		}
+		if p < 0 || f == 0 || f > 1<<24 {
 			return r.spoil()
 		}
-		totalFreq += int(f)
-		r.freqs = append(r.freqs, int32(f))
+		total += int(f)
+		freqs[j] = int32(f)
 	}
-	flag := byte(0)
-	if br.pos < len(br.b) {
-		flag = br.b[br.pos]
-		br.pos++
-	} else {
+	if p >= len(raw) {
 		return r.spoil()
 	}
-	switch flag {
-	case 0:
-		v := br.f64()
-		if br.bad {
-			return r.spoil()
+	flag := raw[p]
+	p++
+	switch {
+	case flag == 0 && p+8 <= len(raw):
+		r.boost = math.Float64frombits(binary.LittleEndian.Uint64(raw[p:]))
+		p += 8
+	case flag == 1 && len(freqs) <= (len(raw)-p)/8:
+		if cap(r.boosts) < len(freqs) {
+			r.boosts = make([]float64, min(r.t.n, postingBlockSize))
 		}
-		for k := 0; k < n; k++ {
-			r.boosts = append(r.boosts, v)
-		}
-	case 1:
-		for k := 0; k < n; k++ {
-			v := br.f64()
-			if br.bad {
-				return r.spoil()
-			}
-			r.boosts = append(r.boosts, v)
+		r.boosts = r.boosts[:len(freqs)]
+		for j := range r.boosts {
+			r.boosts[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[p:]))
+			p += 8
 		}
 	default:
 		return r.spoil()
@@ -311,112 +391,161 @@ func (r *BlockReader) load(b int) bool {
 		// Position deltas are at least one byte each, so the remaining
 		// region bounds the honest total — a lying freq cannot force an
 		// allocation past the bytes that exist.
-		if totalFreq > len(br.b)-br.pos {
+		if total > len(raw)-p || total > math.MaxInt32 {
 			return r.spoil()
 		}
-		for k := 0; k < n; k++ {
-			r.posOff = append(r.posOff, int32(len(r.positions)))
-			prevPos := -1
-			for q := int32(0); q < r.freqs[k]; q++ {
-				delta := br.uvarint()
-				if br.bad || delta == 0 || delta > 1<<32 {
-					return r.spoil()
-				}
-				pos := prevPos + int(delta)
-				if pos > 1<<32 {
-					return r.spoil()
-				}
-				prevPos = pos
-				r.positions = append(r.positions, pos)
-			}
+		if cap(r.positions) < total {
+			r.positions = make([]int, total)
 		}
-		r.posOff = append(r.posOff, int32(len(r.positions)))
+		r.posOff[0] = 0
 	}
+	r.freqs, r.off = freqs, p
+	return uint(k) < uint(len(freqs))
+}
+
+// loadPositions decodes position lists up to and including slot k's and
+// reports whether they are there to read.
+func (r *blockCursor) loadPositions(k int) bool {
+	if !r.withPos || !r.loadFreqs(k) {
+		return false
+	}
+	raw, p := r.f.raw, r.off
+	at := int(r.posOff[r.posN])
+	for ; r.posN <= k; r.posN++ {
+		pos := -1
+		for q := r.freqs[r.posN]; q > 0; q-- {
+			var delta uint64
+			if p < len(raw) && raw[p] < 0x80 {
+				delta, p = uint64(raw[p]), p+1
+			} else {
+				delta, p = uvarintAt(raw, p)
+			}
+			if p < 0 || delta == 0 || delta > 1<<32 {
+				return r.spoil()
+			}
+			if pos += int(delta); pos > 1<<32 {
+				return r.spoil()
+			}
+			r.positions[at] = pos
+			at++
+		}
+		r.posOff[r.posN+1] = int32(at)
+	}
+	r.off = p
 	return true
 }
 
-// spoil marks the current block corrupt and empties every buffer so the
-// owner sees an exhausted, never an out-of-bounds, cursor.
-func (r *BlockReader) spoil() bool {
-	r.bad = true
-	r.docs = r.docs[:0]
-	r.freqs = r.freqs[:0]
-	r.boosts = r.boosts[:0]
-	r.posOff = r.posOff[:0]
-	r.positions = r.positions[:0]
-	return false
-}
-
 // docAt returns the docID at posting index i, decoding the containing
-// block on demand; noMoreDocs past the end or on a corrupt block.
-func (r *BlockReader) docAt(i int) int {
-	if i >= r.t.n {
+// block's docID section on demand; noMoreDocs past the end of the list.
+func (r *blockCursor) docAt(i int) int {
+	if b := i / postingBlockSize; b != r.blk && !r.load(b) {
 		return noMoreDocs
 	}
-	b := i / postingBlockSize
-	if !r.load(b) {
-		return noMoreDocs
+	if k := i % postingBlockSize; uint(k) < uint(len(r.docs)) {
+		return int(r.docs[k])
 	}
-	k := i - b*postingBlockSize
-	if k >= len(r.docs) {
-		return noMoreDocs
-	}
-	return int(r.docs[k])
+	return noMoreDocs
 }
 
-// at returns the (freq, boost) of posting index i. Only valid right after
-// a successful docAt(i).
-func (r *BlockReader) at(i int) (freq int, boost float64) {
+// at returns the (freq, boost) of posting index i of the current block,
+// decoding the block's frequency and boost section on first use; (0, 0) —
+// a posting that scores nothing — for any other index.
+func (r *blockCursor) at(i int) (freq int, boost float64) {
 	k := i - r.blk*postingBlockSize
-	return int(r.freqs[k]), r.boosts[k]
+	if uint(k) >= uint(len(r.freqs)) && !r.loadFreqs(k) {
+		return 0, 0
+	}
+	if k < len(r.boosts) {
+		return int(r.freqs[k]), r.boosts[k]
+	}
+	return int(r.freqs[k]), r.boost
 }
 
-// positionsAt returns posting index i's position list (withPos readers
-// only). The slice aliases the reader's buffer: valid until the next load.
-func (r *BlockReader) positionsAt(i int) []int {
+// positionsAt returns the position list of posting index i of the current
+// block, decoding forward to it when it has not been reached yet; nil for
+// any other index and on cursors built without positions. The slice aliases
+// the cursor's buffer: valid until the next load.
+func (r *blockCursor) positionsAt(i int) []int {
 	k := i - r.blk*postingBlockSize
-	if k < 0 || k+1 >= len(r.posOff) {
+	if k < 0 || k >= r.posN && !r.loadPositions(k) {
 		return nil
 	}
 	return r.positions[r.posOff[k]:r.posOff[k+1]]
 }
 
-// findDoc locates doc's posting index, or (-1, false). It binary searches
-// the in-RAM block boundaries first, so at most one block is decoded.
-func (r *BlockReader) findDoc(doc int) (int, bool) {
+// seek returns the index and docID of the first posting at or after index
+// base whose docID reaches target — (t.n, noMoreDocs) when there is none.
+// The block comes from the in-RAM boundary table, so only the docID section
+// of the one block the target lands in is decoded.
+func (r *blockCursor) seek(base, target int) (int, int) {
 	t := r.t
-	nb := t.numBlocks()
-	lo, hi := 0, nb
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(t.lastDocs[mid]) < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if base >= t.n {
+		return t.n, noMoreDocs
 	}
-	if lo >= nb || !r.load(lo) {
-		return -1, false
+	base = max(base, 0)
+	b := t.probeBlock(base/postingBlockSize, target)
+	if !r.load(b) {
+		return t.n, noMoreDocs
 	}
-	j, found := searchInt32(r.docs, int32(doc))
-	if !found {
-		return -1, false
+	lo := 0
+	if b == base/postingBlockSize {
+		lo = base % postingBlockSize
 	}
-	return lo*postingBlockSize + j, true
+	j := seekInt32(r.docs, lo, target)
+	if j >= len(r.docs) {
+		// Only reachable when the TOC boundary and the payload disagree
+		// (excluded by the envelope CRC); fail closed as exhausted.
+		return t.n, noMoreDocs
+	}
+	return b*postingBlockSize + j, int(r.docs[j])
 }
 
-// searchInt32 binary searches an ascending []int32.
-func searchInt32(a []int32, v int32) (int, bool) {
+// findDoc locates doc's posting index, or (-1, false). The block search
+// starts from the current block — a phrase's candidates ascend, so the
+// answer is nearly always this block or the next — and falls back to the
+// whole boundary table for a doc behind it; only docID sections are decoded.
+func (r *blockCursor) findDoc(doc int) (int, bool) {
+	b := max(r.blk, 0)
+	if b > 0 && int(r.t.lastDocs[b-1]) >= doc {
+		b = 0
+	}
+	b = r.t.probeBlock(b, doc)
+	if !r.load(b) {
+		return -1, false
+	}
+	j := searchInt32(r.docs, doc)
+	if j >= len(r.docs) || int(r.docs[j]) != doc {
+		return -1, false
+	}
+	return b*postingBlockSize + j, true
+}
+
+// searchInt32 returns the index of the first element of ascending a that
+// reaches v, len(a) when none does.
+func searchInt32(a []int32, v int) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < v {
+		mid := int(uint(lo+hi) >> 1)
+		if int(a[mid]) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(a) && a[lo] == v
+	return lo
+}
+
+// seekInt32 is searchInt32 from index j on, in the shape of the heap
+// path's probe: a short linear scan for the common advance-by-little case,
+// then binary search for real jumps.
+func seekInt32(a []int32, j, v int) int {
+	for k := 0; k < 4 && j < len(a) && int(a[j]) < v; k++ {
+		j++
+	}
+	if j < len(a) && int(a[j]) < v {
+		j += 1 + searchInt32(a[j+1:], v)
+	}
+	return j
 }
 
 // blockCap reads block b's max-impact header from the mapped region —
@@ -441,53 +570,43 @@ func (f *mappedField) blockCap(t *mappedTerm, b int) termCap {
 }
 
 // hasPosition reports whether term's posting for doc contains pos —
-// the mapped analogue of the heap path's binary search, decoding at most
-// one block (with positions) per probe. Used by the exhaustive phrase
-// oracle; the mapped phrase scorer keeps per-term readers instead.
+// the mapped analogue of the heap path's binary search, decoding one
+// block's docIDs and its positions up to doc's. Used by the exhaustive
+// phrase oracle; the mapped phrase scorer keeps per-term cursors instead.
 func (f *mappedField) hasPosition(term string, doc, pos int) bool {
 	t := f.terms[term]
 	if t == nil {
 		return false
 	}
-	r := newBlockReader(f, t, true)
+	r := newBlockCursor(f, t, true)
 	i, ok := r.findDoc(doc)
 	if !ok {
 		return false
 	}
 	pl := r.positionsAt(i)
-	lo, hi := 0, len(pl)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pl[mid] < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(pl) && pl[lo] == pos
+	j := searchInts(pl, pos)
+	return j < len(pl) && pl[j] == pos
 }
 
 // materialize decodes term's full posting list into heap Postings —
 // the escape hatch for the exhaustive oracle, merges and stats, bounded
-// to one term at a time.
+// to one term at a time. It is all or nothing: nil when any section of any
+// block is spoiled, never a truncated list.
 func (f *mappedField) materialize(term string) []Posting {
 	t := f.terms[term]
 	if t == nil {
 		return nil
 	}
-	r := newBlockReader(f, t, true)
+	r := newBlockCursor(f, t, true)
 	pl := make([]Posting, 0, t.n)
-	for b := 0; b < t.numBlocks(); b++ {
-		if !r.load(b) {
+	for i := 0; i < t.n; i++ {
+		d := r.docAt(i)
+		_, boost := r.at(i)
+		pos := r.positionsAt(i)
+		if pos == nil {
 			return nil
 		}
-		for k := range r.docs {
-			pl = append(pl, Posting{
-				DocID:     int(r.docs[k]),
-				Boost:     r.boosts[k],
-				Positions: append([]int(nil), r.positions[r.posOff[k]:r.posOff[k+1]]...),
-			})
-		}
+		pl = append(pl, Posting{DocID: d, Boost: boost, Positions: append([]int(nil), pos...)})
 	}
 	return pl
 }
@@ -874,24 +993,46 @@ func (ix *Index) DocMeta(id int, name string) string {
 	return d.Get(name)
 }
 
+// inflater is the reusable state of one stored-chunk inflate: the flate
+// decompressor (about 40 KB of window and tables) and the buffer the chunk
+// inflates into. storedDocAt borrows one per uncached document; nothing in
+// it outlives the call (a decoded Document copies its strings).
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+	out bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.zr = flate.NewReader(&in.src)
+	return in
+}}
+
 // storedDocAt returns one stored document: from the cache if it was
 // served before, otherwise by inflating its chunk from the mapped region
-// (transiently — the decompressed bytes are garbage after the decode)
-// and decoding the one document out of it. Returns nil on structural
-// corruption inside the chunk (impossible on a CRC-verified file; the
-// parse stays defensive anyway). id is in [0, numDocs).
+// (transiently, into a pooled buffer — the decompressed bytes are scratch
+// after the decode) and decoding the one document out of it. Returns nil on
+// structural corruption inside the chunk (impossible on a CRC-verified
+// file; the parse stays defensive anyway). id is in [0, numDocs).
 func (m *mappedIndex) storedDocAt(id int) *Document {
 	if d := m.docCache[id].Load(); d != nil {
 		return d
 	}
 	c := id / m.chunkDocs
-	comp := m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]]
-	zr := flate.NewReader(bytes.NewReader(comp))
-	defer zr.Close()
-	raw, err := io.ReadAll(zr)
-	if err != nil {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		// A pooled inflater must not keep the mapped region reachable.
+		in.src.Reset(nil)
+		inflaters.Put(in)
+	}()
+	in.src.Reset(m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]])
+	in.zr.(flate.Resetter).Reset(&in.src, nil)
+	in.out.Reset()
+	if _, err := in.out.ReadFrom(in.zr); err != nil {
 		return nil
 	}
+	raw := in.out.Bytes()
 	r := byteReader{b: raw}
 	for k := id % m.chunkDocs; k > 0; k-- {
 		if !skipStoredDoc(&r) {

@@ -9,7 +9,7 @@ package index
 //
 // What changes is the cost model. The heap scorer owns a materialized
 // []Posting; block skipping saves score computations but the bytes were
-// already decoded. Here a scorer owns a BlockReader and the TOC's
+// already decoded. Here a scorer embeds a blockCursor and reads the TOC's
 // per-block (offset, lastDoc) table:
 //
 //   - skipBeatenBlocks compares the collector threshold against a bound
@@ -22,25 +22,29 @@ package index
 //     the block, and the block of the heap path's probe index is exactly
 //     the first block at or after the cursor whose last docID reaches the
 //     target, which the boundary table yields directly);
-//   - advance binary searches the boundary table first and decodes at
-//     most the one block the target lands in.
+//   - next and advance decode the docID section of the block they land in,
+//     advance after searching the boundary table for it; score decodes the
+//     block's frequency and boost section the first time a document in it
+//     is scored, and the phrase scorer's position reads decode position
+//     lists only as far into the block as its candidates reach.
+//
+// A scorer records the docID it stands on where it moves (next, advance),
+// the rule scorer.go's compound scorers follow one level down: advance's
+// early-out and score read it back instead of asking the cursor again.
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // mappedTermScorer mirrors termScorer over a mapped term.
 type mappedTermScorer struct {
 	ix    *Index
-	f     *mappedField
-	t     *mappedTerm
-	cur   *BlockReader
+	cur   blockCursor
 	st    termStats
 	ts    TermScorer
 	boost float64
-	i     int
-	cap   float64
+	// i is the cursor's posting index (t.n once exhausted) and d the docID
+	// there: -1 before the first document, noMoreDocs after the last.
+	i, d int
+	cap  float64
 
 	// shallowBlk is the maxScoreUpTo probe's block (monotone; numBlocks()
 	// once exhausted); th and the bound memo mirror termScorer.
@@ -57,21 +61,26 @@ func newMappedTermScorer(ix *Index, f *mappedField, field, term string, queryBoo
 	}
 	st := ix.termStats(field, term)
 	return &mappedTermScorer{
-		ix: ix, f: f, t: mt,
-		cur: newBlockReader(f, mt, false),
+		ix:  ix,
+		cur: newBlockCursor(f, mt, false),
 		st:  st, ts: st.scorer(ix.sim),
 		boost:       queryBoost,
 		i:           -1,
+		d:           -1,
 		cap:         ix.scoreBound(mt.cap, st, queryBoost),
 		cachedBlock: -1,
 	}
 }
 
-func (s *mappedTermScorer) doc() int {
-	if s.i >= s.t.n {
-		return noMoreDocs
+// land records where the cursor stands after a move to posting index i. A
+// cursor that cannot produce the posting (past the end, or spoiled) is
+// exhausted.
+func (s *mappedTermScorer) land(i, d int) int {
+	if d == noMoreDocs {
+		i = s.cur.t.n
 	}
-	return s.cur.docAt(s.i)
+	s.i, s.d = i, d
+	return d
 }
 
 func (s *mappedTermScorer) next() int {
@@ -79,7 +88,7 @@ func (s *mappedTermScorer) next() int {
 	if s.th > 0 {
 		s.skipBeatenBlocks()
 	}
-	return s.doc()
+	return s.land(s.i, s.cur.docAt(s.i))
 }
 
 func (s *mappedTermScorer) setThreshold(th float64) { s.th = th }
@@ -87,11 +96,11 @@ func (s *mappedTermScorer) setThreshold(th float64) { s.th = th }
 // skipBeatenBlocks mirrors termScorer.skipBeatenBlocks; here a skipped
 // block's postings are never read from disk, only its header.
 func (s *mappedTermScorer) skipBeatenBlocks() {
-	n := s.t.n
-	for s.i < n {
-		if !s.t.multi {
+	t := s.cur.t
+	for s.i < t.n {
+		if !t.multi {
 			if s.cap <= s.th {
-				s.i = n
+				s.i = t.n
 			}
 			return
 		}
@@ -109,20 +118,19 @@ func (s *mappedTermScorer) skipBeatenBlocks() {
 // termEntry.blocks — so pruning decisions match.
 func (s *mappedTermScorer) blockBound(b int) float64 {
 	if b != s.cachedBlock {
-		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.f.blockCap(s.t, b), s.st, s.boost)
+		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.cur.f.blockCap(s.cur.t, b), s.st, s.boost)
 	}
 	return s.cachedBound
 }
 
 // probeBlock advances blk to the first block at or after it whose last
-// docID reaches target, using only the in-RAM boundary table.
+// docID reaches target (numBlocks() when none does), using only the in-RAM
+// boundary table.
 func (t *mappedTerm) probeBlock(blk, target int) int {
-	nb := t.numBlocks()
-	if blk >= nb || int(t.lastDocs[blk]) >= target {
+	if blk >= t.numBlocks() || int(t.lastDocs[blk]) >= target {
 		return blk
 	}
-	blk++
-	return blk + sort.Search(nb-blk, func(k int) bool { return int(t.lastDocs[blk+k]) >= target })
+	return blk + 1 + searchInt32(t.lastDocs[blk+1:], target)
 }
 
 // shallowProbe moves a maxScoreUpTo probe standing on block blk, for a
@@ -139,74 +147,48 @@ func (t *mappedTerm) shallowProbe(blk, i, target int) int {
 }
 
 func (s *mappedTermScorer) maxScoreUpTo(target int) (float64, int) {
-	b := s.t.shallowProbe(s.shallowBlk, s.i, target)
+	t := s.cur.t
+	b := t.shallowProbe(s.shallowBlk, s.i, target)
 	s.shallowBlk = b
-	if b >= s.t.numBlocks() {
+	if b >= t.numBlocks() {
 		return 0, noMoreDocs
 	}
-	if !s.t.multi {
-		return s.cap, int(s.t.lastDocs[0])
+	if !t.multi {
+		return s.cap, int(t.lastDocs[0])
 	}
-	return s.blockBound(b), int(s.t.lastDocs[b])
-}
-
-// firstAtLeast returns the index of the first posting at or after base
-// whose docID reaches target (t.n when none), decoding at most one block.
-func firstAtLeast(cur *BlockReader, t *mappedTerm, base, target int) int {
-	if base >= t.n {
-		return t.n
-	}
-	b := t.probeBlock(base/postingBlockSize, target)
-	if b >= t.numBlocks() || !cur.load(b) {
-		return t.n
-	}
-	lo := 0
-	if b == base/postingBlockSize {
-		lo = base - b*postingBlockSize
-	}
-	j := lo + sort.Search(len(cur.docs)-lo, func(k int) bool { return cur.docs[lo+k] >= int32(target) })
-	if j >= len(cur.docs) {
-		// Only reachable when the TOC boundary and the payload disagree
-		// (excluded by the envelope CRC); fail closed as exhausted.
-		return t.n
-	}
-	return b*postingBlockSize + j
+	return s.blockBound(b), int(t.lastDocs[b])
 }
 
 func (s *mappedTermScorer) advance(target int) int {
-	if s.i >= 0 && s.i < s.t.n {
-		if d := s.cur.docAt(s.i); d >= target {
-			return d
-		}
+	if s.d >= target {
+		return s.d
 	}
-	s.i = firstAtLeast(s.cur, s.t, s.i+1, target)
-	return s.doc()
+	return s.land(s.cur.seek(s.i+1, target))
 }
 
 func (s *mappedTermScorer) score() float64 {
-	d := s.cur.docAt(s.i)
 	freq, pboost := s.cur.at(s.i)
-	return s.ts.Score(freq, s.f.lengthOf(d)) * pboost * s.boost
+	return s.ts.Score(freq, s.cur.f.lengthOf(s.d)) * pboost * s.boost
 }
 
 func (s *mappedTermScorer) maxScore() float64 { return s.cap }
 
-// mappedPhraseScorer mirrors phraseScorer: the first term's reader
-// generates candidates (with positions), and each later term keeps its
-// own positional reader so verification decodes at most one block per
-// probe — candidates arrive in ascending docID order, so those reads are
-// nearly sequential.
+// mappedPhraseScorer mirrors phraseScorer: the first term's cursor
+// generates candidates, and each later term keeps its own positional
+// cursor so verification decodes at most one block's docIDs per probe —
+// candidates arrive in ascending docID order, so those reads are nearly
+// sequential — and positions only for candidates every term contains.
 type mappedPhraseScorer struct {
-	f      *mappedField
-	t0     *mappedTerm
-	first  *BlockReader
-	probes []*BlockReader
+	first  blockCursor
+	probes []blockCursor
 	follow [][]int
 	idfSum float64
 	boost  float64
-	i      int
-	freq   int
-	cap    float64
+	// i is the first term's posting index and d the docID of the phrase
+	// match there, as in mappedTermScorer.
+	i, d int
+	freq int
+	cap  float64
 
 	whole       termCap
 	shallowBlk  int
@@ -223,9 +205,9 @@ func newMappedPhraseScorer(ix *Index, f *mappedField, field string, terms []stri
 	}
 	t0 := mts[0]
 	s := &mappedPhraseScorer{
-		f: f, t0: t0, first: newBlockReader(f, t0, true),
-		probes: make([]*BlockReader, len(terms)-1), follow: make([][]int, len(terms)-1),
-		boost: boost, i: -1, cachedBlock: -1,
+		first:  newBlockCursor(f, t0, true),
+		probes: make([]blockCursor, len(terms)-1), follow: make([][]int, len(terms)-1),
+		boost: boost, i: -1, d: -1, cachedBlock: -1,
 		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: t0.cap.maxBoost},
 	}
 	for i, mt := range mts {
@@ -233,7 +215,7 @@ func newMappedPhraseScorer(ix *Index, f *mappedField, field string, terms []stri
 		s.whole.maxFreq = min(s.whole.maxFreq, mt.cap.maxFreq)
 		s.whole.minLen = max(s.whole.minLen, mt.cap.minLen)
 		if i > 0 {
-			s.probes[i-1] = newBlockReader(f, mt, true)
+			s.probes[i-1] = newBlockCursor(f, mt, true)
 		}
 	}
 	s.cap = phraseBound(s.whole, s.idfSum, boost)
@@ -241,50 +223,55 @@ func newMappedPhraseScorer(ix *Index, f *mappedField, field string, terms []stri
 }
 
 func (s *mappedPhraseScorer) maxScoreUpTo(target int) (float64, int) {
-	b := s.t0.shallowProbe(s.shallowBlk, s.i, target)
+	t0 := s.first.t
+	b := t0.shallowProbe(s.shallowBlk, s.i, target)
 	s.shallowBlk = b
-	if b >= s.t0.numBlocks() {
+	if b >= t0.numBlocks() {
 		return 0, noMoreDocs
 	}
-	if !s.t0.multi {
-		return s.cap, int(s.t0.lastDocs[0])
+	if !t0.multi {
+		return s.cap, int(t0.lastDocs[0])
 	}
 	if b != s.cachedBlock {
 		s.cachedBlock = b
-		s.cachedBound = phraseBound(s.whole.tighten(s.f.blockCap(s.t0, b)), s.idfSum, s.boost)
+		s.cachedBound = phraseBound(s.whole.tighten(s.first.f.blockCap(t0, b)), s.idfSum, s.boost)
 	}
-	return s.cachedBound, int(s.t0.lastDocs[b])
+	return s.cachedBound, int(t0.lastDocs[b])
 }
 
 func (s *mappedPhraseScorer) next() int {
-	for s.i++; s.i < s.t0.n; s.i++ {
-		if s.computeFreq() {
-			return s.first.docAt(s.i)
+	n := s.first.t.n
+	for s.i++; s.i < n; s.i++ {
+		d := s.first.docAt(s.i)
+		if d == noMoreDocs {
+			break // spoiled: the list ends here
+		}
+		if s.computeFreq(d) {
+			s.d = d
+			return d
 		}
 	}
+	s.i, s.d = n, noMoreDocs
 	return noMoreDocs
 }
 
 func (s *mappedPhraseScorer) advance(target int) int {
-	if s.i >= 0 && s.i < s.t0.n {
-		if d := s.first.docAt(s.i); d >= target {
-			return d
-		}
+	if s.d >= target {
+		return s.d
 	}
 	// Position just before the first candidate >= target; next() verifies
 	// the phrase positionally from there (the heap shape exactly).
-	s.i = firstAtLeast(s.first, s.t0, s.i+1, target) - 1
+	i, _ := s.first.seek(s.i+1, target)
+	s.i = i - 1
 	return s.next()
 }
 
-// computeFreq mirrors phraseScorer.computeFreq at the current candidate.
-func (s *mappedPhraseScorer) computeFreq() bool {
+// computeFreq mirrors phraseScorer.computeFreq at the current candidate,
+// the first term's posting s.i on document d.
+func (s *mappedPhraseScorer) computeFreq(d int) bool {
 	s.freq = 0
-	d := s.first.docAt(s.i)
-	if d == noMoreDocs {
-		return false
-	}
-	for k, r := range s.probes {
+	for k := range s.probes {
+		r := &s.probes[k]
 		idx, ok := r.findDoc(d)
 		if !ok {
 			return false
@@ -296,10 +283,9 @@ func (s *mappedPhraseScorer) computeFreq() bool {
 }
 
 func (s *mappedPhraseScorer) score() float64 {
-	d := s.first.docAt(s.i)
 	_, p0boost := s.first.at(s.i)
 	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * p0boost * s.f.norm(d) * s.boost
+	return tf * s.idfSum * p0boost * s.first.f.norm(s.d) * s.boost
 }
 
 func (s *mappedPhraseScorer) maxScore() float64 { return s.cap }

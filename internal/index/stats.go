@@ -165,16 +165,15 @@ func (ix *Index) LocalStats() *CorpusStats {
 		}
 		if fi.m != nil {
 			// Tombstone-aware export must count live postings per term; on a
-			// mapped field that means decoding each term's docID chains once.
+			// mapped field that means decoding each term's docID sections once.
 			// This path only runs when stats are recomputed over an index
 			// with pending tombstones — not at load, where indexes are clean.
+			// A spoiled block ends its term's walk (see blockCursor): the term
+			// reads as shorter, which on a CRC-verified file cannot happen.
 			for t, mt := range fi.m.terms {
-				r := newBlockReader(fi.m, mt, false)
+				r := newBlockCursor(fi.m, mt, false)
 				df := 0
-				for b := 0; b < mt.numBlocks(); b++ {
-					if !r.load(b) {
-						break
-					}
+				for b := 0; r.load(b); b++ {
 					for _, d := range r.docs {
 						if !ix.deleted[d] {
 							df++
