@@ -286,21 +286,18 @@ func TestAddMaintainsBlockBounds(t *testing.T) {
 		ix.Add(doc)
 	}
 	fi := ix.fields["f"]
-	pl := fi.terms["goal"].postings
-	if len(pl) <= postingBlockSize {
-		t.Fatalf("term spans %d postings, need > %d", len(pl), postingBlockSize)
+	te := fi.terms["goal"]
+	n := len(te.docs)
+	if n <= postingBlockSize {
+		t.Fatalf("term spans %d postings, need > %d", n, postingBlockSize)
 	}
-	blks := fi.terms["goal"].blocks
-	if want := (len(pl) + postingBlockSize - 1) / postingBlockSize; len(blks) != want {
+	blks := te.blocks
+	if want := (n + postingBlockSize - 1) / postingBlockSize; len(blks) != want {
 		t.Fatalf("got %d block entries, want %d", len(blks), want)
 	}
 	for bi, blk := range blks {
 		s := bi * postingBlockSize
-		e := s + postingBlockSize
-		if e > len(pl) {
-			e = len(pl)
-		}
-		exact := fi.exactCap(pl[s:e])
+		exact := fi.exactCap(te, s, min(s+postingBlockSize, n))
 		if blk.maxFreq < exact.maxFreq || blk.minLen > exact.minLen || blk.minLen < 1 ||
 			blk.maxBoost < exact.maxBoost {
 			t.Errorf("block %d metadata %+v is not a valid bound for exact %+v", bi, blk, exact)

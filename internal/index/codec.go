@@ -184,31 +184,25 @@ func (ix *Index) encodeV2(w io.Writer, tb *tocBuilder) error {
 		writeU32(bw, uint32(len(terms)))
 		for _, t := range terms {
 			writeString(bw, t)
-			pl := fi.terms[t].postings
-			writeU32(bw, uint32(len(pl)))
-			multi := len(pl) > postingBlockSize
-			prev := -1
+			te := fi.terms[t]
+			n := len(te.docs)
+			writeU32(bw, uint32(n))
 			var offs []uint64
 			var lasts []int32
-			for s := 0; s < len(pl); s += postingBlockSize {
-				e := s + postingBlockSize
-				if e > len(pl) {
-					e = len(pl)
-				}
+			for s := 0; s < n; s += postingBlockSize {
+				e := min(s+postingBlockSize, n)
 				if tb != nil {
 					offs = append(offs, pos())
+					lasts = append(lasts, te.docs[e-1])
 				}
-				prev = encodeBlock(bw, fi, pl[s:e], multi, prev)
-				if tb != nil {
-					lasts = append(lasts, int32(prev))
-				}
+				encodeBlock(bw, fi, te, s, e)
 			}
 			if tb != nil {
 				// The TOC cap is the exact bound over the whole list — the
 				// same value rebuildCaps derives on the heap decode path, so
 				// mapped and heap prune with identical numbers.
 				tf.terms = append(tf.terms, tocTerm{
-					term: t, n: len(pl), cap: fi.exactCap(pl), offs: offs, lasts: lasts,
+					term: t, n: n, cap: fi.exactCap(te, 0, n), offs: offs, lasts: lasts,
 				})
 			}
 		}
@@ -292,51 +286,54 @@ func (ix *Index) encodeV2(w io.Writer, tb *tocBuilder) error {
 	return bw.Flush()
 }
 
-// encodeBlock writes one posting block: for multi-block terms the exact
-// max-impact header first, then the docID deltas, frequencies, boosts,
-// and position deltas. Metadata is computed here, at encode time, so a
-// loaded index prunes with exact bounds even when the in-memory builder
-// tracked them conservatively. prev is the previous block's last docID
-// (-1 for the first block) — the delta chain runs across the whole
-// posting list; the returned value seeds the next block.
-func encodeBlock(bw *bufio.Writer, fi *fieldIndex, blk []Posting, multi bool, prev int) int {
-	if multi {
-		c := fi.exactCap(blk)
+// encodeBlock writes postings [lo, hi) of te as one block: for multi-block
+// terms the exact max-impact header first, then the docID deltas,
+// frequencies, boosts, and position deltas. Metadata is computed here, at
+// encode time, so a loaded index prunes with exact bounds even when the
+// in-memory builder tracked them conservatively. The docID delta chain runs
+// across the whole posting list: a block's first delta is from the previous
+// block's last docID (-1 before the first block).
+func encodeBlock(bw *bufio.Writer, fi *fieldIndex, te *termEntry, lo, hi int) {
+	if len(te.docs) > postingBlockSize {
+		c := fi.exactCap(te, lo, hi)
 		writeUvarint(bw, uint64(c.maxFreq))
 		writeUvarint(bw, uint64(c.minLen))
 		writeF64(bw, c.maxBoost)
 	}
-	for i := range blk {
-		writeUvarint(bw, uint64(blk[i].DocID-prev))
-		prev = blk[i].DocID
+	prev := int32(-1)
+	if lo > 0 {
+		prev = te.docs[lo-1]
 	}
-	for i := range blk {
-		writeUvarint(bw, uint64(len(blk[i].Positions)))
+	for _, d := range te.docs[lo:hi] {
+		writeUvarint(bw, uint64(d-prev))
+		prev = d
+	}
+	for i := lo; i < hi; i++ {
+		writeUvarint(bw, uint64(te.freq(i)))
 	}
 	uniform := true
-	for i := 1; i < len(blk); i++ {
-		if math.Float64bits(blk[i].Boost) != math.Float64bits(blk[0].Boost) {
+	for i := lo + 1; i < hi; i++ {
+		if math.Float64bits(te.boostAt(i)) != math.Float64bits(te.boostAt(lo)) {
 			uniform = false
 			break
 		}
 	}
 	if uniform {
 		bw.WriteByte(0)
-		writeF64(bw, blk[0].Boost)
+		writeF64(bw, te.boostAt(lo))
 	} else {
 		bw.WriteByte(1)
-		for i := range blk {
-			writeF64(bw, blk[i].Boost)
+		for i := lo; i < hi; i++ {
+			writeF64(bw, te.boostAt(i))
 		}
 	}
-	for i := range blk {
-		pp := -1
-		for _, pos := range blk[i].Positions {
+	for i := lo; i < hi; i++ {
+		pp := int32(-1)
+		for _, pos := range te.positionsAt(i) {
 			writeUvarint(bw, uint64(pos-pp))
 			pp = pos
 		}
 	}
-	return prev
 }
 
 // EncodeV1 serializes the index in the legacy version-1 format, kept for
@@ -380,13 +377,13 @@ func (ix *Index) EncodeV1(w io.Writer) error {
 		writeU32(bw, uint32(len(terms)))
 		for _, t := range terms {
 			writeString(bw, t)
-			pl := fi.terms[t].postings
-			writeU32(bw, uint32(len(pl)))
-			for _, p := range pl {
-				writeU32(bw, uint32(p.DocID))
-				writeF64(bw, p.Boost)
-				writeU32(bw, uint32(len(p.Positions)))
-				for _, pos := range p.Positions {
+			te := fi.terms[t]
+			writeU32(bw, uint32(len(te.docs)))
+			for i, d := range te.docs {
+				writeU32(bw, uint32(d))
+				writeF64(bw, te.boostAt(i))
+				writeU32(bw, uint32(te.freq(i)))
+				for _, pos := range te.positionsAt(i) {
 					writeU32(bw, uint32(pos))
 				}
 			}
@@ -505,7 +502,9 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 				return nil, fmt.Errorf("index: term %q claims %d postings over %d docs",
 					term, numPostings, numDocs)
 			}
-			pl := make([]Posting, 0, capHint(numPostings, 1<<16))
+			// Positions grow as they parse, whatever the postings claim.
+			hint := capHint(numPostings, 1<<16)
+			te := newTermEntry(hint, hint)
 			prevDoc := -1
 			for p := uint32(0); p < numPostings; p++ {
 				docID, err := readU32(br)
@@ -527,25 +526,25 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 				if err != nil {
 					return nil, err
 				}
-				if numPos == 0 || numPos > 1<<24 {
+				if numPos == 0 || numPos > 1<<24 || len(te.positions)+int(numPos) > math.MaxUint32 {
 					return nil, fmt.Errorf("index: implausible position count %d", numPos)
 				}
-				positions := make([]int, 0, capHint(numPos, 1<<12))
+				te.appendPosting(int(docID), boost)
 				prevPos := -1
 				for k := uint32(0); k < numPos; k++ {
 					v, err := readU32(br)
 					if err != nil {
 						return nil, err
 					}
-					if int(v) <= prevPos {
+					if int(v) <= prevPos || v > math.MaxInt32 {
 						return nil, fmt.Errorf("index: positions for %q not ascending", term)
 					}
 					prevPos = int(v)
-					positions = append(positions, int(v))
+					te.positions = append(te.positions, int32(v))
 				}
-				pl = append(pl, Posting{DocID: int(docID), Boost: boost, Positions: positions})
+				te.endPosting()
 			}
-			fi.terms[term] = &termEntry{postings: pl}
+			fi.terms[term] = te
 		}
 
 		// The documents come first in this version, so all numDocs of them
@@ -575,7 +574,7 @@ func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n > math.MaxInt32 {
+			if n > math.MaxInt32 || fi.sumLen+int(n) > math.MaxUint32 {
 				return nil, fmt.Errorf("index: implausible field length %d", n)
 			}
 			fi.add(int(id), int(n), 0)
@@ -774,7 +773,6 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decode
 	if err != nil {
 		return err
 	}
-	freqs := make([]int, postingBlockSize)
 	for t := uint32(0); t < numTerms; t++ {
 		term, err := readString(br)
 		if err != nil {
@@ -788,19 +786,16 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decode
 			return fmt.Errorf("index: term %q claims %d postings over %d docs",
 				term, numPostings, numDocs)
 		}
-		n := int(numPostings)
-		pl := make([]Posting, 0, capHint(numPostings, 1<<16))
+		n, hint := int(numPostings), capHint(numPostings, 1<<16)
+		te := newTermEntry(hint, hint)
 		multi := n > postingBlockSize
-		var blks []termCap
 		if multi {
-			blks = make([]termCap, 0, (n+postingBlockSize-1)/postingBlockSize)
+			te.blocks = make([]termCap, 0, capHint(uint32((n+postingBlockSize-1)/postingBlockSize), 1<<10))
 		}
 		prevDoc := -1
-		for len(pl) < n {
-			blkLen := n - len(pl)
-			if blkLen > postingBlockSize {
-				blkLen = postingBlockSize
-			}
+		for len(te.docs) < n {
+			start := len(te.docs)
+			blkLen := min(n-start, postingBlockSize)
 			if multi {
 				mf, err := readUvarint(br)
 				if err != nil {
@@ -817,9 +812,8 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decode
 				if mf > 1<<24 || ml > 1<<32 {
 					return fmt.Errorf("index: implausible block metadata for %q", term)
 				}
-				blks = append(blks, termCap{maxFreq: int(mf), minLen: int(ml), maxBoost: mb})
+				te.blocks = append(te.blocks, termCap{maxFreq: int(mf), minLen: int(ml), maxBoost: mb})
 			}
-			start := len(pl)
 			for k := 0; k < blkLen; k++ {
 				delta, err := readUvarint(br)
 				if err != nil {
@@ -833,70 +827,64 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decode
 					return fmt.Errorf("index: posting references doc %d of %d", doc, numDocs)
 				}
 				prevDoc = doc
-				pl = append(pl, Posting{DocID: doc})
+				te.docs = append(te.docs, int32(doc))
 			}
-			blk := pl[start:]
-			for k := range blk {
+			// Frequencies arrive as the block's cumulative position ends; the
+			// positions that back them are read below.
+			end := uint64(len(te.positions))
+			for k := 0; k < blkLen; k++ {
 				f, err := readUvarint(br)
 				if err != nil {
 					return err
 				}
-				if f == 0 || f > 1<<24 {
+				if end += f; f == 0 || f > 1<<24 || end > math.MaxUint32 {
 					return fmt.Errorf("index: implausible position count %d", f)
 				}
-				freqs[k] = int(f)
+				te.posEnd = append(te.posEnd, uint32(end))
 			}
 			flag, err := br.ReadByte()
 			if err != nil {
 				return fmt.Errorf("index: %w", err)
 			}
-			switch flag {
-			case 0:
-				b, err := readF64(br)
-				if err != nil {
-					return err
-				}
-				for k := range blk {
-					blk[k].Boost = b
-				}
-			case 1:
-				for k := range blk {
-					if blk[k].Boost, err = readF64(br); err != nil {
+			if flag > 1 {
+				return fmt.Errorf("index: bad posting boost flag %d", flag)
+			}
+			var boost float64
+			for k := start; k < start+blkLen; k++ {
+				if flag == 1 || k == start {
+					if boost, err = readF64(br); err != nil {
 						return err
 					}
 				}
-			default:
-				return fmt.Errorf("index: bad posting boost flag %d", flag)
+				te.setBoost(k, boost)
 			}
-			for k := range blk {
-				positions := make([]int, 0, capHint(uint32(freqs[k]), 1<<12))
+			for k := start; k < start+blkLen; k++ {
 				prevPos := -1
-				for q := 0; q < freqs[k]; q++ {
+				for q := te.freq(k); q > 0; q-- {
 					delta, err := readUvarint(br)
 					if err != nil {
 						return err
 					}
-					if delta == 0 || delta > 1<<32 {
+					if delta == 0 || delta > math.MaxInt32 {
 						return fmt.Errorf("index: bad position delta for %q", term)
 					}
 					pos := prevPos + int(delta)
-					if pos > 1<<32 {
+					if pos > math.MaxInt32 {
 						return fmt.Errorf("index: implausible position %d", pos)
 					}
 					prevPos = pos
-					positions = append(positions, pos)
+					te.positions = append(te.positions, int32(pos))
 				}
-				blk[k].Positions = positions
 			}
 		}
-		fi.terms[term] = &termEntry{postings: pl, blocks: blks}
+		fi.terms[term] = te
 	}
 
 	numLens, err := readU32(br)
 	if err != nil {
 		return err
 	}
-	prevID := -1
+	prevID, sumLen := -1, uint64(0)
 	for l := uint32(0); l < numLens; l++ {
 		delta, err := readUvarint(br)
 		if err != nil {
@@ -914,7 +902,7 @@ func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decode
 		if err != nil {
 			return err
 		}
-		if v > math.MaxInt32 {
+		if sumLen += v; v > math.MaxInt32 || sumLen > math.MaxUint32 {
 			return fmt.Errorf("index: implausible field length %d", v)
 		}
 		tables.lenIDs = append(tables.lenIDs, int32(id))
@@ -977,7 +965,7 @@ func (fi *fieldIndex) checkBlocks() error {
 	for t, te := range fi.terms {
 		for bi, b := range te.blocks {
 			s := bi * postingBlockSize
-			exact := fi.exactCap(te.postings[s:min(s+postingBlockSize, len(te.postings))])
+			exact := fi.exactCap(te, s, min(s+postingBlockSize, len(te.docs)))
 			if b.minLen < 1 || b.maxFreq < exact.maxFreq || b.minLen > exact.minLen ||
 				!(b.maxBoost >= exact.maxBoost) {
 				return fmt.Errorf("index: term %q block %d metadata is not a valid score bound", t, bi)

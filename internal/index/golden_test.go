@@ -246,15 +246,16 @@ func TestWriteTrafficIsDense(t *testing.T) {
 }
 
 // TestIndexAddAllocationCeiling keeps Add's per-document cost from creeping
-// back. Building the golden index measured 6.6 allocations and 5.0 KB per
-// document when the ceilings were set (149.9 and 8.2 KB at commit 8b965db,
-// which allocated every posting's position list on its own), most of it
-// posting lists doubling as they grow; the ceilings leave a third again as
+// back. Building the golden index measured 7.3 allocations and 2.0 KB per
+// document when the ceilings were set (6.6 and 5.0 KB at commit 4f6839e,
+// which kept a 40-byte struct per posting; 149.9 and 8.2 KB at 8b965db, which
+// also allocated every posting's position list on its own), most of it the
+// posting columns doubling as they grow; the ceilings leave a third again as
 // much room.
 func TestIndexAddAllocationCeiling(t *testing.T) {
 	const (
 		maxAllocs = 10
-		maxBytes  = 6600
+		maxBytes  = 2700
 	)
 	docs := goldenDocs()
 	var before, after runtime.MemStats
@@ -271,4 +272,40 @@ func TestIndexAddAllocationCeiling(t *testing.T) {
 	if bytes > maxBytes {
 		t.Errorf("%.0f bytes per document, ceiling %d", bytes, maxBytes)
 	}
+}
+
+// TestIndexFootprintCeiling keeps the live size of a posting from creeping
+// back. The golden index, less the stored documents it shares with
+// goldenDocs, measured 26.4 bytes per posting when the ceiling was set (73.5
+// at commit 4f6839e, which kept a 40-byte struct and a position slice per
+// posting): columns of docIDs, position ends and positions with the room
+// append left them, the term dictionary and the field tables. The ceiling
+// leaves a fifth again as much room.
+func TestIndexFootprintCeiling(t *testing.T) {
+	const maxBytesPerPosting = 32
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	goldenDocs()
+	without := live()
+	ix := goldenIndex()
+	with := live()
+	postings := ix.Stats().Postings
+	runtime.KeepAlive(ix)
+	perPosting := float64(with-without) / float64(postings)
+	t.Logf("%d postings, %.1f live bytes per posting", postings, perPosting)
+	if perPosting > maxBytesPerPosting {
+		t.Errorf("%.1f live bytes per posting, ceiling %d", perPosting, maxBytesPerPosting)
+	}
+}
+
+// TestColumnarPostingsMatchReferenceOnGoldenPages runs the documents of
+// docstream.golden's pages through the []Posting reference of
+// writepath_test.go.
+func TestColumnarPostingsMatchReferenceOnGoldenPages(t *testing.T) {
+	index.CheckColumnarPostings(t, goldenDocs())
 }

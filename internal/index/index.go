@@ -7,7 +7,9 @@ import (
 	"strings"
 )
 
-// Posting records the occurrences of one term in one document field.
+// Posting is one entry of a posting list as Postings hands it out: the
+// occurrences of one term in one document field. The index stores no
+// Posting; it keeps each term's list in columns (see termEntry).
 type Posting struct {
 	// DocID is the document the term occurs in.
 	DocID int
@@ -45,9 +47,18 @@ type fieldIndex struct {
 }
 
 // termEntry is everything the heap index keeps about one term of one field.
+// The posting list is columnar and holds no pointers, the shape a mapped
+// block decodes to (blockCursor) at any length: posting i is document
+// docs[i], docID ascending, with positions positions[posEnd[i-1]:posEnd[i]]
+// (from 0 for the first), so its frequency is a subtraction. Boosts follow
+// the codec's rule: one value for the whole list until a posting arrives at
+// a boost that differs bit for bit, from which point boosts holds one each.
 type termEntry struct {
-	// postings is the term's posting list, docID ascending.
-	postings []Posting
+	docs      []int32
+	posEnd    []uint32
+	positions []int32
+	boost     float64
+	boosts    []float64
 	// cap tracks the term's score-bound inputs for MaxScore pruning,
 	// maintained incrementally by Add and rebuilt exactly on load and merge.
 	cap termCap
@@ -102,8 +113,17 @@ func newDocTable(numDocs int) docTable {
 // add records n more tokens of the field on document id, indexed at boost
 // (the last write wins), growing the table to cover id. It returns the
 // field's length on the document before them: the position a multi-valued
-// field continues from, 0 for a document's first value.
+// field continues from, 0 for a document's first value. Every write to a
+// field comes through here before any posting of it, so this is where the
+// limits of the 32-bit posting columns (see Add) panic instead of wrapping.
 func (t *docTable) add(id, n int, boost float64) int {
+	if id >= math.MaxInt32 {
+		panic("index: Add on a segment holding math.MaxInt32 documents")
+	}
+	base := t.lengthOf(id)
+	if base+n > math.MaxInt32 || t.sumLen+n > math.MaxUint32 {
+		panic("index: Add takes a field past math.MaxInt32 tokens on a document or math.MaxUint32 in its segment")
+	}
 	for len(t.docLen) <= id {
 		t.docLen = append(t.docLen, 0)
 		t.boost = append(t.boost, 0)
@@ -115,7 +135,6 @@ func (t *docTable) add(id, n int, boost float64) int {
 		t.present[id>>6] |= 1 << (id & 63)
 		t.docCount++
 	}
-	base := int(t.docLen[id])
 	t.docLen[id] = int32(base + n)
 	t.boost[id] = boost
 	t.sumLen += n
@@ -215,24 +234,82 @@ func (fi *fieldIndex) numPostings(term string) int {
 		return 0
 	}
 	if te := fi.terms[term]; te != nil {
-		return len(te.postings)
+		return len(te.docs)
 	}
 	return 0
 }
 
-// postingsOf materializes a term's posting list — O(1) slice handout on
-// the heap path, a full block decode on the mapped path (the escape hatch
-// the exhaustive oracle, merges and stats walk through; scorers use block
-// cursors instead).
-func (fi *fieldIndex) postingsOf(term string) []Posting {
+// postingsOf returns a term's posting list, empty without the term: the
+// stored entry on the heap path, a full block decode into a fresh one on
+// the mapped path (the escape hatch the exhaustive oracle, merges and stats
+// walk through; scorers use block cursors instead).
+func (fi *fieldIndex) postingsOf(term string) termEntry {
 	if fi.m != nil {
 		return fi.m.materialize(term)
 	}
 	if te := fi.terms[term]; te != nil {
-		return te.postings
+		return *te
 	}
-	return nil
+	return termEntry{}
 }
+
+// newTermEntry returns an empty posting list with room for n postings and
+// npos positions.
+func newTermEntry(n, npos int) *termEntry {
+	return &termEntry{docs: make([]int32, 0, n), posEnd: make([]uint32, 0, n), positions: make([]int32, 0, npos)}
+}
+
+// posStart is where posting i's positions begin in te.positions.
+func (te *termEntry) posStart(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return te.posEnd[i-1]
+}
+
+// freq is posting i's within-document term frequency.
+func (te *termEntry) freq(i int) int { return int(te.posEnd[i] - te.posStart(i)) }
+
+// positionsAt returns posting i's token positions, ascending.
+func (te *termEntry) positionsAt(i int) []int32 { return te.positions[te.posStart(i):te.posEnd[i]] }
+
+// boostAt is the field boost posting i captured at indexing time.
+func (te *termEntry) boostAt(i int) float64 {
+	if te.boosts != nil {
+		return te.boosts[i]
+	}
+	return te.boost
+}
+
+// setBoost records the boost posting i captured, those of the postings
+// before it being set already.
+func (te *termEntry) setBoost(i int, boost float64) {
+	switch {
+	case te.boosts != nil:
+		te.boosts = append(te.boosts, boost)
+	case i == 0:
+		te.boost = boost
+	case math.Float64bits(boost) != math.Float64bits(te.boost):
+		te.boosts = make([]float64, i+1, max(i+1, cap(te.docs)))
+		for k := range te.boosts[:i] {
+			te.boosts[k] = te.boost
+		}
+		te.boosts[i] = boost
+	}
+}
+
+// appendPosting adds the posting of document id, indexed at boost, after
+// the last one, with the positions already known; a caller that learns them
+// one by one appends them to te.positions and closes with endPosting.
+func (te *termEntry) appendPosting(id int, boost float64, positions ...int32) {
+	te.setBoost(len(te.docs), boost)
+	te.docs = append(te.docs, int32(id))
+	te.positions = append(te.positions, positions...)
+	te.posEnd = append(te.posEnd, uint32(len(te.positions)))
+}
+
+// endPosting makes every position appended so far part of the last posting.
+func (te *termEntry) endPosting() { te.posEnd[len(te.posEnd)-1] = uint32(len(te.positions)) }
 
 // Index is an in-memory inverted index over documents with analyzed fields,
 // the stand-in for a Lucene index. Build it once with Add, then search; it
@@ -263,18 +340,16 @@ type Index struct {
 
 	// Write-path state, touched only by Add and AddDocStats (which, like
 	// every mutation, must not run beside another on the same index;
-	// searches never read it). positions is the slab Add cuts each
-	// posting's first position from. memo maps a raw token to the term the
+	// searches never read it). memo maps a raw token to the term the
 	// StandardAnalyzer normalizes it to ("" for a dropped stopword), so the
 	// lowercase, stopword and stemmer work runs once per distinct token
 	// rather than once per occurrence; being per index, indexes built with
 	// different analyzer settings cannot see each other's entries. termBuf
 	// is the reused analysis output and docTerms AddDocStats's per-document
 	// set of counted terms.
-	positions []int
-	memo      map[string]string
-	termBuf   []string
-	docTerms  map[FieldTerm]struct{}
+	memo     map[string]string
+	termBuf  []string
+	docTerms map[FieldTerm]struct{}
 }
 
 // The write-path memo holds at most memoMaxEntries tokens of at most
@@ -284,12 +359,6 @@ const (
 	memoMaxEntries = 1536
 	memoMaxToken   = 16
 )
-
-// positionSlabMax caps the slab Add cuts first positions from. Slabs start
-// at 64 positions and grow by a quarter up to it, so the unused tail of the
-// last one stays under a fifth of a small segment's positions and under
-// 32 KB of any index.
-const positionSlabMax = 4096
 
 // New returns an empty index using the analyzer for every field and the
 // classic TF-IDF similarity.
@@ -310,7 +379,11 @@ func (ix *Index) Analyzer() Analyzer { return ix.analyzer }
 
 // Add indexes the document and returns its docID. Fields whose name starts
 // with '_' are stored but not indexed — the semantic index uses them to
-// carry evaluation metadata without polluting the term space.
+// carry evaluation metadata without polluting the term space. DocIDs,
+// positions and position offsets are stored in 32 bits: Add panics on a
+// segment that already holds math.MaxInt32 documents, and on a value that
+// takes the document's field past math.MaxInt32 tokens (or the field past
+// math.MaxUint32 in the segment), as it does on a mapped index.
 func (ix *Index) Add(d *Document) int {
 	if ix.mapped != nil {
 		// The mapped region is immutable; fresh writes belong in a new
@@ -342,37 +415,25 @@ func (ix *Index) Add(d *Document) int {
 				te = &termEntry{cap: termCap{minLen: dlen, maxBoost: boost}}
 				fi.terms[term] = te
 			}
-			var p *Posting
-			if n := len(te.postings); n > 0 && te.postings[n-1].DocID == id {
-				p = &te.postings[n-1]
-				p.Positions = append(p.Positions, base+pos)
-			} else {
-				te.postings = append(te.postings, Posting{DocID: id, Positions: ix.firstPosition(base + pos), Boost: boost})
-				p = &te.postings[n]
+			n := len(te.docs)
+			if n == 0 || te.docs[n-1] != int32(id) {
+				// A later value of the field keeps the posting its first
+				// value opened, boost included.
+				te.appendPosting(id, boost)
+				n++
 			}
+			te.positions = append(te.positions, int32(base+pos))
+			te.endPosting()
 			// Keep the term's score-bound inputs current for the posting
 			// just written.
-			te.cap.observe(len(p.Positions), dlen, p.Boost)
-			if len(te.postings) > postingBlockSize {
-				te.observeBlock(fi, len(p.Positions), dlen, p.Boost)
+			freq, pboost := te.freq(n-1), te.boostAt(n-1)
+			te.cap.observe(freq, dlen, pboost)
+			if n > postingBlockSize {
+				te.observeBlock(fi, freq, dlen, pboost)
 			}
 		}
 	}
 	return id
-}
-
-// firstPosition returns a one-element position list cut from the index's
-// slab instead of allocated on its own. Its capacity is one, so a second
-// occurrence grows it by an ordinary append and never writes into the
-// neighbouring posting's slot.
-func (ix *Index) firstPosition(pos int) []int {
-	n := len(ix.positions)
-	if n == cap(ix.positions) {
-		ix.positions = make([]int, 0, min(max(n+n/4, 64), positionSlabMax))
-		n = 0
-	}
-	ix.positions = append(ix.positions, pos)
-	return ix.positions[n : n+1 : n+1]
 }
 
 // analyzeForWrite is the analysis Add and AddDocStats run: the index
@@ -481,7 +542,7 @@ func (ix *Index) Stats() Stats {
 		}
 		s.Terms += len(fi.terms)
 		for _, te := range fi.terms {
-			s.Postings += len(te.postings)
+			s.Postings += len(te.docs)
 		}
 	}
 	return s
@@ -536,16 +597,25 @@ func (ix *Index) Terms(field string) []string {
 	return out
 }
 
-// Postings returns the posting list of an analyzed term in a field. The
-// term must already be in index form (lowercased, stemmed); use the
-// analyzer to normalize raw text first. On a mapped index this decodes
-// the term's blocks into fresh heap postings.
+// Postings returns the posting list of an analyzed term in a field,
+// materialized into fresh Postings — an accessor for tests and debugging,
+// not a read path. The term must already be in index form (lowercased,
+// stemmed); use the analyzer to normalize raw text first.
 func (ix *Index) Postings(field, term string) []Posting {
 	fi := ix.fields[field]
 	if fi == nil {
 		return nil
 	}
-	return fi.postingsOf(term)
+	te := fi.postingsOf(term)
+	var out []Posting
+	for i, d := range te.docs {
+		p := Posting{DocID: int(d), Boost: te.boostAt(i)}
+		for _, pos := range te.positionsAt(i) {
+			p.Positions = append(p.Positions, int(pos))
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // DocFreq returns the number of documents containing the term in the field.
@@ -612,10 +682,10 @@ func (c *termCap) observe(freq, dlen int, boost float64) {
 // document observed mid-growth (multi-valued field) only shrinks the
 // recorded minLen, which loosens — never invalidates — the bound.
 func (te *termEntry) observeBlock(fi *fieldIndex, freq, dlen int, boost float64) {
-	cur := (len(te.postings) - 1) / postingBlockSize
+	cur := (len(te.docs) - 1) / postingBlockSize
 	for len(te.blocks) < cur {
 		s := len(te.blocks) * postingBlockSize
-		te.blocks = append(te.blocks, fi.exactCap(te.postings[s:s+postingBlockSize]))
+		te.blocks = append(te.blocks, fi.exactCap(te, s, s+postingBlockSize))
 	}
 	if cur == len(te.blocks) {
 		te.blocks = append(te.blocks, termCap{maxFreq: freq, minLen: dlen, maxBoost: boost})
@@ -624,22 +694,13 @@ func (te *termEntry) observeBlock(fi *fieldIndex, freq, dlen int, boost float64)
 	}
 }
 
-// exactCap computes the exact score-bound inputs over a posting run — the
-// load-time (and encode-time) counterpart of Add's incremental tracking,
-// slightly tighter since the docLens it reads are final.
-func (fi *fieldIndex) exactCap(ps []Posting) termCap {
+// exactCap computes the exact score-bound inputs over postings [lo, hi) of
+// te — the load-time (and encode-time) counterpart of Add's incremental
+// tracking, slightly tighter since the docLens it reads are final.
+func (fi *fieldIndex) exactCap(te *termEntry, lo, hi int) termCap {
 	c := termCap{minLen: math.MaxInt}
-	for i := range ps {
-		p := &ps[i]
-		if f := len(p.Positions); f > c.maxFreq {
-			c.maxFreq = f
-		}
-		if l := fi.lengthOf(p.DocID); l < c.minLen {
-			c.minLen = l
-		}
-		if p.Boost > c.maxBoost {
-			c.maxBoost = p.Boost
-		}
+	for i := lo; i < hi; i++ {
+		c.observe(te.freq(i), fi.lengthOf(int(te.docs[i])), te.boostAt(i))
 	}
 	return c
 }
@@ -650,14 +711,14 @@ func (fi *fieldIndex) exactCap(ps []Posting) termCap {
 // terms, for the sources that carry none: codec v1 and merged postings.
 func (fi *fieldIndex) rebuildCaps(withBlocks bool) {
 	for _, te := range fi.terms {
-		pl := te.postings
-		te.cap = fi.exactCap(pl)
-		if !withBlocks || len(pl) <= postingBlockSize {
+		n := len(te.docs)
+		te.cap = fi.exactCap(te, 0, n)
+		if !withBlocks || n <= postingBlockSize {
 			continue
 		}
-		te.blocks = make([]termCap, 0, (len(pl)+postingBlockSize-1)/postingBlockSize)
-		for s := 0; s < len(pl); s += postingBlockSize {
-			te.blocks = append(te.blocks, fi.exactCap(pl[s:min(s+postingBlockSize, len(pl))]))
+		te.blocks = make([]termCap, 0, (n+postingBlockSize-1)/postingBlockSize)
+		for s := 0; s < n; s += postingBlockSize {
+			te.blocks = append(te.blocks, fi.exactCap(te, s, min(s+postingBlockSize, n)))
 		}
 	}
 }

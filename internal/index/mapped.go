@@ -263,7 +263,7 @@ type blockCursor struct {
 	// deltas start.
 	posN      int
 	posOff    []int32
-	positions []int
+	positions []int32
 }
 
 // newBlockCursor positions a cursor before the term's first block. docIDs,
@@ -395,7 +395,7 @@ func (r *blockCursor) loadFreqs(k int) bool {
 			return r.spoil()
 		}
 		if cap(r.positions) < total {
-			r.positions = make([]int, total)
+			r.positions = make([]int32, total)
 		}
 		r.posOff[0] = 0
 	}
@@ -420,13 +420,13 @@ func (r *blockCursor) loadPositions(k int) bool {
 			} else {
 				delta, p = uvarintAt(raw, p)
 			}
-			if p < 0 || delta == 0 || delta > 1<<32 {
+			if p < 0 || delta == 0 || delta > math.MaxInt32 {
 				return r.spoil()
 			}
-			if pos += int(delta); pos > 1<<32 {
+			if pos += int(delta); pos > math.MaxInt32 {
 				return r.spoil()
 			}
-			r.positions[at] = pos
+			r.positions[at] = int32(pos)
 			at++
 		}
 		r.posOff[r.posN+1] = int32(at)
@@ -465,7 +465,7 @@ func (r *blockCursor) at(i int) (freq int, boost float64) {
 // block, decoding forward to it when it has not been reached yet; nil for
 // any other index and on cursors built without positions. The slice aliases
 // the cursor's buffer: valid until the next load.
-func (r *blockCursor) positionsAt(i int) []int {
+func (r *blockCursor) positionsAt(i int) []int32 {
 	k := i - r.blk*postingBlockSize
 	if k < 0 || k >= r.posN && !r.loadPositions(k) {
 		return nil
@@ -513,8 +513,8 @@ func (r *blockCursor) findDoc(doc int) (int, bool) {
 	if !r.load(b) {
 		return -1, false
 	}
-	j := searchInt32(r.docs, doc)
-	if j >= len(r.docs) || int(r.docs[j]) != doc {
+	j := findInt32(r.docs, doc)
+	if j < 0 {
 		return -1, false
 	}
 	return b*postingBlockSize + j, true
@@ -535,9 +535,16 @@ func searchInt32(a []int32, v int) int {
 	return lo
 }
 
-// seekInt32 is searchInt32 from index j on, in the shape of the heap
-// path's probe: a short linear scan for the common advance-by-little case,
-// then binary search for real jumps.
+// findInt32 returns the index of v in ascending a, -1 when it is not there.
+func findInt32(a []int32, v int) int {
+	if j := searchInt32(a, v); j < len(a) && int(a[j]) == v {
+		return j
+	}
+	return -1
+}
+
+// seekInt32 is searchInt32 from index j on: a short linear scan for the
+// common advance-by-little case, then binary search for real jumps.
 func seekInt32(a []int32, j, v int) int {
 	for k := 0; k < 4 && j < len(a) && int(a[j]) < v; k++ {
 		j++
@@ -580,35 +587,31 @@ func (f *mappedField) hasPosition(term string, doc, pos int) bool {
 	}
 	r := newBlockCursor(f, t, true)
 	i, ok := r.findDoc(doc)
-	if !ok {
-		return false
-	}
-	pl := r.positionsAt(i)
-	j := searchInts(pl, pos)
-	return j < len(pl) && pl[j] == pos
+	return ok && findInt32(r.positionsAt(i), pos) >= 0
 }
 
-// materialize decodes term's full posting list into heap Postings —
-// the escape hatch for the exhaustive oracle, merges and stats, bounded
-// to one term at a time. It is all or nothing: nil when any section of any
-// block is spoiled, never a truncated list.
-func (f *mappedField) materialize(term string) []Posting {
+// materialize decodes term's full posting list into a heap entry (without
+// score-bound inputs, which the TOC and the block headers hold) — the escape
+// hatch for the exhaustive oracle, merges and stats, bounded to one term at
+// a time. It is all or nothing: empty when any section of any block is
+// spoiled, never a truncated list.
+func (f *mappedField) materialize(term string) termEntry {
 	t := f.terms[term]
 	if t == nil {
-		return nil
+		return termEntry{}
 	}
 	r := newBlockCursor(f, t, true)
-	pl := make([]Posting, 0, t.n)
+	te := newTermEntry(t.n, t.n)
 	for i := 0; i < t.n; i++ {
 		d := r.docAt(i)
 		_, boost := r.at(i)
 		pos := r.positionsAt(i)
-		if pos == nil {
-			return nil
+		if pos == nil || len(te.positions)+len(pos) > math.MaxUint32 {
+			return termEntry{}
 		}
-		pl = append(pl, Posting{DocID: d, Boost: boost, Positions: append([]int(nil), pos...)})
+		te.appendPosting(d, boost, pos...)
 	}
-	return pl
+	return *te
 }
 
 // --- TOC build (encoder side) ---
@@ -903,7 +906,7 @@ func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) 
 		}
 		prev = id
 		v := br.uvarint()
-		if br.bad || v > math.MaxInt32 {
+		if br.bad || v > math.MaxInt32 || f.sumLen+int(v) > math.MaxUint32 {
 			return fmt.Errorf("index: implausible mapped field length")
 		}
 		f.add(id, int(v), 0)

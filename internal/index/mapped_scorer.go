@@ -7,8 +7,8 @@ package index
 // floating-point expression in exactly the same order; only where the
 // postings come from differs.
 //
-// What changes is the cost model. The heap scorer owns a materialized
-// []Posting; block skipping saves score computations but the bytes were
+// What changes is the cost model. The heap scorer walks a term's decoded
+// columns; block skipping saves score computations but the bytes were
 // already decoded. Here a scorer embeds a blockCursor and reads the TOC's
 // per-block (offset, lastDoc) table:
 //
@@ -181,7 +181,7 @@ func (s *mappedTermScorer) maxScore() float64 { return s.cap }
 type mappedPhraseScorer struct {
 	first  blockCursor
 	probes []blockCursor
-	follow [][]int
+	follow [][]int32
 	idfSum float64
 	boost  float64
 	// i is the first term's posting index and d the docID of the phrase
@@ -206,7 +206,7 @@ func newMappedPhraseScorer(ix *Index, f *mappedField, field string, terms []stri
 	t0 := mts[0]
 	s := &mappedPhraseScorer{
 		first:  newBlockCursor(f, t0, true),
-		probes: make([]blockCursor, len(terms)-1), follow: make([][]int, len(terms)-1),
+		probes: make([]blockCursor, len(terms)-1), follow: make([][]int32, len(terms)-1),
 		boost: boost, i: -1, d: -1, cachedBlock: -1,
 		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: t0.cap.maxBoost},
 	}

@@ -687,15 +687,19 @@ func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt 
 			want.positions = nil
 		}
 		posFirst := rng.Intn(2) == 0
-		var pos []int
+		var got []int32
 		if posFirst {
-			pos = r.positionsAt(i)
+			got = r.positionsAt(i)
 		}
 		freq, boost := r.at(i)
 		if !posFirst {
-			pos = r.positionsAt(i)
+			got = r.positionsAt(i)
 		}
-		if freq != want.freq || boost != want.boost || !reflect.DeepEqual(append([]int(nil), pos...), want.positions) {
+		var pos []int
+		for _, p := range got {
+			pos = append(pos, int(p))
+		}
+		if freq != want.freq || boost != want.boost || !reflect.DeepEqual(pos, want.positions) {
 			t.Fatalf("%s: posting %d (block %d current): got freq %d boost %v positions %v, want %+v",
 				label, i, r.blk, freq, boost, pos, want)
 		}
@@ -895,7 +899,7 @@ func TestSpoiledBlockVerdict(t *testing.T) {
 		if got := m.LocalStats().Fields["event"].DocFreq["goal"]; got != c.df {
 			t.Errorf("%s: LocalStats counts %d documents for the term, want %d", c.name, got, c.df)
 		}
-		pl := mf.materialize("goal")
+		pl := m.Postings("event", "goal")
 		if c.name == "clean" && len(pl) != len(ref) || c.name != "clean" && pl != nil {
 			t.Errorf("%s: materialize returned %d postings", c.name, len(pl))
 		}

@@ -14,9 +14,9 @@ package index
 // tombstoned documents. Surviving documents are renumbered densely in
 // source order; the returned remap slices (one per source, -1 for dropped
 // documents) let the caller translate old docIDs to merged ones. Stored
-// documents and position slices are shared with the sources, which must
-// be treated as immutable afterwards. The merged index carries no corpus
-// stats; the caller installs them.
+// documents are shared with the sources; postings are copied, so nothing
+// later done to a source shows in the merged index. The merged index
+// carries no corpus stats; the caller installs them.
 //
 // dead, when non-nil, supplies a per-source liveness snapshot (see
 // DeletedMask) consulted INSTEAD of each source's own tombstone bits —
@@ -111,9 +111,10 @@ func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fie
 	}
 
 	// A term is merged where its first source shows it, across that source
-	// and every later one. Mapped sources materialize one term at a time;
-	// memory stays bounded by a term's posting lists, never the whole field.
-	lists := make([][]Posting, 0, len(sources))
+	// and every later one, into columns allocated once at their final
+	// lengths. Mapped sources materialize one term at a time; memory stays
+	// bounded by a term's posting lists, never the whole field.
+	lists := make([]termEntry, 0, len(sources))
 	for si, src := range sources {
 		sfi := src.fields[name]
 		if sfi == nil {
@@ -124,29 +125,30 @@ func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fie
 				continue
 			}
 			lists = lists[:0]
-			n := 0
+			n, npos := 0, 0
 			for sj := si; sj < len(sources); sj++ {
-				var pl []Posting
+				var pl termEntry
 				if f := sources[sj].fields[name]; f != nil {
 					pl = f.postingsOf(term)
 				}
 				lists = append(lists, pl)
 				remap := remaps[sj]
-				for i := range pl {
-					if remap[pl[i].DocID] >= 0 {
+				for i, d := range pl.docs {
+					if remap[d] >= 0 {
 						n++
+						npos += pl.freq(i)
 					}
 				}
 			}
 			if n == 0 {
 				continue
 			}
-			te := &termEntry{postings: make([]Posting, 0, n)}
-			for k, pl := range lists {
-				remap := remaps[si+k]
-				for i := range pl {
-					if nid := remap[pl[i].DocID]; nid >= 0 {
-						te.postings = append(te.postings, Posting{DocID: nid, Positions: pl[i].Positions, Boost: pl[i].Boost})
+			te := newTermEntry(n, npos)
+			for k := range lists {
+				pl, remap := &lists[k], remaps[si+k]
+				for i, d := range pl.docs {
+					if nid := remap[d]; nid >= 0 {
+						te.appendPosting(nid, pl.boostAt(i), pl.positionsAt(i)...)
 					}
 				}
 			}

@@ -193,10 +193,11 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 		ts := ix.termStats(q.field, term).scorer(ix.sim)
 		// postingsOf after the edit-distance filter: only the few matching
 		// expansions are materialized on a mapped index.
-		for _, p := range fi.postingsOf(term) {
-			s := ts.Score(p.Freq(), fi.lengthOf(p.DocID)) * p.Boost * q.boost * weights[i]
-			if s > out[p.DocID] {
-				out[p.DocID] = s
+		te := fi.postingsOf(term)
+		for k, d := range te.docs {
+			s := ts.Score(te.freq(k), fi.lengthOf(int(d))) * te.boostAt(k) * q.boost * weights[i]
+			if s > out[int(d)] {
+				out[int(d)] = s
 			}
 		}
 	}

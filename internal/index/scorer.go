@@ -1,9 +1,6 @@
 package index
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Document-at-a-time (DAAT) evaluation with Block-Max pruning. A scorer is
 // a cursor over one clause's matching documents; posting lists are walked
@@ -119,21 +116,22 @@ type termScorer struct {
 	ix *Index
 	// docLen is the field's length table; every posting's document is in it.
 	docLen []int32
-	pl     []Posting
-	st     termStats
-	ts     TermScorer
-	boost  float64
-	i      int
-	cap    float64
+	// te is the term's columnar posting list; docs is te.docs, which every
+	// move reads.
+	te    *termEntry
+	docs  []int32
+	st    termStats
+	ts    TermScorer
+	boost float64
+	i     int
+	cap   float64
 
-	// Block-Max state. blocks is the term's per-block metadata (nil for
-	// single-block terms, whose only block bound is cap); shallow is the
-	// maxScoreUpTo probe position, always >= i and monotone because
-	// targets only rise; th is the collector threshold (root-only, see
-	// setThreshold); cachedBlock/cachedBound memoize the last block bound
-	// evaluation — the similarity math runs once per block, not once per
-	// probe.
-	blocks      []termCap
+	// Block-Max state: shallow is the maxScoreUpTo probe position, always
+	// >= i and monotone because targets only rise; th is the collector
+	// threshold (root-only, see setThreshold); cachedBlock/cachedBound
+	// memoize the last block bound evaluation — the similarity math runs
+	// once per block, not once per probe. A single-block term carries no
+	// per-block metadata (te.blocks is nil): its only block bound is cap.
 	shallow     int
 	th          float64
 	cachedBlock int
@@ -156,21 +154,20 @@ func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
 	}
 	st := ix.termStats(field, term)
 	return &termScorer{
-		ix: ix, docLen: fi.docLen, pl: te.postings,
+		ix: ix, docLen: fi.docLen, te: te, docs: te.docs,
 		st: st, ts: st.scorer(ix.sim),
 		boost:       queryBoost,
 		i:           -1,
 		cap:         ix.scoreBound(te.cap, st, queryBoost),
-		blocks:      te.blocks,
 		cachedBlock: -1,
 	}
 }
 
 func (s *termScorer) doc() int {
-	if s.i >= len(s.pl) {
+	if s.i >= len(s.docs) {
 		return noMoreDocs
 	}
-	return s.pl[s.i].DocID
+	return int(s.docs[s.i])
 }
 
 func (s *termScorer) next() int {
@@ -193,9 +190,9 @@ func (s *termScorer) setThreshold(th float64) { s.th = th }
 // below the collector threshold and would never be collected, so the
 // pruned ranking stays byte-identical to the exhaustive one.
 func (s *termScorer) skipBeatenBlocks() {
-	n := len(s.pl)
+	n := len(s.docs)
 	for s.i < n {
-		if s.blocks == nil {
+		if s.te.blocks == nil {
 			if s.cap <= s.th {
 				s.i = n
 			}
@@ -212,59 +209,44 @@ func (s *termScorer) skipBeatenBlocks() {
 // blockBound is the score bound of block b (see Index.scoreBound).
 func (s *termScorer) blockBound(b int) float64 {
 	if b != s.cachedBlock {
-		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.blocks[b], s.st, s.boost)
+		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.te.blocks[b], s.st, s.boost)
 	}
 	return s.cachedBound
 }
 
-// probe returns the index of the first posting of pl at or after j whose
-// docID reaches target (len(pl) when there is none): a short linear scan
-// for the common advance-by-little case, then binary search for real jumps.
-func probe(pl []Posting, j, target int) int {
-	n := len(pl)
-	for k := 0; k < 4 && j < n && pl[j].DocID < target; k++ {
-		j++
-	}
-	if j < n && pl[j].DocID < target {
-		j += sort.Search(n-j, func(k int) bool { return pl[j+k].DocID >= target })
-	}
-	return j
-}
-
 // blockEnd returns the docID of the last posting in the block holding
 // posting j, and that block's index.
-func blockEnd(pl []Posting, j int) (block, lastDoc int) {
+func blockEnd(docs []int32, j int) (block, lastDoc int) {
 	block = j / postingBlockSize
-	return block, pl[min((block+1)*postingBlockSize, len(pl))-1].DocID
+	return block, int(docs[min((block+1)*postingBlockSize, len(docs))-1])
 }
 
 // maxScoreUpTo answers from the codec's per-block metadata: the bound for
 // the window [target, boundary] is the bound of the single block holding
 // every posting in that window.
 func (s *termScorer) maxScoreUpTo(target int) (float64, int) {
-	j := probe(s.pl, max(s.shallow, s.i, 0), target)
+	j := seekInt32(s.docs, max(s.shallow, s.i, 0), target)
 	s.shallow = j
-	if j >= len(s.pl) {
+	if j >= len(s.docs) {
 		return 0, noMoreDocs
 	}
-	if s.blocks == nil {
-		return s.cap, s.pl[len(s.pl)-1].DocID
+	if s.te.blocks == nil {
+		return s.cap, int(s.docs[len(s.docs)-1])
 	}
-	b, end := blockEnd(s.pl, j)
+	b, end := blockEnd(s.docs, j)
 	return s.blockBound(b), end
 }
 
 func (s *termScorer) advance(target int) int {
-	if s.i >= 0 && s.i < len(s.pl) && s.pl[s.i].DocID >= target {
-		return s.pl[s.i].DocID
+	if s.i >= 0 && s.i < len(s.docs) && int(s.docs[s.i]) >= target {
+		return int(s.docs[s.i])
 	}
-	s.i = probe(s.pl, s.i+1, target)
+	s.i = seekInt32(s.docs, s.i+1, target)
 	return s.doc()
 }
 
 func (s *termScorer) score() float64 {
-	p := &s.pl[s.i]
-	return s.ts.Score(p.Freq(), int(s.docLen[p.DocID])) * p.Boost * s.boost
+	return s.ts.Score(s.te.freq(s.i), int(s.docLen[s.docs[s.i]])) * s.te.boostAt(s.i) * s.boost
 }
 
 func (s *termScorer) maxScore() float64 { return s.cap }
@@ -292,12 +274,12 @@ func (c termCap) tighten(blk termCap) termCap {
 // phraseFreq counts the positions in first at which the phrase occurs:
 // follow[k] holds the positions of the phrase's (k+2)th term in the same
 // document, which must continue each start at start+k+1.
-func phraseFreq(first []int, follow [][]int) int {
+func phraseFreq(first []int32, follow [][]int32) int {
 	freq := 0
 starts:
 	for _, start := range first {
 		for k, ps := range follow {
-			if j := searchInts(ps, start+k+1); j >= len(ps) || ps[j] != start+k+1 {
+			if findInt32(ps, int(start)+k+1) < 0 {
 				continue starts
 			}
 		}
@@ -310,12 +292,14 @@ starts:
 // phrase positionally per document, scoring exactly like
 // phraseClause.scores.
 type phraseScorer struct {
-	tbl   *docTable
-	first []Posting
-	// rest are the posting lists of the terms after the first, resolved
-	// once; follow is the per-candidate scratch phraseFreq reads.
-	rest   [][]Posting
-	follow [][]int
+	tbl *docTable
+	// first is the first term's posting list (docs its docIDs, which every
+	// move reads) and rest those of the terms after it, resolved once;
+	// follow is the per-candidate scratch phraseFreq reads.
+	first  *termEntry
+	docs   []int32
+	rest   []*termEntry
+	follow [][]int32
 	idfSum float64
 	boost  float64
 	i      int
@@ -323,10 +307,9 @@ type phraseScorer struct {
 	cap    float64
 
 	// Block-Max state over the first term's posting list (the candidate
-	// generator): its per-block metadata, the whole-phrase cap inputs (kept
-	// so maxScoreUpTo can tighten them per block), and the shallow probe
-	// position.
-	blocks  []termCap
+	// generator, whose per-block metadata bounds a window): the whole-phrase
+	// cap inputs, kept so maxScoreUpTo can tighten them per block, and the
+	// shallow probe position.
 	whole   termCap
 	shallow int
 }
@@ -349,18 +332,15 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 	}
 	first := entries[0]
 	s := &phraseScorer{
-		tbl: &fi.docTable, first: first.postings,
-		rest: make([][]Posting, len(terms)-1), follow: make([][]int, len(terms)-1),
-		boost: boost, i: -1, blocks: first.blocks,
+		tbl: &fi.docTable, first: first, docs: first.docs,
+		rest: entries[1:], follow: make([][]int32, len(terms)-1),
+		boost: boost, i: -1,
 		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: first.cap.maxBoost},
 	}
 	for i, te := range entries {
 		s.idfSum += ix.IDF(field, terms[i])
 		s.whole.maxFreq = min(s.whole.maxFreq, te.cap.maxFreq)
 		s.whole.minLen = max(s.whole.minLen, te.cap.minLen)
-		if i > 0 {
-			s.rest[i-1] = te.postings
-		}
 	}
 	s.cap = phraseBound(s.whole, s.idfSum, boost)
 	return s
@@ -370,59 +350,58 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 // is the first term's current block and the whole-phrase bound tightens
 // with that block's metadata.
 func (s *phraseScorer) maxScoreUpTo(target int) (float64, int) {
-	j := probe(s.first, max(s.shallow, s.i, 0), target)
+	j := seekInt32(s.docs, max(s.shallow, s.i, 0), target)
 	s.shallow = j
-	if j >= len(s.first) {
+	if j >= len(s.docs) {
 		return 0, noMoreDocs
 	}
-	if s.blocks == nil {
-		return s.cap, s.first[len(s.first)-1].DocID
+	if s.first.blocks == nil {
+		return s.cap, int(s.docs[len(s.docs)-1])
 	}
-	b, end := blockEnd(s.first, j)
-	return phraseBound(s.whole.tighten(s.blocks[b]), s.idfSum, s.boost), end
+	b, end := blockEnd(s.docs, j)
+	return phraseBound(s.whole.tighten(s.first.blocks[b]), s.idfSum, s.boost), end
 }
 
 func (s *phraseScorer) next() int {
-	for s.i++; s.i < len(s.first); s.i++ {
+	for s.i++; s.i < len(s.docs); s.i++ {
 		if s.computeFreq() {
-			return s.first[s.i].DocID
+			return int(s.docs[s.i])
 		}
 	}
 	return noMoreDocs
 }
 
 func (s *phraseScorer) advance(target int) int {
-	if s.i >= len(s.first) {
+	if s.i >= len(s.docs) {
 		return noMoreDocs
 	}
-	if s.i >= 0 && s.first[s.i].DocID >= target {
-		return s.first[s.i].DocID
+	if s.i >= 0 && int(s.docs[s.i]) >= target {
+		return int(s.docs[s.i])
 	}
 	// Position just before the first candidate >= target; next() verifies
 	// the phrase positionally from there.
-	s.i += searchPostings(s.first[s.i+1:], target)
+	s.i += searchInt32(s.docs[s.i+1:], target)
 	return s.next()
 }
 
 // computeFreq counts phrase occurrences at the current first-term posting.
 func (s *phraseScorer) computeFreq() bool {
-	p0 := &s.first[s.i]
+	doc := int(s.docs[s.i])
 	s.freq = 0
-	for k, pl := range s.rest {
-		j := searchPostings(pl, p0.DocID)
-		if j >= len(pl) || pl[j].DocID != p0.DocID {
+	for k, te := range s.rest {
+		j := findInt32(te.docs, doc)
+		if j < 0 {
 			return false
 		}
-		s.follow[k] = pl[j].Positions
+		s.follow[k] = te.positionsAt(j)
 	}
-	s.freq = phraseFreq(p0.Positions, s.follow)
+	s.freq = phraseFreq(s.first.positionsAt(s.i), s.follow)
 	return s.freq > 0
 }
 
 func (s *phraseScorer) score() float64 {
-	p0 := &s.first[s.i]
 	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * p0.Boost * s.tbl.norm(p0.DocID) * s.boost
+	return tf * s.idfSum * s.first.boostAt(s.i) * s.tbl.norm(int(s.docs[s.i])) * s.boost
 }
 
 func (s *phraseScorer) maxScore() float64 { return s.cap }

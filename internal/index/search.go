@@ -203,11 +203,11 @@ func (q *termClause) scores(ix *Index) map[int]float64 {
 	if fi == nil {
 		return nil
 	}
-	pl := fi.postingsOf(q.term)
+	te := fi.postingsOf(q.term)
 	ts := ix.termStats(q.field, q.term).scorer(ix.sim)
-	out := make(map[int]float64, len(pl))
-	for _, p := range pl {
-		out[p.DocID] = ts.Score(p.Freq(), fi.lengthOf(p.DocID)) * p.Boost * q.boost
+	out := make(map[int]float64, len(te.docs))
+	for i, d := range te.docs {
+		out[int(d)] = ts.Score(te.freq(i), fi.lengthOf(int(d))) * te.boostAt(i) * q.boost
 	}
 	return out
 }
@@ -256,16 +256,16 @@ func (q *phraseClause) scores(ix *Index) map[int]float64 {
 		idfSum += ix.IDF(q.field, t)
 	}
 	out := make(map[int]float64)
-	for _, p0 := range first {
+	for i, d := range first.docs {
 		freq := 0
-		for _, start := range p0.Positions {
-			if phraseAt(ix, q.field, q.terms, p0.DocID, start) {
+		for _, start := range first.positionsAt(i) {
+			if fi.phraseAt(q.terms, int(d), int(start)) {
 				freq++
 			}
 		}
 		if freq > 0 {
 			tf := math.Sqrt(float64(freq))
-			out[p0.DocID] = tf * idfSum * p0.Boost * fi.norm(p0.DocID) * q.boost
+			out[int(d)] = tf * idfSum * first.boostAt(i) * fi.norm(int(d)) * q.boost
 		}
 	}
 	return out
@@ -308,63 +308,26 @@ func phraseTerms(a Analyzer, raw []string) []string {
 	return terms
 }
 
-func phraseAt(ix *Index, field string, terms []string, docID, start int) bool {
-	if fi := ix.fields[field]; fi != nil && fi.m != nil {
-		// Mapped: probe each term's containing block directly instead of
-		// materializing whole posting lists per call.
-		for i := 1; i < len(terms); i++ {
+// phraseAt reports whether the terms after the first continue, in docID, an
+// occurrence of the first at position start. Mapped, each term's containing
+// block is probed directly instead of materializing whole posting lists.
+func (fi *fieldIndex) phraseAt(terms []string, docID, start int) bool {
+	for i := 1; i < len(terms); i++ {
+		if fi.m != nil {
 			if !fi.m.hasPosition(terms[i], docID, start+i) {
 				return false
 			}
-		}
-		return true
-	}
-	for i := 1; i < len(terms); i++ {
-		if !hasPosition(ix.Postings(field, terms[i]), docID, start+i) {
+		} else if te := fi.terms[terms[i]]; te == nil || !te.hasPosition(docID, start+i) {
 			return false
 		}
 	}
 	return true
 }
 
-func hasPosition(pl []Posting, docID, pos int) bool {
-	// Posting lists are built in ascending docID order.
-	i := searchPostings(pl, docID)
-	if i >= len(pl) || pl[i].DocID != docID {
-		return false
-	}
-	ps := pl[i].Positions
-	j := searchInts(ps, pos)
-	return j < len(ps) && ps[j] == pos
-}
-
-// searchPostings is sort.Search specialized to posting lists: the first
-// index whose DocID >= docID.
-func searchPostings(pl []Posting, docID int) int {
-	lo, hi := 0, len(pl)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pl[mid].DocID < docID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// searchInts is sort.SearchInts without the closure indirection.
-func searchInts(s []int, x int) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// hasPosition reports whether the term occurs at pos in docID.
+func (te *termEntry) hasPosition(docID, pos int) bool {
+	i := findInt32(te.docs, docID)
+	return i >= 0 && findInt32(te.positionsAt(i), pos) >= 0
 }
 
 // BooleanQuery combines clauses: Must clauses all have to match, MustNot

@@ -144,7 +144,7 @@ func (ix *Index) LocalStats() *CorpusStats {
 				}
 			} else {
 				for t, te := range fi.terms {
-					fs.DocFreq[t] = len(te.postings)
+					fs.DocFreq[t] = len(te.docs)
 				}
 			}
 			cs.Fields[name] = fs
@@ -189,8 +189,8 @@ func (ix *Index) LocalStats() *CorpusStats {
 		}
 		for t, te := range fi.terms {
 			df := 0
-			for i := range te.postings {
-				if !ix.deleted[te.postings[i].DocID] {
+			for _, d := range te.docs {
+				if !ix.deleted[d] {
 					df++
 				}
 			}

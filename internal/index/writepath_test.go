@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -171,24 +172,275 @@ func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 			t.Errorf("field %s: tables of %d and %d documents, want %d", name, len(fi.docLen), len(fi.boost), next)
 		}
 		for term, te := range fi.terms {
-			if len(te.postings) == 0 || cap(te.postings) != len(te.postings) {
-				t.Errorf("field %s term %q: %d postings in capacity %d", name, term, len(te.postings), cap(te.postings))
+			if len(te.docs) == 0 || cap(te.docs) != len(te.docs) || cap(te.posEnd) != len(te.posEnd) ||
+				cap(te.positions) != len(te.positions) || cap(te.boosts) != len(te.boosts) {
+				t.Errorf("field %s term %q: %d postings in capacities %d, %d, %d positions in %d, %d boosts in %d", name, term,
+					len(te.docs), cap(te.docs), cap(te.posEnd), len(te.positions), cap(te.positions), len(te.boosts), cap(te.boosts))
 			}
 		}
 	}
 }
 
-// TestFirstPositionsDoNotShareGrowth pins the slab's capacity-one cut: a
-// second occurrence must grow its own posting, not write into the slot of
-// the posting cut next.
-func TestFirstPositionsDoNotShareGrowth(t *testing.T) {
-	ix := New(StandardAnalyzer{})
-	ix.Add(new(Document).Add("f", "alpha beta alpha beta gamma alpha"))
-	for term, want := range map[string][]int{"alpha": {0, 2, 5}, "beta": {1, 3}, "gamma": {4}} {
-		if got := ix.Postings("f", term)[0].Positions; !reflect.DeepEqual(got, want) {
-			t.Errorf("positions of %q = %v, want %v", term, got, want)
+// referenceEntry is a term as the heap index kept it before its posting
+// lists became columnar: one Posting struct per document, each with a
+// position slice of its own.
+type referenceEntry struct {
+	postings []Posting
+	cap      termCap
+	blocks   []termCap
+}
+
+// referenceField is one field of referencePostings.
+type referenceField struct {
+	terms map[string]*referenceEntry
+	docTable
+}
+
+func (fi *referenceField) exactCap(ps []Posting) termCap {
+	c := termCap{minLen: math.MaxInt}
+	for _, p := range ps {
+		c.observe(len(p.Positions), fi.lengthOf(p.DocID), p.Boost)
+	}
+	return c
+}
+
+// referencePostings indexes the documents with Add's loop as it was over
+// []Posting: the oracle for the columnar lists, their caps and their blocks.
+func referencePostings(a Analyzer, docs []*Document) map[string]*referenceField {
+	fields := map[string]*referenceField{}
+	for id, d := range docs {
+		for _, f := range d.Fields {
+			if len(f.Name) > 0 && f.Name[0] == '_' {
+				continue
+			}
+			fi := fields[f.Name]
+			if fi == nil {
+				fi = &referenceField{terms: map[string]*referenceEntry{}}
+				fields[f.Name] = fi
+			}
+			boost := f.Boost
+			if boost == 0 {
+				boost = 1
+			}
+			terms := a.Analyze(f.Text)
+			base := fi.add(id, len(terms), boost)
+			dlen := base + len(terms)
+			for pos, term := range terms {
+				te := fi.terms[term]
+				if te == nil {
+					te = &referenceEntry{cap: termCap{minLen: dlen, maxBoost: boost}}
+					fi.terms[term] = te
+				}
+				var p *Posting
+				if n := len(te.postings); n > 0 && te.postings[n-1].DocID == id {
+					p = &te.postings[n-1]
+					p.Positions = append(p.Positions, base+pos)
+				} else {
+					te.postings = append(te.postings, Posting{DocID: id, Positions: []int{base + pos}, Boost: boost})
+					p = &te.postings[n]
+				}
+				te.cap.observe(len(p.Positions), dlen, p.Boost)
+				if len(te.postings) > postingBlockSize {
+					cur := (len(te.postings) - 1) / postingBlockSize
+					for len(te.blocks) < cur {
+						s := len(te.blocks) * postingBlockSize
+						te.blocks = append(te.blocks, fi.exactCap(te.postings[s:s+postingBlockSize]))
+					}
+					if cur == len(te.blocks) {
+						te.blocks = append(te.blocks, termCap{maxFreq: len(p.Positions), minLen: dlen, maxBoost: p.Boost})
+					} else {
+						te.blocks[cur].observe(len(p.Positions), dlen, p.Boost)
+					}
+				}
+			}
 		}
 	}
+	return fields
+}
+
+// CheckColumnarPostings Adds the documents to a fresh index and requires
+// every (field, term) list, cap and block table, and every field table, to
+// be what referencePostings keeps, and the columns to be consistent. It is
+// exported for golden_test.go, whose documents this package cannot import.
+func CheckColumnarPostings(t *testing.T, docs []*Document) *Index {
+	t.Helper()
+	ix := New(StandardAnalyzer{})
+	for _, d := range docs {
+		ix.Add(d)
+	}
+	want := referencePostings(StandardAnalyzer{}, docs)
+	if len(ix.fields) != len(want) {
+		t.Errorf("%d fields, want %d", len(ix.fields), len(want))
+	}
+	for name, wf := range want {
+		fi := ix.fields[name]
+		if fi == nil {
+			t.Errorf("field %s is missing", name)
+			continue
+		}
+		if !reflect.DeepEqual(fi.docTable, wf.docTable) {
+			t.Errorf("field %s: document table differs", name)
+		}
+		if len(fi.terms) != len(wf.terms) {
+			t.Errorf("field %s: %d terms, want %d", name, len(fi.terms), len(wf.terms))
+		}
+		for term, we := range wf.terms {
+			te := fi.terms[term]
+			if te == nil {
+				t.Errorf("field %s: term %q is missing", name, term)
+				continue
+			}
+			if got := ix.Postings(name, term); !reflect.DeepEqual(got, we.postings) {
+				t.Errorf("field %s term %q: postings %v, want %v", name, term, got, we.postings)
+			}
+			if te.cap != we.cap || !reflect.DeepEqual(te.blocks, we.blocks) {
+				t.Errorf("field %s term %q: cap %+v blocks %+v, want %+v %+v", name, term, te.cap, te.blocks, we.cap, we.blocks)
+			}
+			n := len(te.docs)
+			uniform := true
+			for _, p := range we.postings {
+				uniform = uniform && math.Float64bits(p.Boost) == math.Float64bits(we.postings[0].Boost)
+			}
+			if len(te.posEnd) != n || int(te.posEnd[n-1]) != len(te.positions) || uniform != (te.boosts == nil) ||
+				(!uniform && len(te.boosts) != n) {
+				t.Errorf("field %s term %q: %d docs, %d position ends to %d of %d positions, %d boosts (uniform %v)",
+					name, term, n, len(te.posEnd), te.posEnd[n-1], len(te.positions), len(te.boosts), uniform)
+			}
+		}
+	}
+	return ix
+}
+
+// TestColumnarPostingsMatchReference runs the hand cases of the columnar
+// write path against the []Posting reference; golden_test.go runs the
+// benchmark corpus's pages through the same check.
+func TestColumnarPostingsMatchReference(t *testing.T) {
+	boosted := func(text string, boost float64) *Document {
+		return &Document{Fields: []Field{{Name: "f", Text: text, Boost: boost}}}
+	}
+	var docs []*Document
+	// One term in two values of one field at two boosts on one document:
+	// the first value's boost is the posting's. The next document's differs,
+	// which is where the term's boost table materializes.
+	two := boosted("goal", 2)
+	two.Fields = append(two.Fields, Field{Name: "f", Text: "goal kick", Boost: 3})
+	docs = append(docs, two, boosted("goal", 3))
+	// A repeated term, a multi-valued field continuing its positions around
+	// another field, and a value that analyzes to no terms.
+	docs = append(docs,
+		boosted("save save corner save", 1),
+		new(Document).Add("f", "free kick").Add("g", "corner").Add("f", "kick taken"),
+		boosted("the of", 1))
+	// Terms on exactly 128 and 129 documents, and one past two blocks whose
+	// frequency and boost vary.
+	for i := 0; i < 300; i++ {
+		text := "shot" + strings.Repeat(" shot", i%3)
+		if i < postingBlockSize {
+			text += " exact"
+		}
+		if i <= postingBlockSize {
+			text += " edge"
+		}
+		docs = append(docs, boosted(text, 1+float64(i%4)/2))
+	}
+	ix := CheckColumnarPostings(t, docs)
+	terms := ix.fields["f"].terms
+	if te := terms["goal"]; te.boostAt(0) != 2 || te.boostAt(1) != 3 || te.freq(0) != 2 {
+		t.Errorf("goal: boosts %v, %v and frequency %d; want 2, 3 and 2", te.boostAt(0), te.boostAt(1), te.freq(0))
+	}
+	if te := terms["kick"]; !reflect.DeepEqual(te.positionsAt(1), []int32{1, 2}) {
+		t.Errorf("kick: positions %v in the two-valued document, want [1 2]", te.positionsAt(1))
+	}
+	for term, blocks := range map[string]int{"exact": 0, "edg": 2, "shot": 3} {
+		if got := len(terms[term].blocks); got != blocks {
+			t.Errorf("%s: %d block entries, want %d", term, got, blocks)
+		}
+	}
+}
+
+// TestMergeDoesNotAliasSources pins that a merged index owns its postings:
+// nothing done to a source afterwards shows in it, and none of its columns
+// is a source's.
+func TestMergeDoesNotAliasSources(t *testing.T) {
+	a, b := New(StandardAnalyzer{}), New(StandardAnalyzer{})
+	for i := 0; i < 40; i++ {
+		a.Add(new(Document).Add("f", fmt.Sprintf("goal scored goal player%d", i%5)))
+		b.Add(new(Document).Add("f", fmt.Sprintf("goal saved keeper%d", i%3)))
+	}
+	merged, _ := MergeIndexes([]*Index{a, b}, nil)
+	queries := []Query{
+		TermQuery{Field: "f", Term: "goal"},
+		PhraseQuery{Field: "f", Terms: []string{"goal", "scored"}},
+		FuzzyQuery{Field: "f", Term: "gaol"},
+	}
+	snapshot := func() (map[string][]Posting, [][]Hit) {
+		lists := map[string][]Posting{}
+		for _, term := range merged.Terms("f") {
+			lists[term] = merged.Postings("f", term)
+		}
+		var ranked [][]Hit
+		for _, q := range queries {
+			ranked = append(ranked, merged.Search(q, 100))
+		}
+		return lists, ranked
+	}
+	wantLists, wantRanked := snapshot()
+	for _, src := range []*Index{a, b} {
+		src.Add(new(Document).Add("f", "goal goal goal scored saved"))
+		for id := 0; id < 40; id += 2 {
+			src.Delete(id)
+		}
+	}
+	if lists, ranked := snapshot(); !reflect.DeepEqual(lists, wantLists) || !reflect.DeepEqual(ranked, wantRanked) {
+		t.Error("the merged index changed with its sources")
+	}
+	for term, te := range merged.fields["f"].terms {
+		for _, src := range []*Index{a, b} {
+			if se := src.fields["f"].terms[term]; se != nil && (&se.docs[0] == &te.docs[0] || &se.positions[0] == &te.positions[0]) {
+				t.Errorf("term %q shares a column with a source", term)
+			}
+		}
+	}
+}
+
+// TestAddPanicsAtInt32Edges seeds a field's tables next to each limit of the
+// 32-bit posting columns: the last value that fits is stored exactly, the
+// first that does not panics instead of wrapping.
+func TestAddPanicsAtInt32Edges(t *testing.T) {
+	seeded := func(docLen int32, sumLen int) *Index {
+		ix := New(StandardAnalyzer{})
+		fi := newFieldIndex()
+		fi.docTable = docTable{docLen: []int32{docLen}, boost: []float64{1}, present: []uint64{1}, docCount: 1, sumLen: sumLen}
+		ix.fields["f"] = fi
+		return ix
+	}
+	panics := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one naming %q", name, msg, want)
+			}
+		}()
+		fn()
+	}
+
+	ix := seeded(math.MaxInt32-1, math.MaxInt32-1)
+	ix.Add(new(Document).Add("f", "goal"))
+	if te := ix.fields["f"].terms["goal"]; ix.fields["f"].lengthOf(0) != math.MaxInt32 || te.positions[0] != math.MaxInt32-1 {
+		t.Errorf("the last token that fits: length %d, position %d", ix.fields["f"].lengthOf(0), te.positions[0])
+	}
+	panics("document tokens", "math.MaxInt32 tokens", func() {
+		seeded(math.MaxInt32-1, math.MaxInt32-1).Add(new(Document).Add("f", "goal scored"))
+	})
+	seeded(0, math.MaxUint32-2).Add(new(Document).Add("f", "goal scored"))
+	panics("segment tokens", "math.MaxUint32", func() {
+		seeded(0, math.MaxUint32-1).Add(new(Document).Add("f", "goal scored"))
+	})
+	panics("documents", "math.MaxInt32 documents", func() {
+		var tbl docTable
+		tbl.add(math.MaxInt32, 1, 1)
+	})
 }
 
 // referenceTokenize is the tokenizer as it was before the one-pass ASCII
@@ -283,21 +535,54 @@ func hostileDocCount(version uint32, withEntry bool) []byte {
 	return binary.LittleEndian.AppendUint32(b, 0) // no boosts
 }
 
-// TestDecodeHostileDocCount pins that a document count the stream does not
-// back is refused before anything is sized by it.
+// hostileTerm builds snapshots whose one term claims more than the stream
+// holds: 2^28 postings (of a claimed 2^28 documents, in the block layouts;
+// version 1 stores its documents first, so there the claim to refuse is the
+// next one) or, positions set, one posting of 2^24 positions.
+func hostileTerm(version uint32, positions bool) []byte {
+	u32 := binary.LittleEndian.AppendUint32
+	b := u32([]byte(codecMagic), version)
+	if version == CodecVersionV1 {
+		b = u32(u32(b, 1), 0)              // one document of no fields
+		b = append(u32(u32(b, 1), 1), 'f') // one field
+		b = append(u32(u32(b, 1), 1), 't') // one term
+		b = u32(b, 1)                      // one posting
+		b = u32(b, 0)                      // of document 0
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		return u32(b, 1<<24) // 2^24 positions
+	}
+	b = u32(b, 1<<28)                  // documents
+	b = append(u32(u32(b, 1), 1), 'f') // one field
+	b = append(u32(u32(b, 1), 1), 't') // one term
+	if !positions {
+		return u32(b, 1<<28) // 2^28 postings
+	}
+	b = u32(b, 1)                      // one posting
+	b = binary.AppendUvarint(b, 1)     // of document 0
+	b = binary.AppendUvarint(b, 1<<24) // 2^24 positions
+	b = append(b, 0)                   // one boost
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+}
+
+// TestDecodeHostileDocCount pins that a document, posting or position count
+// the stream does not back is refused before anything is sized by it.
 func TestDecodeHostileDocCount(t *testing.T) {
 	for _, version := range []uint32{CodecVersionV1, CodecVersionV2, CodecVersionCurrent} {
-		for _, withEntry := range []bool{false, true} {
-			data := hostileDocCount(version, withEntry)
+		for name, data := range map[string][]byte{
+			"documents":        hostileDocCount(version, false),
+			"documents, entry": hostileDocCount(version, true),
+			"postings":         hostileTerm(version, false),
+			"positions":        hostileTerm(version, true),
+		} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := Decode(bytes.NewReader(data), nil)
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Errorf("v%d entry=%v: accepted 2^28 documents backed by %d bytes", version, withEntry, len(data))
+				t.Errorf("v%d %s: accepted a count backed by %d bytes", version, name, len(data))
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
-				t.Errorf("v%d entry=%v: allocated %d bytes decoding %d", version, withEntry, grew, len(data))
+				t.Errorf("v%d %s: allocated %d bytes decoding %d", version, name, grew, len(data))
 			}
 		}
 	}
