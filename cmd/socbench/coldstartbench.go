@@ -156,9 +156,6 @@ func measureColdstartArm(base string, mapped bool, queries []string, iters int) 
 		cli.Fatal(err)
 	}
 	openMs := float64(time.Since(start).Microseconds()) / 1e3
-	if fb := eng.LoadReport().MappedFallback; len(fb) > 0 {
-		cli.Fatal(fmt.Errorf("coldstart: mapped arm fell back to heap on shards %v", fb))
-	}
 
 	// Warm workload: always-cold searches (NoCache) so every query pays
 	// the scoring path; the first pass faults mapped blocks in, the

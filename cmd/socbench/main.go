@@ -42,16 +42,6 @@
 //	socbench -mode load -size 10k -slo 'p99<50ms,error_rate<1%' -out BENCH_6.json
 //	socbench -mode load -size 10k,100k,1M -workers 8 -requests 5000
 //
-// -mode codec switches to the BENCH_8.json codec before/after: the same
-// FULL_INF index is serialized through the legacy v1 layout and the v2
-// block-postings layout, recording byte sizes, the v1/v2 size ratio and
-// encode/decode times, plus the cold limit-10 pruned-vs-exhaustive arm
-// over the v2-backed engine. -min-ratio fails CI when v2 stops halving
-// the v1 footprint; -min-speedup guards the limit-10 speedup.
-//
-//	socbench -mode codec -out BENCH_8.json
-//	socbench -mode codec -min-ratio 2 -min-speedup 2
-//
 // -mode ingest switches to the BENCH_9.json write-firehose comparison:
 // two 10k-document engines — one with scoped (per-shard epoch +
 // footprint/statistics) cache invalidation, one with the legacy
@@ -78,6 +68,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -127,11 +118,10 @@ func main() {
 	iters := fs.Int("iters", 400, "measured queries per arm and round")
 	rounds := fs.Int("rounds", 3, "alternating measurement rounds per arm (best round wins)")
 	maxOverhead := fs.Float64("max-overhead", 0, "fail (exit 1) if p50 overhead exceeds this percentage (0 = report only)")
-	mode := fs.String("mode", "overhead", `benchmark: "overhead" (BENCH_3, observability price), "cache" (BENCH_4, query-cache sweep), "coldpath" (BENCH_5, scoring-kernel comparison), "load" (BENCH_6, scale-truth load/SLO sweep), "codec" (BENCH_8, v1-vs-v2 codec before/after), "ingest" (BENCH_9, scoped-vs-legacy cache invalidation under a write firehose) or "coldstart" (BENCH_10, heap-vs-mapped open time, live heap and warm latency)`)
+	mode := fs.String("mode", "overhead", `benchmark: "overhead" (BENCH_3, observability price), "cache" (BENCH_4, query-cache sweep), "coldpath" (BENCH_5, scoring-kernel comparison), "load" (BENCH_6, scale-truth load/SLO sweep), "ingest" (BENCH_9, scoped-vs-legacy cache invalidation under a write firehose) or "coldstart" (BENCH_10, heap-vs-mapped open time, live heap and warm latency)`)
 	zipfS := fs.Float64("zipf-s", 1.2, "cache/load mode: Zipf exponent of the repeated-query mix")
 	cacheMB := fs.Int("cache-mb", 64, "cache/load mode: query-cache capacity in MiB")
-	minSpeedup := fs.Float64("min-speedup", 0, "cache/coldpath/codec mode: fail (exit 1) if the p50 speedup falls below this factor (0 = report only)")
-	minRatio := fs.Float64("min-ratio", 0, "codec mode: fail (exit 1) if the v1/v2 size ratio falls below this factor (0 = report only)")
+	minSpeedup := fs.Float64("min-speedup", 0, "cache/coldpath mode: fail (exit 1) if the p50 speedup falls below this factor (0 = report only)")
 	size := fs.String("size", "10k", "load mode: comma-separated corpus tiers (e.g. 10k,100k,1M)")
 	workers := fs.Int("workers", 4, "load mode: closed-loop worker concurrency")
 	requests := fs.Int("requests", 2000, "load mode: measured requests per tier")
@@ -155,8 +145,6 @@ func main() {
 			*out = "BENCH_5.json"
 		case "load":
 			*out = "BENCH_6.json"
-		case "codec":
-			*out = "BENCH_8.json"
 		case "ingest":
 			*out = "BENCH_9.json"
 		case "coldstart":
@@ -230,12 +218,6 @@ func main() {
 			*rounds, *minSpeedup, *out)
 		return
 	}
-	if *mode == "codec" {
-		runCodecBench(eng, pages, queries,
-			config{Matches: *matches, Shards: *shards, Iters: *iters},
-			*rounds, *minRatio, *minSpeedup, *out)
-		return
-	}
 
 	// Alternate instrumented/uninstrumented rounds so drift (thermal, GC,
 	// noisy neighbours) hits both arms; keep each arm's fastest round.
@@ -283,13 +265,14 @@ func main() {
 // measure runs iters queries (cycling the paper mix) after a short warmup
 // and returns each query's wall time.
 func measure(eng *shard.Engine, queries []string, iters int) []time.Duration {
+	opts := shard.SearchOptions{Limit: 10}
 	for i := 0; i < iters/10+1; i++ {
-		eng.SearchHits(queries[i%len(queries)], 10)
+		eng.Search(context.Background(), queries[i%len(queries)], opts)
 	}
 	out := make([]time.Duration, iters)
 	for i := 0; i < iters; i++ {
 		start := time.Now()
-		eng.SearchHits(queries[i%len(queries)], 10)
+		eng.Search(context.Background(), queries[i%len(queries)], opts)
 		out[i] = time.Since(start)
 	}
 	return out

@@ -15,16 +15,12 @@
 //
 // -verify exits 0 only when recovery from the snapshot would be
 // complete and loss-free; anything else exits 1 with a per-file report.
-// The fsck streams checksums — mapped-generation files are audited
-// without loading them, and each intact file's line says whether it
-// carries the TOC that lets -mapped serve it. The report tells damage
-// apart from version skew: a shard file whose envelope or index codec
-// is newer than this build (or a checksum-free legacy layout) is
-// UNVERIFIABLE — intact as far as this binary can tell, readable after
-// an upgrade — while a failed size or checksum check is DAMAGED. The
-// mapped layout signals its version through the snapshot envelope, not
-// a new manifest key, so an older binary sees exactly that
-// UNVERIFIABLE-not-DAMAGED verdict on files it cannot audit.
+// The fsck streams checksums — files are audited without loading them.
+// The report tells damage apart from version skew: a shard file whose
+// envelope or index codec is not the one version this build reads —
+// older or newer — is UNVERIFIABLE, intact as far as this binary can
+// tell and readable by the build that wrote it, while a failed size or
+// checksum check is DAMAGED.
 package main
 
 import (
@@ -63,9 +59,6 @@ func main() {
 			}
 			fmt.Printf("mapped open: %d docs across %d shard(s) in %v\n",
 				eng.NumDocs(), eng.NumShards(), time.Since(start).Round(time.Microsecond))
-			if fb := eng.LoadReport().MappedFallback; len(fb) > 0 {
-				fmt.Printf("mapped open: shards %v predate the mapped layout and heap-decoded\n", fb)
-			}
 			if err := eng.Close(); err != nil {
 				cli.Fatal(err)
 			}

@@ -285,31 +285,26 @@ func loadSearcher(cf *cli.CorpusFlags, indexFile string, shards int, cacheBytes 
 	switch {
 	case shards > 0 && indexFile != "":
 		if _, err := os.Stat(shard.ManifestPath(indexFile)); os.IsNotExist(err) {
-			if _, err := os.Stat(shard.ShardPath(indexFile, 0)); os.IsNotExist(err) {
-				// First run: nothing saved at the base yet. Build from the
-				// corpus and checkpoint immediately so a WAL has a snapshot
-				// generation to anchor to.
-				pages, _, err := cf.LoadPages()
-				if err != nil {
-					return nil, "", err
-				}
-				eng := shard.Build(nil, semindex.FullInf, pages, shard.Options{Shards: shards, CacheBytes: cacheBytes})
-				if err := eng.Save(indexFile); err != nil {
-					return nil, "", err
-				}
-				if !mapped {
-					return eng, describe(eng) + " [bootstrapped]", nil
-				}
-				// Fall through to the mapped load of the snapshot just
-				// written, so the bootstrapped run serves from disk too.
+			// First run: nothing saved at the base yet. Build from the
+			// corpus and checkpoint immediately so a WAL has a snapshot
+			// generation to anchor to.
+			pages, _, err := cf.LoadPages()
+			if err != nil {
+				return nil, "", err
 			}
+			eng := shard.Build(nil, semindex.FullInf, pages, shard.Options{Shards: shards, CacheBytes: cacheBytes})
+			if err := eng.Save(indexFile); err != nil {
+				return nil, "", err
+			}
+			if !mapped {
+				return eng, describe(eng) + " [bootstrapped]", nil
+			}
+			// Fall through to the mapped load of the snapshot just
+			// written, so the bootstrapped run serves from disk too.
 		}
 		eng, err := shard.LoadWith(indexFile, nil, shard.LoadOptions{Mapped: mapped})
 		if err != nil {
 			return nil, "", err
-		}
-		if fb := eng.LoadReport().MappedFallback; len(fb) > 0 {
-			fmt.Printf("mapped: shards %v predate the mapped layout, serving them from heap until the next checkpoint\n", fb)
 		}
 		eng.EnableCache(cacheBytes, obs.Default)
 		return eng, describe(eng), nil

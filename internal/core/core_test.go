@@ -11,6 +11,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/rdf"
 	"repro/internal/semindex"
+	"repro/internal/shard"
 	"repro/internal/soccer"
 )
 
@@ -255,7 +256,11 @@ func TestBuildShardedIndex(t *testing.T) {
 		t.Error("sharded engine not cached")
 	}
 	mono := s.BuildIndex(semindex.FullInf)
-	got := eng.SearchHits("messi barcelona goal", 10)
+	res, err := eng.Search(context.Background(), "messi barcelona goal", shard.SearchOptions{Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Hits
 	want := mono.Search("messi barcelona goal", 10)
 	if len(got) != len(want) {
 		t.Fatalf("%d hits, want %d", len(got), len(want))

@@ -308,86 +308,61 @@ func TestAddMaintainsBlockBounds(t *testing.T) {
 	}
 }
 
-// TestCodecV1BackCompat pins the migration story: a legacy v1 stream
-// (what every pre-v2 snapshot on disk is) must still decode, search
-// byte-identically to the index that wrote it, and prune correctly.
-func TestCodecV1BackCompat(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	fields := []string{"event", "narration"}
-	rng := rand.New(rand.NewSource(42))
-	ix := buildMultiBlockIndex(t, rng, 600, vocab, fields)
+// Stream-building helpers for the decoder-hardening regressions.
+func putU32(b *bytes.Buffer, v uint32)     { binary.Write(b, binary.LittleEndian, v) }
+func putF64(b *bytes.Buffer, v float64)    { binary.Write(b, binary.LittleEndian, v) }
+func putUvarint(b *bytes.Buffer, v uint64) { b.Write(binary.AppendUvarint(nil, v)) }
 
-	var buf bytes.Buffer
-	if err := ix.EncodeV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Decode(bytes.NewReader(buf.Bytes()), StandardAnalyzer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumDocs() != ix.NumDocs() {
-		t.Fatalf("docs %d != %d", loaded.NumDocs(), ix.NumDocs())
-	}
-	for qi := 0; qi < 20; qi++ {
-		q := randomQuery(rng, vocab, fields, 2)
-		limit := []int{0, 1, 5, 10}[rng.Intn(4)]
-		want := ix.Search(q, limit)
-		if got := loaded.Search(q, limit); !hitsEqual(got, want) {
-			t.Fatalf("query %d (%#v) limit %d:\ngot:  %v\nwant: %v", qi, q, limit, got, want)
-		}
-		checkEquiv(t, loaded, q, limit)
-	}
-}
-
-// v1 stream-building helpers for the decoder-hardening regressions.
-func v1u32(b *bytes.Buffer, v uint32)  { binary.Write(b, binary.LittleEndian, v) }
-func v1f64(b *bytes.Buffer, v float64) { binary.Write(b, binary.LittleEndian, v) }
-func v1str(b *bytes.Buffer, s string)  { v1u32(b, uint32(len(s))); b.WriteString(s) }
-
-// v1Field starts a minimal valid v1 stream — one stored doc with no
-// fields, one inverted field "f" with no terms — and hands the buffer to
-// build to append the field-length and boost tables under test.
-func v1Field(build func(b *bytes.Buffer)) []byte {
+// tableStream starts a stream claiming two documents with one inverted
+// field "f" of no terms, and hands the buffer to build to append the
+// field-length and boost tables under test. The decoder must refuse the
+// tables before it looks for the stored region that would back the claim.
+func tableStream(build func(b *bytes.Buffer)) []byte {
 	var b bytes.Buffer
 	b.WriteString(codecMagic)
-	v1u32(&b, CodecVersionV1)
-	v1u32(&b, 1) // one stored doc
-	v1u32(&b, 0) // with no fields
-	v1u32(&b, 1) // one inverted field
-	v1str(&b, "f")
-	v1u32(&b, 0) // no terms
+	putU32(&b, CodecVersionCurrent)
+	putU32(&b, 2) // two docs
+	putU32(&b, 1) // one inverted field
+	putU32(&b, 1)
+	b.WriteString("f")
+	putU32(&b, 0) // no terms
 	build(&b)
 	return b.Bytes()
 }
 
-// TestDecodeRejectsStrayDocLenID is the regression for the v1 decoder
-// accepting field-length entries for documents that do not exist: the
-// stray entry inflated sumLen, skewing the average-length statistic every
-// similarity divides by. Such an entry must now be rejected like an
-// out-of-range posting.
+// TestDecodeRejectsStrayDocLenID: a field-length entry for a document that
+// does not exist would inflate sumLen, skewing the average-length
+// statistic every similarity divides by. Its docID delta is in range, so
+// only the document-count check can refuse it.
 func TestDecodeRejectsStrayDocLenID(t *testing.T) {
-	data := v1Field(func(b *bytes.Buffer) {
-		v1u32(b, 1) // one docLen entry...
-		v1u32(b, 5) // ...for doc 5 of 1
-		v1u32(b, 3)
-		v1u32(b, 0) // no boosts
+	data := tableStream(func(b *bytes.Buffer) {
+		putU32(b, 2) // two docLen entries:
+		putUvarint(b, 1)
+		putUvarint(b, 3) // doc 0 of 3 tokens
+		putUvarint(b, 2)
+		putUvarint(b, 3) // doc 2 of 2 — stray
+		putU32(b, 0)     // no boosts
 	})
-	if _, err := Decode(bytes.NewReader(data), nil); err == nil {
-		t.Fatal("decoder accepted a field-length entry for a nonexistent doc")
+	_, err := Decode(bytes.NewReader(data), nil)
+	if err == nil || !strings.Contains(err.Error(), "field length references doc 2 of 2") {
+		t.Fatalf("decoder accepted a field-length entry for a nonexistent doc: %v", err)
 	}
 }
 
-// TestDecodeRejectsStrayBoostID is the boost-table variant of the same
-// hardening fix.
+// TestDecodeRejectsStrayBoostID is the boost-table variant.
 func TestDecodeRejectsStrayBoostID(t *testing.T) {
-	data := v1Field(func(b *bytes.Buffer) {
-		v1u32(b, 0) // no docLens
-		v1u32(b, 1) // one boost entry...
-		v1u32(b, 5) // ...for doc 5 of 1
-		v1f64(b, 2.0)
+	data := tableStream(func(b *bytes.Buffer) {
+		putU32(b, 0) // no docLens
+		putU32(b, 2) // two boost entries, one boost each:
+		b.WriteByte(1)
+		putUvarint(b, 1)
+		putF64(b, 2.0) // doc 0
+		putUvarint(b, 2)
+		putF64(b, 2.0) // doc 2 of 2 — stray
 	})
-	if _, err := Decode(bytes.NewReader(data), nil); err == nil {
-		t.Fatal("decoder accepted a boost entry for a nonexistent doc")
+	_, err := Decode(bytes.NewReader(data), nil)
+	if err == nil || !strings.Contains(err.Error(), "field boost references doc 2 of 2") {
+		t.Fatalf("decoder accepted a boost entry for a nonexistent doc: %v", err)
 	}
 }
 
@@ -451,23 +426,5 @@ func TestDecodeRejectsInvalidBlockMetadata(t *testing.T) {
 	data[off] = 0 // claim maxFreq 0 while the block holds freq-1 postings
 	if _, err := Decode(bytes.NewReader(data), StandardAnalyzer{}); err == nil {
 		t.Fatal("decoder accepted block metadata below the block's real maximum")
-	}
-}
-
-// TestCodecV2SmallerThanV1 sanity-checks the size direction on a corpus
-// with realistic redundancy; the >=2x acceptance bar is enforced by the
-// codec benchmark (BENCH_8.json) over the full paper corpus.
-func TestCodecV2SmallerThanV1(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	ix := buildMultiBlockIndex(t, rand.New(rand.NewSource(9)), 500, vocab, []string{"event", "narration"})
-	var v1, v2 bytes.Buffer
-	if err := ix.EncodeV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Encode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("v2 stream (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
 	}
 }

@@ -8,20 +8,18 @@ package index
 //	ix.Encode(f)             // offline builder
 //	ix, err := index.Decode(f, nil)  // query node
 //
-// Decode reads both codec versions; Encode writes the current one.
-//
-// Version 2 (current) is a block-postings layout. Posting lists are split
-// into blocks of postingBlockSize documents: docIDs are delta+varint
-// coded, per-posting frequencies and position deltas are varints, and
-// per-posting boosts collapse to a single value when the block is uniform
-// (the overwhelmingly common case — boosts are per (doc, field), so a
-// block raises them only at multi-valued-field boundaries). Every block of
+// The codec has one readable version, 3: a block-postings layout. Posting
+// lists are split into blocks of postingBlockSize documents: docIDs are
+// delta+varint coded, per-posting frequencies and position deltas are
+// varints, and per-posting boosts collapse to a single value when the
+// block is uniform (the overwhelmingly common case — boosts are per (doc,
+// field), so a block raises them only at multi-valued-field boundaries). Every block of
 // a multi-block term is preceded by its max-impact metadata — the exact
 // (maxFreq, minLen, maxBoost) over the block, computed at encode time —
 // which the DAAT kernel turns into Block-Max WAND skipping at query time.
-// Stored document fields live in a separate flate-compressed region after
-// the postings, so the postings region can be scanned without touching
-// document text:
+// Stored document fields live in a separate region of independently
+// flate-compressed chunks after the postings, so the postings region can
+// be scanned without touching document text:
 //
 //	magic "SIDX" | version u32 = 3 | numDocs u32
 //	numFields u32
@@ -44,24 +42,8 @@ package index
 //	  per chunk of <=chunkDocs docs: compLen u64 | flate stream:
 //	    per doc: numFields u32, then per field: name, text, boost f64
 //
-// Version 2 (still readable) is identical except the stored region is
-// one flate stream over every document, length-prefixed:
-//
-//	storedLen u64 | flate stream: per doc as above
-//
-// Version 1 (legacy, still readable; written by EncodeV1) stores documents
-// first and postings raw:
-//
-//	magic "SIDX" | version u32 = 1
-//	numDocs u32
-//	  per doc: numFields u32, then per field: name, text, boost f64
-//	numFields u32
-//	  per field: name
-//	    numTerms u32
-//	    per term: term, numPostings u32
-//	      per posting: docID u32, boost f64, numPositions u32, positions u32...
-//	    numDocLens u32, per entry: docID u32, len u32
-//	    numBoosts u32, per entry: docID u32, boost f64
+// Streams of any other version are refused; changing the layout means a
+// new version number and regenerated fixtures, not a second decoder.
 //
 // Everything is little-endian; strings are u32-length-prefixed. The
 // analyzer is not serialized: the reader must be constructed with the
@@ -83,27 +65,16 @@ import (
 
 const codecMagic = "SIDX"
 
-// Codec versions. Decode accepts all of them; Encode writes
-// CodecVersionCurrent. The shard persistence envelope records the version
-// of the stream it wraps so fsck can tell "damaged" from "newer than me".
-const (
-	// CodecVersionV1 is the legacy raw-postings layout (see EncodeV1).
-	CodecVersionV1 = 1
-	// CodecVersionV2 is the first block-postings layout; its stored region
-	// is one flate stream covering every document.
-	CodecVersionV2 = 2
-	// CodecVersionCurrent is the block-postings layout with the stored
-	// region split into independently-compressed chunks of storedChunkDocs
-	// documents, so a mapped reader can serve one document by inflating
-	// one chunk instead of pinning the whole region in heap.
-	CodecVersionCurrent = 3
-)
+// CodecVersionCurrent is the one codec version Encode writes and Decode
+// and OpenMapped read. The shard persistence envelope records it so fsck
+// can tell "damaged" from "another version" without decoding the stream.
+const CodecVersionCurrent = 3
 
 // storedChunkDocs is how many documents share one flate stream in the
 // stored region. Small enough that a random Doc() on a mapped index
 // inflates tens of kilobytes, large enough that the flate window still
 // sees repeated structure (field names recur per document, so even a
-// part-filled window compresses well — BENCH_8 guards the ratio).
+// part-filled window compresses well).
 const storedChunkDocs = 128
 
 // Encode serializes the index in the current (block-postings) format.
@@ -115,7 +86,7 @@ func (ix *Index) Encode(w io.Writer) error {
 		_, err := w.Write(ix.mapped.raw)
 		return err
 	}
-	return ix.encodeV2(w, nil)
+	return ix.encode(w, nil)
 }
 
 // EncodeWithTOC writes exactly Encode's stream and additionally returns
@@ -136,13 +107,13 @@ func (ix *Index) EncodeWithTOC(w io.Writer, metaFields ...string) ([]byte, error
 		return m.rawTOC, nil
 	}
 	tb := newTOCBuilder(ix, metaFields)
-	if err := ix.encodeV2(w, tb); err != nil {
+	if err := ix.encode(w, tb); err != nil {
 		return nil, err
 	}
 	return tb.serialize(), nil
 }
 
-// countingWriter tracks bytes written through it so encodeV2 can record
+// countingWriter tracks bytes written through it so encode can record
 // logical stream offsets for the TOC.
 type countingWriter struct {
 	w io.Writer
@@ -155,10 +126,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeV2 is the codec-v2 writer behind Encode and EncodeWithTOC; tb is
-// nil when no TOC is wanted. Offsets are recorded as cw.n plus the bufio
-// backlog — the logical position in the stream, regardless of flushes.
-func (ix *Index) encodeV2(w io.Writer, tb *tocBuilder) error {
+// encode is the writer behind Encode and EncodeWithTOC; tb is nil when no
+// TOC is wanted. Offsets are recorded as cw.n plus the bufio backlog — the
+// logical position in the stream, regardless of flushes.
+func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
 	pos := func() uint64 { return uint64(cw.n) + uint64(bw.Buffered()) }
@@ -336,73 +307,6 @@ func encodeBlock(bw *bufio.Writer, fi *fieldIndex, te *termEntry, lo, hi int) {
 	}
 }
 
-// EncodeV1 serializes the index in the legacy version-1 format, kept for
-// migration tooling and the codec size benchmarks. Output is deterministic
-// for a given index. A mapped index is materialized to heap first — v1
-// downgrades are a migration path, not a serving path.
-func (ix *Index) EncodeV1(w io.Writer) error {
-	if ix.mapped != nil {
-		heap, err := Decode(bytes.NewReader(ix.mapped.raw), ix.analyzer)
-		if err != nil {
-			return err
-		}
-		return heap.EncodeV1(w)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	writeU32(bw, CodecVersionV1)
-
-	// Stored documents.
-	writeU32(bw, uint32(len(ix.docs)))
-	for _, d := range ix.docs {
-		writeU32(bw, uint32(len(d.Fields)))
-		for _, f := range d.Fields {
-			writeString(bw, f.Name)
-			writeString(bw, f.Text)
-			writeF64(bw, f.Boost)
-		}
-	}
-
-	// Inverted fields, sorted for determinism.
-	names := ix.FieldNames()
-	writeU32(bw, uint32(len(names)))
-	for _, name := range names {
-		fi := ix.fields[name]
-		writeString(bw, name)
-
-		terms := fi.termNames()
-		sort.Strings(terms)
-		writeU32(bw, uint32(len(terms)))
-		for _, t := range terms {
-			writeString(bw, t)
-			te := fi.terms[t]
-			writeU32(bw, uint32(len(te.docs)))
-			for i, d := range te.docs {
-				writeU32(bw, uint32(d))
-				writeF64(bw, te.boostAt(i))
-				writeU32(bw, uint32(te.freq(i)))
-				for _, pos := range te.positionsAt(i) {
-					writeU32(bw, uint32(pos))
-				}
-			}
-		}
-
-		writeU32(bw, uint32(fi.docCount))
-		fi.eachDocLen(func(id, l int) {
-			writeU32(bw, uint32(id))
-			writeU32(bw, uint32(l))
-		})
-		writeU32(bw, uint32(fi.docCount))
-		fi.eachDocLen(func(id, _ int) {
-			writeU32(bw, uint32(id))
-			writeF64(bw, fi.boost[id])
-		})
-	}
-	return bw.Flush()
-}
-
 // capHint bounds speculative allocation from an untrusted length
 // prefix: a corrupt u32 can claim 2^32-1 elements, so slices and maps
 // start at min(n, limit) capacity and grow only as elements actually
@@ -415,8 +319,8 @@ func capHint(n uint32, limit int) int {
 	return limit
 }
 
-// Decode deserializes an index written by Encode (either version). The
-// analyzer must match the one used at build time.
+// Decode deserializes an index written by Encode. The analyzer must match
+// the one used at build time.
 //
 // The input is untrusted: every length prefix is bounded before use,
 // allocation is proportional to bytes actually read (see capHint and
@@ -438,176 +342,14 @@ func Decode(r io.Reader, analyzer Analyzer) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case CodecVersionV1:
-		return decodeV1(br, analyzer)
-	case CodecVersionV2:
-		return decodeV2(br, analyzer, false)
-	case CodecVersionCurrent:
-		return decodeV2(br, analyzer, true)
-	default:
+	if version != CodecVersionCurrent {
 		return nil, fmt.Errorf("index: unsupported version %d", version)
 	}
+	return decode(br, analyzer)
 }
 
-func decodeV1(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
-	ix := New(analyzer)
-
-	numDocs, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if numDocs > 1<<28 {
-		return nil, fmt.Errorf("index: implausible doc count %d", numDocs)
-	}
-	ix.docs = make([]*Document, 0, capHint(numDocs, 1<<16))
-	for i := uint32(0); i < numDocs; i++ {
-		d, err := readStoredDoc(br, i)
-		if err != nil {
-			return nil, err
-		}
-		ix.docs = append(ix.docs, d)
-	}
-
-	numFields, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if numFields > 1<<16 {
-		return nil, fmt.Errorf("index: implausible field count %d", numFields)
-	}
-	for i := uint32(0); i < numFields; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		fi := newFieldIndex()
-		ix.fields[name] = fi
-
-		numTerms, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		for t := uint32(0); t < numTerms; t++ {
-			term, err := readString(br)
-			if err != nil {
-				return nil, err
-			}
-			numPostings, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if numPostings > numDocs {
-				// A term cannot appear in more documents than exist.
-				return nil, fmt.Errorf("index: term %q claims %d postings over %d docs",
-					term, numPostings, numDocs)
-			}
-			// Positions grow as they parse, whatever the postings claim.
-			hint := capHint(numPostings, 1<<16)
-			te := newTermEntry(hint, hint)
-			prevDoc := -1
-			for p := uint32(0); p < numPostings; p++ {
-				docID, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				if docID >= numDocs {
-					return nil, fmt.Errorf("index: posting references doc %d of %d", docID, numDocs)
-				}
-				if int(docID) <= prevDoc {
-					return nil, fmt.Errorf("index: postings for %q not in docID order", term)
-				}
-				prevDoc = int(docID)
-				boost, err := readF64(br)
-				if err != nil {
-					return nil, err
-				}
-				numPos, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				if numPos == 0 || numPos > 1<<24 || len(te.positions)+int(numPos) > math.MaxUint32 {
-					return nil, fmt.Errorf("index: implausible position count %d", numPos)
-				}
-				te.appendPosting(int(docID), boost)
-				prevPos := -1
-				for k := uint32(0); k < numPos; k++ {
-					v, err := readU32(br)
-					if err != nil {
-						return nil, err
-					}
-					if int(v) <= prevPos || v > math.MaxInt32 {
-						return nil, fmt.Errorf("index: positions for %q not ascending", term)
-					}
-					prevPos = int(v)
-					te.positions = append(te.positions, int32(v))
-				}
-				te.endPosting()
-			}
-			fi.terms[term] = te
-		}
-
-		// The documents come first in this version, so all numDocs of them
-		// have been read by now and the tables may be sized by the count.
-		fi.docTable = newDocTable(int(numDocs))
-		numLens, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		prevID := -1
-		for l := uint32(0); l < numLens; l++ {
-			id, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if id >= numDocs {
-				// An out-of-range entry cannot belong to any stored document;
-				// accepting it would corrupt sumLen and every average-length
-				// statistic the similarity uses.
-				return nil, fmt.Errorf("index: field length references doc %d of %d", id, numDocs)
-			}
-			if int(id) <= prevID {
-				return nil, fmt.Errorf("index: field lengths not in docID order")
-			}
-			prevID = int(id)
-			n, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if n > math.MaxInt32 || fi.sumLen+int(n) > math.MaxUint32 {
-				return nil, fmt.Errorf("index: implausible field length %d", n)
-			}
-			fi.add(int(id), int(n), 0)
-		}
-		numBoosts, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		for bIdx := uint32(0); bIdx < numBoosts; bIdx++ {
-			id, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if id >= numDocs {
-				return nil, fmt.Errorf("index: field boost references doc %d of %d", id, numDocs)
-			}
-			v, err := readF64(br)
-			if err != nil {
-				return nil, err
-			}
-			fi.boost[id] = v
-		}
-		// Score-bound caps and block metadata are derived state in this
-		// version: recompute from the postings.
-		fi.rebuildCaps(true)
-	}
-	return ix, nil
-}
-
-// decodeV2 parses both block-postings layouts: chunked reads the
-// version-3 stored region (per-chunk flate streams), otherwise the
-// version-2 single stream.
-func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error) {
+// decode parses the stream after Decode has checked its magic and version.
+func decode(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 	ix := New(analyzer)
 
 	numDocs, err := readU32(br)
@@ -638,12 +380,12 @@ func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error)
 		fi := newFieldIndex()
 		ix.fields[name] = fi
 		pending = append(pending, pendingField{fi: fi})
-		if err := decodeV2Field(br, fi, int(numDocs), &pending[i].tables); err != nil {
+		if err := decodeField(br, fi, int(numDocs), &pending[i].tables); err != nil {
 			return nil, err
 		}
 	}
 
-	if err := decodeStored(br, ix, numDocs, chunked); err != nil {
+	if err := decodeStored(br, ix, numDocs); err != nil {
 		return nil, err
 	}
 	// Only now is numDocs more than a claim in the header (the stored
@@ -659,41 +401,10 @@ func decodeV2(br *bufio.Reader, analyzer Analyzer, chunked bool) (*Index, error)
 	return ix, nil
 }
 
-// decodeStored reads the stored region into ix.docs: the version-3 chunks
-// when chunked, otherwise version 2's single stream.
-func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32, chunked bool) error {
-	if chunked {
-		return decodeChunkedStored(br, ix, numDocs)
-	}
-	storedLen, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	if storedLen > 1<<38 {
-		return fmt.Errorf("index: implausible stored-region length %d", storedLen)
-	}
-	zr := flate.NewReader(io.LimitReader(br, int64(storedLen)))
-	defer zr.Close()
-	sr := bufio.NewReader(zr)
-	ix.docs = make([]*Document, 0, capHint(numDocs, 1<<16))
-	for i := uint32(0); i < numDocs; i++ {
-		d, err := readStoredDoc(sr, i)
-		if err != nil {
-			return err
-		}
-		ix.docs = append(ix.docs, d)
-	}
-	if _, err := sr.ReadByte(); err != io.EOF {
-		return fmt.Errorf("index: stored region longer than its %d documents", numDocs)
-	}
-	return nil
-}
-
-// decodeChunkedStored reads the version-3 stored region into ix.docs.
-// Each chunk's compressed bytes are read fully before inflating — a
+// decodeStored reads the stored region into ix.docs. Each chunk's compressed bytes are read fully before inflating — a
 // flate reader over the stream directly could buffer past the chunk
 // boundary and lose the next chunk's length prefix.
-func decodeChunkedStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
+func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
 	chunkDocs, err := readU32(br)
 	if err != nil {
 		return err
@@ -765,10 +476,10 @@ func (dt *decodedTables) apply(fi *fieldIndex, numDocs int) {
 	}
 }
 
-// decodeV2Field parses one field's postings region: the term dictionary
+// decodeField parses one field's postings region: the term dictionary
 // with its posting blocks and per-block metadata, then the field-length
 // and field-boost tables, which it leaves in tables for the caller to apply.
-func decodeV2Field(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedTables) error {
+func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedTables) error {
 	numTerms, err := readU32(br)
 	if err != nil {
 		return err
@@ -975,8 +686,8 @@ func (fi *fieldIndex) checkBlocks() error {
 	return nil
 }
 
-// readStoredDoc parses one stored document (shared by both versions; in
-// v2 the reader is positioned inside the compressed stored region).
+// readStoredDoc parses one stored document; the reader is positioned
+// inside a chunk's inflated stream.
 func readStoredDoc(r *bufio.Reader, i uint32) (*Document, error) {
 	nf, err := readU32(r)
 	if err != nil {

@@ -44,30 +44,22 @@ func FuzzDecode(f *testing.F) {
 	zeros := append([]byte(codecMagic), make([]byte, 64)...)
 	f.Add(zeros)
 
-	// Seed 5: the same index in the legacy v1 layout, so the fuzzer
-	// explores both decoder paths.
-	var v1 bytes.Buffer
-	if err := ix.EncodeV1(&v1); err != nil {
-		f.Fatalf("encoding v1 seed: %v", err)
-	}
-	f.Add(v1.Bytes())
-
-	// Seed 6: a string length prefix claiming 64 MiB with four bytes
+	// Seed 5: a string length prefix claiming 64 MiB with four bytes
 	// behind it — the one-shot-allocation shape readString must survive.
 	lying := []byte(codecMagic)
-	lying = binary.LittleEndian.AppendUint32(lying, CodecVersionV1)
+	lying = binary.LittleEndian.AppendUint32(lying, CodecVersionCurrent)
 	lying = binary.LittleEndian.AppendUint32(lying, 1) // one doc
 	lying = binary.LittleEndian.AppendUint32(lying, 1) // one field
 	lying = binary.LittleEndian.AppendUint32(lying, 1<<26)
 	lying = append(lying, "name"...)
 	f.Add(lying)
 
-	// Seeds 7 and 8: a document count that passes the plausibility cap with
+	// Seeds 6 and 7: a document count that passes the plausibility cap with
 	// nothing behind it, bare and with one field whose only length entry
 	// names the last document — the shapes that would size a dense
 	// per-document table from a claim.
-	f.Add(hostileDocCount(CodecVersionCurrent, false))
-	f.Add(hostileDocCount(CodecVersionCurrent, true))
+	f.Add(hostileDocCount(false))
+	f.Add(hostileDocCount(true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data), StandardAnalyzer{})

@@ -26,7 +26,7 @@ func (p Posting) Freq() int { return len(p.Positions) }
 // lists are carved into fixed runs of this many entries, each carrying its
 // own score-bound inputs (termCap), so the DAAT kernel can skip whole
 // blocks — not just whole terms — against the collector's threshold. 128
-// matches the codec v2 on-disk block size (Lucene's choice), small enough
+// matches the codec's on-disk block size (Lucene's choice), small enough
 // that a block's bound is much tighter than the term's, large enough that
 // the metadata is negligible next to the postings it covers.
 const postingBlockSize = 128
@@ -66,8 +66,8 @@ type termEntry struct {
 	// than one posting block (block i covers postings
 	// [i*postingBlockSize, (i+1)*postingBlockSize)). A single-block term
 	// carries none: its only block bound is exactly cap. Maintained
-	// incrementally by Add, read from codec v2/v3 snapshots, rebuilt from
-	// the postings for codec v1 and on merge.
+	// incrementally by Add, read from snapshots, rebuilt from the
+	// postings on merge.
 	blocks []termCap
 }
 
@@ -708,7 +708,7 @@ func (fi *fieldIndex) exactCap(te *termEntry, lo, hi int) termCap {
 // rebuildCaps recomputes every term's score-bound inputs from its posting
 // list — the load-time and merge-time equivalent of Add's incremental
 // tracking. withBlocks also recomputes the per-block inputs of multi-block
-// terms, for the sources that carry none: codec v1 and merged postings.
+// terms, for merged postings, which carry none.
 func (fi *fieldIndex) rebuildCaps(withBlocks bool) {
 	for _, te := range fi.terms {
 		n := len(te.docs)

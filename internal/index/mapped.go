@@ -1,7 +1,7 @@
 package index
 
 // Mapped (zero-copy) read path. A heap index materializes every posting
-// list at Decode time; a mapped index keeps the codec-v2 stream as one
+// list at Decode time; a mapped index keeps the codec stream as one
 // []byte region (mmap'd by the shard layer on linux, read into memory
 // elsewhere) plus a table of contents (TOC) the encoder wrote next to the
 // payload, and decodes a posting block only when a scorer actually lands
@@ -34,7 +34,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -44,21 +43,15 @@ import (
 
 // TOC serialization constants. The TOC rides outside the codec payload
 // (the shard envelope's meta block), so the payload stays byte-identical
-// to what Encode always wrote; codec v2 files without a TOC simply cannot
-// be opened mapped and fall back to the heap decoder.
+// to what Encode writes.
 const (
 	tocMagic   = "STOC"
 	tocVersion = 1
 )
 
-// ErrNoTOC reports a codec stream that cannot be served mapped — a v1
-// payload, or a v2 payload without a table of contents. Callers fall back
-// to the heap Decode path.
-var ErrNoTOC = errors.New("index: stream has no mapped table of contents")
-
 // mappedIndex is the index-wide mapped state.
 type mappedIndex struct {
-	// raw is the whole codec-v2 stream, magic through stored region.
+	// raw is the whole codec stream, magic through stored region.
 	raw []byte
 	// rawTOC is the serialized TOC exactly as read, kept so re-encoding a
 	// clean mapped index (checkpointing an unchanged shard) is a raw copy.
@@ -616,7 +609,7 @@ func (f *mappedField) materialize(term string) termEntry {
 
 // --- TOC build (encoder side) ---
 
-// tocBuilder accumulates offsets during encodeV2 and serializes them.
+// tocBuilder accumulates offsets during encode and serializes them.
 type tocBuilder struct {
 	numDocs   int
 	storedOff uint64
@@ -715,7 +708,7 @@ func (tb *tocBuilder) serialize() []byte {
 // --- Open (reader side) ---
 
 // OpenMapped builds an index that serves queries directly from raw — a
-// codec-v2 stream — using the TOC bytes its encoder produced alongside
+// codec stream — using the TOC bytes its encoder produced alongside
 // (EncodeWithTOC). Neither slice is copied: the caller owns their
 // lifetime and must keep them valid (and unmodified) for the life of the
 // index; the shard layer ties this to the mmap's lifetime.
@@ -723,12 +716,8 @@ func (tb *tocBuilder) serialize() []byte {
 // Integrity is the caller's job (the shard envelope CRCs both regions);
 // OpenMapped validates structure, not checksums: header magic/version,
 // TOC/payload agreement on counts and offsets, table parses, and monotone
-// block boundaries. A v1 payload or missing TOC returns ErrNoTOC so
-// callers can fall back to the heap decoder.
+// block boundaries.
 func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
-	if len(toc) == 0 {
-		return nil, ErrNoTOC
-	}
 	pr := byteReader{b: raw}
 	if string(pr.b[:min(4, len(pr.b))]) != codecMagic {
 		return nil, fmt.Errorf("index: bad magic in mapped stream")
@@ -737,8 +726,6 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 	switch v := pr.u32(); {
 	case pr.bad:
 		return nil, fmt.Errorf("index: truncated mapped stream")
-	case v == CodecVersionV1:
-		return nil, ErrNoTOC
 	case v != CodecVersionCurrent:
 		return nil, fmt.Errorf("index: unsupported codec version %d", v)
 	}
@@ -749,7 +736,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 
 	tr := byteReader{b: toc}
 	if string(tr.b[:min(4, len(tr.b))]) != tocMagic {
-		return nil, ErrNoTOC
+		return nil, fmt.Errorf("index: bad magic in mapped TOC")
 	}
 	tr.pos = 4
 	if v := tr.u32(); tr.bad || v != tocVersion {
@@ -884,7 +871,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 }
 
 // parseTables decodes the payload's field-length and field-boost tables
-// (the same wire shapes decodeV2Field reads) into the dense docTable.
+// (the same wire shapes decodeField reads) into the dense docTable.
 // numDocs is already backed by the stored region's chunk table and the
 // document cache OpenMapped sized by it.
 func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) error {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -184,12 +185,11 @@ func TestMappedDocMetaAndLazyStored(t *testing.T) {
 
 // TestMappedEncodeIsRawCopy: re-encoding a mapped index must be a byte
 // copy of the mapped region (the merger and snapshot writer rely on this
-// being cheap and exact), and the v1 downgrade path must still work by
-// decoding first.
+// being cheap and exact).
 func TestMappedEncodeIsRawCopy(t *testing.T) {
 	vocab := strings.Fields("goal foul save corner")
 	ix := buildMultiBlockIndex(t, rand.New(rand.NewSource(3)), 400, vocab, []string{"event", "narration"})
-	heap, mapped, raw, toc := openMappedPair(t, ix)
+	_, mapped, raw, toc := openMappedPair(t, ix)
 
 	var re bytes.Buffer
 	if err := mapped.Encode(&re); err != nil {
@@ -205,19 +205,6 @@ func TestMappedEncodeIsRawCopy(t *testing.T) {
 	}
 	if !bytes.Equal(re2.Bytes(), raw) || !bytes.Equal(toc2, toc) {
 		t.Fatal("EncodeWithTOC on a mapped index must return the original payload and TOC")
-	}
-
-	var v1 bytes.Buffer
-	if err := mapped.EncodeV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	down, err := Decode(bytes.NewReader(v1.Bytes()), StandardAnalyzer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := TermQuery{Field: "event", Term: "goal"}
-	if got, want := down.Search(q, 10), heap.Search(q, 10); !hitsEqual(got, want) {
-		t.Fatalf("v1 downgrade search diverged: %v vs %v", got, want)
 	}
 
 	defer func() {
@@ -262,9 +249,9 @@ func TestMappedMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenMappedRejects covers the structured error surface: v1 payloads
-// and absent TOCs signal ErrNoTOC (fall back to the heap decoder), while
-// mismatched or trailing TOC bytes are hard errors.
+// TestOpenMappedRejects covers the structured error surface: an absent
+// TOC, a payload of another codec version, and mismatched or trailing TOC
+// bytes are all plain errors.
 func TestOpenMappedRejects(t *testing.T) {
 	ix := New(StandardAnalyzer{})
 	doc := new(Document)
@@ -277,15 +264,13 @@ func TestOpenMappedRejects(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	if _, err := OpenMapped(raw, nil, nil); err != ErrNoTOC {
-		t.Fatalf("empty TOC: got %v, want ErrNoTOC", err)
+	if _, err := OpenMapped(raw, nil, nil); err == nil {
+		t.Fatal("empty TOC accepted")
 	}
-	var v1 bytes.Buffer
-	if err := ix.EncodeV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(v1.Bytes(), toc, nil); err != ErrNoTOC {
-		t.Fatalf("v1 payload: got %v, want ErrNoTOC", err)
+	v1 := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	if _, err := OpenMapped(v1, toc, nil); err == nil {
+		t.Fatal("v1 payload accepted")
 	}
 	if _, err := OpenMapped(raw[:len(raw)-1], toc, nil); err == nil {
 		t.Fatal("truncated payload accepted")

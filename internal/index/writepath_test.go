@@ -517,10 +517,10 @@ func TestWriteAnalysisMatchesAnalyzer(t *testing.T) {
 // hostileDocCount builds snapshots whose header claims 2^28 documents with
 // almost no bytes behind the claim; withEntry adds one field whose only
 // length entry names the last of them.
-func hostileDocCount(version uint32, withEntry bool) []byte {
+func hostileDocCount(withEntry bool) []byte {
 	const numDocs = 1 << 28
 	b := []byte(codecMagic)
-	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint32(b, CodecVersionCurrent)
 	b = binary.LittleEndian.AppendUint32(b, numDocs)
 	if !withEntry {
 		return binary.LittleEndian.AppendUint32(b, 0) // no fields
@@ -536,21 +536,11 @@ func hostileDocCount(version uint32, withEntry bool) []byte {
 }
 
 // hostileTerm builds snapshots whose one term claims more than the stream
-// holds: 2^28 postings (of a claimed 2^28 documents, in the block layouts;
-// version 1 stores its documents first, so there the claim to refuse is the
-// next one) or, positions set, one posting of 2^24 positions.
-func hostileTerm(version uint32, positions bool) []byte {
+// holds: 2^28 postings of a claimed 2^28 documents or, positions set, one
+// posting of 2^24 positions.
+func hostileTerm(positions bool) []byte {
 	u32 := binary.LittleEndian.AppendUint32
-	b := u32([]byte(codecMagic), version)
-	if version == CodecVersionV1 {
-		b = u32(u32(b, 1), 0)              // one document of no fields
-		b = append(u32(u32(b, 1), 1), 'f') // one field
-		b = append(u32(u32(b, 1), 1), 't') // one term
-		b = u32(b, 1)                      // one posting
-		b = u32(b, 0)                      // of document 0
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
-		return u32(b, 1<<24) // 2^24 positions
-	}
+	b := u32([]byte(codecMagic), CodecVersionCurrent)
 	b = u32(b, 1<<28)                  // documents
 	b = append(u32(u32(b, 1), 1), 'f') // one field
 	b = append(u32(u32(b, 1), 1), 't') // one term
@@ -567,23 +557,21 @@ func hostileTerm(version uint32, positions bool) []byte {
 // TestDecodeHostileDocCount pins that a document, posting or position count
 // the stream does not back is refused before anything is sized by it.
 func TestDecodeHostileDocCount(t *testing.T) {
-	for _, version := range []uint32{CodecVersionV1, CodecVersionV2, CodecVersionCurrent} {
-		for name, data := range map[string][]byte{
-			"documents":        hostileDocCount(version, false),
-			"documents, entry": hostileDocCount(version, true),
-			"postings":         hostileTerm(version, false),
-			"positions":        hostileTerm(version, true),
-		} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := Decode(bytes.NewReader(data), nil)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Errorf("v%d %s: accepted a count backed by %d bytes", version, name, len(data))
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
-				t.Errorf("v%d %s: allocated %d bytes decoding %d", version, name, grew, len(data))
-			}
+	for name, data := range map[string][]byte{
+		"documents":        hostileDocCount(false),
+		"documents, entry": hostileDocCount(true),
+		"postings":         hostileTerm(false),
+		"positions":        hostileTerm(true),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(data), nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted a count backed by %d bytes", name, len(data))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: allocated %d bytes decoding %d", name, grew, len(data))
 		}
 	}
 }

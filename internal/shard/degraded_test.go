@@ -107,7 +107,7 @@ func TestSearchDeadlineStragglerBlocksIngest(t *testing.T) {
 	// Removing the stall takes the write lock, so it queues behind the
 	// straggler's read lock — exactly the ordering under test.
 	e.SetStall(nil)
-	e.AddPage(pages[len(pages)-1])
+	ingestPage(e, pages[len(pages)-1])
 	if e.NumDocs() == 0 {
 		t.Fatal("ingest lost documents")
 	}
@@ -143,7 +143,7 @@ func TestSearchDeadlineConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, p := range pages[len(pages)-2:] {
-			e.AddPage(p)
+			ingestPage(e, p)
 		}
 	}()
 	wg.Wait()

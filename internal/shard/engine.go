@@ -259,7 +259,7 @@ func (e *Engine) LoadReport() LoadReport {
 
 // SetStall installs a per-shard delay hook called at the start of every
 // scatter goroutine. It exists for fault injection: tests (and drills)
-// stall one shard past the SearchDeadline budget and assert the engine
+// stall one shard past a Search deadline and assert the engine
 // degrades instead of hanging. Pass nil to remove. Not for production use.
 func (e *Engine) SetStall(hook func(shard int)) {
 	e.mu.Lock()

@@ -23,6 +23,13 @@ func searchN(e *Engine, q string, limit int) []semindex.Hit {
 	return res.Hits
 }
 
+// ingestPage commits one page through the unified Ingest with default
+// options — the common test call shape.
+func ingestPage(e *Engine, p *crawler.MatchPage) error {
+	_, err := e.Ingest(context.Background(), []*crawler.MatchPage{p}, IngestOptions{})
+	return err
+}
+
 // searchWithin runs the unified Search under a per-scatter deadline
 // (d <= 0 means unbounded), returning hits plus the degradation report.
 func searchWithin(e *Engine, q string, limit int, d time.Duration) ([]semindex.Hit, SearchReport) {
@@ -163,7 +170,7 @@ func TestIncrementalIngest(t *testing.T) {
 		baseBefore[i] = e.Shard(i).Index.NumDocs()
 	}
 
-	e.AddPage(last)
+	ingestPage(e, last)
 
 	after := perShard()
 	for i := range before {
@@ -245,7 +252,7 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 		wg.Add(1)
 		go func(p *crawler.MatchPage) {
 			defer wg.Done()
-			e.AddPage(p)
+			ingestPage(e, p)
 		}(p)
 	}
 	wg.Wait()

@@ -1,109 +1,37 @@
 package shard
 
-// Version-skew coverage for the snapshot envelope: old files must keep
-// loading (v1 envelopes around v1 codec payloads), and files from a
-// NEWER build must be refused without being mistaken for damage — no
-// quarantine rename, an UNVERIFIABLE fsck verdict rather than DAMAGED.
+// Version-skew coverage for the snapshot envelope: a file of any
+// envelope version or payload codec other than the one this build reads
+// — older, below the compatibility floor, or newer — must be refused
+// without being mistaken for damage: no quarantine rename, an
+// UNVERIFIABLE fsck verdict rather than DAMAGED.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/semindex"
 )
 
-// wrapEnvelopeV1 builds the legacy 8-byte-header envelope around a
-// payload, returning the file bytes and the payload CRC the manifest
-// must carry.
-func wrapEnvelopeV1(payload []byte) ([]byte, uint32) {
-	var b bytes.Buffer
-	b.WriteString(snapMagic)
-	binary.Write(&b, binary.LittleEndian, uint32(snapVersionV1))
-	b.Write(payload)
-	var tr [snapTrailerLenV2]byte
-	binary.LittleEndian.PutUint64(tr[0:8], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(payload)
-	binary.LittleEndian.PutUint32(tr[8:12], sum)
-	b.Write(tr[:])
-	return b.Bytes(), sum
-}
-
-// TestEnvelopeV1SnapshotLoads pins the upgrade path: a snapshot exactly
-// as a pre-v2 build wrote it — v1 envelopes, v1 codec payloads, a
-// manifest with no codec line — must verify clean and load into an
-// engine that searches identically to the one that wrote it.
-func TestEnvelopeV1SnapshotLoads(t *testing.T) {
-	pages, _ := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	m := &manifest{Generation: 1, Level: e.level}
-	for i, sh := range e.shards {
-		var payload bytes.Buffer
-		fmt.Fprintf(&payload, "SEMIDX %s\n", sh.Level)
-		if err := sh.Index.EncodeV1(&payload); err != nil {
-			t.Fatal(err)
-		}
-		data, sum := wrapEnvelopeV1(payload.Bytes())
-		path := shardGenPath(base, 1, i)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m.Files = append(m.Files, manifestEntry{Name: filepath.Base(path), Size: int64(len(data)), CRC: sum})
-	}
-	if err := writeManifest(base, m); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := Fsck(base)
-	if !rep.OK() {
-		t.Fatalf("v1-envelope snapshot failed fsck:\n%s", rep)
-	}
-	if rep.Codec != 0 {
-		t.Errorf("pre-codec manifest reports codec %d, want 0", rep.Codec)
-	}
-	back, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumDocs() != e.NumDocs() {
-		t.Fatalf("legacy-envelope load has %d docs, want %d", back.NumDocs(), e.NumDocs())
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID, searchN(back, q.Keywords, 10), searchN(e, q.Keywords, 10))
-	}
-	// Re-saving migrates in place: the next checkpoint is v2 end to end.
-	if err := back.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := readManifest(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Codec != index.CodecVersionCurrent {
-		t.Fatalf("re-save recorded codec %d, want %d", m2.Codec, index.CodecVersionCurrent)
-	}
-}
-
-// TestNewerSnapshotUnverifiableNotDamaged is the forward-compatibility
-// contract: a shard file claiming an envelope version or payload codec
-// above what this build supports is a version skew, not corruption.
-// Load must refuse with ErrSnapshotUnknownVersion and leave the file
-// exactly where it is (no *.corrupt rename — quarantining would destroy
-// data an upgraded binary reads fine), and fsck must say UNVERIFIABLE,
-// not DAMAGED.
-func TestNewerSnapshotUnverifiableNotDamaged(t *testing.T) {
+// TestSnapshotVersionSkewUnverifiableNotDamaged is the compatibility
+// contract in both directions: a shard file claiming an envelope version
+// or payload codec other than the one this build reads is a version
+// skew, not corruption. Load must refuse with ErrSnapshotUnknownVersion
+// and leave the file exactly where it is (no *.corrupt rename —
+// quarantining would destroy data the matching binary reads fine), and
+// fsck must say UNVERIFIABLE, not DAMAGED.
+func TestSnapshotVersionSkewUnverifiableNotDamaged(t *testing.T) {
 	for name, patch := range map[string]func(hdr []byte){
 		"newer codec":            func(hdr []byte) { binary.LittleEndian.PutUint32(hdr[8:12], index.CodecVersionCurrent+7) },
 		"newer envelope version": func(hdr []byte) { binary.LittleEndian.PutUint32(hdr[4:8], snapVersion+1) },
+		"older codec":            func(hdr []byte) { binary.LittleEndian.PutUint32(hdr[8:12], index.CodecVersionCurrent-1) },
+		"older envelope version": func(hdr []byte) { binary.LittleEndian.PutUint32(hdr[4:8], snapVersion-1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			pages, _ := fixture(t)
@@ -118,7 +46,7 @@ func TestNewerSnapshotUnverifiableNotDamaged(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The header sits outside the payload CRC, so the patched file
-			// is byte-for-byte what a newer build could have written.
+			// has the header another build's file would carry.
 			patch(data[:snapHeaderLen])
 			if err := os.WriteFile(victim, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -126,11 +54,11 @@ func TestNewerSnapshotUnverifiableNotDamaged(t *testing.T) {
 
 			rep := Fsck(base)
 			if rep.OK() {
-				t.Fatalf("fsck called a future-format snapshot OK:\n%s", rep)
+				t.Fatalf("fsck called an other-version snapshot OK:\n%s", rep)
 			}
 			s := rep.String()
 			if !strings.Contains(s, "UNVERIFIABLE") || strings.Contains(s, "DAMAGED") {
-				t.Fatalf("fsck verdict for a future-format file:\n%s", s)
+				t.Fatalf("fsck verdict for an other-version file:\n%s", s)
 			}
 			unver := 0
 			for _, f := range rep.Files {
@@ -146,10 +74,10 @@ func TestNewerSnapshotUnverifiableNotDamaged(t *testing.T) {
 				t.Fatalf("Load returned %v, want ErrSnapshotUnknownVersion", err)
 			}
 			if _, err := os.Stat(victim + ".corrupt"); !os.IsNotExist(err) {
-				t.Error("Load quarantined a future-format file as corrupt")
+				t.Error("Load quarantined an other-version file as corrupt")
 			}
 			if _, err := os.Stat(victim); err != nil {
-				t.Errorf("future-format file no longer in place: %v", err)
+				t.Errorf("other-version file no longer in place: %v", err)
 			}
 		})
 	}

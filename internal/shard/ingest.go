@@ -58,9 +58,10 @@ const (
 	// AtomicBatch logs the whole batch as ONE record: after a crash,
 	// recovery replays all of it or none of it.
 	AtomicBatch Atomicity = iota
-	// PerPage logs one record per page: a crash (or a mid-batch append
-	// failure) may commit a prefix. Ingest then returns the error along
-	// with the result describing the committed prefix.
+	// PerPage logs one record per page, each a one-page batch: a crash
+	// (or a mid-batch append failure) may commit a prefix. Ingest then
+	// returns the error along with the result describing the committed
+	// prefix.
 	PerPage
 )
 
@@ -126,7 +127,7 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		case PerPage:
 			committed = 0
 			for _, p := range pages {
-				rec, err := json.Marshal(p)
+				rec, err := json.Marshal([]*crawler.MatchPage{p})
 				if err == nil {
 					err = e.walAppend(rec, opts.Durability)
 				}
@@ -174,15 +175,6 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		e.nudgeMerger()
 	}
 	return res, walErr
-}
-
-// AddPage ingests one page with default options (atomic, WAL policy
-// durability, merger nudged).
-//
-// Deprecated: use Ingest with a context and IngestOptions.
-func (e *Engine) AddPage(page *crawler.MatchPage) error {
-	_, err := e.Ingest(context.Background(), []*crawler.MatchPage{page}, IngestOptions{})
-	return err
 }
 
 // walAppend routes one record through the durability the caller asked

@@ -67,8 +67,8 @@ type manifest struct {
 	Generation uint64
 	Level      semindex.Level
 	// Codec is the index codec version of every shard payload in this
-	// snapshot (0 in manifests written before codec tracking, whose
-	// payloads are all codec v1).
+	// snapshot (0 when the manifest has no codec line). Informational:
+	// each shard file's envelope is what gates the version.
 	Codec uint32
 	// NextGID is the next unused global docID when the snapshot's ID
 	// space has holes (tombstoned documents compacted away before the
@@ -136,7 +136,7 @@ func writeManifest(base string, m *manifest) error {
 }
 
 // readManifest parses and verifies the commit point. A missing file
-// returns os.ErrNotExist (callers fall back to the legacy layout); any
+// returns an os.ErrNotExist error — there is no snapshot at base; any
 // other failure wraps ErrManifestCorrupt.
 func readManifest(base string) (*manifest, error) {
 	raw, err := os.ReadFile(ManifestPath(base))

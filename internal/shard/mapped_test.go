@@ -64,9 +64,6 @@ func TestMappedLoadEquivalenceAcrossLSMStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-	if fb := mapped.LoadReport().MappedFallback; len(fb) != 0 {
-		t.Fatalf("fresh v3 snapshot fell back to heap on shards %v", fb)
-	}
 	for s := range mapped.base {
 		if mapped.base[s].release == nil {
 			t.Fatalf("shard %d base carries no mapping release", s)
@@ -198,85 +195,8 @@ func TestMappedMergeScratchLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if fb := back.LoadReport().MappedFallback; len(fb) != 0 {
-		t.Fatalf("checkpoint written by a mapped engine fell back on shards %v", fb)
-	}
 	for _, q := range eval.PaperQueries() {
 		assertSameHits(t, q.ID+"/reload", searchN(back, q.Keywords, 10), searchN(mapped, q.Keywords, 10))
-	}
-}
-
-// rewriteAsV2Envelope rewrites a v3 snapshot file as the 12-byte-trailer
-// v2 envelope a pre-mapped build would have written: same header magic
-// and codec, version 2, TOC stripped. The payload — and therefore the
-// manifest CRC — is untouched; only the file size changes.
-func rewriteAsV2Envelope(t *testing.T, path string) int64 {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := data[len(data)-snapTrailerLen:]
-	payloadLen := binary.LittleEndian.Uint64(tr[12:20])
-	payloadCRC := binary.LittleEndian.Uint32(tr[20:24])
-	payload := data[snapHeaderLen : snapHeaderLen+int(payloadLen)]
-
-	var b bytes.Buffer
-	b.Write(data[:snapHeaderLen])
-	binary.LittleEndian.PutUint32(b.Bytes()[4:8], uint32(snapVersionV2))
-	b.Write(payload)
-	var v2tr [snapTrailerLenV2]byte
-	binary.LittleEndian.PutUint64(v2tr[0:8], payloadLen)
-	binary.LittleEndian.PutUint32(v2tr[8:12], payloadCRC)
-	b.Write(v2tr[:])
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return int64(b.Len())
-}
-
-// TestMappedLoadFallsBackOnV2Envelope pins the version-skew contract: a
-// snapshot file written by a pre-TOC build (v2 envelope, no meta
-// region) cannot be served mapped, and a mapped load must heap-decode
-// that shard — noted in LoadReport.MappedFallback — rather than fail or
-// call it damaged.
-func TestMappedLoadFallsBackOnV2Envelope(t *testing.T) {
-	e, base := saveFixture(t, 3)
-
-	victim := 1
-	path := shardGenPath(base, 1, victim)
-	newSize := rewriteAsV2Envelope(t, path)
-	m, err := readManifest(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Files[victim].Size = newSize
-	if err := writeManifest(base, m); err != nil {
-		t.Fatal(err)
-	}
-
-	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
-	if err != nil {
-		t.Fatalf("mapped load failed on a v2-envelope shard: %v", err)
-	}
-	defer mapped.Close()
-	rep := mapped.LoadReport()
-	if len(rep.MappedFallback) != 1 || rep.MappedFallback[0] != victim {
-		t.Fatalf("MappedFallback = %v, want exactly shard %d", rep.MappedFallback, victim)
-	}
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("a TOC-less file was quarantined: %+v", rep.Quarantined)
-	}
-	if mapped.base[victim].release != nil {
-		t.Error("fallback shard still carries a mapping release")
-	}
-	for s := range mapped.base {
-		if s != victim && mapped.base[s].release == nil {
-			t.Errorf("shard %d should still be mapped", s)
-		}
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID, searchN(mapped, q.Keywords, 10), searchN(e, q.Keywords, 10))
 	}
 }
 
@@ -325,9 +245,6 @@ func TestMappedLoadCorruptionVerdictParity(t *testing.T) {
 			}
 			if !errors.Is(rep.Quarantined[0].Err, ErrSnapshotCorrupt) {
 				t.Errorf("quarantine error %v does not wrap ErrSnapshotCorrupt", rep.Quarantined[0].Err)
-			}
-			if len(rep.MappedFallback) != 0 {
-				t.Errorf("corruption misread as a TOC-less fallback: %v", rep.MappedFallback)
 			}
 			if _, err := os.Stat(victim); !os.IsNotExist(err) {
 				t.Error("corrupt shard file was not quarantined away")

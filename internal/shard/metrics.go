@@ -39,7 +39,7 @@ const (
 // nil (and every update a no-op) when built from a nil registry, so the
 // uninstrumented engine pays a nil check per event and nothing else.
 type engineMetrics struct {
-	// searches counts top-level queries (Search, SearchDeadline, SearchQuery).
+	// searches counts top-level queries (Search, SearchQuery).
 	searches *obs.Counter
 	// degraded counts deadline searches that lost at least one shard;
 	// missing counts the shards lost across them.
@@ -76,7 +76,7 @@ func newEngineMetrics(r *obs.Registry, shards int) *engineMetrics {
 	r.Help(metricMissing, "Shards missing from degraded answers, cumulative.")
 	r.Help(metricSearchSec, "Whole-query latency: scatter through merge.")
 	r.Help(metricBuildSec, "Full sharded build duration.")
-	r.Help(metricIngestSec, "Incremental AddPage duration.")
+	r.Help(metricIngestSec, "Incremental Ingest duration.")
 	r.Help(metricShardSearch, "Per-shard search latency.")
 	r.Help(metricCacheSearch, "Whole-call latency on the cached path, by outcome.")
 	r.Help(metricQuarantined, "Corrupt shard snapshot files quarantined at load.")

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ func TestEngineMetrics(t *testing.T) {
 
 	searchN(e, "goal", 10)
 	searchN(e, "yellow card", 10)
-	e.AddPage(pages[len(pages)-1])
+	ingestPage(e, pages[len(pages)-1])
 
 	if got := r.Counter(metricSearches).Value(); got != 2 {
 		t.Errorf("searches = %d, want 2", got)
@@ -108,9 +109,12 @@ func TestSearchTracedSpans(t *testing.T) {
 	pages, mono := fixture(t)
 	e := Build(nil, semindex.FullInf, pages, Options{Shards: 3})
 	tr := obs.NewTrace("goal")
-	hits := e.SearchTraced("goal", 10, tr)
+	res, err := e.Search(context.Background(), "goal", SearchOptions{Limit: 10, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr.Finish()
-	assertSameHits(t, "traced", hits, mono.Search("goal", 10))
+	assertSameHits(t, "traced", res.Hits, mono.Search("goal", 10))
 
 	names := map[string]bool{}
 	for _, s := range tr.Spans() {
@@ -188,7 +192,7 @@ func TestSearchDeadlinePartialEqualsMonolithRestricted(t *testing.T) {
 }
 
 // TestConcurrentSearchWithMetrics drives Search, SearchDeadline, Suggest
-// and AddPage against one shared registry under -race: the lock-free
+// and Ingest against one shared registry under -race: the lock-free
 // handles and the engine's met swap must tolerate full interleaving. The
 // final counter value is exact because counters are atomic.
 func TestConcurrentSearchWithMetrics(t *testing.T) {
@@ -217,7 +221,7 @@ func TestConcurrentSearchWithMetrics(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, p := range pages[len(pages)-2:] {
-			e.AddPage(p)
+			ingestPage(e, p)
 		}
 	}()
 	wg.Wait()

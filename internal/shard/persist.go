@@ -11,9 +11,14 @@ package shard
 //     what the manifest names — stale shard files from an earlier,
 //     wider save are invisible, fixing the read-until-missing bug where
 //     a shrink-then-reload resurrected orphan shards.
-//   - The ingest WAL (internal/wal): AddPage batches appended before
+//   - The ingest WAL (internal/wal): Ingest batches appended before
 //     memory mutates, replayed on Load past the manifest's generation,
 //     rotated on Save.
+//
+// Each of these formats has exactly one readable version — envelope v3
+// around codec v3, the manifest layout, the page-batch WAL record. A file
+// of any other version, older or newer, is refused as
+// ErrSnapshotUnknownVersion: never quarantined, reported UNVERIFIABLE.
 //
 // Corruption degrades instead of killing the service: a shard that
 // fails verification is quarantined (renamed *.corrupt) and replaced by
@@ -42,55 +47,30 @@ import (
 	"repro/internal/wal"
 )
 
-// Snapshot envelope: magic, version, payload (the semindex codec
-// stream), then a trailer of payload length and CRC32. The trailer
-// length cross-checks the file size so truncation is caught even when
-// the missing suffix would still CRC (it cannot, but belt and braces).
-//
-// Envelope v2 adds a codec field after the version: the index codec
-// number of the payload (index.CodecVersionCurrent at write time).
-// Carrying it in the envelope lets recovery and fsck tell "written by a
-// newer build" apart from "damaged" without decoding a byte of payload:
-// an unknown envelope version or a codec above what this binary
-// supports is ErrSnapshotUnknownVersion, never quarantined as corrupt.
-//
-// Envelope v3 appends a metadata region between the payload and the
-// trailer — the payload's mapped table of contents (semindex
-// SaveWithTOC) — and widens the trailer to cover it: metaLen u64,
-// metaCRC u32, then the v2 trailer shape (payloadLen u64, payloadCRC
-// u32). The payload bytes are untouched, the manifest CRC still covers
-// the payload alone, and no manifest key changes — version signaling
-// rides entirely on the envelope version, so a pre-v3 binary reports a
-// v3 snapshot UNVERIFIABLE (newer build) instead of DAMAGED. The TOC is
-// what lets LoadWith serve the file memory-mapped in O(manifest) time
-// without decoding the payload.
+// Snapshot envelope (version 3): a header of magic, envelope version and
+// the index codec number of the payload; the payload (the semindex codec
+// stream); a metadata region holding the payload's mapped table of
+// contents (semindex SaveWithTOC); then a trailer of metaLen u64, metaCRC
+// u32, payloadLen u64, payloadCRC u32. The trailer lengths cross-check
+// the file size, so truncation is caught before any CRC is computed. The
+// manifest CRC covers the payload alone. Carrying the versions in the
+// header lets recovery and fsck tell "another version" apart from
+// "damaged" without decoding a byte of payload, and the TOC is what lets
+// LoadWith serve the file memory-mapped in O(manifest) time.
 const (
-	snapMagic        = "SSNP"
-	snapVersionV1    = 1
-	snapVersionV2    = 2
-	snapVersion      = 3
-	snapHeaderLenV1  = 4 + 4
-	snapHeaderLen    = 4 + 4 + 4
-	snapTrailerLenV2 = 8 + 4
-	snapTrailerLen   = 8 + 4 + 8 + 4
+	snapMagic      = "SSNP"
+	snapVersion    = 3
+	snapHeaderLen  = 4 + 4 + 4
+	snapTrailerLen = 8 + 4 + 8 + 4
 )
 
-// ErrSnapshotUnknownVersion reports a shard snapshot written by a newer
-// build: its envelope version or payload codec is above what this
-// binary understands. The file is not corrupt — quarantining it would
-// destroy data an upgraded binary recovers losslessly — so Load refuses
-// the snapshot outright and Fsck reports it unverifiable rather than
-// damaged.
-var ErrSnapshotUnknownVersion = errors.New("shard: snapshot from a newer version")
-
-// ShardPath names the legacy (pre-manifest) file of one shard:
-// "<base>.shard000", "<base>.shard001", ... Current saves use
-// generation-stamped names (shardGenPath) so a checkpoint never
-// overwrites the files the previous manifest still names; this helper
-// remains for loading and auditing the legacy layout.
-func ShardPath(base string, i int) string {
-	return fmt.Sprintf("%s.shard%03d", base, i)
-}
+// ErrSnapshotUnknownVersion reports a shard snapshot whose envelope
+// version or payload codec is not the one this build reads — written by
+// a newer build, or by an older one below the compatibility floor. The
+// file is not corrupt — quarantining it would destroy data the matching
+// binary recovers losslessly — so Load refuses the snapshot outright and
+// Fsck reports it unverifiable rather than damaged.
+var ErrSnapshotUnknownVersion = errors.New("shard: snapshot version not readable by this build")
 
 // shardGenPath names one shard file of one snapshot generation:
 // "<base>.g000002.shard001". Stamping the generation into the name is
@@ -214,8 +194,7 @@ func (e *Engine) compactAllLocked() {
 // writeShardFile writes one enveloped, checksummed shard snapshot via
 // tmp + fsync + rename, returning the final file size and payload CRC.
 // save writes the payload and returns the envelope's metadata region —
-// the payload's mapped TOC (empty is legal; the file just cannot be
-// served mapped).
+// the payload's mapped TOC, which must not be empty.
 func writeShardFile(path string, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -293,7 +272,7 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry) (*s
 	if st.Size() != want.Size {
 		return nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
 	}
-	payloadLen, headerLen, _, err := verifyEnvelope(f, st.Size(), want.CRC, false)
+	payloadLen, _, err := verifyEnvelope(f, st.Size(), want.CRC, false)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +280,7 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry) (*s
 	// bytes (it errors, never panics), and the CRC verdict lands before
 	// the decoded index is trusted.
 	crc := crc32.NewIEEE()
-	tee := io.TeeReader(io.NewSectionReader(f, headerLen, payloadLen), crc)
+	tee := io.TeeReader(io.NewSectionReader(f, snapHeaderLen, payloadLen), crc)
 	si, err := semindex.Load(tee, analyzer)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
@@ -316,12 +295,6 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry) (*s
 	}
 	return si, nil
 }
-
-// errMappedFallback reports a verified snapshot file that cannot be
-// served mapped — a pre-v3 envelope or a payload without a TOC (an
-// older build wrote it). The caller falls back to the heap decoder;
-// this is a capability gap, never damage.
-var errMappedFallback = errors.New("shard: snapshot has no mapped TOC")
 
 // readShardFileMapped verifies one snapshot file — envelope, full
 // payload CRC, metadata CRC — and opens it memory-mapped: the codec
@@ -346,25 +319,19 @@ func readShardFileMapped(path string, analyzer index.Analyzer, want manifestEntr
 	// Unlike the decode path — whose decoder validates as it reads — the
 	// mapped path trusts the bytes for the life of the mapping, so the
 	// CRC pass over payload AND metadata happens up front.
-	payloadLen, headerLen, metaLen, err := verifyEnvelope(f, st.Size(), want.CRC, true)
+	payloadLen, metaLen, err := verifyEnvelope(f, st.Size(), want.CRC, true)
 	if err != nil {
 		return nil, nil, err
-	}
-	if metaLen == 0 {
-		return nil, nil, errMappedFallback
 	}
 	m, release, err := mapFile(f, st.Size())
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: mapping %s: %w", path, err)
 	}
-	payload := m[headerLen : headerLen+payloadLen]
-	toc := m[headerLen+payloadLen : headerLen+payloadLen+metaLen]
+	payload := m[snapHeaderLen : snapHeaderLen+payloadLen]
+	toc := m[snapHeaderLen+payloadLen : snapHeaderLen+payloadLen+metaLen]
 	si, err := semindex.OpenMapped(payload, toc, analyzer)
 	if err != nil {
 		release()
-		if errors.Is(err, index.ErrNoTOC) {
-			return nil, nil, errMappedFallback
-		}
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	return si, release, nil
@@ -372,106 +339,85 @@ func readShardFileMapped(path string, analyzer index.Analyzer, want manifestEntr
 
 // verifyEnvelope checks header magic/version/codec and the trailer's
 // length and CRC fields against the file size (and wantCRC), returning
-// the payload length, the header length the payload starts after, and
-// the metadata-region length (0 for pre-v3 envelopes; the region sits
-// between payload and trailer). On v3 the metadata region is always
-// CRC-checked; with sumPayload the payload is streamed through CRC32
-// too — the decode-free integrity pass Fsck and the mapped loader
-// use (the heap loader checksums the payload during decode). An
-// envelope version or codec above what this build writes fails with
-// ErrSnapshotUnknownVersion (forward compatibility), everything else
-// with ErrSnapshotCorrupt.
-func verifyEnvelope(f *os.File, size int64, wantCRC uint32, sumPayload bool) (payloadLen, headerLen, metaLen int64, err error) {
-	if size < snapHeaderLenV1+snapTrailerLenV2 {
-		return 0, 0, 0, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, size)
+// the lengths of the payload, which starts after the snapHeaderLen-byte
+// header, and of the metadata region between payload and trailer. The
+// metadata region is always CRC-checked; with sumPayload the payload is
+// streamed through CRC32 too — the decode-free integrity pass Fsck and
+// the mapped loader use (the heap loader checksums the payload during
+// decode). An envelope version or codec other than the one this build
+// reads fails with ErrSnapshotUnknownVersion, everything else with
+// ErrSnapshotCorrupt.
+func verifyEnvelope(f *os.File, size int64, wantCRC uint32, sumPayload bool) (payloadLen, metaLen int64, err error) {
+	if size < snapHeaderLen {
+		return 0, 0, fmt.Errorf("%w: %d bytes is shorter than an envelope header", ErrSnapshotCorrupt, size)
 	}
 	var hdr [snapHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:snapHeaderLenV1], 0); err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	if string(hdr[:4]) != snapMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:4])
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:4])
 	}
-	trailerLen := int64(snapTrailerLenV2)
-	version := binary.LittleEndian.Uint32(hdr[4:8])
-	switch version {
-	case snapVersionV1:
-		// v1 envelopes predate the codec field; their payloads were all
-		// written by the v1 index codec, which Decode still reads.
-		headerLen = snapHeaderLenV1
-	case snapVersionV2, snapVersion:
-		headerLen = snapHeaderLen
-		if version == snapVersion {
-			trailerLen = snapTrailerLen
-		}
-		if size < headerLen+trailerLen {
-			return 0, 0, 0, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, size)
-		}
-		if _, err := f.ReadAt(hdr[8:12], 8); err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		switch codec := binary.LittleEndian.Uint32(hdr[8:12]); {
-		case codec == 0:
-			return 0, 0, 0, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
-		case codec > index.CodecVersionCurrent:
-			return 0, 0, 0, fmt.Errorf("%w: payload codec %d, this build reads up to %d",
-				ErrSnapshotUnknownVersion, codec, index.CodecVersionCurrent)
-		}
-	default:
-		return 0, 0, 0, fmt.Errorf("%w: envelope version %d, this build reads up to %d",
+	if version := binary.LittleEndian.Uint32(hdr[4:8]); version != snapVersion {
+		return 0, 0, fmt.Errorf("%w: envelope version %d, this build reads %d",
 			ErrSnapshotUnknownVersion, version, snapVersion)
 	}
+	switch codec := binary.LittleEndian.Uint32(hdr[8:12]); {
+	case codec == 0:
+		return 0, 0, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
+	case codec != index.CodecVersionCurrent:
+		return 0, 0, fmt.Errorf("%w: payload codec %d, this build reads %d",
+			ErrSnapshotUnknownVersion, codec, index.CodecVersionCurrent)
+	}
+	// body is what lies between header and trailer: payload, then metadata.
+	body := size - snapHeaderLen - snapTrailerLen
+	if body < 0 {
+		return 0, 0, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, size)
+	}
 	var trailer [snapTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:trailerLen], size-trailerLen); err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	if _, err := f.ReadAt(trailer[:], size-snapTrailerLen); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	var metaCRC uint32
-	payloadTrailer := trailer[:snapTrailerLenV2]
-	if version == snapVersion {
-		metaLen = int64(binary.LittleEndian.Uint64(trailer[0:8]))
-		metaCRC = binary.LittleEndian.Uint32(trailer[8:12])
-		payloadTrailer = trailer[12:24]
-		if metaLen < 0 || metaLen > size-headerLen-trailerLen {
-			return 0, 0, 0, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
-				ErrSnapshotCorrupt, metaLen, size-headerLen-trailerLen)
-		}
+	metaLen = int64(binary.LittleEndian.Uint64(trailer[0:8]))
+	metaCRC := binary.LittleEndian.Uint32(trailer[8:12])
+	if metaLen <= 0 || metaLen > body {
+		return 0, 0, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
+			ErrSnapshotCorrupt, metaLen, body)
 	}
-	payloadLen = int64(binary.LittleEndian.Uint64(payloadTrailer[0:8]))
-	if payloadLen != size-headerLen-metaLen-trailerLen {
-		return 0, 0, 0, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
-			ErrSnapshotCorrupt, payloadLen, size-headerLen-metaLen-trailerLen)
+	payloadLen = int64(binary.LittleEndian.Uint64(trailer[12:20]))
+	if payloadLen != body-metaLen {
+		return 0, 0, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
+			ErrSnapshotCorrupt, payloadLen, body-metaLen)
 	}
-	trailerCRC := binary.LittleEndian.Uint32(payloadTrailer[8:12])
+	trailerCRC := binary.LittleEndian.Uint32(trailer[20:24])
 	if trailerCRC != wantCRC {
-		return 0, 0, 0, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, wantCRC)
+		return 0, 0, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, wantCRC)
 	}
 	if sumPayload {
 		crc := crc32.NewIEEE()
-		if _, err := io.Copy(crc, io.NewSectionReader(f, headerLen, payloadLen)); err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		if _, err := io.Copy(crc, io.NewSectionReader(f, snapHeaderLen, payloadLen)); err != nil {
+			return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
 		if got := crc.Sum32(); got != wantCRC {
-			return 0, 0, 0, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, wantCRC)
+			return 0, 0, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, wantCRC)
 		}
 	}
 	// The metadata region is small (a block TOC), so it is always
 	// verified here — even when the caller streams the payload through
 	// its own CRC during decode. Load and Fsck must agree on whether a
 	// file is damaged, wherever the flipped byte lands.
-	if metaLen > 0 {
-		crc := crc32.NewIEEE()
-		if _, err := io.Copy(crc, io.NewSectionReader(f, headerLen+payloadLen, metaLen)); err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		if got := crc.Sum32(); got != metaCRC {
-			return 0, 0, 0, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
-		}
+	crc := crc32.NewIEEE()
+	if _, err := io.Copy(crc, io.NewSectionReader(f, snapHeaderLen+payloadLen, metaLen)); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return payloadLen, headerLen, metaLen, nil
+	if got := crc.Sum32(); got != metaCRC {
+		return 0, 0, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
+	}
+	return payloadLen, metaLen, nil
 }
 
 // removeStaleSnapshotFiles deletes every shard file the just-committed
-// manifest does not name: prior generations, legacy numbered files, and
+// manifest does not name: prior generations, merger scratch segments and
 // leftover *.tmp debris. Runs strictly after the manifest commit, so a
 // crash before it leaves the previous snapshot whole. Best-effort: Load
 // ignores unmanifested files anyway, this just reclaims the space.
@@ -484,7 +430,7 @@ func removeStaleSnapshotFiles(base string, m *manifest) {
 	// Merger scratch segments (*.mapseg*) are never manifest-named; any
 	// still mapped keep their pages through the unlink (inode semantics),
 	// and Save just re-anchored every base on manifest files anyway.
-	for _, pattern := range []string{base + ".g*.shard*", base + ".shard*", base + ".mapseg*"} {
+	for _, pattern := range []string{base + ".g*.shard*", base + ".mapseg*"} {
 		names, err := filepath.Glob(pattern)
 		if err != nil {
 			continue
@@ -515,9 +461,6 @@ type QuarantinedShard struct {
 type LoadReport struct {
 	// Generation is the manifest generation the snapshot restored.
 	Generation uint64
-	// Legacy is true when no manifest existed and the pre-manifest
-	// read-until-missing layout was loaded (no checksums, no WAL).
-	Legacy bool
 	// Quarantined lists the shard files that failed verification and
 	// were replaced by empty placeholders. Non-empty means the engine
 	// serves degraded.
@@ -530,10 +473,9 @@ type LoadReport struct {
 	// WALGenMismatch is true when a WAL existed but belonged to another
 	// snapshot generation and was skipped.
 	WALGenMismatch bool
-	// MappedFallback lists shards a mapped load (LoadOptions.Mapped) had
-	// to heap-decode because their snapshot files carry no mapped TOC —
-	// written by a pre-v3 build. Harmless: those shards just serve from
-	// the heap until the next Save rewrites them with a TOC.
+	// MappedFallback is never set: every readable snapshot file carries
+	// the TOC a mapped load needs, so no shard falls back to the heap. It
+	// stays only because the repository benchmark (benchmark/) reads it.
 	MappedFallback []int
 }
 
@@ -542,7 +484,7 @@ type LoadReport struct {
 // decoded, and the ingest WAL tail past the manifest's generation is
 // replayed (truncating at the first torn record), so the result is
 // byte-identical — documents, statistics, rankings — to the engine that
-// was saved plus every acknowledged AddPage since.
+// was saved plus every acknowledged Ingest since.
 //
 // Corrupt pieces degrade instead of failing where possible: a shard
 // file that fails verification is quarantined (renamed *.corrupt) and
@@ -550,10 +492,9 @@ type LoadReport struct {
 // naming the loss in LoadReport and every SearchReport. A corrupt
 // manifest, a WAL record that will not decode, or a snapshot with no
 // intact shard at all is unrecoverable and returns a typed error
-// (ErrManifestCorrupt, ErrWALCorrupt, ErrSnapshotCorrupt).
-//
-// Bases saved before the manifest format load through the legacy
-// read-until-missing path, without integrity checks.
+// (ErrManifestCorrupt, ErrWALCorrupt, ErrSnapshotCorrupt). A shard file
+// of another snapshot version fails the whole load with
+// ErrSnapshotUnknownVersion and stays where it is.
 func Load(base string, analyzer index.Analyzer) (*Engine, error) {
 	return LoadWith(base, analyzer, LoadOptions{})
 }
@@ -567,19 +508,14 @@ type LoadOptions struct {
 	// on the first hit, and the OS pages cold index regions in and out —
 	// so the index may exceed RAM. Every integrity check still runs (a
 	// full CRC pass over payload and TOC before the bytes are trusted).
-	// Rankings are byte-identical to a heap load. Snapshot files written
-	// without a TOC (pre-v3 builds) fall back to heap decoding, noted in
-	// LoadReport.MappedFallback. Engines loaded mapped should be released
-	// with Close.
+	// Rankings are byte-identical to a heap load. Engines loaded mapped
+	// should be released with Close.
 	Mapped bool
 }
 
 // LoadWith is Load with explicit load options.
 func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, error) {
 	m, err := readManifest(base)
-	if os.IsNotExist(err) {
-		return loadLegacy(base, analyzer)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -595,13 +531,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 		var err error
 		if opts.Mapped {
 			si, closers[i], err = readShardFileMapped(path, analyzer, mf)
-			if errors.Is(err, errMappedFallback) {
-				rep.MappedFallback = append(rep.MappedFallback, i)
-				err = nil
-				si = nil
-			}
-		}
-		if si == nil && err == nil {
+		} else {
 			si, err = readShardFile(path, analyzer, mf)
 		}
 		if err == nil && si.Level != m.Level {
@@ -613,7 +543,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 				closers[i] = nil
 			}
 			if errors.Is(err, ErrSnapshotUnknownVersion) {
-				// Not damage: a newer build wrote this file. Renaming it
+				// Not damage: another build wrote this file. Renaming it
 				// *.corrupt and serving without it would turn a version
 				// skew into data loss; refuse the load instead.
 				releaseClosers(closers)
@@ -670,27 +600,14 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	return e, nil
 }
 
-// decodeWALRecord decodes one ingest log record. Batch records (the
-// Ingest path) are JSON arrays of pages; single-object records are the
-// legacy one-page AddPage format, kept readable so logs written before
-// the batched API replay unchanged.
+// decodeWALRecord decodes one ingest log record: a JSON array of pages.
+// Anything else is ErrWALCorrupt.
 func decodeWALRecord(rec []byte) ([]*crawler.MatchPage, error) {
-	i := 0
-	for i < len(rec) && (rec[i] == ' ' || rec[i] == '\t' || rec[i] == '\r' || rec[i] == '\n') {
-		i++
-	}
-	if i < len(rec) && rec[i] == '[' {
-		var pages []*crawler.MatchPage
-		if err := json.Unmarshal(rec, &pages); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
-		}
-		return pages, nil
-	}
-	var page crawler.MatchPage
-	if err := json.Unmarshal(rec, &page); err != nil {
+	var pages []*crawler.MatchPage
+	if err := json.Unmarshal(rec, &pages); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 	}
-	return []*crawler.MatchPage{&page}, nil
+	return pages, nil
 }
 
 // quarantine moves a rejected snapshot file aside so the next Save (or
@@ -703,38 +620,6 @@ func quarantine(path string) string {
 		return filepath.Base(path)
 	}
 	return filepath.Base(dst)
-}
-
-// loadLegacy reads the pre-manifest layout: "<base>.shard000" onward
-// until the sequence ends. No integrity verification is possible — the
-// format carried no checksums — so this path exists only to load
-// snapshots written before the manifest format.
-func loadLegacy(base string, analyzer index.Analyzer) (*Engine, error) {
-	var shards []*semindex.SemanticIndex
-	for i := 0; ; i++ {
-		f, err := os.Open(ShardPath(base, i))
-		if os.IsNotExist(err) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w", err)
-		}
-		si, err := semindex.Load(f, analyzer)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		shards = append(shards, si)
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("shard: no manifest and no shard files at %s", base)
-	}
-	e, err := fromShards(shards, nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	e.loadRep = LoadReport{Legacy: true}
-	return e, nil
 }
 
 // releaseClosers unmaps whatever a failed mapped load already mapped.
@@ -845,7 +730,7 @@ func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quaran
 }
 
 // AttachWAL opens (or creates) the ingest write-ahead log for base and
-// arms AddPage's append-before-mutate path. Call after Load — the log
+// arms Ingest's append-before-mutate path. Call after Load — the log
 // then continues right after the records Load just replayed — or after
 // Build+Save for a fresh engine. A log left by another snapshot
 // generation is reset, since its records belong to a different lineage.
@@ -886,14 +771,9 @@ type FsckFile struct {
 	CRC  uint32
 	OK   bool
 	// Unverifiable marks a file this build cannot audit — an envelope
-	// version or payload codec from a newer build. Distinct from a
-	// failed verdict: the file may be perfectly intact.
+	// version or payload codec other than the one it reads. Distinct
+	// from a failed verdict: the file may be perfectly intact.
 	Unverifiable bool
-	// Mapped reports whether the file carries the envelope metadata
-	// region (the codec TOC) that lets LoadOptions{Mapped} serve it
-	// straight from its bytes. A v2-envelope file is intact but not
-	// mapped-servable; it heap-decodes until the next Save rewrites it.
-	Mapped bool
 	// Detail explains a failed or unverifiable verdict.
 	Detail string
 }
@@ -906,9 +786,8 @@ type FsckReport struct {
 	Generation uint64
 	Level      string
 	// Codec is the index codec the manifest records for the snapshot's
-	// payloads (0 when the manifest predates codec tracking).
+	// payloads (0 when the manifest carries no codec line).
 	Codec      uint32
-	Legacy     bool
 	Files      []FsckFile
 	WAL        string
 	WALRecords int
@@ -922,10 +801,9 @@ type FsckReport struct {
 }
 
 // OK reports whether recovery from this snapshot would be complete: no
-// base errors, every file intact, no WAL tear. A legacy layout is never
-// OK — it carries no checksums, so nothing can be attested.
+// base errors, every file intact, no WAL tear.
 func (r *FsckReport) OK() bool {
-	if len(r.Errs) > 0 || r.WALTorn || r.Legacy {
+	if len(r.Errs) > 0 || r.WALTorn {
 		return false
 	}
 	for _, f := range r.Files {
@@ -937,8 +815,8 @@ func (r *FsckReport) OK() bool {
 }
 
 // unverifiableOnly reports whether every failure in the report is a
-// file this build cannot read (newer envelope or codec) rather than
-// actual damage — the forward-compatibility verdict.
+// file this build cannot read (another envelope or codec version) rather
+// than actual damage — the version-skew verdict.
 func (r *FsckReport) unverifiableOnly() bool {
 	if len(r.Errs) > 0 || r.WALTorn {
 		return false
@@ -963,17 +841,10 @@ func (r *FsckReport) String() string {
 	}
 	out := fmt.Sprintf("fsck %s: generation %d, level %s%s, %d shard file(s)\n",
 		r.Base, r.Generation, r.Level, codec, len(r.Files))
-	if r.Legacy {
-		out += "  manifest: MISSING (legacy layout, no integrity metadata)\n"
-	}
 	for _, f := range r.Files {
 		switch {
 		case f.OK:
-			storage := "heap-only"
-			if f.Mapped {
-				storage = "mapped"
-			}
-			out += fmt.Sprintf("  %-28s OK   %9d bytes crc32 %08x  %s\n", f.Name, f.Size, f.CRC, storage)
+			out += fmt.Sprintf("  %-28s OK   %9d bytes crc32 %08x\n", f.Name, f.Size, f.CRC)
 		case f.Unverifiable:
 			out += fmt.Sprintf("  %-28s UNVERIFIABLE  %s\n", f.Name, f.Detail)
 		default:
@@ -999,10 +870,8 @@ func (r *FsckReport) String() string {
 	switch {
 	case r.OK():
 		out += "  verdict: OK — recovery is complete and loss-free\n"
-	case r.Legacy && len(r.Errs) == 0:
-		out += "  verdict: UNVERIFIABLE — legacy layout carries no checksums; re-save to upgrade\n"
 	case r.unverifiableOnly():
-		out += "  verdict: UNVERIFIABLE — snapshot written by a newer build; upgrade this binary to verify\n"
+		out += "  verdict: UNVERIFIABLE — snapshot version not readable by this build; verify with the build that wrote it\n"
 	default:
 		out += "  verdict: DAMAGED — recovery will degrade or truncate\n"
 	}
@@ -1016,24 +885,6 @@ func (r *FsckReport) String() string {
 func Fsck(base string) *FsckReport {
 	rep := &FsckReport{Base: base}
 	m, err := readManifest(base)
-	if os.IsNotExist(err) {
-		rep.Legacy = true
-		for i := 0; ; i++ {
-			st, err := os.Stat(ShardPath(base, i))
-			if err != nil {
-				break
-			}
-			rep.Files = append(rep.Files, FsckFile{
-				Name: filepath.Base(ShardPath(base, i)), Size: st.Size(),
-				OK: true, Unverifiable: true,
-				Detail: "unverifiable (no checksums in legacy layout)",
-			})
-		}
-		if len(rep.Files) == 0 {
-			rep.Errs = append(rep.Errs, "no manifest and no shard files")
-		}
-		return rep
-	}
 	if err != nil {
 		rep.Errs = append(rep.Errs, err.Error())
 		return rep
@@ -1055,9 +906,7 @@ func Fsck(base string) *FsckReport {
 			err = fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), mf.Size)
 		}
 		if err == nil {
-			var metaLen int64
-			_, _, metaLen, err = verifyEnvelope(f, st.Size(), mf.CRC, true)
-			ff.Mapped = err == nil && metaLen > 0
+			_, _, err = verifyEnvelope(f, st.Size(), mf.CRC, true)
 		}
 		f.Close()
 		if err != nil {

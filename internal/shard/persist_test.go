@@ -47,7 +47,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	extraCopy := *extra
 	extraCopy.ID = extra.ID + "-replay"
 	docsBefore := back.NumDocs()
-	back.AddPage(&extraCopy)
+	ingestPage(back, &extraCopy)
 	if back.NumDocs() <= docsBefore {
 		t.Error("loaded engine did not ingest")
 	}
@@ -56,8 +56,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestShrinkThenReload is the stale-shard-file regression: saving a
 // narrower engine over a base that previously held a wider one must not
 // resurrect the orphaned shard files on reload. The manifest names
-// exactly the live files; the read-until-missing scan that caused the
-// bug survives only in the legacy path.
+// exactly the live files.
 func TestShrinkThenReload(t *testing.T) {
 	pages, _ := fixture(t)
 	base := filepath.Join(t.TempDir(), "idx.bin")
@@ -193,48 +192,6 @@ func TestLoadManifestCorrupt(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutLoads exercises the pre-manifest fallback: raw codec
-// streams under numbered names, no manifest. Load must still work (the
-// files predate checksums) and flag the layout in its report; Fsck must
-// call it unverifiable rather than OK.
-func TestLegacyLayoutLoads(t *testing.T) {
-	pages, _ := fixture(t)
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	for i, sh := range e.shards {
-		f, err := os.Create(ShardPath(base, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sh.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	back, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.LoadReport().Legacy {
-		t.Error("legacy layout loaded without Legacy flag")
-	}
-	if back.NumDocs() != e.NumDocs() {
-		t.Fatalf("legacy load has %d docs, want %d", back.NumDocs(), e.NumDocs())
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID, searchN(back, q.Keywords, 10), searchN(e, q.Keywords, 10))
-	}
-	rep := Fsck(base)
-	if rep.OK() {
-		t.Error("fsck called a checksum-free legacy layout OK")
-	}
-	if !strings.Contains(rep.String(), "UNVERIFIABLE") {
-		t.Errorf("legacy fsck verdict:\n%s", rep)
-	}
-}
-
 // TestFsckVerdicts drives the offline audit across the intact and
 // damaged states of one base.
 func TestFsckVerdicts(t *testing.T) {
@@ -281,17 +238,25 @@ func TestFsckVerdicts(t *testing.T) {
 	}
 }
 
-// TestLoadErrors covers the failure modes: nothing at the path and a
-// truncated shard file.
+// TestLoadErrors covers the failure modes: nothing at the path, and a
+// manifest whose only shard file is garbage.
 func TestLoadErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Load(filepath.Join(dir, "nope"), nil); err == nil {
 		t.Error("Load on missing files succeeded")
 	}
-	if err := os.WriteFile(ShardPath(filepath.Join(dir, "trunc"), 0), []byte("SEMIDX FULL_INF\nGARB"), 0o644); err != nil {
+	base := filepath.Join(dir, "trunc")
+	garbage := []byte("SEMIDX FULL_INF\nGARB")
+	if err := os.WriteFile(shardGenPath(base, 1, 0), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(dir, "trunc"), nil); err == nil {
-		t.Error("Load on corrupt shard succeeded")
+	m := &manifest{Generation: 1, Level: semindex.FullInf, Files: []manifestEntry{
+		{Name: filepath.Base(shardGenPath(base, 1, 0)), Size: int64(len(garbage))},
+	}}
+	if err := writeManifest(base, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(base, nil); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("Load on a corrupt shard returned %v, want ErrSnapshotCorrupt", err)
 	}
 }

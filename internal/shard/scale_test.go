@@ -61,7 +61,7 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, p := range pages {
-			eng.AddPage(p)
+			eng.Ingest(context.Background(), []*crawler.MatchPage{p}, shard.IngestOptions{})
 		}
 	}()
 	epochBefore := eng.Epoch()

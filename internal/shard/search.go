@@ -443,47 +443,6 @@ func mergeRanked(lists [][]rankedHit, limit int) []rankedHit {
 	return out
 }
 
-// SearchHits is the former two-argument Search: every shard is awaited,
-// only the hits are returned.
-//
-// Deprecated: use Search with a context and SearchOptions.
-func (e *Engine) SearchHits(query string, limit int) []semindex.Hit {
-	res, _ := e.Search(context.Background(), query, SearchOptions{Limit: limit})
-	return res.Hits
-}
-
-// SearchTraced is SearchHits with a request trace attached.
-//
-// Deprecated: use Search with SearchOptions.Trace.
-func (e *Engine) SearchTraced(query string, limit int, tr *obs.Trace) []semindex.Hit {
-	res, _ := e.Search(context.Background(), query, SearchOptions{Limit: limit, Trace: tr})
-	return res.Hits
-}
-
-// SearchDeadline is the degraded-service form of SearchHits: every shard
-// gets perShard time to answer; the merged top-k over the shards that
-// made it is returned along with a report naming any that did not.
-// perShard <= 0 means no deadline.
-//
-// Deprecated: use Search with a deadline context.
-func (e *Engine) SearchDeadline(query string, limit int, perShard time.Duration) ([]semindex.Hit, SearchReport) {
-	return e.SearchDeadlineTraced(query, limit, perShard, nil)
-}
-
-// SearchDeadlineTraced is SearchDeadline with a request trace attached.
-//
-// Deprecated: use Search with a deadline context and SearchOptions.Trace.
-func (e *Engine) SearchDeadlineTraced(query string, limit int, perShard time.Duration, tr *obs.Trace) ([]semindex.Hit, SearchReport) {
-	ctx := context.Background()
-	if perShard > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, perShard)
-		defer cancel()
-	}
-	res, _ := e.Search(ctx, query, SearchOptions{Limit: limit, Trace: tr})
-	return res.Hits, res.Report
-}
-
 // SearchQuery scatters an already-built query across the shards — the
 // hook for programmatic callers that bypass the keyword front-end. It is
 // not cached: structured queries have no stable normalization to key on.
