@@ -186,8 +186,8 @@ func TestStreamingMemory(t *testing.T) {
 		runtime.KeepAlive(g)
 		return ms.HeapAlloc
 	}
-	small := liveAfterDrain(12_000)   // ~100 pages
-	large := liveAfterDrain(120_000)  // ~1000 pages
+	small := liveAfterDrain(12_000)  // ~100 pages
+	large := liveAfterDrain(120_000) // ~1000 pages
 	// Identical league, identical in-flight state: the live heap after a
 	// 10x stream must stay within a fixed budget of the small run, not
 	// scale with it. 16MB absorbs GC noise; retained pages would add

@@ -498,7 +498,7 @@ func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedT
 				term, numPostings, numDocs)
 		}
 		n, hint := int(numPostings), capHint(numPostings, 1<<16)
-		te := newTermEntry(hint, hint)
+		te := &termEntry{postingRun: newPostingRun(hint, hint)}
 		multi := n > postingBlockSize
 		if multi {
 			te.blocks = make([]termCap, 0, capHint(uint32((n+postingBlockSize-1)/postingBlockSize), 1<<10))

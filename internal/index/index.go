@@ -41,24 +41,17 @@ type fieldIndex struct {
 	// which storage mode they are in.
 	docTable
 	// m, when set, is the mapped (zero-copy) postings view: terms stays
-	// empty and every postings reader branches to the byte region
-	// (mapped.go).
+	// empty and postings come from the byte region through the same
+	// postingsCursor the heap entries are read with (postings.go).
 	m *mappedField
 }
 
-// termEntry is everything the heap index keeps about one term of one field.
-// The posting list is columnar and holds no pointers, the shape a mapped
-// block decodes to (blockCursor) at any length: posting i is document
-// docs[i], docID ascending, with positions positions[posEnd[i-1]:posEnd[i]]
-// (from 0 for the first), so its frequency is a subtraction. Boosts follow
-// the codec's rule: one value for the whole list until a posting arrives at
-// a boost that differs bit for bit, from which point boosts holds one each.
+// termEntry is everything the heap index keeps about one term of one field:
+// its posting list as one postingRun the length of the list — the shape a
+// postingsCursor hands every reader, from a mapped block's decode as from
+// here — and the list's score-bound inputs.
 type termEntry struct {
-	docs      []int32
-	posEnd    []uint32
-	positions []int32
-	boost     float64
-	boosts    []float64
+	postingRun
 	// cap tracks the term's score-bound inputs for MaxScore pruning,
 	// maintained incrementally by Add and rebuilt exactly on load and merge.
 	cap termCap
@@ -209,107 +202,26 @@ func (fi *fieldIndex) numTerms() int {
 	return len(fi.terms)
 }
 
+// eachTerm visits every term of the field with where its postings live, in
+// no particular order, touching neither a heap entry nor a mapped block.
+func (fi *fieldIndex) eachTerm(fn func(term string, src postingsSource)) {
+	if fi.m != nil {
+		for t, mt := range fi.m.terms {
+			fn(t, postingsSource{f: fi.m, t: mt})
+		}
+		return
+	}
+	for t, te := range fi.terms {
+		fn(t, postingsSource{te: te})
+	}
+}
+
 // termNames returns the unsorted term dictionary keys.
 func (fi *fieldIndex) termNames() []string {
-	if fi.m != nil {
-		out := make([]string, 0, len(fi.m.terms))
-		for t := range fi.m.terms {
-			out = append(out, t)
-		}
-		return out
-	}
-	out := make([]string, 0, len(fi.terms))
-	for t := range fi.terms {
-		out = append(out, t)
-	}
+	out := make([]string, 0, fi.numTerms())
+	fi.eachTerm(func(t string, _ postingsSource) { out = append(out, t) })
 	return out
 }
-
-// numPostings is a term's posting count without materializing anything.
-func (fi *fieldIndex) numPostings(term string) int {
-	if fi.m != nil {
-		if t := fi.m.terms[term]; t != nil {
-			return t.n
-		}
-		return 0
-	}
-	if te := fi.terms[term]; te != nil {
-		return len(te.docs)
-	}
-	return 0
-}
-
-// postingsOf returns a term's posting list, empty without the term: the
-// stored entry on the heap path, a full block decode into a fresh one on
-// the mapped path (the escape hatch the exhaustive oracle, merges and stats
-// walk through; scorers use block cursors instead).
-func (fi *fieldIndex) postingsOf(term string) termEntry {
-	if fi.m != nil {
-		return fi.m.materialize(term)
-	}
-	if te := fi.terms[term]; te != nil {
-		return *te
-	}
-	return termEntry{}
-}
-
-// newTermEntry returns an empty posting list with room for n postings and
-// npos positions.
-func newTermEntry(n, npos int) *termEntry {
-	return &termEntry{docs: make([]int32, 0, n), posEnd: make([]uint32, 0, n), positions: make([]int32, 0, npos)}
-}
-
-// posStart is where posting i's positions begin in te.positions.
-func (te *termEntry) posStart(i int) uint32 {
-	if i == 0 {
-		return 0
-	}
-	return te.posEnd[i-1]
-}
-
-// freq is posting i's within-document term frequency.
-func (te *termEntry) freq(i int) int { return int(te.posEnd[i] - te.posStart(i)) }
-
-// positionsAt returns posting i's token positions, ascending.
-func (te *termEntry) positionsAt(i int) []int32 { return te.positions[te.posStart(i):te.posEnd[i]] }
-
-// boostAt is the field boost posting i captured at indexing time.
-func (te *termEntry) boostAt(i int) float64 {
-	if te.boosts != nil {
-		return te.boosts[i]
-	}
-	return te.boost
-}
-
-// setBoost records the boost posting i captured, those of the postings
-// before it being set already.
-func (te *termEntry) setBoost(i int, boost float64) {
-	switch {
-	case te.boosts != nil:
-		te.boosts = append(te.boosts, boost)
-	case i == 0:
-		te.boost = boost
-	case math.Float64bits(boost) != math.Float64bits(te.boost):
-		te.boosts = make([]float64, i+1, max(i+1, cap(te.docs)))
-		for k := range te.boosts[:i] {
-			te.boosts[k] = te.boost
-		}
-		te.boosts[i] = boost
-	}
-}
-
-// appendPosting adds the posting of document id, indexed at boost, after
-// the last one, with the positions already known; a caller that learns them
-// one by one appends them to te.positions and closes with endPosting.
-func (te *termEntry) appendPosting(id int, boost float64, positions ...int32) {
-	te.setBoost(len(te.docs), boost)
-	te.docs = append(te.docs, int32(id))
-	te.positions = append(te.positions, positions...)
-	te.posEnd = append(te.posEnd, uint32(len(te.positions)))
-}
-
-// endPosting makes every position appended so far part of the last posting.
-func (te *termEntry) endPosting() { te.posEnd[len(te.posEnd)-1] = uint32(len(te.positions)) }
 
 // Index is an in-memory inverted index over documents with analyzed fields,
 // the stand-in for a Lucene index. Build it once with Add, then search; it
@@ -533,17 +445,10 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	s := Stats{Docs: ix.docCount(), Deleted: ix.numDeleted, Fields: len(ix.fields)}
 	for _, fi := range ix.fields {
-		if fi.m != nil {
-			s.Terms += len(fi.m.terms)
-			for _, t := range fi.m.terms {
-				s.Postings += t.n
-			}
-			continue
-		}
-		s.Terms += len(fi.terms)
-		for _, te := range fi.terms {
-			s.Postings += len(te.docs)
-		}
+		fi.eachTerm(func(_ string, src postingsSource) {
+			s.Terms++
+			s.Postings += src.len()
+		})
 	}
 	return s
 }
@@ -624,7 +529,7 @@ func (ix *Index) DocFreq(field, term string) int {
 	if fi == nil {
 		return 0
 	}
-	return fi.numPostings(term)
+	return fi.lookup(term).len()
 }
 
 // IDF computes the classic Lucene inverse document frequency:

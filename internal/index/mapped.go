@@ -6,7 +6,7 @@ package index
 // elsewhere) plus a table of contents (TOC) the encoder wrote next to the
 // payload, and decodes a posting block only when a scorer actually lands
 // on it — and then only the sections of it (docIDs; frequencies and boosts;
-// positions) the scorer goes on to read, see blockCursor. The TOC carries,
+// positions) the scorer goes on to read, see postingsCursor. The TOC carries,
 // per term: the byte offset and last docID of every 128-posting block and
 // the exact term-level score cap — enough for Block-Max WAND to skip a
 // beaten block without ever touching its bytes (the per-block max-impact
@@ -16,8 +16,8 @@ package index
 //
 // Immutability contract: everything reachable from mappedIndex is
 // read-only after OpenMapped returns, so concurrent searches share it
-// freely; all per-query decode state lives in blockCursor values embedded
-// in a single scorer. The only mutation is the per-document decode cache,
+// freely; all per-query decode state lives in postingsCursor values held
+// by a single reader. The only mutation is the per-document decode cache,
 // whose atomic entries are written once with an immutable value (Doc() on
 // a hit is the trigger — exactly the "fetch stored fields on hit
 // materialization" contract).
@@ -105,8 +105,6 @@ type mappedTerm struct {
 	offs     []int64
 	lastDocs []int32
 }
-
-func (t *mappedTerm) numBlocks() int { return len(t.offs) }
 
 // blockLen returns the posting count of block b.
 func (t *mappedTerm) blockLen(b int) int {
@@ -203,408 +201,6 @@ func uvarintAt(b []byte, p int) (v uint64, next int) {
 		return 0, -1
 	}
 	return v, p + n
-}
-
-// blockCursor decodes one term's 128-posting blocks from the mapped byte
-// region into buffers it owns — the unit of work the mapped scorers drive.
-// docIDs, frequencies and position offsets are one allocation sized for a
-// block when the cursor is built and filled by indexed stores; the per-
-// posting boost table and the position buffer are allocated by the first
-// block that needs them. A block is three sections, each decoded at most
-// once per landing and only by the accessor that needs it:
-//
-//   - load(b) (reached through docAt, seek and findDoc) decodes the docID
-//     section, seeding the delta chain from the TOC's lastDocs[b-1] so any
-//     block decodes independently, and notes where the next section starts;
-//   - at decodes the frequency and boost section the first time it is asked
-//     about the block. A uniform block (boost flag 0, the common case) keeps
-//     its one boost value; only a flag-1 block fills the per-posting table;
-//   - positionsAt(i) (withPos cursors only) decodes position lists from
-//     where the last call stopped up to posting i — the wire carries no
-//     per-posting offsets, so reaching posting i means parsing the ones
-//     before it, and nothing after it is parsed until someone asks. A
-//     cursor that only ever answers findDoc misses parses no position byte.
-//
-// Every accessor is total. A section that does not parse spoils the cursor
-// for good: it reads as exhausted from then on (docAt and seek answer
-// noMoreDocs, findDoc a miss, load false), at answers a posting that scores
-// zero and positionsAt nil, whatever index they are handed. On a CRC-
-// verified file no section can fail; on any other the worst outcome is a
-// term that reads shorter than it is, never a panic or an out-of-bounds read.
-//
-// A blockCursor belongs to exactly one scorer, which embeds it by value; it
-// is not safe for concurrent use (the mapped structures it reads are).
-type blockCursor struct {
-	f       *mappedField
-	t       *mappedTerm
-	withPos bool
-	bad     bool
-
-	// blk is the decoded block, -1 before the first load and once spoiled.
-	// docs holds its docIDs; freqs is empty until at decodes the section
-	// starting at byte off, and off then moves to the position bytes.
-	blk   int
-	off   int
-	docs  []int32
-	freqs []int32
-	// boost is a flag-0 block's boost; a flag-1 block fills boosts instead
-	// (empty otherwise, which is how at tells them apart).
-	boost  float64
-	boosts []float64
-	// Positions of the first posN postings are decoded: posting k's are
-	// positions[posOff[k]:posOff[k+1]], and off is where posting posN's
-	// deltas start.
-	posN      int
-	posOff    []int32
-	positions []int32
-}
-
-// newBlockCursor positions a cursor before the term's first block. docIDs,
-// frequencies and position offsets share one allocation.
-func newBlockCursor(f *mappedField, t *mappedTerm, withPos bool) blockCursor {
-	m := min(t.n, postingBlockSize)
-	r := blockCursor{f: f, t: t, withPos: withPos, blk: -1}
-	if withPos {
-		buf := make([]int32, 3*m+1)
-		r.docs, r.freqs, r.posOff = buf[:0:m], buf[m:m:2*m], buf[2*m:]
-	} else {
-		buf := make([]int32, 2*m)
-		r.docs, r.freqs = buf[:0:m], buf[m:m]
-	}
-	return r
-}
-
-// load makes b the current block by decoding its docID section (a no-op
-// when it already is). It returns false for a block the term does not have,
-// and — spoiling the cursor — when the bytes do not parse as one.
-func (r *blockCursor) load(b int) bool {
-	if r.blk == b {
-		return b >= 0
-	}
-	t, raw := r.t, r.f.raw
-	if r.bad || b < 0 || b >= t.numBlocks() {
-		return false
-	}
-	if t.offs[b] < 0 || t.offs[b] > int64(len(raw)) {
-		return r.spoil()
-	}
-	p := int(t.offs[b])
-	if t.multi {
-		// Skip the max-impact header; bounds are read via blockCap when a
-		// scorer needs them, without decoding the block.
-		_, p = uvarintAt(raw, p)
-		if _, p = uvarintAt(raw, p); p < 0 {
-			return r.spoil()
-		}
-		p += 8
-	}
-	numDocs := len(r.f.docLen)
-	prev := int32(-1)
-	if b > 0 {
-		prev = t.lastDocs[b-1]
-	}
-	docs := r.docs[:t.blockLen(b)]
-	for k := range docs {
-		var d uint64
-		if p < len(raw) && raw[p] < 0x80 {
-			d, p = uint64(raw[p]), p+1
-		} else {
-			d, p = uvarintAt(raw, p)
-		}
-		if p < 0 || d == 0 || d > uint64(numDocs) {
-			return r.spoil()
-		}
-		prev += int32(d)
-		if int(prev) >= numDocs {
-			return r.spoil()
-		}
-		docs[k] = prev
-	}
-	if prev != t.lastDocs[b] {
-		// The payload disagrees with the TOC: one of them is corrupt.
-		return r.spoil()
-	}
-	r.blk, r.off, r.docs = b, p, docs
-	r.freqs, r.boosts, r.posN = r.freqs[:0], r.boosts[:0], 0
-	return true
-}
-
-// spoil marks the cursor corrupt and empties it, so every accessor answers
-// as an exhausted cursor would.
-func (r *blockCursor) spoil() bool {
-	r.bad, r.blk, r.posN = true, -1, 0
-	r.docs, r.freqs, r.boosts = r.docs[:0], r.freqs[:0], r.boosts[:0]
-	return false
-}
-
-// loadFreqs decodes the current block's frequency and boost section and
-// reports whether slot k is a posting of the block.
-func (r *blockCursor) loadFreqs(k int) bool {
-	if r.blk < 0 || len(r.freqs) > 0 {
-		return uint(k) < uint(len(r.freqs))
-	}
-	raw, p := r.f.raw, r.off
-	freqs := r.freqs[:len(r.docs)]
-	total := 0
-	for j := range freqs {
-		var f uint64
-		if p < len(raw) && raw[p] < 0x80 {
-			f, p = uint64(raw[p]), p+1
-		} else {
-			f, p = uvarintAt(raw, p)
-		}
-		if p < 0 || f == 0 || f > 1<<24 {
-			return r.spoil()
-		}
-		total += int(f)
-		freqs[j] = int32(f)
-	}
-	if p >= len(raw) {
-		return r.spoil()
-	}
-	flag := raw[p]
-	p++
-	switch {
-	case flag == 0 && p+8 <= len(raw):
-		r.boost = math.Float64frombits(binary.LittleEndian.Uint64(raw[p:]))
-		p += 8
-	case flag == 1 && len(freqs) <= (len(raw)-p)/8:
-		if cap(r.boosts) < len(freqs) {
-			r.boosts = make([]float64, min(r.t.n, postingBlockSize))
-		}
-		r.boosts = r.boosts[:len(freqs)]
-		for j := range r.boosts {
-			r.boosts[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[p:]))
-			p += 8
-		}
-	default:
-		return r.spoil()
-	}
-	if r.withPos {
-		// Position deltas are at least one byte each, so the remaining
-		// region bounds the honest total — a lying freq cannot force an
-		// allocation past the bytes that exist.
-		if total > len(raw)-p || total > math.MaxInt32 {
-			return r.spoil()
-		}
-		if cap(r.positions) < total {
-			r.positions = make([]int32, total)
-		}
-		r.posOff[0] = 0
-	}
-	r.freqs, r.off = freqs, p
-	return uint(k) < uint(len(freqs))
-}
-
-// loadPositions decodes position lists up to and including slot k's and
-// reports whether they are there to read.
-func (r *blockCursor) loadPositions(k int) bool {
-	if !r.withPos || !r.loadFreqs(k) {
-		return false
-	}
-	raw, p := r.f.raw, r.off
-	at := int(r.posOff[r.posN])
-	for ; r.posN <= k; r.posN++ {
-		pos := -1
-		for q := r.freqs[r.posN]; q > 0; q-- {
-			var delta uint64
-			if p < len(raw) && raw[p] < 0x80 {
-				delta, p = uint64(raw[p]), p+1
-			} else {
-				delta, p = uvarintAt(raw, p)
-			}
-			if p < 0 || delta == 0 || delta > math.MaxInt32 {
-				return r.spoil()
-			}
-			if pos += int(delta); pos > math.MaxInt32 {
-				return r.spoil()
-			}
-			r.positions[at] = int32(pos)
-			at++
-		}
-		r.posOff[r.posN+1] = int32(at)
-	}
-	r.off = p
-	return true
-}
-
-// docAt returns the docID at posting index i, decoding the containing
-// block's docID section on demand; noMoreDocs past the end of the list.
-func (r *blockCursor) docAt(i int) int {
-	if b := i / postingBlockSize; b != r.blk && !r.load(b) {
-		return noMoreDocs
-	}
-	if k := i % postingBlockSize; uint(k) < uint(len(r.docs)) {
-		return int(r.docs[k])
-	}
-	return noMoreDocs
-}
-
-// at returns the (freq, boost) of posting index i of the current block,
-// decoding the block's frequency and boost section on first use; (0, 0) —
-// a posting that scores nothing — for any other index.
-func (r *blockCursor) at(i int) (freq int, boost float64) {
-	k := i - r.blk*postingBlockSize
-	if uint(k) >= uint(len(r.freqs)) && !r.loadFreqs(k) {
-		return 0, 0
-	}
-	if k < len(r.boosts) {
-		return int(r.freqs[k]), r.boosts[k]
-	}
-	return int(r.freqs[k]), r.boost
-}
-
-// positionsAt returns the position list of posting index i of the current
-// block, decoding forward to it when it has not been reached yet; nil for
-// any other index and on cursors built without positions. The slice aliases
-// the cursor's buffer: valid until the next load.
-func (r *blockCursor) positionsAt(i int) []int32 {
-	k := i - r.blk*postingBlockSize
-	if k < 0 || k >= r.posN && !r.loadPositions(k) {
-		return nil
-	}
-	return r.positions[r.posOff[k]:r.posOff[k+1]]
-}
-
-// seek returns the index and docID of the first posting at or after index
-// base whose docID reaches target — (t.n, noMoreDocs) when there is none.
-// The block comes from the in-RAM boundary table, so only the docID section
-// of the one block the target lands in is decoded.
-func (r *blockCursor) seek(base, target int) (int, int) {
-	t := r.t
-	if base >= t.n {
-		return t.n, noMoreDocs
-	}
-	base = max(base, 0)
-	b := t.probeBlock(base/postingBlockSize, target)
-	if !r.load(b) {
-		return t.n, noMoreDocs
-	}
-	lo := 0
-	if b == base/postingBlockSize {
-		lo = base % postingBlockSize
-	}
-	j := seekInt32(r.docs, lo, target)
-	if j >= len(r.docs) {
-		// Only reachable when the TOC boundary and the payload disagree
-		// (excluded by the envelope CRC); fail closed as exhausted.
-		return t.n, noMoreDocs
-	}
-	return b*postingBlockSize + j, int(r.docs[j])
-}
-
-// findDoc locates doc's posting index, or (-1, false). The block search
-// starts from the current block — a phrase's candidates ascend, so the
-// answer is nearly always this block or the next — and falls back to the
-// whole boundary table for a doc behind it; only docID sections are decoded.
-func (r *blockCursor) findDoc(doc int) (int, bool) {
-	b := max(r.blk, 0)
-	if b > 0 && int(r.t.lastDocs[b-1]) >= doc {
-		b = 0
-	}
-	b = r.t.probeBlock(b, doc)
-	if !r.load(b) {
-		return -1, false
-	}
-	j := findInt32(r.docs, doc)
-	if j < 0 {
-		return -1, false
-	}
-	return b*postingBlockSize + j, true
-}
-
-// searchInt32 returns the index of the first element of ascending a that
-// reaches v, len(a) when none does.
-func searchInt32(a []int32, v int) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(a[mid]) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// findInt32 returns the index of v in ascending a, -1 when it is not there.
-func findInt32(a []int32, v int) int {
-	if j := searchInt32(a, v); j < len(a) && int(a[j]) == v {
-		return j
-	}
-	return -1
-}
-
-// seekInt32 is searchInt32 from index j on: a short linear scan for the
-// common advance-by-little case, then binary search for real jumps.
-func seekInt32(a []int32, j, v int) int {
-	for k := 0; k < 4 && j < len(a) && int(a[j]) < v; k++ {
-		j++
-	}
-	if j < len(a) && int(a[j]) < v {
-		j += 1 + searchInt32(a[j+1:], v)
-	}
-	return j
-}
-
-// blockCap reads block b's max-impact header from the mapped region —
-// ~20 bytes at the block's start, no posting decoded. Single-block terms
-// answer with the exact term cap (they carry no header).
-func (f *mappedField) blockCap(t *mappedTerm, b int) termCap {
-	if !t.multi {
-		return t.cap
-	}
-	if b < 0 || b >= t.numBlocks() || t.offs[b] < 0 || t.offs[b] > int64(len(f.raw)) {
-		return termCap{maxFreq: int(^uint(0) >> 1), minLen: 1, maxBoost: math.Inf(1)}
-	}
-	br := byteReader{b: f.raw, pos: int(t.offs[b])}
-	mf := br.uvarint()
-	ml := br.uvarint()
-	mb := br.f64()
-	if br.bad || mf == 0 || ml == 0 || mf > 1<<24 || ml > 1<<32 {
-		// Unreadable header (impossible post-CRC): never prune on it.
-		return termCap{maxFreq: int(^uint(0) >> 1), minLen: 1, maxBoost: math.Inf(1)}
-	}
-	return termCap{maxFreq: int(mf), minLen: int(ml), maxBoost: mb}
-}
-
-// hasPosition reports whether term's posting for doc contains pos —
-// the mapped analogue of the heap path's binary search, decoding one
-// block's docIDs and its positions up to doc's. Used by the exhaustive
-// phrase oracle; the mapped phrase scorer keeps per-term cursors instead.
-func (f *mappedField) hasPosition(term string, doc, pos int) bool {
-	t := f.terms[term]
-	if t == nil {
-		return false
-	}
-	r := newBlockCursor(f, t, true)
-	i, ok := r.findDoc(doc)
-	return ok && findInt32(r.positionsAt(i), pos) >= 0
-}
-
-// materialize decodes term's full posting list into a heap entry (without
-// score-bound inputs, which the TOC and the block headers hold) — the escape
-// hatch for the exhaustive oracle, merges and stats, bounded to one term at
-// a time. It is all or nothing: empty when any section of any block is
-// spoiled, never a truncated list.
-func (f *mappedField) materialize(term string) termEntry {
-	t := f.terms[term]
-	if t == nil {
-		return termEntry{}
-	}
-	r := newBlockCursor(f, t, true)
-	te := newTermEntry(t.n, t.n)
-	for i := 0; i < t.n; i++ {
-		d := r.docAt(i)
-		_, boost := r.at(i)
-		pos := r.positionsAt(i)
-		if pos == nil || len(te.positions)+len(pos) > math.MaxUint32 {
-			return termEntry{}
-		}
-		te.appendPosting(d, boost, pos...)
-	}
-	return *te
 }
 
 // --- TOC build (encoder side) ---

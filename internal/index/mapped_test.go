@@ -11,7 +11,8 @@ import (
 
 // openMappedPair encodes ix with a TOC and opens the same bytes both ways:
 // through the heap decoder and through the mapped reader. Every equivalence
-// test in this file compares the two against each other and the oracle.
+// test in this file, and the Block-Max oracle, compares the two against each
+// other and the exhaustive path.
 func openMappedPair(tb testing.TB, ix *Index, metaFields ...string) (heap, mapped *Index, raw, toc []byte) {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -32,47 +33,6 @@ func openMappedPair(tb testing.TB, ix *Index, metaFields ...string) (heap, mappe
 		tb.Fatal("storage-mode flags inverted")
 	}
 	return heap, mapped, raw, toc
-}
-
-// TestMappedEquivalenceMultiBlock is the mapped-path oracle: the same
-// random multi-block corpora and structured queries as the Block-Max
-// suite, with the index served straight from codec-v2 bytes. Mapped
-// Search must reproduce heap Search and the exhaustive path bit-for-bit
-// — same documents, byte-identical scores, identical tie order — under
-// both similarities, so lazy block decode provably changes nothing about
-// ranking.
-func TestMappedEquivalenceMultiBlock(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	fields := []string{"event", "narration"}
-	rng := rand.New(rand.NewSource(20260808))
-	for round := 0; round < 4; round++ {
-		ix := buildMultiBlockIndex(t, rng, 900+rng.Intn(400), vocab, fields)
-		if round%2 == 1 {
-			ix.SetSimilarity(BM25{})
-		}
-		heap, mapped, _, _ := openMappedPair(t, ix)
-		if round%2 == 1 {
-			heap.SetSimilarity(BM25{})
-			mapped.SetSimilarity(BM25{})
-		}
-		for qi := 0; qi < 30; qi++ {
-			q := randomQuery(rng, vocab, fields, 2)
-			limit := []int{0, 1, 2, 5, 10, 100}[rng.Intn(6)]
-			want := ix.ExhaustiveSearch(q, limit)
-			if got := mapped.ExhaustiveSearch(q, limit); !hitsEqual(got, want) {
-				t.Fatalf("round %d query %d (%#v) limit %d mapped exhaustive:\ngot:  %v\nwant: %v",
-					round, qi, q, limit, got, want)
-			}
-			if got := heap.Search(q, limit); !hitsEqual(got, want) {
-				t.Fatalf("round %d query %d (%#v) limit %d heap decode:\ngot:  %v\nwant: %v",
-					round, qi, q, limit, got, want)
-			}
-			if got := mapped.Search(q, limit); !hitsEqual(got, want) {
-				t.Fatalf("round %d query %d (%#v) limit %d mapped DAAT:\ngot:  %v\nwant: %v",
-					round, qi, q, limit, got, want)
-			}
-		}
-	}
 }
 
 // TestMappedEquivalenceWithTombstones covers the read path the LSM engine
@@ -319,8 +279,8 @@ func TestMappedCorruptionFailsClosed(t *testing.T) {
 				m.Search(q, 1000)
 			}
 		}
-		// The oracle reads through materialize and hasPosition, which do not
-		// depend on the similarity; the phrase is its slow case, so once.
+		// The oracle reads through postingsOf and phraseAt's cursors, which do
+		// not depend on the similarity; the phrase is its slow case, so once.
 		for _, q := range queries[:2] {
 			m.ExhaustiveSearch(q, 10)
 		}
@@ -436,7 +396,7 @@ func (r *eagerBlock) load(b int) bool {
 	r.boosts = r.boosts[:0]
 	r.posOff = r.posOff[:0]
 	r.positions = r.positions[:0]
-	if b < 0 || b >= r.t.numBlocks() || r.t.offs[b] < 0 || r.t.offs[b] > int64(len(r.f.raw)) {
+	if b < 0 || b >= len(r.t.offs) || r.t.offs[b] < 0 || r.t.offs[b] > int64(len(r.f.raw)) {
 		r.bad = true
 		return false
 	}
@@ -556,7 +516,7 @@ func eagerPostings(tb testing.TB, f *mappedField, t *mappedTerm) []eagerPosting 
 	tb.Helper()
 	r := &eagerBlock{f: f, t: t, withPos: true, blk: -1}
 	var out []eagerPosting
-	for b := 0; b < t.numBlocks(); b++ {
+	for b := 0; b < len(t.offs); b++ {
 		if !r.load(b) {
 			tb.Fatalf("reference decoder rejected block %d", b)
 		}
@@ -615,12 +575,14 @@ func twoByteVarintIndex(n int) *Index {
 	return ix
 }
 
-// TestBlockCursorMatchesEagerDecode drives the sectioned cursor through
-// seeded access orders — walks up and down a block, jumps across blocks and
-// back, seeks, findDoc hits and misses, positions before frequencies and
-// after — on every term of corpora covering the block shapes the codec
-// writes, and requires every answer to equal the eager decoder's.
-func TestBlockCursorMatchesEagerDecode(t *testing.T) {
+// TestPostingsCursorMatchesEagerDecode drives the cursor through seeded
+// access orders — walks up and down a run, jumps across runs and back,
+// seeks, findDoc hits and misses, positions before frequencies and after,
+// indexes just outside the list — on every term of corpora covering the
+// block shapes the codec writes, from both sources: the mapped cursor's
+// sectioned decode and the heap cursor's one run over the decoded entry.
+// Every answer must equal the eager decoder's.
+func TestPostingsCursorMatchesEagerDecode(t *testing.T) {
 	one := func(int) int { return 1 }
 	corpora := map[string]*Index{
 		"single-block":   oneTermIndex(40, one, nil),
@@ -641,34 +603,42 @@ func TestBlockCursorMatchesEagerDecode(t *testing.T) {
 			strings.Fields("goal foul save corner pass shot"), []string{"event", "narration"}),
 	}
 	for name, ix := range corpora {
-		_, mapped, _, _ := openMappedPair(t, ix)
+		heap, mapped, _, _ := openMappedPair(t, ix)
 		rng := rand.New(rand.NewSource(int64(len(name))))
 		for field, fi := range mapped.fields {
 			for term, mt := range fi.m.terms {
 				ref := eagerPostings(t, fi.m, mt)
 				for round := 0; round < 4; round++ {
-					driveCursor(t, name+"/"+field+"/"+term, rng, fi.m, mt, ref, round%2 == 0)
+					label := name + "/" + field + "/" + term
+					driveCursor(t, label+"/mapped", rng, fi, term, ref, round%2 == 0)
+					driveCursor(t, label+"/heap", rng, heap.fields[field], term, ref, round%2 == 0)
 				}
 			}
 		}
 	}
 }
 
-// driveCursor runs one seeded sequence of accesses against a fresh cursor.
-func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt *mappedTerm, ref []eagerPosting, withPos bool) {
+// driveCursor runs one seeded sequence of accesses against a fresh cursor
+// over the field's term.
+func driveCursor(t *testing.T, label string, rng *rand.Rand, fi *fieldIndex, term string, ref []eagerPosting, withPos bool) {
 	t.Helper()
-	r := newBlockCursor(f, mt, withPos)
-	n := len(ref)
+	var r postingsCursor
+	r.init(fi.lookup(term), withPos)
+	n := r.n
+	if n != len(ref) {
+		t.Fatalf("%s: the cursor counts %d postings, want %d", label, n, len(ref))
+	}
 	// check compares everything the cursor will say about posting index i,
 	// asking for positions before or after frequencies as the seed decides.
+	// Only a posting inside the current run answers; a heap cursor's one run
+	// is the whole list and always carries positions.
 	check := func(i int) {
 		t.Helper()
-		inBlock := r.blk >= 0 && i >= r.blk*postingBlockSize && i < min(n, (r.blk+1)*postingBlockSize)
 		var want eagerPosting
-		if inBlock {
+		if i >= r.base && i < r.base+len(r.docs) {
 			want = ref[i]
 		}
-		if !withPos {
+		if !withPos && r.t != nil {
 			want.positions = nil
 		}
 		posFirst := rng.Intn(2) == 0
@@ -685,8 +655,8 @@ func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt 
 			pos = append(pos, int(p))
 		}
 		if freq != want.freq || boost != want.boost || !reflect.DeepEqual(pos, want.positions) {
-			t.Fatalf("%s: posting %d (block %d current): got freq %d boost %v positions %v, want %+v",
-				label, i, r.blk, freq, boost, pos, want)
+			t.Fatalf("%s: posting %d (run from %d current): got freq %d boost %v positions %v, want %+v",
+				label, i, r.base, freq, boost, pos, want)
 		}
 	}
 	docAt := func(i int) {
@@ -709,7 +679,7 @@ func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt 
 					check(j)
 				}
 			}
-		case 1: // descending within (and out of) a block
+		case 1: // descending within (and out of) a run
 			for j := i; j > i-1-rng.Intn(150); j-- {
 				docAt(j)
 				check(j)
@@ -719,7 +689,7 @@ func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt 
 				docAt(j)
 				check(j)
 			}
-		case 3: // a posting of whichever block is current, without docAt
+		case 3: // a posting of whichever run is current, without docAt
 			check(i)
 		case 4: // seek
 			base := i
@@ -764,47 +734,55 @@ func driveCursor(t *testing.T, label string, rng *rand.Rand, f *mappedField, mt 
 	}
 }
 
-// cursorSink keeps BenchmarkBlockCursor's reads alive.
+// cursorSink keeps BenchmarkPostingsCursor's reads alive.
 var cursorSink int
 
-// BenchmarkBlockCursor measures the mapped leaf by itself, one cursor built
-// and driven per iteration over a ~17k-posting term: "walk" scores every
-// posting the way a term scorer's next/score does, "advance50" seeks in
-// strides of 50 docIDs and scores where it lands, "positions8" is a phrase's
-// first cursor reading every 8th posting's positions. ns/posting divides by
-// the postings of the blocks the run lands in (all of them, in all three);
-// allocs/op is per cursor, so it does not grow with the blocks walked.
-func BenchmarkBlockCursor(b *testing.B) {
+// BenchmarkPostingsCursor measures the posting leaf by itself, one cursor
+// built and driven per iteration over a ~17k-posting term, from each source
+// in turn — the heap entry and the mapped region of the same bytes, so the
+// gap between the two arms of a drive is what decoding costs per posting:
+// "walk" scores every posting the way a term scorer's next/score does,
+// "advance50" seeks in strides of 50 docIDs and scores where it lands,
+// "positions8" is a phrase's first cursor reading every 8th posting's
+// positions. ns/posting divides by the postings of the blocks the run lands
+// in (all of them, in all three); allocs/op is per cursor, so it does not
+// grow with the blocks walked.
+func BenchmarkPostingsCursor(b *testing.B) {
 	vocab := strings.Fields("goal foul save corner pass shot keeper header")
 	ix := buildMultiBlockIndex(b, rand.New(rand.NewSource(19)), 40000, vocab, []string{"event"})
-	_, mapped, _, _ := openMappedPair(b, ix)
-	f := mapped.fields["event"].m
-	t := f.terms["goal"]
-	run := func(name string, withPos bool, drive func(r *blockCursor)) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := newBlockCursor(f, t, withPos)
-				drive(&r)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*t.n), "ns/posting")
-		})
+	heap, mapped, _, _ := openMappedPair(b, ix)
+	run := func(name string, withPos bool, drive func(r *postingsCursor)) {
+		for _, arm := range []struct {
+			name string
+			ix   *Index
+		}{{"heap", heap}, {"mapped", mapped}} {
+			src := arm.ix.fields["event"].lookup("goal")
+			b.Run(name+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var r postingsCursor
+					r.init(src, withPos)
+					drive(&r)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*src.len()), "ns/posting")
+			})
+		}
 	}
-	run("walk", false, func(r *blockCursor) {
-		for i := 0; i < t.n; i++ {
+	run("walk", false, func(r *postingsCursor) {
+		for i := 0; i < r.n; i++ {
 			d := r.docAt(i)
 			freq, _ := r.at(i)
 			cursorSink += d + freq
 		}
 	})
-	run("advance50", false, func(r *blockCursor) {
+	run("advance50", false, func(r *postingsCursor) {
 		for i, d := r.seek(0, 0); d != noMoreDocs; i, d = r.seek(i+1, d+50) {
 			freq, _ := r.at(i)
 			cursorSink += freq
 		}
 	})
-	run("positions8", true, func(r *blockCursor) {
-		for i := 0; i < t.n; i += 8 {
+	run("positions8", true, func(r *postingsCursor) {
+		for i := 0; i < r.n; i += 8 {
 			cursorSink += r.docAt(i) + len(r.positionsAt(i))
 		}
 	})
@@ -813,8 +791,8 @@ func BenchmarkBlockCursor(b *testing.B) {
 // TestSpoiledBlockVerdict pins what each direct user of the cursor makes of
 // a block section that does not parse (unreachable behind the shard
 // envelope's CRC, reachable by hand): the term reads as shorter from the
-// spoiled section on — LocalStats counts the blocks before it, hasPosition
-// misses — materialize returns nil rather than a truncated list, and
+// spoiled section on — LocalStats counts the blocks before it, phraseAt's
+// position probe misses — postingsOf returns nil rather than a truncated list, and
 // nothing panics. The image holds one three-block term; block 1 is damaged
 // in one section at a time.
 func TestSpoiledBlockVerdict(t *testing.T) {
@@ -860,7 +838,7 @@ func TestSpoiledBlockVerdict(t *testing.T) {
 		off  int
 		val  byte
 		// df is what LocalStats reports for the term; early and late say
-		// whether hasPosition still finds the postings before and after the
+		// whether phraseAt still finds the postings before and after the
 		// damaged slot of block 1.
 		df          int
 		early, late bool
@@ -877,7 +855,7 @@ func TestSpoiledBlockVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", c.name, err)
 		}
-		mf := m.fields["event"].m
+		fi := m.fields["event"]
 		// A filler document is tombstoned, so LocalStats walks the postings
 		// and no posting of the term is dead.
 		m.Delete(2)
@@ -886,14 +864,16 @@ func TestSpoiledBlockVerdict(t *testing.T) {
 		}
 		pl := m.Postings("event", "goal")
 		if c.name == "clean" && len(pl) != len(ref) || c.name != "clean" && pl != nil {
-			t.Errorf("%s: materialize returned %d postings", c.name, len(pl))
+			t.Errorf("%s: postingsOf returned %d postings", c.name, len(pl))
 		}
 		for _, p := range []struct {
 			i    int
 			want bool
 		}{{0, true}, {first + damaged - 1, c.early}, {last, c.late}, {len(ref) - 1, true}} {
-			if got := mf.hasPosition("goal", ref[p.i].doc, ref[p.i].positions[0]); got != p.want {
-				t.Errorf("%s: hasPosition on posting %d = %v, want %v", c.name, p.i, got, p.want)
+			// phraseAt reads the terms after the first: this asks whether
+			// "goal" occurs at the posting's first position.
+			if got := fi.phraseAt([]string{"", "goal"}, ref[p.i].doc, ref[p.i].positions[0]-1); got != p.want {
+				t.Errorf("%s: phraseAt on posting %d = %v, want %v", c.name, p.i, got, p.want)
 			}
 		}
 		for _, q := range []Query{

@@ -114,7 +114,7 @@ func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fie
 	// and every later one, into columns allocated once at their final
 	// lengths. Mapped sources materialize one term at a time; memory stays
 	// bounded by a term's posting lists, never the whole field.
-	lists := make([]termEntry, 0, len(sources))
+	lists := make([]postingRun, 0, len(sources))
 	for si, src := range sources {
 		sfi := src.fields[name]
 		if sfi == nil {
@@ -127,7 +127,7 @@ func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fie
 			lists = lists[:0]
 			n, npos := 0, 0
 			for sj := si; sj < len(sources); sj++ {
-				var pl termEntry
+				var pl postingRun
 				if f := sources[sj].fields[name]; f != nil {
 					pl = f.postingsOf(term)
 				}
@@ -143,7 +143,7 @@ func mergeField(name string, sources []*Index, remaps [][]int, numDocs int) *fie
 			if n == 0 {
 				continue
 			}
-			te := newTermEntry(n, npos)
+			te := &termEntry{postingRun: newPostingRun(n, npos)}
 			for k := range lists {
 				pl, remap := &lists[k], remaps[si+k]
 				for i, d := range pl.docs {

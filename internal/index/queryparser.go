@@ -156,7 +156,7 @@ func (q *fuzzyClause) bind(Analyzer) boundQuery { return q }
 // weights: 1 for the target itself, 0.5 within edit distance 1. The byte
 // lengths are compared first: one edit is one rune, at most four bytes.
 func (fi *fieldIndex) expansions(target string) (terms []string, weights []float64) {
-	visit := func(term string) {
+	fi.eachTerm(func(term string, _ postingsSource) {
 		if d := len(term) - len(target); d > utf8.UTFMax || d < -utf8.UTFMax {
 			return
 		}
@@ -169,16 +169,7 @@ func (fi *fieldIndex) expansions(target string) (terms []string, weights []float
 			return
 		}
 		terms = append(terms, term)
-	}
-	if fi.m != nil {
-		for term := range fi.m.terms {
-			visit(term)
-		}
-		return terms, weights
-	}
-	for term := range fi.terms {
-		visit(term)
-	}
+	})
 	return terms, weights
 }
 

@@ -110,29 +110,32 @@ func unpositioned(n, extra int) []int {
 	return docs[:n+extra]
 }
 
-// termScorer walks one term's posting list, scoring with the index's
-// similarity exactly like termClause.scores.
+// termScorer walks one term's posting list through its cursor, scoring
+// with the index's similarity exactly like termClause.scores. It records
+// the docID it stands on where it moves (next, advance), the rule the
+// compound scorers below follow one level down: advance's early-out and
+// score read it back instead of asking the cursor again.
 type termScorer struct {
-	ix *Index
-	// docLen is the field's length table; every posting's document is in it.
-	docLen []int32
-	// te is the term's columnar posting list; docs is te.docs, which every
-	// move reads.
-	te    *termEntry
-	docs  []int32
-	st    termStats
+	// i is the cursor's posting index (cur.n once exhausted) and d the docID
+	// there: -1 before the first document, noMoreDocs after the last. The
+	// fields every posting reads come first, so they share cache lines with
+	// the head of the cursor's run.
+	i, d  int
 	ts    TermScorer
 	boost float64
-	i     int
-	cap   float64
+	// docLen is the field's length table; every posting's document is in it.
+	docLen []int32
+	cur    postingsCursor
+	ix     *Index
+	st     termStats
+	cap    float64
 
-	// Block-Max state: shallow is the maxScoreUpTo probe position, always
-	// >= i and monotone because targets only rise; th is the collector
-	// threshold (root-only, see setThreshold); cachedBlock/cachedBound
-	// memoize the last block bound evaluation — the similarity math runs
-	// once per block, not once per probe. A single-block term carries no
-	// per-block metadata (te.blocks is nil): its only block bound is cap.
-	shallow     int
+	// Block-Max state: shallowBlk is the maxScoreUpTo probe's block,
+	// monotone because targets only rise; th is the collector threshold
+	// (root-only, see setThreshold); cachedBlock/cachedBound memoize the
+	// last block bound evaluation — the similarity math runs once per
+	// block, not once per probe.
+	shallowBlk  int
 	th          float64
 	cachedBlock int
 	cachedBound float64
@@ -145,29 +148,32 @@ func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
 	if fi == nil {
 		return emptyScorer{}
 	}
-	if fi.m != nil {
-		return newMappedTermScorer(ix, fi.m, field, term, queryBoost)
-	}
-	te := fi.terms[term]
-	if te == nil {
+	src := fi.lookup(term)
+	if src.len() == 0 {
 		return emptyScorer{}
 	}
 	st := ix.termStats(field, term)
-	return &termScorer{
-		ix: ix, docLen: fi.docLen, te: te, docs: te.docs,
+	s := &termScorer{
+		ix: ix, docLen: fi.docLen,
 		st: st, ts: st.scorer(ix.sim),
-		boost:       queryBoost,
-		i:           -1,
-		cap:         ix.scoreBound(te.cap, st, queryBoost),
+		boost: queryBoost,
+		i:     -1, d: -1,
 		cachedBlock: -1,
 	}
+	s.cur.init(src, false)
+	s.cap = ix.scoreBound(s.cur.listCap(), st, queryBoost)
+	return s
 }
 
-func (s *termScorer) doc() int {
-	if s.i >= len(s.docs) {
-		return noMoreDocs
+// land records where the cursor stands after a move to posting index i. A
+// cursor that cannot produce the posting (past the end, or spoiled) is
+// exhausted.
+func (s *termScorer) land(i, d int) int {
+	if d == noMoreDocs {
+		i = s.cur.n
 	}
-	return int(s.docs[s.i])
+	s.i, s.d = i, d
+	return d
 }
 
 func (s *termScorer) next() int {
@@ -175,7 +181,14 @@ func (s *termScorer) next() int {
 	if s.th > 0 {
 		s.skipBeatenBlocks()
 	}
-	return s.doc()
+	// Inside the current run the scorer reads the run's columns itself, here
+	// and in score: the cursor's accessors carry their decode path and are
+	// too large for the compiler to inline into the per-posting loop.
+	if k := uint(s.i - s.cur.base); k < uint(len(s.cur.docs)) {
+		s.d = int(s.cur.docs[k])
+		return s.d
+	}
+	return s.land(s.i, s.cur.docAt(s.i))
 }
 
 // setThreshold implements prunable. As the root scorer of a plain term
@@ -188,16 +201,10 @@ func (s *termScorer) setThreshold(th float64) { s.th = th }
 // skipBeatenBlocks moves the cursor forward over whole blocks proven
 // unable to produce a score above th. Documents skipped here score at or
 // below the collector threshold and would never be collected, so the
-// pruned ranking stays byte-identical to the exhaustive one.
+// pruned ranking stays byte-identical to the exhaustive one. A skipped
+// mapped block's postings are never decoded, only its header read.
 func (s *termScorer) skipBeatenBlocks() {
-	n := len(s.docs)
-	for s.i < n {
-		if s.te.blocks == nil {
-			if s.cap <= s.th {
-				s.i = n
-			}
-			return
-		}
+	for s.i < s.cur.n {
 		b := s.i / postingBlockSize
 		if s.blockBound(b) > s.th {
 			return
@@ -209,44 +216,37 @@ func (s *termScorer) skipBeatenBlocks() {
 // blockBound is the score bound of block b (see Index.scoreBound).
 func (s *termScorer) blockBound(b int) float64 {
 	if b != s.cachedBlock {
-		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.te.blocks[b], s.st, s.boost)
+		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.cur.blockCap(b), s.st, s.boost)
 	}
 	return s.cachedBound
 }
 
-// blockEnd returns the docID of the last posting in the block holding
-// posting j, and that block's index.
-func blockEnd(docs []int32, j int) (block, lastDoc int) {
-	block = j / postingBlockSize
-	return block, int(docs[min((block+1)*postingBlockSize, len(docs))-1])
-}
-
-// maxScoreUpTo answers from the codec's per-block metadata: the bound for
-// the window [target, boundary] is the bound of the single block holding
-// every posting in that window.
+// maxScoreUpTo answers from the per-block metadata: the bound for the
+// window [target, boundary] is the bound of the single block holding every
+// posting in that window. Nothing is decoded.
 func (s *termScorer) maxScoreUpTo(target int) (float64, int) {
-	j := seekInt32(s.docs, max(s.shallow, s.i, 0), target)
-	s.shallow = j
-	if j >= len(s.docs) {
+	b := s.cur.shallowProbe(s.shallowBlk, s.i, target)
+	s.shallowBlk = b
+	if b >= s.cur.numBlocks() {
 		return 0, noMoreDocs
 	}
-	if s.te.blocks == nil {
-		return s.cap, int(s.docs[len(s.docs)-1])
-	}
-	b, end := blockEnd(s.docs, j)
-	return s.blockBound(b), end
+	return s.blockBound(b), s.cur.lastDoc(b)
 }
 
 func (s *termScorer) advance(target int) int {
-	if s.i >= 0 && s.i < len(s.docs) && int(s.docs[s.i]) >= target {
-		return int(s.docs[s.i])
+	if s.d >= target {
+		return s.d
 	}
-	s.i = seekInt32(s.docs, s.i+1, target)
-	return s.doc()
+	return s.land(s.cur.seek(s.i+1, target))
 }
 
 func (s *termScorer) score() float64 {
-	return s.ts.Score(s.te.freq(s.i), int(s.docLen[s.docs[s.i]])) * s.te.boostAt(s.i) * s.boost
+	c := &s.cur
+	k := s.i - c.base
+	if uint(k) >= uint(len(c.posEnd)) && !c.loadFreqs(k) {
+		return 0 // a spoiled mapped block: the posting cannot be read
+	}
+	return s.ts.Score(c.freq(k), int(s.docLen[s.d])) * c.boostAt(k) * s.boost
 }
 
 func (s *termScorer) maxScore() float64 { return s.cap }
@@ -289,29 +289,30 @@ starts:
 }
 
 // phraseScorer walks the first term's posting list and verifies the full
-// phrase positionally per document, scoring exactly like
-// phraseClause.scores.
+// phrase positionally per candidate, scoring exactly like
+// phraseClause.scores. Each later term keeps its own positional cursor, so
+// verification decodes at most one mapped block's docIDs per probe —
+// candidates arrive in ascending docID order, so those reads are nearly
+// sequential — and positions only for candidates every term contains.
 type phraseScorer struct {
-	tbl *docTable
-	// first is the first term's posting list (docs its docIDs, which every
-	// move reads) and rest those of the terms after it, resolved once;
-	// follow is the per-candidate scratch phraseFreq reads.
-	first  *termEntry
-	docs   []int32
-	rest   []*termEntry
-	follow [][]int32
-	idfSum float64
-	boost  float64
-	i      int
-	freq   int
-	cap    float64
+	// i is the first term's posting index and d the docID of the phrase
+	// match there, as in termScorer, whose field order this follows.
+	i, d, freq    int
+	idfSum, boost float64
+	tbl           *docTable
+	first         postingsCursor
+	rest          []postingsCursor
+	follow        [][]int32
+	cap           float64
 
 	// Block-Max state over the first term's posting list (the candidate
 	// generator, whose per-block metadata bounds a window): the whole-phrase
-	// cap inputs, kept so maxScoreUpTo can tighten them per block, and the
-	// shallow probe position.
-	whole   termCap
-	shallow int
+	// cap inputs, kept so maxScoreUpTo can tighten them per block, the
+	// shallow probe's block and the last block bound.
+	whole       termCap
+	shallowBlk  int
+	cachedBlock int
+	cachedBound float64
 }
 
 // newPhraseScorer builds the cursor for already-analyzed phrase terms.
@@ -320,28 +321,29 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 	if fi == nil {
 		return emptyScorer{}
 	}
-	if fi.m != nil {
-		return newMappedPhraseScorer(ix, fi.m, field, terms, boost)
-	}
 	// Any term absent from the field makes the phrase unmatchable.
-	entries := make([]*termEntry, len(terms))
-	for i, t := range terms {
-		if entries[i] = fi.terms[t]; entries[i] == nil {
+	for _, t := range terms {
+		if fi.lookup(t).len() == 0 {
 			return emptyScorer{}
 		}
 	}
-	first := entries[0]
 	s := &phraseScorer{
-		tbl: &fi.docTable, first: first, docs: first.docs,
-		rest: entries[1:], follow: make([][]int32, len(terms)-1),
-		boost: boost, i: -1,
-		whole: termCap{maxFreq: math.MaxInt, minLen: 1, maxBoost: first.cap.maxBoost},
+		tbl: &fi.docTable, rest: make([]postingsCursor, len(terms)-1), follow: make([][]int32, len(terms)-1),
+		boost: boost, i: -1, d: -1, cachedBlock: -1,
+		whole: termCap{maxFreq: math.MaxInt, minLen: 1},
 	}
-	for i, te := range entries {
-		s.idfSum += ix.IDF(field, terms[i])
-		s.whole.maxFreq = min(s.whole.maxFreq, te.cap.maxFreq)
-		s.whole.minLen = max(s.whole.minLen, te.cap.minLen)
+	for i, t := range terms {
+		c := &s.first
+		if i > 0 {
+			c = &s.rest[i-1]
+		}
+		c.init(fi.lookup(t), true)
+		s.idfSum += ix.IDF(field, t)
+		lc := c.listCap()
+		s.whole.maxFreq = min(s.whole.maxFreq, lc.maxFreq)
+		s.whole.minLen = max(s.whole.minLen, lc.minLen)
 	}
+	s.whole.maxBoost = s.first.listCap().maxBoost
 	s.cap = phraseBound(s.whole, s.idfSum, boost)
 	return s
 }
@@ -350,58 +352,64 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 // is the first term's current block and the whole-phrase bound tightens
 // with that block's metadata.
 func (s *phraseScorer) maxScoreUpTo(target int) (float64, int) {
-	j := seekInt32(s.docs, max(s.shallow, s.i, 0), target)
-	s.shallow = j
-	if j >= len(s.docs) {
+	b := s.first.shallowProbe(s.shallowBlk, s.i, target)
+	s.shallowBlk = b
+	if b >= s.first.numBlocks() {
 		return 0, noMoreDocs
 	}
-	if s.first.blocks == nil {
-		return s.cap, int(s.docs[len(s.docs)-1])
+	if b != s.cachedBlock {
+		s.cachedBlock = b
+		s.cachedBound = phraseBound(s.whole.tighten(s.first.blockCap(b)), s.idfSum, s.boost)
 	}
-	b, end := blockEnd(s.docs, j)
-	return phraseBound(s.whole.tighten(s.first.blocks[b]), s.idfSum, s.boost), end
+	return s.cachedBound, s.first.lastDoc(b)
 }
 
 func (s *phraseScorer) next() int {
-	for s.i++; s.i < len(s.docs); s.i++ {
-		if s.computeFreq() {
-			return int(s.docs[s.i])
+	for s.i++; ; s.i++ {
+		d := s.first.docAt(s.i)
+		if d == noMoreDocs {
+			break
+		}
+		if s.computeFreq(d) {
+			s.d = d
+			return d
 		}
 	}
+	s.i, s.d = s.first.n, noMoreDocs
 	return noMoreDocs
 }
 
 func (s *phraseScorer) advance(target int) int {
-	if s.i >= len(s.docs) {
-		return noMoreDocs
-	}
-	if s.i >= 0 && int(s.docs[s.i]) >= target {
-		return int(s.docs[s.i])
+	if s.d >= target {
+		return s.d
 	}
 	// Position just before the first candidate >= target; next() verifies
 	// the phrase positionally from there.
-	s.i += searchInt32(s.docs[s.i+1:], target)
+	i, _ := s.first.seek(s.i+1, target)
+	s.i = i - 1
 	return s.next()
 }
 
-// computeFreq counts phrase occurrences at the current first-term posting.
-func (s *phraseScorer) computeFreq() bool {
-	doc := int(s.docs[s.i])
+// computeFreq counts phrase occurrences at the current candidate, the first
+// term's posting s.i on document d.
+func (s *phraseScorer) computeFreq(d int) bool {
 	s.freq = 0
-	for k, te := range s.rest {
-		j := findInt32(te.docs, doc)
-		if j < 0 {
+	for k := range s.rest {
+		c := &s.rest[k]
+		j, ok := c.findDoc(d)
+		if !ok {
 			return false
 		}
-		s.follow[k] = te.positionsAt(j)
+		s.follow[k] = c.positionsAt(j)
 	}
 	s.freq = phraseFreq(s.first.positionsAt(s.i), s.follow)
 	return s.freq > 0
 }
 
 func (s *phraseScorer) score() float64 {
+	_, p0boost := s.first.at(s.i)
 	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * s.first.boostAt(s.i) * s.tbl.norm(int(s.docs[s.i])) * s.boost
+	return tf * s.idfSum * p0boost * s.tbl.norm(s.d) * s.boost
 }
 
 func (s *phraseScorer) maxScore() float64 { return s.cap }

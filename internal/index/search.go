@@ -309,25 +309,18 @@ func phraseTerms(a Analyzer, raw []string) []string {
 }
 
 // phraseAt reports whether the terms after the first continue, in docID, an
-// occurrence of the first at position start. Mapped, each term's containing
-// block is probed directly instead of materializing whole posting lists.
+// occurrence of the first at position start. Each term's cursor finds the
+// document directly: mapped, that decodes one block instead of
+// materializing whole posting lists.
 func (fi *fieldIndex) phraseAt(terms []string, docID, start int) bool {
+	var c postingsCursor
 	for i := 1; i < len(terms); i++ {
-		if fi.m != nil {
-			if !fi.m.hasPosition(terms[i], docID, start+i) {
-				return false
-			}
-		} else if te := fi.terms[terms[i]]; te == nil || !te.hasPosition(docID, start+i) {
+		c.init(fi.lookup(terms[i]), true)
+		if !c.hasPosition(docID, start+i) {
 			return false
 		}
 	}
 	return true
-}
-
-// hasPosition reports whether the term occurs at pos in docID.
-func (te *termEntry) hasPosition(docID, pos int) bool {
-	i := findInt32(te.docs, docID)
-	return i >= 0 && findInt32(te.positionsAt(i), pos) >= 0
 }
 
 // BooleanQuery combines clauses: Must clauses all have to match, MustNot

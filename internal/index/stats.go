@@ -138,20 +138,13 @@ func (ix *Index) LocalStats() *CorpusStats {
 				SumLen:  fi.sumLen,
 				DocFreq: make(map[string]int, fi.numTerms()),
 			}
-			if fi.m != nil {
-				for t, mt := range fi.m.terms {
-					fs.DocFreq[t] = mt.n
-				}
-			} else {
-				for t, te := range fi.terms {
-					fs.DocFreq[t] = len(te.docs)
-				}
-			}
+			fi.eachTerm(func(t string, src postingsSource) { fs.DocFreq[t] = src.len() })
 			cs.Fields[name] = fs
 		}
 		return cs
 	}
 	cs := &CorpusStats{Docs: ix.LiveDocs(), Fields: make(map[string]*FieldStats, len(ix.fields))}
+	var c postingsCursor
 	for name, fi := range ix.fields {
 		fs := &FieldStats{DocFreq: map[string]int{}}
 		fi.eachDocLen(func(id, l int) {
@@ -163,41 +156,26 @@ func (ix *Index) LocalStats() *CorpusStats {
 		if fs.Docs == 0 {
 			continue // the field survives only on tombstoned documents
 		}
-		if fi.m != nil {
-			// Tombstone-aware export must count live postings per term; on a
-			// mapped field that means decoding each term's docID sections once.
-			// This path only runs when stats are recomputed over an index
-			// with pending tombstones — not at load, where indexes are clean.
-			// A spoiled block ends its term's walk (see blockCursor): the term
-			// reads as shorter, which on a CRC-verified file cannot happen.
-			for t, mt := range fi.m.terms {
-				r := newBlockCursor(fi.m, mt, false)
-				df := 0
-				for b := 0; r.load(b); b++ {
-					for _, d := range r.docs {
-						if !ix.deleted[d] {
-							df++
-						}
-					}
-				}
-				if df > 0 {
-					fs.DocFreq[t] = df
-				}
-			}
-			cs.Fields[name] = fs
-			continue
-		}
-		for t, te := range fi.terms {
+		// Tombstone-aware export must count live postings per term, run by
+		// run; on a mapped field that decodes each term's docID sections
+		// once. This path only runs when stats are recomputed over an index
+		// with pending tombstones — not at load, where indexes are clean. A
+		// spoiled block ends its term's walk (see postingsCursor): the term
+		// reads as shorter, which on a CRC-verified file cannot happen.
+		fi.eachTerm(func(t string, src postingsSource) {
+			c.init(src, false)
 			df := 0
-			for _, d := range te.docs {
-				if !ix.deleted[d] {
-					df++
+			for i := 0; c.docAt(i) != noMoreDocs; i += len(c.docs) {
+				for _, d := range c.docs {
+					if !ix.deleted[d] {
+						df++
+					}
 				}
 			}
 			if df > 0 {
 				fs.DocFreq[t] = df
 			}
-		}
+		})
 		cs.Fields[name] = fs
 	}
 	return cs
@@ -298,7 +276,7 @@ func (ix *Index) termStats(field, term string) termStats {
 	}
 	st := termStats{numDocs: ix.docCount()}
 	if fi := ix.fields[field]; fi != nil {
-		st.df, st.avgLen = fi.numPostings(term), fi.avgLen()
+		st.df, st.avgLen = fi.lookup(term).len(), fi.avgLen()
 	}
 	return st
 }

@@ -16,11 +16,11 @@ import (
 // every shard re-parsed the text and every field clause re-analyzed it — so
 // a change that brings back per-shard parsing, per-field analysis or a
 // vocabulary copy per fuzzy clause fails here before it shows in the
-// benchmark. Mapped: keyword 125, phrase 133, fuzzy 132 with one buffer
-// allocation per posting cursor (377, 409 and 276 at commit 5e50b69, whose
-// cursors grew up to five buffers each by append) — so a cursor that goes
-// back to growing its buffers, or to decoding a section into a fresh one
-// per block, fails here.
+// benchmark. Mapped: keyword 143, phrase 129, fuzzy 144 with two buffer
+// allocations per posting cursor, docIDs and position ends (377, 409 and
+// 276 at commit 5e50b69, whose cursors grew up to five buffers each by
+// append) — so a cursor that goes back to growing its buffers, or to
+// decoding a section into a fresh one per block, fails here.
 func TestSearchAllocationCeiling(t *testing.T) {
 	pages, _ := fixture(t)
 	heap := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
