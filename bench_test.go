@@ -319,6 +319,67 @@ func BenchmarkIndexMerge(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "us/doc")
 }
 
+// BenchmarkStoredDoc measures Doc, the stored-document read each served
+// hit makes, on those pages' FULL_INF documents, per iteration one
+// document in docID order: heap/first decodes a document out of a heap
+// index's stored chunk on its first touch, heap/cached returns the decode
+// a first touch left, and mapped/first inflates the document's chunk of a
+// mapped region to decode it. The first-touch arms reopen the index,
+// untimed, each time they have touched every document.
+func BenchmarkStoredDoc(b *testing.B) {
+	builder := semindex.NewBuilder()
+	built := index.New(nil)
+	for _, page := range benchmarkPages(b) {
+		for _, d := range builder.PageDocuments(semindex.FullInf, page) {
+			built.Add(d)
+		}
+	}
+	var payload bytes.Buffer
+	toc, err := built.EncodeWithTOC(&payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := payload.Bytes()
+	n := built.NumDocs()
+	for _, arm := range []struct {
+		name string
+		open func() (*index.Index, error)
+		warm bool
+	}{
+		{"heap/first", func() (*index.Index, error) { return index.Decode(bytes.NewReader(raw), nil) }, false},
+		{"heap/cached", func() (*index.Index, error) { return index.Decode(bytes.NewReader(raw), nil) }, true},
+		{"mapped/first", func() (*index.Index, error) { return index.OpenMapped(raw, toc, nil) }, false},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var ix *index.Index
+			reopen := func() {
+				var err error
+				if ix, err = arm.open(); err != nil {
+					b.Fatal(err)
+				}
+				if arm.warm {
+					for id := 0; id < n; id++ {
+						ix.Doc(id)
+					}
+				}
+			}
+			reopen()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%n == 0 && !arm.warm {
+					b.StopTimer()
+					reopen()
+					b.StartTimer()
+				}
+				if ix.Doc(i%n) == nil {
+					b.Fatalf("Doc(%d) = nil", i%n)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPageDocuments measures the layer every write goes through —
 // extraction, population, inference and flattening of one match page —
 // per level, on the first pages of the repository benchmark's corpus.

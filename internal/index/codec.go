@@ -74,7 +74,8 @@ const CodecVersionCurrent = 3
 // stored region. Small enough that a random Doc() on a mapped index
 // inflates tens of kilobytes, large enough that the flate window still
 // sees repeated structure (field names recur per document, so even a
-// part-filled window compresses well).
+// part-filled window compresses well). A heap index's stored chunks
+// (stored.go) hold at most as many.
 const storedChunkDocs = 128
 
 // Encode serializes the index in the current (block-postings) format.
@@ -137,7 +138,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 		return err
 	}
 	writeU32(bw, CodecVersionCurrent)
-	writeU32(bw, uint32(len(ix.docs)))
+	writeU32(bw, uint32(ix.stored.n))
 
 	// Postings region, sorted for determinism.
 	names := ix.FieldNames()
@@ -227,20 +228,26 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	if err != nil {
 		return err
 	}
-	for beg := 0; beg < len(ix.docs); beg += storedChunkDocs {
-		end := beg + storedChunkDocs
-		if end > len(ix.docs) {
-			end = len(ix.docs)
-		}
+	for beg := 0; beg < ix.stored.n; beg += storedChunkDocs {
+		end := min(beg+storedChunkDocs, ix.stored.n)
 		stored.Reset()
 		zw.Reset(&stored)
 		sw := bufio.NewWriter(zw)
-		for _, d := range ix.docs[beg:end] {
-			writeU32(sw, uint32(len(d.Fields)))
-			for _, f := range d.Fields {
-				writeString(sw, f.Name)
-				writeString(sw, f.Text)
-				writeF64(sw, f.Boost)
+		// Straight from the stored bytes: the heap chunks need not line up
+		// with the codec's (a merge shares chunks of any length).
+		for id := beg; id < end; id++ {
+			c, k := ix.stored.locate(id)
+			r := c.fields(k)
+			writeU32(sw, uint32(r.left))
+			for {
+				name, text, boost, ok := r.next()
+				if !ok {
+					break
+				}
+				writeString(sw, name)
+				writeU32(sw, uint32(len(text)))
+				sw.Write(text)
+				writeU64(sw, boost)
 			}
 		}
 		if err := sw.Flush(); err != nil {
@@ -401,9 +408,11 @@ func decode(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 	return ix, nil
 }
 
-// decodeStored reads the stored region into ix.docs. Each chunk's compressed bytes are read fully before inflating — a
-// flate reader over the stream directly could buffer past the chunk
-// boundary and lose the next chunk's length prefix.
+// decodeStored reads the stored region into ix.stored, re-encoding each
+// document from the codec's shape into the heap chunks' (see stored.go).
+// Each chunk's compressed bytes are read fully before inflating — a flate
+// reader over the stream directly could buffer past the chunk boundary and
+// lose the next chunk's length prefix.
 func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
 	chunkDocs, err := readU32(br)
 	if err != nil {
@@ -412,13 +421,11 @@ func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
 	if chunkDocs == 0 || chunkDocs > 1<<20 {
 		return fmt.Errorf("index: implausible stored chunk size %d", chunkDocs)
 	}
-	ix.docs = make([]*Document, 0, capHint(numDocs, 1<<16))
+	in := inflaters.Get().(*inflater)
+	defer in.release()
 	var comp []byte
 	for beg := uint32(0); beg < numDocs; beg += chunkDocs {
-		end := beg + chunkDocs
-		if end > numDocs {
-			end = numDocs
-		}
+		end := min(beg+chunkDocs, numDocs)
 		compLen, err := readU64(br)
 		if err != nil {
 			return err
@@ -433,21 +440,24 @@ func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
 		if _, err := io.ReadFull(br, comp); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
-		zr := flate.NewReader(bytes.NewReader(comp))
-		sr := bufio.NewReader(zr)
-		for i := beg; i < end; i++ {
-			d, err := readStoredDoc(sr, i)
-			if err != nil {
-				zr.Close()
-				return err
-			}
-			ix.docs = append(ix.docs, d)
+		raw, err := in.inflate(comp)
+		if err != nil {
+			return fmt.Errorf("index: stored chunk at doc %d: %w", beg, err)
 		}
-		if _, err := sr.ReadByte(); err != io.EOF {
-			zr.Close()
+		if len(raw) > math.MaxUint32 {
+			// A heap chunk's bytes, never longer than the codec's for the same
+			// documents, are addressed in 32 bits.
+			return fmt.Errorf("index: stored chunk at doc %d inflates past 4 GiB", beg)
+		}
+		r := byteReader{b: raw}
+		for i := beg; i < end; i++ {
+			if !ix.stored.addEncoded(&r) {
+				return fmt.Errorf("index: stored document %d does not parse", i)
+			}
+		}
+		if r.pos != len(raw) {
 			return fmt.Errorf("index: stored chunk at doc %d longer than its documents", beg)
 		}
-		zr.Close()
 	}
 	return nil
 }
@@ -684,33 +694,6 @@ func (fi *fieldIndex) checkBlocks() error {
 		}
 	}
 	return nil
-}
-
-// readStoredDoc parses one stored document; the reader is positioned
-// inside a chunk's inflated stream.
-func readStoredDoc(r *bufio.Reader, i uint32) (*Document, error) {
-	nf, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nf > 1<<16 {
-		return nil, fmt.Errorf("index: implausible field count %d on doc %d", nf, i)
-	}
-	d := &Document{Fields: make([]Field, 0, capHint(nf, 256))}
-	for j := uint32(0); j < nf; j++ {
-		var f Field
-		if f.Name, err = readString(r); err != nil {
-			return nil, err
-		}
-		if f.Text, err = readString(r); err != nil {
-			return nil, err
-		}
-		if f.Boost, err = readF64(r); err != nil {
-			return nil, err
-		}
-		d.Fields = append(d.Fields, f)
-	}
-	return d, nil
 }
 
 func writeU32(w *bufio.Writer, v uint32) {

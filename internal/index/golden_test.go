@@ -246,16 +246,19 @@ func TestWriteTrafficIsDense(t *testing.T) {
 }
 
 // TestIndexAddAllocationCeiling keeps Add's per-document cost from creeping
-// back. Building the golden index measured 7.3 allocations and 2.0 KB per
-// document when the ceilings were set (6.6 and 5.0 KB at commit 4f6839e,
-// which kept a 40-byte struct per posting; 149.9 and 8.2 KB at 8b965db, which
-// also allocated every posting's position list on its own), most of it the
-// posting columns doubling as they grow; the ceilings leave a third again as
-// much room.
+// back. Building the golden index measured 7.3 allocations and 2.5 KB per
+// document when the ceilings were set: the posting columns doubling as they
+// grow, and the stored chunks, which Add writes each document's bytes into
+// (430 bytes a document at the capacity a chunk is allocated with, plus the
+// first chunk's growth). It read 2.0 KB before Add stored bytes, when it
+// kept the caller's *Document; 6.6 allocations and 5.0 KB at commit 4f6839e,
+// which kept a 40-byte struct per posting; 149.9 and 8.2 KB at 8b965db,
+// which also allocated every posting's position list on its own. The
+// ceilings leave a third again as much room.
 func TestIndexAddAllocationCeiling(t *testing.T) {
 	const (
 		maxAllocs = 10
-		maxBytes  = 2700
+		maxBytes  = 3400
 	)
 	docs := goldenDocs()
 	var before, after runtime.MemStats
@@ -274,32 +277,74 @@ func TestIndexAddAllocationCeiling(t *testing.T) {
 	}
 }
 
+// liveHeap is HeapAlloc after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestIndexFootprintCeiling keeps the live size of a posting from creeping
-// back. The golden index, less the stored documents it shares with
-// goldenDocs, measured 26.4 bytes per posting when the ceiling was set (73.5
+// back. The golden index measured 40.3 bytes per posting when the ceiling
+// was set: columns of docIDs, position ends and positions with the room
+// append left them, the term dictionary, the field tables, and the stored
+// bytes the index owns (TestStoredFootprintCeiling holds those on their
+// own). It read 26.4 before the index owned its stored documents, and 73.5
 // at commit 4f6839e, which kept a 40-byte struct and a position slice per
-// posting): columns of docIDs, position ends and positions with the room
-// append left them, the term dictionary and the field tables. The ceiling
-// leaves a fifth again as much room.
+// posting. The ceiling leaves a fifth again as much room.
 func TestIndexFootprintCeiling(t *testing.T) {
-	const maxBytesPerPosting = 32
-	live := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
+	const maxBytesPerPosting = 48
 	goldenDocs()
-	without := live()
+	without := liveHeap()
 	ix := goldenIndex()
-	with := live()
+	with := liveHeap()
 	postings := ix.Stats().Postings
 	runtime.KeepAlive(ix)
 	perPosting := float64(with-without) / float64(postings)
 	t.Logf("%d postings, %.1f live bytes per posting", postings, perPosting)
 	if perPosting > maxBytesPerPosting {
 		t.Errorf("%.1f live bytes per posting, ceiling %d", perPosting, maxBytesPerPosting)
+	}
+}
+
+// TestStoredFootprintCeiling keeps the live size of a stored document from
+// creeping back: the golden documents, each field renamed stored-only so
+// the index holds nothing else, measured 466 bytes a document when the
+// ceiling was set — their stored bytes (371 a document) with the room a
+// chunk is allocated with, the chunks' document ends and decode-cache
+// slots, and the tombstone slice. Before the index stored bytes, the
+// *Document it kept from semindex was about 1 KB before any text. The
+// ceiling leaves a fifth again as much room.
+func TestStoredFootprintCeiling(t *testing.T) {
+	const maxBytesPerDoc = 560
+	renamed := map[string]string{}
+	var docs []*index.Document
+	for _, d := range goldenDocs() {
+		c := &index.Document{Fields: append([]index.Field(nil), d.Fields...)}
+		for i, f := range c.Fields {
+			if renamed[f.Name] == "" {
+				renamed[f.Name] = "_" + f.Name
+			}
+			c.Fields[i].Name = renamed[f.Name]
+		}
+		docs = append(docs, c)
+	}
+	without := liveHeap()
+	ix := index.New(nil)
+	for _, d := range docs {
+		ix.Add(d)
+	}
+	with := liveHeap()
+	runtime.KeepAlive(docs)
+	if n := ix.Stats().Postings; n != 0 {
+		t.Fatalf("%d postings; the renamed documents must be stored-only", n)
+	}
+	perDoc := float64(with-without) / float64(len(docs))
+	t.Logf("%d documents, %.0f live bytes per document", len(docs), perDoc)
+	if perDoc > maxBytesPerDoc {
+		t.Errorf("%.0f live bytes per stored document, ceiling %d", perDoc, maxBytesPerDoc)
 	}
 }
 

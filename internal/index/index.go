@@ -231,7 +231,8 @@ type Index struct {
 	analyzer Analyzer
 	sim      Similarity
 	fields   map[string]*fieldIndex
-	docs     []*Document
+	// stored holds a heap index's documents as bytes (stored.go).
+	stored storedRegion
 	// global, when set, replaces the local df / doc-count / avg-length
 	// statistics in every ranking formula (see stats.go) so a shard of a
 	// partitioned corpus ranks exactly like the whole.
@@ -245,9 +246,9 @@ type Index struct {
 	deleted    []bool
 	numDeleted int
 	// mapped, when set, means this index serves from a mapped byte region
-	// (OpenMapped): ix.docs stays empty until the stored region lazily
-	// materializes, and ix.fields carry mappedField views. The index is
-	// read-only except for tombstones.
+	// (OpenMapped): ix.stored stays empty, stored documents decode out of
+	// the region one at a time, and ix.fields carry mappedField views. The
+	// index is read-only except for tombstones.
 	mapped *mappedIndex
 
 	// Write-path state, touched only by Add and AddDocStats (which, like
@@ -295,15 +296,17 @@ func (ix *Index) Analyzer() Analyzer { return ix.analyzer }
 // positions and position offsets are stored in 32 bits: Add panics on a
 // segment that already holds math.MaxInt32 documents, and on a value that
 // takes the document's field past math.MaxInt32 tokens (or the field past
-// math.MaxUint32 in the segment), as it does on a mapped index.
+// math.MaxUint32 in the segment), as it does on a mapped index. The index
+// keeps no reference to d: it stores d's fields as bytes, so changing d
+// afterwards changes nothing in the index.
 func (ix *Index) Add(d *Document) int {
 	if ix.mapped != nil {
 		// The mapped region is immutable; fresh writes belong in a new
 		// (heap) segment — the LSM write side the shard layer runs.
 		panic("index: Add on a mapped index")
 	}
-	id := len(ix.docs)
-	ix.docs = append(ix.docs, d)
+	id := ix.stored.n
+	ix.stored.add(d)
 	ix.deleted = append(ix.deleted, false)
 	for _, f := range d.Fields {
 		if len(f.Name) > 0 && f.Name[0] == '_' {
@@ -386,9 +389,10 @@ func (ix *Index) analyzeForWrite(text string) []string {
 func (ix *Index) NumDocs() int { return ix.docCount() }
 
 // Delete tombstones a document: it stops matching queries immediately but
-// keeps its docID (and its stored fields, for merge-time bookkeeping)
-// until a merge drops it. Reports whether the document was newly deleted.
-// Like Add, not safe against concurrent searches.
+// keeps its docID and its stored bytes (AddDocStats reads them to take the
+// document's statistics out of a corpus view) until a merge drops it.
+// Reports whether the document was newly deleted. Like Add, not safe
+// against concurrent searches.
 func (ix *Index) Delete(id int) bool {
 	if id < 0 || id >= ix.docCount() {
 		return false
@@ -453,23 +457,54 @@ func (ix *Index) Stats() Stats {
 	return s
 }
 
-// Doc returns the stored document for a docID. On a mapped index it
-// inflates the document's stored chunk on first access (hit
-// materialization is the trigger; pure scoring never lands here) and
-// caches the decoded document — only documents actually served ever
-// inflate, so the heap cost of stored fields tracks the working set,
-// not the corpus.
+// Doc returns the stored document for a docID, nil outside [0, NumDocs).
+// Both stores decode a document on first access — a heap index from its
+// stored chunk's bytes, a mapped one by inflating its chunk of the region
+// — and cache the decode; hit materialization is the trigger (pure
+// scoring never lands here), so the heap cost of decoded documents tracks
+// the working set, not the corpus. The result is shared by every caller
+// and by the index's merged successors: it is read-only.
 func (ix *Index) Doc(id int) *Document {
-	if m := ix.mapped; m != nil {
-		if id < 0 || id >= m.numDocs {
-			return nil
-		}
-		return m.storedDocAt(id)
-	}
-	if id < 0 || id >= len(ix.docs) {
+	if id < 0 || id >= ix.docCount() {
 		return nil
 	}
-	return ix.docs[id]
+	if m := ix.mapped; m != nil {
+		return m.storedDocAt(id)
+	}
+	return ix.stored.doc(id)
+}
+
+// peekDoc is Doc for bookkeeping reads (AddDocStats, DocMeta's fallback):
+// the cached decode when a search has served the document, otherwise a
+// decode of its own that no cache keeps, so a pass over many documents
+// leaves the cache as it found it.
+func (ix *Index) peekDoc(id int) *Document {
+	if id < 0 || id >= ix.docCount() {
+		return nil
+	}
+	if m := ix.mapped; m != nil {
+		if d := m.docCache[id].Load(); d != nil {
+			return d
+		}
+		return m.decodeDoc(id)
+	}
+	return ix.stored.peek(id)
+}
+
+// CachedDocs returns how many stored documents the index holds decoded:
+// the documents Doc has served.
+func (ix *Index) CachedDocs() int {
+	m := ix.mapped
+	if m == nil {
+		return ix.stored.cached()
+	}
+	n := 0
+	for i := range m.docCache {
+		if m.docCache[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // FieldNames returns the indexed field names, sorted.

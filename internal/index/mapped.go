@@ -231,11 +231,11 @@ type tocTerm struct {
 // newTOCBuilder captures the requested stored-only meta fields from the
 // documents up front; offsets arrive during the encode walk.
 func newTOCBuilder(ix *Index, metaFields []string) *tocBuilder {
-	tb := &tocBuilder{numDocs: len(ix.docs)}
+	tb := &tocBuilder{numDocs: ix.stored.n}
 	for _, name := range metaFields {
-		vals := make([]string, len(ix.docs))
-		for i, d := range ix.docs {
-			vals[i] = d.Get(name)
+		vals := make([]string, ix.stored.n)
+		for i := range vals {
+			vals[i] = ix.stored.value(i, name)
 		}
 		tb.metaNames = append(tb.metaNames, name)
 		tb.metaVals = append(tb.metaVals, vals)
@@ -547,42 +547,44 @@ func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) 
 // region instead of heap structures.
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
 
-// docCount is the stored-document count whatever the storage mode — the
-// internal replacement for len(ix.docs), which is 0 on a mapped index
-// until the stored region materializes.
+// docCount is the stored-document count whatever the storage mode.
 func (ix *Index) docCount() int {
 	if ix.mapped != nil {
 		return ix.mapped.numDocs
 	}
-	return len(ix.docs)
+	return ix.stored.n
 }
 
-// DocMeta returns a stored-only field's value for one document without
-// forcing stored-region materialization when the value was captured in
-// the mapped TOC (identity fields like the shard layer's global docID).
-// Fields outside the TOC fall back to Doc(id).Get(name).
+// DocMeta returns a stored-only field's value for one document ("" outside
+// [0, NumDocs)) without decoding the document into, or publishing it to,
+// any cache: it is the identity lookup a load makes for every document. A
+// heap index reads the value out of the document's bytes; a mapped index
+// answers from its TOC when the value was captured there (identity fields
+// like the shard layer's global docID) and otherwise from peekDoc.
 func (ix *Index) DocMeta(id int, name string) string {
-	if m := ix.mapped; m != nil {
-		for k, n := range m.metaNames {
-			if n == name {
-				if id >= 0 && id < len(m.metaVals[k]) {
-					return m.metaVals[k][id]
-				}
-				return ""
-			}
-		}
-	}
-	d := ix.Doc(id)
-	if d == nil {
+	if id < 0 || id >= ix.docCount() {
 		return ""
 	}
-	return d.Get(name)
+	m := ix.mapped
+	if m == nil {
+		return ix.stored.value(id, name)
+	}
+	for k, n := range m.metaNames {
+		if n == name {
+			return m.metaVals[k][id]
+		}
+	}
+	if d := ix.peekDoc(id); d != nil {
+		return d.Get(name)
+	}
+	return ""
 }
 
 // inflater is the reusable state of one stored-chunk inflate: the flate
 // decompressor (about 40 KB of window and tables) and the buffer the chunk
-// inflates into. storedDocAt borrows one per uncached document; nothing in
-// it outlives the call (a decoded Document copies its strings).
+// inflates into. A mapped decode borrows one per uncached document and a
+// heap Decode one for its whole stored region; nothing in it outlives the
+// borrow (what is decoded out of the buffer is copied).
 type inflater struct {
 	src bytes.Reader
 	zr  io.ReadCloser
@@ -595,30 +597,52 @@ var inflaters = sync.Pool{New: func() any {
 	return in
 }}
 
+// inflate decompresses one stored chunk into the inflater's buffer and
+// returns it; the bytes are valid until the next inflate.
+func (in *inflater) inflate(comp []byte) ([]byte, error) {
+	in.src.Reset(comp)
+	in.zr.(flate.Resetter).Reset(&in.src, nil)
+	in.out.Reset()
+	if _, err := in.out.ReadFrom(in.zr); err != nil {
+		return nil, err
+	}
+	return in.out.Bytes(), nil
+}
+
+// release returns the inflater to the pool. A pooled inflater must not keep
+// the bytes it read reachable (for a mapped index, the region).
+func (in *inflater) release() {
+	in.src.Reset(nil)
+	inflaters.Put(in)
+}
+
 // storedDocAt returns one stored document: from the cache if it was
-// served before, otherwise by inflating its chunk from the mapped region
-// (transiently, into a pooled buffer — the decompressed bytes are scratch
-// after the decode) and decoding the one document out of it. Returns nil on
-// structural corruption inside the chunk (impossible on a CRC-verified
-// file; the parse stays defensive anyway). id is in [0, numDocs).
+// served before, otherwise decoded by decodeDoc and published to the cache.
+// id is in [0, numDocs).
 func (m *mappedIndex) storedDocAt(id int) *Document {
 	if d := m.docCache[id].Load(); d != nil {
 		return d
 	}
+	d := m.decodeDoc(id)
+	if d != nil {
+		m.docCache[id].Store(d)
+	}
+	return d
+}
+
+// decodeDoc inflates document id's chunk from the mapped region
+// (transiently, into a pooled buffer — the decompressed bytes are scratch
+// after the decode) and decodes the one document out of it, publishing
+// nothing. Returns nil on structural corruption inside the chunk (impossible
+// on a CRC-verified file; the parse stays defensive anyway).
+func (m *mappedIndex) decodeDoc(id int) *Document {
 	c := id / m.chunkDocs
 	in := inflaters.Get().(*inflater)
-	defer func() {
-		// A pooled inflater must not keep the mapped region reachable.
-		in.src.Reset(nil)
-		inflaters.Put(in)
-	}()
-	in.src.Reset(m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]])
-	in.zr.(flate.Resetter).Reset(&in.src, nil)
-	in.out.Reset()
-	if _, err := in.out.ReadFrom(in.zr); err != nil {
+	defer in.release()
+	raw, err := in.inflate(m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]])
+	if err != nil {
 		return nil
 	}
-	raw := in.out.Bytes()
 	r := byteReader{b: raw}
 	for k := id % m.chunkDocs; k > 0; k-- {
 		if !skipStoredDoc(&r) {
@@ -640,7 +664,6 @@ func (m *mappedIndex) storedDocAt(id int) *Document {
 		}
 		d.Fields = append(d.Fields, f)
 	}
-	m.docCache[id].Store(d)
 	return d
 }
 

@@ -83,14 +83,14 @@ func TestMappedLocalStatsClean(t *testing.T) {
 	if hs, ms := heap.Stats(), mapped.Stats(); hs != ms {
 		t.Fatalf("Stats diverged: heap %+v, mapped %+v", hs, ms)
 	}
-	if mapped.docs != nil {
-		t.Fatal("statistics export materialized the stored region")
+	if mapped.stored.n != 0 || mapped.CachedDocs() != 0 {
+		t.Fatal("statistics export decoded stored documents")
 	}
 }
 
 // TestMappedDocMetaAndLazyStored: identity metadata recorded in the TOC is
-// served without touching the stored region; anything else falls back to
-// Doc(), which inflates it once and returns documents identical to the
+// served without touching the stored region; anything else falls back to a
+// decode that caches nothing, and Doc() decodes documents identical to the
 // heap decode's.
 func TestMappedDocMetaAndLazyStored(t *testing.T) {
 	ix := New(StandardAnalyzer{})
@@ -117,24 +117,23 @@ func TestMappedDocMetaAndLazyStored(t *testing.T) {
 		t.Fatal("out-of-range DocMeta must be empty")
 	}
 	// Search and TOC-backed metadata must not have decoded any stored
-	// document; documents never inflate into ix.docs on a mapped index.
-	for d := range mapped.mapped.docCache {
-		if mapped.mapped.docCache[d].Load() != nil {
-			t.Fatalf("doc %d decoded before any Doc access", d)
-		}
+	// document; documents never land in ix.stored on a mapped index.
+	if n := mapped.CachedDocs(); n != 0 {
+		t.Fatalf("%d documents decoded before any Doc access", n)
 	}
-	if mapped.docs != nil {
-		t.Fatal("stored region materialized into ix.docs on a mapped index")
-	}
-	// A non-TOC field falls back to the stored document.
+	// A non-TOC field falls back to the stored document, and caches nothing.
 	if got := mapped.DocMeta(3, "color"); got != "blue" || got != heap.DocMeta(3, "color") {
 		t.Fatalf("fallback DocMeta = %q", got)
 	}
-	if mapped.mapped.docCache[3].Load() == nil {
-		t.Fatal("fallback DocMeta did not decode (and cache) its document")
+	if n := mapped.CachedDocs() + heap.CachedDocs(); n != 0 {
+		t.Fatalf("DocMeta cached %d documents", n)
 	}
-	if mapped.docs != nil {
-		t.Fatal("mapped Doc access must decode per document, not inflate ix.docs")
+	mapped.Doc(3)
+	if mapped.mapped.docCache[3].Load() == nil || mapped.CachedDocs() != 1 {
+		t.Fatal("Doc did not decode and cache exactly its document")
+	}
+	if mapped.stored.n != 0 {
+		t.Fatal("mapped Doc access must decode per document, not fill ix.stored")
 	}
 	for d := 0; d < 10; d++ {
 		if got, want := mapped.Doc(d), heap.Doc(d); !reflect.DeepEqual(got, want) {

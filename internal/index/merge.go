@@ -13,10 +13,12 @@ package index
 // MergeIndexes compacts sources (in order) into one new index, skipping
 // tombstoned documents. Surviving documents are renumbered densely in
 // source order; the returned remap slices (one per source, -1 for dropped
-// documents) let the caller translate old docIDs to merged ones. Stored
-// documents are shared with the sources; postings are copied, so nothing
-// later done to a source shows in the merged index. The merged index
-// carries no corpus stats; the caller installs them.
+// documents) let the caller translate old docIDs to merged ones. A heap
+// source's stored chunk whose documents all survive is shared by pointer
+// (its bytes never change, and neither index appends to it again); the
+// survivors of any other chunk, and of a mapped source, are copied, as are
+// postings, so nothing later done to a source shows in the merged index.
+// The merged index carries no corpus stats; the caller installs them.
 //
 // dead, when non-nil, supplies a per-source liveness snapshot (see
 // DeletedMask) consulted INSTEAD of each source's own tombstone bits —
@@ -58,14 +60,17 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 		}
 		remaps[si] = remap
 	}
-	out.docs = make([]*Document, 0, numDocs)
 	out.deleted = make([]bool, numDocs)
 	for si, src := range sources {
-		// src.Doc materializes a mapped source's stored region — the merge
-		// output is a heap index that needs the documents regardless.
+		if src.mapped == nil {
+			out.stored.appendSurvivors(&src.stored, remaps[si])
+			continue
+		}
+		// A mapped source's documents come through Doc, inflating their
+		// chunks of the region.
 		for id, nid := range remaps[si] {
 			if nid >= 0 {
-				out.docs = append(out.docs, src.Doc(id))
+				out.stored.add(src.Doc(id))
 			}
 		}
 	}

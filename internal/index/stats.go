@@ -197,10 +197,12 @@ func (ix *Index) DocStats(id int) *CorpusStats {
 // AddDocStats adds one stored document's statistics contribution to cs, so
 // a caller tombstoning many documents subtracts their sum once instead of
 // building a CorpusStats apiece (integer adds commute). It reports whether
-// the index holds the document. It shares Add's analysis state: like Add,
-// it must not run beside another writer of the same index.
+// the index holds the document. It reads the document without caching it
+// (a batch of upserts tombstones whole pages of documents nobody is
+// serving). It shares Add's analysis state: like Add, it must not run
+// beside another writer of the same index.
 func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
-	d := ix.Doc(id)
+	d := ix.peekDoc(id)
 	if d == nil {
 		return false
 	}

@@ -164,8 +164,8 @@ func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 	if merged.HasField("doomed") || !merged.HasField("late") {
 		t.Errorf("fields %v: want late, not doomed", merged.FieldNames())
 	}
-	if len(merged.docs) != next || cap(merged.docs) != next || len(merged.deleted) != next {
-		t.Errorf("docs len %d cap %d, deleted %d; want %d", len(merged.docs), cap(merged.docs), len(merged.deleted), next)
+	if merged.stored.n != next || len(merged.deleted) != next {
+		t.Errorf("%d stored documents, deleted %d; want %d", merged.stored.n, len(merged.deleted), next)
 	}
 	for name, fi := range merged.fields {
 		if len(fi.docLen) != next || len(fi.boost) != next {

@@ -347,3 +347,49 @@ func TestMappedEngineDocAndMeta(t *testing.T) {
 		}
 	}
 }
+
+// cachedDocs counts the stored documents every base and segment of e holds
+// decoded.
+func cachedDocs(e *Engine) int {
+	n := 0
+	for s, b := range e.base {
+		n += b.si.Index.CachedDocs()
+		for _, seg := range e.segs[s] {
+			n += seg.si.Index.CachedDocs()
+		}
+	}
+	return n
+}
+
+// TestBookkeepingReadsCacheNoDocuments: the reads that serve no hit — the
+// TOC builder and Encode on Save, DocMeta twice per document on every load,
+// AddDocStats on every document an upsert tombstones — decode stored
+// documents without publishing them, on a heap and on a mapped base alike,
+// so none of them leaves the corpus in a decode cache.
+func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
+	e, base := saveFixture(t, 2)
+	if n := cachedDocs(e); n != 0 {
+		t.Errorf("Build and Save cached %d documents", n)
+	}
+	pages, _ := fixture(t)
+	for _, mapped := range []bool{false, true} {
+		l, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := cachedDocs(l); n != 0 {
+			t.Errorf("mapped %v: Load cached %d documents", mapped, n)
+		}
+		res, err := l.Ingest(context.Background(), []*crawler.MatchPage{pages[0]}, IngestOptions{})
+		if err != nil || res.Tombstones == 0 {
+			t.Fatalf("mapped %v: upsert tombstoned %d documents, err %v", mapped, res.Tombstones, err)
+		}
+		if n := cachedDocs(l); n != 0 {
+			t.Errorf("mapped %v: an upsert of %d documents cached %d", mapped, res.Tombstones, n)
+		}
+		if hits := searchN(l, "goal", 3); len(hits) == 0 || cachedDocs(l) == 0 {
+			t.Errorf("mapped %v: a search served %d hits and cached nothing", mapped, len(hits))
+		}
+		l.Close()
+	}
+}
