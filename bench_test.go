@@ -32,6 +32,7 @@ import (
 	"repro/internal/owl"
 	"repro/internal/populate"
 	"repro/internal/rdf"
+	"repro/internal/rules"
 	"repro/internal/semindex"
 	"repro/internal/shard"
 	"repro/internal/soccer"
@@ -397,6 +398,50 @@ func BenchmarkPageDocuments(b *testing.B) {
 			b.ReportMetric(float64(docs)/float64(b.N), "docs/page")
 		})
 	}
+}
+
+// BenchmarkExtractMatch measures the first stage of PageDocuments alone:
+// NER tagging and the two-level template analysis of one page of those
+// benchmark pages per iteration.
+func BenchmarkExtractMatch(b *testing.B) {
+	pages := benchmarkPages(b)
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events += len(extractFor(pages[i%len(pages)]))
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/page")
+}
+
+// BenchmarkRulesRun measures the rule engine alone: per iteration, one
+// Engine over one of those benchmark pages' models — extracted, populated
+// and closed under the reasoner, as inference.Saturate hands it to the
+// rules the first time — run to the rules' fixpoint. The program is
+// compiled once, as a Builder does; the models are cloned untimed.
+func BenchmarkRulesRun(b *testing.B) {
+	builder := semindex.NewBuilder()
+	prog := rules.Compile(builder.Rules)
+	var models []*owl.Model
+	for _, page := range benchmarkPages(b) {
+		pm := populatorFor(builder).Populate(page, extractFor(page))
+		models = append(models, builder.Reasoner.Materialize(pm.Model))
+	}
+	batch := make([]*owl.Model, len(models))
+	added := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(models) == 0 {
+			b.StopTimer()
+			for j, m := range models {
+				batch[j] = m.Clone()
+			}
+			b.StartTimer()
+		}
+		added += prog.Engine(batch[i%len(models)].Graph).Run()
+	}
+	b.ReportMetric(float64(added)/float64(b.N), "triples/page")
 }
 
 // BenchmarkInferencePerMatch pins the scalability claim of Section 3.5:

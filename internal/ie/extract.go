@@ -42,10 +42,10 @@ type Extractor struct{}
 // len(page.Narrations).
 func (Extractor) ExtractMatch(page *crawler.MatchPage) []Event {
 	tagger := NewTagger(page)
-	teamName := map[int]string{1: page.Home, 2: page.Away}
+	teamName := [3]string{1: page.Home, 2: page.Away}
 	events := make([]Event, 0, len(page.Narrations))
 	for idx, n := range page.Narrations {
-		ev := extractOne(tagger, teamName, n.Text)
+		ev := extractOne(tagger, &teamName, n.Text)
 		ev.Minute = n.Minute
 		ev.NarrationIdx = idx
 		ev.Narration = n.Text
@@ -54,13 +54,16 @@ func (Extractor) ExtractMatch(page *crawler.MatchPage) []Event {
 	return events
 }
 
-func extractOne(tagger *Tagger, teamName map[int]string, text string) Event {
+// extractOne extracts one narration's event; teamName is indexed by an
+// entity's Team (1 home, 2 away).
+func extractOne(tagger *Tagger, teamName *[3]string, text string) Event {
 	// Level one: keyword screen.
 	if !passesLevelOne(text) {
 		return Event{Kind: soccer.KindUnknown}
 	}
 	// Level two: template matching over the tagged text, with the optional
-	// running-score prefix stripped.
+	// running-score prefix stripped. An unbound slot binds "", which no
+	// entity resolves.
 	tagged := stripScorePrefix(tagger.Tag(text))
 	for _, ct := range compiledTemplates {
 		bind, ok := ct.match(tagged)
@@ -68,27 +71,19 @@ func extractOne(tagger *Tagger, teamName map[int]string, text string) Event {
 			continue
 		}
 		ev := Event{Kind: ct.kind}
-		if tag, ok := bind["S"]; ok {
-			if e, ok := tagger.Resolve(tag); ok {
-				ev.Subject = e
-				ev.SubjectTeam = teamName[e.Team]
-			}
+		if e, ok := tagger.Resolve(bind[slotS]); ok {
+			ev.Subject = e
+			ev.SubjectTeam = teamName[e.Team]
 		}
-		if tag, ok := bind["O"]; ok {
-			if e, ok := tagger.Resolve(tag); ok {
-				ev.Object = e
-				ev.ObjectTeam = teamName[e.Team]
-			}
+		if e, ok := tagger.Resolve(bind[slotO]); ok {
+			ev.Object = e
+			ev.ObjectTeam = teamName[e.Team]
 		}
-		if tag, ok := bind["T"]; ok {
-			if e, ok := tagger.Resolve(tag); ok {
-				ev.SubjectTeam = e.Name
-			}
+		if e, ok := tagger.Resolve(bind[slotT]); ok {
+			ev.SubjectTeam = e.Name
 		}
-		if tag, ok := bind["OT"]; ok {
-			if e, ok := tagger.Resolve(tag); ok {
-				ev.ObjectTeam = e.Name
-			}
+		if e, ok := tagger.Resolve(bind[slotOT]); ok {
+			ev.ObjectTeam = e.Name
 		}
 		return ev
 	}

@@ -224,8 +224,12 @@ func TestTemplateCompileRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("match failed")
 	}
-	if bind["S"] != "<t1p3>" || bind["O"] != "<t2p4>" {
-		t.Errorf("bindings = %v", bind)
+	if bind != (bindings{slotS: "<t1p3>", slotO: "<t2p4>"}) {
+		t.Errorf("bindings = %q", bind)
+	}
+	team := compileTemplate(Template{Kind: soccer.KindCorner, Pattern: "Corner to {T}. {S} takes it"})
+	if bind, ok := team.match("Corner to <t2>. <t2p7> takes it"); !ok || bind != (bindings{slotS: "<t2p7>", slotT: "<t2>"}) {
+		t.Errorf("team template bindings = %q, %v", bind, ok)
 	}
 	if _, ok := ct.match("<t1p3> fouls <t2> badly"); ok {
 		t.Error("team tag accepted in player slot")

@@ -61,8 +61,15 @@ func (e Entity) Tag() string {
 type Tagger struct {
 	// entities in decreasing name length, so "Van der Sar" wins over any
 	// shorter overlapping name at the same position.
-	entities []Entity
+	entities []taggedEntity
 	byTag    map[string]Entity
+}
+
+// taggedEntity is an entity with its tag text, rendered once per page
+// rather than per mention.
+type taggedEntity struct {
+	Entity
+	tag string
 }
 
 // NewTagger builds the dictionary for one match page: both teams, their
@@ -102,8 +109,9 @@ func NewTagger(page *crawler.MatchPage) *Tagger {
 }
 
 func (t *Tagger) add(e Entity) {
-	t.entities = append(t.entities, e)
-	t.byTag[e.Tag()] = e
+	tag := e.Tag()
+	t.entities = append(t.entities, taggedEntity{e, tag})
+	t.byTag[tag] = e
 }
 
 // Resolve maps a tag back to its entity.
@@ -125,7 +133,8 @@ func (t *Tagger) Tag(text string) string {
 			continue
 		}
 		matched := false
-		for _, e := range t.entities {
+		for j := range t.entities {
+			e := &t.entities[j]
 			n := len(e.Name)
 			if i+n > len(text) || text[i:i+n] != e.Name {
 				continue
@@ -133,7 +142,7 @@ func (t *Tagger) Tag(text string) string {
 			if !atWordEnd(text, i+n) {
 				continue
 			}
-			b.WriteString(e.Tag())
+			b.WriteString(e.tag)
 			i += n
 			matched = true
 			break

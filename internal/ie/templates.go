@@ -119,6 +119,23 @@ func passesLevelOne(text string) bool {
 	return false
 }
 
+// slot is a template placeholder.
+type slot uint8
+
+const (
+	slotS  slot = iota // {S}
+	slotO              // {O}
+	slotT              // {T}
+	slotOT             // {OT}
+	numSlots
+)
+
+var slotNames = map[string]slot{"S": slotS, "O": slotO, "T": slotT, "OT": slotOT}
+
+// bindings holds the tags a template match bound, by slot; "" for a slot
+// the template does not have.
+type bindings [numSlots]string
+
 // compiledTemplate is the token form of a pattern: alternating literal
 // segments and placeholder slots.
 type compiledTemplate struct {
@@ -126,7 +143,7 @@ type compiledTemplate struct {
 	// parts are the literal segments; between parts[i] and parts[i+1] sits
 	// slots[i].
 	parts []string
-	slots []string // "S", "O", "T", "OT"
+	slots []slot
 }
 
 var compiledTemplates = compileAll()
@@ -149,32 +166,36 @@ func compileTemplate(t Template) compiledTemplate {
 			return c
 		}
 		j := strings.IndexByte(rest, '}')
+		s, ok := slotNames[rest[i+1:j]]
+		if !ok {
+			panic("ie: unknown template slot " + rest[i:j+1] + " in " + t.Pattern)
+		}
 		c.parts = append(c.parts, rest[:i])
-		c.slots = append(c.slots, rest[i+1:j])
+		c.slots = append(c.slots, s)
 		rest = rest[j+1:]
 	}
 }
 
 // match attempts the template against tagged text. On success it returns
-// the slot bindings (slot name -> tag).
-func (c compiledTemplate) match(tagged string) (map[string]string, bool) {
-	bind := map[string]string{}
+// the slot bindings.
+func (c compiledTemplate) match(tagged string) (bindings, bool) {
+	var bind bindings
 	rest := tagged
 	for i, lit := range c.parts {
 		if !strings.HasPrefix(rest, lit) {
-			return nil, false
+			return bindings{}, false
 		}
 		rest = rest[len(lit):]
 		if i < len(c.slots) {
 			tag, after, ok := readTag(rest)
 			if !ok {
-				return nil, false
+				return bindings{}, false
 			}
-			slot := c.slots[i]
-			if (slot == "T" || slot == "OT") != isTeamTag(tag) {
-				return nil, false
+			s := c.slots[i]
+			if (s == slotT || s == slotOT) != isTeamTag(tag) {
+				return bindings{}, false
 			}
-			bind[slot] = tag
+			bind[s] = tag
 			rest = after
 		}
 	}

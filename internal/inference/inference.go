@@ -26,22 +26,25 @@ type Result struct {
 	RuleProvenance map[rdf.Triple]string
 }
 
-// Run saturates the model under the reasoner and rule set. The input model
-// is not modified: reasoner and rules alternate on one private copy, the
-// reasoner closing only over what the rules added since its last turn.
+// Run saturates a copy of the model under the reasoner and rule set,
+// leaving the input unmodified: it is Saturate on a clone, for callers that
+// still read the pre-inference model.
 func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
-	eng := rules.NewEngine(ruleSet)
-	provenance := map[rdf.Triple]string{}
 	inf := m.Clone()
-	sat := r.Saturator(inf.Graph)
+	return Result{Model: inf, RuleProvenance: Saturate(r, rules.Compile(ruleSet), inf)}
+}
+
+// Saturate saturates the model in place under the reasoner and the compiled
+// rules and returns the rule provenance. The reasoner's Saturator and the
+// rule Engine alternate on the model's graph, each resuming from what the
+// other added since its last turn, until the rules add nothing.
+func Saturate(r *reasoner.Reasoner, prog *rules.Program, m *owl.Model) map[rdf.Triple]string {
+	sat := r.Saturator(m.Graph)
+	eng := prog.Engine(m.Graph)
 	for {
 		sat.Run()
-		added := eng.Run(inf.Graph)
-		for t, rule := range eng.Derived() {
-			provenance[t] = rule
-		}
-		if added == 0 {
-			return Result{Model: inf, RuleProvenance: provenance}
+		if eng.Run() == 0 {
+			return eng.Derived()
 		}
 	}
 }

@@ -176,7 +176,7 @@ func TestFullPipelineInferenceSmoke(t *testing.T) {
 		p, pm, _ := populated(t, seed)
 		r := reasoner.New(p.Ontology)
 		inf := r.Materialize(pm.Model)
-		rules.NewEngine(soccer.Rules()).Run(inf.Graph)
+		rules.Compile(soccer.Rules()).Engine(inf.Graph).Run()
 		inf = r.Materialize(inf)
 		assists += len(inf.Graph.Subjects(rdf.RDFType, p.Ontology.IRI("Assist")))
 	}

@@ -46,6 +46,8 @@ type Graph struct {
 	ends []chainEnds
 	// offsets maps each live triple to its log offset.
 	offsets map[IDTriple]uint32
+	// removals counts successful Removes over the graph's life.
+	removals int
 }
 
 // logEntry is one stored triple plus, per position, the log offset+1 of the
@@ -179,8 +181,15 @@ func (g *Graph) Remove(t Triple) bool {
 		}
 	}
 	g.log[off] = logEntry{}
+	g.removals++
 	return true
 }
+
+// Removals returns how many triples Remove has deleted over the graph's
+// life (a Clone starts from its source's count). A reader that resumes
+// from a log offset compares it with the count it last saw: the log
+// reports what was added since, never what went.
+func (g *Graph) Removals() int { return g.removals }
 
 // Has reports whether the exact triple is present.
 func (g *Graph) Has(t Triple) bool {
@@ -221,7 +230,7 @@ type Cursor struct {
 	// pos is the chain being followed (0 S, 1 P, 2 O), or -1 for the log.
 	pos   int
 	next  uint32 // offset+1 of the next candidate; 0 when exhausted
-	bound uint32 // LogLen at Scan time
+	bound uint32 // end of the visited log range: LogLen at Scan time, or ScanRange's to
 	// T is the current triple, valid after Next returned true.
 	T IDTriple
 }
@@ -242,6 +251,25 @@ func (g *Graph) Scan(s, p, o ID) Cursor {
 	case len(g.log) > 0:
 		c.next = 1
 	}
+	return c
+}
+
+// ScanRange is Scan restricted to the triples at log offsets [from, to),
+// with to at most LogLen(). A chain is linked from its head and cannot be
+// entered part-way, so a range starting past 0 is read from the log —
+// unless the chain Scan would follow ends before from, when nothing
+// matches.
+func (g *Graph) ScanRange(s, p, o ID, from, to int) Cursor {
+	c := g.Scan(s, p, o)
+	c.bound = uint32(to)
+	if from == 0 || c.next == 0 {
+		return c
+	}
+	if c.pos >= 0 && g.ends[[3]ID{s, p, o}[c.pos]-1].tail[c.pos] <= uint32(from) {
+		c.next = 0
+		return c
+	}
+	c.pos, c.next = -1, uint32(from)+1
 	return c
 }
 
@@ -381,17 +409,17 @@ func (g *Graph) AddAll(src *Graph) {
 }
 
 // Clone returns a deep copy of the graph with the same dictionary
-// numbering and insertion order. The inference pipeline clones the
-// extracted model before saturating it so the FULL_EXT index can still be
-// built from the pre-inference state.
+// numbering and insertion order. inference.Run saturates a clone for
+// callers that still read the pre-inference model.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
-		terms:   slices.Clone(g.terms),
-		iris:    maps.Clone(g.iris),
-		rest:    maps.Clone(g.rest),
-		log:     slices.Clone(g.log),
-		ends:    slices.Clone(g.ends),
-		offsets: maps.Clone(g.offsets),
+		terms:    slices.Clone(g.terms),
+		iris:     maps.Clone(g.iris),
+		rest:     maps.Clone(g.rest),
+		log:      slices.Clone(g.log),
+		ends:     slices.Clone(g.ends),
+		offsets:  maps.Clone(g.offsets),
+		removals: g.removals,
 	}
 }
 

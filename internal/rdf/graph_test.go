@@ -330,6 +330,67 @@ func TestScanSeesGraphAsOfCall(t *testing.T) {
 	}
 }
 
+// Property: ScanRange visits exactly the live triples at log offsets
+// [from, to) that match its pattern, in log order, whichever chain or
+// log walk it picks — including after removals leave dead slots.
+func TestScanRangeMatchesLogFilter(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := NewGraph()
+		for i := 0; i < 60; i++ {
+			g.Add(randomTriple(r))
+			if r.Intn(8) == 0 {
+				g.Remove(randomTriple(r))
+			}
+		}
+		n := g.LogLen()
+		for probe := 0; probe < 20; probe++ {
+			at, ok := g.At(r.Intn(n))
+			if !ok {
+				continue
+			}
+			want := [3]ID{at.S, at.P, at.O}
+			for i := range want {
+				if r.Intn(2) == 0 {
+					want[i] = 0
+				}
+			}
+			from := r.Intn(n + 1)
+			to := from + r.Intn(n-from+1)
+			var exp []IDTriple
+			for i := from; i < to; i++ {
+				tr, ok := g.At(i)
+				if ok && (want[0] == 0 || tr.S == want[0]) && (want[1] == 0 || tr.P == want[1]) && (want[2] == 0 || tr.O == want[2]) {
+					exp = append(exp, tr)
+				}
+			}
+			var got []IDTriple
+			for c := g.ScanRange(want[0], want[1], want[2], from, to); c.Next(); {
+				got = append(got, c.T)
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Logf("seed %d pattern %v range [%d,%d): got %v, want %v", seed, want, from, to, got, exp)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRemovalsCountsSuccessfulRemoves(t *testing.T) {
+	g := NewGraph()
+	a := NewTriple(soccerIRI("e"), RDFType, soccerIRI("Goal"))
+	g.Add(a)
+	g.Remove(a)
+	g.Remove(a) // absent: not counted
+	if g.Removals() != 1 || g.Clone().Removals() != 1 {
+		t.Errorf("Removals = %d, clone %d; want 1, 1", g.Removals(), g.Clone().Removals())
+	}
+}
+
 func TestRemoveUnlinksAnywhereInAChain(t *testing.T) {
 	for victim := 0; victim < 4; victim++ {
 		g := NewGraph()

@@ -1,49 +1,19 @@
 package rules
 
-import (
-	"encoding/binary"
+import "repro/internal/rdf"
 
-	"repro/internal/rdf"
-)
-
-// Engine evaluates a rule set over RDF graphs by forward chaining to a
-// fixpoint.
-//
-// Evaluation order within a rule body differs from Jena in one deliberate
-// way: triple patterns are joined first (in source order) and guard builtins
-// (noValue and the comparisons) are checked once the bindings are complete.
-// The paper's assist rule (Fig. 6) lists noValue first with an unbound
-// variable, where literal in-order evaluation would make the guard global
-// rather than per-binding; deferring guards yields the per-binding reading
-// the rule obviously intends.
-type Engine struct {
-	rules []*Rule
-	// prog is the rule set compiled by NewEngine; consts are the distinct
-	// concrete terms the rules mention, which Run resolves to the graph's
-	// IDs once instead of once per pattern evaluation.
+// Program is a rule set compiled for evaluation: each body split into
+// patterns, guards and makeTemp slots, its variables numbered, the constant
+// terms of all rules pooled. It is immutable once Compile returns, so one
+// Program serves any number of graphs, concurrently; what an evaluation
+// learns about one graph lives in that graph's Engine.
+type Program struct {
 	prog   []compiled
 	consts []rdf.Term
-
-	// Per-Run state. ids[i] is the graph ID of consts[i]; slots holds the
-	// current binding of the rule being evaluated (0 = unbound, which a
-	// Scan reads as a wildcard); matches is the flat list of complete
-	// bindings of one rule, nslots IDs each.
-	g       *rdf.Graph
-	ids     []rdf.ID
-	slots   []rdf.ID
-	matches []rdf.ID
-	// fired memoizes the firings of rules with several makeTemp calls, so
-	// they create one set of temp nodes per distinct match within a run.
-	// Every other rule is idempotent without it: re-asserting a head adds
-	// nothing, and a single temp is recognized by tempFiringExists.
-	fired map[string]bool
-	// derived records rule provenance for every asserted triple; the
-	// semantic indexer reads it to fill the FromRules field of Table 2.
-	derived map[rdf.Triple]string
 }
 
 // node is one compiled pattern slot: a variable's slot number, or (slot < 0)
-// an index into Engine.consts.
+// an index into Program.consts.
 type node struct {
 	slot, konst int32
 }
@@ -64,9 +34,9 @@ type compiled struct {
 	nslots int
 }
 
-// NewEngine returns an engine over the given rules. Each rule must validate.
-func NewEngine(rs []*Rule) *Engine {
-	e := &Engine{rules: rs}
+// Compile compiles the rules into a Program. Each rule must validate.
+func Compile(rs []*Rule) *Program {
+	p := &Program{}
 	constIndex := map[rdf.Term]int32{}
 	for _, r := range rs {
 		if err := r.Validate(); err != nil {
@@ -85,13 +55,13 @@ func NewEngine(rs []*Rule) *Engine {
 			}
 			k, ok := constIndex[n.Term]
 			if !ok {
-				k = int32(len(e.consts))
+				k = int32(len(p.consts))
 				constIndex[n.Term] = k
-				e.consts = append(e.consts, n.Term)
+				p.consts = append(p.consts, n.Term)
 			}
 			return node{slot: -1, konst: k}
 		}
-		pattern := func(p Pattern) [3]node { return [3]node{compile(p.S), compile(p.P), compile(p.O)} }
+		pattern := func(pt Pattern) [3]node { return [3]node{compile(pt.S), compile(pt.P), compile(pt.O)} }
 		for _, item := range r.Body {
 			switch {
 			case item.Pattern != nil:
@@ -110,29 +80,91 @@ func NewEngine(rs []*Rule) *Engine {
 			c.head = append(c.head, pattern(h))
 		}
 		c.nslots = len(slotOf)
-		e.prog = append(e.prog, c)
+		p.prog = append(p.prog, c)
 	}
+	return p
+}
+
+// Engine evaluates a Program over one graph by semi-naive forward chaining
+// to a fixpoint, and resumes: like reasoner.Saturator, each Run starts from
+// what the graph's insertion log gained since the previous one, so another
+// writer (the reasoner, a caller) may add triples between Runs.
+//
+// Evaluation order within a rule body differs from Jena in one deliberate
+// way: triple patterns are joined first and guard builtins (noValue and the
+// comparisons) are checked once the bindings are complete. The paper's
+// assist rule (Fig. 6) lists noValue first with an unbound variable, where
+// literal in-order evaluation would make the guard global rather than
+// per-binding; deferring guards yields the per-binding reading the rule
+// obviously intends.
+type Engine struct {
+	p *Program
+	g *rdf.Graph
+	// ids[i] is the graph ID of p.consts[i].
+	ids []rdf.ID
+	// marks[i] is the log length at which rule i was last joined, its
+	// watermark (-1 before its first join): every binding made only of
+	// triples below it has been enumerated. removals is g.Removals() as of
+	// the last Run.
+	marks    []int
+	removals int
+
+	// The join in progress: body pattern delta is scanned over the log
+	// range [w, now) — see join. slots holds the current binding of the
+	// rule being evaluated (0 = unbound, which a Scan reads as a wildcard);
+	// matches is the flat list of complete bindings of one rule, nslots IDs
+	// each.
+	delta, w, now int
+	slots         []rdf.ID
+	matches       []rdf.ID
+	// derived records rule provenance for every asserted triple; the
+	// semantic indexer reads it to fill the FromRules field of Table 2.
+	derived map[rdf.Triple]string
+}
+
+// Engine binds the program to g: the graph gains the rules' constant terms
+// as dictionary entries, but no triple, until Run.
+func (p *Program) Engine(g *rdf.Graph) *Engine {
+	e := &Engine{
+		p: p, g: g,
+		ids:      make([]rdf.ID, len(p.consts)),
+		marks:    make([]int, len(p.prog)),
+		removals: g.Removals(),
+		derived:  make(map[rdf.Triple]string),
+	}
+	for i, t := range p.consts {
+		e.ids[i] = g.Intern(t)
+	}
+	e.rejoin()
 	return e
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []*Rule { return e.rules }
+// rejoin forgets every watermark, so the next Run joins each rule in full.
+func (e *Engine) rejoin() {
+	for i := range e.marks {
+		e.marks[i] = -1
+	}
+}
 
-// Run saturates the graph under the rule set and returns the number of
-// triples added. Derivation provenance is reset per call and readable via
-// Derived afterwards.
-func (e *Engine) Run(g *rdf.Graph) int {
-	e.g = g
-	e.fired = nil
-	e.derived = make(map[rdf.Triple]string)
-	e.ids = e.ids[:0]
-	for _, t := range e.consts {
-		e.ids = append(e.ids, g.Intern(t))
+// Run saturates the graph under the program and returns the number of
+// triples added. Each pass joins every rule against only the triples logged
+// since its watermark, so a binding is enumerated once: by the rule's first
+// join after the binding's last triple arrived.
+//
+// Removing a triple can make a noValue guard hold for a binding the delta
+// join will not revisit, or take away a head an old binding would derive
+// again. A Run that finds the graph has had a removal since the engine was
+// made or last ran therefore joins every rule in full once, exactly as a
+// fresh Engine would, before resuming from the log.
+func (e *Engine) Run() int {
+	if n := e.g.Removals(); n != e.removals {
+		e.removals = n
+		e.rejoin()
 	}
 	total := 0
 	for {
 		added := 0
-		for i := range e.prog {
+		for i := range e.p.prog {
 			added += e.applyRule(i)
 		}
 		total += added
@@ -142,8 +174,8 @@ func (e *Engine) Run(g *rdf.Graph) int {
 	}
 }
 
-// Derived returns rule-name provenance for the triples asserted by the last
-// Run call.
+// Derived returns rule-name provenance for every triple the engine has
+// asserted, over all its Runs.
 func (e *Engine) Derived() map[rdf.Triple]string { return e.derived }
 
 // resolve returns the node's ID under the current binding; an unbound
@@ -156,18 +188,36 @@ func (e *Engine) resolve(n node) rdf.ID {
 }
 
 func (e *Engine) applyRule(ri int) int {
-	r := &e.prog[ri]
+	r := &e.p.prog[ri]
 	g := e.g
+	w, now := e.marks[ri], g.LogLen()
+	if w == now {
+		return 0 // nothing logged since the rule last joined
+	}
+	e.marks[ri] = now
+	e.w, e.now = max(w, 0), now
 	if cap(e.slots) < r.nslots {
 		e.slots = make([]rdf.ID, r.nslots)
 	}
 	e.slots = e.slots[:r.nslots]
 	clear(e.slots)
 
-	// Enumerate every complete binding first, then assert: asserting while
-	// joining would let a rule observe its own conclusions mid-pass.
+	// Enumerate every new binding first, then assert: asserting while
+	// joining would let a rule observe its own conclusions mid-pass. A new
+	// binding has a triple at or past w; delta k finds those whose first
+	// such triple matches body pattern k. From w = 0 that is always pattern
+	// 0, and the join is the full one. A rule without patterns has one
+	// binding, the empty one, new at its first join only.
 	e.matches = e.matches[:0]
-	e.join(r, 0)
+	for e.delta = range r.body {
+		if e.delta > 0 && e.w == 0 {
+			break
+		}
+		e.join(r, 0)
+	}
+	if len(r.body) == 0 && w < 0 {
+		e.join(r, 0)
+	}
 
 	added := 0
 	for m := 0; m < len(e.matches); m += r.nslots {
@@ -175,25 +225,14 @@ func (e *Engine) applyRule(ri int) int {
 		if !e.checkGuards(r.guards) {
 			continue
 		}
-		switch len(r.temps) {
-		case 0:
-		case 1:
-			if e.tempFiringExists(r) {
-				// A node minted for this match — earlier in this run or by a
-				// previous one — already carries the head; re-firing would
-				// duplicate it. This keeps makeTemp rules idempotent across
-				// engine runs, not just within one.
-				continue
-			}
-		default:
-			key := firingKey(ri, e.slots)
-			if e.fired[key] {
-				continue
-			}
-			if e.fired == nil {
-				e.fired = make(map[string]bool)
-			}
-			e.fired[key] = true
+		if len(r.temps) == 1 && e.tempFiringExists(r) {
+			// A node minted for a binding with this head — earlier in this
+			// join, by an earlier engine over the graph, or by this one
+			// before a removal made it join in full again — already
+			// carries it; re-firing would duplicate it. Rules with several
+			// temps have no single anchor and mint once per enumeration of
+			// a binding.
+			continue
 		}
 		for _, v := range r.temps {
 			e.slots[v] = g.Intern(g.NewBlankNode())
@@ -209,15 +248,27 @@ func (e *Engine) applyRule(ri int) int {
 	return added
 }
 
-// join extends the current binding over body patterns k.., in source
-// order, appending each complete binding to e.matches.
-func (e *Engine) join(r *compiled, k int) {
-	if k == len(r.body) {
+// join extends the current binding over the rule body, one pattern per
+// step, appending each complete binding to e.matches. Step 0 scans pattern
+// e.delta over the log range [w, now); the later steps take the other
+// patterns in source order, those before the delta pattern below w and
+// those after it below now. A binding whose triples at or past w begin at
+// pattern k is thereby enumerated by delta k and by no other, and a
+// binding wholly below w — enumerated by an earlier join — by none.
+func (e *Engine) join(r *compiled, step int) {
+	if step == len(r.body) {
 		e.matches = append(e.matches, e.slots...)
 		return
 	}
+	k, from, to := step, 0, e.now
+	switch {
+	case step == 0:
+		k, from = e.delta, e.w
+	case step <= e.delta:
+		k, to = step-1, e.w
+	}
 	pat := &r.body[k]
-	for c := e.g.Scan(e.resolve(pat[0]), e.resolve(pat[1]), e.resolve(pat[2])); c.Next(); {
+	for c := e.g.ScanRange(e.resolve(pat[0]), e.resolve(pat[1]), e.resolve(pat[2]), from, to); c.Next(); {
 		// Bind the pattern's unbound variables to the triple; a repeated
 		// variable, e.g. (?x p ?x) against s != o, conflicts.
 		vals := [3]rdf.ID{c.T.S, c.T.P, c.T.O}
@@ -237,7 +288,7 @@ func (e *Engine) join(r *compiled, k int) {
 			}
 		}
 		if ok {
-			e.join(r, k+1)
+			e.join(r, step+1)
 		}
 		for _, s := range bound[:n] {
 			e.slots[s] = 0
@@ -249,7 +300,7 @@ func (e *Engine) join(r *compiled, k int) {
 // temp of an earlier firing with the same bindings: a node t such that every
 // head triple holds with the temp variable bound to t (head triples not
 // mentioning the temp must hold outright). Only the single-temp case is
-// recognized; rules with several temps fall back to the per-run memo.
+// recognized.
 func (e *Engine) tempFiringExists(r *compiled) bool {
 	v := r.temps[0]
 	// Candidates come from the first head pattern mentioning the temp.
@@ -320,14 +371,4 @@ func (e *Engine) intValue(n node) (int, bool) {
 		return 0, false
 	}
 	return e.g.Term(id).Int()
-}
-
-// firingKey identifies one complete binding of one rule.
-func firingKey(rule int, slots []rdf.ID) string {
-	buf := make([]byte, 0, 4+4*len(slots))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rule))
-	for _, id := range slots {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	return string(buf)
 }

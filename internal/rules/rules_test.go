@@ -129,10 +129,10 @@ func TestParseErrors(t *testing.T) {
 
 func TestEngineSimpleDerivation(t *testing.T) {
 	rs := MustParse(`[lift: (?e rdf:type pre:Goal) -> (?e rdf:type pre:PositiveEvent)]`)
-	e := NewEngine(rs)
 	g := rdf.NewGraph()
 	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
-	n := e.Run(g)
+	e := Compile(rs).Engine(g)
+	n := e.Run()
 	if n != 1 {
 		t.Errorf("Run added %d, want 1", n)
 	}
@@ -152,7 +152,7 @@ func TestEngineChaining(t *testing.T) {
 `)
 	g := rdf.NewGraph()
 	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
-	if n := NewEngine(rs).Run(g); n != 2 {
+	if n := Compile(rs).Engine(g).Run(); n != 2 {
 		t.Errorf("Run added %d, want 2", n)
 	}
 	if !g.HasSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Event")) {
@@ -168,7 +168,7 @@ func TestEngineJoin(t *testing.T) {
 	g.AddSPO(iri("pre:e1"), iri("pre:subjectPlayer"), iri("pre:Messi"))
 	g.AddSPO(iri("pre:Messi"), iri("pre:playsFor"), iri("pre:Barcelona"))
 	g.AddSPO(iri("pre:e2"), iri("pre:subjectPlayer"), iri("pre:Unknown"))
-	NewEngine(rs).Run(g)
+	Compile(rs).Engine(g).Run()
 	if !g.HasSPO(iri("pre:e1"), iri("pre:subjectTeam"), iri("pre:Barcelona")) {
 		t.Error("join derivation missing")
 	}
@@ -185,7 +185,7 @@ func TestEngineNoValueGuard(t *testing.T) {
 	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
 	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
 	g.AddSPO(iri("pre:g2"), iri("pre:checked"), rdf.NewLiteral("yes"))
-	if n := NewEngine(rs).Run(g); n != 1 {
+	if n := Compile(rs).Engine(g).Run(); n != 1 {
 		t.Errorf("Run added %d, want 1 (g2 already checked)", n)
 	}
 }
@@ -200,8 +200,9 @@ func TestEngineMakeTempOncePerBinding(t *testing.T) {
 	g.AddSPO(iri("pre:g1"), iri("pre:scorerPlayer"), iri("pre:Messi"))
 	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
 	g.AddSPO(iri("pre:g2"), iri("pre:scorerPlayer"), iri("pre:Eto"))
-	e := NewEngine(rs)
-	e.Run(g)
+	prog := Compile(rs)
+	e := prog.Engine(g)
+	e.Run()
 	celebs := g.Match(rdf.Wildcard, rdf.RDFType, iri("pre:Celebration"))
 	if len(celebs) != 2 {
 		t.Fatalf("created %d Celebration temps, want 2", len(celebs))
@@ -210,10 +211,10 @@ func TestEngineMakeTempOncePerBinding(t *testing.T) {
 	// existing node satisfying the instantiated head. This must hold for the
 	// same engine and for a fresh engine over the saturated graph.
 	before := g.Len()
-	if n := e.Run(g); n != 0 {
+	if n := e.Run(); n != 0 {
 		t.Errorf("second Run added %d triples", n)
 	}
-	if n := NewEngine(rs).Run(g); n != 0 {
+	if n := prog.Engine(g).Run(); n != 0 {
 		t.Errorf("fresh-engine Run added %d triples", n)
 	}
 	if g.Len() != before {
@@ -226,7 +227,7 @@ func TestEngineRepeatedVariable(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddSPO(iri("pre:a"), iri("pre:marks"), iri("pre:a"))
 	g.AddSPO(iri("pre:b"), iri("pre:marks"), iri("pre:c"))
-	NewEngine(rs).Run(g)
+	Compile(rs).Engine(g).Run()
 	if !g.HasSPO(iri("pre:a"), rdf.RDFType, iri("pre:SelfMarker")) {
 		t.Error("self-loop not derived")
 	}
@@ -248,7 +249,7 @@ func TestEngineComparisonGuards(t *testing.T) {
 	g.AddSPO(iri("pre:m2"), iri("pre:awayScore"), rdf.NewInt(1))
 	g.AddSPO(iri("pre:m3"), iri("pre:homeScore"), rdf.NewInt(0))
 	g.AddSPO(iri("pre:m3"), iri("pre:awayScore"), rdf.NewInt(3))
-	NewEngine(rs).Run(g)
+	Compile(rs).Engine(g).Run()
 	for m, want := range map[string]string{"pre:m1": "home", "pre:m2": "draw", "pre:m3": "away"} {
 		got := g.FirstObject(iri(m), iri("pre:outcome"))
 		if got.Value != want {
@@ -269,7 +270,7 @@ func TestEngineNotEqual(t *testing.T) {
 	g.AddSPO(iri("pre:e1"), iri("pre:b"), iri("pre:p1"))
 	g.AddSPO(iri("pre:e2"), iri("pre:a"), iri("pre:p1"))
 	g.AddSPO(iri("pre:e2"), iri("pre:b"), iri("pre:p2"))
-	NewEngine(rs).Run(g)
+	Compile(rs).Engine(g).Run()
 	if g.HasSPO(iri("pre:e1"), rdf.RDFType, iri("pre:Distinct")) {
 		t.Error("notEqual passed on equal terms")
 	}
@@ -318,7 +319,7 @@ func TestEngineAssistEndToEnd(t *testing.T) {
 	add("pre:pass2", "pre:inMatch", match)
 	add("pre:pass2", "pre:inMinute", rdf.NewInt(30))
 
-	NewEngine(MustParse(src)).Run(g)
+	Compile(MustParse(src)).Engine(g).Run()
 	assists := g.Match(rdf.Wildcard, rdf.RDFType, iri("pre:Assist"))
 	if len(assists) != 1 {
 		t.Fatalf("minted %d Assist individuals, want 1", len(assists))
@@ -342,18 +343,19 @@ func TestRuleStringRendersGuards(t *testing.T) {
 	}
 }
 
-func TestNewEnginePanicsOnInvalidRule(t *testing.T) {
+func TestCompilePanicsOnInvalidRule(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewEngine did not panic")
+			t.Error("Compile did not panic")
 		}
 	}()
-	NewEngine([]*Rule{{Name: "bad", Head: []Pattern{{S: Node{Var: "x"}, P: Node{Term: rdf.RDFType}, O: Node{Term: rdf.OWLThing}}}}})
+	Compile([]*Rule{{Name: "bad", Head: []Pattern{{S: Node{Var: "x"}, P: Node{Term: rdf.RDFType}, O: Node{Term: rdf.OWLThing}}}}})
 }
 
 // A rule with two makeTemp calls cannot be recognized by its head (there is
-// no single anchor node), so the per-run memo is what keeps it from minting
-// again on the fixpoint's second pass.
+// no single anchor node), so what keeps it from minting again on the
+// fixpoint's second pass is that the semi-naive join enumerates each binding
+// once.
 func TestEngineSeveralTempsOncePerBindingWithinARun(t *testing.T) {
 	rs := MustParse(`
 [pair: (?g rdf:type pre:Goal) makeTemp(?a) makeTemp(?b)
@@ -362,7 +364,7 @@ func TestEngineSeveralTempsOncePerBindingWithinARun(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
 	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
-	if n := NewEngine(rs).Run(g); n != 4 {
+	if n := Compile(rs).Engine(g).Run(); n != 4 {
 		t.Errorf("Run added %d triples, want 4 (two temps for each of two goals)", n)
 	}
 }
@@ -378,7 +380,7 @@ func TestEngineGuardOnUnboundVariable(t *testing.T) {
 	g.AddSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Goal"))
 	g.AddSPO(iri("pre:g1"), iri("pre:inMinute"), rdf.NewInt(3))
 	g.AddSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Goal"))
-	NewEngine(rs).Run(g)
+	Compile(rs).Engine(g).Run()
 	if g.HasSPO(iri("pre:g1"), rdf.RDFType, iri("pre:Untimed")) || !g.HasSPO(iri("pre:g2"), rdf.RDFType, iri("pre:Untimed")) {
 		t.Error("noValue with an unbound variable did not act as a wildcard")
 	}

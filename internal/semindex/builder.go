@@ -67,6 +67,10 @@ type Builder struct {
 	// Ontology and Reasoner on first use.
 	rolesOnce sync.Once
 	roles     map[rdf.Term]predicateRole
+	// prog is Rules compiled on first use; immutable, so every page the
+	// Builder prepares, on any worker, runs the same one.
+	progOnce sync.Once
+	prog     *rules.Program
 }
 
 // NewBuilder wires the default soccer pipeline.
@@ -183,13 +187,13 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 	pop := &populate.Populator{Ontology: b.Ontology}
 	pm := pop.Populate(page, events)
 
+	// Nothing reads the pre-inference model after this point, so it is
+	// saturated in place.
 	model := pm.Model
 	var provenance map[rdf.Triple]string
 	inferred := level == FullInf || level == PhrExp
 	if inferred {
-		res := inference.Run(b.Reasoner, b.Rules, model)
-		model = res.Model
-		provenance = res.RuleProvenance
+		provenance = inference.Saturate(b.Reasoner, b.program(), model)
 	}
 
 	f := b.newFlattener(level, page, model.Graph, provenance)
@@ -221,6 +225,12 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 		}
 	}
 	return out
+}
+
+// program returns the Builder's rule set, compiled on first use.
+func (b *Builder) program() *rules.Program {
+	b.progOnce.Do(func() { b.prog = rules.Compile(b.Rules) })
+	return b.prog
 }
 
 // mintedBefore orders a page's rule-minted events: chronologically, then in

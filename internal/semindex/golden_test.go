@@ -205,13 +205,14 @@ func TestMintedDocumentOrder(t *testing.T) {
 
 // TestPageDocumentsAllocationCeiling keeps the per-page cost of the write
 // path from creeping back: flattening one FULL_INF page measured about
-// 8,000 allocations and 1.6 MB when this ceiling was set (68,900 and
-// 30 MB before graphs were integer-encoded), so the ceilings leave about
-// half again as much room.
+// 3,980 allocations and 0.83 MB when this ceiling was set (8,000 and
+// 1.6 MB before template matching stopped building a map per attempt and
+// inference stopped cloning the model; 68,900 and 30 MB before graphs were
+// integer-encoded), so the ceilings leave a fifth again as much room.
 func TestPageDocumentsAllocationCeiling(t *testing.T) {
 	const (
-		maxAllocs = 12_000
-		maxBytes  = 2_500_000
+		maxAllocs = 4_800
+		maxBytes  = 1_000_000
 	)
 	pages := goldenPages(t)[:10]
 	b := NewBuilder()

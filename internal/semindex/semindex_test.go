@@ -1,10 +1,14 @@
 package semindex
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/crawler"
+	"repro/internal/index"
+	"repro/internal/rules"
 	"repro/internal/soccer"
 )
 
@@ -339,6 +343,41 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			if ha[i].DocID != hb[i].DocID {
 				t.Errorf("query %q rank %d: doc %d vs %d", q, i, ha[i].DocID, hb[i].DocID)
 			}
+		}
+	}
+}
+
+// TestConcurrentPageDocumentsShareRules calls PageDocuments for several
+// pages at once on a fresh Builder, so the first calls race to compile the
+// rule set: every call must see the one compiled program and produce what a
+// serial Builder does. Under -race it also checks that evaluating the shared
+// program never writes to it.
+func TestConcurrentPageDocumentsShareRules(t *testing.T) {
+	pages := testPages(t, 4, 42)
+	serial := NewBuilder()
+	want := make([][]*index.Document, len(pages))
+	for i, p := range pages {
+		want[i] = serial.PageDocuments(FullInf, p)
+	}
+	b := NewBuilder()
+	got := make([][]*index.Document, 3*len(pages))
+	progs := make([]*rules.Program, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = b.PageDocuments(FullInf, pages[i%len(pages)])
+			progs[i] = b.program()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if progs[i] != progs[0] {
+			t.Errorf("call %d ran program %p, call 0 ran %p", i, progs[i], progs[0])
+		}
+		if !reflect.DeepEqual(got[i], want[i%len(pages)]) {
+			t.Errorf("call %d (page %d): documents differ from the serial Builder's", i, i%len(pages))
 		}
 	}
 }
