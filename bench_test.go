@@ -610,7 +610,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 	e := env(10)
 	si := e.indices[semindex.FullInf]
 	var buf bytes.Buffer
-	if err := si.Save(&buf); err != nil {
+	if _, err := si.SaveWithTOC(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -619,7 +619,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			var w bytes.Buffer
-			if err := si.Save(&w); err != nil {
+			if _, err := si.SaveWithTOC(&w); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,12 +1,11 @@
 // Command socindex builds the semantic indices of Section 3.6 over a
-// corpus and reports their shape.
+// corpus, each as a shard.Engine, and reports their shape.
 //
 //	socindex                                 build all five levels, print stats
 //	socindex -level FULL_INF                 build one level
-//	socindex -level FULL_INF -save idx.bin   persist the built index
-//	socindex -level FULL_INF -shards 4       parallel sharded build
-//	socindex -level FULL_INF -shards 4 -save idx.bin
-//	                                         persist a manifest-anchored snapshot
+//	socindex -level FULL_INF -save idx.bin   persist it as a manifest-anchored
+//	                                         snapshot at base idx.bin
+//	socindex -level FULL_INF -shards 4       parallel 4-way sharded build
 //	socindex -verify idx.bin                 fsck a saved snapshot: manifest,
 //	                                         per-shard checksums, WAL tail
 //	socindex -verify idx.bin -mapped         fsck, then prove the snapshot
@@ -39,9 +38,9 @@ func main() {
 	var cf cli.CorpusFlags
 	cf.Register(fs)
 	level := fs.String("level", "", "build only this level (TRAD, BASIC_EXT, FULL_EXT, FULL_INF, PHR_EXP)")
-	save := fs.String("save", "", "save the (single) built index to this file")
-	shards := fs.Int("shards", 0, "build an N-way sharded engine instead of a monolithic index")
-	verify := fs.String("verify", "", "verify a saved sharded snapshot at this base and exit (fsck)")
+	save := fs.String("save", "", "save the (single) built index as a snapshot at this base")
+	shards := fs.Int("shards", 1, "partition each index N ways")
+	verify := fs.String("verify", "", "verify a saved snapshot at this base and exit (fsck)")
 	mapped := fs.Bool("mapped", false, "with -verify: also open the snapshot memory-mapped and report the open time")
 	fs.Parse(os.Args[1:])
 
@@ -77,44 +76,22 @@ func main() {
 	b := semindex.NewBuilder()
 	for _, l := range levels {
 		start := time.Now()
-		if *shards > 0 {
-			eng := shard.Build(b, l, pages, shard.Options{Shards: *shards})
-			st := eng.Stats()
-			fmt.Printf("%-10s %s, built in %v\n", l, st, time.Since(start).Round(time.Millisecond))
-			if *save != "" && len(levels) == 1 {
-				if err := eng.Save(*save); err != nil {
-					cli.Fatal(err)
-				}
-				rep := shard.Fsck(*save)
-				if !rep.OK() {
-					cli.Fatal(fmt.Errorf("snapshot failed verification after save:\n%s", rep))
-				}
-				var total int64
-				for _, f := range rep.Files {
-					total += f.Size
-				}
-				fmt.Printf("saved %d shard file(s) + manifest to %s.* (%d payload bytes, generation %d)\n",
-					len(rep.Files), *save, total, rep.Generation)
-			}
-			continue
-		}
-		si := b.Build(l, pages)
-		st := si.Index.Stats()
-		fmt.Printf("%-10s %6d docs, %2d fields, %7d terms, %8d postings, built in %v\n",
-			l, st.Docs, st.Fields, st.Terms, st.Postings, time.Since(start).Round(time.Millisecond))
+		eng := shard.Build(b, l, pages, shard.Options{Shards: *shards})
+		fmt.Printf("%-10s %s, built in %v\n", l, eng.Stats(), time.Since(start).Round(time.Millisecond))
 		if *save != "" && len(levels) == 1 {
-			f, err := os.Create(*save)
-			if err != nil {
+			if err := eng.Save(*save); err != nil {
 				cli.Fatal(err)
 			}
-			if err := si.Save(f); err != nil {
-				cli.Fatal(err)
+			rep := shard.Fsck(*save)
+			if !rep.OK() {
+				cli.Fatal(fmt.Errorf("snapshot failed verification after save:\n%s", rep))
 			}
-			if err := f.Close(); err != nil {
-				cli.Fatal(err)
+			var total int64
+			for _, f := range rep.Files {
+				total += f.Size
 			}
-			st, _ := os.Stat(*save)
-			fmt.Printf("saved to %s (%d bytes)\n", *save, st.Size())
+			fmt.Printf("saved %d shard file(s) + manifest to %s.* (%d payload bytes, generation %d)\n",
+				len(rep.Files), *save, total, rep.Generation)
 		}
 	}
 }

@@ -1,15 +1,17 @@
 // Command socsearch is the keyword query interface of Section 3.6: it
-// builds the semantic index over a corpus and answers keyword queries,
-// either from the command line or interactively from stdin.
+// builds the semantic index over a corpus as a one-shard shard.Engine (or
+// loads a saved snapshot) and answers keyword queries, either from the
+// command line or interactively from stdin.
 //
 //	socsearch "messi barcelona goal"
 //	socsearch -level TRAD "goal"
-//	socsearch -load idx.bin "goal"  search a saved index
+//	socsearch -load idx.bin "goal"  search the snapshot socindex -save wrote at base idx.bin
 //	socsearch -i                    interactive prompt
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/index"
 	"repro/internal/semindex"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -27,36 +30,36 @@ func main() {
 	level := fs.String("level", string(semindex.FullInf), "index level to search")
 	limit := fs.Int("n", 10, "number of results")
 	interactive := fs.Bool("i", false, "interactive mode")
-	load := fs.String("load", "", "load a saved index file instead of building")
+	load := fs.String("load", "", "load the snapshot saved at this base instead of building")
 	fs.Parse(os.Args[1:])
 
-	var si *semindex.SemanticIndex
+	var eng *shard.Engine
 	if *load != "" {
-		f, err := os.Open(*load)
+		var err error
+		eng, err = shard.Load(*load, nil)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		si, err = semindex.Load(f, nil)
-		f.Close()
-		if err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("loaded %s index (%d docs) from %s\n", si.Level, si.Index.NumDocs(), *load)
+		fmt.Printf("loaded %s index (%d docs) from %s\n", eng.Level(), eng.NumDocs(), *load)
 	} else {
 		pages, _, err := cf.LoadPages()
 		if err != nil {
 			cli.Fatal(err)
 		}
 		start := time.Now()
-		si = semindex.NewBuilder().Build(semindex.Level(*level), pages)
+		eng = shard.Build(nil, semindex.Level(*level), pages, shard.Options{Shards: 1})
 		fmt.Printf("built %s over %d matches (%d docs) in %v\n",
-			si.Level, len(pages), si.Index.NumDocs(), time.Since(start).Round(time.Millisecond))
+			eng.Level(), len(pages), eng.NumDocs(), time.Since(start).Round(time.Millisecond))
 	}
 	hl := index.Highlighter{Pre: "[", Post: "]"}
 
 	run := func(q string) {
 		t0 := time.Now()
-		hits := si.Search(q, *limit)
+		res, err := eng.Search(context.Background(), q, shard.SearchOptions{Limit: *limit})
+		if err != nil {
+			cli.Fatal(err)
+		}
+		hits := res.Hits
 		fmt.Printf("%d results in %v for %q\n", len(hits), time.Since(t0).Round(time.Microsecond), q)
 		for i, h := range hits {
 			kind := h.Meta(semindex.MetaKind)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,50 +19,105 @@ import (
 	"repro/internal/soccer"
 )
 
+// testPages is the paper-coverage corpus every handler test serves.
+func testPages() []*crawler.MatchPage {
+	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
+	return crawler.PagesFromCorpus(c)
+}
+
+// testEngine builds the FULL_INF engine over testPages in the given
+// number of shards, without a query cache.
+func testEngine(shards int) *shard.Engine {
+	return shard.Build(nil, semindex.FullInf, testPages(), shard.Options{Shards: shards})
+}
+
+// testHandler serves the one-shard engine — what socserve runs by
+// default.
 func testHandler(t testing.TB) *httptest.Server {
 	t.Helper()
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	si := semindex.NewBuilder().Build(semindex.FullInf, crawler.PagesFromCorpus(c))
-	srv := httptest.NewServer(NewHandler(si))
+	srv := httptest.NewServer(NewHandler(testEngine(1)))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-func TestSearchEndpointJSON(t *testing.T) {
-	srv := testHandler(t)
-	resp, err := srv.Client().Get(srv.URL + "/search?q=punishment&n=5")
+// testHandlerSharded serves the same corpus from a 3-shard scatter-gather
+// engine.
+func testHandlerSharded(t testing.TB) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(NewHandler(testEngine(3)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// getV1Search GETs a /v1/search path and decodes its envelope. The
+// returned response's body is already closed; its headers stay readable.
+func getV1Search(t testing.TB, srv *httptest.Server, path string) (*http.Response, v1SearchResponse) {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("%s: status %d", path, resp.StatusCode)
 	}
-	var sr searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	var env v1SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Query != "punishment" || sr.Total == 0 {
-		t.Errorf("response = %+v", sr)
+	return resp, env
+}
+
+// checkMatchesReference holds a /v1/search answer to the monolithic
+// SemanticIndex.Search over the same pages, hit for hit: rank, score
+// bits, kind, match and minute.
+func checkMatchesReference(t *testing.T, name string, env v1SearchResponse, ref []semindex.Hit) {
+	t.Helper()
+	if len(env.Hits) != len(ref) {
+		t.Fatalf("%s: %d hits, reference %d", name, len(env.Hits), len(ref))
 	}
-	for _, r := range sr.Results {
+	for i, got := range env.Hits {
+		want := ref[i]
+		if got.Rank != i+1 ||
+			math.Float64bits(got.Score) != math.Float64bits(want.Score) ||
+			got.Kind != want.Meta(semindex.MetaKind) ||
+			got.Match != want.Meta(semindex.MetaMatchID) ||
+			got.Minute != want.Meta(semindex.MetaMinute) {
+			t.Errorf("%s rank %d: got %+v, reference score %v kind %q match %q minute %q",
+				name, i+1, got, want.Score, want.Meta(semindex.MetaKind),
+				want.Meta(semindex.MetaMatchID), want.Meta(semindex.MetaMinute))
+		}
+	}
+}
+
+func TestSearchEndpointJSON(t *testing.T) {
+	srv := testHandler(t)
+	_, env := getV1Search(t, srv, "/v1/search?q=punishment&limit=5")
+	if env.Query != "punishment" || env.Total == 0 {
+		t.Errorf("response = %+v", env)
+	}
+	for _, r := range env.Hits {
 		if !strings.Contains(r.Kind, "Card") {
 			t.Errorf("punishment returned kind %q", r.Kind)
 		}
 	}
 }
 
-func TestSearchEndpointValidation(t *testing.T) {
+func TestFacetsInSearchResponse(t *testing.T) {
 	srv := testHandler(t)
-	for _, path := range []string{"/search", "/search?q=goal&n=0", "/search?q=goal&n=9999", "/search?q=goal&n=abc"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
-		}
+	_, env := getV1Search(t, srv, "/v1/search?q=punishment")
+	if len(env.Facets) == 0 {
+		t.Error("no facets in response")
+	}
+}
+
+// TestDidYouMean: a query token matching nothing carries a spelling
+// suggestion.
+func TestDidYouMean(t *testing.T) {
+	srv := testHandler(t)
+	_, env := getV1Search(t, srv, "/v1/search?q=mesi")
+	if !strings.Contains(env.DidYouMean, "messi") {
+		t.Errorf("didYouMean = %q", env.DidYouMean)
 	}
 }
 
@@ -104,128 +161,33 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestFacetsInSearchResponse(t *testing.T) {
-	srv := testHandler(t)
-	resp, err := srv.Client().Get(srv.URL + "/search?q=punishment")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Facets) == 0 {
-		t.Error("no facets in response")
-	}
-}
-
-func TestRelatedEndpoint(t *testing.T) {
-	srv := testHandler(t)
-	resp, err := srv.Client().Get(srv.URL + "/related?doc=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var out []searchResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	// Bad input validation.
-	bad, err := srv.Client().Get(srv.URL + "/related?doc=x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != 400 {
-		t.Errorf("bad doc param status %d", bad.StatusCode)
-	}
-}
-
-func TestDidYouMean(t *testing.T) {
-	srv := testHandler(t)
-	resp, err := srv.Client().Get(srv.URL + "/search?q=mesi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sr.DidYouMean, "messi") {
-		t.Errorf("didYouMean = %q", sr.DidYouMean)
-	}
-}
-
-// testHandlerSharded serves the same corpus as testHandler from a 3-shard
-// scatter-gather engine.
-func testHandlerSharded(t testing.TB) *httptest.Server {
-	t.Helper()
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), shard.Options{Shards: 3})
-	srv := httptest.NewServer(NewHandler(eng))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestShardedHandlerMatchesMonolith: the same query against the sharded
-// and monolithic handlers must produce identical result lists — the
-// serving layer inherits the engine's ranking-equivalence guarantee.
+// TestShardedHandlerMatchesMonolith: the same query against the one-shard
+// and three-shard handlers must produce the monolithic index's result
+// list — the serving layer inherits the engine's ranking-equivalence
+// guarantee at any shard count.
 func TestShardedHandlerMatchesMonolith(t *testing.T) {
-	mono := testHandler(t)
-	sharded := testHandlerSharded(t)
-	for _, q := range []string{"punishment", "messi+barcelona+goal", "yellow+card"} {
-		var responses [2]searchResponse
-		for i, srv := range []*httptest.Server{mono, sharded} {
-			resp, err := srv.Client().Get(srv.URL + "/search?q=" + q + "&n=10")
-			if err != nil {
-				t.Fatal(err)
+	mono := semindex.NewBuilder().Build(semindex.FullInf, testPages())
+	one := testHandler(t)
+	three := testHandlerSharded(t)
+	for _, q := range []string{"punishment", "messi barcelona goal", "yellow card"} {
+		ref := mono.Search(q, 10)
+		if len(ref) == 0 {
+			t.Fatalf("%s: reference returned nothing", q)
+		}
+		total := len(mono.Search(q, 0))
+		path := "/v1/search?q=" + strings.ReplaceAll(q, " ", "+") + "&limit=10"
+		for name, srv := range map[string]*httptest.Server{"1 shard": one, "3 shards": three} {
+			_, env := getV1Search(t, srv, path)
+			if env.Total != total {
+				t.Errorf("%s %q: total %d, reference %d", name, q, env.Total, total)
 			}
-			if resp.StatusCode != 200 {
-				t.Fatalf("%s: status %d", q, resp.StatusCode)
-			}
-			err = json.NewDecoder(resp.Body).Decode(&responses[i])
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if responses[1].Total == 0 {
-			t.Fatalf("%s: sharded handler returned nothing", q)
-		}
-		if len(responses[0].Results) != len(responses[1].Results) {
-			t.Fatalf("%s: %d vs %d results", q, len(responses[0].Results), len(responses[1].Results))
-		}
-		for r := range responses[0].Results {
-			if responses[0].Results[r] != responses[1].Results[r] {
-				t.Errorf("%s rank %d: monolith %+v, sharded %+v",
-					q, r+1, responses[0].Results[r], responses[1].Results[r])
-			}
-		}
-	}
-}
-
-// TestShardedHandlerValidation: the n clamp guards the sharded path too.
-func TestShardedHandlerValidation(t *testing.T) {
-	srv := testHandlerSharded(t)
-	for _, path := range []string{"/search", "/search?q=goal&n=-3", "/search?q=goal&n=101", "/search?q=goal&n=abc"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+			checkMatchesReference(t, name+" "+q, env, ref)
 		}
 	}
 }
 
 // TestReadiness: the service is live from the first byte but not ready —
-// and serves no queries — until a searcher is installed.
+// and serves no queries — until an engine is installed.
 func TestReadiness(t *testing.T) {
 	h := NewHandler(nil)
 	srv := httptest.NewServer(h)
@@ -243,18 +205,17 @@ func TestReadiness(t *testing.T) {
 	if got := get("/healthz"); got != 200 {
 		t.Errorf("healthz while loading = %d, want 200 (liveness is not readiness)", got)
 	}
-	for _, path := range []string{"/readyz", "/search?q=goal", "/related?doc=0", "/"} {
+	for _, path := range []string{"/readyz", "/v1/search?q=goal", "/v1/related?doc=0", "/"} {
 		if got := get(path); got != http.StatusServiceUnavailable {
 			t.Errorf("%s while loading = %d, want 503", path, got)
 		}
 	}
 
-	c := soccer.Generate(soccer.Config{Matches: 1, Seed: 42, NarrationsPerMatch: 30})
-	h.SetSearcher(semindex.NewBuilder().Build(semindex.Trad, crawler.PagesFromCorpus(c)))
+	h.SetSearcher(testEngine(1))
 	if got := get("/readyz"); got != 200 {
 		t.Errorf("readyz after SetSearcher = %d", got)
 	}
-	if got := get("/search?q=goal"); got != 200 {
+	if got := get("/v1/search?q=goal"); got != 200 {
 		t.Errorf("search after SetSearcher = %d", got)
 	}
 }
@@ -264,8 +225,7 @@ func TestReadiness(t *testing.T) {
 // endpoint still answers in budget, merges the live shards, and marks the
 // response degraded in both the JSON body and the response headers.
 func TestDegradedShardServing(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), shard.Options{Shards: 3})
+	eng := testEngine(3)
 	const stalled = 2
 	eng.SetStall(func(i int) {
 		if i == stalled {
@@ -278,16 +238,9 @@ func TestDegradedShardServing(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	start := time.Now()
-	resp, err := srv.Client().Get(srv.URL + "/search?q=goal&n=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, env := getV1Search(t, srv, "/v1/search?q=goal&limit=10")
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("degraded search took %v against a 50ms per-shard budget", elapsed)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Search-Degraded"); got != "true" {
 		t.Errorf("X-Search-Degraded = %q", got)
@@ -295,71 +248,39 @@ func TestDegradedShardServing(t *testing.T) {
 	if got := resp.Header.Get("X-Search-Missing-Shards"); got != "2" {
 		t.Errorf("X-Search-Missing-Shards = %q", got)
 	}
-	var sr searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
+	if env.Degraded == nil || len(env.Degraded.MissingShards) != 1 || env.Degraded.MissingShards[0] != stalled {
+		t.Errorf("body degradation: %+v", env.Degraded)
 	}
-	if !sr.Degraded || len(sr.MissingShards) != 1 || sr.MissingShards[0] != stalled {
-		t.Errorf("body degradation: degraded=%v missing=%v", sr.Degraded, sr.MissingShards)
-	}
-	if sr.Total == 0 {
+	if env.Total == 0 {
 		t.Error("degraded answer carried no results from the live shards")
 	}
 }
 
 // TestShardTimeoutHealthyNotDegraded: a configured deadline that every
-// shard meets leaves the response unmarked and identical to the
-// monolith's.
+// shard meets leaves the response unmarked, and the one-shard and
+// three-shard answers both equal the monolith's.
 func TestShardTimeoutHealthyNotDegraded(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), shard.Options{Shards: 3})
-	h := NewHandler(eng)
-	h.ShardTimeout = 5 * time.Second
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
+	ref := semindex.NewBuilder().Build(semindex.FullInf, testPages()).Search("punishment", 5)
+	for _, shards := range []int{1, 3} {
+		h := NewHandler(testEngine(shards))
+		h.ShardTimeout = 5 * time.Second
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
 
-	resp, err := srv.Client().Get(srv.URL + "/search?q=punishment&n=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Search-Degraded"); got != "" {
-		t.Errorf("healthy search marked degraded: %q", got)
-	}
-	var sr searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Degraded || len(sr.MissingShards) != 0 || sr.Total == 0 {
-		t.Errorf("response = %+v", sr)
-	}
-
-	// Same query through the monolithic reference handler: identical list.
-	mono := testHandler(t)
-	mresp, err := mono.Client().Get(mono.URL + "/search?q=punishment&n=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var msr searchResponse
-	if err := json.NewDecoder(mresp.Body).Decode(&msr); err != nil {
-		t.Fatal(err)
-	}
-	if len(msr.Results) != len(sr.Results) {
-		t.Fatalf("deadline path returned %d results, monolith %d", len(sr.Results), len(msr.Results))
-	}
-	for i := range msr.Results {
-		if msr.Results[i] != sr.Results[i] {
-			t.Errorf("rank %d: %+v vs %+v", i+1, sr.Results[i], msr.Results[i])
+		resp, env := getV1Search(t, srv, "/v1/search?q=punishment&limit=5")
+		if got := resp.Header.Get("X-Search-Degraded"); got != "" {
+			t.Errorf("%d shard(s): healthy search marked degraded: %q", shards, got)
 		}
+		if env.Degraded != nil || env.Total == 0 {
+			t.Errorf("%d shard(s): response = %+v", shards, env)
+		}
+		checkMatchesReference(t, fmt.Sprintf("%d shard(s)", shards), env, ref)
 	}
 }
 
 // TestGracefulServe exercises the configured server path: serve on a
 // random port, hit /healthz, then shut down via SIGTERM-equivalent cancel.
 func TestGracefulServe(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 1, Seed: 42, NarrationsPerMatch: 30})
-	si := semindex.NewBuilder().Build(semindex.Trad, crawler.PagesFromCorpus(c))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +289,8 @@ func TestGracefulServe(t *testing.T) {
 	ln.Close()
 	drained := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- serve(addr, NewHandler(si), func() { close(drained) }) }()
+	h := NewHandler(testEngine(1))
+	go func() { done <- serve(addr, h, func() { close(drained) }) }()
 	var resp *http.Response
 	for i := 0; i < 100; i++ {
 		resp, err = http.Get("http://" + addr + "/healthz")

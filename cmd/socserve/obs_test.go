@@ -8,11 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crawler"
 	"repro/internal/obs"
-	"repro/internal/semindex"
-	"repro/internal/shard"
-	"repro/internal/soccer"
 )
 
 // TestMetricsEndpoint is the /metrics acceptance test: after one sharded
@@ -21,11 +17,7 @@ import (
 // retry/breaker families (at zero — they register at package init).
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testHandlerSharded(t)
-	if resp, err := srv.Client().Get(srv.URL + "/search?q=goal&n=5"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-	}
+	getV1Search(t, srv, "/v1/search?q=goal&limit=5")
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -66,11 +58,7 @@ func TestTraceIDHeader(t *testing.T) {
 	srv := testHandler(t)
 	ids := map[string]bool{}
 	for i := 0; i < 3; i++ {
-		resp, err := srv.Client().Get(srv.URL + "/search?q=goal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, _ := getV1Search(t, srv, "/v1/search?q=goal")
 		id := resp.Header.Get("X-Trace-ID")
 		if id == "" {
 			t.Fatal("no X-Trace-ID header")
@@ -85,21 +73,16 @@ func TestTraceIDHeader(t *testing.T) {
 // TestAccessLog: the access log gets one line per request carrying the
 // trace ID the client saw, the path and the status.
 func TestAccessLog(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 1, Seed: 42, NarrationsPerMatch: 30})
-	h := NewHandler(semindex.NewBuilder().Build(semindex.Trad, crawler.PagesFromCorpus(c)))
+	h := NewHandler(testEngine(1))
 	var log syncBuilder
 	h.AccessLog = &log
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := srv.Client().Get(srv.URL + "/search?q=goal&n=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ := getV1Search(t, srv, "/v1/search?q=goal&limit=3")
 	// The log line lands after the response is flushed; wait for it.
 	line := log.wait(t, "200")
-	for _, want := range []string{resp.Header.Get("X-Trace-ID"), "GET", "/search?q=goal&n=3", " 200 "} {
+	for _, want := range []string{resp.Header.Get("X-Trace-ID"), "GET", "/v1/search?q=goal&limit=3", " 200 "} {
 		if !strings.Contains(line, want) {
 			t.Errorf("access log %q missing %q", line, want)
 		}
@@ -109,21 +92,15 @@ func TestAccessLog(t *testing.T) {
 // TestSlowQueryLog: with a floor-level threshold every sharded search is
 // "slow" and the log line carries the per-shard spans and the merge.
 func TestSlowQueryLog(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), shard.Options{Shards: 2})
-	h := NewHandler(eng)
+	h := NewHandler(testEngine(2))
 	var log syncBuilder
 	h.Slow = &obs.SlowLog{Threshold: time.Nanosecond, Out: &log}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := srv.Client().Get(srv.URL + "/search?q=goal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getV1Search(t, srv, "/v1/search?q=goal")
 	line := log.wait(t, "merge=")
-	for _, want := range []string{"slow query:", "/search", "shard0=", "shard1=", "merge="} {
+	for _, want := range []string{"slow query:", "/v1/search", "shard0=", "shard1=", "merge="} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow log %q missing %q", line, want)
 		}
@@ -165,8 +142,7 @@ func (s *syncBuilder) wait(t *testing.T, marker string) string {
 // TestPprofGated: the profiling endpoints 404 by default and come alive
 // only through EnablePprof — the -pprof flag's wiring.
 func TestPprofGated(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 1, Seed: 42, NarrationsPerMatch: 30})
-	h := NewHandler(semindex.NewBuilder().Build(semindex.Trad, crawler.PagesFromCorpus(c)))
+	h := NewHandler(testEngine(1))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -193,8 +169,7 @@ func TestPprofGated(t *testing.T) {
 // TestDegradedSearchCounter: a degraded answer moves the service-level
 // degraded counter on an isolated registry.
 func TestDegradedSearchCounter(t *testing.T) {
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), shard.Options{Shards: 3})
+	eng := testEngine(3)
 	eng.SetStall(func(i int) {
 		if i == 1 {
 			time.Sleep(2 * time.Second)
@@ -208,11 +183,7 @@ func TestDegradedSearchCounter(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := srv.Client().Get(srv.URL + "/search?q=goal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getV1Search(t, srv, "/v1/search?q=goal")
 	// The middleware counts after the response is flushed; wait for it.
 	deadline := time.Now().Add(2 * time.Second)
 	for r.Counter(metricRequests).Value() == 0 && time.Now().Before(deadline) {

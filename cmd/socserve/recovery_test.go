@@ -120,7 +120,8 @@ func TestV1IngestDurableAcrossRestart(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(eng))
 	defer srv.Close()
 
-	body, err := json.Marshal(pages[2])
+	before := eng.NumDocs()
+	body, err := json.Marshal(v1IngestBatchRequest{Pages: pages[2:3]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +129,16 @@ func TestV1IngestDurableAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ack v1IngestResponse
+	var ack v1IngestBatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 || ack.ID != pages[2].ID {
+	if resp.StatusCode != 200 || ack.Pages != 1 || ack.Durability != "logged" {
 		t.Fatalf("ingest ack: status %d, %+v", resp.StatusCode, ack)
 	}
-	if ack.Docs <= shard.Build(nil, semindex.FullInf, pages[:2], shard.Options{Shards: 2}).NumDocs() {
-		t.Fatalf("ingest did not grow the index: %d docs", ack.Docs)
+	if ack.TotalDocs != before+ack.Docs || ack.Docs == 0 {
+		t.Fatalf("ingest did not grow the index: %d docs before, ack %+v", before, ack)
 	}
 
 	// Crash: no Save, no CloseWAL sync beyond the per-append fsync.
@@ -162,22 +163,31 @@ func TestV1IngestValidation(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(eng))
 	defer srv.Close()
 
-	post := func(body string) int {
+	post := func(body string) (int, string) {
 		resp, err := srv.Client().Post(srv.URL+"/v1/ingest", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode
+		return resp.StatusCode, string(msg)
 	}
-	if code := post(`{not json`); code != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d", code)
+	for name, body := range map[string]string{
+		"malformed body": `{not json`,
+		"empty batch":    `{"pages":[]}`,
+		"missing id":     `{"pages":[{"Home":"A"}]}`,
+		"unknown field":  `{"pages":[{"ID":"x","Bogus":1}]}`,
+		"bad durability": `{"pages":[{"ID":"x"}],"durability":"later"}`,
+	} {
+		if code, _ := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d", name, code)
+		}
 	}
-	if code := post(`{"Home":"A"}`); code != http.StatusBadRequest {
-		t.Errorf("missing id: status %d", code)
-	}
-	if code := post(`{"ID":"x","Bogus":1}`); code != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d", code)
+	// A bare crawler.MatchPage is not a batch: it is refused, and the
+	// error names the one body shape the endpoint takes.
+	code, msg := post(`{"ID":"x"}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `{"pages":[`) {
+		t.Errorf("bare page: status %d, message %q", code, msg)
 	}
 	resp, err := srv.Client().Get(srv.URL + "/v1/ingest")
 	if err != nil {
@@ -186,18 +196,5 @@ func TestV1IngestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET ingest: status %d", resp.StatusCode)
-	}
-
-	// The monolithic index cannot ingest incrementally.
-	mono := semindex.NewBuilder().Build(semindex.FullInf, pages)
-	msrv := httptest.NewServer(NewHandler(mono))
-	defer msrv.Close()
-	mresp, err := msrv.Client().Post(msrv.URL+"/v1/ingest", "application/json", bytes.NewReader([]byte(`{"ID":"x"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("monolith ingest: status %d", mresp.StatusCode)
 	}
 }

@@ -1,16 +1,12 @@
-// The /v1 API is the versioned JSON contract: a typed envelope carrying
-// the hits, the degradation report, the trace ID, the cache status and
-// server-side timing. The unversioned /search and /related endpoints
-// remain as frozen aliases with their original output; new fields land
-// here without breaking them. The full contract is documented in API.md.
+// The /v1 API is the service's one JSON contract: a typed envelope
+// carrying the hits, the degradation report, the trace ID, the cache
+// status and server-side timing. The full contract is documented in
+// API.md.
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -26,6 +22,18 @@ import (
 // above it are clamped, not rejected — a client asking for "everything"
 // gets the most the API serves.
 const v1MaxLimit = 1000
+
+// searchResult is one hit on the wire.
+type searchResult struct {
+	Rank    int     `json:"rank"`
+	Score   float64 `json:"score"`
+	Kind    string  `json:"kind"`
+	Match   string  `json:"match"`
+	Minute  string  `json:"minute"`
+	Subject string  `json:"subject,omitempty"`
+	Object  string  `json:"object,omitempty"`
+	Snippet string  `json:"snippet,omitempty"`
+}
 
 // v1SearchResponse is the /v1/search envelope.
 type v1SearchResponse struct {
@@ -66,21 +74,8 @@ type v1SuggestResponse struct {
 	DidYouMean string `json:"didYouMean"`
 }
 
-// v1IngestResponse acknowledges one ingested page — the FROZEN legacy
-// shape, returned only for the original single-page request body (a
-// bare crawler.MatchPage object). New fields land on v1IngestBatchResponse;
-// this alias never changes.
-type v1IngestResponse struct {
-	ID      string `json:"id"`
-	TraceID string `json:"traceId"`
-	// Docs is the engine's live document count after the ingest.
-	Docs int `json:"docs"`
-}
-
-// v1IngestBatchRequest is the batched /v1/ingest body: a JSON object
-// carrying the pages plus the batch's durability and atomicity knobs.
-// The endpoint tells the two body shapes apart by the top-level "pages"
-// key, so the legacy single-page body keeps working unchanged.
+// v1IngestBatchRequest is the /v1/ingest body: a JSON object carrying
+// the pages plus the batch's durability and atomicity knobs.
 type v1IngestBatchRequest struct {
 	Pages []*crawler.MatchPage `json:"pages"`
 	// Durability: "" or "default" follows the WAL's sync policy, "sync"
@@ -115,20 +110,11 @@ type v1IngestBatchResponse struct {
 	TotalDocs int `json:"totalDocs"`
 }
 
-// v1MaxIngestBytes bounds a legacy single-page ingest body (4 MiB — an
-// order of magnitude above any real match page); batched bodies get
-// v1MaxIngestBatchBytes.
-const (
-	v1MaxIngestBytes      = 4 << 20
-	v1MaxIngestBatchBytes = 32 << 20
-)
+// v1MaxIngestBatchBytes bounds an ingest body.
+const v1MaxIngestBatchBytes = 32 << 20
 
-// ingester is the incremental-ingest surface: the sharded engine
-// implements it, the monolithic index does not.
-type ingester interface {
-	Ingest(ctx context.Context, pages []*crawler.MatchPage, opts shard.IngestOptions) (shard.IngestResult, error)
-	NumDocs() int
-}
+// v1IngestShape names the one accepted ingest body in error messages.
+const v1IngestShape = `a batch {"pages":[...crawler.MatchPage...]}`
 
 // parseV1Limit validates the limit parameter: absent defaults to 10,
 // non-numeric or non-positive is a 400, anything above v1MaxLimit clamps.
@@ -180,39 +166,10 @@ func writeV1(w http.ResponseWriter, v any) {
 	}
 }
 
-// ingestLegacy serves the original single-page /v1/ingest body — a bare
-// crawler.MatchPage object — with its original response shape, frozen.
-func (h *Handler) ingestLegacy(w http.ResponseWriter, r *http.Request, ing ingester, body []byte) {
-	if len(body) > v1MaxIngestBytes {
-		http.Error(w, fmt.Sprintf("bad page: body exceeds %d bytes", v1MaxIngestBytes), http.StatusBadRequest)
-		return
-	}
-	var page crawler.MatchPage
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&page); err != nil {
-		http.Error(w, fmt.Sprintf("bad page: %v", err), http.StatusBadRequest)
-		return
-	}
-	if page.ID == "" {
-		http.Error(w, "bad page: missing id", http.StatusBadRequest)
-		return
-	}
-	if _, err := ing.Ingest(r.Context(), []*crawler.MatchPage{&page}, shard.IngestOptions{}); err != nil {
-		http.Error(w, fmt.Sprintf("ingest failed: %v", err), http.StatusInternalServerError)
-		return
-	}
-	resp := v1IngestResponse{ID: page.ID, Docs: ing.NumDocs()}
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		resp.TraceID = tr.ID
-	}
-	writeV1(w, resp)
-}
-
 // registerV1 mounts the versioned API on the handler's mux.
 func (h *Handler) registerV1(hl index.Highlighter) {
 	h.mux.HandleFunc("/v1/search", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := h.ready()
+		e, ok := h.ready()
 		if !ok {
 			http.Error(w, "index loading", http.StatusServiceUnavailable)
 			return
@@ -232,7 +189,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 		// Limit 0 fetches the full set: facets and Total need it, and it
 		// keeps one cache entry per query across all client limits — the
 		// limit itself is applied when slicing the response.
-		res, err := h.search(r.Context(), s, q, 0, noCache)
+		res, err := h.search(r.Context(), e, q, 0, noCache)
 		if err != nil {
 			http.Error(w, "search timed out", http.StatusGatewayTimeout)
 			return
@@ -249,7 +206,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 			Total:      len(all),
 			Hits:       v1Results(hits, q, hl),
 			Facets:     semindex.Facets(all, semindex.MetaKind),
-			DidYouMean: s.Suggest(q),
+			DidYouMean: e.Suggest(q),
 		}
 		if tr := obs.TraceFrom(r.Context()); tr != nil {
 			resp.TraceID = tr.ID
@@ -264,7 +221,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 	})
 
 	h.mux.HandleFunc("/v1/related", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := h.ready()
+		e, ok := h.ready()
 		if !ok {
 			http.Error(w, "index loading", http.StatusServiceUnavailable)
 			return
@@ -280,7 +237,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 			return
 		}
 		start := time.Now()
-		hits := s.Related(id, limit)
+		hits := e.Related(id, limit)
 		resp := v1RelatedResponse{
 			Doc:    id,
 			TookUs: time.Since(start).Microseconds(),
@@ -295,45 +252,23 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 
 	h.mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, `POST a batch {"pages":[...]} or a single crawler.MatchPage JSON body`, http.StatusMethodNotAllowed)
+			http.Error(w, "POST "+v1IngestShape, http.StatusMethodNotAllowed)
 			return
 		}
-		s, ok := h.ready()
+		e, ok := h.ready()
 		if !ok {
 			http.Error(w, "index loading", http.StatusServiceUnavailable)
 			return
 		}
-		ing, ok := s.(ingester)
-		if !ok {
-			http.Error(w, "this index shape does not ingest incrementally (serve a sharded engine)", http.StatusNotImplemented)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, v1MaxIngestBatchBytes))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad body: %v", err), http.StatusBadRequest)
-			return
-		}
-		// The two body shapes share one endpoint: a top-level "pages" key
-		// selects the batch envelope, anything else is the frozen legacy
-		// single-page form.
-		var probe struct {
-			Pages json.RawMessage `json:"pages"`
-		}
-		_ = json.Unmarshal(body, &probe)
-		if probe.Pages == nil {
-			h.ingestLegacy(w, r, ing, body)
-			return
-		}
-
 		var req v1IngestBatchRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, v1MaxIngestBatchBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("bad batch: %v; the body is %s", err, v1IngestShape), http.StatusBadRequest)
 			return
 		}
 		if len(req.Pages) == 0 {
-			http.Error(w, "bad batch: empty pages", http.StatusBadRequest)
+			http.Error(w, "bad batch: empty pages; the body is "+v1IngestShape, http.StatusBadRequest)
 			return
 		}
 		opts := shard.IngestOptions{}
@@ -360,7 +295,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 		// Ingest returns only after the batch is WAL-durable at the level
 		// asked for, so this response is the acknowledgement the
 		// crash-recovery guarantee is stated over.
-		res, err := ing.Ingest(r.Context(), req.Pages, opts)
+		res, err := e.Ingest(r.Context(), req.Pages, opts)
 		if err != nil && res.Pages == 0 {
 			http.Error(w, fmt.Sprintf("ingest failed: %v", err), http.StatusInternalServerError)
 			return
@@ -373,7 +308,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 			Docs:       res.Docs,
 			PerShard:   res.PerShard,
 			Tombstones: res.Tombstones,
-			TotalDocs:  ing.NumDocs(),
+			TotalDocs:  e.NumDocs(),
 		}
 		if tr := obs.TraceFrom(r.Context()); tr != nil {
 			resp.TraceID = tr.ID
@@ -388,7 +323,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 	})
 
 	h.mux.HandleFunc("/v1/suggest", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := h.ready()
+		e, ok := h.ready()
 		if !ok {
 			http.Error(w, "index loading", http.StatusServiceUnavailable)
 			return
@@ -398,7 +333,7 @@ func (h *Handler) registerV1(hl index.Highlighter) {
 			http.Error(w, `missing query parameter "q"`, http.StatusBadRequest)
 			return
 		}
-		resp := v1SuggestResponse{Query: q, DidYouMean: s.Suggest(q)}
+		resp := v1SuggestResponse{Query: q, DidYouMean: e.Suggest(q)}
 		if tr := obs.TraceFrom(r.Context()); tr != nil {
 			resp.TraceID = tr.ID
 		}

@@ -7,19 +7,15 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/crawler"
 	"repro/internal/semindex"
 	"repro/internal/shard"
-	"repro/internal/soccer"
 )
 
 // testHandlerCached serves a 3-shard engine with the query cache enabled
 // — the full production shape of the versioned API.
 func testHandlerCached(t testing.TB) *httptest.Server {
 	t.Helper()
-	c := soccer.Generate(soccer.Config{Matches: 2, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	eng := shard.Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c),
-		shard.Options{Shards: 3, CacheBytes: 1 << 20})
+	eng := shard.Build(nil, semindex.FullInf, testPages(), shard.Options{Shards: 3, CacheBytes: 1 << 20})
 	srv := httptest.NewServer(NewHandler(eng))
 	t.Cleanup(srv.Close)
 	return srv
@@ -29,18 +25,7 @@ func testHandlerCached(t testing.TB) *httptest.Server {
 // contract field populated.
 func TestV1SearchEnvelope(t *testing.T) {
 	srv := testHandlerCached(t)
-	resp, err := srv.Client().Get(srv.URL + "/v1/search?q=punishment&limit=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var env v1SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
+	resp, env := getV1Search(t, srv, "/v1/search?q=punishment&limit=5")
 	if env.Query != "punishment" {
 		t.Errorf("query = %q", env.Query)
 	}
@@ -81,17 +66,9 @@ func TestV1SearchEnvelope(t *testing.T) {
 // TestV1CacheStatusProgression: miss, then hit, then bypass via nocache.
 func TestV1CacheStatusProgression(t *testing.T) {
 	srv := testHandlerCached(t)
-	get := func(url string) (string, v1SearchResponse) {
+	get := func(path string) (string, v1SearchResponse) {
 		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var env v1SearchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
+		resp, env := getV1Search(t, srv, path)
 		return resp.Header.Get("X-Cache"), env
 	}
 	if hdr, env := get("/v1/search?q=goal"); hdr != "miss" || env.Cache != "miss" {
@@ -112,40 +89,6 @@ func TestV1CacheStatusProgression(t *testing.T) {
 	for i := range warm.Hits {
 		if warm.Hits[i] != bypass.Hits[i] {
 			t.Errorf("rank %d: cached %+v vs cold %+v", i+1, warm.Hits[i], bypass.Hits[i])
-		}
-	}
-}
-
-// TestV1MatchesLegacyRanking: /v1/search and the frozen /search alias
-// serve the same ranking for the same query.
-func TestV1MatchesLegacyRanking(t *testing.T) {
-	srv := testHandlerCached(t)
-	resp, err := srv.Client().Get(srv.URL + "/v1/search?q=messi+barcelona+goal&limit=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env v1SearchResponse
-	err = json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := srv.Client().Get(srv.URL + "/search?q=messi+barcelona+goal&n=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr searchResponse
-	err = json.NewDecoder(legacy.Body).Decode(&sr)
-	legacy.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.Hits) == 0 || len(env.Hits) != len(sr.Results) {
-		t.Fatalf("v1 %d hits, legacy %d", len(env.Hits), len(sr.Results))
-	}
-	for i := range env.Hits {
-		if env.Hits[i] != sr.Results[i] {
-			t.Errorf("rank %d: v1 %+v, legacy %+v", i+1, env.Hits[i], sr.Results[i])
 		}
 	}
 }
@@ -172,18 +115,7 @@ func TestV1LimitValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
 		}
 	}
-	resp, err := srv.Client().Get(srv.URL + fmt.Sprintf("/v1/search?q=goal&limit=%d", v1MaxLimit*100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("clamped limit status %d, want 200", resp.StatusCode)
-	}
-	var env v1SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
+	_, env := getV1Search(t, srv, fmt.Sprintf("/v1/search?q=goal&limit=%d", v1MaxLimit*100))
 	if len(env.Hits) > v1MaxLimit {
 		t.Errorf("clamp failed: %d hits", len(env.Hits))
 	}
@@ -225,8 +157,7 @@ func TestV1RelatedAndSuggest(t *testing.T) {
 	}
 }
 
-// TestV1NotReady: the versioned endpoints 503 while the index loads,
-// like the legacy ones.
+// TestV1NotReady: the versioned endpoints 503 while the index loads.
 func TestV1NotReady(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(nil))
 	defer srv.Close()
@@ -238,23 +169,6 @@ func TestV1NotReady(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 503 {
 			t.Errorf("%s while loading = %d, want 503", path, resp.StatusCode)
-		}
-	}
-}
-
-// TestLegacySearchCacheHeader: the frozen /search alias also reports the
-// cache outcome in its header without changing its JSON body.
-func TestLegacySearchCacheHeader(t *testing.T) {
-	srv := testHandlerCached(t)
-	want := []string{"miss", "hit"}
-	for i, exp := range want {
-		resp, err := srv.Client().Get(srv.URL + "/search?q=yellow+card&n=5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("X-Cache"); got != exp {
-			t.Errorf("request %d: X-Cache = %q, want %q", i+1, got, exp)
 		}
 	}
 }

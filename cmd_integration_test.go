@@ -78,9 +78,9 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("socinfer output: %s", out)
 	}
 
-	// 4. Build and save the index from the same pages.
+	// 4. Build and save the index from the same pages as a snapshot.
 	out = run(t, socindex, "-pages", pages, "-level", "FULL_INF", "-save", idx)
-	if !strings.Contains(out, "saved to") {
+	if !strings.Contains(out, "+ manifest to") {
 		t.Errorf("socindex output: %s", out)
 	}
 

@@ -11,18 +11,18 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("requests_total", L("route", "/search"))
+	c := r.Counter("requests_total", L("route", "/v1/search"))
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
 	// Same name+labels resolves to the same series.
-	if again := r.Counter("requests_total", L("route", "/search")); again.Value() != 5 {
+	if again := r.Counter("requests_total", L("route", "/v1/search")); again.Value() != 5 {
 		t.Errorf("re-resolved counter = %d, want 5", again.Value())
 	}
 	// Different labels are a different series.
-	if other := r.Counter("requests_total", L("route", "/related")); other.Value() != 0 {
+	if other := r.Counter("requests_total", L("route", "/v1/related")); other.Value() != 0 {
 		t.Errorf("new series = %d, want 0", other.Value())
 	}
 

@@ -117,7 +117,7 @@ func (t *Trace) Spans() []Span {
 
 // String renders the trace as one log line:
 //
-//	trace 01a2b3c4-000017 /search?q=goal 1.8ms: shard0=1.1ms shard1=1.3ms merge=60µs
+//	trace 01a2b3c4-000017 /v1/search 1.8ms: shard0=1.1ms shard1=1.3ms merge=60µs
 func (t *Trace) String() string {
 	if t == nil {
 		return ""

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTraceSpansAndString(t *testing.T) {
-	tr := NewTrace("/search?q=goal")
+	tr := NewTrace("/v1/search?q=goal")
 	end := tr.Span("parse")
 	time.Sleep(time.Millisecond)
 	end()
@@ -31,7 +31,7 @@ func TestTraceSpansAndString(t *testing.T) {
 		t.Errorf("parse span = %v, want >= 1ms", spans[0].Dur)
 	}
 	s := tr.String()
-	for _, want := range []string{"trace ", tr.ID, "/search?q=goal", "parse=", "merge="} {
+	for _, want := range []string{"trace ", tr.ID, "/v1/search?q=goal", "parse=", "merge="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
@@ -91,7 +91,7 @@ func TestSlowLog(t *testing.T) {
 	}
 
 	l = &SlowLog{Threshold: time.Nanosecond, Out: &slow}
-	tr := NewTrace("/search?q=goal")
+	tr := NewTrace("/v1/search?q=goal")
 	time.Sleep(time.Millisecond)
 	if !l.Record(tr) {
 		t.Fatal("over-threshold trace not logged")

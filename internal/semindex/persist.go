@@ -10,26 +10,13 @@ import (
 	"repro/internal/index"
 )
 
-// Save writes the semantic index (level header + inverted index) so the
-// offline pipeline can build once and serve from a file — the deployment
-// shape the paper's scalability argument implies.
-func (s *SemanticIndex) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "SEMIDX %s\n", s.Level); err != nil {
-		return err
-	}
-	if err := s.Index.Encode(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// SaveWithTOC writes exactly the bytes Save writes while additionally
-// returning the serialized mapped table of contents for the payload (see
-// index.EncodeWithTOC) — what the shard envelope stores as its metadata
-// region so a later open can serve the file without decoding it.
-// metaFields lists stored-only fields whose values the TOC captures for
-// decode-free access (the shard layer's identity fields).
+// SaveWithTOC writes the semantic index (a "SEMIDX <level>" header line
+// + the inverted index's codec stream) and returns the serialized mapped
+// table of contents for the payload (see index.EncodeWithTOC) — what the
+// shard envelope stores as its metadata region so a later open can serve
+// the file without decoding it. metaFields lists stored-only fields whose
+// values the TOC captures for decode-free access (the shard layer's
+// identity fields).
 func (s *SemanticIndex) SaveWithTOC(w io.Writer, metaFields ...string) ([]byte, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "SEMIDX %s\n", s.Level); err != nil {
@@ -42,30 +29,36 @@ func (s *SemanticIndex) SaveWithTOC(w io.Writer, metaFields ...string) ([]byte, 
 	return toc, bw.Flush()
 }
 
-// OpenMapped serves an index directly from the payload bytes Save (or
-// SaveWithTOC) wrote, using the TOC recorded alongside: the level header
-// is parsed in place and the codec stream behind it becomes an
-// index.OpenMapped region — no decoding, no copies. The caller owns the
-// byte slices' lifetime (typically an mmap) and their integrity (the
-// shard envelope checksums both). A payload without a usable TOC fails.
+// parseHeader reads the level out of a "SEMIDX <level>" header line
+// (trailing newline optional) and rejects any level not in Levels.
+func parseHeader(header string) (Level, error) {
+	parts := strings.Fields(header)
+	if len(parts) != 2 || parts[0] != "SEMIDX" {
+		return "", fmt.Errorf("semindex: bad header %q", header)
+	}
+	level := Level(parts[1])
+	for _, l := range Levels {
+		if l == level {
+			return level, nil
+		}
+	}
+	return "", fmt.Errorf("semindex: unknown level %q", level)
+}
+
+// OpenMapped serves an index directly from the payload bytes SaveWithTOC
+// wrote, using the TOC it returned: the level header is parsed in place
+// and the codec stream behind it becomes an index.OpenMapped region — no
+// decoding, no copies. The caller owns the byte slices' lifetime
+// (typically an mmap) and their integrity (the shard envelope checksums
+// both). A payload without a usable TOC fails.
 func OpenMapped(payload, toc []byte, analyzer index.Analyzer) (*SemanticIndex, error) {
 	nl := bytes.IndexByte(payload, '\n')
 	if nl < 0 || nl > 64 {
 		return nil, fmt.Errorf("semindex: bad header in mapped payload")
 	}
-	parts := strings.Fields(string(payload[:nl]))
-	if len(parts) != 2 || parts[0] != "SEMIDX" {
-		return nil, fmt.Errorf("semindex: bad header %q", payload[:nl])
-	}
-	level := Level(parts[1])
-	valid := false
-	for _, l := range Levels {
-		if l == level {
-			valid = true
-		}
-	}
-	if !valid {
-		return nil, fmt.Errorf("semindex: unknown level %q", level)
+	level, err := parseHeader(string(payload[:nl]))
+	if err != nil {
+		return nil, err
 	}
 	ix, err := index.OpenMapped(payload[nl+1:], toc, analyzer)
 	if err != nil {
@@ -74,27 +67,18 @@ func OpenMapped(payload, toc []byte, analyzer index.Analyzer) (*SemanticIndex, e
 	return &SemanticIndex{Level: level, Index: ix}, nil
 }
 
-// Load reads an index written by Save. The analyzer must match the one
-// used at build time (nil = StandardAnalyzer, the pipeline default).
+// Load decodes a payload SaveWithTOC wrote onto the heap. The analyzer
+// must match the one used at build time (nil = StandardAnalyzer, the
+// pipeline default).
 func Load(r io.Reader, analyzer index.Analyzer) (*SemanticIndex, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
 	if err != nil {
 		return nil, fmt.Errorf("semindex: reading header: %w", err)
 	}
-	parts := strings.Fields(strings.TrimSpace(header))
-	if len(parts) != 2 || parts[0] != "SEMIDX" {
-		return nil, fmt.Errorf("semindex: bad header %q", header)
-	}
-	level := Level(parts[1])
-	valid := false
-	for _, l := range Levels {
-		if l == level {
-			valid = true
-		}
-	}
-	if !valid {
-		return nil, fmt.Errorf("semindex: unknown level %q", level)
+	level, err := parseHeader(header)
+	if err != nil {
+		return nil, err
 	}
 	ix, err := index.Decode(br, analyzer)
 	if err != nil {

@@ -11,8 +11,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	si := NewBuilder().Build(FullInf, pages)
 
 	var buf bytes.Buffer
-	if err := si.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if _, err := si.SaveWithTOC(&buf); err != nil {
+		t.Fatalf("SaveWithTOC: %v", err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
@@ -38,6 +38,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadErrors: the heap and mapped opens reject the same malformed
+// payloads.
 func TestLoadErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":         "",
@@ -50,6 +52,9 @@ func TestLoadErrors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Load(strings.NewReader(src), nil); err == nil {
 				t.Error("Load accepted invalid input")
+			}
+			if _, err := OpenMapped([]byte(src), nil, nil); err == nil {
+				t.Error("OpenMapped accepted invalid input")
 			}
 		})
 	}
