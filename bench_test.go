@@ -414,6 +414,25 @@ func BenchmarkExtractMatch(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/page")
 }
 
+// BenchmarkPopulate measures the second stage of PageDocuments alone:
+// population of one of those benchmark pages per iteration, from events
+// extracted once, untimed, into a fresh per-match model.
+func BenchmarkPopulate(b *testing.B) {
+	pages := benchmarkPages(b)
+	events := make([][]ie.Event, len(pages))
+	for i, page := range pages {
+		events[i] = extractFor(page)
+	}
+	pop := populatorFor(semindex.NewBuilder())
+	triples := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		triples += pop.Populate(pages[i%len(pages)], events[i%len(pages)]).Model.Graph.Len()
+	}
+	b.ReportMetric(float64(triples)/float64(b.N), "triples/page")
+}
+
 // BenchmarkRulesRun measures the rule engine alone: per iteration, one
 // Engine over one of those benchmark pages' models — extracted, populated
 // and closed under the reasoner, as inference.Saturate hands it to the

@@ -79,6 +79,23 @@ func TestTaggerWordBoundaries(t *testing.T) {
 	}
 }
 
+// TestTaggerSkipsEmptyNames: ParseMatchPage accepts a lineup line without
+// a short name, and a team header without team names. Such an entity is
+// never tagged; scanning for its empty name would match at every word
+// boundary without consuming text, and never finish.
+func TestTaggerSkipsEmptyNames(t *testing.T) {
+	page := &crawler.MatchPage{ID: "x", Home: "Alpha", Lineups: map[string][]crawler.PlayerLine{
+		"Alpha": {{Name: "Nameless", Position: "GK"}, {Name: "Ian Rush", Short: "Ian", Position: "CF"}},
+	}}
+	tagger := NewTagger(page)
+	if got, want := tagger.Tag("Ian (Alpha) scores, again!"), "<t1p2> (<t1>) scores, again!"; got != want {
+		t.Errorf("Tag = %q, want %q", got, want)
+	}
+	if e, ok := tagger.Resolve("<t1p1>"); !ok || e.FullName != "Nameless" {
+		t.Errorf("Resolve(<t1p1>) = %+v, %v", e, ok)
+	}
+}
+
 func TestStripScorePrefix(t *testing.T) {
 	cases := map[string]string{
 		"(1 - 0) X scores!":    "X scores!",

@@ -13,7 +13,9 @@
 package ie
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 
@@ -59,10 +61,15 @@ func (e Entity) Tag() string {
 // Tagger is the NER stage: it owns the per-match entity dictionary built
 // from the crawled basic information.
 type Tagger struct {
-	// entities in decreasing name length, so "Van der Sar" wins over any
-	// shorter overlapping name at the same position.
+	// entities is the scanner's dictionary, grouped by the first byte of
+	// the name and, within a group, in decreasing name length, so "Van der
+	// Sar" wins over any shorter overlapping name at the same position.
+	// Entities with an empty name are resolvable but never scanned for: they
+	// would match at every word boundary without consuming any text.
 	entities []taggedEntity
-	byTag    map[string]Entity
+	// first[b] and first[b+1] bound the group whose names begin with byte b.
+	first [257]int32
+	byTag map[string]Entity
 }
 
 // taggedEntity is an entity with its tag text, rendered once per page
@@ -99,18 +106,25 @@ func NewTagger(page *crawler.MatchPage) *Tagger {
 			})
 		}
 	}
-	// Longest-name-first ordering for the scanner.
-	for i := 1; i < len(t.entities); i++ {
-		for j := i; j > 0 && len(t.entities[j].Name) > len(t.entities[j-1].Name); j-- {
-			t.entities[j], t.entities[j-1] = t.entities[j-1], t.entities[j]
-		}
+	// Longest name first within each first byte; the stable sort keeps
+	// names of equal length in the order they were added.
+	slices.SortStableFunc(t.entities, func(a, b taggedEntity) int {
+		return cmp.Or(cmp.Compare(a.Name[0], b.Name[0]), cmp.Compare(len(b.Name), len(a.Name)))
+	})
+	for _, e := range t.entities {
+		t.first[int(e.Name[0])+1]++
+	}
+	for b := 1; b < len(t.first); b++ {
+		t.first[b] += t.first[b-1]
 	}
 	return t
 }
 
 func (t *Tagger) add(e Entity) {
 	tag := e.Tag()
-	t.entities = append(t.entities, taggedEntity{e, tag})
+	if e.Name != "" {
+		t.entities = append(t.entities, taggedEntity{e, tag})
+	}
 	t.byTag[tag] = e
 }
 
@@ -122,9 +136,11 @@ func (t *Tagger) Resolve(tag string) (Entity, bool) {
 
 // Tag rewrites every entity mention in the text into its positional tag.
 // Matching is longest-first at word boundaries, so "Real Madrid" does not
-// decay into a mention of a hypothetical "Real".
+// decay into a mention of a hypothetical "Real"; only the names that begin
+// with the word's first byte are tried.
 func (t *Tagger) Tag(text string) string {
 	var b strings.Builder
+	b.Grow(len(text))
 	i := 0
 	for i < len(text) {
 		if !atWordStart(text, i) {
@@ -133,7 +149,7 @@ func (t *Tagger) Tag(text string) string {
 			continue
 		}
 		matched := false
-		for j := range t.entities {
+		for j := t.first[text[i]]; j < t.first[int(text[i])+1]; j++ {
 			e := &t.entities[j]
 			n := len(e.Name)
 			if i+n > len(text) || text[i:i+n] != e.Name {

@@ -2,6 +2,8 @@ package ie
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/soccer"
 )
@@ -108,11 +110,99 @@ var triggerKeywords = []string{
 	"goal kick", "kick off", "half-time", "final whistle",
 }
 
-// passesLevelOne reports whether the raw narration contains any trigger.
-func passesLevelOne(text string) bool {
-	lower := strings.ToLower(text)
-	for _, k := range triggerKeywords {
-		if strings.Contains(lower, k) {
+// passesLevelOne reports whether the raw narration, lower-cased as
+// strings.ToLower would, contains any trigger.
+func passesLevelOne(text string) bool { return levelOne.match(text) }
+
+var levelOne = newTriggerMatcher(triggerKeywords)
+
+// triggerMatcher is an Aho–Corasick automaton over the trigger keywords,
+// compiled to a transition table, so level one reads a narration once, byte
+// by byte, without lower-casing a copy. Triggers are ASCII, so only the
+// bytes they use get their own symbol; every other byte, and every rune
+// that does not lower-case to one of those bytes, is symbol 0, which no
+// trigger contains.
+type triggerMatcher struct {
+	symbol  [utf8.RuneSelf]uint8 // by ASCII byte, an upper-case letter's being its lower-case one's
+	symbols int
+	next    []uint16 // next[state*symbols+symbol]
+	final   []bool   // some trigger ends at the state
+}
+
+func newTriggerMatcher(triggers []string) *triggerMatcher {
+	m := &triggerMatcher{symbols: 1}
+	for _, t := range triggers {
+		for i := 0; i < len(t); i++ {
+			if m.symbol[t[i]] == 0 {
+				m.symbol[t[i]] = uint8(m.symbols)
+				m.symbols++
+			}
+		}
+	}
+	for u := 'A'; u <= 'Z'; u++ {
+		m.symbol[u] = m.symbol[unicode.ToLower(u)]
+	}
+	// First the trie: a transition to 0, the root, means no child yet.
+	m.next = make([]uint16, m.symbols)
+	m.final = []bool{false}
+	for _, t := range triggers {
+		s := 0
+		for i := 0; i < len(t); i++ {
+			at := s*m.symbols + int(m.symbol[t[i]])
+			if m.next[at] == 0 {
+				m.next[at] = uint16(len(m.final))
+				m.next = append(m.next, make([]uint16, m.symbols)...)
+				m.final = append(m.final, false)
+			}
+			s = int(m.next[at])
+		}
+		m.final[s] = true
+	}
+	// Then, breadth first, each state's missing transitions are its failure
+	// state's, which is shallower and so already complete.
+	fail := make([]uint16, len(m.final))
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		s := queue[0]
+		for c := 0; c < m.symbols; c++ {
+			// via is where s's failure state goes on c. The root has no
+			// failure state: its children fail to it, and its missing
+			// transitions stay at it.
+			var via uint16
+			if s != 0 {
+				via = m.next[int(fail[s])*m.symbols+c]
+			}
+			at := s*m.symbols + c
+			child := m.next[at]
+			if child == 0 {
+				m.next[at] = via
+				continue
+			}
+			fail[child] = via
+			m.final[child] = m.final[child] || m.final[via]
+			queue = append(queue, int(child))
+		}
+	}
+	return m
+}
+
+func (m *triggerMatcher) match(text string) bool {
+	s := 0
+	for i := 0; i < len(text); {
+		var c uint8
+		if b := text[i]; b < utf8.RuneSelf {
+			c = m.symbol[b]
+			i++
+		} else {
+			// A rune such as U+212A KELVIN SIGN lower-cases to ASCII;
+			// invalid UTF-8 decodes to U+FFFD, as strings.ToLower reads it.
+			r, size := utf8.DecodeRuneInString(text[i:])
+			if r = unicode.ToLower(r); r < utf8.RuneSelf {
+				c = m.symbol[r]
+			}
+			i += size
+		}
+		s = int(m.next[s*m.symbols+int(c)])
+		if m.final[s] {
 			return true
 		}
 	}

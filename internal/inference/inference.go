@@ -21,24 +21,29 @@ import (
 type Result struct {
 	// Model is the saturated ABox.
 	Model *owl.Model
-	// RuleProvenance maps each rule-derived triple to the rule name, feeding
-	// the FromRules index field of Table 2.
+	// RuleProvenance maps each rule-derived triple to the rule name.
 	RuleProvenance map[rdf.Triple]string
 }
 
 // Run saturates a copy of the model under the reasoner and rule set,
 // leaving the input unmodified: it is Saturate on a clone, for callers that
-// still read the pre-inference model.
+// still read the pre-inference model, with the provenance keyed by terms.
 func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
 	inf := m.Clone()
-	return Result{Model: inf, RuleProvenance: Saturate(r, rules.Compile(ruleSet), inf)}
+	byID := Saturate(r, rules.Compile(ruleSet), inf)
+	prov := make(map[rdf.Triple]string, len(byID))
+	for t, rule := range byID {
+		prov[inf.Graph.Triple(t)] = rule
+	}
+	return Result{Model: inf, RuleProvenance: prov}
 }
 
 // Saturate saturates the model in place under the reasoner and the compiled
-// rules and returns the rule provenance. The reasoner's Saturator and the
-// rule Engine alternate on the model's graph, each resuming from what the
-// other added since its last turn, until the rules add nothing.
-func Saturate(r *reasoner.Reasoner, prog *rules.Program, m *owl.Model) map[rdf.Triple]string {
+// rules and returns the rule provenance, in the graph's IDs, which feeds the
+// FromRules index field of Table 2. The reasoner's Saturator and the rule
+// Engine alternate on the model's graph, each resuming from what the other
+// added since its last turn, until the rules add nothing.
+func Saturate(r *reasoner.Reasoner, prog *rules.Program, m *owl.Model) map[rdf.IDTriple]string {
 	sat := r.Saturator(m.Graph)
 	eng := prog.Engine(m.Graph)
 	for {

@@ -1,7 +1,7 @@
 package owl
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/rdf"
 )
@@ -32,10 +32,16 @@ func NewModel(o *Ontology) *Model {
 // with a deterministic sequential IRI such as pre:Goal_3, and asserts its
 // type. Sequential naming keeps serialized models and test snapshots stable.
 func (m *Model) NewIndividual(class string) rdf.Term {
-	m.nextID[class]++
-	ind := m.Ontology.IRI(fmt.Sprintf("%s%s_%d", m.IDPrefix, class, m.nextID[class]))
+	ind := m.Mint(class)
 	m.Graph.AddSPO(ind, rdf.RDFType, m.Ontology.IRI(class))
 	return ind
+}
+
+// Mint returns the IRI NewIndividual would mint for the class, and counts
+// it, but asserts nothing: for callers that assert the type by ID.
+func (m *Model) Mint(class string) rdf.Term {
+	m.nextID[class]++
+	return rdf.NewIRI(m.Ontology.Namespace + m.IDPrefix + class + "_" + strconv.Itoa(m.nextID[class]))
 }
 
 // NamedIndividual asserts an individual with an explicit local name and

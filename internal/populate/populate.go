@@ -12,7 +12,6 @@
 package populate
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/crawler"
@@ -25,8 +24,8 @@ import (
 // EventRecord links an event individual to its source data for the
 // indexing stage.
 type EventRecord struct {
-	// Individual is the event's IRI in the model.
-	Individual rdf.Term
+	// Individual is the event individual's ID in the model's graph.
+	Individual rdf.ID
 	// Kind is the asserted event class.
 	Kind soccer.EventKind
 	// Minute is the event minute.
@@ -102,170 +101,269 @@ type Populator struct {
 // extracted events. Extracted goals and substitutions that duplicate
 // basic-information entries enrich the existing individual (adding the
 // specific subtype and narration) instead of creating a second one.
+//
+// A bench player, goal or substitution whose team is neither the home nor
+// the away team gets no team triple, as an unknown scorer gets no
+// scorerPlayer triple.
 func (p *Populator) Populate(page *crawler.MatchPage, events []ie.Event) *PopulatedMatch {
 	m := owl.NewModel(p.Ontology)
 	m.IDPrefix = iriSafe(page.ID) + "_"
-	pm := &PopulatedMatch{Model: m, Page: page}
+	// Inference saturates this same graph. A saturated match model measures
+	// about 2.8 IRIs, 1.7 other terms and 13 triples per narration on the
+	// benchmark corpus, so the graph is sized for that once.
+	n := len(page.Narrations)
+	m.Graph.Grow(3*n, 2*n, 14*n)
+	w := &writer{
+		m: m, g: m.Graph,
+		typ:       m.Graph.Intern(rdf.RDFType),
+		byBasic:   m.Graph.Intern(rdf.NewLiteral("basic")),
+		byIE:      m.Graph.Intern(rdf.NewLiteral("ie")),
+		vocab:     make(map[string]rdf.ID, 64),
+		ints:      make(map[int]rdf.ID, 128),
+		players:   make(map[string]rdf.ID, 32),
+		goalByKey: make(map[eventKey]rdf.ID, len(page.Goals)),
+		subByKey:  make(map[eventKey]rdf.ID, len(page.Subs)),
+	}
+	pm := &PopulatedMatch{Model: m, Page: page, Events: make([]EventRecord, 0, len(page.Goals)+len(page.Subs)+len(events))}
 
-	matchIRI := m.NamedIndividual(iriSafe(page.ID), "Match")
-	pm.MatchIRI = matchIRI
-	m.SetString(matchIRI, "hasDate", page.Date)
-	m.SetInt(matchIRI, "homeScore", page.HomeScore)
-	m.SetInt(matchIRI, "awayScore", page.AwayScore)
+	w.match = w.named(iriSafe(page.ID), "Match")
+	match := w.match
+	pm.MatchIRI = w.g.Term(match)
+	w.setString(match, "hasDate", page.Date)
+	w.setInt(match, "homeScore", page.HomeScore)
+	w.setInt(match, "awayScore", page.AwayScore)
 
-	stadium := m.NamedIndividual(iriSafe(page.Stadium), "Stadium")
-	m.Set(matchIRI, "playedAtStadium", stadium)
-	referee := m.NamedIndividual(iriSafe(page.Referee), "Referee")
-	m.SetString(referee, "hasName", page.Referee)
-	m.Set(matchIRI, "hasReferee", referee)
+	stadium := w.named(iriSafe(page.Stadium), "Stadium")
+	w.set(match, "playedAtStadium", stadium)
+	referee := w.named(iriSafe(page.Referee), "Referee")
+	w.setString(referee, "hasName", page.Referee)
+	w.set(match, "hasReferee", referee)
 
-	teamIRIs := map[string]rdf.Term{}
-	playerIRIs := map[string]rdf.Term{} // short name -> IRI
-	for i, teamName := range []string{page.Home, page.Away} {
-		tIRI := m.NamedIndividual(iriSafe(teamName), "Team")
-		teamIRIs[teamName] = tIRI
-		m.SetString(tIRI, "hasName", teamName)
+	w.teamNames = [2]string{page.Home, page.Away}
+	for i, teamName := range w.teamNames {
+		team := w.named(iriSafe(teamName), "Team")
+		w.teams[i] = team
+		w.setString(team, "hasName", teamName)
 		if i == 0 {
-			m.Set(matchIRI, "homeTeam", tIRI)
+			w.set(match, "homeTeam", team)
 		} else {
-			m.Set(matchIRI, "awayTeam", tIRI)
+			w.set(match, "awayTeam", team)
 		}
 		if coach := page.Coaches[teamName]; coach != "" {
-			cIRI := m.NamedIndividual(iriSafe(coach), "Coach")
-			m.SetString(cIRI, "hasName", coach)
-			m.Set(tIRI, "hasCoach", cIRI)
+			c := w.named(iriSafe(coach), "Coach")
+			w.setString(c, "hasName", coach)
+			w.set(team, "hasCoach", c)
 		}
 		for _, pl := range page.Lineups[teamName] {
-			plIRI := m.NamedIndividual(iriSafe(pl.Name), soccer.PositionClass(pl.Position))
-			playerIRIs[pl.Short] = plIRI
-			m.SetString(plIRI, "hasName", pl.Name)
-			m.SetInt(plIRI, "shirtNumber", pl.Shirt)
-			m.Set(plIRI, "playsFor", tIRI)
-			m.Set(tIRI, "hasPlayer", plIRI)
+			player := w.named(iriSafe(pl.Name), soccer.PositionClass(pl.Position))
+			w.players[pl.Short] = player
+			w.setString(player, "hasName", pl.Name)
+			w.setInt(player, "shirtNumber", pl.Shirt)
+			w.set(player, "playsFor", team)
+			w.set(team, "hasPlayer", player)
 			if pl.Position == "GK" {
-				m.Set(tIRI, "hasGoalkeeper", plIRI)
+				w.set(team, "hasGoalkeeper", player)
 			}
 		}
 	}
 	// Bench players named only in substitutions.
 	for _, s := range page.Subs {
-		if _, ok := playerIRIs[s.On]; ok {
+		if _, ok := w.players[s.On]; ok {
 			continue
 		}
-		plIRI := m.NamedIndividual(iriSafe(s.On), "Player")
-		playerIRIs[s.On] = plIRI
-		m.SetString(plIRI, "hasName", s.On)
-		m.Set(plIRI, "playsFor", teamIRIs[s.Team])
+		player := w.named(iriSafe(s.On), "Player")
+		w.players[s.On] = player
+		w.setString(player, "hasName", s.On)
+		if team, ok := w.team(s.Team); ok {
+			w.set(player, "playsFor", team)
+		}
 	}
 
 	// Basic-information goals, keyed for dedup against extracted goals.
-	goalByKey := map[string]rdf.Term{}
 	for _, g := range page.Goals {
-		cls := "Goal"
-		if g.OwnGoal {
-			cls = "OwnGoal"
-		}
-		ev := m.NewIndividual(cls)
-		m.SetInt(ev, "inMinute", g.Minute)
-		m.Set(ev, "inMatch", matchIRI)
-		m.SetString(ev, "extractedBy", "basic")
-		if pl, ok := playerIRIs[g.Scorer]; ok {
-			m.Set(ev, "scorerPlayer", pl)
-		}
-		// GoalInfo.Team is the credited team — for an own goal, the
-		// opponent of the scorer, which is exactly what scoringTeam means.
-		m.Set(ev, "scoringTeam", teamIRIs[g.Team])
-		goalByKey[goalKey(g.Minute, g.Scorer)] = ev
 		kind := soccer.KindGoal
 		if g.OwnGoal {
 			kind = soccer.KindOwnGoal
 		}
+		ev := w.mint(string(kind))
+		w.setInt(ev, "inMinute", g.Minute)
+		w.set(ev, "inMatch", match)
+		w.set(ev, "extractedBy", w.byBasic)
+		if pl, ok := w.players[g.Scorer]; ok {
+			w.set(ev, "scorerPlayer", pl)
+		}
+		// GoalInfo.Team is the credited team — for an own goal, the
+		// opponent of the scorer, which is exactly what scoringTeam means.
+		if team, ok := w.team(g.Team); ok {
+			w.set(ev, "scoringTeam", team)
+		}
+		w.goalByKey[eventKey{g.Minute, g.Scorer}] = ev
 		pm.Events = append(pm.Events, EventRecord{Individual: ev, Kind: kind, Minute: g.Minute, NarrationIdx: -1})
 	}
 	// Basic-information substitutions.
-	subByKey := map[string]rdf.Term{}
 	for _, s := range page.Subs {
-		ev := m.NewIndividual("Substitution")
-		m.SetInt(ev, "inMinute", s.Minute)
-		m.Set(ev, "inMatch", matchIRI)
-		m.SetString(ev, "extractedBy", "basic")
-		if pl, ok := playerIRIs[s.Off]; ok {
-			m.Set(ev, "substitutedPlayer", pl)
+		ev := w.mint("Substitution")
+		w.setInt(ev, "inMinute", s.Minute)
+		w.set(ev, "inMatch", match)
+		w.set(ev, "extractedBy", w.byBasic)
+		if pl, ok := w.players[s.Off]; ok {
+			w.set(ev, "substitutedPlayer", pl)
 		}
-		if pl, ok := playerIRIs[s.On]; ok {
-			m.Set(ev, "substitutePlayer", pl)
+		if pl, ok := w.players[s.On]; ok {
+			w.set(ev, "substitutePlayer", pl)
 		}
-		m.Set(ev, "subjectTeam", teamIRIs[s.Team])
-		subByKey[goalKey(s.Minute, s.Off)] = ev
+		if team, ok := w.team(s.Team); ok {
+			w.set(ev, "subjectTeam", team)
+		}
+		w.subByKey[eventKey{s.Minute, s.Off}] = ev
 		pm.Events = append(pm.Events, EventRecord{Individual: ev, Kind: soccer.KindSubstitution, Minute: s.Minute, NarrationIdx: -1})
 	}
 
 	// Extracted events.
 	for _, ev := range events {
-		p.populateEvent(pm, m, matchIRI, teamIRIs, playerIRIs, goalByKey, subByKey, ev)
+		w.populateEvent(pm, ev)
 	}
 	return pm
 }
 
-func (p *Populator) populateEvent(pm *PopulatedMatch, m *owl.Model, matchIRI rdf.Term,
-	teamIRIs, playerIRIs map[string]rdf.Term, goalByKey, subByKey map[string]rdf.Term, ev ie.Event) {
+// writer is one Populate call's state. It asserts by ID: each property,
+// class and repeated literal is interned once per page, each individual
+// when it is named or minted, and every triple after that is one AddIDs.
+type writer struct {
+	m   *owl.Model
+	g   *rdf.Graph
+	typ rdf.ID
+	// byBasic and byIE are the two extractedBy values.
+	byBasic, byIE rdf.ID
+	// vocab holds the IDs of the properties and classes used so far, by
+	// local name; ints those of the integer literals.
+	vocab map[string]rdf.ID
+	ints  map[int]rdf.ID
 
+	match     rdf.ID
+	teamNames [2]string // home, away
+	teams     [2]rdf.ID
+	players   map[string]rdf.ID // by short name
+	// goalByKey and subByKey hold the basic-information goals and
+	// substitutions that extracted duplicates enrich.
+	goalByKey, subByKey map[eventKey]rdf.ID
+}
+
+// eventKey identifies a basic-information event by its minute and the
+// player it names.
+type eventKey struct {
+	minute int
+	who    string
+}
+
+// iri returns the ID of the property or class with the local name.
+func (w *writer) iri(local string) rdf.ID {
+	id, ok := w.vocab[local]
+	if !ok {
+		id = w.g.Intern(w.m.Ontology.IRI(local))
+		w.vocab[local] = id
+	}
+	return id
+}
+
+// named asserts an individual with an explicit local name and class.
+func (w *writer) named(name, class string) rdf.ID {
+	id := w.g.Intern(w.m.Ontology.IRI(name))
+	w.g.AddIDs(id, w.typ, w.iri(class))
+	return id
+}
+
+// mint asserts a fresh sequentially named individual of the class.
+func (w *writer) mint(class string) rdf.ID {
+	id := w.g.Intern(w.m.Mint(class))
+	w.g.AddIDs(id, w.typ, w.iri(class))
+	return id
+}
+
+func (w *writer) set(ind rdf.ID, prop string, value rdf.ID) {
+	w.g.AddIDs(ind, w.iri(prop), value)
+}
+
+func (w *writer) setString(ind rdf.ID, prop, value string) {
+	w.set(ind, prop, w.g.Intern(rdf.NewLiteral(value)))
+}
+
+func (w *writer) setInt(ind rdf.ID, prop string, value int) {
+	id, ok := w.ints[value]
+	if !ok {
+		id = w.g.Intern(rdf.NewInt(value))
+		w.ints[value] = id
+	}
+	w.set(ind, prop, id)
+}
+
+// team returns the individual of the home or away team with the name.
+func (w *writer) team(name string) (rdf.ID, bool) {
+	for i, n := range w.teamNames {
+		if n == name {
+			return w.teams[i], true
+		}
+	}
+	return 0, false
+}
+
+func (w *writer) populateEvent(pm *PopulatedMatch, ev ie.Event) {
 	// Deduplicate against basic information: enrich instead of duplicating.
 	if isGoalKind(ev.Kind) && ev.HasSubject() {
-		if existing, ok := goalByKey[goalKey(ev.Minute, ev.Subject.Name)]; ok {
+		if existing, ok := w.goalByKey[eventKey{ev.Minute, ev.Subject.Name}]; ok {
 			// Add the more specific subtype (HeaderGoal etc.) and narration.
-			m.Graph.AddSPO(existing, rdf.RDFType, p.Ontology.IRI(string(ev.Kind)))
-			m.SetString(existing, "narration", ev.Narration)
-			p.attachRecordNarration(pm, existing, ev)
+			w.g.AddIDs(existing, w.typ, w.iri(string(ev.Kind)))
+			w.setString(existing, "narration", ev.Narration)
+			attachRecordNarration(pm, existing, ev)
 			return
 		}
 	}
 	if ev.Kind == soccer.KindSubstitution && ev.HasSubject() {
-		if existing, ok := subByKey[goalKey(ev.Minute, ev.Subject.Name)]; ok {
-			m.SetString(existing, "narration", ev.Narration)
-			p.attachRecordNarration(pm, existing, ev)
+		if existing, ok := w.subByKey[eventKey{ev.Minute, ev.Subject.Name}]; ok {
+			w.setString(existing, "narration", ev.Narration)
+			attachRecordNarration(pm, existing, ev)
 			return
 		}
 	}
 
-	ind := m.NewIndividual(string(ev.Kind))
-	m.SetInt(ind, "inMinute", ev.Minute)
-	m.Set(ind, "inMatch", matchIRI)
-	m.SetString(ind, "narration", ev.Narration)
+	ind := w.mint(string(ev.Kind))
+	w.setInt(ind, "inMinute", ev.Minute)
+	w.set(ind, "inMatch", w.match)
+	w.setString(ind, "narration", ev.Narration)
 	if ev.Kind != soccer.KindUnknown {
-		m.SetString(ind, "extractedBy", "ie")
+		w.set(ind, "extractedBy", w.byIE)
 	}
 
 	roles := roleProperties[ev.Kind]
 	if ev.HasSubject() {
-		if pl, ok := playerIRIs[ev.Subject.Name]; ok {
+		if pl, ok := w.players[ev.Subject.Name]; ok {
 			prop := roles.subj
 			if prop == "" {
 				prop = "subjectPlayer"
 			}
-			m.Set(ind, prop, pl)
+			w.set(ind, prop, pl)
 		}
 	}
 	if ev.HasObject() {
-		if pl, ok := playerIRIs[ev.Object.Name]; ok {
+		if pl, ok := w.players[ev.Object.Name]; ok {
 			prop := roles.obj
 			if prop == "" {
 				prop = "objectPlayer"
 			}
-			m.Set(ind, prop, pl)
+			w.set(ind, prop, pl)
 		}
 	}
 	if ev.SubjectTeam != "" {
-		if tIRI, ok := teamIRIs[ev.SubjectTeam]; ok {
-			m.Set(ind, "subjectTeam", tIRI)
+		if team, ok := w.team(ev.SubjectTeam); ok {
+			w.set(ind, "subjectTeam", team)
 			if isGoalKind(ev.Kind) && ev.Kind != soccer.KindOwnGoal {
-				m.Set(ind, "scoringTeam", tIRI)
+				w.set(ind, "scoringTeam", team)
 			}
 		}
 	}
 	if ev.ObjectTeam != "" {
-		if tIRI, ok := teamIRIs[ev.ObjectTeam]; ok {
-			m.Set(ind, "objectTeam", tIRI)
+		if team, ok := w.team(ev.ObjectTeam); ok {
+			w.set(ind, "objectTeam", team)
 		}
 	}
 	pm.Events = append(pm.Events, EventRecord{
@@ -276,7 +374,7 @@ func (p *Populator) populateEvent(pm *PopulatedMatch, m *owl.Model, matchIRI rdf
 
 // attachRecordNarration back-fills the narration on the EventRecord created
 // from basic information once the extracted duplicate supplies the text.
-func (p *Populator) attachRecordNarration(pm *PopulatedMatch, ind rdf.Term, ev ie.Event) {
+func attachRecordNarration(pm *PopulatedMatch, ind rdf.ID, ev ie.Event) {
 	for i := range pm.Events {
 		if pm.Events[i].Individual == ind {
 			if pm.Events[i].Narration == "" {
@@ -300,8 +398,6 @@ func isGoalKind(k soccer.EventKind) bool {
 	}
 	return false
 }
-
-func goalKey(minute int, who string) string { return fmt.Sprintf("%d|%s", minute, who) }
 
 // iriSafe turns display names into IRI-safe local names.
 func iriSafe(s string) string {

@@ -185,6 +185,36 @@ func TestFullPipelineInferenceSmoke(t *testing.T) {
 	}
 }
 
+// TestUnknownTeamAssertsNothing: ParseMatchPage accepts bench players,
+// goals and substitutions whose team is neither side. Their team triple is
+// skipped, as an unknown scorer's scorerPlayer triple is, and the zero
+// Term, which is not a term, never enters the graph.
+func TestUnknownTeamAssertsNothing(t *testing.T) {
+	page := &crawler.MatchPage{
+		ID: "M1", Home: "Alpha", Away: "Beta", Date: "2009-05-01", Referee: "Ref", Stadium: "Ground",
+		Lineups: map[string][]crawler.PlayerLine{"Alpha": {{Name: "Ian Rush", Short: "Rush", Position: "CF", Shirt: 9}}},
+		Goals:   []crawler.GoalLine{{Minute: 10, Scorer: "Rush", Team: "Gamma"}},
+		Subs:    []crawler.SubLine{{Minute: 60, Off: "Rush", On: "Bench", Team: "Gamma"}},
+	}
+	p := &Populator{Ontology: soccer.BuildOntology()}
+	g := p.Populate(page, nil).Model.Graph
+	if _, ok := g.Lookup(rdf.Term{}); ok {
+		t.Error("the zero Term was interned")
+	}
+	o := p.Ontology
+	for _, prop := range []string{"scoringTeam", "subjectTeam"} {
+		if ts := g.Match(rdf.Wildcard, o.IRI(prop), rdf.Wildcard); len(ts) != 0 {
+			t.Errorf("%s asserted for an unknown team: %v", prop, ts)
+		}
+	}
+	if ts := g.Match(o.IRI("Bench"), o.IRI("playsFor"), rdf.Wildcard); len(ts) != 0 {
+		t.Errorf("bench player's team asserted: %v", ts)
+	}
+	if scorer := g.Match(rdf.Wildcard, o.IRI("scorerPlayer"), o.IRI("Ian_Rush")); len(scorer) != 1 {
+		t.Errorf("known scorer asserted %d times", len(scorer))
+	}
+}
+
 func TestIRISafe(t *testing.T) {
 	cases := map[string]string{
 		"Samuel Eto'o":     "Samuel_Etoo",

@@ -72,6 +72,27 @@ func NewGraph() *Graph {
 	}
 }
 
+// Grow makes room for iris more plain IRIs, others more blank nodes and
+// literals, and triples more triples, so a caller that knows the shape of
+// what it is about to add fills the graph without rehashing its maps or
+// regrowing its slices.
+func (g *Graph) Grow(iris, others, triples int) {
+	g.terms = slices.Grow(g.terms, iris+others)
+	g.ends = slices.Grow(g.ends, iris+others)
+	g.log = slices.Grow(g.log, triples)
+	g.iris = grown(g.iris, iris)
+	g.rest = grown(g.rest, others)
+	g.offsets = grown(g.offsets, triples)
+}
+
+// grown returns a copy of m with room for n more entries: a map's capacity
+// is fixed when it is made.
+func grown[K comparable, V any](m map[K]V, n int) map[K]V {
+	out := make(map[K]V, len(m)+n)
+	maps.Copy(out, m)
+	return out
+}
+
 func plainIRI(t Term) bool { return t.Kind == IRI && t.Lang == "" && t.Datatype == "" }
 
 // Lookup returns the term's ID, or false when the term has never entered
@@ -108,7 +129,8 @@ func (g *Graph) Term(id ID) Term { return g.terms[id-1] }
 // NumTerms returns how many terms the dictionary holds; IDs run 1..NumTerms.
 func (g *Graph) NumTerms() int { return len(g.terms) }
 
-func (g *Graph) terms3(t IDTriple) Triple {
+// Triple returns the terms of a stored triple.
+func (g *Graph) Triple(t IDTriple) Triple {
 	return Triple{S: g.Term(t.S), P: g.Term(t.P), O: g.Term(t.O)}
 }
 
@@ -320,7 +342,7 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 	}
 	var out []Triple
 	for c.Next() {
-		out = append(out, g.terms3(c.T))
+		out = append(out, g.Triple(c.T))
 	}
 	return out
 }
@@ -385,7 +407,7 @@ func (g *Graph) All() []Triple {
 	ts := make([]Triple, 0, len(g.offsets))
 	for _, e := range g.log {
 		if e.t.S != 0 {
-			ts = append(ts, g.terms3(e.t))
+			ts = append(ts, g.Triple(e.t))
 		}
 	}
 	SortTriples(ts)

@@ -451,3 +451,38 @@ func TestAddAllAcrossDictionaries(t *testing.T) {
 		t.Error("AddAll wrote to its source's dictionary")
 	}
 }
+
+// TestGrowKeepsContentsAndSizesOnce: Grow keeps what a graph holds, IDs
+// included, and a graph grown for a known number of terms and triples
+// fills without allocating.
+func TestGrowKeepsContentsAndSizesOnce(t *testing.T) {
+	const n = 100
+	var iris, lits []Term
+	for i := 0; i < n; i++ {
+		iris = append(iris, soccerIRI(fmt.Sprintf("e%d", i)))
+		lits = append(lits, NewInt(1000+i))
+	}
+	grown := func() *Graph {
+		g := NewGraph()
+		g.AddSPO(iris[0], RDFType, soccerIRI("Goal"))
+		id, _ := g.Lookup(iris[0])
+		g.Grow(n, n, n)
+		if got, ok := g.Lookup(iris[0]); !ok || got != id || !g.HasSPO(iris[0], RDFType, soccerIRI("Goal")) {
+			t.Fatal("Grow lost the graph's contents")
+		}
+		return g
+	}
+	graphs := []*Graph{grown(), grown()}
+	p := soccerIRI("inMinute")
+	allocs := testing.AllocsPerRun(1, func() {
+		g := graphs[0]
+		graphs = graphs[1:]
+		pid := g.Intern(p)
+		for i := range iris {
+			g.AddIDs(g.Intern(iris[i]), pid, g.Intern(lits[i]))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filling a grown graph allocated %.0f times", allocs)
+	}
+}

@@ -84,7 +84,7 @@ func NewTypedLiteral(lexical, datatype string) Term {
 
 // NewInt returns an xsd:integer literal.
 func NewInt(v int) Term {
-	return Term{Kind: Literal, Value: fmt.Sprintf("%d", v), Datatype: XSDInteger}
+	return Term{Kind: Literal, Value: strconv.Itoa(v), Datatype: XSDInteger}
 }
 
 // IsIRI reports whether the term is an IRI.

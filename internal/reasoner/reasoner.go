@@ -13,6 +13,7 @@ package reasoner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/owl"
@@ -172,23 +173,24 @@ func (r *Reasoner) Materialize(m *owl.Model) *owl.Model {
 }
 
 // DirectTypes realizes the individual: its most specific types, i.e. the
-// asserted/inferred types with no other type below them.
-func (r *Reasoner) DirectTypes(m *owl.Model, ind rdf.Term) []rdf.Term {
-	all := m.Graph.Objects(ind, rdf.RDFType)
-	var out []rdf.Term
+// asserted/inferred types with no other type below them, in term order.
+func (r *Reasoner) DirectTypes(g *rdf.Graph, ind rdf.ID) []rdf.ID {
+	typ, ok := g.Lookup(rdf.RDFType)
+	if !ok {
+		return nil
+	}
+	var all []rdf.ID
+	for c := g.Scan(ind, typ, 0); c.Next(); {
+		all = append(all, c.T.O)
+	}
+	var out []rdf.ID
 	for _, c := range all {
-		specific := true
-		for _, d := range all {
-			if d != c && r.IsSubClassOf(d, c) {
-				specific = false
-				break
-			}
-		}
-		if specific {
+		below := func(d rdf.ID) bool { return d != c && r.IsSubClassOf(g.Term(d), g.Term(c)) }
+		if !slices.ContainsFunc(all, below) {
 			out = append(out, c)
 		}
 	}
-	rdf.SortTerms(out)
+	g.SortIDs(out)
 	return out
 }
 

@@ -180,9 +180,10 @@ func TestDirectTypesRealization(t *testing.T) {
 	m := owl.NewModel(o)
 	g := m.NewIndividual("HeaderGoal")
 	inf := r.Materialize(m)
-	direct := r.DirectTypes(inf, g)
-	if len(direct) != 1 || direct[0] != o.IRI("HeaderGoal") {
-		t.Errorf("DirectTypes = %v, want [HeaderGoal]", localNames(direct))
+	ind, _ := inf.Graph.Lookup(g)
+	direct := r.DirectTypes(inf.Graph, ind)
+	if len(direct) != 1 || inf.Graph.Term(direct[0]) != o.IRI("HeaderGoal") {
+		t.Errorf("DirectTypes = %v, want [HeaderGoal]", direct)
 	}
 }
 

@@ -119,7 +119,7 @@ type Engine struct {
 	matches       []rdf.ID
 	// derived records rule provenance for every asserted triple; the
 	// semantic indexer reads it to fill the FromRules field of Table 2.
-	derived map[rdf.Triple]string
+	derived map[rdf.IDTriple]string
 }
 
 // Engine binds the program to g: the graph gains the rules' constant terms
@@ -130,7 +130,7 @@ func (p *Program) Engine(g *rdf.Graph) *Engine {
 		ids:      make([]rdf.ID, len(p.consts)),
 		marks:    make([]int, len(p.prog)),
 		removals: g.Removals(),
-		derived:  make(map[rdf.Triple]string),
+		derived:  make(map[rdf.IDTriple]string),
 	}
 	for i, t := range p.consts {
 		e.ids[i] = g.Intern(t)
@@ -175,8 +175,8 @@ func (e *Engine) Run() int {
 }
 
 // Derived returns rule-name provenance for every triple the engine has
-// asserted, over all its Runs.
-func (e *Engine) Derived() map[rdf.Triple]string { return e.derived }
+// asserted, over all its Runs, in the graph's IDs.
+func (e *Engine) Derived() map[rdf.IDTriple]string { return e.derived }
 
 // resolve returns the node's ID under the current binding; an unbound
 // variable resolves to 0, the wildcard.
@@ -240,7 +240,7 @@ func (e *Engine) applyRule(ri int) int {
 		for _, h := range r.head {
 			s, p, o := e.resolve(h[0]), e.resolve(h[1]), e.resolve(h[2])
 			if g.AddIDs(s, p, o) {
-				e.derived[rdf.Triple{S: g.Term(s), P: g.Term(p), O: g.Term(o)}] = r.name
+				e.derived[rdf.IDTriple{S: s, P: p, O: o}] = r.name
 				added++
 			}
 		}

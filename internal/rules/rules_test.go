@@ -139,7 +139,10 @@ func TestEngineSimpleDerivation(t *testing.T) {
 	if !g.HasSPO(iri("pre:g1"), rdf.RDFType, iri("pre:PositiveEvent")) {
 		t.Error("derived triple missing")
 	}
-	if e.Derived()[rdf.NewTriple(iri("pre:g1"), rdf.RDFType, iri("pre:PositiveEvent"))] != "lift" {
+	s, _ := g.Lookup(iri("pre:g1"))
+	p, _ := g.Lookup(rdf.RDFType)
+	o, _ := g.Lookup(iri("pre:PositiveEvent"))
+	if e.Derived()[rdf.IDTriple{S: s, P: p, O: o}] != "lift" {
 		t.Error("provenance missing")
 	}
 }

@@ -151,7 +151,7 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 				b := a.Clone()
 				naive, semi := rules.NewNaiveEngine(prog, a), prog.Engine(b)
 				satA, satB := rsn.Saturator(a), rsn.Saturator(b)
-				naiveProv := map[rdf.Triple]string{}
+				naiveProv := map[rdf.IDTriple]string{}
 				var schedule []string
 				for step := 0; step < 14; step++ {
 					switch op := r.Intn(5); {
@@ -194,12 +194,15 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 					t.Fatalf("seed %d after %v: triple sets differ (%d vs naive %d)\n%s", seed, schedule, len(got), len(want), firstDiff(got, want))
 				}
 				semiProv := semi.Derived()
-				provLines := func(g *rdf.Graph, prov map[rdf.Triple]string) []string {
+				provLines := func(g *rdf.Graph, prov map[rdf.IDTriple]string) []string {
 					keys := make([]rdf.Triple, 0, len(prov))
-					for tr := range prov {
+					rule := make(map[rdf.Triple]string, len(prov))
+					for t, r := range prov {
+						tr := g.Triple(t)
 						keys = append(keys, tr)
+						rule[tr] = r
 					}
-					return canonical(g, keys, func(tr rdf.Triple) string { return prov[tr] })
+					return canonical(g, keys, func(tr rdf.Triple) string { return rule[tr] })
 				}
 				if got, want := provLines(b, semiProv), provLines(a, naiveProv); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d after %v: provenance differs (%d vs naive %d)\n%s", seed, schedule, len(got), len(want), firstDiff(got, want))

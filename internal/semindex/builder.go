@@ -190,41 +190,20 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 	// Nothing reads the pre-inference model after this point, so it is
 	// saturated in place.
 	model := pm.Model
-	var provenance map[rdf.Triple]string
+	var provenance map[rdf.IDTriple]string
 	inferred := level == FullInf || level == PhrExp
 	if inferred {
 		provenance = inference.Saturate(b.Reasoner, b.program(), model)
 	}
 
 	f := b.newFlattener(level, page, model.Graph, provenance)
-	out := make([]*index.Document, 0, len(pm.Events))
-	for _, rec := range pm.Events {
-		out = append(out, f.eventDocument(rec))
-	}
+	recs := pm.Events
 	if inferred {
 		// Rule-minted individuals (the Fig. 6 assists) are not in
 		// pm.Events; index them too.
-		known := map[rdf.Term]bool{}
-		for _, rec := range pm.Events {
-			known[rec.Individual] = true
-		}
-		var minted []populate.EventRecord
-		for _, ind := range model.Graph.Subjects(rdf.RDFType, b.Ontology.IRI("Event")) {
-			if known[ind] {
-				continue
-			}
-			rec := populate.EventRecord{Individual: ind, Kind: ruleKind(b, model, ind), NarrationIdx: -1}
-			if min, ok := model.Get(ind, "inMinute").Int(); ok {
-				rec.Minute = min
-			}
-			minted = append(minted, rec)
-		}
-		sort.Slice(minted, func(i, j int) bool { return mintedBefore(minted[i], minted[j]) })
-		for _, rec := range minted {
-			out = append(out, f.eventDocument(rec))
-		}
+		recs = append(recs, f.minted(pm.Events)...)
 	}
-	return out
+	return f.documents(recs)
 }
 
 // program returns the Builder's rule set, compiled on first use.
@@ -233,27 +212,50 @@ func (b *Builder) program() *rules.Program {
 	return b.prog
 }
 
+// minted returns the page's rule-minted events, the Event individuals
+// population did not make, ordered by mintedBefore.
+func (f *flattener) minted(populated []populate.EventRecord) []populate.EventRecord {
+	g := f.g
+	event := g.Intern(f.b.Ontology.IRI("Event"))
+	inMinute := g.Intern(f.b.Ontology.IRI("inMinute"))
+	known := make([]bool, g.NumTerms()+1)
+	for _, rec := range populated {
+		known[rec.Individual] = true
+	}
+	var out []populate.EventRecord
+	for c := g.Scan(0, f.typ, event); c.Next(); {
+		ind := c.T.S
+		if known[ind] {
+			continue
+		}
+		rec := populate.EventRecord{Individual: ind, Kind: f.ruleKind(ind), NarrationIdx: -1}
+		if v := g.FirstObjectID(ind, inMinute); v != 0 {
+			if min, ok := g.Term(v).Int(); ok {
+				rec.Minute = min
+			}
+		}
+		out = append(out, rec)
+	}
+	sort.Slice(out, func(i, j int) bool { return mintedBefore(out[i], out[j]) })
+	return out
+}
+
 // mintedBefore orders a page's rule-minted events: chronologically, then in
-// mint order. Blank labels come from one process-wide counter, so within a
-// page they grow in mint order numerically — but not as strings ("b1000" <
-// "b999"), and string order would let the counter's absolute value, which
-// depends on what else the process has built, pick the document order.
+// mint order, which is ID order because the rule engine interns each node
+// as it mints it. Blank-label string order ("b1000" < "b999") would let the
+// process-wide label counter, which depends on what else the process has
+// built, pick the document order.
 func mintedBefore(a, b populate.EventRecord) bool {
 	if a.Minute != b.Minute {
 		return a.Minute < b.Minute
 	}
-	la, lb := a.Individual.Value, b.Individual.Value
-	if len(la) != len(lb) {
-		return len(la) < len(lb)
-	}
-	return la < lb
+	return a.Individual < b.Individual
 }
 
 // ruleKind picks the most specific type of a rule-minted individual.
-func ruleKind(b *Builder, m *owl.Model, ind rdf.Term) soccer.EventKind {
-	direct := b.Reasoner.DirectTypes(m, ind)
-	if len(direct) > 0 {
-		return soccer.EventKind(direct[0].LocalName())
+func (f *flattener) ruleKind(ind rdf.ID) soccer.EventKind {
+	if direct := f.b.Reasoner.DirectTypes(f.g, ind); len(direct) > 0 {
+		return soccer.EventKind(f.g.Term(direct[0]).LocalName())
 	}
 	return soccer.KindUnknown
 }

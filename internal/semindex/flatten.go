@@ -67,7 +67,8 @@ func (b *Builder) predicateRoles() map[rdf.Term]predicateRole {
 // documents following the structure of Tables 1 and 2. It reads the graph
 // by ID and caches, per page, everything that depends only on a term —
 // a predicate's role and text, a class's text, an individual's display
-// name — since the same few hundred terms recur across the page's events.
+// name, a player's type text — since the same few hundred terms recur
+// across the page's events.
 type flattener struct {
 	b     *Builder
 	level Level
@@ -75,14 +76,24 @@ type flattener struct {
 	g     *rdf.Graph
 
 	typ, hasName, narration rdf.ID
-	// ruleMade is the rule provenance key set in the graph's IDs; nil below
+	// provenance is the rule provenance of the saturated graph; nil below
 	// FULL_INF.
-	ruleMade map[rdf.IDTriple]bool
+	provenance map[rdf.IDTriple]string
 
 	// Caches indexed by term ID, filled on first use.
 	preds   []predicateText
 	classes []classText
 	names   []displayName
+	// players caches the type text of the players the page's events name.
+	players map[rdf.ID]*typeText
+
+	// Scratch buffers reused from one event to the next.
+	types   []rdf.ID
+	roles   [len(genericRoles)][]rdf.ID
+	values  [len(genericRoles)][]string
+	words   []string
+	triples []rdf.IDTriple
+	parts   parts
 }
 
 type predicateText struct {
@@ -109,24 +120,23 @@ type displayName struct {
 	text  string
 }
 
-func (b *Builder) newFlattener(level Level, page *crawler.MatchPage, g *rdf.Graph, provenance map[rdf.Triple]string) *flattener {
-	f := &flattener{b: b, level: level, page: page, g: g}
+// typeText is an individual's types as index text: the distinct non-empty
+// class texts in term order, and the same joined.
+type typeText struct {
+	parts []string
+	text  string
+}
+
+func (b *Builder) newFlattener(level Level, page *crawler.MatchPage, g *rdf.Graph, provenance map[rdf.IDTriple]string) *flattener {
+	f := &flattener{b: b, level: level, page: page, g: g, provenance: provenance}
 	f.typ = g.Intern(rdf.RDFType)
 	f.hasName = g.Intern(b.Ontology.IRI("hasName"))
 	f.narration = g.Intern(b.Ontology.IRI("narration"))
-	if provenance != nil {
-		f.ruleMade = make(map[rdf.IDTriple]bool, len(provenance))
-		for t := range provenance {
-			s, _ := g.Lookup(t.S)
-			p, _ := g.Lookup(t.P)
-			o, _ := g.Lookup(t.O)
-			f.ruleMade[rdf.IDTriple{S: s, P: p, O: o}] = true
-		}
-	}
 	n := g.NumTerms() + 1
 	f.preds = make([]predicateText, n)
 	f.classes = make([]classText, n)
 	f.names = make([]displayName, n)
+	f.players = make(map[rdf.ID]*typeText)
 	return f
 }
 
@@ -172,12 +182,25 @@ func (f *flattener) name(id rdf.ID) *displayName {
 	return n
 }
 
-func (f *flattener) displayNames(inds []rdf.ID) []string {
-	out := make([]string, len(inds))
-	for i, ind := range inds {
-		out[i] = f.name(ind).text
+// player returns the player's type text, computed on first use.
+func (f *flattener) player(id rdf.ID) *typeText {
+	t := f.players[id]
+	if t == nil {
+		var out parts
+		for _, c := range f.sortedTypes(id) {
+			out.add(f.class(c).text)
+		}
+		t = &typeText{parts: out.list, text: out.String()}
+		f.players[id] = t
 	}
-	return out
+	return t
+}
+
+func (f *flattener) appendNames(dst []string, inds []rdf.ID) []string {
+	for _, ind := range inds {
+		dst = append(dst, f.name(ind).text)
+	}
+	return dst
 }
 
 // sortedTypes returns the individual's types in term order.
@@ -190,16 +213,53 @@ func (f *flattener) sortedTypes(ind rdf.ID) []rdf.ID {
 	return types
 }
 
-// eventDocument flattens one event individual into an index document. One
-// pass over the event's outgoing triples yields its types, its narration
-// and the values of the four role fields.
-func (f *flattener) eventDocument(rec populate.EventRecord) *index.Document {
-	g := f.g
-	ind := g.Intern(rec.Individual)
+// fieldsPerDoc counts the fields eventDocument writes at the page's level.
+func (f *flattener) fieldsPerDoc() int {
+	n := 18 // event, match, two teams, date, minute, four roles, eight stored-only
+	if !f.b.DisableNarrationField {
+		n++
+	}
+	if f.level == FullInf || f.level == PhrExp {
+		n += 3
+	}
+	if f.level == PhrExp {
+		n += 2
+	}
+	return n
+}
 
-	var types []rdf.ID
+// documents flattens one document per record. The page's documents share
+// one Document array and one Field array. Each document's window of the
+// fields has room for exactly one more field, the global docID the sharded
+// engine appends, so that append writes in place, and no append can write
+// into a neighbour's window.
+func (f *flattener) documents(recs []populate.EventRecord) []*index.Document {
+	per := f.fieldsPerDoc() + 1
+	fields := make([]index.Field, len(recs)*per)
+	docs := make([]index.Document, len(recs))
+	out := make([]*index.Document, len(recs))
+	for i, rec := range recs {
+		d := &docs[i]
+		d.Fields = fields[i*per : i*per : (i+1)*per]
+		f.eventDocument(d, rec)
+		out[i] = d
+	}
+	return out
+}
+
+// eventDocument flattens one event individual into d. One pass over the
+// event's outgoing triples yields its types, its narration and the values
+// of the four role fields.
+func (f *flattener) eventDocument(d *index.Document, rec populate.EventRecord) {
+	g := f.g
+	ind := rec.Individual
+
+	types := f.types[:0]
 	var narration rdf.ID
-	var roles [len(genericRoles)][]rdf.ID
+	roles := &f.roles
+	for i := range roles {
+		roles[i] = roles[i][:0]
+	}
 	for c := g.Scan(ind, 0, 0); c.Next(); {
 		switch c.T.P {
 		case f.typ:
@@ -219,18 +279,17 @@ func (f *flattener) eventDocument(rec populate.EventRecord) *index.Document {
 		}
 	}
 	g.SortIDs(types)
-	var names [len(genericRoles)][]string
+	f.types = types
+	names := &f.values
 	for i := range roles {
 		g.SortIDs(roles[i])
-		names[i] = f.displayNames(roles[i])
+		names[i] = f.appendNames(names[i][:0], roles[i])
 	}
 	subjects, objects := roles[0], roles[1]
 	subjNames, objNames, subjTeams, objTeams := names[0], names[1], names[2], names[3]
 
-	d := &index.Document{Fields: make([]index.Field, 0, 24)}
-
 	// Event types: asserted for EXT levels, full closure for INF levels.
-	var typeNames []string
+	typeNames := f.words[:0]
 	for _, t := range types {
 		c := f.class(t)
 		if c.text == "" {
@@ -241,6 +300,7 @@ func (f *flattener) eventDocument(rec populate.EventRecord) *index.Document {
 			typeNames = append(typeNames, tr)
 		}
 	}
+	f.words = typeNames
 	d.Add(FieldEvent, strings.Join(typeNames, " "))
 
 	minute := strconv.Itoa(rec.Minute)
@@ -269,15 +329,17 @@ func (f *flattener) eventDocument(rec populate.EventRecord) *index.Document {
 		d.Add(FieldFromRules, f.fromRulesText(ind))
 	}
 	if f.level == PhrExp {
-		var subjPhr, objPhr []string
+		phr := f.words[:0]
 		for _, n := range subjNames {
-			subjPhr = append(subjPhr, PhrasalTokens("by", n), PhrasalTokens("of", n))
+			phr = append(phr, PhrasalTokens("by", n), PhrasalTokens("of", n))
 		}
+		d.Add(FieldSubjPhrase, strings.Join(phr, " "))
+		phr = phr[:0]
 		for _, n := range objNames {
-			objPhr = append(objPhr, PhrasalTokens("to", n))
+			phr = append(phr, PhrasalTokens("to", n))
 		}
-		d.Add(FieldSubjPhrase, strings.Join(subjPhr, " "))
-		d.Add(FieldObjPhrase, strings.Join(objPhr, " "))
+		d.Add(FieldObjPhrase, strings.Join(phr, " "))
+		f.words = phr
 	}
 
 	// Stored-only evaluation metadata.
@@ -289,7 +351,6 @@ func (f *flattener) eventDocument(rec populate.EventRecord) *index.Document {
 	d.Add(MetaObject, strings.Join(objNames, "|"))
 	d.Add(MetaSubjTeam, strings.Join(subjTeams, "|"))
 	d.Add(MetaObjTeam, strings.Join(objTeams, "|"))
-	return d
 }
 
 func containsID(ids []rdf.ID, id rdf.ID) bool {
@@ -320,14 +381,26 @@ func (p *parts) add(s string) {
 
 func (p *parts) String() string { return strings.Join(p.list, " ") }
 
+// scratchParts returns the flattener's parts buffer, emptied.
+func (f *flattener) scratchParts() *parts {
+	f.parts.list = f.parts.list[:0]
+	return &f.parts
+}
+
 // playerPropText renders the inferred types of the given players, the
 // subjectPlayerProp/objectPlayerProp content of Table 2 ("Left back
 // defence player ...").
 func (f *flattener) playerPropText(players []rdf.ID) string {
-	var out parts
+	switch len(players) {
+	case 0:
+		return ""
+	case 1:
+		return f.player(players[0]).text
+	}
+	out := f.scratchParts()
 	for _, p := range players {
-		for _, t := range f.sortedTypes(p) {
-			out.add(f.class(t).text)
+		for _, s := range f.player(p).parts {
+			out.add(s)
 		}
 	}
 	return out.String()
@@ -341,15 +414,15 @@ func (f *flattener) playerPropText(players []rdf.ID) string {
 // pointing at it by (subject, predicate) — so the field does not depend on
 // the order the graph happened to be filled in.
 func (f *flattener) fromRulesText(ind rdf.ID) string {
-	if f.ruleMade == nil {
+	if f.provenance == nil {
 		return ""
 	}
 	g := f.g
-	var out parts
+	out := f.scratchParts()
 
-	var own []rdf.IDTriple
+	own := f.triples[:0]
 	for c := g.Scan(ind, 0, 0); c.Next(); {
-		if !f.ruleMade[c.T] {
+		if _, ok := f.provenance[c.T]; !ok {
 			continue
 		}
 		// Values of role properties (concedingTeam, scoredToGoalkeeper, ...)
@@ -378,7 +451,7 @@ func (f *flattener) fromRulesText(ind rdf.ID) string {
 	// Incoming actorOf* triples, rule-made or lifted from a rule-made one
 	// along the property hierarchy (actorOfRedCard -> actorOfNegativeMove)
 	// by the reasoner.
-	var incoming []rdf.IDTriple
+	incoming := own[:0]
 	for c := g.Scan(0, 0, ind); c.Next(); {
 		if f.pred(c.T.P).actor != "" {
 			incoming = append(incoming, c.T)
@@ -390,5 +463,6 @@ func (f *flattener) fromRulesText(ind rdf.ID) string {
 	for _, t := range incoming {
 		out.add(f.pred(t.P).actor)
 	}
+	f.triples = incoming
 	return out.String()
 }
