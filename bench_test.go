@@ -16,7 +16,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -678,6 +680,59 @@ func BenchmarkQueryFeatures(b *testing.B) {
 			si.Search(`"yellow card"`, 10)
 		}
 	})
+}
+
+// BenchmarkFuzzyQuery measures fuzzy expansion against the size of the
+// term dictionary: per op, one FuzzyQuery search at limit 10 on a
+// one-field index holding that many distinct random words (5–9 letters,
+// eight to a document), for a target one edit away from one of them. The
+// first search, which lays the dictionary out for expansion, runs before
+// the clock starts.
+func BenchmarkFuzzyQuery(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		vocab int
+	}{{"vocab=2k", 2_000}, {"vocab=20k", 20_000}, {"vocab=200k", 200_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(20100301))
+			word := func() string {
+				w := make([]byte, 5+rng.Intn(5))
+				for i := range w {
+					w[i] = byte('a' + rng.Intn(26))
+				}
+				return string(w)
+			}
+			seen := make(map[string]bool, size.vocab)
+			words := make([]string, 0, size.vocab)
+			for len(words) < size.vocab {
+				if w := word(); !seen[w] && !index.IsStopword(w) {
+					seen[w] = true
+					words = append(words, w)
+				}
+			}
+			ix := index.New(index.StandardAnalyzer{NoStemming: true})
+			for i := 0; i < len(words); i += 8 {
+				d := &index.Document{}
+				d.Add("f", strings.Join(words[i:min(i+8, len(words))], " "))
+				ix.Add(d)
+			}
+			if n := ix.Stats().Terms; n != size.vocab {
+				b.Fatalf("index holds %d terms, want %d", n, size.vocab)
+			}
+			targets := make([]string, 64)
+			for i := range targets {
+				w := []byte(words[rng.Intn(len(words))])
+				w[rng.Intn(len(w))] = byte('a' + rng.Intn(26))
+				targets[i] = string(w)
+			}
+			ix.Search(index.FuzzyQuery{Field: "f", Term: targets[0]}, 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.Search(index.FuzzyQuery{Field: "f", Term: targets[i%len(targets)]}, 10)
+			}
+		})
+	}
 }
 
 // BenchmarkHighlighter measures snippet generation over narration text.

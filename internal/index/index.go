@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Posting is one entry of a posting list as Postings hands it out: the
@@ -44,6 +45,10 @@ type fieldIndex struct {
 	// empty and postings come from the byte region through the same
 	// postingsCursor the heap entries are read with (postings.go).
 	m *mappedField
+	// nbrs is the dictionary laid out for fuzzy expansion (neighbours.go):
+	// published by the first expansion, dropped by an Add that creates a
+	// term. Merge, Decode and OpenMapped leave it unset.
+	nbrs atomic.Pointer[neighbours]
 }
 
 // termEntry is everything the heap index keeps about one term of one field:
@@ -329,6 +334,11 @@ func (ix *Index) Add(d *Document) int {
 			if te == nil {
 				te = &termEntry{cap: termCap{minLen: dlen, maxBoost: boost}}
 				fi.terms[term] = te
+				// A build creates terms all the time and searches none:
+				// skip the atomic store while nothing is set.
+				if fi.nbrs.Load() != nil {
+					fi.nbrs.Store(nil)
+				}
 			}
 			n := len(te.docs)
 			if n == 0 || te.docs[n-1] != int32(id) {

@@ -151,28 +151,6 @@ type fuzzyClause struct {
 
 func (q *fuzzyClause) bind(Analyzer) boundQuery { return q }
 
-// expansions walks the field's term dictionary in place, in either
-// storage mode, and returns the terms the clause matches with their
-// weights: 1 for the target itself, 0.5 within edit distance 1. The byte
-// lengths are compared first: one edit is one rune, at most four bytes.
-func (fi *fieldIndex) expansions(target string) (terms []string, weights []float64) {
-	fi.eachTerm(func(term string, _ postingsSource) {
-		if d := len(term) - len(target); d > utf8.UTFMax || d < -utf8.UTFMax {
-			return
-		}
-		switch {
-		case term == target:
-			weights = append(weights, 1)
-		case WithinEditDistance1(term, target):
-			weights = append(weights, 0.5)
-		default:
-			return
-		}
-		terms = append(terms, term)
-	})
-	return terms, weights
-}
-
 func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 	fi := ix.fields[q.field]
 	if fi == nil {
@@ -196,7 +174,7 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 }
 
 // newScorer expands the fuzzy term against the field's dictionary once —
-// the same scan the exhaustive path pays — and evaluates the expansion
+// the same expansion the exhaustive path scores — and evaluates it
 // document-at-a-time as a weighted per-document maximum, reproducing the
 // "best matching variant wins" semantics of scores.
 func (q *fuzzyClause) newScorer(ix *Index) scorer {

@@ -2,6 +2,7 @@ package semindex
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/index"
 )
@@ -27,10 +28,11 @@ func (s *SemanticIndex) Suggest(query string) string {
 // both produce identical corrections for identical vocabularies — a
 // guarantee TestSuggestEquivalence holds the two callers to.
 //
-// A token is corrected when its analyzed form has no postings in any
-// searched field; the replacement is the highest-df term within edit
-// distance 1, scanning fields in boost order and terms in lexicographic
-// order with strictly-greater df wins, which fixes the tie-breaks.
+// A token is corrected when its analyzed form is longer than one rune and
+// has no postings in any searched field; the replacement is the highest-df
+// term within edit distance 1, scanning fields in boost order and terms in
+// lexicographic order with strictly-greater df wins, which fixes the
+// tie-breaks.
 func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 	docFreq func(field, term string) int, terms func(field string) []string) string {
 	tokens := index.Tokenize(strings.ToLower(query))
@@ -43,6 +45,11 @@ func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 			continue // pure stopword: nothing to correct
 		}
 		target := analyzed[0]
+		if utf8.RuneCountInString(target) == 1 {
+			// Every one-rune term is one substitution away: the
+			// "correction" would be the vocabulary's most frequent one.
+			continue
+		}
 		matches := false
 		for _, fb := range boosts {
 			if docFreq(fb.Field, target) > 0 {

@@ -90,6 +90,24 @@ func TestSuggestCorrectsMisspelledName(t *testing.T) {
 	}
 }
 
+// TestSuggestLeavesOneRuneTokens: every one-rune term is one substitution
+// away from a one-rune token, so correcting one would always propose the
+// most frequent one-rune term (a digit). Such tokens stay as typed, and
+// the rest of the query is still corrected.
+func TestSuggestLeavesOneRuneTokens(t *testing.T) {
+	si := NewBuilder().Build(FullInf, testPages(t, 2, 42))
+	for q, want := range map[string]string{
+		"x~ y~":  "",
+		"é~":     "",
+		"q":      "",
+		"x mesi": "x messi",
+	} {
+		if got := si.Suggest(q); got != want {
+			t.Errorf("Suggest(%q) = %q, want %q", q, got, want)
+		}
+	}
+}
+
 func TestSuggestNoChangeNeeded(t *testing.T) {
 	pages := testPages(t, 1, 42)
 	si := NewBuilder().Build(FullInf, pages)
