@@ -817,8 +817,9 @@ func BenchmarkShardedSearch(b *testing.B) {
 // path: the same sharded engine with its metrics pointed at a live
 // registry versus stripped (SetMetrics(nil) makes every handle a no-op
 // nil). The acceptance bar is <5% p50 overhead — a handful of atomic
-// adds against a scatter-gather search. cmd/socbench records the same
-// comparison into BENCH_3.json.
+// adds against a scatter-gather search. TestSearchAllocationCeiling pins
+// that the instrumented arm allocates no more per search, and the
+// benchmark module's trace.overhead_share prices the traced path.
 func BenchmarkObsOverhead(b *testing.B) {
 	e := env(10)
 	eng := e.shardedEngine(4)

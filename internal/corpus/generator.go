@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -172,21 +173,8 @@ func ParseSize(s string) (int, error) {
 		t = t[:len(t)-1]
 	}
 	n, err := strconv.Atoi(t)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt/mult {
 		return 0, fmt.Errorf("corpus: bad size %q (want e.g. 10k, 100k, 1M)", s)
 	}
 	return n * mult, nil
-}
-
-// SizeLabel renders a document count the way tier tables label it:
-// exact multiples of a million or a thousand compress to 1M / 100k.
-func SizeLabel(docs int) string {
-	switch {
-	case docs >= 1_000_000 && docs%1_000_000 == 0:
-		return strconv.Itoa(docs/1_000_000) + "M"
-	case docs >= 1_000 && docs%1_000 == 0:
-		return strconv.Itoa(docs/1_000) + "k"
-	default:
-		return strconv.Itoa(docs)
-	}
 }

@@ -5,7 +5,7 @@
 // time through NextPage — the sharded build path (shard.BuildStream),
 // cmd/socgen's -stream-out, and the load harness (internal/loadgen) all
 // consume the same stream — and identical Specs yield byte-identical
-// corpora, so every BENCH_6 tier is reproducible.
+// corpora, so every benchmark tier is reproducible.
 //
 // Realism knobs follow the web-scale corpora the related systems index:
 // team (and with them player) mentions are Zipf-distributed over a

@@ -180,22 +180,6 @@ type Result struct {
 	ByClass map[Class]int `json:"byClass"`
 }
 
-// ErrorRate is Errors / Requests in [0, 1].
-func (r *Result) ErrorRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Errors) / float64(r.Requests)
-}
-
-// DegradedRate is Degraded / Requests in [0, 1].
-func (r *Result) DegradedRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Degraded) / float64(r.Requests)
-}
-
 // Run drives the closed loop: cfg.Workers goroutines each pull the next
 // global sequence number, pick a query by Zipf rank, execute it against
 // target and record the latency. The first cfg.Warmup requests are

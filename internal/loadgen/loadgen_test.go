@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/semindex"
@@ -63,58 +62,6 @@ func TestGenerateQueriesRespectsMix(t *testing.T) {
 		if q.Class != ClassKeyword {
 			t.Fatalf("keyword-only mix emitted %s query %q", q.Class, q.Text)
 		}
-	}
-}
-
-func TestParseSLOs(t *testing.T) {
-	slos, err := ParseSLOs("p99 < 5ms, error_rate<1% ; qps>200, degraded_rate<0.02")
-	if err != nil {
-		t.Fatalf("ParseSLOs: %v", err)
-	}
-	want := []SLO{
-		{Metric: "p99", Op: '<', Threshold: 0.005},
-		{Metric: "error_rate", Op: '<', Threshold: 0.01},
-		{Metric: "qps", Op: '>', Threshold: 200},
-		{Metric: "degraded_rate", Op: '<', Threshold: 0.02},
-	}
-	if len(slos) != len(want) {
-		t.Fatalf("got %d SLOs, want %d", len(slos), len(want))
-	}
-	for i, w := range want {
-		g := slos[i]
-		if g.Metric != w.Metric || g.Op != w.Op || g.Threshold != w.Threshold {
-			t.Errorf("SLO %d: got %+v, want %+v", i, g, w)
-		}
-	}
-	if slos, err := ParseSLOs(""); err != nil || len(slos) != 0 {
-		t.Errorf("empty input: got %v, %v", slos, err)
-	}
-	for _, bad := range []string{"p99", "latency<5ms", "p99<fast", "error_rate<oops", "qps>-3"} {
-		if _, err := ParseSLOs(bad); err == nil {
-			t.Errorf("ParseSLOs(%q): want error", bad)
-		}
-	}
-}
-
-func TestCheckSLOs(t *testing.T) {
-	res := &Result{
-		Requests: 1000, Errors: 25, Degraded: 10,
-		QPS: 150,
-		P50: 2 * time.Millisecond, P99: 8 * time.Millisecond,
-	}
-	slos, err := ParseSLOs("p99<5ms, p50<5ms, error_rate<1%, qps>100, degraded_rate<5%")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vio := CheckSLOs(res, slos)
-	if len(vio) != 2 {
-		t.Fatalf("got %d violations, want 2: %v", len(vio), vio)
-	}
-	if vio[0].SLO.Metric != "p99" || vio[1].SLO.Metric != "error_rate" {
-		t.Fatalf("wrong violations: %v", vio)
-	}
-	if s := vio[0].String(); !strings.Contains(s, "p99") || !strings.Contains(s, "5ms") {
-		t.Errorf("violation string %q lacks metric or bound", s)
 	}
 }
 

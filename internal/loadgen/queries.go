@@ -1,8 +1,7 @@
 // Package loadgen is the closed-loop load harness of the scale-truth
 // subsystem: it generates a realistic, Zipf-skewed query workload from a
 // corpus's own vocabulary, drives it against a search target at fixed
-// concurrency, and checks the measured latency/throughput/error profile
-// against declarative SLO assertions.
+// concurrency, and reports the measured latency/throughput/error profile.
 //
 // The package is deliberately decoupled from how the answer is produced:
 // a Target is anything that can execute one Query, and two are provided —

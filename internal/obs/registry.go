@@ -12,8 +12,8 @@
 // by branching at every call site.
 //
 // The paper's scalability claim (Sections 3.6, 7) is only as good as the
-// latency evidence behind it; this package is the substrate every perf
-// measurement in BENCH_*.json comes from.
+// latency evidence behind it; this package is the substrate the engine's
+// /metrics exposition and the benchmark module's per-layer figures read.
 package obs
 
 import (

@@ -25,8 +25,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric names the cache publishes. Exported so harnesses (socbench) and
-// dashboards can read them off a registry without importing internals.
+// Metric names the cache publishes. Exported so harnesses (the benchmark
+// module) and dashboards can read them off a registry without importing
+// internals.
 const (
 	MetricHits          = "qcache_hits_total"
 	MetricMisses        = "qcache_misses_total"

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/semindex"
 )
 
@@ -21,6 +23,16 @@ import (
 // 276 at commit 5e50b69, whose cursors grew up to five buffers each by
 // append) — so a cursor that goes back to growing its buffers, or to
 // decoding a section into a fresh one per block, fails here.
+//
+// Each class then runs on a one-shard heap engine with metrics on and
+// with them stripped (SetMetrics(nil)), and the two must allocate exactly
+// as much: instrumentation is preallocated handles and atomic adds, so a
+// metric that allocates per search fails here instead of as a few percent
+// of latency. One shard, because with two the scatter starts a helper
+// goroutine per search, and whether the runtime must allocate a fresh
+// goroutine for it depends on scheduling, which moves either arm by one
+// allocation per search. The equality holds only without -race, which
+// randomises what sync.Pool keeps.
 func TestSearchAllocationCeiling(t *testing.T) {
 	pages, _ := fixture(t)
 	heap := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
@@ -34,14 +46,21 @@ func TestSearchAllocationCeiling(t *testing.T) {
 	}
 	defer mapped.Close()
 	opts := SearchOptions{Limit: 10, NoCache: true}
-	for _, c := range []struct {
+	allocs := func(e *Engine, query string) float64 {
+		// A collection mid-run empties the sync.Pools, and refilling them
+		// would count against whichever arm it landed in.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(50, func() { e.Search(context.Background(), query, opts) })
+	}
+	classes := []struct {
 		class, query string
 		heap, mapped float64
 	}{
 		{"keyword", "messi barcelona goal", 140, 165},
 		{"phrase", `"yellow card" barcelona`, 145, 175},
 		{"fuzzy", "mesi~ goal", 160, 175},
-	} {
+	}
+	for _, c := range classes {
 		for _, arm := range []struct {
 			name    string
 			e       *Engine
@@ -51,11 +70,28 @@ func TestSearchAllocationCeiling(t *testing.T) {
 			if err != nil || len(res.Hits) == 0 {
 				t.Fatalf("%s %s %q: %d hits, err %v", arm.name, c.class, c.query, len(res.Hits), err)
 			}
-			got := testing.AllocsPerRun(50, func() { arm.e.Search(context.Background(), c.query, opts) })
+			got := allocs(arm.e, c.query)
 			t.Logf("%s %s: %v allocations per search", arm.name, c.class, got)
 			if got > arm.ceiling {
 				t.Errorf("%s %s %q: %v allocations per search, ceiling %v", arm.name, c.class, c.query, got, arm.ceiling)
 			}
+		}
+	}
+
+	if raceEnabled {
+		t.Log("instrumented vs uninstrumented equality not checked: -race makes pooled allocations random")
+		return
+	}
+	single := Build(nil, semindex.FullInf, pages, Options{Shards: 1})
+	for _, c := range classes {
+		single.SetMetrics(obs.NewRegistry())
+		instrumented := allocs(single, c.query)
+		single.SetMetrics(nil)
+		bare := allocs(single, c.query)
+		t.Logf("one shard %s: %v allocations per search instrumented, %v uninstrumented", c.class, instrumented, bare)
+		if instrumented != bare {
+			t.Errorf("%s %q: %v allocations per instrumented search, %v uninstrumented; metrics must not allocate",
+				c.class, c.query, instrumented, bare)
 		}
 	}
 }

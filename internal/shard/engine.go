@@ -156,10 +156,6 @@ type Engine struct {
 	// does not intersect (scoped invalidation, see search.go).
 	epoch  atomic.Uint64
 	epochs []uint64
-	// scoped selects per-shard cache invalidation (the default). Off,
-	// every ingest bumps every shard's epoch — the legacy evict-the-world
-	// behavior the ingest benchmark's baseline arm measures.
-	scoped bool
 	// exhaustive mirrors SetExhaustiveScoring so segments created later
 	// inherit the scoring mode.
 	exhaustive bool
@@ -224,7 +220,6 @@ func newEngine(level semindex.Level, b *semindex.Builder, n int) *Engine {
 		segs:     make([][]*subIndex, n),
 		epochs:   make([]uint64, n),
 		pageGIDs: map[string][]int{},
-		scoped:   true,
 		nextSeg:  1,
 		met:      newEngineMetrics(obs.Default, n),
 	}
@@ -266,21 +261,6 @@ func (e *Engine) SetStall(hook func(shard int)) {
 	defer e.mu.Unlock()
 	e.stall = hook
 }
-
-// SetScopedInvalidation toggles scoped (per-shard epoch) cache
-// invalidation. On by default; turning it off makes every ingest bump
-// every shard's epoch, reproducing the legacy evict-everything behavior —
-// the baseline arm of the ingest benchmark.
-func (e *Engine) SetScopedInvalidation(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scoped = on
-}
-
-// ShardFor reports which shard of an n-shard engine owns a page ID —
-// the stable routing hash, exported so writers (ingest routers, load
-// harnesses) can reason about write placement.
-func ShardFor(pageID string, n int) int { return shardFor(pageID, n) }
 
 // shardFor places a page on a shard by stable hash, so the same page ID
 // always lands on the same shard regardless of arrival order.

@@ -307,7 +307,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 	}
 	e.liveDocs += res.Docs
 	for s := range e.epochs {
-		if touched[s] || !e.scoped {
+		if touched[s] {
 			e.epochs[s]++
 		}
 	}

@@ -71,7 +71,8 @@ func TestSetExhaustiveScoringEquivalence(t *testing.T) {
 }
 
 // BenchmarkEngineColdSearch times the full cold scatter at limit 10 on
-// both scoring paths — the in-package twin of socbench -mode coldpath.
+// both scoring paths, so the pruned kernel's margin over the exhaustive
+// one can be read off directly; CI runs it once to keep both arms live.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	pages, _ := fixture(b)
 	e := Build(nil, semindex.FullInf, pages, Options{Shards: 4})

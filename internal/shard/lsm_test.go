@@ -256,17 +256,6 @@ func TestScopedInvalidationKeepsDisjointEntries(t *testing.T) {
 	if got := status(e, disjoint); got != CacheHit {
 		t.Errorf("disjoint query after second scoped write: %s, want %s", got, CacheHit)
 	}
-
-	// Legacy arm: with scoping off, the same write evicts everything.
-	legacy := build()
-	legacy.SetScopedInvalidation(false)
-	warm(legacy, disjoint)
-	if _, err := legacy.Ingest(ctx, []*crawler.MatchPage{target}, IngestOptions{Merge: MergeNone}); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	if got := status(legacy, disjoint); got != CacheMiss {
-		t.Errorf("disjoint query after unscoped write: %s, want %s", got, CacheMiss)
-	}
 }
 
 // TestMergeInvisibleToCache: compaction changes nothing observable, so

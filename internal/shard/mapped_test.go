@@ -3,8 +3,8 @@ package shard
 // Mapped-mode engine tests: LoadWith(Mapped) must serve byte-identical
 // rankings to a heap load across every LSM state, survive the full
 // merge → Save → reload lifecycle without leaking scratch files or
-// mappings, fall back (not fail) on pre-TOC snapshot files, and keep
-// exactly the heap path's corruption verdicts.
+// mappings, keep exactly the heap path's corruption verdicts, and open
+// for a fraction of the heap decode's allocation per document.
 
 import (
 	"bytes"
@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/crawler"
 	"repro/internal/eval"
 	"repro/internal/semindex"
+	"repro/internal/soccer"
 )
 
 // saveFixture builds a sharded engine from the fixture pages and
@@ -391,5 +393,63 @@ func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
 			t.Errorf("mapped %v: a search served %d hits and cached nothing", mapped, len(hits))
 		}
 		l.Close()
+	}
+}
+
+// openAllocBytes is the heap LoadWith allocates (runtime TotalAlloc) to
+// open the snapshot at base, heap-decoded or mapped.
+func openAllocBytes(t *testing.T, base string, mapped bool) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMappedOpenAllocatesLessPerDocThanDecode bounds the heap a mapped
+// open spends per document against a heap decode of the same snapshot.
+// Open-time work of a mapped load is O(TOC) plus the per-document ID
+// bookkeeping every engine keeps, so the slope is what matters: the
+// allocation a mapped open adds per added document must be at most a
+// third of what the heap decode adds. Measured on two-shard FULL_INF
+// snapshots of 716 and 2,865 documents: 435 against 2,145 B/doc (0.20).
+// Allocation is counted, not timed, so the gate is deterministic.
+func TestMappedOpenAllocatesLessPerDocThanDecode(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("mapped opens read the whole file onto the heap without mmap")
+	}
+	type point struct {
+		docs         int
+		heap, mapped uint64
+	}
+	var pts []point
+	for _, matches := range []int{6, 24} {
+		c := soccer.Generate(soccer.Config{Matches: matches, Seed: 42, NarrationsPerMatch: 80, PaperCoverage: true})
+		e := Build(nil, semindex.FullInf, crawler.PagesFromCorpus(c), Options{Shards: 2})
+		base := filepath.Join(t.TempDir(), "idx.bin")
+		if err := e.Save(base); err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, point{
+			docs:   e.NumDocs(),
+			heap:   openAllocBytes(t, base, false),
+			mapped: openAllocBytes(t, base, true),
+		})
+	}
+	small, large := pts[0], pts[1]
+	added := float64(large.docs - small.docs)
+	heapPerDoc := (float64(large.heap) - float64(small.heap)) / added
+	mappedPerDoc := (float64(large.mapped) - float64(small.mapped)) / added
+	t.Logf("%d → %d docs: heap decode %.0f B/doc, mapped open %.0f B/doc (%.2f)",
+		small.docs, large.docs, heapPerDoc, mappedPerDoc, mappedPerDoc/heapPerDoc)
+	if mappedPerDoc*3 > heapPerDoc {
+		t.Errorf("mapped open grows %.0f B/doc against the heap decode's %.0f; want at most a third",
+			mappedPerDoc, heapPerDoc)
 	}
 }

@@ -108,7 +108,7 @@ func newEngineMetrics(r *obs.Registry, shards int) *engineMetrics {
 
 // SetMetrics points the engine's instrumentation at a registry: obs.Default
 // is wired by Build, a fresh registry isolates a test, and nil strips the
-// instrumentation entirely (the uninstrumented arm of the overhead bench).
+// instrumentation entirely (the uninstrumented arm of BenchmarkObsOverhead).
 func (e *Engine) SetMetrics(r *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -91,7 +91,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 }
 
 // TestDisabledMetrics: SetMetrics(nil) strips instrumentation without
-// breaking any search path — the uninstrumented arm of the overhead bench.
+// breaking any search path — the uninstrumented arm of BenchmarkObsOverhead.
 func TestDisabledMetrics(t *testing.T) {
 	pages, mono := fixture(t)
 	e := Build(nil, semindex.FullInf, pages, Options{Shards: 3})
