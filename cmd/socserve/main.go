@@ -147,7 +147,7 @@ func main() {
 		}
 		// Background compaction keeps the segment count bounded under a
 		// write firehose; stopped (and compacted) at shutdown.
-		e.StartMerger(shard.MergePolicy{})
+		e.StartMerger()
 		h.SetSearcher(e)
 		fmt.Printf("serving %s on %s\n", desc, *addr)
 	}()
@@ -201,36 +201,41 @@ func parseWALSync(s string) (wal.Options, error) {
 	return wal.Options{Policy: wal.SyncInterval, Interval: d}, nil
 }
 
-// loadEngine builds or loads the FULL_INF engine and describes it. It
-// gets the query-result cache sized by cacheBytes (0 serves every query
-// cold). Without indexFile the engine is built from the corpus in shards
-// partitions; with it, the snapshot at that base is loaded — mapped
+// loadEngine builds or loads the FULL_INF engine, installs the
+// query-result cache sized by cacheBytes (0 serves every query cold) and
+// describes the engine.
+func loadEngine(cf *cli.CorpusFlags, indexFile string, shards int, cacheBytes int64, mapped bool) (*shard.Engine, string, error) {
+	eng, note, err := openEngine(cf, indexFile, shards, mapped)
+	if err != nil {
+		return nil, "", err
+	}
+	eng.EnableCache(cacheBytes, obs.Default)
+	d := fmt.Sprintf("%s engine (%d docs across %d shards", eng.Level(), eng.NumDocs(), eng.NumShards())
+	if mapped {
+		d += ", mapped"
+	}
+	if cacheBytes > 0 {
+		d += fmt.Sprintf(", %d MiB cache", cacheBytes>>20)
+	}
+	return eng, d + ")" + note, nil
+}
+
+// openEngine returns the engine loadEngine serves, plus a note for its
+// description. Without indexFile the engine is built from the corpus in
+// shards partitions; with it, the snapshot at that base is loaded — mapped
 // serves it straight from its file bytes (LoadOptions{Mapped}) — after a
 // first run has built and saved it there.
-func loadEngine(cf *cli.CorpusFlags, indexFile string, shards int, cacheBytes int64, mapped bool) (*shard.Engine, string, error) {
-	describe := func(eng *shard.Engine) string {
-		d := fmt.Sprintf("%s engine (%d docs across %d shards", eng.Level(), eng.NumDocs(), eng.NumShards())
-		if mapped {
-			d += ", mapped"
-		}
-		if cacheBytes > 0 {
-			return d + fmt.Sprintf(", %d MiB cache)", cacheBytes>>20)
-		}
-		return d + ")"
-	}
+func openEngine(cf *cli.CorpusFlags, indexFile string, shards int, mapped bool) (*shard.Engine, string, error) {
 	build := func() (*shard.Engine, error) {
 		pages, _, err := cf.LoadPages()
 		if err != nil {
 			return nil, err
 		}
-		return shard.Build(nil, semindex.FullInf, pages, shard.Options{Shards: shards, CacheBytes: cacheBytes}), nil
+		return shard.Build(nil, semindex.FullInf, pages, shard.Options{Shards: shards}), nil
 	}
 	if indexFile == "" {
 		eng, err := build()
-		if err != nil {
-			return nil, "", err
-		}
-		return eng, describe(eng), nil
+		return eng, "", err
 	}
 	if _, err := os.Stat(shard.ManifestPath(indexFile)); os.IsNotExist(err) {
 		// First run: nothing saved at the base yet. Build from the corpus
@@ -244,17 +249,13 @@ func loadEngine(cf *cli.CorpusFlags, indexFile string, shards int, cacheBytes in
 			return nil, "", err
 		}
 		if !mapped {
-			return eng, describe(eng) + " [bootstrapped]", nil
+			return eng, " [bootstrapped]", nil
 		}
 		// Fall through to the mapped load of the snapshot just written, so
 		// the bootstrapped run serves from disk too.
 	}
 	eng, err := shard.LoadWith(indexFile, nil, shard.LoadOptions{Mapped: mapped})
-	if err != nil {
-		return nil, "", err
-	}
-	eng.EnableCache(cacheBytes, obs.Default)
-	return eng, describe(eng), nil
+	return eng, "", err
 }
 
 // serve runs a configured http.Server until SIGINT/SIGTERM, then drains

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/semindex"
 	"repro/internal/shard"
 )
@@ -15,7 +16,8 @@ import (
 // — the full production shape of the versioned API.
 func testHandlerCached(t testing.TB) *httptest.Server {
 	t.Helper()
-	eng := shard.Build(nil, semindex.FullInf, testPages(), shard.Options{Shards: 3, CacheBytes: 1 << 20})
+	eng := shard.Build(nil, semindex.FullInf, testPages(), shard.Options{Shards: 3})
+	eng.EnableCache(1<<20, obs.Default)
 	srv := httptest.NewServer(NewHandler(eng))
 	t.Cleanup(srv.Close)
 	return srv

@@ -26,7 +26,6 @@ import (
 	"repro/internal/reasoner"
 	"repro/internal/rules"
 	"repro/internal/semindex"
-	"repro/internal/shard"
 	"repro/internal/soccer"
 )
 
@@ -41,18 +40,10 @@ type System struct {
 	// pages lost to a degraded crawl.
 	lastCrawl *crawler.CrawlReport
 	indices   map[semindex.Level]*semindex.SemanticIndex
-	// sharded caches partitioned engines by (level, shard count).
-	sharded map[shardKey]*shard.Engine
 	// populated caches per-match populated models by page ID.
 	populated map[string]*populate.PopulatedMatch
 	// inferred caches per-match inference results by page ID.
 	inferred map[string]inference.Result
-}
-
-// shardKey identifies one cached sharded engine.
-type shardKey struct {
-	level semindex.Level
-	n     int
 }
 
 // New assembles a system over the soccer ontology and rule set.
@@ -63,7 +54,6 @@ func New() *System {
 		Reasoner:  reasoner.New(ont),
 		Rules:     soccer.Rules(),
 		indices:   map[semindex.Level]*semindex.SemanticIndex{},
-		sharded:   map[shardKey]*shard.Engine{},
 		populated: map[string]*populate.PopulatedMatch{},
 		inferred:  map[string]inference.Result{},
 	}
@@ -93,33 +83,6 @@ func (s *System) LastCrawl() *crawler.CrawlReport { return s.lastCrawl }
 // LoadPages loads already-fetched pages (e.g. from crawler.PagesFromCorpus).
 func (s *System) LoadPages(pages []*crawler.MatchPage) {
 	s.pages = append(s.pages, pages...)
-}
-
-// AddPage appends one newly crawled match and incrementally extends every
-// already-built index — monolithic and sharded — with its documents, so a
-// live deployment can ingest last night's game without a rebuild. Sharded
-// engines refresh only the owning shard plus their global statistics.
-func (s *System) AddPage(page *crawler.MatchPage) {
-	s.IngestPages(page)
-}
-
-// IngestPages is the batched form of AddPage: one call commits every
-// page — sharded engines take the whole batch as a single Ingest (one
-// segment, one statistics fold) rather than a rebuild per page.
-func (s *System) IngestPages(pages ...*crawler.MatchPage) {
-	if len(pages) == 0 {
-		return
-	}
-	s.pages = append(s.pages, pages...)
-	b := &semindex.Builder{Ontology: s.Ontology, Reasoner: s.Reasoner, Rules: s.Rules}
-	for _, ix := range s.indices {
-		for _, page := range pages {
-			b.AddPage(ix, page)
-		}
-	}
-	for _, e := range s.sharded {
-		e.Ingest(context.Background(), pages, shard.IngestOptions{})
-	}
 }
 
 // Pages returns the loaded crawl pages.
@@ -169,24 +132,6 @@ func (s *System) BuildIndex(level semindex.Level) *semindex.SemanticIndex {
 	return ix
 }
 
-// BuildShardedIndex constructs (and caches) an nShards-way partitioned
-// engine at the given level over all loaded pages — the scale-out serving
-// shape. Its scatter-gather ranking is identical to the monolithic index's
-// (see internal/shard); AddPage keeps cached engines current.
-func (s *System) BuildShardedIndex(level semindex.Level, nShards int) *shard.Engine {
-	if nShards < 1 {
-		nShards = 1
-	}
-	key := shardKey{level: level, n: nShards}
-	if e, ok := s.sharded[key]; ok {
-		return e
-	}
-	b := &semindex.Builder{Ontology: s.Ontology, Reasoner: s.Reasoner, Rules: s.Rules}
-	e := shard.Build(b, level, s.pages, shard.Options{Shards: nShards})
-	s.sharded[key] = e
-	return e
-}
-
 // Search queries the FULL_INF index (building it on first use), the
 // system's production configuration.
 func (s *System) Search(query string, limit int) []semindex.Hit {
@@ -217,6 +162,6 @@ func (s *System) Summary() string {
 	for _, pm := range s.populated {
 		events += len(pm.Events)
 	}
-	return fmt.Sprintf("%d pages loaded, %d populated matches (%d event records), %d indices built, %d sharded engines",
-		len(s.pages), len(s.populated), events, len(s.indices), len(s.sharded))
+	return fmt.Sprintf("%d pages loaded, %d populated matches (%d event records), %d indices built",
+		len(s.pages), len(s.populated), events, len(s.indices))
 }

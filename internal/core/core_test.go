@@ -11,7 +11,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/rdf"
 	"repro/internal/semindex"
-	"repro/internal/shard"
 	"repro/internal/soccer"
 )
 
@@ -207,77 +206,6 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestAddPageIncrementalIndexing(t *testing.T) {
-	// Build over 2 matches, then ingest a third incrementally: the index
-	// must grow and serve the new match's events without a rebuild.
-	c := soccer.Generate(soccer.Config{Matches: 3, Seed: 42, NarrationsPerMatch: 60, PaperCoverage: true})
-	pages := crawler.PagesFromCorpus(c)
-	s := New()
-	s.LoadPages(pages[:2])
-	si := s.BuildIndex(semindex.FullInf)
-	before := si.Index.NumDocs()
-
-	// A query only the third match can answer: its match id.
-	third := pages[2]
-	s.AddPage(third)
-	if si.Index.NumDocs() <= before {
-		t.Fatalf("index did not grow: %d -> %d", before, si.Index.NumDocs())
-	}
-	found := false
-	for _, h := range s.Search("goal", 0) {
-		if h.Meta(semindex.MetaMatchID) == third.ID {
-			found = true
-		}
-	}
-	if !found {
-		// The third match may genuinely have no goals; check any event kind.
-		for _, h := range s.Search("foul", 0) {
-			if h.Meta(semindex.MetaMatchID) == third.ID {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("incrementally added match is not retrievable")
-	}
-	if len(s.Pages()) != 3 {
-		t.Errorf("pages = %d", len(s.Pages()))
-	}
-}
-
-// TestBuildShardedIndex: the system-level sharded path must rank exactly
-// like the monolithic index, stay cached, and absorb incremental pages.
-func TestBuildShardedIndex(t *testing.T) {
-	s := testSystem(t, 3)
-	eng := s.BuildShardedIndex(semindex.FullInf, 2)
-	if eng != s.BuildShardedIndex(semindex.FullInf, 2) {
-		t.Error("sharded engine not cached")
-	}
-	mono := s.BuildIndex(semindex.FullInf)
-	res, err := eng.Search(context.Background(), "messi barcelona goal", shard.SearchOptions{Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Hits
-	want := mono.Search("messi barcelona goal", 10)
-	if len(got) != len(want) {
-		t.Fatalf("%d hits, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].DocID != want[i].DocID || got[i].Score != want[i].Score {
-			t.Errorf("rank %d: (%d, %v) want (%d, %v)",
-				i+1, got[i].DocID, got[i].Score, want[i].DocID, want[i].Score)
-		}
-	}
-
-	// AddPage must extend both serving shapes identically.
-	extra := soccer.Generate(soccer.Config{Matches: 4, Seed: 99, NarrationsPerMatch: 40})
-	s.AddPage(crawler.PagesFromCorpus(extra)[3])
-	if eng.NumDocs() != mono.Index.NumDocs() {
-		t.Errorf("after AddPage: engine %d docs, monolith %d", eng.NumDocs(), mono.Index.NumDocs())
-	}
 }
 
 // TestSearchLevelDAATEquivalence drives the DAAT-equals-exhaustive

@@ -412,7 +412,7 @@ func TestDecodeRejectsInvalidBlockMetadata(t *testing.T) {
 		ix.Add(doc)
 	}
 	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
+	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

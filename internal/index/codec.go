@@ -5,8 +5,8 @@ package index
 // data structure; a serving structure needs to be built offline and shipped
 // to query nodes, so the index supports a compact binary codec:
 //
-//	ix.Encode(f)             // offline builder
-//	ix, err := index.Decode(f, nil)  // query node
+//	toc, err := ix.EncodeWithTOC(f)  // offline builder
+//	ix, err := index.Decode(f, nil)  // query node (or OpenMapped with toc)
 //
 // The codec has one readable version, 3: a block-postings layout. Posting
 // lists are split into blocks of postingBlockSize documents: docIDs are
@@ -65,8 +65,8 @@ import (
 
 const codecMagic = "SIDX"
 
-// CodecVersionCurrent is the one codec version Encode writes and Decode
-// and OpenMapped read. The shard persistence envelope records it so fsck
+// CodecVersionCurrent is the one codec version EncodeWithTOC writes and
+// Decode and OpenMapped read. The shard persistence envelope records it so fsck
 // can tell "damaged" from "another version" without decoding the stream.
 const CodecVersionCurrent = 3
 
@@ -78,30 +78,19 @@ const CodecVersionCurrent = 3
 // (stored.go) hold at most as many.
 const storedChunkDocs = 128
 
-// Encode serializes the index in the current (block-postings) format.
-// Output is deterministic for a given index. A mapped index re-encodes as
-// a raw copy of its byte region — the same bytes a heap re-encode of the
-// identical postings would produce, without materializing anything.
-func (ix *Index) Encode(w io.Writer) error {
-	if ix.mapped != nil {
-		_, err := w.Write(ix.mapped.raw)
-		return err
-	}
-	return ix.encode(w, nil)
-}
-
-// EncodeWithTOC writes exactly Encode's stream and additionally returns
-// the serialized table of contents OpenMapped needs to serve the stream
-// without decoding it: per-term block offsets and boundaries, exact score
-// caps, table offsets, and the values of the requested stored-only meta
-// fields (so identity lookups never open the flate region). The TOC rides
-// outside the payload — callers (the shard envelope) store it next to the
-// stream — so the payload stays byte-identical whether or not a TOC was
-// requested.
+// EncodeWithTOC serializes the index in the current (block-postings)
+// format and returns the serialized table of contents OpenMapped needs to
+// serve the stream without decoding it: per-term block offsets and
+// boundaries, exact score caps, table offsets, and the values of the
+// requested stored-only meta fields (so identity lookups never open the
+// flate region). The stream is deterministic for a given index, and the
+// TOC rides outside it — callers (the shard envelope) store it next to the
+// stream — so the payload bytes do not depend on the meta fields asked for.
 func (ix *Index) EncodeWithTOC(w io.Writer, metaFields ...string) ([]byte, error) {
 	if m := ix.mapped; m != nil {
 		// Clean mapped index: the region and its TOC are already exactly
-		// what this function would produce.
+		// what this function would produce — a raw copy, the same bytes a
+		// heap re-encode of the identical postings would write.
 		if _, err := w.Write(m.raw); err != nil {
 			return nil, err
 		}
@@ -127,9 +116,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encode is the writer behind Encode and EncodeWithTOC; tb is nil when no
-// TOC is wanted. Offsets are recorded as cw.n plus the bufio backlog — the
-// logical position in the stream, regardless of flushes.
+// encode is the writer behind EncodeWithTOC, filling tb as it goes.
+// Offsets are recorded as cw.n plus the bufio backlog — the logical
+// position in the stream, regardless of flushes.
 func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -146,10 +135,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	for _, name := range names {
 		fi := ix.fields[name]
 		writeString(bw, name)
-		var tf *tocField
-		if tb != nil {
-			tf = tb.field(name)
-		}
+		tf := tb.field(name)
 
 		terms := fi.termNames()
 		sort.Strings(terms)
@@ -163,25 +149,19 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 			var lasts []int32
 			for s := 0; s < n; s += postingBlockSize {
 				e := min(s+postingBlockSize, n)
-				if tb != nil {
-					offs = append(offs, pos())
-					lasts = append(lasts, te.docs[e-1])
-				}
+				offs = append(offs, pos())
+				lasts = append(lasts, te.docs[e-1])
 				encodeBlock(bw, fi, te, s, e)
 			}
-			if tb != nil {
-				// The TOC cap is the exact bound over the whole list — the
-				// same value rebuildCaps derives on the heap decode path, so
-				// mapped and heap prune with identical numbers.
-				tf.terms = append(tf.terms, tocTerm{
-					term: t, n: n, cap: fi.exactCap(te, 0, n), offs: offs, lasts: lasts,
-				})
-			}
+			// The TOC cap is the exact bound over the whole list — the same
+			// value rebuildCaps derives on the heap decode path, so mapped
+			// and heap prune with identical numbers.
+			tf.terms = append(tf.terms, tocTerm{
+				term: t, n: n, cap: fi.exactCap(te, 0, n), offs: offs, lasts: lasts,
+			})
 		}
 
-		if tb != nil {
-			tf.docLenOff = pos()
-		}
+		tf.docLenOff = pos()
 		writeU32(bw, uint32(fi.docCount))
 		prev := -1
 		fi.eachDocLen(func(id, l int) {
@@ -190,9 +170,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 			prev = id
 		})
 
-		if tb != nil {
-			tf.boostOff = pos()
-		}
+		tf.boostOff = pos()
 		writeU32(bw, uint32(fi.docCount))
 		if fi.docCount > 0 {
 			uniform, first := fi.uniformBoost()
@@ -219,9 +197,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	// memory first because every chunk is length-prefixed (the decoder
 	// must know where to hand bytes to the flate reader — and where the
 	// next chunk starts — without trusting the flate framing itself).
-	if tb != nil {
-		tb.storedOff = pos()
-	}
+	tb.storedOff = pos()
 	writeU32(bw, storedChunkDocs)
 	var stored bytes.Buffer
 	zw, err := flate.NewWriter(&stored, flate.DefaultCompression)
@@ -326,7 +302,7 @@ func capHint(n uint32, limit int) int {
 	return limit
 }
 
-// Decode deserializes an index written by Encode. The analyzer must match
+// Decode deserializes an index written by EncodeWithTOC. The analyzer must match
 // the one used at build time.
 //
 // The input is untrusted: every length prefix is bounded before use,

@@ -11,7 +11,7 @@ import (
 func TestCodecRoundTrip(t *testing.T) {
 	ix := buildTestIndex()
 	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
+	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	back, err := Decode(bytes.NewReader(buf.Bytes()), StandardAnalyzer{})
@@ -56,10 +56,10 @@ func close(a, b float64) bool {
 func TestCodecDeterministic(t *testing.T) {
 	ix := buildTestIndex()
 	var a, b bytes.Buffer
-	if err := ix.Encode(&a); err != nil {
+	if _, err := ix.EncodeWithTOC(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Encode(&b); err != nil {
+	if _, err := ix.EncodeWithTOC(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -77,7 +77,7 @@ func TestCodecErrors(t *testing.T) {
 		{"bad version", []byte("SIDX\xff\x00\x00\x00")},
 		{"truncated", func() []byte {
 			var buf bytes.Buffer
-			buildTestIndex().Encode(&buf)
+			buildTestIndex().EncodeWithTOC(&buf)
 			return buf.Bytes()[:buf.Len()/2]
 		}()},
 		{"implausible doc count", []byte("SIDX\x01\x00\x00\x00\xff\xff\xff\xff")},
@@ -98,7 +98,7 @@ func TestCodecStoredOnlyFields(t *testing.T) {
 	d.Add("_meta", "hidden payload")
 	ix.Add(d)
 	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
+	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf, StandardAnalyzer{})
@@ -133,7 +133,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			ix.Add(d)
 		}
 		var buf bytes.Buffer
-		if ix.Encode(&buf) != nil {
+		if _, err := ix.EncodeWithTOC(&buf); err != nil {
 			return false
 		}
 		back, err := Decode(&buf, StandardAnalyzer{})

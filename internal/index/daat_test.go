@@ -265,7 +265,7 @@ func TestDAATEquivalenceAfterCodecRoundTrip(t *testing.T) {
 	// identically to the one that was encoded.
 	ix := buildTestIndex()
 	var buf strings.Builder
-	if err := ix.Encode(&buf); err != nil {
+	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Decode(strings.NewReader(buf.String()), StandardAnalyzer{})

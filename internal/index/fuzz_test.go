@@ -10,7 +10,7 @@ import (
 // snapshot files whose durability we cannot guarantee (torn writes, bit
 // rot), so the property under test is purely defensive: it must never
 // panic and never allocate past what the input can back, and any input
-// it accepts must round-trip through Encode without blowing up.
+// it accepts must round-trip through EncodeWithTOC without blowing up.
 func FuzzDecode(f *testing.F) {
 	// Seed 1: a small valid index so the fuzzer starts with the real
 	// grammar rather than rediscovering the magic number.
@@ -25,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 		ix.Add(d)
 	}
 	var valid bytes.Buffer
-	if err := ix.Encode(&valid); err != nil {
+	if _, err := ix.EncodeWithTOC(&valid); err != nil {
 		f.Fatalf("encoding seed: %v", err)
 	}
 	f.Add(valid.Bytes())
@@ -68,7 +68,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Accepted input must be structurally sound enough to encode.
 		var buf bytes.Buffer
-		if err := got.Encode(&buf); err != nil {
+		if _, err := got.EncodeWithTOC(&buf); err != nil {
 			t.Fatalf("accepted input failed to re-encode: %v", err)
 		}
 		// Postings may only reference stored documents.

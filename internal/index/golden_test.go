@@ -113,7 +113,7 @@ func decodeBytes(t testing.TB, payload []byte) *index.Index {
 func TestEncodeGolden(t *testing.T) {
 	ix := goldenIndex()
 	var payload bytes.Buffer
-	if err := ix.Encode(&payload); err != nil {
+	if _, err := ix.EncodeWithTOC(&payload); err != nil {
 		t.Fatal(err)
 	}
 	decoded := decodeBytes(t, payload.Bytes())

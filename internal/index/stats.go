@@ -17,7 +17,7 @@ import "math"
 // reproduces the monolithic ranking exactly.
 
 // FieldTerm names one (field, analyzed term) pair — the unit of a query's
-// statistics footprint (see semindex.QueryFootprint and the shard
+// statistics footprint (see semindex.PreparedQuery.Footprint and the shard
 // engine's scoped cache validation).
 type FieldTerm struct {
 	Field string

@@ -122,7 +122,7 @@ func TestStoredRoundTrip(t *testing.T) {
 // source that loses none: the two damaged chunks are rewritten, every
 // other chunk is shared by pointer, and no index appends to a shared chunk
 // afterwards. The merge must encode like a build of the survivors, and its
-// documents must survive Encode → Decode and a mapped open.
+// documents must survive EncodeWithTOC → Decode and a mapped open.
 func TestStoredMergeSharesWholeChunks(t *testing.T) {
 	docsA, docsB := storedTestDocs(0, 400), storedTestDocs(400, 450)
 	a, b := New(nil), New(nil)
@@ -167,10 +167,10 @@ func TestStoredMergeSharesWholeChunks(t *testing.T) {
 		}
 	}
 	var got, rebuilt bytes.Buffer
-	if err := merged.Encode(&got); err != nil {
+	if _, err := merged.EncodeWithTOC(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Encode(&rebuilt); err != nil {
+	if _, err := want.EncodeWithTOC(&rebuilt); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), rebuilt.Bytes()) {
@@ -179,7 +179,7 @@ func TestStoredMergeSharesWholeChunks(t *testing.T) {
 	heap, mapped, _, _ := openMappedPair(t, merged)
 	for id, d := range survivors {
 		if !sameDoc(heap.Doc(id), d) || !sameDoc(mapped.Doc(id), d) {
-			t.Fatalf("doc %d does not survive Encode → Decode and OpenMapped", id)
+			t.Fatalf("doc %d does not survive EncodeWithTOC → Decode and OpenMapped", id)
 		}
 	}
 

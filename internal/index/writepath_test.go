@@ -17,7 +17,7 @@ import (
 func roundTrip(t *testing.T, ix *Index) *Index {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
+	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf, ix.analyzer)
@@ -152,10 +152,10 @@ func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 		}
 	}
 	var got, rebuilt bytes.Buffer
-	if err := merged.Encode(&got); err != nil {
+	if _, err := merged.EncodeWithTOC(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Encode(&rebuilt); err != nil {
+	if _, err := want.EncodeWithTOC(&rebuilt); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), rebuilt.Bytes()) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/semindex"
 	"repro/internal/shard"
 )
@@ -70,10 +71,11 @@ func TestGenerateQueriesRespectsMix(t *testing.T) {
 // error-free, touch every query class and produce ordered quantiles.
 func TestRunAgainstEngine(t *testing.T) {
 	g := corpus.New(corpus.Spec{TargetDocs: 1200, Seed: 3, Teams: 16})
-	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{Shards: 2, CacheBytes: 1 << 20})
+	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatalf("BuildStream: %v", err)
 	}
+	eng.EnableCache(1<<20, obs.NewRegistry())
 	queries := GenerateQueries(VocabFromUniverse(g.Universe()), nil, 200, 5)
 	cfg := Config{
 		Workers:  4,

@@ -14,13 +14,14 @@ import (
 // stalls that should have been deadlined.
 //
 // Above 100ms the layout is denser than a pure powers-of-~2.5 ladder
-// (0.075/0.15/0.35/0.75/1.5 interleave the original bounds): the load
-// harness reports p999 from these histograms, and at million-doc corpus
-// sizes the tail lands exactly in the 100ms–2s range where the old
-// layout jumped 2.5x between bounds — too coarse for a p999 estimate to
-// mean anything. The new layout is a strict superset of the old one, so
-// Prometheus series recorded at the old le= bounds keep their meaning
-// (TestLatencyBucketsP999Resolution pins both properties).
+// (0.075/0.15/0.35/0.75/1.5 interleave the original bounds): a p999 read
+// off /metrics with Prometheus histogram_quantile() interpolates inside
+// one bucket, and at million-doc corpus sizes the tail lands exactly in
+// the 100ms–2s range where the old layout jumped 2.5x between bounds —
+// too coarse for such an estimate to mean anything. The new layout is a
+// strict superset of the old one, so Prometheus series recorded at the
+// old le= bounds keep their meaning (TestLatencyBucketsP999Resolution
+// pins both properties).
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.075, 0.1, 0.15, 0.25, 0.35, 0.5, 0.75, 1, 1.5, 2.5, 5, 10,
@@ -100,44 +101,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return bitsFloat(h.sum.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the owning bucket — the same estimate a Prometheus
-// histogram_quantile() would produce. It returns NaN with no observations.
-// Values in the +Inf bucket clamp to the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 || q <= 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) {
-				// +Inf bucket: the best point estimate is the last bound.
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (h.bounds[i]-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/semindex"
 )
 
-// routedFootprint is QueryFootprint as it was while it kept its own copy
-// of the query routing: TRAD expands over the narration field, PHR_EXP
+// routedFootprint is the footprint as it was derived while it kept its own
+// copy of the query routing: TRAD expands over the narration field, PHR_EXP
 // fuses "by/of/to X" pairs into the phrase fields, everything else expands
 // over the standard query boosts; any token that could be parser syntax on
 // some index makes the footprint unknowable. It is the reference the
@@ -77,13 +77,13 @@ func routedFootprint(level semindex.Level, an index.Analyzer, query string) ([]i
 	return out, true
 }
 
-// TestQueryFootprintMatchesBoundQuery checks, for the repository
+// TestPreparedFootprintMatchesBoundQuery checks, for the repository
 // benchmark's four query classes and some phrasal and degenerate keyword
 // queries at all five levels, that the footprint read off the query that
 // runs is the footprint the separately maintained routing used to derive:
 // the same (field, term) pairs, and the same verdict on which queries have
 // none to give.
-func TestQueryFootprintMatchesBoundQuery(t *testing.T) {
+func TestPreparedFootprintMatchesBoundQuery(t *testing.T) {
 	gen := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
 	pages := make([]*crawler.MatchPage, 3)
 	for i := range pages {
@@ -116,7 +116,7 @@ func TestQueryFootprintMatchesBoundQuery(t *testing.T) {
 		si := b.Build(level, pages)
 		known := 0
 		for _, q := range queries {
-			got, ok := si.QueryFootprint(q)
+			got, ok := si.Prepare(q).Footprint()
 			want, wantOK := routedFootprint(level, si.Index.Analyzer(), q)
 			if ok != wantOK {
 				t.Fatalf("%s %q: footprint known = %v, the routing says %v", level, q, ok, wantOK)

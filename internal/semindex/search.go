@@ -90,11 +90,6 @@ func (q PreparedQuery) Footprint() (fp []index.FieldTerm, ok bool) {
 	return index.QueryTerms(q.bound), true
 }
 
-// QueryFootprint is Prepare(query).Footprint().
-func (s *SemanticIndex) QueryFootprint(query string) ([]index.FieldTerm, bool) {
-	return s.Prepare(query).Footprint()
-}
-
 // routeQuery builds the level's query for the text; advanced says whether
 // the text uses parser-level operators (see hasAdvancedSyntax).
 func routeQuery(level Level, advanced bool, query string) index.Query {

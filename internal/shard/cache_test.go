@@ -2,10 +2,12 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/crawler"
 	"repro/internal/eval"
@@ -94,12 +96,12 @@ func TestCacheInvalidationEquivalence(t *testing.T) {
 			t.Fatalf("%s: warmup status %q", q.ID, res.Cache)
 		}
 	}
-	epochBefore := e.Epoch()
+	epochsBefore := append([]uint64(nil), e.epochs...)
 
 	ingestPage(e, pages[len(pages)-1])
 
-	if e.Epoch() == epochBefore {
-		t.Fatal("Ingest did not advance the engine epoch")
+	if slices.Equal(e.epochs, epochsBefore) {
+		t.Fatal("Ingest did not advance any shard epoch")
 	}
 	for _, q := range eval.PaperQueries() {
 		res, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: 10})
@@ -262,5 +264,16 @@ func TestConcurrentCachedSearchAndIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameHits(t, q.ID+"/final", res.Hits, cold.Hits)
+	}
+}
+
+// TestEntryBytesChargesHitSize: a cached answer is charged what its hit
+// structs occupy, not a padded guess — an overcharge makes a cache of a
+// given capacity hold fewer hits than it is sized for.
+func TestEntryBytesChargesHitSize(t *testing.T) {
+	hits := make([]semindex.Hit, 1000)
+	got := entryBytes("q", hits) - entryBytes("q", nil)
+	if want := int64(len(hits)) * int64(unsafe.Sizeof(semindex.Hit{})); got != want {
+		t.Fatalf("1000 hits charged %d bytes, want %d", got, want)
 	}
 }

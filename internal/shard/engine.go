@@ -98,10 +98,6 @@ type Options struct {
 	// Parallelism bounds the page-preparation worker pool; 0 means
 	// GOMAXPROCS. Shard commits always run with one worker per shard.
 	Parallelism int
-	// CacheBytes, when > 0, installs a query-result cache of that
-	// capacity (with request coalescing) on the built engine, registered
-	// against obs.Default. Use EnableCache for an isolated registry.
-	CacheBytes int64
 	// ChunkPages bounds how many pages BuildStream materializes at a
 	// time (0 means 512). Peak build working memory beyond the index
 	// itself is one chunk's pages plus their prepared documents,
@@ -116,11 +112,6 @@ type Options struct {
 type Engine struct {
 	level   semindex.Level
 	builder *semindex.Builder
-
-	// shards aliases each shard's base semantic index (base[s].si) — the
-	// view Save, Shard and the statistics exchange work from. Swapped
-	// together with base under the write lock when a merge lands.
-	shards []*semindex.SemanticIndex
 
 	// mu guards the mutable state below: ingest and merge swaps take the
 	// write side while concurrent searches hold the read side.
@@ -149,12 +140,10 @@ type Engine struct {
 	// search path.
 	met *engineMetrics
 
-	// epoch counts ingests engine-wide — the coarse "anything changed"
-	// counter. epochs (guarded by mu) is the per-shard refinement: an
-	// ingest bumps only the shards it wrote to or tombstoned in, which is
-	// what lets the query cache keep answers whose shard-set the write
-	// does not intersect (scoped invalidation, see search.go).
-	epoch  atomic.Uint64
+	// epochs (guarded by mu) counts content changes per shard: an ingest
+	// bumps only the shards it wrote to or tombstoned in, which is what
+	// lets the query cache keep answers whose shard-set the write does not
+	// intersect (scoped invalidation, see search.go).
 	epochs []uint64
 	// exhaustive mirrors SetExhaustiveScoring so segments created later
 	// inherit the scoring mode.
@@ -164,8 +153,8 @@ type Engine struct {
 
 	// cache and flight are the optional query-result cache and its
 	// singleflight group (see internal/qcache). Installed before serving
-	// traffic — Options.CacheBytes or EnableCache — and swapped only
-	// under the write lock; nil means every query runs cold.
+	// traffic by EnableCache and swapped only under the write lock; nil
+	// means every query runs cold.
 	cache  *qcache.Cache
 	flight *qcache.Group
 
@@ -215,7 +204,6 @@ func newEngine(level semindex.Level, b *semindex.Builder, n int) *Engine {
 	return &Engine{
 		level:    level,
 		builder:  b,
-		shards:   make([]*semindex.SemanticIndex, n),
 		base:     make([]*subIndex, n),
 		segs:     make([][]*subIndex, n),
 		epochs:   make([]uint64, n),
@@ -332,9 +320,7 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 	}
 	e := newEngine(level, b, n)
 	for s := 0; s < n; s++ {
-		si := &semindex.SemanticIndex{Level: level, Index: index.New(b.Analyzer)}
-		e.shards[s] = si
-		e.base[s] = &subIndex{si: si}
+		e.base[s] = &subIndex{si: &semindex.SemanticIndex{Level: level, Index: index.New(b.Analyzer)}}
 	}
 
 	chunk := opts.ChunkPages
@@ -365,10 +351,6 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 
 	e.liveDocs = len(e.byGID)
 	e.exchangeStats()
-	if opts.CacheBytes > 0 {
-		e.cache = qcache.New(opts.CacheBytes, 0, obs.Default)
-		e.flight = qcache.NewGroup(obs.Default)
-	}
 	e.met.build.ObserveDuration(time.Since(buildStart))
 	return e, nil
 }
@@ -423,9 +405,10 @@ func (e *Engine) commitChunk(b *semindex.Builder, level semindex.Level, pages []
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			ix := e.base[s].si.Index
 			for _, pi := range pagesByShard[s] {
 				for _, d := range docsByPage[pi] {
-					e.shards[s].Index.Add(d)
+					ix.Add(d)
 				}
 			}
 		}(s)
@@ -447,26 +430,6 @@ func (e *Engine) EnableCache(maxBytes int64, r *obs.Registry) {
 	}
 	e.cache = qcache.New(maxBytes, 0, r)
 	e.flight = qcache.NewGroup(r)
-}
-
-// QueryCache exposes the installed query-result cache (nil when caching
-// is off) — for stats endpoints and tests.
-func (e *Engine) QueryCache() *qcache.Cache {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cache
-}
-
-// Epoch returns the engine's total ingest counter. Every ingest advances
-// it; merges do not (they change nothing observable).
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
-
-// ShardEpochs returns a copy of the per-shard content epochs — the
-// counters scoped cache invalidation keys on.
-func (e *Engine) ShardEpochs() []uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]uint64(nil), e.epochs...)
 }
 
 // subsLocked lists one shard's sub-indexes: base first, then segments in
@@ -514,7 +477,6 @@ func (e *Engine) exchangeStats() {
 	for s := range e.epochs {
 		e.epochs[s]++
 	}
-	e.epoch.Add(1)
 }
 
 // SetExhaustiveScoring routes every sub-index through the term-at-a-time
@@ -538,7 +500,7 @@ func (e *Engine) SetExhaustiveScoring(on bool) {
 func (e *Engine) Level() semindex.Level { return e.level }
 
 // NumShards returns the partition count.
-func (e *Engine) NumShards() int { return len(e.shards) }
+func (e *Engine) NumShards() int { return len(e.base) }
 
 // NumDocs returns the number of live documents — ingested (including
 // not-yet-merged segment documents, which are searchable the moment
@@ -571,7 +533,7 @@ func (e *Engine) Doc(gid int) *index.Document {
 func (e *Engine) Shard(i int) *semindex.SemanticIndex {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.shards[i]
+	return e.base[i].si
 }
 
 // Stats summarizes the engine: the exchanged corpus-wide view plus each
@@ -596,7 +558,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := Stats{Shards: len(e.shards), Docs: e.liveDocs, Global: e.global}
+	st := Stats{Shards: len(e.base), Docs: e.liveDocs, Global: e.global}
 	for s := range e.base {
 		ps := e.base[s].si.Index.Stats()
 		for _, sub := range e.segs[s] {

@@ -43,11 +43,9 @@ type MergeHint int
 const (
 	// MergeAuto nudges the background merger (if running) — the default.
 	MergeAuto MergeHint = iota
-	// MergeNone leaves the new segment alone until policy catches up.
+	// MergeNone leaves the new segment alone until the merger's next
+	// tick or ForceMerge.
 	MergeNone
-	// MergeNow compacts every shard synchronously before returning —
-	// for tests and checkpoint-shaped callers, not the hot path.
-	MergeNow
 )
 
 // Atomicity selects the WAL record layout, which is what the batch's
@@ -110,7 +108,7 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		return IngestResult{}, err
 	}
 	if len(pages) == 0 {
-		return IngestResult{PerShard: make([]int, len(e.shards)), Durability: "none"}, nil
+		return IngestResult{PerShard: make([]int, len(e.base)), Durability: "none"}, nil
 	}
 	docsByPage := e.prepareDocs(pages)
 	if err := ctx.Err(); err != nil {
@@ -161,17 +159,14 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	}
 	if committed == 0 {
 		e.mu.Unlock()
-		return IngestResult{PerShard: make([]int, len(e.shards))}, walErr
+		return IngestResult{PerShard: make([]int, len(e.base))}, walErr
 	}
 	res := e.commitLocked(pages[:committed], docsByPage[:committed])
 	res.Durability = ack
 	e.mu.Unlock()
 	e.met.ingest.ObserveDuration(time.Since(start))
 
-	switch opts.Merge {
-	case MergeNow:
-		e.ForceMerge()
-	case MergeAuto:
+	if opts.Merge == MergeAuto {
 		e.nudgeMerger()
 	}
 	return res, walErr
@@ -311,7 +306,6 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			e.epochs[s]++
 		}
 	}
-	e.epoch.Add(1)
 	e.updateLSMGaugesLocked()
 	return res
 }

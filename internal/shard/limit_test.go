@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/semindex"
 )
 
@@ -29,7 +30,8 @@ func TestSearchNegativeLimitNormalized(t *testing.T) {
 // then hit — one cache slot per query, not one per spelling of "all".
 func TestCacheKeyStableAcrossNegativeLimits(t *testing.T) {
 	pages, _ := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2, CacheBytes: 1 << 20})
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
+	e.EnableCache(1<<20, obs.NewRegistry())
 	const q = "corner kick"
 
 	res, err := e.Search(context.Background(), q, SearchOptions{Limit: 0})

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/eval"
@@ -167,7 +168,7 @@ func scopedFixture(t *testing.T, e *Engine, pages []*crawler.MatchPage) (string,
 	for _, p := range pages {
 		s := shardFor(p.ID, len(e.base))
 		for _, q := range cands {
-			fp, ok := e.shards[0].QueryFootprint(q)
+			fp, ok := e.base[0].si.Prepare(q).Footprint()
 			if !ok || len(fp) == 0 {
 				continue
 			}
@@ -409,6 +410,107 @@ func TestSaveLoadMidLSMState(t *testing.T) {
 	}
 	for _, q := range eval.PaperQueries() {
 		assertSameHits(t, q.ID+"/post-reload-upsert", searchN(e2, q.Keywords, 0), searchN(e, q.Keywords, 0))
+	}
+}
+
+// TestWALReplayUpsertsOntoMappedBase: batches acknowledged after a Save
+// that replace already-saved pages — one atomic batch, one per-page batch
+// — and are never checkpointed replay on a mapped reopen by tombstoning
+// documents that live in the mapped base. The recovered engine must equal
+// the monolithic oracle after the same upserts, before and after the
+// replayed segments merge into a new mapped base.
+func TestWALReplayUpsertsOntoMappedBase(t *testing.T) {
+	pages, _ := fixture(t)
+	ctx := context.Background()
+	base := filepath.Join(t.TempDir(), "idx.bin")
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
+	if err := e.Save(base); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := e.AttachWAL(base, wal.Options{Policy: wal.SyncAlways}); err != nil {
+		t.Fatalf("AttachWAL: %v", err)
+	}
+	oracle := newMonoOracle(pages)
+	for _, b := range []struct {
+		pages []*crawler.MatchPage
+		opts  IngestOptions
+	}{
+		{[]*crawler.MatchPage{trimPage(pages[0]), trimPage(pages[3])}, IngestOptions{Atomicity: AtomicBatch}},
+		{[]*crawler.MatchPage{trimPage(pages[1]), trimPage(pages[4])}, IngestOptions{Atomicity: PerPage}},
+	} {
+		res, err := e.Ingest(ctx, b.pages, b.opts)
+		if err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		if res.Tombstones == 0 {
+			t.Fatalf("changed versions tombstoned nothing: %+v", res)
+		}
+		for _, p := range b.pages {
+			oracle.update(p)
+		}
+	}
+	// Crash after the acks: the log is closed, the snapshot never rewritten.
+	if err := e.CloseWAL(); err != nil {
+		t.Fatalf("CloseWAL: %v", err)
+	}
+
+	m, err := LoadWith(base, nil, LoadOptions{Mapped: true})
+	if err != nil {
+		t.Fatalf("LoadWith(Mapped): %v", err)
+	}
+	defer m.Close()
+	if got, want := m.LoadReport().WALReplayed, 3; got != want {
+		t.Fatalf("replayed %d records, want %d (one atomic, two per-page)", got, want)
+	}
+	for s := range m.base {
+		if m.base[s].release == nil {
+			t.Fatalf("shard %d base is not mapped", s)
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		if got, want := m.NumDocs(), oracle.si.Index.LiveDocs(); got != want {
+			t.Fatalf("%s: NumDocs = %d, oracle %d", label, got, want)
+		}
+		for _, q := range eval.PaperQueries() {
+			assertSameHits(t, q.ID+"/"+label, searchN(m, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
+		}
+	}
+	check("replayed")
+	m.ForceMerge()
+	if st := m.Stats(); st.Segments != 0 || st.Tombstones != 0 {
+		t.Fatalf("ForceMerge left %d segments, %d tombstones", st.Segments, st.Tombstones)
+	}
+	check("merged")
+}
+
+// TestMergerCompactsAtSegmentThreshold: the background merger, started
+// with its fixed policy, compacts a shard once ingest has stacked four
+// segments on it, and the compaction leaves the ranking equal to the
+// monolithic oracle.
+func TestMergerCompactsAtSegmentThreshold(t *testing.T) {
+	pages, _ := fixture(t)
+	ctx := context.Background()
+	e := Build(nil, semindex.FullInf, pages[:2], Options{Shards: 1})
+	e.SetMetrics(obs.NewRegistry())
+	oracle := newMonoOracle(pages[:2])
+	e.StartMerger()
+	defer e.StopMerger()
+	for _, p := range pages[2:6] {
+		if _, err := e.Ingest(ctx, []*crawler.MatchPage{p}, IngestOptions{}); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		oracle.update(p)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().Segments >= mergeSegments {
+		if time.Now().After(deadline) {
+			t.Fatalf("merger left %d segments after 5s", e.Stats().Segments)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, q := range eval.PaperQueries() {
+		assertSameHits(t, q.ID, searchN(e, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
 	}
 }
 

@@ -86,7 +86,6 @@ func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
 		e.byGID[gid] = docRef{sub: nb, shard: s, local: local}
 	}
 	e.base[s] = nb
-	e.shards[s] = si
 	releaseSub(old)
 }
 

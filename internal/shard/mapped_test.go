@@ -364,7 +364,7 @@ func cachedDocs(e *Engine) int {
 }
 
 // TestBookkeepingReadsCacheNoDocuments: the reads that serve no hit — the
-// TOC builder and Encode on Save, DocMeta twice per document on every load,
+// TOC build in EncodeWithTOC on Save, DocMeta twice per document on every load,
 // AddDocStats on every document an upsert tombstones — decode stored
 // documents without publishing them, on a heap and on a mapped base alike,
 // so none of them leaves the corpus in a decode cache.

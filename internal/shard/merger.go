@@ -22,25 +22,18 @@ import (
 	"repro/internal/semindex"
 )
 
-// MergePolicy throttles the background merger.
-type MergePolicy struct {
-	// MaxSegments triggers compaction when a shard's segment count
-	// reaches it (0 means 4).
-	MaxSegments int
-	// Interval is the poll cadence (0 means 200ms). Ingest nudges the
-	// merger too, so the ticker is a backstop, not the latency floor.
-	Interval time.Duration
-}
+const (
+	// mergeSegments triggers compaction when a shard's segment count
+	// reaches it.
+	mergeSegments = 4
+	// mergeInterval is the merger's poll cadence. Ingest nudges the merger
+	// too, so the ticker is a backstop, not the latency floor.
+	mergeInterval = 200 * time.Millisecond
+)
 
 // StartMerger launches the background merger; a second call while one
 // runs is a no-op. Stop it with StopMerger before discarding the engine.
-func (e *Engine) StartMerger(p MergePolicy) {
-	if p.MaxSegments <= 0 {
-		p.MaxSegments = 4
-	}
-	if p.Interval <= 0 {
-		p.Interval = 200 * time.Millisecond
-	}
+func (e *Engine) StartMerger() {
 	e.mergerMu.Lock()
 	defer e.mergerMu.Unlock()
 	if e.mergerStop != nil {
@@ -52,7 +45,7 @@ func (e *Engine) StartMerger(p MergePolicy) {
 	e.mergerStop, e.mergerDone, e.mergeNudge = stop, done, nudge
 	go func() {
 		defer close(done)
-		t := time.NewTicker(p.Interval)
+		t := time.NewTicker(mergeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -68,7 +61,7 @@ func (e *Engine) StartMerger(p MergePolicy) {
 				default:
 				}
 				e.mu.RLock()
-				due := len(e.segs[s]) >= p.MaxSegments
+				due := len(e.segs[s]) >= mergeSegments
 				e.mu.RUnlock()
 				if due {
 					e.mergeShard(s)
@@ -218,7 +211,6 @@ func (e *Engine) applyMergedLocked(s int, subs []*subIndex, merged *index.Index,
 	}
 	oldBase := e.base[s]
 	e.base[s] = newBase
-	e.shards[s] = newBase.si
 	e.segs[s] = append([]*subIndex(nil), e.segs[s][nOldSegs:]...)
 	releaseSub(oldBase)
 	e.updateLSMGaugesLocked()

@@ -39,7 +39,7 @@ const (
 // nil (and every update a no-op) when built from a nil registry, so the
 // uninstrumented engine pays a nil check per event and nothing else.
 type engineMetrics struct {
-	// searches counts top-level queries (Search, SearchQuery).
+	// searches counts top-level Search calls.
 	searches *obs.Counter
 	// degraded counts deadline searches that lost at least one shard;
 	// missing counts the shards lost across them.
@@ -112,7 +112,7 @@ func newEngineMetrics(r *obs.Registry, shards int) *engineMetrics {
 func (e *Engine) SetMetrics(r *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.met = newEngineMetrics(r, len(e.shards))
+	e.met = newEngineMetrics(r, len(e.base))
 	e.updateLSMGaugesLocked()
 }
 

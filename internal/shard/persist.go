@@ -123,15 +123,14 @@ func (e *Engine) Save(base string) error {
 	if e.wal != nil {
 		m.WAL = filepath.Base(WALPath(base))
 	}
-	for i, sh := range e.shards {
+	for i, b := range e.base {
 		path := shardGenPath(base, newGen, i)
-		sh := sh
 		size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
 			// The TOC captures the identity metadata (global docID, page ID)
 			// so a mapped reload rebuilds its ID maps without inflating a
 			// single stored document. On an already-mapped base this whole
 			// save is a raw byte copy of the mapped region.
-			return sh.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
+			return b.si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -161,7 +160,7 @@ func (e *Engine) Save(base string) error {
 		// frees that heap (and retires any merger scratch files) without
 		// changing anything observable. Best-effort per shard — a shard
 		// that fails to map simply keeps serving from the heap.
-		for i := range e.shards {
+		for i := range e.base {
 			e.adoptMappedBaseLocked(i, filepath.Join(filepath.Dir(base), m.Files[i].Name), m.Files[i])
 		}
 	}
@@ -645,7 +644,6 @@ func releaseClosers(closers []func() error) {
 // must start numbering there.
 func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quarantined []int, nextGID int) (*Engine, error) {
 	e := newEngine(shards[0].Level, semindex.NewBuilder(), len(shards))
-	e.shards = shards
 	e.quarantined = append([]int(nil), quarantined...)
 	sort.Ints(e.quarantined)
 	total := 0

@@ -31,13 +31,11 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 		t.Skip("builds a 10k-doc engine")
 	}
 	g := corpus.New(corpus.Spec{TargetDocs: 10_000, Seed: 21})
-	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{
-		Shards:     4,
-		CacheBytes: 8 << 20,
-	})
+	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{Shards: 4})
 	if err != nil {
 		t.Fatalf("BuildStream: %v", err)
 	}
+	eng.EnableCache(8<<20, obs.NewRegistry())
 	eng.SetMetrics(obs.NewRegistry())
 
 	// Ingest pages from the same universe (fresh seed, no fixtures) so the
@@ -64,7 +62,7 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 			eng.Ingest(context.Background(), []*crawler.MatchPage{p}, shard.IngestOptions{})
 		}
 	}()
-	epochBefore := eng.Epoch()
+	docsBefore := eng.NumDocs()
 	res, err := loadgen.Run(context.Background(), &loadgen.EngineTarget{Eng: eng}, loadgen.Config{
 		Workers:  8,
 		Requests: 1_500,
@@ -72,6 +70,7 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 		Seed:     24,
 		Queries:  queries,
 	})
+	docsAfter := eng.NumDocs()
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -79,8 +78,8 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d errors during concurrent load", res.Errors)
 	}
-	if eng.Epoch() == epochBefore {
-		t.Fatalf("ingest never advanced the epoch — the test raced nothing")
+	if docsAfter == docsBefore {
+		t.Fatalf("NumDocs did not move while the searchers ran — the test raced nothing")
 	}
 
 	// Quiesced: every cached answer must be byte-identical to a cold
@@ -129,15 +128,13 @@ func TestLSMIngestVsSearchAt10k(t *testing.T) {
 		t.Skip("builds a 10k-doc engine")
 	}
 	g := corpus.New(corpus.Spec{TargetDocs: 10_000, Seed: 41})
-	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{
-		Shards:     4,
-		CacheBytes: 8 << 20,
-	})
+	eng, err := shard.BuildStream(nil, semindex.FullInf, g, shard.Options{Shards: 4})
 	if err != nil {
 		t.Fatalf("BuildStream: %v", err)
 	}
+	eng.EnableCache(8<<20, obs.NewRegistry())
 	eng.SetMetrics(obs.NewRegistry())
-	eng.StartMerger(shard.MergePolicy{})
+	eng.StartMerger()
 	defer eng.StopMerger()
 
 	fresh := corpus.New(corpus.Spec{TargetDocs: 1_200, Seed: 42, NoCoverage: true})

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -77,11 +78,11 @@ type SearchResult struct {
 // and named in the report (degraded serving). A ctx that is already done
 // returns its error without searching.
 //
-// When a query-result cache is installed (Options.CacheBytes or
-// EnableCache), complete answers are cached and validated with SCOPED
-// invalidation: each entry captures the per-shard epochs, the query's
-// statistics footprint and the shard-set it drew from, and a lookup
-// proves the entry still byte-identical to a cold scatter — an ingest
+// When a query-result cache is installed (EnableCache), complete
+// answers are cached and validated with SCOPED invalidation: each entry
+// captures the per-shard epochs, the query's statistics footprint and
+// the shard-set it drew from, and a lookup proves the entry still
+// byte-identical to a cold scatter — an ingest
 // into a shard outside the entry's shard-set that leaves the footprint's
 // statistics untouched does not evict it. Entries that cannot be proven
 // current are evicted on the spot. Degraded answers are never cached.
@@ -287,8 +288,7 @@ func (e *Engine) cacheKey(query string, opts SearchOptions) string {
 // index (the cache holds pointers, not copies), so they are not charged.
 func entryBytes(key string, hits []semindex.Hit) int64 {
 	const entryOverhead = 192 // entry + snapshot bookkeeping
-	const hitSize = 40        // DocID + Score + Doc pointer, padded
-	return int64(len(key)) + entryOverhead + int64(len(hits))*hitSize
+	return int64(len(key)) + entryOverhead + int64(len(hits))*int64(unsafe.Sizeof(semindex.Hit{}))
 }
 
 // cloneHits copies a hit slice so cache, leader and followers never
@@ -372,7 +372,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 // happens to. Read lock required.
 func (e *Engine) prepareLocked(query string) semindex.PreparedQuery {
 	hasField := func(name string) bool { return e.global.Fields[name] != nil }
-	return semindex.Prepare(e.level, e.shards[0].Index.Analyzer(), hasField, query)
+	return semindex.Prepare(e.level, e.base[0].si.Index.Analyzer(), hasField, query)
 }
 
 // rankedHit is a hit on its way through the scatter-gather: ranked by
@@ -443,24 +443,10 @@ func mergeRanked(lists [][]rankedHit, limit int) []rankedHit {
 	return out
 }
 
-// SearchQuery scatters an already-built query across the shards — the
-// hook for programmatic callers that bypass the keyword front-end. It is
-// not cached: structured queries have no stable normalization to key on.
-func (e *Engine) SearchQuery(q index.Query, limit int) []semindex.Hit {
-	if limit < 0 {
-		limit = 0
-	}
-	start := time.Now()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	e.met.searches.Inc()
-	hits := e.merge(nil, e.searchQueryLocked(q, limit), limit)
-	e.met.latency.ObserveDuration(time.Since(start))
-	return hits
-}
-
+// searchQueryLocked scatters an already-built query (Related's
+// more-like-this query) across the shards. Read lock required.
 func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]rankedHit {
-	q = index.AnalyzeQuery(q, e.shards[0].Index.Analyzer())
+	q = index.AnalyzeQuery(q, e.base[0].si.Index.Analyzer())
 	return e.scatter(nil, func(s int) []rankedHit {
 		return e.searchShardLocked(s, limit, func(si *semindex.SemanticIndex) []index.Hit {
 			return si.Index.Search(q, limit)
@@ -688,7 +674,7 @@ func (e *Engine) Suggest(query string) string {
 	if e.level == semindex.Trad {
 		boosts = semindex.TradBoosts
 	}
-	return semindex.CorrectQuery(e.shards[0].Index.Analyzer(), boosts, query,
+	return semindex.CorrectQuery(e.base[0].si.Index.Analyzer(), boosts, query,
 		e.global.DocFreq, e.globalTerms)
 }
 
