@@ -186,15 +186,16 @@ func BenchmarkIndexBuild(b *testing.B) {
 // benchmarkPages is the first 30 pages of the repository benchmark's corpus
 // (the pages semindex's and index's golden files are recorded on).
 func benchmarkPages(b *testing.B) []*crawler.MatchPage {
-	pages, _ := benchmarkCorpus(b)
+	pages, _ := benchmarkCorpus(b, 30)
 	return pages
 }
 
-// benchmarkCorpus is benchmarkPages with the generator that made them,
-// whose universe the repository benchmark templates its queries from.
-func benchmarkCorpus(b *testing.B) ([]*crawler.MatchPage, *corpus.Generator) {
+// benchmarkCorpus is the first n pages of the repository benchmark's
+// corpus with the generator that made them, whose universe the repository
+// benchmark templates its queries from.
+func benchmarkCorpus(b *testing.B, n int) ([]*crawler.MatchPage, *corpus.Generator) {
 	gen := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
-	pages := make([]*crawler.MatchPage, 30)
+	pages := make([]*crawler.MatchPage, n)
 	for i := range pages {
 		p, err := gen.NextPage()
 		if err != nil {
@@ -211,7 +212,7 @@ func benchmarkCorpus(b *testing.B) ([]*crawler.MatchPage, *corpus.Generator) {
 // class of that workload (64 queries each, templated the same way). ns/op
 // and allocs/op are per search: scatter, two kernels, global merge.
 func BenchmarkQueryCold(b *testing.B) {
-	pages, gen := benchmarkCorpus(b)
+	pages, gen := benchmarkCorpus(b, 30)
 	eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, pages, shard.Options{Shards: 2})
 	defer eng.Close()
 	benchmarkQueryClasses(b, eng, gen, false)
@@ -224,7 +225,7 @@ func BenchmarkQueryCold(b *testing.B) {
 // the stored chunks of the hits inflate there, as in the workload's
 // first-touch pass.
 func BenchmarkQueryMapped(b *testing.B) {
-	pages, gen := benchmarkCorpus(b)
+	pages, gen := benchmarkCorpus(b, 30)
 	heap := shard.Build(semindex.NewBuilder(), semindex.FullInf, pages, shard.Options{Shards: 2})
 	base := filepath.Join(b.TempDir(), "idx.bin")
 	err := heap.Save(base)
@@ -762,11 +763,17 @@ func BenchmarkAblationBM25(b *testing.B) {
 }
 
 // BenchmarkShardedBuild contrasts the monolithic FULL_INF build with the
-// sharded engine's three-phase parallel build at growing shard counts.
-// On a multi-core runner the sharded build pulls ahead from ~4 shards:
-// page preparation parallelizes identically in both, but the monolith
-// commits every document on one goroutine while shards commit (analyze
-// and post) concurrently.
+// sharded engine's streamed build at growing shard counts. On a
+// multi-core runner the sharded build pulls ahead from ~4 shards: page
+// preparation parallelizes identically in both, but the monolith commits
+// every document on one goroutine while shards commit (analyze and post)
+// concurrently, each chunk's commits overlapping the next chunk's
+// preparation.
+//
+// The stream arm is the repository benchmark's bulk_build shape without
+// its harness: 200 generated pages, 2 shards, serial preparation,
+// two-page chunks. Its docs/s is the in-process rate a real stream sees,
+// with no pauses at chunk boundaries for the pipeline to fill.
 func BenchmarkShardedBuild(b *testing.B) {
 	e := env(10)
 	b.Run("monolith", func(b *testing.B) {
@@ -785,6 +792,18 @@ func BenchmarkShardedBuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("stream", func(b *testing.B) {
+		pages, _ := benchmarkCorpus(b, 200)
+		builder := semindex.NewBuilder()
+		docs := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng := shard.Build(builder, semindex.FullInf, pages, shard.Options{Shards: 2, Parallelism: 1, ChunkPages: 2})
+			docs += eng.NumDocs()
+		}
+		b.ReportMetric(float64(docs)/b.Elapsed().Seconds(), "docs/s")
+	})
 }
 
 // BenchmarkShardedSearch sweeps query latency across corpus sizes for the

@@ -100,8 +100,9 @@ type Options struct {
 	Parallelism int
 	// ChunkPages bounds how many pages BuildStream materializes at a
 	// time (0 means 512). Peak build working memory beyond the index
-	// itself is one chunk's pages plus their prepared documents,
-	// independent of corpus size.
+	// itself is two chunks — one chunk's pages and documents being
+	// prepared while the previous chunk's documents commit — independent
+	// of corpus size.
 	ChunkPages int
 }
 
@@ -299,16 +300,19 @@ func (s *sliceSource) NextPage() (*crawler.MatchPage, error) {
 // documents prepared on a worker pool (extraction, population,
 // inference — the expensive, embarrassingly-parallel part), global
 // docIDs assigned in arrival order (the order the monolith would use),
-// and each shard's slice committed concurrently; then the chunk is
-// dropped and the next one pulled. Build working memory beyond the
-// index itself is therefore one chunk, independent of corpus size —
-// the property that lets a million-document synthetic corpus
-// (internal/corpus) build without ever materializing the corpus.
+// and each shard's slice committed concurrently. The commits run in the
+// background while the next chunk is pulled and prepared, so preparation
+// and indexing overlap; at most one chunk's commits are in flight. Build
+// working memory beyond the index itself is therefore two chunks,
+// independent of corpus size — the property that lets a million-document
+// synthetic corpus (internal/corpus) build without ever materializing
+// the corpus. Every return, the source-error one included, waits for the
+// in-flight commits first.
 //
 // The produced engine is identical — document identity, statistics,
 // ranking — to Build over the same pages in the same order, because
-// chunking changes when documents are prepared but not the order global
-// docIDs are assigned or the order each shard commits.
+// chunking and pipelining change when documents are prepared but not the
+// order global docIDs are assigned or the order each shard commits.
 func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts Options) (*Engine, error) {
 	buildStart := time.Now()
 	if b == nil {
@@ -332,6 +336,10 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// commits tracks the previous chunk's shard commits; the deferred
+	// Wait covers every return path, so no commit outlives the build.
+	var commits sync.WaitGroup
+	defer commits.Wait()
 	buf := make([]*crawler.MatchPage, 0, chunk)
 	for {
 		page, err := src.NextPage()
@@ -343,11 +351,12 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 		}
 		buf = append(buf, page)
 		if len(buf) == chunk {
-			e.commitChunk(b, level, buf, workers)
+			e.commitChunk(&commits, buf, workers)
 			buf = buf[:0]
 		}
 	}
-	e.commitChunk(b, level, buf, workers)
+	e.commitChunk(&commits, buf, workers)
+	commits.Wait()
 
 	e.liveDocs = len(e.byGID)
 	e.exchangeStats()
@@ -355,34 +364,21 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 	return e, nil
 }
 
-// commitChunk runs the three build phases over one chunk of pages.
-// Only called before the engine serves traffic, so no locking.
-func (e *Engine) commitChunk(b *semindex.Builder, level semindex.Level, pages []*crawler.MatchPage, workers int) {
+// commitChunk runs the three build phases over one chunk of pages and
+// returns with the chunk's shard commits still running under commits.
+// Phases 1 and 2 overlap the previous chunk's commits; phase 3 waits for
+// them before launching this chunk's, so every shard receives its
+// documents in global order. The commits read only the prepared
+// documents, never pages, so the caller may refill pages at once. Only
+// called before the engine serves traffic, so no locking.
+func (e *Engine) commitChunk(commits *sync.WaitGroup, pages []*crawler.MatchPage, workers int) {
 	if len(pages) == 0 {
 		return
 	}
 	n := len(e.base)
 
 	// Phase 1: prepare per-page documents in parallel.
-	docsByPage := make([][]*index.Document, len(pages))
-	if workers <= 1 || len(pages) < 2 {
-		for i, page := range pages {
-			docsByPage[i] = b.PageDocuments(level, page)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, page := range pages {
-			wg.Add(1)
-			go func(i int, page *crawler.MatchPage) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				docsByPage[i] = b.PageDocuments(level, page)
-			}(i, page)
-		}
-		wg.Wait()
-	}
+	docsByPage := e.prepareDocs(pages, workers)
 
 	// Phase 2: assign global docIDs in page order. Local commit order per
 	// shard follows global order, so the shard/local mapping is known here.
@@ -399,12 +395,13 @@ func (e *Engine) commitChunk(b *semindex.Builder, level semindex.Level, pages []
 		}
 	}
 
-	// Phase 3: commit every shard concurrently.
-	var wg sync.WaitGroup
+	// Phase 3: once the previous chunk's commits are done, commit every
+	// shard concurrently in the background.
+	commits.Wait()
 	for s := 0; s < n; s++ {
-		wg.Add(1)
+		commits.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer commits.Done()
 			ix := e.base[s].si.Index
 			for _, pi := range pagesByShard[s] {
 				for _, d := range docsByPage[pi] {
@@ -413,7 +410,6 @@ func (e *Engine) commitChunk(b *semindex.Builder, level semindex.Level, pages []
 			}
 		}(s)
 	}
-	wg.Wait()
 }
 
 // EnableCache installs (maxBytes > 0) or removes (maxBytes <= 0) the

@@ -110,7 +110,7 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	if len(pages) == 0 {
 		return IngestResult{PerShard: make([]int, len(e.base)), Durability: "none"}, nil
 	}
-	docsByPage := e.prepareDocs(pages)
+	docsByPage := e.prepareDocs(pages, runtime.GOMAXPROCS(0))
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, err
 	}
@@ -182,15 +182,13 @@ func (e *Engine) walAppend(rec []byte, d Durability) error {
 }
 
 // prepareDocs runs the expensive document preparation (extraction,
-// population, inference) for every page on a worker pool, outside any
-// engine lock — searches and other ingests proceed while it runs.
-func (e *Engine) prepareDocs(pages []*crawler.MatchPage) [][]*index.Document {
+// population, inference) for every page on at most workers goroutines,
+// outside any engine lock — searches and other ingests proceed while it
+// runs. It is the one preparation pool: BuildStream passes
+// Options.Parallelism, Ingest GOMAXPROCS.
+func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index.Document {
 	docsByPage := make([][]*index.Document, len(pages))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 {
+	if workers <= 1 || len(pages) < 2 {
 		for i, p := range pages {
 			docsByPage[i] = e.builder.PageDocuments(e.level, p)
 		}
@@ -200,12 +198,12 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage) [][]*index.Document {
 	sem := make(chan struct{}, workers)
 	for i, p := range pages {
 		wg.Add(1)
-		go func(i int, p *crawler.MatchPage) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			docsByPage[i] = e.builder.PageDocuments(e.level, p)
-		}(i, p)
+		}()
 	}
 	wg.Wait()
 	return docsByPage
@@ -214,7 +212,7 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage) [][]*index.Document {
 // applyBatch is Ingest without the WAL append — the replay path: the
 // records being applied are already durable in the log.
 func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
-	docsByPage := e.prepareDocs(pages)
+	docsByPage := e.prepareDocs(pages, runtime.GOMAXPROCS(0))
 	e.mu.Lock()
 	e.commitLocked(pages, docsByPage)
 	e.mu.Unlock()
