@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"path/filepath"
 	"runtime/debug"
 	"testing"
 
@@ -34,12 +33,7 @@ import (
 // allocation per search. The equality holds only without -race, which
 // randomises what sync.Pool keeps.
 func TestSearchAllocationCeiling(t *testing.T) {
-	pages, _ := fixture(t)
-	heap := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	if err := heap.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	heap, base := saveFixture(t, 2)
 	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +76,7 @@ func TestSearchAllocationCeiling(t *testing.T) {
 		t.Log("instrumented vs uninstrumented equality not checked: -race makes pooled allocations random")
 		return
 	}
+	pages, _ := fixture(t)
 	single := Build(nil, semindex.FullInf, pages, Options{Shards: 1})
 	for _, c := range classes {
 		single.SetMetrics(obs.NewRegistry())

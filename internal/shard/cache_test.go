@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,15 +15,11 @@ import (
 	"repro/internal/semindex"
 )
 
-// cachedEngine builds a 4-shard engine over pages with the query cache
-// wired to a fresh registry, so tests can read the cache counters in
-// isolation.
-func cachedEngine(t testing.TB, pages int, r *obs.Registry) *Engine {
-	all, _ := fixture(t)
-	if pages <= 0 || pages > len(all) {
-		pages = len(all)
-	}
-	e := Build(nil, semindex.FullInf, all[:pages], Options{Shards: 4})
+// cachedEngine builds a 4-shard engine over the fixture with the query
+// cache wired to r, so tests can read the cache counters in isolation.
+func cachedEngine(t testing.TB, r *obs.Registry) *Engine {
+	pages, _ := fixture(t)
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 4})
 	e.EnableCache(1<<20, r)
 	return e
 }
@@ -34,7 +29,7 @@ func cachedEngine(t testing.TB, pages int, r *obs.Registry) *Engine {
 // (NoCache) run of the same query.
 func TestCacheHitIdenticalToCold(t *testing.T) {
 	r := obs.NewRegistry()
-	e := cachedEngine(t, 0, r)
+	e := cachedEngine(t, r)
 	for _, q := range eval.PaperQueries() {
 		cold, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: 10})
 		if err != nil {
@@ -69,7 +64,7 @@ func TestCacheHitIdenticalToCold(t *testing.T) {
 // cache, but different limits and different queries do.
 func TestCacheKeyNormalization(t *testing.T) {
 	r := obs.NewRegistry()
-	e := cachedEngine(t, 0, r)
+	e := cachedEngine(t, r)
 	first, _ := e.Search(context.Background(), "messi barcelona goal", SearchOptions{Limit: 10})
 	spaced, _ := e.Search(context.Background(), "  messi   barcelona\tgoal ", SearchOptions{Limit: 10})
 	if spaced.Cache != CacheHit {
@@ -81,56 +76,13 @@ func TestCacheKeyNormalization(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationEquivalence is the acceptance test for epoch
-// invalidation: fill the cache, ingest a page, and every re-query must
-// be served cold and byte-identical to a from-scratch index over the
-// enlarged corpus. A stale hit would freeze pre-ingest rankings.
-func TestCacheInvalidationEquivalence(t *testing.T) {
-	pages, mono := fixture(t)
-	r := obs.NewRegistry()
-	e := cachedEngine(t, len(pages)-1, r)
-
-	// Warm the cache on the smaller corpus.
-	for _, q := range eval.PaperQueries() {
-		if res, _ := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: 10}); res.Cache != CacheMiss {
-			t.Fatalf("%s: warmup status %q", q.ID, res.Cache)
-		}
-	}
-	epochsBefore := append([]uint64(nil), e.epochs...)
-
-	ingestPage(e, pages[len(pages)-1])
-
-	if slices.Equal(e.epochs, epochsBefore) {
-		t.Fatal("Ingest did not advance any shard epoch")
-	}
-	for _, q := range eval.PaperQueries() {
-		res, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache != CacheMiss {
-			t.Errorf("%s: post-ingest status %q, want miss (stale entry served?)", q.ID, res.Cache)
-		}
-		// mono is the from-scratch monolith over the full corpus: the
-		// re-query must match it exactly, documents and scores.
-		assertSameHits(t, q.ID+"/post-ingest", res.Hits, mono.Search(q.Keywords, 10))
-	}
-	if inv := r.Counter(qcache.MetricInvalidations).Value(); inv == 0 {
-		t.Error("no invalidations recorded despite the epoch bump")
-	}
-	// And the refilled entries serve hits again at the new epoch.
-	if res, _ := e.Search(context.Background(), eval.PaperQueries()[0].Keywords, SearchOptions{Limit: 10}); res.Cache != CacheHit {
-		t.Errorf("refilled entry status %q, want hit", res.Cache)
-	}
-}
-
 // TestSingleflightCoalescesQueries: N concurrent identical cold queries
 // run exactly one scatter; one caller reports miss, the rest coalesced,
 // and everyone gets the same ranking. Run under -race this also proves
 // the flight handoff is clean.
 func TestSingleflightCoalescesQueries(t *testing.T) {
 	r := obs.NewRegistry()
-	e := cachedEngine(t, 0, r)
+	e := cachedEngine(t, r)
 	var scatters atomic.Int64
 	release := make(chan struct{})
 	e.SetStall(func(i int) {
@@ -188,7 +140,7 @@ func TestSingleflightCoalescesQueries(t *testing.T) {
 // complete.
 func TestDegradedAnswersNotCached(t *testing.T) {
 	r := obs.NewRegistry()
-	e := cachedEngine(t, 0, r)
+	e := cachedEngine(t, r)
 	var stalling atomic.Bool
 	stalling.Store(true)
 	e.SetStall(func(i int) {

@@ -11,12 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/semindex"
 )
 
 // TestSnapshotVersionSkewUnverifiableNotDamaged is the compatibility
@@ -34,23 +32,11 @@ func TestSnapshotVersionSkewUnverifiableNotDamaged(t *testing.T) {
 		"older envelope version": func(hdr []byte) { binary.LittleEndian.PutUint32(hdr[4:8], snapVersion-1) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			pages, _ := fixture(t)
-			e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-			base := filepath.Join(t.TempDir(), "idx.bin")
-			if err := e.Save(base); err != nil {
-				t.Fatal(err)
-			}
+			_, base := saveFixture(t, 2)
 			victim := shardGenPath(base, 1, 1)
-			data, err := os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// The header sits outside the payload CRC, so the patched file
 			// has the header another build's file would carry.
-			patch(data[:snapHeaderLen])
-			if err := os.WriteFile(victim, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			patchFile(t, victim, func(data []byte) { patch(data[:snapHeaderLen]) })
 
 			rep := Fsck(base)
 			if rep.OK() {
@@ -86,12 +72,7 @@ func TestSnapshotVersionSkewUnverifiableNotDamaged(t *testing.T) {
 // TestManifestRecordsCodec checks the commit point names the codec its
 // payloads were written with, and fsck surfaces it.
 func TestManifestRecordsCodec(t *testing.T) {
-	pages, _ := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	_, base := saveFixture(t, 2)
 	m, err := readManifest(base)
 	if err != nil {
 		t.Fatal(err)

@@ -1,24 +1,19 @@
 package shard
 
-// Mapped-mode engine tests: LoadWith(Mapped) must serve byte-identical
-// rankings to a heap load across every LSM state, survive the full
-// merge → Save → reload lifecycle without leaking scratch files or
-// mappings, keep exactly the heap path's corruption verdicts, and open
-// for a fraction of the heap decode's allocation per document.
+// Mapped-mode tests beyond the composed oracle (oracle_test.go): corruption
+// verdicts, Close, raw-copy saves, bookkeeping reads and open allocation.
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/crawler"
-	"repro/internal/eval"
 	"repro/internal/semindex"
 	"repro/internal/soccer"
 )
@@ -34,172 +29,6 @@ func saveFixture(t *testing.T, shards int) (*Engine, string) {
 		t.Fatal(err)
 	}
 	return e, base
-}
-
-// mapsegFiles lists the merger's scratch segment files under a base.
-func mapsegFiles(t *testing.T, base string) []string {
-	t.Helper()
-	got, err := filepath.Glob(base + ".mapseg*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// TestMappedLoadEquivalenceAcrossLSMStates is the mapped ranking gate:
-// a mapped load and a heap load of the same snapshot, fed identical
-// upsert batches, must return byte-identical rankings — documents,
-// scores, tie order — with segments unmerged, mid-merge, and fully
-// merged. The heap engine's own equivalence to the monolithic oracle is
-// pinned by TestLSMUpsertEquivalenceAcrossMergeStates, so agreeing with
-// it closes the chain mapped == heap == monolith.
-func TestMappedLoadEquivalenceAcrossLSMStates(t *testing.T) {
-	e, base := saveFixture(t, 3)
-	pages, _ := fixture(t)
-
-	heap, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	for s := range mapped.base {
-		if mapped.base[s].release == nil {
-			t.Fatalf("shard %d base carries no mapping release", s)
-		}
-	}
-
-	check := func(label string) {
-		t.Helper()
-		for _, q := range eval.PaperQueries() {
-			assertSameHits(t, q.ID+"/"+label, searchN(mapped, q.Keywords, 0), searchN(heap, q.Keywords, 0))
-		}
-	}
-
-	// Clean load: both twins must also equal the engine that saved them.
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID+"/clean", searchN(mapped, q.Keywords, 10), searchN(e, q.Keywords, 10))
-	}
-	check("clean")
-
-	// Upsert batches land as unmerged segments on both twins.
-	ctx := context.Background()
-	for _, batch := range [][]*crawler.MatchPage{
-		{pages[0], pages[3]},
-		{pages[1], pages[1]}, // within-batch replacement
-	} {
-		if _, err := heap.Ingest(ctx, batch, IngestOptions{Merge: MergeNone}); err != nil {
-			t.Fatalf("heap Ingest: %v", err)
-		}
-		if _, err := mapped.Ingest(ctx, batch, IngestOptions{Merge: MergeNone}); err != nil {
-			t.Fatalf("mapped Ingest: %v", err)
-		}
-	}
-	if st := mapped.Stats(); st.Segments == 0 || st.Tombstones == 0 {
-		t.Fatalf("expected unmerged segments and tombstones, got %+v", st)
-	}
-	check("segments")
-
-	// Mid-merge: compact one shard on each twin; the rest keep segments.
-	heap.mergeShard(0)
-	mapped.mergeShard(0)
-	check("mid-merge")
-
-	heap.ForceMerge()
-	mapped.ForceMerge()
-	if st := mapped.Stats(); st.Segments != 0 || st.Tombstones != 0 {
-		t.Fatalf("ForceMerge left %d segments, %d tombstones", st.Segments, st.Tombstones)
-	}
-	check("merged")
-
-	if got, want := mapped.NumDocs(), heap.NumDocs(); got != want {
-		t.Fatalf("mapped NumDocs = %d, heap %d", got, want)
-	}
-}
-
-// TestMappedMergeScratchLifecycle follows a scratch segment cradle to
-// grave: a merge on a mapped engine persists its output as a mapped
-// scratch file (the base stays mapped instead of reverting to heap),
-// and the next Save re-anchors every base on the committed generation
-// and retires the scratch. A reload of that checkpoint serves
-// identically.
-func TestMappedMergeScratchLifecycle(t *testing.T) {
-	_, base := saveFixture(t, 2)
-	pages, _ := fixture(t)
-
-	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	heap, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	batch := []*crawler.MatchPage{pages[2], pages[5]}
-	if _, err := mapped.Ingest(ctx, batch, IngestOptions{Merge: MergeNone}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := heap.Ingest(ctx, batch, IngestOptions{Merge: MergeNone}); err != nil {
-		t.Fatal(err)
-	}
-
-	mapped.ForceMerge()
-	if got := mapsegFiles(t, base); len(got) == 0 {
-		t.Fatal("merge on a mapped engine left no scratch segment file")
-	}
-	scratched := 0
-	for s := range mapped.base {
-		if mapped.base[s].release == nil {
-			t.Errorf("shard %d base lost its mapping after merge", s)
-		}
-		if mapped.base[s].scratch != "" {
-			scratched++
-		}
-	}
-	if scratched == 0 {
-		t.Fatal("no base serves from a mapped scratch segment after merge")
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID+"/scratch", searchN(mapped, q.Keywords, 10), searchN(heap, q.Keywords, 10))
-	}
-
-	// Save retires scratch files and re-anchors bases on the new
-	// generation's manifest-named snapshot files.
-	if err := mapped.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	if got := mapsegFiles(t, base); len(got) != 0 {
-		t.Fatalf("Save left scratch files behind: %v", got)
-	}
-	for s := range mapped.base {
-		if mapped.base[s].scratch != "" {
-			t.Errorf("shard %d still anchored on scratch %q after Save", s, mapped.base[s].scratch)
-		}
-		if mapped.base[s].release == nil {
-			t.Errorf("shard %d base not re-anchored mapped after Save", s)
-		}
-	}
-	if rep := Fsck(base); !rep.OK() {
-		t.Fatalf("fsck after mapped save:\n%s", rep)
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID+"/saved", searchN(mapped, q.Keywords, 10), searchN(heap, q.Keywords, 10))
-	}
-
-	back, err := LoadWith(base, nil, LoadOptions{Mapped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID+"/reload", searchN(back, q.Keywords, 10), searchN(mapped, q.Keywords, 10))
-	}
 }
 
 // TestMappedLoadCorruptionVerdictParity flips bytes in the payload and
@@ -223,18 +52,7 @@ func TestMappedLoadCorruptionVerdictParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			_, base := saveFixture(t, 3)
 			victim := shardGenPath(base, 1, 1)
-			data, err := os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := flip(data)
-			if at < 0 {
-				t.Fatal("snapshot has no TOC region to corrupt")
-			}
-			data[at] ^= 0x40
-			if err := os.WriteFile(victim, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			patchFile(t, victim, func(data []byte) { data[flip(data)] ^= 0x40 })
 
 			mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
 			if err != nil {
@@ -312,40 +130,6 @@ func TestMappedSaveIsRawCopy(t *testing.T) {
 		}
 		if !bytes.Equal(gen1[s], gen2) {
 			t.Errorf("shard %d: clean mapped re-save changed the file bytes", s)
-		}
-	}
-}
-
-// TestMappedEngineDocAndMeta: identity fields answer from the TOC, and
-// full document retrieval (which inflates the stored region lazily)
-// returns the same documents as a heap load.
-func TestMappedEngineDocAndMeta(t *testing.T) {
-	_, base := saveFixture(t, 2)
-	heap, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if got, want := mapped.NumDocs(), heap.NumDocs(); got != want {
-		t.Fatalf("NumDocs = %d, want %d", got, want)
-	}
-	for gid := 0; gid < heap.NumDocs(); gid++ {
-		hd, md := heap.Doc(gid), mapped.Doc(gid)
-		if (hd == nil) != (md == nil) {
-			t.Fatalf("doc %d: heap nil=%v mapped nil=%v", gid, hd == nil, md == nil)
-		}
-		if hd == nil {
-			continue
-		}
-		if got, want := md.Get(semindex.MetaMatchID), hd.Get(semindex.MetaMatchID); got != want {
-			t.Fatalf("doc %d match ID: mapped %q, heap %q", gid, got, want)
-		}
-		if got, want := fmt.Sprint(md.Fields), fmt.Sprint(hd.Fields); got != want {
-			t.Fatalf("doc %d fields diverge:\nmapped: %s\nheap:   %s", gid, got, want)
 		}
 	}
 }

@@ -113,26 +113,34 @@ func (e *Engine) ForceMerge() {
 }
 
 // mergeShard compacts one shard's base + current segments into a new
-// base. Three phases: snapshot under the read lock, merge off-lock,
-// swap under the write lock.
+// base. Three phases: snapshot under the read lock, merge off-lock
+// (prepareMerge), swap under the write lock (installMerge).
 func (e *Engine) mergeShard(s int) {
 	e.mergeOpMu.Lock()
 	defer e.mergeOpMu.Unlock()
-	start := time.Now()
+	e.installMerge(s, e.prepareMerge(s))
+}
 
+// pendingMerge is a shard merge prepared against a snapshot, not installed.
+type pendingMerge struct {
+	start  time.Time
+	subs   []*subIndex
+	merged *index.Index
+	remaps [][]int
+	nb     *subIndex
+}
+
+// prepareMerge runs phases 1 and 2 of mergeShard. mergeOpMu held.
+func (e *Engine) prepareMerge(s int) *pendingMerge {
+	pm := &pendingMerge{start: time.Now()}
 	// Phase 1: snapshot the merge set. Postings are immutable; the only
 	// concurrently-moving state is tombstone bits, so the snapshot is a
 	// copy of each sub's liveness mask.
 	e.mu.RLock()
-	oldBase := e.base[s]
-	oldSegs := append([]*subIndex(nil), e.segs[s]...)
-	met := e.met
-	subs := make([]*subIndex, 0, 1+len(oldSegs))
-	subs = append(subs, oldBase)
-	subs = append(subs, oldSegs...)
-	sources := make([]*index.Index, len(subs))
-	masks := make([][]bool, len(subs))
-	for i, sub := range subs {
+	pm.subs = append([]*subIndex{e.base[s]}, e.segs[s]...)
+	sources := make([]*index.Index, len(pm.subs))
+	masks := make([][]bool, len(pm.subs))
+	for i, sub := range pm.subs {
 		sources[i] = sub.si.Index
 		masks[i] = sub.si.Index.DeletedMask()
 		if masks[i] == nil {
@@ -144,7 +152,7 @@ func (e *Engine) mergeShard(s int) {
 	// Phase 2: merge against the snapshot, off-lock. Searches and
 	// ingests proceed; segments added meanwhile are simply not part of
 	// this merge and survive the swap.
-	merged, remaps := index.MergeIndexes(sources, masks)
+	pm.merged, pm.remaps = index.MergeIndexes(sources, masks)
 
 	// Phase 2.5: a mapped engine persists the merge and reopens it as a
 	// mapped scratch segment (tmp + fsync + rename + CRC reopen), still
@@ -152,23 +160,25 @@ func (e *Engine) mergeShard(s int) {
 	// nil sub falls back to serving the heap merge. mappedBase is set
 	// once before serving and read-only after, so the unlocked read is
 	// safe.
-	var nb *subIndex
 	if e.mappedBase != "" {
-		nb = e.writeMappedSeg(s, merged)
+		pm.nb = e.writeMappedSeg(s, pm.merged)
 	}
+	return pm
+}
 
-	// Phase 3: swap.
+// installMerge is phase 3 of mergeShard: the swap. mergeOpMu held.
+func (e *Engine) installMerge(s int, pm *pendingMerge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.base[s] != oldBase || len(e.segs[s]) < len(oldSegs) {
+	if e.base[s] != pm.subs[0] || len(e.segs[s]) < len(pm.subs)-1 {
 		// Another compaction (Save's checkpoint path) replaced the merge
 		// set while we worked; discard this merge.
-		releaseSub(nb)
+		releaseSub(pm.nb)
 		return
 	}
-	e.applyMergedLocked(s, subs, merged, remaps, len(oldSegs), nb)
-	met.merges.Inc()
-	met.mergeLatency.ObserveDuration(time.Since(start))
+	e.applyMergedLocked(s, pm.subs, pm.merged, pm.remaps, len(pm.subs)-1, pm.nb)
+	e.met.merges.Inc()
+	e.met.mergeLatency.ObserveDuration(time.Since(pm.start))
 }
 
 // applyMergedLocked installs a merged index as shard s's new base:

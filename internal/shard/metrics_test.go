@@ -158,39 +158,6 @@ func TestSuggestEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchDeadlinePartialEqualsMonolithRestricted is the degraded-merge
-// regression: the partial answer must equal the monolith's full ranking
-// with the stalled shard's documents removed — same documents, same
-// scores, same order. Global stats make live-shard scores independent of
-// the outage, so the restriction is exact, not approximate.
-func TestSearchDeadlinePartialEqualsMonolithRestricted(t *testing.T) {
-	pages, mono := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 3})
-	const stalled = 2
-	e.SetStall(stallShard(stalled, 2*time.Second))
-
-	for _, q := range []string{"goal", "foul", "yellow card"} {
-		got, rep := searchWithin(e, q, 10, 50*time.Millisecond)
-		if !rep.Degraded || len(rep.Missing) != 1 || rep.Missing[0] != stalled {
-			t.Fatalf("%q: report %+v, want shard %d missing", q, rep, stalled)
-		}
-		full := mono.Search(q, 0)
-		want := full[:0:0]
-		for _, h := range full {
-			if e.byGID[h.DocID].shard != stalled {
-				want = append(want, h)
-			}
-		}
-		if len(want) > 10 {
-			want = want[:10]
-		}
-		if len(want) == 0 {
-			t.Fatalf("%q: live shards hold no monolith hits; fixture too small", q)
-		}
-		assertSameHits(t, q+" (restricted)", got, want)
-	}
-}
-
 // TestConcurrentSearchWithMetrics drives Search, SearchDeadline, Suggest
 // and Ingest against one shared registry under -race: the lock-free
 // handles and the engine's met swap must tolerate full interleaving. The
@@ -242,12 +209,7 @@ func TestConcurrentSearchWithMetrics(t *testing.T) {
 // live metric handles — a save/load round-trip then a search must not
 // panic and must count on the default registry's series.
 func TestLoadedEngineHasMetrics(t *testing.T) {
-	pages, _ := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	base := t.TempDir() + "/idx"
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	_, base := saveFixture(t, 2)
 	loaded, err := Load(base, nil)
 	if err != nil {
 		t.Fatal(err)

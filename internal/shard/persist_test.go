@@ -12,47 +12,6 @@ import (
 	"repro/internal/semindex"
 )
 
-// TestSaveLoadRoundTrip persists a sharded engine through the per-shard
-// codec files and asserts the loaded engine searches identically to the
-// in-memory one (and therefore to the monolith).
-func TestSaveLoadRoundTrip(t *testing.T) {
-	pages, _ := fixture(t)
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 3})
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ManifestPath(base)); err != nil {
-		t.Fatalf("missing manifest: %v", err)
-	}
-	if rep := Fsck(base); !rep.OK() {
-		t.Fatalf("fsck after save:\n%s", rep)
-	}
-	back, err := Load(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Level() != semindex.FullInf || back.NumShards() != 3 || back.NumDocs() != e.NumDocs() {
-		t.Fatalf("loaded engine shape: level %s, %d shards, %d docs",
-			back.Level(), back.NumShards(), back.NumDocs())
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID, searchN(back, q.Keywords, 10), searchN(e, q.Keywords, 10))
-	}
-	if got, want := back.Suggest("mesi goal"), e.Suggest("mesi goal"); got != want {
-		t.Errorf("loaded Suggest = %q, want %q", got, want)
-	}
-	// A loaded engine keeps ingesting incrementally.
-	extra := pages[0]
-	extraCopy := *extra
-	extraCopy.ID = extra.ID + "-replay"
-	docsBefore := back.NumDocs()
-	ingestPage(back, &extraCopy)
-	if back.NumDocs() <= docsBefore {
-		t.Error("loaded engine did not ingest")
-	}
-}
-
 // TestShrinkThenReload is the stale-shard-file regression: saving a
 // narrower engine over a base that previously held a wider one must not
 // resurrect the orphaned shard files on reload. The manifest names
@@ -89,21 +48,9 @@ func TestShrinkThenReload(t *testing.T) {
 // search names the missing shard, lost documents read as nil, and a
 // checkpoint of the degraded engine is refused.
 func TestLoadQuarantinesCorruptShard(t *testing.T) {
-	pages, _ := fixture(t)
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 3})
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	e, base := saveFixture(t, 3)
 	victim := shardGenPath(base, 1, 1)
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	patchFile(t, victim, func(data []byte) { data[len(data)/2] ^= 0x40 })
 
 	back, err := Load(base, nil)
 	if err != nil {
@@ -169,12 +116,7 @@ func TestLoadQuarantinesCorruptShard(t *testing.T) {
 // a flipped manifest byte and a truncated manifest both fail with
 // ErrManifestCorrupt rather than loading something wrong.
 func TestLoadManifestCorrupt(t *testing.T) {
-	pages, _ := fixture(t)
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	_, base := saveFixture(t, 2)
 	data, err := os.ReadFile(ManifestPath(base))
 	if err != nil {
 		t.Fatal(err)
@@ -195,26 +137,14 @@ func TestLoadManifestCorrupt(t *testing.T) {
 // TestFsckVerdicts drives the offline audit across the intact and
 // damaged states of one base.
 func TestFsckVerdicts(t *testing.T) {
-	pages, _ := fixture(t)
-	base := filepath.Join(t.TempDir(), "idx.bin")
-	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
-	if err := e.Save(base); err != nil {
-		t.Fatal(err)
-	}
+	_, base := saveFixture(t, 2)
 	rep := Fsck(base)
 	if !rep.OK() || !strings.Contains(rep.String(), "verdict: OK") {
 		t.Fatalf("clean snapshot fsck:\n%s", rep)
 	}
 
 	victim := shardGenPath(base, 1, 0)
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-20] ^= 0x80
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	patchFile(t, victim, func(data []byte) { data[len(data)-20] ^= 0x80 })
 	rep = Fsck(base)
 	if rep.OK() || !strings.Contains(rep.String(), "DAMAGED") {
 		t.Fatalf("fsck missed the flipped byte:\n%s", rep)

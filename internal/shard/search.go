@@ -2,7 +2,7 @@ package shard
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,7 +103,7 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 	cache, flight, met := e.cache, e.flight, e.met
 	e.mu.RUnlock()
 	if cache == nil || opts.NoCache {
-		res, _ := e.searchCold(ctx, query, opts, nil)
+		res := e.searchCold(ctx, query, opts, nil)
 		res.Cache = CacheBypass
 		return res, nil
 	}
@@ -118,8 +118,8 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 	}
 	v, leader, err := flight.Do(ctx, key, func() any {
 		snap := &cacheSnap{}
-		res, ok := e.searchCold(ctx, query, opts, snap)
-		if ok && !res.Report.Degraded {
+		res := e.searchCold(ctx, query, opts, snap)
+		if !res.Report.Degraded {
 			// The cache owns a private copy: callers are free to truncate
 			// or reorder their slice without poisoning later hits. The
 			// snapshot (epochs, footprint, shard-set, statistics
@@ -218,7 +218,7 @@ func (e *Engine) validateEntry(ent *cacheEntry) bool {
 	// No contributing shard changed and the changed shards still cannot
 	// match. The remaining risk is global statistics motion shifting
 	// scores; the signature rules that out.
-	if !sigEqual(snap.sig, e.statsSigLocked(snap.fp)) {
+	if !slices.Equal(snap.sig, e.statsSigLocked(snap.fp)) {
 		return false
 	}
 	copy(snap.epochs, e.epochs)
@@ -262,18 +262,6 @@ func (e *Engine) statsSigLocked(fp []index.FieldTerm) []int {
 	return sig
 }
 
-func sigEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // cacheKey builds the cache key: normalized query (whitespace collapsed
 // — case and token order are preserved because the analyzer, not the
 // cache, decides their meaning), the semantic level, the limit, and the
@@ -302,11 +290,10 @@ func cloneHits(hits []semindex.Hit) []semindex.Hit {
 
 // searchCold runs the actual scatter-gather under the read lock. When
 // snap is non-nil it is filled — under that same read lock — with the
-// validation snapshot for caching, and the bool result reports whether
-// it was filled (always true today). The context deadline, when present,
+// validation snapshot for caching. The context deadline, when present,
 // is the per-scatter collection budget: shards that miss it are dropped
 // from the merge and reported.
-func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions, snap *cacheSnap) (SearchResult, bool) {
+func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions, snap *cacheSnap) SearchResult {
 	start := time.Now()
 	tr := opts.Trace
 	e.mu.RLock()
@@ -361,7 +348,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 		met.missing.Add(uint64(len(rep.Missing)))
 	}
 	met.latency.ObserveDuration(time.Since(start))
-	return SearchResult{Hits: hits, Report: rep}, true
+	return SearchResult{Hits: hits, Report: rep}
 }
 
 // prepareLocked routes and analyzes a search's text for the whole engine:
@@ -525,17 +512,9 @@ type SearchReport struct {
 // mergeMissing unions two ascending shard-index lists without
 // duplicates.
 func mergeMissing(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Ints(out)
-	uniq := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	return uniq
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // scatterDeadline fans fn out to every shard and collects results for at
@@ -690,6 +669,6 @@ func (e *Engine) globalTerms(field string) []string {
 	for t := range fs.DocFreq {
 		terms = append(terms, t)
 	}
-	sort.Strings(terms)
+	slices.Sort(terms)
 	return terms
 }

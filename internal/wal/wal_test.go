@@ -77,25 +77,28 @@ func TestEmptyAndOversizedAppendsRejected(t *testing.T) {
 }
 
 // TestTornTailEveryOffset is the kill-at-any-point property at the log
-// layer: three records, then the file cut at every byte offset from the
-// start of the last record to its end. Every cut short of the full file
-// must replay exactly two records and report (and repair) the tear.
+// layer: three records, then the file cut at every byte offset from 0 —
+// inside the header, inside every record and at every boundary. A cut
+// replays exactly the whole records before it. A cut on a boundary is a
+// clean log, cut 0 a clean empty one; every other cut is a tear, reported
+// and repaired, after which the log takes appends and replays clean.
 func TestTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ingest.wal")
 	l := openT(t, path, 1)
-	for i := 0; i < 2; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("record-%d-0123456789", i))); err != nil {
+	// boundaries[k] is the file size once k records are on disk.
+	var boundaries []int64
+	for i := 0; i <= 3; i++ {
+		if i > 0 {
+			if err := l.Append([]byte(fmt.Sprintf("record-%d-0123456789", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := os.Stat(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundary := st.Size()
-	if err := l.Append([]byte("the-final-record-payload")); err != nil {
-		t.Fatal(err)
+		boundaries = append(boundaries, st.Size())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -104,22 +107,25 @@ func TestTornTailEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := boundary; cut <= int64(len(full)); cut++ {
+	for cut := int64(0); cut <= int64(len(full)); cut++ {
 		cp := filepath.Join(dir, fmt.Sprintf("cut-%d.wal", cut))
 		if err := os.WriteFile(cp, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, res := collect(t, cp, 1)
-		wantRecs := 2
-		if cut == int64(len(full)) {
-			wantRecs = 3
+		wantRecs, wantTorn := 0, cut != 0
+		for k, b := range boundaries {
+			if b <= cut {
+				wantRecs = k
+			}
+			if b == cut {
+				wantTorn = false
+			}
 		}
 		if len(got) != wantRecs {
 			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(got), wantRecs)
 		}
-		// A cut exactly on the prior record boundary is indistinguishable
-		// from a clean two-record log; every other cut is a tear.
-		if wantTorn := cut != boundary && cut != int64(len(full)); res.Torn != wantTorn {
+		if res.Torn != wantTorn {
 			t.Errorf("cut %d: torn = %v, want %v", cut, res.Torn, wantTorn)
 		}
 		// The tear was truncated: the log must accept appends and a
