@@ -323,6 +323,33 @@ func BenchmarkIndexMerge(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "us/doc")
 }
 
+// BenchmarkForceMerge measures the compaction the repository benchmark's
+// ingest_mix workload closes each window with: Engine.ForceMerge on a
+// two-shard FULL_INF engine over those pages after six one-page upserts,
+// which run outside the timer. The shards compact concurrently, so -cpu 1
+// against -cpu 2 shows what the second core buys.
+func BenchmarkForceMerge(b *testing.B) {
+	pages := benchmarkPages(b)
+	eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, pages, shard.Options{Shards: 2})
+	defer eng.Close()
+	ctx := context.Background()
+	opts := shard.IngestOptions{Merge: shard.MergeNone}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < 6; k++ {
+			page := pages[(6*i+k)%len(pages)]
+			if _, err := eng.Ingest(ctx, []*crawler.MatchPage{page}, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		eng.ForceMerge()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
 // BenchmarkStoredDoc measures Doc, the stored-document read each served
 // hit makes, on those pages' FULL_INF documents, per iteration one
 // document in docID order: heap/first decodes a document out of a heap

@@ -190,9 +190,12 @@ type Engine struct {
 	// of one shard never collide.
 	mapSeq atomic.Uint64
 
-	// mergeOpMu serializes merge/compaction operations (background
-	// merger, ForceMerge, Save's checkpoint compaction) against each
-	// other; mergerMu guards the background merger's lifecycle state.
+	// mergeOpMu serializes compaction passes (the background merger's
+	// sweep, ForceMerge, Save's checkpoint) against each other and
+	// against Close's unmap. A pass holds it once for all its shards,
+	// whose merges run concurrently, up to GOMAXPROCS at a time, and
+	// install in shard order (see merger.go). Lock order: mergeOpMu,
+	// then mu. mergerMu guards the background merger's lifecycle state.
 	mergeOpMu  sync.Mutex
 	mergerMu   sync.Mutex
 	mergerStop chan struct{}
@@ -437,29 +440,23 @@ func (e *Engine) subsLocked(s int) []*subIndex {
 	return append(subs, e.segs[s]...)
 }
 
-// exchangeStats recomputes every shard's local statistics in parallel,
-// merges them into a FRESH corpus-wide view and installs it on every
-// sub-index — the post-build/post-load exchange that makes per-shard
-// ranking globally consistent. LocalStats is tombstone-aware, so the
-// result is exact even mid-LSM-state. Callers must hold the write lock
-// (or be single-threaded, as during Build). All shard epochs advance:
+// exchangeStats recomputes every shard's local statistics in parallel
+// (fanOut), merges them into a FRESH corpus-wide view and installs it on
+// every sub-index — the post-build/post-load exchange that makes
+// per-shard ranking globally consistent. LocalStats is tombstone-aware,
+// so the result is exact even mid-LSM-state. Callers must hold the write
+// lock (or be single-threaded, as during Build). All shard epochs advance:
 // the statistics object was replaced, so nothing cached can be trusted
 // structurally.
 func (e *Engine) exchangeStats() {
 	per := make([]*index.CorpusStats, len(e.base))
-	var wg sync.WaitGroup
-	for s := range e.base {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			cs := e.base[s].si.Index.LocalStats()
-			for _, sub := range e.segs[s] {
-				cs.Merge(sub.si.Index.LocalStats())
-			}
-			per[s] = cs
-		}(s)
-	}
-	wg.Wait()
+	fanOut(len(e.base), func(s int) {
+		cs := e.base[s].si.Index.LocalStats()
+		for _, sub := range e.segs[s] {
+			cs.Merge(sub.si.Index.LocalStats())
+		}
+		per[s] = cs
+	})
 	g := index.NewCorpusStats()
 	for _, cs := range per {
 		g.Merge(cs)

@@ -18,12 +18,13 @@ package shard
 // every search path holds the read lock for its entire duration (the
 // deadline scatter's drain goroutine keeps holding it until straggler
 // shards finish), so once a swap lands no reader can still touch the
-// old region. Merges read sources off-lock, but merge operations are
-// serialized by mergeOpMu and Close stops the merger first, so no merge
-// outlives the mapping it reads. Data flowing out of a mapped index —
-// merged postings, materialized stored documents — is always fresh heap
-// memory (the block reader decodes, it never aliases), so nothing
-// retains mapped bytes past the release.
+// old region. Merges read sources off-lock, but only while holding
+// mergeOpMu, and Close stops the merger and then takes mergeOpMu before
+// it unmaps, so no merge — the merger's, a caller's ForceMerge or a
+// Save's — outlives the mapping it reads. Data flowing out of a mapped
+// index — merged postings, materialized stored documents — is always
+// fresh heap memory (the block reader decodes, it never aliases), so
+// nothing retains mapped bytes past the release.
 
 import (
 	"fmt"
@@ -49,12 +50,16 @@ func releaseSub(sub *subIndex) {
 }
 
 // Close releases the engine's resources: the background merger is
-// stopped, the ingest WAL synced and detached, and every mapped base
-// region unmapped. The engine must not serve after Close — mapped
-// postings would read unmapped memory. Heap-only engines may call it
-// too (it just stops the merger and WAL).
+// stopped, a running ForceMerge or Save is waited for, the ingest WAL
+// synced and detached, and every mapped base region unmapped. The engine
+// must not serve after Close — mapped postings would read unmapped
+// memory. Heap-only engines may call it too (it just stops the merger
+// and WAL).
 func (e *Engine) Close() error {
 	e.StopMerger()
+	// Save's lock order: mergeOpMu, then mu (CloseWAL and the unmap).
+	e.mergeOpMu.Lock()
+	defer e.mergeOpMu.Unlock()
 	err := e.CloseWAL()
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/semindex"
@@ -99,6 +100,42 @@ func TestMappedCloseReleasesMappings(t *testing.T) {
 	}
 	if err := mapped.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestCloseWaitsForRunningMerge: Close must not unmap bases a merge may
+// still be reading. A running ForceMerge or Save holds mergeOpMu; with the
+// test holding it, Close must wait, and finish once it is released.
+func TestCloseWaitsForRunningMerge(t *testing.T) {
+	_, base := saveFixture(t, 2)
+	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped.mergeOpMu.Lock()
+	closed := make(chan error, 1)
+	go func() { closed <- mapped.Close() }()
+	select {
+	case err := <-closed:
+		mapped.mergeOpMu.Unlock()
+		t.Fatalf("Close returned (%v) while a merge held mergeOpMu", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	mapped.mu.RLock()
+	for s := range mapped.base {
+		if mapped.base[s].release == nil {
+			t.Errorf("shard %d unmapped while a merge held mergeOpMu", s)
+		}
+	}
+	mapped.mu.RUnlock()
+	mapped.mergeOpMu.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for s := range mapped.base {
+		if mapped.base[s].release != nil {
+			t.Errorf("shard %d mapping not released by Close", s)
+		}
 	}
 }
 

@@ -13,9 +13,15 @@ package shard
 // entry is evicted. The heavy work (postings concatenation, cap/block
 // rebuilds) runs OUTSIDE the engine lock against a liveness snapshot;
 // only the final swap takes the write lock, where documents tombstoned
-// mid-merge are re-deleted on the merged index.
+// mid-merge are re-deleted on the merged index. Each compaction pass —
+// the merger's sweep, ForceMerge, Save's checkpoint — merges its shards
+// concurrently, at most GOMAXPROCS at a time, and swaps them in shard
+// order.
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
@@ -54,19 +60,12 @@ func (e *Engine) StartMerger() {
 			case <-t.C:
 			case <-nudge:
 			}
-			for s := 0; s < len(e.base); s++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e.mu.RLock()
-				due := len(e.segs[s]) >= mergeSegments
-				e.mu.RUnlock()
-				if due {
-					e.mergeShard(s)
-				}
+			select {
+			case <-stop:
+				return
+			default:
 			}
+			e.mergeShards(func(s int) bool { return len(e.segs[s]) >= mergeSegments })
 		}
 	}()
 }
@@ -100,28 +99,85 @@ func (e *Engine) nudgeMerger() {
 
 // ForceMerge synchronously compacts every shard that has segments or
 // base tombstones — the "fully merged" state the equivalence gate
-// compares against, and what Save runs before checkpointing.
+// compares against. The shards' merges run concurrently (mergeShards).
 func (e *Engine) ForceMerge() {
-	for s := 0; s < len(e.base); s++ {
-		e.mu.RLock()
-		due := len(e.segs[s]) > 0 || e.base[s].si.Index.NumDeleted() > 0
-		e.mu.RUnlock()
-		if due {
-			e.mergeShard(s)
+	e.mergeShards(e.dirtyLocked)
+}
+
+// dirtyLocked reports whether shard s has segments or base tombstones to
+// compact away. Read lock required.
+func (e *Engine) dirtyLocked(s int) bool {
+	return len(e.segs[s]) > 0 || e.base[s].si.Index.NumDeleted() > 0
+}
+
+// mergeShards compacts every shard due selects, under one mergeOpMu
+// hold: due is evaluated under the read lock, the selected shards'
+// snapshots and off-lock merges (prepareMerge) run concurrently, and
+// their swaps (installMerge) run in shard order (see compactInBatches).
+func (e *Engine) mergeShards(due func(s int) bool) {
+	e.mergeOpMu.Lock()
+	defer e.mergeOpMu.Unlock()
+	e.mu.RLock()
+	var slots []int
+	for s := range e.base {
+		if due(s) {
+			slots = append(slots, s)
+		}
+	}
+	e.mu.RUnlock()
+	pms := make([]*pendingMerge, len(e.base))
+	compactInBatches(slots,
+		func(s int) { pms[s] = e.prepareMerge(s) },
+		func(s int) { e.installMerge(s, pms[s]); pms[s] = nil })
+}
+
+// compactInBatches runs merge for the listed shards at most GOMAXPROCS at
+// a time and, after each batch, install for the batch's shards in list
+// order. At most GOMAXPROCS merged shards are therefore held before their
+// swap, and installs land in the order the shards were listed.
+func compactInBatches(slots []int, merge, install func(s int)) {
+	for len(slots) > 0 {
+		batch := slots[:min(len(slots), runtime.GOMAXPROCS(0))]
+		slots = slots[len(batch):]
+		fanOut(len(batch), func(i int) { merge(batch[i]) })
+		for _, s := range batch {
+			install(s)
 		}
 	}
 }
 
-// mergeShard compacts one shard's base + current segments into a new
-// base. Three phases: snapshot under the read lock, merge off-lock
-// (prepareMerge), swap under the write lock (installMerge).
-func (e *Engine) mergeShard(s int) {
-	e.mergeOpMu.Lock()
-	defer e.mergeOpMu.Unlock()
-	e.installMerge(s, e.prepareMerge(s))
+// fanOut runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them, and returns once every call has
+// finished. At GOMAXPROCS 1 the calls run serially, in order, on the
+// caller's goroutine.
+func fanOut(n int, fn func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
-// pendingMerge is a shard merge prepared against a snapshot, not installed.
+// pendingMerge is a shard merge prepared against a snapshot, not
+// installed: subs is the merge set (base first), merged and remaps are
+// MergeIndexes' output, nb is merged's mapped reopen (nil to serve the
+// heap merge), and start is when the snapshot was taken.
 type pendingMerge struct {
 	start  time.Time
 	subs   []*subIndex
@@ -130,7 +186,8 @@ type pendingMerge struct {
 	nb     *subIndex
 }
 
-// prepareMerge runs phases 1 and 2 of mergeShard. mergeOpMu held.
+// prepareMerge runs a shard merge's first two phases: snapshot under the
+// read lock, merge off-lock. mergeOpMu held.
 func (e *Engine) prepareMerge(s int) *pendingMerge {
 	pm := &pendingMerge{start: time.Now()}
 	// Phase 1: snapshot the merge set. Postings are immutable; the only
@@ -166,7 +223,7 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	return pm
 }
 
-// installMerge is phase 3 of mergeShard: the swap. mergeOpMu held.
+// installMerge is phase 3: the swap. mergeOpMu held.
 func (e *Engine) installMerge(s int, pm *pendingMerge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -176,33 +233,33 @@ func (e *Engine) installMerge(s int, pm *pendingMerge) {
 		releaseSub(pm.nb)
 		return
 	}
-	e.applyMergedLocked(s, pm.subs, pm.merged, pm.remaps, len(pm.subs)-1, pm.nb)
-	e.met.merges.Inc()
-	e.met.mergeLatency.ObserveDuration(time.Since(pm.start))
+	e.applyMergedLocked(s, pm)
 }
 
-// applyMergedLocked installs a merged index as shard s's new base:
+// applyMergedLocked installs a prepared merge as shard s's new base:
 // global-ID refs are rewritten through the remaps, documents tombstoned
 // after the liveness snapshot are re-deleted on the merged index (their
 // statistics were already subtracted when the tombstone landed), dropped
-// documents become holes, and the first nOldSegs segments are retired.
+// documents become holes, and the merge set's segments are retired.
 // Nothing observable changes: no statistics move, no epochs bump, no
-// cache entry is touched. Write lock required.
+// cache entry is touched. Every installed compaction counts in the merge
+// metrics, timed from its snapshot to this swap. Write lock required.
 //
-// newBase, when non-nil, is a mapped reopen of merged (writeMappedSeg) —
-// the same documents under the same local IDs — and serves in its place;
-// a retiring mapped old base is unmapped, which is safe here because the
-// write lock excludes every reader (see mapped.go).
-func (e *Engine) applyMergedLocked(s int, subs []*subIndex, merged *index.Index, remaps [][]int, nOldSegs int, newBase *subIndex) {
+// pm.nb, when non-nil, is a mapped reopen of pm.merged (writeMappedSeg)
+// — the same documents under the same local IDs — and serves in its
+// place; a retiring mapped old base is unmapped, which is safe here
+// because the write lock excludes every reader (see mapped.go).
+func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
+	newBase := pm.nb
 	if newBase == nil {
-		newBase = &subIndex{si: &semindex.SemanticIndex{Level: e.level, Index: merged}}
+		newBase = &subIndex{si: &semindex.SemanticIndex{Level: e.level, Index: pm.merged}}
 	}
 	serve := newBase.si.Index
 	newBase.gids = make([]int, serve.NumDocs())
 	serve.SetCorpusStats(e.global)
 	serve.SetExhaustive(e.exhaustive)
-	for i, sub := range subs {
-		remap := remaps[i]
+	for i, sub := range pm.subs {
+		remap := pm.remaps[i]
 		for local := 0; local < len(remap); local++ {
 			gid := sub.gids[local]
 			nid := remap[local]
@@ -221,7 +278,9 @@ func (e *Engine) applyMergedLocked(s int, subs []*subIndex, merged *index.Index,
 	}
 	oldBase := e.base[s]
 	e.base[s] = newBase
-	e.segs[s] = append([]*subIndex(nil), e.segs[s][nOldSegs:]...)
+	e.segs[s] = append([]*subIndex(nil), e.segs[s][len(pm.subs)-1:]...)
 	releaseSub(oldBase)
 	e.updateLSMGaugesLocked()
+	e.met.merges.Inc()
+	e.met.mergeLatency.ObserveDuration(time.Since(pm.start))
 }

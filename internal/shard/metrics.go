@@ -59,8 +59,9 @@ type engineMetrics struct {
 	cacheMiss *obs.Histogram
 	// quarantined counts corrupt snapshot files rejected at load.
 	quarantined *obs.Counter
-	// merges counts completed segment compactions; mergeLatency times
-	// them (snapshot through swap).
+	// merges counts installed shard compactions — the merger's,
+	// ForceMerge's and Save's checkpoint — and mergeLatency times each
+	// shard's from its snapshot to its swap.
 	merges       *obs.Counter
 	mergeLatency *obs.Histogram
 	// segments and tombstones gauge the engine-wide LSM state: unmerged
@@ -80,8 +81,8 @@ func newEngineMetrics(r *obs.Registry, shards int) *engineMetrics {
 	r.Help(metricShardSearch, "Per-shard search latency.")
 	r.Help(metricCacheSearch, "Whole-call latency on the cached path, by outcome.")
 	r.Help(metricQuarantined, "Corrupt shard snapshot files quarantined at load.")
-	r.Help(metricMerges, "Completed background segment compactions.")
-	r.Help(metricMergeSec, "Segment compaction duration, snapshot through swap.")
+	r.Help(metricMerges, "Installed shard compactions: the merger's, ForceMerge's and Save's.")
+	r.Help(metricMergeSec, "Per-shard compaction duration, snapshot through swap.")
 	r.Help(metricSegments, "Unmerged in-memory segments across all shards.")
 	r.Help(metricTombstones, "Tombstoned documents awaiting compaction.")
 	m := &engineMetrics{

@@ -2,12 +2,14 @@ package shard
 
 import (
 	"context"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/crawler"
 	"repro/internal/obs"
 	"repro/internal/semindex"
 )
@@ -58,6 +60,47 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if got := r.Counter(metricSearches).Value(); got != 3 {
 		t.Errorf("searches = %d after deadline query, want 3", got)
+	}
+}
+
+// TestMergeMetricsCountEveryCompaction: each installed shard compaction
+// counts once and is timed once, whether ForceMerge or Save's checkpoint
+// ran it.
+func TestMergeMetricsCountEveryCompaction(t *testing.T) {
+	pages, _ := fixture(t)
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
+	r := obs.NewRegistry()
+	e.SetMetrics(r)
+	// One page of each shard, re-upserted, dirties both shards.
+	var dirty []*crawler.MatchPage
+	for s := 0; s < 2; s++ {
+		for _, p := range pages {
+			if shardFor(p.ID, 2) == s {
+				dirty = append(dirty, p)
+				break
+			}
+		}
+	}
+	for step, c := range []struct {
+		name    string
+		compact func() error
+	}{
+		{"ForceMerge", func() error { e.ForceMerge(); return nil }},
+		{"Save", func() error { return e.Save(filepath.Join(t.TempDir(), "idx")) }},
+	} {
+		if _, err := e.Ingest(context.Background(), dirty, IngestOptions{Merge: MergeNone}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.compact(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(2 * (step + 1))
+		if got := r.Counter(metricMerges).Value(); got != want {
+			t.Errorf("after %s: merges = %d, want %d", c.name, got, want)
+		}
+		if got := r.Histogram(metricMergeSec, nil).Count(); got != want {
+			t.Errorf("after %s: merge latency observations = %d, want %d", c.name, got, want)
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/index"
@@ -102,9 +103,10 @@ func shardGenPath(base string, gen uint64, i int) string {
 // dropped for good), the manifest records the next unused ID so reloads
 // keep assigning fresh IDs instead of reusing the holes.
 func (e *Engine) Save(base string) error {
-	// Same order as mergeShard: the merge-operation lock first, then the
-	// engine lock. Holding mergeOpMu means no background merge is mid-
-	// flight while the checkpoint compacts and writes.
+	// Same order as mergeShards: the merge-operation lock first, then the
+	// engine lock. Holding mergeOpMu means no other compaction (the
+	// merger's, a ForceMerge) is mid-flight while the checkpoint compacts
+	// and writes.
 	e.mergeOpMu.Lock()
 	defer e.mergeOpMu.Unlock()
 	e.mu.Lock()
@@ -123,20 +125,27 @@ func (e *Engine) Save(base string) error {
 	if e.wal != nil {
 		m.WAL = filepath.Base(WALPath(base))
 	}
-	for i, b := range e.base {
+	// The shard files are encoded and written concurrently; m.Files keeps
+	// shard order and the first error waits for every writer.
+	files := make([]manifestEntry, len(e.base))
+	errs := make([]error, len(e.base))
+	fanOut(len(e.base), func(i int) {
 		path := shardGenPath(base, newGen, i)
 		size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
 			// The TOC captures the identity metadata (global docID, page ID)
 			// so a mapped reload rebuilds its ID maps without inflating a
 			// single stored document. On an already-mapped base this whole
 			// save is a raw byte copy of the mapped region.
-			return b.si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
+			return e.base[i].si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
 		})
+		files[i], errs[i] = manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}, err
+	})
+	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		m.Files = append(m.Files, manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum})
 	}
+	m.Files = files
 	// The renames above must be durable before the manifest can name
 	// their targets.
 	if err := syncDir(filepath.Dir(ManifestPath(base))); err != nil {
@@ -170,24 +179,32 @@ func (e *Engine) Save(base string) error {
 
 // compactAllLocked folds every shard's segments and tombstones into its
 // base synchronously — the checkpoint-time compaction Save runs so
-// snapshots are always base-only. Write lock AND mergeOpMu required (no
-// concurrent readers or background merge), so MergeIndexes can read the
-// live tombstone bits directly.
+// snapshots are always base-only. The shards' merges run concurrently and
+// install in shard order (compactInBatches). Write lock AND mergeOpMu
+// required (no concurrent readers or background merge), so MergeIndexes
+// can read the live tombstone bits directly.
 func (e *Engine) compactAllLocked() {
+	var slots []int
 	for s := range e.base {
-		if len(e.segs[s]) == 0 && e.base[s].si.Index.NumDeleted() == 0 {
-			continue
+		if e.dirtyLocked(s) {
+			slots = append(slots, s)
 		}
-		subs := e.subsLocked(s)
-		sources := make([]*index.Index, len(subs))
-		for i, sub := range subs {
+	}
+	pms := make([]*pendingMerge, len(e.base))
+	compactInBatches(slots, func(s int) {
+		pm := &pendingMerge{start: time.Now(), subs: e.subsLocked(s)}
+		sources := make([]*index.Index, len(pm.subs))
+		for i, sub := range pm.subs {
 			sources[i] = sub.si.Index
 		}
-		merged, remaps := index.MergeIndexes(sources, nil)
 		// Heap output even on a mapped engine: Save is about to write the
 		// merged bytes and then re-anchor the base on the committed file.
-		e.applyMergedLocked(s, subs, merged, remaps, len(e.segs[s]), nil)
-	}
+		pm.merged, pm.remaps = index.MergeIndexes(sources, nil)
+		pms[s] = pm
+	}, func(s int) {
+		e.applyMergedLocked(s, pms[s])
+		pms[s] = nil
+	})
 }
 
 // writeShardFile writes one enveloped, checksummed shard snapshot via
