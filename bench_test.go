@@ -677,7 +677,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := semindex.Load(bytes.NewReader(data), nil); err != nil {
+			if _, err := semindex.Load(data, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,11 +1,9 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -363,41 +361,6 @@ func TestDecodeRejectsStrayBoostID(t *testing.T) {
 	_, err := Decode(bytes.NewReader(data), nil)
 	if err == nil || !strings.Contains(err.Error(), "field boost references doc 2 of 2") {
 		t.Fatalf("decoder accepted a boost entry for a nonexistent doc: %v", err)
-	}
-}
-
-// TestReadStringBoundedAlloc pins the capHint contract on strings: a
-// length prefix claiming 64 MiB backed by a 1 KiB input must fail after
-// reading what is actually there, not after a 64 MiB allocation.
-func TestReadStringBoundedAlloc(t *testing.T) {
-	data := make([]byte, 4+1024)
-	binary.LittleEndian.PutUint32(data, 1<<26)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := readString(bufio.NewReader(bytes.NewReader(data)))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("readString accepted a lying length prefix")
-	}
-	if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
-		t.Fatalf("readString allocated %d bytes for a %d-byte input", d, len(data))
-	}
-}
-
-// TestReadStringChunkedRoundTrip covers the multi-chunk path with an
-// honest large string.
-func TestReadStringChunkedRoundTrip(t *testing.T) {
-	want := strings.Repeat("semantic index ", 20000) // ~300 KiB, several chunks
-	var b bytes.Buffer
-	bw := bufio.NewWriter(&b)
-	writeString(bw, want)
-	bw.Flush()
-	got, err := readString(bufio.NewReader(&b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("large string corrupted in transit (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

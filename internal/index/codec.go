@@ -5,8 +5,9 @@ package index
 // data structure; a serving structure needs to be built offline and shipped
 // to query nodes, so the index supports a compact binary codec:
 //
-//	toc, err := ix.EncodeWithTOC(f)  // offline builder
-//	ix, err := index.Decode(f, nil)  // query node (or OpenMapped with toc)
+//	toc, err := ix.EncodeWithTOC(f)            // offline builder
+//	ix, err := index.OpenMapped(raw, toc, nil) // query node, serving raw in place
+//	ix, err := index.Decode(r, nil)            // or decoding a copy onto the heap
 //
 // The codec has one readable version, 3: a block-postings layout. Posting
 // lists are split into blocks of postingBlockSize documents: docIDs are
@@ -38,8 +39,8 @@ package index
 //	    numBoosts u32, flag u8 (when > 0):
 //	      0: docID delta uvarint per entry, then one boost f64
 //	      1: per entry: docID delta uvarint, boost f64
-//	chunkDocs u32
-//	  per chunk of <=chunkDocs docs: compLen u64 | flate stream:
+//	chunkDocs u32 = storedChunkDocs
+//	  per chunk of <=chunkDocs docs: compLen u64 (> 0) | flate stream:
 //	    per doc: numFields u32, then per field: name, text, boost f64
 //
 // Streams of any other version are refused; changing the layout means a
@@ -60,7 +61,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 const codecMagic = "SIDX"
@@ -305,77 +305,73 @@ func capHint(n uint32, limit int) int {
 // Decode deserializes an index written by EncodeWithTOC. The analyzer must match
 // the one used at build time.
 //
-// The input is untrusted: every length prefix is bounded before use,
-// allocation is proportional to bytes actually read (see capHint and
-// readString), and structural violations — counts past plausibility caps,
+// Decode reads its input into one slice and parses it with the byte
+// parsers OpenMapped uses. The input is untrusted: every length is bounded
+// by the bytes that remain, allocation is proportional to the input (see
+// capHint), and structural violations — counts past plausibility caps,
 // posting or document IDs outside the stored document range, unsorted
 // postings or positions, block metadata that is not a valid score bound —
 // return errors. Decode never panics on corrupt input (FuzzDecode
 // enforces it).
 func Decode(r io.Reader, analyzer Analyzer) (*Index, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("index: reading magic: %w", err)
+	// io.Copy lets a reader that can write itself out (bytes.Reader,
+	// bytes.Buffer) fill the buffer in one allocation of its length.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("index: reading stream: %w", err)
 	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("index: bad magic %q", magic)
-	}
-	version, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if version != CodecVersionCurrent {
-		return nil, fmt.Errorf("index: unsupported version %d", version)
-	}
-	return decode(br, analyzer)
+	return decode(buf.Bytes(), analyzer)
 }
 
-// decode parses the stream after Decode has checked its magic and version.
-func decode(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
-	ix := New(analyzer)
-
-	numDocs, err := readU32(br)
+// decode builds a heap index from a whole codec stream. Nothing it returns
+// aliases raw.
+func decode(raw []byte, analyzer Analyzer) (*Index, error) {
+	r := byteReader{b: raw}
+	numDocs, err := readHeader(&r)
 	if err != nil {
 		return nil, err
 	}
-	if numDocs > 1<<28 {
-		return nil, fmt.Errorf("index: implausible doc count %d", numDocs)
-	}
-
-	numFields, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if numFields > 1<<16 {
+	numFields := r.u32()
+	if r.bad || numFields > 1<<16 {
 		return nil, fmt.Errorf("index: implausible field count %d", numFields)
 	}
+	ix := New(analyzer)
+	// tables is where a field's length and boost tables start. They are
+	// checked as the walk passes them but filled only after the stored
+	// region has backed numDocs, since they are sized by it.
 	type pendingField struct {
 		fi     *fieldIndex
-		tables decodedTables
+		tables int
 	}
-	var pending []pendingField
+	pending := make([]pendingField, 0, capHint(numFields, 1<<10))
 	for i := uint32(0); i < numFields; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
+		name := r.str()
+		if r.bad {
+			return nil, fmt.Errorf("index: truncated field name")
 		}
 		fi := newFieldIndex()
 		ix.fields[name] = fi
-		pending = append(pending, pendingField{fi: fi})
-		if err := decodeField(br, fi, int(numDocs), &pending[i].tables); err != nil {
+		if err := decodePostings(&r, fi, numDocs); err != nil {
+			return nil, err
+		}
+		pending = append(pending, pendingField{fi: fi, tables: r.pos})
+		if err := readTables(&r, numDocs, nil); err != nil {
 			return nil, err
 		}
 	}
-
-	if err := decodeStored(br, ix, numDocs); err != nil {
+	chunks, err := readChunkTable(raw, r.pos, numDocs)
+	if err != nil {
 		return nil, err
 	}
-	// Only now is numDocs more than a claim in the header (the stored
-	// region has yielded that many documents), so only now may tables be
-	// sized by it.
+	if err := decodeStored(raw, chunks, ix, numDocs); err != nil {
+		return nil, err
+	}
 	for _, p := range pending {
-		p.tables.apply(p.fi, int(numDocs))
+		p.fi.docTable = newDocTable(numDocs)
+		// The walk above checked these bytes; they parse the same again.
+		if err := readTables(&byteReader{b: raw, pos: p.tables}, numDocs, &p.fi.docTable); err != nil {
+			return nil, err
+		}
 		if err := p.fi.checkBlocks(); err != nil {
 			return nil, err
 		}
@@ -384,100 +380,102 @@ func decode(br *bufio.Reader, analyzer Analyzer) (*Index, error) {
 	return ix, nil
 }
 
-// decodeStored reads the stored region into ix.stored, re-encoding each
-// document from the codec's shape into the heap chunks' (see stored.go).
-// Each chunk's compressed bytes are read fully before inflating — a flate
-// reader over the stream directly could buffer past the chunk boundary and
-// lose the next chunk's length prefix.
-func decodeStored(br *bufio.Reader, ix *Index, numDocs uint32) error {
-	chunkDocs, err := readU32(br)
-	if err != nil {
-		return err
+// readHeader checks a codec stream's magic and version and returns the
+// document count its header claims, capped for plausibility: only the
+// stored region (readChunkTable) backs it.
+func readHeader(r *byteReader) (int, error) {
+	if string(r.b[:min(4, len(r.b))]) != codecMagic {
+		return 0, fmt.Errorf("index: bad magic %q", r.b[:min(4, len(r.b))])
 	}
-	if chunkDocs == 0 || chunkDocs > 1<<20 {
-		return fmt.Errorf("index: implausible stored chunk size %d", chunkDocs)
+	r.pos = 4
+	switch v := r.u32(); {
+	case r.bad:
+		return 0, fmt.Errorf("index: truncated stream header")
+	case v != CodecVersionCurrent:
+		return 0, fmt.Errorf("index: unsupported version %d", v)
 	}
+	numDocs := r.u32()
+	if r.bad || numDocs > 1<<28 {
+		return 0, fmt.Errorf("index: implausible doc count %d", numDocs)
+	}
+	return int(numDocs), nil
+}
+
+// readChunkTable walks the stored region at raw[off:] — the chunk size,
+// then the length-prefixed flate chunks of numDocs documents, which must
+// end the stream — and returns the offset of each chunk's length prefix,
+// followed by len(raw). Chunk c's compressed bytes are raw[offs[c]+8 :
+// offs[c+1]]. Nothing is inflated, and nothing is sized by numDocs before
+// the bytes that remain can hold that many chunks.
+func readChunkTable(raw []byte, off, numDocs int) ([]int, error) {
+	r := byteReader{b: raw, pos: off}
+	if n := r.u32(); r.bad || n != storedChunkDocs {
+		return nil, fmt.Errorf("index: stored chunk size %d, the codec writes %d", n, storedChunkDocs)
+	}
+	n := (numDocs + storedChunkDocs - 1) / storedChunkDocs
+	// A chunk is a length prefix and at least one byte of flate stream.
+	if n > (len(raw)-r.pos)/9 {
+		return nil, fmt.Errorf("index: %d documents claimed, the stored region holds %d bytes", numDocs, len(raw)-r.pos)
+	}
+	offs := make([]int, n+1)
+	for c := 0; c < n; c++ {
+		offs[c] = r.pos
+		l := r.u64()
+		if r.bad || l == 0 || l > uint64(len(raw)-r.pos) {
+			return nil, fmt.Errorf("index: stored chunk %d of %d bytes does not fit the stream", c, l)
+		}
+		r.pos += int(l)
+	}
+	if r.pos != len(raw) {
+		return nil, fmt.Errorf("index: %d bytes after the stored region", len(raw)-r.pos)
+	}
+	offs[n] = r.pos
+	return offs, nil
+}
+
+// decodeStored inflates the stored region's chunks into ix.stored,
+// re-encoding each document from the codec's shape into the heap chunks'
+// (see stored.go).
+func decodeStored(raw []byte, chunks []int, ix *Index, numDocs int) error {
 	in := inflaters.Get().(*inflater)
 	defer in.release()
-	var comp []byte
-	for beg := uint32(0); beg < numDocs; beg += chunkDocs {
-		end := min(beg+chunkDocs, numDocs)
-		compLen, err := readU64(br)
-		if err != nil {
-			return err
-		}
-		if compLen > 1<<32 {
-			return fmt.Errorf("index: implausible stored-chunk length %d", compLen)
-		}
-		if uint64(cap(comp)) < compLen {
-			comp = make([]byte, compLen)
-		}
-		comp = comp[:compLen]
-		if _, err := io.ReadFull(br, comp); err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-		raw, err := in.inflate(comp)
+	for c := 0; c+1 < len(chunks); c++ {
+		beg := c * storedChunkDocs
+		end := min(beg+storedChunkDocs, numDocs)
+		data, err := in.inflate(raw[chunks[c]+8 : chunks[c+1]])
 		if err != nil {
 			return fmt.Errorf("index: stored chunk at doc %d: %w", beg, err)
 		}
-		if len(raw) > math.MaxUint32 {
+		if len(data) > math.MaxUint32 {
 			// A heap chunk's bytes, never longer than the codec's for the same
 			// documents, are addressed in 32 bits.
 			return fmt.Errorf("index: stored chunk at doc %d inflates past 4 GiB", beg)
 		}
-		r := byteReader{b: raw}
+		r := byteReader{b: data}
 		for i := beg; i < end; i++ {
 			if !ix.stored.addEncoded(&r) {
 				return fmt.Errorf("index: stored document %d does not parse", i)
 			}
 		}
-		if r.pos != len(raw) {
+		if r.pos != len(data) {
 			return fmt.Errorf("index: stored chunk at doc %d longer than its documents", beg)
 		}
 	}
 	return nil
 }
 
-// decodedTables holds one field's length and boost tables as read off a
-// snapshot: docIDs checked against the header's document count, nothing
-// sized by it. apply builds the dense tables once the caller has read that
-// many stored documents; until then the count is only a claim, and a table
-// sized by it would turn a twelve-byte header into gigabytes.
-type decodedTables struct {
-	lenIDs, lens []int32
-	boostIDs     []int32
-	// boosts has one value per boostID, or a single value they all share.
-	boosts []float64
-}
-
-// apply installs the tables on fi, sized for numDocs documents. lenIDs are
-// distinct; a boost for a document without a length entry is never read.
-func (dt *decodedTables) apply(fi *fieldIndex, numDocs int) {
-	fi.docTable = newDocTable(numDocs)
-	for i, id := range dt.lenIDs {
-		fi.add(int(id), int(dt.lens[i]), 0)
-	}
-	for i, id := range dt.boostIDs {
-		fi.boost[id] = dt.boosts[min(i, len(dt.boosts)-1)]
-	}
-}
-
-// decodeField parses one field's postings region: the term dictionary
-// with its posting blocks and per-block metadata, then the field-length
-// and field-boost tables, which it leaves in tables for the caller to apply.
-func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedTables) error {
-	numTerms, err := readU32(br)
-	if err != nil {
-		return err
+// decodePostings parses one field's term dictionary with its posting
+// blocks and per-block metadata into fi.
+func decodePostings(r *byteReader, fi *fieldIndex, numDocs int) error {
+	numTerms := r.u32()
+	if r.bad {
+		return fmt.Errorf("index: truncated term count")
 	}
 	for t := uint32(0); t < numTerms; t++ {
-		term, err := readString(br)
-		if err != nil {
-			return err
-		}
-		numPostings, err := readU32(br)
-		if err != nil {
-			return err
+		term := r.str()
+		numPostings := r.u32()
+		if r.bad {
+			return fmt.Errorf("index: truncated term entry")
 		}
 		if int64(numPostings) > int64(numDocs) {
 			return fmt.Errorf("index: term %q claims %d postings over %d docs",
@@ -494,29 +492,15 @@ func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedT
 			start := len(te.docs)
 			blkLen := min(n-start, postingBlockSize)
 			if multi {
-				mf, err := readUvarint(br)
-				if err != nil {
-					return err
-				}
-				ml, err := readUvarint(br)
-				if err != nil {
-					return err
-				}
-				mb, err := readF64(br)
-				if err != nil {
-					return err
-				}
-				if mf > 1<<24 || ml > 1<<32 {
+				mf, ml, mb := r.uvarint(), r.uvarint(), r.f64()
+				if r.bad || mf > 1<<24 || ml > 1<<32 {
 					return fmt.Errorf("index: implausible block metadata for %q", term)
 				}
 				te.blocks = append(te.blocks, termCap{maxFreq: int(mf), minLen: int(ml), maxBoost: mb})
 			}
 			for k := 0; k < blkLen; k++ {
-				delta, err := readUvarint(br)
-				if err != nil {
-					return err
-				}
-				if delta == 0 || delta > uint64(numDocs) {
+				delta := r.uvarint()
+				if r.bad || delta == 0 || delta > uint64(numDocs) {
 					return fmt.Errorf("index: bad docID delta for %q", term)
 				}
 				doc := prevDoc + int(delta)
@@ -530,39 +514,31 @@ func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedT
 			// positions that back them are read below.
 			end := uint64(len(te.positions))
 			for k := 0; k < blkLen; k++ {
-				f, err := readUvarint(br)
-				if err != nil {
-					return err
-				}
-				if end += f; f == 0 || f > 1<<24 || end > math.MaxUint32 {
+				f := r.uvarint()
+				if end += f; r.bad || f == 0 || f > 1<<24 || end > math.MaxUint32 {
 					return fmt.Errorf("index: implausible position count %d", f)
 				}
 				te.posEnd = append(te.posEnd, uint32(end))
 			}
-			flag, err := br.ReadByte()
-			if err != nil {
-				return fmt.Errorf("index: %w", err)
-			}
-			if flag > 1 {
+			flag := r.u8()
+			if r.bad || flag > 1 {
 				return fmt.Errorf("index: bad posting boost flag %d", flag)
 			}
 			var boost float64
 			for k := start; k < start+blkLen; k++ {
 				if flag == 1 || k == start {
-					if boost, err = readF64(br); err != nil {
-						return err
-					}
+					boost = r.f64()
 				}
 				te.setBoost(k, boost)
+			}
+			if r.bad {
+				return fmt.Errorf("index: truncated boosts for %q", term)
 			}
 			for k := start; k < start+blkLen; k++ {
 				prevPos := -1
 				for q := te.freq(k); q > 0; q-- {
-					delta, err := readUvarint(br)
-					if err != nil {
-						return err
-					}
-					if delta == 0 || delta > math.MaxInt32 {
+					delta := r.uvarint()
+					if r.bad || delta == 0 || delta > math.MaxInt32 {
 						return fmt.Errorf("index: bad position delta for %q", term)
 					}
 					pos := prevPos + int(delta)
@@ -576,80 +552,84 @@ func decodeField(br *bufio.Reader, fi *fieldIndex, numDocs int, tables *decodedT
 		}
 		fi.terms[term] = te
 	}
+	return nil
+}
 
-	numLens, err := readU32(br)
-	if err != nil {
-		return err
+// readTables parses one field's length and boost tables at r (the wire
+// shapes in the header comment), checking every docID against numDocs and
+// every length against the 32-bit columns. With t nil it only checks the
+// tables and moves r past them; otherwise t, covering numDocs documents,
+// takes their values. A boost for a document without a length entry is
+// stored but never read.
+func readTables(r *byteReader, numDocs int, t *docTable) error {
+	numLens := r.u32()
+	if r.bad || int64(numLens) > int64(numDocs) {
+		return fmt.Errorf("index: bad field-length table")
 	}
-	prevID, sumLen := -1, uint64(0)
+	id, sumLen := -1, uint64(0)
 	for l := uint32(0); l < numLens; l++ {
-		delta, err := readUvarint(br)
-		if err != nil {
-			return err
-		}
-		if delta == 0 || delta > uint64(numDocs) {
-			return fmt.Errorf("index: bad field-length docID delta")
-		}
-		id := prevID + int(delta)
-		if id >= numDocs {
-			return fmt.Errorf("index: field length references doc %d of %d", id, numDocs)
-		}
-		prevID = id
-		v, err := readUvarint(br)
-		if err != nil {
-			return err
+		delta, v := r.uvarint(), r.uvarint()
+		if id += int(delta); r.bad || delta == 0 || delta > uint64(numDocs) || id >= numDocs {
+			return docIDError(delta, id, numDocs, "field length")
 		}
 		if sumLen += v; v > math.MaxInt32 || sumLen > math.MaxUint32 {
 			return fmt.Errorf("index: implausible field length %d", v)
 		}
-		tables.lenIDs = append(tables.lenIDs, int32(id))
-		tables.lens = append(tables.lens, int32(v))
+		if t != nil {
+			t.add(id, int(v), 0)
+		}
 	}
-
-	numBoosts, err := readU32(br)
-	if err != nil {
-		return err
+	numBoosts := r.u32()
+	if r.bad || int64(numBoosts) > int64(numDocs) {
+		return fmt.Errorf("index: bad field-boost table")
 	}
-	if numBoosts > 0 {
-		flag, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("index: %w", err)
+	if numBoosts == 0 {
+		return nil
+	}
+	// Flag 0: the docIDs, then one boost they all share; 1: a boost after
+	// each docID.
+	flag := r.u8()
+	if r.bad || flag > 1 {
+		return fmt.Errorf("index: bad field boost flag %d", flag)
+	}
+	var shared []int32
+	if flag == 0 && t != nil {
+		shared = make([]int32, 0, capHint(numBoosts, 1<<16))
+	}
+	id = -1
+	for k := uint32(0); k < numBoosts; k++ {
+		delta := r.uvarint()
+		if id += int(delta); r.bad || delta == 0 || delta > uint64(numDocs) || id >= numDocs {
+			return docIDError(delta, id, numDocs, "field boost")
 		}
-		if flag > 1 {
-			return fmt.Errorf("index: bad field boost flag %d", flag)
+		switch {
+		case flag == 1:
+			if v := r.f64(); t != nil {
+				t.boost[id] = v
+			}
+		case t != nil:
+			shared = append(shared, int32(id))
 		}
-		prevID := -1
-		for bIdx := uint32(0); bIdx < numBoosts; bIdx++ {
-			delta, err := readUvarint(br)
-			if err != nil {
-				return err
-			}
-			if delta == 0 || delta > uint64(numDocs) {
-				return fmt.Errorf("index: bad field-boost docID delta")
-			}
-			id := prevID + int(delta)
-			if id >= numDocs {
-				return fmt.Errorf("index: field boost references doc %d of %d", id, numDocs)
-			}
-			prevID = id
-			tables.boostIDs = append(tables.boostIDs, int32(id))
-			if flag == 1 {
-				v, err := readF64(br)
-				if err != nil {
-					return err
-				}
-				tables.boosts = append(tables.boosts, v)
-			}
+	}
+	if flag == 0 {
+		v := r.f64()
+		for _, id := range shared {
+			t.boost[id] = v
 		}
-		if flag == 0 {
-			v, err := readF64(br)
-			if err != nil {
-				return err
-			}
-			tables.boosts = []float64{v}
-		}
+	}
+	if r.bad {
+		return fmt.Errorf("index: truncated field-boost table")
 	}
 	return nil
+}
+
+// docIDError reports a table's docID delta that is zero, truncated or
+// lands on id, at or past numDocs.
+func docIDError(delta uint64, id, numDocs int, table string) error {
+	if delta == 0 || delta > uint64(numDocs) {
+		return fmt.Errorf("index: bad %s docID delta", table)
+	}
+	return fmt.Errorf("index: %s references doc %d of %d", table, id, numDocs)
 }
 
 // checkBlocks validates the block metadata a snapshot carried against the
@@ -699,76 +679,4 @@ func writeUvarint(w *bufio.Writer, v uint64) {
 func writeString(w *bufio.Writer, s string) {
 	writeU32(w, uint32(len(s)))
 	w.WriteString(s)
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("index: %w", err)
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("index: %w", err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func readF64(r *bufio.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("index: %w", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("index: %w", err)
-	}
-	return v, nil
-}
-
-// readStringChunk is how much of a string readString materializes per
-// read: big enough to amortize the copy, small enough that a lying length
-// prefix cannot force a large one-shot allocation.
-const readStringChunk = 64 << 10
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<26 {
-		return "", fmt.Errorf("index: implausible string length %d", n)
-	}
-	if n <= readStringChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", fmt.Errorf("index: %w", err)
-		}
-		return string(buf), nil
-	}
-	// The prefix is untrusted: a 64 MiB claim backed by a 10-byte file
-	// must die on the read error after one chunk, not after a 64 MiB
-	// make. The builder grows geometrically, so allocation stays
-	// proportional to bytes actually read.
-	var sb strings.Builder
-	buf := make([]byte, readStringChunk)
-	for remaining := int(n); remaining > 0; {
-		c := readStringChunk
-		if remaining < c {
-			c = remaining
-		}
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return "", fmt.Errorf("index: %w", err)
-		}
-		sb.Write(buf[:c])
-		remaining -= c
-	}
-	return sb.String(), nil
 }

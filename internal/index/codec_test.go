@@ -10,6 +10,8 @@ import (
 
 func TestCodecRoundTrip(t *testing.T) {
 	ix := buildTestIndex()
+	// A ~300 KiB field text: strings far past any read buffer survive.
+	ix.Add(new(Document).Add("narration", strings.Repeat("semantic index ", 20000)))
 	var buf bytes.Buffer
 	if _, err := ix.EncodeWithTOC(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)

@@ -45,7 +45,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(zeros)
 
 	// Seed 5: a string length prefix claiming 64 MiB with four bytes
-	// behind it — the one-shot-allocation shape readString must survive.
+	// behind it — the one-shot-allocation shape.
 	lying := []byte(codecMagic)
 	lying = binary.LittleEndian.AppendUint32(lying, CodecVersionCurrent)
 	lying = binary.LittleEndian.AppendUint32(lying, 1) // one doc
@@ -60,6 +60,9 @@ func FuzzDecode(f *testing.F) {
 	// per-document table from a claim.
 	f.Add(hostileDocCount(false))
 	f.Add(hostileDocCount(true))
+
+	// Seed 8: a stored chunk whose length prefix claims 4 GiB.
+	f.Add(hostileChunk())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data), StandardAnalyzer{})

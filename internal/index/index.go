@@ -493,7 +493,7 @@ func (ix *Index) peekDoc(id int) *Document {
 		return nil
 	}
 	if m := ix.mapped; m != nil {
-		if d := m.docCache[id].Load(); d != nil {
+		if d := m.cachedDoc(id); d != nil {
 			return d
 		}
 		return m.decodeDoc(id)
@@ -509,8 +509,8 @@ func (ix *Index) CachedDocs() int {
 		return ix.stored.cached()
 	}
 	n := 0
-	for i := range m.docCache {
-		if m.docCache[i].Load() != nil {
+	for id := 0; id < m.numDocs; id++ {
+		if m.cachedDoc(id) != nil {
 			n++
 		}
 	}

@@ -58,28 +58,21 @@ type mappedIndex struct {
 	rawTOC []byte
 	// numDocs mirrors the payload header's document count.
 	numDocs int
-	// storedOff is the offset of the stored region's chunk table.
-	storedOff int
 	// metaNames/metaVals are the stored-only ('_'-prefixed) field values
 	// captured in the TOC so identity plumbing (global docIDs, page IDs)
 	// never forces the flate region open. metaVals[k][doc] is "" when the
 	// doc does not carry the field.
 	metaNames []string
 	metaVals  [][]string
-	// chunkDocs/chunkOffs describe the stored region's chunk table, parsed
-	// (and fully bounds-validated) at open: documents per chunk, and
-	// chunkOffs[c] as the offset of chunk c's u64 length prefix in raw,
-	// with a final sentinel at len(raw). The compressed bytes stay in the
-	// mapped region; Doc inflates one chunk transiently to decode one
-	// document, so serving stored fields never pins the region in heap.
-	chunkDocs int
+	// chunkOffs is the stored region's chunk table (readChunkTable), parsed
+	// and bounds-checked at open. The compressed bytes stay in the mapped
+	// region; Doc inflates one chunk transiently to decode one document, so
+	// serving stored fields never pins the region in heap.
 	chunkOffs []int
-	// docCache holds decoded documents by docID — populated only for
-	// documents actually served (hit materialization is top-k, so a
-	// serving process inflates the handful of documents queries return,
-	// not the corpus). Entries are immutable once stored; a racing decode
-	// publishes an equal value.
-	docCache []atomic.Pointer[Document]
+	// docs holds each chunk's decoded documents, allocated on the chunk's
+	// first Doc — hit materialization is top-k, so a serving process decodes
+	// the handful of documents queries return, not the corpus.
+	docs []atomic.Pointer[docCache]
 }
 
 // mappedField is one field's mapped postings view.
@@ -128,7 +121,19 @@ func (r *byteReader) fail() {
 	r.pos = len(r.b)
 }
 
+// uvarint settles the one-byte case — nearly every delta and length —
+// itself and leaves the rest to uvarintLong.
 func (r *byteReader) uvarint() uint64 {
+	if p := r.pos; p < len(r.b) {
+		if v := r.b[p]; v < 0x80 {
+			r.pos = p + 1
+			return uint64(v)
+		}
+	}
+	return r.uvarintLong()
+}
+
+func (r *byteReader) uvarintLong() uint64 {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		r.fail()
@@ -159,6 +164,15 @@ func (r *byteReader) u64() uint64 {
 }
 
 func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *byteReader) u8() byte {
+	if r.pos >= len(r.b) {
+		r.fail()
+		return 0
+	}
+	r.pos++
+	return r.b[r.pos-1]
+}
 
 // strBytes reads a u32-length-prefixed string (the codec's string shape)
 // as a view of the region.
@@ -314,20 +328,9 @@ func (tb *tocBuilder) serialize() []byte {
 // TOC/payload agreement on counts and offsets, table parses, and monotone
 // block boundaries.
 func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
-	pr := byteReader{b: raw}
-	if string(pr.b[:min(4, len(pr.b))]) != codecMagic {
-		return nil, fmt.Errorf("index: bad magic in mapped stream")
-	}
-	pr.pos = 4
-	switch v := pr.u32(); {
-	case pr.bad:
-		return nil, fmt.Errorf("index: truncated mapped stream")
-	case v != CodecVersionCurrent:
-		return nil, fmt.Errorf("index: unsupported codec version %d", v)
-	}
-	payloadDocs := pr.u32()
-	if pr.bad || payloadDocs > 1<<28 {
-		return nil, fmt.Errorf("index: implausible doc count in mapped stream")
+	numDocs, err := readHeader(&byteReader{b: raw})
+	if err != nil {
+		return nil, err
 	}
 
 	tr := byteReader{b: toc}
@@ -338,36 +341,20 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 	if v := tr.u32(); tr.bad || v != tocVersion {
 		return nil, fmt.Errorf("index: unsupported TOC version")
 	}
-	numDocs := int(tr.u32())
+	tocDocs := tr.u32()
 	storedOff := tr.u64()
-	if tr.bad || numDocs != int(payloadDocs) {
+	if tr.bad || int(tocDocs) != numDocs {
 		return nil, fmt.Errorf("index: TOC/payload doc count mismatch")
 	}
-	// The stored region must close the payload exactly: a u32 chunk size
-	// at storedOff, then length-prefixed flate chunks to the end. The
-	// chunk walk is O(numDocs/chunkDocs) pointer arithmetic — no chunk is
-	// inflated here.
-	if storedOff > uint64(len(raw)) || storedOff < 12 {
+	// The stored region must close the payload exactly. The chunk walk is
+	// O(numDocs/storedChunkDocs) pointer arithmetic — no chunk is inflated
+	// here — and it backs numDocs before anything below is sized by it.
+	if storedOff > uint64(len(raw)) || storedOff < 16 {
 		return nil, fmt.Errorf("index: TOC stored-region offset out of range")
 	}
-	sr := byteReader{b: raw, pos: int(storedOff)}
-	chunkDocs := sr.u32()
-	if sr.bad || chunkDocs == 0 || chunkDocs > 1<<20 {
-		return nil, fmt.Errorf("index: implausible mapped stored chunk size")
-	}
-	chunkCount := (numDocs + int(chunkDocs) - 1) / int(chunkDocs)
-	chunkOffs := make([]int, chunkCount+1)
-	for c := 0; c < chunkCount; c++ {
-		chunkOffs[c] = sr.pos
-		n := sr.u64()
-		if sr.bad || n > uint64(len(raw)-sr.pos) {
-			return nil, fmt.Errorf("index: truncated mapped stored chunk %d", c)
-		}
-		sr.pos += int(n)
-	}
-	chunkOffs[chunkCount] = sr.pos
-	if sr.pos != len(raw) {
-		return nil, fmt.Errorf("index: stored-region length mismatch")
+	chunkOffs, err := readChunkTable(raw, int(storedOff), numDocs)
+	if err != nil {
+		return nil, err
 	}
 
 	ix := New(analyzer)
@@ -375,10 +362,8 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 		raw:       raw,
 		rawTOC:    toc,
 		numDocs:   numDocs,
-		storedOff: int(storedOff),
-		chunkDocs: int(chunkDocs),
 		chunkOffs: chunkOffs,
-		docCache:  make([]atomic.Pointer[Document], numDocs),
+		docs:      make([]atomic.Pointer[docCache], len(chunkOffs)-1),
 	}
 	numMeta := tr.u32()
 	if tr.bad || numMeta > 1<<10 {
@@ -403,7 +388,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 	for i := uint32(0); i < numFields; i++ {
 		name := tr.vstr()
 		docLenOff := tr.u64()
-		boostOff := tr.u64()
+		tr.u64() // the boost table's offset: readTables reads it after the lengths
 		numTerms := tr.u32()
 		if tr.bad || numTerms > 1<<28 {
 			return nil, fmt.Errorf("index: truncated TOC field header")
@@ -448,13 +433,13 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 			}
 			mf.terms[term] = mt
 		}
-		// The field-length and boost tables parse out of the payload at the
-		// recorded offsets, into compact arrays (they are read per scored
-		// document, unlike postings).
-		if docLenOff >= storedOff || boostOff >= storedOff {
+		// The field-length and boost tables parse out of the payload into
+		// dense arrays (they are read per scored document, unlike postings).
+		if docLenOff >= storedOff {
 			return nil, fmt.Errorf("index: TOC table offset out of range for field %q", name)
 		}
-		if err := mf.parseTables(raw, int(docLenOff), int(boostOff), numDocs); err != nil {
+		mf.docTable = newDocTable(numDocs)
+		if err := readTables(&byteReader{b: raw, pos: int(docLenOff)}, numDocs, &mf.docTable); err != nil {
 			return nil, err
 		}
 		ix.fields[name] = &fieldIndex{m: mf, docTable: mf.docTable}
@@ -464,81 +449,6 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 	}
 	ix.mapped = m
 	return ix, nil
-}
-
-// parseTables decodes the payload's field-length and field-boost tables
-// (the same wire shapes decodeField reads) into the dense docTable.
-// numDocs is already backed by the stored region's chunk table and the
-// document cache OpenMapped sized by it.
-func (f *mappedField) parseTables(raw []byte, docLenOff, boostOff, numDocs int) error {
-	f.docTable = newDocTable(numDocs)
-	br := byteReader{b: raw, pos: docLenOff}
-	numLens := br.u32()
-	if br.bad || int64(numLens) > int64(numDocs) {
-		return fmt.Errorf("index: bad mapped field-length table")
-	}
-	prev := -1
-	for l := uint32(0); l < numLens; l++ {
-		delta := br.uvarint()
-		if br.bad || delta == 0 || delta > uint64(numDocs) {
-			return fmt.Errorf("index: bad mapped field-length delta")
-		}
-		id := prev + int(delta)
-		if id >= numDocs {
-			return fmt.Errorf("index: mapped field length references doc %d of %d", id, numDocs)
-		}
-		prev = id
-		v := br.uvarint()
-		if br.bad || v > math.MaxInt32 || f.sumLen+int(v) > math.MaxUint32 {
-			return fmt.Errorf("index: implausible mapped field length")
-		}
-		f.add(id, int(v), 0)
-	}
-	br = byteReader{b: raw, pos: boostOff}
-	numBoosts := br.u32()
-	if br.bad || int64(numBoosts) > int64(numDocs) {
-		return fmt.Errorf("index: bad mapped field-boost table")
-	}
-	if numBoosts > 0 {
-		flag := byte(0)
-		if br.pos < len(br.b) {
-			flag = br.b[br.pos]
-			br.pos++
-		} else {
-			return fmt.Errorf("index: truncated mapped field-boost table")
-		}
-		if flag > 1 {
-			return fmt.Errorf("index: bad mapped field-boost flag")
-		}
-		ids := make([]int32, 0, capHint(numBoosts, 1<<16))
-		prev := -1
-		for k := uint32(0); k < numBoosts; k++ {
-			delta := br.uvarint()
-			if br.bad || delta == 0 || delta > uint64(numDocs) {
-				return fmt.Errorf("index: bad mapped field-boost delta")
-			}
-			id := prev + int(delta)
-			if id >= numDocs {
-				return fmt.Errorf("index: mapped field boost references doc %d of %d", id, numDocs)
-			}
-			prev = id
-			if flag == 1 {
-				f.boost[id] = br.f64()
-			} else {
-				ids = append(ids, int32(id))
-			}
-		}
-		if flag == 0 {
-			v := br.f64()
-			for _, id := range ids {
-				f.boost[id] = v
-			}
-		}
-		if br.bad {
-			return fmt.Errorf("index: truncated mapped field-boost table")
-		}
-	}
-	return nil
 }
 
 // --- Index-level mapped plumbing ---
@@ -620,14 +530,28 @@ func (in *inflater) release() {
 // served before, otherwise decoded by decodeDoc and published to the cache.
 // id is in [0, numDocs).
 func (m *mappedIndex) storedDocAt(id int) *Document {
-	if d := m.docCache[id].Load(); d != nil {
+	c := m.docs[id/storedChunkDocs].Load()
+	if c == nil {
+		m.docs[id/storedChunkDocs].CompareAndSwap(nil, new(docCache))
+		c = m.docs[id/storedChunkDocs].Load()
+	}
+	slot := &c[id%storedChunkDocs]
+	if d := slot.Load(); d != nil {
 		return d
 	}
 	d := m.decodeDoc(id)
-	if d != nil {
-		m.docCache[id].Store(d)
+	if d == nil || slot.CompareAndSwap(nil, d) {
+		return d
 	}
-	return d
+	return slot.Load()
+}
+
+// cachedDoc returns document id's decode if Doc has made one.
+func (m *mappedIndex) cachedDoc(id int) *Document {
+	if c := m.docs[id/storedChunkDocs].Load(); c != nil {
+		return c[id%storedChunkDocs].Load()
+	}
+	return nil
 }
 
 // decodeDoc inflates document id's chunk from the mapped region
@@ -636,7 +560,7 @@ func (m *mappedIndex) storedDocAt(id int) *Document {
 // nothing. Returns nil on structural corruption inside the chunk (impossible
 // on a CRC-verified file; the parse stays defensive anyway).
 func (m *mappedIndex) decodeDoc(id int) *Document {
-	c := id / m.chunkDocs
+	c := id / storedChunkDocs
 	in := inflaters.Get().(*inflater)
 	defer in.release()
 	raw, err := in.inflate(m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]])
@@ -644,7 +568,7 @@ func (m *mappedIndex) decodeDoc(id int) *Document {
 		return nil
 	}
 	r := byteReader{b: raw}
-	for k := id % m.chunkDocs; k > 0; k-- {
+	for k := id % storedChunkDocs; k > 0; k-- {
 		if !skipStoredDoc(&r) {
 			return nil
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -129,7 +130,7 @@ func TestMappedDocMetaAndLazyStored(t *testing.T) {
 		t.Fatalf("DocMeta cached %d documents", n)
 	}
 	mapped.Doc(3)
-	if mapped.mapped.docCache[3].Load() == nil || mapped.CachedDocs() != 1 {
+	if mapped.mapped.cachedDoc(3) == nil || mapped.CachedDocs() != 1 {
 		t.Fatal("Doc did not decode and cache exactly its document")
 	}
 	if mapped.stored.n != 0 {
@@ -233,6 +234,28 @@ func TestOpenMappedRejects(t *testing.T) {
 	if _, err := OpenMapped(raw, append(append([]byte(nil), toc...), 0), nil); err == nil {
 		t.Fatal("trailing TOC bytes accepted")
 	}
+
+	// A header's document count may size nothing the payload does not back.
+	raw, toc = hostileChunkTable()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = OpenMapped(raw, toc, nil)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil && grew > 4<<20 {
+		t.Fatalf("opened 2^28 claimed documents in %d bytes with %d bytes allocated", len(raw), grew)
+	}
+}
+
+// hostileChunkTable is a 2,068-byte payload claiming 2^28 documents in 256
+// empty chunks of 2^20, and the 28-byte TOC that matches it.
+func hostileChunkTable() (raw, toc []byte) {
+	u32 := binary.LittleEndian.AppendUint32
+	raw = u32(u32(u32([]byte(codecMagic), CodecVersionCurrent), 1<<28), 0)
+	storedOff := len(raw)
+	raw = append(u32(raw, 1<<20), make([]byte, 256*8)...)
+	toc = u32(u32([]byte(tocMagic), tocVersion), 1<<28)
+	toc = binary.LittleEndian.AppendUint64(toc, uint64(storedOff))
+	return raw, u32(u32(toc, 0), 0)
 }
 
 // TestMappedCorruptionFailsClosed flips bytes of the payload — every byte
@@ -336,6 +359,8 @@ func FuzzOpenMapped(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0xff
 	f.Add(flipped, toc)
 	f.Add([]byte("SIDX"), []byte("STOC"))
+	hostileRaw, hostileTOC := hostileChunkTable()
+	f.Add(hostileRaw, hostileTOC)
 
 	f.Fuzz(func(t *testing.T, raw, toc []byte) {
 		m, err := OpenMapped(raw, toc, StandardAnalyzer{})

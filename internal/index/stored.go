@@ -39,10 +39,13 @@ type storedChunk struct {
 	names []string
 	// shared is set once a merge has handed the chunk to another index.
 	shared atomic.Bool
-	// cache holds document k once Doc has decoded it. An entry is written
-	// once; a racing decode loses the CompareAndSwap and returns the winner.
-	cache [storedChunkDocs]atomic.Pointer[Document]
+	cache  docCache
 }
+
+// docCache holds a chunk's documents, document k once Doc has decoded it.
+// An entry is written once; a racing decode loses the CompareAndSwap and
+// returns the winner.
+type docCache [storedChunkDocs]atomic.Pointer[Document]
 
 // storedRegion is a heap index's stored documents: its chunks in docID
 // order, first[c] the docID of chunk c's first document, n the document

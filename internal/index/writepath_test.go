@@ -554,14 +554,37 @@ func hostileTerm(positions bool) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
 }
 
-// TestDecodeHostileDocCount pins that a document, posting or position count
-// the stream does not back is refused before anything is sized by it.
+// hostileChunk is a 44-byte stream of one document and no fields whose one
+// stored chunk claims 4 GiB with 16 bytes behind it.
+func hostileChunk() []byte {
+	u32 := binary.LittleEndian.AppendUint32
+	b := u32(u32(u32([]byte(codecMagic), CodecVersionCurrent), 1), 0)
+	b = u32(b, storedChunkDocs)
+	b = binary.LittleEndian.AppendUint64(b, 1<<32)
+	return append(b, make([]byte, 16)...)
+}
+
+// hostileString is a 1 KiB stream whose one term claims a 64 MiB string.
+func hostileString() []byte {
+	u32 := binary.LittleEndian.AppendUint32
+	b := u32([]byte(codecMagic), CodecVersionCurrent)
+	b = u32(b, 1)                      // documents
+	b = append(u32(u32(b, 1), 1), 'f') // one field
+	b = u32(u32(b, 1), 1<<26)          // one term, of 64 MiB
+	return append(b, make([]byte, 1024-len(b))...)
+}
+
+// TestDecodeHostileDocCount pins that a document, posting, position, chunk
+// or string length the stream does not back is refused before anything is
+// sized by it.
 func TestDecodeHostileDocCount(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"documents":        hostileDocCount(false),
 		"documents, entry": hostileDocCount(true),
 		"postings":         hostileTerm(false),
 		"positions":        hostileTerm(true),
+		"stored chunk":     hostileChunk(),
+		"string":           hostileString(),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

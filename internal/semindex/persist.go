@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/index"
@@ -29,22 +30,6 @@ func (s *SemanticIndex) SaveWithTOC(w io.Writer, metaFields ...string) ([]byte, 
 	return toc, bw.Flush()
 }
 
-// parseHeader reads the level out of a "SEMIDX <level>" header line
-// (trailing newline optional) and rejects any level not in Levels.
-func parseHeader(header string) (Level, error) {
-	parts := strings.Fields(header)
-	if len(parts) != 2 || parts[0] != "SEMIDX" {
-		return "", fmt.Errorf("semindex: bad header %q", header)
-	}
-	level := Level(parts[1])
-	for _, l := range Levels {
-		if l == level {
-			return level, nil
-		}
-	}
-	return "", fmt.Errorf("semindex: unknown level %q", level)
-}
-
 // OpenMapped serves an index directly from the payload bytes SaveWithTOC
 // wrote, using the TOC it returned: the level header is parsed in place
 // and the codec stream behind it becomes an index.OpenMapped region — no
@@ -52,37 +37,46 @@ func parseHeader(header string) (Level, error) {
 // (typically an mmap) and their integrity (the shard envelope checksums
 // both). A payload without a usable TOC fails.
 func OpenMapped(payload, toc []byte, analyzer index.Analyzer) (*SemanticIndex, error) {
-	nl := bytes.IndexByte(payload, '\n')
-	if nl < 0 || nl > 64 {
-		return nil, fmt.Errorf("semindex: bad header in mapped payload")
-	}
-	level, err := parseHeader(string(payload[:nl]))
+	level, stream, err := splitHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := index.OpenMapped(payload[nl+1:], toc, analyzer)
+	ix, err := index.OpenMapped(stream, toc, analyzer)
 	if err != nil {
 		return nil, err
 	}
 	return &SemanticIndex{Level: level, Index: ix}, nil
 }
 
-// Load decodes a payload SaveWithTOC wrote onto the heap. The analyzer
-// must match the one used at build time (nil = StandardAnalyzer, the
-// pipeline default).
-func Load(r io.Reader, analyzer index.Analyzer) (*SemanticIndex, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("semindex: reading header: %w", err)
-	}
-	level, err := parseHeader(header)
+// Load decodes the payload bytes SaveWithTOC wrote onto the heap; the
+// result does not alias payload. The analyzer must match the one used at
+// build time (nil = StandardAnalyzer, the pipeline default).
+func Load(payload []byte, analyzer index.Analyzer) (*SemanticIndex, error) {
+	level, stream, err := splitHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := index.Decode(br, analyzer)
+	ix, err := index.Decode(bytes.NewReader(stream), analyzer)
 	if err != nil {
 		return nil, err
 	}
 	return &SemanticIndex{Level: level, Index: ix}, nil
+}
+
+// splitHeader parses a payload's "SEMIDX <level>" line, rejecting any
+// level not in Levels, and returns the level and the codec stream after it.
+func splitHeader(payload []byte) (Level, []byte, error) {
+	nl := bytes.IndexByte(payload, '\n')
+	if nl < 0 || nl > 64 {
+		return "", nil, fmt.Errorf("semindex: bad header in payload")
+	}
+	parts := strings.Fields(string(payload[:nl]))
+	if len(parts) != 2 || parts[0] != "SEMIDX" {
+		return "", nil, fmt.Errorf("semindex: bad header %q", payload[:nl])
+	}
+	level := Level(parts[1])
+	if !slices.Contains(Levels, level) {
+		return "", nil, fmt.Errorf("semindex: unknown level %q", level)
+	}
+	return level, payload[nl+1:], nil
 }

@@ -14,7 +14,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := si.SaveWithTOC(&buf); err != nil {
 		t.Fatalf("SaveWithTOC: %v", err)
 	}
-	back, err := Load(bytes.NewReader(buf.Bytes()), nil)
+	back, err := Load(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestLoadErrors(t *testing.T) {
 	}
 	for name, src := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(src), nil); err == nil {
+			if _, err := Load([]byte(src), nil); err == nil {
 				t.Error("Load accepted invalid input")
 			}
 			if _, err := OpenMapped([]byte(src), nil, nil); err == nil {

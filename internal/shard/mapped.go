@@ -1,15 +1,18 @@
 package shard
 
 // Mapped serving glue: lifecycle of the byte regions behind mapped base
-// segments. The index layer (internal/index OpenMapped) serves queries
-// from the bytes; this file decides when the bytes live and die:
+// segments. Every snapshot read maps the file and checks the mapped bytes
+// (mapShardFile); a heap load decodes them and unmaps at once, a mapped
+// one hands the same bytes to the index layer (internal/index OpenMapped),
+// which serves queries from them. This file decides when they live and
+// die:
 //
-//   - LoadWith(Mapped) maps each manifest-named snapshot file; the
+//   - LoadWith(Mapped) keeps each manifest-named snapshot file mapped; the
 //     release func rides on the base subIndex.
 //   - The background merger persists compaction output as a scratch
 //     segment file ("<base>.mapseg000001.shard002") and reopens it
-//     mapped, so a mapped engine stays mapped across merges instead of
-//     accreting heap.
+//     through the same reader, so a mapped engine stays mapped across
+//     merges instead of accreting heap.
 //   - Save re-anchors every base on the generation it just committed
 //     and retires scratch files.
 //   - Close unmaps whatever is still live.
@@ -76,7 +79,7 @@ func (e *Engine) Close() error {
 // the heap base stays. Write lock required; the base must be clean
 // (Save compacts first) so its local IDs equal the file's.
 func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
-	si, release, err := readShardFileMapped(path, e.base[s].si.Index.Analyzer(), mf)
+	si, release, err := readShardFile(path, e.base[s].si.Index.Analyzer(), mf, true)
 	if err != nil || si.Level != e.level || si.Index.NumDocs() != len(e.base[s].gids) {
 		if release != nil {
 			release()
@@ -95,8 +98,8 @@ func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
 }
 
 // writeMappedSeg persists a freshly merged index as a mapped scratch
-// segment — tmp + fsync + rename, full CRC verification on reopen, the
-// same write discipline as a snapshot — and returns the base-ready sub,
+// segment — tmp + fsync + rename, then a reopen through the one snapshot
+// reader, the same discipline as a snapshot — and returns the base-ready sub,
 // or nil to signal the caller to fall back to serving the heap merge
 // (the merge itself never fails here, only the mapping of it). Scratch
 // files are invisible to Load (the manifest never names them) and are
@@ -111,7 +114,7 @@ func (e *Engine) writeMappedSeg(s int, merged *index.Index) *subIndex {
 		os.Remove(path + ".tmp")
 		return nil
 	}
-	msi, release, err := readShardFileMapped(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum})
+	msi, release, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
 	if err != nil {
 		os.Remove(path)
 		return nil

@@ -78,9 +78,19 @@ func TestMappedLoadCorruptionVerdictParity(t *testing.T) {
 }
 
 // TestMappedCloseReleasesMappings: Close must unmap every base region
-// exactly once, and a second Close must be harmless.
+// exactly once, and a second Close must be harmless. A heap load holds no
+// mapping at all once it returns.
 func TestMappedCloseReleasesMappings(t *testing.T) {
 	_, base := saveFixture(t, 2)
+	heap, err := Load(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range heap.base {
+		if heap.base[s].release != nil {
+			t.Fatalf("heap-loaded shard %d still holds its file's mapping", s)
+		}
+	}
 	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
 	if err != nil {
 		t.Fatal(err)

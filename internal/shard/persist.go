@@ -5,7 +5,9 @@ package shard
 //
 //   - Shard snapshots: each shard's codec stream rides inside a
 //     versioned envelope with a CRC32 trailer, written tmp + fsync +
-//     rename so a crash never tears a live file.
+//     rename so a crash never tears a live file. One function reads
+//     them back (mapShardFile): it maps the file and checks the mapped
+//     bytes, which a heap load then decodes and a mapped load serves.
 //   - The manifest (manifest.go): the commit point naming every shard
 //     file with its size and checksum, committed last. Load reads only
 //     what the manifest names — stale shard files from an earlier,
@@ -272,164 +274,111 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// readShardFile verifies one snapshot file against its envelope and
-// manifest entry and decodes it. Every mismatch — size, magic, version,
-// trailer, CRC — wraps ErrSnapshotCorrupt; the caller quarantines.
-func readShardFile(path string, analyzer index.Analyzer, want manifestEntry) (*semindex.SemanticIndex, error) {
+// mapShardFile is the one reader of snapshot files. It opens path, checks
+// its size against the manifest entry, maps it, and checks the envelope
+// over the mapped bytes — header, trailer, payload CRC, metadata CRC —
+// before it returns the payload and the metadata region (the payload's
+// mapped TOC) as views of the mapping. release unmaps them; on error
+// nothing stays mapped. So every load and Fsck checks exactly the bytes a
+// mapped engine goes on to serve, and a heap load decodes nothing before
+// the CRC verdict. An envelope version or codec other than the one this
+// build reads fails with ErrSnapshotUnknownVersion, everything else that
+// is wrong with the file with ErrSnapshotCorrupt.
+func mapShardFile(path string, want manifestEntry) (payload, toc []byte, release func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	if st.Size() != want.Size {
-		return nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
+		return nil, nil, nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
 	}
-	payloadLen, _, err := verifyEnvelope(f, st.Size(), want.CRC, false)
+	m, unmap, err := mapFile(f, st.Size())
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("shard: mapping %s: %w", path, err)
 	}
-	// Decode while checksumming: the codec is defensive against corrupt
-	// bytes (it errors, never panics), and the CRC verdict lands before
-	// the decoded index is trusted.
-	crc := crc32.NewIEEE()
-	tee := io.TeeReader(io.NewSectionReader(f, snapHeaderLen, payloadLen), crc)
-	si, err := semindex.Load(tee, analyzer)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	defer func() {
+		if err != nil {
+			unmap()
+		}
+	}()
+	if len(m) < snapHeaderLen {
+		return nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an envelope header", ErrSnapshotCorrupt, len(m))
 	}
-	// Drain whatever the decoder's buffering left unread so the CRC
-	// covers the whole payload.
-	if _, err := io.Copy(io.Discard, tee); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	if string(m[:4]) != snapMagic {
+		return nil, nil, nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, m[:4])
 	}
-	if got := crc.Sum32(); got != want.CRC {
-		return nil, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, want.CRC)
-	}
-	return si, nil
-}
-
-// readShardFileMapped verifies one snapshot file — envelope, full
-// payload CRC, metadata CRC — and opens it memory-mapped: the codec
-// stream is served from the file's bytes (postings decoded lazily,
-// block by block, stored fields on first hit) instead of being decoded
-// onto the heap. Open-time work is O(TOC), not O(postings). The
-// returned release func unmaps the region; the caller must not use the
-// index after calling it.
-func readShardFileMapped(path string, analyzer index.Analyzer, want manifestEntry) (*semindex.SemanticIndex, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	if st.Size() != want.Size {
-		return nil, nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
-	}
-	// Unlike the decode path — whose decoder validates as it reads — the
-	// mapped path trusts the bytes for the life of the mapping, so the
-	// CRC pass over payload AND metadata happens up front.
-	payloadLen, metaLen, err := verifyEnvelope(f, st.Size(), want.CRC, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, release, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, nil, fmt.Errorf("shard: mapping %s: %w", path, err)
-	}
-	payload := m[snapHeaderLen : snapHeaderLen+payloadLen]
-	toc := m[snapHeaderLen+payloadLen : snapHeaderLen+payloadLen+metaLen]
-	si, err := semindex.OpenMapped(payload, toc, analyzer)
-	if err != nil {
-		release()
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	return si, release, nil
-}
-
-// verifyEnvelope checks header magic/version/codec and the trailer's
-// length and CRC fields against the file size (and wantCRC), returning
-// the lengths of the payload, which starts after the snapHeaderLen-byte
-// header, and of the metadata region between payload and trailer. The
-// metadata region is always CRC-checked; with sumPayload the payload is
-// streamed through CRC32 too — the decode-free integrity pass Fsck and
-// the mapped loader use (the heap loader checksums the payload during
-// decode). An envelope version or codec other than the one this build
-// reads fails with ErrSnapshotUnknownVersion, everything else with
-// ErrSnapshotCorrupt.
-func verifyEnvelope(f *os.File, size int64, wantCRC uint32, sumPayload bool) (payloadLen, metaLen int64, err error) {
-	if size < snapHeaderLen {
-		return 0, 0, fmt.Errorf("%w: %d bytes is shorter than an envelope header", ErrSnapshotCorrupt, size)
-	}
-	var hdr [snapHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	if string(hdr[:4]) != snapMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:4])
-	}
-	if version := binary.LittleEndian.Uint32(hdr[4:8]); version != snapVersion {
-		return 0, 0, fmt.Errorf("%w: envelope version %d, this build reads %d",
+	if version := binary.LittleEndian.Uint32(m[4:8]); version != snapVersion {
+		return nil, nil, nil, fmt.Errorf("%w: envelope version %d, this build reads %d",
 			ErrSnapshotUnknownVersion, version, snapVersion)
 	}
-	switch codec := binary.LittleEndian.Uint32(hdr[8:12]); {
+	switch codec := binary.LittleEndian.Uint32(m[8:12]); {
 	case codec == 0:
-		return 0, 0, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
+		return nil, nil, nil, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
 	case codec != index.CodecVersionCurrent:
-		return 0, 0, fmt.Errorf("%w: payload codec %d, this build reads %d",
+		return nil, nil, nil, fmt.Errorf("%w: payload codec %d, this build reads %d",
 			ErrSnapshotUnknownVersion, codec, index.CodecVersionCurrent)
 	}
 	// body is what lies between header and trailer: payload, then metadata.
-	body := size - snapHeaderLen - snapTrailerLen
+	body := int64(len(m)) - snapHeaderLen - snapTrailerLen
 	if body < 0 {
-		return 0, 0, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, size)
+		return nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, len(m))
 	}
-	var trailer [snapTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-snapTrailerLen); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	metaLen = int64(binary.LittleEndian.Uint64(trailer[0:8]))
+	trailer := m[len(m)-snapTrailerLen:]
+	metaLen := binary.LittleEndian.Uint64(trailer[0:8])
 	metaCRC := binary.LittleEndian.Uint32(trailer[8:12])
-	if metaLen <= 0 || metaLen > body {
-		return 0, 0, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
+	if metaLen == 0 || metaLen > uint64(body) {
+		return nil, nil, nil, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
 			ErrSnapshotCorrupt, metaLen, body)
 	}
-	payloadLen = int64(binary.LittleEndian.Uint64(trailer[12:20]))
-	if payloadLen != body-metaLen {
-		return 0, 0, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
-			ErrSnapshotCorrupt, payloadLen, body-metaLen)
+	payloadLen := binary.LittleEndian.Uint64(trailer[12:20])
+	if payloadLen != uint64(body)-metaLen {
+		return nil, nil, nil, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
+			ErrSnapshotCorrupt, payloadLen, uint64(body)-metaLen)
 	}
-	trailerCRC := binary.LittleEndian.Uint32(trailer[20:24])
-	if trailerCRC != wantCRC {
-		return 0, 0, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, wantCRC)
+	if trailerCRC := binary.LittleEndian.Uint32(trailer[20:24]); trailerCRC != want.CRC {
+		return nil, nil, nil, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, want.CRC)
 	}
-	if sumPayload {
-		crc := crc32.NewIEEE()
-		if _, err := io.Copy(crc, io.NewSectionReader(f, snapHeaderLen, payloadLen)); err != nil {
-			return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	payload = m[snapHeaderLen : snapHeaderLen+payloadLen]
+	toc = m[snapHeaderLen+payloadLen : snapHeaderLen+payloadLen+metaLen]
+	if got := crc32.ChecksumIEEE(payload); got != want.CRC {
+		return nil, nil, nil, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, want.CRC)
+	}
+	if got := crc32.ChecksumIEEE(toc); got != metaCRC {
+		return nil, nil, nil, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
+	}
+	return payload, toc, unmap, nil
+}
+
+// readShardFile opens one verified snapshot file (mapShardFile) as a
+// semantic index. Mapped, the index serves the file's bytes — postings
+// decoded lazily, block by block, stored fields on first hit — and
+// release unmaps them; the caller must not use the index after calling
+// it. Otherwise the index is decoded onto the heap, the mapping is
+// already released and release is nil.
+func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, mapped bool) (si *semindex.SemanticIndex, release func() error, err error) {
+	payload, toc, release, err := mapShardFile(path, want)
+	if err != nil {
+		return nil, nil, err
+	}
+	if mapped {
+		si, err = semindex.OpenMapped(payload, toc, analyzer)
+	} else {
+		si, err = semindex.Load(payload, analyzer)
+		release()
+		release = nil
+	}
+	if err != nil {
+		if release != nil {
+			release()
 		}
-		if got := crc.Sum32(); got != wantCRC {
-			return 0, 0, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, wantCRC)
-		}
+		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	// The metadata region is small (a block TOC), so it is always
-	// verified here — even when the caller streams the payload through
-	// its own CRC during decode. Load and Fsck must agree on whether a
-	// file is damaged, wherever the flipped byte lands.
-	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, io.NewSectionReader(f, snapHeaderLen+payloadLen, metaLen)); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	if got := crc.Sum32(); got != metaCRC {
-		return 0, 0, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
-	}
-	return payloadLen, metaLen, nil
+	return si, release, nil
 }
 
 // removeStaleSnapshotFiles deletes every shard file the just-committed
@@ -522,10 +471,11 @@ type LoadOptions struct {
 	// open-time work drops from O(postings) to O(TOC), postings decode
 	// lazily block by block as queries touch them, stored fields inflate
 	// on the first hit, and the OS pages cold index regions in and out —
-	// so the index may exceed RAM. Every integrity check still runs (a
-	// full CRC pass over payload and TOC before the bytes are trusted).
-	// Rankings are byte-identical to a heap load. Engines loaded mapped
-	// should be released with Close.
+	// so the index may exceed RAM. Both modes read a shard file the same
+	// way — map it, CRC the payload and TOC — and differ only after the
+	// check: a heap load decodes the checked bytes and unmaps them, a
+	// mapped load serves them. Rankings are byte-identical to a heap
+	// load. Engines loaded mapped should be released with Close.
 	Mapped bool
 }
 
@@ -543,13 +493,8 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	intact := 0
 	for i, mf := range m.Files {
 		path := filepath.Join(dir, mf.Name)
-		var si *semindex.SemanticIndex
-		var err error
-		if opts.Mapped {
-			si, closers[i], err = readShardFileMapped(path, analyzer, mf)
-		} else {
-			si, err = readShardFile(path, analyzer, mf)
-		}
+		si, release, err := readShardFile(path, analyzer, mf, opts.Mapped)
+		closers[i] = release
 		if err == nil && si.Level != m.Level {
 			err = fmt.Errorf("%w: level %s, manifest says %s", ErrSnapshotCorrupt, si.Level, m.Level)
 		}
@@ -910,24 +855,11 @@ func Fsck(base string) *FsckReport {
 	dir := filepath.Dir(base)
 	for _, mf := range m.Files {
 		ff := FsckFile{Name: mf.Name, Size: mf.Size, CRC: mf.CRC}
-		f, err := os.Open(filepath.Join(dir, mf.Name))
-		if err != nil {
-			ff.Detail = err.Error()
-			rep.Files = append(rep.Files, ff)
-			continue
-		}
-		st, err := f.Stat()
-		if err == nil && st.Size() != mf.Size {
-			err = fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), mf.Size)
-		}
-		if err == nil {
-			_, _, err = verifyEnvelope(f, st.Size(), mf.CRC, true)
-		}
-		f.Close()
-		if err != nil {
+		if _, _, release, err := mapShardFile(filepath.Join(dir, mf.Name), mf); err != nil {
 			ff.Detail = err.Error()
 			ff.Unverifiable = errors.Is(err, ErrSnapshotUnknownVersion)
 		} else {
+			release()
 			ff.OK = true
 		}
 		rep.Files = append(rep.Files, ff)
