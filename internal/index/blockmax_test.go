@@ -233,7 +233,7 @@ func TestWindowRecomputedOncePerWindow(t *testing.T) {
 		for i, sh := range root.shoulds {
 			root.shoulds[i] = probeCounter{scorer: sh, targets: &targets, ends: &ends}
 		}
-		if got, want := ix.collect(seekCounter{root, &seeks}, 10), ix.ExhaustiveSearch(q, 10); !hitsEqual(got, want) {
+		if got, want := ix.collect(seekCounter{root, &seeks}, 10, nil), ix.ExhaustiveSearch(q, 10); !hitsEqual(got, want) {
 			t.Fatalf("%q: instrumented search diverged:\ngot:  %v\nwant: %v", text, got, want)
 		}
 		// One walk probes every child once, all at the same target; the

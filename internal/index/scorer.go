@@ -1,6 +1,9 @@
 package index
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Document-at-a-time (DAAT) evaluation with Block-Max pruning. A scorer is
 // a cursor over one clause's matching documents; posting lists are walked
@@ -67,13 +70,16 @@ type scorer interface {
 }
 
 // prunable is implemented by scorers that can exploit the collector's
-// rising top-k threshold. Only the root scorer of a search receives
-// thresholds: compound scorers must report exact sums when probed by a
-// parent, so pruning is a root-only privilege.
+// rising top-k threshold. The root scorer of a search receives the
+// collector's threshold itself; a disjunction hands each Should that is a
+// boolean clause a lower bar of its own (booleanScorer.setThreshold),
+// chosen so that whatever the clause does at or under that bar, the
+// disjunction's document stays at or under its own.
 type prunable interface {
 	// setThreshold promises that only documents scoring strictly above th
-	// will be collected; the scorer may skip any document it can prove at
-	// or below the bar. Thresholds only rise.
+	// count; for a document the scorer can prove at or below th it may
+	// skip it or report any score at or below th, not necessarily the exact
+	// one. Thresholds only rise.
 	setThreshold(th float64)
 }
 
@@ -193,9 +199,9 @@ func (s *termScorer) next() int {
 
 // setThreshold implements prunable. As the root scorer of a plain term
 // query the cursor hops whole blocks whose bound cannot beat the
-// collector threshold; children never receive thresholds (a parent needs
-// every hit to sum exact clause scores), so th stays 0 there and next()
-// surfaces every posting.
+// collector threshold; a term under a boolean clause never receives a
+// threshold (see booleanScorer.setThreshold), so th stays 0 there and
+// next() surfaces every posting.
 func (s *termScorer) setThreshold(th float64) { s.th = th }
 
 // skipBeatenBlocks moves the cursor forward over whole blocks proven
@@ -570,9 +576,10 @@ func (m *maxScorer) maxScoreUpTo(target int) (float64, int) {
 // booleanScorer evaluates a boolean clause document-at-a-time. With Must
 // clauses it leapfrogs their cursors to common documents; without, it is
 // a disjunction over the Should clauses with MaxScore pruning: once the
-// collector's threshold covers the summed bounds of the weakest clauses,
-// those clauses stop generating candidates and are only probed to score
-// documents the essential clauses surfaced.
+// threshold covers what a document matched only by the weakest clauses
+// can score, those clauses stop generating candidates and are only probed
+// to score documents the essential clauses surfaced; and each Should that
+// is a boolean clause gets a bar of its own (see setThreshold).
 type booleanScorer struct {
 	musts   []scorer
 	shoulds []scorer
@@ -589,16 +596,20 @@ type booleanScorer struct {
 	curScore float64
 	cap      float64
 	dead     bool
-	// th is the collector threshold (root-only) and win the window it was
-	// last compared against, see seek.
+	// th is the threshold (the collector's at the root, a child bar
+	// below it, 0 until one arrives) and win the window it was last
+	// compared against, see seek.
 	th  float64
 	win window
 
 	// MaxScore partition (disjunction mode only): sorted holds should
 	// indices by ascending bound, prefix[i] the bound-sum of sorted[:i],
-	// and the first nonEss entries are currently non-essential.
+	// and the first nonEss entries are currently non-essential. rest[i] is
+	// the bound-sum of every Should but i, nil unless every bound is finite
+	// and some Should is itself a boolean clause (see setThreshold).
 	sorted []int
 	prefix []float64
+	rest   []float64
 	nonEss int
 }
 
@@ -646,9 +657,10 @@ func newBooleanScorer(ix *Index, q *boolClause) scorer {
 	}
 	// Disjunction mode: sorted holds the should indices by ascending bound
 	// (insertion sort: clause counts are small and this keeps reflection-
-	// based sorting off the query path), prefix the running bound sums.
+	// based sorting off the query path), prefix the running bound sums and
+	// rest each clause's siblings' bound sum.
 	b.sorted = ints[nm+ns+nn:]
-	caps := make([]float64, 2*ns+1)
+	caps := make([]float64, 3*ns+1)
 	for i, sh := range b.shoulds {
 		b.sorted[i], caps[i] = i, sh.maxScore()
 		b.cap += caps[i]
@@ -658,25 +670,80 @@ func newBooleanScorer(ix *Index, q *boolClause) scorer {
 			b.sorted[j], b.sorted[j-1] = b.sorted[j-1], b.sorted[j]
 		}
 	}
-	b.prefix = caps[ns:]
+	b.prefix = caps[ns : 2*ns+1]
 	for i, idx := range b.sorted {
 		b.prefix[i+1] = b.prefix[i] + caps[idx]
+	}
+	if !math.IsInf(b.cap, 1) && slices.ContainsFunc(b.shoulds, isBoolean) {
+		b.rest = caps[2*ns+1:]
+		for i := range b.rest {
+			for j, c := range caps[:ns] {
+				if j != i {
+					b.rest[i] += c
+				}
+			}
+		}
 	}
 	return b
 }
 
-// setThreshold implements prunable: clauses whose collective bounds fall
-// under the bar stop generating candidates, and the whole scorer dies
-// once no document can beat it.
+// setThreshold implements prunable: the whole scorer dies once no
+// document can beat th, and in disjunction mode it does two more things.
+//
+// The weakest Shoulds stop generating candidates once a document only they
+// match cannot beat th (weakBound).
+//
+// Every Should that is itself a boolean clause gets the bar th − rest[i],
+// shrunk by capSlack on both sides so rounding cannot cross it, when that
+// bar is positive and every bound is finite (rest is nil otherwise).
+// Clause i may then skip a document, or under-report it, only where its
+// own score is at or under that bar. Such a document's true score is at
+// most the bar plus what its siblings can add, hence at most th, so the
+// exhaustive path rejects it; and the score computed here without clause
+// i's share is at most rest[i] < th, whatever the signs of the siblings'
+// scores, so it is rejected here too. A boolean clause partitions its own
+// Shoulds, jumps windows and dies under its bar. A term cursor would only
+// prune in next, which a parent never calls, and the window check here
+// already jumps the blocks its bar could rule out, so it gets none.
 func (b *booleanScorer) setThreshold(th float64) {
 	b.th = th
 	if b.cap <= th {
 		b.dead = true
 		return
 	}
-	for b.sorted != nil && b.nonEss < len(b.sorted) && b.prefix[b.nonEss+1] <= th {
+	if b.sorted == nil {
+		return
+	}
+	for b.nonEss < len(b.sorted) && b.weakBound(b.nonEss+1) <= th {
 		b.nonEss++
 	}
+	if b.rest == nil {
+		return
+	}
+	for i, sh := range b.shoulds {
+		if c, ok := sh.(*booleanScorer); ok {
+			if ct := th/capSlack - b.rest[i]*capSlack; ct > 0 {
+				c.setThreshold(ct)
+			}
+		}
+	}
+}
+
+func isBoolean(sc scorer) bool {
+	_, ok := sc.(*booleanScorer)
+	return ok
+}
+
+// weakBound bounds the score of a document matched by none of the
+// Shoulds but the k weakest: their bound sum, times the coordination
+// factor of k matches when coordination is on (a document matching fewer
+// scores less, and the product is formed exactly as scoreAt forms it, so
+// rounding keeps the order).
+func (b *booleanScorer) weakBound(k int) float64 {
+	if !b.coord {
+		return b.prefix[k]
+	}
+	return b.prefix[k] * (float64(k) / float64(b.total))
 }
 
 // maxScoreUpTo is the clause bounds summed over the window, the window
@@ -713,9 +780,9 @@ func (b *booleanScorer) seek(target int) int {
 		return b.cur
 	}
 	for {
-		// Block-Max window check (root-only: th is 0 as a child). When no
-		// document up to the earliest clause block boundary can beat the
-		// collector threshold, jump every clause past the whole window
+		// Block-Max window check (th is 0 until a threshold arrives). When
+		// no document up to the earliest clause block boundary can beat the
+		// threshold, jump every clause past the whole window
 		// instead of scoring through it. The window is recomputed only when
 		// target leaves it; the comparison runs per seek because the
 		// threshold rises inside a window.

@@ -79,35 +79,56 @@ type Hit struct {
 // clauses, and whole docID windows, whose score bounds prove they cannot
 // qualify. The result is byte-identical — documents, scores and tie order
 // — to ExhaustiveSearch.
-func (ix *Index) Search(q Query, limit int) []Hit {
+//
+// bar, when given and not nil, is a Bar shared with the searches of other
+// indexes whose results will be merged with this one at the same limit.
+// The search raises it and prunes against it: it may then leave out hits
+// of ExhaustiveSearch that score below the bar, which a merged top limit
+// cannot use, and keeps the others in order. The bar is ignored at a limit
+// <= 0; at most one may be given.
+func (ix *Index) Search(q Query, limit int, bar ...*Bar) []Hit {
 	if ix.exhaustive {
 		return ix.ExhaustiveSearch(q, limit)
 	}
-	return ix.collect(q.bind(ix.analyzer).newScorer(ix), limit)
+	var b *Bar
+	if len(bar) > 0 && limit > 0 {
+		b = bar[0]
+	}
+	return ix.collect(q.bind(ix.analyzer).newScorer(ix), limit, b)
 }
 
 // collect drains a root scorer into the top limit hits, feeding the
-// collector's rising threshold back to it.
-func (ix *Index) collect(sc scorer, limit int) []Hit {
+// collector's rising threshold back to it. With a shared bar the threshold
+// is the higher of the local one and the bar's, read from the start and
+// after every candidate, and a full collector raises the bar in turn.
+func (ix *Index) collect(sc scorer, limit int, bar *Bar) []Hit {
 	if _, empty := sc.(emptyScorer); empty {
 		return nil
 	}
 	c := acquireCollector(limit)
 	pr, canPrune := sc.(prunable)
-	th := 0.0
+	th := bar.threshold()
+	if th > 0 && canPrune {
+		pr.setThreshold(th)
+	}
 	for d := sc.next(); d != noMoreDocs; d = sc.next() {
 		// Tombstoned documents keep their postings until a merge; the
 		// collect point is where they stop existing for queries.
 		if ix.numDeleted > 0 && ix.deleted[d] {
 			continue
 		}
+		nt := bar.threshold()
 		if s := sc.score(); s > th {
 			c.collect(d, s)
-			if nt := c.threshold(); nt > th {
-				th = nt
-				if canPrune {
-					pr.setThreshold(nt)
-				}
+			if lt := c.threshold(); lt > th {
+				bar.raise(lt)
+				nt = max(nt, lt)
+			}
+		}
+		if nt > th {
+			th = nt
+			if canPrune {
+				pr.setThreshold(nt)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package index
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Bounded top-k selection for the scoring kernel. A query that wants the
 // best k of potentially every document must not sort the full hit set
@@ -114,9 +118,10 @@ func (c *hitCollector) release() { collectorPool.Put(c) }
 
 // threshold is the score a new hit must strictly beat to be kept: zero
 // until the heap fills (matching the exhaustive path's score > 0 filter),
-// then the weakest kept score. Equal scores lose because document-at-a-time
-// evaluation visits docIDs in ascending order, so a later tie would rank
-// below every kept hit anyway.
+// then the weakest kept score. Within one index an equal score loses:
+// document-at-a-time evaluation visits docIDs in ascending order, so a
+// later tie ranks below every kept hit anyway. A tie with a Bar raised by
+// another index is a different matter (see Bar.threshold).
 func (c *hitCollector) threshold() float64 {
 	if c.heap.full() {
 		return c.heap.root().Score
@@ -141,4 +146,45 @@ func (c *hitCollector) results() []Hit {
 	out := make([]Hit, len(s))
 	copy(out, s)
 	return out
+}
+
+// Bar is the top-k bar of one search over several indexes whose rankings
+// are merged into one (the sharded engine's shards, base and unmerged
+// segments alike, each searched with the same limit). Each index's search
+// raises it to its own k-th best score once its collector is full, and
+// every search prunes against the highest bar raised so far: a document
+// scoring below the bar cannot reach the merged top k, because the index
+// that raised it holds k documents scoring at least that much. Only the
+// rankings' merge may drop hits on that ground, so a bar must be shared by
+// exactly the searches one merge combines. The zero value is no bar yet;
+// a bar only rises, and is safe for concurrent use.
+type Bar struct {
+	// th holds the bits of threshold's value, never negative, so the bit
+	// patterns order like the values.
+	th atomic.Uint64
+}
+
+// threshold is the collector threshold the bar implies: the largest float
+// below the bar, so that a document scoring exactly the bar is still kept —
+// it can win the tie on docID against a document of another index. Zero
+// for a nil bar or one never raised.
+func (b *Bar) threshold() float64 {
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(b.th.Load())
+}
+
+// raise lifts the bar to score, the k-th best of a full collector, unless
+// it already stands at least as high.
+func (b *Bar) raise(score float64) {
+	if b == nil {
+		return
+	}
+	nt := math.Float64bits(math.Nextafter(score, 0))
+	for old := b.th.Load(); nt > old; old = b.th.Load() {
+		if b.th.CompareAndSwap(old, nt) {
+			return
+		}
+	}
 }

@@ -25,7 +25,7 @@ type Hit struct {
 // its top-k threshold (see index.Index.Search), so asking for the top 10
 // costs far less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
-	return s.withDocs(s.SearchPrepared(s.Prepare(query), limit))
+	return s.withDocs(s.SearchPrepared(s.Prepare(query), limit, nil))
 }
 
 // withDocs attaches the stored documents to ranked hits.
@@ -65,10 +65,12 @@ func (s *SemanticIndex) Prepare(query string) PreparedQuery {
 }
 
 // SearchPrepared ranks the index's documents for a prepared query; hits
-// carry local docIDs and no stored documents (Index.Doc fetches one).
-func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int) []index.Hit {
+// carry local docIDs and no stored documents (Index.Doc fetches one). bar,
+// when not nil, is the top-k bar shared with the other indexes whose hits
+// one merge combines (see index.Bar); nil means none.
+func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int, bar *index.Bar) []index.Hit {
 	queryCounter(s.Level).Inc()
-	return s.Index.Search(q.bound, limit)
+	return s.Index.Search(q.bound, limit, bar)
 }
 
 // Footprint returns the (field, analyzed term) pairs whose corpus

@@ -305,11 +305,22 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 	// corpus-wide statistics and its local ID order is its global ID
 	// order — no document outside a sub's top-limit can sit in the global
 	// top-limit. The pushed-down limit is also what the index kernel
-	// prunes against: its top-limit threshold is the bar whole posting
-	// blocks are skipped under.
+	// prunes against, and with it one shared bar: every sub searched
+	// raises the bar to its k-th best score and skips what scores below
+	// it, which the merge would drop. Under a deadline each shard keeps a
+	// bar of its own, shared by its base and segments only: a shard that
+	// raised a shared bar could still miss the deadline and be left out
+	// of the merge, taking the hits that beat the bar with it.
+	// At limit 0, where every match is returned, the kernel ignores bars.
+	dl, hasDeadline := ctx.Deadline()
+	shared := new(index.Bar)
 	fn := func(s int) []rankedHit {
+		bar := shared
+		if hasDeadline {
+			bar = new(index.Bar)
+		}
 		return e.searchShardLocked(s, opts.Limit, func(si *semindex.SemanticIndex) []index.Hit {
-			return si.SearchPrepared(pq, opts.Limit)
+			return si.SearchPrepared(pq, opts.Limit, bar)
 		})
 	}
 	met := e.met
@@ -317,7 +328,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 	var per [][]rankedHit
 	var rep SearchReport
 	release := e.mu.RUnlock
-	if dl, ok := ctx.Deadline(); ok {
+	if hasDeadline {
 		per, rep, release = e.scatterDeadline(ctx, tr, fn, time.Until(dl))
 	} else {
 		per = e.scatter(tr, fn)
