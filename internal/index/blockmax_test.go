@@ -8,193 +8,6 @@ import (
 	"testing"
 )
 
-// buildMultiBlockIndex grows a corpus large enough that common terms span
-// several posting blocks — the regime the per-term equivalence suite
-// (<=60 docs) never reaches and Block-Max skipping actually fires in.
-func buildMultiBlockIndex(tb testing.TB, rng *rand.Rand, nDocs int, vocab, fields []string) *Index {
-	tb.Helper()
-	ix := New(StandardAnalyzer{})
-	for d := 0; d < nDocs; d++ {
-		doc := new(Document)
-		for _, f := range fields {
-			if rng.Intn(5) == 0 {
-				continue
-			}
-			n := 1 + rng.Intn(12)
-			words := make([]string, n)
-			for i := range words {
-				words[i] = vocab[rng.Intn(len(vocab))]
-			}
-			boost := 0.0
-			if rng.Intn(3) == 0 {
-				boost = 0.5 + rng.Float64()*3
-			}
-			doc.Fields = append(doc.Fields, Field{Name: f, Text: strings.Join(words, " "), Boost: boost})
-		}
-		ix.Add(doc)
-	}
-	multi := false
-	for _, f := range fields {
-		if fi := ix.fields[f]; fi != nil {
-			for _, te := range fi.terms {
-				multi = multi || len(te.blocks) > 0
-			}
-		}
-	}
-	if !multi {
-		tb.Fatal("corpus produced no multi-block terms; the test would not exercise Block-Max")
-	}
-	return ix
-}
-
-// TestBlockMaxEquivalenceMultiBlock is the Block-Max oracle: random
-// multi-block corpora, random structured queries, both similarities,
-// every limit. The index answers as built, and the same bytes answer again
-// decoded onto the heap and served mapped, so the metadata read back from
-// disk — the heap entries' blocks, the TOC and the block headers — prunes
-// exactly like the metadata tracked in memory. Every answer must match the
-// exhaustive path on the index as built bit for bit — same documents,
-// byte-identical scores, identical tie order — and so must the exhaustive
-// path over the mapped postings.
-func TestBlockMaxEquivalenceMultiBlock(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	fields := []string{"event", "narration"}
-	rng := rand.New(rand.NewSource(20260808))
-	for round := 0; round < 4; round++ {
-		ix := buildMultiBlockIndex(t, rng, 900+rng.Intn(400), vocab, fields)
-		heap, mapped, _, _ := openMappedPair(t, ix)
-		if round%2 == 1 {
-			for _, x := range []*Index{ix, heap, mapped} {
-				x.SetSimilarity(BM25{})
-			}
-		}
-		for qi := 0; qi < 30; qi++ {
-			q := randomQuery(rng, vocab, fields, 2)
-			limit := []int{0, 1, 2, 5, 10, 100}[rng.Intn(6)]
-			want := ix.ExhaustiveSearch(q, limit)
-			for _, arm := range []struct {
-				name string
-				got  []Hit
-			}{
-				{"as built", ix.Search(q, limit)},
-				{"heap decode", heap.Search(q, limit)},
-				{"mapped", mapped.Search(q, limit)},
-				{"mapped exhaustive", mapped.ExhaustiveSearch(q, limit)},
-			} {
-				if !hitsEqual(arm.got, want) {
-					t.Fatalf("round %d query %d (%#v) limit %d %s:\ngot:  %v\nwant: %v",
-						round, qi, q, limit, arm.name, arm.got, want)
-				}
-			}
-		}
-	}
-	t.Run("traffic shape", blockMaxTrafficShape)
-}
-
-// trafficFields are the nine fields the semantic levels search under the
-// Section 3.6.2 boosts, plus two the corpus never carries: the per-token
-// disjunction of a keyword query has a clause per field, found or not.
-var trafficFields = []FieldBoost{
-	{"event", 4}, {"subjectPlayer", 2.5}, {"objectPlayer", 1.6}, {"subjectTeam", 2.2},
-	{"objectTeam", 1.2}, {"subjectPlayerProp", 1.8}, {"ghostField", 3}, {"objectPlayerProp", 1.1},
-	{"fromRules", 1.5}, {"narration", 1}, {"anotherGhost", 0.5},
-}
-
-// trafficQuery draws a query of the shapes Engine.Search sends the kernel:
-// a coord'ed disjunction with, per token, a coord-free disjunction over
-// every searched field — keyword tokens, quoted phrases, fuzzy terms,
-// fielded terms and +/- operators mixed the way the parser mixes them.
-func trafficQuery(t *testing.T, rng *rand.Rand, vocab []string) Query {
-	t.Helper()
-	word := func() string { return vocab[rng.Intn(len(vocab))] }
-	typo := func() string { w := word(); return w[:len(w)-1] + "x~" }
-	var src string
-	switch rng.Intn(8) {
-	case 0:
-		return MultiFieldQuery(strings.Join([]string{word(), word(), word()}[:1+rng.Intn(3)], " "), trafficFields)
-	case 1:
-		src = `"` + word() + " " + word() + `" ` + word()
-	case 2:
-		src = typo() + " " + word()
-	case 3:
-		src = "event:" + word() + " " + word()
-	case 4:
-		src = "+" + word() + " " + word() + " -" + typo()
-	case 5:
-		src = typo()
-	case 6:
-		src = `"` + word() + " " + word() + `"`
-	default:
-		src = `"` + word() + `" ` + typo() + " narration:" + word()
-	}
-	q, err := ParseQuery(src, trafficFields)
-	if err != nil {
-		t.Fatalf("ParseQuery(%q): %v", src, err)
-	}
-	return q
-}
-
-// blockMaxTrafficShape runs the oracle over the shape the traffic has,
-// which the two-field random trees do not reach: eleven field clauses per
-// token with two fields absent, fuzzy and phrase children, tombstones,
-// both similarities, all six limits, on the index as built, as decoded to
-// the heap and as served mapped.
-func blockMaxTrafficShape(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	var fields []string
-	for _, fb := range trafficFields {
-		if !strings.Contains(strings.ToLower(fb.Field), "ghost") {
-			fields = append(fields, fb.Field)
-		}
-	}
-	rng := rand.New(rand.NewSource(20260926))
-	for round, sim := range []Similarity{ClassicTFIDF{}, BM25{}, ClassicTFIDF{}, BM25{}} {
-		ix := buildMultiBlockIndex(t, rng, 900+rng.Intn(400), vocab, fields)
-		if round >= 2 {
-			// A corpus that drifts: fields get shorter and boosts higher
-			// with the docID, so late blocks carry the highest bounds and a
-			// window or a whole-tail bound read off an early block is wrong
-			// about them. Only three of the searched fields exist, which
-			// keeps the summed bounds tight enough to prune hard.
-			ix = New(StandardAnalyzer{})
-			for d := 0; d < 3000; d++ {
-				doc := new(Document)
-				for _, f := range []string{"event", "fromRules", "narration"} {
-					words := make([]string, 1+rng.Intn(1+12*(3000-d)/3000))
-					for i := range words {
-						words[i] = vocab[rng.Intn(len(vocab))]
-					}
-					doc.Fields = append(doc.Fields, Field{Name: f, Text: strings.Join(words, " "), Boost: 1 + float64(d/300)})
-				}
-				ix.Add(doc)
-			}
-		}
-		heap, mapped, _, _ := openMappedPair(t, ix)
-		variants := []struct {
-			name string
-			ix   *Index
-		}{{"built", ix}, {"heap", heap}, {"mapped", mapped}}
-		for _, v := range variants {
-			v.ix.SetSimilarity(sim)
-			for d := 3; d < ix.NumDocs(); d += 7 {
-				v.ix.Delete(d)
-			}
-		}
-		for qi := 0; qi < 32; qi++ {
-			q := trafficQuery(t, rng, vocab)
-			for _, limit := range []int{0, 1, 2, 5, 10, 100} {
-				want := ix.ExhaustiveSearch(q, limit)
-				for _, v := range variants {
-					if got := v.ix.Search(q, limit); !hitsEqual(got, want) {
-						t.Fatalf("round %d query %d (%#v) limit %d on %s:\ngot:  %v\nwant: %v",
-							round, qi, q, limit, v.name, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // probeCounter stands between a compound scorer and one of its children
 // and records the child's Block-Max probes.
 type probeCounter struct {
@@ -222,8 +35,7 @@ func (c seekCounter) next() int { *c.seeks++; return c.booleanScorer.next() }
 // past the end of the window before — however many seeks land inside each.
 // The counters are the test's own, hung on the root and its children.
 func TestWindowRecomputedOncePerWindow(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner pass shot keeper header")
-	ix := buildMultiBlockIndex(t, rand.New(rand.NewSource(99)), 3000, vocab, []string{"event", "narration", "fromRules"})
+	ix := indexOf(kernelCorpus(rand.New(rand.NewSource(99)), 3000, "event", "narration", "fromRules"))
 	fields := []FieldBoost{{"event", 4}, {"narration", 1}, {"fromRules", 1.5}}
 	walks, seeks := 0, 0
 	for _, text := range []string{"goal foul", "save corner pass", "keeper header"} {
@@ -233,8 +45,8 @@ func TestWindowRecomputedOncePerWindow(t *testing.T) {
 		for i, sh := range root.shoulds {
 			root.shoulds[i] = probeCounter{scorer: sh, targets: &targets, ends: &ends}
 		}
-		if got, want := ix.collect(seekCounter{root, &seeks}, 10, nil), ix.ExhaustiveSearch(q, 10); !hitsEqual(got, want) {
-			t.Fatalf("%q: instrumented search diverged:\ngot:  %v\nwant: %v", text, got, want)
+		if err := sameHits(ix.collect(seekCounter{root, &seeks}, 10, nil), ix.ExhaustiveSearch(q, 10)); err != nil {
+			t.Fatalf("%q: instrumented search diverged: %v", text, err)
 		}
 		// One walk probes every child once, all at the same target; the
 		// window it yields ends at the earliest child boundary.
@@ -374,11 +186,10 @@ func TestDecodeRejectsInvalidBlockMetadata(t *testing.T) {
 		doc.Add("f", "goal")
 		ix.Add(doc)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.EncodeWithTOC(&buf); err != nil {
+	data, _, err := encode(ix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	// Offset of the first block header's maxFreq uvarint: magic(4),
 	// version(4), numDocs(4), numFields(4), name "f"(5), numTerms(4),
 	// term "goal"(8), numPostings(4).

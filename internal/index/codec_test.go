@@ -5,21 +5,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
 	ix := buildTestIndex()
 	// A ~300 KiB field text: strings far past any read buffer survive.
 	ix.Add(new(Document).Add("narration", strings.Repeat("semantic index ", 20000)))
-	var buf bytes.Buffer
-	if _, err := ix.EncodeWithTOC(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	back, err := Decode(bytes.NewReader(buf.Bytes()), StandardAnalyzer{})
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
+	back := roundTrip(t, ix)
 	if back.NumDocs() != ix.NumDocs() {
 		t.Fatalf("docs %d != %d", back.NumDocs(), ix.NumDocs())
 	}
@@ -37,22 +29,10 @@ func TestCodecRoundTrip(t *testing.T) {
 		MultiFieldQuery("goal ronaldo", []FieldBoost{{"event", 4}, {"narration", 1}}),
 	}
 	for _, q := range queries {
-		a := ix.Search(q, 0)
-		b := back.Search(q, 0)
-		if len(a) != len(b) {
-			t.Fatalf("hit counts differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].DocID != b[i].DocID || !close(a[i].Score, b[i].Score) {
-				t.Errorf("hit %d differs: %+v vs %+v", i, a[i], b[i])
-			}
+		if err := sameHits(back.Search(q, 0), ix.Search(q, 0)); err != nil {
+			t.Errorf("%s: %v", showQuery(q), err)
 		}
 	}
-}
-
-func close(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
 }
 
 func TestCodecDeterministic(t *testing.T) {
@@ -117,45 +97,8 @@ func TestCodecStoredOnlyFields(t *testing.T) {
 
 // Property: random indices survive the codec with identical search results.
 func TestCodecRoundTripProperty(t *testing.T) {
-	vocab := strings.Fields("goal foul save corner messi ronaldo card pass shot keeper")
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		ix := New(StandardAnalyzer{})
-		for i := 0; i < int(n%30)+1; i++ {
-			d := &Document{}
-			var words []string
-			for j := 0; j < r.Intn(10)+1; j++ {
-				words = append(words, vocab[r.Intn(len(vocab))])
-			}
-			if r.Intn(2) == 0 {
-				d.AddBoosted("f", strings.Join(words, " "), float64(r.Intn(4)+1))
-			} else {
-				d.Add("f", strings.Join(words, " "))
-			}
-			ix.Add(d)
-		}
-		var buf bytes.Buffer
-		if _, err := ix.EncodeWithTOC(&buf); err != nil {
-			return false
-		}
-		back, err := Decode(&buf, StandardAnalyzer{})
-		if err != nil {
-			return false
-		}
-		probe := vocab[r.Intn(len(vocab))]
-		a := ix.Search(TermQuery{Field: "f", Term: probe}, 0)
-		b := back.Search(TermQuery{Field: "f", Term: probe}, 0)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].DocID != b[i].DocID || !close(a[i].Score, b[i].Score) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 10; i++ {
+		runCase(t, kernelCase{docs: kernelCorpus(r, 1+r.Intn(30)), rep: "decoded", queries: drawQueries(r, 10, (*queryGen).root)})
 	}
 }

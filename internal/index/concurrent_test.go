@@ -36,38 +36,19 @@ func TestConcurrentSearch(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []string
-	fail := func(msg string) {
-		mu.Lock()
-		errs = append(errs, msg)
-		mu.Unlock()
-	}
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				qi := (g + i) % len(queries)
-				got := ix.Search(queries[qi], 10)
-				if len(got) != len(want[qi]) {
-					fail(fmt.Sprintf("goroutine %d query %d: %d hits, want %d",
-						g, qi, len(got), len(want[qi])))
+				if err := sameHits(ix.Search(queries[qi], 10), want[qi]); err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, qi, err)
 					return
-				}
-				for r := range got {
-					if got[r] != want[qi][r] {
-						fail(fmt.Sprintf("goroutine %d query %d rank %d: %+v != %+v",
-							g, qi, r, got[r], want[qi][r]))
-						return
-					}
 				}
 				ix.MoreLikeThis(i%ix.NumDocs(), fields, 4)
 			}
 		}(g)
 	}
 	wg.Wait()
-	for _, e := range errs {
-		t.Error(e)
-	}
 }

@@ -24,14 +24,14 @@ func FuzzDecode(f *testing.F) {
 		d.AddBoosted("title", "seed doc", 2)
 		ix.Add(d)
 	}
-	var valid bytes.Buffer
-	if _, err := ix.EncodeWithTOC(&valid); err != nil {
+	valid, _, err := encode(ix)
+	if err != nil {
 		f.Fatalf("encoding seed: %v", err)
 	}
-	f.Add(valid.Bytes())
+	f.Add(valid)
 
 	// Seed 2: truncated valid prefix — the torn-write shape.
-	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(valid[:len(valid)/2])
 
 	// Seed 3: valid header claiming 2^32-1 docs with no bytes behind
 	// the claim — the allocation-bomb shape.

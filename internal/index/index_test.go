@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -274,47 +273,6 @@ func TestNewNilAnalyzerDefaults(t *testing.T) {
 	ix.Add(new(Document).Add("f", "goals"))
 	if hits := ix.Search(TermQuery{Field: "f", Term: "goal"}, 0); len(hits) != 1 {
 		t.Error("default analyzer not applied")
-	}
-}
-
-// Property: every document containing a query term (per analyzer) is
-// returned by TermQuery, and no document lacking it is.
-func TestTermQueryCompletenessProperty(t *testing.T) {
-	vocab := []string{"goal", "foul", "save", "corner", "messi", "ronaldo", "card"}
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		ix := New(StandardAnalyzer{})
-		contains := make([]bool, 0, int(n%40)+1)
-		for i := 0; i < int(n%40)+1; i++ {
-			var words []string
-			for j := 0; j < r.Intn(8)+1; j++ {
-				words = append(words, vocab[r.Intn(len(vocab))])
-			}
-			text := ""
-			has := false
-			for _, w := range words {
-				text += w + " "
-				if w == "goal" {
-					has = true
-				}
-			}
-			ix.Add(new(Document).Add("f", text))
-			contains = append(contains, has)
-		}
-		hits := ix.Search(TermQuery{Field: "f", Term: "goal"}, 0)
-		got := make(map[int]bool)
-		for _, h := range hits {
-			got[h.DocID] = true
-		}
-		for id, want := range contains {
-			if got[id] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -185,8 +185,7 @@ func TestConcurrentFirstFuzzySearchMapped(t *testing.T) {
 		}
 	}
 	_, mapped, _, _ := openMappedPair(t, ix)
-	// start holds every goroutine until all exist (the package's tests
-	// shadow the close builtin, so the barrier is a WaitGroup).
+	// start holds every goroutine until all exist.
 	var start, wg sync.WaitGroup
 	start.Add(1)
 	for g := 0; g < 8; g++ {

@@ -528,7 +528,20 @@ func (m *maxScorer) advance(target int) int {
 	return m.seek(target)
 }
 
+// seek lands on the first document from target that some sub scores above
+// 0. As in fuzzyClause.scores, a document whose every matching expansion
+// scores at most 0 (under a negative boost) does not match.
 func (m *maxScorer) seek(target int) int {
+	d := m.seekAny(target)
+	for d != noMoreDocs && m.curScore <= 0 {
+		d = m.seekAny(d + 1)
+	}
+	return d
+}
+
+// seekAny lands on the first document from target that any sub matches,
+// scored as the best weighted sub-score, floored at 0.
+func (m *maxScorer) seekAny(target int) int {
 	d := noMoreDocs
 	for i, sd := range m.subDoc {
 		if sd < target {

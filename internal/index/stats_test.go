@@ -92,21 +92,18 @@ func TestMergeReproducesWhole(t *testing.T) {
 		a.SetSimilarity(sim)
 		full.SetSimilarity(sim)
 		ga := a.Search(TermQuery{Field: "narration", Term: "goal"}, 0)
-		gf := full.Search(TermQuery{Field: "narration", Term: "goal"}, 0)
+		// Partition A holds full docs 0 and 2 as its docs 0 and 1.
+		var want []Hit
+		for _, h := range full.Search(TermQuery{Field: "narration", Term: "goal"}, 0) {
+			if h.DocID%2 == 0 {
+				want = append(want, Hit{DocID: h.DocID / 2, Score: h.Score})
+			}
+		}
 		if len(ga) == 0 {
 			t.Fatal("partition matched nothing")
 		}
-		// Partition A holds full docs 0 and 2 as its docs 0 and 1.
-		for _, h := range ga {
-			var fullScore float64
-			for _, fh := range gf {
-				if fh.DocID == h.DocID*2 {
-					fullScore = fh.Score
-				}
-			}
-			if h.Score != fullScore {
-				t.Errorf("%T: partition score %v, full score %v", sim, h.Score, fullScore)
-			}
+		if err := sameHits(ga, want); err != nil {
+			t.Errorf("%T: partition ranking differs from the whole's: %v", sim, err)
 		}
 	}
 	// Reverting restores local scoring.

@@ -166,14 +166,12 @@ func TestStoredMergeSharesWholeChunks(t *testing.T) {
 			}
 		}
 	}
-	var got, rebuilt bytes.Buffer
-	if _, err := merged.EncodeWithTOC(&got); err != nil {
-		t.Fatal(err)
+	got, _, err := encode(merged)
+	rebuilt, _, err2 := encode(want)
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
 	}
-	if _, err := want.EncodeWithTOC(&rebuilt); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), rebuilt.Bytes()) {
+	if !bytes.Equal(got, rebuilt) {
 		t.Error("merged index encodes differently from a build of the surviving documents")
 	}
 	heap, mapped, _, _ := openMappedPair(t, merged)
