@@ -296,11 +296,17 @@ func BenchmarkIndexAdd(b *testing.B) {
 // BenchmarkIndexMerge measures one compaction as the shard engine's
 // ForceMerge runs it: a base holding 24 of those pages with two of them
 // tombstoned, plus six one-page segments. Besides the time, B/op says
-// whether the merged index is still allocated once at its final size.
+// whether the merged index is still allocated once at its final size. The
+// heap arm's base is the index Add built; the mapped arm's is that index
+// encoded and opened mapped, as a loaded engine's base is, afresh and
+// untimed before every merge: an engine merges a mapped base once, and
+// one reused would come to the merge with whatever it cached the time
+// before.
 func BenchmarkIndexMerge(b *testing.B) {
 	builder := semindex.NewBuilder()
 	pages := benchmarkPages(b)
 	sources := []*index.Index{index.New(nil)}
+	var dead []int
 	for i, page := range pages {
 		ix := sources[0]
 		if i >= 24 {
@@ -309,18 +315,42 @@ func BenchmarkIndexMerge(b *testing.B) {
 		}
 		for _, d := range builder.PageDocuments(semindex.FullInf, page) {
 			if id := ix.Add(d); i == 3 || i == 17 {
-				ix.Delete(id)
+				dead = append(dead, id)
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	docs := 0
-	for i := 0; i < b.N; i++ {
-		merged, _ := index.MergeIndexes(sources, nil)
-		docs = merged.NumDocs()
+	var payload bytes.Buffer
+	toc, err := sources[0].EncodeWithTOC(&payload)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "us/doc")
+	for _, arm := range []struct {
+		name string
+		open func() (*index.Index, error)
+	}{
+		{"heap", func() (*index.Index, error) { return sources[0], nil }},
+		{"mapped", func() (*index.Index, error) { return index.OpenMapped(payload.Bytes(), toc, nil) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			docs := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				base, err := arm.open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, id := range dead {
+					base.Delete(id)
+				}
+				srcs := append([]*index.Index{base}, sources[1:]...)
+				b.StartTimer()
+				merged, _ := index.MergeIndexes(srcs, nil)
+				docs = merged.NumDocs()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*docs), "us/doc")
+		})
+	}
 }
 
 // BenchmarkForceMerge measures the compaction the repository benchmark's

@@ -9,7 +9,7 @@ package index
 //	ix, err := index.OpenMapped(raw, toc, nil) // query node, serving raw in place
 //	ix, err := index.Decode(r, nil)            // or decoding a copy onto the heap
 //
-// The codec has one readable version, 3: a block-postings layout. Posting
+// The codec has one readable version, 4: a block-postings layout. Posting
 // lists are split into blocks of postingBlockSize documents: docIDs are
 // delta+varint coded, per-posting frequencies and position deltas are
 // varints, and per-posting boosts collapse to a single value when the
@@ -20,9 +20,10 @@ package index
 // which the DAAT kernel turns into Block-Max WAND skipping at query time.
 // Stored document fields live in a separate region of independently
 // flate-compressed chunks after the postings, so the postings region can
-// be scanned without touching document text:
+// be scanned without touching document text; a chunk's contents are a
+// heap index's stored chunk bytes (stored.go):
 //
-//	magic "SIDX" | version u32 = 3 | numDocs u32
+//	magic "SIDX" | version u32 = 4 | numDocs u32
 //	numFields u32
 //	  per field: name
 //	    numTerms u32
@@ -41,7 +42,11 @@ package index
 //	      1: per entry: docID delta uvarint, boost f64
 //	chunkDocs u32 = storedChunkDocs
 //	  per chunk of <=chunkDocs docs: compLen u64 (> 0) | flate stream:
-//	    per doc: numFields u32, then per field: name, text, boost f64
+//	    numNames uvarint, per name: len uvarint, bytes (first-use order)
+//	    per doc: byte length uvarint
+//	    per doc: numFields uvarint, then per field:
+//	      nameIndex<<1 | hasBoost uvarint, len uvarint, text,
+//	      boost f64 when hasBoost (its bits non-zero)
 //
 // Streams of any other version are refused; changing the layout means a
 // new version number and regenerated fixtures, not a second decoder.
@@ -60,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -68,7 +74,7 @@ const codecMagic = "SIDX"
 // CodecVersionCurrent is the one codec version EncodeWithTOC writes and
 // Decode and OpenMapped read. The shard persistence envelope records it so fsck
 // can tell "damaged" from "another version" without decoding the stream.
-const CodecVersionCurrent = 3
+const CodecVersionCurrent = 4
 
 // storedChunkDocs is how many documents share one flate stream in the
 // stored region. Small enough that a random Doc() on a mapped index
@@ -199,41 +205,26 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	// next chunk starts — without trusting the flate framing itself).
 	tb.storedOff = pos()
 	writeU32(bw, storedChunkDocs)
-	var stored bytes.Buffer
-	zw, err := flate.NewWriter(&stored, flate.DefaultCompression)
+	var chunk []byte
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.DefaultCompression)
 	if err != nil {
 		return err
 	}
 	for beg := 0; beg < ix.stored.n; beg += storedChunkDocs {
-		end := min(beg+storedChunkDocs, ix.stored.n)
-		stored.Reset()
-		zw.Reset(&stored)
-		sw := bufio.NewWriter(zw)
-		// Straight from the stored bytes: the heap chunks need not line up
-		// with the codec's (a merge shares chunks of any length).
-		for id := beg; id < end; id++ {
-			c, k := ix.stored.locate(id)
-			r := c.fields(k)
-			writeU32(sw, uint32(r.left))
-			for {
-				name, text, boost, ok := r.next()
-				if !ok {
-					break
-				}
-				writeString(sw, name)
-				writeU32(sw, uint32(len(text)))
-				sw.Write(text)
-				writeU64(sw, boost)
-			}
-		}
-		if err := sw.Flush(); err != nil {
+		// The heap chunks need not line up with the codec's (a merge shares
+		// chunks of any length); writeChunk copies out the codec's.
+		chunk = writeChunk(chunk[:0], &ix.stored, beg, min(beg+storedChunkDocs, ix.stored.n))
+		comp.Reset()
+		zw.Reset(&comp)
+		if _, err := zw.Write(chunk); err != nil {
 			return err
 		}
 		if err := zw.Close(); err != nil {
 			return err
 		}
-		writeU64(bw, uint64(stored.Len()))
-		if _, err := bw.Write(stored.Bytes()); err != nil {
+		writeU64(bw, uint64(comp.Len()))
+		if _, err := bw.Write(comp.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -363,7 +354,7 @@ func decode(raw []byte, analyzer Analyzer) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeStored(raw, chunks, ix, numDocs); err != nil {
+	if err := ix.stored.readStored(raw, chunks, numDocs, nil); err != nil {
 		return nil, err
 	}
 	for _, p := range pending {
@@ -433,33 +424,45 @@ func readChunkTable(raw []byte, off, numDocs int) ([]int, error) {
 	return offs, nil
 }
 
-// decodeStored inflates the stored region's chunks into ix.stored,
-// re-encoding each document from the codec's shape into the heap chunks'
-// (see stored.go).
-func decodeStored(raw []byte, chunks []int, ix *Index, numDocs int) error {
+// readStoredChunk inflates chunk ci of a stored region of numDocs
+// documents, whose chunk table (readChunkTable) is offs, with in and
+// parses it into c; c's data is a view of in's buffer until the next
+// inflate.
+func readStoredChunk(raw []byte, offs []int, ci, numDocs int, in *inflater, c *storedChunk) error {
+	data, err := in.inflate(raw[offs[ci]+8 : offs[ci+1]])
+	if err != nil {
+		return fmt.Errorf("index: stored chunk at doc %d: %w", ci*storedChunkDocs, err)
+	}
+	if !c.parse(data, min(storedChunkDocs, numDocs-ci*storedChunkDocs)) {
+		return fmt.Errorf("index: stored chunk at doc %d does not parse", ci*storedChunkDocs)
+	}
+	return nil
+}
+
+// readStored appends the documents of a stored region of numDocs
+// documents (raw, its chunk table offs) that remap keeps (nil: all), one
+// inflate per chunk that keeps any: a chunk whose documents all survive is
+// kept whole, copied off the inflater's buffer, and the survivors of any
+// other are copied out of it.
+func (s *storedRegion) readStored(raw []byte, offs []int, numDocs int, remap []int) error {
 	in := inflaters.Get().(*inflater)
 	defer in.release()
-	for c := 0; c+1 < len(chunks); c++ {
-		beg := c * storedChunkDocs
-		end := min(beg+storedChunkDocs, numDocs)
-		data, err := in.inflate(raw[chunks[c]+8 : chunks[c+1]])
-		if err != nil {
-			return fmt.Errorf("index: stored chunk at doc %d: %w", beg, err)
-		}
-		if len(data) > math.MaxUint32 {
-			// A heap chunk's bytes, never longer than the codec's for the same
-			// documents, are addressed in 32 bits.
-			return fmt.Errorf("index: stored chunk at doc %d inflates past 4 GiB", beg)
-		}
-		r := byteReader{b: data}
-		for i := beg; i < end; i++ {
-			if !ix.stored.addEncoded(&r) {
-				return fmt.Errorf("index: stored document %d does not parse", i)
+	for ci := 0; ci+1 < len(offs); ci++ {
+		var live []int
+		if remap != nil {
+			live = remap[ci*storedChunkDocs:][:min(storedChunkDocs, numDocs-ci*storedChunkDocs)]
+			if !slices.ContainsFunc(live, func(nid int) bool { return nid >= 0 }) {
+				continue
 			}
 		}
-		if r.pos != len(data) {
-			return fmt.Errorf("index: stored chunk at doc %d longer than its documents", beg)
+		c := new(storedChunk)
+		if err := readStoredChunk(raw, offs, ci, numDocs, in, c); err != nil {
+			return err
 		}
+		if !slices.Contains(live, -1) {
+			c.data = bytes.Clone(c.data)
+		}
+		s.appendSurvivors(c, live)
 	}
 	return nil
 }
@@ -664,11 +667,7 @@ func writeU64(w *bufio.Writer, v uint64) {
 	w.Write(buf[:])
 }
 
-func writeF64(w *bufio.Writer, v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	w.Write(buf[:])
-}
+func writeF64(w *bufio.Writer, v float64) { writeU64(w, math.Float64bits(v)) }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte

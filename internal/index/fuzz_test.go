@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -84,6 +85,45 @@ func FuzzDecode(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzStoredChunk feeds the stored chunk parser directly, which FuzzDecode's
+// bytes seldom reach through flate. The input is a document count, 1 to
+// storedChunkDocs, and chunk contents. parse must never panic or allocate
+// past what the contents back, and a chunk it accepts must decode every
+// document and write back to the same bytes.
+func FuzzStoredChunk(f *testing.F) {
+	var s storedRegion
+	for _, d := range storedTestDocs(0, 300) {
+		s.add(d)
+	}
+	for _, span := range [][2]int{{0, 128}, {126, 131}, {299, 300}} {
+		f.Add(uint8(span[1]-span[0]-1), writeChunk(nil, &s, span[0], span[1]))
+	}
+	// Two documents whose lengths, 5 and 2^64-3, sum to the 2 bytes left.
+	f.Add(uint8(1), []byte{1, 0, 5, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 0})
+	f.Fuzz(func(t *testing.T, n uint8, b []byte) {
+		docs := 1 + int(n)%storedChunkDocs
+		c := new(storedChunk)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ok := c.parse(b, docs)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+40*uint64(len(b)) {
+			t.Fatalf("parsing %d bytes allocated %d", len(b), grew)
+		}
+		if !ok {
+			return
+		}
+		for k := range docs {
+			c.decode(k)
+		}
+		var s storedRegion
+		s.appendSurvivors(c, nil)
+		if got := writeChunk(nil, &s, 0, docs); !bytes.Equal(got, b) {
+			t.Fatalf("accepted %x, which writes back as %x", b, got)
 		}
 	})
 }

@@ -229,6 +229,42 @@ func TestMappedServesGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestMappedMergeAllocationCeiling merges the golden index opened mapped.
+// The merge reads each stored chunk out of one inflate and decodes no
+// document, so it must leave none cached in the source, write what the
+// built index writes, and stay under an allocation ceiling: it measured
+// 16,563 allocations when the ceiling was set, where a merge that read
+// each document through Doc took 232,918 and left all 3,579 cached. The
+// ceiling leaves a third again as much room.
+func TestMappedMergeAllocationCeiling(t *testing.T) {
+	const maxAllocs = 22_100
+	ix := goldenIndex()
+	var payload bytes.Buffer
+	toc, err := ix.EncodeWithTOC(&payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := index.OpenMapped(payload.Bytes(), toc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	merged, _ := index.MergeIndexes([]*index.Index{mapped}, nil)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations", allocs)
+	if n := mapped.CachedDocs(); n != 0 {
+		t.Errorf("the merge left %d documents cached in its source", n)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%d allocations, ceiling %d", allocs, maxAllocs)
+	}
+	if got, want := encodeDigest(t, merged), encodeDigest(t, ix); got != want {
+		t.Errorf("the merge encodes to %s, the built index to %s", got, want)
+	}
+}
+
 // TestWriteTrafficIsDense asserts what the docID-indexed field tables
 // assume (DESIGN §17): the semantic index's documents carry every indexed
 // field, so a table sized by the document count has no holes to waste.

@@ -396,7 +396,12 @@ func (ix *Index) analyzeForWrite(text string) []string {
 
 // NumDocs returns the number of indexed documents, including tombstoned
 // ones — it is the docID space size, not the live count (see LiveDocs).
-func (ix *Index) NumDocs() int { return ix.docCount() }
+func (ix *Index) NumDocs() int {
+	if ix.mapped != nil {
+		return ix.mapped.numDocs
+	}
+	return ix.stored.n
+}
 
 // Delete tombstones a document: it stops matching queries immediately but
 // keeps its docID and its stored bytes (AddDocStats reads them to take the
@@ -404,13 +409,13 @@ func (ix *Index) NumDocs() int { return ix.docCount() }
 // Reports whether the document was newly deleted. Like Add, not safe
 // against concurrent searches.
 func (ix *Index) Delete(id int) bool {
-	if id < 0 || id >= ix.docCount() {
+	if id < 0 || id >= ix.NumDocs() {
 		return false
 	}
 	// Decoded snapshots carry no tombstones and leave the slice unsized;
 	// grow it on the first delete after a load.
-	if len(ix.deleted) < ix.docCount() {
-		ix.deleted = append(ix.deleted, make([]bool, ix.docCount()-len(ix.deleted))...)
+	if len(ix.deleted) < ix.NumDocs() {
+		ix.deleted = append(ix.deleted, make([]bool, ix.NumDocs()-len(ix.deleted))...)
 	}
 	if ix.deleted[id] {
 		return false
@@ -438,7 +443,7 @@ func (ix *Index) DeletedMask() []bool {
 }
 
 // LiveDocs returns the number of documents that still match queries.
-func (ix *Index) LiveDocs() int { return ix.docCount() - ix.numDeleted }
+func (ix *Index) LiveDocs() int { return ix.NumDocs() - ix.numDeleted }
 
 // Stats summarizes index size.
 type Stats struct {
@@ -457,7 +462,7 @@ type Stats struct {
 // Stats computes the index size summary by walking the term dictionaries
 // (posting counts come from the TOC on a mapped index — no decode).
 func (ix *Index) Stats() Stats {
-	s := Stats{Docs: ix.docCount(), Deleted: ix.numDeleted, Fields: len(ix.fields)}
+	s := Stats{Docs: ix.NumDocs(), Deleted: ix.numDeleted, Fields: len(ix.fields)}
 	for _, fi := range ix.fields {
 		fi.eachTerm(func(_ string, src postingsSource) {
 			s.Terms++
@@ -475,13 +480,19 @@ func (ix *Index) Stats() Stats {
 // the working set, not the corpus. The result is shared by every caller
 // and by the index's merged successors: it is read-only.
 func (ix *Index) Doc(id int) *Document {
-	if id < 0 || id >= ix.docCount() {
+	if id < 0 || id >= ix.NumDocs() {
 		return nil
 	}
-	if m := ix.mapped; m != nil {
-		return m.storedDocAt(id)
+	slot := ix.docSlot(id, true)
+	if d := slot.Load(); d != nil {
+		return d
 	}
-	return ix.stored.doc(id)
+	// The entry is written once: a racing decode loses the CompareAndSwap
+	// and returns the winner.
+	if d := ix.decodeDoc(id); d == nil || slot.CompareAndSwap(nil, d) {
+		return d
+	}
+	return slot.Load()
 }
 
 // peekDoc is Doc for bookkeeping reads (AddDocStats, DocMeta's fallback):
@@ -489,32 +500,71 @@ func (ix *Index) Doc(id int) *Document {
 // decode of its own that no cache keeps, so a pass over many documents
 // leaves the cache as it found it.
 func (ix *Index) peekDoc(id int) *Document {
-	if id < 0 || id >= ix.docCount() {
+	if id < 0 || id >= ix.NumDocs() {
 		return nil
 	}
-	if m := ix.mapped; m != nil {
-		if d := m.cachedDoc(id); d != nil {
-			return d
-		}
-		return m.decodeDoc(id)
+	if d := ix.cachedDoc(id); d != nil {
+		return d
 	}
-	return ix.stored.peek(id)
+	return ix.decodeDoc(id)
 }
 
 // CachedDocs returns how many stored documents the index holds decoded:
 // the documents Doc has served.
 func (ix *Index) CachedDocs() int {
-	m := ix.mapped
-	if m == nil {
-		return ix.stored.cached()
-	}
 	n := 0
-	for id := 0; id < m.numDocs; id++ {
-		if m.cachedDoc(id) != nil {
+	for id := range ix.NumDocs() {
+		if ix.cachedDoc(id) != nil {
 			n++
 		}
 	}
 	return n
+}
+
+// cachedDoc returns document id's decode if Doc has made one.
+func (ix *Index) cachedDoc(id int) *Document {
+	if slot := ix.docSlot(id, false); slot != nil {
+		return slot.Load()
+	}
+	return nil
+}
+
+// docSlot returns the cache entry of document id, in [0, NumDocs): a heap
+// index's is in the document's chunk; a mapped index keeps a docCache per
+// chunk of its region, made on the chunk's first Doc (with alloc; without,
+// a chunk that has none has no entry, nil).
+func (ix *Index) docSlot(id int, alloc bool) *atomic.Pointer[Document] {
+	m := ix.mapped
+	if m == nil {
+		c, k := ix.stored.locate(id)
+		return &c.cache[k]
+	}
+	p := &m.docs[id/storedChunkDocs]
+	if p.Load() == nil {
+		if !alloc {
+			return nil
+		}
+		p.CompareAndSwap(nil, new(docCache))
+	}
+	return &p.Load()[id%storedChunkDocs]
+}
+
+// decodeDoc decodes document id, in [0, NumDocs), afresh: a mapped index
+// out of its chunk, inflated into a pooled buffer (nil when the chunk does
+// not parse).
+func (ix *Index) decodeDoc(id int) *Document {
+	m := ix.mapped
+	if m == nil {
+		c, k := ix.stored.locate(id)
+		return c.decode(k)
+	}
+	in := inflaters.Get().(*inflater)
+	defer in.release()
+	var c storedChunk
+	if readStoredChunk(m.raw, m.chunkOffs, id/storedChunkDocs, m.numDocs, in, &c) != nil {
+		return nil
+	}
+	return c.decode(id % storedChunkDocs)
 }
 
 // FieldNames returns the indexed field names, sorted.

@@ -174,32 +174,40 @@ func (r *byteReader) u8() byte {
 	return r.b[r.pos-1]
 }
 
-// strBytes reads a u32-length-prefixed string (the codec's string shape)
-// as a view of the region.
-func (r *byteReader) strBytes() []byte {
-	n := r.u32()
-	if r.bad || n > 1<<26 || r.pos+int(n) > len(r.b) {
+// shortUvarint is uvarint for bytes that must hold every value in its
+// shortest form, the one binary.AppendUvarint writes.
+func (r *byteReader) shortUvarint() uint64 {
+	p := r.pos
+	v := r.uvarint()
+	if !r.bad && r.pos-p > 1 && r.b[r.pos-1] == 0 {
 		r.fail()
-		return nil
 	}
-	s := r.b[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return s
+	return v
 }
 
-// str reads a u32-length-prefixed string into a string of its own.
-func (r *byteReader) str() string { return string(r.strBytes()) }
+// skip moves r past n bytes.
+func (r *byteReader) skip(n uint64) {
+	if r.bad || n > uint64(len(r.b)-r.pos) {
+		r.fail()
+		return
+	}
+	r.pos += int(n)
+}
+
+// str reads a u32-length-prefixed string (the codec's string shape).
+func (r *byteReader) str() string { return r.text(uint64(r.u32())) }
 
 // vstr reads a uvarint-length-prefixed string (the TOC's string shape).
-func (r *byteReader) vstr() string {
-	n := r.uvarint()
-	if r.bad || n > 1<<26 || r.pos+int(n) > len(r.b) {
+func (r *byteReader) vstr() string { return r.text(r.uvarint()) }
+
+// text reads the next n bytes, at most 1<<26, into a string.
+func (r *byteReader) text(n uint64) string {
+	p := r.pos
+	if r.skip(n); r.bad || n > 1<<26 {
 		r.fail()
 		return ""
 	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
+	return string(r.b[p:r.pos])
 }
 
 // uvarintAt decodes the varint at b[p:] and returns it with the offset
@@ -263,12 +271,8 @@ func (tb *tocBuilder) field(name string) *tocField {
 	return tf
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
 func appendVstr(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -297,18 +301,18 @@ func (tb *tocBuilder) serialize() []byte {
 		prevOff := uint64(0)
 		for _, t := range tf.terms {
 			out = appendVstr(out, t.term)
-			out = appendUvarint(out, uint64(t.n))
-			out = appendUvarint(out, uint64(t.cap.maxFreq))
-			out = appendUvarint(out, uint64(t.cap.minLen))
+			out = binary.AppendUvarint(out, uint64(t.n))
+			out = binary.AppendUvarint(out, uint64(t.cap.maxFreq))
+			out = binary.AppendUvarint(out, uint64(t.cap.minLen))
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(t.cap.maxBoost))
 			for b, off := range t.offs {
-				out = appendUvarint(out, off-prevOff)
+				out = binary.AppendUvarint(out, off-prevOff)
 				prevOff = off
 				last := uint64(t.lasts[b]) + 1
 				if b > 0 {
 					last = uint64(t.lasts[b] - t.lasts[b-1])
 				}
-				out = appendUvarint(out, last)
+				out = binary.AppendUvarint(out, last)
 			}
 		}
 	}
@@ -457,14 +461,6 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 // region instead of heap structures.
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
 
-// docCount is the stored-document count whatever the storage mode.
-func (ix *Index) docCount() int {
-	if ix.mapped != nil {
-		return ix.mapped.numDocs
-	}
-	return ix.stored.n
-}
-
 // DocMeta returns a stored-only field's value for one document ("" outside
 // [0, NumDocs)) without decoding the document into, or publishing it to,
 // any cache: it is the identity lookup a load makes for every document. A
@@ -472,7 +468,7 @@ func (ix *Index) docCount() int {
 // answers from its TOC when the value was captured there (identity fields
 // like the shard layer's global docID) and otherwise from peekDoc.
 func (ix *Index) DocMeta(id int, name string) string {
-	if id < 0 || id >= ix.docCount() {
+	if id < 0 || id >= ix.NumDocs() {
 		return ""
 	}
 	m := ix.mapped
@@ -524,90 +520,4 @@ func (in *inflater) inflate(comp []byte) ([]byte, error) {
 func (in *inflater) release() {
 	in.src.Reset(nil)
 	inflaters.Put(in)
-}
-
-// storedDocAt returns one stored document: from the cache if it was
-// served before, otherwise decoded by decodeDoc and published to the cache.
-// id is in [0, numDocs).
-func (m *mappedIndex) storedDocAt(id int) *Document {
-	c := m.docs[id/storedChunkDocs].Load()
-	if c == nil {
-		m.docs[id/storedChunkDocs].CompareAndSwap(nil, new(docCache))
-		c = m.docs[id/storedChunkDocs].Load()
-	}
-	slot := &c[id%storedChunkDocs]
-	if d := slot.Load(); d != nil {
-		return d
-	}
-	d := m.decodeDoc(id)
-	if d == nil || slot.CompareAndSwap(nil, d) {
-		return d
-	}
-	return slot.Load()
-}
-
-// cachedDoc returns document id's decode if Doc has made one.
-func (m *mappedIndex) cachedDoc(id int) *Document {
-	if c := m.docs[id/storedChunkDocs].Load(); c != nil {
-		return c[id%storedChunkDocs].Load()
-	}
-	return nil
-}
-
-// decodeDoc inflates document id's chunk from the mapped region
-// (transiently, into a pooled buffer — the decompressed bytes are scratch
-// after the decode) and decodes the one document out of it, publishing
-// nothing. Returns nil on structural corruption inside the chunk (impossible
-// on a CRC-verified file; the parse stays defensive anyway).
-func (m *mappedIndex) decodeDoc(id int) *Document {
-	c := id / storedChunkDocs
-	in := inflaters.Get().(*inflater)
-	defer in.release()
-	raw, err := in.inflate(m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]])
-	if err != nil {
-		return nil
-	}
-	r := byteReader{b: raw}
-	for k := id % storedChunkDocs; k > 0; k-- {
-		if !skipStoredDoc(&r) {
-			return nil
-		}
-	}
-	nf := r.u32()
-	if r.bad || nf > 1<<16 {
-		return nil
-	}
-	d := &Document{Fields: make([]Field, 0, capHint(nf, 256))}
-	for j := uint32(0); j < nf; j++ {
-		var f Field
-		f.Name = r.str()
-		f.Text = r.str()
-		f.Boost = r.f64()
-		if r.bad {
-			return nil
-		}
-		d.Fields = append(d.Fields, f)
-	}
-	return d
-}
-
-// skipStoredDoc advances r over one stored document's wire bytes (u32
-// field count, then name/text strings and a boost f64 per field) without
-// building the Document. Reports false on corruption.
-func skipStoredDoc(r *byteReader) bool {
-	nf := r.u32()
-	if r.bad || nf > 1<<16 {
-		return false
-	}
-	for j := uint32(0); j < nf; j++ {
-		// Skipped by length: building the strings of every document ahead of
-		// the wanted one would allocate most of the chunk per fetch.
-		r.strBytes()
-		r.strBytes()
-		r.f64()
-		if r.bad {
-			return false
-		}
-	}
-	return true
 }

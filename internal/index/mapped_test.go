@@ -79,7 +79,7 @@ func TestMappedDocMetaAndLazyStored(t *testing.T) {
 		t.Fatalf("DocMeta cached %d documents", n)
 	}
 	mapped.Doc(3)
-	if mapped.mapped.cachedDoc(3) == nil || mapped.CachedDocs() != 1 {
+	if mapped.cachedDoc(3) == nil || mapped.CachedDocs() != 1 {
 		t.Fatal("Doc did not decode and cache exactly its document")
 	}
 	if mapped.stored.n != 0 {

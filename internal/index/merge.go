@@ -15,9 +15,10 @@ package index
 // source order; the returned remap slices (one per source, -1 for dropped
 // documents) let the caller translate old docIDs to merged ones. A heap
 // source's stored chunk whose documents all survive is shared by pointer
-// (its bytes never change, and neither index appends to it again); the
-// survivors of any other chunk, and of a mapped source, are copied, as are
-// postings, so nothing later done to a source shows in the merged index.
+// (its bytes never change, and neither index appends to it again), a
+// mapped source's is copied whole out of one inflate; the survivors of any
+// other chunk are copied, as are postings, so nothing later done to a
+// source shows in the merged index. No stored document is decoded.
 // The merged index carries no corpus stats; the caller installs them.
 //
 // dead, when non-nil, supplies a per-source liveness snapshot (see
@@ -49,7 +50,7 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 			mask := dead[si]
 			isDead = func(id int) bool { return mask[id] }
 		}
-		remap := make([]int, src.docCount())
+		remap := make([]int, src.NumDocs())
 		for id := range remap {
 			if isDead(id) {
 				remap[id] = -1
@@ -63,15 +64,16 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 	out.deleted = make([]bool, numDocs)
 	for si, src := range sources {
 		if src.mapped == nil {
-			out.stored.appendSurvivors(&src.stored, remaps[si])
+			for ci, c := range src.stored.chunks {
+				out.stored.appendSurvivors(c, remaps[si][src.stored.first[ci]:][:len(c.ends)])
+			}
 			continue
 		}
-		// A mapped source's documents come through Doc, inflating their
-		// chunks of the region.
-		for id, nid := range remaps[si] {
-			if nid >= 0 {
-				out.stored.add(src.Doc(id))
-			}
+		// A chunk that does not parse panics: the shard layer checked a
+		// mapped region's bytes before mapping them.
+		m := src.mapped
+		if err := out.stored.readStored(m.raw, m.chunkOffs, m.numDocs, remaps[si]); err != nil {
+			panic(err)
 		}
 	}
 

@@ -6,8 +6,9 @@ package index
 // invariant in seeded cases: a corpus in boost stretches with tombstones;
 // the index as built, decoded, mapped or merged; a query tree, parsed text
 // or the traffic's multi-field shape; a similarity, a limit and a starting
-// bar. Each case is held to ExhaustiveSearch on the index as built; a
-// failing one is shrunk and printed with the command that replays it.
+// bar. Each case is held to ExhaustiveSearch on the index as built, and
+// every hit's stored document to the built index's; a failing one is
+// shrunk and printed with the command that replays it.
 
 import (
 	"bytes"
@@ -564,7 +565,8 @@ func (c kernelCase) merge() (*Index, []int, error) {
 
 // check runs one query: on the representation, Search and ExhaustiveSearch
 // return the reference's exhaustive hits, and Search from the bar those
-// scoring at least the bar (all at limit 0, where a bar is ignored).
+// scoring at least the bar (all at limit 0, where a bar is ignored); every
+// hit's Doc is the built index's document.
 func (c kernelCase) check(ref, rep *Index, toRef []int, kq kernelQuery) error {
 	q, limit := kq.q, kq.limit
 	all := ref.ExhaustiveSearch(q, 0)
@@ -582,9 +584,12 @@ func (c kernelCase) check(ref, rep *Index, toRef []int, kq kernelQuery) error {
 	bar.raise(height)
 	kept := slices.DeleteFunc(slices.Clone(want), func(h Hit) bool { return limit > 0 && h.Score < height })
 	for i, got := range [][]Hit{rep.Search(q, limit), rep.ExhaustiveSearch(q, limit), rep.Search(q, limit, bar)} {
-		for j := range got {
+		for j, h := range got {
 			if toRef != nil {
-				got[j].DocID = toRef[got[j].DocID]
+				got[j].DocID = toRef[h.DocID]
+			}
+			if !sameDoc(rep.Doc(h.DocID), ref.Doc(got[j].DocID)) {
+				return fmt.Errorf("%s Doc(%d) is %+v, the built index's Doc(%d) %+v", c.rep, h.DocID, rep.Doc(h.DocID), got[j].DocID, ref.Doc(got[j].DocID))
 			}
 		}
 		if err := sameHits(got, [][]Hit{want, want, kept}[i]); err != nil {

@@ -434,7 +434,7 @@ type MatchAllQuery struct{}
 func (q MatchAllQuery) bind(Analyzer) boundQuery { return q }
 
 func (MatchAllQuery) scores(ix *Index) map[int]float64 {
-	n := ix.docCount()
+	n := ix.NumDocs()
 	out := make(map[int]float64, n)
 	for id := 0; id < n; id++ {
 		out[id] = 1
@@ -443,10 +443,10 @@ func (MatchAllQuery) scores(ix *Index) map[int]float64 {
 }
 
 func (MatchAllQuery) newScorer(ix *Index) scorer {
-	if ix.docCount() == 0 {
+	if ix.NumDocs() == 0 {
 		return emptyScorer{}
 	}
-	return &allScorer{n: ix.docCount(), cur: -1}
+	return &allScorer{n: ix.NumDocs(), cur: -1}
 }
 
 // FieldBoost pairs a field with a query-time boost, for multi-field keyword

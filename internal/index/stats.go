@@ -131,7 +131,7 @@ func (ix *Index) LocalStats() *CorpusStats {
 		// Clean path: per-term document frequencies are the posting counts,
 		// which a mapped index answers from its TOC — no block decoded, so
 		// the load-time stats exchange stays O(vocabulary), not O(postings).
-		cs := &CorpusStats{Docs: ix.docCount(), Fields: make(map[string]*FieldStats, len(ix.fields))}
+		cs := &CorpusStats{Docs: ix.NumDocs(), Fields: make(map[string]*FieldStats, len(ix.fields))}
 		for name, fi := range ix.fields {
 			fs := &FieldStats{
 				Docs:    fi.docCount,
@@ -276,7 +276,7 @@ func (ix *Index) termStats(field, term string) termStats {
 		}
 		return termStats{df: fs.DocFreq[term], numDocs: g.Docs, avgLen: fs.AvgLen()}
 	}
-	st := termStats{numDocs: ix.docCount()}
+	st := termStats{numDocs: ix.NumDocs()}
 	if fi := ix.fields[field]; fi != nil {
 		st.df, st.avgLen = fi.lookup(term).len(), fi.avgLen()
 	}

@@ -15,6 +15,12 @@ package index
 // nothing and -0 survives bit for bit) and nameIndex points into the
 // chunk's name table.
 //
+// The codec's stored region holds these bytes too, each chunk in a flate
+// stream behind its own name table and document lengths (codec.go).
+// writeChunk writes that form, and parse, the one reader of chunk bytes
+// from disk, checks it: Decode keeps what it parses, a mapped Doc decodes
+// from it, and a merge copies a mapped source's survivors out of it.
+//
 // A chunk's bytes never change once written: Add only appends past them,
 // and a chunk a merge has shared with another index is never appended to
 // again, by either. So MergeIndexes shares every chunk whose documents all
@@ -35,16 +41,17 @@ type storedChunk struct {
 	data []byte
 	ends []uint32
 	// names is the field-name table the documents' name indexes point into:
-	// a prefix of the writing index's table, which only ever grows.
+	// a prefix of the writing index's table, which only ever grows, or the
+	// chunk's own, read from a codec stream.
 	names []string
-	// shared is set once a merge has handed the chunk to another index.
+	// shared is set once a merge has handed the chunk to another index, or
+	// when it was read from a codec stream with a name table of its own:
+	// either way, no index appends to it.
 	shared atomic.Bool
 	cache  docCache
 }
 
 // docCache holds a chunk's documents, document k once Doc has decoded it.
-// An entry is written once; a racing decode loses the CompareAndSwap and
-// returns the winner.
 type docCache [storedChunkDocs]atomic.Pointer[Document]
 
 // storedRegion is a heap index's stored documents: its chunks in docID
@@ -69,29 +76,6 @@ func (s *storedRegion) locate(id int) (*storedChunk, int) {
 		c = searchInt32(s.first, id+1) - 1
 	}
 	return s.chunks[c], id - int(s.first[c])
-}
-
-// doc returns document id, decoding and caching it on first touch.
-func (s *storedRegion) doc(id int) *Document {
-	c, k := s.locate(id)
-	if d := c.cache[k].Load(); d != nil {
-		return d
-	}
-	d := c.decode(k)
-	if c.cache[k].CompareAndSwap(nil, d) {
-		return d
-	}
-	return c.cache[k].Load()
-}
-
-// peek returns document id without publishing it: the cached decode when
-// Doc has made one, otherwise a decode no cache keeps.
-func (s *storedRegion) peek(id int) *Document {
-	c, k := s.locate(id)
-	if d := c.cache[k].Load(); d != nil {
-		return d
-	}
-	return c.decode(k)
 }
 
 // value is Document.Get on document id, read from its bytes without
@@ -128,76 +112,39 @@ func (s *storedRegion) add(d *Document) {
 	s.end(c)
 }
 
-// addEncoded appends one document read from r in the codec's stored shape
-// (u32 field count, then per field a name, a text and a boost f64),
-// reporting false when the bytes do not parse.
-func (s *storedRegion) addEncoded(r *byteReader) bool {
-	nf := r.u32()
-	if r.bad || nf > 1<<16 {
-		return false
+// appendSurvivors appends the documents of chunk c that live keeps (live[k]
+// is document k's new docID, -1 when it is dropped), in order: a chunk
+// whose documents all survive is shared as it is, the survivors of any
+// other are copied.
+func (s *storedRegion) appendSurvivors(c *storedChunk, live []int) {
+	if !slices.Contains(live, -1) {
+		c.shared.Store(true)
+		s.chunks = append(s.chunks, c)
+		s.first = append(s.first, int32(s.n))
+		s.n += len(c.ends)
+		return
 	}
-	c := s.open()
-	c.data = binary.AppendUvarint(c.data, uint64(nf))
-	for ; nf > 0; nf-- {
-		name, text, boost := r.strBytes(), r.strBytes(), r.u64()
-		if r.bad {
-			return false
+	for k, nid := range live {
+		if nid >= 0 {
+			s.copyDoc(c, k)
 		}
-		// Looked up before nameIndex: a map index by string(name) does not
-		// copy name, a string argument would, for every field.
-		idx, ok := s.nameIdx[string(name)]
+	}
+}
+
+// copyDoc appends document k of c field by field, its names looked up in
+// the region's table.
+func (s *storedRegion) copyDoc(c *storedChunk, k int) {
+	r := c.fields(k)
+	o := s.open()
+	o.data = binary.AppendUvarint(o.data, uint64(r.left))
+	for {
+		name, text, boost, ok := r.next()
 		if !ok {
-			idx = s.nameIndex(string(name))
+			break
 		}
-		c.data = appendStoredField(c.data, idx, text, boost)
+		o.data = appendStoredField(o.data, s.nameIndex(name), text, boost)
 	}
-	s.end(c)
-	return true
-}
-
-// appendSurvivors appends the documents of src that remap keeps, in order:
-// a chunk whose documents all survive is shared as it is, the survivors of
-// any other chunk are copied field by field.
-func (s *storedRegion) appendSurvivors(src *storedRegion, remap []int) {
-	for ci, c := range src.chunks {
-		live := remap[src.first[ci]:][:len(c.ends)]
-		if !slices.Contains(live, -1) {
-			c.shared.Store(true)
-			s.chunks = append(s.chunks, c)
-			s.first = append(s.first, int32(s.n))
-			s.n += len(c.ends)
-			continue
-		}
-		for k, nid := range live {
-			if nid < 0 {
-				continue
-			}
-			r := c.fields(k)
-			o := s.open()
-			o.data = binary.AppendUvarint(o.data, uint64(r.left))
-			for {
-				name, text, boost, ok := r.next()
-				if !ok {
-					break
-				}
-				o.data = appendStoredField(o.data, s.nameIndex(name), text, boost)
-			}
-			s.end(o)
-		}
-	}
-}
-
-// cached counts the documents the region holds decoded.
-func (s *storedRegion) cached() int {
-	n := 0
-	for _, c := range s.chunks {
-		for k := range c.ends {
-			if c.cache[k].Load() != nil {
-				n++
-			}
-		}
-	}
-	return n
+	s.end(o)
 }
 
 // open returns the chunk the next document goes to: the last one, unless it
@@ -284,7 +231,7 @@ func (c *storedChunk) fields(k int) storedFields {
 
 // next returns the next field's name, its text as a view of the chunk and
 // its boost's bits; ok is false past the last field. The bytes were written
-// by this package, so they are not checked.
+// by this package or passed parse, so they are not checked.
 func (r *storedFields) next() (name string, text []byte, boost uint64, ok bool) {
 	if r.left == 0 {
 		return "", nil, 0, false
@@ -316,4 +263,93 @@ func (c *storedChunk) decode(k int) *Document {
 		d.Fields[i] = Field{Name: name, Text: all[r.at : r.at+len(text)], Boost: math.Float64frombits(boost)}
 	}
 	return d
+}
+
+// writeChunk appends documents [beg, end) of s, at most storedChunkDocs,
+// in the wire form: copied into a chunk of a region of their own, so the
+// name table is theirs in first-use order whichever chunks hold them.
+func writeChunk(b []byte, s *storedRegion, beg, end int) []byte {
+	var w storedRegion
+	for id := beg; id < end; id++ {
+		w.copyDoc(s.locate(id))
+	}
+	c := w.chunks[0]
+	b = binary.AppendUvarint(b, uint64(len(c.names)))
+	for _, name := range c.names {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		b = append(b, name...)
+	}
+	var start uint32
+	for _, e := range c.ends {
+		b = binary.AppendUvarint(b, uint64(e-start))
+		start = e
+	}
+	return append(b, c.data...)
+}
+
+// parse reads a chunk of n documents in the wire form into c, whose data
+// is then a view of b, and reports whether b holds one. b comes off disk,
+// so parse checks what next trusts: every length stays inside what holds
+// it, every name index is in the table, boost bytes are non-zero. It also
+// refuses what writeChunk would not write — a uvarint longer than its
+// shortest form, a name the documents do not use in table order, a name
+// twice — so a chunk it accepts is the one writeChunk makes of its
+// documents. Nothing is sized by a count the bytes do not back.
+func (c *storedChunk) parse(b []byte, n int) bool {
+	r := byteReader{b: b}
+	numNames := r.shortUvarint()
+	start := r.pos
+	for i := numNames; i > 0 && !r.bad; i-- {
+		r.skip(r.shortUvarint())
+	}
+	if r.bad || len(b) > math.MaxUint32 {
+		return false
+	}
+	// One string holds the table; the names are slices of it.
+	all, nr := string(b[start:r.pos]), byteReader{b: b, pos: start}
+	c.names = make([]string, numNames)
+	for i := range c.names {
+		l := int(nr.uvarint())
+		c.names[i] = all[nr.pos-start:][:l]
+		nr.pos += l
+	}
+	c.ends = make([]uint32, n)
+	end := uint64(0)
+	for k := range c.ends {
+		// Bounded before it is added, so the sum cannot wrap: both terms
+		// are at most len(b), itself at most math.MaxUint32.
+		l := r.shortUvarint()
+		if left := uint64(len(b) - r.pos); r.bad || l == 0 || l > left || end+l > left {
+			return false
+		}
+		end += l
+		c.ends[k] = uint32(end)
+	}
+	if c.data = b[r.pos:]; end != uint64(len(c.data)) {
+		return false
+	}
+	used, beg := uint64(0), 0 // used: the names the documents so far use
+	for _, end := range c.ends {
+		d := byteReader{b: c.data[:end], pos: beg}
+		for nf := d.shortUvarint(); nf > 0 && !d.bad; nf-- {
+			tag := d.shortUvarint()
+			switch idx := tag >> 1; {
+			case idx == used && used < numNames:
+				used++
+			case idx >= used:
+				d.fail()
+			}
+			d.skip(d.shortUvarint())
+			if tag&1 != 0 && d.u64() == 0 {
+				d.fail()
+			}
+		}
+		if d.bad || d.pos != len(d.b) {
+			return false
+		}
+		beg = int(end)
+	}
+	sorted := slices.Clone(c.names)
+	slices.Sort(sorted)
+	return used == numNames && len(slices.Compact(sorted)) == len(sorted)
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -568,10 +569,30 @@ func hostileString() []byte {
 	return append(b, make([]byte, 1024-len(b))...)
 }
 
+// chunkStream is a stream of docs documents and no fields whose one stored
+// chunk is a small, valid flate stream of contents: a name table, document
+// lengths and documents, unchecked.
+func chunkStream(docs uint32, contents ...byte) []byte {
+	u32 := binary.LittleEndian.AppendUint32
+	b := u32(u32(u32(u32([]byte(codecMagic), CodecVersionCurrent), docs), 0), storedChunkDocs)
+	var comp bytes.Buffer
+	zw, _ := flate.NewWriter(&comp, flate.BestCompression)
+	zw.Write(contents)
+	zw.Close()
+	return append(binary.LittleEndian.AppendUint64(b, uint64(comp.Len())), comp.Bytes()...)
+}
+
 // TestDecodeHostileDocCount pins that a document, posting, position, chunk
 // or string length the stream does not back is refused before anything is
-// sized by it.
+// sized by it, and so are stored chunk contents that claim 2^28 names, two
+// documents where the chunk holds one, a name the table lacks, a field
+// past its document, or document lengths whose sum wraps 2^64.
 func TestDecodeHostileDocCount(t *testing.T) {
+	// The one valid document: a table of one name, "f", a length of 4, and
+	// one field of that name holding "x".
+	if _, err := Decode(bytes.NewReader(chunkStream(1, 1, 1, 'f', 4, 1, 0, 1, 'x')), nil); err != nil {
+		t.Fatalf("a valid chunk refused: %v", err)
+	}
 	for name, data := range map[string][]byte{
 		"documents":        hostileDocCount(false),
 		"documents, entry": hostileDocCount(true),
@@ -579,6 +600,12 @@ func TestDecodeHostileDocCount(t *testing.T) {
 		"positions":        hostileTerm(true),
 		"stored chunk":     hostileChunk(),
 		"string":           hostileString(),
+		"chunk names":      chunkStream(1, 0x80, 0x80, 0x80, 0x80, 1, 1, 'f'),
+		"chunk docs":       chunkStream(1, 1, 1, 'f', 4, 4, 1, 0, 1, 'x', 1, 0, 1, 'x'),
+		"chunk name":       chunkStream(1, 1, 1, 'f', 7, 2, 0, 1, 'x', 2<<1, 1, 'y'),
+		"chunk field":      chunkStream(1, 1, 1, 'f', 4, 1, 0, 9, 'x'),
+		// Lengths 5 and 2^64-3 of two documents sum to the 2 bytes there are.
+		"chunk lengths": chunkStream(2, 1, 0, 5, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 0),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -18,7 +18,7 @@ package shard
 //     rotated on Save.
 //
 // Each of these formats has exactly one readable version — envelope v3
-// around codec v3, the manifest layout, the page-batch WAL record. A file
+// around codec v4, the manifest layout, the page-batch WAL record. A file
 // of any other version, older or newer, is refused as
 // ErrSnapshotUnknownVersion: never quarantined, reported UNVERIFIABLE.
 //
