@@ -40,7 +40,7 @@ func TestWindowRecomputedOncePerWindow(t *testing.T) {
 	walks, seeks := 0, 0
 	for _, text := range []string{"goal foul", "save corner pass", "keeper header"} {
 		q := MultiFieldQuery(text, fields)
-		root := q.bind(ix.analyzer).newScorer(ix).(*booleanScorer)
+		root := q.bind(ix.analyzer).newScorer(ix, new(searchArena)).(*booleanScorer)
 		var targets, ends []int
 		for i, sh := range root.shoulds {
 			root.shoulds[i] = probeCounter{scorer: sh, targets: &targets, ends: &ends}

@@ -9,15 +9,27 @@ import (
 // TestConcurrentSearch backs the "safe for concurrent searching" claim in
 // index.go under -race: after an offline build, many goroutines hammer
 // every query shape — term, phrase, boolean, fuzzy, parsed, more-like-this
-// — against the same index and must observe identical results.
+// — against the same index, on the heap and mapped, and must observe
+// identical results. Each search builds its tree in a pooled arena, so
+// an arena shared by two searches shows here.
 func TestConcurrentSearch(t *testing.T) {
-	ix := New(nil)
+	heap := New(nil)
 	for i := 0; i < 200; i++ {
 		d := &Document{}
 		d.Add("event", fmt.Sprintf("Goal Shoot event %d", i))
 		d.Add("narration", fmt.Sprintf("player%d scores a wonderful goal in minute %d", i%17, i))
-		ix.Add(d)
+		heap.Add(d)
 	}
+	mapped, err := reopen(heap, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{heap, mapped} {
+		searchConcurrently(t, ix)
+	}
+}
+
+func searchConcurrently(t *testing.T, ix *Index) {
 	fields := []FieldBoost{{Field: "event", Boost: 2}, {Field: "narration", Boost: 1}}
 	queries := []Query{
 		TermQuery{Field: "narration", Term: "goal"},
@@ -43,7 +55,7 @@ func TestConcurrentSearch(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				qi := (g + i) % len(queries)
 				if err := sameHits(ix.Search(queries[qi], 10), want[qi]); err != nil {
-					t.Errorf("goroutine %d query %d: %v", g, qi, err)
+					t.Errorf("mapped %v goroutine %d query %d: %v", ix.Mapped(), g, qi, err)
 					return
 				}
 				ix.MoreLikeThis(i%ix.NumDocs(), fields, 4)

@@ -551,7 +551,7 @@ func TestPostingsCursorMatchesEagerDecode(t *testing.T) {
 func driveCursor(t *testing.T, label string, rng *rand.Rand, fi *fieldIndex, term string, ref []eagerPosting, withPos bool) {
 	t.Helper()
 	var r postingsCursor
-	r.init(fi.lookup(term), withPos)
+	r.init(fi.lookup(term), withPos, nil)
 	n := r.n
 	if n != len(ref) {
 		t.Fatalf("%s: the cursor counts %d postings, want %d", label, n, len(ref))
@@ -688,7 +688,7 @@ func BenchmarkPostingsCursor(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					var r postingsCursor
-					r.init(src, withPos)
+					r.init(src, withPos, nil)
 					drive(&r)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*src.len()), "ns/posting")

@@ -94,7 +94,7 @@ func (q docIDQuery) scores(ix *Index) map[int]float64 {
 	return map[int]float64{q.id: 1}
 }
 
-func (q docIDQuery) newScorer(ix *Index) scorer {
+func (q docIDQuery) newScorer(ix *Index, _ *searchArena) scorer {
 	if q.id < 0 || q.id >= ix.NumDocs() {
 		return emptyScorer{}
 	}

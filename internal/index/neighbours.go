@@ -49,9 +49,10 @@ func compareReversed(a, b string) int {
 	return cmp.Compare(i, j)
 }
 
-// expansions returns the terms the field holds within edit distance 1 of
-// target, with their weights: 1 for the target itself, 0.5 for the rest.
-func (fi *fieldIndex) expansions(target string) (terms []string, weights []float64) {
+// expansions appends to terms the terms the field holds within edit
+// distance 1 of target, and to weights their weights: 1 for the target
+// itself, 0.5 for the rest.
+func (fi *fieldIndex) expansions(target string, terms []string, weights []float64) ([]string, []float64) {
 	nb := fi.nbrs.Load()
 	if nb == nil {
 		nb = newNeighbours(fi)
@@ -59,7 +60,7 @@ func (fi *fieldIndex) expansions(target string) (terms []string, weights []float
 			nb = fi.nbrs.Load()
 		}
 	}
-	return nb.within1(target)
+	return nb.within1(target, terms, weights)
 }
 
 // within1 finds the terms within edit distance 1 of target without walking
@@ -72,7 +73,7 @@ func (fi *fieldIndex) expansions(target string) (terms []string, weights []float
 // one of rev, and WithinEditDistance1 decides among them. A target whose
 // prefix or suffix is empty constrains nothing and takes one pass over
 // fwd.
-func (nb *neighbours) within1(target string) (terms []string, weights []float64) {
+func (nb *neighbours) within1(target string, terms []string, weights []float64) ([]string, []float64) {
 	visit := func(term string) {
 		// One edit is one rune: at most four bytes.
 		if d := len(term) - len(target); d > utf8.UTFMax || d < -utf8.UTFMax {

@@ -43,7 +43,7 @@ func checkNeighbours(t *testing.T, label string, fi *fieldIndex, target string) 
 		}
 		return m
 	}
-	gotT, gotW := fi.expansions(target)
+	gotT, gotW := fi.expansions(target, nil, nil)
 	wantT, wantW := fi.linearExpansions(target)
 	got, want := asMap(gotT, gotW), asMap(wantT, wantW)
 	if len(gotT) != len(gotW) || len(got) != len(gotT) || !reflect.DeepEqual(got, want) {

@@ -61,13 +61,22 @@ var trafficFields = []FieldBoost{
 // kernelCorpus draws n documents in stretches of 100–300, each giving a
 // field one index-time boost (0, that is 1, 0.1, 1, 5 or -0.5; flipped in
 // one document in eight) and the narration one length range, so blocks
-// differ in their bounds. fields, when given, keeps only those fields.
+// differ in their bounds. One stretch in three drifts instead: over its
+// 300–700 documents every field shortens to one word (the narration from
+// thirteen) and every boost rises from 1 to 9, so its later blocks bound
+// higher than its earlier ones and a window or whole-tail bound read off
+// an early block is wrong about them. fields, when given, keeps only those
+// fields.
 func kernelCorpus(r *rand.Rand, n int, fields ...string) []*Document {
 	docs, boost := make([]*Document, n), make([]float64, len(kernelFields))
-	maxLen := 10
-	for d, next := 0, 0; d < n; d++ {
-		if d == next {
-			next += 100 + r.Intn(201)
+	maxLen, start, end, drift := 10, 0, 0, false
+	for d := 0; d < n; d++ {
+		if d == end {
+			drift = r.Intn(3) == 0
+			start, end = d, d+100+r.Intn(201)
+			if drift {
+				end += 200 + r.Intn(201)
+			}
 			maxLen = 4 + r.Intn(12)
 			for i := range boost {
 				boost[i] = []float64{0, 0.1, 1, 5, -0.5}[r.Intn(5)]
@@ -78,11 +87,14 @@ func kernelCorpus(r *rand.Rand, n int, fields ...string) []*Document {
 			if len(fields) > 0 && !slices.Contains(fields, f.name) || r.Intn(6) == 0 {
 				continue
 			}
-			words := make([]string, 1+r.Intn(cmp.Or(f.size, maxLen)))
+			size, b := 1+r.Intn(cmp.Or(f.size, maxLen)), boost[fi]
+			if drift {
+				size, b = max(1, cmp.Or(f.size, 13)*(end-d)/(end-start)), float64(1+8*(d-start)/(end-start))
+			}
+			words := make([]string, size)
 			for i := range words {
 				words[i] = f.words[r.Intn(1+r.Intn(len(f.words)))]
 			}
-			b := boost[fi]
 			if r.Intn(8) == 0 {
 				b = -b
 			}

@@ -124,7 +124,7 @@ func (fi *fieldIndex) lookup(term string) postingsSource {
 // when any section of any block is spoiled, never a truncated list.
 func (fi *fieldIndex) postingsOf(term string) postingRun {
 	var c postingsCursor
-	c.init(fi.lookup(term), true)
+	c.init(fi.lookup(term), true, nil)
 	n := c.n
 	if len(c.docs) == n {
 		return c.postingRun // the heap entry's, or an absent term's
@@ -151,8 +151,10 @@ func (fi *fieldIndex) postingsOf(term string) postingRun {
 //     columns, in place from init: the heap side never decodes anything;
 //   - a mapped term is one run per 128-posting block, decoded from the byte
 //     region into buffers the cursor owns: docIDs and position ends are
-//     allocated for a block when the cursor is built, the per-posting boost
-//     table and the position buffer by the first block that needs them.
+//     taken for a block when the cursor is built, the per-posting boost
+//     table and the position buffer by the first block that needs them —
+//     from the search's arena (arena.go) for a scorer's cursor, from the
+//     heap for one that walks postings outside a search.
 //
 // A mapped block is three sections, each decoded at most once per landing
 // and only by the accessor that needs it:
@@ -198,20 +200,22 @@ type postingsCursor struct {
 	// deltas start.
 	blk, off, posN int
 	withPos, bad   bool
+	// ar supplies a mapped cursor's buffers (nil: the heap).
+	ar *searchArena
 }
 
 // init positions c before the first posting at src; the zero source, an
 // absent term's, reads as an empty list. withPos is whether a mapped cursor
-// decodes positions.
-func (c *postingsCursor) init(src postingsSource, withPos bool) {
+// decodes positions, ar where it takes its buffers (nil outside a search).
+func (c *postingsCursor) init(src postingsSource, withPos bool, ar *searchArena) {
 	n := src.len()
-	*c = postingsCursor{postingsSource: src, n: n, blk: -1, withPos: withPos}
+	*c = postingsCursor{postingsSource: src, n: n, blk: -1, withPos: withPos, ar: ar}
 	if src.te != nil {
 		c.postingRun, c.posN = src.te.postingRun, n
 		return
 	}
 	m := min(n, postingBlockSize)
-	c.docs, c.posEnd = make([]int32, 0, m), make([]uint32, 0, m)
+	c.docs, c.posEnd = ar.int32Buf(m)[:0], ar.uint32Buf(m)[:0]
 }
 
 // numBlocks is the list's Block-Max block count.
@@ -488,7 +492,7 @@ func (c *postingsCursor) loadFreqs(k int) bool {
 		p += 8
 	case flag == 1 && len(posEnd) <= (len(raw)-p)/8:
 		if cap(c.boosts) < len(posEnd) {
-			c.boosts = make([]float64, min(c.n, postingBlockSize))
+			c.boosts = c.ar.float64Buf(min(c.n, postingBlockSize))
 		}
 		c.boosts = c.boosts[:len(posEnd)]
 		for j := range c.boosts {
@@ -506,7 +510,7 @@ func (c *postingsCursor) loadFreqs(k int) bool {
 			return c.spoil()
 		}
 		if cap(c.positions) < total {
-			c.positions = make([]int32, total)
+			c.positions = c.ar.int32Buf(total)
 		}
 	}
 	c.posEnd, c.off = posEnd, p

@@ -157,7 +157,7 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 		return nil
 	}
 	out := make(map[int]float64)
-	terms, weights := fi.expansions(q.target)
+	terms, weights := fi.expansions(q.target, nil, nil)
 	for i, term := range terms {
 		ts := ix.termStats(q.field, term).scorer(ix.sim)
 		// postingsOf after the edit-distance filter: only the few matching
@@ -176,18 +176,23 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 // newScorer expands the fuzzy term against the field's dictionary once —
 // the same expansion the exhaustive path scores — and evaluates it
 // document-at-a-time as a weighted per-document maximum, reproducing the
-// "best matching variant wins" semantics of scores.
-func (q *fuzzyClause) newScorer(ix *Index) scorer {
+// "best matching variant wins" semantics of scores. The expansion lands in
+// the arena's scratch, which the next fuzzy clause reuses, so the weights
+// the scorer keeps are copied out of it.
+func (q *fuzzyClause) newScorer(ix *Index, a *searchArena) scorer {
 	fi := ix.fields[q.field]
 	if fi == nil {
 		return emptyScorer{}
 	}
-	terms, weights := fi.expansions(q.target)
-	subs := make([]scorer, len(terms))
+	terms, weights := fi.expansions(q.target, a.expTerms[:0], a.expWeights[:0])
+	a.expTerms, a.expWeights = terms, weights
+	subs := a.scorers.take(len(terms))
 	for i, term := range terms {
-		subs[i] = newTermScorer(ix, q.field, term, q.boost)
+		subs[i] = newTermScorer(ix, a, q.field, term, q.boost)
 	}
-	return newMaxScorer(subs, weights)
+	kept := a.floats.take(len(weights))
+	copy(kept, weights)
+	return newMaxScorer(a, subs, kept)
 }
 
 // WithinEditDistance1 reports whether two strings are within Levenshtein

@@ -93,27 +93,17 @@ func (emptyScorer) score() float64                  { return 0 }
 func (emptyScorer) maxScore() float64               { return 0 }
 func (emptyScorer) maxScoreUpTo(int) (float64, int) { return 0, noMoreDocs }
 
-// liveScorers builds the clauses' scorers, leaving out those that can
+// liveScorers builds the clauses' scorers in a, leaving out those that can
 // never match.
-func liveScorers(ix *Index, clauses []boundQuery) []scorer {
-	out := make([]scorer, 0, len(clauses))
+func liveScorers(ix *Index, a *searchArena, clauses []boundQuery) []scorer {
+	out := a.scorers.take(len(clauses))[:0]
 	for _, c := range clauses {
-		sc := c.newScorer(ix)
+		sc := c.newScorer(ix, a)
 		if _, empty := sc.(emptyScorer); !empty {
 			out = append(out, sc)
 		}
 	}
 	return out
-}
-
-// unpositioned returns n child positions, all before the first document,
-// with room for extra more ints behind them.
-func unpositioned(n, extra int) []int {
-	docs := make([]int, n, n+extra)
-	for i := range docs {
-		docs[i] = -1
-	}
-	return docs[:n+extra]
 }
 
 // termScorer walks one term's posting list through its cursor, scoring
@@ -147,9 +137,10 @@ type termScorer struct {
 	cachedBound float64
 }
 
-// newTermScorer builds the cursor for one analyzed term. The term must be
-// in index form; queryBoost is the resolved (zero-defaulted) clause boost.
-func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
+// newTermScorer builds the cursor for one analyzed term in a. The term must
+// be in index form; queryBoost is the resolved (zero-defaulted) clause
+// boost.
+func newTermScorer(ix *Index, a *searchArena, field, term string, queryBoost float64) scorer {
 	fi := ix.fields[field]
 	if fi == nil {
 		return emptyScorer{}
@@ -159,14 +150,15 @@ func newTermScorer(ix *Index, field, term string, queryBoost float64) scorer {
 		return emptyScorer{}
 	}
 	st := ix.termStats(field, term)
-	s := &termScorer{
+	s := &a.terms.take(1)[0]
+	*s = termScorer{
 		ix: ix, docLen: fi.docLen,
-		st: st, ts: st.scorer(ix.sim),
+		st: st, ts: a.termSim(ix.sim, st),
 		boost: queryBoost,
 		i:     -1, d: -1,
 		cachedBlock: -1,
 	}
-	s.cur.init(src, false)
+	s.cur.init(src, false, a)
 	s.cap = ix.scoreBound(s.cur.listCap(), st, queryBoost)
 	return s
 }
@@ -321,8 +313,8 @@ type phraseScorer struct {
 	cachedBound float64
 }
 
-// newPhraseScorer builds the cursor for already-analyzed phrase terms.
-func newPhraseScorer(ix *Index, field string, terms []string, boost float64) scorer {
+// newPhraseScorer builds the cursor for already-analyzed phrase terms in a.
+func newPhraseScorer(ix *Index, a *searchArena, field string, terms []string, boost float64) scorer {
 	fi := ix.fields[field]
 	if fi == nil {
 		return emptyScorer{}
@@ -333,8 +325,9 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 			return emptyScorer{}
 		}
 	}
-	s := &phraseScorer{
-		tbl: &fi.docTable, rest: make([]postingsCursor, len(terms)-1), follow: make([][]int32, len(terms)-1),
+	s := &a.phrases.take(1)[0]
+	*s = phraseScorer{
+		tbl: &fi.docTable, rest: a.cursors.take(len(terms) - 1), follow: a.follow.take(len(terms) - 1),
 		boost: boost, i: -1, d: -1, cachedBlock: -1,
 		whole: termCap{maxFreq: math.MaxInt, minLen: 1},
 	}
@@ -343,7 +336,7 @@ func newPhraseScorer(ix *Index, field string, terms []string, boost float64) sco
 		if i > 0 {
 			c = &s.rest[i-1]
 		}
-		c.init(fi.lookup(t), true)
+		c.init(fi.lookup(t), true, a)
 		s.idfSum += ix.IDF(field, t)
 		lc := c.listCap()
 		s.whole.maxFreq = min(s.whole.maxFreq, lc.maxFreq)
@@ -506,11 +499,12 @@ type maxScorer struct {
 	win      window
 }
 
-func newMaxScorer(subs []scorer, weights []float64) scorer {
+func newMaxScorer(a *searchArena, subs []scorer, weights []float64) scorer {
 	if len(subs) == 0 {
 		return emptyScorer{}
 	}
-	m := &maxScorer{subs: subs, weights: weights, subDoc: unpositioned(len(subs), 0), cur: -1, win: window{end: -1}}
+	m := &a.maxes.take(1)[0]
+	*m = maxScorer{subs: subs, weights: weights, subDoc: a.unpositioned(len(subs), 0), cur: -1, win: window{end: -1}}
 	for i, sub := range subs {
 		if c := sub.maxScore() * weights[i]; c > m.cap {
 			m.cap = c
@@ -626,18 +620,18 @@ type booleanScorer struct {
 	nonEss int
 }
 
-// newBooleanScorer builds the clause's scorer tree over ix. Clauses that
+// newBooleanScorer builds the clause's scorer tree over ix in a. Clauses that
 // cannot match in this index are left out — a Should or MustNot that never
 // matches changes no sum and no order, a Must that never matches empties
 // the clause — while the coordination factor keeps counting the query's
 // clauses, found or not.
-func newBooleanScorer(ix *Index, q *boolClause) scorer {
-	musts := liveScorers(ix, q.must)
+func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
+	musts := liveScorers(ix, a, q.must)
 	if len(musts) < len(q.must) {
 		return emptyScorer{}
 	}
-	shoulds := liveScorers(ix, q.should)
-	nots := liveScorers(ix, q.mustNot)
+	shoulds := liveScorers(ix, a, q.should)
+	nots := liveScorers(ix, a, q.mustNot)
 	nm, ns, nn := len(musts), len(shoulds), len(nots)
 	total := len(q.must) + len(q.should)
 	switch {
@@ -651,13 +645,14 @@ func newBooleanScorer(ix *Index, q *boolClause) scorer {
 		// wrapper that cannot hand it down.
 		return shoulds[0]
 	}
-	b := &booleanScorer{
+	b := &a.bools.take(1)[0]
+	*b = booleanScorer{
 		musts: musts, shoulds: shoulds, nots: nots,
 		coord: q.coord, total: total, cur: -1, win: window{end: -1},
 	}
 	// Child positions and, in disjunction mode, the MaxScore order share
-	// one allocation.
-	ints := unpositioned(nm+ns+nn, ns)
+	// one stretch.
+	ints := a.unpositioned(nm+ns+nn, ns)
 	b.mustDoc, b.shouldDoc, b.notDoc = ints[:nm], ints[nm:nm+ns], ints[nm+ns:nm+ns+nn]
 	for _, m := range b.musts {
 		b.cap += m.maxScore()
@@ -673,7 +668,7 @@ func newBooleanScorer(ix *Index, q *boolClause) scorer {
 	// based sorting off the query path), prefix the running bound sums and
 	// rest each clause's siblings' bound sum.
 	b.sorted = ints[nm+ns+nn:]
-	caps := make([]float64, 3*ns+1)
+	caps := a.floats.take(3*ns + 1)
 	for i, sh := range b.shoulds {
 		b.sorted[i], caps[i] = i, sh.maxScore()
 		b.cap += caps[i]

@@ -29,9 +29,10 @@ type boundQuery interface {
 	// hatch and the oracle the DAAT kernel is verified against.
 	scores(ix *Index) map[int]float64
 	// newScorer returns the clause's document-at-a-time cursor (see
-	// scorer.go). It must reproduce scores exactly: same documents, same
-	// floating-point expression order, byte-identical scores.
-	newScorer(ix *Index) scorer
+	// scorer.go), built in the search's arena. It must reproduce scores
+	// exactly: same documents, same floating-point expression order,
+	// byte-identical scores.
+	newScorer(ix *Index, a *searchArena) scorer
 }
 
 // AnalyzeQuery binds q to the analyzer: the returned query ranks exactly
@@ -94,7 +95,10 @@ func (ix *Index) Search(q Query, limit int, bar ...*Bar) []Hit {
 	if len(bar) > 0 && limit > 0 {
 		b = bar[0]
 	}
-	return ix.collect(q.bind(ix.analyzer).newScorer(ix), limit, b)
+	a := acquireArena()
+	hits := ix.collect(q.bind(ix.analyzer).newScorer(ix, a), limit, b)
+	a.release()
+	return hits
 }
 
 // collect drains a root scorer into the top limit hits, feeding the
@@ -205,9 +209,9 @@ func orOne(boost float64) float64 {
 // noMatch is the bound form of a clause whose text analyzed to nothing.
 type noMatch struct{}
 
-func (q noMatch) bind(Analyzer) boundQuery    { return q }
-func (noMatch) scores(*Index) map[int]float64 { return nil }
-func (noMatch) newScorer(*Index) scorer       { return emptyScorer{} }
+func (q noMatch) bind(Analyzer) boundQuery            { return q }
+func (noMatch) scores(*Index) map[int]float64         { return nil }
+func (noMatch) newScorer(*Index, *searchArena) scorer { return emptyScorer{} }
 
 // termClause is a bound TermQuery: one index-form term in one field at a
 // resolved boost. It is used by pointer so that a token's clauses over
@@ -233,8 +237,8 @@ func (q *termClause) scores(ix *Index) map[int]float64 {
 	return out
 }
 
-func (q *termClause) newScorer(ix *Index) scorer {
-	return newTermScorer(ix, q.field, q.term, q.boost)
+func (q *termClause) newScorer(ix *Index, a *searchArena) scorer {
+	return newTermScorer(ix, a, q.field, q.term, q.boost)
 }
 
 // PhraseQuery matches documents where the terms occur consecutively in one
@@ -292,8 +296,8 @@ func (q *phraseClause) scores(ix *Index) map[int]float64 {
 	return out
 }
 
-func (q *phraseClause) newScorer(ix *Index) scorer {
-	return newPhraseScorer(ix, q.field, q.terms, q.boost)
+func (q *phraseClause) newScorer(ix *Index, a *searchArena) scorer {
+	return newPhraseScorer(ix, a, q.field, q.terms, q.boost)
 }
 
 // phraseBufPool recycles the join scratch phraseTerms uses, so repeated
@@ -336,7 +340,7 @@ func phraseTerms(a Analyzer, raw []string) []string {
 func (fi *fieldIndex) phraseAt(terms []string, docID, start int) bool {
 	var c postingsCursor
 	for i := 1; i < len(terms); i++ {
-		c.init(fi.lookup(terms[i]), true)
+		c.init(fi.lookup(terms[i]), true, nil)
 		if !c.hasPosition(docID, start+i) {
 			return false
 		}
@@ -425,7 +429,9 @@ func (q *boolClause) scores(ix *Index) map[int]float64 {
 	return out
 }
 
-func (q *boolClause) newScorer(ix *Index) scorer { return newBooleanScorer(ix, q) }
+func (q *boolClause) newScorer(ix *Index, a *searchArena) scorer {
+	return newBooleanScorer(ix, a, q)
+}
 
 // MatchAllQuery matches every document with a constant score, useful for
 // "list everything" style queries and tests.
@@ -442,7 +448,7 @@ func (MatchAllQuery) scores(ix *Index) map[int]float64 {
 	return out
 }
 
-func (MatchAllQuery) newScorer(ix *Index) scorer {
+func (MatchAllQuery) newScorer(ix *Index, _ *searchArena) scorer {
 	if ix.NumDocs() == 0 {
 		return emptyScorer{}
 	}

@@ -51,7 +51,11 @@ type ClassicTFIDF struct{}
 type classicTerm struct{ idf float64 }
 
 // Scorer implements Similarity: the logarithm is the per-term part.
-func (ClassicTFIDF) Scorer(df, numDocs int, _ float64) TermScorer {
+func (s ClassicTFIDF) Scorer(df, numDocs int, _ float64) TermScorer { return s.term(df, numDocs) }
+
+// term is the per-term value Scorer boxes; a search's arena holds it
+// unboxed.
+func (ClassicTFIDF) term(df, numDocs int) classicTerm {
 	return classicTerm{idf: 1 + math.Log(float64(numDocs)/float64(df+1))}
 }
 
@@ -63,8 +67,8 @@ func (t classicTerm) Score(freq, fieldLen int) float64 {
 }
 
 // TermScore implements Similarity.
-func (s ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
-	return s.Scorer(df, numDocs, avgLen).Score(freq, fieldLen)
+func (s ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, _ float64) float64 {
+	return s.term(df, numDocs).Score(freq, fieldLen)
 }
 
 // TermScoreBound implements UpperBoundSimilarity: sqrt(tf) rises with tf
@@ -86,7 +90,11 @@ type BM25 struct {
 type bm25Term struct{ idf, k1, b, avgLen float64 }
 
 // Scorer implements Similarity.
-func (s BM25) Scorer(df, numDocs int, avgLen float64) TermScorer {
+func (s BM25) Scorer(df, numDocs int, avgLen float64) TermScorer { return s.term(df, numDocs, avgLen) }
+
+// term is the per-term value Scorer boxes; a search's arena holds it
+// unboxed.
+func (s BM25) term(df, numDocs int, avgLen float64) bm25Term {
 	k1, b := s.K1, s.B
 	if k1 == 0 {
 		k1 = 1.2
@@ -109,7 +117,7 @@ func (t bm25Term) Score(freq, fieldLen int) float64 {
 
 // TermScore implements Similarity.
 func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64 {
-	return s.Scorer(df, numDocs, avgLen).Score(freq, fieldLen)
+	return s.term(df, numDocs, avgLen).Score(freq, fieldLen)
 }
 
 // TermScoreBound implements UpperBoundSimilarity: tf·(k1+1)/(tf+k1·norm)

@@ -163,7 +163,7 @@ func (ix *Index) LocalStats() *CorpusStats {
 		// spoiled block ends its term's walk (see postingsCursor): the term
 		// reads as shorter, which on a CRC-verified file cannot happen.
 		fi.eachTerm(func(t string, src postingsSource) {
-			c.init(src, false)
+			c.init(src, false, nil)
 			df := 0
 			for i := 0; c.docAt(i) != noMoreDocs; i += len(c.docs) {
 				for _, d := range c.docs {

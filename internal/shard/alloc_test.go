@@ -12,16 +12,19 @@ import (
 // TestSearchAllocationCeiling bounds what one cold Engine.Search allocates
 // on a two-shard engine at limit 10, per query class, on a heap engine and
 // on the same engine saved and reopened mapped. The ceilings sit about a
-// third above the measured figures. Heap: keyword 107, phrase 111, fuzzy
-// 120 at the commit that introduced them; 115, 339 and 289 before it, when
-// every shard re-parsed the text and every field clause re-analyzed it — so
-// a change that brings back per-shard parsing, per-field analysis or a
-// vocabulary copy per fuzzy clause fails here before it shows in the
-// benchmark. Mapped: keyword 143, phrase 129, fuzzy 144 with two buffer
-// allocations per posting cursor, docIDs and position ends (377, 409 and
-// 276 at commit 5e50b69, whose cursors grew up to five buffers each by
-// append) — so a cursor that goes back to growing its buffers, or to
-// decoding a section into a fresh one per block, fails here.
+// third above the measured figures: keyword 40, phrase 46, fuzzy 43, heap
+// and mapped alike, since every shard builds its scorer tree, similarity
+// values and mapped block buffers in a pooled arena (index/arena.go). What
+// remains is the query's binding, the scatter and the merge, none of it
+// per posting cursor, so a mapped search must not allocate more than a heap
+// one. Before the arena the figures were 108, 94 and 121 on the heap and
+// 144, 130 and 145 mapped, two buffers per mapped cursor; before that,
+// 115, 339 and 289 on the heap when every shard re-parsed the text and
+// every field clause re-analyzed it, and 377, 409 and 276 mapped when
+// cursors grew up to five buffers each by append. A change that brings
+// back a heap allocation per clause or per cursor, per-shard parsing,
+// per-field analysis or a vocabulary copy per fuzzy clause fails here
+// before it shows in the benchmark.
 //
 // Each class then runs on a one-shard heap engine with metrics on and
 // with them stripped (SetMetrics(nil)), and the two must allocate exactly
@@ -42,19 +45,24 @@ func TestSearchAllocationCeiling(t *testing.T) {
 	opts := SearchOptions{Limit: 10, NoCache: true}
 	allocs := func(e *Engine, query string) float64 {
 		// A collection mid-run empties the sync.Pools, and refilling them
-		// would count against whichever arm it landed in.
+		// would count against whichever arm it landed in; so would growing
+		// the pooled arenas to the arm's first searches.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for range 10 {
+			e.Search(context.Background(), query, opts)
+		}
 		return testing.AllocsPerRun(50, func() { e.Search(context.Background(), query, opts) })
 	}
 	classes := []struct {
 		class, query string
 		heap, mapped float64
 	}{
-		{"keyword", "messi barcelona goal", 140, 165},
-		{"phrase", `"yellow card" barcelona`, 145, 175},
-		{"fuzzy", "mesi~ goal", 160, 175},
+		{"keyword", "messi barcelona goal", 53, 53},
+		{"phrase", `"yellow card" barcelona`, 61, 61},
+		{"fuzzy", "mesi~ goal", 57, 57},
 	}
 	for _, c := range classes {
+		var heapAllocs float64
 		for _, arm := range []struct {
 			name    string
 			e       *Engine
@@ -68,6 +76,11 @@ func TestSearchAllocationCeiling(t *testing.T) {
 			t.Logf("%s %s: %v allocations per search", arm.name, c.class, got)
 			if got > arm.ceiling {
 				t.Errorf("%s %s %q: %v allocations per search, ceiling %v", arm.name, c.class, c.query, got, arm.ceiling)
+			}
+			if arm.e == heap {
+				heapAllocs = got
+			} else if c.class != "phrase" && got > heapAllocs && !raceEnabled {
+				t.Errorf("%s %q: %v allocations per mapped search, %v per heap search", c.class, c.query, got, heapAllocs)
 			}
 		}
 	}
