@@ -160,8 +160,8 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 				encodeBlock(bw, fi, te, s, e)
 			}
 			// The TOC cap is the exact bound over the whole list — the same
-			// value rebuildCaps derives on the heap decode path, so mapped
-			// and heap prune with identical numbers.
+			// value rebuildCaps derives on the heap decode path and setCaps
+			// on a merge, so mapped and heap prune with identical numbers.
 			tf.terms = append(tf.terms, tocTerm{
 				term: t, n: n, cap: fi.exactCap(te, 0, n), offs: offs, lasts: lasts,
 			})
@@ -366,7 +366,7 @@ func decode(raw []byte, analyzer Analyzer) (*Index, error) {
 		if err := p.fi.checkBlocks(); err != nil {
 			return nil, err
 		}
-		p.fi.rebuildCaps(false)
+		p.fi.rebuildCaps()
 	}
 	return ix, nil
 }

@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -125,5 +127,98 @@ func FuzzStoredChunk(f *testing.F) {
 		if got := writeChunk(nil, &s, 0, docs); !bytes.Equal(got, b) {
 			t.Fatalf("accepted %x, which writes back as %x", b, got)
 		}
+	})
+}
+
+// FuzzMergeMatchesRebuild draws 1–4 sources, heap or mapped, whose
+// documents die by Delete or by a liveness mask (which overrides the
+// source's own bits, and keeps alive some a later Delete hit); fields at
+// boosts of both signs that change between sources and now and then
+// inside one; a multi-valued field; and a field and a term that first
+// appear late. The merge must encode byte for byte like a build of the
+// survivors and carry the exact caps and blocks (checkMergeMatchesBuild):
+// the kernel oracle's merged representation checks rankings only, which a
+// cap that is too loose still gets right.
+func FuzzMergeMatchesRebuild(f *testing.F) {
+	for seed := range int64(8) {
+		f.Add(seed)
+	}
+	words := strings.Fields("goal save foul corner the shot keeper header")
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		boostOf := func() float64 { return []float64{0, 1, 2.5, -0.5, -2}[r.Intn(5)] }
+		flip := func(b float64) float64 {
+			if r.Intn(10) == 0 {
+				return -b
+			}
+			return b
+		}
+		lateAt, g := r.Intn(500), 0
+		text := func(n int) string {
+			w := make([]string, 1+r.Intn(n))
+			for i := range w {
+				w[i] = words[r.Intn(1+r.Intn(len(words)))]
+			}
+			if g >= lateAt && r.Intn(3) == 0 {
+				w = append(w, "latecomer")
+			}
+			return strings.Join(w, " ")
+		}
+
+		want := New(StandardAnalyzer{})
+		sources := make([]*Index, 1+r.Intn(4))
+		masks := make([][]bool, len(sources))
+		for si := range sources {
+			boosts := []float64{boostOf(), boostOf(), boostOf()}
+			docs := make([]*Document, r.Intn(300))
+			src := New(StandardAnalyzer{})
+			for i := range docs {
+				if r.Intn(100) == 0 {
+					boosts[r.Intn(len(boosts))] = boostOf()
+				}
+				d := &Document{Fields: []Field{
+					{Name: "event", Text: words[r.Intn(3)], Boost: flip(boosts[0])},
+					{Name: "narration", Text: text(10), Boost: flip(boosts[1])},
+				}}
+				if r.Intn(4) == 0 {
+					d.Fields = append(d.Fields, Field{Name: "narration", Text: text(4), Boost: boostOf()})
+				}
+				if g >= lateAt {
+					d.Fields = append(d.Fields, Field{Name: "late", Text: text(3), Boost: flip(boosts[2])})
+				}
+				docs[i] = d
+				src.Add(d)
+				g++
+			}
+			if r.Intn(3) == 0 {
+				var err error
+				if src, err = reopen(src, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rate := r.Intn(4)
+			if r.Intn(3) == 0 {
+				masks[si] = make([]bool, len(docs))
+			}
+			for i, d := range docs {
+				dead := rate > 0 && r.Intn(rate+1) == 0
+				switch {
+				case masks[si] == nil:
+					if dead {
+						src.Delete(i)
+					}
+				case dead:
+					masks[si][i] = true
+				case r.Intn(5) == 0:
+					src.Delete(i) // after the snapshot: the merge keeps it
+				}
+				if !dead {
+					want.Add(d)
+				}
+			}
+			sources[si] = src
+		}
+		merged, _ := MergeIndexes(sources, masks)
+		checkMergeMatchesBuild(t, merged, want)
 	})
 }

@@ -699,26 +699,37 @@ func (te *termEntry) observeBlock(fi *fieldIndex, freq, dlen int, boost float64)
 // tracking, slightly tighter since the docLens it reads are final.
 func (fi *fieldIndex) exactCap(te *termEntry, lo, hi int) termCap {
 	c := termCap{minLen: math.MaxInt}
-	for i := lo; i < hi; i++ {
-		c.observe(te.freq(i), fi.lengthOf(int(te.docs[i])), te.boostAt(i))
+	prev := te.posStart(lo)
+	for i, end := range te.posEnd[lo:hi] {
+		c.observe(int(end-prev), fi.lengthOf(int(te.docs[lo+i])), te.boostAt(lo+i))
+		prev = end
 	}
 	return c
 }
 
 // rebuildCaps recomputes every term's score-bound inputs from its posting
-// list — the load-time and merge-time equivalent of Add's incremental
-// tracking. withBlocks also recomputes the per-block inputs of multi-block
-// terms, for merged postings, which carry none.
-func (fi *fieldIndex) rebuildCaps(withBlocks bool) {
+// list — the load-time equivalent of Add's incremental tracking. A
+// snapshot's per-block inputs are read, and checked by checkBlocks.
+func (fi *fieldIndex) rebuildCaps() {
 	for _, te := range fi.terms {
-		n := len(te.docs)
+		te.cap = fi.exactCap(te, 0, len(te.docs))
+	}
+}
+
+// setCaps computes a merged term's score-bound inputs exactly: per block for
+// a multi-block term, and the term's own from those blocks, so every
+// posting is read once.
+func (fi *fieldIndex) setCaps(te *termEntry) {
+	n := len(te.docs)
+	if n <= postingBlockSize {
 		te.cap = fi.exactCap(te, 0, n)
-		if !withBlocks || n <= postingBlockSize {
-			continue
-		}
-		te.blocks = make([]termCap, 0, (n+postingBlockSize-1)/postingBlockSize)
-		for s := 0; s < n; s += postingBlockSize {
-			te.blocks = append(te.blocks, fi.exactCap(te, s, min(s+postingBlockSize, n)))
-		}
+		return
+	}
+	te.cap = termCap{minLen: math.MaxInt}
+	te.blocks = make([]termCap, 0, (n+postingBlockSize-1)/postingBlockSize)
+	for s := 0; s < n; s += postingBlockSize {
+		b := fi.exactCap(te, s, min(s+postingBlockSize, n))
+		te.cap.observe(b.maxFreq, b.minLen, b.maxBoost)
+		te.blocks = append(te.blocks, b)
 	}
 }

@@ -83,6 +83,44 @@ func (r *postingRun) appendPosting(id int, boost float64, positions ...int32) {
 	r.posEnd = append(r.posEnd, uint32(len(r.positions)))
 }
 
+// setBoosts records that the m postings from k on all captured boost, those
+// of the postings before them being set already.
+func (r *postingRun) setBoosts(k, m int, boost float64) {
+	r.setBoost(k, boost)
+	if len(r.boosts) > 0 {
+		for range m - 1 {
+			r.boosts = append(r.boosts, boost)
+		}
+	}
+}
+
+// appendRun appends postings [lo, hi) of src after the last one, with their
+// docIDs renumbered by remap (none of them may be dropped): the docIDs in
+// one loop, the position ends shifted by one offset, the positions moved by
+// one append, and the boosts under setBoost's rule, so a table is made only
+// where the boosts really differ. A position end wraps only when the field's
+// positions pass math.MaxUint32, which the document table's add refuses
+// first.
+func (r *postingRun) appendRun(src *postingRun, lo, hi int, remap []int) {
+	k := len(r.docs)
+	if len(src.boosts) == 0 {
+		r.setBoosts(k, hi-lo, src.boost)
+	} else {
+		for i, b := range src.boosts[lo:hi] {
+			r.setBoost(k+i, b)
+		}
+	}
+	for _, d := range src.docs[lo:hi] {
+		r.docs = append(r.docs, int32(remap[d]))
+	}
+	start := src.posStart(lo)
+	shift := uint32(len(r.positions)) - start
+	for _, e := range src.posEnd[lo:hi] {
+		r.posEnd = append(r.posEnd, e+shift)
+	}
+	r.positions = append(r.positions, src.positions[start:src.posEnd[hi-1]]...)
+}
+
 // endPosting makes every position appended so far part of the last posting.
 func (r *postingRun) endPosting() { r.posEnd[len(r.posEnd)-1] = uint32(len(r.positions)) }
 

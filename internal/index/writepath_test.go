@@ -176,6 +176,119 @@ func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 	}
 }
 
+// TestMergeBoostTablesAcrossSources merges three sources whose boosts and
+// blocks only a merge brings together. Field "shift" is indexed at one
+// boost inside each source but not at the same one in all, so its boost
+// table appears partway through the merge; "flat" is indexed at one boost
+// everywhere and must stay table-free; and the "long" term "shot" spans
+// several blocks with tombstones inside the first, which moves every later
+// block boundary: its documents grow longer and its boosts larger from one
+// to the next, so a block's bounds move with either of its ends. The merge
+// must encode byte for byte like a build of the survivors and carry the
+// caps and blocks a decode of that build does.
+func TestMergeBoostTablesAcrossSources(t *testing.T) {
+	sources := []*Index{New(StandardAnalyzer{}), New(StandardAnalyzer{}), New(StandardAnalyzer{})}
+	want := New(StandardAnalyzer{})
+	for si, src := range sources {
+		for i := 0; i < 200; i++ {
+			d := &Document{Fields: []Field{
+				{Name: "shift", Text: "goal scored", Boost: []float64{2, 3, -1}[si]},
+				{Name: "flat", Text: "corner kick", Boost: 1.5},
+				{Name: "long", Text: strings.Repeat("shot ", 1+i/50) + strings.Repeat("pad ", i), Boost: 1 + float64(i)/256},
+			}}
+			id := src.Add(d)
+			if si == 0 && (i == 5 || i == 17 || i == 40) || si == 1 && i%50 == 3 {
+				src.Delete(id)
+				continue
+			}
+			want.Add(d)
+		}
+	}
+	merged, _ := MergeIndexes(sources, nil)
+	checkMergeMatchesBuild(t, merged, want)
+	if te := merged.fields["shift"].terms["goal"]; len(te.boosts) != len(te.docs) || te.boostAt(0) != 2 || te.boostAt(len(te.docs)-1) != -1 {
+		t.Errorf("shift: %d boosts for %d postings, first %v, last %v; want a table from 2 to -1",
+			len(te.boosts), len(te.docs), te.boostAt(0), te.boostAt(len(te.docs)-1))
+	}
+	if te := merged.fields["flat"].terms["corner"]; len(te.boosts) != 0 || te.boost != 1.5 {
+		t.Errorf("flat: %d boosts, boost %v; want no table and 1.5", len(te.boosts), te.boost)
+	}
+	if te := merged.fields["long"].terms["shot"]; len(te.blocks) != 5 || te.docs[postingBlockSize] != postingBlockSize {
+		t.Errorf("long: %d blocks, second starting at doc %d; want 5 blocks, the second at %d",
+			len(te.blocks), te.docs[postingBlockSize], postingBlockSize)
+	}
+}
+
+// checkMergeMatchesBuild requires merged to encode byte for byte like want,
+// a build of the merge's surviving documents, and each of its terms to
+// carry the cap and blocks a decode of want derives: the exact ones, which
+// the encoding does not show, since the codec computes its own.
+func checkMergeMatchesBuild(t *testing.T, merged, want *Index) {
+	t.Helper()
+	got, _, err := encode(merged)
+	rebuilt, _, err2 := encode(want)
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	if !bytes.Equal(got, rebuilt) {
+		t.Error("merged index encodes differently from a build of the surviving documents")
+	}
+	exact := roundTrip(t, want)
+	for name, fi := range merged.fields {
+		for term, te := range fi.terms {
+			we := exact.fields[name].terms[term]
+			if we == nil || te.cap != we.cap || !reflect.DeepEqual(te.blocks, we.blocks) {
+				t.Errorf("field %s term %q: cap %+v blocks %+v, want the exact ones", name, term, te.cap, te.blocks)
+			}
+		}
+	}
+}
+
+// TestMergeHoldsInt32Edges seeds field lengths next to the segment limit of
+// the 32-bit position ends, the way TestAddPanicsAtInt32Edges does, in the
+// sources of a merge. Survivors whose lengths add up to math.MaxUint32
+// merge exactly; one token more panics with Add's message, from the
+// document table before any position end is written, so none wraps. A
+// tombstoned document's length does not count.
+func TestMergeHoldsInt32Edges(t *testing.T) {
+	seeded := func(docLen int32, dead bool) *Index {
+		ix := New(StandardAnalyzer{})
+		ix.Add(new(Document).Add("f", "goal"))
+		ix.fields["f"].docTable = docTable{docLen: []int32{docLen}, boost: []float64{1}, present: []uint64{1}, docCount: 1, sumLen: int(docLen)}
+		if dead {
+			ix.Delete(0)
+		}
+		return ix
+	}
+	merge := func(last int32, dead bool) (msg string, merged *Index) {
+		defer func() { msg, _ = recover().(string) }()
+		merged, _ = MergeIndexes([]*Index{seeded(math.MaxInt32, false), seeded(math.MaxInt32, false), seeded(last, dead)}, nil)
+		return "", merged
+	}
+
+	for _, c := range []struct {
+		last         int32
+		dead         bool
+		sumLen, docs int
+	}{{1, false, math.MaxUint32, 3}, {2, true, math.MaxUint32 - 1, 2}} {
+		msg, merged := merge(c.last, c.dead)
+		if msg != "" {
+			t.Errorf("lengths to %d: panic %q", c.sumLen, msg)
+			continue
+		}
+		fi := merged.fields["f"]
+		te := fi.terms["goal"]
+		if fi.sumLen != c.sumLen || fi.lengthOf(1) != math.MaxInt32 || len(te.docs) != c.docs ||
+			int(te.posEnd[c.docs-1]) != c.docs || len(te.positions) != c.docs {
+			t.Errorf("lengths to %d: sumLen %d, length %d, postings %v ending positions at %v of %d",
+				c.sumLen, fi.sumLen, fi.lengthOf(1), te.docs, te.posEnd, len(te.positions))
+		}
+	}
+	if msg, _ := merge(2, false); !strings.Contains(msg, "math.MaxUint32") {
+		t.Errorf("lengths past math.MaxUint32: panic %q, want Add's", msg)
+	}
+}
+
 // referenceEntry is a term as the heap index kept it before its posting
 // lists became columnar: one Posting struct per document, each with a
 // position slice of its own.
