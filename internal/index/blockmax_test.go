@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -200,5 +201,117 @@ func TestDecodeRejectsInvalidBlockMetadata(t *testing.T) {
 	data[off] = 0 // claim maxFreq 0 while the block holds freq-1 postings
 	if _, err := Decode(bytes.NewReader(data), StandardAnalyzer{}); err == nil {
 		t.Fatal("decoder accepted block metadata below the block's real maximum")
+	}
+}
+
+// TestBoundsAreExact holds the term and phrase bounds to the scores they
+// bound, bit for bit: under ClassicTFIDF a bound is the score of a posting
+// with its best-case shape, and at or above the score of every posting it
+// covers, so the kernel may skip a block whose bound only ties the bar.
+// Every posting block of a real index is checked, on the heap, decoded and
+// mapped, at several query boosts and document frequencies; then a grid of
+// shapes, every shape against each one it dominates. BM25's bound keeps a
+// margin (see capSlack) and is held only to be at or above.
+func TestBoundsAreExact(t *testing.T) {
+	heap := indexOf(kernelCorpus(rand.New(rand.NewSource(40)), 1200))
+	decoded, err := reopen(heap, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := reopen(heap, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queryBoosts := []float64{0.05, 0.5, 1, 1.1, 1.6, 2.5, 7.3}
+	idfSum := 2 * heap.IDF("narration", "goal")
+	bits := math.Float64bits
+	// norm is the length norm of a document l tokens long.
+	norm := func(l int) float64 { return (&docTable{docLen: []int32{int32(l)}}).norm(0) }
+	for name, ix := range map[string]*Index{"heap": heap, "decoded": decoded, "mapped": mapped} {
+		blocks := 0
+		for field, fi := range ix.fields {
+			fi.eachTerm(func(term string, src postingsSource) {
+				var c postingsCursor
+				c.init(src, false, nil)
+				for b := 0; b < c.numBlocks(); b++ {
+					cp := c.blockCap(b)
+					if cp.maxBoost < 0 {
+						continue // a flipped boost: the bound is +Inf
+					}
+					blocks++
+					for _, df := range []int{1, src.len(), ix.NumDocs()} {
+						st := ix.termStats(field, term)
+						st.df = df
+						ts := st.scorer(ix.sim)
+						for _, qb := range queryBoosts {
+							bound, pb := ix.scoreBound(cp, st, qb), phraseBound(cp, idfSum, qb)
+							best := ts.Score(cp.maxFreq, cp.minLen) * cp.maxBoost * qb
+							bestPhrase := phraseScore(cp.maxFreq, idfSum, cp.maxBoost, norm(cp.minLen), qb)
+							if bits(bound) != bits(best) || bits(pb) != bits(bestPhrase) {
+								t.Fatalf("%s %s:%s block %d %+v df %d query boost %v: term bound %v, best-case score %v; phrase bound %v, best-case score %v",
+									name, field, term, b, cp, df, qb, bound, best, pb, bestPhrase)
+							}
+							for i := b * postingBlockSize; i < min((b+1)*postingBlockSize, c.n); i++ {
+								d := c.docAt(i)
+								freq, boost := c.at(i)
+								score := ts.Score(freq, fi.lengthOf(d)) * boost * qb
+								// A phrase starting at the posting occurs at most
+								// freq times there.
+								phrase := phraseScore(freq, idfSum, boost, fi.norm(d), qb)
+								if score > bound || phrase > pb {
+									t.Fatalf("%s %s:%s block %d %+v df %d query boost %v: posting %d (doc %d, freq %d, boost %v) scores %v over the bound %v, phrase %v over %v",
+										name, field, term, b, cp, df, qb, i, d, freq, boost, score, bound, phrase, pb)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+		if blocks < 100 {
+			t.Fatalf("%s: only %d posting blocks checked", name, blocks)
+		}
+	}
+
+	// The grid: every best-case shape against every shape it dominates
+	// (freq at most, length at least, boost at most).
+	var shapes []termCap
+	for _, f := range []int{1, 2, 3, 5, 8, 13} {
+		for _, l := range []int{1, 2, 3, 4, 7, 10, 13, 50} {
+			for _, b := range []float64{0.1, 0.5, 1, 1.6, 2.2, 5} {
+				shapes = append(shapes, termCap{maxFreq: f, minLen: l, maxBoost: b})
+			}
+		}
+	}
+	const numDocs, avgLen = 1200, 6.3
+	for _, sim := range []Similarity{ClassicTFIDF{}, BM25{}} {
+		ix := New(StandardAnalyzer{})
+		ix.SetSimilarity(sim)
+		_, exact := sim.(ClassicTFIDF)
+		for _, df := range []int{0, 1, 7, 150, numDocs} {
+			st := termStats{df: df, numDocs: numDocs, avgLen: avgLen}
+			ts := st.scorer(sim)
+			for _, qb := range queryBoosts {
+				for _, cp := range shapes {
+					bound, pb := ix.scoreBound(cp, st, qb), phraseBound(cp, idfSum, qb)
+					if exact && bits(bound) != bits(ts.Score(cp.maxFreq, cp.minLen)*cp.maxBoost*qb) ||
+						bits(pb) != bits(phraseScore(cp.maxFreq, idfSum, cp.maxBoost, norm(cp.minLen), qb)) {
+						t.Fatalf("%T shape %+v df %d query boost %v: term bound %v, phrase bound %v, not the best-case scores",
+							sim, cp, df, qb, bound, pb)
+					}
+					for _, p := range shapes {
+						if p.maxFreq > cp.maxFreq || p.minLen < cp.minLen || p.maxBoost > cp.maxBoost {
+							continue
+						}
+						score := ts.Score(p.maxFreq, p.minLen) * p.maxBoost * qb
+						phrase := phraseScore(p.maxFreq, idfSum, p.maxBoost, norm(p.minLen), qb)
+						if score > bound || phrase > pb {
+							t.Fatalf("%T shape %+v df %d query boost %v: a posting shaped %+v scores %v over the bound %v (phrase %v, bound %v)",
+								sim, cp, df, qb, p, score, bound, phrase, pb)
+						}
+					}
+				}
+			}
+		}
 	}
 }

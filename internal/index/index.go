@@ -651,13 +651,19 @@ func (t *docTable) norm(id int) float64 {
 // installed. Similarities that do not implement UpperBoundSimilarity get
 // +Inf, which disables pruning but keeps evaluation correct; so does a
 // negative boost, which would flip the best case into a lower bound.
+//
+// The bound carries no margin. It is the expression termScorer.score and
+// termClause.scores form, in their association, at inputs that dominate
+// every posting's; each rounded step is monotone in its inputs, so the
+// bound is at or above every score it covers, bit for bit, and equals the
+// score of a posting with the best-case shape. A block that can only tie
+// the threshold is therefore skipped (DESIGN.md §10).
 func (ix *Index) scoreBound(c termCap, st termStats, queryBoost float64) float64 {
 	ubs, ok := ix.sim.(UpperBoundSimilarity)
 	if !ok || c.maxBoost < 0 || queryBoost < 0 {
 		return math.Inf(1)
 	}
-	return ubs.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) *
-		c.maxBoost * queryBoost * capSlack
+	return ubs.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) * c.maxBoost * queryBoost
 }
 
 // observe widens the cap to cover a posting with the given shape.

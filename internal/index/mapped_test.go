@@ -178,7 +178,7 @@ func hostileChunkTable() (raw, toc []byte) {
 // defence-in-depth contract. The flips run in eight parallel subtests,
 // each taking every eighth offset.
 func TestMappedCorruptionFailsClosed(t *testing.T) {
-	ix := indexOf(kernelCorpus(rand.New(rand.NewSource(13)), 300, "narration"))
+	ix := indexOf(kernelCorpus(rand.New(rand.NewSource(19)), 300, "narration"))
 	raw, toc, err := encode(ix)
 	if err != nil {
 		t.Fatal(err)

@@ -32,11 +32,16 @@ import (
 // noMoreDocs is the docID sentinel every exhausted scorer reports.
 const noMoreDocs = math.MaxInt
 
-// capSlack inflates score upper bounds by a hair. The bounds are derived
-// from monotonicity of TermScore in freq and fieldLen, which holds
-// exactly over the reals; the slack keeps a last-ulp rounding inversion
-// from ever producing a bound below an achievable score, so pruning can
-// never drop a true top-k document.
+// capSlack is the margin of the two bounds that cannot be formed exactly
+// like the scores they bound. Every other bound is the score's own
+// expression at dominating inputs and carries none (Index.scoreBound,
+// phraseBound, booleanScorer's prefix sums), so a block or window that can
+// only tie the threshold is skipped. The two that keep it:
+//   - BM25.TermScoreBound: tf sits in both the numerator and the
+//     denominator, so rounding can invert its monotonicity, and Go may fuse
+//     x*y+z into one rounding on some architectures;
+//   - a boolean clause's child bar, th/capSlack − rest_i·capSlack
+//     (booleanScorer.setThreshold), which subtracts.
 const capSlack = 1 + 1e-9
 
 // scorer is a cursor over one query clause's matching documents in
@@ -249,17 +254,26 @@ func (s *termScorer) score() float64 {
 
 func (s *termScorer) maxScore() float64 { return s.cap }
 
+// phraseScore is the score of a phrase occurring freq times in a document
+// whose length norm is norm, at the first term's posting boost p0boost and
+// the query boost. phraseScorer, phraseClause and phraseBound all form it
+// here.
+func phraseScore(freq int, idfSum, p0boost, norm, boost float64) float64 {
+	return math.Sqrt(float64(freq)) * idfSum * p0boost * norm * boost
+}
+
 // phraseBound is the score cap of a phrase clause: a phrase occurs at most
 // as often as its rarest member term (maxFreq), in a document at least as
 // long as the shortest any member term occurs in (minLen), and is scored
-// with the first term's posting boost. +Inf for negative boosts, which
-// would turn the best case into a lower bound.
+// with the first term's posting boost. It is phraseScore at those
+// dominating inputs, each rounded step monotone in its input, so it equals
+// the score of a best-case match and needs no margin (see capSlack). +Inf
+// for negative boosts, which would turn the best case into a lower bound.
 func phraseBound(c termCap, idfSum, boost float64) float64 {
 	if c.maxBoost < 0 || boost < 0 {
 		return math.Inf(1)
 	}
-	return math.Sqrt(float64(c.maxFreq)) * idfSum * c.maxBoost /
-		math.Sqrt(float64(c.minLen)) * boost * capSlack
+	return phraseScore(c.maxFreq, idfSum, c.maxBoost, 1/math.Sqrt(float64(c.minLen)), boost)
 }
 
 // tighten narrows a phrase's whole-list cap inputs with one block of its
@@ -407,8 +421,7 @@ func (s *phraseScorer) computeFreq(d int) bool {
 
 func (s *phraseScorer) score() float64 {
 	_, p0boost := s.first.at(s.i)
-	tf := math.Sqrt(float64(s.freq))
-	return tf * s.idfSum * p0boost * s.tbl.norm(s.d) * s.boost
+	return phraseScore(s.freq, s.idfSum, p0boost, s.tbl.norm(s.d), s.boost)
 }
 
 func (s *phraseScorer) maxScore() float64 { return s.cap }
@@ -610,10 +623,11 @@ type booleanScorer struct {
 	win window
 
 	// MaxScore partition (disjunction mode only): sorted holds should
-	// indices by ascending bound, prefix[i] the bound-sum of sorted[:i],
-	// and the first nonEss entries are currently non-essential. rest[i] is
-	// the bound-sum of every Should but i, nil unless every bound is finite
-	// and some Should is itself a boolean clause (see setThreshold).
+	// indices by ascending bound, prefix[i] the bound-sum of sorted[:i]
+	// added in clause order, and the first nonEss entries are currently
+	// non-essential. rest[i] is the bound-sum of every Should but i, nil
+	// unless every bound is finite and some Should is itself a boolean
+	// clause (see setThreshold).
 	sorted []int
 	prefix []float64
 	rest   []float64
@@ -650,9 +664,9 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 		musts: musts, shoulds: shoulds, nots: nots,
 		coord: q.coord, total: total, cur: -1, win: window{end: -1},
 	}
-	// Child positions and, in disjunction mode, the MaxScore order share
-	// one stretch.
-	ints := a.unpositioned(nm+ns+nn, ns)
+	// Child positions and, in disjunction mode, the MaxScore order and
+	// each Should's rank in it share one stretch.
+	ints := a.unpositioned(nm+ns+nn, 2*ns)
 	b.mustDoc, b.shouldDoc, b.notDoc = ints[:nm], ints[nm:nm+ns], ints[nm+ns:nm+ns+nn]
 	for _, m := range b.musts {
 		b.cap += m.maxScore()
@@ -665,9 +679,9 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	}
 	// Disjunction mode: sorted holds the should indices by ascending bound
 	// (insertion sort: clause counts are small and this keeps reflection-
-	// based sorting off the query path), prefix the running bound sums and
-	// rest each clause's siblings' bound sum.
-	b.sorted = ints[nm+ns+nn:]
+	// based sorting off the query path), prefix the weakest clauses' bound
+	// sums and rest each clause's siblings' bound sum.
+	b.sorted = ints[nm+ns+nn : nm+2*ns+nn]
 	caps := a.floats.take(3*ns + 1)
 	for i, sh := range b.shoulds {
 		b.sorted[i], caps[i] = i, sh.maxScore()
@@ -678,9 +692,21 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 			b.sorted[j], b.sorted[j-1] = b.sorted[j-1], b.sorted[j]
 		}
 	}
+	// prefix[k] adds the k weakest bounds in clause order, the order scoreAt
+	// adds scores in, so it is at or above the score of every document only
+	// they match, bit for bit (weakBound); an ascending-order sum can land
+	// an ulp under such a score and drop a document tying the bar.
 	b.prefix = caps[ns : 2*ns+1]
-	for i, idx := range b.sorted {
-		b.prefix[i+1] = b.prefix[i] + caps[idx]
+	rank := ints[nm+2*ns+nn:]
+	for r, idx := range b.sorted {
+		rank[idx] = r
+	}
+	for k := 1; k <= ns; k++ {
+		for i, c := range caps[:ns] {
+			if rank[i] < k {
+				b.prefix[k] += c
+			}
+		}
 	}
 	if !math.IsInf(b.cap, 1) && slices.ContainsFunc(b.shoulds, isBoolean) {
 		b.rest = caps[2*ns+1:]
@@ -744,9 +770,12 @@ func isBoolean(sc scorer) bool {
 
 // weakBound bounds the score of a document matched by none of the
 // Shoulds but the k weakest: their bound sum, times the coordination
-// factor of k matches when coordination is on (a document matching fewer
-// scores less, and the product is formed exactly as scoreAt forms it, so
-// rounding keeps the order).
+// factor of k matches when coordination is on. Both factors are formed as
+// scoreAt forms a score (the sum in clause order, then the product), from
+// inputs at or above the document's own: its clause scores, and its match
+// count at most k. Every rounded step is monotone, so the bound is at or
+// above the score bit for bit, and a document that can only tie the bar
+// is left out.
 func (b *booleanScorer) weakBound(k int) float64 {
 	if !b.coord {
 		return b.prefix[k]

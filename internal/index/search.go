@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"strings"
 	"sync"
 )
@@ -289,8 +288,7 @@ func (q *phraseClause) scores(ix *Index) map[int]float64 {
 			}
 		}
 		if freq > 0 {
-			tf := math.Sqrt(float64(freq))
-			out[int(d)] = tf * idfSum * first.boostAt(i) * fi.norm(int(d)) * q.boost
+			out[int(d)] = phraseScore(freq, idfSum, first.boostAt(i), fi.norm(int(d)), q.boost)
 		}
 	}
 	return out

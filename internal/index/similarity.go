@@ -39,7 +39,10 @@ type UpperBoundSimilarity interface {
 	Similarity
 	// TermScoreBound returns an upper bound on TermScore over every
 	// posting with freq <= maxFreq and fieldLen >= minLen, at the given
-	// collection statistics.
+	// collection statistics. The bound must hold for the computed floats,
+	// bit for bit, not only over the reals: the kernel prunes a block whose
+	// bound, times the boosts, is at or under the threshold, with no margin
+	// of its own.
 	TermScoreBound(maxFreq, df, numDocs, minLen int, avgLen float64) float64
 }
 
@@ -73,7 +76,9 @@ func (s ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, _ float64) floa
 
 // TermScoreBound implements UpperBoundSimilarity: sqrt(tf) rises with tf
 // and 1/sqrt(len) falls with len, so the formula at (maxFreq, minLen)
-// dominates every real posting.
+// dominates every real posting. Each input appears once and every rounded
+// step is monotone in it, so that holds for the computed floats too, and
+// the bound is the best-case posting's score exactly.
 func (s ClassicTFIDF) TermScoreBound(maxFreq, df, numDocs, minLen int, avgLen float64) float64 {
 	return s.TermScore(maxFreq, df, numDocs, minLen, avgLen)
 }
@@ -122,7 +127,11 @@ func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64
 
 // TermScoreBound implements UpperBoundSimilarity: tf·(k1+1)/(tf+k1·norm)
 // rises with tf and falls with norm (which rises with len), so the
-// formula at (maxFreq, minLen) dominates every real posting.
+// formula at (maxFreq, minLen) dominates every real posting over the
+// reals. Not bit for bit: tf is in the numerator and the denominator, so
+// rounding can invert the order by an ulp, and Go may fuse tf+k1·norm
+// into one rounding on architectures with a fused multiply-add. The bound
+// therefore carries capSlack.
 func (s BM25) TermScoreBound(maxFreq, df, numDocs, minLen int, avgLen float64) float64 {
-	return s.TermScore(maxFreq, df, numDocs, minLen, avgLen)
+	return s.TermScore(maxFreq, df, numDocs, minLen, avgLen) * capSlack
 }
