@@ -6,8 +6,9 @@ import (
 )
 
 // One arena per search. Search builds a scorer tree for every call — a
-// two-token keyword query over the nine semantic fields is about eighteen
-// term cursors under three boolean scorers — walks it once and drops it.
+// two-token keyword query over the nine semantic fields is up to eighteen
+// term cursors under one boolean scorer, which inlines each token's field
+// disjunction — walks it once and drops it.
 // Instead of a heap allocation per node, child list, similarity value and
 // mapped block buffer, the tree is built in a searchArena taken from a
 // pool and handed back, cleared, once the hits are collected.

@@ -143,6 +143,33 @@ func kernelCorpus(r *rand.Rand, n int, fields ...string) []*Document {
 	return docs
 }
 
+// steppedStretch is the stretch drawKernel appends to a seed's
+// kernelCorpus after every other draw: 129–256 documents whose narration
+// holds "goal" once, at boost 50, ending where a block of narration:goal's
+// posting list does. The document at each block start holds only "goal",
+// the others two to four words, so a block's first posting is its
+// uniquely shortest document and the block's bound is that document's
+// score, a top one for any query on narration:goal. A bound that
+// over-states the length of a block's first posting drops it. It draws
+// nothing.
+func steppedStretch(docs []*Document) []*Document {
+	a, p0 := StandardAnalyzer{}, 0
+	for _, d := range docs {
+		if slices.ContainsFunc(d.Fields, func(f Field) bool { return f.Name == "narration" && slices.Contains(a.Analyze(f.Text), "goal") }) {
+			p0++
+		}
+	}
+	out := make([]*Document, 2*postingBlockSize-p0%postingBlockSize)
+	for i := range out {
+		p, words := p0+i, []string{"goal"}
+		if p%postingBlockSize > 0 {
+			words = append(words, []string{"pass", "shot", "header"}[:1+p%3]...)
+		}
+		out[i] = new(Document).AddBoosted("narration", strings.Join(words, " "), 50)
+	}
+	return out
+}
+
 // indexOf builds a heap index over docs.
 func indexOf(docs []*Document) *Index {
 	ix := New(StandardAnalyzer{})
@@ -233,6 +260,24 @@ func (g *queryGen) tree(depth int) Query {
 	g.axes = append(g.axes, "node=term")
 	// One term in ten is two words, which analyze to a phrase.
 	return TermQuery{Field: field(), Term: strings.Join(g.words(1+r.Intn(10)/9), " "), Boost: boost()}
+}
+
+// mustFuzzy is a fuzzy clause under a Must beside one to three Shoulds at
+// a twentieth of its boost: the fuzzy clause's window bound is most of the
+// boolean's, so a fuzzy window bound read off an early block for the whole
+// tail can end the search early.
+func (g *queryGen) mustFuzzy() Query {
+	g.axes = append(g.axes, "node=mustfuzzy")
+	r := g.r
+	boost := []float64{1, 2.5, 4}[r.Intn(3)]
+	q := BooleanQuery{
+		Must:         []Query{FuzzyQuery{Field: kernelFields[r.Intn(len(kernelFields))].name, Term: g.typo(), Boost: boost}},
+		DisableCoord: r.Intn(2) == 0,
+	}
+	for k := 1 + r.Intn(3); k > 0; k-- {
+		q.Should = append(q.Should, TermQuery{Field: kernelFields[r.Intn(len(kernelFields))].name, Term: g.words(1)[0], Boost: boost / 20})
+	}
+	return q
 }
 
 // multiField is MultiFieldQuery of 1–3 words over trafficFields, at their
@@ -343,6 +388,16 @@ func drawKernel(seed int64) kernelCase {
 	slices.SortFunc(c.sources, func(a, b mergeSource) int { return cmp.Compare(a.end, b.end) })
 	c.sources[len(c.sources)-1].end = 1
 	c.queries = drawQueries(r, kernelQueries, (*queryGen).root)
+	// Two shapes the draws above seldom reach, added last so that every
+	// seed keeps the corpus and the queries it drew before them: a query
+	// with a fuzzy Must, and in the larger corpora the stepped stretch.
+	c.queries = append(c.queries, drawQueries(r, 1, (*queryGen).mustFuzzy)...)
+	if n >= 200 {
+		c.docs = append(c.docs, steppedStretch(c.docs)...)
+		if c.dead != nil {
+			c.dead = append(c.dead, make([]bool, len(c.docs)-n)...)
+		}
+	}
 	return c
 }
 

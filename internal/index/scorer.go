@@ -77,7 +77,7 @@ type scorer interface {
 // prunable is implemented by scorers that can exploit the collector's
 // rising top-k threshold. The root scorer of a search receives the
 // collector's threshold itself; a disjunction hands each Should that is a
-// boolean clause a lower bar of its own (booleanScorer.setThreshold),
+// boolean scorer a lower bar of its own (booleanScorer.setThreshold),
 // chosen so that whatever the clause does at or under that bar, the
 // disjunction's document stays at or under its own.
 type prunable interface {
@@ -103,8 +103,7 @@ func (emptyScorer) maxScoreUpTo(int) (float64, int) { return 0, noMoreDocs }
 func liveScorers(ix *Index, a *searchArena, clauses []boundQuery) []scorer {
 	out := a.scorers.take(len(clauses))[:0]
 	for _, c := range clauses {
-		sc := c.newScorer(ix, a)
-		if _, empty := sc.(emptyScorer); !empty {
+		if sc := c.newScorer(ix, a); !isEmpty(sc) {
 			out = append(out, sc)
 		}
 	}
@@ -595,11 +594,22 @@ func (m *maxScorer) maxScoreUpTo(target int) (float64, int) {
 
 // booleanScorer evaluates a boolean clause document-at-a-time. With Must
 // clauses it leapfrogs their cursors to common documents; without, it is
-// a disjunction over the Should clauses with MaxScore pruning: once the
-// threshold covers what a document matched only by the weakest clauses
-// can score, those clauses stop generating candidates and are only probed
-// to score documents the essential clauses surfaced; and each Should that
-// is a boolean clause gets a bar of its own (see setThreshold).
+// a disjunction with MaxScore pruning: once the threshold covers what a
+// document matched only by the weakest Shoulds can score, those stop
+// generating candidates and are only probed to score documents the
+// essential ones surfaced.
+//
+// A Should that is itself a plain sum of its own Shoulds — a boolean
+// clause with no Must, no MustNot, and coordination off or a single
+// Should, such as a keyword token's per-field disjunction — is not built
+// as a scorer of its own. Its Shoulds become one group of consecutive
+// leaves here, and every sum over the leaves (scoreAt, the cap, the
+// window bound, the MaxScore prefixes) adds each group from zero before
+// adding the groups in clause order, which is the nested clause's
+// expression bit for bit. A two-token keyword query over nine fields is
+// then one scorer over eighteen cursors, partitioned by one MaxScore. A
+// Should that cannot be inlined is one leaf, a group of its own, and when
+// it is a boolean scorer it gets a bar of its own (see setThreshold).
 type booleanScorer struct {
 	musts   []scorer
 	shoulds []scorer
@@ -609,8 +619,11 @@ type booleanScorer struct {
 	// records where every advance lands, so the loops below read positions
 	// here instead of asking the children.
 	mustDoc, shouldDoc, notDoc []int
-	coord                      bool
-	total                      int
+	// ends[j] is one past the last Should leaf of the j-th group: the
+	// leaves of one inlined clause, or a clause that is a leaf itself.
+	ends  []int
+	coord bool
+	total int
 
 	cur      int
 	curScore float64
@@ -623,15 +636,61 @@ type booleanScorer struct {
 	win window
 
 	// MaxScore partition (disjunction mode only): sorted holds should
-	// indices by ascending bound, prefix[i] the bound-sum of sorted[:i]
-	// added in clause order, and the first nonEss entries are currently
-	// non-essential. rest[i] is the bound-sum of every Should but i, nil
-	// unless every bound is finite and some Should is itself a boolean
-	// clause (see setThreshold).
-	sorted []int
-	prefix []float64
-	rest   []float64
-	nonEss int
+	// indices weakest first (see newBooleanScorer), prefix[k] the grouped
+	// bound-sum of sorted[:k], groupsIn[k] the number of groups among
+	// sorted[:k], and the first nonEss entries are currently non-essential.
+	// rest[i] is the bound-sum of every Should but i, nil unless every
+	// bound is finite and some Should is itself a boolean scorer (see
+	// setThreshold).
+	sorted   []int
+	prefix   []float64
+	groupsIn []int
+	rest     []float64
+	nonEss   int
+}
+
+// inlined returns the Shoulds of a clause whose score is the plain sum of
+// its Shoulds' scores added from zero — a boolean clause with no Must, no
+// MustNot, and coordination off or a single Should (whose factor is 1/1) —
+// and nil for any other clause.
+func inlined(c boundQuery) []boundQuery {
+	b, ok := c.(*boolClause)
+	if !ok || len(b.must)+len(b.mustNot) > 0 || b.coord && len(b.should) > 1 {
+		return nil
+	}
+	return b.should
+}
+
+// shouldLeaves builds the Should clauses' scorers in a, one per clause or,
+// for a clause that is inlined, one per Should of it, leaving out those
+// that can never match. group[i] is the clause leaf i came from, and
+// ends[j] one past the last leaf of the j-th clause with any.
+func shouldLeaves(ix *Index, a *searchArena, clauses []boundQuery) (leaves []scorer, group, ends []int) {
+	n := 0
+	for _, c := range clauses {
+		n += max(1, len(inlined(c)))
+	}
+	leaves, group, ends = a.scorers.take(n)[:0], a.ints.take(n)[:0], a.ints.take(len(clauses))[:0]
+	for g, c := range clauses {
+		subs, start := inlined(c), len(leaves)
+		if subs == nil {
+			subs = clauses[g : g+1]
+		}
+		for _, sub := range subs {
+			if sc := sub.newScorer(ix, a); !isEmpty(sc) {
+				leaves, group = append(leaves, sc), append(group, g)
+			}
+		}
+		if len(leaves) > start {
+			ends = append(ends, len(leaves))
+		}
+	}
+	return leaves, group, ends
+}
+
+func isEmpty(sc scorer) bool {
+	_, empty := sc.(emptyScorer)
+	return empty
 }
 
 // newBooleanScorer builds the clause's scorer tree over ix in a. Clauses that
@@ -644,7 +703,7 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	if len(musts) < len(q.must) {
 		return emptyScorer{}
 	}
-	shoulds := liveScorers(ix, a, q.should)
+	shoulds, group, ends := shouldLeaves(ix, a, q.should)
 	nots := liveScorers(ix, a, q.mustNot)
 	nm, ns, nn := len(musts), len(shoulds), len(nots)
 	total := len(q.must) + len(q.should)
@@ -654,62 +713,79 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	case nm+nn == 0 && ns == 1 && (!q.coord || total == 1):
 		// A lone Should with nothing required or excluded, and coordination
 		// off or 1/1: the clause's score is 0 + s (times 1), the child's own
-		// score bit for bit. The child stands in for the clause, and so
-		// receives the collector's threshold itself instead of through a
-		// wrapper that cannot hand it down.
+		// score bit for bit, and so is the score of the clause it was
+		// inlined from. The child stands in for the clause, and so receives
+		// the collector's threshold itself instead of through a wrapper that
+		// cannot hand it down.
 		return shoulds[0]
 	}
 	b := &a.bools.take(1)[0]
 	*b = booleanScorer{
-		musts: musts, shoulds: shoulds, nots: nots,
+		musts: musts, shoulds: shoulds, nots: nots, ends: ends,
 		coord: q.coord, total: total, cur: -1, win: window{end: -1},
 	}
-	// Child positions and, in disjunction mode, the MaxScore order and
-	// each Should's rank in it share one stretch.
-	ints := a.unpositioned(nm+ns+nn, 2*ns)
+	// Child positions and, in disjunction mode, the MaxScore order, each
+	// Should's rank in it and the group counts share one stretch.
+	ints := a.unpositioned(nm+ns+nn, 3*ns+1)
 	b.mustDoc, b.shouldDoc, b.notDoc = ints[:nm], ints[nm:nm+ns], ints[nm+ns:nm+ns+nn]
+	caps := a.floats.take(4*ns + 1)
 	for _, m := range b.musts {
 		b.cap += m.maxScore()
 	}
+	for i, sh := range b.shoulds {
+		caps[i] = sh.maxScore()
+	}
+	b.cap = b.groupedSum(b.cap, caps[:ns], nil)
 	if nm > 0 {
-		for _, sh := range b.shoulds {
-			b.cap += sh.maxScore()
-		}
 		return b
 	}
-	// Disjunction mode: sorted holds the should indices by ascending bound
-	// (insertion sort: clause counts are small and this keeps reflection-
-	// based sorting off the query path), prefix the weakest clauses' bound
-	// sums and rest each clause's siblings' bound sum.
+	// Disjunction mode. sorted holds the should indices weakest group
+	// first, by the group's bound, and inside a group by ascending leaf
+	// bound (insertion sort: clause counts are small and this keeps
+	// reflection-based sorting off the query path). The non-essential set
+	// then grows a whole group at a time, each group it holds whole
+	// counting as one match, as the clause did before it was inlined.
 	b.sorted = ints[nm+ns+nn : nm+2*ns+nn]
-	caps := a.floats.take(3*ns + 1)
-	for i, sh := range b.shoulds {
-		b.sorted[i], caps[i] = i, sh.maxScore()
-		b.cap += caps[i]
+	rank := ints[nm+2*ns+nn : nm+3*ns+nn]
+	b.groupsIn = ints[nm+3*ns+nn:]
+	groupCap, lo := caps[ns:2*ns], 0
+	for _, hi := range ends {
+		gs := 0.0
+		for _, c := range caps[lo:hi] {
+			gs += c
+		}
+		for ; lo < hi; lo++ {
+			b.sorted[lo], groupCap[lo] = lo, gs
+		}
+	}
+	weaker := func(x, y int) bool {
+		if groupCap[x] != groupCap[y] {
+			return groupCap[x] < groupCap[y]
+		}
+		return group[x] < group[y] || group[x] == group[y] && caps[x] < caps[y]
 	}
 	for i := 1; i < ns; i++ {
-		for j := i; j > 0 && caps[b.sorted[j]] < caps[b.sorted[j-1]]; j-- {
+		for j := i; j > 0 && weaker(b.sorted[j], b.sorted[j-1]); j-- {
 			b.sorted[j], b.sorted[j-1] = b.sorted[j-1], b.sorted[j]
 		}
 	}
-	// prefix[k] adds the k weakest bounds in clause order, the order scoreAt
-	// adds scores in, so it is at or above the score of every document only
-	// they match, bit for bit (weakBound); an ascending-order sum can land
-	// an ulp under such a score and drop a document tying the bar.
-	b.prefix = caps[ns : 2*ns+1]
-	rank := ints[nm+2*ns+nn:]
+	// prefix[k] adds the k weakest bounds as scoreAt adds scores, so it is
+	// at or above the score of every document only they match, bit for bit
+	// (weakBound); an ascending-order or ungrouped sum can land an ulp under
+	// such a score and drop a document tying the bar.
+	b.prefix = caps[2*ns : 3*ns+1]
 	for r, idx := range b.sorted {
 		rank[idx] = r
-	}
-	for k := 1; k <= ns; k++ {
-		for i, c := range caps[:ns] {
-			if rank[i] < k {
-				b.prefix[k] += c
-			}
+		b.groupsIn[r+1] = b.groupsIn[r]
+		if r == 0 || group[idx] != group[b.sorted[r-1]] {
+			b.groupsIn[r+1]++
 		}
 	}
+	for k := 1; k <= ns; k++ {
+		b.prefix[k] = b.groupedSum(0, caps[:ns], func(i int) bool { return rank[i] < k })
+	}
 	if !math.IsInf(b.cap, 1) && slices.ContainsFunc(b.shoulds, isBoolean) {
-		b.rest = caps[2*ns+1:]
+		b.rest = caps[3*ns+1:]
 		for i := range b.rest {
 			for j, c := range caps[:ns] {
 				if j != i {
@@ -721,15 +797,34 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	return b
 }
 
+// groupedSum adds v[i] over the Should leaves that in (nil: all) admits to
+// base, as scoreAt adds their scores to the Musts' sum: each group's from
+// zero, then the groups in clause order.
+func (b *booleanScorer) groupedSum(base float64, v []float64, in func(i int) bool) float64 {
+	sum, lo := base, 0
+	for _, hi := range b.ends {
+		gs := 0.0
+		for i := lo; i < hi; i++ {
+			if in == nil || in(i) {
+				gs += v[i]
+			}
+		}
+		sum, lo = sum+gs, hi
+	}
+	return sum
+}
+
 // setThreshold implements prunable: the whole scorer dies once no
 // document can beat th, and in disjunction mode it does two more things.
 //
-// The weakest Shoulds stop generating candidates once a document only they
-// match cannot beat th (weakBound).
+// The weakest Should leaves stop generating candidates once a document
+// only they match cannot beat th (weakBound).
 //
-// Every Should that is itself a boolean clause gets the bar th − rest[i],
-// shrunk by capSlack on both sides so rounding cannot cross it, when that
-// bar is positive and every bound is finite (rest is nil otherwise).
+// Every Should leaf that is itself a boolean scorer — a clause that could
+// not be inlined, such as a coordinated multi-token disjunction under an
+// uncoordinated one — gets the bar th − rest[i], shrunk by capSlack on
+// both sides so rounding cannot cross it, when that bar is positive and
+// every bound is finite (rest is nil otherwise).
 // Clause i may then skip a document, or under-report it, only where its
 // own score is at or under that bar. Such a document's true score is at
 // most the bar plus what its siblings can add, hence at most th, so the
@@ -769,35 +864,45 @@ func isBoolean(sc scorer) bool {
 }
 
 // weakBound bounds the score of a document matched by none of the
-// Shoulds but the k weakest: their bound sum, times the coordination
-// factor of k matches when coordination is on. Both factors are formed as
-// scoreAt forms a score (the sum in clause order, then the product), from
-// inputs at or above the document's own: its clause scores, and its match
-// count at most k. Every rounded step is monotone, so the bound is at or
-// above the score bit for bit, and a document that can only tie the bar
-// is left out.
+// Should leaves but the k weakest: their bound sum, times the coordination
+// factor of the groups they fall in when coordination is on. Both factors
+// are formed as scoreAt forms a score (the grouped sum in clause order,
+// then the product), from inputs at or above the document's own: its leaf
+// scores, and its matched groups at most groupsIn[k]. Every rounded step
+// is monotone, so the bound is at or above the score bit for bit, and a
+// document that can only tie the bar is left out.
 func (b *booleanScorer) weakBound(k int) float64 {
 	if !b.coord {
 		return b.prefix[k]
 	}
-	return b.prefix[k] * (float64(k) / float64(b.total))
+	return b.prefix[k] * (float64(b.groupsIn[k]) / float64(b.total))
 }
 
-// maxScoreUpTo is the clause bounds summed over the window, the window
-// ending at the earliest clause block boundary. The sum bounds the
-// coord-free clause-score sum; the coordination factor only shrinks it
+// maxScoreUpTo is the clause bounds summed over the window, grouped as
+// scoreAt sums scores, the window ending at the earliest clause block
+// boundary. The sum bounds the coord-free clause-score sum bit for bit
+// (see weakBound); the coordination factor only shrinks it
 // (every clause bound is >= 0), and MustNot clauses only remove documents,
 // so it is an upper bound on score() for any document in the window.
 func (b *booleanScorer) maxScoreUpTo(target int) (float64, int) {
 	if target > b.win.end {
-		b.win = window{end: noMoreDocs}
-		for _, group := range [2][]scorer{b.musts, b.shoulds} {
-			for _, c := range group {
-				cb, end := c.maxScoreUpTo(target)
-				b.win.bound += cb
-				b.win.end = min(b.win.end, end)
-			}
+		w := window{end: noMoreDocs}
+		for _, c := range b.musts {
+			cb, end := c.maxScoreUpTo(target)
+			w.bound += cb
+			w.end = min(w.end, end)
 		}
+		shoulds, lo := b.shoulds, 0
+		for _, hi := range b.ends {
+			gs := 0.0
+			for i := lo; i < hi; i++ {
+				cb, end := shoulds[i].maxScoreUpTo(target)
+				gs += cb
+				w.end = min(w.end, end)
+			}
+			w.bound, lo = w.bound+gs, hi
+		}
+		b.win = w
 	}
 	return b.win.bound, b.win.end
 }
@@ -914,22 +1019,34 @@ func (b *booleanScorer) excluded(d int) bool {
 
 // scoreAt sums the matching clause scores in clause order — Musts first,
 // then Shoulds, exactly the accumulation order of the exhaustive path —
-// and applies the coordination factor.
+// and applies the coordination factor. An inlined clause's score is its
+// group's sum from zero, and the clause counts once toward coordination
+// however many of its leaves match.
 func (b *booleanScorer) scoreAt(d int) float64 {
 	sum := 0.0
 	matched := len(b.musts)
 	for _, m := range b.musts {
 		sum += m.score()
 	}
-	for i, sd := range b.shouldDoc {
-		if sd < d {
-			sd = b.shoulds[i].advance(d)
-			b.shouldDoc[i] = sd
+	shoulds, docs, lo := b.shoulds, b.shouldDoc, 0
+	for _, hi := range b.ends {
+		gs, hit := 0.0, false
+		for i := lo; i < hi; i++ {
+			sd := docs[i]
+			if sd < d {
+				sd = shoulds[i].advance(d)
+				docs[i] = sd
+			}
+			if sd == d {
+				gs += shoulds[i].score()
+				hit = true
+			}
 		}
-		if sd == d {
-			sum += b.shoulds[i].score()
+		if hit {
+			sum += gs
 			matched++
 		}
+		lo = hi
 	}
 	if !b.coord {
 		return sum

@@ -491,9 +491,10 @@ func MultiFieldQuery(text string, fields []FieldBoost) Query {
 // clause of MultiFieldQuery and ParseQuery. It is the coord-free
 // disjunction of the per-field TermQuery, PhraseQuery or FuzzyQuery, and
 // binds to exactly what that disjunction binds to, but analyzes the text
-// once instead of once per field. Over a single field the disjunction
-// scores 0 + s, the field clause's own score (newBooleanScorer drops the
-// wrapper).
+// once instead of once per field. As a boolean clause's Should it is not a
+// scorer of its own: newBooleanScorer inlines its per-field clauses as one
+// group of the enclosing scorer's leaves. Over a single field the
+// disjunction scores 0 + s, the field clause's own score.
 type multiFieldQuery struct {
 	text          string
 	phrase, fuzzy bool

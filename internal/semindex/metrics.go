@@ -5,8 +5,9 @@ import "repro/internal/obs"
 // queryCounts holds one obs.Default counter per semantic level,
 // pre-registered at init so semindex_queries_total appears on /metrics
 // (with zero values) before the first query. Counters count index-level
-// query evaluations: a sharded engine fanning one user query out to N
-// shards increments its level's counter N times.
+// query evaluations, one per SearchPrepared: a sharded engine searches
+// every shard's base and each of its unmerged segments, so one user query
+// increments its level's counter once per sub-index searched.
 var queryCounts = func() map[Level]*obs.Counter {
 	obs.Default.Help("semindex_queries_total",
 		"Keyword query evaluations per semantic index level.")
