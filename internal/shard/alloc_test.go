@@ -10,27 +10,29 @@ import (
 
 // TestSearchAllocationCeiling bounds what one cold Engine.Search allocates
 // on a two-shard engine at limit 10, per query class, on a heap engine and
-// on the same engine saved and reopened mapped. The ceilings sit about a
-// third above the measured figures: keyword 40, phrase 46, fuzzy 43, heap
-// and mapped alike, since every shard builds its scorer tree, similarity
-// values and mapped block buffers in a pooled arena (index/arena.go). What
-// remains is the query's binding, the scatter and the merge, none of it
-// per posting cursor, so a mapped search must not allocate more than a heap
-// one. Before the arena the figures were 108, 94 and 121 on the heap and
-// 144, 130 and 145 mapped, two buffers per mapped cursor; before that,
-// 115, 339 and 289 on the heap when every shard re-parsed the text and
-// every field clause re-analyzed it, and 377, 409 and 276 mapped when
-// cursors grew up to five buffers each by append. A change that brings
-// back a heap allocation per clause or per cursor, per-shard parsing,
-// per-field analysis or a vocabulary copy per fuzzy clause fails here
-// before it shows in the benchmark.
+// on the same engine saved and reopened mapped. The fixture is far under two
+// scatter slices (sliceDocs), so the scatter starts no goroutine and both
+// shards are searched on the caller's. The ceilings sit well above the
+// measured figures: keyword 38, phrase 44, fuzzy 41, heap and mapped alike,
+// since every shard builds its scorer tree, similarity values and mapped
+// block buffers in a pooled arena (index/arena.go). What remains is the
+// query's binding, the scatter's result slice and the closure it hands the
+// claim loop, and the merge, none of it per posting cursor, so a mapped
+// search must not allocate more than a heap one. While every search started
+// a helper goroutine, whose claim counter, wait group and closure were
+// allocated per search, the figures were 40, 46 and 43. Before the arena
+// they were 108, 94 and 121 on the heap and 144, 130 and 145 mapped, two
+// buffers per mapped cursor; before that, 115, 339 and 289 on the heap when
+// every shard re-parsed the text and every field clause re-analyzed it, and
+// 377, 409 and 276 mapped when cursors grew up to five buffers each by
+// append. A change that brings back a heap allocation per clause or per
+// cursor, per-shard parsing, per-field analysis or a vocabulary copy per
+// fuzzy clause fails here before it shows in the benchmark.
 //
 // The mapped-versus-heap comparison runs on a one-shard heap engine and on
-// the same engine saved and reopened mapped: with two shards the scatter
-// starts a helper goroutine per search, and whether the runtime must
-// allocate a fresh goroutine for it depends on scheduling, which moves
-// either arm by one allocation per search. Each class then runs on the
-// one-shard heap engine with metrics on and with them stripped
+// the same engine saved and reopened mapped, where a search allocates
+// only for the kernel, the one-slot scatter and the merge. Each class then
+// runs on the one-shard heap engine with metrics on and with them stripped
 // (SetMetrics(nil)), and the two must allocate exactly as much:
 // instrumentation is preallocated handles and atomic adds, so a metric
 // that allocates per search fails here instead of as a few percent of

@@ -18,7 +18,10 @@ import (
 // limit from 1 to 12 the engine must rank exactly like a monolith's
 // ExhaustiveSearch, bit for bit: when the cut falls inside a group of twins,
 // the lower global docIDs win whichever shard holds them, so a shard that
-// drops a document scoring exactly the bar fails here.
+// drops a document scoring exactly the bar fails here. The engine runs the
+// queries twice: in shard order on the caller's goroutine, as an engine
+// this small searches, and with its slice lowered so that a helper can
+// search shard 1 while shard 0 raises the bar.
 func TestSharedBarKeepsCrossShardTies(t *testing.T) {
 	src := oracleCorpus()[0][0]
 	var pages []*crawler.MatchPage
@@ -42,22 +45,29 @@ func TestSharedBarKeepsCrossShardTies(t *testing.T) {
 	}
 
 	crossTies := 0
-	for _, q := range eval.PaperQueries() {
-		all := o.si.Search(q.Keywords, 0)
-		for limit := 1; limit <= 12; limit++ {
-			want := all[:min(limit, len(all))]
-			if limit < len(all) && all[limit-1].Score == all[limit].Score &&
-				shardOf[all[limit-1].DocID] != shardOf[all[limit].DocID] {
-				crossTies++
-			}
-			res, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: limit, NoCache: true})
-			if err == nil {
-				err = sameHits(res.Hits, want)
-			}
-			if err != nil {
-				t.Fatalf("%q at limit %d: %v", q.Keywords, limit, err)
-			}
+	for _, mode := range []string{"caller", "helpers"} {
+		if mode == "helpers" {
+			e.SetSliceDocs(1)
 		}
+		t.Run(mode, func(t *testing.T) {
+			for _, q := range eval.PaperQueries() {
+				all := o.si.Search(q.Keywords, 0)
+				for limit := 1; limit <= 12; limit++ {
+					want := all[:min(limit, len(all))]
+					if limit < len(all) && all[limit-1].Score == all[limit].Score &&
+						shardOf[all[limit-1].DocID] != shardOf[all[limit].DocID] {
+						crossTies++
+					}
+					res, err := e.Search(context.Background(), q.Keywords, SearchOptions{Limit: limit, NoCache: true})
+					if err == nil {
+						err = sameHits(res.Hits, want)
+					}
+					if err != nil {
+						t.Fatalf("%q at limit %d: %v", q.Keywords, limit, err)
+					}
+				}
+			}
+		})
 	}
 	// The premise: some cuts fall between twins on different shards.
 	if crossTies == 0 {

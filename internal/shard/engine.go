@@ -159,10 +159,15 @@ type Engine struct {
 	cache  *qcache.Cache
 	flight *qcache.Group
 
-	// stall, when set, runs at the start of every per-shard scatter
-	// goroutine with the shard index — the fault-injection hook degraded
-	// serving is tested through. Install before serving traffic.
+	// stall, when set, runs at the start of every shard search with the
+	// shard index, on whichever goroutine searches the shard — the
+	// fault-injection hook degraded serving is tested through. Install
+	// before serving traffic.
 	stall func(shard int)
+	// slice is how many live documents pay for one goroutine of a
+	// scatter: sliceDocs, lowered only by tests to force helpers onto a
+	// small engine. Set like stall.
+	slice int
 
 	// gen is the snapshot generation the engine's state extends: 0 for
 	// a fresh build, the manifest's generation after Load, bumped by
@@ -214,6 +219,7 @@ func newEngine(level semindex.Level, b *semindex.Builder, n int) *Engine {
 		pageGIDs: map[string][]int{},
 		nextSeg:  1,
 		met:      newEngineMetrics(obs.Default, n),
+		slice:    sliceDocs,
 	}
 }
 
@@ -245,9 +251,10 @@ func (e *Engine) LoadReport() LoadReport {
 }
 
 // SetStall installs a per-shard delay hook called at the start of every
-// scatter goroutine. It exists for fault injection: tests (and drills)
-// stall one shard past a Search deadline and assert the engine
-// degrades instead of hanging. Pass nil to remove. Not for production use.
+// shard search, on the goroutine that searches the shard. It exists for
+// fault injection: tests (and drills) stall one shard past a Search
+// deadline and assert the engine degrades instead of hanging. Pass nil to
+// remove. Not for production use.
 func (e *Engine) SetStall(hook func(shard int)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -450,7 +457,7 @@ func (e *Engine) subsLocked(s int) []*subIndex {
 // structurally.
 func (e *Engine) exchangeStats() {
 	per := make([]*index.CorpusStats, len(e.base))
-	fanOut(len(e.base), func(s int) {
+	fanOut(len(e.base), len(e.base), func(s int) {
 		cs := e.base[s].si.Index.LocalStats()
 		for _, sub := range e.segs[s] {
 			cs.Merge(sub.si.Index.LocalStats())

@@ -139,39 +139,49 @@ func compactInBatches(slots []int, merge, install func(s int)) {
 	for len(slots) > 0 {
 		batch := slots[:min(len(slots), runtime.GOMAXPROCS(0))]
 		slots = slots[len(batch):]
-		fanOut(len(batch), func(i int) { merge(batch[i]) })
+		fanOut(len(batch), len(batch), func(i int) { merge(batch[i]) })
 		for _, s := range batch {
 			install(s)
 		}
 	}
 }
 
-// fanOut runs fn(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines, the caller's among them, and returns once every call has
-// finished. At GOMAXPROCS 1 the calls run serially, in order, on the
-// caller's goroutine.
-func fanOut(n int, fn func(i int)) {
-	workers := min(n, runtime.GOMAXPROCS(0))
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+// fanOut is the engine's one claim loop: it runs fn(i) once for every slot
+// i in [0, n) and returns once every call has finished. The caller's
+// goroutine claims slots from an atomic counter beside
+// min(n, workers, GOMAXPROCS)−1 helper goroutines; with no helper (workers
+// 1, or GOMAXPROCS 1) the calls run in slot order on the caller's
+// goroutine and nothing is started. workers is how many goroutines the
+// work can pay for: a helper costs a goroutine start and a thread wake-up
+// whether or not it claims anything.
+//
+// What waits: done counts slots, not helpers, so fanOut returns when the
+// last slot has run, not when the last helper has. What stops a helper: it
+// runs out of slots to claim. A helper the scheduler wakes after every slot
+// is claimed finds nothing, never calls fn, and touches only the counter,
+// which no other call shares.
+func fanOut(n, workers int, fn func(i int)) {
+	helpers := min(n, workers, runtime.GOMAXPROCS(0)) - 1
+	if helpers <= 0 {
+		for i := range n {
 			fn(i)
 		}
+		return
 	}
-	var wg sync.WaitGroup
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	var next atomic.Int64
+	var done sync.WaitGroup
+	done.Add(n)
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+			done.Done()
+		}
 	}
-	work()
-	wg.Wait()
+	for range helpers {
+		go claim()
+	}
+	claim()
+	done.Wait()
 }
 
 // pendingMerge is a shard merge prepared against a snapshot, not

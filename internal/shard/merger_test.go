@@ -26,38 +26,40 @@ func (e *Engine) mergeShard(s int) {
 }
 
 // TestFanOutRunsEverySlotOnce: every slot runs exactly once, no more than
-// GOMAXPROCS calls are ever in flight, and at GOMAXPROCS 1 the calls run
-// in slot order.
+// min(workers, GOMAXPROCS) calls are ever in flight, and with one worker
+// or at GOMAXPROCS 1 the calls run in slot order.
 func TestFanOutRunsEverySlotOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, n := range []int{0, 1, 3, 16} {
-			runs := make([]atomic.Int32, n)
-			var inFlight, peak atomic.Int32
-			var mu sync.Mutex
-			var order []int
-			fanOut(n, func(i int) {
-				cur := inFlight.Add(1)
-				for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			for _, workers := range []int{1, 2, n} {
+				runs := make([]atomic.Int32, n)
+				var inFlight, peak atomic.Int32
+				var mu sync.Mutex
+				var order []int
+				fanOut(n, workers, func(i int) {
+					cur := inFlight.Add(1)
+					for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+					}
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+					runs[i].Add(1)
+					runtime.Gosched()
+					inFlight.Add(-1)
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Errorf("GOMAXPROCS %d, %d slots, %d workers: slot %d ran %d times", procs, n, workers, i, got)
+					}
 				}
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-				runs[i].Add(1)
-				runtime.Gosched()
-				inFlight.Add(-1)
-			})
-			for i := range runs {
-				if got := runs[i].Load(); got != 1 {
-					t.Errorf("GOMAXPROCS %d, %d slots: slot %d ran %d times", procs, n, i, got)
+				if got := peak.Load(); got > int32(max(1, min(workers, procs))) {
+					t.Errorf("GOMAXPROCS %d, %d slots, %d workers: %d calls in flight at once", procs, n, workers, got)
 				}
-			}
-			if got := peak.Load(); got > int32(procs) {
-				t.Errorf("GOMAXPROCS %d, %d slots: %d calls in flight at once", procs, n, got)
-			}
-			if procs == 1 && !slices.IsSorted(order) {
-				t.Errorf("GOMAXPROCS 1, %d slots: ran in order %v", n, order)
+				if (procs == 1 || workers <= 1) && !slices.IsSorted(order) {
+					t.Errorf("GOMAXPROCS %d, %d slots, %d workers: ran in order %v", procs, n, workers, order)
+				}
 			}
 		}
 	}
@@ -76,7 +78,7 @@ func TestFanOutOverlapsCalls(t *testing.T) {
 		close(met)
 	}()
 	var alone atomic.Int32
-	fanOut(2, func(int) {
+	fanOut(2, 2, func(int) {
 		arrived.Done()
 		select {
 		case <-met:

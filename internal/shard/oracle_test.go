@@ -135,13 +135,24 @@ func (o *monoOracle) suggest(q string) string {
 }
 
 // schedule is an engine configuration and the steps run against it.
+// helpers lowers the engine's slice to one document, so its scatters claim
+// shards beside helper goroutines instead of on the caller's alone.
 type schedule struct {
-	opts  Options
-	steps []string
+	opts    Options
+	steps   []string
+	helpers bool
 }
 
 func (sc schedule) String() string {
-	return fmt.Sprintf("shards=%d chunk=%d par=%d: %s", sc.opts.Shards, sc.opts.ChunkPages, sc.opts.Parallelism, strings.Join(sc.steps, " "))
+	return fmt.Sprintf("shards=%d chunk=%d par=%d claim=%s: %s", sc.opts.Shards, sc.opts.ChunkPages, sc.opts.Parallelism, sc.claim(), strings.Join(sc.steps, " "))
+}
+
+// claim names the schedule's claim mode.
+func (sc schedule) claim() string {
+	if sc.helpers {
+		return "helpers"
+	}
+	return "caller"
 }
 
 // randomSchedule draws seed's schedule.
@@ -177,6 +188,9 @@ func randomSchedule(seed int64) schedule {
 		}
 		sc.steps = append(sc.steps, tok)
 	}
+	// Drawn after every other draw, so each seed keeps its configuration
+	// and steps.
+	sc.helpers = r.Intn(2) == 1
 	return sc
 }
 
@@ -201,11 +215,13 @@ func parseStep(tok string) (kind string, n int, pages []*crawler.MatchPage, flag
 // TestEngineMatchesMonolith runs oracleSeeds random schedules, a subtest each.
 func TestEngineMatchesMonolith(t *testing.T) {
 	hist := map[string]int{}
+	perMode := map[string]map[string]int{"caller": {}, "helpers": {}}
 	for seed := 1; seed <= oracleSeeds; seed++ {
 		sc := randomSchedule(int64(seed))
 		for _, tok := range sc.steps {
 			kind, _, _, _ := parseStep(tok)
 			hist[kind]++
+			perMode[sc.claim()][kind]++
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -213,6 +229,9 @@ func TestEngineMatchesMonolith(t *testing.T) {
 		})
 	}
 	t.Logf("steps over %d seeds: %v", oracleSeeds, hist)
+	for _, mode := range []string{"caller", "helpers"} {
+		t.Logf("steps in claim mode %s: %v", mode, perMode[mode])
+	}
 	for _, kind := range stepKinds {
 		if hist[kind] < 20 {
 			t.Errorf("step %s ran %d times over the seeds, want at least 20", kind, hist[kind])
@@ -230,7 +249,8 @@ func runOracle(t *testing.T, sc schedule) {
 	}
 	shrunk := sc
 	for i := len(sc.steps) - 1; i >= 0; i-- {
-		cand := schedule{shrunk.opts, slices.Delete(slices.Clone(shrunk.steps), i, i+1)}
+		cand := shrunk
+		cand.steps = slices.Delete(slices.Clone(shrunk.steps), i, i+1)
 		if cerr := runSchedule(cand, t.TempDir()); cerr != nil {
 			shrunk, err = cand, cerr
 		}
@@ -250,6 +270,9 @@ type oracleRun struct {
 	// first; logged the batches of the WAL records written since.
 	saved, logged [][]*crawler.MatchPage
 	warmed        []string
+	// helpers is the schedule's claim mode, set on every engine the run
+	// builds or reopens.
+	helpers bool
 	// abandoned holds the engines crashes left, closed when the run ends.
 	abandoned []*Engine
 }
@@ -266,10 +289,11 @@ func runSchedule(sc schedule, dir string) (err error) {
 	for _, v := range oracleCorpus()[:oracleInitPages] {
 		build = append(build, v[0])
 	}
-	r := &oracleRun{base: filepath.Join(dir, "idx"), gen: 1, o: newMonoOracle(build), saved: [][]*crawler.MatchPage{build}}
+	r := &oracleRun{base: filepath.Join(dir, "idx"), gen: 1, o: newMonoOracle(build), saved: [][]*crawler.MatchPage{build}, helpers: sc.helpers}
 	if r.e, err = BuildStream(nil, semindex.FullInf, &sliceSource{pages: build}, sc.opts); err != nil {
 		return err
 	}
+	r.claimMode(r.e)
 	defer func() {
 		for _, e := range append(r.abandoned, r.e) {
 			e.Close()
@@ -296,6 +320,13 @@ func runSchedule(sc schedule, dir string) (err error) {
 		}
 	}
 	return nil
+}
+
+// claimMode applies the schedule's claim mode to e.
+func (r *oracleRun) claimMode(e *Engine) {
+	if r.helpers {
+		e.SetSliceDocs(1)
+	}
 }
 
 // apply runs one step and reports whether it may have changed the
@@ -458,6 +489,7 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 			if victim, err = LoadWith(r.base, nil, LoadOptions{Mapped: true}); err != nil {
 				return err
 			}
+			r.claimMode(victim)
 			r.abandoned = append(r.abandoned, victim)
 		}
 		victim.mergeShard(n % victim.NumShards())
@@ -490,6 +522,7 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 	if r.e, err = LoadWith(r.base, nil, LoadOptions{Mapped: mapped}); err != nil {
 		return fmt.Errorf("reopen: %w", err)
 	}
+	r.claimMode(r.e)
 	if rep := r.e.LoadReport(); rep.Generation != r.gen || rep.WALReplayed != survived || rep.WALTorn != torn ||
 		len(rep.Quarantined) != 0 || r.e.NumShards() != e.NumShards() || r.e.Level() != e.Level() {
 		return fmt.Errorf("reopened %d shards at %s, report %+v; want %d shards, generation %d, %d records replayed, torn %v",
@@ -667,7 +700,7 @@ func sameHits(got, want []semindex.Hit) error {
 // runs its axis as a fixed schedule.
 func fixed(t *testing.T, shards int, steps string) {
 	t.Helper()
-	runOracle(t, schedule{Options{Shards: shards}, strings.Fields(steps)})
+	runOracle(t, schedule{opts: Options{Shards: shards}, steps: strings.Fields(steps)})
 }
 
 func TestScatterGatherEquivalence(t *testing.T)     { fixed(t, 4, "") }

@@ -131,7 +131,7 @@ func (e *Engine) Save(base string) error {
 	// shard order and the first error waits for every writer.
 	files := make([]manifestEntry, len(e.base))
 	errs := make([]error, len(e.base))
-	fanOut(len(e.base), func(i int) {
+	fanOut(len(e.base), len(e.base), func(i int) {
 		path := shardGenPath(base, newGen, i)
 		size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
 			// The TOC captures the identity metadata (global docID, page ID)

@@ -7,10 +7,13 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/crawler"
@@ -54,22 +57,44 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 	}
 
 	queries := loadgen.GenerateQueries(loadgen.VocabFromUniverse(g.Universe()), nil, 200, 23)
+	// The searchers must overlap an ingest: the middle request waits until
+	// the ingester has committed a page it began after the run started, so
+	// the run cannot finish before the first commit however fast it is.
+	started, committed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		signalled := false
 		for _, p := range pages {
+			var after bool
+			select {
+			case <-started:
+				after = true
+			default:
+			}
 			eng.Ingest(context.Background(), []*crawler.MatchPage{p}, shard.IngestOptions{})
+			if after && !signalled {
+				close(committed)
+				signalled = true
+			}
 		}
 	}()
-	docsBefore := eng.NumDocs()
-	res, err := loadgen.Run(context.Background(), &loadgen.EngineTarget{Eng: eng}, loadgen.Config{
+	cfg := loadgen.Config{
 		Workers:  8,
 		Requests: 1_500,
 		Warmup:   100,
 		Seed:     24,
 		Queries:  queries,
-	})
+	}
+	target := &midRunGate{
+		Target:    &loadgen.EngineTarget{Eng: eng},
+		at:        int64(cfg.Warmup + cfg.Requests/2),
+		committed: committed,
+	}
+	docsBefore := eng.NumDocs()
+	close(started)
+	res, err := loadgen.Run(context.Background(), target, cfg)
 	docsAfter := eng.NumDocs()
 	wg.Wait()
 	if err != nil {
@@ -108,6 +133,28 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 			}
 		}
 	}
+}
+
+// midRunGate holds the at-th request until committed is closed, failing
+// it after a minute.
+type midRunGate struct {
+	loadgen.Target
+	n         atomic.Int64
+	at        int64
+	committed <-chan struct{}
+}
+
+func (g *midRunGate) Do(ctx context.Context, q loadgen.Query) (loadgen.Outcome, error) {
+	if g.n.Add(1) == g.at {
+		select {
+		case <-g.committed:
+		case <-time.After(time.Minute):
+			return loadgen.Outcome{}, errors.New("no ingest committed within a minute of the run's start")
+		case <-ctx.Done():
+			return loadgen.Outcome{}, ctx.Err()
+		}
+	}
+	return g.Target.Do(ctx, q)
 }
 
 // TestLSMIngestVsSearchAt10k is the write-firehose half of the

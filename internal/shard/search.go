@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -469,42 +467,27 @@ func (e *Engine) timedShard(tr *obs.Trace, i int, fn func(shard int) []rankedHit
 	return hits
 }
 
+// sliceDocs is how many live documents pay for one goroutine of a
+// scatter. On two shards at 10k documents a shard's kernel takes about as
+// long as starting a goroutine and waking an idle thread for it: a helper
+// claimed a shard in 3% of searches, and every search paid for its start.
+// A search on the caller's goroutine alone loses at the 99th percentile
+// from 40k documents and at the 95th from 70k (BenchmarkScatterLadder).
+const sliceDocs = 16384
+
 // scatter runs fn against every shard and returns once every shard has
-// been searched. Shards are claimed one at a time, by the caller's
-// goroutine and by n-1 helpers: the caller is on shard 0 at once instead of
-// sleeping while goroutines start, and whether a search is spread over
-// threads is decided by whether a thread is there to take it. A search over
-// short posting lists takes less time than waking one, so the caller
-// usually claims every shard itself; long searches overlap as before.
-//
-// What stops a helper: it runs out of shards to claim. What waits for it:
-// done, which counts shards, so scatter waits for exactly the helpers that
-// claimed one. A helper the scheduler runs after scatter has returned
-// (every shard done, the read lock possibly released) claims nothing and
-// touches nothing but the counter, which it shares with no other search.
-// fn receives the shard index and must only read state guarded by the
-// read lock, which the caller holds.
+// been searched, through the engine's one claim loop (fanOut) with one
+// goroutine per sliceDocs live documents, the caller's among them. An
+// engine under two slices searches its shards in shard order on the
+// caller's goroutine, each against the bar the shards before it raised; a
+// larger one starts helpers, at most GOMAXPROCS goroutines in all. fn
+// receives the shard index and must only read state guarded by the read
+// lock, which the caller holds.
 func (e *Engine) scatter(tr *obs.Trace, fn func(shard int) []rankedHit) [][]rankedHit {
-	n := len(e.base)
-	per := make([][]rankedHit, n)
-	if n == 1 {
-		per[0] = e.timedShard(tr, 0, fn)
-		return per
-	}
-	var next atomic.Int32
-	var done sync.WaitGroup
-	done.Add(n)
-	claim := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			per[i] = e.timedShard(tr, i, fn)
-			done.Done()
-		}
-	}
-	for h := 1; h < n; h++ {
-		go claim()
-	}
-	claim()
-	done.Wait()
+	per := make([][]rankedHit, len(e.base))
+	fanOut(len(e.base), max(1, e.liveDocs/e.slice), func(i int) {
+		per[i] = e.timedShard(tr, i, fn)
+	})
 	return per
 }
 
