@@ -648,9 +648,9 @@ func (t *docTable) norm(id int) float64 {
 // cap) and per posting block (c the block's). The similarity is evaluated
 // at that best-case posting shape under the statistics real scoring uses,
 // so the bound holds per shard even when corpus-wide statistics are
-// installed. Similarities that do not implement UpperBoundSimilarity get
-// +Inf, which disables pruning but keeps evaluation correct; so does a
-// negative boost, which would flip the best case into a lower bound.
+// installed. A negative boost would flip the best case into a lower
+// bound, so it gets +Inf, which disables pruning but keeps evaluation
+// correct.
 //
 // The bound carries no margin. It is the expression termScorer.score and
 // termClause.scores form, in their association, at inputs that dominate
@@ -659,11 +659,10 @@ func (t *docTable) norm(id int) float64 {
 // score of a posting with the best-case shape. A block that can only tie
 // the threshold is therefore skipped (DESIGN.md §10).
 func (ix *Index) scoreBound(c termCap, st termStats, queryBoost float64) float64 {
-	ubs, ok := ix.sim.(UpperBoundSimilarity)
-	if !ok || c.maxBoost < 0 || queryBoost < 0 {
+	if c.maxBoost < 0 || queryBoost < 0 {
 		return math.Inf(1)
 	}
-	return ubs.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) * c.maxBoost * queryBoost
+	return ix.sim.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) * c.maxBoost * queryBoost
 }
 
 // observe widens the cap to cover a posting with the given shape.

@@ -38,31 +38,6 @@ type boundQuery interface {
 // like q on every index that uses a, without analyzing text again.
 func AnalyzeQuery(q Query, a Analyzer) Query { return q.bind(a) }
 
-// QueryTerms lists the (field, term) pairs of an analyzed query's term and
-// phrase clauses, in clause order — the statistics its ranking reads.
-// Clauses whose terms depend on the index searched (fuzzy expansion) or
-// that read none (match-all) contribute nothing, as does any clause of a
-// query that did not come from AnalyzeQuery.
-func QueryTerms(q Query) []FieldTerm { return appendQueryTerms(nil, q) }
-
-func appendQueryTerms(dst []FieldTerm, q Query) []FieldTerm {
-	switch c := q.(type) {
-	case *termClause:
-		dst = append(dst, FieldTerm{Field: c.field, Term: c.term})
-	case *phraseClause:
-		for _, t := range c.terms {
-			dst = append(dst, FieldTerm{Field: c.field, Term: t})
-		}
-	case *boolClause:
-		for _, group := range [3][]boundQuery{c.must, c.should, c.mustNot} {
-			for _, sub := range group {
-				dst = appendQueryTerms(dst, sub)
-			}
-		}
-	}
-	return dst
-}
-
 // Hit is one search result.
 type Hit struct {
 	DocID int

@@ -19,6 +19,17 @@ type Similarity interface {
 	// or quotient must keep the association TermScore documents, or the
 	// kernel and the exhaustive oracle stop agreeing in the last bit.
 	Scorer(df, numDocs int, avgLen float64) TermScorer
+	// TermScoreBound returns an upper bound on TermScore over every
+	// posting with freq <= maxFreq and fieldLen >= minLen, at the given
+	// collection statistics: the DAAT kernel's score cap per term and per
+	// posting block. TermScore must therefore be monotone nondecreasing in
+	// freq and nonincreasing in fieldLen, so that the formula at the
+	// best-case posting shape bounds every real posting (see DESIGN.md §10
+	// for both similarities' derivations). The bound must hold for the
+	// computed floats, bit for bit, not only over the reals: the kernel
+	// prunes a block whose bound, times the boosts, is at or under the
+	// threshold, with no margin of its own.
+	TermScoreBound(maxFreq, df, numDocs, minLen int, avgLen float64) float64
 }
 
 // TermScorer is a Similarity bound to one term's collection statistics.
@@ -26,24 +37,6 @@ type TermScorer interface {
 	// Score scores a posting with freq occurrences in a field of fieldLen
 	// tokens.
 	Score(freq, fieldLen int) float64
-}
-
-// UpperBoundSimilarity is implemented by similarities whose TermScore is
-// monotone nondecreasing in freq and nonincreasing in fieldLen — which
-// lets the DAAT kernel derive score caps per term and per posting block
-// by evaluating the formula at a best-case posting shape. Both built-in
-// similarities qualify (see DESIGN.md §10 for the derivations); a custom
-// similarity that does not implement the interface simply runs without
-// pruning.
-type UpperBoundSimilarity interface {
-	Similarity
-	// TermScoreBound returns an upper bound on TermScore over every
-	// posting with freq <= maxFreq and fieldLen >= minLen, at the given
-	// collection statistics. The bound must hold for the computed floats,
-	// bit for bit, not only over the reals: the kernel prunes a block whose
-	// bound, times the boosts, is at or under the threshold, with no margin
-	// of its own.
-	TermScoreBound(maxFreq, df, numDocs, minLen int, avgLen float64) float64
 }
 
 // ClassicTFIDF is Lucene's classic similarity:
@@ -74,7 +67,7 @@ func (s ClassicTFIDF) TermScore(freq, df, numDocs, fieldLen int, _ float64) floa
 	return s.term(df, numDocs).Score(freq, fieldLen)
 }
 
-// TermScoreBound implements UpperBoundSimilarity: sqrt(tf) rises with tf
+// TermScoreBound implements Similarity: sqrt(tf) rises with tf
 // and 1/sqrt(len) falls with len, so the formula at (maxFreq, minLen)
 // dominates every real posting. Each input appears once and every rounded
 // step is monotone in it, so that holds for the computed floats too, and
@@ -125,7 +118,7 @@ func (s BM25) TermScore(freq, df, numDocs, fieldLen int, avgLen float64) float64
 	return s.term(df, numDocs, avgLen).Score(freq, fieldLen)
 }
 
-// TermScoreBound implements UpperBoundSimilarity: tf·(k1+1)/(tf+k1·norm)
+// TermScoreBound implements Similarity: tf·(k1+1)/(tf+k1·norm)
 // rises with tf and falls with norm (which rises with len), so the
 // formula at (maxFreq, minLen) dominates every real posting over the
 // reals. Not bit for bit: tf is in the numerator and the denominator, so

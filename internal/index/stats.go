@@ -16,9 +16,8 @@ import "math"
 // bit-identical to the single-index scores, so a scatter-gather merge
 // reproduces the monolithic ranking exactly.
 
-// FieldTerm names one (field, analyzed term) pair — the unit of a query's
-// statistics footprint (see semindex.PreparedQuery.Footprint and the shard
-// engine's scoped cache validation).
+// FieldTerm names one (field, analyzed term) pair: the unit AddDocStats
+// counts a document's fields and terms by.
 type FieldTerm struct {
 	Field string
 	Term  string

@@ -154,39 +154,6 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 	return val, true
 }
 
-// GetValidate returns the entry for key if validate accepts its value.
-// validate runs under the segment lock and may mutate the value in place
-// (e.g. refresh per-shard epochs after proving the answer still holds) —
-// it must be fast and must not call back into the cache. A rejected entry
-// is removed on the spot and reported as an invalidation plus a miss,
-// exactly like an epoch mismatch in Get.
-func (c *Cache) GetValidate(key string, validate func(val any) bool) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.seg(key)
-	s.mu.Lock()
-	el, ok := s.byKey[key]
-	if !ok {
-		s.mu.Unlock()
-		c.met.misses.Inc()
-		return nil, false
-	}
-	ent := el.Value.(*entry)
-	if !validate(ent.val) {
-		s.remove(el, ent, &c.met)
-		s.mu.Unlock()
-		c.met.invalidations.Inc()
-		c.met.misses.Inc()
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	val := ent.val
-	s.mu.Unlock()
-	c.met.hits.Inc()
-	return val, true
-}
-
 // Put stores (or replaces) the entry for key, charging `bytes` against
 // the owning segment's capacity and evicting from the LRU tail until the
 // segment fits. A value larger than a whole segment is not admitted.

@@ -44,19 +44,14 @@ func (s *SemanticIndex) withDocs(raw []index.Hit) []Hit {
 // segments.
 type PreparedQuery struct {
 	bound index.Query
-	// plain means no index, whatever fields it holds, would have sent the
-	// text through the full parser.
-	plain bool
 }
 
 // Prepare routes and analyzes query for an index of the given level.
 // hasField says whether a "name:" prefix names a field the searched corpus
 // holds (see hasAdvancedSyntax).
 func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, query string) PreparedQuery {
-	// What no field set would parse, this one does not either.
-	plain := !hasAdvancedSyntax(query, func(string) bool { return true })
-	advanced := !plain && hasAdvancedSyntax(query, hasField)
-	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a), plain: plain}
+	advanced := hasAdvancedSyntax(query, hasField)
+	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a)}
 }
 
 // Prepare readies query for this index.
@@ -71,25 +66,6 @@ func (s *SemanticIndex) Prepare(query string) PreparedQuery {
 func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int, bar *index.Bar) []index.Hit {
 	queryCounter(s.Level).Inc()
 	return s.Index.Search(q.bound, limit, bar)
-}
-
-// Footprint returns the (field, analyzed term) pairs whose corpus
-// statistics the query's ranking depends on — the inputs the sharded
-// engine's scoped cache invalidation must watch — read off the very query
-// that runs, so the two cannot drift apart. Zero-boost fields and tokens
-// the analyzer swallows are not in that query, hence not in its footprint.
-//
-// ok is false when the query may take the advanced-parser path. That
-// decision is deliberately stricter than the routing's: a ':' inside any
-// token disqualifies the query even if no current field matches the
-// prefix, because the routing consults the fields the corpus holds and
-// the footprint must stay valid when a later write adds one. Callers
-// treat ok=false as "every statistic is load-bearing".
-func (q PreparedQuery) Footprint() (fp []index.FieldTerm, ok bool) {
-	if !q.plain {
-		return nil, false
-	}
-	return index.QueryTerms(q.bound), true
 }
 
 // routeQuery builds the level's query for the text; advanced says whether

@@ -87,7 +87,6 @@ type subIndex struct {
 // shard, or dropped by a merge after being tombstoned).
 type docRef struct {
 	sub   *subIndex
-	shard int
 	local int
 }
 
@@ -141,11 +140,11 @@ type Engine struct {
 	// search path.
 	met *engineMetrics
 
-	// epochs (guarded by mu) counts content changes per shard: an ingest
-	// bumps only the shards it wrote to or tombstoned in, which is what
-	// lets the query cache keep answers whose shard-set the write does not
-	// intersect (scoped invalidation, see search.go).
-	epochs []uint64
+	// epoch (guarded by mu) counts content changes: a commit that adds or
+	// tombstones a document, or a statistics exchange, bumps it. Every
+	// cached answer carries the epoch its scatter read, so one bump evicts
+	// them all (see Search).
+	epoch uint64
 	// exhaustive mirrors SetExhaustiveScoring so segments created later
 	// inherit the scoring mode.
 	exhaustive bool
@@ -215,7 +214,6 @@ func newEngine(level semindex.Level, b *semindex.Builder, n int) *Engine {
 		builder:  b,
 		base:     make([]*subIndex, n),
 		segs:     make([][]*subIndex, n),
-		epochs:   make([]uint64, n),
 		pageGIDs: map[string][]int{},
 		nextSeg:  1,
 		met:      newEngineMetrics(obs.Default, n),
@@ -399,7 +397,7 @@ func (e *Engine) commitChunk(commits *sync.WaitGroup, pages []*crawler.MatchPage
 		for _, d := range docsByPage[i] {
 			gid := len(e.byGID)
 			d.Add(MetaGID, strconv.Itoa(gid))
-			e.byGID = append(e.byGID, docRef{sub: e.base[s], shard: s, local: len(e.base[s].gids)})
+			e.byGID = append(e.byGID, docRef{sub: e.base[s], local: len(e.base[s].gids)})
 			e.base[s].gids = append(e.base[s].gids, gid)
 			e.pageGIDs[page.ID] = append(e.pageGIDs[page.ID], gid)
 		}
@@ -452,9 +450,8 @@ func (e *Engine) subsLocked(s int) []*subIndex {
 // every sub-index — the post-build/post-load exchange that makes
 // per-shard ranking globally consistent. LocalStats is tombstone-aware,
 // so the result is exact even mid-LSM-state. Callers must hold the write
-// lock (or be single-threaded, as during Build). All shard epochs advance:
-// the statistics object was replaced, so nothing cached can be trusted
-// structurally.
+// lock (or be single-threaded, as during Build). The epoch advances: the
+// statistics object was replaced, so every cached answer is evicted.
 func (e *Engine) exchangeStats() {
 	per := make([]*index.CorpusStats, len(e.base))
 	fanOut(len(e.base), len(e.base), func(s int) {
@@ -474,9 +471,7 @@ func (e *Engine) exchangeStats() {
 			sub.si.Index.SetCorpusStats(g)
 		}
 	}
-	for s := range e.epochs {
-		e.epochs[s]++
-	}
+	e.epoch++
 }
 
 // SetExhaustiveScoring routes every sub-index through the term-at-a-time

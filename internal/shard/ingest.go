@@ -221,8 +221,9 @@ func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
 // commitLocked is the ingest commit: tombstone each page's previous
 // version, append the new documents to per-shard segments (one new
 // segment per touched shard, all carrying this batch's segment id), fold
-// the segment statistics into the corpus-wide view, and bump the touched
-// shards' epochs. Write lock required.
+// the segment statistics into the corpus-wide view, and bump the epoch
+// when the batch added or tombstoned a document, which evicts every
+// cached answer. Write lock required.
 //
 // Statistics stay integer-exact through any sequence of commits: a
 // tombstone subtracts exactly what the document's Add once contributed
@@ -238,7 +239,6 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 	e.nextSeg++
 	res.Segment = segID
 	newSubs := make([]*subIndex, n)
-	touched := make([]bool, n)
 
 	// removed sums what the batch's tombstones take out of the corpus view,
 	// subtracted once below: a re-upserted page tombstones ~119 documents,
@@ -264,7 +264,6 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			ix.Delete(ref.local)
 			e.liveDocs--
 			res.Tombstones++
-			touched[ref.shard] = true
 		}
 
 		s := shardFor(page.ID, n)
@@ -283,11 +282,10 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			d.Add(MetaGID, strconv.Itoa(gid))
 			local := sub.si.Index.Add(d)
 			sub.gids = append(sub.gids, gid)
-			e.byGID = append(e.byGID, docRef{sub: sub, shard: s, local: local})
+			e.byGID = append(e.byGID, docRef{sub: sub, local: local})
 			gids = append(gids, gid)
 			res.Docs++
 			res.PerShard[s]++
-			touched[s] = true
 		}
 		e.pageGIDs[page.ID] = gids
 	}
@@ -299,10 +297,8 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 		}
 	}
 	e.liveDocs += res.Docs
-	for s := range e.epochs {
-		if touched[s] {
-			e.epochs[s]++
-		}
+	if res.Docs > 0 || res.Tombstones > 0 {
+		e.epoch++
 	}
 	e.updateLSMGaugesLocked()
 	return res

@@ -1,127 +1,84 @@
 package shard
 
-// LSM tests beyond the composed oracle (oracle_test.go): scoped cache
-// invalidation, the merger's threshold and the statistics arithmetic.
+// LSM tests beyond the composed oracle (oracle_test.go): the cache's
+// evict-on-any-write rule, the merger's threshold and the statistics
+// arithmetic.
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/qcache"
 	"repro/internal/semindex"
 )
 
-// scopedFixture finds a (query, page) pair where the query's statistics
-// footprint has no postings on the page's owner shard — the setup where
-// scoped invalidation can prove a cached answer survives the write.
-func scopedFixture(t *testing.T, e *Engine, pages []*crawler.MatchPage) (string, *crawler.MatchPage) {
-	t.Helper()
-	var cands []string
-	for _, p := range pages {
-		for _, lines := range p.Lineups {
-			for _, pl := range lines {
-				cands = append(cands, strings.ToLower(pl.Short))
-			}
-		}
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, p := range pages {
-		s := shardFor(p.ID, len(e.base))
-		for _, q := range cands {
-			fp, ok := e.base[0].si.Prepare(q).Footprint()
-			if !ok || len(fp) == 0 {
-				continue
-			}
-			if !e.shardHasAnyLocked(s, fp) {
-				return q, p
-			}
-		}
-	}
-	t.Fatal("fixture has no shard-local query term; enlarge the corpus")
-	return "", nil
-}
-
-// TestScopedInvalidationKeepsDisjointEntries is the scoped-invalidation
-// unit test: a write to shard S evicts exactly the cached answers whose
-// shard-set or statistics it could touch. A query with no footprint on
-// S stays a HIT across the write; a query matching the written page
-// itself misses and recomputes; every answer equals a cold scatter.
-func TestScopedInvalidationKeepsDisjointEntries(t *testing.T) {
+// TestAnyWriteEvictsCachedAnswers pins the cache's one rule: a commit
+// that adds or tombstones a document evicts every cached answer, even
+// one whose terms occur nowhere in the corpus, while a write that changes
+// no content (an empty batch, a merge) evicts none. Every answer equals a
+// cold scatter.
+func TestAnyWriteEvictsCachedAnswers(t *testing.T) {
 	pages, _ := fixture(t)
 	ctx := context.Background()
-	build := func() *Engine {
-		e := Build(nil, semindex.FullInf, pages, Options{Shards: 4})
-		e.EnableCache(1<<20, obs.NewRegistry())
-		e.SetMetrics(obs.NewRegistry())
-		return e
-	}
+	r := obs.NewRegistry()
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 4})
+	e.EnableCache(1<<20, r)
+	e.SetMetrics(obs.NewRegistry())
+	queries := []string{"goal", "yellow card", "zzxqv wqkjy"}
 
-	e := build()
-	disjoint, target := scopedFixture(t, e, pages)
-	// A query matching the target page itself — its shard-set contains
-	// the written shard, so the write must evict it.
-	var touching string
-	for _, lines := range target.Lineups {
-		for _, pl := range lines {
-			touching = strings.ToLower(pl.Short)
-			break
-		}
-		break
-	}
-
-	warm := func(eng *Engine, q string) {
+	search := func(q string) CacheStatus {
 		t.Helper()
-		for i := 0; i < 2; i++ {
-			if _, err := eng.Search(ctx, q, SearchOptions{Limit: 10}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	status := func(eng *Engine, q string) CacheStatus {
-		t.Helper()
-		res, err := eng.Search(ctx, q, SearchOptions{Limit: 10})
+		res, err := e.Search(ctx, q, SearchOptions{Limit: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := eng.Search(ctx, q, SearchOptions{Limit: 10, NoCache: true})
+		cold, err := e.Search(ctx, q, SearchOptions{Limit: 10, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameHits(t, q+" vs cold", res.Hits, cold.Hits)
 		return res.Cache
 	}
+	expect := func(step string, want CacheStatus) {
+		t.Helper()
+		for _, q := range queries {
+			if got := search(q); got != want {
+				t.Errorf("%s: %q is a %s, want %s", step, q, got, want)
+			}
+		}
+	}
 
-	warm(e, disjoint)
-	warm(e, touching)
-	// Re-ingest the target page unchanged: only its owner shard's epoch
-	// moves, and the corpus statistics net out to exactly their old
-	// values.
-	res, err := e.Ingest(ctx, []*crawler.MatchPage{target}, IngestOptions{Merge: MergeNone})
+	for _, q := range queries {
+		search(q)
+	}
+	expect("warm", CacheHit)
+	invalidations := r.Counter(qcache.MetricInvalidations)
+	before := invalidations.Value()
+	// Re-ingest one page unchanged: its documents are tombstoned and added
+	// again, and the corpus statistics net out to their old values.
+	res, err := e.Ingest(ctx, []*crawler.MatchPage{pages[0]}, IngestOptions{Merge: MergeNone})
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	if res.Tombstones == 0 {
-		t.Fatalf("re-ingest tombstoned nothing: %+v", res)
+	if res.Docs == 0 || res.Tombstones == 0 {
+		t.Fatalf("re-ingest added or tombstoned nothing: %+v", res)
 	}
-	if got := status(e, disjoint); got != CacheHit {
-		t.Errorf("disjoint query after scoped write: %s, want %s", got, CacheHit)
+	expect("after a write", CacheMiss)
+	expect("after recomputing", CacheHit)
+	if got := invalidations.Value() - before; got != uint64(len(queries)) {
+		t.Errorf("write invalidated %d entries, want %d", got, len(queries))
 	}
-	if got := status(e, touching); got != CacheMiss {
-		t.Errorf("touching query after scoped write: %s, want %s", got, CacheMiss)
+
+	if _, err := e.Ingest(ctx, nil, IngestOptions{Merge: MergeNone}); err != nil {
+		t.Fatalf("empty Ingest: %v", err)
 	}
-	// A second disjoint write: the entry's refreshed epochs must keep it
-	// valid, not just the first time.
-	if _, err := e.Ingest(ctx, []*crawler.MatchPage{target}, IngestOptions{Merge: MergeNone}); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	if got := status(e, disjoint); got != CacheHit {
-		t.Errorf("disjoint query after second scoped write: %s, want %s", got, CacheHit)
-	}
+	expect("after an empty ingest", CacheHit)
+	e.ForceMerge()
+	expect("after ForceMerge", CacheHit)
 }
 
 // TestMergerCompactsAtSegmentThreshold: the background merger, started

@@ -91,7 +91,7 @@ func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
 	si.Index.SetCorpusStats(e.global)
 	si.Index.SetExhaustive(e.exhaustive)
 	for local, gid := range nb.gids {
-		e.byGID[gid] = docRef{sub: nb, shard: s, local: local}
+		e.byGID[gid] = docRef{sub: nb, local: local}
 	}
 	e.base[s] = nb
 	releaseSub(old)

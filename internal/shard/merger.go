@@ -251,7 +251,7 @@ func (e *Engine) installMerge(s int, pm *pendingMerge) {
 // after the liveness snapshot are re-deleted on the merged index (their
 // statistics were already subtracted when the tombstone landed), dropped
 // documents become holes, and the merge set's segments are retired.
-// Nothing observable changes: no statistics move, no epochs bump, no
+// Nothing observable changes: no statistics move, the epoch stays, no
 // cache entry is touched. Every installed compaction counts in the merge
 // metrics, timed from its snapshot to this swap. Write lock required.
 //
@@ -275,7 +275,7 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 			nid := remap[local]
 			if nid < 0 {
 				// Dead at snapshot time: dropped by the merge, now a hole.
-				e.byGID[gid] = docRef{sub: nil, shard: -1}
+				e.byGID[gid] = docRef{}
 				continue
 			}
 			if sub.si.Index.IsDeleted(local) && !serve.IsDeleted(nid) {
@@ -283,7 +283,7 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 				serve.Delete(nid)
 			}
 			newBase.gids[nid] = gid
-			e.byGID[gid] = docRef{sub: newBase, shard: s, local: nid}
+			e.byGID[gid] = docRef{sub: newBase, local: nid}
 		}
 	}
 	oldBase := e.base[s]

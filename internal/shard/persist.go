@@ -653,9 +653,6 @@ func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quaran
 		total = nextGID
 	}
 	e.byGID = make([]docRef, total)
-	for i := range e.byGID {
-		e.byGID[i] = docRef{shard: -1}
-	}
 	seen := make([]bool, total)
 	live := 0
 	for s := range shards {
@@ -668,7 +665,7 @@ func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quaran
 				return nil, fmt.Errorf("shard %d doc %d: duplicate global id %d", s, local, gid)
 			}
 			seen[gid] = true
-			e.byGID[gid] = docRef{sub: e.base[s], shard: s, local: local}
+			e.byGID[gid] = docRef{sub: e.base[s], local: local}
 			live++
 		}
 	}

@@ -77,13 +77,11 @@ type SearchResult struct {
 // returns its error without searching.
 //
 // When a query-result cache is installed (EnableCache), complete
-// answers are cached and validated with SCOPED invalidation: each entry
-// captures the per-shard epochs, the query's statistics footprint and
-// the shard-set it drew from, and a lookup proves the entry still
-// byte-identical to a cold scatter — an ingest
-// into a shard outside the entry's shard-set that leaves the footprint's
-// statistics untouched does not evict it. Entries that cannot be proven
-// current are evicted on the spot. Degraded answers are never cached.
+// answers are cached under the engine epoch their scatter read. A commit
+// that adds or tombstones a document, or a statistics exchange, bumps the
+// epoch, so any write evicts every cached answer: a lookup serves an
+// entry only when its epoch is the current one. Degraded answers are
+// never cached.
 func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (SearchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SearchResult{}, err
@@ -95,37 +93,34 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 	if opts.Limit < 0 {
 		opts.Limit = 0
 	}
-	// Snapshot the swappable state under the read lock: SetMetrics and
-	// EnableCache replace these under the write lock.
+	// Snapshot the swappable state and the epoch under the read lock:
+	// SetMetrics and EnableCache replace the former under the write lock,
+	// and every write bumps the latter under it.
 	e.mu.RLock()
-	cache, flight, met := e.cache, e.flight, e.met
+	cache, flight, met, epoch := e.cache, e.flight, e.met, e.epoch
 	e.mu.RUnlock()
 	if cache == nil || opts.NoCache {
-		res := e.searchCold(ctx, query, opts, nil)
+		res, _ := e.searchCold(ctx, query, opts)
 		res.Cache = CacheBypass
 		return res, nil
 	}
 	start := time.Now()
 	key := e.cacheKey(query, opts)
-	if v, ok := cache.GetValidate(key, func(val any) bool {
-		return e.validateEntry(val.(*cacheEntry))
-	}); ok {
+	if v, ok := cache.Get(key, epoch); ok {
 		ent := v.(*cacheEntry)
 		met.cacheHit.ObserveDuration(time.Since(start))
 		return SearchResult{Hits: cloneHits(ent.hits), Report: ent.report, Cache: CacheHit}, nil
 	}
 	v, leader, err := flight.Do(ctx, key, func() any {
-		snap := &cacheSnap{}
-		res := e.searchCold(ctx, query, opts, snap)
+		res, epoch := e.searchCold(ctx, query, opts)
 		if !res.Report.Degraded {
 			// The cache owns a private copy: callers are free to truncate
 			// or reorder their slice without poisoning later hits. The
-			// snapshot (epochs, footprint, shard-set, statistics
-			// signature) was captured under the same read lock as the
-			// scatter, so validation is against exactly what this answer
-			// was computed from.
-			ent := &cacheEntry{hits: cloneHits(res.Hits), report: res.Report, snap: snap}
-			cache.Put(key, ent, entryBytes(key, ent.hits), 0)
+			// entry is stored under the epoch the scatter read under its
+			// own read lock: the epoch this answer is exact at, even when
+			// a write landed after the lookup above.
+			ent := &cacheEntry{hits: cloneHits(res.Hits), report: res.Report}
+			cache.Put(key, ent, entryBytes(key, ent.hits), epoch)
 		}
 		return res
 	})
@@ -142,122 +137,10 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 	return SearchResult{Hits: cloneHits(res.Hits), Report: res.Report, Cache: CacheCoalesced}, nil
 }
 
-// cacheSnap captures everything needed to later prove a cached answer is
-// still byte-identical to a cold scatter — all read under the same lock
-// as the scatter that produced the answer.
-type cacheSnap struct {
-	// epochs is every shard's content epoch at compute time. All equal
-	// at lookup time → nothing changed → valid. Refreshed in place when
-	// a lookup proves validity the long way (under the cache's segment
-	// lock, see qcache.GetValidate).
-	epochs []uint64
-	// fp is the query's statistics footprint — the (field, term) pairs
-	// its ranking reads — and fpOK whether it was computable (advanced
-	// parser syntax is not). With fpOK false, any epoch motion evicts.
-	fp   []index.FieldTerm
-	fpOK bool
-	// shardSet flags the shards holding at least one posting for any
-	// footprint pair at compute time — the shards the answer could have
-	// drawn hits from. A write to a shard in the set evicts.
-	shardSet []bool
-	// sig is the signature of every corpus statistic the query's scores
-	// read (see statsSigLocked). Unchanged sig + untouched shard-set →
-	// every score and tie-break input is unchanged → byte-identical.
-	sig []int
-}
-
 // cacheEntry is the cached value for one query shape.
 type cacheEntry struct {
 	hits   []semindex.Hit
 	report SearchReport
-	snap   *cacheSnap
-}
-
-// validateEntry decides whether a cached answer is still byte-identical
-// to what a cold scatter would return. It runs under the cache segment
-// lock (GetValidate) and takes the engine read lock — never the reverse
-// order anywhere, so no deadlock. On the slow path it may refresh the
-// entry's epochs in place after proving validity.
-func (e *Engine) validateEntry(ent *cacheEntry) bool {
-	snap := ent.snap
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if snap == nil || len(snap.epochs) != len(e.epochs) {
-		return false
-	}
-	stale := false
-	for s := range e.epochs {
-		if snap.epochs[s] != e.epochs[s] {
-			stale = true
-			break
-		}
-	}
-	if !stale {
-		return true
-	}
-	if !snap.fpOK {
-		return false
-	}
-	for s := range e.epochs {
-		if snap.epochs[s] == e.epochs[s] {
-			continue
-		}
-		if snap.shardSet[s] {
-			// The write landed in a shard the answer drew from (or could
-			// have): hits, scores or tie order may differ. Evict.
-			return false
-		}
-		if e.shardHasAnyLocked(s, snap.fp) {
-			// The shard contributed nothing before but now holds postings
-			// for the query's terms: it could contribute hits. Evict.
-			return false
-		}
-	}
-	// No contributing shard changed and the changed shards still cannot
-	// match. The remaining risk is global statistics motion shifting
-	// scores; the signature rules that out.
-	if !slices.Equal(snap.sig, e.statsSigLocked(snap.fp)) {
-		return false
-	}
-	copy(snap.epochs, e.epochs)
-	return true
-}
-
-// shardHasAnyLocked reports whether any sub-index of shard s holds at
-// least one posting (live or tombstoned — conservative) for any of the
-// footprint's (field, term) pairs. Read lock required.
-func (e *Engine) shardHasAnyLocked(s int, fp []index.FieldTerm) bool {
-	for _, sub := range e.subsLocked(s) {
-		for _, ft := range fp {
-			if sub.si.Index.DocFreq(ft.Field, ft.Term) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// statsSigLocked fingerprints every corpus-wide statistic the query's
-// ranking reads: the global document count, each footprint pair's
-// document frequency, and each footprint field's doc count and total
-// length (the average-length inputs). All integers, deterministically
-// ordered by the footprint. Read lock required.
-func (e *Engine) statsSigLocked(fp []index.FieldTerm) []int {
-	sig := make([]int, 0, 1+3*len(fp))
-	sig = append(sig, e.global.Docs)
-	seen := make(map[string]bool, 4)
-	for _, ft := range fp {
-		sig = append(sig, e.global.DocFreq(ft.Field, ft.Term))
-		if !seen[ft.Field] {
-			seen[ft.Field] = true
-			if fs := e.global.Fields[ft.Field]; fs != nil {
-				sig = append(sig, fs.Docs, fs.SumLen)
-			} else {
-				sig = append(sig, 0, 0)
-			}
-		}
-	}
-	return sig
 }
 
 // cacheKey builds the cache key: normalized query (whitespace collapsed
@@ -273,7 +156,9 @@ func (e *Engine) cacheKey(query string, opts SearchOptions) string {
 // bookkeeping and the hit structs. Stored documents are shared with the
 // index (the cache holds pointers, not copies), so they are not charged.
 func entryBytes(key string, hits []semindex.Hit) int64 {
-	const entryOverhead = 192 // entry + snapshot bookkeeping
+	// cacheEntry 56 B, qcache entry 48, LRU element 40, map slot ~32 on
+	// 64-bit: ~176, rounded up to 192.
+	const entryOverhead = 192
 	return int64(len(key)) + entryOverhead + int64(len(hits))*int64(unsafe.Sizeof(semindex.Hit{}))
 }
 
@@ -286,15 +171,16 @@ func cloneHits(hits []semindex.Hit) []semindex.Hit {
 	return append([]semindex.Hit(nil), hits...)
 }
 
-// searchCold runs the actual scatter-gather under the read lock. When
-// snap is non-nil it is filled — under that same read lock — with the
-// validation snapshot for caching. The context deadline, when present,
-// is the per-scatter collection budget: shards that miss it are dropped
-// from the merge and reported.
-func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions, snap *cacheSnap) SearchResult {
+// searchCold runs the actual scatter-gather under the read lock and
+// returns the answer with the engine epoch read under that same lock, the
+// epoch a cached copy of the answer is valid at. The context deadline,
+// when present, is the per-scatter collection budget: shards that miss it
+// are dropped from the merge and reported.
+func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions) (SearchResult, uint64) {
 	start := time.Now()
 	tr := opts.Trace
 	e.mu.RLock()
+	epoch := e.epoch
 	// The text is parsed and analyzed here, once; shards and segments only
 	// look its terms up.
 	pq := e.prepareLocked(query)
@@ -340,24 +226,13 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 		rep.Missing = mergeMissing(e.quarantined, rep.Missing)
 	}
 	hits := e.merge(tr, per, opts.Limit)
-	if snap != nil {
-		snap.epochs = append([]uint64(nil), e.epochs...)
-		snap.fp, snap.fpOK = pq.Footprint()
-		if snap.fpOK {
-			snap.shardSet = make([]bool, len(e.base))
-			for s := range e.base {
-				snap.shardSet[s] = e.shardHasAnyLocked(s, snap.fp)
-			}
-			snap.sig = e.statsSigLocked(snap.fp)
-		}
-	}
 	release()
 	if rep.Degraded {
 		met.degraded.Inc()
 		met.missing.Add(uint64(len(rep.Missing)))
 	}
 	met.latency.ObserveDuration(time.Since(start))
-	return SearchResult{Hits: hits, Report: rep}
+	return SearchResult{Hits: hits, Report: rep}, epoch
 }
 
 // prepareLocked routes and analyzes a search's text for the whole engine:
