@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,7 +22,7 @@ import (
 	"repro/internal/semindex"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/encode.golden from the index this tree builds")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/encode.golden and testdata/scores.golden from the index this tree builds and the rankings it serves")
 
 var goldenDocs = sync.OnceValue(func() []*index.Document {
 	g := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
@@ -225,6 +226,75 @@ func TestMappedServesGoldenBytes(t *testing.T) {
 		}
 		if matched < len(queries)/2 {
 			t.Errorf("only %d of %d queries matched anything", matched, len(queries))
+		}
+	}
+}
+
+// TestScoresGolden pins the bits of every score the golden index ranks
+// with, under both similarities: for 200 generated queries in the four
+// search classes, the top ten as docID and the score's float64 bits. The
+// exhaustive path, the kernel on the built index and the kernel on its
+// mapped encoding must each produce the pinned line. The other oracles
+// compare the kernel with the exhaustive path, which shares the scoring
+// formulas; this test is what holds the formulas themselves still.
+func TestScoresGolden(t *testing.T) {
+	ix := goldenIndex()
+	var payload bytes.Buffer
+	toc, err := ix.EncodeWithTOC(&payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := index.OpenMapped(payload.Bytes(), toc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301}).Universe()
+	queries := loadgen.GenerateQueries(loadgen.VocabFromUniverse(universe),
+		map[loadgen.Class]int{loadgen.ClassKeyword: 5, loadgen.ClassPhrase: 2, loadgen.ClassField: 2, loadgen.ClassFuzzy: 1}, 200, 7)
+	line := func(hits []index.Hit) string {
+		var b strings.Builder
+		for _, h := range hits {
+			fmt.Fprintf(&b, " %d:%x", h.DocID, math.Float64bits(h.Score))
+		}
+		return b.String()
+	}
+	var got strings.Builder
+	for _, sim := range []index.Similarity{index.ClassicTFIDF{}, index.BM25{}} {
+		ix.SetSimilarity(sim)
+		mapped.SetSimilarity(sim)
+		for _, lq := range queries {
+			q, err := index.ParseQuery(lq.Text, semindex.QueryBoosts)
+			if err != nil {
+				t.Fatalf("%q: %v", lq.Text, err)
+			}
+			want := line(ix.ExhaustiveSearch(q, 10))
+			if heap := line(ix.Search(q, 10)); heap != want {
+				t.Errorf("%T %q: heap Search%s, ExhaustiveSearch%s", sim, lq.Text, heap, want)
+			}
+			if m := line(mapped.Search(q, 10)); m != want {
+				t.Errorf("%T %q: mapped Search%s, ExhaustiveSearch%s", sim, lq.Text, m, want)
+			}
+			fmt.Fprintf(&got, "%T %q%s\n", sim, lq.Text, want)
+		}
+	}
+
+	path := filepath.Join("testdata", "scores.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d ranked lines, %d pinned", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d changed:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
 		}
 	}
 }
