@@ -9,9 +9,9 @@ import (
 // two-token keyword query over the nine semantic fields is up to eighteen
 // term cursors under one boolean scorer, which inlines each token's field
 // disjunction — walks it once and drops it.
-// Instead of a heap allocation per node, child list, similarity value and
-// mapped block buffer, the tree is built in a searchArena taken from a
-// pool and handed back, cleared, once the hits are collected.
+// Instead of a heap allocation per node, child list and mapped block
+// buffer, the tree is built in a searchArena taken from a pool and handed
+// back, cleared, once the hits are collected.
 //
 // An arena is one slab per element type. A slab hands out consecutive
 // stretches of one backing array and never moves a stretch it handed out,
@@ -38,8 +38,6 @@ type searchArena struct {
 	floats  slab[float64]
 	cursors slab[postingsCursor] // a phrase's later terms
 	follow  slab[[]int32]
-	classic slab[classicTerm]
-	bm25    slab[bm25Term]
 	// Mapped cursors' block buffers: docIDs and positions, position ends.
 	int32s  slab[int32]
 	uint32s slab[uint32]
@@ -75,24 +73,8 @@ func (a *searchArena) clear() int {
 	a.expTerms, a.expWeights = a.expTerms[:0], a.expWeights[:0]
 	return a.terms.clear() + a.phrases.clear() + a.bools.clear() + a.maxes.clear() +
 		a.scorers.clear() + a.ints.clear() + a.floats.clear() + a.cursors.clear() +
-		a.follow.clear() + a.classic.clear() + a.bm25.clear() + a.int32s.clear() + a.uint32s.clear() +
+		a.follow.clear() + a.int32s.clear() + a.uint32s.clear() +
 		cap(a.expTerms)*int(unsafe.Sizeof("")) + cap(a.expWeights)*8
-}
-
-// termSim is sim bound to one term's statistics. The built-in similarities'
-// per-term values live in the arena; any other similarity boxes its own.
-func (a *searchArena) termSim(sim Similarity, st termStats) TermScorer {
-	switch s := sim.(type) {
-	case ClassicTFIDF:
-		t := &a.classic.take(1)[0]
-		*t = s.term(st.df, st.numDocs)
-		return t
-	case BM25:
-		t := &a.bm25.take(1)[0]
-		*t = s.term(st.df, st.numDocs, st.avgLen)
-		return t
-	}
-	return st.scorer(sim)
 }
 
 // unpositioned returns n child positions, all before the first document,

@@ -242,10 +242,10 @@ func TestBoundsAreExact(t *testing.T) {
 					for _, df := range []int{1, src.len(), ix.NumDocs()} {
 						st := ix.termStats(field, term)
 						st.df = df
-						ts := st.scorer(ix.sim)
+						w := ix.sim.weight(st)
 						for _, qb := range queryBoosts {
-							bound, pb := ix.scoreBound(cp, st, qb), phraseBound(cp, idfSum, qb)
-							best := ts.Score(cp.maxFreq, cp.minLen) * cp.maxBoost * qb
+							bound, pb := scoreBound(cp, w, qb), phraseBound(cp, idfSum, qb)
+							best := w.score(cp.maxFreq, cp.minLen) * cp.maxBoost * qb
 							bestPhrase := phraseScore(cp.maxFreq, idfSum, cp.maxBoost, norm(cp.minLen), qb)
 							if bits(bound) != bits(best) || bits(pb) != bits(bestPhrase) {
 								t.Fatalf("%s %s:%s block %d %+v df %d query boost %v: term bound %v, best-case score %v; phrase bound %v, best-case score %v",
@@ -254,7 +254,7 @@ func TestBoundsAreExact(t *testing.T) {
 							for i := b * postingBlockSize; i < min((b+1)*postingBlockSize, c.n); i++ {
 								d := c.docAt(i)
 								freq, boost := c.at(i)
-								score := ts.Score(freq, fi.lengthOf(d)) * boost * qb
+								score := w.score(freq, fi.lengthOf(d)) * boost * qb
 								// A phrase starting at the posting occurs at most
 								// freq times there.
 								phrase := phraseScore(freq, idfSum, boost, fi.norm(d), qb)
@@ -285,16 +285,13 @@ func TestBoundsAreExact(t *testing.T) {
 	}
 	const numDocs, avgLen = 1200, 6.3
 	for _, sim := range []Similarity{ClassicTFIDF{}, BM25{}} {
-		ix := New(StandardAnalyzer{})
-		ix.SetSimilarity(sim)
 		_, exact := sim.(ClassicTFIDF)
 		for _, df := range []int{0, 1, 7, 150, numDocs} {
-			st := termStats{df: df, numDocs: numDocs, avgLen: avgLen}
-			ts := st.scorer(sim)
+			w := sim.weight(termStats{df: df, numDocs: numDocs, avgLen: avgLen})
 			for _, qb := range queryBoosts {
 				for _, cp := range shapes {
-					bound, pb := ix.scoreBound(cp, st, qb), phraseBound(cp, idfSum, qb)
-					if exact && bits(bound) != bits(ts.Score(cp.maxFreq, cp.minLen)*cp.maxBoost*qb) ||
+					bound, pb := scoreBound(cp, w, qb), phraseBound(cp, idfSum, qb)
+					if exact && bits(bound) != bits(w.score(cp.maxFreq, cp.minLen)*cp.maxBoost*qb) ||
 						bits(pb) != bits(phraseScore(cp.maxFreq, idfSum, cp.maxBoost, norm(cp.minLen), qb)) {
 						t.Fatalf("%T shape %+v df %d query boost %v: term bound %v, phrase bound %v, not the best-case scores",
 							sim, cp, df, qb, bound, pb)
@@ -303,7 +300,7 @@ func TestBoundsAreExact(t *testing.T) {
 						if p.maxFreq > cp.maxFreq || p.minLen < cp.minLen || p.maxBoost > cp.maxBoost {
 							continue
 						}
-						score := ts.Score(p.maxFreq, p.minLen) * p.maxBoost * qb
+						score := w.score(p.maxFreq, p.minLen) * p.maxBoost * qb
 						phrase := phraseScore(p.maxFreq, idfSum, p.maxBoost, norm(p.minLen), qb)
 						if score > bound || phrase > pb {
 							t.Fatalf("%T shape %+v df %d query boost %v: a posting shaped %+v scores %v over the bound %v (phrase %v, bound %v)",

@@ -643,26 +643,26 @@ func (t *docTable) norm(id int) float64 {
 
 // scoreBound returns an upper bound on the score any posting within c's
 // limits (frequency at most maxFreq, document at least minLen long, posting
-// boost at most maxBoost) can earn from its term at the given query boost —
-// what pruning compares against the top-k threshold, per term (c the term's
-// cap) and per posting block (c the block's). The similarity is evaluated
-// at that best-case posting shape under the statistics real scoring uses,
-// so the bound holds per shard even when corpus-wide statistics are
-// installed. A negative boost would flip the best case into a lower
-// bound, so it gets +Inf, which disables pruning but keeps evaluation
-// correct.
+// boost at most maxBoost) can earn from the term w weighs at the given
+// query boost — what pruning compares against the top-k threshold, per term
+// (c the term's cap) and per posting block (c the block's). w holds the
+// statistics real scoring uses, so the bound holds per shard even when
+// corpus-wide statistics are installed. A negative boost would flip the
+// best case into a lower bound, so it gets +Inf, which disables pruning but
+// keeps evaluation correct.
 //
-// The bound carries no margin. It is the expression termScorer.score and
-// termClause.scores form, in their association, at inputs that dominate
-// every posting's; each rounded step is monotone in its inputs, so the
-// bound is at or above every score it covers, bit for bit, and equals the
-// score of a posting with the best-case shape. A block that can only tie
-// the threshold is therefore skipped (DESIGN.md §10).
-func (ix *Index) scoreBound(c termCap, st termStats, queryBoost float64) float64 {
+// The boosts add no margin. The bound is the expression termScorer.score
+// and termClause.scores form, in their association, at inputs that
+// dominate every posting's; each rounded step is monotone in its inputs.
+// Under ClassicTFIDF the bound is therefore at or above every score it
+// covers, bit for bit, and equals the score of a posting with the
+// best-case shape, so a block that can only tie the threshold is skipped
+// (DESIGN.md §10). Under BM25 the weight's bound carries capSlack.
+func scoreBound(c termCap, w termWeight, queryBoost float64) float64 {
 	if c.maxBoost < 0 || queryBoost < 0 {
 		return math.Inf(1)
 	}
-	return ix.sim.TermScoreBound(c.maxFreq, st.df, st.numDocs, c.minLen, st.avgLen) * c.maxBoost * queryBoost
+	return w.bound(c.maxFreq, c.minLen) * c.maxBoost * queryBoost
 }
 
 // observe widens the cap to cover a posting with the given shape.

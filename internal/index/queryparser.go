@@ -159,12 +159,12 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 	out := make(map[int]float64)
 	terms, weights := fi.expansions(q.target, nil, nil)
 	for i, term := range terms {
-		ts := ix.termStats(q.field, term).scorer(ix.sim)
+		w := ix.sim.weight(ix.termStats(q.field, term))
 		// postingsOf after the edit-distance filter: only the few matching
 		// expansions are materialized on a mapped index.
 		te := fi.postingsOf(term)
 		for k, d := range te.docs {
-			s := ts.Score(te.freq(k), fi.lengthOf(int(d))) * te.boostAt(k) * q.boost * weights[i]
+			s := w.score(te.freq(k), fi.lengthOf(int(d))) * te.boostAt(k) * q.boost * weights[i]
 			if s > out[int(d)] {
 				out[int(d)] = s
 			}

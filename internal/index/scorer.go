@@ -34,12 +34,13 @@ const noMoreDocs = math.MaxInt
 
 // capSlack is the margin of the two bounds that cannot be formed exactly
 // like the scores they bound. Every other bound is the score's own
-// expression at dominating inputs and carries none (Index.scoreBound,
-// phraseBound, booleanScorer's prefix sums), so a block or window that can
-// only tie the threshold is skipped. The two that keep it:
-//   - BM25.TermScoreBound: tf sits in both the numerator and the
-//     denominator, so rounding can invert its monotonicity, and Go may fuse
-//     x*y+z into one rounding on some architectures;
+// expression at dominating inputs and carries none (scoreBound under
+// ClassicTFIDF, phraseBound, booleanScorer's prefix sums), so a block or
+// window that can only tie the threshold is skipped. The two that keep it:
+//   - BM25's termWeight.bound, and so scoreBound under BM25: tf sits in
+//     both the numerator and the denominator, so rounding can invert its
+//     monotonicity, and Go may fuse x*y+z into one rounding on some
+//     architectures;
 //   - a boolean clause's child bar, th/capSlack − rest_i·capSlack
 //     (booleanScorer.setThreshold), which subtracts.
 const capSlack = 1 + 1e-9
@@ -111,23 +112,22 @@ func liveScorers(ix *Index, a *searchArena, clauses []boundQuery) []scorer {
 }
 
 // termScorer walks one term's posting list through its cursor, scoring
-// with the index's similarity exactly like termClause.scores. It records
+// with the term's weight exactly like termClause.scores. It records
 // the docID it stands on where it moves (next, advance), the rule the
 // compound scorers below follow one level down: advance's early-out and
 // score read it back instead of asking the cursor again.
 type termScorer struct {
 	// i is the cursor's posting index (cur.n once exhausted) and d the docID
 	// there: -1 before the first document, noMoreDocs after the last. The
-	// fields every posting reads come first, so they share cache lines with
-	// the head of the cursor's run.
+	// fields every posting reads come first, in the struct's first 64 bytes,
+	// so they share cache lines with the head of the cursor's run: docLen's
+	// capacity, which no posting reads, is the one word past them.
 	i, d  int
-	ts    TermScorer
+	w     termWeight
 	boost float64
 	// docLen is the field's length table; every posting's document is in it.
 	docLen []int32
 	cur    postingsCursor
-	ix     *Index
-	st     termStats
 	cap    float64
 
 	// Block-Max state: shallowBlk is the maxScoreUpTo probe's block,
@@ -153,17 +153,16 @@ func newTermScorer(ix *Index, a *searchArena, field, term string, queryBoost flo
 	if src.len() == 0 {
 		return emptyScorer{}
 	}
-	st := ix.termStats(field, term)
 	s := &a.terms.take(1)[0]
 	*s = termScorer{
-		ix: ix, docLen: fi.docLen,
-		st: st, ts: a.termSim(ix.sim, st),
-		boost: queryBoost,
-		i:     -1, d: -1,
+		w:      ix.sim.weight(ix.termStats(field, term)),
+		docLen: fi.docLen,
+		boost:  queryBoost,
+		i:      -1, d: -1,
 		cachedBlock: -1,
 	}
 	s.cur.init(src, false, a)
-	s.cap = ix.scoreBound(s.cur.listCap(), st, queryBoost)
+	s.cap = scoreBound(s.cur.listCap(), s.w, queryBoost)
 	return s
 }
 
@@ -215,10 +214,10 @@ func (s *termScorer) skipBeatenBlocks() {
 	}
 }
 
-// blockBound is the score bound of block b (see Index.scoreBound).
+// blockBound is the score bound of block b (see scoreBound).
 func (s *termScorer) blockBound(b int) float64 {
 	if b != s.cachedBlock {
-		s.cachedBlock, s.cachedBound = b, s.ix.scoreBound(s.cur.blockCap(b), s.st, s.boost)
+		s.cachedBlock, s.cachedBound = b, scoreBound(s.cur.blockCap(b), s.w, s.boost)
 	}
 	return s.cachedBound
 }
@@ -248,7 +247,7 @@ func (s *termScorer) score() float64 {
 	if uint(k) >= uint(len(c.posEnd)) && !c.loadFreqs(k) {
 		return 0 // a spoiled mapped block: the posting cannot be read
 	}
-	return s.ts.Score(c.freq(k), int(s.docLen[s.d])) * c.boostAt(k) * s.boost
+	return s.w.score(c.freq(k), int(s.docLen[s.d])) * c.boostAt(k) * s.boost
 }
 
 func (s *termScorer) maxScore() float64 { return s.cap }

@@ -203,10 +203,10 @@ func (q *termClause) scores(ix *Index) map[int]float64 {
 		return nil
 	}
 	te := fi.postingsOf(q.term)
-	ts := ix.termStats(q.field, q.term).scorer(ix.sim)
+	w := ix.sim.weight(ix.termStats(q.field, q.term))
 	out := make(map[int]float64, len(te.docs))
 	for i, d := range te.docs {
-		out[int(d)] = ts.Score(te.freq(i), fi.lengthOf(int(d))) * te.boostAt(i) * q.boost
+		out[int(d)] = w.score(te.freq(i), fi.lengthOf(int(d))) * te.boostAt(i) * q.boost
 	}
 	return out
 }

@@ -260,11 +260,6 @@ type termStats struct {
 	avgLen      float64
 }
 
-// scorer prepares the similarity for the term.
-func (st termStats) scorer(sim Similarity) TermScorer {
-	return sim.Scorer(st.df, st.numDocs, st.avgLen)
-}
-
 // termStats gathers a term's scoring statistics in one walk: the
 // corpus-wide view when one is installed, the index's own counts otherwise.
 func (ix *Index) termStats(field, term string) termStats {
