@@ -218,6 +218,44 @@ func BenchmarkQueryCold(b *testing.B) {
 	benchmarkQueryClasses(b, eng, gen, false)
 }
 
+// BenchmarkQueryPhrasal is BenchmarkQueryCold at the phrasal-expression
+// level (Section 6, semindex.PhrExp): 64 queries shaped "<player> <event>
+// by <player>" and "<team> <event> to <player>". Their plain part has two
+// or more tokens, so phrasalQuery puts a coordinated multi-field
+// disjunction under its uncoordinated root beside the fused phrase term,
+// the one nested shape a root threshold does not reach inside. ns/op and
+// allocs/op are per search.
+func BenchmarkQueryPhrasal(b *testing.B) {
+	pages, gen := benchmarkCorpus(b, 30)
+	eng := shard.Build(semindex.NewBuilder(), semindex.PhrExp, pages, shard.Options{Shards: 2})
+	defer eng.Close()
+	vocab := loadgen.VocabFromUniverse(gen.Universe())
+	r := rand.New(rand.NewSource(20100301))
+	// head draws a name from the popular head, as the load generator does.
+	head := func(names []string) string {
+		f := r.Float64()
+		return strings.ToLower(names[int(f*f*float64(len(names)))])
+	}
+	queries := make([]string, 64)
+	for i := range queries {
+		event := vocab.Events[r.Intn(len(vocab.Events))]
+		if i%2 == 0 {
+			queries[i] = head(vocab.Players) + " " + event + " by " + head(vocab.Players)
+		} else {
+			queries[i] = head(vocab.Teams) + " " + event + " to " + head(vocab.Players)
+		}
+	}
+	opts := shard.SearchOptions{Limit: 10, NoCache: true}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := eng.Search(ctx, queries[i%len(queries)], opts); err != nil || res.Report.Degraded {
+			b.Fatalf("search %q: %v %+v", queries[i%len(queries)], err, res.Report)
+		}
+	}
+}
+
 // BenchmarkQueryMapped is BenchmarkQueryCold on the read path the
 // mapped_serve workload drives: the same engine saved, then reopened with
 // LoadWith(Mapped), so postings decode from the file's bytes block by
