@@ -1,9 +1,6 @@
 package index
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Document-at-a-time (DAAT) evaluation with Block-Max pruning. A scorer is
 // a cursor over one clause's matching documents; posting lists are walked
@@ -32,17 +29,14 @@ import (
 // noMoreDocs is the docID sentinel every exhausted scorer reports.
 const noMoreDocs = math.MaxInt
 
-// capSlack is the margin of the two bounds that cannot be formed exactly
-// like the scores they bound. Every other bound is the score's own
+// capSlack is the margin of the one bound that cannot be formed exactly
+// like the scores it bounds: BM25's termWeight.bound, and so scoreBound
+// under BM25. tf sits in both the numerator and the denominator, so
+// rounding can invert its monotonicity, and Go may fuse x*y+z into one
+// rounding on some architectures. Every other bound is the score's own
 // expression at dominating inputs and carries none (scoreBound under
 // ClassicTFIDF, phraseBound, booleanScorer's prefix sums), so a block or
-// window that can only tie the threshold is skipped. The two that keep it:
-//   - BM25's termWeight.bound, and so scoreBound under BM25: tf sits in
-//     both the numerator and the denominator, so rounding can invert its
-//     monotonicity, and Go may fuse x*y+z into one rounding on some
-//     architectures;
-//   - a boolean clause's child bar, th/capSlack − rest_i·capSlack
-//     (booleanScorer.setThreshold), which subtracts.
+// window that can only tie the threshold is skipped.
 const capSlack = 1 + 1e-9
 
 // scorer is a cursor over one query clause's matching documents in
@@ -76,16 +70,13 @@ type scorer interface {
 }
 
 // prunable is implemented by scorers that can exploit the collector's
-// rising top-k threshold. The root scorer of a search receives the
-// collector's threshold itself; a disjunction hands each Should that is a
-// boolean scorer a lower bar of its own (booleanScorer.setThreshold),
-// chosen so that whatever the clause does at or under that bar, the
-// disjunction's document stays at or under its own.
+// rising top-k threshold. Only the root scorer of a search receives it;
+// no child is handed a threshold.
 type prunable interface {
 	// setThreshold promises that only documents scoring strictly above th
-	// count; for a document the scorer can prove at or below th it may
-	// skip it or report any score at or below th, not necessarily the exact
-	// one. Thresholds only rise.
+	// count. The scorer may skip a document only where it proves the
+	// document cannot score above th, and it scores every document it
+	// lands on exactly. Thresholds only rise.
 	setThreshold(th float64)
 }
 
@@ -131,10 +122,10 @@ type termScorer struct {
 	cap    float64
 
 	// Block-Max state: shallowBlk is the maxScoreUpTo probe's block,
-	// monotone because targets only rise; th is the collector threshold
-	// (root-only, see setThreshold); cachedBlock/cachedBound memoize the
-	// last block bound evaluation — the similarity math runs once per
-	// block, not once per probe.
+	// monotone because targets only rise; th is the collector threshold,
+	// set only on a root (see setThreshold); cachedBlock/cachedBound
+	// memoize the last block bound evaluation — the similarity math runs
+	// once per block, not once per probe.
 	shallowBlk  int
 	th          float64
 	cachedBlock int
@@ -194,9 +185,9 @@ func (s *termScorer) next() int {
 
 // setThreshold implements prunable. As the root scorer of a plain term
 // query the cursor hops whole blocks whose bound cannot beat the
-// collector threshold; a term under a boolean clause never receives a
-// threshold (see booleanScorer.setThreshold), so th stays 0 there and
-// next() surfaces every posting.
+// collector threshold. A term under a boolean clause never receives a
+// threshold: th stays 0 there, next() surfaces every posting, and the
+// root's window check jumps the blocks the term could skip.
 func (s *termScorer) setThreshold(th float64) { s.th = th }
 
 // skipBeatenBlocks moves the cursor forward over whole blocks proven
@@ -607,8 +598,9 @@ func (m *maxScorer) maxScoreUpTo(target int) (float64, int) {
 // adding the groups in clause order, which is the nested clause's
 // expression bit for bit. A two-token keyword query over nine fields is
 // then one scorer over eighteen cursors, partitioned by one MaxScore. A
-// Should that cannot be inlined is one leaf, a group of its own, and when
-// it is a boolean scorer it gets a bar of its own (see setThreshold).
+// Should that cannot be inlined is one leaf, a group of its own, scored
+// exactly wherever the disjunction lands; only the root receives a
+// threshold (see setThreshold).
 type booleanScorer struct {
 	musts   []scorer
 	shoulds []scorer
@@ -628,9 +620,9 @@ type booleanScorer struct {
 	curScore float64
 	cap      float64
 	dead     bool
-	// th is the threshold (the collector's at the root, a child bar
-	// below it, 0 until one arrives) and win the window it was last
-	// compared against, see seek.
+	// th is the collector's threshold (0 until one arrives, and always 0
+	// below the root) and win the window it was last compared against,
+	// see seek.
 	th  float64
 	win window
 
@@ -638,13 +630,9 @@ type booleanScorer struct {
 	// indices weakest first (see newBooleanScorer), prefix[k] the grouped
 	// bound-sum of sorted[:k], groupsIn[k] the number of groups among
 	// sorted[:k], and the first nonEss entries are currently non-essential.
-	// rest[i] is the bound-sum of every Should but i, nil unless every
-	// bound is finite and some Should is itself a boolean scorer (see
-	// setThreshold).
 	sorted   []int
 	prefix   []float64
 	groupsIn []int
-	rest     []float64
 	nonEss   int
 }
 
@@ -727,7 +715,7 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	// Should's rank in it and the group counts share one stretch.
 	ints := a.unpositioned(nm+ns+nn, 3*ns+1)
 	b.mustDoc, b.shouldDoc, b.notDoc = ints[:nm], ints[nm:nm+ns], ints[nm+ns:nm+ns+nn]
-	caps := a.floats.take(4*ns + 1)
+	caps := a.floats.take(3*ns + 1)
 	for _, m := range b.musts {
 		b.cap += m.maxScore()
 	}
@@ -783,16 +771,6 @@ func newBooleanScorer(ix *Index, a *searchArena, q *boolClause) scorer {
 	for k := 1; k <= ns; k++ {
 		b.prefix[k] = b.groupedSum(0, caps[:ns], func(i int) bool { return rank[i] < k })
 	}
-	if !math.IsInf(b.cap, 1) && slices.ContainsFunc(b.shoulds, isBoolean) {
-		b.rest = caps[3*ns+1:]
-		for i := range b.rest {
-			for j, c := range caps[:ns] {
-				if j != i {
-					b.rest[i] += c
-				}
-			}
-		}
-	}
 	return b
 }
 
@@ -814,25 +792,10 @@ func (b *booleanScorer) groupedSum(base float64, v []float64, in func(i int) boo
 }
 
 // setThreshold implements prunable: the whole scorer dies once no
-// document can beat th, and in disjunction mode it does two more things.
-//
-// The weakest Should leaves stop generating candidates once a document
-// only they match cannot beat th (weakBound).
-//
-// Every Should leaf that is itself a boolean scorer — a clause that could
-// not be inlined, such as a coordinated multi-token disjunction under an
-// uncoordinated one — gets the bar th − rest[i], shrunk by capSlack on
-// both sides so rounding cannot cross it, when that bar is positive and
-// every bound is finite (rest is nil otherwise).
-// Clause i may then skip a document, or under-report it, only where its
-// own score is at or under that bar. Such a document's true score is at
-// most the bar plus what its siblings can add, hence at most th, so the
-// exhaustive path rejects it; and the score computed here without clause
-// i's share is at most rest[i] < th, whatever the signs of the siblings'
-// scores, so it is rejected here too. A boolean clause partitions its own
-// Shoulds, jumps windows and dies under its bar. A term cursor would only
-// prune in next, which a parent never calls, and the window check here
-// already jumps the blocks its bar could rule out, so it gets none.
+// document can beat th, and in disjunction mode the weakest Should leaves
+// stop generating candidates once a document only they match cannot beat
+// th (weakBound). The children receive no threshold: seek's window check
+// jumps the blocks they could skip, and scoreAt scores each exactly.
 func (b *booleanScorer) setThreshold(th float64) {
 	b.th = th
 	if b.cap <= th {
@@ -845,21 +808,6 @@ func (b *booleanScorer) setThreshold(th float64) {
 	for b.nonEss < len(b.sorted) && b.weakBound(b.nonEss+1) <= th {
 		b.nonEss++
 	}
-	if b.rest == nil {
-		return
-	}
-	for i, sh := range b.shoulds {
-		if c, ok := sh.(*booleanScorer); ok {
-			if ct := th/capSlack - b.rest[i]*capSlack; ct > 0 {
-				c.setThreshold(ct)
-			}
-		}
-	}
-}
-
-func isBoolean(sc scorer) bool {
-	_, ok := sc.(*booleanScorer)
-	return ok
 }
 
 // weakBound bounds the score of a document matched by none of the
