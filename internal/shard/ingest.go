@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/crawler"
@@ -182,30 +181,15 @@ func (e *Engine) walAppend(rec []byte, d Durability) error {
 }
 
 // prepareDocs runs the expensive document preparation (extraction,
-// population, inference) for every page on at most workers goroutines,
-// outside any engine lock — searches and other ingests proceed while it
-// runs. It is the one preparation pool: BuildStream passes
+// population, inference) for every page through fanOut, on at most
+// min(workers, GOMAXPROCS) goroutines, outside any engine lock — searches
+// and other ingests proceed while it runs. BuildStream passes
 // Options.Parallelism, Ingest GOMAXPROCS.
 func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index.Document {
 	docsByPage := make([][]*index.Document, len(pages))
-	if workers <= 1 || len(pages) < 2 {
-		for i, p := range pages {
-			docsByPage[i] = e.builder.PageDocuments(e.level, p)
-		}
-		return docsByPage
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, p := range pages {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			docsByPage[i] = e.builder.PageDocuments(e.level, p)
-		}()
-	}
-	wg.Wait()
+	fanOut(len(pages), workers, func(i int) {
+		docsByPage[i] = e.builder.PageDocuments(e.level, pages[i])
+	})
 	return docsByPage
 }
 

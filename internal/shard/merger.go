@@ -233,16 +233,14 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	return pm
 }
 
-// installMerge is phase 3: the swap. mergeOpMu held.
+// installMerge is phase 3: the swap. mergeOpMu held. The merge set is
+// still shard s's base and oldest segments: every other writer of a base
+// (Save's compactAllLocked and adoptMappedBaseLocked, Close's unmap)
+// holds mergeOpMu too, and the only write that can run between
+// prepareMerge and here, commitLocked, only appends segments.
 func (e *Engine) installMerge(s int, pm *pendingMerge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.base[s] != pm.subs[0] || len(e.segs[s]) < len(pm.subs)-1 {
-		// Another compaction (Save's checkpoint path) replaced the merge
-		// set while we worked; discard this merge.
-		releaseSub(pm.nb)
-		return
-	}
 	e.applyMergedLocked(s, pm)
 }
 
