@@ -801,7 +801,7 @@ func BenchmarkFuzzyQuery(b *testing.B) {
 			seen := make(map[string]bool, size.vocab)
 			words := make([]string, 0, size.vocab)
 			for len(words) < size.vocab {
-				if w := word(); !seen[w] && !index.IsStopword(w) {
+				if w := word(); !seen[w] && len(index.StandardAnalyzer{}.Analyze(w)) > 0 {
 					seen[w] = true
 					words = append(words, w)
 				}
@@ -955,8 +955,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkShardedIngest measures incremental ingest: one new match into
-// an engine (owning shard + stats refresh only) versus the monolithic
-// AddPage appended to a full index.
+// an engine (owning shard + stats refresh only) versus the page's
+// documents appended to a full monolithic index.
 func BenchmarkShardedIngest(b *testing.B) {
 	e := env(10)
 	page := e.pages[len(e.pages)-1]
@@ -965,7 +965,9 @@ func BenchmarkShardedIngest(b *testing.B) {
 		si := builder.Build(semindex.FullInf, e.pages[:len(e.pages)-1])
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			builder.AddPage(si, page)
+			for _, d := range builder.PageDocuments(si.Level, page) {
+				si.Index.Add(d)
+			}
 		}
 	})
 	b.Run("shards=4", func(b *testing.B) {

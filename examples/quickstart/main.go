@@ -27,10 +27,17 @@ func main() {
 	site := httptest.NewServer(crawler.NewServer(corpus))
 	defer site.Close()
 	sys := core.New()
-	if err := sys.CrawlFrom(context.Background(), site.URL); err != nil {
+	rep, err := sys.CrawlFrom(context.Background(), site.URL)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("crawled %d match pages from %s\n", len(sys.Pages()), site.URL)
+	if rep.Degraded() {
+		fmt.Println("degraded crawl:", rep)
+		for _, f := range rep.Failures {
+			fmt.Println("  lost", f)
+		}
+	}
 
 	// 3. Offline processing happens lazily: consistency check forces
 	//    extraction, population and inference for every match.

@@ -3,7 +3,7 @@
 // population, inferencing and semantic indexing — behind a small API.
 //
 //	sys := core.New()
-//	if err := sys.CrawlFrom(ctx, "http://site"); err != nil { ... }
+//	if _, err := sys.CrawlFrom(ctx, "http://site"); err != nil { ... }
 //	sys.BuildIndex(semindex.FullInf)
 //	hits := sys.Search("messi barcelona goal", 10)
 //
@@ -35,11 +35,8 @@ type System struct {
 	Reasoner *reasoner.Reasoner
 	Rules    []*rules.Rule
 
-	pages []*crawler.MatchPage
-	// lastCrawl is the report of the most recent CrawlFrom, including any
-	// pages lost to a degraded crawl.
-	lastCrawl *crawler.CrawlReport
-	indices   map[semindex.Level]*semindex.SemanticIndex
+	pages   []*crawler.MatchPage
+	indices map[semindex.Level]*semindex.SemanticIndex
 	// populated caches per-match populated models by page ID.
 	populated map[string]*populate.PopulatedMatch
 	// inferred caches per-match inference results by page ID.
@@ -63,22 +60,17 @@ func New() *System {
 // step 1) and loads it into the system. It crawls with the hardened
 // production crawler (retries with backoff, circuit breaker, degraded
 // crawls): transient upstream faults cost retries, not the index build.
-// Pages lost for good are recorded in LastCrawl's report rather than
-// failing the whole acquisition.
-func (s *System) CrawlFrom(ctx context.Context, baseURL string) error {
+// Pages lost for good are listed in the returned report rather than
+// failing the whole acquisition, beside the retry/backoff accounting the
+// resilience layer spent.
+func (s *System) CrawlFrom(ctx context.Context, baseURL string) (*crawler.CrawlReport, error) {
 	rep, err := crawler.New().Crawl(ctx, baseURL)
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.lastCrawl = rep
 	s.LoadPages(rep.Pages)
-	return nil
+	return rep, nil
 }
-
-// LastCrawl returns the report of the most recent successful CrawlFrom
-// (nil before any crawl): every page recovered, every page lost, and the
-// retry/backoff accounting the resilience layer spent.
-func (s *System) LastCrawl() *crawler.CrawlReport { return s.lastCrawl }
 
 // LoadPages loads already-fetched pages (e.g. from crawler.PagesFromCorpus).
 func (s *System) LoadPages(pages []*crawler.MatchPage) {

@@ -28,7 +28,7 @@ func TestCrawlFromEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	s := New()
-	if err := s.CrawlFrom(context.Background(), srv.URL); err != nil {
+	if _, err := s.CrawlFrom(context.Background(), srv.URL); err != nil {
 		t.Fatalf("CrawlFrom: %v", err)
 	}
 	if len(s.Pages()) != 3 {
@@ -41,8 +41,8 @@ func TestCrawlFromEndToEnd(t *testing.T) {
 }
 
 // TestCrawlFromSurvivesFaults: the façade crawls with the hardened
-// client, so a faulty origin costs retries — recorded in LastCrawl — not
-// pages.
+// client, so a faulty origin costs retries — recorded in the returned
+// report — not pages.
 func TestCrawlFromSurvivesFaults(t *testing.T) {
 	c := soccer.Generate(soccer.Config{Matches: 3, Seed: 1, NarrationsPerMatch: 40})
 	srv := httptest.NewServer(crawler.WithFaults(crawler.NewServer(c),
@@ -50,15 +50,15 @@ func TestCrawlFromSurvivesFaults(t *testing.T) {
 	defer srv.Close()
 
 	s := New()
-	if err := s.CrawlFrom(context.Background(), srv.URL); err != nil {
+	rep, err := s.CrawlFrom(context.Background(), srv.URL)
+	if err != nil {
 		t.Fatalf("CrawlFrom under faults: %v", err)
 	}
 	if len(s.Pages()) != 3 {
 		t.Fatalf("%d pages recovered, want 3", len(s.Pages()))
 	}
-	rep := s.LastCrawl()
-	if rep == nil || rep.Degraded() {
-		t.Fatalf("LastCrawl = %v", rep)
+	if rep.Degraded() {
+		t.Fatalf("CrawlFrom report = %v", rep)
 	}
 	if rep.Stats.Retries == 0 {
 		t.Error("no retries recorded despite injected faults")
@@ -67,7 +67,7 @@ func TestCrawlFromSurvivesFaults(t *testing.T) {
 
 func TestCrawlFromError(t *testing.T) {
 	s := New()
-	if err := s.CrawlFrom(context.Background(), "http://127.0.0.1:1"); err == nil {
+	if _, err := s.CrawlFrom(context.Background(), "http://127.0.0.1:1"); err == nil {
 		t.Error("CrawlFrom of dead endpoint succeeded")
 	}
 }

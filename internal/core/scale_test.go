@@ -19,7 +19,11 @@ func TestScaleSoak(t *testing.T) {
 		t.Skip("scale soak skipped in -short mode")
 	}
 	c := soccer.Generate(soccer.Config{Matches: 100, Seed: 13, NarrationsPerMatch: 118, PaperCoverage: true})
-	if c.NarrationCount() < 10000 {
+	narrations := 0
+	for _, m := range c.Matches {
+		narrations += len(m.Narrations)
+	}
+	if narrations < 10000 {
 		t.Fatalf("corpus too small: %s", c.Stats())
 	}
 	s := New()

@@ -93,9 +93,6 @@ func NewUniverse(n int, seed int64) *Universe {
 	return u
 }
 
-// Team returns the team with the given name, or nil.
-func (u *Universe) Team(name string) *soccer.Team { return u.byName[name] }
-
 // ByName exposes the name lookup map soccer.GenerateCoverageMatch needs.
 func (u *Universe) ByName() map[string]*soccer.Team { return u.byName }
 

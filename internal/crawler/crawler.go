@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -51,7 +50,8 @@ type Crawler struct {
 	MaxBodyBytes int64
 
 	// met holds resolved metric handles (see metrics.go); nil means the
-	// process-wide defaults on obs.Default. Set through SetMetrics.
+	// process-wide defaults on obs.Default. Tests point it at a fresh
+	// registry before Crawl; fetch workers read it concurrently afterwards.
 	met *crawlerMetrics
 }
 
@@ -331,10 +331,4 @@ func resolveURL(base, ref string) (string, error) {
 		return "", err
 	}
 	return b.ResolveReference(r).String(), nil
-}
-
-// SortPagesByID orders pages deterministically, which downstream indexing
-// relies on for reproducible document ids.
-func SortPagesByID(pages []*MatchPage) {
-	sort.Slice(pages, func(i, j int) bool { return pages[i].ID < pages[j].ID })
 }

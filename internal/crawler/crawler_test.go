@@ -522,14 +522,6 @@ func TestNewCrawlerDefaults(t *testing.T) {
 	}
 }
 
-func TestSortPagesByID(t *testing.T) {
-	pages := []*MatchPage{{ID: "c"}, {ID: "a"}, {ID: "b"}}
-	SortPagesByID(pages)
-	if pages[0].ID != "a" || pages[2].ID != "c" {
-		t.Errorf("sorted order: %v %v %v", pages[0].ID, pages[1].ID, pages[2].ID)
-	}
-}
-
 func TestServerListingContainsAllMatches(t *testing.T) {
 	c := testCorpus(t)
 	srv := httptest.NewServer(NewServer(c))

@@ -57,14 +57,6 @@ func newCrawlerMetrics(r *obs.Registry) *crawlerMetrics {
 // process start.
 var defaultCrawlerMetrics = newCrawlerMetrics(obs.Default)
 
-// SetMetrics points the crawler's instrumentation at a registry: a fresh
-// registry isolates a test, nil disables the instrumentation. Crawlers
-// left alone publish to obs.Default. Call before Crawl; the field is read
-// concurrently by fetch workers afterwards.
-func (c *Crawler) SetMetrics(r *obs.Registry) {
-	c.met = newCrawlerMetrics(r)
-}
-
 // metrics returns the crawler's handles, defaulting to obs.Default.
 func (c *Crawler) metrics() *crawlerMetrics {
 	if c.met != nil {

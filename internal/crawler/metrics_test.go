@@ -22,7 +22,7 @@ func TestCrawlMetricsCleanCrawl(t *testing.T) {
 
 	cr := New()
 	r := obs.NewRegistry()
-	cr.SetMetrics(r)
+	cr.met = newCrawlerMetrics(r)
 	rep, err := cr.Crawl(context.Background(), srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestCrawlMetricsRetriesAndFailures(t *testing.T) {
 
 	cr := &Crawler{Retry: fastRetry(2)}
 	r := obs.NewRegistry()
-	cr.SetMetrics(r)
+	cr.met = newCrawlerMetrics(r)
 	rep, err := cr.Crawl(context.Background(), srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestCrawlMetricsBreakerAndLimiter(t *testing.T) {
 		Limiter: resilience.NewLimiter(1000, 1),
 	}
 	r := obs.NewRegistry()
-	cr.SetMetrics(r)
+	cr.met = newCrawlerMetrics(r)
 	if _, err := cr.Crawl(context.Background(), always.URL); err == nil {
 		t.Fatal("crawl of a dead origin succeeded")
 	}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/crawler"
@@ -131,24 +130,4 @@ func (t Table) Format() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// MAP returns the mean AP over the table's rows for a level.
-func (t Table) MAP(level semindex.Level) float64 {
-	sum := 0.0
-	for _, r := range t.Rows {
-		sum += r.Cells[level].AP
-	}
-	if len(t.Rows) == 0 {
-		return 0
-	}
-	return sum / float64(len(t.Rows))
-}
-
-// SortedLevels returns the table's levels ordered by MAP ascending, for
-// sanity assertions about who wins.
-func (t Table) SortedLevels() []semindex.Level {
-	out := append([]semindex.Level(nil), t.Levels...)
-	sort.SliceStable(out, func(i, j int) bool { return t.MAP(out[i]) < t.MAP(out[j]) })
-	return out
 }

@@ -30,25 +30,3 @@ func WriteTrecRun(w io.Writer, runID string, queries []Query, si *semindex.Seman
 	}
 	return bw.Flush()
 }
-
-// WriteTrecQrels exports the ground-truth judgments in TREC qrels format
-// ("qid 0 docno rel"), pairing with WriteTrecRun. Relevance is judged per
-// document: 1 when the document resolves to a relevant ground-truth event.
-func (j *Judge) WriteTrecQrels(w io.Writer, queries []Query, si *semindex.SemanticIndex) error {
-	bw := bufio.NewWriter(w)
-	for _, q := range queries {
-		relevant := j.RelevantSet(q)
-		for id := 0; id < si.Index.NumDocs(); id++ {
-			h := semindex.Hit{DocID: id, Doc: si.Index.Doc(id)}
-			rel := 0
-			if ref, ok := j.ResolveHit(h); ok && relevant[ref] {
-				rel = 1
-			}
-			docno := fmt.Sprintf("%s#%d", h.Meta(semindex.MetaMatchID), id)
-			if _, err := fmt.Fprintf(bw, "%s 0 %s %d\n", q.ID, docno, rel); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -61,19 +61,6 @@ func (a StandardAnalyzer) normalize(token string) string {
 	return token
 }
 
-// KeywordAnalyzer indexes the whole field value as a single lowercased
-// term, for exact-match fields such as dates.
-type KeywordAnalyzer struct{}
-
-// Analyze implements Analyzer.
-func (KeywordAnalyzer) Analyze(text string) []string {
-	t := strings.ToLower(strings.TrimSpace(text))
-	if t == "" {
-		return nil
-	}
-	return []string{t}
-}
-
 // Tokenize splits text into maximal runs of letters, digits and
 // apostrophes, so "Eto'o" and "4-4-2" survive sensibly ("4", "4", "2").
 func Tokenize(text string) []string { return appendTokens(nil, text) }
@@ -136,8 +123,3 @@ var stopwords = map[string]bool{
 	"their": true, "then": true, "there": true, "these": true, "they": true,
 	"this": true, "to": true, "was": true, "will": true, "with": true,
 }
-
-// IsStopword reports whether the lowercased token is in the stopword set.
-// The query parser uses it to keep phrasal prepositions ("by", "to", "of")
-// out of ordinary term queries while still recognizing them as operators.
-func IsStopword(token string) bool { return stopwords[token] }

@@ -71,24 +71,14 @@ func TestStandardAnalyzerFlags(t *testing.T) {
 	}
 }
 
-func TestKeywordAnalyzer(t *testing.T) {
-	a := KeywordAnalyzer{}
-	if got := a.Analyze("  2009-05-06 "); len(got) != 1 || got[0] != "2009-05-06" {
-		t.Errorf("Analyze = %v", got)
-	}
-	if got := a.Analyze("   "); got != nil {
-		t.Errorf("Analyze(blank) = %v", got)
-	}
-}
-
 func TestIsStopword(t *testing.T) {
 	for _, s := range []string{"by", "to", "of", "the", "a"} {
-		if !IsStopword(s) {
-			t.Errorf("IsStopword(%q) = false", s)
+		if got := (StandardAnalyzer{}).Analyze(s); len(got) != 0 {
+			t.Errorf("Analyze(%q) = %v, want a dropped stopword", s, got)
 		}
 	}
-	if IsStopword("goal") {
-		t.Error("IsStopword(goal) = true")
+	if got := (StandardAnalyzer{}).Analyze("goal"); len(got) != 1 {
+		t.Errorf("Analyze(goal) = %v", got)
 	}
 }
 

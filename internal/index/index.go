@@ -8,21 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// Posting is one entry of a posting list as Postings hands it out: the
-// occurrences of one term in one document field. The index stores no
-// Posting; it keeps each term's list in columns (see termEntry).
-type Posting struct {
-	// DocID is the document the term occurs in.
-	DocID int
-	// Positions are the token positions of each occurrence, ascending.
-	Positions []int
-	// Boost is the field boost captured at indexing time.
-	Boost float64
-}
-
-// Freq returns the within-document term frequency.
-func (p Posting) Freq() int { return len(p.Positions) }
-
 // postingBlockSize is the number of postings per Block-Max block: posting
 // lists are carved into fixed runs of this many entries, each carrying its
 // own score-bound inputs (termCap), so the DAAT kernel can skip whole
@@ -150,15 +135,6 @@ func (t *docTable) lengthOf(id int) int {
 		return 0
 	}
 	return int(t.docLen[id])
-}
-
-// boostOf is the boost the field was indexed at on the document (0 without
-// the field).
-func (t *docTable) boostOf(id int) float64 {
-	if id < 0 || id >= len(t.boost) {
-		return 0
-	}
-	return t.boost[id]
 }
 
 // eachDocLen visits every document carrying the field, docID ascending.
@@ -594,27 +570,6 @@ func (ix *Index) Terms(field string) []string {
 	}
 	out := fi.termNames()
 	sort.Strings(out)
-	return out
-}
-
-// Postings returns the posting list of an analyzed term in a field,
-// materialized into fresh Postings — an accessor for tests and debugging,
-// not a read path. The term must already be in index form (lowercased,
-// stemmed); use the analyzer to normalize raw text first.
-func (ix *Index) Postings(field, term string) []Posting {
-	fi := ix.fields[field]
-	if fi == nil {
-		return nil
-	}
-	te := fi.postingsOf(term)
-	var out []Posting
-	for i, d := range te.docs {
-		p := Posting{DocID: int(d), Boost: te.boostAt(i)}
-		for _, pos := range te.positionsAt(i) {
-			p.Positions = append(p.Positions, int(pos))
-		}
-		out = append(out, p)
-	}
 	return out
 }
 

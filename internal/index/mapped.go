@@ -457,10 +457,6 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 
 // --- Index-level mapped plumbing ---
 
-// Mapped reports whether this index serves postings from a mapped byte
-// region instead of heap structures.
-func (ix *Index) Mapped() bool { return ix.mapped != nil }
-
 // DocMeta returns a stored-only field's value for one document ("" outside
 // [0, NumDocs)) without decoding the document into, or publishing it to,
 // any cache: it is the identity lookup a load makes for every document. A

@@ -64,11 +64,6 @@ func (cs *CorpusStats) DocFreq(field, term string) int {
 	return fs.DocFreq[term]
 }
 
-// AvgLen returns the corpus-wide average length of a field.
-func (cs *CorpusStats) AvgLen(field string) float64 {
-	return cs.Fields[field].AvgLen()
-}
-
 // Merge folds another partition's statistics into cs. Partitions must be
 // disjoint document sets for the result to be meaningful.
 func (cs *CorpusStats) Merge(o *CorpusStats) {

@@ -116,7 +116,7 @@ func TestMergeReproducesWhole(t *testing.T) {
 // TestAvgLenEdgeCases: empty stats answer zero, not NaN.
 func TestAvgLenEdgeCases(t *testing.T) {
 	cs := NewCorpusStats()
-	if v := cs.AvgLen("nope"); v != 0 || math.IsNaN(v) {
+	if v := cs.Fields["nope"].AvgLen(); v != 0 || math.IsNaN(v) {
 		t.Errorf("AvgLen on empty = %v", v)
 	}
 	var fs *FieldStats

@@ -601,7 +601,7 @@ func TestTokenizeMatchesReference(t *testing.T) {
 func TestWriteAnalysisMatchesAnalyzer(t *testing.T) {
 	long := strings.Repeat("x", memoMaxToken+1)
 	for _, a := range []Analyzer{
-		StandardAnalyzer{}, StandardAnalyzer{NoStemming: true}, StandardAnalyzer{KeepStopwords: true}, KeywordAnalyzer{},
+		StandardAnalyzer{}, StandardAnalyzer{NoStemming: true}, StandardAnalyzer{KeepStopwords: true},
 	} {
 		ix := New(a)
 		for i := 0; i < 2*memoMaxEntries; i++ {

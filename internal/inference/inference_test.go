@@ -30,12 +30,12 @@ func TestAssistRuleFig6(t *testing.T) {
 	m.Set(pass, "passingPlayer", iniesta)
 	m.Set(pass, "passReceiver", etoo)
 	m.Set(pass, "inMatch", match)
-	m.SetInt(pass, "inMinute", 10)
+	m.Set(pass, "inMinute", rdf.NewInt(10))
 
 	goal := m.NewIndividual("Goal")
 	m.Set(goal, "scorerPlayer", etoo)
 	m.Set(goal, "inMatch", match)
-	m.SetInt(goal, "inMinute", 10)
+	m.Set(goal, "inMinute", rdf.NewInt(10))
 
 	res := Run(r, soccer.Rules(), m)
 	g := res.Model.Graph
@@ -86,7 +86,7 @@ func TestScoredToGoalkeeperChain(t *testing.T) {
 	goal := m.NewIndividual("Goal")
 	m.Set(goal, "scorerPlayer", rooney)
 	m.Set(goal, "inMatch", match)
-	m.SetInt(goal, "inMinute", 30)
+	m.Set(goal, "inMinute", rdf.NewInt(30))
 
 	res := Run(r, soccer.Rules(), m)
 	g := res.Model.Graph
@@ -126,8 +126,8 @@ func TestWinnerRule(t *testing.T) {
 	b := m.NamedIndividual("B", "Team")
 	m.Set(match, "homeTeam", a)
 	m.Set(match, "awayTeam", b)
-	m.SetInt(match, "homeScore", 3)
-	m.SetInt(match, "awayScore", 1)
+	m.Set(match, "homeScore", rdf.NewInt(3))
+	m.Set(match, "awayScore", rdf.NewInt(1))
 	res := Run(r, soccer.Rules(), m)
 	if res.Model.Graph.FirstObject(match, ont.IRI("winnerTeam")) != a {
 		t.Error("winnerTeam wrong")

@@ -2,11 +2,8 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,56 +60,6 @@ func (t *EngineTarget) Do(ctx context.Context, q Query) (Outcome, error) {
 		return Outcome{}, err
 	}
 	return Outcome{Hits: len(res.Hits), Degraded: res.Report.Degraded}, nil
-}
-
-// HTTPTarget drives a running socserve over the versioned JSON API:
-// search classes hit /v1/search, suggest probes /v1/suggest. Degradation
-// is read from the envelope, so the HTTP harness counts exactly what the
-// in-process one does.
-type HTTPTarget struct {
-	// BaseURL is the server root, e.g. "http://localhost:8090".
-	BaseURL string
-	// Client is the HTTP client; nil means http.DefaultClient.
-	Client *http.Client
-	// Limit caps each answer; 0 uses the server default.
-	Limit int
-}
-
-func (t *HTTPTarget) Do(ctx context.Context, q Query) (Outcome, error) {
-	c := t.Client
-	if c == nil {
-		c = http.DefaultClient
-	}
-	path := "/v1/search"
-	if q.Class == ClassSuggest {
-		path = "/v1/suggest"
-	}
-	u := t.BaseURL + path + "?q=" + url.QueryEscape(q.Text)
-	if t.Limit > 0 && q.Class != ClassSuggest {
-		u += fmt.Sprintf("&limit=%d", t.Limit)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return Outcome{}, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return Outcome{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Outcome{}, fmt.Errorf("loadgen: %s: HTTP %d", path, resp.StatusCode)
-	}
-	var env struct {
-		Total    int `json:"total"`
-		Degraded *struct {
-			MissingShards []int `json:"missingShards"`
-		} `json:"degraded"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return Outcome{}, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	return Outcome{Hits: env.Total, Degraded: env.Degraded != nil}, nil
 }
 
 // Config shapes one closed-loop run. Zero values select defaults, so only

@@ -4,10 +4,9 @@
 // concurrency, and reports the measured latency/throughput/error profile.
 //
 // The package is deliberately decoupled from how the answer is produced:
-// a Target is anything that can execute one Query, and two are provided —
-// EngineTarget over the in-process sharded engine and HTTPTarget over the
-// /v1 JSON API — so the same workload measures both the kernel and the
-// full server path.
+// a Target is anything that can execute one Query. EngineTarget, the one
+// provided, drives the in-process sharded engine, so a run measures the
+// engine's search path, not the HTTP server's.
 package loadgen
 
 import (

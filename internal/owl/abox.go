@@ -63,34 +63,6 @@ func (m *Model) SetString(ind rdf.Term, prop, value string) {
 	m.Set(ind, prop, rdf.NewLiteral(value))
 }
 
-// SetInt asserts an xsd:integer property value.
-func (m *Model) SetInt(ind rdf.Term, prop string, value int) {
-	m.Set(ind, prop, rdf.NewInt(value))
-}
-
-// Get returns the first value of the property on the individual, or the
-// zero term.
-func (m *Model) Get(ind rdf.Term, prop string) rdf.Term {
-	return m.Graph.FirstObject(ind, m.Ontology.IRI(prop))
-}
-
-// GetAll returns every value of the property on the individual.
-func (m *Model) GetAll(ind rdf.Term, prop string) []rdf.Term {
-	return m.Graph.Objects(ind, m.Ontology.IRI(prop))
-}
-
-// Types returns the asserted (and, after inference, inferred) types of the
-// individual.
-func (m *Model) Types(ind rdf.Term) []rdf.Term {
-	return m.Graph.Objects(ind, rdf.RDFType)
-}
-
-// IndividualsOf returns the individuals with an explicit rdf:type assertion
-// for the class local name.
-func (m *Model) IndividualsOf(class string) []rdf.Term {
-	return m.Graph.Subjects(rdf.RDFType, m.Ontology.IRI(class))
-}
-
 // Clone deep-copies the model (sharing the immutable ontology).
 func (m *Model) Clone() *Model {
 	ids := make(map[string]int, len(m.nextID))

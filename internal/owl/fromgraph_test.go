@@ -18,7 +18,7 @@ func TestFromGraphRoundTrip(t *testing.T) {
 		t.Errorf("stats differ: %+v vs %+v", ss, bs)
 	}
 	// Hierarchy survives.
-	goal := back.Class("Goal")
+	goal := back.ClassByIRI(back.IRI("Goal"))
 	if goal == nil || len(goal.Parents) != 1 || goal.Parents[0] != back.IRI("PositiveEvent") {
 		t.Errorf("Goal hierarchy lost: %+v", goal)
 	}

@@ -254,9 +254,6 @@ func (o *Ontology) MaxCardinalityConstraint(onClass, onProperty string, n int) {
 	})
 }
 
-// Class returns the class declared under the local name, or nil.
-func (o *Ontology) Class(name string) *Class { return o.classes[o.IRI(name)] }
-
 // ClassByIRI returns the class with the given IRI, or nil.
 func (o *Ontology) ClassByIRI(iri rdf.Term) *Class { return o.classes[iri] }
 

@@ -60,7 +60,7 @@ func TestAddClassMergesParents(t *testing.T) {
 	o.AddClass("C", "A")
 	o.AddClass("C", "B")
 	o.AddClass("C", "A") // duplicate parent must not repeat
-	c := o.Class("C")
+	c := o.ClassByIRI(o.IRI("C"))
 	if len(c.Parents) != 2 {
 		t.Errorf("parents = %v", c.Parents)
 	}
@@ -226,23 +226,23 @@ func TestModelIndividuals(t *testing.T) {
 
 	messi := m.NamedIndividual("Lionel_Messi", "Player")
 	m.Set(g1, "scorerPlayer", messi)
-	m.SetInt(g1, "inMinute", 10)
+	m.Set(g1, "inMinute", rdf.NewInt(10))
 	m.SetString(g1, "narration", "Messi scores!")
 
-	if m.Get(g1, "scorerPlayer") != messi {
-		t.Error("Get scorerPlayer wrong")
+	if m.Graph.FirstObject(g1, o.IRI("scorerPlayer")) != messi {
+		t.Error("scorerPlayer wrong")
 	}
-	if v, _ := m.Get(g1, "inMinute").Int(); v != 10 {
-		t.Error("Get inMinute wrong")
+	if v, _ := m.Graph.FirstObject(g1, o.IRI("inMinute")).Int(); v != 10 {
+		t.Error("inMinute wrong")
 	}
-	if got := m.GetAll(g1, "narration"); len(got) != 1 || got[0].Value != "Messi scores!" {
-		t.Errorf("GetAll narration = %v", got)
+	if got := m.Graph.Objects(g1, o.IRI("narration")); len(got) != 1 || got[0].Value != "Messi scores!" {
+		t.Errorf("narration = %v", got)
 	}
-	if got := m.IndividualsOf("Goal"); len(got) != 2 {
-		t.Errorf("IndividualsOf(Goal) = %v", got)
+	if got := m.Graph.Subjects(rdf.RDFType, o.IRI("Goal")); len(got) != 2 {
+		t.Errorf("individuals of Goal = %v", got)
 	}
-	if got := m.Types(messi); len(got) != 1 || got[0] != o.IRI("Player") {
-		t.Errorf("Types = %v", got)
+	if got := m.Graph.Objects(messi, rdf.RDFType); len(got) != 1 || got[0] != o.IRI("Player") {
+		t.Errorf("types = %v", got)
 	}
 }
 

@@ -212,32 +212,3 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// Bytes returns the resident byte estimate.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range c.segs {
-		s.mu.Lock()
-		n += s.bytes
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Flush drops every entry (benchmark arms and tests; production relies
-// on epoch invalidation instead).
-func (c *Cache) Flush() {
-	if c == nil {
-		return
-	}
-	for _, s := range c.segs {
-		s.mu.Lock()
-		for el := s.lru.Back(); el != nil; el = s.lru.Back() {
-			s.remove(el, el.Value.(*entry), &c.met)
-		}
-		s.mu.Unlock()
-	}
-}

@@ -105,24 +105,12 @@ func TestNilCacheIsNoop(t *testing.T) {
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("nil cache accounts bytes")
 	}
-	c.Flush()
 	if New(0, 4, nil) != nil {
 		t.Fatal("New(0) built a cache")
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := New(1<<20, 4, nil)
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i, 10, 1)
-	}
-	c.Flush()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("after Flush: len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-}
-
-// TestConcurrentCache hammers Get/Put/Flush from many goroutines — the
+// TestConcurrentCache hammers Get/Put from many goroutines — the
 // race detector is the real assertion, plus capacity holds throughout.
 func TestConcurrentCache(t *testing.T) {
 	c := New(4096, 4, obs.NewRegistry())

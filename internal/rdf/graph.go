@@ -174,8 +174,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 
 // Remove deletes a triple. It reports whether the triple was present.
 // Removal walks the triple's three chains to unlink it, which is
-// O(degree); the pipeline only removes triples when retracting a failed
-// extraction, so this is never on a hot path.
+// O(degree).
 func (g *Graph) Remove(t Triple) bool {
 	it, ok := g.lookup3(t)
 	if !ok {

@@ -203,7 +203,7 @@ func TestSortTriplesTotalOrder(t *testing.T) {
 		{soccerIRI("b"), RDFType, soccerIRI("Goal")},
 		{soccerIRI("a"), RDFType, soccerIRI("Goal")},
 		{soccerIRI("a"), RDFType, soccerIRI("Event")},
-		{soccerIRI("a"), RDFSLabel, NewLiteral("x")},
+		{soccerIRI("a"), NewIRI(NSRDFS + "label"), NewLiteral("x")},
 	}
 	SortTriples(ts)
 	for i := 1; i < len(ts); i++ {

@@ -17,20 +17,16 @@ const (
 
 // Frequently used property and class terms.
 var (
-	RDFType            = NewIRI(NSRDF + "type")
-	RDFSSubClassOf     = NewIRI(NSRDFS + "subClassOf")
-	RDFSSubPropertyOf  = NewIRI(NSRDFS + "subPropertyOf")
-	RDFSDomain         = NewIRI(NSRDFS + "domain")
-	RDFSRange          = NewIRI(NSRDFS + "range")
-	RDFSLabel          = NewIRI(NSRDFS + "label")
-	RDFSComment        = NewIRI(NSRDFS + "comment")
-	OWLClass           = NewIRI(NSOWL + "Class")
-	OWLObjectProperty  = NewIRI(NSOWL + "ObjectProperty")
-	OWLDataProperty    = NewIRI(NSOWL + "DatatypeProperty")
-	OWLThing           = NewIRI(NSOWL + "Thing")
-	OWLNothing         = NewIRI(NSOWL + "Nothing")
-	OWLDisjointWith    = NewIRI(NSOWL + "disjointWith")
-	OWLNamedIndividual = NewIRI(NSOWL + "NamedIndividual")
+	RDFType           = NewIRI(NSRDF + "type")
+	RDFSSubClassOf    = NewIRI(NSRDFS + "subClassOf")
+	RDFSSubPropertyOf = NewIRI(NSRDFS + "subPropertyOf")
+	RDFSDomain        = NewIRI(NSRDFS + "domain")
+	RDFSRange         = NewIRI(NSRDFS + "range")
+	RDFSComment       = NewIRI(NSRDFS + "comment")
+	OWLClass          = NewIRI(NSOWL + "Class")
+	OWLObjectProperty = NewIRI(NSOWL + "ObjectProperty")
+	OWLDataProperty   = NewIRI(NSOWL + "DatatypeProperty")
+	OWLDisjointWith   = NewIRI(NSOWL + "disjointWith")
 )
 
 // Prefixes maps the short prefixes used by the Turtle writer and the rule

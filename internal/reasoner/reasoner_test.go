@@ -104,7 +104,7 @@ func TestMaterializeTypeClosure(t *testing.T) {
 		}
 	}
 	// The source model must be untouched.
-	if len(m.Types(g)) != 1 {
+	if len(m.Graph.Objects(g, rdf.RDFType)) != 1 {
 		t.Error("Materialize mutated its input")
 	}
 }
@@ -258,8 +258,8 @@ func TestCheckConsistencyFunctional(t *testing.T) {
 	o := r.Ontology()
 	m := owl.NewModel(o)
 	g := m.NewIndividual("Goal")
-	m.SetInt(g, "inMinute", 10)
-	m.SetInt(g, "inMinute", 12)
+	m.Set(g, "inMinute", rdf.NewInt(10))
+	m.Set(g, "inMinute", rdf.NewInt(12))
 	vs := r.CheckConsistency(m)
 	found := false
 	for _, v := range vs {

@@ -16,7 +16,7 @@ import (
 type Limiter struct {
 	rate  float64
 	burst float64
-	now   func() time.Time
+	now   func() time.Time // time.Now; tests set a fake clock
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -34,13 +34,6 @@ func NewLimiter(rate float64, burst int) *Limiter {
 		burst = 1
 	}
 	return &Limiter{rate: rate, burst: float64(burst), now: time.Now, buckets: map[string]*bucket{}}
-}
-
-// SetClock swaps the limiter's time source for tests.
-func (l *Limiter) SetClock(now func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.now = now
 }
 
 // reserve takes one token from host's bucket, returning how long the
@@ -85,30 +78,4 @@ func (l *Limiter) Wait(ctx context.Context, host string) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// Allow reports whether host may make one request right now, consuming a
-// token if so.
-func (l *Limiter) Allow(host string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.rate <= 0 {
-		return true
-	}
-	now := l.now()
-	b := l.buckets[host]
-	if b == nil {
-		b = &bucket{tokens: l.burst, last: now}
-		l.buckets[host] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }

@@ -229,16 +229,16 @@ func TestBreakerIsolatesHosts(t *testing.T) {
 func TestLimiterBurstThenThrottle(t *testing.T) {
 	l := NewLimiter(10, 2) // 10/s, burst 2
 	now := time.Unix(1000, 0)
-	l.SetClock(func() time.Time { return now })
-	if !l.Allow("h") || !l.Allow("h") {
-		t.Fatal("burst denied")
-	}
-	if l.Allow("h") {
-		t.Error("over-burst request allowed without refill")
+	l.now = func() time.Time { return now }
+	if l.reserve("h") != 0 || l.reserve("h") != 0 {
+		t.Fatal("burst made to wait")
 	}
 	now = now.Add(100 * time.Millisecond) // refills exactly one token
-	if !l.Allow("h") {
-		t.Error("refilled token denied")
+	if d := l.reserve("h"); d != 0 {
+		t.Errorf("refilled token waits %v", d)
+	}
+	if d := l.reserve("h"); d != time.Second/10 {
+		t.Errorf("over-burst request waits %v, want 1/rate = 100ms", d)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestLimiterWaitBlocksAndHonorsContext(t *testing.T) {
 	}
 	// A cancelled context aborts a long wait promptly.
 	slow := NewLimiter(0.001, 1)
-	slow.Allow("h")
+	slow.reserve("h")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := slow.Wait(ctx, "h"); !errors.Is(err, context.Canceled) {
@@ -268,8 +268,8 @@ func TestLimiterWaitBlocksAndHonorsContext(t *testing.T) {
 func TestLimiterUnlimited(t *testing.T) {
 	l := NewLimiter(0, 1)
 	for i := 0; i < 100; i++ {
-		if !l.Allow("h") {
-			t.Fatal("unlimited limiter denied")
+		if d := l.reserve("h"); d != 0 {
+			t.Fatalf("unlimited limiter waits %v", d)
 		}
 	}
 }

@@ -352,7 +352,7 @@ func TestCompilePanicsOnInvalidRule(t *testing.T) {
 			t.Error("Compile did not panic")
 		}
 	}()
-	Compile([]*Rule{{Name: "bad", Head: []Pattern{{S: Node{Var: "x"}, P: Node{Term: rdf.RDFType}, O: Node{Term: rdf.OWLThing}}}}})
+	Compile([]*Rule{{Name: "bad", Head: []Pattern{{S: Node{Var: "x"}, P: Node{Term: rdf.RDFType}, O: Node{Term: rdf.NewIRI(rdf.NSOWL + "Thing")}}}}})
 }
 
 // A rule with two makeTemp calls cannot be recognized by its head (there is

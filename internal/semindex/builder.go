@@ -100,7 +100,7 @@ func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex 
 	}
 	if workers <= 1 || len(pages) < 2 {
 		for _, page := range pages {
-			for _, d := range b.pageDocuments(level, page) {
+			for _, d := range b.PageDocuments(level, page) {
 				ix.Add(d)
 			}
 		}
@@ -116,7 +116,7 @@ func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			docsByPage[i] = b.pageDocuments(level, page)
+			docsByPage[i] = b.PageDocuments(level, page)
 		}(i, page)
 	}
 	wg.Wait()
@@ -133,25 +133,10 @@ func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex 
 // commit order, document identity and shard placement itself. Safe to call
 // concurrently for different pages.
 func (b *Builder) PageDocuments(level Level, page *crawler.MatchPage) []*index.Document {
-	return b.pageDocuments(level, page)
-}
-
-// pageDocuments prepares one match's documents without touching the index.
-func (b *Builder) pageDocuments(level Level, page *crawler.MatchPage) []*index.Document {
 	if level == Trad {
 		return b.tradDocs(page)
 	}
 	return b.semanticDocs(level, page)
-}
-
-// AddPage indexes one additional match into an existing index — the
-// incremental-update path behind the paper's Section 7 flexibility claim:
-// the semantic index absorbs new data without touching the ontology layer
-// or rebuilding from scratch.
-func (b *Builder) AddPage(si *SemanticIndex, page *crawler.MatchPage) {
-	for _, d := range b.pageDocuments(si.Level, page) {
-		si.Index.Add(d)
-	}
 }
 
 // tradDocs prepares each narration as a bare full-text document — the

@@ -506,22 +506,6 @@ func (e *Engine) NumDocs() int {
 	return e.liveDocs
 }
 
-// Doc returns the stored document for a global docID, or nil for an
-// unknown, tombstoned or lost ID (quarantined shards and merged-away
-// tombstones leave holes in the ID space rather than renumbering).
-func (e *Engine) Doc(gid int) *index.Document {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if gid < 0 || gid >= len(e.byGID) {
-		return nil
-	}
-	ref := e.byGID[gid]
-	if ref.sub == nil || ref.sub.si.Index.IsDeleted(ref.local) {
-		return nil
-	}
-	return ref.sub.si.Index.Doc(ref.local)
-}
-
 // Shard exposes one shard's BASE semantic index (for stats, persistence
 // and tests); the returned index must not be mutated. Segment documents
 // live outside it until the merger folds them in.

@@ -361,7 +361,7 @@ func (r *oracleRun) apply(tok string) (bool, error) {
 	case "save":
 		return false, r.save()
 	case "warm":
-		// Player names: few shards hold their postings, so cached answers outlive writes elsewhere.
+		// Player names. Any write evicts every cached answer, so the check serves these from the cache only until the next write.
 		r.warmed = nil
 		for _, v := range oracleCorpus() {
 			q := strings.ToLower(v[0].Lineups[v[0].Home][0].Short)

@@ -182,10 +182,6 @@ func anyOutfield(rng *rand.Rand, t *Team) *Player {
 	return t.Players[1+rng.Intn(len(t.Players)-1)]
 }
 
-func anyPlayer(rng *rand.Rand, t *Team) *Player {
-	return t.Players[rng.Intn(len(t.Players))]
-}
-
 func generateMatch(rng *rand.Rand, home, away *Team, date string, forced []forcedEvent) *Match {
 	m := &Match{
 		ID:      fmt.Sprintf("%s_%s_%s", idSafe(home.Name), idSafe(away.Name), date),

@@ -45,7 +45,7 @@ func TestOntologyHierarchySpotChecks(t *testing.T) {
 		{"HandBall", "Foul"},
 	}
 	for _, c := range cases {
-		cls := o.Class(c.child)
+		cls := o.ClassByIRI(o.IRI(c.child))
 		if cls == nil {
 			t.Errorf("class %s missing", c.child)
 			continue
@@ -119,7 +119,7 @@ func TestPositionClass(t *testing.T) {
 		if got != want {
 			t.Errorf("PositionClass(%q) = %q, want %q", pos, got, want)
 		}
-		if o.Class(got) == nil {
+		if o.ClassByIRI(o.IRI(got)) == nil {
 			t.Errorf("PositionClass(%q) = %q is not an ontology class", pos, got)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRuleVocabularyDeclared(t *testing.T) {
 				return
 			}
 			name := term.LocalName()
-			if o.Class(name) == nil && o.Property(name) == nil {
+			if o.ClassByIRI(o.IRI(name)) == nil && o.Property(name) == nil {
 				t.Errorf("rule %s references undeclared term pre:%s", r.Name, name)
 			}
 		}
@@ -240,13 +240,17 @@ func TestGenerateScale(t *testing.T) {
 	if len(c.Matches) != 10 {
 		t.Errorf("%d matches", len(c.Matches))
 	}
-	n := c.NarrationCount()
+	n, truth := 0, 0
+	for _, m := range c.Matches {
+		n += len(m.Narrations)
+		truth += len(m.Truth)
+	}
 	// The paper's corpus: 1182 narrations over 10 matches.
 	if n < 1150 || n > 1250 {
 		t.Errorf("narrations = %d, want ~1180", n)
 	}
-	if c.TruthCount() < 700 {
-		t.Errorf("truth events = %d", c.TruthCount())
+	if truth < 700 {
+		t.Errorf("truth events = %d", truth)
 	}
 	if !strings.Contains(c.Stats(), "10 matches") {
 		t.Errorf("Stats = %q", c.Stats())
@@ -351,7 +355,7 @@ func TestKindsMatchOntology(t *testing.T) {
 	all := [][]EventKind{GoalKinds, PunishmentKinds, ShootKinds, SaveKinds, YellowCardKinds, NegativeKinds}
 	for _, set := range all {
 		for _, k := range set {
-			if o.Class(string(k)) == nil {
+			if o.ClassByIRI(o.IRI(string(k))) == nil {
 				t.Errorf("kind %s is not an ontology class", k)
 			}
 		}

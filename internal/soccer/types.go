@@ -172,18 +172,6 @@ func (m *Match) OpponentOf(t *Team) *Team {
 	return m.Home
 }
 
-// TeamOf returns the team whose lineup contains p, or nil.
-func (m *Match) TeamOf(p *Player) *Team {
-	for _, t := range m.Teams() {
-		for _, q := range t.Players {
-			if q == p {
-				return t
-			}
-		}
-	}
-	return nil
-}
-
 // Corpus is the full crawled data set.
 type Corpus struct {
 	Teams   []*Team
@@ -199,22 +187,4 @@ func (c *Corpus) Stats() string {
 	}
 	return fmt.Sprintf("%d matches, %d narrations, %d ground-truth events",
 		len(c.Matches), narr, events)
-}
-
-// NarrationCount returns the total narration count across matches.
-func (c *Corpus) NarrationCount() int {
-	n := 0
-	for _, m := range c.Matches {
-		n += len(m.Narrations)
-	}
-	return n
-}
-
-// TruthCount returns the total ground-truth event count across matches.
-func (c *Corpus) TruthCount() int {
-	n := 0
-	for _, m := range c.Matches {
-		n += len(m.Truth)
-	}
-	return n
 }

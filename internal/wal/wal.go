@@ -202,13 +202,6 @@ func (l *Log) rewriteHeader(gen uint64) error {
 	return nil
 }
 
-// Generation returns the snapshot generation this log extends.
-func (l *Log) Generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 // Append writes one record and makes it durable per the sync policy.
 // When Append returns nil under SyncAlways, the record survives an
 // immediate kill -9. Empty records are rejected: a zero-filled tail

@@ -13,7 +13,6 @@
 package wsd
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/index"
@@ -139,15 +138,4 @@ func RefineQuery(query string, inv Inventory) (string, []Decision) {
 		decisions = append(decisions, d)
 	}
 	return strings.Join(kept, " "), decisions
-}
-
-// AmbiguousTerms lists the inventory's lemmas, sorted, for documentation
-// and CLI help.
-func AmbiguousTerms(inv Inventory) []string {
-	out := make([]string, 0, len(inv))
-	for k := range inv {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -99,15 +99,3 @@ func TestWSDImprovesOutOfDomainPrecision(t *testing.T) {
 		t.Errorf("refined query (%q) retrieved %d >= naive %d", refined, refinedHits, len(naive))
 	}
 }
-
-func TestAmbiguousTerms(t *testing.T) {
-	terms := AmbiguousTerms(SoccerInventory)
-	if len(terms) != len(SoccerInventory) {
-		t.Errorf("%d terms for %d lemmas", len(terms), len(SoccerInventory))
-	}
-	for i := 1; i < len(terms); i++ {
-		if terms[i-1] >= terms[i] {
-			t.Error("terms not sorted")
-		}
-	}
-}
