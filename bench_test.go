@@ -218,6 +218,40 @@ func BenchmarkQueryCold(b *testing.B) {
 	benchmarkQueryClasses(b, eng, gen, false)
 }
 
+// BenchmarkLoneRoot measures the two leaf scorers that stand as a search's
+// root on their own: a fielded term and a fielded phrase, each a lone
+// Should the boolean scorer hands the collector's threshold. The engine is
+// one FULL_INF heap shard over the first 90 pages of the repository
+// benchmark's corpus (10,730 documents), searched at limit 10 with the
+// cache bypassed; every query fills the limit. ns/op and allocs/op are per
+// search. No query of the repository benchmark's pool builds a lone root,
+// so this is the only timing of one.
+func BenchmarkLoneRoot(b *testing.B) {
+	pages, _ := benchmarkCorpus(b, 90)
+	eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, pages, shard.Options{Shards: 1})
+	defer eng.Close()
+	opts := shard.SearchOptions{Limit: 10, NoCache: true}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		queries []string
+	}{
+		{"term", []string{"narration:goal", "narration:kick", "narration:pass", "narration:shot"}},
+		{"phrase", []string{`narration:"free kick"`, `narration:"short pass"`, `narration:"through ball"`, `narration:"close range"`}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := c.queries[i%len(c.queries)]
+				if res, err := eng.Search(ctx, q, opts); err != nil || len(res.Hits) < opts.Limit {
+					b.Fatalf("search %q: %v, %d hits", q, err, len(res.Hits))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkQueryPhrasal is BenchmarkQueryCold at the phrasal-expression
 // level (Section 6, semindex.PhrExp): 64 queries shaped "<player> <event>
 // by <player>" and "<team> <event> to <player>". Their plain part has two

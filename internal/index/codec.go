@@ -192,7 +192,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 				bw.WriteByte(1)
 				fi.eachDocLen(func(id, _ int) {
 					writeUvarint(bw, uint64(id-prev))
-					writeF64(bw, fi.boost[id])
+					writeF64(bw, fi.boosts[id])
 					prev = id
 				})
 			}
@@ -562,8 +562,11 @@ func decodePostings(r *byteReader, fi *fieldIndex, numDocs int) error {
 // shapes in the header comment), checking every docID against numDocs and
 // every length against the 32-bit columns. With t nil it only checks the
 // tables and moves r past them; otherwise t, covering numDocs documents,
-// takes their values. A boost for a document without a length entry is
-// stored but never read.
+// takes their values. A document with a length entry and no boost entry
+// reads boost 0, and a boost for a document without a length entry is
+// dropped. A flag-0 table covering every document of the length table —
+// the table Encode writes for a uniform field — collapses to its one value;
+// any other sets each boost through setBoost, add's rule.
 func readTables(r *byteReader, numDocs int, t *docTable) error {
 	numLens := r.u32()
 	if r.bad || int64(numLens) > int64(numDocs) {
@@ -595,10 +598,7 @@ func readTables(r *byteReader, numDocs int, t *docTable) error {
 	if r.bad || flag > 1 {
 		return fmt.Errorf("index: bad field boost flag %d", flag)
 	}
-	var shared []int32
-	if flag == 0 && t != nil {
-		shared = make([]int32, 0, capHint(numBoosts, 1<<16))
-	}
+	ids, covered := *r, uint32(0)
 	id = -1
 	for k := uint32(0); k < numBoosts; k++ {
 		delta := r.uvarint()
@@ -607,17 +607,27 @@ func readTables(r *byteReader, numDocs int, t *docTable) error {
 		}
 		switch {
 		case flag == 1:
-			if v := r.f64(); t != nil {
-				t.boost[id] = v
+			if v := r.f64(); t != nil && t.hasEntry(id) {
+				t.setBoost(id, v)
 			}
-		case t != nil:
-			shared = append(shared, int32(id))
+		case t != nil && t.hasEntry(id):
+			covered++
 		}
 	}
 	if flag == 0 {
 		v := r.f64()
-		for _, id := range shared {
-			t.boost[id] = v
+		switch {
+		case t == nil:
+		case covered == numLens:
+			t.boost = v
+		default:
+			// The docIDs were checked above; walk them again for the value.
+			id = -1
+			for k := uint32(0); k < numBoosts; k++ {
+				if id += int(ids.uvarint()); t.hasEntry(id) {
+					t.setBoost(id, v)
+				}
+			}
 		}
 	}
 	if r.bad {

@@ -39,12 +39,3 @@ func (ix *Index) Postings(field, term string) []Posting {
 // Mapped reports whether this index serves postings from a mapped byte
 // region instead of heap structures.
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
-
-// boostOf is the boost the field was indexed at on the document (0 without
-// the field).
-func (t *docTable) boostOf(id int) float64 {
-	if id < 0 || id >= len(t.boost) {
-		return 0
-	}
-	return t.boost[id]
-}

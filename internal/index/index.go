@@ -71,13 +71,21 @@ type termCap struct {
 // indexed. present marks the documents that carry the field at all, which
 // is not the same as a positive length: a value that analyzes to no terms
 // still counts in the average length's denominator and in the codec's
-// entry count. The tables are dense because the traffic is (every document
-// of the semantic index carries every indexed field); a field most
-// documents lack would waste 12 bytes per document that lacks it.
+// entry count. The length table is dense because the traffic is (every
+// document of the semantic index carries every indexed field); a field
+// most documents lack would waste 4 bytes per document that lacks it. No
+// scorer reads the boosts (a score takes the posting's boost); Encode and
+// a merge do. They follow postingRun's rule: one value while every
+// document carrying the field was indexed at the same boost, bit for bit,
+// and a dense column from the first write that differs.
 type docTable struct {
 	docLen  []int32
-	boost   []float64
 	present []uint64
+	// boost is the boost every document carrying the field was indexed at
+	// while boosts is nil; boosts, once set, holds one per docID (0 for a
+	// document without the field) and boost means nothing.
+	boost  float64
+	boosts []float64
 	// docCount is the number of documents carrying the field and sumLen
 	// their total token count, for the average field length.
 	docCount int
@@ -88,7 +96,6 @@ type docTable struct {
 func newDocTable(numDocs int) docTable {
 	return docTable{
 		docLen:  make([]int32, numDocs),
-		boost:   make([]float64, numDocs),
 		present: make([]uint64, (numDocs+63)/64),
 	}
 }
@@ -109,7 +116,9 @@ func (t *docTable) add(id, n int, boost float64) int {
 	}
 	for len(t.docLen) <= id {
 		t.docLen = append(t.docLen, 0)
-		t.boost = append(t.boost, 0)
+		if t.boosts != nil {
+			t.boosts = append(t.boosts, 0)
+		}
 	}
 	for len(t.present) <= id>>6 {
 		t.present = append(t.present, 0)
@@ -119,9 +128,36 @@ func (t *docTable) add(id, n int, boost float64) int {
 		t.docCount++
 	}
 	t.docLen[id] = int32(base + n)
-	t.boost[id] = boost
+	t.setBoost(id, boost)
 	t.sumLen += n
 	return base
+}
+
+// setBoost records that document id, which carries the field, was indexed
+// at boost. While id is the only such document its boost is the one value.
+func (t *docTable) setBoost(id int, boost float64) {
+	switch {
+	case t.boosts != nil:
+		t.boosts[id] = boost
+	case t.docCount == 1:
+		t.boost = boost
+	case math.Float64bits(boost) != math.Float64bits(t.boost):
+		t.boosts = make([]float64, len(t.docLen))
+		t.eachDocLen(func(d, _ int) { t.boosts[d] = t.boost })
+		t.boosts[id] = boost
+	}
+}
+
+// boostOf is the boost the field was indexed at on the document (0 without
+// the field).
+func (t *docTable) boostOf(id int) float64 {
+	switch {
+	case !t.hasEntry(id):
+		return 0
+	case t.boosts != nil:
+		return t.boosts[id]
+	}
+	return t.boost
 }
 
 // hasEntry reports whether the document carries the field.
@@ -148,14 +184,19 @@ func (t *docTable) eachDocLen(fn func(id, l int)) {
 }
 
 // uniformBoost reports whether every document carrying the field was
-// indexed at the same boost, bit for bit, and the first such boost — the
-// one-value case of the codec's boost table.
+// indexed at the same boost, bit for bit, and that boost — the one-value
+// case of the codec's boost table. While the column is collapsed the
+// answer is the stored value; a dense column is scanned, since the
+// documents that differed may have been rewritten to agree.
 func (t *docTable) uniformBoost() (uniform bool, first float64) {
+	if t.boosts == nil {
+		return true, t.boost
+	}
 	uniform, seen := true, false
 	t.eachDocLen(func(id, _ int) {
 		if !seen {
-			first, seen = t.boost[id], true
-		} else if math.Float64bits(t.boost[id]) != math.Float64bits(first) {
+			first, seen = t.boosts[id], true
+		} else if math.Float64bits(t.boosts[id]) != math.Float64bits(first) {
 			uniform = false
 		}
 	})

@@ -80,8 +80,9 @@ type mappedField struct {
 	raw   []byte
 	terms map[string]*mappedTerm
 	// docTable holds the field-length and field-boost tables, parsed out of
-	// the payload at open (they are read per scored document, unlike
-	// postings). The owning fieldIndex shares them.
+	// the payload at open and resident, unlike postings: a scored
+	// document's length is read from it (its boosts are not; see
+	// docTable). The owning fieldIndex shares them.
 	docTable
 }
 
@@ -438,7 +439,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 			mf.terms[term] = mt
 		}
 		// The field-length and boost tables parse out of the payload into
-		// dense arrays (they are read per scored document, unlike postings).
+		// the resident docTable (see mappedField).
 		if docLenOff >= storedOff {
 			return nil, fmt.Errorf("index: TOC table offset out of range for field %q", name)
 		}

@@ -151,7 +151,7 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 				if m.fi == nil {
 					m.fi = &fieldIndex{docTable: newDocTable(numDocs)}
 				}
-				m.fi.add(nid, int(sfi.docLen[id]), sfi.boost[id])
+				m.fi.add(nid, int(sfi.docLen[id]), sfi.boostOf(id))
 			}
 		}
 	}

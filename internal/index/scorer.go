@@ -308,10 +308,12 @@ type phraseScorer struct {
 
 	// Block-Max state over the first term's posting list (the candidate
 	// generator, whose per-block metadata bounds a window): the whole-phrase
-	// cap inputs, kept so maxScoreUpTo can tighten them per block, the
-	// shallow probe's block and the last block bound.
+	// cap inputs, kept so a block bound can tighten them, the shallow
+	// probe's block, the collector threshold (set only on a root, as in
+	// termScorer) and the last block bound.
 	whole       termCap
 	shallowBlk  int
+	th          float64
 	cachedBlock int
 	cachedBound float64
 }
@@ -359,15 +361,45 @@ func (s *phraseScorer) maxScoreUpTo(target int) (float64, int) {
 	if b >= s.first.numBlocks() {
 		return 0, noMoreDocs
 	}
+	return s.blockBound(b), s.first.lastDoc(b)
+}
+
+// blockBound is the phrase's bound over the first term's block b: the
+// whole-phrase bound tightened with that block's metadata.
+func (s *phraseScorer) blockBound(b int) float64 {
 	if b != s.cachedBlock {
 		s.cachedBlock = b
 		s.cachedBound = phraseBound(s.whole.tighten(s.first.blockCap(b)), s.idfSum, s.boost)
 	}
-	return s.cachedBound, s.first.lastDoc(b)
+	return s.cachedBound
+}
+
+// setThreshold implements prunable. As the root of a phrase query the
+// first term's cursor hops whole blocks whose bound cannot beat the
+// collector threshold, before any of their candidates is verified
+// positionally. Under a boolean clause th stays 0, as termScorer's does.
+func (s *phraseScorer) setThreshold(th float64) { s.th = th }
+
+// skipBeatenBlocks moves the first term's cursor forward over whole blocks
+// proven unable to hold a phrase match scoring above th, the way
+// termScorer.skipBeatenBlocks does for a term. It is termScorer's loop over
+// the phrase's own block bound; one loop shared through an interface or a
+// bound callback would put a call in the term root's per-posting path.
+func (s *phraseScorer) skipBeatenBlocks() {
+	for s.i < s.first.n {
+		b := s.i / postingBlockSize
+		if s.blockBound(b) > s.th {
+			return
+		}
+		s.i = (b + 1) * postingBlockSize
+	}
 }
 
 func (s *phraseScorer) next() int {
 	for s.i++; ; s.i++ {
+		if s.th > 0 {
+			s.skipBeatenBlocks()
+		}
 		d := s.first.docAt(s.i)
 		if d == noMoreDocs {
 			break

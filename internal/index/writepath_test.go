@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -99,7 +100,8 @@ func TestAddDocStatsSumsDocuments(t *testing.T) {
 // later source, and a field only tombstoned documents carry. The result
 // must encode byte for byte like a from-scratch build of the survivors, and
 // must have been allocated at its final size: every posting list full to
-// its capacity, every table as long as the document count.
+// its capacity, every table as long as the document count (a boost column
+// collapsed to one value holds none).
 func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 	doc := func(i int) *Document {
 		d := new(Document).Add("narration", fmt.Sprintf("goal scored minute%d by player%d", i, i%7))
@@ -163,8 +165,8 @@ func TestMergeMatchesRebuildAtFinalSizes(t *testing.T) {
 		t.Errorf("%d stored documents, deleted %d; want %d", merged.stored.n, len(merged.deleted), next)
 	}
 	for name, fi := range merged.fields {
-		if len(fi.docLen) != next || len(fi.boost) != next {
-			t.Errorf("field %s: tables of %d and %d documents, want %d", name, len(fi.docLen), len(fi.boost), next)
+		if len(fi.docLen) != next || (len(fi.boosts) != 0 && len(fi.boosts) != next) {
+			t.Errorf("field %s: tables of %d and %d documents, want %d (0 boosts for a collapsed column)", name, len(fi.docLen), len(fi.boosts), next)
 		}
 		for term, te := range fi.terms {
 			if len(te.docs) == 0 || cap(te.docs) != len(te.docs) || cap(te.posEnd) != len(te.posEnd) ||
@@ -244,6 +246,211 @@ func checkMergeMatchesBuild(t *testing.T, merged, want *Index) {
 	}
 }
 
+// TestBoostColumnCollapse pins the document table's boost column: one
+// value while every document carrying a field was indexed at the same boost
+// bits, a dense column from the first write that differs. A uniform field
+// keeps no column through Add, Decode, OpenMapped and a merge of uniform
+// sources; −0 against +0, NaN payloads, a multi-valued field's last write
+// and a merge of sources collapsed at different values decide by bits. Each
+// form encodes like the index it came from, and a decoded or mapped copy
+// re-encodes byte for byte.
+func TestBoostColumnCollapse(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	// build indexes one document per boost, each with field f at it; a
+	// multi-valued document lists its boosts in write order.
+	build := func(docs ...[]float64) *Index {
+		ix := New(StandardAnalyzer{})
+		for i, bs := range docs {
+			d := &Document{}
+			for _, b := range bs {
+				d.Fields = append(d.Fields, Field{Name: "f", Text: fmt.Sprintf("goal w%d", i), Boost: b})
+			}
+			ix.Add(d)
+		}
+		return ix
+	}
+	check := func(name string, ix *Index, dense bool, want []float64) {
+		t.Helper()
+		fi := ix.fields["f"]
+		if (fi.boosts != nil) != dense {
+			t.Errorf("%s: dense column %v, want %v", name, fi.boosts != nil, dense)
+		}
+		for id, w := range want {
+			if got := fi.boostOf(id); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("%s: doc %d boost %v, want %v", name, id, got, w)
+			}
+		}
+	}
+	// reencode checks that ix's decoded and mapped copies re-encode to its
+	// own bytes, and that a copy is collapsed exactly when ix's boosts are
+	// uniform: the codec writes one value for them.
+	reencode := func(name string, ix *Index, want []float64) {
+		t.Helper()
+		raw, toc, err := encode(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniform, _ := ix.fields["f"].uniformBoost()
+		for _, mapped := range []bool{false, true} {
+			got, err := openBytes(raw, toc, mapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s reopened (mapped %v)", name, mapped), got, !uniform, want)
+			if again, _, err := encode(got); err != nil || !bytes.Equal(again, raw) {
+				t.Errorf("%s (mapped %v): re-encodes differently (%v)", name, mapped, err)
+			}
+		}
+	}
+	one := func(bs ...float64) [][]float64 {
+		out := make([][]float64, len(bs))
+		for i, b := range bs {
+			out[i] = []float64{b}
+		}
+		return out
+	}
+
+	for _, c := range []struct {
+		name  string
+		docs  [][]float64
+		dense bool
+		want  []float64
+	}{
+		{"uniform", one(1.5, 1.5, 1.5, 1.5), false, []float64{1.5, 1.5, 1.5, 1.5}},
+		{"default boost", one(0, 1, 0), false, []float64{1, 1, 1}},
+		{"one diverging write", one(1.5, 1.5, 2, 1.5), true, []float64{1.5, 1.5, 2, 1.5}},
+		{"same NaN payload", one(nan1, nan1), false, []float64{nan1, nan1}},
+		{"two NaN payloads", one(nan1, nan2), true, []float64{nan1, nan2}},
+		{"last write wins", [][]float64{{1, 2}, {2}}, false, []float64{2, 2}},
+		{"last write diverges", [][]float64{{2}, {2, 3}}, true, []float64{2, 3}},
+		{"last write agrees again", [][]float64{{2}, {2, 3, 2}}, true, []float64{2, 2}},
+	} {
+		ix := build(c.docs...)
+		check(c.name, ix, c.dense, c.want)
+		reencode(c.name, ix, c.want)
+	}
+
+	// −0 and +0 are one boost to Add (0 means "unset", indexed at 1), so
+	// they reach the table only through its own add.
+	negZero := math.Copysign(0, -1)
+	var zeros, negs docTable
+	zeros.add(0, 1, 0)
+	zeros.add(1, 1, negZero)
+	negs.add(0, 1, negZero)
+	negs.add(3, 1, negZero)
+	if zeros.boosts == nil || math.Signbit(zeros.boostOf(0)) || !math.Signbit(zeros.boostOf(1)) {
+		t.Errorf("+0 then −0: column %v, want dense [0 −0]", zeros.boosts)
+	}
+	if u, _ := zeros.uniformBoost(); u {
+		t.Error("+0 and −0 reported uniform")
+	}
+	if negs.boosts != nil || !math.Signbit(negs.boostOf(3)) || negs.boostOf(2) != 0 {
+		t.Errorf("−0 twice: column %v, boost %v", negs.boosts, negs.boostOf(3))
+	}
+
+	// Merges: uniform sources at one value stay collapsed; sources
+	// collapsed at different values build the column, and both encode like
+	// a build of the same documents.
+	for _, c := range []struct {
+		name    string
+		a, b    float64
+		dense   bool
+		wantAll []float64
+	}{
+		{"merge of uniform sources", 1.5, 1.5, false, []float64{1.5, 1.5, 1.5, 1.5}},
+		{"merge of sources collapsed apart", 1.5, 2, true, []float64{1.5, 1.5, 2, 2}},
+	} {
+		a, b := build(one(c.a, c.a)...), build(one(c.b, c.b)...)
+		check(c.name+" source a", a, false, nil)
+		check(c.name+" source b", b, false, nil)
+		merged, _ := MergeIndexes([]*Index{a, b}, nil)
+		check(c.name, merged, c.dense, c.wantAll)
+		want := New(StandardAnalyzer{})
+		for i, src := range []*Index{a, a, b, b} {
+			want.Add(src.Doc(i % 2))
+		}
+		got, _, err := encode(merged)
+		rebuilt, _, err2 := encode(want)
+		if err != nil || err2 != nil || !bytes.Equal(got, rebuilt) {
+			t.Errorf("%s: encodes differently from a build of its documents (%v, %v)", c.name, err, err2)
+		}
+	}
+}
+
+// TestBoostTablesDecodeAsWritten feeds readTables hand-built tables over
+// documents 0, 2 and 5 of 8. A flag-0 table covering every document of the
+// length table collapses to its value; one that misses some gives those
+// boost 0; a boost for a document without a length entry is checked and
+// dropped. Each reads the boosts a dense column filled entry by entry reads,
+// and the check-only pass consumes the same bytes.
+func TestBoostTablesDecodeAsWritten(t *testing.T) {
+	lens := []int{0, 2, 5}
+	table := func(flag byte, ids []int, vals []float64) []byte {
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		writeU32(bw, uint32(len(lens)))
+		prev := -1
+		for _, id := range lens {
+			writeUvarint(bw, uint64(id-prev))
+			writeUvarint(bw, 1)
+			prev = id
+		}
+		writeU32(bw, uint32(len(ids)))
+		if len(ids) > 0 {
+			bw.WriteByte(flag)
+		}
+		prev = -1
+		for k, id := range ids {
+			writeUvarint(bw, uint64(id-prev))
+			prev = id
+			if flag == 1 {
+				writeF64(bw, vals[k])
+			}
+		}
+		if flag == 0 && len(ids) > 0 {
+			writeF64(bw, vals[0])
+		}
+		bw.Flush()
+		return buf.Bytes()
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name  string
+		flag  byte
+		ids   []int
+		vals  []float64
+		dense bool
+		want  []float64 // by docID 0..5
+	}{
+		{"flag 0 over the length table", 0, []int{0, 2, 5}, []float64{2.5}, false, []float64{2.5, 0, 2.5, 0, 0, 2.5}},
+		{"flag 0 missing a document", 0, []int{0, 5}, []float64{2.5}, true, []float64{2.5, 0, 0, 0, 0, 2.5}},
+		{"flag 0 with an extra document", 0, []int{0, 2, 3, 5}, []float64{2.5}, false, []float64{2.5, 0, 2.5, 0, 0, 2.5}},
+		{"flag 0 over other documents", 0, []int{1, 3}, []float64{2.5}, false, []float64{0, 0, 0, 0, 0, 0}},
+		{"flag 1", 1, []int{0, 2, 5}, []float64{1, negZero, 1}, true, []float64{1, 0, negZero, 0, 0, 1}},
+		{"flag 1 at one value", 1, []int{0, 2, 5}, []float64{3, 3, 3}, true, []float64{3, 0, 3, 0, 0, 3}},
+		{"no boost table", 0, nil, nil, false, []float64{0, 0, 0, 0, 0, 0}},
+	} {
+		raw := table(c.flag, c.ids, c.vals)
+		check := byteReader{b: raw}
+		if err := readTables(&check, 8, nil); err != nil || check.pos != len(raw) {
+			t.Errorf("%s: check-only pass: %v, %d of %d bytes", c.name, err, check.pos, len(raw))
+		}
+		tb := newDocTable(8)
+		r := byteReader{b: raw}
+		if err := readTables(&r, 8, &tb); err != nil || r.pos != len(raw) {
+			t.Fatalf("%s: %v, %d of %d bytes", c.name, err, r.pos, len(raw))
+		}
+		if (tb.boosts != nil) != c.dense {
+			t.Errorf("%s: dense column %v, want %v", c.name, tb.boosts != nil, c.dense)
+		}
+		for id, w := range c.want {
+			if got := tb.boostOf(id); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("%s: doc %d boost %v, want %v", c.name, id, got, w)
+			}
+		}
+	}
+}
+
 // TestMergeHoldsInt32Edges seeds field lengths next to the segment limit of
 // the 32-bit position ends, the way TestAddPanicsAtInt32Edges does, in the
 // sources of a merge. Survivors whose lengths add up to math.MaxUint32
@@ -254,7 +461,7 @@ func TestMergeHoldsInt32Edges(t *testing.T) {
 	seeded := func(docLen int32, dead bool) *Index {
 		ix := New(StandardAnalyzer{})
 		ix.Add(new(Document).Add("f", "goal"))
-		ix.fields["f"].docTable = docTable{docLen: []int32{docLen}, boost: []float64{1}, present: []uint64{1}, docCount: 1, sumLen: int(docLen)}
+		ix.fields["f"].docTable = docTable{docLen: []int32{docLen}, boost: 1, present: []uint64{1}, docCount: 1, sumLen: int(docLen)}
 		if dead {
 			ix.Delete(0)
 		}
@@ -518,7 +725,7 @@ func TestAddPanicsAtInt32Edges(t *testing.T) {
 	seeded := func(docLen int32, sumLen int) *Index {
 		ix := New(StandardAnalyzer{})
 		fi := newFieldIndex()
-		fi.docTable = docTable{docLen: []int32{docLen}, boost: []float64{1}, present: []uint64{1}, docCount: 1, sumLen: sumLen}
+		fi.docTable = docTable{docLen: []int32{docLen}, boost: 1, present: []uint64{1}, docCount: 1, sumLen: sumLen}
 		ix.fields["f"] = fi
 		return ix
 	}

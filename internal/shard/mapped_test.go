@@ -248,13 +248,18 @@ func openAllocBytes(t *testing.T, base string, mapped bool) uint64 {
 // Open-time work of a mapped load is O(TOC) plus the per-document ID
 // bookkeeping every engine keeps, so the slope is what matters: the
 // allocation a mapped open adds per added document must be at most a
-// third of what the heap decode adds. Measured on two-shard FULL_INF
-// snapshots of 716 and 2,865 documents: 435 against 2,145 B/doc (0.20).
-// Allocation is counted, not timed, so the gate is deterministic.
+// third of what the heap decode adds, and at most maxMappedPerDoc in
+// absolute terms. Measured on two-shard FULL_INF snapshots of 716 and
+// 2,865 documents: 435 against 2,145 B/doc (0.20) when the relative check
+// was set; 418 against 1,478 before a field's boost column collapsed to
+// one value while every document shares it, and 238 against 1,378 after.
+// The ceiling leaves a fifth again as much room over 238. Allocation is
+// counted, not timed, so the gate is deterministic.
 func TestMappedOpenAllocatesLessPerDocThanDecode(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("mapped opens read the whole file onto the heap without mmap")
 	}
+	const maxMappedPerDoc = 286
 	type point struct {
 		docs         int
 		heap, mapped uint64
@@ -282,5 +287,10 @@ func TestMappedOpenAllocatesLessPerDocThanDecode(t *testing.T) {
 	if mappedPerDoc*3 > heapPerDoc {
 		t.Errorf("mapped open grows %.0f B/doc against the heap decode's %.0f; want at most a third",
 			mappedPerDoc, heapPerDoc)
+	}
+	// The race detector drops pooled buffers at random, so the absolute
+	// ceiling is read on a plain build only; the ratio holds under both.
+	if !raceEnabled && mappedPerDoc > maxMappedPerDoc {
+		t.Errorf("mapped open grows %.0f B/doc, ceiling %d", mappedPerDoc, maxMappedPerDoc)
 	}
 }
