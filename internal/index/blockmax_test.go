@@ -205,13 +205,12 @@ func TestDecodeRejectsInvalidBlockMetadata(t *testing.T) {
 }
 
 // TestBoundsAreExact holds the term and phrase bounds to the scores they
-// bound, bit for bit: under ClassicTFIDF a bound is the score of a posting
-// with its best-case shape, and at or above the score of every posting it
-// covers, so the kernel may skip a block whose bound only ties the bar.
-// Every posting block of a real index is checked, on the heap, decoded and
-// mapped, at several query boosts and document frequencies; then a grid of
-// shapes, every shape against each one it dominates. BM25's bound keeps a
-// margin (see capSlack) and is held only to be at or above.
+// bound, bit for bit: under either similarity a bound is the score of a
+// posting with its best-case shape, and at or above the score of every
+// posting it covers, so the kernel may skip a block whose bound only ties
+// the bar. Every posting block of a real index is checked, on the heap,
+// decoded and mapped, at several query boosts and document frequencies;
+// then a grid of shapes, every shape against each one it dominates.
 func TestBoundsAreExact(t *testing.T) {
 	heap := indexOf(kernelCorpus(rand.New(rand.NewSource(40)), 1200))
 	decoded, err := reopen(heap, false)
@@ -285,13 +284,12 @@ func TestBoundsAreExact(t *testing.T) {
 	}
 	const numDocs, avgLen = 1200, 6.3
 	for _, sim := range []Similarity{ClassicTFIDF{}, BM25{}} {
-		_, exact := sim.(ClassicTFIDF)
 		for _, df := range []int{0, 1, 7, 150, numDocs} {
 			w := sim.weight(termStats{df: df, numDocs: numDocs, avgLen: avgLen})
 			for _, qb := range queryBoosts {
 				for _, cp := range shapes {
 					bound, pb := scoreBound(cp, w, qb), phraseBound(cp, idfSum, qb)
-					if exact && bits(bound) != bits(w.score(cp.maxFreq, cp.minLen)*cp.maxBoost*qb) ||
+					if bits(bound) != bits(w.score(cp.maxFreq, cp.minLen)*cp.maxBoost*qb) ||
 						bits(pb) != bits(phraseScore(cp.maxFreq, idfSum, cp.maxBoost, norm(cp.minLen), qb)) {
 						t.Fatalf("%T shape %+v df %d query boost %v: term bound %v, phrase bound %v, not the best-case scores",
 							sim, cp, df, qb, bound, pb)

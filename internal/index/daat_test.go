@@ -134,7 +134,7 @@ func TestMoreLikeThisEquivalence(t *testing.T) {
 	fields := []FieldBoost{{Field: "narration", Boost: 1}}
 	var queries []Query
 	for docID := 0; docID < ix.NumDocs(); docID++ {
-		if q := ix.MoreLikeThis(docID, fields, 8); q != nil {
+		if q := ix.LikeThisQuery(docID, fields, 8); q != nil {
 			queries = append(queries, q)
 		}
 	}

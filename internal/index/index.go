@@ -647,18 +647,18 @@ func (t *docTable) norm(id int) float64 {
 // best case into a lower bound, so it gets +Inf, which disables pruning but
 // keeps evaluation correct.
 //
-// The boosts add no margin. The bound is the expression termScorer.score
-// and termClause.scores form, in their association, at inputs that
-// dominate every posting's; each rounded step is monotone in its inputs.
-// Under ClassicTFIDF the bound is therefore at or above every score it
-// covers, bit for bit, and equals the score of a posting with the
-// best-case shape, so a block that can only tie the threshold is skipped
-// (DESIGN.md §10). Under BM25 the weight's bound carries capSlack.
+// No margin is added. The bound is the expression termScorer.score and
+// termClause.scores form, in their association, at inputs that dominate
+// every posting's; each rounded step is monotone in its inputs (see
+// termWeight). Under either similarity the bound is therefore at or above
+// every score it covers, bit for bit, and equals the score of a posting
+// with the best-case shape, so a block that can only tie the threshold is
+// skipped (DESIGN.md §10).
 func scoreBound(c termCap, w termWeight, queryBoost float64) float64 {
 	if c.maxBoost < 0 || queryBoost < 0 {
 		return math.Inf(1)
 	}
-	return w.bound(c.maxFreq, c.minLen) * c.maxBoost * queryBoost
+	return w.score(c.maxFreq, c.minLen) * c.maxBoost * queryBoost
 }
 
 // observe widens the cap to cover a posting with the given shape.

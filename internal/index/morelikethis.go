@@ -1,25 +1,14 @@
 package index
 
-// MoreLikeThis builds a query from the most discriminative terms of an
+// LikeThisQuery builds a query from the most discriminative terms of an
 // existing document — the "related events" feature of a search UI. Terms
-// are ranked by TF-IDF within the given fields; the top maxTerms become a
+// are ranked by IDF within the given fields; the top maxTerms become a
 // Should-disjunction over the same fields.
 //
+// The source document matches its own query, and callers drop it from the
+// hits, fetching one more: a query fanned out across index partitions
+// cannot exclude it by local docID, which another partition may reuse.
 // It returns nil when the document has no usable terms.
-func (ix *Index) MoreLikeThis(docID int, fields []FieldBoost, maxTerms int) Query {
-	q := ix.LikeThisQuery(docID, fields, maxTerms)
-	if q == nil {
-		return nil
-	}
-	bq := q.(BooleanQuery)
-	bq.MustNot = []Query{docIDQuery{docID}}
-	return bq
-}
-
-// LikeThisQuery is MoreLikeThis without the source-document exclusion.
-// Callers that fan the query out across index partitions (where another
-// partition may reuse the same local docID) filter the source from the
-// merged results themselves.
 func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Query {
 	d := ix.Doc(docID)
 	if d == nil {
@@ -79,24 +68,4 @@ func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Que
 		}
 	}
 	return BooleanQuery{Should: should, DisableCoord: true}
-}
-
-// docIDQuery matches exactly one document, used to exclude the source doc
-// from its own related-results list.
-type docIDQuery struct{ id int }
-
-func (q docIDQuery) bind(Analyzer) boundQuery { return q }
-
-func (q docIDQuery) scores(ix *Index) map[int]float64 {
-	if q.id < 0 || q.id >= ix.NumDocs() {
-		return nil
-	}
-	return map[int]float64{q.id: 1}
-}
-
-func (q docIDQuery) newScorer(ix *Index, _ *searchArena) scorer {
-	if q.id < 0 || q.id >= ix.NumDocs() {
-		return emptyScorer{}
-	}
-	return &singleDocScorer{id: q.id, cur: -1}
 }

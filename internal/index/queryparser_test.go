@@ -235,41 +235,13 @@ func TestEditDistanceSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestMoreLikeThis(t *testing.T) {
-	ix := New(StandardAnalyzer{})
-	// Three card-ish docs and two unrelated corners.
-	ix.Add(new(Document).Add("event", "YellowCard").Add("narration", "booked for a late challenge"))
-	ix.Add(new(Document).Add("event", "YellowCard").Add("narration", "sees yellow after a challenge"))
-	ix.Add(new(Document).Add("event", "RedCard").Add("narration", "sent off after a second booking"))
-	ix.Add(new(Document).Add("event", "Corner").Add("narration", "delivers the corner"))
-	ix.Add(new(Document).Add("event", "Corner").Add("narration", "takes the corner short"))
-
-	fields := []FieldBoost{{Field: "event", Boost: 4}, {Field: "narration", Boost: 1}}
-	q := ix.MoreLikeThis(0, fields, 8)
-	if q == nil {
-		t.Fatal("nil query")
-	}
-	hits := ix.Search(q, 0)
-	for _, h := range hits {
-		if h.DocID == 0 {
-			t.Error("source doc in its own results")
-		}
-	}
-	if len(hits) == 0 {
-		t.Fatal("no related docs")
-	}
-	if got := ix.Doc(hits[0].DocID).Get("event"); got == "Corner" {
-		t.Errorf("top related is a Corner; ranking = %v", hits)
-	}
-}
-
 func TestMoreLikeThisBounds(t *testing.T) {
 	ix := New(StandardAnalyzer{})
 	ix.Add(new(Document).Add("f", "term"))
-	if q := ix.MoreLikeThis(-1, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ix.LikeThisQuery(-1, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
 		t.Error("negative id produced a query")
 	}
-	if q := ix.MoreLikeThis(99, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ix.LikeThisQuery(99, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
 		t.Error("out-of-range id produced a query")
 	}
 	// A doc whose only term is ubiquitous (df above the ceiling) yields nil.
@@ -277,7 +249,7 @@ func TestMoreLikeThisBounds(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ubiq.Add(new(Document).Add("f", "same"))
 	}
-	if q := ubiq.MoreLikeThis(0, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ubiq.LikeThisQuery(0, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
 		t.Error("ubiquitous-term doc produced a query")
 	}
 }

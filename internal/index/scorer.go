@@ -29,16 +29,6 @@ import "math"
 // noMoreDocs is the docID sentinel every exhausted scorer reports.
 const noMoreDocs = math.MaxInt
 
-// capSlack is the margin of the one bound that cannot be formed exactly
-// like the scores it bounds: BM25's termWeight.bound, and so scoreBound
-// under BM25. tf sits in both the numerator and the denominator, so
-// rounding can invert its monotonicity, and Go may fuse x*y+z into one
-// rounding on some architectures. Every other bound is the score's own
-// expression at dominating inputs and carries none (scoreBound under
-// ClassicTFIDF, phraseBound, booleanScorer's prefix sums), so a block or
-// window that can only tie the threshold is skipped.
-const capSlack = 1 + 1e-9
-
 // scorer is a cursor over one query clause's matching documents in
 // ascending docID order. A fresh scorer is positioned before the first
 // document; next and advance move it forward only and return where it
@@ -256,7 +246,7 @@ func phraseScore(freq int, idfSum, p0boost, norm, boost float64) float64 {
 // long as the shortest any member term occurs in (minLen), and is scored
 // with the first term's posting boost. It is phraseScore at those
 // dominating inputs, each rounded step monotone in its input, so it equals
-// the score of a best-case match and needs no margin (see capSlack). +Inf
+// the score of a best-case match and needs no margin (see scoreBound). +Inf
 // for negative boosts, which would turn the best case into a lower bound.
 func phraseBound(c termCap, idfSum, boost float64) float64 {
 	if c.maxBoost < 0 || boost < 0 {
@@ -471,40 +461,13 @@ func (s *allScorer) advance(target int) int {
 func (s *allScorer) score() float64    { return 1 }
 func (s *allScorer) maxScore() float64 { return 1 }
 
-func (s *allScorer) maxScoreUpTo(int) (float64, int) { return wholeTail(s.cur) }
-
-// wholeTail is the maxScoreUpTo of a constant-score-1 scorer standing on
-// cur: no window, and nothing left to bound once exhausted.
-func wholeTail(cur int) (float64, int) {
-	if cur == noMoreDocs {
+// maxScoreUpTo has no window, and nothing left to bound once exhausted.
+func (s *allScorer) maxScoreUpTo(int) (float64, int) {
+	if s.cur == noMoreDocs {
 		return 0, noMoreDocs
 	}
 	return 1, noMoreDocs
 }
-
-// singleDocScorer matches exactly one document at score 1 (docIDQuery).
-type singleDocScorer struct {
-	id  int
-	cur int
-}
-
-func (s *singleDocScorer) next() int { return s.advance(s.cur + 1) }
-
-func (s *singleDocScorer) advance(target int) int {
-	switch {
-	case s.cur >= target:
-	case target <= s.id:
-		s.cur = s.id
-	default:
-		s.cur = noMoreDocs
-	}
-	return s.cur
-}
-
-func (s *singleDocScorer) score() float64    { return 1 }
-func (s *singleDocScorer) maxScore() float64 { return 1 }
-
-func (s *singleDocScorer) maxScoreUpTo(int) (float64, int) { return wholeTail(s.cur) }
 
 // window is the Block-Max answer a compound scorer last computed: bound
 // covers every document up to end. While targets stay at or under end a

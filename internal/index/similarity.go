@@ -20,8 +20,11 @@ type ClassicTFIDF struct{}
 func (ClassicTFIDF) weight(st termStats) termWeight { return termWeight{idf: st.idf()} }
 
 // BM25 is Okapi BM25 at the standard parameters bm25K1 and bm25B:
-// idf · tf·(k1+1) / (tf + k1·(1 − b + b·fieldLen/avgLen)),
-// idf = ln(1 + (N − df + 0.5)/(df + 0.5)), avgLen floored at one.
+// idf·(k1+1) / (1 + k1·(norm/tf)), norm = (1 − b) + (b/avgLen)·fieldLen,
+// idf = ln(1 + (N − df + 0.5)/(df + 0.5)), avgLen floored at one. Over the
+// reals this is the textbook idf · tf·(k1+1) / (tf + k1·norm); the
+// association is the one in which each input appears once (see termWeight)
+// and idf·(k1+1) and b/avgLen are whole sub-expressions, computed per term.
 type BM25 struct{}
 
 // bm25K1 is BM25's term-frequency saturation, bm25B its length
@@ -30,7 +33,7 @@ const bm25K1, bm25B float64 = 1.2, 0.75
 
 func (BM25) weight(st termStats) termWeight {
 	idf := math.Log(1 + (float64(st.numDocs)-float64(st.df)+0.5)/(float64(st.df)+0.5))
-	return termWeight{bm25: true, idf: idf, avgLen: math.Max(st.avgLen, 1)}
+	return termWeight{bm25: true, idf: idf * (bm25K1 + 1), bPerLen: bm25B / math.Max(st.avgLen, 1)}
 }
 
 // termWeight is a similarity bound to one term: what its formula derives
@@ -39,9 +42,19 @@ func (BM25) weight(st termStats) termWeight {
 // through it. Only whole sub-expressions are precomputed; every product
 // and quotient keeps the formula's association, so each score is the same
 // float64 on every path.
+//
+// In both formulas each input (freq, fieldLen) appears once, and every
+// rounded step is monotone in its one varying input, so score at a
+// best-case shape (freq at most, fieldLen at least) is an exact upper
+// bound on every computed score it covers (see scoreBound). That needs
+// every operation rounded on its own: the Go spec lets a compiler fuse
+// x*y + z into one rounding, so each product that feeds a sum is wrapped
+// in an explicit float64 conversion, which the spec says rounds it first.
 type termWeight struct {
-	bm25        bool
-	idf, avgLen float64 // avgLen: BM25 only
+	bm25 bool
+	// idf is the classic idf, or BM25's idf·(k1+1); bPerLen is BM25's
+	// b/avgLen.
+	idf, bPerLen float64
 }
 
 // score scores a posting with freq occurrences in a field of fieldLen
@@ -51,30 +64,8 @@ func (w termWeight) score(freq, fieldLen int) float64 {
 		return 0
 	}
 	if w.bm25 {
-		tf := float64(freq)
-		norm := 1 - bm25B + bm25B*float64(fieldLen)/w.avgLen
-		return w.idf * tf * (bm25K1 + 1) / (tf + bm25K1*norm)
+		norm := (1 - bm25B) + float64(w.bPerLen*float64(fieldLen))
+		return w.idf / (1 + float64(bm25K1*(norm/float64(freq))))
 	}
 	return math.Sqrt(float64(freq)) * w.idf * w.idf / math.Sqrt(float64(fieldLen))
-}
-
-// bound returns an upper bound on score over every posting with freq <=
-// maxFreq and fieldLen >= minLen: the DAAT kernel's score cap per term and
-// per posting block (see scoreBound, and DESIGN.md §10 for both
-// derivations). Both formulas rise with freq and fall with fieldLen, so
-// score at the best-case shape dominates every real posting over the
-// reals. The bound must also hold for the computed floats, since the
-// kernel prunes a block whose bound ties the threshold:
-//   - classic: each input appears once and every rounded step is monotone
-//     in it, so the best-case score is the bound exactly;
-//   - BM25: tf sits in the numerator and the denominator, so rounding can
-//     invert the order by an ulp, and Go may fuse tf + k1·norm into one
-//     rounding on architectures with a fused multiply-add. The bound
-//     therefore carries capSlack.
-func (w termWeight) bound(maxFreq, minLen int) float64 {
-	b := w.score(maxFreq, minLen)
-	if w.bm25 {
-		b *= capSlack
-	}
-	return b
 }

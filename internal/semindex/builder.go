@@ -57,11 +57,6 @@ type Builder struct {
 	// Section 7 multilinguality recipe ("as easy as adding the translated
 	// value next to its original value for each field").
 	EventTranslations map[string]string
-	// Parallelism bounds the worker pool preparing per-match documents
-	// (extraction, population and inference are independent per game —
-	// the same property that makes the paper's per-match models scale).
-	// 0 means GOMAXPROCS capped at 8; 1 disables concurrency.
-	Parallelism int
 
 	// roles is the TBox knowledge the flattening step reads, derived from
 	// Ontology and Reasoner on first use.
@@ -84,32 +79,15 @@ func NewBuilder() *Builder {
 }
 
 // Build constructs the index at the given level from crawled match pages.
-// Per-match document preparation (extraction, population, inference) runs
-// on a worker pool; documents are committed to the index in page order so
-// docIDs — and therefore search tie-breaks — stay deterministic.
+// Games are independent (the property that makes the paper's per-match
+// models scale), so each page's documents are prepared (extraction,
+// population, inference) on GOMAXPROCS workers. Documents are committed to
+// the index in page order, so docIDs, and therefore search tie-breaks,
+// stay deterministic.
 func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex {
-	ix := index.New(b.Analyzer)
-	si := &SemanticIndex{Level: level, Index: ix}
-
-	workers := b.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if workers <= 1 || len(pages) < 2 {
-		for _, page := range pages {
-			for _, d := range b.PageDocuments(level, page) {
-				ix.Add(d)
-			}
-		}
-		return si
-	}
-
 	docsByPage := make([][]*index.Document, len(pages))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, page := range pages {
 		wg.Add(1)
 		go func(i int, page *crawler.MatchPage) {
@@ -120,12 +98,13 @@ func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex 
 		}(i, page)
 	}
 	wg.Wait()
+	ix := index.New(b.Analyzer)
 	for _, docs := range docsByPage {
 		for _, d := range docs {
 			ix.Add(d)
 		}
 	}
-	return si
+	return &SemanticIndex{Level: level, Index: ix}
 }
 
 // PageDocuments prepares one match's documents without committing them to

@@ -35,16 +35,27 @@ func Facets(hits []Hit, metaField string) []Facet {
 }
 
 // Related returns documents similar to the given hit, ranked by shared
-// discriminative vocabulary across the ontological fields.
+// discriminative vocabulary across the ontological fields. The source is
+// left out of its own list.
 func (s *SemanticIndex) Related(docID int, limit int) []Hit {
-	q := s.Index.MoreLikeThis(docID, QueryBoosts, 8)
+	q := s.Index.LikeThisQuery(docID, QueryBoosts, 8)
 	if q == nil {
 		return nil
 	}
-	raw := s.Index.Search(q, limit)
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
+	// Over-fetch by one so dropping the source cannot shorten the list.
+	fetch := limit
+	if fetch > 0 {
+		fetch++
 	}
-	return hits
+	raw := s.Index.Search(q, fetch)
+	out := raw[:0]
+	for _, h := range raw {
+		if h.DocID != docID {
+			out = append(out, h)
+		}
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return s.withDocs(out)
 }

@@ -324,18 +324,21 @@ func TestLevelsOrder(t *testing.T) {
 
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	pages := testPages(t, 4, 42)
-	serial := &Builder{Ontology: NewBuilder().Ontology, Reasoner: NewBuilder().Reasoner, Rules: NewBuilder().Rules, Parallelism: 1}
-	par := NewBuilder()
-	par.Parallelism = 4
-
-	a := serial.Build(FullInf, pages)
-	b := par.Build(FullInf, pages)
-	if a.Index.NumDocs() != b.Index.NumDocs() {
-		t.Fatalf("doc counts differ: %d vs %d", a.Index.NumDocs(), b.Index.NumDocs())
+	b := NewBuilder()
+	ix := index.New(nil)
+	for _, p := range pages {
+		for _, d := range b.PageDocuments(FullInf, p) {
+			ix.Add(d)
+		}
+	}
+	serial := &SemanticIndex{Level: FullInf, Index: ix}
+	par := b.Build(FullInf, pages)
+	if serial.Index.NumDocs() != par.Index.NumDocs() {
+		t.Fatalf("doc counts differ: %d vs %d", serial.Index.NumDocs(), par.Index.NumDocs())
 	}
 	for _, q := range []string{"goal", "punishment", "henry negative moves", "foul by daniel"} {
-		ha := a.Search(q, 10)
-		hb := b.Search(q, 10)
+		ha := serial.Search(q, 10)
+		hb := par.Search(q, 10)
 		if len(ha) != len(hb) {
 			t.Fatalf("query %q: %d vs %d hits", q, len(ha), len(hb))
 		}

@@ -29,12 +29,6 @@ type SearchOptions struct {
 	NoCache bool
 }
 
-// fingerprint summarizes the result-affecting options beyond the limit
-// for cache keying. Trace and NoCache never change the bytes of an
-// answer, so today this is a constant version tag; any future option
-// that alters ranking or result shape must be folded in here.
-func (o SearchOptions) fingerprint() string { return "v1" }
-
 // CacheStatus reports how a Search answer was produced.
 type CacheStatus string
 
@@ -145,11 +139,13 @@ type cacheEntry struct {
 
 // cacheKey builds the cache key: normalized query (whitespace collapsed
 // — case and token order are preserved because the analyzer, not the
-// cache, decides their meaning), the semantic level, the limit, and the
-// options fingerprint.
+// cache, decides their meaning), the semantic level and the limit. The
+// other options (Trace, NoCache) never change the bytes of an answer, so
+// they stay out of the key; an option that alters ranking or result shape
+// must be folded in here.
 func (e *Engine) cacheKey(query string, opts SearchOptions) string {
 	norm := strings.Join(strings.Fields(query), " ")
-	return norm + "\x00" + string(e.level) + "\x00" + strconv.Itoa(opts.Limit) + "\x00" + opts.fingerprint()
+	return norm + "\x00" + string(e.level) + "\x00" + strconv.Itoa(opts.Limit)
 }
 
 // entryBytes estimates a cached answer's resident cost: key, entry
