@@ -63,7 +63,7 @@ func main() {
 		fmt.Printf("%d results in %v for %q\n", len(hits), time.Since(t0).Round(time.Microsecond), q)
 		for i, h := range hits {
 			kind := h.Meta(semindex.MetaKind)
-			narr := h.Doc.Get(semindex.FieldNarration)
+			narr := h.Doc().Get(semindex.FieldNarration)
 			if narr == "" {
 				narr = "(no narration: " + h.Meta(semindex.MetaSubject) + ")"
 			} else {

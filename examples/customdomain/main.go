@@ -104,8 +104,8 @@ func main() {
 	}), 0)
 	fmt.Printf("\nquery \"scoring curry\": %d hits\n", len(hits))
 	for i, h := range hits {
-		fmt.Printf("  %d. [%.2f] %s / %s\n", i+1, h.Score,
-			ix.Doc(h.DocID).Get("event"), ix.Doc(h.DocID).Get("subjectPlayer"))
+		d := ix.Doc(h.DocID)
+		fmt.Printf("  %d. [%.2f] %s / %s\n", i+1, h.Score, d.Get("event"), d.Get("subjectPlayer"))
 	}
 }
 

@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("bilingual index: %q -> %d hits, %q -> %d hits\n", "goal", len(en), "gol", len(tr))
 	if len(en) > 0 && len(tr) > 0 && en[0].DocID == tr[0].DocID {
 		fmt.Println("both languages rank the same top document:")
-		fmt.Printf("  %s\n", en[0].Doc.Get(semindex.FieldNarration))
+		fmt.Printf("  %s\n", en[0].Doc().Get(semindex.FieldNarration))
 	}
 
 	// The monolingual index cannot answer the Turkish query at all.

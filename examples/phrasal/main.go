@@ -39,7 +39,7 @@ func main() {
 			h := hits[0]
 			fmt.Printf("  %-9s top: subject=%-16s object=%-16s (%s)\n",
 				si.Level, h.Meta(semindex.MetaSubject), h.Meta(semindex.MetaObject),
-				h.Doc.Get(semindex.FieldNarration))
+				h.Doc().Get(semindex.FieldNarration))
 		}
 		fmt.Println()
 	}

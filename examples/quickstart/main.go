@@ -55,7 +55,7 @@ func main() {
 		hits := sys.Search(q, 3)
 		fmt.Printf("\nquery %q -> %d hits, top results:\n", q, len(hits))
 		for i, h := range hits {
-			narr := h.Doc.Get(semindex.FieldNarration)
+			narr := h.Doc().Get(semindex.FieldNarration)
 			if narr == "" {
 				narr = "(basic info) " + h.Meta(semindex.MetaSubject)
 			}

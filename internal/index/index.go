@@ -490,44 +490,40 @@ func (ix *Index) Stats() Stats {
 }
 
 // Doc returns the stored document for a docID, nil outside [0, NumDocs).
-// Both stores decode a document on first access — a heap index from its
-// stored chunk's bytes, a mapped one by inflating its chunk of the region
-// — and cache the decode; hit materialization is the trigger (pure
-// scoring never lands here), so the heap cost of decoded documents tracks
-// the working set, not the corpus. The result is shared by every caller
-// and by the index's merged successors: it is read-only.
+// A heap index decodes it afresh from its chunk's bytes on every call and
+// keeps nothing; the caller owns the result. A mapped index inflates the
+// document's chunk on first access and caches the decode in the chunk's
+// docCache; that result is shared by every caller and is read-only. No
+// search calls Doc: a hit reads its document only when its holder asks
+// (semindex.Hit).
 func (ix *Index) Doc(id int) *Document {
 	if id < 0 || id >= ix.NumDocs() {
 		return nil
 	}
-	slot := ix.docSlot(id, true)
+	m := ix.mapped
+	if m == nil {
+		c, k := ix.stored.locate(id)
+		return c.decode(k)
+	}
+	p := &m.docs[id/storedChunkDocs]
+	if p.Load() == nil {
+		p.CompareAndSwap(nil, new(docCache))
+	}
+	slot := &p.Load()[id%storedChunkDocs]
 	if d := slot.Load(); d != nil {
 		return d
 	}
 	// The entry is written once: a racing decode loses the CompareAndSwap
 	// and returns the winner.
-	if d := ix.decodeDoc(id); d == nil || slot.CompareAndSwap(nil, d) {
+	if d := m.decode(id); d == nil || slot.CompareAndSwap(nil, d) {
 		return d
 	}
 	return slot.Load()
 }
 
-// peekDoc is Doc for bookkeeping reads (AddDocStats, DocMeta's fallback):
-// the cached decode when a search has served the document, otherwise a
-// decode of its own that no cache keeps, so a pass over many documents
-// leaves the cache as it found it.
-func (ix *Index) peekDoc(id int) *Document {
-	if id < 0 || id >= ix.NumDocs() {
-		return nil
-	}
-	if d := ix.cachedDoc(id); d != nil {
-		return d
-	}
-	return ix.decodeDoc(id)
-}
-
 // CachedDocs returns how many stored documents the index holds decoded:
-// the documents Doc has served.
+// the documents Doc has served on a mapped index (a heap index keeps
+// none).
 func (ix *Index) CachedDocs() int {
 	n := 0
 	for id := range ix.NumDocs() {
@@ -540,48 +536,12 @@ func (ix *Index) CachedDocs() int {
 
 // cachedDoc returns document id's decode if Doc has made one.
 func (ix *Index) cachedDoc(id int) *Document {
-	if slot := ix.docSlot(id, false); slot != nil {
-		return slot.Load()
+	if m := ix.mapped; m != nil {
+		if c := m.docs[id/storedChunkDocs].Load(); c != nil {
+			return c[id%storedChunkDocs].Load()
+		}
 	}
 	return nil
-}
-
-// docSlot returns the cache entry of document id, in [0, NumDocs): a heap
-// index's is in the document's chunk; a mapped index keeps a docCache per
-// chunk of its region, made on the chunk's first Doc (with alloc; without,
-// a chunk that has none has no entry, nil).
-func (ix *Index) docSlot(id int, alloc bool) *atomic.Pointer[Document] {
-	m := ix.mapped
-	if m == nil {
-		c, k := ix.stored.locate(id)
-		return &c.cache[k]
-	}
-	p := &m.docs[id/storedChunkDocs]
-	if p.Load() == nil {
-		if !alloc {
-			return nil
-		}
-		p.CompareAndSwap(nil, new(docCache))
-	}
-	return &p.Load()[id%storedChunkDocs]
-}
-
-// decodeDoc decodes document id, in [0, NumDocs), afresh: a mapped index
-// out of its chunk, inflated into a pooled buffer (nil when the chunk does
-// not parse).
-func (ix *Index) decodeDoc(id int) *Document {
-	m := ix.mapped
-	if m == nil {
-		c, k := ix.stored.locate(id)
-		return c.decode(k)
-	}
-	in := inflaters.Get().(*inflater)
-	defer in.release()
-	var c storedChunk
-	if readStoredChunk(m.raw, m.chunkOffs, id/storedChunkDocs, m.numDocs, in, &c) != nil {
-		return nil
-	}
-	return c.decode(id % storedChunkDocs)
 }
 
 // FieldNames returns the indexed field names, sorted.

@@ -32,7 +32,7 @@ type BM25 struct{}
 const bm25K1, bm25B float64 = 1.2, 0.75
 
 func (BM25) weight(st termStats) termWeight {
-	idf := math.Log(1 + (float64(st.numDocs)-float64(st.df)+0.5)/(float64(st.df)+0.5))
+	idf := ln(1 + (float64(st.numDocs)-float64(st.df)+0.5)/(float64(st.df)+0.5))
 	return termWeight{bm25: true, idf: idf * (bm25K1 + 1), bPerLen: bm25B / math.Max(st.avgLen, 1)}
 }
 

@@ -6,11 +6,46 @@ import (
 	"repro/internal/index"
 )
 
-// Hit is one ranked search result with its stored document.
+// Hit is one ranked search result. It carries no stored document: Doc
+// and Meta read it, by DocID, from the reader that ranked it, only when
+// called — the caller fetches stored fields, as in Lucene. The zero Hit
+// reads as a document that is gone.
 type Hit struct {
 	DocID int
 	Score float64
-	Doc   *index.Document
+	docs  DocReader
+}
+
+// DocReader reads stored documents by the docIDs its hits carry: an
+// index.Index by local docID, the sharded engine by global docID. Doc
+// returns nil and Meta "" for a document the reader no longer holds.
+type DocReader interface {
+	Doc(id int) *index.Document
+	Meta(id int, name string) string
+}
+
+// NewHit returns the hit on document id of r at score.
+func NewHit(r DocReader, id int, score float64) Hit {
+	return Hit{DocID: id, Score: score, docs: r}
+}
+
+// Doc returns the hit's stored document, decoded when called (see
+// index.Index.Doc), or nil when its reader no longer holds it.
+func (h Hit) Doc() *index.Document {
+	if h.docs == nil {
+		return nil
+	}
+	return h.docs.Doc(h.DocID)
+}
+
+// Meta reads one stored field of the hit's document (see
+// index.Index.Meta): without decoding the document on a heap index; "" when
+// the reader no longer holds it.
+func (h Hit) Meta(field string) string {
+	if h.docs == nil {
+		return ""
+	}
+	return h.docs.Meta(h.DocID, field)
 }
 
 // Search runs a keyword query against the index with the level's ranking:
@@ -25,14 +60,14 @@ type Hit struct {
 // its top-k threshold (see index.Index.Search), so asking for the top 10
 // costs far less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
-	return s.withDocs(s.SearchPrepared(s.Prepare(query), limit, nil))
+	return s.hits(s.SearchPrepared(s.Prepare(query), limit, nil))
 }
 
-// withDocs attaches the stored documents to ranked hits.
-func (s *SemanticIndex) withDocs(raw []index.Hit) []Hit {
+// hits wraps ranked hits as Hits that read their documents from the index.
+func (s *SemanticIndex) hits(raw []index.Hit) []Hit {
 	hits := make([]Hit, len(raw))
 	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
+		hits[i] = NewHit(s.Index, h.DocID, h.Score)
 	}
 	return hits
 }
@@ -60,7 +95,7 @@ func (s *SemanticIndex) Prepare(query string) PreparedQuery {
 }
 
 // SearchPrepared ranks the index's documents for a prepared query; hits
-// carry local docIDs and no stored documents (Index.Doc fetches one). bar,
+// carry local docIDs only (Index.Doc fetches a document). bar,
 // when not nil, is the top-k bar shared with the other indexes whose hits
 // one merge combines (see index.Bar); nil means none.
 func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int, bar *index.Bar) []index.Hit {
@@ -159,13 +194,5 @@ func phrasalQuery(query string) index.Query {
 // weights instead of the level's defaults — the hook the boost-ablation
 // experiment uses to show what the Section 3.6.2 ranking buys.
 func (s *SemanticIndex) SearchWithBoosts(query string, limit int, boosts []index.FieldBoost) []Hit {
-	return s.withDocs(s.Index.Search(index.MultiFieldQuery(query, boosts), limit))
-}
-
-// Meta reads a stored metadata field of a hit document.
-func (h Hit) Meta(field string) string {
-	if h.Doc == nil {
-		return ""
-	}
-	return h.Doc.Get(field)
+	return s.hits(s.Index.Search(index.MultiFieldQuery(query, boosts), limit))
 }

@@ -307,8 +307,8 @@ func TestAdvancedQuerySyntax(t *testing.T) {
 	// Field prefix restricts to one field.
 	fielded := si.Search("event:punishment", 0)
 	for _, h := range fielded {
-		if !strings.Contains(h.Doc.Get(FieldEvent), "Punishment") {
-			t.Errorf("event:punishment matched %q", h.Doc.Get(FieldEvent))
+		if !strings.Contains(h.Doc().Get(FieldEvent), "Punishment") {
+			t.Errorf("event:punishment matched %q", h.Doc().Get(FieldEvent))
 		}
 	}
 	if len(fielded) == 0 {

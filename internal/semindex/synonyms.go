@@ -58,10 +58,5 @@ func (s *SemanticIndex) SearchWithSynonyms(query string, limit int, syn Synonyms
 		}
 		should = append(should, index.BooleanQuery{Should: perToken, DisableCoord: true})
 	}
-	raw := s.Index.Search(index.BooleanQuery{Should: should}, limit)
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
-	}
-	return hits
+	return s.hits(s.Index.Search(index.BooleanQuery{Should: should}, limit))
 }

@@ -29,8 +29,8 @@ func TestSynonymSearchFolkVocabulary(t *testing.T) {
 	// The synonym ranking must place the keeper's saves above whatever the
 	// literal query could reach through "save" alone; verify the top hit's
 	// subject is actually a goalkeeper-typed player.
-	if !strings.Contains(top.Doc.Get(FieldSubjProp), "Goalkeeper") {
-		t.Errorf("top hit subject props = %q", top.Doc.Get(FieldSubjProp))
+	if !strings.Contains(top.Doc().Get(FieldSubjProp), "Goalkeeper") {
+		t.Errorf("top hit subject props = %q", top.Doc().Get(FieldSubjProp))
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"io"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,6 +184,9 @@ type Engine struct {
 	// loadRep records how the last Load recovered (zero for built
 	// engines).
 	loadRep LoadReport
+	// closed is set by Close: from then on no hit reads a document
+	// (Doc, Meta), since a mapped base's region is unmapped.
+	closed bool
 
 	// mappedBase, when non-empty, is the snapshot base path the engine
 	// was mapped-loaded from (LoadOptions.Mapped): the merger persists
@@ -394,12 +398,16 @@ func (e *Engine) commitChunk(commits *sync.WaitGroup, pages []*crawler.MatchPage
 	for i, page := range pages {
 		s := shardFor(page.ID, n)
 		pagesByShard[s] = append(pagesByShard[s], i)
+		// A parsed page's ID is a view of its whole HTML
+		// (crawler.ParseMatchPage), and assigning to a string key stores
+		// the key given: the key is a clone, so the map pins no page.
+		key := strings.Clone(page.ID)
 		for _, d := range docsByPage[i] {
 			gid := len(e.byGID)
 			d.Add(MetaGID, strconv.Itoa(gid))
 			e.byGID = append(e.byGID, docRef{sub: e.base[s], local: len(e.base[s].gids)})
 			e.base[s].gids = append(e.base[s].gids, gid)
-			e.pageGIDs[page.ID] = append(e.pageGIDs[page.ID], gid)
+			e.pageGIDs[key] = append(e.pageGIDs[key], gid)
 		}
 	}
 

@@ -2,13 +2,18 @@ package shard
 
 import (
 	"context"
+	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/corpus"
 	"repro/internal/crawler"
 	"repro/internal/semindex"
 	"repro/internal/soccer"
+	"repro/internal/wal"
 )
 
 // searchN runs the unified Search with just a limit — the common test
@@ -129,4 +134,87 @@ func TestEmptyAndSingle(t *testing.T) {
 	if e.Doc(0) != nil {
 		t.Error("Doc(0) on empty engine")
 	}
+}
+
+// generatedPages returns every page of a generated corpus; each page's ID
+// is a view of its rendered HTML (corpus.Generator parses what it renders).
+func generatedPages(t *testing.T, spec corpus.Spec) []*crawler.MatchPage {
+	t.Helper()
+	g := corpus.New(spec)
+	var pages []*crawler.MatchPage
+	for {
+		p, err := g.NextPage()
+		if err == io.EOF {
+			return pages
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+}
+
+// sharesBytes reports whether two strings overlap in memory.
+func sharesBytes(a, b string) bool {
+	if a == "" || b == "" {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.StringData(a))), uintptr(unsafe.Pointer(unsafe.StringData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// TestPageKeysPinNoPage: a generated page's ID is a view of its whole
+// rendered HTML (crawler.ParseMatchPage), so a pageGIDs key that shared
+// its bytes would keep every ingested page's HTML live. No key shares a
+// page's ID bytes after BuildStream, after Ingest (new pages and upserts),
+// or after a load that replays both from the WAL.
+func TestPageKeysPinNoPage(t *testing.T) {
+	pages := generatedPages(t, corpus.Spec{TargetDocs: 600, Seed: 4})
+	e, err := BuildStream(nil, semindex.FullInf, &sliceSource{pages: pages}, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New pages, and an upsert of a built page parsed again, so its ID is
+	// a fresh view.
+	batch := append(generatedPages(t, corpus.Spec{TargetDocs: 600, Seed: 4})[:1],
+		generatedPages(t, corpus.Spec{TargetDocs: 300, Seed: 5, NoCoverage: true})...)
+	check := func(stage string, e *Engine, pages []*crawler.MatchPage) {
+		t.Helper()
+		if len(e.pageGIDs) == 0 {
+			t.Fatalf("%s: no page keys", stage)
+		}
+		for key := range e.pageGIDs {
+			for _, p := range pages {
+				if sharesBytes(key, p.ID) {
+					t.Fatalf("%s: the key of page %s shares the page's ID bytes", stage, key)
+				}
+			}
+		}
+	}
+	check("BuildStream", e, pages)
+
+	base := filepath.Join(t.TempDir(), "idx.bin")
+	if err := e.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachWAL(base, wal.Options{Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(context.Background(), batch, IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Ingest", e, append(pages, batch...))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := Load(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.LoadReport().WALReplayed == 0 {
+		t.Fatal("the load replayed no WAL record")
+	}
+	check("WAL replay", l, append(pages, batch...))
 }

@@ -1,7 +1,5 @@
 package shard
 
-import "repro/internal/index"
-
 // SetSliceDocs sets how many live documents pay for one goroutine of a
 // scatter, sliceDocs unless a test lowers it. At 1 every search of an
 // engine holding a document per shard claims its shards beside helpers, up
@@ -12,18 +10,10 @@ func (e *Engine) SetSliceDocs(n int) {
 	e.slice = n
 }
 
-// Doc returns the stored document for a global docID, or nil for an
-// unknown, tombstoned or lost ID (quarantined shards and merged-away
-// tombstones leave holes in the ID space rather than renumbering).
-func (e *Engine) Doc(gid int) *index.Document {
+// CachedDocs returns how many stored documents the engine's bases and
+// segments hold decoded (see index.Index.CachedDocs).
+func (e *Engine) CachedDocs() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if gid < 0 || gid >= len(e.byGID) {
-		return nil
-	}
-	ref := e.byGID[gid]
-	if ref.sub == nil || ref.sub.si.Index.IsDeleted(ref.local) {
-		return nil
-	}
-	return ref.sub.si.Index.Doc(ref.local)
+	return cachedDocs(e)
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/crawler"
@@ -271,7 +272,10 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			res.Docs++
 			res.PerShard[s]++
 		}
-		e.pageGIDs[page.ID] = gids
+		// Assigning to a string key replaces the stored key too, so every
+		// assignment clones: a parsed page's ID is a view of its whole HTML
+		// (crawler.ParseMatchPage), which the map would otherwise pin.
+		e.pageGIDs[strings.Clone(page.ID)] = gids
 	}
 
 	e.global.Remove(removed)

@@ -57,7 +57,7 @@ func releaseSub(sub *subIndex) {
 // synced and detached, and every mapped base region unmapped. The engine
 // must not serve after Close — mapped postings would read unmapped
 // memory. Heap-only engines may call it too (it just stops the merger
-// and WAL).
+// and WAL). A hit read after Close finds no document (Doc, Meta).
 func (e *Engine) Close() error {
 	e.StopMerger()
 	// Save's lock order: mergeOpMu, then mu (CloseWAL and the unmap).
@@ -66,6 +66,7 @@ func (e *Engine) Close() error {
 	err := e.CloseWAL()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.closed = true
 	for s := range e.base {
 		releaseSub(e.base[s])
 	}

@@ -198,7 +198,8 @@ func cachedDocs(e *Engine) int {
 // TOC build in EncodeWithTOC on Save, DocMeta twice per document on every load,
 // AddDocStats on every document an upsert tombstones — decode stored
 // documents without publishing them, on a heap and on a mapped base alike,
-// so none of them leaves the corpus in a decode cache.
+// so none of them leaves the corpus in a decode cache. Nor does a search:
+// only reading a hit's document caches it, and only on a mapped base.
 func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
 	e, base := saveFixture(t, 2)
 	if n := cachedDocs(e); n != 0 {
@@ -220,8 +221,16 @@ func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
 		if n := cachedDocs(l); n != 0 {
 			t.Errorf("mapped %v: an upsert of %d documents cached %d", mapped, res.Tombstones, n)
 		}
-		if hits := searchN(l, "goal", 3); len(hits) == 0 || cachedDocs(l) == 0 {
-			t.Errorf("mapped %v: a search served %d hits and cached nothing", mapped, len(hits))
+		hits := searchN(l, "goal", 10)
+		if n := cachedDocs(l); len(hits) == 0 || n != 0 {
+			t.Fatalf("mapped %v: a search served %d hits and cached %d documents", mapped, len(hits), n)
+		}
+		// Reading a hit's document is what caches it, on a mapped base.
+		for _, h := range hits {
+			h.Doc()
+		}
+		if n := cachedDocs(l); mapped != (n > 0) || n > len(hits) {
+			t.Errorf("mapped %v: reading %d hits' documents cached %d", mapped, len(hits), n)
 		}
 		l.Close()
 	}

@@ -670,7 +670,7 @@ func (r *oracleRun) checkDegraded(q string, s int) error {
 	}
 	var want []semindex.Hit
 	for _, h := range r.o.si.Search(q, 0) {
-		if !slices.Contains(res.Report.Missing, shardFor(h.Doc.Get(semindex.MetaMatchID), n)) && len(want) < 10 {
+		if !slices.Contains(res.Report.Missing, shardFor(h.Doc().Get(semindex.MetaMatchID), n)) && len(want) < 10 {
 			want = append(want, h)
 		}
 	}
