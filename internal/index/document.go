@@ -34,8 +34,12 @@ func (d *Document) AddBoosted(name, text string, boost float64) *Document {
 }
 
 // Get returns the concatenation of the stored values of the named field
-// ("" when absent). Multi-valued fields are space-joined.
+// ("" when absent, and on a nil Document: a hit whose document is gone).
+// Multi-valued fields are space-joined.
 func (d *Document) Get(name string) string {
+	if d == nil {
+		return ""
+	}
 	out := ""
 	for _, f := range d.Fields {
 		if f.Name != name {
