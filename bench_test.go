@@ -761,7 +761,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 	e := env(10)
 	si := e.indices[semindex.FullInf]
 	var buf bytes.Buffer
-	if _, err := si.SaveWithTOC(&buf); err != nil {
+	if _, err := si.Index.EncodeWithTOC(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -770,7 +770,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			var w bytes.Buffer
-			if _, err := si.SaveWithTOC(&w); err != nil {
+			if _, err := si.Index.EncodeWithTOC(&w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -779,7 +779,7 @@ func BenchmarkIndexCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := semindex.Load(data, nil); err != nil {
+			if _, err := index.Decode(bytes.NewReader(data), nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -501,6 +501,17 @@ func (ix *Index) Meta(id int, name string) string {
 	return ix.DocMeta(id, name)
 }
 
+// sourceDoc returns document id as Doc does, except that on a mapped index
+// it decodes the document afresh without publishing it into its chunk's
+// docCache, as DocMeta does: for a read that serves no hit, such as
+// LikeThisQuery's source, whose decode nothing reads again.
+func (ix *Index) sourceDoc(id int) *Document {
+	if m := ix.mapped; m != nil && id >= 0 && id < ix.NumDocs() {
+		return m.decode(id)
+	}
+	return ix.Doc(id)
+}
+
 // docCache holds a chunk's documents, document k once Doc has decoded it.
 type docCache [storedChunkDocs]atomic.Pointer[Document]
 

@@ -10,7 +10,7 @@ package index
 // cannot exclude it by local docID, which another partition may reuse.
 // It returns nil when the document has no usable terms.
 func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Query {
-	d := ix.Doc(docID)
+	d := ix.sourceDoc(docID)
 	if d == nil {
 		return nil
 	}

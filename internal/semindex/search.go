@@ -60,7 +60,8 @@ func (h Hit) Meta(field string) string {
 // its top-k threshold (see index.Index.Search), so asking for the top 10
 // costs far less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
-	return s.hits(s.SearchPrepared(s.Prepare(query), limit, nil))
+	q := Prepare(s.Level, s.Index.Analyzer(), s.Index.HasField, query)
+	return s.hits(q.Search(s.Index, limit, nil))
 }
 
 // hits wraps ranked hits as Hits that read their documents from the index.
@@ -81,26 +82,22 @@ type PreparedQuery struct {
 	bound index.Query
 }
 
-// Prepare routes and analyzes query for an index of the given level.
-// hasField says whether a "name:" prefix names a field the searched corpus
-// holds (see hasAdvancedSyntax).
+// Prepare routes and analyzes query for an index of the given level and
+// counts it as one query of that level (semindex_queries_total), however
+// many indexes then run it. hasField says whether a "name:" prefix names a
+// field the searched corpus holds (see hasAdvancedSyntax).
 func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, query string) PreparedQuery {
+	queryCounter(level).Inc()
 	advanced := hasAdvancedSyntax(query, hasField)
 	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a)}
 }
 
-// Prepare readies query for this index.
-func (s *SemanticIndex) Prepare(query string) PreparedQuery {
-	return Prepare(s.Level, s.Index.Analyzer(), s.Index.HasField, query)
-}
-
-// SearchPrepared ranks the index's documents for a prepared query; hits
-// carry local docIDs only (Index.Doc fetches a document). bar,
-// when not nil, is the top-k bar shared with the other indexes whose hits
-// one merge combines (see index.Bar); nil means none.
-func (s *SemanticIndex) SearchPrepared(q PreparedQuery, limit int, bar *index.Bar) []index.Hit {
-	queryCounter(s.Level).Inc()
-	return s.Index.Search(q.bound, limit, bar)
+// Search ranks ix's documents for the prepared query; hits carry ix's
+// docIDs only (Index.Doc fetches a document). bar, when not nil, is the
+// top-k bar shared with the other indexes whose hits one merge combines
+// (see index.Bar); nil means none.
+func (q PreparedQuery) Search(ix *index.Index, limit int, bar *index.Bar) []index.Hit {
+	return ix.Search(q.bound, limit, bar)
 }
 
 // routeQuery builds the level's query for the text; advanced says whether

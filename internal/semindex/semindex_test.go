@@ -1,6 +1,7 @@
 package semindex
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -382,5 +383,74 @@ func TestConcurrentPageDocumentsShareRules(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i%len(pages)]) {
 			t.Errorf("call %d (page %d): documents differ from the serial Builder's", i, i%len(pages))
 		}
+	}
+}
+
+// TestSaveLoadRoundTrip: a semantic index's whole persisted form is its
+// index's codec stream — the level is recorded by whoever keeps the stream
+// (the shard manifest) — and the index decoded onto the heap or served
+// mapped from that stream ranks every query like the one that wrote it.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	pages := testPages(t, 2, 42)
+	si := NewBuilder().Build(FullInf, pages)
+
+	var buf bytes.Buffer
+	toc, err := si.Index.EncodeWithTOC(&buf)
+	if err != nil {
+		t.Fatalf("EncodeWithTOC: %v", err)
+	}
+	heap, err := index.Decode(bytes.NewReader(buf.Bytes()), nil)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	mapped, err := index.OpenMapped(buf.Bytes(), toc, nil)
+	if err != nil {
+		t.Fatalf("OpenMapped: %v", err)
+	}
+	for name, ix := range map[string]*index.Index{"heap": heap, "mapped": mapped} {
+		back := &SemanticIndex{Level: FullInf, Index: ix}
+		if back.Index.NumDocs() != si.Index.NumDocs() {
+			t.Fatalf("%s: docs %d != %d", name, back.Index.NumDocs(), si.Index.NumDocs())
+		}
+		for _, q := range []string{"goal", "punishment", "henry negative moves"} {
+			a := si.Search(q, 10)
+			b := back.Search(q, 10)
+			if len(a) != len(b) {
+				t.Fatalf("%s: query %q: %d vs %d hits", name, q, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].DocID != b[i].DocID || a[i].Score != b[i].Score {
+					t.Errorf("%s: query %q rank %d: doc %d (%v) vs %d (%v)",
+						name, q, i, a[i].DocID, a[i].Score, b[i].DocID, b[i].Score)
+				}
+			}
+		}
+	}
+}
+
+func TestEventTranslations(t *testing.T) {
+	pages := testPages(t, 2, 42)
+	b := NewBuilder()
+	b.EventTranslations = map[string]string{"Goal": "Gol", "Foul": "Faul"}
+	si := b.Build(FullInf, pages)
+
+	turkish := si.Search("gol", 0)
+	if len(turkish) == 0 {
+		t.Fatal("Turkish query found nothing on the bilingual index")
+	}
+	for _, h := range turkish {
+		kind := h.Meta(MetaKind)
+		if !strings.Contains(kind, "Goal") {
+			t.Errorf("'gol' matched non-goal kind %q", kind)
+		}
+	}
+	english := si.Search("goal", 0)
+	if len(english) < len(turkish) {
+		t.Errorf("English query weaker than Turkish: %d vs %d", len(english), len(turkish))
+	}
+	// The monolingual baseline cannot answer the Turkish query.
+	mono := NewBuilder().Build(FullInf, pages)
+	if got := mono.Search("gol", 0); len(got) != 0 {
+		t.Errorf("monolingual index answered Turkish query: %d hits", len(got))
 	}
 }

@@ -2,9 +2,9 @@
 // paper's claim that semantic indexing "scales our system up to web search
 // engines" (Sections 3.6, 7). Match pages are partitioned across N shards
 // by a stable hash of the page ID; each shard holds an ordinary
-// semindex.SemanticIndex over its slice of the corpus and is built
-// concurrently. Queries fan out to every shard and the per-shard top-k
-// lists are merged into a global top-k.
+// index.Index over its slice of the corpus and is built concurrently.
+// Queries fan out to every shard and the per-shard top-k lists are merged
+// into a global top-k.
 //
 // The engine guarantees the merged ranking is *identical* — documents and
 // scores — to the ranking a single monolithic index over the same corpus
@@ -65,7 +65,7 @@ const MetaGID = "_gid"
 // ones, ascending — locals are assigned in global order, which keeps
 // per-sub top-k truncation safe for the global merge.
 type subIndex struct {
-	si   *semindex.SemanticIndex
+	ix   *index.Index
 	gids []int
 	// segID is 0 for the base, else the Ingest batch's segment id.
 	// Segment postings are immutable after the creating batch commits;
@@ -336,7 +336,7 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 	}
 	e := newEngine(level, b, n)
 	for s := 0; s < n; s++ {
-		e.base[s] = &subIndex{si: &semindex.SemanticIndex{Level: level, Index: index.New(b.Analyzer)}}
+		e.base[s] = &subIndex{ix: index.New(b.Analyzer)}
 	}
 
 	chunk := opts.ChunkPages
@@ -418,7 +418,7 @@ func (e *Engine) commitChunk(commits *sync.WaitGroup, pages []*crawler.MatchPage
 		commits.Add(1)
 		go func(s int) {
 			defer commits.Done()
-			ix := e.base[s].si.Index
+			ix := e.base[s].ix
 			for _, pi := range pagesByShard[s] {
 				for _, d := range docsByPage[pi] {
 					ix.Add(d)
@@ -463,9 +463,9 @@ func (e *Engine) subsLocked(s int) []*subIndex {
 func (e *Engine) exchangeStats() {
 	per := make([]*index.CorpusStats, len(e.base))
 	fanOut(len(e.base), len(e.base), func(s int) {
-		cs := e.base[s].si.Index.LocalStats()
+		cs := e.base[s].ix.LocalStats()
 		for _, sub := range e.segs[s] {
-			cs.Merge(sub.si.Index.LocalStats())
+			cs.Merge(sub.ix.LocalStats())
 		}
 		per[s] = cs
 	})
@@ -476,7 +476,7 @@ func (e *Engine) exchangeStats() {
 	e.global = g
 	for s := range e.base {
 		for _, sub := range e.subsLocked(s) {
-			sub.si.Index.SetCorpusStats(g)
+			sub.ix.SetCorpusStats(g)
 		}
 	}
 	e.epoch++
@@ -494,7 +494,7 @@ func (e *Engine) SetExhaustiveScoring(on bool) {
 	e.exhaustive = on
 	for s := range e.base {
 		for _, sub := range e.subsLocked(s) {
-			sub.si.Index.SetExhaustive(on)
+			sub.ix.SetExhaustive(on)
 		}
 	}
 }
@@ -514,13 +514,13 @@ func (e *Engine) NumDocs() int {
 	return e.liveDocs
 }
 
-// Shard exposes one shard's BASE semantic index (for stats, persistence
-// and tests); the returned index must not be mutated. Segment documents
-// live outside it until the merger folds them in.
+// Shard returns a view of one shard's BASE index at the engine's level
+// (for stats, persistence and tests); the index must not be mutated.
+// Segment documents live outside it until the merger folds them in.
 func (e *Engine) Shard(i int) *semindex.SemanticIndex {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.base[i].si
+	return &semindex.SemanticIndex{Level: e.level, Index: e.base[i].ix}
 }
 
 // Stats summarizes the engine: the exchanged corpus-wide view plus each
@@ -547,9 +547,9 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.RUnlock()
 	st := Stats{Shards: len(e.base), Docs: e.liveDocs, Global: e.global}
 	for s := range e.base {
-		ps := e.base[s].si.Index.Stats()
+		ps := e.base[s].ix.Stats()
 		for _, sub := range e.segs[s] {
-			ss := sub.si.Index.Stats()
+			ss := sub.ix.Stats()
 			ps.Docs += ss.Docs
 			ps.Deleted += ss.Deleted
 			ps.Terms += ss.Terms

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/index"
-	"repro/internal/semindex"
 )
 
 // Durability selects the WAL acknowledgement an Ingest waits for.
@@ -239,7 +238,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			if ref.sub == nil {
 				continue
 			}
-			ix := ref.sub.si.Index
+			ix := ref.sub.ix
 			if ix.IsDeleted(ref.local) {
 				continue
 			}
@@ -259,13 +258,13 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 				ix := index.New(e.builder.Analyzer)
 				ix.SetExhaustive(e.exhaustive)
 				ix.SetCorpusStats(e.global)
-				sub = &subIndex{si: &semindex.SemanticIndex{Level: e.level, Index: ix}, segID: segID}
+				sub = &subIndex{ix: ix, segID: segID}
 				newSubs[s] = sub
 				e.segs[s] = append(e.segs[s], sub)
 			}
 			gid := len(e.byGID)
 			d.Add(MetaGID, strconv.Itoa(gid))
-			local := sub.si.Index.Add(d)
+			local := sub.ix.Add(d)
 			sub.gids = append(sub.gids, gid)
 			e.byGID = append(e.byGID, docRef{sub: sub, local: local})
 			gids = append(gids, gid)
@@ -281,7 +280,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 	e.global.Remove(removed)
 	for _, sub := range newSubs {
 		if sub != nil {
-			e.global.Merge(sub.si.Index.LocalStats())
+			e.global.Merge(sub.ix.LocalStats())
 		}
 	}
 	e.liveDocs += res.Docs

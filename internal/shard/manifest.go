@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,8 +31,8 @@ const (
 )
 
 // ErrManifestCorrupt reports a manifest that exists but cannot be
-// trusted: bad magic, unparseable lines, or a failed checksum. Nothing
-// behind an untrusted manifest is loaded.
+// trusted: bad magic, unparseable lines, a missing or unknown level, or a
+// failed checksum. Nothing behind an untrusted manifest is loaded.
 var ErrManifestCorrupt = errors.New("shard: manifest corrupt")
 
 // ErrSnapshotCorrupt reports a shard snapshot file whose envelope,
@@ -232,6 +233,10 @@ func readManifest(base string) (*manifest, error) {
 	if !sawMagic || shards != len(m.Files) {
 		return nil, fmt.Errorf("%w: shard count %d does not match %d file lines",
 			ErrManifestCorrupt, shards, len(m.Files))
+	}
+	// The one record of the snapshot's level: shard files carry none.
+	if !slices.Contains(semindex.Levels, m.Level) {
+		return nil, fmt.Errorf("%w: level %q is not a semantic index level", ErrManifestCorrupt, m.Level)
 	}
 	return m, nil
 }

@@ -80,17 +80,17 @@ func (e *Engine) Close() error {
 // the heap base stays. Write lock required; the base must be clean
 // (Save compacts first) so its local IDs equal the file's.
 func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
-	si, release, err := readShardFile(path, e.base[s].si.Index.Analyzer(), mf, true)
-	if err != nil || si.Level != e.level || si.Index.NumDocs() != len(e.base[s].gids) {
+	ix, release, err := readShardFile(path, e.base[s].ix.Analyzer(), mf, true)
+	if err != nil || ix.NumDocs() != len(e.base[s].gids) {
 		if release != nil {
 			release()
 		}
 		return
 	}
 	old := e.base[s]
-	nb := &subIndex{si: si, gids: old.gids, release: release}
-	si.Index.SetCorpusStats(e.global)
-	si.Index.SetExhaustive(e.exhaustive)
+	nb := &subIndex{ix: ix, gids: old.gids, release: release}
+	ix.SetCorpusStats(e.global)
+	ix.SetExhaustive(e.exhaustive)
 	for local, gid := range nb.gids {
 		e.byGID[gid] = docRef{sub: nb, local: local}
 	}
@@ -106,19 +106,18 @@ func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
 // files are invisible to Load (the manifest never names them) and are
 // retired by the next Save or by releaseSub.
 func (e *Engine) writeMappedSeg(s int, merged *index.Index) *subIndex {
-	si := &semindex.SemanticIndex{Level: e.level, Index: merged}
 	path := fmt.Sprintf("%s.mapseg%06d.shard%03d", e.mappedBase, e.mapSeq.Add(1), s)
 	size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
-		return si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
+		return merged.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
 	})
 	if err != nil {
 		os.Remove(path + ".tmp")
 		return nil
 	}
-	msi, release, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
+	mix, release, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
 	if err != nil {
 		os.Remove(path)
 		return nil
 	}
-	return &subIndex{si: msi, release: release, scratch: path}
+	return &subIndex{ix: mix, release: release, scratch: path}
 }

@@ -186,9 +186,9 @@ func TestMappedSaveIsRawCopy(t *testing.T) {
 func cachedDocs(e *Engine) int {
 	n := 0
 	for s, b := range e.base {
-		n += b.si.Index.CachedDocs()
+		n += b.ix.CachedDocs()
 		for _, seg := range e.segs[s] {
-			n += seg.si.Index.CachedDocs()
+			n += seg.ix.CachedDocs()
 		}
 	}
 	return n
@@ -196,10 +196,11 @@ func cachedDocs(e *Engine) int {
 
 // TestBookkeepingReadsCacheNoDocuments: the reads that serve no hit — the
 // TOC build in EncodeWithTOC on Save, DocMeta twice per document on every load,
-// AddDocStats on every document an upsert tombstones — decode stored
-// documents without publishing them, on a heap and on a mapped base alike,
-// so none of them leaves the corpus in a decode cache. Nor does a search:
-// only reading a hit's document caches it, and only on a mapped base.
+// AddDocStats on every document an upsert tombstones, Related's read of its
+// source document — decode stored documents without publishing them, on a
+// heap and on a mapped base alike, so none of them leaves the corpus in a
+// decode cache. Nor does a search: only reading a hit's document caches it,
+// and only on a mapped base.
 func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
 	e, base := saveFixture(t, 2)
 	if n := cachedDocs(e); n != 0 {
@@ -224,6 +225,10 @@ func TestBookkeepingReadsCacheNoDocuments(t *testing.T) {
 		hits := searchN(l, "goal", 10)
 		if n := cachedDocs(l); len(hits) == 0 || n != 0 {
 			t.Fatalf("mapped %v: a search served %d hits and cached %d documents", mapped, len(hits), n)
+		}
+		rel := l.Related(hits[0].DocID, 5)
+		if n := cachedDocs(l); len(rel) == 0 || n != 0 {
+			t.Errorf("mapped %v: Related served %d hits and cached %d documents", mapped, len(rel), n)
 		}
 		// Reading a hit's document is what caches it, on a mapped base.
 		for _, h := range hits {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/semindex"
 )
 
 const (
@@ -107,7 +106,7 @@ func (e *Engine) ForceMerge() {
 // dirtyLocked reports whether shard s has segments or base tombstones to
 // compact away. Read lock required.
 func (e *Engine) dirtyLocked(s int) bool {
-	return len(e.segs[s]) > 0 || e.base[s].si.Index.NumDeleted() > 0
+	return len(e.segs[s]) > 0 || e.base[s].ix.NumDeleted() > 0
 }
 
 // mergeShards compacts every shard due selects, under one mergeOpMu
@@ -208,10 +207,10 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	sources := make([]*index.Index, len(pm.subs))
 	masks := make([][]bool, len(pm.subs))
 	for i, sub := range pm.subs {
-		sources[i] = sub.si.Index
-		masks[i] = sub.si.Index.DeletedMask()
+		sources[i] = sub.ix
+		masks[i] = sub.ix.DeletedMask()
 		if masks[i] == nil {
-			masks[i] = make([]bool, sub.si.Index.NumDocs())
+			masks[i] = make([]bool, sub.ix.NumDocs())
 		}
 	}
 	e.mu.RUnlock()
@@ -260,9 +259,9 @@ func (e *Engine) installMerge(s int, pm *pendingMerge) {
 func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 	newBase := pm.nb
 	if newBase == nil {
-		newBase = &subIndex{si: &semindex.SemanticIndex{Level: e.level, Index: pm.merged}}
+		newBase = &subIndex{ix: pm.merged}
 	}
-	serve := newBase.si.Index
+	serve := newBase.ix
 	newBase.gids = make([]int, serve.NumDocs())
 	serve.SetCorpusStats(e.global)
 	serve.SetExhaustive(e.exhaustive)
@@ -276,7 +275,7 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 				e.byGID[gid] = docRef{}
 				continue
 			}
-			if sub.si.Index.IsDeleted(local) && !serve.IsDeleted(nid) {
+			if sub.ix.IsDeleted(local) && !serve.IsDeleted(nid) {
 				// Tombstoned while the merge ran: carry the bit forward.
 				serve.Delete(nid)
 			}

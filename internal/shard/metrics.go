@@ -125,10 +125,10 @@ func (e *Engine) updateLSMGaugesLocked() {
 	for s := range e.base {
 		segs += len(e.segs[s])
 		if e.base[s] != nil {
-			tombs += e.base[s].si.Index.NumDeleted()
+			tombs += e.base[s].ix.NumDeleted()
 		}
 		for _, sub := range e.segs[s] {
-			tombs += sub.si.Index.NumDeleted()
+			tombs += sub.ix.NumDeleted()
 		}
 	}
 	e.met.segments.Set(float64(segs))

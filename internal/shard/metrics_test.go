@@ -266,3 +266,37 @@ func TestLoadedEngineHasMetrics(t *testing.T) {
 		t.Errorf("loaded engine searches = %d, want 1", got)
 	}
 }
+
+// TestQueryCounterCountsQueries: semindex_queries_total counts user
+// queries. A cold search counts once however many sub-indexes it reads —
+// here two shards' bases and two unmerged segments — and a cache hit,
+// which reads none, does not count.
+func TestQueryCounterCountsQueries(t *testing.T) {
+	pages, _ := fixture(t)
+	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
+	for _, p := range pages[:2] {
+		if err := ingestPage(e, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.Segments != 2 {
+		t.Fatalf("engine holds %d unmerged segments, want 2", st.Segments)
+	}
+	e.EnableCache(1<<20, obs.NewRegistry())
+	queries := obs.Default.Counter("semindex_queries_total", obs.L("level", string(semindex.FullInf)))
+
+	for _, want := range []CacheStatus{CacheMiss, CacheHit} {
+		before := queries.Value()
+		res, err := e.Search(context.Background(), "goal", SearchOptions{Limit: 10})
+		if err != nil || res.Cache != want || len(res.Hits) == 0 {
+			t.Fatalf("search is a %s with %d hits, err %v; want a %s", res.Cache, len(res.Hits), err, want)
+		}
+		wantCount := uint64(0)
+		if want == CacheMiss {
+			wantCount = 1
+		}
+		if got := queries.Value() - before; got != wantCount {
+			t.Errorf("a cache %s counted %d queries, want %d", want, got, wantCount)
+		}
+	}
+}

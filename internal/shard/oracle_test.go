@@ -469,12 +469,11 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 		for s := range e.base {
 			var sources []*index.Index
 			for _, sub := range e.subsLocked(s) {
-				sources = append(sources, sub.si.Index)
+				sources = append(sources, sub.ix)
 			}
 			merged, _ := index.MergeIndexes(sources, nil)
-			si := &semindex.SemanticIndex{Level: e.level, Index: merged}
 			_, _, err := writeShardFile(shardGenPath(r.base, r.gen+1, s), func(w io.Writer) ([]byte, error) {
-				return si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
+				return merged.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
 			})
 			failed = errors.Join(failed, err)
 		}
@@ -559,7 +558,7 @@ func (r *oracleRun) check(changed bool) error {
 	idSpace, shared, mapped := len(e.byGID), true, true
 	for s := range e.base {
 		for _, sub := range e.subsLocked(s) {
-			shared = shared && sub.si.Index.CorpusStats() == st.Global
+			shared = shared && sub.ix.CorpusStats() == st.Global
 		}
 		mapped = mapped && (e.mappedBase == "" || e.base[s].release != nil)
 	}

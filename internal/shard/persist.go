@@ -17,7 +17,7 @@ package shard
 //     memory mutates, replayed on Load past the manifest's generation,
 //     rotated on Save.
 //
-// Each of these formats has exactly one readable version — envelope v3
+// Each of these formats has exactly one readable version — envelope v4
 // around codec v4, the manifest layout, the page-batch WAL record. A file
 // of any other version, older or newer, is refused as
 // ErrSnapshotUnknownVersion: never quarantined, reported UNVERIFIABLE.
@@ -30,6 +30,7 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -50,19 +51,20 @@ import (
 	"repro/internal/wal"
 )
 
-// Snapshot envelope (version 3): a header of magic, envelope version and
-// the index codec number of the payload; the payload (the semindex codec
-// stream); a metadata region holding the payload's mapped table of
-// contents (semindex SaveWithTOC); then a trailer of metaLen u64, metaCRC
-// u32, payloadLen u64, payloadCRC u32. The trailer lengths cross-check
-// the file size, so truncation is caught before any CRC is computed. The
-// manifest CRC covers the payload alone. Carrying the versions in the
-// header lets recovery and fsck tell "another version" apart from
-// "damaged" without decoding a byte of payload, and the TOC is what lets
-// LoadWith serve the file memory-mapped in O(manifest) time.
+// Snapshot envelope (version 4): a header of magic, envelope version and
+// the index codec number of the payload; the payload, the bare codec
+// stream (the manifest alone records the level: version 3 payloads led
+// with one); a metadata region holding the payload's mapped table of
+// contents; then a trailer of metaLen u64, metaCRC u32, payloadLen u64,
+// payloadCRC u32. The trailer lengths cross-check the file size, so
+// truncation is caught before any CRC is computed. The manifest CRC covers
+// the payload alone. Carrying the versions in the header lets recovery and
+// fsck tell "another version" apart from "damaged" without decoding a byte
+// of payload, and the TOC is what lets LoadWith serve the file
+// memory-mapped in O(manifest) time.
 const (
 	snapMagic      = "SSNP"
-	snapVersion    = 3
+	snapVersion    = 4
 	snapHeaderLen  = 4 + 4 + 4
 	snapTrailerLen = 8 + 4 + 8 + 4
 )
@@ -138,7 +140,7 @@ func (e *Engine) Save(base string) error {
 			// so a mapped reload rebuilds its ID maps without inflating a
 			// single stored document. On an already-mapped base this whole
 			// save is a raw byte copy of the mapped region.
-			return e.base[i].si.SaveWithTOC(w, MetaGID, semindex.MetaMatchID)
+			return e.base[i].ix.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
 		})
 		files[i], errs[i] = manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}, err
 	})
@@ -197,7 +199,7 @@ func (e *Engine) compactAllLocked() {
 		pm := &pendingMerge{start: time.Now(), subs: e.subsLocked(s)}
 		sources := make([]*index.Index, len(pm.subs))
 		for i, sub := range pm.subs {
-			sources[i] = sub.si.Index
+			sources[i] = sub.ix
 		}
 		// Heap output even on a mapped engine: Save is about to write the
 		// merged bytes and then re-anchor the base on the committed file.
@@ -354,21 +356,21 @@ func mapShardFile(path string, want manifestEntry) (payload, toc []byte, release
 	return payload, toc, unmap, nil
 }
 
-// readShardFile opens one verified snapshot file (mapShardFile) as a
-// semantic index. Mapped, the index serves the file's bytes — postings
-// decoded lazily, block by block, stored fields on first hit — and
-// release unmaps them; the caller must not use the index after calling
-// it. Otherwise the index is decoded onto the heap, the mapping is
-// already released and release is nil.
-func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, mapped bool) (si *semindex.SemanticIndex, release func() error, err error) {
+// readShardFile opens one verified snapshot file (mapShardFile) as an
+// index. Mapped, the index serves the file's bytes — postings decoded
+// lazily, block by block, stored fields on first hit — and release unmaps
+// them; the caller must not use the index after calling it. Otherwise the
+// index is decoded onto the heap, the mapping is already released and
+// release is nil.
+func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, mapped bool) (ix *index.Index, release func() error, err error) {
 	payload, toc, release, err := mapShardFile(path, want)
 	if err != nil {
 		return nil, nil, err
 	}
 	if mapped {
-		si, err = semindex.OpenMapped(payload, toc, analyzer)
+		ix, err = index.OpenMapped(payload, toc, analyzer)
 	} else {
-		si, err = semindex.Load(payload, analyzer)
+		ix, err = index.Decode(bytes.NewReader(payload), analyzer)
 		release()
 		release = nil
 	}
@@ -378,7 +380,7 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, map
 		}
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return si, release, nil
+	return ix, release, nil
 }
 
 // removeStaleSnapshotFiles deletes every shard file the just-committed
@@ -487,17 +489,14 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	}
 	dir := filepath.Dir(base)
 	rep := LoadReport{Generation: m.Generation}
-	shards := make([]*semindex.SemanticIndex, len(m.Files))
+	shards := make([]*index.Index, len(m.Files))
 	closers := make([]func() error, len(m.Files))
 	var quarantined []int
 	intact := 0
 	for i, mf := range m.Files {
 		path := filepath.Join(dir, mf.Name)
-		si, release, err := readShardFile(path, analyzer, mf, opts.Mapped)
+		ix, release, err := readShardFile(path, analyzer, mf, opts.Mapped)
 		closers[i] = release
-		if err == nil && si.Level != m.Level {
-			err = fmt.Errorf("%w: level %s, manifest says %s", ErrSnapshotCorrupt, si.Level, m.Level)
-		}
 		if err != nil {
 			if closers[i] != nil {
 				closers[i]()
@@ -513,17 +512,17 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 			name := quarantine(path)
 			quarantined = append(quarantined, i)
 			rep.Quarantined = append(rep.Quarantined, QuarantinedShard{Shard: i, File: name, Err: err})
-			shards[i] = &semindex.SemanticIndex{Level: m.Level, Index: index.New(analyzer)}
+			shards[i] = index.New(analyzer)
 			continue
 		}
-		shards[i] = si
+		shards[i] = ix
 		intact++
 	}
 	if intact == 0 {
 		releaseClosers(closers)
 		return nil, fmt.Errorf("%w: no intact shard among %d at %s", ErrSnapshotCorrupt, len(m.Files), base)
 	}
-	e, err := fromShards(shards, closers, quarantined, int(m.NextGID))
+	e, err := fromShards(m.Level, shards, closers, quarantined, int(m.NextGID))
 	if err != nil {
 		releaseClosers(closers)
 		return nil, err
@@ -592,7 +591,7 @@ func releaseClosers(closers []func() error) {
 	}
 }
 
-// fromShards assembles an engine around already-loaded shard indices
+// fromShards assembles a level's engine around already-loaded shard indices
 // (which become the shards' bases — snapshots are always base-only).
 // closers, when non-nil, carries each shard's mapped-region release
 // func (nil entries for heap-decoded shards); the engine owns them from
@@ -604,28 +603,25 @@ func releaseClosers(closers []func() error) {
 // the manifest's recorded next unused global ID: the snapshot's ID
 // space legitimately has holes (compacted tombstones), and new ingests
 // must start numbering there.
-func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quarantined []int, nextGID int) (*Engine, error) {
-	e := newEngine(shards[0].Level, semindex.NewBuilder(), len(shards))
+func fromShards(level semindex.Level, shards []*index.Index, closers []func() error, quarantined []int, nextGID int) (*Engine, error) {
+	e := newEngine(level, semindex.NewBuilder(), len(shards))
 	e.quarantined = append([]int(nil), quarantined...)
 	sort.Ints(e.quarantined)
 	total := 0
 	maxGID := -1
 	parsed := make([][]int, len(shards))
-	for s, sh := range shards {
-		if sh.Level != e.level {
-			return nil, fmt.Errorf("shard: mixed levels %s and %s", e.level, sh.Level)
-		}
-		n := sh.Index.NumDocs()
+	for s, ix := range shards {
+		n := ix.NumDocs()
 		total += n
 		parsed[s] = make([]int, n)
 		for local := 0; local < n; local++ {
 			// DocMeta answers from the mapped TOC when there is one — the
 			// ID maps rebuild without inflating a single stored document,
 			// which is what keeps a mapped load O(TOC), not O(corpus).
-			gid, err := strconv.Atoi(sh.Index.DocMeta(local, MetaGID))
+			gid, err := strconv.Atoi(ix.DocMeta(local, MetaGID))
 			if err != nil || gid < 0 {
 				return nil, fmt.Errorf("shard %d doc %d: bad global id %q",
-					s, local, sh.Index.DocMeta(local, MetaGID))
+					s, local, ix.DocMeta(local, MetaGID))
 			}
 			parsed[s][local] = gid
 			if gid > maxGID {
@@ -656,7 +652,7 @@ func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quaran
 	seen := make([]bool, total)
 	live := 0
 	for s := range shards {
-		e.base[s] = &subIndex{si: shards[s], gids: parsed[s]}
+		e.base[s] = &subIndex{ix: shards[s], gids: parsed[s]}
 		if closers != nil {
 			e.base[s].release = closers[s]
 		}
@@ -678,7 +674,7 @@ func fromShards(shards []*semindex.SemanticIndex, closers []func() error, quaran
 		if ref.sub == nil {
 			continue
 		}
-		if pid := ref.sub.si.Index.DocMeta(ref.local, semindex.MetaMatchID); pid != "" {
+		if pid := ref.sub.ix.DocMeta(ref.local, semindex.MetaMatchID); pid != "" {
 			e.pageGIDs[pid] = append(e.pageGIDs[pid], gid)
 		}
 	}

@@ -3,8 +3,11 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,7 +179,7 @@ func TestLoadErrors(t *testing.T) {
 		t.Error("Load on missing files succeeded")
 	}
 	base := filepath.Join(dir, "trunc")
-	garbage := []byte("SEMIDX FULL_INF\nGARB")
+	garbage := []byte("GARB")
 	if err := os.WriteFile(shardGenPath(base, 1, 0), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -188,5 +191,115 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(base, nil); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Errorf("Load on a corrupt shard returned %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// rewriteManifest replaces the manifest at base with edit applied to its
+// body — every line but the checksum — under a freshly computed checksum,
+// so the result passes the manifest CRC and only its content is wrong.
+func rewriteManifest(t *testing.T, base string, edit func(body string) string) {
+	t.Helper()
+	raw, err := os.ReadFile(ManifestPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	body := edit(text[:strings.LastIndex(text, "checksum ")])
+	out := fmt.Sprintf("%schecksum %08x\n", body, crc32.ChecksumIEEE([]byte(body)))
+	if err := os.WriteFile(ManifestPath(base), []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirNames lists the file names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range ents {
+		names = append(names, ent.Name())
+	}
+	return names
+}
+
+// TestManifestLevelChecked: the manifest is the one record of a
+// snapshot's level, so a checksum-valid manifest naming no level, or one
+// that is not a semantic index level, is a corrupt commit point. Load
+// fails with ErrManifestCorrupt before it opens a shard file — nothing is
+// quarantined — and Fsck reports the manifest error.
+func TestManifestLevelChecked(t *testing.T) {
+	for name, edit := range map[string]func(string) string{
+		"bogus":   func(body string) string { return strings.Replace(body, "level FULL_INF\n", "level BOGUS\n", 1) },
+		"missing": func(body string) string { return strings.Replace(body, "level FULL_INF\n", "", 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, base := saveFixture(t, 2)
+			rewriteManifest(t, base, edit)
+			before := dirNames(t, filepath.Dir(base))
+
+			for _, mapped := range []bool{false, true} {
+				if _, err := LoadWith(base, nil, LoadOptions{Mapped: mapped}); !errors.Is(err, ErrManifestCorrupt) {
+					t.Fatalf("mapped=%v: Load returned %v, want ErrManifestCorrupt", mapped, err)
+				}
+			}
+			if after := dirNames(t, filepath.Dir(base)); !slices.Equal(before, after) {
+				t.Errorf("Load of a bad-level manifest renamed files: %v, then %v", before, after)
+			}
+			rep := Fsck(base)
+			if rep.OK() || len(rep.Errs) != 1 || !strings.Contains(rep.Errs[0], "level") {
+				t.Errorf("fsck of a bad-level manifest:\n%s", rep)
+			}
+		})
+	}
+}
+
+// TestSwappedLevelFileIsCorrupt: a shard file carries no level of its own,
+// so a file of another level's snapshot copied over one of this snapshot's
+// is caught by the manifest's size and CRC for that file, as any other
+// foreign bytes are. Heap and mapped loads both quarantine it and serve
+// the other shard; Fsck calls it BAD, not UNVERIFIABLE.
+func TestSwappedLevelFileIsCorrupt(t *testing.T) {
+	pages, _ := fixture(t)
+	dir := t.TempDir()
+	full, trad := filepath.Join(dir, "full"), filepath.Join(dir, "trad")
+	if err := Build(nil, semindex.FullInf, pages, Options{Shards: 2}).Save(full); err != nil {
+		t.Fatal(err)
+	}
+	if err := Build(nil, semindex.Trad, pages, Options{Shards: 2}).Save(trad); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := os.ReadFile(shardGenPath(trad, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardGenPath(full, 1, 0), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := Fsck(full)
+	if rep.OK() || !strings.Contains(rep.String(), "DAMAGED") {
+		t.Fatalf("fsck missed the swapped file:\n%s", rep)
+	}
+	if f := rep.Files[0]; f.OK || f.Unverifiable || !rep.Files[1].OK {
+		t.Fatalf("fsck verdicts %+v, want shard 0 BAD and shard 1 OK", rep.Files)
+	}
+	for _, mapped := range []bool{false, true} {
+		base := copySnapshot(t, full, t.TempDir())
+		e, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
+		if err != nil {
+			t.Fatalf("mapped=%v: %v", mapped, err)
+		}
+		q := e.LoadReport().Quarantined
+		if len(q) != 1 || q[0].Shard != 0 || !errors.Is(q[0].Err, ErrSnapshotCorrupt) ||
+			!strings.Contains(q[0].Err.Error(), "manifest says") {
+			t.Fatalf("mapped=%v: quarantined %+v, want shard 0 failing its manifest entry", mapped, q)
+		}
+		if e.Level() != semindex.FullInf {
+			t.Errorf("mapped=%v: level %s, want the manifest's FULL_INF", mapped, e.Level())
+		}
+		e.Close()
 	}
 }

@@ -199,8 +199,8 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 		if hasDeadline {
 			bar = new(index.Bar)
 		}
-		return e.searchShardLocked(s, opts.Limit, func(si *semindex.SemanticIndex) []index.Hit {
-			return si.SearchPrepared(pq, opts.Limit, bar)
+		return e.searchShardLocked(s, opts.Limit, func(ix *index.Index) []index.Hit {
+			return pq.Search(ix, opts.Limit, bar)
 		})
 	}
 	met := e.met
@@ -239,7 +239,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 // happens to. Read lock required.
 func (e *Engine) prepareLocked(query string) semindex.PreparedQuery {
 	hasField := func(name string) bool { return e.global.Fields[name] != nil }
-	return semindex.Prepare(e.level, e.base[0].si.Index.Analyzer(), hasField, query)
+	return semindex.Prepare(e.level, e.base[0].ix.Analyzer(), hasField, query)
 }
 
 // rankedHit is a hit on its way through the scatter-gather, ranked by
@@ -253,11 +253,11 @@ type rankedHit struct {
 // segments — and returns its local top-limit ranked exactly as the global
 // merge ranks (score descending, global ID ascending). Read lock must be
 // held for the duration (the scatter holds it).
-func (e *Engine) searchShardLocked(s, limit int, search func(*semindex.SemanticIndex) []index.Hit) []rankedHit {
+func (e *Engine) searchShardLocked(s, limit int, search func(*index.Index) []index.Hit) []rankedHit {
 	// A sub's result order is already score desc, local (= global) ID asc;
 	// mapping IDs preserves it.
 	ranked := func(sub *subIndex) []rankedHit {
-		raw := search(sub.si)
+		raw := search(sub.ix)
 		out := make([]rankedHit, len(raw))
 		for i, h := range raw {
 			out[i] = rankedHit{gid: sub.gids[h.DocID], score: h.Score}
@@ -309,10 +309,10 @@ func mergeRanked(lists [][]rankedHit, limit int) []rankedHit {
 // searchQueryLocked scatters an already-built query (Related's
 // more-like-this query) across the shards. Read lock required.
 func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]rankedHit {
-	q = index.AnalyzeQuery(q, e.base[0].si.Index.Analyzer())
+	q = index.AnalyzeQuery(q, e.base[0].ix.Analyzer())
 	return e.scatter(nil, func(s int) []rankedHit {
-		return e.searchShardLocked(s, limit, func(si *semindex.SemanticIndex) []index.Hit {
-			return si.Index.Search(q, limit)
+		return e.searchShardLocked(s, limit, func(ix *index.Index) []index.Hit {
+			return ix.Search(q, limit)
 		})
 	})
 }
@@ -513,10 +513,10 @@ func (e *Engine) docLocked(gid int) (*index.Index, int) {
 		return nil, 0
 	}
 	ref := e.byGID[gid]
-	if ref.sub == nil || ref.sub.si.Index.IsDeleted(ref.local) {
+	if ref.sub == nil || ref.sub.ix.IsDeleted(ref.local) {
 		return nil, 0
 	}
-	return ref.sub.si.Index, ref.local
+	return ref.sub.ix, ref.local
 }
 
 // Related returns documents similar to the given global docID, mirroring
@@ -569,7 +569,7 @@ func (e *Engine) Suggest(query string) string {
 	if e.level == semindex.Trad {
 		boosts = semindex.TradBoosts
 	}
-	return semindex.CorrectQuery(e.base[0].si.Index.Analyzer(), boosts, query,
+	return semindex.CorrectQuery(e.base[0].ix.Analyzer(), boosts, query,
 		e.global.DocFreq, e.globalTerms)
 }
 
