@@ -88,7 +88,7 @@ const storedChunkDocs = 128
 // format and returns the serialized table of contents OpenMapped needs to
 // serve the stream without decoding it: per-term block offsets and
 // boundaries, exact score caps, table offsets, and the values of the
-// requested stored-only meta fields (so identity lookups never open the
+// requested stored-only meta fields (so reads of them never open the
 // flate region). The stream is deterministic for a given index, and the
 // TOC rides outside it — callers (the shard envelope) store it next to the
 // stream — so the payload bytes do not depend on the meta fields asked for.
@@ -370,6 +370,10 @@ func decode(raw []byte, analyzer Analyzer) (*Index, error) {
 	}
 	return ix, nil
 }
+
+// StreamDocs returns the document count a codec stream's header claims,
+// reading the header alone (see readHeader).
+func StreamDocs(raw []byte) (int, error) { return readHeader(&byteReader{b: raw}) }
 
 // readHeader checks a codec stream's magic and version and returns the
 // document count its header claims, capped for plausibility: only the

@@ -60,9 +60,9 @@ type mappedIndex struct {
 	// numDocs mirrors the payload header's document count.
 	numDocs int
 	// metaNames/metaVals are the stored-only ('_'-prefixed) field values
-	// captured in the TOC so identity plumbing (global docIDs, page IDs)
-	// never forces the flate region open. metaVals[k][doc] is "" when the
-	// doc does not carry the field.
+	// captured in the TOC so metadata reads (page IDs, event kinds) never
+	// force the flate region open. metaVals[k][doc] is "" when the doc does
+	// not carry the field; equal values of a column share one string.
 	metaNames []string
 	metaVals  [][]string
 	// chunkOffs is the stored region's chunk table (readChunkTable), parsed
@@ -204,13 +204,16 @@ func (r *byteReader) str() string { return r.text(uint64(r.u32())) }
 func (r *byteReader) vstr() string { return r.text(r.uvarint()) }
 
 // text reads the next n bytes, at most 1<<26, into a string.
-func (r *byteReader) text(n uint64) string {
+func (r *byteReader) text(n uint64) string { return string(r.bytes(n)) }
+
+// bytes returns a view of the next n bytes, at most 1<<26.
+func (r *byteReader) bytes(n uint64) []byte {
 	p := r.pos
 	if r.skip(n); r.bad || n > 1<<26 {
 		r.fail()
-		return ""
+		return nil
 	}
-	return string(r.b[p:r.pos])
+	return r.b[p:r.pos]
 }
 
 // uvarintAt decodes the varint at b[p:] and returns it with the offset
@@ -379,11 +382,20 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 	for k := uint32(0); k < numMeta; k++ {
 		name := tr.vstr()
 		vals := make([]string, 0, capHint(uint32(numDocs), 1<<16))
+		// A column holds few distinct values (a page's documents share its
+		// ID), so each is allocated once; the strings outlive the mapping.
+		distinct := map[string]string{}
 		for d := 0; d < numDocs; d++ {
-			vals = append(vals, tr.vstr())
+			b := tr.bytes(tr.uvarint())
 			if tr.bad {
 				return nil, fmt.Errorf("index: truncated TOC meta values")
 			}
+			v, ok := distinct[string(b)]
+			if !ok {
+				v = string(b)
+				distinct[v] = v
+			}
+			vals = append(vals, v)
 		}
 		m.metaNames = append(m.metaNames, name)
 		m.metaVals = append(m.metaVals, vals)
@@ -460,14 +472,13 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 
 // --- Index-level mapped plumbing ---
 
-// DocMeta returns a stored-only field's value for one document ("" outside
-// [0, NumDocs)) without decoding the document into, or publishing it to,
-// any cache: it is the identity lookup a load makes for every document and
-// what a hit's Meta reads on a heap index. A heap index reads the value out
-// of the document's bytes; a mapped index answers from its TOC when the
-// value was captured there (identity fields like the shard layer's global
-// docID) and otherwise from a decode of its own that no cache keeps.
-func (ix *Index) DocMeta(id int, name string) string {
+// Meta returns a stored field's value for one document ("" outside
+// [0, NumDocs)) as a hit reads it (semindex.Hit.Meta). A heap index reads
+// the value out of the document's bytes. A mapped index answers from its TOC
+// when the encoder captured the field there, and otherwise through Doc,
+// whose decode the chunk's docCache keeps, so a hit read field by field
+// inflates its chunk once.
+func (ix *Index) Meta(id int, name string) string {
 	if id < 0 || id >= ix.NumDocs() {
 		return ""
 	}
@@ -475,36 +486,16 @@ func (ix *Index) DocMeta(id int, name string) string {
 	if m == nil {
 		return ix.stored.value(id, name)
 	}
-	for k, n := range m.metaNames {
-		if n == name {
-			return m.metaVals[k][id]
-		}
+	if k := slices.Index(m.metaNames, name); k >= 0 {
+		return m.metaVals[k][id]
 	}
-	if d := m.decode(id); d != nil {
-		return d.Get(name)
-	}
-	return ""
-}
-
-// Meta returns a stored field's value as a served hit reads it
-// (semindex.Hit.Meta): DocMeta's value, read the same way on a heap index
-// and from a TOC column on a mapped one, but on a mapped index a field the
-// TOC did not capture is read through Doc, whose decode the chunk's
-// docCache keeps, so a hit read field by field inflates its chunk once.
-func (ix *Index) Meta(id int, name string) string {
-	if m := ix.mapped; m != nil && !slices.Contains(m.metaNames, name) {
-		if d := ix.Doc(id); d != nil {
-			return d.Get(name)
-		}
-		return ""
-	}
-	return ix.DocMeta(id, name)
+	return ix.Doc(id).Get(name)
 }
 
 // sourceDoc returns document id as Doc does, except that on a mapped index
 // it decodes the document afresh without publishing it into its chunk's
-// docCache, as DocMeta does: for a read that serves no hit, such as
-// LikeThisQuery's source, whose decode nothing reads again.
+// docCache: for a read that serves no hit, such as LikeThisQuery's source,
+// whose decode nothing reads again.
 func (ix *Index) sourceDoc(id int) *Document {
 	if m := ix.mapped; m != nil && id >= 0 && id < ix.NumDocs() {
 		return m.decode(id)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // openMappedPair encodes ix with a TOC and opens the same bytes both ways:
@@ -38,49 +39,51 @@ func TestMappedLocalStatsClean(t *testing.T) {
 	runCase(t, kernelCase{docs: kernelCorpus(rand.New(rand.NewSource(11)), 500), rep: "mapped"})
 }
 
-// TestMappedDocMetaAndLazyStored: identity metadata recorded in the TOC is
-// served without touching the stored region; anything else falls back to a
-// decode that caches nothing, and Doc() decodes documents identical to the
-// heap decode's.
-func TestMappedDocMetaAndLazyStored(t *testing.T) {
+// TestMappedMetaAndLazyStored: a field captured as a TOC column is read
+// without touching the stored region, and the documents sharing a value
+// share one string; any other field is read through Doc, which caches its
+// document; and Doc() decodes documents identical to the heap decode's.
+func TestMappedMetaAndLazyStored(t *testing.T) {
 	ix := New(StandardAnalyzer{})
 	for d := 0; d < 10; d++ {
 		doc := new(Document)
 		doc.Add("narration", strings.Repeat("goal ", d+1))
 		doc.Fields = append(doc.Fields,
-			Field{Name: "_gid", Text: string(rune('a' + d))},
+			Field{Name: "_page", Text: fmt.Sprintf("page-%d", d/3)},
 			Field{Name: "color", Text: []string{"red", "blue"}[d%2]})
 		ix.Add(doc)
 	}
-	heap, mapped, _, _ := openMappedPair(t, ix, "_gid")
+	heap, mapped, _, _ := openMappedPair(t, ix, "_page")
 
 	q := TermQuery{Field: "narration", Term: "goal"}
 	if err := sameHits(mapped.Search(q, 5), heap.Search(q, 5)); err != nil {
 		t.Fatalf("search diverged: %v", err)
 	}
 	for d := 0; d < 10; d++ {
-		if got, want := mapped.DocMeta(d, "_gid"), string(rune('a'+d)); got != want {
-			t.Fatalf("DocMeta(%d, _gid) = %q, want %q", d, got, want)
+		got, want := mapped.Meta(d, "_page"), fmt.Sprintf("page-%d", d/3)
+		if got != want || heap.Meta(d, "_page") != want {
+			t.Fatalf("Meta(%d, _page) = %q mapped, %q heap; want %q", d, got, heap.Meta(d, "_page"), want)
+		}
+		if first := mapped.Meta(d/3*3, "_page"); unsafe.StringData(got) != unsafe.StringData(first) {
+			t.Fatalf("Meta(%d, _page) holds its own copy of %q", d, got)
 		}
 	}
-	if mapped.DocMeta(-1, "_gid") != "" || mapped.DocMeta(10, "_gid") != "" {
-		t.Fatal("out-of-range DocMeta must be empty")
+	for _, ix := range []*Index{heap, mapped} {
+		if ix.Meta(-1, "_page") != "" || ix.Meta(10, "_page") != "" || ix.Meta(10, "color") != "" {
+			t.Fatal("out-of-range Meta must be empty")
+		}
 	}
 	// Search and TOC-backed metadata must not have decoded any stored
 	// document; documents never land in ix.stored on a mapped index.
 	if n := mapped.CachedDocs(); n != 0 {
 		t.Fatalf("%d documents decoded before any Doc access", n)
 	}
-	// A non-TOC field falls back to the stored document, and caches nothing.
-	if got := mapped.DocMeta(3, "color"); got != "blue" || got != heap.DocMeta(3, "color") {
-		t.Fatalf("fallback DocMeta = %q", got)
+	// A non-TOC field is read through Doc, which caches its document.
+	if got := mapped.Meta(3, "color"); got != "blue" || got != heap.Meta(3, "color") {
+		t.Fatalf("Meta(3, color) = %q", got)
 	}
-	if n := mapped.CachedDocs() + heap.CachedDocs(); n != 0 {
-		t.Fatalf("DocMeta cached %d documents", n)
-	}
-	mapped.Doc(3)
-	if mapped.cachedDoc(3) == nil || mapped.CachedDocs() != 1 {
-		t.Fatal("Doc did not decode and cache exactly its document")
+	if mapped.cachedDoc(3) == nil || mapped.CachedDocs() != 1 || heap.CachedDocs() != 0 {
+		t.Fatal("Meta of a non-TOC field did not decode and cache exactly its document")
 	}
 	if mapped.stored.n != 0 {
 		t.Fatal("mapped Doc access must decode per document, not fill ix.stored")
@@ -257,10 +260,10 @@ func FuzzOpenMapped(f *testing.F) {
 	for d := 0; d < 200; d++ {
 		doc := new(Document)
 		doc.Add("f", strings.Repeat("goal ", d%5+1)+"save")
-		doc.Fields = append(doc.Fields, Field{Name: "_gid", Text: "g"})
+		doc.Fields = append(doc.Fields, Field{Name: "_page", Text: "p"})
 		ix.Add(doc)
 	}
-	raw, toc, err := encode(ix, "_gid")
+	raw, toc, err := encode(ix, "_page")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func FuzzOpenMapped(f *testing.F) {
 			m.ExhaustiveSearch(q, 5)
 		}
 		m.LocalStats()
-		m.DocMeta(0, "_gid")
+		m.Meta(0, "_page")
 		m.Doc(0)
 	})
 }

@@ -79,14 +79,14 @@ func TestStoredRoundTrip(t *testing.T) {
 	sum := NewCorpusStats()
 	for id, d := range docs {
 		for _, name := range []string{"narration", "empty", "late", "_boost", "absent"} {
-			if got, want := ix.DocMeta(id, name), d.Get(name); got != want {
-				t.Fatalf("DocMeta(%d, %q) = %q, want %q", id, name, got, want)
+			if got, want := ix.Meta(id, name), d.Get(name); got != want {
+				t.Fatalf("Meta(%d, %q) = %q, want %q", id, name, got, want)
 			}
 		}
 		ix.AddDocStats(sum, id)
 	}
 	if n := ix.CachedDocs(); n != 0 {
-		t.Fatalf("DocMeta and AddDocStats cached %d documents", n)
+		t.Fatalf("Meta and AddDocStats cached %d documents", n)
 	}
 	if !reflect.DeepEqual(sum, ix.LocalStats()) {
 		t.Error("the documents' AddDocStats do not add up to LocalStats")
@@ -104,7 +104,7 @@ func TestStoredRoundTrip(t *testing.T) {
 	if n := ix.CachedDocs(); n != 0 {
 		t.Errorf("%d documents cached after Doc of all %d; a heap index keeps none", n, len(docs))
 	}
-	if ix.Doc(-1) != nil || ix.Doc(len(docs)) != nil || ix.DocMeta(len(docs), "narration") != "" {
+	if ix.Doc(-1) != nil || ix.Doc(len(docs)) != nil || ix.Meta(len(docs), "narration") != "" {
 		t.Error("out-of-range reads must be empty")
 	}
 

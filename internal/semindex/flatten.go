@@ -230,11 +230,10 @@ func (f *flattener) fieldsPerDoc() int {
 
 // documents flattens one document per record. The page's documents share
 // one Document array and one Field array. Each document's window of the
-// fields has room for exactly one more field, the global docID the sharded
-// engine appends, so that append writes in place, and no append can write
-// into a neighbour's window.
+// fields holds exactly its fields, so an append to a document reallocates
+// and cannot write into a neighbour's window.
 func (f *flattener) documents(recs []populate.EventRecord) []*index.Document {
-	per := f.fieldsPerDoc() + 1
+	per := f.fieldsPerDoc()
 	fields := make([]index.Field, len(recs)*per)
 	docs := make([]index.Document, len(recs))
 	out := make([]*index.Document, len(recs))

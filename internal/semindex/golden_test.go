@@ -205,9 +205,8 @@ func TestMintedDocumentOrder(t *testing.T) {
 }
 
 // TestDocumentFieldWindows pins how a page's documents share memory: one
-// Field array, in which each document's window holds its fields plus room
-// for exactly one more, the global docID the sharded engine appends. That
-// append stays in place and cannot write into a neighbour's window.
+// Field array, in which each document's window holds exactly its fields,
+// so an append to one document cannot write into a neighbour's window.
 func TestDocumentFieldWindows(t *testing.T) {
 	page := goldenPages(t)[4] // mints rule events too
 	for _, noNarration := range []bool{false, true} {
@@ -217,17 +216,13 @@ func TestDocumentFieldWindows(t *testing.T) {
 			docs := b.PageDocuments(level, page)
 			before := make([][]index.Field, len(docs))
 			for i, d := range docs {
-				if cap(d.Fields) != len(d.Fields)+1 {
+				if cap(d.Fields) != len(d.Fields) {
 					t.Fatalf("%s (no narration %v) doc %d: %d fields in a window of %d", level, noNarration, i, len(d.Fields), cap(d.Fields))
 				}
 				before[i] = slices.Clone(d.Fields)
 			}
 			for i, d := range docs {
-				first := &d.Fields[0]
-				d.Add("_gid", strconv.Itoa(i))
-				if &d.Fields[0] != first {
-					t.Fatalf("%s doc %d: the global docID did not fit its window", level, i)
-				}
+				d.Add("_extra", strconv.Itoa(i))
 			}
 			for i, d := range docs {
 				if !slices.Equal(d.Fields[:len(d.Fields)-1], before[i]) {

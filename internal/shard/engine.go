@@ -19,12 +19,12 @@
 //     (tombstones) land on exactly the state a from-scratch recompute
 //     over the live documents would produce.
 //
-//   - Global document identity: every document carries its global docID
-//     (the docID the monolith would have assigned) in the stored MetaGID
-//     field. Ties are broken on the global ID, and because local IDs
-//     within every sub-index are assigned in global order, per-shard
-//     top-k truncation never discards a document the global merge would
-//     have kept.
+//   - Global document identity: every sub-index maps its local docIDs to
+//     global ones (the docIDs the monolith would have assigned), and a
+//     snapshot stores each shard file's list beside its payload. Ties are
+//     broken on the global ID, and because local IDs within every
+//     sub-index are assigned in global order, per-shard top-k truncation
+//     never discards a document the global merge would have kept.
 //
 // Ingest is LSM-shaped: each Ingest batch becomes one small immutable
 // in-memory segment per touched shard, appended to the shard without
@@ -54,16 +54,22 @@ import (
 	"repro/internal/wal"
 )
 
-// MetaGID is the stored-only document field carrying the global docID
-// (the '_' prefix keeps it out of the term space, see index.Index.Add).
-// It rides through the index codec, so persisted shards keep their global
-// identity across save/load.
+// MetaGID named the stored field that carried a document's global docID.
+// No document carries it now (see subIndex.gids); like
+// LoadReport.MappedFallback, it is kept only because the repository
+// benchmark (benchmark/layers.go) names it.
 const MetaGID = "_gid"
+
+// tocColumns are the stored fields every shard file's TOC captures, so a
+// mapped load rebuilds its page map and a facet count reads event kinds
+// without inflating a stored document.
+var tocColumns = []string{semindex.MetaMatchID, semindex.MetaKind}
 
 // subIndex is one searchable unit inside a shard: the base index or one
 // ingest batch's immutable segment. gids maps its local docIDs to global
 // ones, ascending — locals are assigned in global order, which keeps
-// per-sub top-k truncation safe for the global merge.
+// per-sub top-k truncation safe for the global merge. It is the one record
+// of the global IDs; a snapshot file stores it beside its payload.
 type subIndex struct {
 	ix   *index.Index
 	gids []int
@@ -402,9 +408,8 @@ func (e *Engine) commitChunk(commits *sync.WaitGroup, pages []*crawler.MatchPage
 		// (crawler.ParseMatchPage), and assigning to a string key stores
 		// the key given: the key is a clone, so the map pins no page.
 		key := strings.Clone(page.ID)
-		for _, d := range docsByPage[i] {
+		for range docsByPage[i] {
 			gid := len(e.byGID)
-			d.Add(MetaGID, strconv.Itoa(gid))
 			e.byGID = append(e.byGID, docRef{sub: e.base[s], local: len(e.base[s].gids)})
 			e.base[s].gids = append(e.base[s].gids, gid)
 			e.pageGIDs[key] = append(e.pageGIDs[key], gid)

@@ -83,6 +83,36 @@ func TestSearchDecodesNothing(t *testing.T) {
 	}
 }
 
+// TestMappedFacetsDecodeNothing: a mapped engine's TOC holds every
+// document's event kind, so facets over the pool's limit-0 answers (what
+// socserve's /v1/search counts) leave no stored document decoded, and they
+// equal a heap engine's.
+func TestMappedFacetsDecodeNothing(t *testing.T) {
+	pages, pool := hitFixture(t)
+	engines := hitEngines(t, pages)
+	counted := 0
+	for _, q := range pool {
+		var facets [2][]semindex.Facet
+		for i, name := range []string{"heap", "mapped"} {
+			res, err := engines[name].Search(context.Background(), q.Text, shard.SearchOptions{Limit: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			facets[i] = semindex.Facets(res.Hits, semindex.MetaKind)
+		}
+		if !reflect.DeepEqual(facets[1], facets[0]) {
+			t.Fatalf("%q: mapped facets %v, heap %v", q.Text, facets[1], facets[0])
+		}
+		counted += len(facets[0])
+	}
+	if counted == 0 {
+		t.Fatal("the pool's answers hold no event kind")
+	}
+	if n := engines["mapped"].CachedDocs(); n != 0 {
+		t.Errorf("facets over %d answers left %d documents decoded", len(pool), n)
+	}
+}
+
 // TestHitReadAfterClose: a hit resolves its document through the engine
 // when read, so one read after Close finds none — nil and "" — instead of
 // reading a mapped region Close unmapped.

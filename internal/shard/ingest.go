@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -263,7 +262,6 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 				e.segs[s] = append(e.segs[s], sub)
 			}
 			gid := len(e.byGID)
-			d.Add(MetaGID, strconv.Itoa(gid))
 			local := sub.ix.Add(d)
 			sub.gids = append(sub.gids, gid)
 			e.byGID = append(e.byGID, docRef{sub: sub, local: local})

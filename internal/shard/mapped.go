@@ -33,9 +33,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/index"
-	"repro/internal/semindex"
 )
 
 // releaseSub unmaps a retired sub's byte region and removes its scratch
@@ -80,17 +80,14 @@ func (e *Engine) Close() error {
 // the heap base stays. Write lock required; the base must be clean
 // (Save compacts first) so its local IDs equal the file's.
 func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
-	ix, release, err := readShardFile(path, e.base[s].ix.Analyzer(), mf, true)
-	if err != nil || ix.NumDocs() != len(e.base[s].gids) {
-		if release != nil {
-			release()
-		}
+	nb, err := readShardFile(path, e.base[s].ix.Analyzer(), mf, true)
+	if err != nil || !slices.Equal(nb.gids, e.base[s].gids) {
+		releaseSub(nb)
 		return
 	}
 	old := e.base[s]
-	nb := &subIndex{ix: ix, gids: old.gids, release: release}
-	ix.SetCorpusStats(e.global)
-	ix.SetExhaustive(e.exhaustive)
+	nb.ix.SetCorpusStats(e.global)
+	nb.ix.SetExhaustive(e.exhaustive)
 	for local, gid := range nb.gids {
 		e.byGID[gid] = docRef{sub: nb, local: local}
 	}
@@ -105,19 +102,20 @@ func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
 // (the merge itself never fails here, only the mapping of it). Scratch
 // files are invisible to Load (the manifest never names them) and are
 // retired by the next Save or by releaseSub.
-func (e *Engine) writeMappedSeg(s int, merged *index.Index) *subIndex {
+func (e *Engine) writeMappedSeg(s int, merged *index.Index, gids []int) *subIndex {
 	path := fmt.Sprintf("%s.mapseg%06d.shard%03d", e.mappedBase, e.mapSeq.Add(1), s)
-	size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
-		return merged.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
+	size, sum, err := writeShardFile(path, gids, func(w io.Writer) ([]byte, error) {
+		return merged.EncodeWithTOC(w, tocColumns...)
 	})
 	if err != nil {
 		os.Remove(path + ".tmp")
 		return nil
 	}
-	mix, release, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
+	sub, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
 	if err != nil {
 		os.Remove(path)
 		return nil
 	}
-	return &subIndex{ix: mix, release: release, scratch: path}
+	sub.scratch = path
+	return sub
 }

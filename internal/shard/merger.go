@@ -185,14 +185,35 @@ func fanOut(n, workers int, fn func(i int)) {
 
 // pendingMerge is a shard merge prepared against a snapshot, not
 // installed: subs is the merge set (base first), merged and remaps are
-// MergeIndexes' output, nb is merged's mapped reopen (nil to serve the
-// heap merge), and start is when the snapshot was taken.
+// MergeIndexes' output, gids are merged's global IDs, nb is merged's
+// mapped reopen (nil to serve the heap merge), and start is when the
+// snapshot was taken.
 type pendingMerge struct {
 	start  time.Time
 	subs   []*subIndex
 	merged *index.Index
 	remaps [][]int
+	gids   []int
 	nb     *subIndex
+}
+
+// merge merges pm.subs against masks (nil: their live tombstone bits) and
+// carries each surviving document's global ID to its merged local ID,
+// which keeps them ascending.
+func (pm *pendingMerge) merge(masks [][]bool) {
+	sources := make([]*index.Index, len(pm.subs))
+	for i, sub := range pm.subs {
+		sources[i] = sub.ix
+	}
+	pm.merged, pm.remaps = index.MergeIndexes(sources, masks)
+	pm.gids = make([]int, pm.merged.NumDocs())
+	for i, remap := range pm.remaps {
+		for local, nid := range remap {
+			if nid >= 0 {
+				pm.gids[nid] = pm.subs[i].gids[local]
+			}
+		}
+	}
 }
 
 // prepareMerge runs a shard merge's first two phases: snapshot under the
@@ -204,10 +225,8 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	// copy of each sub's liveness mask.
 	e.mu.RLock()
 	pm.subs = append([]*subIndex{e.base[s]}, e.segs[s]...)
-	sources := make([]*index.Index, len(pm.subs))
 	masks := make([][]bool, len(pm.subs))
 	for i, sub := range pm.subs {
-		sources[i] = sub.ix
 		masks[i] = sub.ix.DeletedMask()
 		if masks[i] == nil {
 			masks[i] = make([]bool, sub.ix.NumDocs())
@@ -218,7 +237,7 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	// Phase 2: merge against the snapshot, off-lock. Searches and
 	// ingests proceed; segments added meanwhile are simply not part of
 	// this merge and survive the swap.
-	pm.merged, pm.remaps = index.MergeIndexes(sources, masks)
+	pm.merge(masks)
 
 	// Phase 2.5: a mapped engine persists the merge and reopens it as a
 	// mapped scratch segment (tmp + fsync + rename + CRC reopen), still
@@ -227,7 +246,7 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	// once before serving and read-only after, so the unlocked read is
 	// safe.
 	if e.mappedBase != "" {
-		pm.nb = e.writeMappedSeg(s, pm.merged)
+		pm.nb = e.writeMappedSeg(s, pm.merged, pm.gids)
 	}
 	return pm
 }
@@ -259,17 +278,14 @@ func (e *Engine) installMerge(s int, pm *pendingMerge) {
 func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 	newBase := pm.nb
 	if newBase == nil {
-		newBase = &subIndex{ix: pm.merged}
+		newBase = &subIndex{ix: pm.merged, gids: pm.gids}
 	}
 	serve := newBase.ix
-	newBase.gids = make([]int, serve.NumDocs())
 	serve.SetCorpusStats(e.global)
 	serve.SetExhaustive(e.exhaustive)
 	for i, sub := range pm.subs {
-		remap := pm.remaps[i]
-		for local := 0; local < len(remap); local++ {
+		for local, nid := range pm.remaps[i] {
 			gid := sub.gids[local]
-			nid := remap[local]
 			if nid < 0 {
 				// Dead at snapshot time: dropped by the merge, now a hole.
 				e.byGID[gid] = docRef{}
@@ -279,7 +295,6 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 				// Tombstoned while the merge ran: carry the bit forward.
 				serve.Delete(nid)
 			}
-			newBase.gids[nid] = gid
 			e.byGID[gid] = docRef{sub: newBase, local: nid}
 		}
 	}

@@ -467,13 +467,10 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 		// generation's shard files: the current state, compacted.
 		e.mu.RLock()
 		for s := range e.base {
-			var sources []*index.Index
-			for _, sub := range e.subsLocked(s) {
-				sources = append(sources, sub.ix)
-			}
-			merged, _ := index.MergeIndexes(sources, nil)
-			_, _, err := writeShardFile(shardGenPath(r.base, r.gen+1, s), func(w io.Writer) ([]byte, error) {
-				return merged.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
+			pm := &pendingMerge{subs: e.subsLocked(s)}
+			pm.merge(nil)
+			_, _, err := writeShardFile(shardGenPath(r.base, r.gen+1, s), pm.gids, func(w io.Writer) ([]byte, error) {
+				return pm.merged.EncodeWithTOC(w, tocColumns...)
 			})
 			failed = errors.Join(failed, err)
 		}
@@ -593,8 +590,7 @@ func (r *oracleRun) check(changed bool) error {
 			return fmt.Errorf("Doc(%d) is nil: %v, want %v", gid, got == nil, deleted)
 		}
 		if !deleted {
-			fields := slices.DeleteFunc(slices.Clone(got.Fields), func(f index.Field) bool { return f.Name == MetaGID })
-			if got.Get(MetaGID) != strconv.Itoa(gid) || !reflect.DeepEqual(fields, o.si.Index.Doc(gid).Fields) {
+			if !reflect.DeepEqual(got.Fields, o.si.Index.Doc(gid).Fields) {
 				return fmt.Errorf("Doc(%d) differs from the oracle's", gid)
 			}
 			want = o.si.Related(gid, 10)

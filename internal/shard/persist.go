@@ -17,7 +17,7 @@ package shard
 //     memory mutates, replayed on Load past the manifest's generation,
 //     rotated on Save.
 //
-// Each of these formats has exactly one readable version — envelope v4
+// Each of these formats has exactly one readable version — envelope v5
 // around codec v4, the manifest layout, the page-batch WAL record. A file
 // of any other version, older or newer, is refused as
 // ErrSnapshotUnknownVersion: never quarantined, reported UNVERIFIABLE.
@@ -37,10 +37,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,20 +51,21 @@ import (
 	"repro/internal/wal"
 )
 
-// Snapshot envelope (version 4): a header of magic, envelope version and
+// Snapshot envelope (version 5): a header of magic, envelope version and
 // the index codec number of the payload; the payload, the bare codec
-// stream (the manifest alone records the level: version 3 payloads led
-// with one); a metadata region holding the payload's mapped table of
-// contents; then a trailer of metaLen u64, metaCRC u32, payloadLen u64,
-// payloadCRC u32. The trailer lengths cross-check the file size, so
-// truncation is caught before any CRC is computed. The manifest CRC covers
-// the payload alone. Carrying the versions in the header lets recovery and
-// fsck tell "another version" apart from "damaged" without decoding a byte
-// of payload, and the TOC is what lets LoadWith serve the file
-// memory-mapped in O(manifest) time.
+// stream (the manifest alone records the level); a metadata region; then a
+// trailer of metaLen u64, metaCRC u32, payloadLen u64, payloadCRC u32. The
+// metadata region holds the documents' global-ID list (appendGIDs), then
+// the payload's mapped table of contents; version 4 files had no list, as
+// their documents carried their global IDs in a stored field. The trailer
+// lengths cross-check the file size, so truncation is caught before any
+// CRC is computed. The manifest CRC covers the payload alone. Carrying the versions in the header lets
+// recovery and fsck tell "another version" apart from "damaged" without
+// decoding a byte of payload, and the TOC is what lets LoadWith serve the
+// file memory-mapped in O(manifest) time.
 const (
 	snapMagic      = "SSNP"
-	snapVersion    = 4
+	snapVersion    = 5
 	snapHeaderLen  = 4 + 4 + 4
 	snapTrailerLen = 8 + 4 + 8 + 4
 )
@@ -135,12 +136,10 @@ func (e *Engine) Save(base string) error {
 	errs := make([]error, len(e.base))
 	fanOut(len(e.base), len(e.base), func(i int) {
 		path := shardGenPath(base, newGen, i)
-		size, sum, err := writeShardFile(path, func(w io.Writer) ([]byte, error) {
-			// The TOC captures the identity metadata (global docID, page ID)
-			// so a mapped reload rebuilds its ID maps without inflating a
-			// single stored document. On an already-mapped base this whole
-			// save is a raw byte copy of the mapped region.
-			return e.base[i].ix.EncodeWithTOC(w, MetaGID, semindex.MetaMatchID)
+		size, sum, err := writeShardFile(path, e.base[i].gids, func(w io.Writer) ([]byte, error) {
+			// On an already-mapped base this whole save is a raw byte copy
+			// of the mapped region.
+			return e.base[i].ix.EncodeWithTOC(w, tocColumns...)
 		})
 		files[i], errs[i] = manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}, err
 	})
@@ -197,13 +196,9 @@ func (e *Engine) compactAllLocked() {
 	pms := make([]*pendingMerge, len(e.base))
 	compactInBatches(slots, func(s int) {
 		pm := &pendingMerge{start: time.Now(), subs: e.subsLocked(s)}
-		sources := make([]*index.Index, len(pm.subs))
-		for i, sub := range pm.subs {
-			sources[i] = sub.ix
-		}
 		// Heap output even on a mapped engine: Save is about to write the
 		// merged bytes and then re-anchor the base on the committed file.
-		pm.merged, pm.remaps = index.MergeIndexes(sources, nil)
+		pm.merge(nil)
 		pms[s] = pm
 	}, func(s int) {
 		e.applyMergedLocked(s, pms[s])
@@ -213,59 +208,81 @@ func (e *Engine) compactAllLocked() {
 
 // writeShardFile writes one enveloped, checksummed shard snapshot via
 // tmp + fsync + rename, returning the final file size and payload CRC.
-// save writes the payload and returns the envelope's metadata region —
-// the payload's mapped TOC, which must not be empty.
-func writeShardFile(path string, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
+// gids are the payload documents' global IDs, ascending; save writes the
+// payload and returns its mapped TOC.
+func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, 0, err
 	}
+	// bw keeps its first write error; Flush returns it.
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var hdr [snapHeaderLen]byte
 	copy(hdr[:4], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], snapVersion)
 	binary.LittleEndian.PutUint32(hdr[8:12], index.CodecVersionCurrent)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
+	bw.Write(hdr[:])
 	crc := crc32.NewIEEE()
 	cw := &countingWriter{}
-	meta, err := save(io.MultiWriter(bw, crc, cw))
+	toc, err := save(io.MultiWriter(bw, crc, cw))
 	if err != nil {
 		f.Close()
 		return 0, 0, err
 	}
-	if _, err := bw.Write(meta); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
+	meta := append(appendGIDs(nil, gids), toc...)
+	bw.Write(meta)
 	var trailer [snapTrailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[0:8], uint64(len(meta)))
 	binary.LittleEndian.PutUint32(trailer[8:12], crc32.ChecksumIEEE(meta))
 	binary.LittleEndian.PutUint64(trailer[12:20], uint64(cw.n))
 	sum := crc.Sum32()
 	binary.LittleEndian.PutUint32(trailer[20:24], sum)
-	if _, err := bw.Write(trailer[:]); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	if err := f.Close(); err != nil {
+	bw.Write(trailer[:])
+	if err := errors.Join(bw.Flush(), f.Sync(), f.Close()); err != nil {
 		return 0, 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return 0, 0, err
 	}
 	return snapHeaderLen + cw.n + int64(len(meta)) + snapTrailerLen, sum, nil
+}
+
+// appendGIDs appends the envelope's global-ID list, ascending IDs: its
+// byte length, then each ID's distance from the one before it (the first
+// ID's from −1), all uvarints.
+func appendGIDs(b []byte, gids []int) []byte {
+	var list []byte
+	prev := -1
+	for _, gid := range gids {
+		list = binary.AppendUvarint(list, uint64(gid-prev))
+		prev = gid
+	}
+	return append(binary.AppendUvarint(b, uint64(len(list))), list...)
+}
+
+// readGIDs splits an envelope's metadata region into its global-ID list
+// and the TOC after it. The list must hold docs IDs, strictly ascending
+// and below 2^31.
+func readGIDs(meta []byte, docs int) (gids []int, toc []byte, err error) {
+	n, k := binary.Uvarint(meta)
+	if k <= 0 || n > uint64(len(meta)-k) {
+		return nil, nil, errors.New("global-ID list overruns the metadata region")
+	}
+	list, toc := meta[k:k+int(n)], meta[k+int(n):]
+	gids = make([]int, 0, min(docs, len(list)))
+	for prev := -1; len(list) > 0; {
+		d, k := binary.Uvarint(list)
+		if k <= 0 || d == 0 || d > uint64(math.MaxInt32-prev) {
+			return nil, nil, fmt.Errorf("global-ID list truncated or not strictly ascending at ID %d", len(gids))
+		}
+		prev += int(d)
+		gids, list = append(gids, prev), list[k:]
+	}
+	if len(gids) != docs {
+		return nil, nil, fmt.Errorf("global-ID list holds %d IDs for %d documents", len(gids), docs)
+	}
+	return gids, toc, nil
 }
 
 // countingWriter counts payload bytes for the envelope trailer.
@@ -278,30 +295,31 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // mapShardFile is the one reader of snapshot files. It opens path, checks
 // its size against the manifest entry, maps it, and checks the envelope
-// over the mapped bytes — header, trailer, payload CRC, metadata CRC —
-// before it returns the payload and the metadata region (the payload's
-// mapped TOC) as views of the mapping. release unmaps them; on error
-// nothing stays mapped. So every load and Fsck checks exactly the bytes a
-// mapped engine goes on to serve, and a heap load decodes nothing before
-// the CRC verdict. An envelope version or codec other than the one this
-// build reads fails with ErrSnapshotUnknownVersion, everything else that
-// is wrong with the file with ErrSnapshotCorrupt.
-func mapShardFile(path string, want manifestEntry) (payload, toc []byte, release func() error, err error) {
+// over the mapped bytes — header, trailer, payload CRC, metadata CRC, and
+// the global-ID list against the payload's document count — before it
+// returns the payload and its mapped TOC as views of the mapping, with the
+// decoded IDs. release unmaps the views; on error nothing stays mapped. So
+// every load and Fsck checks exactly the bytes a mapped engine goes on to
+// serve, and a heap load decodes nothing before the CRC verdict. An
+// envelope version or codec other than the one this build reads fails with
+// ErrSnapshotUnknownVersion, everything else that is wrong with the file
+// with ErrSnapshotCorrupt.
+func mapShardFile(path string, want manifestEntry) (payload, toc []byte, gids []int, release func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	if st.Size() != want.Size {
-		return nil, nil, nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
+		return nil, nil, nil, nil, fmt.Errorf("%w: size %d, manifest says %d", ErrSnapshotCorrupt, st.Size(), want.Size)
 	}
 	m, unmap, err := mapFile(f, st.Size())
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("shard: mapping %s: %w", path, err)
+		return nil, nil, nil, nil, fmt.Errorf("shard: mapping %s: %w", path, err)
 	}
 	defer func() {
 		if err != nil {
@@ -309,78 +327,86 @@ func mapShardFile(path string, want manifestEntry) (payload, toc []byte, release
 		}
 	}()
 	if len(m) < snapHeaderLen {
-		return nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an envelope header", ErrSnapshotCorrupt, len(m))
+		return nil, nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an envelope header", ErrSnapshotCorrupt, len(m))
 	}
 	if string(m[:4]) != snapMagic {
-		return nil, nil, nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, m[:4])
+		return nil, nil, nil, nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, m[:4])
 	}
 	if version := binary.LittleEndian.Uint32(m[4:8]); version != snapVersion {
-		return nil, nil, nil, fmt.Errorf("%w: envelope version %d, this build reads %d",
+		return nil, nil, nil, nil, fmt.Errorf("%w: envelope version %d, this build reads %d",
 			ErrSnapshotUnknownVersion, version, snapVersion)
 	}
 	switch codec := binary.LittleEndian.Uint32(m[8:12]); {
 	case codec == 0:
-		return nil, nil, nil, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
+		return nil, nil, nil, nil, fmt.Errorf("%w: codec 0 in envelope header", ErrSnapshotCorrupt)
 	case codec != index.CodecVersionCurrent:
-		return nil, nil, nil, fmt.Errorf("%w: payload codec %d, this build reads %d",
+		return nil, nil, nil, nil, fmt.Errorf("%w: payload codec %d, this build reads %d",
 			ErrSnapshotUnknownVersion, codec, index.CodecVersionCurrent)
 	}
 	// body is what lies between header and trailer: payload, then metadata.
 	body := int64(len(m)) - snapHeaderLen - snapTrailerLen
 	if body < 0 {
-		return nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, len(m))
+		return nil, nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than an empty envelope", ErrSnapshotCorrupt, len(m))
 	}
 	trailer := m[len(m)-snapTrailerLen:]
 	metaLen := binary.LittleEndian.Uint64(trailer[0:8])
 	metaCRC := binary.LittleEndian.Uint32(trailer[8:12])
 	if metaLen == 0 || metaLen > uint64(body) {
-		return nil, nil, nil, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
+		return nil, nil, nil, nil, fmt.Errorf("%w: trailer claims %d metadata bytes, file holds %d",
 			ErrSnapshotCorrupt, metaLen, body)
 	}
 	payloadLen := binary.LittleEndian.Uint64(trailer[12:20])
 	if payloadLen != uint64(body)-metaLen {
-		return nil, nil, nil, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
+		return nil, nil, nil, nil, fmt.Errorf("%w: trailer claims %d payload bytes, file holds %d",
 			ErrSnapshotCorrupt, payloadLen, uint64(body)-metaLen)
 	}
 	if trailerCRC := binary.LittleEndian.Uint32(trailer[20:24]); trailerCRC != want.CRC {
-		return nil, nil, nil, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, want.CRC)
+		return nil, nil, nil, nil, fmt.Errorf("%w: trailer CRC %08x, manifest says %08x", ErrSnapshotCorrupt, trailerCRC, want.CRC)
 	}
 	payload = m[snapHeaderLen : snapHeaderLen+payloadLen]
-	toc = m[snapHeaderLen+payloadLen : snapHeaderLen+payloadLen+metaLen]
+	meta := m[snapHeaderLen+payloadLen : snapHeaderLen+payloadLen+metaLen]
 	if got := crc32.ChecksumIEEE(payload); got != want.CRC {
-		return nil, nil, nil, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, want.CRC)
+		return nil, nil, nil, nil, fmt.Errorf("%w: payload CRC %08x, manifest says %08x", ErrSnapshotCorrupt, got, want.CRC)
 	}
-	if got := crc32.ChecksumIEEE(toc); got != metaCRC {
-		return nil, nil, nil, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
+	if got := crc32.ChecksumIEEE(meta); got != metaCRC {
+		return nil, nil, nil, nil, fmt.Errorf("%w: metadata CRC %08x, trailer says %08x", ErrSnapshotCorrupt, got, metaCRC)
 	}
-	return payload, toc, unmap, nil
+	docs, err := index.StreamDocs(payload)
+	if err == nil {
+		gids, toc, err = readGIDs(meta, docs)
+	}
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	return payload, toc, gids, unmap, nil
 }
 
-// readShardFile opens one verified snapshot file (mapShardFile) as an
-// index. Mapped, the index serves the file's bytes — postings decoded
-// lazily, block by block, stored fields on first hit — and release unmaps
-// them; the caller must not use the index after calling it. Otherwise the
-// index is decoded onto the heap, the mapping is already released and
-// release is nil.
-func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, mapped bool) (ix *index.Index, release func() error, err error) {
-	payload, toc, release, err := mapShardFile(path, want)
+// readShardFile opens one verified snapshot file (mapShardFile) as a base
+// sub-index holding the file's global IDs. Mapped, the index serves the
+// file's bytes — postings decoded lazily, block by block, stored fields on
+// first hit — and the sub's release unmaps them (releaseSub); the index must
+// not be used after. Otherwise the index is decoded onto the heap and the
+// mapping is already released.
+func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, mapped bool) (*subIndex, error) {
+	payload, toc, gids, release, err := mapShardFile(path, want)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	sub := &subIndex{gids: gids}
 	if mapped {
-		ix, err = index.OpenMapped(payload, toc, analyzer)
+		sub.ix, err = index.OpenMapped(payload, toc, analyzer)
 	} else {
-		ix, err = index.Decode(bytes.NewReader(payload), analyzer)
+		sub.ix, err = index.Decode(bytes.NewReader(payload), analyzer)
+	}
+	if mapped && err == nil {
+		sub.release = release
+	} else {
 		release()
-		release = nil
 	}
 	if err != nil {
-		if release != nil {
-			release()
-		}
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return ix, release, nil
+	return sub, nil
 }
 
 // removeStaleSnapshotFiles deletes every shard file the just-committed
@@ -489,42 +515,32 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	}
 	dir := filepath.Dir(base)
 	rep := LoadReport{Generation: m.Generation}
-	shards := make([]*index.Index, len(m.Files))
-	closers := make([]func() error, len(m.Files))
+	subs := make([]*subIndex, len(m.Files))
 	var quarantined []int
-	intact := 0
 	for i, mf := range m.Files {
 		path := filepath.Join(dir, mf.Name)
-		ix, release, err := readShardFile(path, analyzer, mf, opts.Mapped)
-		closers[i] = release
+		sub, err := readShardFile(path, analyzer, mf, opts.Mapped)
 		if err != nil {
-			if closers[i] != nil {
-				closers[i]()
-				closers[i] = nil
-			}
 			if errors.Is(err, ErrSnapshotUnknownVersion) {
 				// Not damage: another build wrote this file. Renaming it
 				// *.corrupt and serving without it would turn a version
 				// skew into data loss; refuse the load instead.
-				releaseClosers(closers)
+				releaseSubs(subs)
 				return nil, fmt.Errorf("shard %d (%s): %w", i, mf.Name, err)
 			}
 			name := quarantine(path)
 			quarantined = append(quarantined, i)
 			rep.Quarantined = append(rep.Quarantined, QuarantinedShard{Shard: i, File: name, Err: err})
-			shards[i] = index.New(analyzer)
-			continue
+			sub = &subIndex{ix: index.New(analyzer)}
 		}
-		shards[i] = ix
-		intact++
+		subs[i] = sub
 	}
-	if intact == 0 {
-		releaseClosers(closers)
+	if len(quarantined) == len(subs) {
 		return nil, fmt.Errorf("%w: no intact shard among %d at %s", ErrSnapshotCorrupt, len(m.Files), base)
 	}
-	e, err := fromShards(m.Level, shards, closers, quarantined, int(m.NextGID))
+	e, err := fromShards(m.Level, subs, quarantined, int(m.NextGID))
 	if err != nil {
-		releaseClosers(closers)
+		releaseSubs(subs)
 		return nil, err
 	}
 	if opts.Mapped {
@@ -582,51 +598,32 @@ func quarantine(path string) string {
 	return filepath.Base(dst)
 }
 
-// releaseClosers unmaps whatever a failed mapped load already mapped.
-func releaseClosers(closers []func() error) {
-	for _, c := range closers {
-		if c != nil {
-			c()
-		}
+// releaseSubs unmaps whatever a failed mapped load already mapped.
+func releaseSubs(subs []*subIndex) {
+	for _, sub := range subs {
+		releaseSub(sub)
 	}
 }
 
-// fromShards assembles a level's engine around already-loaded shard indices
-// (which become the shards' bases — snapshots are always base-only).
-// closers, when non-nil, carries each shard's mapped-region release
-// func (nil entries for heap-decoded shards); the engine owns them from
-// here and releases them on Close or when a merge retires the base.
-// quarantined lists shard slots holding empty placeholders for files
-// Load rejected; with quarantined slots the global docID space keeps
-// the holes the lost documents occupied (Doc returns nil for them)
-// instead of silently renumbering the survivors. nextGID, when > 0, is
-// the manifest's recorded next unused global ID: the snapshot's ID
-// space legitimately has holes (compacted tombstones), and new ingests
-// must start numbering there.
-func fromShards(level semindex.Level, shards []*index.Index, closers []func() error, quarantined []int, nextGID int) (*Engine, error) {
-	e := newEngine(level, semindex.NewBuilder(), len(shards))
+// fromShards assembles a level's engine around already-loaded shard bases
+// (snapshots are always base-only), each holding its documents' global IDs
+// ascending; the engine owns their mapped regions from here and releases
+// them on Close or when a merge retires the base. quarantined lists shard
+// slots holding empty placeholders for files Load rejected; with
+// quarantined slots the global docID space keeps the holes the lost
+// documents occupied (Doc returns nil for them) instead of silently
+// renumbering the survivors. nextGID, when > 0, is the manifest's recorded
+// next unused global ID: the snapshot's ID space legitimately has holes
+// (compacted tombstones), and new ingests must start numbering there.
+func fromShards(level semindex.Level, subs []*subIndex, quarantined []int, nextGID int) (*Engine, error) {
+	e := newEngine(level, semindex.NewBuilder(), len(subs))
 	e.quarantined = append([]int(nil), quarantined...)
 	sort.Ints(e.quarantined)
-	total := 0
-	maxGID := -1
-	parsed := make([][]int, len(shards))
-	for s, ix := range shards {
-		n := ix.NumDocs()
-		total += n
-		parsed[s] = make([]int, n)
-		for local := 0; local < n; local++ {
-			// DocMeta answers from the mapped TOC when there is one — the
-			// ID maps rebuild without inflating a single stored document,
-			// which is what keeps a mapped load O(TOC), not O(corpus).
-			gid, err := strconv.Atoi(ix.DocMeta(local, MetaGID))
-			if err != nil || gid < 0 {
-				return nil, fmt.Errorf("shard %d doc %d: bad global id %q",
-					s, local, ix.DocMeta(local, MetaGID))
-			}
-			parsed[s][local] = gid
-			if gid > maxGID {
-				maxGID = gid
-			}
+	docs, maxGID := 0, -1
+	for _, sub := range subs {
+		docs += len(sub.gids)
+		if len(sub.gids) > 0 {
+			maxGID = max(maxGID, sub.gids[len(sub.gids)-1])
 		}
 	}
 	switch {
@@ -636,45 +633,31 @@ func fromShards(level semindex.Level, shards []*index.Index, closers []func() er
 		if maxGID >= nextGID {
 			return nil, fmt.Errorf("shard: global id %d outside recorded id space %d", maxGID, nextGID)
 		}
-	case len(e.quarantined) == 0 && maxGID >= total:
+	case len(e.quarantined) == 0 && maxGID >= docs:
 		// A complete hole-free snapshot must use exactly the IDs
-		// 0..total-1; a larger ID means a document went missing without a
+		// 0..docs-1; a larger ID means a document went missing without a
 		// quarantine or a nextgid record to explain it.
-		return nil, fmt.Errorf("shard: global id %d outside %d documents", maxGID, total)
+		return nil, fmt.Errorf("shard: global id %d outside %d documents", maxGID, docs)
 	}
-	if maxGID+1 > total {
-		total = maxGID + 1
-	}
-	if nextGID > total {
-		total = nextGID
-	}
-	e.byGID = make([]docRef, total)
-	seen := make([]bool, total)
-	live := 0
-	for s := range shards {
-		e.base[s] = &subIndex{ix: shards[s], gids: parsed[s]}
-		if closers != nil {
-			e.base[s].release = closers[s]
-		}
-		for local, gid := range parsed[s] {
-			if seen[gid] {
+	e.byGID = make([]docRef, max(docs, maxGID+1, nextGID))
+	for s, sub := range subs {
+		e.base[s] = sub
+		for local, gid := range sub.gids {
+			if e.byGID[gid].sub != nil {
 				return nil, fmt.Errorf("shard %d doc %d: duplicate global id %d", s, local, gid)
 			}
-			seen[gid] = true
-			e.byGID[gid] = docRef{sub: e.base[s], local: local}
-			live++
+			e.byGID[gid] = docRef{sub: sub, local: local}
 		}
 	}
-	e.liveDocs = live
+	e.liveDocs = docs
 	// Rebuild the page -> live-documents map Ingest's upsert path
 	// consults, in ascending global ID order (documents of one page are
 	// contiguous, so per-page order is preserved).
-	for gid := 0; gid < total; gid++ {
-		ref := e.byGID[gid]
+	for gid, ref := range e.byGID {
 		if ref.sub == nil {
 			continue
 		}
-		if pid := ref.sub.ix.DocMeta(ref.local, semindex.MetaMatchID); pid != "" {
+		if pid := ref.sub.ix.Meta(ref.local, semindex.MetaMatchID); pid != "" {
 			e.pageGIDs[pid] = append(e.pageGIDs[pid], gid)
 		}
 	}
@@ -848,7 +831,7 @@ func Fsck(base string) *FsckReport {
 	dir := filepath.Dir(base)
 	for _, mf := range m.Files {
 		ff := FsckFile{Name: mf.Name, Size: mf.Size, CRC: mf.CRC}
-		if _, _, release, err := mapShardFile(filepath.Join(dir, mf.Name), mf); err != nil {
+		if _, _, _, release, err := mapShardFile(filepath.Join(dir, mf.Name), mf); err != nil {
 			ff.Detail = err.Error()
 			ff.Unverifiable = errors.Is(err, ErrSnapshotUnknownVersion)
 		} else {

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -105,7 +107,7 @@ func TestLoadQuarantinesCorruptShard(t *testing.T) {
 		if d == nil {
 			continue
 		}
-		if want := e.Doc(gid); d.Get(MetaGID) != want.Get(MetaGID) || d.Get("narration") != want.Get("narration") {
+		if want := e.Doc(gid); !reflect.DeepEqual(d.Fields, want.Fields) {
 			t.Fatalf("gid %d: surviving document was renumbered", gid)
 		}
 	}
@@ -113,6 +115,100 @@ func TestLoadQuarantinesCorruptShard(t *testing.T) {
 	if err := back.Save(base); !errors.Is(err, ErrDegraded) {
 		t.Errorf("degraded Save returned %v, want ErrDegraded", err)
 	}
+}
+
+// patchMeta lets edit rewrite a shard file's metadata region in place and
+// then seals the region's CRC again, so the file is damaged only where
+// edit damaged it. list is the offset of the global-ID list in meta.
+func patchMeta(t *testing.T, path string, edit func(meta []byte, list int)) {
+	t.Helper()
+	patchFile(t, path, func(data []byte) {
+		tr := data[len(data)-snapTrailerLen:]
+		end := len(data) - snapTrailerLen
+		meta := data[end-int(binary.LittleEndian.Uint64(tr[0:8])) : end]
+		_, list := binary.Uvarint(meta)
+		edit(meta, list)
+		binary.LittleEndian.PutUint32(tr[8:12], crc32.ChecksumIEEE(meta))
+	})
+}
+
+// putUvarint overwrites the uvarint at b with v, coded in the same number
+// of bytes (padded with continuation bytes where v is shorter).
+func putUvarint(b []byte, v uint64) {
+	_, n := binary.Uvarint(b)
+	for i := 0; i < n-1; i++ {
+		b[i] = byte(v) | 0x80
+		v >>= 7
+	}
+	b[n-1] = byte(v)
+}
+
+// TestGlobalIDListChecks: a shard file whose global-ID list is not
+// strictly ascending, is truncated, or counts other than the payload's
+// documents is damaged even under a valid metadata CRC: heap and mapped
+// loads quarantine it and Fsck calls it BAD. Two intact files that both
+// claim one global ID fail the load.
+func TestGlobalIDListChecks(t *testing.T) {
+	_, saved := saveFixture(t, 2)
+	victim := filepath.Base(shardGenPath(saved, 1, 1))
+	for name, edit := range map[string]func(meta []byte, list int){
+		"not ascending": func(meta []byte, list int) {
+			_, first := binary.Uvarint(meta[list:])
+			meta[list+first] = 0 // the second ID equals the first
+		},
+		"truncated": func(meta []byte, list int) {
+			n, _ := binary.Uvarint(meta)
+			meta[list+int(n)-1] |= 0x80 // the last ID's uvarint runs on
+		},
+		"count differs": func(meta []byte, _ int) {
+			n, _ := binary.Uvarint(meta)
+			putUvarint(meta, n-1) // the last ID's byte joins the TOC
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := copySnapshot(t, saved, t.TempDir())
+			patchMeta(t, filepath.Join(filepath.Dir(base), victim), edit)
+			rep := Fsck(base)
+			if f := rep.Files[1]; f.OK || f.Unverifiable || !strings.Contains(rep.String(), "DAMAGED") {
+				t.Fatalf("fsck verdict:\n%s", rep)
+			}
+			for _, mapped := range []bool{false, true} {
+				base := copySnapshot(t, base, t.TempDir())
+				e, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
+				if err != nil {
+					t.Fatalf("mapped %v: %v", mapped, err)
+				}
+				q := e.LoadReport().Quarantined
+				if len(q) != 1 || q[0].Shard != 1 || !errors.Is(q[0].Err, ErrSnapshotCorrupt) {
+					t.Errorf("mapped %v: quarantined %+v, want shard 1", mapped, q)
+				}
+				e.Close()
+			}
+		})
+	}
+
+	t.Run("duplicate across shards", func(t *testing.T) {
+		base := copySnapshot(t, saved, t.TempDir())
+		// Shift the shard without global ID 0 down onto it: each list stays
+		// ascending, and both files claim ID 0.
+		zero := 0
+		patchMeta(t, shardGenPath(base, 1, 1), func(meta []byte, list int) {
+			if first, _ := binary.Uvarint(meta[list:]); first == 1 {
+				zero = 1
+			}
+		})
+		patchMeta(t, shardGenPath(base, 1, 1-zero), func(meta []byte, list int) {
+			putUvarint(meta[list:], 1)
+		})
+		if rep := Fsck(base); !rep.OK() {
+			t.Fatalf("each file is intact, fsck says:\n%s", rep)
+		}
+		for _, mapped := range []bool{false, true} {
+			if _, err := LoadWith(base, nil, LoadOptions{Mapped: mapped}); err == nil || !strings.Contains(err.Error(), "duplicate global id") {
+				t.Errorf("mapped %v: load returned %v, want a duplicate global id", mapped, err)
+			}
+		}
+	})
 }
 
 // TestLoadManifestCorrupt covers the unrecoverable commit-point cases:
