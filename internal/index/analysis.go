@@ -35,8 +35,8 @@ type StandardAnalyzer struct {
 }
 
 // Analyze implements Analyzer. It keeps no state, so concurrent searches
-// may analyze query text freely; the write path analyzes through
-// Index.analyzeForWrite, which memoises normalize per index.
+// may analyze query text freely; the write path analyzes through a
+// Scratch, which memoises normalize.
 func (a StandardAnalyzer) Analyze(text string) []string {
 	tokens := appendTokens(nil, text)
 	out := tokens[:0]

@@ -273,15 +273,22 @@ type Index struct {
 	// index is read-only except for tombstones.
 	mapped *mappedIndex
 
-	// Write-path state, touched only by Add and AddDocStats (which, like
-	// every mutation, must not run beside another on the same index;
-	// searches never read it). memo maps a raw token to the term the
-	// StandardAnalyzer normalizes it to ("" for a dropped stopword), so the
-	// lowercase, stopword and stemmer work runs once per distinct token
-	// rather than once per occurrence; being per index, indexes built with
-	// different analyzer settings cannot see each other's entries. termBuf
-	// is the reused analysis output and docTerms AddDocStats's per-document
-	// set of counted terms.
+	// w is Add's analysis state (see Scratch); searches never read it.
+	w Scratch
+}
+
+// Scratch is the write path's reusable analysis state. memo maps a raw
+// token to the term a StandardAnalyzer normalizes it to ("" for a dropped
+// stopword), so the lowercase, stopword and stemmer work runs once per
+// distinct token rather than once per occurrence; std is the analyzer
+// settings the memo was filled under, and analysis under other settings
+// starts it afresh. termBuf is the reused analysis output and docTerms
+// AddDocStats's per-document set of counted terms. An Index keeps one for
+// Add; AddDocStats takes its caller's, so calls over one index may run
+// side by side, each with its own. One Scratch serves one call at a time.
+// The zero value is ready to use.
+type Scratch struct {
+	std      StandardAnalyzer
 	memo     map[string]string
 	termBuf  []string
 	docTerms map[FieldTerm]struct{}
@@ -343,7 +350,7 @@ func (ix *Index) Add(d *Document) int {
 		if boost == 0 {
 			boost = 1
 		}
-		terms := ix.analyzeForWrite(f.Text)
+		terms := ix.w.analyze(ix.analyzer, f.Text)
 		base := fi.add(id, len(terms), boost)
 		dlen := base + len(terms)
 		for pos, term := range terms {
@@ -378,28 +385,32 @@ func (ix *Index) Add(d *Document) int {
 	return id
 }
 
-// analyzeForWrite is the analysis Add and AddDocStats run: the index
-// analyzer's Analyze, with a StandardAnalyzer's per-token work memoised.
-// The result aliases a buffer the next call overwrites.
-func (ix *Index) analyzeForWrite(text string) []string {
-	a, ok := ix.analyzer.(StandardAnalyzer)
+// analyze is the analysis Add and AddDocStats run: an's Analyze, with a
+// StandardAnalyzer's per-token work memoised. The result aliases a buffer
+// the next call overwrites.
+func (sc *Scratch) analyze(an Analyzer, text string) []string {
+	a, ok := an.(StandardAnalyzer)
 	if !ok {
-		return ix.analyzer.Analyze(text)
+		return an.Analyze(text)
 	}
-	tokens := appendTokens(ix.termBuf[:0], text)
-	ix.termBuf = tokens
+	if a != sc.std {
+		clear(sc.memo)
+		sc.std = a
+	}
+	tokens := appendTokens(sc.termBuf[:0], text)
+	sc.termBuf = tokens
 	out := tokens[:0]
 	for _, tok := range tokens {
-		term, seen := ix.memo[tok]
+		term, seen := sc.memo[tok]
 		if !seen {
-			if len(ix.memo) < memoMaxEntries && len(tok) <= memoMaxToken {
-				if ix.memo == nil {
-					ix.memo = make(map[string]string)
+			if len(sc.memo) < memoMaxEntries && len(tok) <= memoMaxToken {
+				if sc.memo == nil {
+					sc.memo = make(map[string]string)
 				}
 				// The clone keeps the memo from pinning the document text.
 				tok = strings.Clone(tok)
 				term = a.normalize(tok)
-				ix.memo[tok] = term
+				sc.memo[tok] = term
 			} else {
 				term = a.normalize(tok)
 			}

@@ -180,7 +180,7 @@ func (ix *Index) LocalStats() *CorpusStats {
 // nil for a docID the index does not hold.
 func (ix *Index) DocStats(id int) *CorpusStats {
 	cs := NewCorpusStats()
-	if !ix.AddDocStats(cs, id) {
+	if !ix.AddDocStats(cs, id, new(Scratch)) {
 		return nil
 	}
 	return cs
@@ -193,9 +193,10 @@ func (ix *Index) DocStats(id int) *CorpusStats {
 // batch of upserts tombstones whole pages of documents nobody is serving):
 // it walks the document's fields over its chunk's bytes, inflated for the
 // call on a mapped index, their texts slices of one string copied from
-// them. It shares Add's analysis state: like Add, it must not run beside
-// another writer of the same index.
-func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
+// them. It analyzes with sc, not with the index's own state, and reads the
+// index only: calls with distinct scratches may run beside each other and
+// beside searches, but not beside Add or Delete on the same index.
+func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 	if id < 0 || id >= ix.NumDocs() {
 		return false
 	}
@@ -212,10 +213,10 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
 	}
 	r := c.fields(k)
 	all := string(r.b)
-	if ix.docTerms == nil {
-		ix.docTerms = make(map[FieldTerm]struct{})
+	if sc.docTerms == nil {
+		sc.docTerms = make(map[FieldTerm]struct{})
 	}
-	clear(ix.docTerms)
+	clear(sc.docTerms)
 	cs.Docs++
 	for {
 		name, text, _, ok := r.next()
@@ -233,12 +234,12 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
 		// df and Docs count documents, not occurrences or values: docTerms
 		// holds what this document has already been counted for, the field
 		// itself under the empty term (no analyzer emits one).
-		if ix.firstInDoc(FieldTerm{Field: name}) {
+		if sc.firstInDoc(FieldTerm{Field: name}) {
 			fs.Docs++
 		}
-		for _, t := range ix.analyzeForWrite(all[r.at : r.at+len(text)]) {
+		for _, t := range sc.analyze(ix.analyzer, all[r.at:r.at+len(text)]) {
 			fs.SumLen++
-			if ix.firstInDoc(FieldTerm{Field: name, Term: t}) {
+			if sc.firstInDoc(FieldTerm{Field: name, Term: t}) {
 				fs.DocFreq[t]++
 			}
 		}
@@ -247,10 +248,10 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int) bool {
 
 // firstInDoc reports whether AddDocStats's current document has not been
 // counted for ft yet, and marks it counted.
-func (ix *Index) firstInDoc(ft FieldTerm) bool {
-	n := len(ix.docTerms)
-	ix.docTerms[ft] = struct{}{}
-	return len(ix.docTerms) > n
+func (sc *Scratch) firstInDoc(ft FieldTerm) bool {
+	n := len(sc.docTerms)
+	sc.docTerms[ft] = struct{}{}
+	return len(sc.docTerms) > n
 }
 
 // SetCorpusStats installs corpus-wide statistics: all subsequent scoring

@@ -76,14 +76,14 @@ func TestStoredRoundTrip(t *testing.T) {
 		t.Fatalf("chunks start at %s", got)
 	}
 
-	sum := NewCorpusStats()
+	sum, sc := NewCorpusStats(), new(Scratch)
 	for id, d := range docs {
 		for _, name := range []string{"narration", "empty", "late", "_boost", "absent"} {
 			if got, want := ix.Meta(id, name), d.Get(name); got != want {
 				t.Fatalf("Meta(%d, %q) = %q, want %q", id, name, got, want)
 			}
 		}
-		ix.AddDocStats(sum, id)
+		ix.AddDocStats(sum, id, sc)
 	}
 	if n := ix.CachedDocs(); n != 0 {
 		t.Fatalf("Meta and AddDocStats cached %d documents", n)

@@ -81,8 +81,9 @@ func TestAddDocStatsSumsDocuments(t *testing.T) {
 	ix := buildTestIndex()
 	ix.Add(new(Document).Add("event", "Goal").Add("event", "goal").Add("narration", "goal goal"))
 	sum, want := NewCorpusStats(), NewCorpusStats()
+	var sc Scratch
 	for id := 0; id < ix.NumDocs(); id++ {
-		if !ix.AddDocStats(sum, id) {
+		if !ix.AddDocStats(sum, id, &sc) {
 			t.Fatalf("AddDocStats(%d) = false", id)
 		}
 		want.Merge(ix.DocStats(id))
@@ -90,7 +91,7 @@ func TestAddDocStatsSumsDocuments(t *testing.T) {
 	if !reflect.DeepEqual(sum, want) || !reflect.DeepEqual(sum, ix.LocalStats()) {
 		t.Errorf("accumulated %+v\nmerged %+v\nlocal %+v", sum, want, ix.LocalStats())
 	}
-	if ix.AddDocStats(sum, ix.NumDocs()) || ix.DocStats(-1) != nil {
+	if ix.AddDocStats(sum, ix.NumDocs(), &sc) || ix.DocStats(-1) != nil {
 		t.Error("statistics for a document the index does not hold")
 	}
 }
@@ -804,26 +805,28 @@ func TestTokenizeMatchesReference(t *testing.T) {
 
 // TestWriteAnalysisMatchesAnalyzer pins that the memoised write path yields
 // exactly the analyzer's terms under every analyzer setting, before and
-// after the memo fills, and that the memo stays inside its bounds.
+// after the memo fills, and that the memo stays inside its bounds. One
+// Scratch serves every setting in turn, so a memo filled under one setting
+// must not answer for the next.
 func TestWriteAnalysisMatchesAnalyzer(t *testing.T) {
 	long := strings.Repeat("x", memoMaxToken+1)
+	var sc Scratch
 	for _, a := range []Analyzer{
-		StandardAnalyzer{}, StandardAnalyzer{NoStemming: true}, StandardAnalyzer{KeepStopwords: true},
+		StandardAnalyzer{}, StandardAnalyzer{NoStemming: true}, StandardAnalyzer{KeepStopwords: true}, StandardAnalyzer{},
 	} {
-		ix := New(a)
 		for i := 0; i < 2*memoMaxEntries; i++ {
 			text := fmt.Sprintf("The Running runners of %s token%d scored Scoring", long, i)
 			for pass := 0; pass < 2; pass++ {
-				got := append([]string(nil), ix.analyzeForWrite(text)...)
+				got := append([]string(nil), sc.analyze(a, text)...)
 				if want := a.Analyze(text); !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
 					t.Fatalf("%T %+v: write path %q, analyzer %q", a, a, got, want)
 				}
 			}
 		}
-		if len(ix.memo) > memoMaxEntries {
-			t.Errorf("%T: memo holds %d tokens, cap %d", a, len(ix.memo), memoMaxEntries)
+		if len(sc.memo) > memoMaxEntries {
+			t.Errorf("%T: memo holds %d tokens, cap %d", a, len(sc.memo), memoMaxEntries)
 		}
-		if _, ok := ix.memo[long]; ok {
+		if _, ok := sc.memo[long]; ok {
 			t.Errorf("%T: memo holds a %d-byte token, cap %d", a, len(long), memoMaxToken)
 		}
 	}

@@ -114,8 +114,10 @@ type Options struct {
 
 // Engine is an N-way sharded semantic index. Searches are safe for
 // concurrent use and may overlap; ingestion (Ingest) commits are
-// serialized against searches internally, with document analysis running
-// outside the lock.
+// serialized against searches internally. An upsert's document analysis
+// runs outside the lock, and the statistics its tombstones remove are
+// summed under the read lock beside searches; only the WAL append and the
+// commit hold the write lock.
 type Engine struct {
 	level   semindex.Level
 	builder *semindex.Builder
@@ -174,6 +176,14 @@ type Engine struct {
 	// scatter: sliceDocs, lowered only by tests to force helpers onto a
 	// small engine. Set like stall.
 	slice int
+	// beforeCommit, when set, runs in Ingest between the prepare and the
+	// write lock, on the ingesting goroutine: the hook a test commits
+	// beside a prepared batch through. Set like stall.
+	beforeCommit func()
+	// stalePrepares (guarded by mu) counts commits that summed their
+	// tombstones' statistics under the write lock because a commit had
+	// changed one of the batch's pages since the prepare summed them.
+	stalePrepares int
 
 	// gen is the snapshot generation the engine's state extends: 0 for
 	// a fresh build, the manifest's generation after Load, bumped by

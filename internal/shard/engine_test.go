@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +92,10 @@ func assertSameHits(t *testing.T, label string, got, want []semindex.Hit) {
 }
 
 // TestConcurrentSearchAndIngest backs the engine's concurrency contract
-// under -race: many goroutines search while matches are ingested.
+// under -race: many goroutines search while matches are ingested, and two
+// goroutines apiece re-upsert the built pages, so prepares sum statistics
+// over one base side by side and some commits find their sum stale. The
+// corpus statistics must end as a build of the same pages has them.
 func TestConcurrentSearchAndIngest(t *testing.T) {
 	pages, _ := fixture(t)
 	e := Build(nil, semindex.FullInf, pages[:3], Options{Shards: 3})
@@ -108,7 +113,7 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 			}
 		}(g)
 	}
-	for _, p := range pages[3:] {
+	for _, p := range slices.Concat(pages, pages[:3]) {
 		wg.Add(1)
 		go func(p *crawler.MatchPage) {
 			defer wg.Done()
@@ -118,6 +123,9 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 	wg.Wait()
 	if e.NumDocs() == 0 {
 		t.Fatal("engine empty after concurrent ingest")
+	}
+	if want := Build(nil, semindex.FullInf, pages, Options{Shards: 1}).Stats().Global; !reflect.DeepEqual(e.Stats().Global, want) {
+		t.Error("corpus statistics differ from a build of the same pages")
 	}
 }
 

@@ -17,3 +17,15 @@ func (e *Engine) CachedDocs() int {
 	defer e.mu.RUnlock()
 	return cachedDocs(e)
 }
+
+// SetBeforeCommit installs fn to run in Ingest between the prepare and the
+// write lock (nil removes it). Set it before ingesting, like SetStall.
+func (e *Engine) SetBeforeCommit(fn func()) { e.beforeCommit = fn }
+
+// StalePrepares returns how many commits found their prepared removal sum
+// stale and summed their tombstones under the write lock.
+func (e *Engine) StalePrepares() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.stalePrepares
+}

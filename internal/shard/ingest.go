@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/crawler"
@@ -89,14 +90,17 @@ type IngestResult struct {
 	Durability string
 }
 
-// Ingest commits a batch of match pages: documents are prepared outside
-// any lock, the batch is WAL-logged (when a WAL is attached) and then
-// committed under the write lock as one immutable segment per touched
-// shard. Previously-ingested pages with the same IDs are tombstoned
-// (upsert). The new documents are searchable, and counted by NumDocs,
-// the moment Ingest returns; corpus-wide statistics are maintained
-// incrementally and stay integer-exact, so rankings remain byte-identical
-// to a from-scratch build over the live documents.
+// Ingest commits a batch of match pages. Everything that can run before
+// the write lock does, outside any lock or under the read lock beside
+// searches: each page's documents are prepared, the statistics the
+// batch's tombstones will take out of the corpus view are summed, and the
+// WAL records are encoded (prepareBatch). The write lock then covers only
+// the WAL append and the commit: the batch becomes one immutable segment
+// per touched shard, and previously-ingested pages with the same IDs are
+// tombstoned (upsert). The new documents are searchable, and counted by
+// NumDocs, the moment Ingest returns; corpus-wide statistics are
+// maintained incrementally and stay integer-exact, so rankings remain
+// byte-identical to a from-scratch build over the live documents.
 //
 // A ctx that is already done returns its error without committing; the
 // deadline is NOT otherwise consulted (commits are short and atomic).
@@ -108,41 +112,27 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	if len(pages) == 0 {
 		return IngestResult{PerShard: make([]int, len(e.base)), Durability: "none"}, nil
 	}
-	docsByPage := e.prepareDocs(pages, runtime.GOMAXPROCS(0))
+	encode := func() ([][]byte, error) { return walRecords(pages, opts.Atomicity) }
+	pb := e.prepareBatch(pages, encode)
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, err
 	}
+	if e.beforeCommit != nil {
+		e.beforeCommit()
+	}
 
 	e.mu.Lock()
+	locked := time.Now()
 	committed := len(pages)
 	var walErr error
 	ack := "none"
 	if e.wal != nil {
 		ack = "logged"
-		switch opts.Atomicity {
-		case PerPage:
-			committed = 0
-			for _, p := range pages {
-				rec, err := json.Marshal([]*crawler.MatchPage{p})
-				if err == nil {
-					err = e.walAppend(rec, opts.Durability)
-				}
-				if err != nil {
-					walErr = fmt.Errorf("shard: WAL append (page %d of %d): %w", committed, len(pages), err)
-					break
-				}
-				committed++
-			}
-		default:
-			rec, err := json.Marshal(pages)
-			if err == nil {
-				err = e.walAppend(rec, opts.Durability)
-			}
-			if err != nil {
-				committed = 0
-				walErr = fmt.Errorf("shard: WAL append: %w", err)
-			}
+		if pb.recs == nil && pb.encErr == nil {
+			// The WAL was attached after the prepare looked.
+			pb.recs, pb.encErr = encode()
 		}
+		committed, walErr = e.logLocked(pb, len(pages), opts)
 		switch opts.Durability {
 		case DurSync:
 			if committed > 0 {
@@ -159,15 +149,69 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		e.mu.Unlock()
 		return IngestResult{PerShard: make([]int, len(e.base))}, walErr
 	}
-	res := e.commitLocked(pages[:committed], docsByPage[:committed])
+	if committed < len(pages) {
+		// The prepared sum covers pages that did not commit.
+		pb.removed = nil
+	}
+	res := e.commitLocked(pages[:committed], pb)
 	res.Durability = ack
+	met := e.met
 	e.mu.Unlock()
-	e.met.ingest.ObserveDuration(time.Since(start))
+	met.ingestCommit.ObserveDuration(time.Since(locked))
+	met.ingest.ObserveDuration(time.Since(start))
 
 	if opts.Merge == MergeAuto {
 		e.nudgeMerger()
 	}
 	return res, walErr
+}
+
+// walRecords encodes a batch's WAL records: one JSON array of all the pages,
+// or under PerPage one one-page array per page, up to the first page that
+// fails to encode.
+func walRecords(pages []*crawler.MatchPage, at Atomicity) ([][]byte, error) {
+	if at != PerPage {
+		rec, err := json.Marshal(pages)
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{rec}, nil
+	}
+	recs := make([][]byte, 0, len(pages))
+	for _, p := range pages {
+		rec, err := json.Marshal([]*crawler.MatchPage{p})
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
+// logLocked appends a batch's encoded records and returns how many of its
+// pages they log: every page, none when the one record of an atomic batch
+// fails, or under PerPage the pages logged before the first failure, an
+// encode's included. Write lock held.
+func (e *Engine) logLocked(pb *preparedBatch, pages int, opts IngestOptions) (int, error) {
+	if opts.Atomicity != PerPage {
+		err := pb.encErr
+		if err == nil {
+			err = e.walAppend(pb.recs[0], opts.Durability)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("shard: WAL append: %w", err)
+		}
+		return pages, nil
+	}
+	for i, rec := range pb.recs {
+		if err := e.walAppend(rec, opts.Durability); err != nil {
+			return i, fmt.Errorf("shard: WAL append (page %d of %d): %w", i, pages, err)
+		}
+	}
+	if pb.encErr != nil {
+		return len(pb.recs), fmt.Errorf("shard: WAL append (page %d of %d): %w", len(pb.recs), pages, pb.encErr)
+	}
+	return pages, nil
 }
 
 // walAppend routes one record through the durability the caller asked
@@ -182,8 +226,8 @@ func (e *Engine) walAppend(rec []byte, d Durability) error {
 // prepareDocs runs the expensive document preparation (extraction,
 // population, inference) for every page through fanOut, on at most
 // min(workers, GOMAXPROCS) goroutines, outside any engine lock — searches
-// and other ingests proceed while it runs. BuildStream passes
-// Options.Parallelism, Ingest GOMAXPROCS.
+// and other ingests proceed while it runs. BuildStream calls it with
+// Options.Parallelism.
 func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index.Document {
 	docsByPage := make([][]*index.Document, len(pages))
 	fanOut(len(pages), workers, func(i int) {
@@ -192,12 +236,96 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index
 	return docsByPage
 }
 
+// preparedBatch is an upsert's work done before the write lock.
+type preparedBatch struct {
+	// docs holds each page's prepared documents.
+	docs [][]*index.Document
+	// removed sums the statistics of the live documents each distinct page
+	// of the batch held when the prepare read pageGIDs, and read holds the
+	// slices it read, by page ID. The commit uses removed only while each
+	// of them is still its page's slice (readUnchangedLocked).
+	removed *index.CorpusStats
+	read    map[string][]int
+	// recs are the batch's WAL records (walRecords) and encErr their
+	// encode error, both unset when the prepare found no WAL attached.
+	recs   [][]byte
+	encErr error
+}
+
+// statsScratch pools the analysis state the removal sums run with, so
+// its token memo stays warm from one upsert to the next.
+var statsScratch = sync.Pool{New: func() any { return new(index.Scratch) }}
+
+// prepareBatch runs an upsert's prepare through one fanOut on up to
+// GOMAXPROCS goroutines: slot 0 sums the statistics the batch's
+// tombstones will remove (sumRemoval) and, when encode is non-nil and a
+// WAL is attached, encodes the WAL records with it; slot i > 0 prepares
+// page i−1's documents. A one-page upsert thus sums its old version on one
+// core while its new version is prepared on another.
+func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byte, error)) *preparedBatch {
+	pb := &preparedBatch{docs: make([][]*index.Document, len(pages))}
+	fanOut(len(pages)+1, runtime.GOMAXPROCS(0), func(i int) {
+		if i > 0 {
+			pb.docs[i-1] = e.builder.PageDocuments(e.level, pages[i-1])
+			return
+		}
+		if e.sumRemoval(pb, pages) && encode != nil {
+			pb.recs, pb.encErr = encode()
+		}
+	})
+	return pb
+}
+
+// sumRemoval sums into pb.removed, under the read lock, the statistics of
+// the live documents each distinct page of the batch holds now, and keeps
+// in pb.read the pageGIDs slices it read. The read lock keeps a merge's
+// install and Close's unmap off the bytes AddDocStats reads; a pooled
+// Scratch keeps two prepares over one sub-index from sharing analysis
+// state. It reports whether a WAL is attached.
+func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) bool {
+	sc := statsScratch.Get().(*index.Scratch)
+	defer statsScratch.Put(sc)
+	pb.removed = index.NewCorpusStats()
+	pb.read = make(map[string][]int, len(pages))
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, p := range pages {
+		if _, ok := pb.read[p.ID]; ok {
+			continue
+		}
+		gids := e.pageGIDs[p.ID]
+		pb.read[p.ID] = gids
+		for _, gid := range gids {
+			if ref := e.byGID[gid]; ref.sub != nil && !ref.sub.ix.IsDeleted(ref.local) {
+				ref.sub.ix.AddDocStats(pb.removed, ref.local, sc)
+			}
+		}
+	}
+	return e.wal != nil
+}
+
+// readUnchangedLocked reports whether every pageGIDs slice in read is
+// still its page's slice, by identity: each commit assigns a page a fresh
+// slice, and merges never touch the map, so an identical slice means no
+// commit has tombstoned or added any of the page's documents since it was
+// read. read holds the old slices, so no new one can reuse their address.
+// Read lock required.
+func (e *Engine) readUnchangedLocked(read map[string][]int) bool {
+	for id, gids := range read {
+		cur := e.pageGIDs[id]
+		if len(cur) != len(gids) || len(cur) > 0 && &cur[0] != &gids[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // applyBatch is Ingest without the WAL append — the replay path: the
 // records being applied are already durable in the log.
 func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
-	docsByPage := e.prepareDocs(pages, runtime.GOMAXPROCS(0))
+	pb := e.prepareBatch(pages, nil)
 	e.mu.Lock()
-	e.commitLocked(pages, docsByPage)
+	e.commitLocked(pages, pb)
 	e.mu.Unlock()
 }
 
@@ -214,8 +342,10 @@ func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
 // tombstone-aware LocalStats, and integer adds/subtracts commute — so
 // the global view always equals a from-scratch recompute over the live
 // documents, which is what keeps scatter-gather rankings byte-identical
-// to a monolithic build.
-func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.Document) IngestResult {
+// to a monolithic build. The tombstones' sum is pb.removed, summed before
+// the lock, when no commit has changed a page of the batch since; else it
+// is summed here.
+func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) IngestResult {
 	n := len(e.base)
 	res := IngestResult{Pages: len(pages), PerShard: make([]int, n)}
 	segID := e.nextSeg
@@ -225,8 +355,18 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 
 	// removed sums what the batch's tombstones take out of the corpus view,
 	// subtracted once below: a re-upserted page tombstones ~119 documents,
-	// and a CorpusStats apiece was most of this loop.
-	removed := index.NewCorpusStats()
+	// and a CorpusStats apiece was most of this loop. sc is set when the
+	// sum is taken here.
+	removed := pb.removed
+	var sc *index.Scratch
+	if removed == nil || !e.readUnchangedLocked(pb.read) {
+		if removed != nil {
+			e.stalePrepares++
+		}
+		removed = index.NewCorpusStats()
+		sc = statsScratch.Get().(*index.Scratch)
+		defer statsScratch.Put(sc)
+	}
 	for pi, page := range pages {
 		// Tombstone the page's previous version. Its statistics leave the
 		// corpus view — except for documents from THIS batch (a page
@@ -241,8 +381,8 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 			if ix.IsDeleted(ref.local) {
 				continue
 			}
-			if ref.sub.segID != segID {
-				ix.AddDocStats(removed, ref.local)
+			if sc != nil && ref.sub.segID != segID {
+				ix.AddDocStats(removed, ref.local, sc)
 			}
 			ix.Delete(ref.local)
 			e.liveDocs--
@@ -251,7 +391,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, docsByPage [][]*index.
 
 		s := shardFor(page.ID, n)
 		var gids []int
-		for _, d := range docsByPage[pi] {
+		for _, d := range pb.docs[pi] {
 			sub := newSubs[s]
 			if sub == nil {
 				ix := index.New(e.builder.Analyzer)

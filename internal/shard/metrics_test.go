@@ -16,8 +16,8 @@ import (
 
 // TestEngineMetrics wires a fresh registry through SetMetrics and checks
 // every search-path series moves: query counters, whole-query and
-// per-shard latency histograms, ingest timing, and the degraded/missing
-// counters when a shard blows its deadline.
+// per-shard latency histograms, ingest and commit timing, and the
+// degraded/missing counters when a shard blows its deadline.
 func TestEngineMetrics(t *testing.T) {
 	pages, _ := fixture(t)
 	e := Build(nil, semindex.FullInf, pages[:len(pages)-1], Options{Shards: 3})
@@ -40,8 +40,18 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("shard %d search observations = %d, want 2", i, h.Count())
 		}
 	}
-	if got := r.Histogram(metricIngestSec, nil).Count(); got != 1 {
+	ingest, commit := r.Histogram(metricIngestSec, nil), r.Histogram(metricIngestCommitSec, nil)
+	if got := ingest.Count(); got != 1 {
 		t.Errorf("ingest observations = %d, want 1", got)
+	}
+	// The commit histogram times the write-locked part of each Ingest: one
+	// observation apiece, and never more time than the whole call.
+	ingestPage(e, pages[0])
+	if ingest.Count() != 2 || commit.Count() != 2 {
+		t.Errorf("ingest, commit observations = %d, %d; want 2, 2", ingest.Count(), commit.Count())
+	}
+	if commit.Sum() <= 0 || commit.Sum() > ingest.Sum() {
+		t.Errorf("commit seconds %v, ingest seconds %v: want 0 < commit <= ingest", commit.Sum(), ingest.Sum())
 	}
 	if got := r.Counter(metricDegraded).Value(); got != 0 {
 		t.Errorf("degraded = %d before any deadline miss", got)

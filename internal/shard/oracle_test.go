@@ -277,35 +277,19 @@ type oracleRun struct {
 	abandoned []*Engine
 }
 
-// runSchedule builds sc's engine in dir with the cache on, saves it and
-// attaches its WAL, then checks it after the build and after every step.
+// runSchedule runs sc in dir (newOracleRun), checking the engine after the
+// build and after every step.
 func runSchedule(sc schedule, dir string) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	var build []*crawler.MatchPage
-	for _, v := range oracleCorpus()[:oracleInitPages] {
-		build = append(build, v[0])
-	}
-	r := &oracleRun{base: filepath.Join(dir, "idx"), gen: 1, o: newMonoOracle(build), saved: [][]*crawler.MatchPage{build}, helpers: sc.helpers}
-	if r.e, err = BuildStream(nil, semindex.FullInf, &sliceSource{pages: build}, sc.opts); err != nil {
+	r, err := newOracleRun(sc, dir)
+	if err != nil {
 		return err
 	}
-	r.claimMode(r.e)
-	defer func() {
-		for _, e := range append(r.abandoned, r.e) {
-			e.Close()
-		}
-	}()
-	r.e.EnableCache(8<<20, obs.NewRegistry())
-	if err := r.e.Save(r.base); err != nil {
-		return err
-	}
-	if err := r.e.AttachWAL(r.base, wal.Options{Policy: wal.SyncNever}); err != nil {
-		return err
-	}
+	defer r.close()
 	for i := 0; i <= len(sc.steps); i++ {
 		changed, step := true, "build"
 		if i > 0 {
@@ -320,6 +304,37 @@ func runSchedule(sc schedule, dir string) (err error) {
 		}
 	}
 	return nil
+}
+
+// newOracleRun builds sc's engine in dir with the cache on, saves it and
+// attaches its WAL, beside an oracle over the same build pages.
+func newOracleRun(sc schedule, dir string) (_ *oracleRun, err error) {
+	var build []*crawler.MatchPage
+	for _, v := range oracleCorpus()[:oracleInitPages] {
+		build = append(build, v[0])
+	}
+	r := &oracleRun{base: filepath.Join(dir, "idx"), gen: 1, o: newMonoOracle(build), saved: [][]*crawler.MatchPage{build}, helpers: sc.helpers}
+	if r.e, err = BuildStream(nil, semindex.FullInf, &sliceSource{pages: build}, sc.opts); err != nil {
+		return nil, err
+	}
+	r.claimMode(r.e)
+	r.e.EnableCache(8<<20, obs.NewRegistry())
+	err = r.e.Save(r.base)
+	if err == nil {
+		err = r.e.AttachWAL(r.base, wal.Options{Policy: wal.SyncNever})
+	}
+	if err != nil {
+		r.close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// close closes every engine the run opened.
+func (r *oracleRun) close() {
+	for _, e := range append(r.abandoned, r.e) {
+		e.Close()
+	}
 }
 
 // claimMode applies the schedule's claim mode to e.
@@ -728,6 +743,70 @@ func TestWALReplayUpsertsOntoMappedBase(t *testing.T) {
 func TestIngestDurabilityAndAtomicityOptions(t *testing.T) {
 	fixed(t, 2, "ingest:3/sync ingest:4/async ingest:5,0/perpage crash-wal/heap")
 }
+
+// TestStalePrepare commits between an upsert's prepare and its write lock
+// through the engine's beforeCommit hook. Another upsert of the same page
+// gives the page a fresh pageGIDs slice, so the commit must discard the
+// removal sum it prepared and sum the tombstones under the lock; a
+// ForceMerge that installs a new mapped base moves the page's documents
+// but not its slice, so the prepared sum stands. Either way the engine
+// must then hold the oracle's statistics and rankings.
+func TestStalePrepare(t *testing.T) {
+	page := func(ref string) *crawler.MatchPage {
+		_, _, pages, _ := parseStep("ingest:" + ref)
+		return pages[0]
+	}
+	for _, tc := range []struct {
+		name   string
+		setup  string
+		during func(r *oracleRun) error
+		stale  int
+	}{
+		{"upsert", "", func(r *oracleRun) error {
+			return r.ingest([]*crawler.MatchPage{page("1'")}, IngestOptions{Merge: MergeNone})
+		}, 1},
+		{"merge", "crash-wal/mapped ingest:1'", func(r *oracleRun) error {
+			r.e.ForceMerge()
+			return r.compacted()
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.close()
+			for _, step := range strings.Fields(tc.setup) {
+				if _, err := r.apply(step); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+			var during error
+			ran, stale := false, r.e.StalePrepares()
+			r.e.SetBeforeCommit(func() {
+				r.e.SetBeforeCommit(nil)
+				ran, during = true, tc.during(r)
+			})
+			p := page("1")
+			res, err := r.e.Ingest(context.Background(), []*crawler.MatchPage{p}, IngestOptions{Merge: MergeNone})
+			if err != nil || !ran || during != nil {
+				t.Fatalf("ingest: %v; hook ran %v: %v", err, ran, during)
+			}
+			added, removed := r.o.update(p)
+			r.logged = append(r.logged, []*crawler.MatchPage{p})
+			if res.Docs != added || res.Tombstones != removed {
+				t.Errorf("ingest added %d and tombstoned %d, oracle %d and %d", res.Docs, res.Tombstones, added, removed)
+			}
+			if got := r.e.StalePrepares() - stale; got != tc.stale {
+				t.Errorf("%d commits summed their tombstones under the lock, want %d", got, tc.stale)
+			}
+			if err := r.check(true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestMappedLoadEquivalenceAcrossLSMStates(t *testing.T) {
 	fixed(t, 3, "crash-wal/mapped ingest:0,3 ingest:1,1 merge@0 force-merge")
 }

@@ -517,6 +517,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	rep := LoadReport{Generation: m.Generation}
 	subs := make([]*subIndex, len(m.Files))
 	var quarantined []int
+	var lost int64 // the quarantined files' bytes
 	for i, mf := range m.Files {
 		path := filepath.Join(dir, mf.Name)
 		sub, err := readShardFile(path, analyzer, mf, opts.Mapped)
@@ -530,6 +531,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 			}
 			name := quarantine(path)
 			quarantined = append(quarantined, i)
+			lost += mf.Size
 			rep.Quarantined = append(rep.Quarantined, QuarantinedShard{Shard: i, File: name, Err: err})
 			sub = &subIndex{ix: index.New(analyzer)}
 		}
@@ -538,7 +540,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	if len(quarantined) == len(subs) {
 		return nil, fmt.Errorf("%w: no intact shard among %d at %s", ErrSnapshotCorrupt, len(m.Files), base)
 	}
-	e, err := fromShards(m.Level, subs, quarantined, int(m.NextGID))
+	e, err := fromShards(m.Level, subs, quarantined, lost, int(m.NextGID))
 	if err != nil {
 		releaseSubs(subs)
 		return nil, err
@@ -612,10 +614,11 @@ func releaseSubs(subs []*subIndex) {
 // slots holding empty placeholders for files Load rejected; with
 // quarantined slots the global docID space keeps the holes the lost
 // documents occupied (Doc returns nil for them) instead of silently
-// renumbering the survivors. nextGID, when > 0, is the manifest's recorded
-// next unused global ID: the snapshot's ID space legitimately has holes
-// (compacted tombstones), and new ingests must start numbering there.
-func fromShards(level semindex.Level, subs []*subIndex, quarantined []int, nextGID int) (*Engine, error) {
+// renumbering the survivors. lost is the quarantined files' size in
+// bytes. nextGID, when > 0, is the manifest's recorded next unused global
+// ID: the snapshot's ID space legitimately has holes (compacted
+// tombstones), and new ingests must start numbering there.
+func fromShards(level semindex.Level, subs []*subIndex, quarantined []int, lost int64, nextGID int) (*Engine, error) {
 	e := newEngine(level, semindex.NewBuilder(), len(subs))
 	e.quarantined = append([]int(nil), quarantined...)
 	sort.Ints(e.quarantined)
@@ -638,6 +641,12 @@ func fromShards(level semindex.Level, subs []*subIndex, quarantined []int, nextG
 		// 0..docs-1; a larger ID means a document went missing without a
 		// quarantine or a nextgid record to explain it.
 		return nil, fmt.Errorf("shard: global id %d outside %d documents", maxGID, docs)
+	case int64(maxGID) >= int64(docs)+lost:
+		// Hole-free, so the IDs at or above docs belong to quarantined
+		// documents, and each of those took at least one byte of its
+		// file's ID list. An ID past that bound would size the table by
+		// a number no file vouches for.
+		return nil, fmt.Errorf("shard: global id %d outside %d documents and %d quarantined bytes", maxGID, docs, lost)
 	}
 	e.byGID = make([]docRef, max(docs, maxGID+1, nextGID))
 	for s, sub := range subs {

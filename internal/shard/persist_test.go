@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -209,6 +211,74 @@ func TestGlobalIDListChecks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQuarantinedLoadBoundsIDSpace: a snapshot with no nextgid line is
+// hole-free, so beside a quarantined file its IDs stay below its documents
+// plus the quarantined files' bytes. An intact file whose list holds
+// 2^31−2 fails the load before the global-ID table is sized by it, heap
+// and mapped.
+func TestQuarantinedLoadBoundsIDSpace(t *testing.T) {
+	_, saved := saveFixture(t, 2)
+	m, err := readManifest(saved)
+	if err != nil || m.NextGID != 0 {
+		t.Fatalf("fixture manifest: nextgid %d, %v; want a hole-free snapshot", m.NextGID, err)
+	}
+	for _, mapped := range []bool{false, true} {
+		base := copySnapshot(t, saved, t.TempDir())
+		// Shard 0's last ID becomes 2^31−2. The longer list shifts the TOC,
+		// so the metadata CRC, the trailer and the manifest entry are
+		// resealed; shard 1's payload is damaged.
+		path := filepath.Join(filepath.Dir(base), m.Files[0].Name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := len(data) - snapTrailerLen
+		trailer := slices.Clone(data[end:])
+		meta := data[end-int(binary.LittleEndian.Uint64(trailer[0:8])) : end]
+		n, k := binary.Uvarint(meta)
+		var gids []int
+		for list, prev := meta[k:k+int(n)], -1; len(list) > 0; {
+			d, w := binary.Uvarint(list)
+			prev += int(d)
+			gids, list = append(gids, prev), list[w:]
+		}
+		gids[len(gids)-1] = math.MaxInt32 - 1
+		resealed := append(appendGIDs(nil, gids), meta[k+int(n):]...)
+		binary.LittleEndian.PutUint64(trailer[0:8], uint64(len(resealed)))
+		binary.LittleEndian.PutUint32(trailer[8:12], crc32.ChecksumIEEE(resealed))
+		data = slices.Concat(data[:end-len(meta)], resealed, trailer)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		edited := *m
+		edited.Files = slices.Clone(m.Files)
+		edited.Files[0].Size = int64(len(data))
+		if err := writeManifest(base, &edited); err != nil {
+			t.Fatal(err)
+		}
+		patchFile(t, shardGenPath(base, m.Generation, 1), func(data []byte) { data[len(data)/2] ^= 0x40 })
+		if rep := Fsck(base); !rep.Files[0].OK || rep.Files[1].OK {
+			t.Fatalf("want shard 0 intact and shard 1 damaged:\n%s", rep)
+		}
+
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			e.Close()
+			t.Fatalf("mapped %v: the load accepted global id %d", mapped, math.MaxInt32-1)
+		}
+		if !strings.Contains(err.Error(), "quarantined bytes") {
+			t.Errorf("mapped %v: load returned %v, want the ID-space bound", mapped, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Errorf("mapped %v: the failed load allocated %d MiB", mapped, grew>>20)
+		}
+	}
 }
 
 // TestLoadManifestCorrupt covers the unrecoverable commit-point cases:
