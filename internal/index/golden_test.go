@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,19 +25,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/encode.golden and testdata/scores.golden from the index this tree builds and the rankings it serves")
 
-var goldenDocs = sync.OnceValue(func() []*index.Document {
-	g := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
-	b := semindex.NewBuilder()
-	var docs []*index.Document
-	for i := 0; i < 30; i++ {
-		page, err := g.NextPage()
-		if err != nil {
-			panic(err)
+// goldenPages holds the FULL_INF documents of the benchmark corpus's first
+// 30 pages, page by page, and goldenDocs all of them in order.
+var (
+	goldenPages = sync.OnceValue(func() [][]*index.Document {
+		g := corpus.New(corpus.Spec{TargetDocs: 1 << 30, Seed: 20100301})
+		b := semindex.NewBuilder()
+		var pages [][]*index.Document
+		for i := 0; i < 30; i++ {
+			page, err := g.NextPage()
+			if err != nil {
+				panic(err)
+			}
+			pages = append(pages, b.PageDocuments(semindex.FullInf, page))
 		}
-		docs = append(docs, b.PageDocuments(semindex.FullInf, page)...)
-	}
-	return docs
-})
+		return pages
+	})
+	goldenDocs = sync.OnceValue(func() []*index.Document { return slices.Concat(goldenPages()...) })
+)
 
 // goldenIndex Adds the FULL_INF documents of the benchmark corpus's first
 // 30 pages (the stream semindex's docstream.golden pins) to a fresh index.
@@ -61,6 +67,30 @@ func encodeDigest(t testing.TB, ix *index.Index) string {
 	h.Write(payload.Bytes())
 	h.Write(toc)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestAddDocsMatchesAddOnPages builds the golden index a page at a time
+// through AddDocs, as an upsert builds its segment, each page's fields
+// indexed on goroutines of their own: it must encode to the bytes of the
+// index one Add per document builds.
+func TestAddDocsMatchesAddOnPages(t *testing.T) {
+	ix := index.New(nil)
+	for _, docs := range goldenPages() {
+		ix.AddDocs(docs, func(n int, field func(int, *index.Scratch)) {
+			var wg sync.WaitGroup
+			for i := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					field(i, new(index.Scratch))
+				}()
+			}
+			wg.Wait()
+		})
+	}
+	if got, want := encodeDigest(t, ix), encodeDigest(t, goldenIndex()); got != want {
+		t.Errorf("AddDocs page by page encodes to %s, one Add per document to %s", got, want)
+	}
 }
 
 // writeStats renders statistics in one canonical order.

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -273,25 +274,34 @@ type Index struct {
 	// index is read-only except for tombstones.
 	mapped *mappedIndex
 
-	// w is Add's analysis state (see Scratch); searches never read it.
-	w Scratch
+	// w and one are Add's analysis state (see Scratch) and its
+	// one-document batch, reused from call to call; searches read neither.
+	w   Scratch
+	one fieldBatch
 }
 
-// Scratch is the write path's reusable analysis state. memo maps a raw
-// token to the term a StandardAnalyzer normalizes it to ("" for a dropped
+// Scratch is the write path's reusable analysis state. memo maps a raw token
+// to the term a StandardAnalyzer normalizes it to ("" for a dropped
 // stopword), so the lowercase, stopword and stemmer work runs once per
 // distinct token rather than once per occurrence; std is the analyzer
 // settings the memo was filled under, and analysis under other settings
-// starts it afresh. termBuf is the reused analysis output and docTerms
-// AddDocStats's per-document set of counted terms. An Index keeps one for
-// Add; AddDocStats takes its caller's, so calls over one index may run
-// side by side, each with its own. One Scratch serves one call at a time.
-// The zero value is ready to use.
+// starts it afresh. termBuf is the reused analysis output, and docTerms and
+// chunk AddDocStats's per-document set of counted terms and last mapped
+// chunk. An Index keeps one for Add; AddDocs' field calls and AddDocStats
+// take their caller's, so calls over one index may run side by side, each
+// with its own. One Scratch serves one call at a time. The zero value is
+// ready to use.
 type Scratch struct {
 	std      StandardAnalyzer
 	memo     map[string]string
 	termBuf  []string
 	docTerms map[FieldTerm]struct{}
+	// chunk is the mapped stored chunk AddDocStats inflated last, its bytes
+	// copied onto the heap, and chunkOf says which: the mapping's open and
+	// the chunk's number. inflates counts the chunks inflated.
+	chunk    *storedChunk
+	chunkOf  [2]uint64
+	inflates int
 }
 
 // The write-path memo holds at most memoMaxEntries tokens of at most
@@ -327,30 +337,107 @@ func (ix *Index) Analyzer() Analyzer { return ix.analyzer }
 // takes the document's field past math.MaxInt32 tokens (or the field past
 // math.MaxUint32 in the segment), as it does on a mapped index. The index
 // keeps no reference to d: it stores d's fields as bytes, so changing d
-// afterwards changes nothing in the index.
+// afterwards changes nothing in the index. Add is AddDocs of one document,
+// its fields indexed one after another with the index's own Scratch.
 func (ix *Index) Add(d *Document) int {
+	b := &ix.one
+	b.docs = append(b.docs[:0], d)
+	ix.appendDocs(b)
+	for i := range b.fields {
+		b.indexField(i, &ix.w)
+	}
+	b.docs[0] = nil
+	return b.first
+}
+
+// AddDocs appends docs to the index, docs[k] at docID NumDocs()+k, and
+// builds exactly the index one Add per document in order builds, byte for
+// byte. It stores the documents' bytes, then indexes their fields through
+// run: run is called once with the number of distinct indexed fields the
+// documents carry and must call index(i, sc) once for every i in [0, n),
+// each call with a Scratch no other running call holds, and return once
+// they all have. Fields share no state, so run may make the calls on as
+// many goroutines as it likes; the index starts none. Until run returns
+// the index must not be read or written. The limits and the no-reference
+// rule are Add's.
+func (ix *Index) AddDocs(docs []*Document, run func(n int, index func(i int, sc *Scratch))) {
+	b := &fieldBatch{docs: docs}
+	ix.appendDocs(b)
+	run(len(b.fields), b.indexField)
+}
+
+// fieldBatch is documents whose bytes an index stores and whose fields are
+// still to be indexed (appendDocs), one field at a time (indexField).
+type fieldBatch struct {
+	ix   *Index
+	docs []*Document
+	// first is docs[0]'s docID.
+	first int
+	// fields are the distinct indexed fields the documents carry, in the
+	// order they first appear. vals holds every indexed value, document by
+	// document and value by value; head[i] is field i's first value and
+	// each value's next its field's next one (-1: none). tail is field i's
+	// last value while the chains are built.
+	fields     []*fieldIndex
+	head, tail []int32
+	vals       []fieldValue
+}
+
+// fieldValue is one indexed value of a fieldBatch: Fields[field] of
+// docs[doc], and the next value of the same field.
+type fieldValue struct {
+	doc, field, next int32
+}
+
+// appendDocs stores b.docs' bytes, grows the tombstone bits over them and
+// chains their indexed values field by field, creating the fields the
+// index has not seen.
+func (ix *Index) appendDocs(b *fieldBatch) {
 	if ix.mapped != nil {
 		// The mapped region is immutable; fresh writes belong in a new
 		// (heap) segment — the LSM write side the shard layer runs.
 		panic("index: Add on a mapped index")
 	}
-	id := ix.stored.n
-	ix.stored.add(d)
-	ix.deleted = append(ix.deleted, false)
-	for _, f := range d.Fields {
-		if len(f.Name) > 0 && f.Name[0] == '_' {
-			continue
+	b.ix, b.first = ix, ix.stored.n
+	b.fields, b.head, b.tail, b.vals = b.fields[:0], b.head[:0], b.tail[:0], b.vals[:0]
+	for k, d := range b.docs {
+		ix.stored.add(d)
+		ix.deleted = append(ix.deleted, false)
+		for vi := range d.Fields {
+			name := d.Fields[vi].Name
+			if len(name) > 0 && name[0] == '_' {
+				continue
+			}
+			fi := ix.fields[name]
+			if fi == nil {
+				fi = newFieldIndex()
+				ix.fields[name] = fi
+			}
+			j := int32(len(b.vals))
+			if i := slices.Index(b.fields, fi); i >= 0 {
+				b.vals[b.tail[i]].next, b.tail[i] = j, j
+			} else {
+				b.fields, b.head, b.tail = append(b.fields, fi), append(b.head, j), append(b.tail, j)
+			}
+			b.vals = append(b.vals, fieldValue{doc: int32(k), field: int32(vi), next: -1})
 		}
-		fi := ix.fields[f.Name]
-		if fi == nil {
-			fi = newFieldIndex()
-			ix.fields[f.Name] = fi
-		}
+	}
+}
+
+// indexField indexes every value of b's i-th field, document by document
+// and value by value, analysing with sc: the one place postings are
+// appended. A field's later value on a document continues its earlier
+// values' positions.
+func (b *fieldBatch) indexField(i int, sc *Scratch) {
+	fi := b.fields[i]
+	for j := b.head[i]; j >= 0; j = b.vals[j].next {
+		v := b.vals[j]
+		f, id := &b.docs[v.doc].Fields[v.field], b.first+int(v.doc)
 		boost := f.Boost
 		if boost == 0 {
 			boost = 1
 		}
-		terms := ix.w.analyze(ix.analyzer, f.Text)
+		terms := sc.analyze(b.ix.analyzer, f.Text)
 		base := fi.add(id, len(terms), boost)
 		dlen := base + len(terms)
 		for pos, term := range terms {
@@ -382,7 +469,6 @@ func (ix *Index) Add(d *Document) int {
 			}
 		}
 	}
-	return id
 }
 
 // analyze is the analysis Add and AddDocStats run: an's Analyze, with a

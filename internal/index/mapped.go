@@ -59,6 +59,9 @@ type mappedIndex struct {
 	rawTOC []byte
 	// numDocs mirrors the payload header's document count.
 	numDocs int
+	// open numbers this open among the process's mapped opens, from 1, so
+	// a Scratch can name a chunk of it without holding the index.
+	open uint64
 	// metaNames/metaVals are the stored-only ('_'-prefixed) field values
 	// captured in the TOC so metadata reads (page IDs, event kinds) never
 	// force the flate region open. metaVals[k][doc] is "" when the doc does
@@ -76,6 +79,9 @@ type mappedIndex struct {
 	// corpus. A heap index keeps no such cache (see Doc).
 	docs []atomic.Pointer[docCache]
 }
+
+// mappedOpens counts OpenMapped's opens (mappedIndex.open).
+var mappedOpens atomic.Uint64
 
 // mappedField is one field's mapped postings view.
 type mappedField struct {
@@ -372,6 +378,7 @@ func OpenMapped(raw, toc []byte, analyzer Analyzer) (*Index, error) {
 		raw:       raw,
 		rawTOC:    toc,
 		numDocs:   numDocs,
+		open:      mappedOpens.Add(1),
 		chunkOffs: chunkOffs,
 		docs:      make([]atomic.Pointer[docCache], len(chunkOffs)-1),
 	}

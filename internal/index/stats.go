@@ -186,16 +186,18 @@ func (ix *Index) DocStats(id int) *CorpusStats {
 	return cs
 }
 
-// AddDocStats adds one stored document's statistics contribution to cs, so
-// a caller tombstoning many documents subtracts their sum once instead of
+// AddDocStats adds one stored document's statistics contribution to cs, so a
+// caller tombstoning many documents subtracts their sum once instead of
 // building a CorpusStats apiece (integer adds commute). It reports whether
 // the index holds the document. It builds no Document and caches none (a
 // batch of upserts tombstones whole pages of documents nobody is serving):
-// it walks the document's fields over its chunk's bytes, inflated for the
-// call on a mapped index, their texts slices of one string copied from
-// them. It analyzes with sc, not with the index's own state, and reads the
-// index only: calls with distinct scratches may run beside each other and
-// beside searches, but not beside Add or Delete on the same index.
+// it walks the document's fields over its chunk's bytes, their texts slices
+// of one string copied from them. On a mapped index the chunk is inflated
+// into sc, which keeps it for the next call: a caller summing documents in
+// docID order inflates each chunk once. It analyzes with sc, not with the
+// index's own state, and reads the index only: calls with distinct scratches
+// may run beside each other and beside searches, but not beside Add or
+// Delete on the same index.
 func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 	if id < 0 || id >= ix.NumDocs() {
 		return false
@@ -204,12 +206,8 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 	k := id % storedChunkDocs
 	if m := ix.mapped; m == nil {
 		c, k = ix.stored.locate(id)
-	} else {
-		in := inflaters.Get().(*inflater)
-		defer in.release()
-		if c = new(storedChunk); !m.chunk(id, in, c) {
-			return false
-		}
+	} else if c = sc.mappedChunk(m, id); c == nil {
+		return false
 	}
 	r := c.fields(k)
 	all := string(r.b)
@@ -244,6 +242,33 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 			}
 		}
 	}
+}
+
+// mappedChunk returns the chunk of m holding document id, in [0, numDocs):
+// the one sc holds when it is that chunk, else the chunk inflated and its
+// bytes copied into sc's buffer, so that summing a page of documents
+// inflates each of its chunks once and sc keeps nothing of the mapping. It
+// returns nil when the chunk does not parse.
+func (sc *Scratch) mappedChunk(m *mappedIndex, id int) *storedChunk {
+	of := [2]uint64{m.open, uint64(id / storedChunkDocs)}
+	if sc.chunk != nil && sc.chunkOf == of {
+		return sc.chunk
+	}
+	var buf []byte
+	if sc.chunk != nil {
+		buf = sc.chunk.data[:0]
+	}
+	in := inflaters.Get().(*inflater)
+	defer in.release()
+	sc.inflates++
+	c := new(storedChunk)
+	if !m.chunk(id, in, c) {
+		sc.chunk = nil
+		return nil
+	}
+	c.data = append(buf, c.data...)
+	sc.chunk, sc.chunkOf = c, of
+	return c
 }
 
 // firstInDoc reports whether AddDocStats's current document has not been

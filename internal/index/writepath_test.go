@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"unicode"
 )
@@ -939,6 +940,118 @@ func TestDecodeHostileDocCount(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 			t.Errorf("%s: allocated %d bytes decoding %d", name, grew, len(data))
+		}
+	}
+}
+
+// fieldsOnGoroutines is an AddDocs runner that indexes every field on a
+// goroutine of its own, each with a fresh Scratch.
+func fieldsOnGoroutines(n int, index func(int, *Scratch)) {
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			index(i, new(Scratch))
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAddDocsMatchesAdd pins that AddDocs, its fields indexed side by side,
+// builds the index one Add per document builds, byte for byte: over the
+// oracle corpus (boosts 0.1, 5, -0.5 and the zero that means 1, fields
+// only some documents carry) and over documents with a multi-valued field,
+// a boosted value, stored-only fields, an empty field name, a value that
+// analyzes to nothing and no fields at all. The documents go in as batches
+// of every size, the first batches onto an index Add has written to.
+func TestAddDocsMatchesAdd(t *testing.T) {
+	odd := []*Document{
+		new(Document).Add("f", "goal kick").Add("g", "corner").Add("f", "goal line").AddBoosted("f", "kick off", 3),
+		new(Document).AddBoosted("g", "corner corner", 2.5).Add("_meta", "not indexed").Add("", "nameless goal"),
+		new(Document).Add("f", "the of").Add("_meta", "x"),
+		new(Document),
+		new(Document).Add("h", "a field first seen late").Add("f", "goal").Add("f", "goal goal"),
+	}
+	var odds []*Document
+	for range 60 {
+		odds = append(odds, odd...)
+	}
+	for _, tc := range []struct {
+		name string
+		docs []*Document
+	}{
+		{"oracle corpus", kernelCorpus(rand.New(rand.NewSource(7)), 1500)},
+		{"odd documents", odds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := New(StandardAnalyzer{})
+			for _, d := range tc.docs {
+				want.Add(d)
+			}
+			wantRaw, wantTOC, err := encode(want, "_meta")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(1))
+			got := New(StandardAnalyzer{})
+			for i := 0; i < 3; i++ {
+				got.Add(tc.docs[i])
+			}
+			for i := 3; i < len(tc.docs); {
+				n := min(len(tc.docs)-i, 1+r.Intn(300))
+				got.AddDocs(tc.docs[i:i+n], fieldsOnGoroutines)
+				i += n
+			}
+			raw, toc, err := encode(got, "_meta")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, wantRaw) || !bytes.Equal(toc, wantTOC) {
+				t.Errorf("AddDocs encodes %d+%d bytes, one Add per document %d+%d, and they differ",
+					len(raw), len(toc), len(wantRaw), len(wantTOC))
+			}
+		})
+	}
+}
+
+// TestAddDocStatsInflatesEachChunkOnce sums a page's worth of documents
+// spanning three stored chunks of a mapped index with one Scratch, in
+// docID order as an upsert does: each chunk is inflated once, and the sum
+// is the per-document DocStats sum. The Scratch then alternates between
+// two mapped indexes of different documents: it must never answer one
+// index from the other's chunk.
+func TestAddDocStatsInflatesEachChunkOnce(t *testing.T) {
+	docs, other := storedTestDocs(0, 600), storedTestDocs(600, 1200)
+	mapped := func(docs []*Document) *Index {
+		ix, err := reopen(indexOf(docs), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	ix, ox := mapped(docs), mapped(other)
+	var sc Scratch
+	sum, want := NewCorpusStats(), NewCorpusStats()
+	for id := 100; id < 300; id++ {
+		if !ix.AddDocStats(sum, id, &sc) {
+			t.Fatalf("AddDocStats(%d) = false", id)
+		}
+		want.Merge(ix.DocStats(id))
+	}
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("summed %+v\nper document %+v", sum, want)
+	}
+	if sc.inflates != 3 {
+		t.Errorf("summing documents 100–299 inflated %d chunks, want the 3 they sit in", sc.inflates)
+	}
+	for id := 0; id < 300; id += 7 {
+		for _, x := range []*Index{ix, ox} {
+			got := NewCorpusStats()
+			x.AddDocStats(got, id, &sc)
+			if !reflect.DeepEqual(got, x.DocStats(id)) {
+				t.Fatalf("document %d read through a Scratch that last read the other index differs from DocStats", id)
+			}
 		}
 	}
 }

@@ -180,6 +180,10 @@ type Engine struct {
 	// write lock, on the ingesting goroutine: the hook a test commits
 	// beside a prepared batch through. Set like stall.
 	beforeCommit func()
+	// failAppend (guarded by mu), when positive, counts down the WAL
+	// appends left until walAppend fails one instead of writing it: the
+	// seam a test fails a mid-batch append through. Set like stall.
+	failAppend int
 	// stalePrepares (guarded by mu) counts commits that summed their
 	// tombstones' statistics under the write lock because a commit had
 	// changed one of the batch's pages since the prepare summed them.

@@ -22,6 +22,14 @@ func (e *Engine) CachedDocs() int {
 // write lock (nil removes it). Set it before ingesting, like SetStall.
 func (e *Engine) SetBeforeCommit(fn func()) { e.beforeCommit = fn }
 
+// FailWALAppend makes the n-th WAL append from now fail without writing
+// (n <= 0: none does).
+func (e *Engine) FailWALAppend(n int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.failAppend = n
+}
+
 // StalePrepares returns how many commits found their prepared removal sum
 // stale and summed their tombstones under the write lock.
 func (e *Engine) StalePrepares() int {

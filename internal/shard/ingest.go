@@ -11,6 +11,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -93,17 +94,19 @@ type IngestResult struct {
 // Ingest commits a batch of match pages. Everything that can run before
 // the write lock does, outside any lock or under the read lock beside
 // searches: each page's documents are prepared, the statistics the
-// batch's tombstones will take out of the corpus view are summed, and the
-// WAL records are encoded (prepareBatch). The write lock then covers only
-// the WAL append and the commit: the batch becomes one immutable segment
-// per touched shard, and previously-ingested pages with the same IDs are
-// tombstoned (upsert). The new documents are searchable, and counted by
-// NumDocs, the moment Ingest returns; corpus-wide statistics are
-// maintained incrementally and stay integer-exact, so rankings remain
+// batch's tombstones will take out of the corpus view are summed, the WAL
+// records are encoded, and each touched shard's new segment is built, its
+// fields indexed in parallel (prepareBatch). The write lock then covers
+// only the WAL append and the bookkeeping of the commit: the prebuilt
+// segments join their shards, and previously-ingested pages with the same
+// IDs are tombstoned (upsert). The new documents are searchable, and
+// counted by NumDocs, the moment Ingest returns; corpus-wide statistics
+// are maintained incrementally and stay integer-exact, so rankings remain
 // byte-identical to a from-scratch build over the live documents.
 //
 // A ctx that is already done returns its error without committing; the
-// deadline is NOT otherwise consulted (commits are short and atomic).
+// deadline is NOT otherwise consulted (commits are short and atomic). An
+// engine that has been closed refuses the batch with an error.
 func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts IngestOptions) (IngestResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -113,8 +116,11 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		return IngestResult{PerShard: make([]int, len(e.base)), Durability: "none"}, nil
 	}
 	encode := func() ([][]byte, error) { return walRecords(pages, opts.Atomicity) }
-	pb := e.prepareBatch(pages, encode)
-	if err := ctx.Err(); err != nil {
+	pb, err := e.prepareBatch(pages, encode)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		return IngestResult{}, err
 	}
 	if e.beforeCommit != nil {
@@ -123,6 +129,10 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 
 	e.mu.Lock()
 	locked := time.Now()
+	if e.closed {
+		e.mu.Unlock()
+		return IngestResult{}, errClosed
+	}
 	committed := len(pages)
 	var walErr error
 	ack := "none"
@@ -148,10 +158,6 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	if committed == 0 {
 		e.mu.Unlock()
 		return IngestResult{PerShard: make([]int, len(e.base))}, walErr
-	}
-	if committed < len(pages) {
-		// The prepared sum covers pages that did not commit.
-		pb.removed = nil
 	}
 	res := e.commitLocked(pages[:committed], pb)
 	res.Durability = ack
@@ -217,6 +223,11 @@ func (e *Engine) logLocked(pb *preparedBatch, pages int, opts IngestOptions) (in
 // walAppend routes one record through the durability the caller asked
 // for. Write lock held.
 func (e *Engine) walAppend(rec []byte, d Durability) error {
+	if e.failAppend > 0 {
+		if e.failAppend--; e.failAppend == 0 {
+			return errors.New("shard: append refused (failAppend)")
+		}
+	}
 	if d == DurAsync {
 		return e.wal.AppendAsync(rec)
 	}
@@ -238,8 +249,11 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index
 
 // preparedBatch is an upsert's work done before the write lock.
 type preparedBatch struct {
-	// docs holds each page's prepared documents.
+	// docs holds each page's prepared documents, and segs each shard's
+	// new segment index: its documents, in page order (buildSegments; nil
+	// for a shard the batch adds none to).
 	docs [][]*index.Document
+	segs []*index.Index
 	// removed sums the statistics of the live documents each distinct page
 	// of the batch held when the prepare read pageGIDs, and read holds the
 	// slices it read, by page ID. The commit uses removed only while each
@@ -252,28 +266,68 @@ type preparedBatch struct {
 	encErr error
 }
 
-// statsScratch pools the analysis state the removal sums run with, so
-// its token memo stays warm from one upsert to the next.
+// statsScratch pools the analysis state the removal sums and the segment
+// builds run with, so its token memo stays warm from one upsert to the
+// next.
 var statsScratch = sync.Pool{New: func() any { return new(index.Scratch) }}
 
-// prepareBatch runs an upsert's prepare through one fanOut on up to
-// GOMAXPROCS goroutines: slot 0 sums the statistics the batch's
-// tombstones will remove (sumRemoval) and, when encode is non-nil and a
-// WAL is attached, encodes the WAL records with it; slot i > 0 prepares
-// page i−1's documents. A one-page upsert thus sums its old version on one
-// core while its new version is prepared on another.
-func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byte, error)) *preparedBatch {
+// errClosed refuses an ingest into a closed engine, whose mapped bases are
+// unmapped.
+var errClosed = errors.New("shard: engine closed")
+
+// prepareBatch runs an upsert's prepare. One fanOut on up to GOMAXPROCS
+// goroutines runs sumRemoval in slot 0 (and, when encode is non-nil and a
+// WAL is attached, encodes the WAL records with it) and prepares page i−1's
+// documents in slot i > 0, so a one-page upsert sums its old version on one
+// core while its new version is prepared on another. buildSegments then
+// indexes the new documents, one field per core. It fails only when the
+// engine is closed.
+func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byte, error)) (*preparedBatch, error) {
 	pb := &preparedBatch{docs: make([][]*index.Document, len(pages))}
+	var err error
 	fanOut(len(pages)+1, runtime.GOMAXPROCS(0), func(i int) {
 		if i > 0 {
 			pb.docs[i-1] = e.builder.PageDocuments(e.level, pages[i-1])
 			return
 		}
-		if e.sumRemoval(pb, pages) && encode != nil {
+		var wal bool
+		if wal, err = e.sumRemoval(pb, pages); wal && encode != nil {
 			pb.recs, pb.encErr = encode()
 		}
 	})
-	return pb
+	if err != nil {
+		return nil, err
+	}
+	pb.segs = e.buildSegments(pages, pb.docs)
+	return pb, nil
+}
+
+// buildSegments builds, for each shard the pages add documents to, the
+// index of those documents in page order: the segment a commit adopts.
+// Each index's fields are indexed through fanOut, one field per claim on
+// up to GOMAXPROCS goroutines, each claim analysing with a pooled Scratch.
+// It reads no engine state but the shard count, so it runs under no lock.
+func (e *Engine) buildSegments(pages []*crawler.MatchPage, docs [][]*index.Document) []*index.Index {
+	segs := make([]*index.Index, len(e.base))
+	byShard := make([][]*index.Document, len(e.base))
+	for i, p := range pages {
+		s := shardFor(p.ID, len(e.base))
+		byShard[s] = append(byShard[s], docs[i]...)
+	}
+	for s, docs := range byShard {
+		if len(docs) == 0 {
+			continue
+		}
+		segs[s] = index.New(e.builder.Analyzer)
+		segs[s].AddDocs(docs, func(n int, field func(int, *index.Scratch)) {
+			fanOut(n, runtime.GOMAXPROCS(0), func(i int) {
+				sc := statsScratch.Get().(*index.Scratch)
+				field(i, sc)
+				statsScratch.Put(sc)
+			})
+		})
+	}
+	return segs
 }
 
 // sumRemoval sums into pb.removed, under the read lock, the statistics of
@@ -281,14 +335,18 @@ func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byt
 // in pb.read the pageGIDs slices it read. The read lock keeps a merge's
 // install and Close's unmap off the bytes AddDocStats reads; a pooled
 // Scratch keeps two prepares over one sub-index from sharing analysis
-// state. It reports whether a WAL is attached.
-func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) bool {
+// state. It reports whether a WAL is attached, and fails on a closed
+// engine.
+func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) (bool, error) {
 	sc := statsScratch.Get().(*index.Scratch)
 	defer statsScratch.Put(sc)
 	pb.removed = index.NewCorpusStats()
 	pb.read = make(map[string][]int, len(pages))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return false, errClosed
+	}
 	for _, p := range pages {
 		if _, ok := pb.read[p.ID]; ok {
 			continue
@@ -301,7 +359,7 @@ func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) bool 
 			}
 		}
 	}
-	return e.wal != nil
+	return e.wal != nil, nil
 }
 
 // readUnchangedLocked reports whether every pageGIDs slice in read is
@@ -322,19 +380,28 @@ func (e *Engine) readUnchangedLocked(read map[string][]int) bool {
 
 // applyBatch is Ingest without the WAL append — the replay path: the
 // records being applied are already durable in the log.
-func (e *Engine) applyBatch(pages []*crawler.MatchPage) {
-	pb := e.prepareBatch(pages, nil)
+func (e *Engine) applyBatch(pages []*crawler.MatchPage) error {
+	pb, err := e.prepareBatch(pages, nil)
+	if err != nil {
+		return err
+	}
 	e.mu.Lock()
 	e.commitLocked(pages, pb)
 	e.mu.Unlock()
+	return nil
 }
 
-// commitLocked is the ingest commit: tombstone each page's previous
-// version, append the new documents to per-shard segments (one new
-// segment per touched shard, all carrying this batch's segment id), fold
-// the segment statistics into the corpus-wide view, and bump the epoch
-// when the batch added or tombstoned a document, which evicts every
-// cached answer. Write lock required.
+// commitLocked is the ingest commit, bookkeeping only: each touched
+// shard's prebuilt segment (pb.segs, all carrying this batch's segment id)
+// gets the engine's scoring mode and corpus view and joins its shard, its
+// documents get global IDs in local order, each page's previous version is
+// tombstoned, the statistics are folded into the corpus-wide view, and the
+// epoch is bumped when the batch added or tombstoned a document, which
+// evicts every cached answer. pages may be a prefix of the prepared batch
+// (a PerPage batch whose WAL append failed mid-batch); the prepared work is
+// then used whole or not at all: the segments are rebuilt from the
+// prefix's documents, and the tombstones summed, here. Write lock
+// required.
 //
 // Statistics stay integer-exact through any sequence of commits: a
 // tombstone subtracts exactly what the document's Add once contributed
@@ -351,13 +418,15 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 	segID := e.nextSeg
 	e.nextSeg++
 	res.Segment = segID
-	newSubs := make([]*subIndex, n)
 
 	// removed sums what the batch's tombstones take out of the corpus view,
 	// subtracted once below: a re-upserted page tombstones ~119 documents,
 	// and a CorpusStats apiece was most of this loop. sc is set when the
 	// sum is taken here.
-	removed := pb.removed
+	removed, segs := pb.removed, pb.segs
+	if len(pages) < len(pb.docs) {
+		removed, segs = nil, e.buildSegments(pages, pb.docs[:len(pages)])
+	}
 	var sc *index.Scratch
 	if removed == nil || !e.readUnchangedLocked(pb.read) {
 		if removed != nil {
@@ -367,11 +436,21 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 		sc = statsScratch.Get().(*index.Scratch)
 		defer statsScratch.Put(sc)
 	}
+	newSubs := make([]*subIndex, n)
+	for s, ix := range segs {
+		if ix == nil {
+			continue
+		}
+		ix.SetExhaustive(e.exhaustive)
+		ix.SetCorpusStats(e.global)
+		newSubs[s] = &subIndex{ix: ix, segID: segID, gids: make([]int, 0, ix.NumDocs())}
+		e.segs[s] = append(e.segs[s], newSubs[s])
+	}
 	for pi, page := range pages {
 		// Tombstone the page's previous version. Its statistics leave the
 		// corpus view — except for documents from THIS batch (a page
-		// repeated within one batch), whose statistics have not been
-		// merged yet and are excluded by the segment's LocalStats below.
+		// repeated within one batch), whose statistics are excluded by the
+		// segment's LocalStats below.
 		for _, gid := range e.pageGIDs[page.ID] {
 			ref := e.byGID[gid]
 			if ref.sub == nil {
@@ -390,25 +469,16 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 		}
 
 		s := shardFor(page.ID, n)
+		sub := newSubs[s]
 		var gids []int
-		for _, d := range pb.docs[pi] {
-			sub := newSubs[s]
-			if sub == nil {
-				ix := index.New(e.builder.Analyzer)
-				ix.SetExhaustive(e.exhaustive)
-				ix.SetCorpusStats(e.global)
-				sub = &subIndex{ix: ix, segID: segID}
-				newSubs[s] = sub
-				e.segs[s] = append(e.segs[s], sub)
-			}
+		for range pb.docs[pi] {
 			gid := len(e.byGID)
-			local := sub.ix.Add(d)
+			e.byGID = append(e.byGID, docRef{sub: sub, local: len(sub.gids)})
 			sub.gids = append(sub.gids, gid)
-			e.byGID = append(e.byGID, docRef{sub: sub, local: local})
 			gids = append(gids, gid)
-			res.Docs++
-			res.PerShard[s]++
 		}
+		res.Docs += len(gids)
+		res.PerShard[s] += len(gids)
 		// Assigning to a string key replaces the stored key too, so every
 		// assignment clones: a parsed page's ID is a view of its whole HTML
 		// (crawler.ParseMatchPage), which the map would otherwise pin.

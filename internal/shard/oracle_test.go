@@ -807,6 +807,73 @@ func TestStalePrepare(t *testing.T) {
 	}
 }
 
+// TestPerPagePrefixCommit fails the second WAL append of a three-page
+// PerPage batch, whose first page replaces a page of the build: Ingest must
+// return the error with the first page committed alone, one record in the
+// WAL, and statistics and rankings those of the monolith of that prefix,
+// on a heap base and on a mapped one. The prepare built segments holding
+// all three pages, so the commit must rebuild them from the prefix.
+func TestPerPagePrefixCommit(t *testing.T) {
+	for base, setup := range map[string]string{"heap": "", "mapped": "crash-wal/mapped"} {
+		t.Run(base, func(t *testing.T) {
+			r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.close()
+			if setup != "" {
+				if _, err := r.apply(setup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, pages, _ := parseStep("ingest:1',5,6")
+			r.e.FailWALAppend(2)
+			res, err := r.e.Ingest(context.Background(), pages, IngestOptions{Merge: MergeNone, Atomicity: PerPage})
+			if err == nil || res.Pages != 1 {
+				t.Fatalf("Ingest committed %d pages and returned %v; want 1 page and the append's error", res.Pages, err)
+			}
+			added, removed := r.o.update(pages[0])
+			r.logged = append(r.logged, pages[:1])
+			if res.Docs != added || res.Tombstones != removed {
+				t.Errorf("ingest added %d and tombstoned %d, oracle %d and %d", res.Docs, res.Tombstones, added, removed)
+			}
+			if scan, err := wal.Scan(WALPath(r.base), int64(r.gen)); err != nil || scan.Records != len(r.logged) {
+				t.Errorf("the WAL holds %d records, want %d (%v)", scan.Records, len(r.logged), err)
+			}
+			if err := r.check(true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestIngestAfterClose upserts a page a closed engine holds, on a heap base
+// and on an unmapped one: the call must return an error, commit nothing and
+// not fault reading the released base.
+func TestIngestAfterClose(t *testing.T) {
+	for base, setup := range map[string]string{"heap": "", "mapped": "crash-wal/mapped"} {
+		t.Run(base, func(t *testing.T) {
+			r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.close()
+			if setup != "" {
+				if _, err := r.apply(setup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, pages, _ := parseStep("ingest:1'")
+			if res, err := r.e.Ingest(context.Background(), pages, IngestOptions{}); err == nil || res.Docs != 0 {
+				t.Fatalf("Ingest after Close committed %d documents, error %v", res.Docs, err)
+			}
+		})
+	}
+}
+
 func TestMappedLoadEquivalenceAcrossLSMStates(t *testing.T) {
 	fixed(t, 3, "crash-wal/mapped ingest:0,3 ingest:1,1 merge@0 force-merge")
 }

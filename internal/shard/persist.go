@@ -565,8 +565,7 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 		if err != nil {
 			return err
 		}
-		e.applyBatch(pages)
-		return nil
+		return e.applyBatch(pages)
 	})
 	if err != nil {
 		return nil, err
