@@ -7,14 +7,17 @@
 //	                                         snapshot at base idx.bin
 //	socindex -level FULL_INF -shards 4       parallel 4-way sharded build
 //	socindex -verify idx.bin                 fsck a saved snapshot: manifest,
-//	                                         per-shard checksums, WAL tail
-//	socindex -verify idx.bin -mapped         fsck, then prove the snapshot
-//	                                         opens memory-mapped and report
-//	                                         the O(manifest) open time
+//	                                         per-shard checksums, WAL tail;
+//	                                         then open it memory-mapped and
+//	                                         report the O(manifest) open time
 //
 // -verify exits 0 only when recovery from the snapshot would be
 // complete and loss-free; anything else exits 1 with a per-file report.
 // The fsck streams checksums — files are audited without loading them.
+// Only a snapshot that passes is then opened memory-mapped, which adds
+// the mapped open's structural checks of every shard file. That open
+// replays the WAL as a restart would, and a restart truncates a torn
+// tail, so verify a base no running process appends to.
 // The report tells damage apart from version skew: a shard file whose
 // envelope or index codec is not the one version this build reads —
 // older or newer — is UNVERIFIABLE, intact as far as this binary can
@@ -40,8 +43,7 @@ func main() {
 	level := fs.String("level", "", "build only this level (TRAD, BASIC_EXT, FULL_EXT, FULL_INF, PHR_EXP)")
 	save := fs.String("save", "", "save the (single) built index as a snapshot at this base")
 	shards := fs.Int("shards", 1, "partition each index N ways")
-	verify := fs.String("verify", "", "verify a saved snapshot at this base and exit (fsck)")
-	mapped := fs.Bool("mapped", false, "with -verify: also open the snapshot memory-mapped and report the open time")
+	verify := fs.String("verify", "", "verify a saved snapshot at this base (fsck, then a mapped open) and exit")
 	fs.Parse(os.Args[1:])
 
 	if *verify != "" {
@@ -50,17 +52,15 @@ func main() {
 		if !rep.OK() {
 			os.Exit(1)
 		}
-		if *mapped {
-			start := time.Now()
-			eng, err := shard.LoadWith(*verify, nil, shard.LoadOptions{Mapped: true})
-			if err != nil {
-				cli.Fatal(fmt.Errorf("mapped open: %w", err))
-			}
-			fmt.Printf("mapped open: %d docs across %d shard(s) in %v\n",
-				eng.NumDocs(), eng.NumShards(), time.Since(start).Round(time.Microsecond))
-			if err := eng.Close(); err != nil {
-				cli.Fatal(err)
-			}
+		start := time.Now()
+		eng, err := shard.LoadWith(*verify, nil, shard.LoadOptions{Mapped: true})
+		if err != nil {
+			cli.Fatal(fmt.Errorf("mapped open: %w", err))
+		}
+		fmt.Printf("mapped open: %d docs across %d shard(s) in %v\n",
+			eng.NumDocs(), eng.NumShards(), time.Since(start).Round(time.Microsecond))
+		if err := eng.Close(); err != nil {
+			cli.Fatal(err)
 		}
 		return
 	}

@@ -79,7 +79,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Postings may only reference stored documents.
 		for _, field := range got.FieldNames() {
-			for _, term := range got.Terms(field) {
+			for _, term := range got.fields[field].termNames() {
 				for _, p := range got.Postings(field, term) {
 					if p.DocID < 0 || p.DocID >= got.NumDocs() {
 						t.Fatalf("field %q term %q: posting doc %d outside [0,%d)",

@@ -67,12 +67,14 @@ func (h Highlighter) Snippet(text, query string) string {
 	}
 	end := min(len(toks), best+window)
 
+	// Emit original text between token boundaries so punctuation survives;
+	// a window at the first token keeps the text before it too.
 	var b strings.Builder
+	cursor := 0
 	if best > 0 {
 		b.WriteString("… ")
+		cursor = toks[best].start
 	}
-	// Emit original text between token boundaries so punctuation survives.
-	cursor := toks[best].start
 	for i := best; i < end; i++ {
 		b.WriteString(text[cursor:toks[i].start])
 		if matched[i] {
@@ -97,41 +99,18 @@ type offsetToken struct {
 	start, end int
 }
 
-// tokenizeOffsets is Tokenize with byte offsets preserved.
+// tokenizeOffsets is Tokenize with each token's byte offsets in text. A
+// token starts with a word rune other than the apostrophe, and the text
+// between two tokens holds no such rune, so each token sits at its first
+// occurrence after the previous one.
 func tokenizeOffsets(text string) []offsetToken {
-	var out []offsetToken
-	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		raw := text[start:end]
-		trimmed := strings.Trim(raw, "'")
-		if trimmed != "" {
-			lead := strings.Index(raw, trimmed)
-			out = append(out, offsetToken{text: trimmed, start: start + lead, end: start + lead + len(trimmed)})
-		}
-		start = -1
+	words := Tokenize(text)
+	out := make([]offsetToken, len(words))
+	at := 0
+	for i, w := range words {
+		at += strings.Index(text[at:], w)
+		out[i] = offsetToken{text: w, start: at, end: at + len(w)}
+		at += len(w)
 	}
-	for i, r := range text {
-		if isTokenRune(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		flush(i)
-	}
-	flush(len(text))
 	return out
-}
-
-func isTokenRune(r rune) bool {
-	switch {
-	case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '\'':
-		return true
-	case r > 127: // non-ASCII letters pass through like Tokenize
-		return true
-	}
-	return false
 }

@@ -70,12 +70,39 @@ func TestSnippetEmptyAndPunctuation(t *testing.T) {
 	}
 }
 
+// TestSnippetText pins whole snippets: a window that starts at the first
+// token keeps the text before it, and tokens split where Tokenize splits
+// them, so a dash, a no-break space or a guillemet next to a word is
+// punctuation, not part of a highlighted token.
+func TestSnippetText(t *testing.T) {
+	for _, tc := range []struct {
+		h                 Highlighter
+		text, query, want string
+	}{
+		{Highlighter{}, "(1 - 0) Messi scores", "messi", "(1 - 0) «Messi» scores"},
+		{Highlighter{}, `"Messi scores!" said the commentator`, "messi", `"«Messi» scores!" said the commentator`},
+		{Highlighter{MaxTokens: 2}, "(1 - 0) Messi scores", "scores", "… Messi «scores»"},
+		{Highlighter{}, "Free kick–Messi scores", "messi", "Free kick–«Messi» scores"},
+		{Highlighter{}, "Messi\u00a0Villa scores", "villa", "Messi\u00a0«Villa» scores"},
+		{Highlighter{Pre: "<b>", Post: "</b>"}, "«Messi» scores", "messi", "«<b>Messi</b>» scores"},
+	} {
+		if got := tc.h.Snippet(tc.text, tc.query); got != tc.want {
+			t.Errorf("Snippet(%q, %q) = %q, want %q", tc.text, tc.query, got, tc.want)
+		}
+	}
+}
+
 func TestTokenizeOffsetsAgreesWithTokenize(t *testing.T) {
 	texts := []string{
 		"Eto'o scores! Barcelona take the lead",
 		"  spaced   out  ",
 		"(1 - 0) running score prefix",
 		"'''",
+		`"Messi scores!" said the commentator`,
+		"Free kick–Messi scores",
+		"Messi\u00a0Villa scores",
+		"«Messi» scores",
+		"'Eto'o' '' l'Eto'o",
 	}
 	for _, text := range texts {
 		plain := Tokenize(text)

@@ -659,16 +659,19 @@ func (ix *Index) HasField(name string) bool {
 	return ok
 }
 
-// Terms returns the sorted term dictionary of a field, for vocabulary
-// scans such as spelling suggestion.
-func (ix *Index) Terms(field string) []string {
+// Neighbours returns the field's terms within edit distance 1 of term,
+// term itself left out, in ascending order: the candidates of a spelling
+// correction. It reads the field's neighbour tables (neighbours.go), which
+// a fuzzy query on the field also reads, building them on first use.
+func (ix *Index) Neighbours(field, term string) []string {
 	fi := ix.fields[field]
 	if fi == nil {
 		return nil
 	}
-	out := fi.termNames()
-	sort.Strings(out)
-	return out
+	terms, _ := fi.expansions(term, nil, nil)
+	terms = slices.DeleteFunc(terms, func(t string) bool { return t == term })
+	slices.Sort(terms)
+	return terms
 }
 
 // DocFreq returns the number of documents containing the term in the field.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,7 +75,8 @@ func randomSpelling(rng *rand.Rand, runes int) string {
 // TestNeighboursMatchLinearScan holds the neighbour index to the walk it
 // replaced on seeded dictionaries, for targets of 0–6 runes and for
 // one-edit variants of dictionary terms, on the heap index as built, as
-// decoded and as mapped.
+// decoded and as mapped; Index.Neighbours must return the scan's terms
+// bar the target, ascending.
 func TestNeighboursMatchLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,7 +126,14 @@ func TestNeighboursMatchLinearScan(t *testing.T) {
 		}{{"built", ix}, {"decoded", heap}, {"mapped", mapped}} {
 			fi := form.ix.fields["f"]
 			for _, target := range targets {
-				checkNeighbours(t, fmt.Sprintf("seed %d %s", seed, form.name), fi, target)
+				label := fmt.Sprintf("seed %d %s", seed, form.name)
+				checkNeighbours(t, label, fi, target)
+				want, _ := fi.linearExpansions(target)
+				want = slices.DeleteFunc(want, func(term string) bool { return term == target })
+				slices.Sort(want)
+				if got := form.ix.Neighbours("f", target); !slices.Equal(got, want) {
+					t.Fatalf("%s: Neighbours(%q) = %q, linear scan %q", label, target, got, want)
+				}
 			}
 		}
 	}

@@ -692,7 +692,7 @@ func TestMergeDoesNotAliasSources(t *testing.T) {
 	}
 	snapshot := func() (map[string][]Posting, [][]Hit) {
 		lists := map[string][]Posting{}
-		for _, term := range merged.Terms("f") {
+		for _, term := range merged.fields["f"].termNames() {
 			lists[term] = merged.Postings("f", term)
 		}
 		var ranked [][]Hit

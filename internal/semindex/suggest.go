@@ -17,24 +17,26 @@ func (s *SemanticIndex) Suggest(query string) string {
 	if s.Level == Trad {
 		boosts = TradBoosts
 	}
-	return CorrectQuery(s.Index.Analyzer(), boosts, query, s.Index.DocFreq, s.Index.Terms)
+	return CorrectQuery(s.Index.Analyzer(), boosts, query, s.Index.DocFreq, s.Index.Neighbours)
 }
 
 // CorrectQuery is the spelling-correction core shared by the monolithic
 // index and the sharded engine, parameterized by where the vocabulary
-// lives: docFreq reports a term's document frequency in a field and terms
-// lists a field's dictionary in ascending order. The monolith passes its
-// local index; the engine passes the exchanged corpus-wide statistics, so
-// both produce identical corrections for identical vocabularies — a
-// guarantee TestSuggestEquivalence holds the two callers to.
+// lives: docFreq reports a term's document frequency in a field, and
+// neighbours lists a field's terms within edit distance 1 of a term, the
+// term itself left out, in ascending order. The monolith passes its local
+// index (Index.Neighbours); the engine passes its exchanged corpus-wide
+// statistics and the union of its sub-indexes' neighbours, so both produce
+// identical corrections for identical vocabularies — a guarantee
+// TestSuggestEquivalence holds the two callers to.
 //
 // A token is corrected when its analyzed form is longer than one rune and
 // has no postings in any searched field; the replacement is the highest-df
-// term within edit distance 1, scanning fields in boost order and terms in
+// neighbour, scanning fields in boost order and neighbours in
 // lexicographic order with strictly-greater df wins, which fixes the
 // tie-breaks.
 func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
-	docFreq func(field, term string) int, terms func(field string) []string) string {
+	docFreq func(field, term string) int, neighbours func(field, term string) []string) string {
 	tokens := index.Tokenize(strings.ToLower(query))
 	corrected := make([]string, len(tokens))
 	changed := false
@@ -60,7 +62,7 @@ func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 		if matches {
 			continue
 		}
-		if alt := nearestTerm(target, boosts, docFreq, terms); alt != "" {
+		if alt := nearestTerm(target, boosts, docFreq, neighbours); alt != "" {
 			corrected[i] = alt
 			changed = true
 		}
@@ -75,14 +77,11 @@ func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 // of the analyzed target, scanning the subject/object player fields first
 // (names are where typos happen) and then the remaining fields.
 func nearestTerm(target string, boosts []index.FieldBoost,
-	docFreq func(field, term string) int, terms func(field string) []string) string {
+	docFreq func(field, term string) int, neighbours func(field, term string) []string) string {
 	best := ""
 	bestDF := 0
 	for _, fb := range boosts {
-		for _, term := range terms(fb.Field) {
-			if term == target || !index.WithinEditDistance1(term, target) {
-				continue
-			}
+		for _, term := range neighbours(fb.Field, target) {
 			if df := docFreq(fb.Field, term); df > bestDF {
 				bestDF = df
 				best = term

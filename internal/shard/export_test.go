@@ -1,5 +1,20 @@
 package shard
 
+import (
+	"testing"
+
+	"repro/internal/crawler"
+	"repro/internal/semindex"
+)
+
+// Fixture returns the fixture corpus's pages and their monolith (see
+// fixture).
+func Fixture(t testing.TB) ([]*crawler.MatchPage, *semindex.SemanticIndex) { return fixture(t) }
+
+// ScanNeighbours is the brute-force neighbour finder did-you-mean is held
+// to (see scanNeighbours).
+var ScanNeighbours = scanNeighbours
+
 // SetSliceDocs sets how many live documents pay for one goroutine of a
 // scatter, sliceDocs unless a test lowers it. At 1 every search of an
 // engine holding a document per shard claims its shards beside helpers, up

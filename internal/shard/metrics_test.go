@@ -183,34 +183,6 @@ func TestSearchTracedSpans(t *testing.T) {
 	}
 }
 
-// TestSuggestEquivalence holds the deduplicated correction core to its
-// contract: for a table of misspelled queries, the 1-shard engine, the
-// multi-shard engine and the monolith all propose the same correction,
-// because all three run semindex.CorrectQuery over the same vocabulary.
-func TestSuggestEquivalence(t *testing.T) {
-	pages, mono := fixture(t)
-	one := Build(nil, semindex.FullInf, pages, Options{Shards: 1})
-	four := Build(nil, semindex.FullInf, pages, Options{Shards: 4})
-	for _, q := range []string{
-		"mesi goal",
-		"barcelon goal",
-		"yelow card",
-		"mesi barcelona gol",
-		"messi goal",  // clean: no correction anywhere
-		"zzzqqq goal", // hopeless token: no near neighbour
-		"the of",      // pure stopwords
-		"",            // empty query
-	} {
-		want := mono.Suggest(q)
-		if got := one.Suggest(q); got != want {
-			t.Errorf("1-shard Suggest(%q) = %q, monolith %q", q, got, want)
-		}
-		if got := four.Suggest(q); got != want {
-			t.Errorf("4-shard Suggest(%q) = %q, monolith %q", q, got, want)
-		}
-	}
-}
-
 // TestConcurrentSearchWithMetrics drives Search, SearchDeadline, Suggest
 // and Ingest against one shared registry under -race: the lock-free
 // handles and the engine's met swap must tolerate full interleaving. The

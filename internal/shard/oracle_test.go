@@ -121,17 +121,25 @@ func (o *monoOracle) update(pages ...*crawler.MatchPage) (added, removed int) {
 // suggest is Suggest over the live vocabulary.
 func (o *monoOracle) suggest(q string) string {
 	cs := o.si.Index.CorpusStats()
-	terms := func(field string) []string {
+	return semindex.CorrectQuery(o.si.Index.Analyzer(), semindex.QueryBoosts, q, cs.DocFreq, scanNeighbours(cs))
+}
+
+// scanNeighbours is index.Index.Neighbours by brute force: it tests every
+// term of cs's live vocabulary with WithinEditDistance1, the reference
+// the neighbour tables are held to.
+func scanNeighbours(cs *index.CorpusStats) func(field, term string) []string {
+	return func(field, term string) []string {
 		var out []string
 		if fs := cs.Fields[field]; fs != nil {
 			for t := range fs.DocFreq {
-				out = append(out, t)
+				if t != term && index.WithinEditDistance1(t, term) {
+					out = append(out, t)
+				}
 			}
 		}
 		slices.Sort(out)
 		return out
 	}
-	return semindex.CorrectQuery(o.si.Index.Analyzer(), semindex.QueryBoosts, q, cs.DocFreq, terms)
 }
 
 // schedule is an engine configuration and the steps run against it.

@@ -570,21 +570,20 @@ func (e *Engine) Suggest(query string) string {
 		boosts = semindex.TradBoosts
 	}
 	return semindex.CorrectQuery(e.base[0].ix.Analyzer(), boosts, query,
-		e.global.DocFreq, e.globalTerms)
+		e.global.DocFreq, e.neighboursLocked)
 }
 
-// globalTerms lists one field's corpus-wide vocabulary in ascending order
-// — the engine-side terms source for CorrectQuery, mirroring
-// index.Index.Terms over the exchanged statistics.
-func (e *Engine) globalTerms(field string) []string {
-	fs := e.global.Fields[field]
-	if fs == nil {
-		return nil
+// neighboursLocked is index.Index.Neighbours over the whole engine: the
+// union of every shard's base and segments, ascending. A term that only
+// tombstoned documents hold is among them; its corpus-wide df of 0 keeps
+// CorrectQuery from choosing it. Read lock required.
+func (e *Engine) neighboursLocked(field, term string) []string {
+	var out []string
+	for s := range e.base {
+		for _, sub := range e.subsLocked(s) {
+			out = append(out, sub.ix.Neighbours(field, term)...)
+		}
 	}
-	terms := make([]string, 0, len(fs.DocFreq))
-	for t := range fs.DocFreq {
-		terms = append(terms, t)
-	}
-	slices.Sort(terms)
-	return terms
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -32,7 +32,14 @@ func FuzzReadRecords(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[0:4], 0xFFFFFFFF)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid, torn := readRecords(bytes.NewReader(data), int64(len(data)), false)
+		var recs []int // each record's payload length
+		n, valid, torn, err := readRecords(bytes.NewReader(data), int64(len(data)), func(rec []byte) error {
+			recs = append(recs, len(rec))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scan with a nil-returning fn failed: %v", err)
+		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(data))
 		}
@@ -40,17 +47,17 @@ func FuzzReadRecords(f *testing.F) {
 			t.Fatalf("clean scan but %d of %d bytes consumed", valid, len(data))
 		}
 		total := int64(0)
-		for _, r := range recs.payloads {
-			total += recHdrLen + int64(len(r))
+		for _, l := range recs {
+			total += recHdrLen + int64(l)
 		}
-		if total != valid {
-			t.Fatalf("records cover %d bytes, valid prefix is %d", total, valid)
+		if total != valid || n != len(recs) {
+			t.Fatalf("%d records cover %d bytes, valid prefix is %d in %d records", len(recs), total, valid, n)
 		}
-		// Count-only mode must agree with the materializing mode.
-		only, validOnly, tornOnly := readRecords(bytes.NewReader(data), int64(len(data)), true)
-		if only.n != recs.n || validOnly != valid || tornOnly != torn {
-			t.Fatalf("count-only scan diverged: (%d,%d,%v) vs (%d,%d,%v)",
-				only.n, validOnly, tornOnly, recs.n, valid, torn)
+		// A nil fn (Open, Scan) must scan exactly like a collecting one.
+		nOnly, validOnly, tornOnly, _ := readRecords(bytes.NewReader(data), int64(len(data)), nil)
+		if nOnly != n || validOnly != valid || tornOnly != torn {
+			t.Fatalf("scan without fn diverged: (%d,%d,%v) vs (%d,%d,%v)",
+				nOnly, validOnly, tornOnly, n, valid, torn)
 		}
 	})
 }

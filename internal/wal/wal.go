@@ -312,7 +312,9 @@ type Result struct {
 }
 
 // Replay feeds every intact record of the log at path to fn, in append
-// order, then truncates any torn tail so the log is appendable again. A
+// order, as it reads it, then truncates any torn tail so the log is
+// appendable again. rec is valid only until fn returns: the next record
+// is read into the same buffer, so replay holds one record at a time. A
 // missing file is an empty log, not an error. A log at a different
 // generation than expectGen is skipped (GenMismatch). fn errors abort
 // the replay and are returned as-is; the torn tail is not truncated in
@@ -412,39 +414,26 @@ func readHeader(f *os.File) (uint64, error) {
 // abort and propagate.
 func scanFrom(f *os.File, size int64, fn func(rec []byte) error) (end int64, n int, torn bool, err error) {
 	r := io.NewSectionReader(f, headerLen, size-headerLen)
-	recs, valid, torn := readRecords(r, size-headerLen, fn == nil)
-	if fn != nil {
-		for _, rec := range recs.payloads {
-			if err := fn(rec); err != nil {
-				return headerLen + valid, recs.n, torn, err
-			}
-		}
-	}
-	return headerLen + valid, recs.n, torn, nil
-}
-
-// recordSet carries either materialized records (replay) or just their
-// count (scan-only), so fsck never buffers payloads.
-type recordSet struct {
-	payloads [][]byte
-	n        int
+	n, valid, torn, err := readRecords(r, size-headerLen, fn)
+	return headerLen + valid, n, torn, err
 }
 
 // readRecords is the core scanner: it consumes records off r until the
 // stream ends or tears, where remaining bounds how many payload bytes
 // can still exist (the file size minus the current offset — the defense
-// against a corrupt length prefix driving unbounded allocation).
-// countOnly skips payload retention. This function is the fuzz target:
-// it must never panic on arbitrary input.
-func readRecords(r io.Reader, remaining int64, countOnly bool) (recordSet, int64, bool) {
-	var set recordSet
-	var valid int64
+// against a corrupt length prefix driving unbounded allocation). It hands
+// each intact record to fn, when non-nil, as it reads it, in one buffer
+// every record reuses, and stops at fn's first error, counting the record
+// fn failed on. This function is the fuzz target: it must never panic on
+// arbitrary input.
+func readRecords(r io.Reader, remaining int64, fn func(rec []byte) error) (n int, valid int64, torn bool, err error) {
+	var payload []byte
 	for {
 		var hdr [recHdrLen]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// EOF exactly at a boundary is a clean end; anything else
 			// (partial header) is a tear.
-			return set, valid, !errors.Is(err, io.EOF)
+			return n, valid, !errors.Is(err, io.EOF), nil
 		}
 		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		want := binary.LittleEndian.Uint32(hdr[4:8])
@@ -452,19 +441,24 @@ func readRecords(r io.Reader, remaining int64, countOnly bool) (recordSet, int64
 			// Zero length (a zero-filled tail reads as endless empty
 			// records otherwise) or a prefix claiming more bytes than
 			// the file holds: torn.
-			return set, valid, true
+			return n, valid, true, nil
 		}
-		payload := make([]byte, length)
+		if int64(cap(payload)) < length {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return set, valid, true
+			return n, valid, true, nil
 		}
 		if crc32.ChecksumIEEE(payload) != want {
-			return set, valid, true
+			return n, valid, true, nil
 		}
 		valid += recHdrLen + length
-		set.n++
-		if !countOnly {
-			set.payloads = append(set.payloads, payload)
+		n++
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return n, valid, false, err
+			}
 		}
 	}
 }

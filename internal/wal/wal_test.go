@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -335,5 +336,42 @@ func TestScanReadOnly(t *testing.T) {
 	after, _ := os.ReadFile(path)
 	if len(after) != len(full)-2 {
 		t.Error("Scan mutated the file")
+	}
+}
+
+// TestReplayStreamsRecords: replay reads each record into one reused
+// buffer and hands it to fn before reading the next, so what it allocates
+// stays near one record's size however long the log is.
+func TestReplayStreamsRecords(t *testing.T) {
+	const records, size = 32, 256 << 10
+	path := filepath.Join(t.TempDir(), "ingest.wal")
+	l := openT(t, path, 1)
+	for i := 0; i < records; i++ {
+		if err := l.Append(bytes.Repeat([]byte{byte(i)}, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seen := 0
+	res, err := Replay(path, 1, nil, func(rec []byte) error {
+		if len(rec) != size || rec[0] != byte(seen) || rec[size-1] != byte(seen) {
+			return fmt.Errorf("record %d: %d bytes, first %d", seen, len(rec), rec[0])
+		}
+		seen++
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records != records || seen != records || res.Torn {
+		t.Fatalf("replay = %+v, fn saw %d records, want %d", res, seen, records)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20 {
+		t.Errorf("replaying %d records of %d KiB allocated %d KiB, want under 2048", records, size>>10, alloc>>10)
 	}
 }
