@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -343,6 +344,7 @@ func (ix *Index) Add(d *Document) int {
 	b := &ix.one
 	b.docs = append(b.docs[:0], d)
 	ix.appendDocs(b)
+	ix.stored.add(d)
 	for i := range b.fields {
 		b.indexField(i, &ix.w)
 	}
@@ -352,18 +354,48 @@ func (ix *Index) Add(d *Document) int {
 
 // AddDocs appends docs to the index, docs[k] at docID NumDocs()+k, and
 // builds exactly the index one Add per document in order builds, byte for
-// byte. It stores the documents' bytes, then indexes their fields through
-// run: run is called once with the number of distinct indexed fields the
-// documents carry and must call index(i, sc) once for every i in [0, n),
-// each call with a Scratch no other running call holds, and return once
-// they all have. Fields share no state, so run may make the calls on as
-// many goroutines as it likes; the index starts none. Until run returns
-// the index must not be read or written. The limits and the no-reference
-// rule are Add's.
+// byte. It chains the documents' indexed values field by field, then does
+// the rest through run, one claim per distinct indexed field the documents
+// carry plus one claim that stores all their bytes: run is called once
+// with n, the number of claims, and must call index(i, sc) once for every
+// i in [0, n), each call with a Scratch no other running call holds, and
+// return once they all have. Claims share no state, so run may make the
+// calls in any order and on as many goroutines as it likes; the index
+// starts none. Claim 0 is the one with the most text and the rest follow
+// by falling text, so a run that claims in order starts the longest first.
+// Until run returns the index must not be read or written. The limits and
+// the no-reference rule are Add's.
 func (ix *Index) AddDocs(docs []*Document, run func(n int, index func(i int, sc *Scratch))) {
 	b := &fieldBatch{docs: docs}
 	ix.appendDocs(b)
-	run(len(b.fields), b.indexField)
+	// size[i] is field i's text bytes, and the last entry, the stored
+	// bytes' claim, every field's; order[k] is claim k's entry.
+	size := make([]int, len(b.fields)+1)
+	for i := range b.fields {
+		for j := b.head[i]; j >= 0; j = b.vals[j].next {
+			v := b.vals[j]
+			size[i] += len(docs[v.doc].Fields[v.field].Text)
+		}
+	}
+	for _, d := range docs {
+		for _, f := range d.Fields {
+			size[len(b.fields)] += len(f.Text)
+		}
+	}
+	order := make([]int, len(size))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(size[y], size[x]) })
+	run(len(order), func(k int, sc *Scratch) {
+		if i := order[k]; i < len(b.fields) {
+			b.indexField(i, sc)
+			return
+		}
+		for _, d := range docs {
+			ix.stored.add(d)
+		}
+	})
 }
 
 // fieldBatch is documents whose bytes an index stores and whose fields are
@@ -389,9 +421,9 @@ type fieldValue struct {
 	doc, field, next int32
 }
 
-// appendDocs stores b.docs' bytes, grows the tombstone bits over them and
-// chains their indexed values field by field, creating the fields the
-// index has not seen.
+// appendDocs grows the tombstone bits over b.docs and chains their indexed
+// values field by field, creating the fields the index has not seen. The
+// caller stores their bytes.
 func (ix *Index) appendDocs(b *fieldBatch) {
 	if ix.mapped != nil {
 		// The mapped region is immutable; fresh writes belong in a new
@@ -401,7 +433,6 @@ func (ix *Index) appendDocs(b *fieldBatch) {
 	b.ix, b.first = ix, ix.stored.n
 	b.fields, b.head, b.tail, b.vals = b.fields[:0], b.head[:0], b.tail[:0], b.vals[:0]
 	for k, d := range b.docs {
-		ix.stored.add(d)
 		ix.deleted = append(ix.deleted, false)
 		for vi := range d.Fields {
 			name := d.Fields[vi].Name

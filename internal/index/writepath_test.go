@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unicode"
 )
@@ -944,7 +945,7 @@ func TestDecodeHostileDocCount(t *testing.T) {
 	}
 }
 
-// fieldsOnGoroutines is an AddDocs runner that indexes every field on a
+// fieldsOnGoroutines is an AddDocs runner that makes every claim on a
 // goroutine of its own, each with a fresh Scratch.
 func fieldsOnGoroutines(n int, index func(int, *Scratch)) {
 	var wg sync.WaitGroup
@@ -958,13 +959,34 @@ func fieldsOnGoroutines(n int, index func(int, *Scratch)) {
 	wg.Wait()
 }
 
-// TestAddDocsMatchesAdd pins that AddDocs, its fields indexed side by side,
-// builds the index one Add per document builds, byte for byte: over the
-// oracle corpus (boosts 0.1, 5, -0.5 and the zero that means 1, fields
-// only some documents carry) and over documents with a multi-valued field,
-// a boosted value, stored-only fields, an empty field name, a value that
-// analyzes to nothing and no fields at all. The documents go in as batches
-// of every size, the first batches onto an index Add has written to.
+// claimsOnTwoGoroutines is an AddDocs runner that makes the claims on two
+// goroutines, each taking the next unclaimed one with a Scratch of its own,
+// as the shard layer's fan-out does on two cores.
+func claimsOnTwoGoroutines(n int, index func(int, *Scratch)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc Scratch
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				index(i, &sc)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAddDocsMatchesAdd pins that AddDocs, its claims made in any order and
+// side by side, builds the index one Add per document builds, byte for
+// byte: over the oracle corpus (boosts 0.1, 5, -0.5 and the zero that
+// means 1, fields only some documents carry) and over documents with a
+// multi-valued field, a boosted value, stored-only fields, an empty field
+// name, a value that analyzes to nothing and no fields at all. The
+// documents go in as batches of every size, the first batches onto an
+// index Add has written to, and the claims are made one goroutine each, in
+// reverse, in a seeded shuffle and on two goroutines.
 func TestAddDocsMatchesAdd(t *testing.T) {
 	odd := []*Document{
 		new(Document).Add("f", "goal kick").Add("g", "corner").Add("f", "goal line").AddBoosted("f", "kick off", 3),
@@ -976,6 +998,26 @@ func TestAddDocsMatchesAdd(t *testing.T) {
 	var odds []*Document
 	for range 60 {
 		odds = append(odds, odd...)
+	}
+	shuffle := rand.New(rand.NewSource(5))
+	runners := []struct {
+		name string
+		run  func(int, func(int, *Scratch))
+	}{
+		{"goroutine per claim", fieldsOnGoroutines},
+		{"reverse", func(n int, index func(int, *Scratch)) {
+			var sc Scratch
+			for i := n - 1; i >= 0; i-- {
+				index(i, &sc)
+			}
+		}},
+		{"shuffled", func(n int, index func(int, *Scratch)) {
+			var sc Scratch
+			for _, i := range shuffle.Perm(n) {
+				index(i, &sc)
+			}
+		}},
+		{"two goroutines", claimsOnTwoGoroutines},
 	}
 	for _, tc := range []struct {
 		name string
@@ -993,23 +1035,27 @@ func TestAddDocsMatchesAdd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rand.New(rand.NewSource(1))
-			got := New(StandardAnalyzer{})
-			for i := 0; i < 3; i++ {
-				got.Add(tc.docs[i])
-			}
-			for i := 3; i < len(tc.docs); {
-				n := min(len(tc.docs)-i, 1+r.Intn(300))
-				got.AddDocs(tc.docs[i:i+n], fieldsOnGoroutines)
-				i += n
-			}
-			raw, toc, err := encode(got, "_meta")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(raw, wantRaw) || !bytes.Equal(toc, wantTOC) {
-				t.Errorf("AddDocs encodes %d+%d bytes, one Add per document %d+%d, and they differ",
-					len(raw), len(toc), len(wantRaw), len(wantTOC))
+			for _, rc := range runners {
+				t.Run(rc.name, func(t *testing.T) {
+					r := rand.New(rand.NewSource(1))
+					got := New(StandardAnalyzer{})
+					for i := 0; i < 3; i++ {
+						got.Add(tc.docs[i])
+					}
+					for i := 3; i < len(tc.docs); {
+						n := min(len(tc.docs)-i, 1+r.Intn(300))
+						got.AddDocs(tc.docs[i:i+n], rc.run)
+						i += n
+					}
+					raw, toc, err := encode(got, "_meta")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(raw, wantRaw) || !bytes.Equal(toc, wantTOC) {
+						t.Errorf("AddDocs encodes %d+%d bytes, one Add per document %d+%d, and they differ",
+							len(raw), len(toc), len(wantRaw), len(wantTOC))
+					}
+				})
 			}
 		})
 	}

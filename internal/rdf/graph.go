@@ -3,6 +3,7 @@ package rdf
 import (
 	"cmp"
 	"maps"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -23,7 +24,8 @@ type IDTriple struct {
 // three IDs, in an append-only log, and threaded onto three chains — the
 // triples sharing its subject, its predicate and its object — so the
 // pattern queries of the reasoner and rule engine follow a chain instead
-// of scanning, and never copy candidates.
+// of scanning, and never copy candidates. Whether a triple is present is
+// one probe of an open-addressed table of log offsets.
 //
 // Every query visits triples in the order they were added, whichever
 // chain answers it. Match makes no stronger promise; All, Objects,
@@ -44,8 +46,13 @@ type Graph struct {
 	// slot with a zero subject. ends[id-1] bounds the chains of term id.
 	log  []logEntry
 	ends []chainEnds
-	// offsets maps each live triple to its log offset.
-	offsets map[IDTriple]uint32
+	// table finds a triple's log entry: each slot holds a log offset+1, or
+	// 0 when empty, and a triple sits at the first slot from slotOf(t),
+	// probed linearly, that is empty or holds it. A slot whose entry Remove
+	// zeroed is a tombstone: probes pass it, an add may take it, and a
+	// resize drops it. used counts the non-empty slots, tombstones included.
+	table []uint32
+	used  int
 	// removals counts successful Removes over the graph's life.
 	removals int
 }
@@ -66,23 +73,84 @@ type chainEnds struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		iris:    make(map[string]ID),
-		rest:    make(map[Term]ID),
-		offsets: make(map[IDTriple]uint32),
+		iris: make(map[string]ID),
+		rest: make(map[Term]ID),
 	}
 }
 
 // Grow makes room for iris more plain IRIs, others more blank nodes and
 // literals, and triples more triples, so a caller that knows the shape of
-// what it is about to add fills the graph without rehashing its maps or
-// regrowing its slices.
+// what it is about to add fills the graph without rehashing its maps and
+// table or regrowing its slices.
 func (g *Graph) Grow(iris, others, triples int) {
 	g.terms = slices.Grow(g.terms, iris+others)
 	g.ends = slices.Grow(g.ends, iris+others)
 	g.log = slices.Grow(g.log, triples)
 	g.iris = grown(g.iris, iris)
 	g.rest = grown(g.rest, others)
-	g.offsets = grown(g.offsets, triples)
+	if !g.fits(triples) {
+		g.resize(g.Len() + triples)
+	}
+}
+
+// The table is a power of two slots long and at most maxLoad full,
+// tombstones included, so a probe for an absent triple ends at an empty
+// slot after a few steps.
+const (
+	minTable = 8
+	maxLoad  = 3 // quarters
+)
+
+// fits reports whether the table takes n more triples without a resize.
+func (g *Graph) fits(n int) bool { return (g.used+n)*4 <= len(g.table)*maxLoad }
+
+// resize rebuilds the table, tombstones dropped, as the smallest that
+// holds n live triples, and puts every live triple in it.
+func (g *Graph) resize(n int) {
+	size := minTable
+	for n*4 > size*maxLoad {
+		size *= 2
+	}
+	g.table, g.used = make([]uint32, size), 0
+	for off, e := range g.log {
+		if e.t.S != 0 {
+			i, _ := g.find(e.t)
+			g.table[i] = uint32(off) + 1
+			g.used++
+		}
+	}
+}
+
+// slotOf is where t's probe starts: the top bits of a multiplicative mix of
+// its three IDs, one per table index bit.
+func (g *Graph) slotOf(t IDTriple) int {
+	h := (uint64(t.S)<<32 | uint64(t.O)) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>29 ^ uint64(t.P)) * 0xbf58476d1ce4e5b9
+	return int(h >> (64 - bits.TrailingZeros(uint(len(g.table)))))
+}
+
+// find probes for t, which must have a non-zero subject. It returns t's
+// slot and true when t is present; else the slot an add should take — the
+// first tombstone on the probe path, or the empty slot that ended it — and
+// false. The table must not be empty.
+func (g *Graph) find(t IDTriple) (int, bool) {
+	mask := len(g.table) - 1
+	free := -1
+	for i := g.slotOf(t); ; i = (i + 1) & mask {
+		v := g.table[i]
+		if v == 0 {
+			if free < 0 {
+				free = i
+			}
+			return free, false
+		}
+		switch at := g.log[v-1].t; {
+		case at == t:
+			return i, true
+		case at.S == 0 && free < 0:
+			free = i
+		}
+	}
 }
 
 // grown returns a copy of m with room for n more entries: a map's capacity
@@ -154,11 +222,18 @@ func (g *Graph) AddSPO(s, p, o Term) bool { return g.Add(Triple{S: s, P: p, O: o
 // AddIDs is Add for terms already interned in this graph.
 func (g *Graph) AddIDs(s, p, o ID) bool {
 	t := IDTriple{s, p, o}
-	if _, ok := g.offsets[t]; ok {
+	if !g.fits(1) {
+		g.resize(g.Len() + 1)
+	}
+	i, ok := g.find(t)
+	if ok {
 		return false
 	}
+	if g.table[i] == 0 {
+		g.used++
+	}
 	off := uint32(len(g.log))
-	g.offsets[t] = off
+	g.table[i] = off + 1
 	g.log = append(g.log, logEntry{t: t})
 	for pos, id := range [3]ID{s, p, o} {
 		e := &g.ends[id-1]
@@ -177,14 +252,14 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 // O(degree).
 func (g *Graph) Remove(t Triple) bool {
 	it, ok := g.lookup3(t)
+	if !ok || len(g.table) == 0 {
+		return false
+	}
+	i, ok := g.find(it)
 	if !ok {
 		return false
 	}
-	off, ok := g.offsets[it]
-	if !ok {
-		return false
-	}
-	delete(g.offsets, it)
+	off := g.table[i] - 1
 	for pos, id := range [3]ID{it.S, it.P, it.O} {
 		e := &g.ends[id-1]
 		prev := uint32(0)
@@ -223,12 +298,16 @@ func (g *Graph) HasSPO(s, p, o Term) bool { return g.Has(Triple{S: s, P: p, O: o
 
 // HasIDs is Has for interned terms.
 func (g *Graph) HasIDs(s, p, o ID) bool {
-	_, ok := g.offsets[IDTriple{s, p, o}]
+	if s == 0 || len(g.table) == 0 {
+		return false
+	}
+	_, ok := g.find(IDTriple{s, p, o})
 	return ok
 }
 
-// Len returns the number of triples.
-func (g *Graph) Len() int { return len(g.offsets) }
+// Len returns the number of triples: every Add logs one, and every Remove
+// zeroes one.
+func (g *Graph) Len() int { return len(g.log) - g.removals }
 
 // LogLen returns the length of the insertion log, which only grows: the
 // triples added since an earlier LogLen() == n are exactly the live entries
@@ -403,7 +482,7 @@ func (g *Graph) leastObject(c Cursor) ID {
 // All returns every triple in deterministic (sorted) order, which the Turtle
 // writer and tests rely on for reproducible output.
 func (g *Graph) All() []Triple {
-	ts := make([]Triple, 0, len(g.offsets))
+	ts := make([]Triple, 0, g.Len())
 	for _, e := range g.log {
 		if e.t.S != 0 {
 			ts = append(ts, g.Triple(e.t))
@@ -439,7 +518,8 @@ func (g *Graph) Clone() *Graph {
 		rest:     maps.Clone(g.rest),
 		log:      slices.Clone(g.log),
 		ends:     slices.Clone(g.ends),
-		offsets:  maps.Clone(g.offsets),
+		table:    slices.Clone(g.table),
+		used:     g.used,
 		removals: g.removals,
 	}
 }

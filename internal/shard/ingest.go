@@ -251,9 +251,13 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index
 type preparedBatch struct {
 	// docs holds each page's prepared documents, and segs each shard's
 	// new segment index: its documents, in page order (buildSegments; nil
-	// for a shard the batch adds none to).
-	docs [][]*index.Document
-	segs []*index.Index
+	// for a shard the batch adds none to). local holds each segment's
+	// LocalStats, taken when no page repeats within the batch (nil
+	// otherwise): a repeat tombstones its earlier copy at commit, inside
+	// the segment.
+	docs  [][]*index.Document
+	segs  []*index.Index
+	local []*index.CorpusStats
 	// removed sums the statistics of the live documents each distinct page
 	// of the batch held when the prepare read pageGIDs, and read holds the
 	// slices it read, by page ID. The commit uses removed only while each
@@ -280,8 +284,9 @@ var errClosed = errors.New("shard: engine closed")
 // WAL is attached, encodes the WAL records with it) and prepares page i−1's
 // documents in slot i > 0, so a one-page upsert sums its old version on one
 // core while its new version is prepared on another. buildSegments then
-// indexes the new documents, one field per core. It fails only when the
-// engine is closed.
+// indexes the new documents, one field per core, and, when no page repeats
+// in the batch, each segment's statistics are taken. It fails only when
+// the engine is closed.
 func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byte, error)) (*preparedBatch, error) {
 	pb := &preparedBatch{docs: make([][]*index.Document, len(pages))}
 	var err error
@@ -299,6 +304,14 @@ func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byt
 		return nil, err
 	}
 	pb.segs = e.buildSegments(pages, pb.docs)
+	if len(pb.read) == len(pages) {
+		pb.local = make([]*index.CorpusStats, len(pb.segs))
+		for s, ix := range pb.segs {
+			if ix != nil {
+				pb.local[s] = ix.LocalStats()
+			}
+		}
+	}
 	return pb, nil
 }
 
@@ -411,7 +424,9 @@ func (e *Engine) applyBatch(pages []*crawler.MatchPage) error {
 // documents, which is what keeps scatter-gather rankings byte-identical
 // to a monolithic build. The tombstones' sum is pb.removed, summed before
 // the lock, when no commit has changed a page of the batch since; else it
-// is summed here.
+// is summed here. The segments' statistics are pb.local when the commit
+// adopts the prepared segments and no page repeats; else they are taken
+// here, after the tombstones.
 func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) IngestResult {
 	n := len(e.base)
 	res := IngestResult{Pages: len(pages), PerShard: make([]int, n)}
@@ -423,9 +438,9 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 	// subtracted once below: a re-upserted page tombstones ~119 documents,
 	// and a CorpusStats apiece was most of this loop. sc is set when the
 	// sum is taken here.
-	removed, segs := pb.removed, pb.segs
+	removed, segs, local := pb.removed, pb.segs, pb.local
 	if len(pages) < len(pb.docs) {
-		removed, segs = nil, e.buildSegments(pages, pb.docs[:len(pages)])
+		removed, segs, local = nil, e.buildSegments(pages, pb.docs[:len(pages)]), nil
 	}
 	var sc *index.Scratch
 	if removed == nil || !e.readUnchangedLocked(pb.read) {
@@ -486,8 +501,12 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 	}
 
 	e.global.Remove(removed)
-	for _, sub := range newSubs {
-		if sub != nil {
+	for s, sub := range newSubs {
+		switch {
+		case sub == nil:
+		case local != nil:
+			e.global.Merge(local[s])
+		default:
 			e.global.Merge(sub.ix.LocalStats())
 		}
 	}

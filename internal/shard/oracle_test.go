@@ -855,6 +855,37 @@ func TestPerPagePrefixCommit(t *testing.T) {
 	}
 }
 
+// TestRepeatedPageBatch upserts batches that carry one page twice: a page
+// of the build, a fresh page, and a page whose second copy is emptied. The
+// commit tombstones the first copy inside the new segment, so the segment
+// statistics the prepare took before it are stale; statistics and rankings
+// must be the monolith's after every batch, on a heap base and on a mapped
+// one.
+func TestRepeatedPageBatch(t *testing.T) {
+	for base, setup := range map[string]string{"heap": "", "mapped": "crash-wal/mapped"} {
+		t.Run(base, func(t *testing.T) {
+			r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.close()
+			steps := []string{"ingest:1',1", "ingest:5,2',5'", "ingest:6,6-,3"}
+			if setup != "" {
+				steps = append([]string{setup}, steps...)
+			}
+			for _, step := range steps {
+				changed, err := r.apply(step)
+				if err == nil {
+					err = r.check(changed)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+		})
+	}
+}
+
 // TestIngestAfterClose upserts a page a closed engine holds, on a heap base
 // and on an unmapped one: the call must return an error, commit nothing and
 // not fault reading the released base.
