@@ -64,33 +64,29 @@ func extractOne(tagger *Tagger, teamName *[3]string, text string) Event {
 	// Level two: template matching over the tagged text, with the optional
 	// running-score prefix stripped. An unbound slot binds "", which no
 	// entity resolves.
-	tagged := stripScorePrefix(tagger.Tag(text))
-	for _, ct := range compiledTemplates {
-		bind, ok := ct.match(tagged)
-		if !ok {
-			continue
-		}
-		ev := Event{Kind: ct.kind}
-		if e, ok := tagger.Resolve(bind[slotS]); ok {
-			ev.Subject = e
-			ev.SubjectTeam = teamName[e.Team]
-		}
-		if e, ok := tagger.Resolve(bind[slotO]); ok {
-			ev.Object = e
-			ev.ObjectTeam = teamName[e.Team]
-		}
-		if e, ok := tagger.Resolve(bind[slotT]); ok {
-			ev.SubjectTeam = e.Name
-		}
-		if e, ok := tagger.Resolve(bind[slotOT]); ok {
-			ev.ObjectTeam = e.Name
-		}
-		return ev
+	kind, bind, ok := templates.match(stripScorePrefix(tagger.Tag(text)))
+	if !ok {
+		// Level one fired but no template matched: the narration mentions
+		// domain vocabulary without the structure we extract — keep it as
+		// Unknown rather than guessing.
+		return Event{Kind: soccer.KindUnknown}
 	}
-	// Level one fired but no template matched: the narration mentions
-	// domain vocabulary without the structure we extract — keep it as
-	// Unknown rather than guessing.
-	return Event{Kind: soccer.KindUnknown}
+	ev := Event{Kind: kind}
+	if e, ok := tagger.Resolve(bind[slotS]); ok {
+		ev.Subject = e
+		ev.SubjectTeam = teamName[e.Team]
+	}
+	if e, ok := tagger.Resolve(bind[slotO]); ok {
+		ev.Object = e
+		ev.ObjectTeam = teamName[e.Team]
+	}
+	if e, ok := tagger.Resolve(bind[slotT]); ok {
+		ev.SubjectTeam = e.Name
+	}
+	if e, ok := tagger.Resolve(bind[slotOT]); ok {
+		ev.ObjectTeam = e.Name
+	}
+	return ev
 }
 
 // stripScorePrefix removes a leading "(1 - 0) " running-score marker.

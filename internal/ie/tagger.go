@@ -13,9 +13,7 @@
 package ie
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -52,10 +50,34 @@ type Entity struct {
 // Tag returns the positional tag text for the entity, e.g. "<t1p5>" in the
 // paper's "<team1 player5>" notation.
 func (e Entity) Tag() string {
+	team, player := e.Team, e.Player
 	if e.Kind == EntityTeam {
-		return fmt.Sprintf("<t%d>", e.Team)
+		player = -1
 	}
-	return fmt.Sprintf("<t%dp%d>", e.Team, e.Player)
+	if team >= 0 && team < len(tagTexts) && player >= -1 && player+1 < len(tagTexts[team]) {
+		return tagTexts[team][player+1]
+	}
+	return renderTag(team, player)
+}
+
+// tagTexts[t][p+1] is the tag of team t's player p, and tagTexts[t][0]
+// the team's own: the tags every page uses, rendered once.
+var tagTexts = func() (out [3][48]string) {
+	for team := range out {
+		for i := range out[team] {
+			out[team][i] = renderTag(team, i-1)
+		}
+	}
+	return out
+}()
+
+// renderTag renders the tag of a team's player, or of the team for player
+// -1.
+func renderTag(team, player int) string {
+	if player == -1 {
+		return "<t" + strconv.Itoa(team) + ">"
+	}
+	return "<t" + strconv.Itoa(team) + "p" + strconv.Itoa(player) + ">"
 }
 
 // Tagger is the NER stage: it owns the per-match entity dictionary built
@@ -69,11 +91,12 @@ type Tagger struct {
 	entities []taggedEntity
 	// first[b] and first[b+1] bound the group whose names begin with byte b.
 	first [257]int32
-	byTag map[string]Entity
+	// byTeam[t] holds team t (1 home, 2 away) and then its players, each
+	// at its lineup slot: what Resolve reads a tag back to.
+	byTeam [3][]taggedEntity
 }
 
-// taggedEntity is an entity with its tag text, rendered once per page
-// rather than per mention.
+// taggedEntity is an entity with its tag text.
 type taggedEntity struct {
 	Entity
 	tag string
@@ -82,111 +105,155 @@ type taggedEntity struct {
 // NewTagger builds the dictionary for one match page: both teams, their
 // lineups, and the bench players appearing in substitutions.
 func NewTagger(page *crawler.MatchPage) *Tagger {
-	t := &Tagger{byTag: map[string]Entity{}}
+	t := &Tagger{}
 	teams := [2]string{page.Home, page.Away}
 	for ti, teamName := range teams {
-		team := Entity{Kind: EntityTeam, Team: ti + 1, Name: teamName}
-		t.add(team)
+		team := &t.byTeam[ti+1]
+		*team = append(*team, taggedEntity{Entity: Entity{Kind: EntityTeam, Team: ti + 1, Name: teamName}})
 		for pi, p := range page.Lineups[teamName] {
-			t.add(Entity{
+			*team = append(*team, taggedEntity{Entity: Entity{
 				Kind: EntityPlayer, Team: ti + 1, Player: pi + 1,
 				Name: p.Short, FullName: p.Name, Position: p.Position,
-			})
+			}})
 		}
 		// Bench players from the substitution list.
-		slot := len(page.Lineups[teamName])
 		for _, s := range page.Subs {
-			if s.Team != teamName {
-				continue
+			if s.Team == teamName {
+				*team = append(*team, taggedEntity{Entity: Entity{
+					Kind: EntityPlayer, Team: ti + 1, Player: len(*team),
+					Name: s.On, FullName: s.On,
+				}})
 			}
-			slot++
-			t.add(Entity{
-				Kind: EntityPlayer, Team: ti + 1, Player: slot,
-				Name: s.On, FullName: s.On,
-			})
 		}
 	}
-	// Longest name first within each first byte; the stable sort keeps
-	// names of equal length in the order they were added.
-	slices.SortStableFunc(t.entities, func(a, b taggedEntity) int {
-		return cmp.Or(cmp.Compare(a.Name[0], b.Name[0]), cmp.Compare(len(b.Name), len(a.Name)))
-	})
-	for _, e := range t.entities {
-		t.first[int(e.Name[0])+1]++
+	// Group the named entities by first byte, in the order they were
+	// added, then order each group longest name first; the insertion sort
+	// moves an entity only past strictly shorter names, so names of equal
+	// length keep the order they were added.
+	for _, team := range t.byTeam {
+		for i := range team {
+			e := &team[i]
+			e.tag = e.Tag()
+			if e.Name != "" {
+				t.first[int(e.Name[0])+1]++
+			}
+		}
 	}
 	for b := 1; b < len(t.first); b++ {
 		t.first[b] += t.first[b-1]
 	}
-	return t
-}
-
-func (t *Tagger) add(e Entity) {
-	tag := e.Tag()
-	if e.Name != "" {
-		t.entities = append(t.entities, taggedEntity{e, tag})
+	t.entities = make([]taggedEntity, t.first[256])
+	at := t.first
+	for _, team := range t.byTeam {
+		for _, e := range team {
+			if e.Name != "" {
+				t.entities[at[e.Name[0]]] = e
+				at[e.Name[0]]++
+			}
+		}
 	}
-	t.byTag[tag] = e
+	for b := 0; b < 256; b++ {
+		group := t.entities[t.first[b]:t.first[b+1]]
+		for i := 1; i < len(group); i++ {
+			for j := i; j > 0 && len(group[j-1].Name) < len(group[j].Name); j-- {
+				group[j-1], group[j] = group[j], group[j-1]
+			}
+		}
+	}
+	return t
 }
 
 // Resolve maps a tag back to its entity.
 func (t *Tagger) Resolve(tag string) (Entity, bool) {
-	e, ok := t.byTag[tag]
-	return e, ok
+	team, player, ok := parseTag(tag)
+	if !ok || team >= len(t.byTeam) || player >= len(t.byTeam[team]) {
+		return Entity{}, false
+	}
+	// parseTag accepts what no tag is, such as "<t01>"; the entity's own
+	// tag decides.
+	if e := &t.byTeam[team][player]; e.tag == tag {
+		return e.Entity, true
+	}
+	return Entity{}, false
+}
+
+// parseTag reads "<tN>" as team N, player 0, and "<tNpM>" as team N,
+// player M.
+func parseTag(tag string) (team, player int, ok bool) {
+	if len(tag) < 4 || tag[0] != '<' || tag[1] != 't' || tag[len(tag)-1] != '>' {
+		return 0, 0, false
+	}
+	team, rest := leadingInt(tag[2 : len(tag)-1])
+	if rest == "" {
+		return team, 0, team > 0
+	}
+	if rest[0] != 'p' {
+		return 0, 0, false
+	}
+	player, rest = leadingInt(rest[1:])
+	return team, player, team > 0 && player > 0 && rest == ""
+}
+
+// leadingInt reads the decimal digits that begin s, at most nine, and
+// returns their value (0 for none) and the rest of s.
+func leadingInt(s string) (int, string) {
+	n, i := 0, 0
+	for ; i < len(s) && i < 9 && s[i] >= '0' && s[i] <= '9'; i++ {
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, s[i:]
 }
 
 // Tag rewrites every entity mention in the text into its positional tag.
 // Matching is longest-first at word boundaries, so "Real Madrid" does not
 // decay into a mention of a hypothetical "Real"; only the names that begin
-// with the word's first byte are tried.
+// with the word's first byte are tried. A text that mentions no entity is
+// returned as it is.
 func (t *Tagger) Tag(text string) string {
 	var b strings.Builder
-	b.Grow(len(text))
-	i := 0
-	for i < len(text) {
-		if !atWordStart(text, i) {
-			b.WriteByte(text[i])
-			i++
+	done := 0 // text[:done] is written to b
+	for i := 0; i < len(text); i++ {
+		lo, hi := t.first[text[i]], t.first[int(text[i])+1]
+		if lo == hi || !atWordStart(text, i) {
 			continue
 		}
-		matched := false
-		for j := t.first[text[i]]; j < t.first[int(text[i])+1]; j++ {
+		for j := lo; j < hi; j++ {
 			e := &t.entities[j]
 			n := len(e.Name)
-			if i+n > len(text) || text[i:i+n] != e.Name {
+			if i+n > len(text) || text[i:i+n] != e.Name || !atWordEnd(text, i+n) {
 				continue
 			}
-			if !atWordEnd(text, i+n) {
-				continue
+			if done == 0 {
+				b.Grow(len(text) + 8)
 			}
+			b.WriteString(text[done:i])
 			b.WriteString(e.tag)
-			i += n
-			matched = true
+			done = i + n
+			i = done - 1
 			break
 		}
-		if !matched {
-			b.WriteByte(text[i])
-			i++
-		}
 	}
+	if done == 0 {
+		return text
+	}
+	b.WriteString(text[done:])
 	return b.String()
 }
 
+// wordByte[c] reports whether byte c, read as a rune, continues a word: a
+// letter, a digit or an apostrophe.
+var wordByte = func() (out [256]bool) {
+	for c := range out {
+		r := rune(c)
+		out[c] = unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\''
+	}
+	return out
+}()
+
 // atWordStart reports whether position i begins a word (start of text or
 // preceded by a non-letter).
-func atWordStart(s string, i int) bool {
-	if i == 0 {
-		return true
-	}
-	r := rune(s[i-1])
-	return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '\''
-}
+func atWordStart(s string, i int) bool { return i == 0 || !wordByte[s[i-1]] }
 
 // atWordEnd reports whether position i (one past a candidate match) ends a
 // word.
-func atWordEnd(s string, i int) bool {
-	if i >= len(s) {
-		return true
-	}
-	r := rune(s[i])
-	return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '\''
-}
+func atWordEnd(s string, i int) bool { return i >= len(s) || !wordByte[s[i]] }

@@ -238,6 +238,9 @@ type compiledTemplate struct {
 
 var compiledTemplates = compileAll()
 
+// templates is the dispatcher over compiledTemplates that level two runs.
+var templates = newDispatcher(compiledTemplates)
+
 func compileAll() []compiledTemplate {
 	out := make([]compiledTemplate, len(Templates))
 	for i, t := range Templates {
@@ -270,26 +273,139 @@ func compileTemplate(t Template) compiledTemplate {
 // the slot bindings.
 func (c compiledTemplate) match(tagged string) (bindings, bool) {
 	var bind bindings
+	if !c.matchInto(tagged, &bind) {
+		return bindings{}, false
+	}
+	return bind, true
+}
+
+// matchInto is match writing each slot it binds into bind, over what bind
+// held; on failure bind is partly written.
+func (c compiledTemplate) matchInto(tagged string, bind *bindings) bool {
 	rest := tagged
 	for i, lit := range c.parts {
 		if !strings.HasPrefix(rest, lit) {
-			return bindings{}, false
+			return false
 		}
 		rest = rest[len(lit):]
 		if i < len(c.slots) {
 			tag, after, ok := readTag(rest)
 			if !ok {
-				return bindings{}, false
+				return false
 			}
 			s := c.slots[i]
-			if (s == slotT || s == slotOT) != isTeamTag(tag) {
-				return bindings{}, false
+			if isTeamSlot(s) != isTeamTag(tag) {
+				return false
 			}
 			bind[s] = tag
 			rest = after
 		}
 	}
-	return bind, true
+	return true
+}
+
+func isTeamSlot(s slot) bool { return s == slotT || s == slotOT }
+
+// dispatcher finds the first template of a table, in table order, that
+// matches a tagged narration, without trying every template in turn.
+// Most templates begin "{S} ({T}) ": a player tag, then its team's tag in
+// parentheses. The dispatcher reads that prefix off the narration once,
+// and of the templates that share it tries only those whose next literal
+// begins with the byte that follows it; of the others, only those whose
+// first literal begins with the narration's first byte.
+type dispatcher struct {
+	// next[b] lists, in table order, the templates a narration with the
+	// prefix can match when byte b follows the prefix; next[256] when
+	// nothing does. Each list holds the templates without the prefix that
+	// first['<'] holds.
+	next [257][]candidate
+	// first[b] lists, in table order, the templates without the prefix
+	// that a narration beginning with byte b can match: those whose first
+	// literal begins with b or is empty; first[256] those an empty
+	// narration can match.
+	first [257][]candidate
+}
+
+// candidate is one template of a dispatcher's lists.
+type candidate struct {
+	kind soccer.EventKind
+	// prefixed marks a template that begins with the prefix; tmpl is then
+	// what follows the prefix, and head the prefix's two slots.
+	prefixed bool
+	head     [2]slot
+	tmpl     compiledTemplate
+}
+
+func newDispatcher(table []compiledTemplate) *dispatcher {
+	d := &dispatcher{}
+	var all []candidate
+	for _, ct := range table {
+		c := candidate{kind: ct.kind, tmpl: ct}
+		if len(ct.slots) >= 2 && ct.parts[0] == "" && !isTeamSlot(ct.slots[0]) &&
+			ct.parts[1] == " (" && isTeamSlot(ct.slots[1]) && strings.HasPrefix(ct.parts[2], ") ") {
+			c.prefixed, c.head = true, [2]slot{ct.slots[0], ct.slots[1]}
+			c.tmpl = compiledTemplate{kind: ct.kind, parts: append([]string{ct.parts[2][2:]}, ct.parts[3:]...), slots: ct.slots[2:]}
+		}
+		all = append(all, c)
+	}
+	// begins reports whether a text that begins with byte b can begin
+	// with the literal; b 256 stands for the empty text.
+	begins := func(lit string, b int) bool { return lit == "" || b < 256 && lit[0] == byte(b) }
+	for b := range d.next {
+		for _, c := range all {
+			if lit := c.tmpl.parts[0]; c.prefixed && begins(lit, b) || !c.prefixed && begins(lit, '<') {
+				d.next[b] = append(d.next[b], c)
+			}
+			if lit := c.tmpl.parts[0]; !c.prefixed && begins(lit, b) {
+				d.first[b] = append(d.first[b], c)
+			}
+		}
+	}
+	return d
+}
+
+// match returns the kind and bindings of the first template in table
+// order that matches the tagged narration.
+func (d *dispatcher) match(tagged string) (soccer.EventKind, bindings, bool) {
+	var cands []candidate
+	player, team, rest, ok := readPrefix(tagged)
+	switch {
+	case ok && rest == "":
+		cands = d.next[256]
+	case ok:
+		cands = d.next[rest[0]]
+	case tagged == "":
+		cands = d.first[256]
+	default:
+		cands = d.first[tagged[0]]
+	}
+	for i := range cands {
+		c := &cands[i]
+		var bind bindings
+		text := tagged
+		if c.prefixed {
+			bind[c.head[0]], bind[c.head[1]] = player, team
+			text = rest
+		}
+		if c.tmpl.matchInto(text, &bind) {
+			return c.kind, bind, true
+		}
+	}
+	return "", bindings{}, false
+}
+
+// readPrefix reads the dispatcher's common prefix, a player tag and a team
+// tag as "<t1p5> (<t1>) ", off tagged.
+func readPrefix(tagged string) (player, team, rest string, ok bool) {
+	player, rest, ok = readTag(tagged)
+	if !ok || isTeamTag(player) || !strings.HasPrefix(rest, " (") {
+		return "", "", "", false
+	}
+	team, rest, ok = readTag(rest[2:])
+	if !ok || !isTeamTag(team) || !strings.HasPrefix(rest, ") ") {
+		return "", "", "", false
+	}
+	return player, team, rest[2:], true
 }
 
 // readTag consumes a leading "<...>" tag.

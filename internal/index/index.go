@@ -286,17 +286,22 @@ type Index struct {
 // stopword), so the lowercase, stopword and stemmer work runs once per
 // distinct token rather than once per occurrence; std is the analyzer
 // settings the memo was filled under, and analysis under other settings
-// starts it afresh. termBuf is the reused analysis output, and docTerms and
-// chunk AddDocStats's per-document set of counted terms and last mapped
-// chunk. An Index keeps one for Add; AddDocs' field calls and AddDocStats
-// take their caller's, so calls over one index may run side by side, each
-// with its own. One Scratch serves one call at a time. The zero value is
-// ready to use.
+// starts it afresh. termBuf is the reused analysis output. For
+// AddDocStats, fieldTerms holds what it keeps of each field, by name and
+// at byPos by the position of the value it was last met at, numTerms
+// counts the terms numbered, and doc numbers the current document; chunk
+// is its last mapped chunk. An Index keeps one for Add; AddDocs' field
+// calls and AddDocStats take their caller's, so calls over one index may
+// run side by side, each with its own. One Scratch serves one call at a
+// time. The zero value is ready to use.
 type Scratch struct {
-	std      StandardAnalyzer
-	memo     map[string]string
-	termBuf  []string
-	docTerms map[FieldTerm]struct{}
+	std        StandardAnalyzer
+	memo       map[string]string
+	termBuf    []string
+	fieldTerms map[string]*fieldTerms
+	byPos      []*fieldTerms
+	numTerms   int
+	doc        uint64
 	// chunk is the mapped stored chunk AddDocStats inflated last, its bytes
 	// copied onto the heap, and chunkOf says which: the mapping's open and
 	// the chunk's number. inflates counts the chunks inflated.
@@ -413,6 +418,12 @@ type fieldBatch struct {
 	fields     []*fieldIndex
 	head, tail []int32
 	vals       []fieldValue
+	// names[v] and slots[v] are the name of the last document's value v
+	// and the batch field it went to (-1 for a stored-only field): a value
+	// at the same position under the same name goes there too, so a batch
+	// of documents with one field layout resolves each name once.
+	names []string
+	slots []int32
 }
 
 // fieldValue is one indexed value of a fieldBatch: Fields[field] of
@@ -432,27 +443,49 @@ func (ix *Index) appendDocs(b *fieldBatch) {
 	}
 	b.ix, b.first = ix, ix.stored.n
 	b.fields, b.head, b.tail, b.vals = b.fields[:0], b.head[:0], b.tail[:0], b.vals[:0]
+	b.names, b.slots = b.names[:0], b.slots[:0]
 	for k, d := range b.docs {
 		ix.deleted = append(ix.deleted, false)
 		for vi := range d.Fields {
 			name := d.Fields[vi].Name
-			if len(name) > 0 && name[0] == '_' {
+			if vi == len(b.names) {
+				b.names, b.slots = append(b.names, name), append(b.slots, b.slot(name))
+			} else if b.names[vi] != name {
+				b.names[vi], b.slots[vi] = name, b.slot(name)
+			}
+			i := b.slots[vi]
+			if i < 0 {
 				continue
 			}
-			fi := ix.fields[name]
-			if fi == nil {
-				fi = newFieldIndex()
-				ix.fields[name] = fi
-			}
 			j := int32(len(b.vals))
-			if i := slices.Index(b.fields, fi); i >= 0 {
-				b.vals[b.tail[i]].next, b.tail[i] = j, j
+			if b.head[i] < 0 {
+				b.head[i] = j
 			} else {
-				b.fields, b.head, b.tail = append(b.fields, fi), append(b.head, j), append(b.tail, j)
+				b.vals[b.tail[i]].next = j
 			}
+			b.tail[i] = j
 			b.vals = append(b.vals, fieldValue{doc: int32(k), field: int32(vi), next: -1})
 		}
 	}
+}
+
+// slot returns the batch field the values named name go to, adding the
+// field to the batch, and to the index, when it is new; -1 for a
+// stored-only field.
+func (b *fieldBatch) slot(name string) int32 {
+	if len(name) > 0 && name[0] == '_' {
+		return -1
+	}
+	fi := b.ix.fields[name]
+	if fi == nil {
+		fi = newFieldIndex()
+		b.ix.fields[name] = fi
+	}
+	if i := slices.Index(b.fields, fi); i >= 0 {
+		return int32(i)
+	}
+	b.fields, b.head, b.tail = append(b.fields, fi), append(b.head, -1), append(b.tail, -1)
+	return int32(len(b.fields) - 1)
 }
 
 // indexField indexes every value of b's i-th field, document by document

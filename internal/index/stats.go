@@ -1,5 +1,7 @@
 package index
 
+import "strings"
+
 // Corpus-wide statistics for globally-consistent ranking across index
 // partitions. A single index scores terms against its own document
 // frequencies and lengths; a sharded deployment must not — each shard sees
@@ -13,13 +15,6 @@ package index
 // average field lengths. With identical inputs the per-shard scores are
 // bit-identical to the single-index scores, so a scatter-gather merge
 // reproduces the monolithic ranking exactly.
-
-// FieldTerm names one (field, analyzed term) pair: the unit AddDocStats
-// counts a document's fields and terms by.
-type FieldTerm struct {
-	Field string
-	Term  string
-}
 
 // FieldStats aggregates one field's collection statistics.
 type FieldStats struct {
@@ -211,12 +206,9 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 	}
 	r := c.fields(k)
 	all := string(r.b)
-	if sc.docTerms == nil {
-		sc.docTerms = make(map[FieldTerm]struct{})
-	}
-	clear(sc.docTerms)
+	sc.beginDoc()
 	cs.Docs++
-	for {
+	for pos := 0; ; pos++ {
 		name, text, _, ok := r.next()
 		if !ok {
 			return true
@@ -224,21 +216,14 @@ func (ix *Index) AddDocStats(cs *CorpusStats, id int, sc *Scratch) bool {
 		if len(name) > 0 && name[0] == '_' {
 			continue
 		}
-		fs := cs.Fields[name]
-		if fs == nil {
-			fs = &FieldStats{DocFreq: map[string]int{}}
-			cs.Fields[name] = fs
-		}
-		// df and Docs count documents, not occurrences or values: docTerms
-		// holds what this document has already been counted for, the field
-		// itself under the empty term (no analyzer emits one).
-		if sc.firstInDoc(FieldTerm{Field: name}) {
-			fs.Docs++
-		}
+		// df and Docs count documents, not occurrences or values: a field
+		// is counted at its first value in the document, a term at its
+		// first occurrence in the field.
+		f := sc.docField(cs, pos, name)
 		for _, t := range sc.analyze(ix.analyzer, all[r.at:r.at+len(text)]) {
-			fs.SumLen++
-			if sc.firstInDoc(FieldTerm{Field: name, Term: t}) {
-				fs.DocFreq[t]++
+			f.stats.SumLen++
+			if sc.firstInDoc(f, t) {
+				f.stats.DocFreq[t]++
 			}
 		}
 	}
@@ -271,12 +256,78 @@ func (sc *Scratch) mappedChunk(m *mappedIndex, id int) *storedChunk {
 	return c
 }
 
-// firstInDoc reports whether AddDocStats's current document has not been
-// counted for ft yet, and marks it counted.
-func (sc *Scratch) firstInDoc(ft FieldTerm) bool {
-	n := len(sc.docTerms)
-	sc.docTerms[ft] = struct{}{}
-	return len(sc.docTerms) > n
+// fieldTerms is what AddDocStats keeps of one field from one document to
+// the next. slots numbers the terms met in the field, and counted[i] is
+// the number of the document term i was last counted for; doc is the
+// document the field was last counted for, and stats its statistics in
+// the CorpusStats that document is summed into.
+type fieldTerms struct {
+	name    string
+	slots   map[string]int32
+	counted []uint64
+	doc     uint64
+	stats   *FieldStats
+}
+
+// termsMax bounds the terms a Scratch numbers for AddDocStats, under a
+// megabyte; past the bound the next document starts the numbering over.
+const termsMax = 1 << 14
+
+// beginDoc starts AddDocStats's next document, with no field or term
+// counted for it yet. The terms stay numbered from one document to the
+// next, so a term the documents share is entered once, not once per
+// document.
+func (sc *Scratch) beginDoc() {
+	sc.doc++
+	if sc.fieldTerms == nil || sc.numTerms > termsMax {
+		sc.fieldTerms, sc.numTerms, sc.byPos = make(map[string]*fieldTerms), 0, sc.byPos[:0]
+	}
+}
+
+// docField returns what AddDocStats keeps of the field named name, which
+// the document's value at position pos carries, and counts the document
+// for the field the first time the field comes up in it. Documents of one
+// layout find each field at its value's position, with no map lookup.
+func (sc *Scratch) docField(cs *CorpusStats, pos int, name string) *fieldTerms {
+	for pos >= len(sc.byPos) {
+		sc.byPos = append(sc.byPos, nil)
+	}
+	ft := sc.byPos[pos]
+	if ft == nil || ft.name != name {
+		if ft = sc.fieldTerms[name]; ft == nil {
+			// name may point into the document's stored bytes, which the
+			// map must not keep alive; so may a term.
+			ft = &fieldTerms{name: strings.Clone(name), slots: make(map[string]int32)}
+			sc.fieldTerms[ft.name] = ft
+		}
+		sc.byPos[pos] = ft
+	}
+	if ft.doc != sc.doc {
+		ft.doc, ft.stats = sc.doc, cs.Fields[name]
+		if ft.stats == nil {
+			ft.stats = &FieldStats{DocFreq: map[string]int{}}
+			cs.Fields[ft.name] = ft.stats
+		}
+		ft.stats.Docs++
+	}
+	return ft
+}
+
+// firstInDoc reports whether the current document has not been counted for
+// term t in field ft yet, and marks it counted.
+func (sc *Scratch) firstInDoc(ft *fieldTerms, t string) bool {
+	i, ok := ft.slots[t]
+	if !ok {
+		i = int32(len(ft.counted))
+		ft.slots[strings.Clone(t)] = i
+		ft.counted = append(ft.counted, 0)
+		sc.numTerms++
+	}
+	if ft.counted[i] == sc.doc {
+		return false
+	}
+	ft.counted[i] = sc.doc
+	return true
 }
 
 // SetCorpusStats installs corpus-wide statistics: all subsequent scoring

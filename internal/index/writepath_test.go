@@ -98,6 +98,32 @@ func TestAddDocStatsSumsDocuments(t *testing.T) {
 	}
 }
 
+// TestAddDocStatsReusedScratch sums documents through one Scratch as an
+// upsert's removal sum does: a field repeated apart from its first value
+// (a term shared by both values counts once for the document), terms
+// shared across documents, and enough distinct terms that the Scratch
+// starts its term numbering over between documents. The sum must equal
+// the index's own statistics.
+func TestAddDocStatsReusedScratch(t *testing.T) {
+	ix := New(StandardAnalyzer{})
+	for i := 0; i < 1200; i++ {
+		d := new(Document).Add("event", "goal shot").Add("narration", fmt.Sprintf("goal w%da w%db w%dc w%dd", i, i, i, i))
+		d.Add("_meta", "stored only").Add("event", fmt.Sprintf("goal w%da", i))
+		ix.Add(d)
+	}
+	sum := NewCorpusStats()
+	var sc Scratch
+	for id := 0; id < ix.NumDocs(); id++ {
+		ix.AddDocStats(sum, id, &sc)
+	}
+	if !reflect.DeepEqual(sum, ix.LocalStats()) {
+		t.Errorf("accumulated statistics differ from the index's own")
+	}
+	if fs := sum.Fields["event"]; fs.Docs != 1200 || fs.DocFreq["goal"] != 1200 || fs.DocFreq["w7a"] != 1 {
+		t.Errorf("event: Docs %d, df(goal) %d, df(w7a) %d; want 1200, 1200, 1", fs.Docs, fs.DocFreq["goal"], fs.DocFreq["w7a"])
+	}
+}
+
 // TestMergeMatchesRebuildAtFinalSizes merges three sources with tombstones
 // (one through a liveness mask), a field and a term that first appear in a
 // later source, and a field only tombstoned documents carry. The result

@@ -30,7 +30,7 @@ type Result struct {
 // still read the pre-inference model, with the provenance keyed by terms.
 func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
 	inf := m.Clone()
-	byID := Saturate(r, rules.Compile(ruleSet), inf)
+	byID := Saturate(r, rules.Compile(ruleSet), inf).Derived()
 	prov := make(map[rdf.Triple]string, len(byID))
 	for t, rule := range byID {
 		prov[inf.Graph.Triple(t)] = rule
@@ -39,17 +39,18 @@ func Run(r *reasoner.Reasoner, ruleSet []*rules.Rule, m *owl.Model) Result {
 }
 
 // Saturate saturates the model in place under the reasoner and the compiled
-// rules and returns the rule provenance, in the graph's IDs, which feeds the
-// FromRules index field of Table 2. The reasoner's Saturator and the rule
-// Engine alternate on the model's graph, each resuming from what the other
-// added since its last turn, until the rules add nothing.
-func Saturate(r *reasoner.Reasoner, prog *rules.Program, m *owl.Model) map[rdf.IDTriple]string {
+// rules and returns the rule engine, whose Asserted (by log offset) and
+// Derived (by triple) give the rule provenance that feeds the FromRules
+// index field of Table 2. The reasoner's Saturator and the rule Engine
+// alternate on the model's graph, each resuming from what the other added
+// since its last turn, until the rules add nothing.
+func Saturate(r *reasoner.Reasoner, prog *rules.Program, m *owl.Model) *rules.Engine {
 	sat := r.Saturator(m.Graph)
 	eng := prog.Engine(m.Graph)
 	for {
 		sat.Run()
 		if eng.Run() == 0 {
-			return eng.Derived()
+			return eng
 		}
 	}
 }

@@ -24,8 +24,12 @@ type Model struct {
 }
 
 // NewModel returns an empty ABox over the given ontology.
-func NewModel(o *Ontology) *Model {
-	return &Model{Ontology: o, Graph: rdf.NewGraph(), nextID: make(map[string]int)}
+func NewModel(o *Ontology) *Model { return NewModelOn(o, rdf.NewGraph()) }
+
+// NewModelOn returns an empty ABox over the ontology stored in g, which
+// must be empty: a new graph, or one Reset for reuse.
+func NewModelOn(o *Ontology, g *rdf.Graph) *Model {
+	return &Model{Ontology: o, Graph: g, nextID: make(map[string]int)}
 }
 
 // NewIndividual mints a fresh individual of the given class (by local name)

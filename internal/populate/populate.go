@@ -12,7 +12,9 @@
 package populate
 
 import (
+	"cmp"
 	"strings"
+	"sync"
 
 	"repro/internal/crawler"
 	"repro/internal/ie"
@@ -106,63 +108,62 @@ type Populator struct {
 // the away team gets no team triple, as an unknown scorer gets no
 // scorerPlayer triple.
 func (p *Populator) Populate(page *crawler.MatchPage, events []ie.Event) *PopulatedMatch {
-	m := owl.NewModel(p.Ontology)
+	return p.PopulateOn(rdf.NewGraph(), page, events)
+}
+
+// PopulateOn is Populate into g, which must be empty: a caller that
+// populates page after page passes one graph, Reset between pages, and
+// reuses its allocations.
+func (p *Populator) PopulateOn(g *rdf.Graph, page *crawler.MatchPage, events []ie.Event) *PopulatedMatch {
+	m := owl.NewModelOn(p.Ontology, g)
 	m.IDPrefix = iriSafe(page.ID) + "_"
 	// Inference saturates this same graph. A saturated match model measures
 	// about 2.8 IRIs, 1.7 other terms and 13 triples per narration on the
 	// benchmark corpus, so the graph is sized for that once.
 	n := len(page.Narrations)
 	m.Graph.Grow(3*n, 2*n, 14*n)
-	w := &writer{
-		m: m, g: m.Graph,
-		typ:       m.Graph.Intern(rdf.RDFType),
-		byBasic:   m.Graph.Intern(rdf.NewLiteral("basic")),
-		byIE:      m.Graph.Intern(rdf.NewLiteral("ie")),
-		vocab:     make(map[string]rdf.ID, 64),
-		ints:      make(map[int]rdf.ID, 128),
-		players:   make(map[string]rdf.ID, 32),
-		goalByKey: make(map[eventKey]rdf.ID, len(page.Goals)),
-		subByKey:  make(map[eventKey]rdf.ID, len(page.Subs)),
-	}
+	w := writers.Get().(*writer)
+	defer writers.Put(w)
+	w.reset(m)
 	pm := &PopulatedMatch{Model: m, Page: page, Events: make([]EventRecord, 0, len(page.Goals)+len(page.Subs)+len(events))}
 
 	w.match = w.named(iriSafe(page.ID), "Match")
 	match := w.match
 	pm.MatchIRI = w.g.Term(match)
-	w.setString(match, "hasDate", page.Date)
-	w.setInt(match, "homeScore", page.HomeScore)
-	w.setInt(match, "awayScore", page.AwayScore)
+	w.setString(match, w.iri("hasDate"), page.Date)
+	w.setInt(match, w.iri("homeScore"), page.HomeScore)
+	w.setInt(match, w.iri("awayScore"), page.AwayScore)
 
 	stadium := w.named(iriSafe(page.Stadium), "Stadium")
-	w.set(match, "playedAtStadium", stadium)
+	w.set(match, w.iri("playedAtStadium"), stadium)
 	referee := w.named(iriSafe(page.Referee), "Referee")
-	w.setString(referee, "hasName", page.Referee)
-	w.set(match, "hasReferee", referee)
+	w.setString(referee, w.iri("hasName"), page.Referee)
+	w.set(match, w.iri("hasReferee"), referee)
 
 	w.teamNames = [2]string{page.Home, page.Away}
 	for i, teamName := range w.teamNames {
 		team := w.named(iriSafe(teamName), "Team")
 		w.teams[i] = team
-		w.setString(team, "hasName", teamName)
+		w.setString(team, w.iri("hasName"), teamName)
 		if i == 0 {
-			w.set(match, "homeTeam", team)
+			w.set(match, w.iri("homeTeam"), team)
 		} else {
-			w.set(match, "awayTeam", team)
+			w.set(match, w.iri("awayTeam"), team)
 		}
 		if coach := page.Coaches[teamName]; coach != "" {
 			c := w.named(iriSafe(coach), "Coach")
-			w.setString(c, "hasName", coach)
-			w.set(team, "hasCoach", c)
+			w.setString(c, w.iri("hasName"), coach)
+			w.set(team, w.iri("hasCoach"), c)
 		}
 		for _, pl := range page.Lineups[teamName] {
 			player := w.named(iriSafe(pl.Name), soccer.PositionClass(pl.Position))
 			w.players[pl.Short] = player
-			w.setString(player, "hasName", pl.Name)
-			w.setInt(player, "shirtNumber", pl.Shirt)
-			w.set(player, "playsFor", team)
-			w.set(team, "hasPlayer", player)
+			w.setString(player, w.iri("hasName"), pl.Name)
+			w.setInt(player, w.iri("shirtNumber"), pl.Shirt)
+			w.set(player, w.iri("playsFor"), team)
+			w.set(team, w.iri("hasPlayer"), player)
 			if pl.Position == "GK" {
-				w.set(team, "hasGoalkeeper", player)
+				w.set(team, w.iri("hasGoalkeeper"), player)
 			}
 		}
 	}
@@ -173,9 +174,9 @@ func (p *Populator) Populate(page *crawler.MatchPage, events []ie.Event) *Popula
 		}
 		player := w.named(iriSafe(s.On), "Player")
 		w.players[s.On] = player
-		w.setString(player, "hasName", s.On)
+		w.setString(player, w.iri("hasName"), s.On)
 		if team, ok := w.team(s.Team); ok {
-			w.set(player, "playsFor", team)
+			w.set(player, w.iri("playsFor"), team)
 		}
 	}
 
@@ -185,35 +186,35 @@ func (p *Populator) Populate(page *crawler.MatchPage, events []ie.Event) *Popula
 		if g.OwnGoal {
 			kind = soccer.KindOwnGoal
 		}
-		ev := w.mint(string(kind))
-		w.setInt(ev, "inMinute", g.Minute)
-		w.set(ev, "inMatch", match)
-		w.set(ev, "extractedBy", w.byBasic)
+		ev, _ := w.mint(kind)
+		w.setInt(ev, w.inMinute, g.Minute)
+		w.set(ev, w.inMatch, match)
+		w.set(ev, w.extractedBy, w.byBasic)
 		if pl, ok := w.players[g.Scorer]; ok {
-			w.set(ev, "scorerPlayer", pl)
+			w.set(ev, w.iri("scorerPlayer"), pl)
 		}
 		// GoalInfo.Team is the credited team — for an own goal, the
 		// opponent of the scorer, which is exactly what scoringTeam means.
 		if team, ok := w.team(g.Team); ok {
-			w.set(ev, "scoringTeam", team)
+			w.set(ev, w.scoringTeam, team)
 		}
 		w.goalByKey[eventKey{g.Minute, g.Scorer}] = ev
 		pm.Events = append(pm.Events, EventRecord{Individual: ev, Kind: kind, Minute: g.Minute, NarrationIdx: -1})
 	}
 	// Basic-information substitutions.
 	for _, s := range page.Subs {
-		ev := w.mint("Substitution")
-		w.setInt(ev, "inMinute", s.Minute)
-		w.set(ev, "inMatch", match)
-		w.set(ev, "extractedBy", w.byBasic)
+		ev, _ := w.mint(soccer.KindSubstitution)
+		w.setInt(ev, w.inMinute, s.Minute)
+		w.set(ev, w.inMatch, match)
+		w.set(ev, w.extractedBy, w.byBasic)
 		if pl, ok := w.players[s.Off]; ok {
-			w.set(ev, "substitutedPlayer", pl)
+			w.set(ev, w.iri("substitutedPlayer"), pl)
 		}
 		if pl, ok := w.players[s.On]; ok {
-			w.set(ev, "substitutePlayer", pl)
+			w.set(ev, w.iri("substitutePlayer"), pl)
 		}
 		if team, ok := w.team(s.Team); ok {
-			w.set(ev, "subjectTeam", team)
+			w.set(ev, w.subjectTeam, team)
 		}
 		w.subByKey[eventKey{s.Minute, s.Off}] = ev
 		pm.Events = append(pm.Events, EventRecord{Individual: ev, Kind: soccer.KindSubstitution, Minute: s.Minute, NarrationIdx: -1})
@@ -229,15 +230,21 @@ func (p *Populator) Populate(page *crawler.MatchPage, events []ie.Event) *Popula
 // writer is one Populate call's state. It asserts by ID: each property,
 // class and repeated literal is interned once per page, each individual
 // when it is named or minted, and every triple after that is one AddIDs.
+// Writers are pooled, their maps cleared between pages.
 type writer struct {
 	m   *owl.Model
 	g   *rdf.Graph
 	typ rdf.ID
 	// byBasic and byIE are the two extractedBy values.
 	byBasic, byIE rdf.ID
-	// vocab holds the IDs of the properties and classes used so far, by
-	// local name; ints those of the integer literals.
+	// The properties of the events.
+	inMinute, inMatch, extractedBy, narration rdf.ID
+	subjectTeam, objectTeam, scoringTeam      rdf.ID
+	// vocab holds the IDs of the other properties and classes used so far,
+	// by local name; kinds those an event kind is asserted with; ints
+	// those of the integer literals.
 	vocab map[string]rdf.ID
+	kinds map[soccer.EventKind]kindIDs
 	ints  map[int]rdf.ID
 
 	match     rdf.ID
@@ -247,6 +254,55 @@ type writer struct {
 	// goalByKey and subByKey hold the basic-information goals and
 	// substitutions that extracted duplicates enrich.
 	goalByKey, subByKey map[eventKey]rdf.ID
+}
+
+// kindIDs are the IDs an event of one kind is asserted with: its class
+// and its subject and object role properties.
+type kindIDs struct {
+	class, subj, obj rdf.ID
+}
+
+var writers = sync.Pool{New: func() any {
+	return &writer{
+		vocab:     make(map[string]rdf.ID, 64),
+		kinds:     make(map[soccer.EventKind]kindIDs, 48),
+		ints:      make(map[int]rdf.ID, 128),
+		players:   make(map[string]rdf.ID, 32),
+		goalByKey: make(map[eventKey]rdf.ID, 8),
+		subByKey:  make(map[eventKey]rdf.ID, 8),
+	}
+}}
+
+// reset readies w for populating m, forgetting the page before.
+func (w *writer) reset(m *owl.Model) {
+	clear(w.vocab)
+	clear(w.kinds)
+	clear(w.ints)
+	clear(w.players)
+	clear(w.goalByKey)
+	clear(w.subByKey)
+	w.m, w.g = m, m.Graph
+	w.typ = w.g.Intern(rdf.RDFType)
+	w.byBasic = w.g.Intern(rdf.NewLiteral("basic"))
+	w.byIE = w.g.Intern(rdf.NewLiteral("ie"))
+	w.inMinute, w.inMatch = w.iri("inMinute"), w.iri("inMatch")
+	w.extractedBy, w.narration = w.iri("extractedBy"), w.iri("narration")
+	w.subjectTeam, w.objectTeam = w.iri("subjectTeam"), w.iri("objectTeam")
+	w.scoringTeam = w.iri("scoringTeam")
+}
+
+// kind returns the IDs events of the kind are asserted with: the most
+// specific role properties the ontology defines for it, or the generic
+// ones.
+func (w *writer) kind(k soccer.EventKind) kindIDs {
+	ids, ok := w.kinds[k]
+	if !ok {
+		roles := roleProperties[k]
+		subj, obj := cmp.Or(roles.subj, "subjectPlayer"), cmp.Or(roles.obj, "objectPlayer")
+		ids = kindIDs{class: w.iri(string(k)), subj: w.iri(subj), obj: w.iri(obj)}
+		w.kinds[k] = ids
+	}
+	return ids
 }
 
 // eventKey identifies a basic-information event by its minute and the
@@ -273,22 +329,22 @@ func (w *writer) named(name, class string) rdf.ID {
 	return id
 }
 
-// mint asserts a fresh sequentially named individual of the class.
-func (w *writer) mint(class string) rdf.ID {
-	id := w.g.Intern(w.m.Mint(class))
-	w.g.AddIDs(id, w.typ, w.iri(class))
-	return id
+// mint asserts a fresh sequentially named event individual of the kind's
+// class, and returns it with the kind's IDs.
+func (w *writer) mint(k soccer.EventKind) (rdf.ID, kindIDs) {
+	ids := w.kind(k)
+	id := w.g.Intern(w.m.Mint(string(k)))
+	w.g.AddIDs(id, w.typ, ids.class)
+	return id, ids
 }
 
-func (w *writer) set(ind rdf.ID, prop string, value rdf.ID) {
-	w.g.AddIDs(ind, w.iri(prop), value)
-}
+func (w *writer) set(ind, prop, value rdf.ID) { w.g.AddIDs(ind, prop, value) }
 
-func (w *writer) setString(ind rdf.ID, prop, value string) {
+func (w *writer) setString(ind, prop rdf.ID, value string) {
 	w.set(ind, prop, w.g.Intern(rdf.NewLiteral(value)))
 }
 
-func (w *writer) setInt(ind rdf.ID, prop string, value int) {
+func (w *writer) setInt(ind, prop rdf.ID, value int) {
 	id, ok := w.ints[value]
 	if !ok {
 		id = w.g.Intern(rdf.NewInt(value))
@@ -312,58 +368,49 @@ func (w *writer) populateEvent(pm *PopulatedMatch, ev ie.Event) {
 	if isGoalKind(ev.Kind) && ev.HasSubject() {
 		if existing, ok := w.goalByKey[eventKey{ev.Minute, ev.Subject.Name}]; ok {
 			// Add the more specific subtype (HeaderGoal etc.) and narration.
-			w.g.AddIDs(existing, w.typ, w.iri(string(ev.Kind)))
-			w.setString(existing, "narration", ev.Narration)
+			w.g.AddIDs(existing, w.typ, w.kind(ev.Kind).class)
+			w.setString(existing, w.narration, ev.Narration)
 			attachRecordNarration(pm, existing, ev)
 			return
 		}
 	}
 	if ev.Kind == soccer.KindSubstitution && ev.HasSubject() {
 		if existing, ok := w.subByKey[eventKey{ev.Minute, ev.Subject.Name}]; ok {
-			w.setString(existing, "narration", ev.Narration)
+			w.setString(existing, w.narration, ev.Narration)
 			attachRecordNarration(pm, existing, ev)
 			return
 		}
 	}
 
-	ind := w.mint(string(ev.Kind))
-	w.setInt(ind, "inMinute", ev.Minute)
-	w.set(ind, "inMatch", w.match)
-	w.setString(ind, "narration", ev.Narration)
+	ind, kind := w.mint(ev.Kind)
+	w.setInt(ind, w.inMinute, ev.Minute)
+	w.set(ind, w.inMatch, w.match)
+	w.setString(ind, w.narration, ev.Narration)
 	if ev.Kind != soccer.KindUnknown {
-		w.set(ind, "extractedBy", w.byIE)
+		w.set(ind, w.extractedBy, w.byIE)
 	}
 
-	roles := roleProperties[ev.Kind]
 	if ev.HasSubject() {
 		if pl, ok := w.players[ev.Subject.Name]; ok {
-			prop := roles.subj
-			if prop == "" {
-				prop = "subjectPlayer"
-			}
-			w.set(ind, prop, pl)
+			w.set(ind, kind.subj, pl)
 		}
 	}
 	if ev.HasObject() {
 		if pl, ok := w.players[ev.Object.Name]; ok {
-			prop := roles.obj
-			if prop == "" {
-				prop = "objectPlayer"
-			}
-			w.set(ind, prop, pl)
+			w.set(ind, kind.obj, pl)
 		}
 	}
 	if ev.SubjectTeam != "" {
 		if team, ok := w.team(ev.SubjectTeam); ok {
-			w.set(ind, "subjectTeam", team)
+			w.set(ind, w.subjectTeam, team)
 			if isGoalKind(ev.Kind) && ev.Kind != soccer.KindOwnGoal {
-				w.set(ind, "scoringTeam", team)
+				w.set(ind, w.scoringTeam, team)
 			}
 		}
 	}
 	if ev.ObjectTeam != "" {
 		if team, ok := w.team(ev.ObjectTeam); ok {
-			w.set(ind, "objectTeam", team)
+			w.set(ind, w.objectTeam, team)
 		}
 	}
 	pm.Events = append(pm.Events, EventRecord{
@@ -402,6 +449,7 @@ func isGoalKind(k soccer.EventKind) bool {
 // iriSafe turns display names into IRI-safe local names.
 func iriSafe(s string) string {
 	var b strings.Builder
+	b.Grow(len(s))
 	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-', r == '.':

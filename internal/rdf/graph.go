@@ -21,11 +21,12 @@ type IDTriple struct {
 
 // Graph is an in-memory set of triples. Terms are dictionary-encoded to
 // dense IDs when they first enter the graph; a triple is stored once, as
-// three IDs, in an append-only log, and threaded onto three chains — the
-// triples sharing its subject, its predicate and its object — so the
-// pattern queries of the reasoner and rule engine follow a chain instead
-// of scanning, and never copy candidates. Whether a triple is present is
-// one probe of an open-addressed table of log offsets.
+// three IDs, in an append-only log, and threaded onto three doubly linked
+// chains — the triples sharing its subject, its predicate and its object —
+// so the pattern queries of the reasoner and rule engine follow the
+// shortest bound chain instead of scanning, and never copy candidates.
+// Whether a triple is present is one probe of an open-addressed table of
+// log offsets.
 //
 // Every query visits triples in the order they were added, whichever
 // chain answers it. Match makes no stronger promise; All, Objects,
@@ -43,7 +44,8 @@ type Graph struct {
 	rest  map[Term]ID
 
 	// log holds the triples in insertion order; a removed triple leaves a
-	// slot with a zero subject. ends[id-1] bounds the chains of term id.
+	// slot with a zero subject. ends[id-1] bounds and counts the chains of
+	// term id.
 	log  []logEntry
 	ends []chainEnds
 	// table finds a triple's log entry: each slot holds a log offset+1, or
@@ -55,19 +57,25 @@ type Graph struct {
 	used  int
 	// removals counts successful Removes over the graph's life.
 	removals int
+	// room holds the entry counts iris and rest were last made for: a map
+	// keeps its capacity when Reset clears it, so Grow remakes one only
+	// when it must hold more.
+	room [2]int
 }
 
 // logEntry is one stored triple plus, per position, the log offset+1 of the
-// next triple with the same term in that position (0 ends the chain).
+// next and of the previous triple with the same term in that position (0
+// ends the chain).
 type logEntry struct {
-	t    IDTriple
-	next [3]uint32
+	t          IDTriple
+	next, prev [3]uint32
 }
 
 // chainEnds holds, per position, the log offset+1 of the first and last
-// triple carrying the term there (0 when none does).
+// triple carrying the term there (0 when none does), and how many live
+// triples carry it there.
 type chainEnds struct {
-	head, tail [3]uint32
+	head, tail, n [3]uint32
 }
 
 // NewGraph returns an empty graph.
@@ -86,11 +94,28 @@ func (g *Graph) Grow(iris, others, triples int) {
 	g.terms = slices.Grow(g.terms, iris+others)
 	g.ends = slices.Grow(g.ends, iris+others)
 	g.log = slices.Grow(g.log, triples)
-	g.iris = grown(g.iris, iris)
-	g.rest = grown(g.rest, others)
+	if n := len(g.iris) + iris; n > g.room[0] {
+		g.iris, g.room[0] = grown(g.iris, iris), n
+	}
+	if n := len(g.rest) + others; n > g.room[1] {
+		g.rest, g.room[1] = grown(g.rest, others), n
+	}
 	if !g.fits(triples) {
 		g.resize(g.Len() + triples)
 	}
+}
+
+// Reset empties the graph, dictionary included, and keeps its allocations,
+// so a caller that builds one graph after another reuses the room the
+// largest took. IDs start again from 1.
+func (g *Graph) Reset() {
+	g.room = [2]int{max(g.room[0], len(g.iris)), max(g.room[1], len(g.rest))}
+	clear(g.terms) // drop the term strings
+	g.terms, g.log, g.ends = g.terms[:0], g.log[:0], g.ends[:0]
+	clear(g.iris)
+	clear(g.rest)
+	clear(g.table)
+	g.used, g.removals = 0, 0
 }
 
 // The table is a power of two slots long and at most maxLoad full,
@@ -151,6 +176,19 @@ func (g *Graph) find(t IDTriple) (int, bool) {
 			free = i
 		}
 	}
+}
+
+// offset returns the log offset of t, which must have non-zero IDs, and
+// whether t is present.
+func (g *Graph) offset(t IDTriple) (int, bool) {
+	if len(g.table) == 0 {
+		return 0, false
+	}
+	i, ok := g.find(t)
+	if !ok {
+		return 0, false
+	}
+	return int(g.table[i]) - 1, true
 }
 
 // grown returns a copy of m with room for n more entries: a map's capacity
@@ -235,6 +273,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	off := uint32(len(g.log))
 	g.table[i] = off + 1
 	g.log = append(g.log, logEntry{t: t})
+	l := &g.log[off]
 	for pos, id := range [3]ID{s, p, o} {
 		e := &g.ends[id-1]
 		if e.tail[pos] == 0 {
@@ -242,14 +281,15 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 		} else {
 			g.log[e.tail[pos]-1].next[pos] = off + 1
 		}
+		l.prev[pos] = e.tail[pos]
 		e.tail[pos] = off + 1
+		e.n[pos]++
 	}
 	return true
 }
 
 // Remove deletes a triple. It reports whether the triple was present.
-// Removal walks the triple's three chains to unlink it, which is
-// O(degree).
+// The triple's three chains are doubly linked, so unlinking it is O(1).
 func (g *Graph) Remove(t Triple) bool {
 	it, ok := g.lookup3(t)
 	if !ok || len(g.table) == 0 {
@@ -262,11 +302,7 @@ func (g *Graph) Remove(t Triple) bool {
 	off := g.table[i] - 1
 	for pos, id := range [3]ID{it.S, it.P, it.O} {
 		e := &g.ends[id-1]
-		prev := uint32(0)
-		for cur := e.head[pos]; cur != off+1; cur = g.log[cur-1].next[pos] {
-			prev = cur
-		}
-		next := g.log[off].next[pos]
+		prev, next := g.log[off].prev[pos], g.log[off].next[pos]
 		if prev == 0 {
 			e.head[pos] = next
 		} else {
@@ -274,7 +310,10 @@ func (g *Graph) Remove(t Triple) bool {
 		}
 		if next == 0 {
 			e.tail[pos] = prev
+		} else {
+			g.log[next-1].prev[pos] = prev
 		}
+		e.n[pos]--
 	}
 	g.log[off] = logEntry{}
 	g.removals++
@@ -331,52 +370,88 @@ type Cursor struct {
 	pos   int
 	next  uint32 // offset+1 of the next candidate; 0 when exhausted
 	bound uint32 // end of the visited log range: LogLen at Scan time, or ScanRange's to
+	at    uint32 // offset+1 of T
 	// T is the current triple, valid after Next returned true.
 	T IDTriple
 }
 
 // Scan starts an iteration over the triples matching the pattern, where a
-// zero ID is a wildcard, in insertion order. It follows the subject chain
-// when the subject is bound, else the object chain, else the predicate
-// chain — the order of typical selectivity in ABox data.
+// zero ID is a wildcard, in insertion order. A fully bound pattern is one
+// probe of the table; otherwise Scan follows the shortest chain of a bound
+// term — the subject's, then the object's, then the predicate's on a tie —
+// and reads the log only when nothing is bound. Every chain is in log
+// order, so the choice changes what is read, never what is visited.
 func (g *Graph) Scan(s, p, o ID) Cursor {
-	c := Cursor{g: g, want: IDTriple{s, p, o}, pos: -1, bound: uint32(len(g.log))}
+	if s != 0 && p != 0 && o != 0 {
+		return g.ScanRange(s, p, o, 0, len(g.log))
+	}
+	c := Cursor{g: g, want: IDTriple{s, p, o}, bound: uint32(len(g.log))}
+	c.pos = g.chain(s, p, o)
 	switch {
-	case s != 0:
-		c.pos, c.next = 0, g.ends[s-1].head[0]
-	case o != 0:
-		c.pos, c.next = 2, g.ends[o-1].head[2]
-	case p != 0:
-		c.pos, c.next = 1, g.ends[p-1].head[1]
+	case c.pos >= 0:
+		c.next = g.ends[[3]ID{s, p, o}[c.pos]-1].head[c.pos]
 	case len(g.log) > 0:
 		c.next = 1
 	}
 	return c
 }
 
+// chain picks the chain Scan follows for the pattern: the position of the
+// bound term whose chain holds the fewest triples, or -1 when none is
+// bound.
+func (g *Graph) chain(s, p, o ID) int {
+	pos, n := -1, uint32(0)
+	for _, at := range [3]int{0, 2, 1} {
+		id := [3]ID{s, p, o}[at]
+		if id == 0 {
+			continue
+		}
+		if k := g.ends[id-1].n[at]; pos < 0 || k < n {
+			pos, n = at, k
+		}
+	}
+	return pos
+}
+
 // ScanRange is Scan restricted to the triples at log offsets [from, to),
-// with to at most LogLen(). A chain is linked from its head and cannot be
-// entered part-way, so a range starting past 0 is read from the log —
-// unless the chain Scan would follow ends before from, when nothing
-// matches.
+// with to at most LogLen(). A fully bound pattern is one probe of the
+// table. A range starting past 0 enters the chain from its tail, walking
+// back over the chain's triples at or past from, so it reads none of the
+// log between them; with nothing bound it reads the log from from.
 func (g *Graph) ScanRange(s, p, o ID, from, to int) Cursor {
+	if s != 0 && p != 0 && o != 0 {
+		c := Cursor{g: g, want: IDTriple{s, p, o}, pos: -1}
+		if off, ok := g.offset(IDTriple{s, p, o}); ok && off >= from && off < to {
+			c.next, c.bound = uint32(off)+1, uint32(off)+1
+		}
+		return c
+	}
 	c := g.Scan(s, p, o)
 	c.bound = uint32(to)
 	if from == 0 || c.next == 0 {
 		return c
 	}
-	if c.pos >= 0 && g.ends[[3]ID{s, p, o}[c.pos]-1].tail[c.pos] <= uint32(from) {
+	if c.pos < 0 {
+		c.next = uint32(from) + 1
+		return c
+	}
+	cur := g.ends[[3]ID{s, p, o}[c.pos]-1].tail[c.pos]
+	if cur <= uint32(from) {
 		c.next = 0
 		return c
 	}
-	c.pos, c.next = -1, uint32(from)+1
+	for prev := g.log[cur-1].prev[c.pos]; prev > uint32(from); prev = g.log[cur-1].prev[c.pos] {
+		cur = prev
+	}
+	c.next = cur
 	return c
 }
 
 // Next advances to the next matching triple and reports whether there is one.
 func (c *Cursor) Next() bool {
 	for c.next != 0 && c.next <= c.bound {
-		e := &c.g.log[c.next-1]
+		at := c.next
+		e := &c.g.log[at-1]
 		if c.pos >= 0 {
 			c.next = e.next[c.pos]
 		} else {
@@ -384,13 +459,16 @@ func (c *Cursor) Next() bool {
 		}
 		t, w := e.t, c.want
 		if t.S != 0 && (w.S == 0 || t.S == w.S) && (w.P == 0 || t.P == w.P) && (w.O == 0 || t.O == w.O) {
-			c.T = t
+			c.T, c.at = t, at
 			return true
 		}
 	}
 	c.next = 0
 	return false
 }
+
+// Offset returns the log offset of T, valid after Next returned true.
+func (c *Cursor) Offset() int { return int(c.at) - 1 }
 
 // Wildcard is the zero Term; passing it to Match leaves that position
 // unconstrained.

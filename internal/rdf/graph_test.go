@@ -486,3 +486,85 @@ func TestGrowKeepsContentsAndSizesOnce(t *testing.T) {
 		t.Errorf("filling a grown graph allocated %.0f times", allocs)
 	}
 }
+
+// TestResetMatchesFresh: a graph Reset after holding other triples, some
+// removed, numbers terms and answers every query as a new graph given the
+// same adds does, and refilling it to its old size allocates nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var adds []Triple
+	for i := 0; i < 80; i++ {
+		adds = append(adds, randomTriple(r))
+	}
+	fill := func(g *Graph) {
+		g.Grow(40, 40, len(adds))
+		for _, tr := range adds {
+			g.Add(tr)
+		}
+	}
+	used := NewGraph()
+	for i := 0; i < 120; i++ {
+		used.Add(randomTriple(r))
+		if i%5 == 0 {
+			used.Remove(randomTriple(r))
+		}
+	}
+	used.Reset()
+	fresh := NewGraph()
+	fill(used)
+	fill(fresh)
+	if used.NumTerms() != fresh.NumTerms() || used.Len() != fresh.Len() || used.Removals() != 0 {
+		t.Fatalf("after Reset: %d terms, %d triples, %d removals; fresh %d terms, %d triples",
+			used.NumTerms(), used.Len(), used.Removals(), fresh.NumTerms(), fresh.Len())
+	}
+	for id := ID(1); id <= ID(fresh.NumTerms()); id++ {
+		if used.Term(id) != fresh.Term(id) {
+			t.Fatalf("term %d: %v after Reset, %v fresh", id, used.Term(id), fresh.Term(id))
+		}
+	}
+	for i := 0; i < fresh.LogLen(); i++ {
+		at, _ := fresh.At(i)
+		for mask := 0; mask < 8; mask++ {
+			want := [3]ID{at.S, at.P, at.O}
+			for pos := range want {
+				if mask&(1<<pos) == 0 {
+					want[pos] = 0
+				}
+			}
+			from := i / 2
+			var got, exp []IDTriple
+			for c := used.ScanRange(want[0], want[1], want[2], from, used.LogLen()); c.Next(); {
+				got = append(got, c.T)
+			}
+			for c := fresh.ScanRange(want[0], want[1], want[2], from, fresh.LogLen()); c.Next(); {
+				exp = append(exp, c.T)
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Fatalf("pattern %v from %d: %v after Reset, %v fresh", want, from, got, exp)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { used.Reset(); fill(used) }); allocs != 0 {
+		t.Errorf("refilling a Reset graph allocated %.0f times", allocs)
+	}
+}
+
+// TestCursorOffset: a cursor reports the log offset of each triple it
+// visits, by chain, by table probe and by log walk.
+func TestCursorOffset(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	g := NewGraph()
+	for i := 0; i < 60; i++ {
+		g.Add(randomTriple(r))
+	}
+	for i := 0; i < g.LogLen(); i++ {
+		at, _ := g.At(i)
+		for _, pat := range [][3]ID{{at.S, 0, 0}, {0, at.P, 0}, {0, 0, at.O}, {at.S, at.P, at.O}, {0, 0, 0}} {
+			for c := g.Scan(pat[0], pat[1], pat[2]); c.Next(); {
+				if got, ok := g.At(c.Offset()); !ok || got != c.T {
+					t.Fatalf("pattern %v: Offset %d holds %v, cursor at %v", pat, c.Offset(), got, c.T)
+				}
+			}
+		}
+	}
+}

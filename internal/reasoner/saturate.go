@@ -147,11 +147,18 @@ func (s *Saturator) schemaIndex(id rdf.ID) int32 {
 
 func (s *Saturator) isLiteral(id rdf.ID) bool { return s.g.Term(id).IsLiteral() }
 
-func (s *Saturator) derive(subj, pred, obj rdf.ID, d derivation) {
-	if s.g.AddIDs(subj, pred, obj) && s.explain != nil {
-		d.conclusion = rdf.IDTriple{S: subj, P: pred, O: obj}
-		s.explain(d)
-	}
+// add adds a derived triple and reports whether it was new and an explain
+// hook waits for its derivation, which the caller then builds and hands to
+// explained: a saturation without the hook builds none.
+func (s *Saturator) add(subj, pred, obj rdf.ID) bool {
+	return s.g.AddIDs(subj, pred, obj) && s.explain != nil
+}
+
+// explained hands the explain hook d, the derivation of the triple add
+// just added.
+func (s *Saturator) explained(d derivation) {
+	d.conclusion, _ = s.g.At(s.g.LogLen() - 1)
+	s.explain(d)
 }
 
 // Run saturates the graph to fixpoint: type closure along the class
@@ -171,7 +178,9 @@ func (s *Saturator) Run() {
 		if c := s.schemaIndex(t.O); t.P == typ && c >= 0 {
 			ax := &s.sc.class[c]
 			for _, sup := range ax.supers {
-				s.derive(t.S, typ, s.ids[sup], step("subClassOf", c, sup, t))
+				if s.add(t.S, typ, s.ids[sup]) {
+					s.explained(step("subClassOf", c, sup, t))
+				}
 			}
 			// i : C joins the (i p v) already present; later ones find
 			// this triple from the property side below.
@@ -187,13 +196,15 @@ func (s *Saturator) Run() {
 		}
 		ax := &s.sc.prop[p]
 		for _, sup := range ax.supers {
-			s.derive(t.S, s.ids[sup], t.O, step("subPropertyOf", p, sup, t))
+			if s.add(t.S, s.ids[sup], t.O) {
+				s.explained(step("subPropertyOf", p, sup, t))
+			}
 		}
-		if ax.domain != 0 {
-			s.derive(t.S, typ, s.ids[ax.domain], step("domain", p, ax.domain, t))
+		if ax.domain != 0 && s.add(t.S, typ, s.ids[ax.domain]) {
+			s.explained(step("domain", p, ax.domain, t))
 		}
-		if ax.rng != 0 && !s.isLiteral(t.O) {
-			s.derive(t.O, typ, s.ids[ax.rng], step("range", p, ax.rng, t))
+		if ax.rng != 0 && !s.isLiteral(t.O) && s.add(t.O, typ, s.ids[ax.rng]) {
+			s.explained(step("range", p, ax.rng, t))
 		}
 		for _, v := range ax.values {
 			if s.g.HasIDs(t.S, typ, s.ids[v.class]) {
@@ -208,7 +219,9 @@ func (s *Saturator) deriveFiller(v valueAxiom, typed, value rdf.IDTriple) {
 	if s.isLiteral(value.O) {
 		return
 	}
-	s.derive(value.O, s.ids[0], s.ids[v.filler], derivation{
-		rule: "allValuesFrom", axiom: [3]int32{v.class, v.prop, v.filler},
-		premises: [2]rdf.IDTriple{typed, value}})
+	if s.add(value.O, s.ids[0], s.ids[v.filler]) {
+		s.explained(derivation{
+			rule: "allValuesFrom", axiom: [3]int32{v.class, v.prop, v.filler},
+			premises: [2]rdf.IDTriple{typed, value}})
+	}
 }

@@ -117,9 +117,18 @@ type Engine struct {
 	delta, w, now int
 	slots         []rdf.ID
 	matches       []rdf.ID
-	// derived records rule provenance for every asserted triple; the
-	// semantic indexer reads it to fill the FromRules field of Table 2.
-	derived map[rdf.IDTriple]string
+	// derived lists every triple the engine asserted, in assertion order,
+	// with the index of its rule; asserted has bit off set when the triple
+	// at log offset off is one of them. The semantic indexer reads the
+	// bits to fill the FromRules field of Table 2.
+	derived  []derivation
+	asserted []uint64
+}
+
+// derivation is one triple a rule asserted.
+type derivation struct {
+	t    rdf.IDTriple
+	rule int
 }
 
 // Engine binds the program to g: the graph gains the rules' constant terms
@@ -130,7 +139,6 @@ func (p *Program) Engine(g *rdf.Graph) *Engine {
 		ids:      make([]rdf.ID, len(p.consts)),
 		marks:    make([]int, len(p.prog)),
 		removals: g.Removals(),
-		derived:  make(map[rdf.IDTriple]string),
 	}
 	for i, t := range p.consts {
 		e.ids[i] = g.Intern(t)
@@ -175,8 +183,23 @@ func (e *Engine) Run() int {
 }
 
 // Derived returns rule-name provenance for every triple the engine has
-// asserted, over all its Runs, in the graph's IDs.
-func (e *Engine) Derived() map[rdf.IDTriple]string { return e.derived }
+// asserted, over all its Runs, in the graph's IDs. A triple asserted more
+// than once, after a removal, maps to its last rule.
+func (e *Engine) Derived() map[rdf.IDTriple]string {
+	out := make(map[rdf.IDTriple]string, len(e.derived))
+	for _, d := range e.derived {
+		out[d.t] = e.p.prog[d.rule].name
+	}
+	return out
+}
+
+// Asserted reports whether the triple at log offset off was asserted by
+// one of the engine's rules — the provenance Derived maps by triple, read
+// in O(1) through a Cursor's Offset.
+func (e *Engine) Asserted(off int) bool {
+	w := off / 64
+	return w < len(e.asserted) && e.asserted[w]&(1<<(off%64)) != 0
+}
 
 // resolve returns the node's ID under the current binding; an unbound
 // variable resolves to 0, the wildcard.
@@ -240,7 +263,12 @@ func (e *Engine) applyRule(ri int) int {
 		for _, h := range r.head {
 			s, p, o := e.resolve(h[0]), e.resolve(h[1]), e.resolve(h[2])
 			if g.AddIDs(s, p, o) {
-				e.derived[rdf.IDTriple{S: s, P: p, O: o}] = r.name
+				e.derived = append(e.derived, derivation{rdf.IDTriple{S: s, P: p, O: o}, ri})
+				off := g.LogLen() - 1
+				for len(e.asserted) <= off/64 {
+					e.asserted = append(e.asserted, 0)
+				}
+				e.asserted[off/64] |= 1 << (off % 64)
 				added++
 			}
 		}

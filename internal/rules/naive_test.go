@@ -28,7 +28,7 @@ func NewNaiveEngine(p *Program, g *rdf.Graph) *NaiveEngine {
 // Derived afterwards.
 func (e *NaiveEngine) Run() int {
 	e.fired = nil
-	e.derived = make(map[rdf.IDTriple]string)
+	e.derived = nil
 	total := 0
 	for {
 		added := 0
@@ -88,7 +88,7 @@ func (e *NaiveEngine) applyRule(ri int) int {
 		for _, h := range r.head {
 			s, p, o := e.resolve(h[0]), e.resolve(h[1]), e.resolve(h[2])
 			if g.AddIDs(s, p, o) {
-				e.derived[rdf.IDTriple{S: s, P: p, O: o}] = r.name
+				e.derived = append(e.derived, derivation{rdf.IDTriple{S: s, P: p, O: o}, ri})
 				added++
 			}
 		}

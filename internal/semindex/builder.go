@@ -1,9 +1,9 @@
 package semindex
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/crawler"
@@ -58,14 +58,25 @@ type Builder struct {
 	// value next to its original value for each field").
 	EventTranslations map[string]string
 
-	// roles is the TBox knowledge the flattening step reads, derived from
+	// vocab is the TBox knowledge the flattening step reads, derived from
 	// Ontology and Reasoner on first use.
-	rolesOnce sync.Once
-	roles     map[rdf.Term]predicateRole
+	vocabOnce sync.Once
+	vocab     map[rdf.Term]*vocabText
 	// prog is Rules compiled on first use; immutable, so every page the
 	// Builder prepares, on any worker, runs the same one.
 	progOnce sync.Once
 	prog     *rules.Program
+	// scratch holds *pageScratch: what one page's preparation leaves for
+	// the next to reuse.
+	scratch sync.Pool
+}
+
+// pageScratch is the per-page state a Builder reuses from one page to the
+// next: the model graph, Reset between pages, and the flattener with its
+// caches and buffers. Nothing the documents hold points into it.
+type pageScratch struct {
+	graph *rdf.Graph
+	flat  flattener
 }
 
 // NewBuilder wires the default soccer pipeline.
@@ -119,16 +130,22 @@ func (b *Builder) PageDocuments(level Level, page *crawler.MatchPage) []*index.D
 }
 
 // tradDocs prepares each narration as a bare full-text document — the
-// traditional vector-space baseline.
+// traditional vector-space baseline. Like the flattened levels' documents,
+// the page's documents share one Document array and one Field array, each
+// document's window holding exactly its four fields.
 func (b *Builder) tradDocs(page *crawler.MatchPage) []*index.Document {
-	out := make([]*index.Document, 0, len(page.Narrations))
+	const per = 4
+	fields := make([]index.Field, len(page.Narrations)*per)
+	docs := make([]index.Document, len(page.Narrations))
+	out := make([]*index.Document, len(page.Narrations))
 	for i, n := range page.Narrations {
-		d := &index.Document{}
+		d := &docs[i]
+		d.Fields = fields[i*per : i*per : (i+1)*per]
 		d.Add(FieldNarration, n.Text)
 		d.Add(MetaMatchID, page.ID)
-		d.Add(MetaNarration, fmt.Sprintf("%d", i))
-		d.Add(MetaMinute, fmt.Sprintf("%d", n.Minute))
-		out = append(out, d)
+		d.Add(MetaNarration, strconv.Itoa(i))
+		d.Add(MetaMinute, strconv.Itoa(n.Minute))
+		out[i] = d
 	}
 	return out
 }
@@ -148,19 +165,28 @@ func (b *Builder) semanticDocs(level Level, page *crawler.MatchPage) []*index.Do
 			}
 		}
 	}
+	ps, _ := b.scratch.Get().(*pageScratch)
+	if ps == nil {
+		ps = &pageScratch{graph: rdf.NewGraph()}
+	}
+	defer func() {
+		ps.graph.Reset()
+		b.scratch.Put(ps)
+	}()
 	pop := &populate.Populator{Ontology: b.Ontology}
-	pm := pop.Populate(page, events)
+	pm := pop.PopulateOn(ps.graph, page, events)
 
 	// Nothing reads the pre-inference model after this point, so it is
 	// saturated in place.
 	model := pm.Model
-	var provenance map[rdf.IDTriple]string
+	var eng *rules.Engine
 	inferred := level == FullInf || level == PhrExp
 	if inferred {
-		provenance = inference.Saturate(b.Reasoner, b.program(), model)
+		eng = inference.Saturate(b.Reasoner, b.program(), model)
 	}
 
-	f := b.newFlattener(level, page, model.Graph, provenance)
+	f := &ps.flat
+	f.reset(b, level, page, model.Graph, eng)
 	recs := pm.Events
 	if inferred {
 		// Rule-minted individuals (the Fig. 6 assists) are not in

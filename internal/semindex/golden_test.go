@@ -234,19 +234,22 @@ func TestDocumentFieldWindows(t *testing.T) {
 }
 
 // TestPageDocumentsAllocationCeiling keeps the per-page cost of the write
-// path from creeping back: flattening one FULL_INF page measured about
-// 1,030 allocations and 0.45 MB when this ceiling was set (1,048 and
-// 0.55 MB under -race, which does not fold slices.Grow's make into its
-// append; 1,035 and 0.48 MB before the graph's triples moved from a map to
-// a table of log offsets, 3,980 and 0.83 MB before the model was built by
-// ID, 8,000 and 1.6 MB before template matching stopped building a map per
-// attempt and inference stopped cloning the model; 68,900 and 30 MB before
-// graphs were integer-encoded), so the ceilings leave about a fifth again
-// as much room over the -race figures.
+// path from creeping back: flattening one FULL_INF page measured about 480
+// allocations and 0.19 MB when this ceiling was set (533 and 0.33 MB under
+// -race, which does not fold slices.Grow's make into its append and makes
+// sync.Pool drop a quarter of the page state the Builder hands it, so the
+// mean is taken over 299 pages; 1,030 and 0.45 MB, 1,048 and 0.55 MB
+// under -race, before the Builder pooled its page graphs and flatteners
+// and dispatched templates; 1,035 and 0.48 MB before the graph's triples
+// moved from a map to a table of log offsets, 3,980 and 0.83 MB before the
+// model was built by ID, 8,000 and 1.6 MB before template matching stopped
+// building a map per attempt and inference stopped cloning the model;
+// 68,900 and 30 MB before graphs were integer-encoded), so the ceilings
+// leave about a fifth again as much room over the -race figures.
 func TestPageDocumentsAllocationCeiling(t *testing.T) {
 	const (
-		maxAllocs = 1_250
-		maxBytes  = 662_000
+		maxAllocs = 640
+		maxBytes  = 397_000
 	)
 	pages := goldenPages(t)[:10]
 	b := NewBuilder()
@@ -254,7 +257,7 @@ func TestPageDocumentsAllocationCeiling(t *testing.T) {
 	i := 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(len(pages)-1, func() {
+	allocs := testing.AllocsPerRun(30*len(pages)-1, func() {
 		b.PageDocuments(FullInf, pages[i%len(pages)])
 		i++
 	})
@@ -267,4 +270,74 @@ func TestPageDocumentsAllocationCeiling(t *testing.T) {
 	if bytes > maxBytes {
 		t.Errorf("%.0f bytes per page, ceiling %d", bytes, maxBytes)
 	}
+}
+
+// TestPageDocumentsWarmBuilderMatchesFresh guards what a Builder keeps
+// from one page to the next — the tables it builds on first use and the
+// graphs and flatteners its pool hands from page to page: for every golden
+// page at all five levels, a Builder that has prepared other pages first,
+// and two goroutines sharing one Builder, must produce exactly the
+// documents (field names, texts and boosts, in order) that a fresh Builder
+// produces for that page alone.
+func TestPageDocumentsWarmBuilderMatchesFresh(t *testing.T) {
+	pages := goldenPages(t)
+	type job struct {
+		level Level
+		page  int
+	}
+	var jobs []job
+	fresh := map[job]string{}
+	for _, level := range Levels {
+		for i, page := range pages {
+			j := job{level, i}
+			jobs = append(jobs, j)
+			fresh[j] = renderDocs(NewBuilder().PageDocuments(level, page))
+		}
+	}
+	check := func(b *Builder, order []job) error {
+		for _, j := range order {
+			if got := renderDocs(b.PageDocuments(j.level, pages[j.page])); got != fresh[j] {
+				return fmt.Errorf("%s page %d: documents differ from a fresh Builder's", j.level, j.page)
+			}
+		}
+		return nil
+	}
+
+	// Warm: every page after others, levels interleaved, so each page
+	// follows a larger or smaller one at another level.
+	warm := slices.Clone(jobs)
+	slices.Reverse(warm)
+	for i := 1; i < len(warm); i += 2 {
+		k := (i * 37) % len(warm)
+		warm[i], warm[k] = warm[k], warm[i]
+	}
+	b := NewBuilder()
+	if err := check(b, warm); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shared: two goroutines on one Builder, in opposite orders.
+	shared := NewBuilder()
+	errs := make(chan error, 2)
+	for _, order := range [][]job{jobs, warm} {
+		go func() { errs <- check(shared, order) }()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// renderDocs renders documents byte for byte: every field's name, text
+// and boost, in document and field order.
+func renderDocs(docs []*index.Document) string {
+	var b strings.Builder
+	for _, d := range docs {
+		for _, f := range d.Fields {
+			fmt.Fprintf(&b, "%s\x00%s\x00%v\x00", f.Name, f.Text, f.Boost)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
