@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -153,6 +154,45 @@ func TestV1IngestDurableAcrossRestart(t *testing.T) {
 	want := shard.Build(nil, semindex.FullInf, pages[:3], shard.Options{Shards: 2})
 	if back.NumDocs() != want.NumDocs() {
 		t.Fatalf("recovered %d docs, want %d", back.NumDocs(), want.NumDocs())
+	}
+}
+
+// TestV1IngestPerPage posts an `atomic:false` batch of three pages, one
+// of them twice: it commits page by page, so the answer is a 200 whose
+// counts are those of the three pages ingested as one-page batches.
+func TestV1IngestPerPage(t *testing.T) {
+	pages := recoveryPages(t)
+	batch := []*crawler.MatchPage{pages[0], pages[2], pages[0]}
+	eng := shard.Build(nil, semindex.FullInf, pages[:2], shard.Options{Shards: 2})
+	srv := httptest.NewServer(NewHandler(eng))
+	defer srv.Close()
+
+	body, err := json.Marshal(map[string]any{"pages": batch, "atomic": false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack v1IngestBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	ref := shard.Build(nil, semindex.FullInf, pages[:2], shard.Options{Shards: 2})
+	var docs, tombstones int
+	for _, p := range batch {
+		res, err := ref.Ingest(context.Background(), []*crawler.MatchPage{p}, shard.IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, tombstones = docs+res.Docs, tombstones+res.Tombstones
+	}
+	if resp.StatusCode != http.StatusOK || ack.Pages != 3 || ack.Docs != docs || ack.Tombstones != tombstones || ack.TotalDocs != ref.NumDocs() {
+		t.Fatalf("per-page ingest: status %d, %+v; three one-page batches: %d docs, %d tombstones, %d live",
+			resp.StatusCode, ack, docs, tombstones, ref.NumDocs())
 	}
 }
 

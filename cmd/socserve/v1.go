@@ -83,15 +83,16 @@ type v1IngestBatchRequest struct {
 	// holds the bytes.
 	Durability string `json:"durability,omitempty"`
 	// Atomic (default true) logs the batch as one WAL record: recovery
-	// replays all of it or none. False logs per page; a mid-batch
-	// failure commits a prefix, reported in the response.
+	// replays all of it or none. False commits and logs page by page; a
+	// mid-batch failure commits a prefix, reported in the response.
 	Atomic *bool `json:"atomic,omitempty"`
 }
 
 // v1IngestBatchResponse acknowledges one committed batch.
 type v1IngestBatchResponse struct {
-	// SegmentID identifies the in-memory segment the batch became (0 for
-	// an empty batch).
+	// SegmentID identifies the in-memory segment the batch became, or
+	// for an `atomic:false` batch the last page's (0 when nothing
+	// committed).
 	SegmentID uint64 `json:"segmentId"`
 	TraceID   string `json:"traceId"`
 	// TookUs is the server-side wall time in microseconds.

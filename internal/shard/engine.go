@@ -177,17 +177,17 @@ type Engine struct {
 	// small engine. Set like stall.
 	slice int
 	// beforeCommit, when set, runs in Ingest between the prepare and the
-	// write lock, on the ingesting goroutine: the hook a test commits
-	// beside a prepared batch through. Set like stall.
+	// write lock, on the ingesting goroutine, with the batch's page leases
+	// held: the hook a test merges beside a prepared batch through. Set
+	// like stall.
 	beforeCommit func()
 	// failAppend (guarded by mu), when positive, counts down the WAL
 	// appends left until walAppend fails one instead of writing it: the
 	// seam a test fails a mid-batch append through. Set like stall.
 	failAppend int
-	// stalePrepares (guarded by mu) counts commits that summed their
-	// tombstones' statistics under the write lock because a commit had
-	// changed one of the batch's pages since the prepare summed them.
-	stalePrepares int
+	// leases are the page leases an upsert holds from its removal sum to
+	// the end of its commit, one slot per page-ID hash (see lease).
+	leases [leaseSlots]sync.Mutex
 
 	// gen is the snapshot generation the engine's state extends: 0 for
 	// a fresh build, the manifest's generation after Load, bumped by

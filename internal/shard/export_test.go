@@ -44,11 +44,3 @@ func (e *Engine) FailWALAppend(n int) {
 	defer e.mu.Unlock()
 	e.failAppend = n
 }
-
-// StalePrepares returns how many commits found their prepared removal sum
-// stale and summed their tombstones under the write lock.
-func (e *Engine) StalePrepares() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stalePrepares
-}

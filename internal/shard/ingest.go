@@ -2,8 +2,8 @@ package shard
 
 // The unified ingest surface: one Engine.Ingest(ctx, batch, options)
 // entry point mirroring the Search(ctx, query, options) redesign. Each
-// batch commits as one immutable in-memory segment per touched shard —
-// no shard rebuild, no statistics recompute, no lock held during
+// atomic batch commits as one immutable in-memory segment per touched
+// shard — no shard rebuild, no statistics recompute, no lock held during
 // document analysis. A page that was ingested before is REPLACED: its
 // previous documents are tombstoned in place and the new version gets
 // fresh global IDs (upsert semantics).
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -56,10 +57,10 @@ const (
 	// AtomicBatch logs the whole batch as ONE record: after a crash,
 	// recovery replays all of it or none of it.
 	AtomicBatch Atomicity = iota
-	// PerPage logs one record per page, each a one-page batch: a crash
-	// (or a mid-batch append failure) may commit a prefix. Ingest then
-	// returns the error along with the result describing the committed
-	// prefix.
+	// PerPage commits each page as a one-page atomic batch, logged as a
+	// record of its own: a crash (or a failed append, or a ctx done
+	// between pages) may commit a prefix. Ingest then returns the error
+	// along with the result describing the committed prefix.
 	PerPage
 )
 
@@ -73,12 +74,14 @@ type IngestOptions struct {
 
 // IngestResult describes one committed batch.
 type IngestResult struct {
-	// Segment is the batch's segment id (one per Ingest call; each
-	// touched shard gets a segment carrying this id). 0 means the batch
-	// was empty and no segment was created.
+	// Segment is the id of the segment the batch committed as (each
+	// touched shard gets a segment carrying it), or under PerPage the id
+	// of the last page's. 0 means nothing committed.
 	Segment uint64
-	// Pages and Docs count what committed (for PerPage with a mid-batch
-	// WAL failure, the prefix).
+	// Pages counts the pages committed, every copy of a repeated page
+	// included (for PerPage stopped mid-batch, the earlier pages). Docs
+	// counts the documents committed: an atomic batch's earlier copies of
+	// a page add none.
 	Pages int
 	Docs  int
 	// PerShard counts the new documents per shard.
@@ -95,33 +98,80 @@ type IngestResult struct {
 // the write lock does, outside any lock or under the read lock beside
 // searches: each page's documents are prepared, the statistics the
 // batch's tombstones will take out of the corpus view are summed, the WAL
-// records are encoded, and each touched shard's new segment is built, its
-// fields indexed in parallel (prepareBatch). The write lock then covers
-// only the WAL append and the bookkeeping of the commit: the prebuilt
-// segments join their shards, and previously-ingested pages with the same
-// IDs are tombstoned (upsert). The new documents are searchable, and
-// counted by NumDocs, the moment Ingest returns; corpus-wide statistics
-// are maintained incrementally and stay integer-exact, so rankings remain
-// byte-identical to a from-scratch build over the live documents.
+// record is encoded, and each touched shard's new segment is built, its
+// fields indexed in parallel, and its statistics taken (prepareBatch). The
+// write lock then covers only the WAL append and the bookkeeping of the
+// commit, which adopts that plan whole: the prebuilt segments join their
+// shards, and previously-ingested pages with the same IDs are tombstoned
+// (upsert). Within an atomic batch the last copy of a page wins; the
+// earlier copies are dropped before the prepare. The new documents are
+// searchable, and counted by NumDocs, the moment Ingest returns;
+// corpus-wide statistics are maintained incrementally and stay
+// integer-exact, so rankings remain byte-identical to a from-scratch build
+// over the live documents.
 //
-// A ctx that is already done returns its error without committing; the
-// deadline is NOT otherwise consulted (commits are short and atomic). An
-// engine that has been closed refuses the batch with an error.
+// A PerPage batch is a loop of one-page atomic commits, each its own WAL
+// record and segment, which is what replay makes of its records. A failed
+// append, or a ctx done between pages, stops the loop: Ingest returns the
+// error beside the result of the pages committed before it.
+//
+// A ctx that is already done returns its error without committing; it is
+// checked again after each atomic batch's prepare (under PerPage, each
+// page's), and is otherwise not consulted (commits are short and atomic). An engine that has been closed refuses the batch
+// with an error.
 func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts IngestOptions) (IngestResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, err
 	}
+	res := IngestResult{PerShard: make([]int, len(e.base))}
 	if len(pages) == 0 {
-		return IngestResult{PerShard: make([]int, len(e.base)), Durability: "none"}, nil
+		res.Durability = "none"
+		return res, nil
 	}
-	encode := func() ([][]byte, error) { return walRecords(pages, opts.Atomicity) }
-	pb, err := e.prepareBatch(pages, encode)
-	if err == nil {
-		err = ctx.Err()
+	batches := [][]*crawler.MatchPage{pages}
+	if opts.Atomicity == PerPage {
+		batches = make([][]*crawler.MatchPage, len(pages))
+		for i := range pages {
+			batches[i] = pages[i : i+1]
+		}
 	}
+	var met *engineMetrics
+	var err error
+	for i, batch := range batches {
+		var m *engineMetrics
+		if m, err = e.ingest(ctx, batch, opts, &res); m != nil {
+			met = m
+		}
+		if err != nil {
+			if opts.Atomicity == PerPage {
+				err = fmt.Errorf("shard: page %d of %d: %w", i+1, len(pages), err)
+			}
+			break
+		}
+	}
+	if met == nil {
+		return res, err
+	}
+	met.ingest.ObserveDuration(time.Since(start))
+	if opts.Merge == MergeAuto {
+		e.nudgeMerger()
+	}
+	return res, err
+}
+
+// ingest commits pages as one atomic batch, adding what committed to res,
+// unless ctx is done once they are prepared.
+// It returns the metrics the commit read under the write lock, nil when
+// nothing committed; a failed DurSync fsync returns them beside its error.
+func (e *Engine) ingest(ctx context.Context, pages []*crawler.MatchPage, opts IngestOptions, res *IngestResult) (*engineMetrics, error) {
+	pb, err := e.prepareBatch(pages)
 	if err != nil {
-		return IngestResult{}, err
+		return nil, err
+	}
+	defer e.unlease(pb.leased)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if e.beforeCommit != nil {
 		e.beforeCommit()
@@ -131,93 +181,41 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	locked := time.Now()
 	if e.closed {
 		e.mu.Unlock()
-		return IngestResult{}, errClosed
+		return nil, errClosed
 	}
-	committed := len(pages)
-	var walErr error
+	var syncErr error
 	ack := "none"
 	if e.wal != nil {
 		ack = "logged"
-		if pb.recs == nil && pb.encErr == nil {
+		if pb.rec == nil && pb.encErr == nil {
 			// The WAL was attached after the prepare looked.
-			pb.recs, pb.encErr = encode()
+			pb.rec, pb.encErr = json.Marshal(pb.pages)
 		}
-		committed, walErr = e.logLocked(pb, len(pages), opts)
+		err := pb.encErr
+		if err == nil {
+			err = e.walAppend(pb.rec, opts.Durability)
+		}
+		if err != nil {
+			e.mu.Unlock()
+			return nil, fmt.Errorf("shard: WAL append: %w", err)
+		}
 		switch opts.Durability {
 		case DurSync:
-			if committed > 0 {
-				if err := e.wal.Sync(); err != nil && walErr == nil {
-					walErr = fmt.Errorf("shard: WAL sync: %w", err)
-				}
+			if err := e.wal.Sync(); err != nil {
+				syncErr = fmt.Errorf("shard: WAL sync: %w", err)
 			}
 			ack = "synced"
 		case DurAsync:
 			ack = "buffered"
 		}
 	}
-	if committed == 0 {
-		e.mu.Unlock()
-		return IngestResult{PerShard: make([]int, len(e.base))}, walErr
-	}
-	res := e.commitLocked(pages[:committed], pb)
+	e.commitLocked(pb, res)
+	res.Pages += len(pages)
 	res.Durability = ack
 	met := e.met
 	e.mu.Unlock()
 	met.ingestCommit.ObserveDuration(time.Since(locked))
-	met.ingest.ObserveDuration(time.Since(start))
-
-	if opts.Merge == MergeAuto {
-		e.nudgeMerger()
-	}
-	return res, walErr
-}
-
-// walRecords encodes a batch's WAL records: one JSON array of all the pages,
-// or under PerPage one one-page array per page, up to the first page that
-// fails to encode.
-func walRecords(pages []*crawler.MatchPage, at Atomicity) ([][]byte, error) {
-	if at != PerPage {
-		rec, err := json.Marshal(pages)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{rec}, nil
-	}
-	recs := make([][]byte, 0, len(pages))
-	for _, p := range pages {
-		rec, err := json.Marshal([]*crawler.MatchPage{p})
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// logLocked appends a batch's encoded records and returns how many of its
-// pages they log: every page, none when the one record of an atomic batch
-// fails, or under PerPage the pages logged before the first failure, an
-// encode's included. Write lock held.
-func (e *Engine) logLocked(pb *preparedBatch, pages int, opts IngestOptions) (int, error) {
-	if opts.Atomicity != PerPage {
-		err := pb.encErr
-		if err == nil {
-			err = e.walAppend(pb.recs[0], opts.Durability)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("shard: WAL append: %w", err)
-		}
-		return pages, nil
-	}
-	for i, rec := range pb.recs {
-		if err := e.walAppend(rec, opts.Durability); err != nil {
-			return i, fmt.Errorf("shard: WAL append (page %d of %d): %w", i, pages, err)
-		}
-	}
-	if pb.encErr != nil {
-		return len(pb.recs), fmt.Errorf("shard: WAL append (page %d of %d): %w", len(pb.recs), pages, pb.encErr)
-	}
-	return pages, nil
+	return met, syncErr
 }
 
 // walAppend routes one record through the durability the caller asked
@@ -247,26 +245,26 @@ func (e *Engine) prepareDocs(pages []*crawler.MatchPage, workers int) [][]*index
 	return docsByPage
 }
 
-// preparedBatch is an upsert's work done before the write lock.
+// preparedBatch is an upsert's plan, made before the write lock and
+// adopted whole by the commit.
 type preparedBatch struct {
+	// pages are the batch's pages, each ID once (lastCopies), and leased
+	// the lease slots they hold (lease) until the commit is done.
+	pages  []*crawler.MatchPage
+	leased uint64
 	// docs holds each page's prepared documents, and segs each shard's
 	// new segment index: its documents, in page order (buildSegments; nil
-	// for a shard the batch adds none to). local holds each segment's
-	// LocalStats, taken when no page repeats within the batch (nil
-	// otherwise): a repeat tombstones its earlier copy at commit, inside
-	// the segment.
+	// for a shard the batch adds none to), and local its LocalStats.
 	docs  [][]*index.Document
 	segs  []*index.Index
 	local []*index.CorpusStats
-	// removed sums the statistics of the live documents each distinct page
-	// of the batch held when the prepare read pageGIDs, and read holds the
-	// slices it read, by page ID. The commit uses removed only while each
-	// of them is still its page's slice (readUnchangedLocked).
+	// removed sums the statistics of the live documents the batch's pages
+	// hold. The leases keep every other commit of those pages out until
+	// this one is done, so the sum is still exact at the commit.
 	removed *index.CorpusStats
-	read    map[string][]int
-	// recs are the batch's WAL records (walRecords) and encErr their
-	// encode error, both unset when the prepare found no WAL attached.
-	recs   [][]byte
+	// rec is the batch's WAL record and encErr its encode error, both
+	// unset when the prepare found no WAL attached.
+	rec    []byte
 	encErr error
 }
 
@@ -279,37 +277,90 @@ var statsScratch = sync.Pool{New: func() any { return new(index.Scratch) }}
 // unmapped.
 var errClosed = errors.New("shard: engine closed")
 
-// prepareBatch runs an upsert's prepare. One fanOut on up to GOMAXPROCS
-// goroutines runs sumRemoval in slot 0 (and, when encode is non-nil and a
-// WAL is attached, encodes the WAL records with it) and prepares page i−1's
-// documents in slot i > 0, so a one-page upsert sums its old version on one
-// core while its new version is prepared on another. buildSegments then
-// indexes the new documents, one field per core, and, when no page repeats
-// in the batch, each segment's statistics are taken. It fails only when
-// the engine is closed.
-func (e *Engine) prepareBatch(pages []*crawler.MatchPage, encode func() ([][]byte, error)) (*preparedBatch, error) {
-	pb := &preparedBatch{docs: make([][]*index.Document, len(pages))}
+// lastCopies returns pages without the copies of a page that a later copy
+// in the batch replaces, in order.
+func lastCopies(pages []*crawler.MatchPage) []*crawler.MatchPage {
+	if len(pages) < 2 {
+		return pages
+	}
+	last := make(map[string]int, len(pages))
+	for i, p := range pages {
+		last[p.ID] = i
+	}
+	if len(last) == len(pages) {
+		return pages
+	}
+	kept := make([]*crawler.MatchPage, 0, len(last))
+	for i, p := range pages {
+		if last[p.ID] == i {
+			kept = append(kept, p)
+		}
+	}
+	return kept
+}
+
+// leaseSlots is the size of the engine's page-lease table: the bits of
+// the uint64 a batch's slots are held in.
+const leaseSlots = 64
+
+// lease locks the lease slot of each page, found by the hash that places
+// pages on shards, in ascending slot order so that two batches cannot
+// deadlock, and returns the slots held. A page's pageGIDs slice changes
+// only in a commit of that page, and merges never touch the map, so a
+// removal sum taken under a page's lease stays exact until its commit
+// releases it.
+func (e *Engine) lease(pages []*crawler.MatchPage) uint64 {
+	var held uint64
+	for _, p := range pages {
+		held |= 1 << shardFor(p.ID, leaseSlots)
+	}
+	for set := held; set != 0; set &= set - 1 {
+		e.leases[bits.TrailingZeros64(set)].Lock()
+	}
+	return held
+}
+
+// unlease releases the lease slots lease returned.
+func (e *Engine) unlease(held uint64) {
+	for ; held != 0; held &= held - 1 {
+		e.leases[bits.TrailingZeros64(held)].Unlock()
+	}
+}
+
+// prepareBatch makes an upsert's plan from the last copy of each page.
+// One fanOut on up to GOMAXPROCS goroutines leases the pages and runs
+// sumRemoval in slot 0 (and, when a WAL is attached, encodes the WAL
+// record with it), and prepares page i−1's documents in
+// slot i > 0, so a one-page upsert sums its old version on one core while
+// its new version is prepared on another, and a second upsert of a leased
+// page waits only before its sum. buildSegments then indexes the new
+// documents, one field per core, and each segment's statistics are taken.
+// It fails only when the engine is closed; otherwise the caller releases
+// pb.leased once the plan is committed or dropped.
+func (e *Engine) prepareBatch(pages []*crawler.MatchPage) (*preparedBatch, error) {
+	pages = lastCopies(pages)
+	pb := &preparedBatch{pages: pages, docs: make([][]*index.Document, len(pages))}
 	var err error
 	fanOut(len(pages)+1, runtime.GOMAXPROCS(0), func(i int) {
 		if i > 0 {
 			pb.docs[i-1] = e.builder.PageDocuments(e.level, pages[i-1])
 			return
 		}
+		pb.leased = e.lease(pages)
 		var wal bool
-		if wal, err = e.sumRemoval(pb, pages); wal && encode != nil {
-			pb.recs, pb.encErr = encode()
+		if wal, err = e.sumRemoval(pb); wal {
+			pb.rec, pb.encErr = json.Marshal(pages)
 		}
 	})
 	if err != nil {
+		e.unlease(pb.leased)
 		return nil, err
 	}
 	pb.segs = e.buildSegments(pages, pb.docs)
-	if len(pb.read) == len(pages) {
-		pb.local = make([]*index.CorpusStats, len(pb.segs))
-		for s, ix := range pb.segs {
-			if ix != nil {
-				pb.local[s] = ix.LocalStats()
-			}
+	pb.local = make([]*index.CorpusStats, len(pb.segs))
+	for s, ix := range pb.segs {
+		if ix != nil {
+			pb.local[s] = ix.LocalStats()
 		}
 	}
 	return pb, nil
@@ -344,29 +395,22 @@ func (e *Engine) buildSegments(pages []*crawler.MatchPage, docs [][]*index.Docum
 }
 
 // sumRemoval sums into pb.removed, under the read lock, the statistics of
-// the live documents each distinct page of the batch holds now, and keeps
-// in pb.read the pageGIDs slices it read. The read lock keeps a merge's
-// install and Close's unmap off the bytes AddDocStats reads; a pooled
-// Scratch keeps two prepares over one sub-index from sharing analysis
-// state. It reports whether a WAL is attached, and fails on a closed
-// engine.
-func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) (bool, error) {
+// the live documents each page of pb holds now. The read lock keeps a
+// merge's install and Close's unmap off the bytes AddDocStats reads; a
+// pooled Scratch keeps two prepares over one sub-index from sharing
+// analysis state. It reports whether a WAL is attached, and fails on a
+// closed engine.
+func (e *Engine) sumRemoval(pb *preparedBatch) (bool, error) {
 	sc := statsScratch.Get().(*index.Scratch)
 	defer statsScratch.Put(sc)
 	pb.removed = index.NewCorpusStats()
-	pb.read = make(map[string][]int, len(pages))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return false, errClosed
 	}
-	for _, p := range pages {
-		if _, ok := pb.read[p.ID]; ok {
-			continue
-		}
-		gids := e.pageGIDs[p.ID]
-		pb.read[p.ID] = gids
-		for _, gid := range gids {
+	for _, p := range pb.pages {
+		for _, gid := range e.pageGIDs[p.ID] {
 			if ref := e.byGID[gid]; ref.sub != nil && !ref.sub.ix.IsDeleted(ref.local) {
 				ref.sub.ix.AddDocStats(pb.removed, ref.local, sc)
 			}
@@ -375,84 +419,45 @@ func (e *Engine) sumRemoval(pb *preparedBatch, pages []*crawler.MatchPage) (bool
 	return e.wal != nil, nil
 }
 
-// readUnchangedLocked reports whether every pageGIDs slice in read is
-// still its page's slice, by identity: each commit assigns a page a fresh
-// slice, and merges never touch the map, so an identical slice means no
-// commit has tombstoned or added any of the page's documents since it was
-// read. read holds the old slices, so no new one can reuse their address.
-// Read lock required.
-func (e *Engine) readUnchangedLocked(read map[string][]int) bool {
-	for id, gids := range read {
-		cur := e.pageGIDs[id]
-		if len(cur) != len(gids) || len(cur) > 0 && &cur[0] != &gids[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// applyBatch is Ingest without the WAL append — the replay path: the
-// records being applied are already durable in the log.
+// applyBatch is Ingest without the WAL append — the replay path, on an
+// engine no WAL is attached to yet: the records being applied are already
+// durable in the log.
 func (e *Engine) applyBatch(pages []*crawler.MatchPage) error {
-	pb, err := e.prepareBatch(pages, nil)
+	pb, err := e.prepareBatch(pages)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
-	e.commitLocked(pages, pb)
+	e.commitLocked(pb, &IngestResult{PerShard: make([]int, len(e.base))})
 	e.mu.Unlock()
+	e.unlease(pb.leased)
 	return nil
 }
 
-// commitLocked is the ingest commit, bookkeeping only: each touched
-// shard's prebuilt segment (pb.segs, all carrying this batch's segment id)
-// gets the engine's scoring mode and corpus view and joins its shard, its
-// documents get global IDs in local order, each page's previous version is
-// tombstoned, the statistics are folded into the corpus-wide view, and the
-// epoch is bumped when the batch added or tombstoned a document, which
-// evicts every cached answer. pages may be a prefix of the prepared batch
-// (a PerPage batch whose WAL append failed mid-batch); the prepared work is
-// then used whole or not at all: the segments are rebuilt from the
-// prefix's documents, and the tombstones summed, here. Write lock
-// required.
+// commitLocked is the ingest commit, bookkeeping only: it adopts pb whole
+// and adds what it committed to res. Each touched shard's prebuilt segment
+// (pb.segs, all carrying a new segment id) gets the engine's scoring mode
+// and corpus view and joins its shard, its documents get global IDs in
+// local order, each page's previous version is tombstoned, the statistics
+// are folded into the corpus-wide view, and the epoch is bumped when the
+// batch added or tombstoned a document, which evicts every cached answer.
+// Write lock required.
 //
 // Statistics stay integer-exact through any sequence of commits: a
 // tombstone subtracts exactly what the document's Add once contributed
-// (index.AddDocStats re-analyzes the stored fields), a new segment adds its
-// tombstone-aware LocalStats, and integer adds/subtracts commute — so
-// the global view always equals a from-scratch recompute over the live
-// documents, which is what keeps scatter-gather rankings byte-identical
-// to a monolithic build. The tombstones' sum is pb.removed, summed before
-// the lock, when no commit has changed a page of the batch since; else it
-// is summed here. The segments' statistics are pb.local when the commit
-// adopts the prepared segments and no page repeats; else they are taken
-// here, after the tombstones.
-func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) IngestResult {
+// (index.AddDocStats re-analyzes the stored fields; pb.removed is their
+// sum), a new segment adds its LocalStats (pb.local), and integer
+// adds/subtracts commute — so the global view always equals a from-scratch
+// recompute over the live documents, which is what keeps scatter-gather
+// rankings byte-identical to a monolithic build.
+func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) {
 	n := len(e.base)
-	res := IngestResult{Pages: len(pages), PerShard: make([]int, n)}
 	segID := e.nextSeg
 	e.nextSeg++
 	res.Segment = segID
 
-	// removed sums what the batch's tombstones take out of the corpus view,
-	// subtracted once below: a re-upserted page tombstones ~119 documents,
-	// and a CorpusStats apiece was most of this loop. sc is set when the
-	// sum is taken here.
-	removed, segs, local := pb.removed, pb.segs, pb.local
-	if len(pages) < len(pb.docs) {
-		removed, segs, local = nil, e.buildSegments(pages, pb.docs[:len(pages)]), nil
-	}
-	var sc *index.Scratch
-	if removed == nil || !e.readUnchangedLocked(pb.read) {
-		if removed != nil {
-			e.stalePrepares++
-		}
-		removed = index.NewCorpusStats()
-		sc = statsScratch.Get().(*index.Scratch)
-		defer statsScratch.Put(sc)
-	}
 	newSubs := make([]*subIndex, n)
-	for s, ix := range segs {
+	for s, ix := range pb.segs {
 		if ix == nil {
 			continue
 		}
@@ -461,26 +466,12 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 		newSubs[s] = &subIndex{ix: ix, segID: segID, gids: make([]int, 0, ix.NumDocs())}
 		e.segs[s] = append(e.segs[s], newSubs[s])
 	}
-	for pi, page := range pages {
-		// Tombstone the page's previous version. Its statistics leave the
-		// corpus view — except for documents from THIS batch (a page
-		// repeated within one batch), whose statistics are excluded by the
-		// segment's LocalStats below.
+	added, tombstoned := 0, 0
+	for pi, page := range pb.pages {
 		for _, gid := range e.pageGIDs[page.ID] {
-			ref := e.byGID[gid]
-			if ref.sub == nil {
-				continue
+			if ref := e.byGID[gid]; ref.sub != nil && ref.sub.ix.Delete(ref.local) {
+				tombstoned++
 			}
-			ix := ref.sub.ix
-			if ix.IsDeleted(ref.local) {
-				continue
-			}
-			if sc != nil && ref.sub.segID != segID {
-				ix.AddDocStats(removed, ref.local, sc)
-			}
-			ix.Delete(ref.local)
-			e.liveDocs--
-			res.Tombstones++
 		}
 
 		s := shardFor(page.ID, n)
@@ -492,7 +483,7 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 			sub.gids = append(sub.gids, gid)
 			gids = append(gids, gid)
 		}
-		res.Docs += len(gids)
+		added += len(gids)
 		res.PerShard[s] += len(gids)
 		// Assigning to a string key replaces the stored key too, so every
 		// assignment clones: a parsed page's ID is a view of its whole HTML
@@ -500,20 +491,17 @@ func (e *Engine) commitLocked(pages []*crawler.MatchPage, pb *preparedBatch) Ing
 		e.pageGIDs[strings.Clone(page.ID)] = gids
 	}
 
-	e.global.Remove(removed)
+	e.global.Remove(pb.removed)
 	for s, sub := range newSubs {
-		switch {
-		case sub == nil:
-		case local != nil:
-			e.global.Merge(local[s])
-		default:
-			e.global.Merge(sub.ix.LocalStats())
+		if sub != nil {
+			e.global.Merge(pb.local[s])
 		}
 	}
-	e.liveDocs += res.Docs
-	if res.Docs > 0 || res.Tombstones > 0 {
+	res.Docs += added
+	res.Tombstones += tombstoned
+	e.liveDocs += added - tombstoned
+	if added > 0 || tombstoned > 0 {
 		e.epoch++
 	}
 	e.updateLSMGaugesLocked()
-	return res
 }

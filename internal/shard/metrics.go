@@ -18,8 +18,9 @@ const (
 	metricBuildSec    = "shard_engine_build_seconds"
 	metricIngestSec   = "shard_engine_ingest_seconds"
 	metricShardSearch = "shard_search_seconds"
-	// metricIngestCommitSec times the write-locked part of each Ingest:
-	// the WAL append and the commit, not the prepare before the lock.
+	// metricIngestCommitSec times each write-lock hold of an Ingest (one
+	// per atomic batch, one per page under PerPage): the WAL append and the
+	// commit, not the prepare before the lock.
 	metricIngestCommitSec = "shard_engine_ingest_commit_seconds"
 	// metricCacheSearch splits whole-call latency by cache outcome
 	// (result="hit" vs result="miss") — the histogram pair the cache's
@@ -50,8 +51,8 @@ type engineMetrics struct {
 	missing  *obs.Counter
 	// latency observes whole-query wall time, scatter through merge.
 	latency *obs.Histogram
-	// build and ingest time the write paths; ingestCommit times the part
-	// of each Ingest that holds the write lock.
+	// build and ingest time the write paths; ingestCommit times each
+	// write-lock hold of an Ingest.
 	build        *obs.Histogram
 	ingest       *obs.Histogram
 	ingestCommit *obs.Histogram

@@ -8,6 +8,7 @@ package shard
 // shrunk by dropping steps and printed with the command that replays it.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -88,11 +89,26 @@ var (
 	oracleBuilder = semindex.NewBuilder()
 )
 
-func newMonoOracle(pages []*crawler.MatchPage) *monoOracle {
+// newMonoOracle replays batches in order, each as an atomic batch commits
+// (lastCopy).
+func newMonoOracle(batches ...[]*crawler.MatchPage) *monoOracle {
 	ix := index.New(oracleBuilder.Analyzer)
 	o := &monoOracle{si: &semindex.SemanticIndex{Level: semindex.FullInf, Index: ix}, byPage: map[string][]int{}}
-	o.update(pages...)
+	for _, b := range batches {
+		o.update(lastCopy(b)...)
+	}
 	return o
+}
+
+// lastCopy is what an atomic batch commits: its pages in order, less every
+// copy of a page that a later copy in the batch replaces.
+func lastCopy(batch []*crawler.MatchPage) (kept []*crawler.MatchPage) {
+	for i, p := range batch {
+		if !slices.ContainsFunc(batch[i+1:], func(q *crawler.MatchPage) bool { return q.ID == p.ID }) {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 // update replays page upserts in order, returning how many documents they
@@ -423,9 +439,13 @@ func (r *oracleRun) ingest(pages []*crawler.MatchPage, opts IngestOptions) error
 	if err != nil {
 		return err
 	}
-	added, removed := r.o.update(pages...)
+	applied := pages
+	if opts.Atomicity != PerPage {
+		applied = lastCopy(pages)
+	}
+	added, removed := r.o.update(applied...)
 	perShard := make([]int, len(bases))
-	for _, p := range pages {
+	for _, p := range applied {
 		docs, _ := pageDocs.Load(p) // memoised by update
 		perShard[shardFor(p.ID, len(bases))] += len(docs.([]*index.Document))
 	}
@@ -551,7 +571,7 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 	if err := r.e.AttachWAL(r.base, wal.Options{Policy: wal.SyncNever}); err != nil {
 		return err
 	}
-	r.o = newMonoOracle(slices.Concat(slices.Concat(r.saved, r.logged)...))
+	r.o = newMonoOracle(slices.Concat(r.saved, r.logged)...)
 	return nil
 }
 
@@ -752,66 +772,148 @@ func TestIngestDurabilityAndAtomicityOptions(t *testing.T) {
 	fixed(t, 2, "ingest:3/sync ingest:4/async ingest:5,0/perpage crash-wal/heap")
 }
 
-// TestStalePrepare commits between an upsert's prepare and its write lock
-// through the engine's beforeCommit hook. Another upsert of the same page
-// gives the page a fresh pageGIDs slice, so the commit must discard the
-// removal sum it prepared and sum the tombstones under the lock; a
-// ForceMerge that installs a new mapped base moves the page's documents
-// but not its slice, so the prepared sum stands. Either way the engine
-// must then hold the oracle's statistics and rankings.
+// TestStalePrepare runs a ForceMerge that installs a new mapped base
+// between an upsert's prepare and its write lock, through the engine's
+// beforeCommit hook: it moves the page's documents but not its pageGIDs
+// slice, so the removal sum the prepare took stands, and the engine must
+// then hold the oracle's statistics and rankings.
 func TestStalePrepare(t *testing.T) {
-	page := func(ref string) *crawler.MatchPage {
-		_, _, pages, _ := parseStep("ingest:" + ref)
-		return pages[0]
-	}
-	for _, tc := range []struct {
-		name   string
-		setup  string
-		during func(r *oracleRun) error
-		stale  int
-	}{
-		{"upsert", "", func(r *oracleRun) error {
-			return r.ingest([]*crawler.MatchPage{page("1'")}, IngestOptions{Merge: MergeNone})
-		}, 1},
-		{"merge", "crash-wal/mapped ingest:1'", func(r *oracleRun) error {
+	t.Run("merge", func(t *testing.T) {
+		r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.close()
+		for _, step := range []string{"crash-wal/mapped", "ingest:1'"} {
+			if _, err := r.apply(step); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+		var during error
+		ran := false
+		r.e.SetBeforeCommit(func() {
+			r.e.SetBeforeCommit(nil)
 			r.e.ForceMerge()
-			return r.compacted()
-		}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+			ran, during = true, r.compacted()
+		})
+		_, _, pages, _ := parseStep("ingest:1")
+		res, err := r.e.Ingest(context.Background(), pages, IngestOptions{Merge: MergeNone})
+		if err != nil || !ran || during != nil {
+			t.Fatalf("ingest: %v; hook ran %v: %v", err, ran, during)
+		}
+		added, removed := r.o.update(pages...)
+		r.logged = append(r.logged, pages)
+		if res.Docs != added || res.Tombstones != removed {
+			t.Errorf("ingest added %d and tombstoned %d, oracle %d and %d", res.Docs, res.Tombstones, added, removed)
+		}
+		if err := r.check(true); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestConcurrentSamePageUpserts upserts the three versions of one page of
+// the build from several goroutines at once. Each upsert's removal sum
+// must be the one its commit tombstones, so the oracle, applying the
+// upserts in the order of their segments, must count what each one added
+// and tombstoned and end with the engine's statistics and rankings.
+func TestConcurrentSamePageUpserts(t *testing.T) {
+	const writers, rounds = 4, 3
+	r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	type upsert struct {
+		page *crawler.MatchPage
+		res  IngestResult
+	}
+	results := make([][]upsert, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				p := oracleCorpus()[1][(w+i)%3]
+				res, err := r.e.Ingest(context.Background(), []*crawler.MatchPage{p}, IngestOptions{Merge: MergeNone})
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				results[w] = append(results[w], upsert{p, res})
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	all := slices.Concat(results...)
+	slices.SortFunc(all, func(a, b upsert) int { return cmp.Compare(a.res.Segment, b.res.Segment) })
+	for _, u := range all {
+		added, removed := r.o.update(u.page)
+		r.logged = append(r.logged, []*crawler.MatchPage{u.page})
+		if u.res.Docs != added || u.res.Tombstones != removed {
+			t.Errorf("segment %d added %d and tombstoned %d, oracle %d and %d", u.res.Segment, u.res.Docs, u.res.Tombstones, added, removed)
+		}
+	}
+	if err := r.check(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPerPageLiveMatchesReplay commits a three-page PerPage batch that
+// repeats a page, then reopens the snapshot and replays the WAL: the live
+// engine and the replayed one must hold the same segments, documents,
+// tombstones and global ID space, and give the same answers, since each
+// page of the batch commits as the one-page batch its record replays as.
+func TestPerPageLiveMatchesReplay(t *testing.T) {
+	r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	type state struct {
+		segments, docs, tombstones, idSpace int
+		answers                             [][]semindex.Hit
+	}
+	observe := func() state {
+		st := r.e.Stats()
+		r.e.mu.RLock()
+		idSpace := len(r.e.byGID)
+		r.e.mu.RUnlock()
+		s := state{segments: st.Segments, docs: st.Docs, tombstones: st.Tombstones, idSpace: idSpace}
+		for _, q := range eval.PaperQueries() {
+			res, err := r.e.Search(context.Background(), q.Keywords, SearchOptions{NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.close()
-			for _, step := range strings.Fields(tc.setup) {
-				if _, err := r.apply(step); err != nil {
-					t.Fatalf("%s: %v", step, err)
-				}
-			}
-			var during error
-			ran, stale := false, r.e.StalePrepares()
-			r.e.SetBeforeCommit(func() {
-				r.e.SetBeforeCommit(nil)
-				ran, during = true, tc.during(r)
-			})
-			p := page("1")
-			res, err := r.e.Ingest(context.Background(), []*crawler.MatchPage{p}, IngestOptions{Merge: MergeNone})
-			if err != nil || !ran || during != nil {
-				t.Fatalf("ingest: %v; hook ran %v: %v", err, ran, during)
-			}
-			added, removed := r.o.update(p)
-			r.logged = append(r.logged, []*crawler.MatchPage{p})
-			if res.Docs != added || res.Tombstones != removed {
-				t.Errorf("ingest added %d and tombstoned %d, oracle %d and %d", res.Docs, res.Tombstones, added, removed)
-			}
-			if got := r.e.StalePrepares() - stale; got != tc.stale {
-				t.Errorf("%d commits summed their tombstones under the lock, want %d", got, tc.stale)
-			}
-			if err := r.check(true); err != nil {
-				t.Fatal(err)
-			}
-		})
+			s.answers = append(s.answers, res.Hits)
+		}
+		return s
+	}
+	var states []state
+	for _, step := range []string{"ingest:1',5,1/perpage", "crash-wal/heap"} {
+		changed, err := r.apply(step)
+		if err == nil {
+			err = r.check(changed)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		states = append(states, observe())
+	}
+	live, replayed := states[0], states[1]
+	if live.segments != replayed.segments || live.docs != replayed.docs || live.tombstones != replayed.tombstones || live.idSpace != replayed.idSpace {
+		t.Errorf("live PerPage batch: %d segments, %d docs, %d tombstones, ID space %d; replayed: %d, %d, %d, %d",
+			live.segments, live.docs, live.tombstones, live.idSpace, replayed.segments, replayed.docs, replayed.tombstones, replayed.idSpace)
+	}
+	for i, q := range eval.PaperQueries() {
+		if err := sameHits(replayed.answers[i], live.answers[i]); err != nil {
+			t.Errorf("%q after the replay: %v", q.Keywords, err)
+		}
 	}
 }
 
