@@ -145,9 +145,6 @@ func main() {
 		if q := e.Quarantined(); len(q) > 0 {
 			fmt.Printf("WARNING: serving degraded, shards %v quarantined at load\n", q)
 		}
-		// Background compaction keeps the segment count bounded under a
-		// write firehose; stopped (and compacted) at shutdown.
-		e.StartMerger()
 		h.SetSearcher(e)
 		fmt.Printf("serving %s on %s\n", desc, *addr)
 	}()
@@ -157,7 +154,6 @@ func main() {
 		if !ok {
 			return
 		}
-		e.StopMerger()
 		if *walOn {
 			// The drain is the last chance to fold the WAL into the snapshot;
 			// a degraded engine refuses (ErrDegraded) so a partial index never

@@ -30,9 +30,11 @@
 // in-memory segment per touched shard, appended to the shard without
 // rebuilding anything; a replaced page's previous documents are
 // tombstoned, not rewritten. Searches scatter across shards × (base +
-// segments). A background merger (merger.go) compacts segments into the
-// base and drops tombstones — invisible to queries: no statistics move,
-// no epoch bumps, the ranking is byte-identical before, during and after.
+// segments). A commit that leaves a shard it touched at mergeSegments
+// segments starts a compaction pass (merger.go), which folds the
+// segments into the base and drops tombstones — invisible to queries: no
+// statistics move, no epoch bumps, the ranking is byte-identical before,
+// during and after.
 package shard
 
 import (
@@ -73,17 +75,13 @@ var tocColumns = []string{semindex.MetaMatchID, semindex.MetaKind}
 type subIndex struct {
 	ix   *index.Index
 	gids []int
-	// segID is 0 for the base, else the Ingest batch's segment id.
-	// Segment postings are immutable after the creating batch commits;
-	// only tombstone bits move afterwards.
-	segID uint64
 	// release unmaps a mapped base's byte region (nil for heap subs).
 	// Called only after the sub can no longer be referenced: base swaps
 	// happen under the write lock, and every search holds the read lock
 	// for its full duration (the deadline scatter's drain goroutine keeps
 	// holding it until stragglers finish), so no reader survives the swap.
 	release func() error
-	// scratch names the merger-written segment file backing a mapped
+	// scratch names the compaction-written segment file backing a mapped
 	// base ("" for manifest-named files, which Save owns); removed
 	// together with the mapping.
 	scratch string
@@ -205,30 +203,30 @@ type Engine struct {
 	// engines).
 	loadRep LoadReport
 	// closed is set by Close: from then on no hit reads a document
-	// (Doc, Meta), since a mapped base's region is unmapped.
+	// (Doc, Meta), Search, Save and Ingest refuse (errClosed) and a
+	// compaction pass does nothing, since a mapped base's region is
+	// unmapped.
 	closed bool
 
 	// mappedBase, when non-empty, is the snapshot base path the engine
-	// was mapped-loaded from (LoadOptions.Mapped): the merger persists
-	// compaction output next to it as mapped scratch segments and Save
+	// was mapped-loaded from (LoadOptions.Mapped): a compaction persists
+	// its output next to it as mapped scratch segments and Save
 	// re-anchors bases on the committed generation's files. Set once
 	// before serving, read-only after.
 	mappedBase string
-	// mapSeq numbers merger scratch segment files so successive merges
+	// mapSeq numbers compaction scratch segment files so successive merges
 	// of one shard never collide.
 	mapSeq atomic.Uint64
 
-	// mergeOpMu serializes compaction passes (the background merger's
-	// sweep, ForceMerge, Save's checkpoint) against each other and
-	// against Close's unmap. A pass holds it once for all its shards,
-	// whose merges run concurrently, up to GOMAXPROCS at a time, and
-	// install in shard order (see merger.go). Lock order: mergeOpMu,
-	// then mu. mergerMu guards the background merger's lifecycle state.
-	mergeOpMu  sync.Mutex
-	mergerMu   sync.Mutex
-	mergerStop chan struct{}
-	mergerDone chan struct{}
-	mergeNudge chan struct{}
+	// mergeOpMu serializes compaction passes (the one a commit starts,
+	// ForceMerge, Save's checkpoint) against each other and against
+	// Close's unmap. A pass holds it once for all its shards, whose merges
+	// run concurrently, up to GOMAXPROCS at a time, and install in shard
+	// order (see merger.go). Lock order: mergeOpMu, then mu.
+	mergeOpMu sync.Mutex
+	// compactPending is set while a pass a commit started (compactDue)
+	// waits for mergeOpMu, and cleared by that pass once it holds it.
+	compactPending atomic.Bool
 }
 
 // newEngine wires the empty N-shard skeleton shared by Build and Load.
@@ -535,7 +533,7 @@ func (e *Engine) NumDocs() int {
 
 // Shard returns a view of one shard's BASE index at the engine's level
 // (for stats, persistence and tests); the index must not be mutated.
-// Segment documents live outside it until the merger folds them in.
+// Segment documents live outside it until a compaction folds them in.
 func (e *Engine) Shard(i int) *semindex.SemanticIndex {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

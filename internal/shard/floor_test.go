@@ -109,7 +109,7 @@ func TestFloorFixture(t *testing.T) {
 	}
 	for _, mapped := range []bool{false, true} {
 		// Each load gets its own copy: recovery may write (a mapped
-		// engine's merger, a WAL tear), the committed fixture must not.
+		// engine's compaction, a WAL tear), the committed fixture must not.
 		base := copySnapshot(t, filepath.Join(floorDir, "idx"), t.TempDir())
 		got, err := LoadWith(base, nil, LoadOptions{Mapped: mapped})
 		if err != nil {

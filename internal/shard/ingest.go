@@ -42,10 +42,13 @@ const (
 type MergeHint int
 
 const (
-	// MergeAuto nudges the background merger (if running) — the default.
+	// MergeAuto, the default: a commit that leaves a shard it touched at
+	// mergeSegments segments or more starts a compaction pass over the
+	// shards there, on a goroutine of its own, once the write lock is
+	// released.
 	MergeAuto MergeHint = iota
-	// MergeNone leaves the new segment alone until the merger's next
-	// tick or ForceMerge.
+	// MergeNone starts no pass: the new segments wait for ForceMerge,
+	// Save or a later MergeAuto commit.
 	MergeNone
 )
 
@@ -65,7 +68,7 @@ const (
 )
 
 // IngestOptions configures one Ingest call. The zero value is an
-// atomic batch under the WAL's own sync policy, merger nudged.
+// atomic batch under the WAL's own sync policy, MergeAuto.
 type IngestOptions struct {
 	Durability Durability
 	Merge      MergeHint
@@ -115,10 +118,14 @@ type IngestResult struct {
 // append, or a ctx done between pages, stops the loop: Ingest returns the
 // error beside the result of the pages committed before it.
 //
+// Under MergeAuto, a commit that leaves a shard it touched at
+// mergeSegments segments starts a compaction pass once it has released
+// the write lock; Ingest does not wait for it (see MergeHint).
+//
 // A ctx that is already done returns its error without committing; it is
 // checked again after each atomic batch's prepare (under PerPage, each
-// page's), and is otherwise not consulted (commits are short and atomic). An engine that has been closed refuses the batch
-// with an error.
+// page's), and is otherwise not consulted (commits are short and atomic).
+// An engine that has been closed refuses the batch with an error.
 func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts IngestOptions) (IngestResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -154,14 +161,13 @@ func (e *Engine) Ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 		return res, err
 	}
 	met.ingest.ObserveDuration(time.Since(start))
-	if opts.Merge == MergeAuto {
-		e.nudgeMerger()
-	}
 	return res, err
 }
 
 // ingest commits pages as one atomic batch, adding what committed to res,
-// unless ctx is done once they are prepared.
+// unless ctx is done once they are prepared. Live ingests and WAL replay
+// both commit through it. Once the leases are released, a MergeAuto
+// commit that left a shard due starts a compaction pass (compactDue).
 // It returns the metrics the commit read under the write lock, nil when
 // nothing committed; a failed DurSync fsync returns them beside its error.
 func (e *Engine) ingest(ctx context.Context, pages []*crawler.MatchPage, opts IngestOptions, res *IngestResult) (*engineMetrics, error) {
@@ -169,7 +175,13 @@ func (e *Engine) ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 	if err != nil {
 		return nil, err
 	}
-	defer e.unlease(pb.leased)
+	due := false
+	defer func() {
+		e.unlease(pb.leased)
+		if due && opts.Merge == MergeAuto {
+			e.compactDue()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -209,7 +221,7 @@ func (e *Engine) ingest(ctx context.Context, pages []*crawler.MatchPage, opts In
 			ack = "buffered"
 		}
 	}
-	e.commitLocked(pb, res)
+	due = e.commitLocked(pb, res)
 	res.Pages += len(pages)
 	res.Durability = ack
 	met := e.met
@@ -273,8 +285,8 @@ type preparedBatch struct {
 // next.
 var statsScratch = sync.Pool{New: func() any { return new(index.Scratch) }}
 
-// errClosed refuses an ingest into a closed engine, whose mapped bases are
-// unmapped.
+// errClosed refuses an ingest, a search or a save on a closed engine,
+// whose mapped bases are unmapped.
 var errClosed = errors.New("shard: engine closed")
 
 // lastCopies returns pages without the copies of a page that a later copy
@@ -419,29 +431,15 @@ func (e *Engine) sumRemoval(pb *preparedBatch) (bool, error) {
 	return e.wal != nil, nil
 }
 
-// applyBatch is Ingest without the WAL append — the replay path, on an
-// engine no WAL is attached to yet: the records being applied are already
-// durable in the log.
-func (e *Engine) applyBatch(pages []*crawler.MatchPage) error {
-	pb, err := e.prepareBatch(pages)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.commitLocked(pb, &IngestResult{PerShard: make([]int, len(e.base))})
-	e.mu.Unlock()
-	e.unlease(pb.leased)
-	return nil
-}
-
 // commitLocked is the ingest commit, bookkeeping only: it adopts pb whole
-// and adds what it committed to res. Each touched shard's prebuilt segment
-// (pb.segs, all carrying a new segment id) gets the engine's scoring mode
-// and corpus view and joins its shard, its documents get global IDs in
-// local order, each page's previous version is tombstoned, the statistics
-// are folded into the corpus-wide view, and the epoch is bumped when the
+// and adds what it committed to res, under a new segment id. Each touched
+// shard's prebuilt segment (pb.segs) gets the engine's scoring mode and
+// corpus view and joins its shard, its documents get global IDs in local
+// order, each page's previous version is tombstoned, the statistics are
+// folded into the corpus-wide view, and the epoch is bumped when the
 // batch added or tombstoned a document, which evicts every cached answer.
-// Write lock required.
+// It reports whether a shard it touched now holds mergeSegments segments
+// or more. Write lock required.
 //
 // Statistics stay integer-exact through any sequence of commits: a
 // tombstone subtracts exactly what the document's Add once contributed
@@ -450,11 +448,10 @@ func (e *Engine) applyBatch(pages []*crawler.MatchPage) error {
 // adds/subtracts commute — so the global view always equals a from-scratch
 // recompute over the live documents, which is what keeps scatter-gather
 // rankings byte-identical to a monolithic build.
-func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) {
+func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) (due bool) {
 	n := len(e.base)
-	segID := e.nextSeg
+	res.Segment = e.nextSeg
 	e.nextSeg++
-	res.Segment = segID
 
 	newSubs := make([]*subIndex, n)
 	for s, ix := range pb.segs {
@@ -463,8 +460,9 @@ func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) {
 		}
 		ix.SetExhaustive(e.exhaustive)
 		ix.SetCorpusStats(e.global)
-		newSubs[s] = &subIndex{ix: ix, segID: segID, gids: make([]int, 0, ix.NumDocs())}
+		newSubs[s] = &subIndex{ix: ix, gids: make([]int, 0, ix.NumDocs())}
 		e.segs[s] = append(e.segs[s], newSubs[s])
+		due = due || len(e.segs[s]) >= mergeSegments
 	}
 	added, tombstoned := 0, 0
 	for pi, page := range pb.pages {
@@ -504,4 +502,5 @@ func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) {
 		e.epoch++
 	}
 	e.updateLSMGaugesLocked()
+	return due
 }

@@ -1,8 +1,8 @@
 package shard
 
 // LSM tests beyond the composed oracle (oracle_test.go): the cache's
-// evict-on-any-write rule, the merger's threshold and the statistics
-// arithmetic.
+// evict-on-any-write rule, the compaction a commit starts at the segment
+// threshold and the statistics arithmetic.
 
 import (
 	"context"
@@ -81,33 +81,37 @@ func TestAnyWriteEvictsCachedAnswers(t *testing.T) {
 	expect("after ForceMerge", CacheHit)
 }
 
-// TestMergerCompactsAtSegmentThreshold: the background merger, started
-// with its fixed policy, compacts a shard once ingest has stacked four
-// segments on it, and the compaction leaves the ranking equal to the
-// monolithic oracle.
-func TestMergerCompactsAtSegmentThreshold(t *testing.T) {
+// TestCommitStartsCompaction: with no call besides Ingest, the commit
+// that stacks a shard's fourth segment starts a compaction pass, and the
+// pass leaves the ranking equal to the monolithic oracle.
+func TestCommitStartsCompaction(t *testing.T) {
 	pages, _ := fixture(t)
 	ctx := context.Background()
 	e := Build(nil, semindex.FullInf, pages[:2], Options{Shards: 1})
 	e.SetMetrics(obs.NewRegistry())
 	oracle := newMonoOracle(pages[:2])
-	e.StartMerger()
-	defer e.StopMerger()
 	for _, p := range pages[2:6] {
 		if _, err := e.Ingest(ctx, []*crawler.MatchPage{p}, IngestOptions{}); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 		oracle.update(p)
 	}
+	awaitCompaction(t, e)
+	for _, q := range eval.PaperQueries() {
+		assertSameHits(t, q.ID, searchN(e, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
+	}
+}
+
+// awaitCompaction fails unless e's segments fall below mergeSegments
+// within 5s. Its engines have one shard, so that is the shard's count.
+func awaitCompaction(t *testing.T, e *Engine) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for e.Stats().Segments >= mergeSegments {
 		if time.Now().After(deadline) {
-			t.Fatalf("merger left %d segments after 5s", e.Stats().Segments)
+			t.Fatalf("%d segments left after 5s", e.Stats().Segments)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	for _, q := range eval.PaperQueries() {
-		assertSameHits(t, q.ID, searchN(e, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
 	}
 }
 

@@ -9,10 +9,10 @@ package shard
 //
 //   - LoadWith(Mapped) keeps each manifest-named snapshot file mapped; the
 //     release func rides on the base subIndex.
-//   - The background merger persists compaction output as a scratch
-//     segment file ("<base>.mapseg000001.shard002") and reopens it
-//     through the same reader, so a mapped engine stays mapped across
-//     merges instead of accreting heap.
+//   - A compaction pass persists its output as a scratch segment file
+//     ("<base>.mapseg000001.shard002") and reopens it through the same
+//     reader, so a mapped engine stays mapped across merges instead of
+//     accreting heap.
 //   - Save re-anchors every base on the generation it just committed
 //     and retires scratch files.
 //   - Close unmaps whatever is still live.
@@ -22,9 +22,10 @@ package shard
 // deadline scatter's drain goroutine keeps holding it until straggler
 // shards finish), so once a swap lands no reader can still touch the
 // old region. Merges read sources off-lock, but only while holding
-// mergeOpMu, and Close stops the merger and then takes mergeOpMu before
-// it unmaps, so no merge — the merger's, a caller's ForceMerge or a
-// Save's — outlives the mapping it reads. Data flowing out of a mapped
+// mergeOpMu, and Close takes mergeOpMu before it unmaps, so no merge —
+// one a commit started, a caller's ForceMerge or a Save's — outlives the
+// mapping it reads; a pass that takes mergeOpMu after Close finds the
+// engine closed and does nothing. Data flowing out of a mapped
 // index — merged postings, materialized stored documents — is always
 // fresh heap memory (the block reader decodes, it never aliases), so
 // nothing retains mapped bytes past the release.
@@ -52,14 +53,13 @@ func releaseSub(sub *subIndex) {
 	}
 }
 
-// Close releases the engine's resources: the background merger is
-// stopped, a running ForceMerge or Save is waited for, the ingest WAL
-// synced and detached, and every mapped base region unmapped. The engine
-// must not serve after Close — mapped postings would read unmapped
-// memory. Heap-only engines may call it too (it just stops the merger
-// and WAL). A hit read after Close finds no document (Doc, Meta).
+// Close releases the engine's resources: a running compaction pass,
+// ForceMerge or Save is waited for, the ingest WAL synced and detached,
+// the query cache dropped, and every mapped base region unmapped.
+// Heap-only engines may call it too. After Close, Search, Save and
+// Ingest return an error, ForceMerge and a pending compaction pass do
+// nothing, and a hit read finds no document (Doc, Meta).
 func (e *Engine) Close() error {
-	e.StopMerger()
 	// Save's lock order: mergeOpMu, then mu (CloseWAL and the unmap).
 	e.mergeOpMu.Lock()
 	defer e.mergeOpMu.Unlock()
@@ -67,6 +67,7 @@ func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed = true
+	e.cache, e.flight = nil, nil
 	for s := range e.base {
 		releaseSub(e.base[s])
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/obs"
 	"repro/internal/semindex"
 	"repro/internal/soccer"
 )
@@ -146,6 +147,43 @@ func TestCloseWaitsForRunningMerge(t *testing.T) {
 		if mapped.base[s].release != nil {
 			t.Errorf("shard %d mapping not released by Close", s)
 		}
+	}
+}
+
+// TestClosedEngineRefuses: on a closed mapped engine, whose bases are
+// unmapped, Search and Save return an error and ForceMerge does nothing,
+// none of them reading a released region. The engine holds a segment to
+// merge and a cached answer to serve, so each call has work it must
+// refuse.
+func TestClosedEngineRefuses(t *testing.T) {
+	pages, _ := fixture(t)
+	_, base := saveFixture(t, 2)
+	e := loadMapped(t, base)
+	e.EnableCache(1<<20, obs.NewRegistry())
+	ctx := context.Background()
+	if _, err := e.Ingest(ctx, pages[:1], IngestOptions{Merge: MergeNone}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Search(ctx, "goal", SearchOptions{Limit: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SearchOptions{{Limit: 10}, {Limit: 10, NoCache: true}} {
+		if _, err := e.Search(ctx, "goal", opts); !errors.Is(err, errClosed) {
+			t.Errorf("Search %+v after Close: %v, want %v", opts, err, errClosed)
+		}
+	}
+	if err := e.Save(base); !errors.Is(err, errClosed) {
+		t.Errorf("Save after Close: %v, want %v", err, errClosed)
+	}
+	e.ForceMerge()
+	e.mu.RLock()
+	segs := len(e.segs[0]) + len(e.segs[1])
+	e.mu.RUnlock()
+	if segs != 1 {
+		t.Errorf("ForceMerge after Close left %d segments, want the upsert's 1", segs)
 	}
 }
 

@@ -1,6 +1,6 @@
 package shard
 
-// Background segment compaction. A segment's lifecycle:
+// Segment compaction. A segment's lifecycle:
 //
 //	active  — being filled by its Ingest batch (under the write lock)
 //	sealed  — the batch committed; postings immutable, only tombstone
@@ -14,9 +14,9 @@ package shard
 // rebuilds) runs OUTSIDE the engine lock against a liveness snapshot;
 // only the final swap takes the write lock, where documents tombstoned
 // mid-merge are re-deleted on the merged index. Each compaction pass —
-// the merger's sweep, ForceMerge, Save's checkpoint — merges its shards
-// concurrently, at most GOMAXPROCS at a time, and swaps them in shard
-// order.
+// the one a commit starts when it leaves a shard due (compactDue),
+// ForceMerge, Save's checkpoint — merges its shards concurrently, at most
+// GOMAXPROCS at a time, and swaps them in shard order.
 
 import (
 	"runtime"
@@ -27,80 +27,29 @@ import (
 	"repro/internal/index"
 )
 
-const (
-	// mergeSegments triggers compaction when a shard's segment count
-	// reaches it.
-	mergeSegments = 4
-	// mergeInterval is the merger's poll cadence. Ingest nudges the merger
-	// too, so the ticker is a backstop, not the latency floor.
-	mergeInterval = 200 * time.Millisecond
-)
+// mergeSegments is the segment count at which a shard is due for
+// compaction: a MergeAuto commit that leaves a shard it touched there
+// starts a pass (compactDue).
+const mergeSegments = 4
 
-// StartMerger launches the background merger; a second call while one
-// runs is a no-op. Stop it with StopMerger before discarding the engine.
-func (e *Engine) StartMerger() {
-	e.mergerMu.Lock()
-	defer e.mergerMu.Unlock()
-	if e.mergerStop != nil {
+// compactDue starts a compaction pass over the shards at mergeSegments
+// segments or more, on a goroutine of its own that exits when the pass
+// ends, unless a pass is already pending. A pending pass has not yet
+// looked at the shards, so it will see the segments of every commit that
+// found it pending: no request is lost. At most one pass runs (mergeOpMu)
+// and at most one waits (compactPending).
+func (e *Engine) compactDue() {
+	if e.compactPending.Swap(true) {
 		return
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	nudge := make(chan struct{}, 1)
-	e.mergerStop, e.mergerDone, e.mergeNudge = stop, done, nudge
-	go func() {
-		defer close(done)
-		t := time.NewTicker(mergeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			case <-nudge:
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e.mergeShards(func(s int) bool { return len(e.segs[s]) >= mergeSegments })
-		}
-	}()
-}
-
-// StopMerger stops the background merger and waits for an in-flight
-// merge to land. No-op when none is running.
-func (e *Engine) StopMerger() {
-	e.mergerMu.Lock()
-	stop, done := e.mergerStop, e.mergerDone
-	e.mergerStop, e.mergerDone, e.mergeNudge = nil, nil, nil
-	e.mergerMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// nudgeMerger wakes the merger without waiting (no-op when not running).
-func (e *Engine) nudgeMerger() {
-	e.mergerMu.Lock()
-	nudge := e.mergeNudge
-	e.mergerMu.Unlock()
-	if nudge != nil {
-		select {
-		case nudge <- struct{}{}:
-		default:
-		}
-	}
+	go e.mergeShards(func(s int) bool { return len(e.segs[s]) >= mergeSegments }, true)
 }
 
 // ForceMerge synchronously compacts every shard that has segments or
 // base tombstones — the "fully merged" state the equivalence gate
 // compares against. The shards' merges run concurrently (mergeShards).
 func (e *Engine) ForceMerge() {
-	e.mergeShards(e.dirtyLocked)
+	e.mergeShards(e.dirtyLocked, false)
 }
 
 // dirtyLocked reports whether shard s has segments or base tombstones to
@@ -113,10 +62,20 @@ func (e *Engine) dirtyLocked(s int) bool {
 // hold: due is evaluated under the read lock, the selected shards'
 // snapshots and off-lock merges (prepareMerge) run concurrently, and
 // their swaps (installMerge) run in shard order (see compactInBatches).
-func (e *Engine) mergeShards(due func(s int) bool) {
+// The pass compactDue started (pending) clears its flag once it holds
+// mergeOpMu, before it looks at any shard. On a closed engine a pass does
+// nothing.
+func (e *Engine) mergeShards(due func(s int) bool, pending bool) {
 	e.mergeOpMu.Lock()
 	defer e.mergeOpMu.Unlock()
+	if pending {
+		e.compactPending.Store(false)
+	}
 	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return
+	}
 	var slots []int
 	for s := range e.base {
 		if due(s) {

@@ -1,8 +1,9 @@
 package shard
 
 // Compaction tests beyond the composed oracle (oracle_test.go): the
-// fan-out helper the compaction passes share, and ForceMerge, Save and the
-// merger running beside ingest and search.
+// fan-out helper the compaction passes share, the passes commits and
+// replays start, and ForceMerge, Save and those passes running beside
+// ingest and search.
 
 import (
 	"context"
@@ -15,14 +16,27 @@ import (
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/semindex"
+	"repro/internal/wal"
 )
 
 // mergeShard compacts shard s whether or not it is due: the single-shard
 // merge the oracle's merge@n step runs.
 func (e *Engine) mergeShard(s int) {
-	e.mergeShards(func(i int) bool { return i == s })
+	e.mergeShards(func(i int) bool { return i == s }, false)
+}
+
+// settle waits for the compaction pass a commit or a replay started, if
+// one is pending or running: the pass clears compactPending only once it
+// holds mergeOpMu, which it keeps until it ends.
+func (e *Engine) settle() {
+	for e.compactPending.Load() {
+		runtime.Gosched()
+	}
+	e.mergeOpMu.Lock()
+	e.mergeOpMu.Unlock()
 }
 
 // TestFanOutRunsEverySlotOnce: every slot runs exactly once, no more than
@@ -92,9 +106,10 @@ func TestFanOutOverlapsCalls(t *testing.T) {
 }
 
 // TestForceMergeSaveAndMergerRaceIngest runs ForceMerge and Save in loops
-// beside one ingesting goroutine, two searching ones and the started
-// merger on a 4-shard mapped engine, then holds the quiesced engine to the
-// monolith replaying the same ingests. Run it under -race.
+// beside one ingesting goroutine, two searching ones and the compaction
+// passes the ingests' commits start on a 4-shard mapped engine, then
+// holds the engine to the monolith replaying the same ingests. Run it
+// under -race.
 func TestForceMergeSaveAndMergerRaceIngest(t *testing.T) {
 	corpus := oracleCorpus()
 	var build, ingests []*crawler.MatchPage
@@ -120,7 +135,6 @@ func TestForceMergeSaveAndMergerRaceIngest(t *testing.T) {
 	defer e.Close()
 	e.EnableCache(8<<20, obs.NewRegistry())
 	e.SetMetrics(obs.NewRegistry())
-	e.StartMerger()
 
 	ctx := context.Background()
 	done := make(chan struct{})
@@ -158,10 +172,61 @@ func TestForceMergeSaveAndMergerRaceIngest(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	e.StopMerger()
 
 	r := &oracleRun{e: e, o: newMonoOracle(build)}
 	r.o.update(ingests...)
+	if err := r.check(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayStartsCompaction: a reopen whose WAL tail stacks mergeSegments
+// one-page records on a shard compacts the shard with no further call, and
+// the ranking equals the monolithic oracle's.
+func TestReplayStartsCompaction(t *testing.T) {
+	pages, _ := fixture(t)
+	base := filepath.Join(t.TempDir(), "idx")
+	e := Build(nil, semindex.FullInf, pages[:2], Options{Shards: 1})
+	if err := e.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachWAL(base, wal.Options{Policy: wal.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	oracle := newMonoOracle(pages[:2])
+	for _, p := range pages[2 : 2+mergeSegments] {
+		if _, err := e.Ingest(context.Background(), []*crawler.MatchPage{p}, IngestOptions{Merge: MergeNone}); err != nil {
+			t.Fatal(err)
+		}
+		oracle.update(p)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := loadMapped(t, base)
+	if got := back.LoadReport().WALReplayed; got != mergeSegments {
+		t.Fatalf("replayed %d records, want %d", got, mergeSegments)
+	}
+	awaitCompaction(t, back)
+	for _, q := range eval.PaperQueries() {
+		assertSameHits(t, q.ID, searchN(back, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
+	}
+}
+
+// TestCompactionKeepsUpWithCommits: four goroutines upsert small pages
+// into a one-shard mapped engine under MergeAuto. A pass there merges the
+// larger base and writes and syncs a scratch file, so commits land while
+// one runs, or find one pending, or neither. Once every call has
+// returned, a pass must still bring the shard below mergeSegments (no
+// commit's request is lost), and the engine must match the oracle.
+func TestCompactionKeepsUpWithCommits(t *testing.T) {
+	pages, _ := fixture(t)
+	_, base := saveFixture(t, 1)
+	r := &oracleRun{e: loadMapped(t, base), o: newMonoOracle(pages)}
+	upsertConcurrently(t, r, 4, 8, IngestOptions{}, func(w, i int) *crawler.MatchPage {
+		return oracleCorpus()[(w+i)%len(oracleCorpus())][i%2]
+	})
+	awaitCompaction(t, r.e)
 	if err := r.check(true); err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,9 @@ const (
 	metricIngestSec   = "shard_engine_ingest_seconds"
 	metricShardSearch = "shard_search_seconds"
 	// metricIngestCommitSec times each write-lock hold of an Ingest (one
-	// per atomic batch, one per page under PerPage): the WAL append and the
-	// commit, not the prepare before the lock.
+	// per atomic batch, one per page under PerPage) and of a WAL replay
+	// (one per record): the WAL append and the commit, not the prepare
+	// before the lock.
 	metricIngestCommitSec = "shard_engine_ingest_commit_seconds"
 	// metricCacheSearch splits whole-call latency by cache outcome
 	// (result="hit" vs result="miss") — the histogram pair the cache's
@@ -65,7 +66,7 @@ type engineMetrics struct {
 	cacheMiss *obs.Histogram
 	// quarantined counts corrupt snapshot files rejected at load.
 	quarantined *obs.Counter
-	// merges counts installed shard compactions — the merger's,
+	// merges counts installed shard compactions — a commit's pass,
 	// ForceMerge's and Save's checkpoint — and mergeLatency times each
 	// shard's from its snapshot to its swap.
 	merges       *obs.Counter
@@ -84,11 +85,11 @@ func newEngineMetrics(r *obs.Registry, shards int) *engineMetrics {
 	r.Help(metricSearchSec, "Whole-query latency: scatter through merge.")
 	r.Help(metricBuildSec, "Full sharded build duration.")
 	r.Help(metricIngestSec, "Incremental Ingest duration.")
-	r.Help(metricIngestCommitSec, "Ingest time under the engine's write lock: WAL append and commit.")
+	r.Help(metricIngestCommitSec, "Ingest time under the engine's write lock: WAL append and commit, WAL replay's commits included.")
 	r.Help(metricShardSearch, "Per-shard search latency.")
 	r.Help(metricCacheSearch, "Whole-call latency on the cached path, by outcome.")
 	r.Help(metricQuarantined, "Corrupt shard snapshot files quarantined at load.")
-	r.Help(metricMerges, "Installed shard compactions: the merger's, ForceMerge's and Save's.")
+	r.Help(metricMerges, "Installed shard compactions: the passes commits start, ForceMerge's and Save's.")
 	r.Help(metricMergeSec, "Per-shard compaction duration, snapshot through swap.")
 	r.Help(metricSegments, "Unmerged in-memory segments across all shards.")
 	r.Help(metricTombstones, "Tombstoned documents awaiting compaction.")

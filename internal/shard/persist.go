@@ -31,6 +31,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -98,7 +99,7 @@ func shardGenPath(base string, gen uint64, i int) string {
 //
 // Save refuses to checkpoint a degraded engine (ErrDegraded): writing a
 // clean manifest over quarantined shards would make the data loss
-// permanent and invisible.
+// permanent and invisible. A closed engine refuses too (errClosed).
 //
 // A checkpoint compacts first: every shard's unmerged segments and
 // tombstones are folded into its base, so the snapshot is always
@@ -109,13 +110,16 @@ func shardGenPath(base string, gen uint64, i int) string {
 // keep assigning fresh IDs instead of reusing the holes.
 func (e *Engine) Save(base string) error {
 	// Same order as mergeShards: the merge-operation lock first, then the
-	// engine lock. Holding mergeOpMu means no other compaction (the
-	// merger's, a ForceMerge) is mid-flight while the checkpoint compacts
-	// and writes.
+	// engine lock. Holding mergeOpMu means no other compaction (one a
+	// commit started, a ForceMerge) is mid-flight while the checkpoint
+	// compacts and writes.
 	e.mergeOpMu.Lock()
 	defer e.mergeOpMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.closed {
+		return errClosed
+	}
 	if len(e.quarantined) > 0 {
 		return fmt.Errorf("%w: shards %v", ErrDegraded, e.quarantined)
 	}
@@ -169,7 +173,7 @@ func (e *Engine) Save(base string) error {
 		// A mapped engine re-anchors every base on the generation just
 		// committed: the compaction above produced heap bases whose bytes
 		// are exactly what landed on disk, so adopting the mapped view
-		// frees that heap (and retires any merger scratch files) without
+		// frees that heap (and retires any compaction scratch files) without
 		// changing anything observable. Best-effort per shard — a shard
 		// that fails to map simply keeps serving from the heap.
 		for i := range e.base {
@@ -184,8 +188,8 @@ func (e *Engine) Save(base string) error {
 // base synchronously — the checkpoint-time compaction Save runs so
 // snapshots are always base-only. The shards' merges run concurrently and
 // install in shard order (compactInBatches). Write lock AND mergeOpMu
-// required (no concurrent readers or background merge), so MergeIndexes
-// can read the live tombstone bits directly.
+// required (no concurrent readers or other compaction pass), so
+// MergeIndexes can read the live tombstone bits directly.
 func (e *Engine) compactAllLocked() {
 	var slots []int
 	for s := range e.base {
@@ -410,7 +414,7 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, map
 }
 
 // removeStaleSnapshotFiles deletes every shard file the just-committed
-// manifest does not name: prior generations, merger scratch segments and
+// manifest does not name: prior generations, compaction scratch segments and
 // leftover *.tmp debris. Runs strictly after the manifest commit, so a
 // crash before it leaves the previous snapshot whole. Best-effort: Load
 // ignores unmanifested files anyway, this just reclaims the space.
@@ -420,7 +424,7 @@ func removeStaleSnapshotFiles(base string, m *manifest) {
 		live[mf.Name] = true
 	}
 	dir := filepath.Dir(base)
-	// Merger scratch segments (*.mapseg*) are never manifest-named; any
+	// Compaction scratch segments (*.mapseg*) are never manifest-named; any
 	// still mapped keep their pages through the unlink (inode semantics),
 	// and Save just re-anchored every base on manifest files anyway.
 	for _, pattern := range []string{base + ".g*.shard*", base + ".mapseg*"} {
@@ -546,9 +550,10 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 		return nil, err
 	}
 	if opts.Mapped {
-		// Arms the mapped write side: the merger persists compaction
-		// output as mapped scratch segments and Save re-anchors bases on
-		// the committed generation. Set before serving, read-only after.
+		// Arms the mapped write side: a compaction persists its output
+		// as mapped scratch segments and Save re-anchors bases on the
+		// committed generation. Set before serving and before the replay
+		// below, read-only after.
 		e.mappedBase = base
 	}
 	e.gen = m.Generation
@@ -559,15 +564,21 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 	// as one that existed at save time, and the generation gate already
 	// rejects logs from another snapshot lineage. A missing file is an
 	// empty log. Save compacts before rotating, so every record here is a
-	// batch ingested after the snapshot — nothing replays twice.
+	// batch ingested after the snapshot — nothing replays twice. Each
+	// record commits as the live atomic batch it was, with the zero
+	// IngestOptions and no WAL attached yet, so a tail that stacks
+	// segments on a shard starts a compaction pass as live ingests do.
 	res, err := wal.Replay(WALPath(base), m.Generation, obs.Default, func(rec []byte) error {
 		pages, err := decodeWALRecord(rec)
 		if err != nil {
 			return err
 		}
-		return e.applyBatch(pages)
+		_, err = e.ingest(context.Background(), pages, IngestOptions{}, &IngestResult{PerShard: make([]int, len(e.base))})
+		return err
 	})
 	if err != nil {
+		// Close waits for a pass the replay started and unmaps the bases.
+		e.Close()
 		return nil, err
 	}
 	rep.WALReplayed = res.Records

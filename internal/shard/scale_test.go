@@ -158,8 +158,8 @@ func (g *midRunGate) Do(ctx context.Context, q loadgen.Query) (loadgen.Outcome, 
 }
 
 // TestLSMIngestVsSearchAt10k is the write-firehose half of the
-// scale-truth suite: a 10k-document engine with the background merger
-// running takes batched Ingest traffic — fresh pages AND repeated
+// scale-truth suite: a 10k-document engine, compacting as its commits
+// stack segments, takes batched Ingest traffic — fresh pages AND repeated
 // upserts of a hot set, so tombstones and net-zero statistics churn are
 // both in play — while 8 closed-loop workers search it under the race
 // detector. It asserts the two LSM safety contracts at scale:
@@ -181,8 +181,7 @@ func TestLSMIngestVsSearchAt10k(t *testing.T) {
 	}
 	eng.EnableCache(8<<20, obs.NewRegistry())
 	eng.SetMetrics(obs.NewRegistry())
-	eng.StartMerger()
-	defer eng.StopMerger()
+	defer eng.Close() // waits for a compaction pass still running
 
 	fresh := corpus.New(corpus.Spec{TargetDocs: 1_200, Seed: 42, NoCoverage: true})
 	var pages []*crawler.MatchPage

@@ -68,7 +68,8 @@ type SearchResult struct {
 // The context carries the deadline: with no deadline the call waits for
 // every shard; with one, shards that miss it are dropped from the merge
 // and named in the report (degraded serving). A ctx that is already done
-// returns its error without searching.
+// returns its error without searching, and a closed engine refuses the
+// query with an error.
 //
 // When a query-result cache is installed (EnableCache), complete
 // answers are cached under the engine epoch their scatter read. A commit
@@ -94,9 +95,9 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 	cache, flight, met, epoch := e.cache, e.flight, e.met, e.epoch
 	e.mu.RUnlock()
 	if cache == nil || opts.NoCache {
-		res, _ := e.searchCold(ctx, query, opts)
+		res, _, err := e.searchCold(ctx, query, opts)
 		res.Cache = CacheBypass
-		return res, nil
+		return res, err
 	}
 	start := time.Now()
 	key := e.cacheKey(query, opts)
@@ -106,7 +107,10 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 		return SearchResult{Hits: cloneHits(ent.hits), Report: ent.report, Cache: CacheHit}, nil
 	}
 	v, leader, err := flight.Do(ctx, key, func() any {
-		res, epoch := e.searchCold(ctx, query, opts)
+		res, epoch, err := e.searchCold(ctx, query, opts)
+		if err != nil {
+			return err
+		}
 		if !res.Report.Degraded {
 			// The cache owns a private copy: callers are free to truncate
 			// or reorder their slice without poisoning later hits. The
@@ -119,6 +123,9 @@ func (e *Engine) Search(ctx context.Context, query string, opts SearchOptions) (
 		return res
 	})
 	if err != nil {
+		return SearchResult{}, err
+	}
+	if err, ok := v.(error); ok {
 		return SearchResult{}, err
 	}
 	res := v.(SearchResult)
@@ -171,11 +178,16 @@ func cloneHits(hits []semindex.Hit) []semindex.Hit {
 // returns the answer with the engine epoch read under that same lock, the
 // epoch a cached copy of the answer is valid at. The context deadline,
 // when present, is the per-scatter collection budget: shards that miss it
-// are dropped from the merge and reported.
-func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions) (SearchResult, uint64) {
+// are dropped from the merge and reported. A closed engine returns
+// errClosed, since its mapped bases are unmapped.
+func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOptions) (SearchResult, uint64, error) {
 	start := time.Now()
 	tr := opts.Trace
 	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return SearchResult{}, 0, errClosed
+	}
 	epoch := e.epoch
 	// The text is parsed and analyzed here, once; shards and segments only
 	// look its terms up.
@@ -228,7 +240,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 		met.missing.Add(uint64(len(rep.Missing)))
 	}
 	met.latency.ObserveDuration(time.Since(start))
-	return SearchResult{Hits: hits, Report: rep}, epoch
+	return SearchResult{Hits: hits, Report: rep}, epoch, nil
 }
 
 // prepareLocked routes and analyzes a search's text for the whole engine:
