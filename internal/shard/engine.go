@@ -81,10 +81,6 @@ type subIndex struct {
 	// for its full duration (the deadline scatter's drain goroutine keeps
 	// holding it until stragglers finish), so no reader survives the swap.
 	release func() error
-	// scratch names the compaction-written segment file backing a mapped
-	// base ("" for manifest-named files, which Save owns); removed
-	// together with the mapping.
-	scratch string
 }
 
 // docRef locates one global document inside the engine. A nil sub marks
@@ -209,14 +205,11 @@ type Engine struct {
 	closed bool
 
 	// mappedBase, when non-empty, is the snapshot base path the engine
-	// was mapped-loaded from (LoadOptions.Mapped): a compaction persists
-	// its output next to it as mapped scratch segments and Save
-	// re-anchors bases on the committed generation's files. Set once
-	// before serving, read-only after.
+	// was mapped-loaded from (LoadOptions.Mapped): every new base is
+	// mapped from a file (writeBase), a compaction's from a file that
+	// lives next to this path only until it is mapped. Set once before
+	// serving, read-only after.
 	mappedBase string
-	// mapSeq numbers compaction scratch segment files so successive merges
-	// of one shard never collide.
-	mapSeq atomic.Uint64
 
 	// mergeOpMu serializes compaction passes (the one a commit starts,
 	// ForceMerge, Save's checkpoint) against each other and against

@@ -9,12 +9,15 @@ package shard
 //
 //   - LoadWith(Mapped) keeps each manifest-named snapshot file mapped; the
 //     release func rides on the base subIndex.
-//   - A compaction pass persists its output as a scratch segment file
-//     ("<base>.mapseg000001.shard002") and reopens it through the same
-//     reader, so a mapped engine stays mapped across merges instead of
-//     accreting heap.
-//   - Save re-anchors every base on the generation it just committed
-//     and retires scratch files.
+//   - A new base is written to a shard file and mapped straight back
+//     through the same reader, in one call (writeBase). A compaction pass
+//     writes its output under a fresh unique name next to the snapshot
+//     and removes the name as soon as the file is mapped (mapMerged), so
+//     a mapped engine stays mapped across merges instead of accreting
+//     heap, and leaves no file behind.
+//   - Save maps each generation file as it writes it and installs those
+//     bases once the manifest commits; a Save that fails before the commit
+//     releases them, and the bases it found keep serving.
 //   - Close unmaps whatever is still live.
 //
 // Unmap safety: a base swap happens under the engine write lock, and
@@ -31,26 +34,22 @@ package shard
 // nothing retains mapped bytes past the release.
 
 import (
-	"fmt"
 	"io"
 	"os"
-	"slices"
+	"path/filepath"
 
 	"repro/internal/index"
 )
 
-// releaseSub unmaps a retired sub's byte region and removes its scratch
-// file, if it has either. Callers must guarantee no reader can still
-// reference the sub (see the unmap-safety note above).
+// releaseSub unmaps a retired sub's byte region, if it has one. Callers
+// must guarantee no reader can still reference the sub (see the
+// unmap-safety note above).
 func releaseSub(sub *subIndex) {
 	if sub == nil || sub.release == nil {
 		return
 	}
 	sub.release()
 	sub.release = nil
-	if sub.scratch != "" {
-		os.Remove(sub.scratch)
-	}
 }
 
 // Close releases the engine's resources: a running compaction pass,
@@ -74,49 +73,38 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// adoptMappedBaseLocked swaps shard s's base for a mapped view of the
-// snapshot file just written for it — same documents, same local IDs,
-// same bytes, so nothing observable changes: no statistics move, no
-// epoch bumps, no cache entry is touched. Best-effort: on any failure
-// the heap base stays. Write lock required; the base must be clean
-// (Save compacts first) so its local IDs equal the file's.
-func (e *Engine) adoptMappedBaseLocked(s int, path string, mf manifestEntry) {
-	nb, err := readShardFile(path, e.base[s].ix.Analyzer(), mf, true)
-	if err != nil || !slices.Equal(nb.gids, e.base[s].gids) {
-		releaseSub(nb)
-		return
+// writeBase writes ix, with its documents' global IDs, to the shard file at
+// path (writeShardFile) and returns the file's manifest entry. mapped, it
+// maps the file straight back (readShardFile) and returns the sub that
+// serves it: the same documents under the same local IDs, checked by the
+// same CRCs as any load. This is the one way a mapped engine gets a new
+// base, from a compaction pass (mapMerged) or from Save.
+func writeBase(path string, ix *index.Index, gids []int, mapped bool) (manifestEntry, *subIndex, error) {
+	size, sum, err := writeShardFile(path, gids, func(w io.Writer) ([]byte, error) {
+		return ix.EncodeWithTOC(w, tocColumns...)
+	})
+	mf := manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}
+	if err != nil || !mapped {
+		return mf, nil, err
 	}
-	old := e.base[s]
-	nb.ix.SetCorpusStats(e.global)
-	nb.ix.SetExhaustive(e.exhaustive)
-	for local, gid := range nb.gids {
-		e.byGID[gid] = docRef{sub: nb, local: local}
-	}
-	e.base[s] = nb
-	releaseSub(old)
+	sub, err := readShardFile(path, ix.Analyzer(), mf, true)
+	return mf, sub, err
 }
 
-// writeMappedSeg persists a freshly merged index as a mapped scratch
-// segment — tmp + fsync + rename, then a reopen through the one snapshot
-// reader, the same discipline as a snapshot — and returns the base-ready sub,
-// or nil to signal the caller to fall back to serving the heap merge
-// (the merge itself never fails here, only the mapping of it). Scratch
-// files are invisible to Load (the manifest never names them) and are
-// retired by the next Save or by releaseSub.
-func (e *Engine) writeMappedSeg(s int, merged *index.Index, gids []int) *subIndex {
-	path := fmt.Sprintf("%s.mapseg%06d.shard%03d", e.mappedBase, e.mapSeq.Add(1), s)
-	size, sum, err := writeShardFile(path, gids, func(w io.Writer) ([]byte, error) {
-		return merged.EncodeWithTOC(w, tocColumns...)
-	})
+// mapMerged maps a compaction pass's output: it writes merged to a fresh
+// unique name next to the snapshot (writeBase), maps it, and removes the
+// name at once, whether the write or the map failed or not. On linux the
+// mapping keeps the file's inode alive until release; elsewhere mapFile has
+// already copied the bytes. So no name outlives the call, and two engines
+// mapped on one base never share one. nil tells the caller to serve the
+// heap merge (the merge itself never fails here, only the mapping of it).
+func (e *Engine) mapMerged(merged *index.Index, gids []int) *subIndex {
+	f, err := os.CreateTemp(filepath.Dir(e.mappedBase), filepath.Base(e.mappedBase)+".mapseg*")
 	if err != nil {
-		os.Remove(path + ".tmp")
 		return nil
 	}
-	sub, err := readShardFile(path, merged.Analyzer(), manifestEntry{Name: path, Size: size, CRC: sum}, true)
-	if err != nil {
-		os.Remove(path)
-		return nil
-	}
-	sub.scratch = path
+	f.Close()
+	defer os.Remove(f.Name())
+	_, sub, _ := writeBase(f.Name(), merged, gids, true)
 	return sub
 }

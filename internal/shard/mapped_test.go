@@ -11,10 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/semindex"
 	"repro/internal/soccer"
@@ -216,6 +218,118 @@ func TestMappedSaveIsRawCopy(t *testing.T) {
 		if !bytes.Equal(gen1[s], gen2) {
 			t.Errorf("shard %d: clean mapped re-save changed the file bytes", s)
 		}
+	}
+}
+
+// TestMappedCompactionLeavesNoName: two engines mapped on one base each
+// upsert a page of shard 1 and compact it. No pass may leave a compaction
+// file's name behind, and closing one engine must not take a file the
+// other serves: the other still matches the oracle, then saves, passes
+// Fsck and closes, leaving only the manifest, the files it names and the
+// WAL.
+func TestMappedCompactionLeavesNoName(t *testing.T) {
+	r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if _, err := r.apply("crash-wal/mapped"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := LoadWith(r.base, nil, LoadOptions{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.abandoned = append(r.abandoned, first)
+	noName := func(after string) {
+		t.Helper()
+		if left, _ := filepath.Glob(r.base + ".mapseg*"); len(left) > 0 {
+			t.Fatalf("%s left %v", after, left)
+		}
+	}
+	_, _, pages, _ := parseStep("ingest:1")
+	if _, err := first.Ingest(context.Background(), pages, IngestOptions{Merge: MergeNone}); err != nil {
+		t.Fatal(err)
+	}
+	first.ForceMerge()
+	noName("the first engine's ForceMerge")
+	for _, step := range []string{"ingest:1'", "force-merge"} {
+		if _, err := r.apply(step); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		noName(step)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.check(true); err != nil {
+		t.Fatalf("after the first engine's Close: %v", err)
+	}
+	if err := r.save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(r.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Base(ManifestPath(r.base)), filepath.Base(WALPath(r.base))}
+	for _, mf := range m.Files {
+		want = append(want, mf.Name)
+	}
+	entries, err := os.ReadDir(filepath.Dir(r.base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ent := range entries {
+		got = append(got, ent.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("directory holds %v, want %v", got, want)
+	}
+}
+
+// TestFailedManifestSaveKeepsServing: a Save of a mapped engine holding a
+// segment fails at its manifest write (a directory stands where the
+// manifest's tmp file goes). The Save must return the error and release
+// what it mapped, and the engine must keep answering as the oracle does.
+// Once the directory is gone, the next Save commits, and every base serves
+// mapped from the committed files.
+func TestFailedManifestSaveKeepsServing(t *testing.T) {
+	r, err := newOracleRun(schedule{opts: Options{Shards: 2}}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	for _, step := range []string{"crash-wal/mapped", "ingest:2,5"} {
+		if _, err := r.apply(step); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	blocker := ManifestPath(r.base) + ".tmp"
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.e.Save(r.base); err == nil {
+		t.Fatal("Save committed a manifest over a directory")
+	}
+	for _, q := range eval.PaperQueries() {
+		if err := r.sameAnswers(q.Keywords, 0, r.o.si.Search(q.Keywords, 0), true, "cold", "cached"); err != nil {
+			t.Fatalf("after the failed Save: %v", err)
+		}
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.check(true); err != nil {
+		t.Fatalf("after the next Save: %v", err)
 	}
 }
 

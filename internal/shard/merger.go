@@ -144,8 +144,8 @@ func fanOut(n, workers int, fn func(i int)) {
 
 // pendingMerge is a shard merge prepared against a snapshot, not
 // installed: subs is the merge set (base first), merged and remaps are
-// MergeIndexes' output, gids are merged's global IDs, nb is merged's
-// mapped reopen (nil to serve the heap merge), and start is when the
+// MergeIndexes' output, gids are merged's global IDs, nb is merged mapped
+// back from a file (nil to serve the heap merge), and start is when the
 // snapshot was taken.
 type pendingMerge struct {
 	start  time.Time
@@ -198,23 +198,21 @@ func (e *Engine) prepareMerge(s int) *pendingMerge {
 	// this merge and survive the swap.
 	pm.merge(masks)
 
-	// Phase 2.5: a mapped engine persists the merge and reopens it as a
-	// mapped scratch segment (tmp + fsync + rename + CRC reopen), still
-	// off-lock, so compaction sheds its heap instead of accreting it. A
-	// nil sub falls back to serving the heap merge. mappedBase is set
-	// once before serving and read-only after, so the unlocked read is
-	// safe.
+	// Phase 2.5: a mapped engine writes the merge to a file and maps it
+	// back (mapMerged), still off-lock, so compaction sheds its heap
+	// instead of accreting it. A nil sub falls back to serving the heap
+	// merge. mappedBase is set once before serving and read-only after,
+	// so the unlocked read is safe.
 	if e.mappedBase != "" {
-		pm.nb = e.writeMappedSeg(s, pm.merged, pm.gids)
+		pm.nb = e.mapMerged(pm.merged, pm.gids)
 	}
 	return pm
 }
 
 // installMerge is phase 3: the swap. mergeOpMu held. The merge set is
 // still shard s's base and oldest segments: every other writer of a base
-// (Save's compactAllLocked and adoptMappedBaseLocked, Close's unmap)
-// holds mergeOpMu too, and the only write that can run between
-// prepareMerge and here, commitLocked, only appends segments.
+// (Save, Close's unmap) holds mergeOpMu too, and the only write that can
+// run between prepareMerge and here, commitLocked, only appends segments.
 func (e *Engine) installMerge(s int, pm *pendingMerge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -230,7 +228,7 @@ func (e *Engine) installMerge(s int, pm *pendingMerge) {
 // cache entry is touched. Every installed compaction counts in the merge
 // metrics, timed from its snapshot to this swap. Write lock required.
 //
-// pm.nb, when non-nil, is a mapped reopen of pm.merged (writeMappedSeg)
+// pm.nb, when non-nil, is pm.merged mapped back from a file (mapMerged)
 // — the same documents under the same local IDs — and serves in its
 // place; a retiring mapped old base is unmapped, which is safe here
 // because the write lock excludes every reader (see mapped.go).

@@ -215,7 +215,7 @@ func TestReplayStartsCompaction(t *testing.T) {
 
 // TestCompactionKeepsUpWithCommits: four goroutines upsert small pages
 // into a one-shard mapped engine under MergeAuto. A pass there merges the
-// larger base and writes and syncs a scratch file, so commits land while
+// larger base and writes, syncs and maps its file, so commits land while
 // one runs, or find one pending, or neither. Once every call has
 // returned, a pass must still bring the shard below mergeSegments (no
 // commit's request is lost), and the engine must match the oracle.

@@ -55,7 +55,7 @@ const (
 //	save                      Save, from a heap or a mapped engine
 //	crash-wal@n/mapped        cut the WAL at n mod (size+1) (no @n: none), reopen mapped
 //	crash-manifest/heap       crash with the next generation's files unmanifested
-//	crash-scratch@1/heap      crash after a mapped merge of shard 1 left scratch files
+//	crash-scratch@1/heap      crash after a mapped merge of shard 1, with torn compaction files
 //	warm                      cache answers for player names
 var stepKinds = []string{"ingest", "ingest", "merge", "force-merge", "merge-race", "save",
 	"crash-wal", "crash-manifest", "crash-scratch", "warm"}
@@ -519,9 +519,10 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 		}
 		e.mu.RUnlock()
 	case "crash-scratch":
-		// A mapped engine's merge leaves a scratch segment; a kill
-		// mid-write leaves torn ones. A heap engine crashes first, and a
-		// mapped reopen of its files does the merge.
+		// A mapped engine's merge leaves no file; a kill mid-write leaves
+		// torn ones, which the reopen ignores and the next Save sweeps. A
+		// heap engine crashes first, and a mapped reopen of its files does
+		// the merge.
 		victim := e
 		if e.mappedBase == "" {
 			var err error
@@ -533,11 +534,11 @@ func (r *oracleRun) crash(kind string, n int, mapped bool) (failed error) {
 			victim.settle() // its replay may have started a pass too
 		}
 		victim.mergeShard(n % victim.NumShards())
+		if left, _ := filepath.Glob(r.base + ".mapseg*"); len(left) > 0 {
+			return fmt.Errorf("a merge on a mapped engine left %v", left)
+		}
 		for _, junk := range []string{".mapseg999998.shard001", ".mapseg999999.shard000.tmp"} {
 			failed = errors.Join(failed, os.WriteFile(r.base+junk, []byte("torn scratch write"), 0o644))
-		}
-		if orphans, _ := filepath.Glob(r.base + ".mapseg*"); len(orphans) < 3 {
-			return fmt.Errorf("a merge on a mapped engine left no scratch file: %v", orphans)
 		}
 	}
 	if err := errors.Join(failed, e.CloseWAL()); err != nil {

@@ -41,6 +41,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"time"
@@ -108,6 +109,9 @@ func shardGenPath(base string, gen uint64, i int) string {
 // compaction leaves holes in the global ID space (tombstoned documents
 // dropped for good), the manifest records the next unused ID so reloads
 // keep assigning fresh IDs instead of reusing the holes.
+//
+// A mapped engine comes out of a Save serving every base from the file
+// just committed for it; a file that fails to map fails the Save.
 func (e *Engine) Save(base string) error {
 	// Same order as mergeShards: the merge-operation lock first, then the
 	// engine lock. Holding mergeOpMu means no other compaction (one a
@@ -135,17 +139,18 @@ func (e *Engine) Save(base string) error {
 		m.WAL = filepath.Base(WALPath(base))
 	}
 	// The shard files are encoded and written concurrently; m.Files keeps
-	// shard order and the first error waits for every writer.
+	// shard order and the first error waits for every writer. A mapped
+	// engine maps each file as it writes it (writeBase). Until the manifest
+	// commits, the bases found here keep serving, and a failed Save releases
+	// every new mapping (subs is nil once they are installed).
 	files := make([]manifestEntry, len(e.base))
+	subs := make([]*subIndex, len(e.base))
+	defer func() { releaseSubs(subs) }()
 	errs := make([]error, len(e.base))
 	fanOut(len(e.base), len(e.base), func(i int) {
-		path := shardGenPath(base, newGen, i)
-		size, sum, err := writeShardFile(path, e.base[i].gids, func(w io.Writer) ([]byte, error) {
-			// On an already-mapped base this whole save is a raw byte copy
-			// of the mapped region.
-			return e.base[i].ix.EncodeWithTOC(w, tocColumns...)
-		})
-		files[i], errs[i] = manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}, err
+		// On an already-mapped base this whole write is a raw byte copy of
+		// the mapped region.
+		files[i], subs[i], errs[i] = writeBase(shardGenPath(base, newGen, i), e.base[i].ix, e.base[i].gids, e.mappedBase != "")
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -162,22 +167,27 @@ func (e *Engine) Save(base string) error {
 		return err
 	}
 	e.gen = newGen
+	if e.mappedBase != "" {
+		// Each base moves to the committed file just written from it: the
+		// same documents under the same local IDs, so nothing observable
+		// changes — no statistics move, no epoch bumps, no cache entry is
+		// touched.
+		for i, nb := range subs {
+			nb.ix.SetCorpusStats(e.global)
+			nb.ix.SetExhaustive(e.exhaustive)
+			for local, gid := range nb.gids {
+				e.byGID[gid] = docRef{sub: nb, local: local}
+			}
+			releaseSub(e.base[i])
+			e.base[i] = nb
+		}
+		subs = nil
+	}
 	if e.wal != nil {
 		// Every record in the log is folded into the snapshot just
 		// committed; start the next generation's log.
 		if err := e.wal.Rotate(newGen); err != nil {
 			return fmt.Errorf("shard: rotating WAL: %w", err)
-		}
-	}
-	if e.mappedBase != "" {
-		// A mapped engine re-anchors every base on the generation just
-		// committed: the compaction above produced heap bases whose bytes
-		// are exactly what landed on disk, so adopting the mapped view
-		// frees that heap (and retires any compaction scratch files) without
-		// changing anything observable. Best-effort per shard — a shard
-		// that fails to map simply keeps serving from the heap.
-		for i := range e.base {
-			e.adoptMappedBaseLocked(i, filepath.Join(filepath.Dir(base), m.Files[i].Name), m.Files[i])
 		}
 	}
 	removeStaleSnapshotFiles(base, m)
@@ -201,7 +211,7 @@ func (e *Engine) compactAllLocked() {
 	compactInBatches(slots, func(s int) {
 		pm := &pendingMerge{start: time.Now(), subs: e.subsLocked(s)}
 		// Heap output even on a mapped engine: Save is about to write the
-		// merged bytes and then re-anchor the base on the committed file.
+		// merged bytes and map the committed file back.
 		pm.merge(nil)
 		pms[s] = pm
 	}, func(s int) {
@@ -213,13 +223,18 @@ func (e *Engine) compactAllLocked() {
 // writeShardFile writes one enveloped, checksummed shard snapshot via
 // tmp + fsync + rename, returning the final file size and payload CRC.
 // gids are the payload documents' global IDs, ascending; save writes the
-// payload and returns its mapped TOC.
-func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
+// payload and returns its mapped TOC. A failed write removes its tmp file.
+func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error)) (_ int64, _ uint32, err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
 	// bw keeps its first write error; Flush returns it.
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var hdr [snapHeaderLen]byte
@@ -413,31 +428,26 @@ func readShardFile(path string, analyzer index.Analyzer, want manifestEntry, map
 	return sub, nil
 }
 
-// removeStaleSnapshotFiles deletes every shard file the just-committed
-// manifest does not name: prior generations, compaction scratch segments and
-// leftover *.tmp debris. Runs strictly after the manifest commit, so a
-// crash before it leaves the previous snapshot whole. Best-effort: Load
-// ignores unmanifested files anyway, this just reclaims the space.
+// removeStaleSnapshotFiles deletes every shard file of base the
+// just-committed manifest does not name: prior generations, compaction
+// files a kill left between their create and their unlink, and leftover
+// *.tmp debris. Runs strictly after the manifest commit, so a crash before
+// it leaves the previous snapshot whole. Best-effort: Load ignores
+// unmanifested files anyway, this just reclaims the space.
 func removeStaleSnapshotFiles(base string, m *manifest) {
 	live := make(map[string]bool, len(m.Files))
 	for _, mf := range m.Files {
 		live[mf.Name] = true
 	}
+	// base's own names, matched literally, so another snapshot in the same
+	// directory ("snap1" beside "snap[1]") never matches.
+	own := regexp.MustCompile(`^` + regexp.QuoteMeta(filepath.Base(base)) + `\.(g\d+\.shard\d+(\.tmp)?|mapseg.*)$`)
 	dir := filepath.Dir(base)
-	// Compaction scratch segments (*.mapseg*) are never manifest-named; any
-	// still mapped keep their pages through the unlink (inode semantics),
-	// and Save just re-anchored every base on manifest files anyway.
-	for _, pattern := range []string{base + ".g*.shard*", base + ".mapseg*"} {
-		names, err := filepath.Glob(pattern)
-		if err != nil {
-			continue
-		}
-		for _, name := range names {
-			// Quarantined files are operator evidence, not debris.
-			if strings.HasSuffix(name, ".corrupt") || live[filepath.Base(name)] {
-				continue
-			}
-			os.Remove(filepath.Join(dir, filepath.Base(name)))
+	entries, _ := os.ReadDir(dir)
+	for _, ent := range entries {
+		// Quarantined files are operator evidence, not debris.
+		if name := ent.Name(); own.MatchString(name) && !live[name] && !strings.HasSuffix(name, ".corrupt") {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 	os.Remove(ManifestPath(base) + ".tmp")
@@ -511,7 +521,9 @@ type LoadOptions struct {
 	Mapped bool
 }
 
-// LoadWith is Load with explicit load options.
+// LoadWith is Load with explicit load options. An engine loaded Mapped
+// stays mapped: the base a compaction pass or a Save installs is mapped
+// from a file written for it (writeBase).
 func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, error) {
 	m, err := readManifest(base)
 	if err != nil {
@@ -550,10 +562,9 @@ func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, 
 		return nil, err
 	}
 	if opts.Mapped {
-		// Arms the mapped write side: a compaction persists its output
-		// as mapped scratch segments and Save re-anchors bases on the
-		// committed generation. Set before serving and before the replay
-		// below, read-only after.
+		// Arms the mapped write side: a compaction maps its output from a
+		// file next to base (mapMerged). Set before serving and before
+		// the replay below, read-only after.
 		e.mappedBase = base
 	}
 	e.gen = m.Generation

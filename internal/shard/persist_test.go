@@ -469,3 +469,41 @@ func TestSwappedLevelFileIsCorrupt(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestStaleSweepMatchesBaseLiterally: snapshots "snap1", "snap[1]" and
+// "snap[" share a directory. As a glob pattern the second name matches the
+// first one's files and the third is malformed, so the stale-file sweep
+// must match the base name literally. Each saved twice, every snapshot
+// must still load and pass Fsck, with its own first generation swept.
+func TestStaleSweepMatchesBaseLiterally(t *testing.T) {
+	pages, _ := fixture(t)
+	dir := t.TempDir()
+	bases := []string{filepath.Join(dir, "snap1"), filepath.Join(dir, "snap[1]"), filepath.Join(dir, "snap[")}
+	engines := make([]*Engine, len(bases))
+	for i := range engines {
+		engines[i] = Build(nil, semindex.FullInf, pages[i:i+2], Options{Shards: 2})
+	}
+	for range 2 {
+		for i, b := range bases {
+			if err := engines[i].Save(b); err != nil {
+				t.Fatalf("Save %s: %v", b, err)
+			}
+		}
+	}
+	for i, b := range bases {
+		if rep := Fsck(b); !rep.OK() || rep.Generation != 2 {
+			t.Errorf("fsck %s:\n%s", b, rep)
+		}
+		back, err := Load(b, nil)
+		if err != nil {
+			t.Errorf("Load %s: %v", b, err)
+		} else if back.NumDocs() != engines[i].NumDocs() {
+			t.Errorf("%s reloaded %d documents, saved %d", b, back.NumDocs(), engines[i].NumDocs())
+		}
+		for s := range 2 {
+			if _, err := os.Stat(shardGenPath(b, 1, s)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: stale %s not swept (%v)", b, filepath.Base(shardGenPath(b, 1, s)), err)
+			}
+		}
+	}
+}
