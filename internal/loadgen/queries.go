@@ -1,12 +1,8 @@
-// Package loadgen is the closed-loop load harness of the scale-truth
-// subsystem: it generates a realistic, Zipf-skewed query workload from a
-// corpus's own vocabulary, drives it against a search target at fixed
-// concurrency, and reports the measured latency/throughput/error profile.
-//
-// The package is deliberately decoupled from how the answer is produced:
-// a Target is anything that can execute one Query. EngineTarget, the one
-// provided, drives the in-process sharded engine, so a run measures the
-// engine's search path, not the HTTP server's.
+// Package loadgen generates the query pools the benchmark and the tests
+// run: realistic, popularity-ranked queries templated from a corpus's own
+// vocabulary, in a chosen mix of keyword, phrase, fielded, fuzzy and
+// spell-correction classes. It only generates; each caller drives the
+// pool against an engine in its own loop.
 package loadgen
 
 import (
@@ -92,7 +88,7 @@ var DefaultMix = map[Class]int{
 // (nil means DefaultMix). Generation is deterministic in (vocab, mix, n,
 // seed). Vocabulary draws are head-biased — low-rank teams and players
 // are picked more often — so the emitted list is itself a popularity
-// ranking: a Zipf selector over its indices (as Run applies) yields a
+// ranking: a Zipf selector over its indices yields a
 // workload whose hot queries hit hot entities, the profile a query cache
 // actually faces.
 func GenerateQueries(vocab Vocabulary, mix map[Class]int, n int, seed int64) []Query {

@@ -19,14 +19,15 @@ type IDTriple struct {
 	S, P, O ID
 }
 
-// Graph is an in-memory set of triples. Terms are dictionary-encoded to
-// dense IDs when they first enter the graph; a triple is stored once, as
-// three IDs, in an append-only log, and threaded onto three doubly linked
-// chains — the triples sharing its subject, its predicate and its object —
-// so the pattern queries of the reasoner and rule engine follow the
-// shortest bound chain instead of scanning, and never copy candidates.
-// Whether a triple is present is one probe of an open-addressed table of
-// log offsets.
+// Graph is an in-memory, append-only set of triples: the paper's models
+// are built offline and only ever gain triples, so a triple once added
+// stays. Terms are dictionary-encoded to dense IDs when they first enter
+// the graph; a triple is stored once, as three IDs, in an append-only
+// log, and threaded onto three doubly linked chains — the triples sharing
+// its subject, its predicate and its object — so the pattern queries of
+// the reasoner and rule engine follow the shortest bound chain instead of
+// scanning, and never copy candidates. Whether a triple is present is one
+// probe of an open-addressed table of log offsets.
 //
 // Every query visits triples in the order they were added, whichever
 // chain answers it. Match makes no stronger promise; All, Objects,
@@ -43,20 +44,15 @@ type Graph struct {
 	iris  map[string]ID
 	rest  map[Term]ID
 
-	// log holds the triples in insertion order; a removed triple leaves a
-	// slot with a zero subject. ends[id-1] bounds and counts the chains of
-	// term id.
+	// log holds the triples in insertion order. ends[id-1] bounds and
+	// counts the chains of term id.
 	log  []logEntry
 	ends []chainEnds
 	// table finds a triple's log entry: each slot holds a log offset+1, or
 	// 0 when empty, and a triple sits at the first slot from slotOf(t),
-	// probed linearly, that is empty or holds it. A slot whose entry Remove
-	// zeroed is a tombstone: probes pass it, an add may take it, and a
-	// resize drops it. used counts the non-empty slots, tombstones included.
+	// probed linearly, that is empty or holds it. Every logged triple fills
+	// one slot.
 	table []uint32
-	used  int
-	// removals counts successful Removes over the graph's life.
-	removals int
 	// room holds the entry counts iris and rest were last made for: a map
 	// keeps its capacity when Reset clears it, so Grow remakes one only
 	// when it must hold more.
@@ -72,8 +68,8 @@ type logEntry struct {
 }
 
 // chainEnds holds, per position, the log offset+1 of the first and last
-// triple carrying the term there (0 when none does), and how many live
-// triples carry it there.
+// triple carrying the term there (0 when none does), and how many triples
+// carry it there.
 type chainEnds struct {
 	head, tail, n [3]uint32
 }
@@ -115,34 +111,29 @@ func (g *Graph) Reset() {
 	clear(g.iris)
 	clear(g.rest)
 	clear(g.table)
-	g.used, g.removals = 0, 0
 }
 
-// The table is a power of two slots long and at most maxLoad full,
-// tombstones included, so a probe for an absent triple ends at an empty
-// slot after a few steps.
+// The table is a power of two slots long and at most maxLoad full, so a
+// probe for an absent triple ends at an empty slot after a few steps.
 const (
 	minTable = 8
 	maxLoad  = 3 // quarters
 )
 
 // fits reports whether the table takes n more triples without a resize.
-func (g *Graph) fits(n int) bool { return (g.used+n)*4 <= len(g.table)*maxLoad }
+func (g *Graph) fits(n int) bool { return (len(g.log)+n)*4 <= len(g.table)*maxLoad }
 
-// resize rebuilds the table, tombstones dropped, as the smallest that
-// holds n live triples, and puts every live triple in it.
+// resize rebuilds the table as the smallest that holds n triples, and puts
+// every logged triple in it.
 func (g *Graph) resize(n int) {
 	size := minTable
 	for n*4 > size*maxLoad {
 		size *= 2
 	}
-	g.table, g.used = make([]uint32, size), 0
+	g.table = make([]uint32, size)
 	for off, e := range g.log {
-		if e.t.S != 0 {
-			i, _ := g.find(e.t)
-			g.table[i] = uint32(off) + 1
-			g.used++
-		}
+		i, _ := g.find(e.t)
+		g.table[i] = uint32(off) + 1
 	}
 }
 
@@ -154,26 +145,18 @@ func (g *Graph) slotOf(t IDTriple) int {
 	return int(h >> (64 - bits.TrailingZeros(uint(len(g.table)))))
 }
 
-// find probes for t, which must have a non-zero subject. It returns t's
-// slot and true when t is present; else the slot an add should take — the
-// first tombstone on the probe path, or the empty slot that ended it — and
-// false. The table must not be empty.
+// find probes for t. It returns t's slot and true when t is present; else
+// the empty slot that ended the probe, which an add takes, and false. The
+// table must not be empty.
 func (g *Graph) find(t IDTriple) (int, bool) {
 	mask := len(g.table) - 1
-	free := -1
 	for i := g.slotOf(t); ; i = (i + 1) & mask {
 		v := g.table[i]
 		if v == 0 {
-			if free < 0 {
-				free = i
-			}
-			return free, false
+			return i, false
 		}
-		switch at := g.log[v-1].t; {
-		case at == t:
+		if g.log[v-1].t == t {
 			return i, true
-		case at.S == 0 && free < 0:
-			free = i
 		}
 	}
 }
@@ -267,9 +250,6 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	if ok {
 		return false
 	}
-	if g.table[i] == 0 {
-		g.used++
-	}
 	off := uint32(len(g.log))
 	g.table[i] = off + 1
 	g.log = append(g.log, logEntry{t: t})
@@ -288,44 +268,6 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	return true
 }
 
-// Remove deletes a triple. It reports whether the triple was present.
-// The triple's three chains are doubly linked, so unlinking it is O(1).
-func (g *Graph) Remove(t Triple) bool {
-	it, ok := g.lookup3(t)
-	if !ok || len(g.table) == 0 {
-		return false
-	}
-	i, ok := g.find(it)
-	if !ok {
-		return false
-	}
-	off := g.table[i] - 1
-	for pos, id := range [3]ID{it.S, it.P, it.O} {
-		e := &g.ends[id-1]
-		prev, next := g.log[off].prev[pos], g.log[off].next[pos]
-		if prev == 0 {
-			e.head[pos] = next
-		} else {
-			g.log[prev-1].next[pos] = next
-		}
-		if next == 0 {
-			e.tail[pos] = prev
-		} else {
-			g.log[next-1].prev[pos] = prev
-		}
-		e.n[pos]--
-	}
-	g.log[off] = logEntry{}
-	g.removals++
-	return true
-}
-
-// Removals returns how many triples Remove has deleted over the graph's
-// life (a Clone starts from its source's count). A reader that resumes
-// from a log offset compares it with the count it last saw: the log
-// reports what was added since, never what went.
-func (g *Graph) Removals() int { return g.removals }
-
 // Has reports whether the exact triple is present.
 func (g *Graph) Has(t Triple) bool {
 	it, ok := g.lookup3(t)
@@ -337,28 +279,23 @@ func (g *Graph) HasSPO(s, p, o Term) bool { return g.Has(Triple{S: s, P: p, O: o
 
 // HasIDs is Has for interned terms.
 func (g *Graph) HasIDs(s, p, o ID) bool {
-	if s == 0 || len(g.table) == 0 {
+	if len(g.table) == 0 {
 		return false
 	}
 	_, ok := g.find(IDTriple{s, p, o})
 	return ok
 }
 
-// Len returns the number of triples: every Add logs one, and every Remove
-// zeroes one.
-func (g *Graph) Len() int { return len(g.log) - g.removals }
+// Len returns the number of triples.
+func (g *Graph) Len() int { return len(g.log) }
 
 // LogLen returns the length of the insertion log, which only grows: the
-// triples added since an earlier LogLen() == n are exactly the live entries
-// of At(n), At(n+1), ... — how the reasoner finds its delta.
+// triples added since an earlier LogLen() == n are exactly At(n),
+// At(n+1), ... — how the reasoner finds its delta.
 func (g *Graph) LogLen() int { return len(g.log) }
 
-// At returns the i-th logged triple; ok is false for the slot a removed
-// triple left behind.
-func (g *Graph) At(i int) (t IDTriple, ok bool) {
-	t = g.log[i].t
-	return t, t.S != 0
-}
+// At returns the i-th logged triple.
+func (g *Graph) At(i int) IDTriple { return g.log[i].t }
 
 // Cursor iterates the triples matching a Scan pattern without copying
 // them. It sees the graph as of the Scan call: triples added while
@@ -458,7 +395,7 @@ func (c *Cursor) Next() bool {
 			c.next++
 		}
 		t, w := e.t, c.want
-		if t.S != 0 && (w.S == 0 || t.S == w.S) && (w.P == 0 || t.P == w.P) && (w.O == 0 || t.O == w.O) {
+		if (w.S == 0 || t.S == w.S) && (w.P == 0 || t.P == w.P) && (w.O == 0 || t.O == w.O) {
 			c.T, c.at = t, at
 			return true
 		}
@@ -560,11 +497,9 @@ func (g *Graph) leastObject(c Cursor) ID {
 // All returns every triple in deterministic (sorted) order, which the Turtle
 // writer and tests rely on for reproducible output.
 func (g *Graph) All() []Triple {
-	ts := make([]Triple, 0, g.Len())
+	ts := make([]Triple, 0, len(g.log))
 	for _, e := range g.log {
-		if e.t.S != 0 {
-			ts = append(ts, g.Triple(e.t))
-		}
+		ts = append(ts, g.Triple(e.t))
 	}
 	SortTriples(ts)
 	return ts
@@ -580,9 +515,7 @@ func (g *Graph) AddAll(src *Graph) {
 		return ids[id]
 	}
 	for _, e := range src.log {
-		if e.t.S != 0 {
-			g.AddIDs(to(e.t.S), to(e.t.P), to(e.t.O))
-		}
+		g.AddIDs(to(e.t.S), to(e.t.P), to(e.t.O))
 	}
 }
 
@@ -591,14 +524,12 @@ func (g *Graph) AddAll(src *Graph) {
 // callers that still read the pre-inference model.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
-		terms:    slices.Clone(g.terms),
-		iris:     maps.Clone(g.iris),
-		rest:     maps.Clone(g.rest),
-		log:      slices.Clone(g.log),
-		ends:     slices.Clone(g.ends),
-		table:    slices.Clone(g.table),
-		used:     g.used,
-		removals: g.removals,
+		terms: slices.Clone(g.terms),
+		iris:  maps.Clone(g.iris),
+		rest:  maps.Clone(g.rest),
+		log:   slices.Clone(g.log),
+		ends:  slices.Clone(g.ends),
+		table: slices.Clone(g.table),
 	}
 }
 

@@ -31,32 +31,6 @@ func TestGraphAddHasLen(t *testing.T) {
 	}
 }
 
-func TestGraphRemove(t *testing.T) {
-	g := NewGraph()
-	a := NewTriple(soccerIRI("e1"), RDFType, soccerIRI("Goal"))
-	b := NewTriple(soccerIRI("e1"), RDFType, soccerIRI("Event"))
-	g.Add(a)
-	g.Add(b)
-	if !g.Remove(a) {
-		t.Error("Remove of present triple returned false")
-	}
-	if g.Remove(a) {
-		t.Error("Remove of absent triple returned true")
-	}
-	if g.Has(a) {
-		t.Error("removed triple still present")
-	}
-	if !g.Has(b) {
-		t.Error("unrelated triple removed")
-	}
-	if got := g.Match(soccerIRI("e1"), Wildcard, Wildcard); len(got) != 1 {
-		t.Errorf("subject index has %d entries after removal, want 1", len(got))
-	}
-	if got := g.Match(Wildcard, Wildcard, soccerIRI("Goal")); len(got) != 0 {
-		t.Errorf("object index has %d entries after removal, want 0", len(got))
-	}
-}
-
 func TestGraphMatchPatterns(t *testing.T) {
 	g := NewGraph()
 	goal := soccerIRI("goal1")
@@ -269,30 +243,6 @@ func TestMatchAgreesWithScanProperty(t *testing.T) {
 	}
 }
 
-// Property: Add then Remove of a random triple set leaves the graph empty
-// and all indexes clean.
-func TestAddRemoveInverseProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		uniq := make(map[Triple]bool)
-		for i := 0; i < int(n%48)+1; i++ {
-			tr := randomTriple(r)
-			g.Add(tr)
-			uniq[tr] = true
-		}
-		for tr := range uniq {
-			if !g.Remove(tr) {
-				return false
-			}
-		}
-		return g.Len() == 0 && len(g.Match(Wildcard, Wildcard, Wildcard)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMatchVisitsInInsertionOrder(t *testing.T) {
 	g := NewGraph()
 	e := soccerIRI("e")
@@ -330,25 +280,19 @@ func TestScanSeesGraphAsOfCall(t *testing.T) {
 	}
 }
 
-// Property: ScanRange visits exactly the live triples at log offsets
-// [from, to) that match its pattern, in log order, whichever chain or
-// log walk it picks — including after removals leave dead slots.
+// Property: ScanRange visits exactly the triples at log offsets [from, to)
+// that match its pattern, in log order, whichever chain or log walk it
+// picks.
 func TestScanRangeMatchesLogFilter(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := NewGraph()
 		for i := 0; i < 60; i++ {
 			g.Add(randomTriple(r))
-			if r.Intn(8) == 0 {
-				g.Remove(randomTriple(r))
-			}
 		}
 		n := g.LogLen()
 		for probe := 0; probe < 20; probe++ {
-			at, ok := g.At(r.Intn(n))
-			if !ok {
-				continue
-			}
+			at := g.At(r.Intn(n))
 			want := [3]ID{at.S, at.P, at.O}
 			for i := range want {
 				if r.Intn(2) == 0 {
@@ -359,8 +303,8 @@ func TestScanRangeMatchesLogFilter(t *testing.T) {
 			to := from + r.Intn(n-from+1)
 			var exp []IDTriple
 			for i := from; i < to; i++ {
-				tr, ok := g.At(i)
-				if ok && (want[0] == 0 || tr.S == want[0]) && (want[1] == 0 || tr.P == want[1]) && (want[2] == 0 || tr.O == want[2]) {
+				tr := g.At(i)
+				if (want[0] == 0 || tr.S == want[0]) && (want[1] == 0 || tr.P == want[1]) && (want[2] == 0 || tr.O == want[2]) {
 					exp = append(exp, tr)
 				}
 			}
@@ -377,57 +321,6 @@ func TestScanRangeMatchesLogFilter(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRemovalsCountsSuccessfulRemoves(t *testing.T) {
-	g := NewGraph()
-	a := NewTriple(soccerIRI("e"), RDFType, soccerIRI("Goal"))
-	g.Add(a)
-	g.Remove(a)
-	g.Remove(a) // absent: not counted
-	if g.Removals() != 1 || g.Clone().Removals() != 1 {
-		t.Errorf("Removals = %d, clone %d; want 1, 1", g.Removals(), g.Clone().Removals())
-	}
-}
-
-func TestRemoveUnlinksAnywhereInAChain(t *testing.T) {
-	for victim := 0; victim < 4; victim++ {
-		g := NewGraph()
-		e, p := soccerIRI("e"), soccerIRI("p")
-		for i := 0; i < 4; i++ {
-			g.AddSPO(e, p, NewInt(i))
-		}
-		if !g.Remove(NewTriple(e, p, NewInt(victim))) {
-			t.Fatalf("Remove(%d) = false", victim)
-		}
-		g.AddSPO(e, p, NewInt(9)) // must link behind the new tail
-		var got []string
-		for _, tr := range g.Match(e, Wildcard, Wildcard) {
-			got = append(got, tr.O.Value)
-		}
-		var want []string
-		for i := 0; i < 4; i++ {
-			if i != victim {
-				want = append(want, fmt.Sprint(i))
-			}
-		}
-		want = append(want, "9")
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("after removing %d: subject chain %v, want %v", victim, got, want)
-		}
-		if byPred := g.Match(Wildcard, p, Wildcard); len(byPred) != 4 {
-			t.Errorf("after removing %d: predicate chain has %d", victim, len(byPred))
-		}
-		live := 0
-		for i := 0; i < g.LogLen(); i++ {
-			if _, ok := g.At(i); ok {
-				live++
-			}
-		}
-		if live != g.Len() || g.LogLen() != 5 {
-			t.Errorf("log has %d live of %d slots, Len %d", live, g.LogLen(), g.Len())
-		}
 	}
 }
 
@@ -487,8 +380,7 @@ func TestGrowKeepsContentsAndSizesOnce(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFresh: a graph Reset after holding other triples, some
-// removed, numbers terms and answers every query as a new graph given the
+// TestResetMatchesFresh: a graph Reset after holding other triples numbers terms and answers every query as a new graph given the
 // same adds does, and refilling it to its old size allocates nothing.
 func TestResetMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -505,17 +397,14 @@ func TestResetMatchesFresh(t *testing.T) {
 	used := NewGraph()
 	for i := 0; i < 120; i++ {
 		used.Add(randomTriple(r))
-		if i%5 == 0 {
-			used.Remove(randomTriple(r))
-		}
 	}
 	used.Reset()
 	fresh := NewGraph()
 	fill(used)
 	fill(fresh)
-	if used.NumTerms() != fresh.NumTerms() || used.Len() != fresh.Len() || used.Removals() != 0 {
-		t.Fatalf("after Reset: %d terms, %d triples, %d removals; fresh %d terms, %d triples",
-			used.NumTerms(), used.Len(), used.Removals(), fresh.NumTerms(), fresh.Len())
+	if used.NumTerms() != fresh.NumTerms() || used.Len() != fresh.Len() {
+		t.Fatalf("after Reset: %d terms, %d triples; fresh %d terms, %d triples",
+			used.NumTerms(), used.Len(), fresh.NumTerms(), fresh.Len())
 	}
 	for id := ID(1); id <= ID(fresh.NumTerms()); id++ {
 		if used.Term(id) != fresh.Term(id) {
@@ -523,7 +412,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 	for i := 0; i < fresh.LogLen(); i++ {
-		at, _ := fresh.At(i)
+		at := fresh.At(i)
 		for mask := 0; mask < 8; mask++ {
 			want := [3]ID{at.S, at.P, at.O}
 			for pos := range want {
@@ -558,10 +447,10 @@ func TestCursorOffset(t *testing.T) {
 		g.Add(randomTriple(r))
 	}
 	for i := 0; i < g.LogLen(); i++ {
-		at, _ := g.At(i)
+		at := g.At(i)
 		for _, pat := range [][3]ID{{at.S, 0, 0}, {0, at.P, 0}, {0, 0, at.O}, {at.S, at.P, at.O}, {0, 0, 0}} {
 			for c := g.Scan(pat[0], pat[1], pat[2]); c.Next(); {
-				if got, ok := g.At(c.Offset()); !ok || got != c.T {
+				if got := g.At(c.Offset()); got != c.T {
 					t.Fatalf("pattern %v: Offset %d holds %v, cursor at %v", pat, c.Offset(), got, c.T)
 				}
 			}

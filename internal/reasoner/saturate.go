@@ -157,7 +157,7 @@ func (s *Saturator) add(subj, pred, obj rdf.ID) bool {
 // explained hands the explain hook d, the derivation of the triple add
 // just added.
 func (s *Saturator) explained(d derivation) {
-	d.conclusion, _ = s.g.At(s.g.LogLen() - 1)
+	d.conclusion = s.g.At(s.g.LogLen() - 1)
 	s.explain(d)
 }
 
@@ -171,10 +171,7 @@ func (s *Saturator) explained(d derivation) {
 func (s *Saturator) Run() {
 	typ := s.ids[0]
 	for ; s.next < s.g.LogLen(); s.next++ {
-		t, ok := s.g.At(s.next)
-		if !ok {
-			continue
-		}
+		t := s.g.At(s.next)
 		if c := s.schemaIndex(t.O); t.P == typ && c >= 0 {
 			ax := &s.sc.class[c]
 			for _, sup := range ax.supers {

@@ -104,10 +104,8 @@ type Engine struct {
 	ids []rdf.ID
 	// marks[i] is the log length at which rule i was last joined, its
 	// watermark (-1 before its first join): every binding made only of
-	// triples below it has been enumerated. removals is g.Removals() as of
-	// the last Run.
-	marks    []int
-	removals int
+	// triples below it has been enumerated.
+	marks []int
 
 	// The join in progress: body pattern delta is scanned over the log
 	// range [w, now) — see join. slots holds the current binding of the
@@ -136,39 +134,25 @@ type derivation struct {
 func (p *Program) Engine(g *rdf.Graph) *Engine {
 	e := &Engine{
 		p: p, g: g,
-		ids:      make([]rdf.ID, len(p.consts)),
-		marks:    make([]int, len(p.prog)),
-		removals: g.Removals(),
+		ids:   make([]rdf.ID, len(p.consts)),
+		marks: make([]int, len(p.prog)),
 	}
 	for i, t := range p.consts {
 		e.ids[i] = g.Intern(t)
 	}
-	e.rejoin()
-	return e
-}
-
-// rejoin forgets every watermark, so the next Run joins each rule in full.
-func (e *Engine) rejoin() {
 	for i := range e.marks {
 		e.marks[i] = -1
 	}
+	return e
 }
 
 // Run saturates the graph under the program and returns the number of
 // triples added. Each pass joins every rule against only the triples logged
 // since its watermark, so a binding is enumerated once: by the rule's first
-// join after the binding's last triple arrived.
-//
-// Removing a triple can make a noValue guard hold for a binding the delta
-// join will not revisit, or take away a head an old binding would derive
-// again. A Run that finds the graph has had a removal since the engine was
-// made or last ran therefore joins every rule in full once, exactly as a
-// fresh Engine would, before resuming from the log.
+// join after the binding's last triple arrived. The graph is append-only,
+// so a binding once enumerated stays complete, and a noValue guard that
+// failed for it keeps failing.
 func (e *Engine) Run() int {
-	if n := e.g.Removals(); n != e.removals {
-		e.removals = n
-		e.rejoin()
-	}
 	total := 0
 	for {
 		added := 0
@@ -183,8 +167,8 @@ func (e *Engine) Run() int {
 }
 
 // Derived returns rule-name provenance for every triple the engine has
-// asserted, over all its Runs, in the graph's IDs. A triple asserted more
-// than once, after a removal, maps to its last rule.
+// asserted, over all its Runs, in the graph's IDs. The engine asserts a
+// triple only when it is new to the graph, so each maps to one rule.
 func (e *Engine) Derived() map[rdf.IDTriple]string {
 	out := make(map[rdf.IDTriple]string, len(e.derived))
 	for _, d := range e.derived {
@@ -250,8 +234,7 @@ func (e *Engine) applyRule(ri int) int {
 		}
 		if len(r.temps) == 1 && e.tempFiringExists(r) {
 			// A node minted for a binding with this head — earlier in this
-			// join, by an earlier engine over the graph, or by this one
-			// before a removal made it join in full again — already
+			// join or by an earlier engine over the graph — already
 			// carries it; re-firing would duplicate it. Rules with several
 			// temps have no single anchor and mint once per enumeration of
 			// a binding.

@@ -206,9 +206,9 @@ type Engine struct {
 
 	// mappedBase, when non-empty, is the snapshot base path the engine
 	// was mapped-loaded from (LoadOptions.Mapped): every new base is
-	// mapped from a file (writeBase), a compaction's from a file that
-	// lives next to this path only until it is mapped. Set once before
-	// serving, read-only after.
+	// mapped from a file, a compaction's (mapMerged) from one that lives
+	// next to this path only until it is mapped. Set once before serving,
+	// read-only after.
 	mappedBase string
 
 	// mergeOpMu serializes compaction passes (the one a commit starts,

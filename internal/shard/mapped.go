@@ -9,15 +9,12 @@ package shard
 //
 //   - LoadWith(Mapped) keeps each manifest-named snapshot file mapped; the
 //     release func rides on the base subIndex.
-//   - A new base is written to a shard file and mapped straight back
-//     through the same reader, in one call (writeBase). A compaction pass
-//     writes its output under a fresh unique name next to the snapshot
-//     and removes the name as soon as the file is mapped (mapMerged), so
-//     a mapped engine stays mapped across merges instead of accreting
-//     heap, and leaves no file behind.
-//   - Save maps each generation file as it writes it and installs those
-//     bases once the manifest commits; a Save that fails before the commit
-//     releases them, and the bases it found keep serving.
+//   - A compaction pass writes its output to a file whose name it removes
+//     as soon as the file is mapped (mapMerged), so a mapped engine stays
+//     mapped across merges instead of accreting heap, and leaves no file.
+//   - Save maps each generation file straight back as it writes it, and
+//     installs those bases once the manifest commits; a Save that fails
+//     before the commit releases them, and the bases it found keep serving.
 //   - Close unmaps whatever is still live.
 //
 // Unmap safety: a base swap happens under the engine write lock, and
@@ -34,6 +31,7 @@ package shard
 // nothing retains mapped bytes past the release.
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,38 +71,25 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// writeBase writes ix, with its documents' global IDs, to the shard file at
-// path (writeShardFile) and returns the file's manifest entry. mapped, it
-// maps the file straight back (readShardFile) and returns the sub that
-// serves it: the same documents under the same local IDs, checked by the
-// same CRCs as any load. This is the one way a mapped engine gets a new
-// base, from a compaction pass (mapMerged) or from Save.
-func writeBase(path string, ix *index.Index, gids []int, mapped bool) (manifestEntry, *subIndex, error) {
-	size, sum, err := writeShardFile(path, gids, func(w io.Writer) ([]byte, error) {
-		return ix.EncodeWithTOC(w, tocColumns...)
-	})
-	mf := manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}
-	if err != nil || !mapped {
-		return mf, nil, err
-	}
-	sub, err := readShardFile(path, ix.Analyzer(), mf, true)
-	return mf, sub, err
-}
-
-// mapMerged maps a compaction pass's output: it writes merged to a fresh
-// unique name next to the snapshot (writeBase), maps it, and removes the
-// name at once, whether the write or the map failed or not. On linux the
-// mapping keeps the file's inode alive until release; elsewhere mapFile has
-// already copied the bytes. So no name outlives the call, and two engines
-// mapped on one base never share one. nil tells the caller to serve the
-// heap merge (the merge itself never fails here, only the mapping of it).
+// mapMerged maps a compaction pass's output: it writes merged's envelope
+// into a fresh unique file next to the snapshot, maps it through
+// readShardFile (size and CRCs checked), and removes the name at once,
+// whatever failed. No recovery reads the file, so it is neither synced nor
+// renamed. On linux the mapping keeps the inode alive until release;
+// elsewhere mapFile has already copied the bytes. nil tells the caller to
+// serve the heap merge.
 func (e *Engine) mapMerged(merged *index.Index, gids []int) *subIndex {
 	f, err := os.CreateTemp(filepath.Dir(e.mappedBase), filepath.Base(e.mappedBase)+".mapseg*")
 	if err != nil {
 		return nil
 	}
-	f.Close()
 	defer os.Remove(f.Name())
-	_, sub, _ := writeBase(f.Name(), merged, gids, true)
+	size, sum, err := writeEnvelope(f, gids, func(w io.Writer) ([]byte, error) {
+		return merged.EncodeWithTOC(w, tocColumns...)
+	})
+	if err = errors.Join(err, f.Close()); err != nil {
+		return nil
+	}
+	sub, _ := readShardFile(f.Name(), merged.Analyzer(), manifestEntry{Size: size, CRC: sum}, true)
 	return sub
 }

@@ -140,7 +140,8 @@ func (e *Engine) Save(base string) error {
 	}
 	// The shard files are encoded and written concurrently; m.Files keeps
 	// shard order and the first error waits for every writer. A mapped
-	// engine maps each file as it writes it (writeBase). Until the manifest
+	// engine maps each file back as it writes it, through the reader every
+	// load uses, so the same CRCs check it. Until the manifest
 	// commits, the bases found here keep serving, and a failed Save releases
 	// every new mapping (subs is nil once they are installed).
 	files := make([]manifestEntry, len(e.base))
@@ -150,7 +151,15 @@ func (e *Engine) Save(base string) error {
 	fanOut(len(e.base), len(e.base), func(i int) {
 		// On an already-mapped base this whole write is a raw byte copy of
 		// the mapped region.
-		files[i], subs[i], errs[i] = writeBase(shardGenPath(base, newGen, i), e.base[i].ix, e.base[i].gids, e.mappedBase != "")
+		path, ix := shardGenPath(base, newGen, i), e.base[i].ix
+		size, sum, err := writeShardFile(path, e.base[i].gids, func(w io.Writer) ([]byte, error) {
+			return ix.EncodeWithTOC(w, tocColumns...)
+		})
+		files[i] = manifestEntry{Name: filepath.Base(path), Size: size, CRC: sum}
+		if err == nil && e.mappedBase != "" {
+			subs[i], err = readShardFile(path, ix.Analyzer(), files[i], true)
+		}
+		errs[i] = err
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -220,23 +229,36 @@ func (e *Engine) compactAllLocked() {
 	})
 }
 
-// writeShardFile writes one enveloped, checksummed shard snapshot via
-// tmp + fsync + rename, returning the final file size and payload CRC.
-// gids are the payload documents' global IDs, ascending; save writes the
-// payload and returns its mapped TOC. A failed write removes its tmp file.
-func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error)) (_ int64, _ uint32, err error) {
+// writeShardFile writes one shard snapshot (writeEnvelope) via tmp +
+// fsync + rename, returning the final file size and payload CRC. A failed
+// write removes its tmp file.
+func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
+	size, sum, err := writeEnvelope(f, gids, save)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err = errors.Join(err, f.Close()); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, 0, err
+	}
+	return size, sum, nil
+}
+
+// writeEnvelope writes one enveloped, checksummed shard snapshot to w,
+// returning its size and payload CRC. gids are the payload documents'
+// global IDs, ascending; save writes the payload and returns its mapped
+// TOC.
+func writeEnvelope(w io.Writer, gids []int, save func(io.Writer) ([]byte, error)) (int64, uint32, error) {
 	// bw keeps its first write error; Flush returns it.
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [snapHeaderLen]byte
 	copy(hdr[:4], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], snapVersion)
@@ -246,7 +268,6 @@ func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error
 	cw := &countingWriter{}
 	toc, err := save(io.MultiWriter(bw, crc, cw))
 	if err != nil {
-		f.Close()
 		return 0, 0, err
 	}
 	meta := append(appendGIDs(nil, gids), toc...)
@@ -258,13 +279,7 @@ func writeShardFile(path string, gids []int, save func(io.Writer) ([]byte, error
 	sum := crc.Sum32()
 	binary.LittleEndian.PutUint32(trailer[20:24], sum)
 	bw.Write(trailer[:])
-	if err := errors.Join(bw.Flush(), f.Sync(), f.Close()); err != nil {
-		return 0, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, 0, err
-	}
-	return snapHeaderLen + cw.n + int64(len(meta)) + snapTrailerLen, sum, nil
+	return snapHeaderLen + cw.n + int64(len(meta)) + snapTrailerLen, sum, bw.Flush()
 }
 
 // appendGIDs appends the envelope's global-ID list, ascending IDs: its
@@ -523,7 +538,7 @@ type LoadOptions struct {
 
 // LoadWith is Load with explicit load options. An engine loaded Mapped
 // stays mapped: the base a compaction pass or a Save installs is mapped
-// from a file written for it (writeBase).
+// from a file written for it (mapMerged, Save).
 func LoadWith(base string, analyzer index.Analyzer, opts LoadOptions) (*Engine, error) {
 	m, err := readManifest(base)
 	if err != nil {

@@ -1,14 +1,15 @@
 // Scale-truth integration test: the streaming corpus generator, the
-// chunked sharded build, the query cache and the closed-loop load
-// harness all running against each other at 10k-document scale, under
-// the race detector in CI. It lives in an external test package because
-// it wires internal/loadgen (which imports shard) back onto the engine.
+// chunked sharded build, the query cache, live ingest and concurrent
+// searchers all running against each other at 10k-document scale, under
+// the race detector in CI. Like the other tests that draw query pools
+// from internal/loadgen, it drives the engine through its exported API
+// only, from the external test package.
 package shard_test
 
 import (
 	"context"
-	"errors"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -80,31 +81,19 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 			}
 		}
 	}()
-	cfg := loadgen.Config{
-		Workers:  8,
-		Requests: 1_500,
-		Warmup:   100,
-		Seed:     24,
-		Queries:  queries,
-	}
-	target := &midRunGate{
-		Target:    &loadgen.EngineTarget{Eng: eng},
-		at:        int64(cfg.Warmup + cfg.Requests/2),
-		committed: committed,
-	}
 	docsBefore := eng.NumDocs()
 	close(started)
-	res, err := loadgen.Run(context.Background(), target, cfg)
+	seen := searchUnderLoad(t, eng, queries, 24, committed)
 	docsAfter := eng.NumDocs()
 	wg.Wait()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors during concurrent load", res.Errors)
+	if t.Failed() {
+		t.FailNow()
 	}
 	if docsAfter == docsBefore {
 		t.Fatalf("NumDocs did not move while the searchers ran — the test raced nothing")
+	}
+	if seen[shard.CacheHit] == 0 || seen[shard.CacheMiss] == 0 {
+		t.Fatalf("searchers met the cache as %v: without both hits and misses the test raced no invalidation", seen)
 	}
 
 	// Quiesced: every cached answer must be byte-identical to a cold
@@ -135,33 +124,66 @@ func TestCacheInvalidationUnderLoadAt10k(t *testing.T) {
 	}
 }
 
-// midRunGate holds the at-th request until committed is closed, failing
-// it after a minute.
-type midRunGate struct {
-	loadgen.Target
-	n         atomic.Int64
-	at        int64
-	committed <-chan struct{}
-}
-
-func (g *midRunGate) Do(ctx context.Context, q loadgen.Query) (loadgen.Outcome, error) {
-	if g.n.Add(1) == g.at {
-		select {
-		case <-g.committed:
-		case <-time.After(time.Minute):
-			return loadgen.Outcome{}, errors.New("no ingest committed within a minute of the run's start")
-		case <-ctx.Done():
-			return loadgen.Outcome{}, ctx.Err()
+// searchUnderLoad runs the scale tests' searchers: 8 goroutines send
+// 100 warm-up and then 1,500 measured requests between them. Each draws
+// its queries from the pool by a Zipf rank of its own seed, so the pool's
+// head is its hot set, and sends suggest probes through Engine.Suggest and
+// the rest through Engine.Search. When mid is non-nil, the middle request
+// first waits for it to close. A failed search fails t. It returns how
+// often each cache status answered the measured searches.
+func searchUnderLoad(t *testing.T, eng *shard.Engine, queries []loadgen.Query, seed int64, mid <-chan struct{}) map[shard.CacheStatus]int {
+	const searchers, warmup, requests = 8, 100, 1_500
+	var (
+		seq  atomic.Int64
+		wg   sync.WaitGroup
+		seen [searchers]map[shard.CacheStatus]int
+	)
+	for w := range searchers {
+		seen[w] = map[shard.CacheStatus]int{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			zipf := rand.NewZipf(rand.New(rand.NewSource(seed+int64(w))), 1.1, 1, uint64(len(queries)-1))
+			for n := seq.Add(1); n <= warmup+requests; n = seq.Add(1) {
+				q := queries[zipf.Uint64()]
+				if n == warmup+requests/2 && mid != nil {
+					select {
+					case <-mid:
+					case <-time.After(time.Minute):
+						t.Error("no ingest committed within a minute of the run's start")
+						return
+					}
+				}
+				if q.Class == loadgen.ClassSuggest {
+					eng.Suggest(q.Text)
+					continue
+				}
+				res, err := eng.Search(context.Background(), q.Text, shard.SearchOptions{Limit: 10})
+				if err != nil {
+					t.Errorf("%q: %v", q.Text, err)
+					return
+				}
+				if n > warmup {
+					seen[w][res.Cache]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := map[shard.CacheStatus]int{}
+	for _, m := range seen {
+		for st, k := range m {
+			total[st] += k
 		}
 	}
-	return g.Target.Do(ctx, q)
+	return total
 }
 
 // TestLSMIngestVsSearchAt10k is the write-firehose half of the
 // scale-truth suite: a 10k-document engine, compacting as its commits
 // stack segments, takes batched Ingest traffic — fresh pages AND repeated
 // upserts of a hot set, so tombstones and net-zero statistics churn are
-// both in play — while 8 closed-loop workers search it under the race
+// both in play — while 8 concurrent searchers query it under the race
 // detector. It asserts the two LSM safety contracts at scale:
 //
 //  1. No search observes mixed statistics epochs: every cold scatter
@@ -222,19 +244,10 @@ func TestLSMIngestVsSearchAt10k(t *testing.T) {
 			}
 		}
 	}()
-	res, err := loadgen.Run(ctx, &loadgen.EngineTarget{Eng: eng}, loadgen.Config{
-		Workers:  8,
-		Requests: 1_500,
-		Warmup:   100,
-		Seed:     44,
-		Queries:  queries,
-	})
+	searchUnderLoad(t, eng, queries, 44, nil)
 	wg.Wait()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors during concurrent firehose", res.Errors)
+	if t.Failed() {
+		t.FailNow()
 	}
 
 	// Quiesced: cached answers must equal a cold scatter byte-for-byte.

@@ -65,7 +65,9 @@ const (
 	SyncAlways Policy = iota
 	// SyncInterval fsyncs at most once per Options.Interval, amortizing
 	// the fsync over a burst; a crash can lose up to one interval of
-	// acknowledged appends.
+	// acknowledged appends. An append inside the interval arms a timer
+	// that syncs the tail of the burst when the interval ends, so the
+	// window holds when no later call on the log comes to sync it.
 	SyncInterval
 	// SyncNever leaves durability to the OS page cache (and Close/Sync).
 	// A crash can lose everything since the last explicit sync.
@@ -121,6 +123,9 @@ type Log struct {
 	met      logMetrics
 	lastSync time.Time
 	dirty    bool
+	// timer, when non-nil, is the armed SyncInterval timer that syncs
+	// the log's tail when its interval ends; any sync stops it.
+	timer *time.Timer
 }
 
 // Open returns an append handle positioned after the last intact record,
@@ -199,6 +204,7 @@ func (l *Log) rewriteHeader(gen uint64) error {
 	l.met.fsyncs.Inc()
 	l.gen = gen
 	l.dirty = false
+	l.stopTimerLocked()
 	return nil
 }
 
@@ -217,11 +223,40 @@ func (l *Log) Append(payload []byte) error {
 	case SyncAlways:
 		return l.syncLocked()
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
+		wait := l.opts.Interval - time.Since(l.lastSync)
+		if wait <= 0 {
 			return l.syncLocked()
+		}
+		if l.timer == nil {
+			l.armLocked(wait)
 		}
 	}
 	return nil
+}
+
+// armLocked arms the SyncInterval timer to sync, after wait, the tail of
+// a burst that no later call syncs. A timer that a sync, Rotate or Close
+// stopped does nothing when it fires, even if a newer one is armed. A
+// failed timed sync leaves the log dirty, so the next Append, Sync or
+// Close syncs again and returns the error if it recurs.
+func (l *Log) armLocked(wait time.Duration) {
+	var t *time.Timer
+	t = time.AfterFunc(wait, func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.timer == t {
+			_ = l.syncLocked() // a failure leaves the log dirty, for the next call to report
+		}
+	})
+	l.timer = t
+}
+
+// stopTimerLocked disarms the SyncInterval timer, if one is armed.
+func (l *Log) stopTimerLocked() {
+	if l.timer != nil {
+		l.timer.Stop()
+		l.timer = nil
+	}
 }
 
 // AppendAsync writes one record without consulting the sync policy: the
@@ -265,6 +300,7 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	l.stopTimerLocked()
 	if !l.dirty {
 		return nil
 	}

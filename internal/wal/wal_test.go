@@ -309,6 +309,34 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestSyncPolicyIntervalSyncsIdleTail: under SyncInterval the tail of a
+// burst is synced within an interval of its first unsynced append, with
+// no further call on the log to prompt it.
+func TestSyncPolicyIntervalSyncsIdleTail(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, err := Open(filepath.Join(t.TempDir(), "ingest.wal"), 0, Options{Policy: SyncInterval, Interval: 100 * time.Millisecond, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The first append syncs; the second, 20 ms later and inside the
+	// interval, leaves the log dirty. One more fsync must follow.
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := reg.Counter(metricFsyncs)
+	mark := fsyncs.Value()
+	time.Sleep(20 * time.Millisecond)
+	if err := l.Append([]byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); fsyncs.Value() == mark; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the tail of the burst was not synced within 2 s of its last append")
+		}
+	}
+}
+
 func TestScanReadOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.wal")
 	l := openT(t, path, 4)
