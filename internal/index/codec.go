@@ -314,7 +314,9 @@ func Decode(r io.Reader, analyzer Analyzer) (*Index, error) {
 	return decode(buf.Bytes(), analyzer)
 }
 
-// decode builds a heap index from a whole codec stream. Nothing it returns
+// decode builds a heap index from a whole codec stream, sealed (Seal):
+// the columns grow as the postings parse, since no length the bytes claim
+// is trusted, and are then copied to their lengths. Nothing it returns
 // aliases raw.
 func decode(raw []byte, analyzer Analyzer) (*Index, error) {
 	r := byteReader{b: raw}
@@ -368,6 +370,7 @@ func decode(raw []byte, analyzer Analyzer) (*Index, error) {
 		}
 		p.fi.rebuildCaps()
 	}
+	ix.Seal()
 	return ix, nil
 }
 

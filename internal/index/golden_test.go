@@ -476,6 +476,27 @@ func TestIndexFootprintCeiling(t *testing.T) {
 	}
 }
 
+// TestSealedFootprintCeiling keeps the live size of a posting in a sealed
+// index from creeping back: the golden index after Seal measured 30.3
+// bytes per posting when the ceiling was set, its columns and stored
+// chunks at their lengths, where TestIndexFootprintCeiling's unsealed
+// build read 35.2. The ceiling leaves a fifth again as much room.
+func TestSealedFootprintCeiling(t *testing.T) {
+	const maxBytesPerPosting = 36
+	goldenDocs()
+	without := liveHeap()
+	ix := goldenIndex()
+	ix.Seal()
+	with := liveHeap()
+	postings := ix.Stats().Postings
+	runtime.KeepAlive(ix)
+	perPosting := float64(with-without) / float64(postings)
+	t.Logf("%d postings, %.1f live bytes per posting", postings, perPosting)
+	if perPosting > maxBytesPerPosting {
+		t.Errorf("%.1f live bytes per posting, ceiling %d", perPosting, maxBytesPerPosting)
+	}
+}
+
 // TestStoredFootprintCeiling keeps the live size of a stored document from
 // creeping back: the golden documents, each field renamed stored-only so
 // the index holds nothing else, measured 466 bytes a document when the

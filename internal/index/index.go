@@ -276,7 +276,8 @@ type Index struct {
 	mapped *mappedIndex
 
 	// w and one are Add's analysis state (see Scratch) and its
-	// one-document batch, reused from call to call; searches read neither.
+	// one-document batch, reused from call to call until Seal drops them;
+	// searches read neither.
 	w   Scratch
 	one fieldBatch
 }

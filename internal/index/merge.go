@@ -11,7 +11,11 @@ package index
 // same posting shapes, same score-bound caps (computed exactly), same
 // statistics.
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // MergeIndexes compacts sources (in order) into one new index, skipping
 // tombstoned documents. Surviving documents are renumbered densely in
@@ -21,8 +25,11 @@ import "math/bits"
 // (its bytes never change, and neither index appends to it again), a
 // mapped source's is copied whole out of one inflate; the survivors of any
 // other chunk are copied, as are postings, so nothing later done to a
-// source shows in the merged index. No stored document is decoded.
-// The merged index carries no corpus stats; the caller installs them.
+// source shows in the merged index. No stored document is decoded. The
+// merged index is laid out as Seal leaves one: each field's posting
+// columns are allocated once at their final lengths, and the chunks the
+// merge writes are copied to theirs. It carries no corpus stats; the
+// caller installs them.
 //
 // dead, when non-nil, supplies a per-source liveness snapshot (see
 // DeletedMask) consulted INSTEAD of each source's own tombstone bits —
@@ -82,7 +89,7 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 		}
 	}
 
-	m := fieldMerge{remaps: remaps, whole: whole, decoded: make([]postingRun, len(sources))}
+	m := fieldMerge{remaps: remaps, whole: whole}
 	for si, src := range sources {
 		for name := range src.fields {
 			if out.fields[name] != nil {
@@ -93,11 +100,12 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 			}
 		}
 	}
+	out.stored.seal()
 	return out, remaps
 }
 
-// fieldMerge is the merge of one field at a time, with the buffers its term
-// loop reuses from term to term and field to field.
+// fieldMerge is the merge of one field at a time, with the buffers its
+// passes reuse from field to field.
 type fieldMerge struct {
 	// fields holds each source's copy of the field being merged, nil where
 	// it has none, and remaps each source's document remap; whole marks
@@ -107,20 +115,33 @@ type fieldMerge struct {
 	remaps [][]int
 	whole  []bool
 	fi     *fieldIndex
-	// decoded holds the term being merged's list in each mapped source,
-	// and spans the stretches of consecutive surviving postings in merged
-	// order, with n postings and npos positions among them.
-	decoded []postingRun
-	spans   []span
-	n, npos int
+	// terms are the field's surviving terms in the order they are merged,
+	// and spans the stretches of consecutive surviving postings of all of
+	// them, each term's in merged order. The count pass fills both.
+	terms []mergedTerm
+	spans []span
+	// ar holds the buffers of the cursors that read mapped sources, cleared
+	// after every term.
+	ar searchArena
 }
 
-// span is postings [lo, hi) of r, every one of them surviving, numbered by
-// remap.
+// mergedTerm is a term of the merged field: its spans m.spans[lo:hi], with
+// n postings and npos positions among them, whose boosts are bit for bit
+// one value unless boosted.
+type mergedTerm struct {
+	term          string
+	lo, hi        int
+	n, npos       int
+	boost         float64
+	boosted, seen bool
+}
+
+// span is postings [lo, hi) of source si's list of a term, every one of
+// them surviving: r is the list of a heap source, nil for a mapped one,
+// whose postings are decoded again when they are copied.
 type span struct {
-	r      *postingRun
-	remap  []int
-	lo, hi int
+	r          *postingRun
+	si, lo, hi int
 }
 
 // merge merges field name of the sources, which no source before sources[si]
@@ -134,12 +155,12 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 	}
 	// The document table first, through add: its limits on a field's
 	// token counts are what keep the position ends below from wrapping.
-	hint := 0
+	hint, sum := 0, 0
 	for sj, sfi := range m.fields[si:] {
 		if sfi == nil {
 			continue
 		}
-		hint = max(hint, sfi.numTerms())
+		hint, sum = max(hint, sfi.numTerms()), sum+sfi.numTerms()
 		remap := m.remaps[si+sj]
 		for w, word := range sfi.present {
 			for ; word != 0; word &= word - 1 {
@@ -159,84 +180,148 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 		return nil
 	}
 
-	// A term is merged where its first source shows it, across that source
-	// and every later one, into columns allocated once at their final
-	// lengths. A heap source's list is read in place; a mapped source
-	// materializes one term at a time, so memory stays bounded by a term's
-	// posting lists, never the whole field.
+	// The count pass: a term is merged where its first source shows it,
+	// across that source and every later one. Its survivors are found,
+	// counted with their positions and boosts, and kept as spans; a mapped
+	// source's list is read without its positions, a term at a time.
+	// Until the copy pass a term's key holds nil. A term has a span in
+	// each source that carries it, more only where tombstones split it.
+	m.terms, m.spans = slices.Grow(m.terms[:0], hint), slices.Grow(m.spans[:0], sum)
 	m.fi.terms = make(map[string]*termEntry, hint)
 	for ; si < len(m.fields); si++ {
-		sfi := m.fields[si]
-		switch {
-		case sfi == nil:
-		case sfi.m == nil:
-			for term, te := range sfi.terms {
-				if m.fi.terms[term] == nil {
-					m.term(term, si, &te.postingRun)
+		if sfi := m.fields[si]; sfi != nil {
+			sfi.eachTerm(func(term string, _ postingsSource) {
+				if _, ok := m.fi.terms[term]; !ok {
+					m.count(term, si)
 				}
-			}
-		default:
-			for term := range sfi.m.terms {
-				if m.fi.terms[term] == nil {
-					m.decoded[si] = sfi.postingsOf(term)
-					m.term(term, si, &m.decoded[si])
-				}
-			}
+			})
 		}
+	}
+
+	// The copy pass: every column of the field is allocated once at its
+	// final length, the term entries in one slice, and each term's spans
+	// are copied into its windows. A mapped source's postings are decoded
+	// again, so memory stays bounded by a term's list, never the whole
+	// field's.
+	n, npos, nboost := 0, 0, 0
+	for _, mt := range m.terms {
+		n, npos = n+mt.n, npos+mt.npos
+		if mt.boosted {
+			nboost += mt.n
+		}
+	}
+	cols := newColumns(n, npos, nboost)
+	entries := make([]termEntry, len(m.terms))
+	for k, mt := range m.terms {
+		te := &entries[k]
+		te.postingRun = cols.take(mt.n, mt.npos, mt.boosted)
+		var c postingsCursor
+		read := -1 // the source c reads
+		for _, s := range m.spans[mt.lo:mt.hi] {
+			switch {
+			case s.r != nil:
+				te.appendRun(s.r, s.lo, s.hi, m.remaps[s.si])
+				continue
+			case s.si != read:
+				c.init(m.fields[s.si].lookup(mt.term), true, &m.ar)
+				read = s.si
+			}
+			te.appendCursor(&c, s.lo, s.hi, m.remaps[s.si])
+		}
+		m.ar.clear()
+		m.fi.setCaps(te)
+		m.fi.terms[mt.term] = te
 	}
 	return m.fi
 }
 
-// term merges one term, whose list in sources[si] is first and in every
-// later source is looked up: survivors are counted, with their positions,
-// from the position ends; each stretch of consecutive survivors is then
-// copied as one run; and the caps are computed once, off the merged
-// columns. A term no surviving document carries is left out.
-func (m *fieldMerge) term(term string, si int, first *postingRun) {
-	m.spans, m.n, m.npos = m.spans[:0], 0, 0
-	m.survivors(first, si)
-	for sj := si + 1; sj < len(m.fields); sj++ {
-		switch f := m.fields[sj]; {
+// count finds term's surviving postings in sources[si], where the field
+// shows it first, and in every later source, and adds the term to m.terms
+// and its key to the merged dictionary unless no surviving document
+// carries it.
+func (m *fieldMerge) count(term string, si int) {
+	mt := mergedTerm{term: term, lo: len(m.spans)}
+	for ; si < len(m.fields); si++ {
+		switch f := m.fields[si]; {
 		case f == nil:
 		case f.m == nil:
 			if te := f.terms[term]; te != nil {
-				m.survivors(&te.postingRun, sj)
+				m.survivors(&mt, &te.postingRun, si)
 			}
 		default:
-			m.decoded[sj] = f.postingsOf(term)
-			m.survivors(&m.decoded[sj], sj)
+			var c postingsCursor
+			c.init(f.lookup(term), false, &m.ar)
+			m.mappedSurvivors(&mt, &c, si)
+			m.ar.clear()
 		}
 	}
-	if m.n == 0 {
-		return
+	if mt.n > 0 {
+		mt.hi = len(m.spans)
+		m.terms = append(m.terms, mt)
+		m.fi.terms[term] = nil
 	}
-	te := &termEntry{postingRun: newPostingRun(m.n, m.npos)}
-	for _, s := range m.spans {
-		te.appendRun(s.r, s.lo, s.hi, s.remap)
-	}
-	m.fi.setCaps(te)
-	m.fi.terms[term] = te
 }
 
-// survivors adds the stretches of r, source si's list, that survive.
-func (m *fieldMerge) survivors(r *postingRun, si int) {
+// survivors adds the stretches of r, heap source si's list, that survive.
+func (m *fieldMerge) survivors(mt *mergedTerm, r *postingRun, si int) {
 	remap, docs := m.remaps[si], r.docs
-	if m.whole[si] {
-		if len(docs) > 0 {
-			m.spans = append(m.spans, span{r, remap, 0, len(docs)})
-			m.n, m.npos = m.n+len(docs), m.npos+int(r.posEnd[len(docs)-1])
-		}
-		return
-	}
 	for i := 0; i < len(docs); {
 		if remap[docs[i]] < 0 {
 			i++
 			continue
 		}
 		lo := i
-		for i++; i < len(docs) && remap[docs[i]] >= 0; i++ {
+		if m.whole[si] {
+			i = len(docs)
+		} else {
+			for i++; i < len(docs) && remap[docs[i]] >= 0; i++ {
+			}
 		}
-		m.spans = append(m.spans, span{r, remap, lo, i})
-		m.n, m.npos = m.n+i-lo, m.npos+int(r.posEnd[i-1]-r.posStart(lo))
+		m.spans = append(m.spans, span{r, si, lo, i})
+		mt.n, mt.npos = mt.n+i-lo, mt.npos+int(r.posEnd[i-1]-r.posStart(lo))
+		if len(r.boosts) == 0 {
+			mt.observe(r.boost)
+			continue
+		}
+		for _, b := range r.boosts[lo:i] {
+			mt.observe(b)
+		}
+	}
+}
+
+// mappedSurvivors adds the stretches of c's list, mapped source si's, that
+// survive, decoding docIDs, frequencies and boosts. A list that does not
+// decode panics: the shard layer checked a mapped region's bytes before
+// mapping them.
+func (m *fieldMerge) mappedSurvivors(mt *mergedTerm, c *postingsCursor, si int) {
+	remap, open := m.remaps[si], false
+	for i := 0; i < c.n; i++ {
+		d := c.docAt(i)
+		freq, boost := c.at(i)
+		if freq == 0 {
+			panic("index: merging a mapped posting list that does not decode")
+		}
+		if remap[d] < 0 {
+			open = false
+			continue
+		}
+		if !open {
+			m.spans = append(m.spans, span{nil, si, i, i})
+			open = true
+		}
+		m.spans[len(m.spans)-1].hi = i + 1
+		mt.n, mt.npos = mt.n+1, mt.npos+freq
+		mt.observe(boost)
+	}
+}
+
+// observe notes one more surviving posting's boost: the term needs a boost
+// table once two of them differ bit for bit, setBoost's rule.
+func (mt *mergedTerm) observe(boost float64) {
+	switch {
+	case !mt.seen:
+		mt.boost, mt.seen = boost, true
+	case math.Float64bits(boost) != math.Float64bits(mt.boost):
+		mt.boosted = true
 	}
 }

@@ -57,7 +57,9 @@ func (r *postingRun) boostAt(k int) float64 {
 }
 
 // setBoost records the boost posting k captured, those of the postings
-// before it being set already.
+// before it being set already. A table made here fills the room an empty
+// boosts already has (a merge's window of its field's boost column, see
+// columns), or is allocated with the room docs has.
 func (r *postingRun) setBoost(k int, boost float64) {
 	switch {
 	case len(r.boosts) > 0:
@@ -65,7 +67,10 @@ func (r *postingRun) setBoost(k int, boost float64) {
 	case k == 0:
 		r.boost = boost
 	case math.Float64bits(boost) != math.Float64bits(r.boost):
-		r.boosts = make([]float64, k+1, max(k+1, cap(r.docs)))
+		if cap(r.boosts) <= k {
+			r.boosts = make([]float64, 0, max(k+1, cap(r.docs)))
+		}
+		r.boosts = r.boosts[:k+1]
 		for j := range r.boosts[:k] {
 			r.boosts[j] = r.boost
 		}
@@ -119,6 +124,21 @@ func (r *postingRun) appendRun(src *postingRun, lo, hi int, remap []int) {
 		r.posEnd = append(r.posEnd, e+shift)
 	}
 	r.positions = append(r.positions, src.positions[start:src.posEnd[hi-1]]...)
+}
+
+// appendCursor appends postings [lo, hi) of c's list after the last one,
+// decoded as they are read, with their docIDs renumbered by remap (none of
+// them may be dropped). A posting c cannot decode panics.
+func (r *postingRun) appendCursor(c *postingsCursor, lo, hi int, remap []int) {
+	for i := lo; i < hi; i++ {
+		d := c.docAt(i)
+		_, boost := c.at(i)
+		pos := c.positionsAt(i)
+		if pos == nil {
+			panic("index: merging a mapped posting list that does not decode")
+		}
+		r.appendPosting(remap[d], boost, pos...)
+	}
 }
 
 // endPosting makes every position appended so far part of the last posting.

@@ -602,16 +602,21 @@ func referencePostings(a Analyzer, docs []*Document) map[string]*referenceField 
 	return fields
 }
 
-// CheckColumnarPostings Adds the documents to a fresh index and requires
-// every (field, term) list, cap and block table, and every field table, to
-// be what referencePostings keeps, and the columns to be consistent. It is
-// exported for golden_test.go, whose documents this package cannot import.
+// CheckColumnarPostings Adds the documents to a fresh index and checks it
+// with checkColumnar. It is exported for golden_test.go, whose documents
+// this package cannot import.
 func CheckColumnarPostings(t *testing.T, docs []*Document) *Index {
 	t.Helper()
-	ix := New(StandardAnalyzer{})
-	for _, d := range docs {
-		ix.Add(d)
-	}
+	ix := indexOf(docs)
+	checkColumnar(t, ix, docs)
+	return ix
+}
+
+// checkColumnar requires every (field, term) list, cap and block table,
+// and every field table, of ix, a heap index of docs, to be what
+// referencePostings keeps, and the columns to be consistent.
+func checkColumnar(t *testing.T, ix *Index, docs []*Document) {
+	t.Helper()
 	want := referencePostings(StandardAnalyzer{}, docs)
 	if len(ix.fields) != len(want) {
 		t.Errorf("%d fields, want %d", len(ix.fields), len(want))
@@ -652,7 +657,6 @@ func CheckColumnarPostings(t *testing.T, docs []*Document) *Index {
 			}
 		}
 	}
-	return ix
 }
 
 // TestColumnarPostingsMatchReference runs the hand cases of the columnar

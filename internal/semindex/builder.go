@@ -94,7 +94,8 @@ func NewBuilder() *Builder {
 // models scale), so each page's documents are prepared (extraction,
 // population, inference) on GOMAXPROCS workers. Documents are committed to
 // the index in page order, so docIDs, and therefore search tie-breaks,
-// stay deterministic.
+// stay deterministic. The index is sealed (index.Index.Seal) before it is
+// returned.
 func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex {
 	docsByPage := make([][]*index.Document, len(pages))
 	var wg sync.WaitGroup
@@ -115,6 +116,7 @@ func (b *Builder) Build(level Level, pages []*crawler.MatchPage) *SemanticIndex 
 			ix.Add(d)
 		}
 	}
+	ix.Seal()
 	return &SemanticIndex{Level: level, Index: ix}
 }
 

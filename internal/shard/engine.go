@@ -330,7 +330,8 @@ func (s *sliceSource) NextPage() (*crawler.MatchPage, error) {
 // independent of corpus size — the property that lets a million-document
 // synthetic corpus (internal/corpus) build without ever materializing
 // the corpus. Every return, the source-error one included, waits for the
-// in-flight commits first.
+// in-flight commits first. Once the last commit is done each shard's base
+// is sealed (index.Index.Seal), the shards side by side.
 //
 // The produced engine is identical — document identity, statistics,
 // ranking — to Build over the same pages in the same order, because
@@ -381,6 +382,9 @@ func BuildStream(b *semindex.Builder, level semindex.Level, src PageSource, opts
 	e.commitChunk(&commits, buf, workers)
 	commits.Wait()
 
+	// Each shard's base drops the room its appends left, before any search
+	// can see it.
+	fanOut(n, n, func(s int) { e.base[s].ix.Seal() })
 	e.liveDocs = len(e.byGID)
 	e.exchangeStats()
 	e.met.build.ObserveDuration(time.Since(buildStart))

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -48,6 +49,43 @@ func TestBuildStreamMatchesMonolith(t *testing.T) {
 					assertSameHits(t, label+"/"+q.ID, searchN(e, q.Keywords, 0), oracle.si.Search(q.Keywords, 0))
 				}
 			}
+		}
+	}
+}
+
+// TestSealedBasesEncodeLikeUnsealed builds a three-shard engine, whose
+// bases BuildStream seals side by side once the last chunk is committed,
+// and requires each base to encode byte for byte like an unsealed index of
+// the same documents Added in the same order.
+func TestSealedBasesEncodeLikeUnsealed(t *testing.T) {
+	const shards = 3
+	pages, _ := fixture(t)
+	e, err := BuildStream(nil, semindex.FullInf, &sliceSource{pages: pages},
+		Options{Shards: shards, ChunkPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := semindex.NewBuilder()
+	want := make([]*index.Index, shards)
+	for s := range want {
+		want[s] = index.New(b.Analyzer)
+	}
+	for _, page := range pages {
+		for _, d := range b.PageDocuments(semindex.FullInf, page) {
+			want[shardFor(page.ID, shards)].Add(d)
+		}
+	}
+	encode := func(ix *index.Index) []byte {
+		var payload bytes.Buffer
+		toc, err := ix.EncodeWithTOC(&payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(payload.Bytes(), toc...)
+	}
+	for s := range want {
+		if !bytes.Equal(encode(e.base[s].ix), encode(want[s])) {
+			t.Errorf("shard %d: the sealed base encodes differently from an unsealed build of its documents", s)
 		}
 	}
 }
