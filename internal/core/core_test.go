@@ -224,9 +224,7 @@ func TestSearchLevelDAATEquivalence(t *testing.T) {
 		for _, q := range queries {
 			for _, limit := range []int{0, 1, 5, 50} {
 				pruned := s.SearchLevel(level, q, limit)
-				ix.Index.SetExhaustive(true)
-				exhaustive := s.SearchLevel(level, q, limit)
-				ix.Index.SetExhaustive(false)
+				exhaustive := semindex.Prepare(level, ix.Index.Analyzer(), ix.Index.HasField, q, nil).ExhaustiveSearch(ix.Index, limit)
 				if len(pruned) != len(exhaustive) {
 					t.Fatalf("%s %q limit %d: %d hits pruned, %d exhaustive",
 						level, q, limit, len(pruned), len(exhaustive))

@@ -39,7 +39,7 @@ func searchIn(ix *Index, a *searchArena, q Query, limit int, bar *Bar) []Hit {
 	if limit <= 0 {
 		bar = nil
 	}
-	return ix.collect(q.bind(ix.analyzer).newScorer(ix, a), limit, bar)
+	return ix.collect(q.bind(ix.analyzer, nil).newScorer(ix, a), limit, bar)
 }
 
 // barAt is a fresh bar at half the query's best exhaustive score; nil when
@@ -136,7 +136,7 @@ func TestSearchAllocationsFlat(t *testing.T) {
 	for name, ix := range arenaIndexes(t) {
 		var counts []float64
 		for n := 1; n <= len(words); n++ {
-			q := AnalyzeQuery(MultiFieldQuery(strings.Join(words[:n], " "), trafficFields), ix.analyzer)
+			q := AnalyzeQuery(MultiFieldQuery(strings.Join(words[:n], " "), trafficFields), ix.analyzer, nil)
 			for range 5 {
 				ix.Search(q, 10)
 			}

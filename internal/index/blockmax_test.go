@@ -41,7 +41,7 @@ func TestWindowRecomputedOncePerWindow(t *testing.T) {
 	walks, seeks := 0, 0
 	for _, text := range []string{"goal foul", "save corner pass", "keeper header"} {
 		q := MultiFieldQuery(text, fields)
-		root := q.bind(ix.analyzer).newScorer(ix, new(searchArena)).(*booleanScorer)
+		root := q.bind(ix.analyzer, nil).newScorer(ix, new(searchArena)).(*booleanScorer)
 		var targets, ends []int
 		for i, sh := range root.shoulds {
 			root.shoulds[i] = probeCounter{scorer: sh, targets: &targets, ends: &ends}
@@ -222,7 +222,7 @@ func TestBoundsAreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	queryBoosts := []float64{0.05, 0.5, 1, 1.1, 1.6, 2.5, 7.3}
-	idfSum := 2 * heap.IDF("narration", "goal")
+	idfSum := 2 * heap.termStats(nil, "narration", "goal").idf()
 	bits := math.Float64bits
 	// norm is the length norm of a document l tokens long.
 	norm := func(l int) float64 { return (&docTable{docLen: []int32{int32(l)}}).norm(0) }
@@ -239,7 +239,7 @@ func TestBoundsAreExact(t *testing.T) {
 					}
 					blocks++
 					for _, df := range []int{1, src.len(), ix.NumDocs()} {
-						st := ix.termStats(field, term)
+						st := ix.termStats(nil, field, term)
 						st.df = df
 						w := ix.sim.weight(st)
 						for _, qb := range queryBoosts {

@@ -58,7 +58,7 @@ func searchConcurrently(t *testing.T, ix *Index) {
 					t.Errorf("mapped %v goroutine %d query %d: %v", ix.Mapped(), g, qi, err)
 					return
 				}
-				ix.LikeThisQuery(i%ix.NumDocs(), fields, 4)
+				ix.LikeThisQuery(i%ix.NumDocs(), fields, 4, nil)
 			}
 		}(g)
 	}

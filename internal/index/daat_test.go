@@ -9,17 +9,6 @@ import (
 	"testing"
 )
 
-func TestSetExhaustiveRoutesSearch(t *testing.T) {
-	ix := buildTestIndex()
-	q := TermQuery{Field: "narration", Term: "goal"}
-	want := ix.Search(q, 2)
-	ix.SetExhaustive(true)
-	if err := sameHits(ix.Search(q, 2), want); err != nil {
-		t.Errorf("exhaustive-routed Search: %v", err)
-	}
-	ix.SetExhaustive(false)
-}
-
 func TestBoundedHeap(t *testing.T) {
 	b := bounded[int]{k: 3, worse: func(a, c int) bool { return a < c }}
 	for _, v := range []int{5, 1, 9, 3, 7, 2, 8} {
@@ -88,7 +77,7 @@ func TestMoreLikeThisSameResults(t *testing.T) {
 	fields := []FieldBoost{{Field: "narration", Boost: 1}}
 	for docID := 0; docID < ix.NumDocs(); docID++ {
 		for _, maxTerms := range []int{1, 2, 4, 8, 100} {
-			q := ix.LikeThisQuery(docID, fields, maxTerms)
+			q := ix.LikeThisQuery(docID, fields, maxTerms, nil)
 			if q == nil {
 				continue
 			}
@@ -109,7 +98,7 @@ func TestMoreLikeThisSameResults(t *testing.T) {
 				if df <= 0 || df > max(ix.NumDocs()/3, 5) {
 					continue
 				}
-				all = append(all, scored{term, ix.IDF("narration", term)})
+				all = append(all, scored{term, ix.termStats(nil, "narration", term).idf()})
 			}
 			slices.SortFunc(all, func(a, b scored) int {
 				return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.term, b.term))
@@ -134,7 +123,7 @@ func TestMoreLikeThisEquivalence(t *testing.T) {
 	fields := []FieldBoost{{Field: "narration", Boost: 1}}
 	var queries []Query
 	for docID := 0; docID < ix.NumDocs(); docID++ {
-		if q := ix.LikeThisQuery(docID, fields, 8); q != nil {
+		if q := ix.LikeThisQuery(docID, fields, 8, nil); q != nil {
 			queries = append(queries, q)
 		}
 	}

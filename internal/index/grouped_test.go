@@ -41,7 +41,7 @@ func TestGroupedDisjunction(t *testing.T) {
 			{mustParse(`event:foul eto`, trafficFields), false},
 		} {
 			q := c.q
-			root, ok := q.bind(ix.analyzer).newScorer(ix, new(searchArena)).(*booleanScorer)
+			root, ok := q.bind(ix.analyzer, nil).newScorer(ix, new(searchArena)).(*booleanScorer)
 			if !ok {
 				t.Fatalf("%s: the root is not a boolean scorer", showQuery(q))
 			}
@@ -130,7 +130,7 @@ func groupedBounds(t *testing.T, fields []FieldBoost) {
 		}
 		docs = append(docs, doc(in, 1), doc(slices.DeleteFunc(slices.Clone(leaves), func(l leaf) bool { return slices.Contains(in, l) }), 1))
 		ix := indexOf(docs)
-		return ix, q.bind(ix.analyzer).newScorer(ix, new(searchArena)).(*booleanScorer), base
+		return ix, q.bind(ix.analyzer, nil).newScorer(ix, new(searchArena)).(*booleanScorer), base
 	}
 	scoreOf := func(ix *Index, d int) float64 {
 		for _, h := range ix.ExhaustiveSearch(q, 0) {
@@ -182,11 +182,11 @@ func groupedBounds(t *testing.T, fields []FieldBoost) {
 // value: enough to drive a MaxScore partition.
 type capClause float64
 
-func (c capClause) bind(Analyzer) boundQuery              { return c }
-func (c capClause) scores(*Index) map[int]float64         { return nil }
-func (c capClause) newScorer(*Index, *searchArena) scorer { return c }
-func (capClause) next() int                               { return noMoreDocs }
-func (capClause) advance(int) int                         { return noMoreDocs }
-func (capClause) score() float64                          { return 0 }
-func (c capClause) maxScore() float64                     { return float64(c) }
-func (c capClause) maxScoreUpTo(int) (float64, int)       { return float64(c), noMoreDocs }
+func (c capClause) bind(Analyzer, *CorpusStats) boundQuery { return c }
+func (c capClause) scores(*Index) map[int]float64          { return nil }
+func (c capClause) newScorer(*Index, *searchArena) scorer  { return c }
+func (capClause) next() int                                { return noMoreDocs }
+func (capClause) advance(int) int                          { return noMoreDocs }
+func (capClause) score() float64                           { return 0 }
+func (c capClause) maxScore() float64                      { return float64(c) }
+func (c capClause) maxScoreUpTo(int) (float64, int)        { return float64(c), noMoreDocs }

@@ -257,13 +257,6 @@ type Index struct {
 	fields   map[string]*fieldIndex
 	// stored holds a heap index's documents as bytes (stored.go).
 	stored storedRegion
-	// global, when set, replaces the local df / doc-count / avg-length
-	// statistics in every ranking formula (see stats.go) so a shard of a
-	// partitioned corpus ranks exactly like the whole.
-	global *CorpusStats
-	// exhaustive routes Search through the term-at-a-time map-accumulator
-	// path instead of the DAAT kernel (see SetExhaustive).
-	exhaustive bool
 	// deleted marks tombstoned documents (Lucene's liveDocs, inverted).
 	// Postings are never rewritten; the collect points in Search and
 	// ExhaustiveSearch skip dead docIDs instead, and a merge drops them.
@@ -748,10 +741,6 @@ func (ix *Index) DocFreq(field, term string) int {
 	return fi.lookup(term).len()
 }
 
-// IDF computes the classic Lucene inverse document frequency:
-// 1 + ln(N / (df + 1)), over corpus-wide statistics when installed.
-func (ix *Index) IDF(field, term string) float64 { return ix.termStats(field, term).idf() }
-
 // norm is Lucene's length normalization on the document:
 // 1/sqrt(tokens in field), 0 without the field.
 func (t *docTable) norm(id int) float64 {
@@ -768,7 +757,7 @@ func (t *docTable) norm(id int) float64 {
 // query boost — what pruning compares against the top-k threshold, per term
 // (c the term's cap) and per posting block (c the block's). w holds the
 // statistics real scoring uses, so the bound holds per shard even when
-// corpus-wide statistics are installed. A negative boost would flip the
+// a search brings corpus-wide statistics. A negative boost would flip the
 // best case into a lower bound, so it gets +Inf, which disables pruning but
 // keeps evaluation correct.
 //

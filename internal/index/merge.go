@@ -28,8 +28,9 @@ import (
 // source shows in the merged index. No stored document is decoded. The
 // merged index is laid out as Seal leaves one: each field's posting
 // columns are allocated once at their final lengths, and the chunks the
-// merge writes are copied to theirs. It carries no corpus stats; the
-// caller installs them.
+// merge writes are copied to theirs. Like every index it holds only its
+// own counts: a search that should score with corpus-wide statistics
+// brings them (see AnalyzeQuery).
 //
 // dead, when non-nil, supplies a per-source liveness snapshot (see
 // DeletedMask) consulted INSTEAD of each source's own tombstone bits —
@@ -47,7 +48,6 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 	}
 	out.analyzer = sources[0].analyzer
 	out.sim = sources[0].sim
-	out.exhaustive = sources[0].exhaustive
 
 	// Number the survivors first: every table and posting list below is
 	// then allocated once at its final size. The output is nearly all a

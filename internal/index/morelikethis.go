@@ -2,14 +2,15 @@ package index
 
 // LikeThisQuery builds a query from the most discriminative terms of an
 // existing document — the "related events" feature of a search UI. Terms
-// are ranked by IDF within the given fields; the top maxTerms become a
-// Should-disjunction over the same fields.
+// are ranked by IDF within the given fields, read from cs (nil: the
+// index's own counts); the top maxTerms become a Should-disjunction over
+// the same fields.
 //
 // The source document matches its own query, and callers drop it from the
 // hits, fetching one more: a query fanned out across index partitions
 // cannot exclude it by local docID, which another partition may reuse.
 // It returns nil when the document has no usable terms.
-func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Query {
+func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int, cs *CorpusStats) Query {
 	d := ix.sourceDoc(docID)
 	if d == nil {
 		return nil
@@ -40,7 +41,7 @@ func (ix *Index) LikeThisQuery(docID int, fields []FieldBoost, maxTerms int) Que
 				continue
 			}
 			seen[term] = true
-			st := ix.termStats(fb.Field, term)
+			st := ix.termStats(cs, fb.Field, term)
 			if st.df <= 0 {
 				continue
 			}

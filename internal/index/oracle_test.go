@@ -539,12 +539,12 @@ func (c kernelCase) run() (qi int, err error) {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	ref, rep, toRef, err := c.build()
+	ref, rep, toRef, cs, err := c.build()
 	if err != nil {
 		return -1, err
 	}
 	for qi = range c.queries { // a panic reports the query it came from
-		if err := c.check(ref, rep, toRef, c.queries[qi]); err != nil {
+		if err := c.check(ref, rep, toRef, cs, c.queries[qi]); err != nil {
 			return qi, err
 		}
 	}
@@ -553,10 +553,11 @@ func (c kernelCase) run() (qi int, err error) {
 
 // build returns the index as built with c's tombstones and c's
 // representation of it; toRef maps the latter's docIDs to the former's
-// (nil: the same). It checks Delete's verdicts, LiveDocs, LocalStats,
-// Stats (not after a merge), a merge's remaps, and that no stored document
-// was decoded.
-func (c kernelCase) build() (ref, rep *Index, toRef []int, err error) {
+// (nil: the same), and cs is the statistics both are searched with (nil:
+// each its own). It checks Delete's verdicts, LiveDocs, LocalStats, Stats
+// (not after a merge), a merge's remaps, and that no stored document was
+// decoded.
+func (c kernelCase) build() (ref, rep *Index, toRef []int, cs *CorpusStats, err error) {
 	ref = indexOf(c.docs)
 	switch c.rep {
 	case "heap":
@@ -567,36 +568,35 @@ func (c kernelCase) build() (ref, rep *Index, toRef []int, err error) {
 		rep, toRef, err = c.merge()
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	// Every tombstone is deleted on the reference and, but for those the
 	// merge saw, on the representation; a second Delete is refused.
 	for d, dead := range c.dead {
 		if dead && (!ref.Delete(d) || ref.Delete(d)) {
-			return nil, nil, nil, fmt.Errorf("reference Delete(%d) verdicts wrong", d)
+			return nil, nil, nil, nil, fmt.Errorf("reference Delete(%d) verdicts wrong", d)
 		}
 		if dead && rep != ref && toRef == nil && (!rep.Delete(d) || rep.Delete(d)) {
-			return nil, nil, nil, fmt.Errorf("%s Delete(%d) verdicts wrong", c.rep, d)
+			return nil, nil, nil, nil, fmt.Errorf("%s Delete(%d) verdicts wrong", c.rep, d)
 		}
 	}
 	rs, ws := rep.LocalStats(), ref.LocalStats()
 	// A mapped index keeps no stored document on the heap, decoded or not.
 	decoded := rep.CachedDocs() + map[bool]int{true: rep.stored.n}[rep.Mapped()]
 	if rep.LiveDocs() != ref.LiveDocs() || !reflect.DeepEqual(rs, ws) || toRef == nil && rep.Stats() != ref.Stats() || decoded != 0 {
-		return nil, nil, nil, fmt.Errorf("%s LiveDocs %d, Stats %+v, %d documents decoded, LocalStats\n%+v\nreference LiveDocs %d, Stats %+v, LocalStats\n%+v",
+		return nil, nil, nil, nil, fmt.Errorf("%s LiveDocs %d, Stats %+v, %d documents decoded, LocalStats\n%+v\nreference LiveDocs %d, Stats %+v, LocalStats\n%+v",
 			c.rep, rep.LiveDocs(), rep.Stats(), decoded, rs, ref.LiveDocs(), ref.Stats(), ws)
 	}
 	if c.rep == "merged" {
 		// A merge drops documents, so both score from the statistics of
-		// the live ones, as the engine installs them.
-		ref.SetCorpusStats(ws)
-		rep.SetCorpusStats(ws)
+		// the live ones, as the engine's searches bring them.
+		cs = ws
 	}
 	if c.bm25 {
 		ref.SetSimilarity(BM25{})
 		rep.SetSimilarity(BM25{})
 	}
-	return ref, rep, toRef, nil
+	return ref, rep, toRef, cs, nil
 }
 
 // encode is ix's codec bytes and TOC.
@@ -673,12 +673,12 @@ func (c kernelCase) merge() (*Index, []int, error) {
 	return merged, toRef, nil
 }
 
-// check runs one query: on the representation, Search and ExhaustiveSearch
-// return the reference's exhaustive hits, and Search from the bar those
-// scoring at least the bar (all at limit 0, where a bar is ignored); every
-// hit's Doc is the built index's document.
-func (c kernelCase) check(ref, rep *Index, toRef []int, kq kernelQuery) error {
-	q, limit := kq.q, kq.limit
+// check runs one query, bound to cs: on the representation, Search and
+// ExhaustiveSearch return the reference's exhaustive hits, and Search from
+// the bar those scoring at least the bar (all at limit 0, where a bar is
+// ignored); every hit's Doc is the built index's document.
+func (c kernelCase) check(ref, rep *Index, toRef []int, cs *CorpusStats, kq kernelQuery) error {
+	q, limit := AnalyzeQuery(kq.q, ref.analyzer, cs), kq.limit
 	all := ref.ExhaustiveSearch(q, 0)
 	want := all
 	if limit > 0 {
@@ -706,7 +706,7 @@ func (c kernelCase) check(ref, rep *Index, toRef []int, kq kernelQuery) error {
 			return fmt.Errorf("%s %s: %w", c.rep, []string{"Search", "ExhaustiveSearch", fmt.Sprintf("Search from a bar of %v", height)}[i], err)
 		}
 	}
-	if tq, ok := q.(TermQuery); ok {
+	if tq, ok := kq.q.(TermQuery); ok {
 		return c.checkTermHits(tq, all)
 	}
 	return nil

@@ -134,22 +134,23 @@ type FuzzyQuery struct {
 	Boost float64
 }
 
-func (q FuzzyQuery) bind(a Analyzer) boundQuery {
+func (q FuzzyQuery) bind(a Analyzer, cs *CorpusStats) boundQuery {
 	analyzed := a.Analyze(q.Term)
 	if len(analyzed) != 1 {
 		return noMatch{}
 	}
-	return &fuzzyClause{field: q.Field, target: analyzed[0], boost: orOne(q.Boost)}
+	return &fuzzyClause{field: q.Field, target: analyzed[0], boost: orOne(q.Boost), cs: cs}
 }
 
 // fuzzyClause is a bound FuzzyQuery: the index-form target whose
-// neighbours each index's dictionary supplies.
+// neighbours each index's dictionary supplies, scored with cs.
 type fuzzyClause struct {
 	field, target string
 	boost         float64
+	cs            *CorpusStats
 }
 
-func (q *fuzzyClause) bind(Analyzer) boundQuery { return q }
+func (q *fuzzyClause) bind(Analyzer, *CorpusStats) boundQuery { return q }
 
 func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 	fi := ix.fields[q.field]
@@ -159,7 +160,7 @@ func (q *fuzzyClause) scores(ix *Index) map[int]float64 {
 	out := make(map[int]float64)
 	terms, weights := fi.expansions(q.target, nil, nil)
 	for i, term := range terms {
-		w := ix.sim.weight(ix.termStats(q.field, term))
+		w := ix.sim.weight(ix.termStats(q.cs, q.field, term))
 		// postingsOf after the edit-distance filter: only the few matching
 		// expansions are materialized on a mapped index.
 		te := fi.postingsOf(term)
@@ -188,7 +189,7 @@ func (q *fuzzyClause) newScorer(ix *Index, a *searchArena) scorer {
 	a.expTerms, a.expWeights = terms, weights
 	subs := a.scorers.take(len(terms))
 	for i, term := range terms {
-		subs[i] = newTermScorer(ix, a, q.field, term, q.boost)
+		subs[i] = newTermScorer(ix, a, q.cs, q.field, term, q.boost)
 	}
 	kept := a.floats.take(len(weights))
 	copy(kept, weights)

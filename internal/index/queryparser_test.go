@@ -238,10 +238,10 @@ func TestEditDistanceSymmetryProperty(t *testing.T) {
 func TestMoreLikeThisBounds(t *testing.T) {
 	ix := New(StandardAnalyzer{})
 	ix.Add(new(Document).Add("f", "term"))
-	if q := ix.LikeThisQuery(-1, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ix.LikeThisQuery(-1, []FieldBoost{{Field: "f", Boost: 1}}, 5, nil); q != nil {
 		t.Error("negative id produced a query")
 	}
-	if q := ix.LikeThisQuery(99, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ix.LikeThisQuery(99, []FieldBoost{{Field: "f", Boost: 1}}, 5, nil); q != nil {
 		t.Error("out-of-range id produced a query")
 	}
 	// A doc whose only term is ubiquitous (df above the ceiling) yields nil.
@@ -249,7 +249,7 @@ func TestMoreLikeThisBounds(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ubiq.Add(new(Document).Add("f", "same"))
 	}
-	if q := ubiq.LikeThisQuery(0, []FieldBoost{{Field: "f", Boost: 1}}, 5); q != nil {
+	if q := ubiq.LikeThisQuery(0, []FieldBoost{{Field: "f", Boost: 1}}, 5, nil); q != nil {
 		t.Error("ubiquitous-term doc produced a query")
 	}
 }

@@ -122,10 +122,10 @@ type termScorer struct {
 	cachedBound float64
 }
 
-// newTermScorer builds the cursor for one analyzed term in a. The term must
-// be in index form; queryBoost is the resolved (zero-defaulted) clause
-// boost.
-func newTermScorer(ix *Index, a *searchArena, field, term string, queryBoost float64) scorer {
+// newTermScorer builds the cursor for one analyzed term in a, weighted by
+// cs (nil: ix's own counts). The term must be in index form; queryBoost is
+// the resolved (zero-defaulted) clause boost.
+func newTermScorer(ix *Index, a *searchArena, cs *CorpusStats, field, term string, queryBoost float64) scorer {
 	fi := ix.fields[field]
 	if fi == nil {
 		return emptyScorer{}
@@ -136,7 +136,7 @@ func newTermScorer(ix *Index, a *searchArena, field, term string, queryBoost flo
 	}
 	s := &a.terms.take(1)[0]
 	*s = termScorer{
-		w:      ix.sim.weight(ix.termStats(field, term)),
+		w:      ix.sim.weight(ix.termStats(cs, field, term)),
 		docLen: fi.docLen,
 		boost:  queryBoost,
 		i:      -1, d: -1,
@@ -308,8 +308,9 @@ type phraseScorer struct {
 	cachedBound float64
 }
 
-// newPhraseScorer builds the cursor for already-analyzed phrase terms in a.
-func newPhraseScorer(ix *Index, a *searchArena, field string, terms []string, boost float64) scorer {
+// newPhraseScorer builds the cursor for already-analyzed phrase terms in a,
+// their IDFs read from cs (nil: ix's own counts).
+func newPhraseScorer(ix *Index, a *searchArena, cs *CorpusStats, field string, terms []string, boost float64) scorer {
 	fi := ix.fields[field]
 	if fi == nil {
 		return emptyScorer{}
@@ -332,7 +333,7 @@ func newPhraseScorer(ix *Index, a *searchArena, field string, terms []string, bo
 			c = &s.rest[i-1]
 		}
 		c.init(fi.lookup(t), true, a)
-		s.idfSum += ix.IDF(field, t)
+		s.idfSum += ix.termStats(cs, field, t).idf()
 		lc := c.listCap()
 		s.whole.maxFreq = min(s.whole.maxFreq, lc.maxFreq)
 		s.whole.minLen = max(s.whole.minLen, lc.minLen)

@@ -10,13 +10,15 @@ import (
 // MultiFieldQuery, ParseQuery and AnalyzeQuery return.
 //
 // A query is evaluated in two steps. Binding runs its text through an
-// analyzer, once; the bound query then finds its terms' postings in each
-// index it runs against. Search binds on the fly, so callers with one
-// index never see the split; a caller searching many indexes that share
-// an analyzer (the sharded engine: shards × segments) binds once with
-// AnalyzeQuery and searches every index with the result.
+// analyzer, once, and fixes the statistics it scores with (nil: each
+// index's own counts); the bound query then finds its terms' postings in
+// each index it runs against. Search binds on the fly, with nil, so
+// callers with one index never see the split; a caller searching many
+// indexes that share an analyzer (the sharded engine: shards × segments)
+// binds once with AnalyzeQuery and the corpus-wide statistics, and
+// searches every index with the result.
 type Query interface {
-	bind(a Analyzer) boundQuery
+	bind(a Analyzer, cs *CorpusStats) boundQuery
 }
 
 // boundQuery is a Query whose text has been analyzed: its terms are in
@@ -34,9 +36,10 @@ type boundQuery interface {
 	newScorer(ix *Index, a *searchArena) scorer
 }
 
-// AnalyzeQuery binds q to the analyzer: the returned query ranks exactly
-// like q on every index that uses a, without analyzing text again.
-func AnalyzeQuery(q Query, a Analyzer) Query { return q.bind(a) }
+// AnalyzeQuery binds q to the analyzer and the statistics: the returned
+// query ranks exactly like q on every index that uses a, scored with cs,
+// without analyzing text again.
+func AnalyzeQuery(q Query, a Analyzer, cs *CorpusStats) Query { return q.bind(a, cs) }
 
 // Hit is one search result.
 type Hit struct {
@@ -62,15 +65,12 @@ type Hit struct {
 // cannot use, and keeps the others in order. The bar is ignored at a limit
 // <= 0; at most one may be given.
 func (ix *Index) Search(q Query, limit int, bar ...*Bar) []Hit {
-	if ix.exhaustive {
-		return ix.ExhaustiveSearch(q, limit)
-	}
 	var b *Bar
 	if len(bar) > 0 && limit > 0 {
 		b = bar[0]
 	}
 	a := acquireArena()
-	hits := ix.collect(q.bind(ix.analyzer).newScorer(ix, a), limit, b)
+	hits := ix.collect(q.bind(ix.analyzer, nil).newScorer(ix, a), limit, b)
 	a.release()
 	return hits
 }
@@ -120,7 +120,7 @@ func (ix *Index) collect(sc scorer, limit int, bar *Bar) []Hit {
 // the cold-path benchmark and the oracle for the DAAT equivalence tests;
 // production callers should use Search.
 func (ix *Index) ExhaustiveSearch(q Query, limit int) []Hit {
-	sc := q.bind(ix.analyzer).scores(ix)
+	sc := q.bind(ix.analyzer, nil).scores(ix)
 	c := acquireCollector(limit)
 	for id, s := range sc {
 		if ix.numDeleted > 0 && ix.deleted[id] {
@@ -134,11 +134,6 @@ func (ix *Index) ExhaustiveSearch(q Query, limit int) []Hit {
 	c.release()
 	return hits
 }
-
-// SetExhaustive routes Search through ExhaustiveSearch (true) or the DAAT
-// kernel (false, the default). It exists for benchmarks and equivalence
-// tests; like SetSimilarity it must not race with searches.
-func (ix *Index) SetExhaustive(on bool) { ix.exhaustive = on }
 
 // TermQuery matches documents containing a single term in one field,
 // scored with classic TF-IDF: sqrt(tf) · idf² · fieldBoost · lengthNorm.
@@ -154,22 +149,22 @@ type TermQuery struct {
 	Boost float64
 }
 
-func (q TermQuery) bind(a Analyzer) boundQuery {
-	return fieldClause(a, q.Field, a.Analyze(q.Term), q.Boost)
+func (q TermQuery) bind(a Analyzer, cs *CorpusStats) boundQuery {
+	return fieldClause(a, cs, q.Field, a.Analyze(q.Term), q.Boost)
 }
 
 // fieldClause binds one raw term's analyzed form to a field. A term the
 // analyzer swallows (a pure stopword) matches nothing; one that analyzes
 // to several tokens is a phrase, and re-enters as one (which analyzes the
 // tokens again, as a phrase does with its terms).
-func fieldClause(a Analyzer, field string, terms []string, boost float64) boundQuery {
+func fieldClause(a Analyzer, cs *CorpusStats, field string, terms []string, boost float64) boundQuery {
 	switch len(terms) {
 	case 0:
 		return noMatch{}
 	case 1:
-		return &termClause{field: field, term: terms[0], boost: orOne(boost)}
+		return &termClause{field: field, term: terms[0], boost: orOne(boost), cs: cs}
 	}
-	return PhraseQuery{Field: field, Terms: terms, Boost: boost}.bind(a)
+	return PhraseQuery{Field: field, Terms: terms, Boost: boost}.bind(a, cs)
 }
 
 // orOne resolves the "zero boost means unset" sentinel.
@@ -183,19 +178,20 @@ func orOne(boost float64) float64 {
 // noMatch is the bound form of a clause whose text analyzed to nothing.
 type noMatch struct{}
 
-func (q noMatch) bind(Analyzer) boundQuery            { return q }
-func (noMatch) scores(*Index) map[int]float64         { return nil }
-func (noMatch) newScorer(*Index, *searchArena) scorer { return emptyScorer{} }
+func (q noMatch) bind(Analyzer, *CorpusStats) boundQuery { return q }
+func (noMatch) scores(*Index) map[int]float64            { return nil }
+func (noMatch) newScorer(*Index, *searchArena) scorer    { return emptyScorer{} }
 
 // termClause is a bound TermQuery: one index-form term in one field at a
-// resolved boost. It is used by pointer so that a token's clauses over
-// several fields can be cut from one allocation.
+// resolved boost, scored with cs. It is used by pointer so that a token's
+// clauses over several fields can be cut from one allocation.
 type termClause struct {
 	field, term string
 	boost       float64
+	cs          *CorpusStats
 }
 
-func (q *termClause) bind(Analyzer) boundQuery { return q }
+func (q *termClause) bind(Analyzer, *CorpusStats) boundQuery { return q }
 
 func (q *termClause) scores(ix *Index) map[int]float64 {
 	fi := ix.fields[q.field]
@@ -203,7 +199,7 @@ func (q *termClause) scores(ix *Index) map[int]float64 {
 		return nil
 	}
 	te := fi.postingsOf(q.term)
-	w := ix.sim.weight(ix.termStats(q.field, q.term))
+	w := ix.sim.weight(ix.termStats(q.cs, q.field, q.term))
 	out := make(map[int]float64, len(te.docs))
 	for i, d := range te.docs {
 		out[int(d)] = w.score(te.freq(i), fi.lengthOf(int(d))) * te.boostAt(i) * q.boost
@@ -212,7 +208,7 @@ func (q *termClause) scores(ix *Index) map[int]float64 {
 }
 
 func (q *termClause) newScorer(ix *Index, a *searchArena) scorer {
-	return newTermScorer(ix, a, q.field, q.term, q.boost)
+	return newTermScorer(ix, a, q.cs, q.field, q.term, q.boost)
 }
 
 // PhraseQuery matches documents where the terms occur consecutively in one
@@ -225,23 +221,24 @@ type PhraseQuery struct {
 	Boost float64
 }
 
-func (q PhraseQuery) bind(a Analyzer) boundQuery {
+func (q PhraseQuery) bind(a Analyzer, cs *CorpusStats) boundQuery {
 	terms := phraseTerms(a, q.Terms)
 	if len(terms) == 0 {
 		return noMatch{}
 	}
-	return &phraseClause{field: q.Field, terms: terms, boost: orOne(q.Boost)}
+	return &phraseClause{field: q.Field, terms: terms, boost: orOne(q.Boost), cs: cs}
 }
 
 // phraseClause is a bound PhraseQuery: index-form terms that must occur
-// consecutively in one field.
+// consecutively in one field, their IDFs read from cs.
 type phraseClause struct {
 	field string
 	terms []string
 	boost float64
+	cs    *CorpusStats
 }
 
-func (q *phraseClause) bind(Analyzer) boundQuery { return q }
+func (q *phraseClause) bind(Analyzer, *CorpusStats) boundQuery { return q }
 
 func (q *phraseClause) scores(ix *Index) map[int]float64 {
 	fi := ix.fields[q.field]
@@ -252,7 +249,7 @@ func (q *phraseClause) scores(ix *Index) map[int]float64 {
 	first := fi.postingsOf(q.terms[0])
 	idfSum := 0.0
 	for _, t := range q.terms {
-		idfSum += ix.IDF(q.field, t)
+		idfSum += ix.termStats(q.cs, q.field, t).idf()
 	}
 	out := make(map[int]float64)
 	for i, d := range first.docs {
@@ -270,7 +267,7 @@ func (q *phraseClause) scores(ix *Index) map[int]float64 {
 }
 
 func (q *phraseClause) newScorer(ix *Index, a *searchArena) scorer {
-	return newPhraseScorer(ix, a, q.field, q.terms, q.boost)
+	return newPhraseScorer(ix, a, q.cs, q.field, q.terms, q.boost)
 }
 
 // phraseBufPool recycles the join scratch phraseTerms uses, so repeated
@@ -335,20 +332,20 @@ type BooleanQuery struct {
 	DisableCoord bool
 }
 
-func (q BooleanQuery) bind(a Analyzer) boundQuery {
+func (q BooleanQuery) bind(a Analyzer, cs *CorpusStats) boundQuery {
 	return &boolClause{
-		must: bindAll(a, q.Must), should: bindAll(a, q.Should), mustNot: bindAll(a, q.MustNot),
+		must: bindAll(a, cs, q.Must), should: bindAll(a, cs, q.Should), mustNot: bindAll(a, cs, q.MustNot),
 		coord: !q.DisableCoord,
 	}
 }
 
-func bindAll(a Analyzer, clauses []Query) []boundQuery {
+func bindAll(a Analyzer, cs *CorpusStats, clauses []Query) []boundQuery {
 	if len(clauses) == 0 {
 		return nil
 	}
 	out := make([]boundQuery, len(clauses))
 	for i, c := range clauses {
-		out[i] = c.bind(a)
+		out[i] = c.bind(a, cs)
 	}
 	return out
 }
@@ -359,7 +356,7 @@ type boolClause struct {
 	coord                 bool
 }
 
-func (q *boolClause) bind(Analyzer) boundQuery { return q }
+func (q *boolClause) bind(Analyzer, *CorpusStats) boundQuery { return q }
 
 func (q *boolClause) scores(ix *Index) map[int]float64 {
 	total := len(q.must) + len(q.should)
@@ -410,7 +407,7 @@ func (q *boolClause) newScorer(ix *Index, a *searchArena) scorer {
 // "list everything" style queries and tests.
 type MatchAllQuery struct{}
 
-func (q MatchAllQuery) bind(Analyzer) boundQuery { return q }
+func (q MatchAllQuery) bind(Analyzer, *CorpusStats) boundQuery { return q }
 
 func (MatchAllQuery) scores(ix *Index) map[int]float64 {
 	n := ix.NumDocs()
@@ -476,7 +473,7 @@ type multiFieldQuery struct {
 	fields        []FieldBoost
 }
 
-func (q *multiFieldQuery) bind(a Analyzer) boundQuery {
+func (q *multiFieldQuery) bind(a Analyzer, cs *CorpusStats) boundQuery {
 	var terms []string
 	if q.phrase {
 		terms = phraseTerms(a, strings.Fields(q.text))
@@ -494,14 +491,14 @@ func (q *multiFieldQuery) bind(a Analyzer) boundQuery {
 	for i, fb := range q.fields {
 		switch {
 		case q.phrase:
-			per[i] = &phraseClause{field: fb.Field, terms: terms, boost: orOne(fb.Boost)}
+			per[i] = &phraseClause{field: fb.Field, terms: terms, boost: orOne(fb.Boost), cs: cs}
 		case q.fuzzy:
-			per[i] = &fuzzyClause{field: fb.Field, target: terms[0], boost: orOne(fb.Boost)}
+			per[i] = &fuzzyClause{field: fb.Field, target: terms[0], boost: orOne(fb.Boost), cs: cs}
 		case single != nil:
-			single[i] = termClause{field: fb.Field, term: terms[0], boost: orOne(fb.Boost)}
+			single[i] = termClause{field: fb.Field, term: terms[0], boost: orOne(fb.Boost), cs: cs}
 			per[i] = &single[i]
 		default:
-			per[i] = fieldClause(a, fb.Field, terms, fb.Boost)
+			per[i] = fieldClause(a, cs, fb.Field, terms, fb.Boost)
 		}
 	}
 	return &boolClause{should: per}

@@ -8,13 +8,14 @@ import "strings"
 // only its slice of the corpus, and per-shard IDF would make the same
 // document score differently depending on which shard it landed in,
 // breaking the merged ranking. The sharded engine therefore exchanges
-// statistics after build: every shard exports LocalStats, the engine merges
-// them with Merge, and SetCorpusStats installs the merged view so that
-// every Similarity computation (TF-IDF, BM25, fuzzy, phrase IDF sums,
-// more-like-this term selection) uses corpus-wide df, doc counts and
-// average field lengths. With identical inputs the per-shard scores are
-// bit-identical to the single-index scores, so a scatter-gather merge
-// reproduces the monolithic ranking exactly.
+// statistics after build: every shard exports LocalStats and the engine
+// merges them with Merge. The merged view is not installed on any index:
+// each search brings it, bound into its query (AnalyzeQuery) and passed to
+// LikeThisQuery, so that every Similarity computation (TF-IDF, BM25,
+// fuzzy, phrase IDF sums, more-like-this term selection) uses corpus-wide
+// df, doc counts and average field lengths. With identical inputs the
+// per-shard scores are bit-identical to the single-index scores, so a
+// scatter-gather merge reproduces the monolithic ranking exactly.
 
 // FieldStats aggregates one field's collection statistics.
 type FieldStats struct {
@@ -330,16 +331,6 @@ func (sc *Scratch) firstInDoc(ft *fieldTerms, t string) bool {
 	return true
 }
 
-// SetCorpusStats installs corpus-wide statistics: all subsequent scoring
-// uses them instead of the index's local counts. Passing nil reverts to
-// local statistics. Like SetSimilarity it must not race with searches;
-// the sharded engine serializes it behind its ingest lock.
-func (ix *Index) SetCorpusStats(cs *CorpusStats) { ix.global = cs }
-
-// CorpusStats returns the installed corpus-wide statistics (nil when the
-// index scores against its local counts).
-func (ix *Index) CorpusStats() *CorpusStats { return ix.global }
-
 // termStats is what the ranking formulas read about one term: its document
 // frequency, the document count and the average length of its field.
 type termStats struct {
@@ -347,10 +338,11 @@ type termStats struct {
 	avgLen      float64
 }
 
-// termStats gathers a term's scoring statistics in one walk: the
-// corpus-wide view when one is installed, the index's own counts otherwise.
-func (ix *Index) termStats(field, term string) termStats {
-	if g := ix.global; g != nil {
+// termStats gathers a term's scoring statistics in one walk: from g, the
+// corpus-wide view a search brings, or from the index's own counts when g
+// is nil.
+func (ix *Index) termStats(g *CorpusStats, field, term string) termStats {
+	if g != nil {
 		fs := g.Fields[field]
 		if fs == nil {
 			return termStats{numDocs: g.Docs}

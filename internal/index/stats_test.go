@@ -54,8 +54,8 @@ func TestLocalStatsExport(t *testing.T) {
 }
 
 // TestMergeReproducesWhole: merging two disjoint partitions' statistics
-// must reproduce the whole collection's, and installing the merged view
-// must make a partition score exactly like the whole.
+// must reproduce the whole collection's, and binding a query to the merged
+// view must make a partition score exactly like the whole.
 func TestMergeReproducesWhole(t *testing.T) {
 	full, a, b := statsFixture()
 	want := full.LocalStats()
@@ -77,24 +77,26 @@ func TestMergeReproducesWhole(t *testing.T) {
 		}
 	}
 
-	// Without the override partition A computes IDF from its own 2 docs...
-	localIDF := a.IDF("narration", "messi")
-	a.SetCorpusStats(merged)
-	if got, want := a.IDF("narration", "messi"), full.IDF("narration", "messi"); got != want {
-		t.Errorf("global IDF = %v, want %v", got, want)
+	// Without the merged view partition A computes IDF from its own 2 docs...
+	localIDF := a.termStats(nil, "narration", "messi").idf()
+	globalIDF := a.termStats(merged, "narration", "messi").idf()
+	if want := full.termStats(nil, "narration", "messi").idf(); globalIDF != want {
+		t.Errorf("global IDF = %v, want %v", globalIDF, want)
 	}
-	if a.IDF("narration", "messi") == localIDF {
-		t.Error("override did not change the IDF")
+	if globalIDF == localIDF {
+		t.Error("the merged view did not change the IDF")
 	}
-	// ...and scores on the partition match the whole index's for the same
-	// document under both similarities.
+	// ...and scores on the partition, for a query bound to the merged view,
+	// match the whole index's for the same document under both
+	// similarities.
+	goal := TermQuery{Field: "narration", Term: "goal"}
 	for _, sim := range []Similarity{ClassicTFIDF{}, BM25{}} {
 		a.SetSimilarity(sim)
 		full.SetSimilarity(sim)
-		ga := a.Search(TermQuery{Field: "narration", Term: "goal"}, 0)
+		ga := a.Search(AnalyzeQuery(goal, a.analyzer, merged), 0)
 		// Partition A holds full docs 0 and 2 as its docs 0 and 1.
 		var want []Hit
-		for _, h := range full.Search(TermQuery{Field: "narration", Term: "goal"}, 0) {
+		for _, h := range full.Search(goal, 0) {
 			if h.DocID%2 == 0 {
 				want = append(want, Hit{DocID: h.DocID / 2, Score: h.Score})
 			}
@@ -105,11 +107,10 @@ func TestMergeReproducesWhole(t *testing.T) {
 		if err := sameHits(ga, want); err != nil {
 			t.Errorf("%T: partition ranking differs from the whole's: %v", sim, err)
 		}
-	}
-	// Reverting restores local scoring.
-	a.SetCorpusStats(nil)
-	if got := a.IDF("narration", "messi"); got != localIDF {
-		t.Errorf("revert: IDF %v, want %v", got, localIDF)
+		// An unbound query scores with the partition's own counts.
+		if err := sameHits(a.Search(goal, 0), want); err == nil {
+			t.Errorf("%T: an unbound query ranks with the merged view", sim)
+		}
 	}
 }
 

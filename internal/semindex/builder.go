@@ -38,6 +38,10 @@ var Levels = []Level{Trad, BasicExt, FullExt, FullInf, PhrExp}
 type SemanticIndex struct {
 	Level Level
 	Index *index.Index
+	// Stats, when not nil, is the corpus-wide statistics Search and
+	// Related rank with: the sharded engine's, in its view of one shard.
+	// Nil, as for a monolith, ranks with the index's own counts.
+	Stats *index.CorpusStats
 }
 
 // Builder constructs semantic indices from crawled pages. The zero value

@@ -1,6 +1,10 @@
 package semindex
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/index"
+)
 
 // Facet is one aggregation bucket.
 type Facet struct {
@@ -75,7 +79,7 @@ func oneLister(hits []Hit) metaLister {
 // discriminative vocabulary across the ontological fields. The source is
 // left out of its own list.
 func (s *SemanticIndex) Related(docID int, limit int) []Hit {
-	q := s.Index.LikeThisQuery(docID, QueryBoosts, 8)
+	q := s.Index.LikeThisQuery(docID, QueryBoosts, 8, s.Stats)
 	if q == nil {
 		return nil
 	}
@@ -84,7 +88,7 @@ func (s *SemanticIndex) Related(docID int, limit int) []Hit {
 	if fetch > 0 {
 		fetch++
 	}
-	raw := s.Index.Search(q, fetch)
+	raw := s.Index.Search(index.AnalyzeQuery(q, s.Index.Analyzer(), s.Stats), fetch)
 	out := raw[:0]
 	for _, h := range raw {
 		if h.DocID != docID {

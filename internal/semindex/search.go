@@ -60,7 +60,7 @@ func (h Hit) Meta(field string) string {
 // its top-k threshold (see index.Index.Search), so asking for the top 10
 // costs far less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
-	q := Prepare(s.Level, s.Index.Analyzer(), s.Index.HasField, query)
+	q := Prepare(s.Level, s.Index.Analyzer(), s.Index.HasField, query, s.Stats)
 	return s.hits(q.Search(s.Index, limit, nil))
 }
 
@@ -73,11 +73,11 @@ func (s *SemanticIndex) hits(raw []index.Hit) []Hit {
 	return hits
 }
 
-// PreparedQuery is a keyword query routed for a level and analyzed: what
-// is left per index is finding its terms' postings. Every index of one
-// level that shares the analyzer can run it, which is how the sharded
-// engine parses and analyzes a search's text once for all its shards and
-// segments.
+// PreparedQuery is a keyword query routed for a level, analyzed and bound
+// to the statistics it ranks with: what is left per index is finding its
+// terms' postings. Every index of one level that shares the analyzer can
+// run it, which is how the sharded engine parses and analyzes a search's
+// text once for all its shards and segments.
 type PreparedQuery struct {
 	bound index.Query
 }
@@ -85,11 +85,13 @@ type PreparedQuery struct {
 // Prepare routes and analyzes query for an index of the given level and
 // counts it as one query of that level (semindex_queries_total), however
 // many indexes then run it. hasField says whether a "name:" prefix names a
-// field the searched corpus holds (see hasAdvancedSyntax).
-func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, query string) PreparedQuery {
+// field the searched corpus holds (see hasAdvancedSyntax). cs is the
+// corpus-wide statistics every index running the query scores with; nil
+// scores each with its own counts.
+func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, query string, cs *index.CorpusStats) PreparedQuery {
 	queryCounter(level).Inc()
 	advanced := hasAdvancedSyntax(query, hasField)
-	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a)}
+	return PreparedQuery{bound: index.AnalyzeQuery(routeQuery(level, advanced, query), a, cs)}
 }
 
 // Search ranks ix's documents for the prepared query; hits carry ix's
@@ -98,6 +100,12 @@ func Prepare(level Level, a index.Analyzer, hasField func(name string) bool, que
 // (see index.Bar); nil means none.
 func (q PreparedQuery) Search(ix *index.Index, limit int, bar *index.Bar) []index.Hit {
 	return ix.Search(q.bound, limit, bar)
+}
+
+// ExhaustiveSearch ranks like Search through the term-at-a-time reference
+// path (index.Index.ExhaustiveSearch) instead of the pruned kernel.
+func (q PreparedQuery) ExhaustiveSearch(ix *index.Index, limit int) []index.Hit {
+	return ix.ExhaustiveSearch(q.bound, limit)
 }
 
 // routeQuery builds the level's query for the text; advanced says whether

@@ -36,7 +36,14 @@ func TestSharedBarKeepsCrossShardTies(t *testing.T) {
 	e := Build(nil, semindex.FullInf, pages, Options{Shards: 2})
 	defer e.Close()
 	o := newMonoOracle(pages)
-	o.si.Index.SetExhaustive(true)
+	// The reference ranks through the exhaustive path.
+	exhaustive := func(query string) (hits []semindex.Hit) {
+		pq := semindex.Prepare(o.si.Level, o.si.Index.Analyzer(), o.si.Index.HasField, query, o.si.Stats)
+		for _, h := range pq.ExhaustiveSearch(o.si.Index, 0) {
+			hits = append(hits, semindex.NewHit(o.si.Index, h.DocID, h.Score))
+		}
+		return hits
+	}
 	shardOf := map[int]int{}
 	for i, p := range pages {
 		for _, gid := range o.byPage[p.ID] {
@@ -51,7 +58,7 @@ func TestSharedBarKeepsCrossShardTies(t *testing.T) {
 		}
 		t.Run(mode, func(t *testing.T) {
 			for _, q := range eval.PaperQueries() {
-				all := o.si.Search(q.Keywords, 0)
+				all := exhaustive(q.Keywords)
 				for limit := 1; limit <= 12; limit++ {
 					want := all[:min(limit, len(all))]
 					if limit < len(all) && all[limit-1].Score == all[limit].Score &&

@@ -132,10 +132,11 @@ type Engine struct {
 	// liveDocs counts documents that match queries: ingested minus
 	// tombstoned minus quarantined holes.
 	liveDocs int
-	// global is the corpus-wide statistics view installed on every sub.
-	// The OBJECT IDENTITY is engine-wide and stable across ingests —
-	// ingest mutates it in place under the write lock (integer-exact, see
-	// package comment); only exchangeStats replaces it.
+	// global is the corpus-wide statistics view every search binds into
+	// its query; no sub-index holds it. The OBJECT IDENTITY is engine-wide
+	// and stable across ingests — ingest mutates it in place under the
+	// write lock (integer-exact, see package comment); only exchangeStats
+	// replaces it.
 	global *index.CorpusStats
 
 	// met holds the engine's metric handles (see metrics.go). Swapped by
@@ -148,8 +149,9 @@ type Engine struct {
 	// cached answer carries the epoch its scatter read, so one bump evicts
 	// them all (see Search).
 	epoch uint64
-	// exhaustive mirrors SetExhaustiveScoring so segments created later
-	// inherit the scoring mode.
+	// exhaustive is SetExhaustiveScoring's choice: every scatter reads it
+	// under the read lock and ranks each sub-index through the exhaustive
+	// path when it is set.
 	exhaustive bool
 	// nextSeg numbers ingest segments, starting at 1 (0 is the base).
 	nextSeg uint64
@@ -468,9 +470,9 @@ func (e *Engine) subsLocked(s int) []*subIndex {
 }
 
 // exchangeStats recomputes every shard's local statistics in parallel
-// (fanOut), merges them into a FRESH corpus-wide view and installs it on
-// every sub-index — the post-build/post-load exchange that makes
-// per-shard ranking globally consistent. LocalStats is tombstone-aware,
+// (fanOut) and merges them into a FRESH corpus-wide view, which every
+// search then binds into its query — the post-build/post-load exchange
+// that makes per-shard ranking globally consistent. LocalStats is tombstone-aware,
 // so the result is exact even mid-LSM-state. Callers must hold the write
 // lock (or be single-threaded, as during Build). The epoch advances: the
 // statistics object was replaced, so every cached answer is evicted.
@@ -488,29 +490,19 @@ func (e *Engine) exchangeStats() {
 		g.Merge(cs)
 	}
 	e.global = g
-	for s := range e.base {
-		for _, sub := range e.subsLocked(s) {
-			sub.ix.SetCorpusStats(g)
-		}
-	}
 	e.epoch++
 }
 
-// SetExhaustiveScoring routes every sub-index through the term-at-a-time
-// map-accumulator scoring path instead of the pruned DAAT kernel (see
-// index.Index.SetExhaustive) — the engine-level escape hatch the cold-path
-// benchmark compares against. Results are identical either way; only the
-// evaluation strategy changes. Takes the write lock: do not flip it while
-// queries are in flight you care about timing.
+// SetExhaustiveScoring routes every search and Related through the
+// term-at-a-time map-accumulator scoring path instead of the pruned DAAT
+// kernel (see index.Index.ExhaustiveSearch) — the engine-level escape
+// hatch the cold-path benchmark compares against. Results are identical
+// either way; only the evaluation strategy changes. Takes the write lock:
+// do not flip it while queries are in flight you care about timing.
 func (e *Engine) SetExhaustiveScoring(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.exhaustive = on
-	for s := range e.base {
-		for _, sub := range e.subsLocked(s) {
-			sub.ix.SetExhaustive(on)
-		}
-	}
 }
 
 // Level returns the semantic level all shards are built at.
@@ -531,10 +523,14 @@ func (e *Engine) NumDocs() int {
 // Shard returns a view of one shard's BASE index at the engine's level
 // (for stats, persistence and tests); the index must not be mutated.
 // Segment documents live outside it until a compaction folds them in.
+// The view's Search ranks with the engine's live corpus-wide statistics,
+// always through the pruned kernel whatever SetExhaustiveScoring says.
+// Ingest changes those statistics in place, so the view must not be
+// searched beside an Ingest.
 func (e *Engine) Shard(i int) *semindex.SemanticIndex {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &semindex.SemanticIndex{Level: e.level, Index: e.base[i].ix}
+	return &semindex.SemanticIndex{Level: e.level, Index: e.base[i].ix, Stats: e.global}
 }
 
 // Stats summarizes the engine: the exchanged corpus-wide view plus each

@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/crawler"
+	"repro/internal/eval"
+	"repro/internal/loadgen"
 	"repro/internal/semindex"
 	"repro/internal/soccer"
 	"repro/internal/wal"
@@ -225,4 +227,95 @@ func TestPageKeysPinNoPage(t *testing.T) {
 		t.Fatal("the load replayed no WAL record")
 	}
 	check("WAL replay", l, append(pages, batch...))
+}
+
+// TestShardViewRanksLikeEngine pins the view of one shard that Shard
+// returns, which the repository benchmark times per layer: after upserts
+// and ForceMerge, on a heap engine and on a mapped one that also saved and
+// reinstalled its bases, a shard view's Search ranks its shard's documents
+// exactly as the engine ranks them, in order and bit for bit.
+func TestShardViewRanksLikeEngine(t *testing.T) {
+	spec := corpus.Spec{TargetDocs: 1500, Seed: 62}
+	pages := generatedPages(t, spec)
+	cut := len(pages) - 8
+	var revised []*crawler.MatchPage
+	for _, p := range pages[:8] {
+		v := *p
+		v.Narrations = p.Narrations[:len(p.Narrations)/2]
+		revised = append(revised, &v)
+	}
+	var queries []string
+	for _, q := range eval.PaperQueries() {
+		queries = append(queries, q.Keywords)
+	}
+	for _, q := range loadgen.GenerateQueries(loadgen.VocabFromUniverse(corpus.New(spec).Universe()), nil, 120, 62) {
+		queries = append(queries, q.Text)
+	}
+
+	heap := Build(nil, semindex.FullInf, pages[:cut], Options{Shards: 2})
+	defer heap.Close()
+	base := filepath.Join(t.TempDir(), "idx.bin")
+	if err := heap.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadWith(base, nil, LoadOptions{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for name, e := range map[string]*Engine{"heap": heap, "mapped": mapped} {
+		for _, batch := range [][]*crawler.MatchPage{pages[cut:], revised} {
+			if _, err := e.Ingest(context.Background(), batch, IngestOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.ForceMerge()
+		if e == mapped {
+			if err := e.Save(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := e.Stats(); st.Segments != 0 || st.Tombstones != 0 {
+			t.Fatalf("%s: %d segments, %d tombstones after ForceMerge", name, st.Segments, st.Tombstones)
+		}
+		// Every live document is in a base: its shard, and each base's
+		// global IDs.
+		e.mu.RLock()
+		owner := make([]int, len(e.byGID))
+		for gid, ref := range e.byGID {
+			owner[gid] = slices.Index(e.base, ref.sub)
+		}
+		var gids [][]int
+		for _, b := range e.base {
+			gids = append(gids, b.gids)
+		}
+		e.mu.RUnlock()
+		for _, q := range queries {
+			res, err := e.Search(context.Background(), q, SearchOptions{NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range gids {
+				var all []semindex.Hit
+				for _, h := range res.Hits {
+					if owner[h.DocID] == s {
+						all = append(all, h)
+					}
+				}
+				for _, limit := range []int{0, 10} {
+					want := all
+					if limit > 0 {
+						want = all[:min(limit, len(all))]
+					}
+					var got []semindex.Hit
+					for _, h := range e.Shard(s).Search(q, limit) {
+						got = append(got, semindex.NewHit(e, gids[s][h.DocID], h.Score))
+					}
+					if err := sameHits(got, want); err != nil {
+						t.Fatalf("%s shard %d %q at limit %d: %v", name, s, q, limit, err)
+					}
+				}
+			}
+		}
+	}
 }

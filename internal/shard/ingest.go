@@ -458,8 +458,6 @@ func (e *Engine) commitLocked(pb *preparedBatch, res *IngestResult) (due bool) {
 		if ix == nil {
 			continue
 		}
-		ix.SetExhaustive(e.exhaustive)
-		ix.SetCorpusStats(e.global)
 		newSubs[s] = &subIndex{ix: ix, gids: make([]int, 0, ix.NumDocs())}
 		e.segs[s] = append(e.segs[s], newSubs[s])
 		due = due || len(e.segs[s]) >= mergeSegments

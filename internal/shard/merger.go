@@ -237,9 +237,6 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 	if newBase == nil {
 		newBase = &subIndex{ix: pm.merged, gids: pm.gids}
 	}
-	serve := newBase.ix
-	serve.SetCorpusStats(e.global)
-	serve.SetExhaustive(e.exhaustive)
 	for i, sub := range pm.subs {
 		for local, nid := range pm.remaps[i] {
 			gid := sub.gids[local]
@@ -248,9 +245,9 @@ func (e *Engine) applyMergedLocked(s int, pm *pendingMerge) {
 				e.byGID[gid] = docRef{}
 				continue
 			}
-			if sub.ix.IsDeleted(local) && !serve.IsDeleted(nid) {
+			if sub.ix.IsDeleted(local) && !newBase.ix.IsDeleted(nid) {
 				// Tombstoned while the merge ran: carry the bit forward.
-				serve.Delete(nid)
+				newBase.ix.Delete(nid)
 			}
 			e.byGID[gid] = docRef{sub: newBase, local: nid}
 		}

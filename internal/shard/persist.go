@@ -182,8 +182,6 @@ func (e *Engine) Save(base string) error {
 		// changes — no statistics move, no epoch bumps, no cache entry is
 		// touched.
 		for i, nb := range subs {
-			nb.ix.SetCorpusStats(e.global)
-			nb.ix.SetExhaustive(e.exhaustive)
 			for local, gid := range nb.gids {
 				e.byGID[gid] = docRef{sub: nb, local: local}
 			}

@@ -212,6 +212,9 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 			bar = new(index.Bar)
 		}
 		return e.searchShardLocked(s, opts.Limit, func(ix *index.Index) []index.Hit {
+			if e.exhaustive {
+				return pq.ExhaustiveSearch(ix, opts.Limit)
+			}
 			return pq.Search(ix, opts.Limit, bar)
 		})
 	}
@@ -243,15 +246,15 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 	return SearchResult{Hits: hits, Report: rep}, epoch, nil
 }
 
-// prepareLocked routes and analyzes a search's text for the whole engine:
-// every sub-index is built at the engine's level with the engine's
-// analyzer. A "name:" prefix is field syntax when some live document of
-// the corpus carries the field — what a monolithic index over the same
-// corpus would answer — not when the sub-index evaluating the query
-// happens to. Read lock required.
+// prepareLocked routes and analyzes a search's text for the whole engine
+// and binds the corpus-wide statistics into it: every sub-index is built
+// at the engine's level with the engine's analyzer. A "name:" prefix is
+// field syntax when some live document of the corpus carries the field —
+// what a monolithic index over the same corpus would answer — not when the
+// sub-index evaluating the query happens to. Read lock required.
 func (e *Engine) prepareLocked(query string) semindex.PreparedQuery {
 	hasField := func(name string) bool { return e.global.Fields[name] != nil }
-	return semindex.Prepare(e.level, e.base[0].ix.Analyzer(), hasField, query)
+	return semindex.Prepare(e.level, e.base[0].ix.Analyzer(), hasField, query, e.global)
 }
 
 // rankedHit is a hit on its way through the scatter-gather, ranked by
@@ -319,11 +322,15 @@ func mergeRanked(lists [][]rankedHit, limit int) []rankedHit {
 }
 
 // searchQueryLocked scatters an already-built query (Related's
-// more-like-this query) across the shards. Read lock required.
+// more-like-this query), bound to the corpus-wide statistics, across the
+// shards. Read lock required.
 func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]rankedHit {
-	q = index.AnalyzeQuery(q, e.base[0].ix.Analyzer())
+	q = index.AnalyzeQuery(q, e.base[0].ix.Analyzer(), e.global)
 	return e.scatter(nil, func(s int) []rankedHit {
 		return e.searchShardLocked(s, limit, func(ix *index.Index) []index.Hit {
+			if e.exhaustive {
+				return ix.ExhaustiveSearch(q, limit)
+			}
 			return ix.Search(q, limit)
 		})
 	})
@@ -533,7 +540,7 @@ func (e *Engine) docLocked(gid int) (*index.Index, int) {
 
 // Related returns documents similar to the given global docID, mirroring
 // semindex.Related: the more-like-this query is built on the owning
-// sub-index (term selection already uses the corpus-wide statistics),
+// sub-index (its term selection reads the corpus-wide statistics),
 // scattered to every shard, and the source document is filtered from the
 // merge. A tombstoned or lost source returns nil.
 func (e *Engine) Related(gid int, limit int) []semindex.Hit {
@@ -545,7 +552,7 @@ func (e *Engine) Related(gid int, limit int) []semindex.Hit {
 		// replaced by a newer version of its page.
 		return nil
 	}
-	q := ix.LikeThisQuery(local, semindex.QueryBoosts, 8)
+	q := ix.LikeThisQuery(local, semindex.QueryBoosts, 8, e.global)
 	if q == nil {
 		return nil
 	}

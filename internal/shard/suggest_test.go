@@ -59,7 +59,7 @@ func TestSuggestEquivalence(t *testing.T) {
 	if _, err := tie.Ingest(context.Background(), []*crawler.MatchPage{&b}, shard.IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	scan := scanSuggest(mono.Index.Analyzer(), tie.Shard(0).Index.CorpusStats(), "kvar goal")
+	scan := scanSuggest(mono.Index.Analyzer(), tie.Stats().Global, "kvar goal")
 	if got := tie.Suggest("kvar goal"); got != scan || scan != "kvarn goal" {
 		t.Errorf("base and segment tie: Suggest = %q, scan %q, want %q", got, scan, "kvarn goal")
 	}
