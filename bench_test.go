@@ -369,11 +369,11 @@ func BenchmarkIndexAdd(b *testing.B) {
 // ForceMerge runs it: a base holding 24 of those pages with two of them
 // tombstoned, plus six one-page segments. Besides the time, B/op says
 // whether the merged index is still allocated once at its final size. The
-// heap arm's base is the index Add built; the mapped arm's is that index
-// encoded and opened mapped, as a loaded engine's base is, afresh and
-// untimed before every merge: an engine merges a mapped base once, and
-// one reused would come to the merge with whatever it cached the time
-// before.
+// heap arm's base is the index Add built, sealed as every engine base is
+// (Index.Seal); the mapped arm's is that index encoded and opened mapped,
+// as a loaded engine's base is, afresh and untimed before every merge: an
+// engine merges a mapped base once, and one reused would come to the
+// merge with whatever it cached the time before.
 func BenchmarkIndexMerge(b *testing.B) {
 	builder := semindex.NewBuilder()
 	pages := benchmarkPages(b)
@@ -391,6 +391,7 @@ func BenchmarkIndexMerge(b *testing.B) {
 			}
 		}
 	}
+	sources[0].Seal()
 	var payload bytes.Buffer
 	toc, err := sources[0].EncodeWithTOC(&payload)
 	if err != nil {
@@ -448,6 +449,26 @@ func BenchmarkForceMerge(b *testing.B) {
 		}
 		b.StartTimer()
 		eng.ForceMerge()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
+// BenchmarkEngineSave measures the checkpoint every restart and mapped
+// open depends on: Engine.Save of a two-shard FULL_INF heap engine over
+// those pages into a temporary directory, a new generation each time: each
+// shard encoded (EncodeWithTOC), written, fsynced and renamed, then the
+// manifest committed and the last generation's files removed. Nothing is
+// left to compact, so one iteration is the encode and the writes alone.
+func BenchmarkEngineSave(b *testing.B) {
+	eng := shard.Build(semindex.NewBuilder(), semindex.FullInf, benchmarkPages(b), shard.Options{Shards: 2})
+	defer eng.Close()
+	base := filepath.Join(b.TempDir(), "idx.bin")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Save(base); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }

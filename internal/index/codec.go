@@ -102,7 +102,7 @@ func (ix *Index) EncodeWithTOC(w io.Writer, metaFields ...string) ([]byte, error
 		}
 		return m.rawTOC, nil
 	}
-	tb := newTOCBuilder(ix, metaFields)
+	tb := &tocBuilder{numDocs: ix.stored.n, metaNames: metaFields, metaVals: make([][]byte, len(metaFields))}
 	if err := ix.encode(w, tb); err != nil {
 		return nil, err
 	}
@@ -146,25 +146,25 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 		terms := fi.termNames()
 		sort.Strings(terms)
 		writeU32(bw, uint32(len(terms)))
+		tf.terms = make([]tocTerm, 0, len(terms))
 		for _, t := range terms {
 			writeString(bw, t)
 			te := fi.terms[t]
 			n := len(te.docs)
 			writeU32(bw, uint32(n))
-			var offs []uint64
-			var lasts []int32
+			// The TOC cap is the exact bound over the whole list, taken from
+			// its blocks' exact bounds as setCaps does on a merge — the value
+			// rebuildCaps derives on the heap decode path, so mapped and heap
+			// prune with identical numbers.
+			tc := termCap{minLen: math.MaxInt}
 			for s := 0; s < n; s += postingBlockSize {
 				e := min(s+postingBlockSize, n)
-				offs = append(offs, pos())
-				lasts = append(lasts, te.docs[e-1])
-				encodeBlock(bw, fi, te, s, e)
+				tf.offs = append(tf.offs, pos())
+				tf.lasts = append(tf.lasts, te.docs[e-1])
+				c := encodeBlock(bw, fi, te, s, e)
+				tc.observe(c.maxFreq, c.minLen, c.maxBoost)
 			}
-			// The TOC cap is the exact bound over the whole list — the same
-			// value rebuildCaps derives on the heap decode path and setCaps
-			// on a merge, so mapped and heap prune with identical numbers.
-			tf.terms = append(tf.terms, tocTerm{
-				term: t, n: n, cap: fi.exactCap(te, 0, n), offs: offs, lasts: lasts,
-			})
+			tf.terms = append(tf.terms, tocTerm{term: t, n: n, cap: tc})
 		}
 
 		tf.docLenOff = pos()
@@ -206,6 +206,7 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	tb.storedOff = pos()
 	writeU32(bw, storedChunkDocs)
 	var chunk []byte
+	chunks := newChunkWriter(tb)
 	var comp bytes.Buffer
 	zw, err := flate.NewWriter(&comp, flate.DefaultCompression)
 	if err != nil {
@@ -213,8 +214,8 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 	}
 	for beg := 0; beg < ix.stored.n; beg += storedChunkDocs {
 		// The heap chunks need not line up with the codec's (a merge shares
-		// chunks of any length); writeChunk copies out the codec's.
-		chunk = writeChunk(chunk[:0], &ix.stored, beg, min(beg+storedChunkDocs, ix.stored.n))
+		// chunks of any length); the chunk writer copies out the codec's.
+		chunk = chunks.write(chunk[:0], &ix.stored, beg, min(beg+storedChunkDocs, ix.stored.n))
 		comp.Reset()
 		zw.Reset(&comp)
 		if _, err := zw.Write(chunk); err != nil {
@@ -235,12 +236,13 @@ func (ix *Index) encode(w io.Writer, tb *tocBuilder) error {
 // terms the exact max-impact header first, then the docID deltas,
 // frequencies, boosts, and position deltas. Metadata is computed here, at
 // encode time, so a loaded index prunes with exact bounds even when the
-// in-memory builder tracked them conservatively. The docID delta chain runs
-// across the whole posting list: a block's first delta is from the previous
-// block's last docID (-1 before the first block).
-func encodeBlock(bw *bufio.Writer, fi *fieldIndex, te *termEntry, lo, hi int) {
+// in-memory builder tracked them conservatively; it is returned for the
+// term's own bound. The docID delta chain runs across the whole posting
+// list: a block's first delta is from the previous block's last docID (-1
+// before the first block).
+func encodeBlock(bw *bufio.Writer, fi *fieldIndex, te *termEntry, lo, hi int) termCap {
+	c := fi.exactCap(te, lo, hi)
 	if len(te.docs) > postingBlockSize {
-		c := fi.exactCap(te, lo, hi)
 		writeUvarint(bw, uint64(c.maxFreq))
 		writeUvarint(bw, uint64(c.minLen))
 		writeF64(bw, c.maxBoost)
@@ -279,6 +281,7 @@ func encodeBlock(bw *bufio.Writer, fi *fieldIndex, te *termEntry, lo, hi int) {
 			pp = pos
 		}
 	}
+	return c
 }
 
 // capHint bounds speculative allocation from an untrusted length
@@ -672,24 +675,33 @@ func (fi *fieldIndex) checkBlocks() error {
 	return nil
 }
 
+// The scalar writers append into the bufio.Writer's own buffer, after
+// making room for the longest form of the value: an array of their own
+// would escape to the heap through Write, one allocation per value. A
+// failed Flush leaves the writer's error sticky, so the Flush that ends an
+// encode reports it.
 func writeU32(w *bufio.Writer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.Write(buf[:])
+	room(w, 4)
+	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
+	room(w, 8)
+	w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
 func writeF64(w *bufio.Writer, v float64) { writeU64(w, math.Float64bits(v)) }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	room(w, binary.MaxVarintLen64)
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
+}
+
+// room flushes w when its buffer has fewer than n bytes free.
+func room(w *bufio.Writer, n int) {
+	if w.Available() < n {
+		w.Flush()
+	}
 }
 
 func writeString(w *bufio.Writer, s string) {

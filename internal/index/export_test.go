@@ -39,3 +39,9 @@ func (ix *Index) Postings(field, term string) []Posting {
 // Mapped reports whether this index serves postings from a mapped byte
 // region instead of heap structures.
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
+
+// writeChunk appends documents [beg, end) of s, at most storedChunkDocs,
+// in the wire form, as an encode writes them with no TOC meta columns.
+func writeChunk(b []byte, s *storedRegion, beg, end int) []byte {
+	return newChunkWriter(&tocBuilder{}).write(b, s, beg, end)
+}

@@ -396,6 +396,47 @@ func TestHeapMergeAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocationCeiling encodes the golden index with the TOC columns
+// a shard file carries. The scalar writers append into the buffered
+// writer's own buffer and the stored documents are walked once, gathering
+// the columns as they are re-encoded, so the encode must write the pinned
+// bytes and stay under an allocation ceiling: it measured 397 allocations
+// when the ceiling was set, where writers that moved an array to the heap
+// per value, a column read that built a string per document and a block
+// list per term took 531,020. The ceiling leaves a third again as much
+// room.
+func TestEncodeAllocationCeiling(t *testing.T) {
+	const maxAllocs = 530
+	ix := goldenIndex()
+	var payload bytes.Buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ix.EncodeWithTOC(&payload, semindex.MetaMatchID, semindex.MetaKind)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%d allocations, ceiling %d", allocs, maxAllocs)
+	}
+	var bare bytes.Buffer
+	if _, err := ix.EncodeWithTOC(&bare); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload.Bytes(), bare.Bytes()) {
+		t.Error("the TOC columns asked for change the payload")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "encode.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(golden), "\nencode "+encodeDigest(t, ix)+"\n") {
+		t.Error("the encoder no longer writes the pinned bytes; TestEncodeGolden says how they differ")
+	}
+}
+
 // TestWriteTrafficIsDense asserts what the docID-indexed field tables
 // assume (DESIGN §17): the semantic index's documents carry every indexed
 // field, so a table sized by the document count has no holes to waste.

@@ -243,8 +243,10 @@ func uvarintAt(b []byte, p int) (v uint64, next int) {
 type tocBuilder struct {
 	numDocs   int
 	storedOff uint64
+	// metaVals[k] is column k's values so far, each in the TOC's vstr form;
+	// the stored region's writer (chunkWriter) appends them.
 	metaNames []string
-	metaVals  [][]string
+	metaVals  [][]byte
 	fields    []*tocField
 }
 
@@ -252,29 +254,17 @@ type tocField struct {
 	name                string
 	docLenOff, boostOff uint64
 	terms               []tocTerm
-}
-
-type tocTerm struct {
-	term  string
-	n     int
-	cap   termCap
+	// offs and lasts are the offset and last docID of every block of the
+	// field's terms, in term order: a term of n postings has
+	// ceil(n/postingBlockSize) of them.
 	offs  []uint64
 	lasts []int32
 }
 
-// newTOCBuilder captures the requested stored-only meta fields from the
-// documents up front; offsets arrive during the encode walk.
-func newTOCBuilder(ix *Index, metaFields []string) *tocBuilder {
-	tb := &tocBuilder{numDocs: ix.stored.n}
-	for _, name := range metaFields {
-		vals := make([]string, ix.stored.n)
-		for i := range vals {
-			vals[i] = ix.stored.value(i, name)
-		}
-		tb.metaNames = append(tb.metaNames, name)
-		tb.metaVals = append(tb.metaVals, vals)
-	}
-	return tb
+type tocTerm struct {
+	term string
+	n    int
+	cap  termCap
 }
 
 func (tb *tocBuilder) field(name string) *tocField {
@@ -283,7 +273,7 @@ func (tb *tocBuilder) field(name string) *tocField {
 	return tf
 }
 
-func appendVstr(b []byte, s string) []byte {
+func appendVstr[T string | []byte](b []byte, s T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -300,9 +290,7 @@ func (tb *tocBuilder) serialize() []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(tb.metaNames)))
 	for k, name := range tb.metaNames {
 		out = appendVstr(out, name)
-		for _, v := range tb.metaVals[k] {
-			out = appendVstr(out, v)
-		}
+		out = append(out, tb.metaVals[k]...)
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(tb.fields)))
 	for _, tf := range tb.fields {
@@ -310,22 +298,24 @@ func (tb *tocBuilder) serialize() []byte {
 		out = binary.LittleEndian.AppendUint64(out, tf.docLenOff)
 		out = binary.LittleEndian.AppendUint64(out, tf.boostOff)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(tf.terms)))
-		prevOff := uint64(0)
+		prevOff, blk := uint64(0), 0
 		for _, t := range tf.terms {
 			out = appendVstr(out, t.term)
 			out = binary.AppendUvarint(out, uint64(t.n))
 			out = binary.AppendUvarint(out, uint64(t.cap.maxFreq))
 			out = binary.AppendUvarint(out, uint64(t.cap.minLen))
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(t.cap.maxBoost))
-			for b, off := range t.offs {
+			nb := (t.n + postingBlockSize - 1) / postingBlockSize
+			for b, off := range tf.offs[blk : blk+nb] {
 				out = binary.AppendUvarint(out, off-prevOff)
 				prevOff = off
-				last := uint64(t.lasts[b]) + 1
+				last := uint64(tf.lasts[blk+b]) + 1
 				if b > 0 {
-					last = uint64(t.lasts[b] - t.lasts[b-1])
+					last = uint64(tf.lasts[blk+b] - tf.lasts[blk+b-1])
 				}
 				out = binary.AppendUvarint(out, last)
 			}
+			blk += nb
 		}
 	}
 	return out

@@ -117,7 +117,8 @@ type fieldMerge struct {
 	fi     *fieldIndex
 	// terms are the field's surviving terms in the order they are merged,
 	// and spans the stretches of consecutive surviving postings of all of
-	// them, each term's in merged order. The count pass fills both.
+	// them, each term's in merged order, except in a whole heap source,
+	// whose list the copy pass takes as it is. The count pass fills both.
 	terms []mergedTerm
 	spans []span
 	// ar holds the buffers of the cursors that read mapped sources, cleared
@@ -125,14 +126,16 @@ type fieldMerge struct {
 	ar searchArena
 }
 
-// mergedTerm is a term of the merged field: its spans m.spans[lo:hi], with
-// n postings and npos positions among them, whose boosts are bit for bit
-// one value unless boosted.
+// mergedTerm is a term of the merged field: its spans m.spans[lo:hi] (the
+// copy pass consumes them, moving lo), and n postings and npos positions
+// among them and its whole heap sources' lists, whose boosts are bit for
+// bit one value unless boosted. The counts fit 32 bits, as the columns they
+// size do.
 type mergedTerm struct {
 	term          string
-	lo, hi        int
-	n, npos       int
 	boost         float64
+	lo, hi        int32
+	n, npos       uint32
 	boosted, seen bool
 }
 
@@ -141,7 +144,7 @@ type mergedTerm struct {
 // whose postings are decoded again when they are copied.
 type span struct {
 	r          *postingRun
-	si, lo, hi int
+	si, lo, hi int32
 }
 
 // merge merges field name of the sources, which no source before sources[si]
@@ -160,7 +163,10 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 		if sfi == nil {
 			continue
 		}
-		hint, sum = max(hint, sfi.numTerms()), sum+sfi.numTerms()
+		hint = max(hint, sfi.numTerms())
+		if sfi.m != nil || !m.whole[si+sj] {
+			sum += sfi.numTerms()
+		}
 		remap := m.remaps[si+sj]
 		for w, word := range sfi.present {
 			for ; word != 0; word &= word - 1 {
@@ -185,7 +191,8 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 	// counted with their positions and boosts, and kept as spans; a mapped
 	// source's list is read without its positions, a term at a time.
 	// Until the copy pass a term's key holds nil. A term has a span in
-	// each source that carries it, more only where tombstones split it.
+	// each source that carries it and drops a document or is mapped, more
+	// only where tombstones split it.
 	m.terms, m.spans = slices.Grow(m.terms[:0], hint), slices.Grow(m.spans[:0], sum)
 	m.fi.terms = make(map[string]*termEntry, hint)
 	for ; si < len(m.fields); si++ {
@@ -199,38 +206,58 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 	}
 
 	// The copy pass: every column of the field is allocated once at its
-	// final length, the term entries in one slice, and each term's spans
-	// are copied into its windows. A mapped source's postings are decoded
-	// again, so memory stays bounded by a term's list, never the whole
-	// field's.
+	// final length, the term entries in one slice, and the sources are
+	// copied in order into their terms' windows, a whole heap source's lists
+	// as they are and any other's spans. A mapped source's postings are
+	// decoded again, so memory stays bounded by a term's list, never the
+	// whole field's.
 	n, npos, nboost := 0, 0, 0
 	for _, mt := range m.terms {
-		n, npos = n+mt.n, npos+mt.npos
+		n, npos = n+int(mt.n), npos+int(mt.npos)
 		if mt.boosted {
-			nboost += mt.n
+			nboost += int(mt.n)
 		}
 	}
 	cols := newColumns(n, npos, nboost)
 	entries := make([]termEntry, len(m.terms))
 	for k, mt := range m.terms {
-		te := &entries[k]
-		te.postingRun = cols.take(mt.n, mt.npos, mt.boosted)
-		var c postingsCursor
-		read := -1 // the source c reads
-		for _, s := range m.spans[mt.lo:mt.hi] {
-			switch {
-			case s.r != nil:
-				te.appendRun(s.r, s.lo, s.hi, m.remaps[s.si])
-				continue
-			case s.si != read:
-				c.init(m.fields[s.si].lookup(mt.term), true, &m.ar)
-				read = s.si
+		entries[k].postingRun = cols.take(int(mt.n), int(mt.npos), mt.boosted)
+		m.fi.terms[mt.term] = &entries[k]
+	}
+	for si, f := range m.fields {
+		switch {
+		case f == nil:
+		case f.m == nil && m.whole[si]:
+			for term, r := range f.terms {
+				// A list decoded empty adds nothing, and may have no merged
+				// term to add it to.
+				if len(r.docs) > 0 {
+					m.fi.terms[term].appendRun(&r.postingRun, 0, len(r.docs), m.remaps[si])
+				}
 			}
-			te.appendCursor(&c, s.lo, s.hi, m.remaps[s.si])
+		default:
+			for k := range m.terms {
+				mt := &m.terms[k]
+				if mt.lo == mt.hi || int(m.spans[mt.lo].si) != si {
+					continue
+				}
+				var c postingsCursor
+				if f.m != nil {
+					c.init(f.lookup(mt.term), true, &m.ar)
+				}
+				for ; mt.lo < mt.hi && int(m.spans[mt.lo].si) == si; mt.lo++ {
+					if s := m.spans[mt.lo]; s.r != nil {
+						entries[k].appendRun(s.r, int(s.lo), int(s.hi), m.remaps[si])
+					} else {
+						entries[k].appendCursor(&c, int(s.lo), int(s.hi), m.remaps[si])
+					}
+				}
+				m.ar.clear()
+			}
 		}
-		m.ar.clear()
-		m.fi.setCaps(te)
-		m.fi.terms[mt.term] = te
+	}
+	for k := range entries {
+		m.fi.setCaps(&entries[k])
 	}
 	return m.fi
 }
@@ -240,7 +267,7 @@ func (m *fieldMerge) merge(name string, sources []*Index, si, numDocs int) *fiel
 // and its key to the merged dictionary unless no surviving document
 // carries it.
 func (m *fieldMerge) count(term string, si int) {
-	mt := mergedTerm{term: term, lo: len(m.spans)}
+	mt := mergedTerm{term: term, lo: int32(len(m.spans))}
 	for ; si < len(m.fields); si++ {
 		switch f := m.fields[si]; {
 		case f == nil:
@@ -256,13 +283,14 @@ func (m *fieldMerge) count(term string, si int) {
 		}
 	}
 	if mt.n > 0 {
-		mt.hi = len(m.spans)
+		mt.hi = int32(len(m.spans))
 		m.terms = append(m.terms, mt)
 		m.fi.terms[term] = nil
 	}
 }
 
-// survivors adds the stretches of r, heap source si's list, that survive.
+// survivors adds the stretches of r, heap source si's list, that survive;
+// the list of a whole source is counted but given no span.
 func (m *fieldMerge) survivors(mt *mergedTerm, r *postingRun, si int) {
 	remap, docs := m.remaps[si], r.docs
 	for i := 0; i < len(docs); {
@@ -276,9 +304,9 @@ func (m *fieldMerge) survivors(mt *mergedTerm, r *postingRun, si int) {
 		} else {
 			for i++; i < len(docs) && remap[docs[i]] >= 0; i++ {
 			}
+			m.spans = append(m.spans, span{r, int32(si), int32(lo), int32(i)})
 		}
-		m.spans = append(m.spans, span{r, si, lo, i})
-		mt.n, mt.npos = mt.n+i-lo, mt.npos+int(r.posEnd[i-1]-r.posStart(lo))
+		mt.n, mt.npos = mt.n+uint32(i-lo), mt.npos+r.posEnd[i-1]-r.posStart(lo)
 		if len(r.boosts) == 0 {
 			mt.observe(r.boost)
 			continue
@@ -306,11 +334,11 @@ func (m *fieldMerge) mappedSurvivors(mt *mergedTerm, c *postingsCursor, si int) 
 			continue
 		}
 		if !open {
-			m.spans = append(m.spans, span{nil, si, i, i})
+			m.spans = append(m.spans, span{nil, int32(si), int32(i), int32(i)})
 			open = true
 		}
-		m.spans[len(m.spans)-1].hi = i + 1
-		mt.n, mt.npos = mt.n+1, mt.npos+freq
+		m.spans[len(m.spans)-1].hi = int32(i + 1)
+		mt.n, mt.npos = mt.n+1, mt.npos+uint32(freq)
 		mt.observe(boost)
 	}
 }

@@ -17,7 +17,7 @@ package index
 //
 // The codec's stored region holds these bytes too, each chunk in a flate
 // stream behind its own name table and document lengths (codec.go).
-// writeChunk writes that form, and parse, the one reader of chunk bytes
+// chunkWriter writes that form, and parse, the one reader of chunk bytes
 // from disk, checks it: Decode keeps what it parses, a mapped Doc decodes
 // from it, and a merge copies a mapped source's survivors out of it.
 //
@@ -206,9 +206,10 @@ func appendStoredField[T string | []byte](b []byte, name uint32, text T, boost u
 type storedFields struct {
 	// b is the document's bytes after its field count and p the offset of
 	// the next field in them; at is where the text next returned last
-	// starts.
+	// starts, and idx its name's index in names.
 	b     []byte
 	p, at int
+	idx   uint32
 	names []string
 	left  int
 }
@@ -241,7 +242,8 @@ func (r *storedFields) next() (name string, text []byte, boost uint64, ok bool) 
 		boost = binary.LittleEndian.Uint64(r.b[r.p:])
 		r.p += 8
 	}
-	return r.names[tag>>1], text, boost, true
+	r.idx = uint32(tag >> 1)
+	return r.names[r.idx], text, boost, true
 }
 
 // decode builds document k afresh in three allocations: the Document, its
@@ -260,35 +262,115 @@ func (c *storedChunk) decode(k int) *Document {
 	return d
 }
 
-// writeChunk appends documents [beg, end) of s, at most storedChunkDocs,
-// in the wire form: copied into a chunk of a region of their own, so the
-// name table is theirs in first-use order whichever chunks hold them.
-func writeChunk(b []byte, s *storedRegion, beg, end int) []byte {
-	var w storedRegion
-	for id := beg; id < end; id++ {
-		w.copyDoc(s.locate(id))
+// chunkWriter writes a heap index's stored documents in the wire form, one
+// chunk per write, and gathers the TOC's meta columns (tocBuilder) on the
+// same pass, so an encode walks each document once. Its buffers serve every
+// chunk of the encode.
+type chunkWriter struct {
+	// names, data and ends are the chunk being written: its name table in
+	// first-use order, whichever chunks its documents come from, and its
+	// documents back to back.
+	names []string
+	data  []byte
+	ends  []uint32
+	// src is the stored chunk the last document came from, and xlat holds
+	// per name index of src what that name is to this chunk, set on its
+	// first use.
+	src  *storedChunk
+	xlat []nameSlot
+	// tb takes each document's meta column values: val[k] is the value of
+	// tb's column k in the document being written, and first[k] the first
+	// column of that name.
+	tb    *tocBuilder
+	val   [][]byte
+	first []int
+}
+
+// nameSlot is a source name as a chunkWriter writes it: its index in the
+// chunk's name table, and the first TOC meta column of that name (-1: none).
+type nameSlot struct {
+	seen bool
+	name uint32
+	meta int
+}
+
+func newChunkWriter(tb *tocBuilder) *chunkWriter {
+	w := &chunkWriter{tb: tb, val: make([][]byte, len(tb.metaNames))}
+	for _, name := range tb.metaNames {
+		w.first = append(w.first, slices.Index(tb.metaNames, name))
 	}
-	c := w.chunks[0]
-	b = binary.AppendUvarint(b, uint64(len(c.names)))
-	for _, name := range c.names {
+	return w
+}
+
+// write appends documents [beg, end) of s, at most storedChunkDocs, in the
+// wire form: their fields re-tagged with the chunk's own name table, in
+// first-use order whichever chunks of s hold them.
+func (w *chunkWriter) write(b []byte, s *storedRegion, beg, end int) []byte {
+	w.names, w.data, w.ends, w.src = w.names[:0], w.data[:0], w.ends[:0], nil
+	for id := beg; id < end; id++ {
+		c, k := s.locate(id)
+		if c != w.src {
+			w.src = c
+			w.xlat = append(w.xlat[:0], make([]nameSlot, len(c.names))...)
+		}
+		r := c.fields(k)
+		w.data = binary.AppendUvarint(w.data, uint64(r.left))
+		for i := range w.val {
+			w.val[i] = w.val[i][:0]
+		}
+		for {
+			name, text, boost, ok := r.next()
+			if !ok {
+				break
+			}
+			sl := &w.xlat[r.idx]
+			if !sl.seen {
+				i := slices.Index(w.names, name)
+				if i < 0 {
+					i = len(w.names)
+					w.names = append(w.names, name)
+				}
+				*sl = nameSlot{seen: true, name: uint32(i), meta: slices.Index(w.tb.metaNames, name)}
+			}
+			w.data = appendStoredField(w.data, sl.name, text, boost)
+			// A value of several fields is their texts joined by spaces,
+			// as storedRegion.value reads it.
+			if sl.meta >= 0 {
+				v := w.val[sl.meta]
+				if len(v) > 0 {
+					v = append(v, ' ')
+				}
+				w.val[sl.meta] = append(v, text...)
+			}
+		}
+		if len(w.data) > math.MaxUint32 {
+			panic("index: stored documents take a chunk past math.MaxUint32 bytes")
+		}
+		w.ends = append(w.ends, uint32(len(w.data)))
+		for k, f := range w.first {
+			w.tb.metaVals[k] = appendVstr(w.tb.metaVals[k], w.val[f])
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(w.names)))
+	for _, name := range w.names {
 		b = binary.AppendUvarint(b, uint64(len(name)))
 		b = append(b, name...)
 	}
 	var start uint32
-	for _, e := range c.ends {
+	for _, e := range w.ends {
 		b = binary.AppendUvarint(b, uint64(e-start))
 		start = e
 	}
-	return append(b, c.data...)
+	return append(b, w.data...)
 }
 
 // parse reads a chunk of n documents in the wire form into c, whose data
 // is then a view of b, and reports whether b holds one. b comes off disk,
 // so parse checks what next trusts: every length stays inside what holds
 // it, every name index is in the table, boost bytes are non-zero. It also
-// refuses what writeChunk would not write — a uvarint longer than its
+// refuses what chunkWriter would not write — a uvarint longer than its
 // shortest form, a name the documents do not use in table order, a name
-// twice — so a chunk it accepts is the one writeChunk makes of its
+// twice — so a chunk it accepts is the one chunkWriter makes of its
 // documents. Nothing is sized by a count the bytes do not back.
 func (c *storedChunk) parse(b []byte, n int) bool {
 	r := byteReader{b: b}

@@ -38,10 +38,12 @@ type IDTriple struct {
 // building models offline, so the only concurrent access pattern is
 // read-only querying.
 type Graph struct {
-	// terms[id-1] is the term numbered id. iris keys the plain IRIs — nearly
-	// every term — by their one string; rest keys blanks and literals.
+	// terms[id-1] is the term numbered id. iris keys the plain IRIs — most
+	// terms — and lits the plain literals — nearly every other — by their
+	// one string; rest keys blanks and tagged and typed literals.
 	terms []Term
 	iris  map[string]ID
+	lits  map[string]ID
 	rest  map[Term]ID
 
 	// log holds the triples in insertion order. ends[id-1] bounds and
@@ -53,10 +55,10 @@ type Graph struct {
 	// probed linearly, that is empty or holds it. Every logged triple fills
 	// one slot.
 	table []uint32
-	// room holds the entry counts iris and rest were last made for: a map
-	// keeps its capacity when Reset clears it, so Grow remakes one only
+	// room holds the entry counts iris, lits and rest were last made for: a
+	// map keeps its capacity when Reset clears it, so Grow remakes one only
 	// when it must hold more.
-	room [2]int
+	room [3]int
 }
 
 // logEntry is one stored triple plus, per position, the log offset+1 of the
@@ -78,14 +80,15 @@ type chainEnds struct {
 func NewGraph() *Graph {
 	return &Graph{
 		iris: make(map[string]ID),
+		lits: make(map[string]ID),
 		rest: make(map[Term]ID),
 	}
 }
 
 // Grow makes room for iris more plain IRIs, others more blank nodes and
-// literals, and triples more triples, so a caller that knows the shape of
-// what it is about to add fills the graph without rehashing its maps and
-// table or regrowing its slices.
+// literals, plain or not, and triples more triples, so a caller that knows
+// the shape of what it is about to add fills the graph without rehashing
+// its maps and table or regrowing its slices.
 func (g *Graph) Grow(iris, others, triples int) {
 	g.terms = slices.Grow(g.terms, iris+others)
 	g.ends = slices.Grow(g.ends, iris+others)
@@ -93,8 +96,11 @@ func (g *Graph) Grow(iris, others, triples int) {
 	if n := len(g.iris) + iris; n > g.room[0] {
 		g.iris, g.room[0] = grown(g.iris, iris), n
 	}
-	if n := len(g.rest) + others; n > g.room[1] {
-		g.rest, g.room[1] = grown(g.rest, others), n
+	if n := len(g.lits) + others; n > g.room[1] {
+		g.lits, g.room[1] = grown(g.lits, others), n
+	}
+	if n := len(g.rest) + others; n > g.room[2] {
+		g.rest, g.room[2] = grown(g.rest, others), n
 	}
 	if !g.fits(triples) {
 		g.resize(g.Len() + triples)
@@ -105,10 +111,11 @@ func (g *Graph) Grow(iris, others, triples int) {
 // so a caller that builds one graph after another reuses the room the
 // largest took. IDs start again from 1.
 func (g *Graph) Reset() {
-	g.room = [2]int{max(g.room[0], len(g.iris)), max(g.room[1], len(g.rest))}
+	g.room = [3]int{max(g.room[0], len(g.iris)), max(g.room[1], len(g.lits)), max(g.room[2], len(g.rest))}
 	clear(g.terms) // drop the term strings
 	g.terms, g.log, g.ends = g.terms[:0], g.log[:0], g.ends[:0]
 	clear(g.iris)
+	clear(g.lits)
 	clear(g.rest)
 	clear(g.table)
 }
@@ -182,13 +189,25 @@ func grown[K comparable, V any](m map[K]V, n int) map[K]V {
 	return out
 }
 
-func plainIRI(t Term) bool { return t.Kind == IRI && t.Lang == "" && t.Datatype == "" }
+// plain returns the map that keys t by its value alone: iris for a plain
+// IRI, lits for a plain literal, nil for any other term, which rest keys.
+func (g *Graph) plain(t Term) map[string]ID {
+	switch {
+	case t.Lang != "" || t.Datatype != "":
+		return nil
+	case t.Kind == IRI:
+		return g.iris
+	case t.Kind == Literal:
+		return g.lits
+	}
+	return nil
+}
 
 // Lookup returns the term's ID, or false when the term has never entered
 // the graph (so no triple can mention it).
 func (g *Graph) Lookup(t Term) (ID, bool) {
-	if plainIRI(t) {
-		id, ok := g.iris[t.Value]
+	if m := g.plain(t); m != nil {
+		id, ok := m[t.Value]
 		return id, ok
 	}
 	id, ok := g.rest[t]
@@ -204,8 +223,8 @@ func (g *Graph) Intern(t Term) ID {
 	g.terms = append(g.terms, t)
 	g.ends = append(g.ends, chainEnds{})
 	id := ID(len(g.terms))
-	if plainIRI(t) {
-		g.iris[t.Value] = id
+	if m := g.plain(t); m != nil {
+		m[t.Value] = id
 	} else {
 		g.rest[t] = id
 	}
@@ -532,6 +551,7 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		terms: withRoom(g.terms, terms),
 		iris:  maps.Clone(g.iris),
+		lits:  maps.Clone(g.lits),
 		rest:  maps.Clone(g.rest),
 		log:   withRoom(g.log, triples),
 		ends:  withRoom(g.ends, terms),
